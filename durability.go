@@ -607,7 +607,6 @@ func (d *durability) crackCfg(hasRows bool) cracking.Config {
 		threads = user
 	}
 	return cracking.Config{
-		Kernel:          cracking.KernelVectorized,
 		ParallelWorkers: threads,
 		WithRows:        hasRows,
 		Stochastic:      d.cfg.Mode == ModeStochastic,

@@ -83,7 +83,7 @@ const (
 	// ModeOnline scans for an epoch of queries, then sorts all columns.
 	ModeOnline
 	// ModeAdaptive cracks columns as a side effect of queries (database
-	// cracking with the parallel vectorized kernel).
+	// cracking; large pieces are partitioned by Threads goroutines).
 	ModeAdaptive
 	// ModeStochastic is ModeAdaptive plus one auxiliary random crack per
 	// query (stochastic cracking).
@@ -408,7 +408,6 @@ func (s *Store) executor() (engine.Executor, error) {
 func (s *Store) build() engine.Executor {
 	threads := s.cfg.threads()
 	crackCfg := cracking.Config{
-		Kernel:          cracking.KernelVectorized,
 		ParallelWorkers: threads,
 		WithRows:        !s.cfg.NoRowIDs, // SelectRows materializes base positions
 		Seed:            s.cfg.Seed,

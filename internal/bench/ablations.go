@@ -60,7 +60,7 @@ func runAblationPivot(p Params) (*Result, error) {
 	r := &Result{Headers: []string{"policy", "refine time (ms)", "pieces", "avg piece", "max piece"}}
 	for _, pol := range policies {
 		base := workload.UniformColumn(p.ColumnSize, p.Domain, p.Seed)
-		c := cracking.New("a", base, cracking.Config{Kernel: cracking.KernelVectorized})
+		c := cracking.New("a", base, cracking.Config{})
 		rng := rand.New(rand.NewSource(p.Seed))
 		start := time.Now()
 		for i := 0; i < refinements; i++ {

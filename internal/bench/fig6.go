@@ -48,11 +48,11 @@ func microWorkload(p Params, pattern workload.Pattern) []workload.Query {
 	})
 }
 
-// pvdcConfig is parallel vectorized database cracking (the adaptive
-// indexing baseline built from [44]).
+// pvdcConfig is the adaptive indexing baseline (the paper's PVDC, built
+// from [44]): database cracking whose pieces of at least 32 Ki values
+// are sliced across threads goroutines, partitioned in place and merged.
 func pvdcConfig(p Params, threads int) cracking.Config {
 	return cracking.Config{
-		Kernel:           cracking.KernelVectorized,
 		ParallelWorkers:  threads,
 		MinParallelPiece: 1 << 15,
 		Seed:             p.Seed,

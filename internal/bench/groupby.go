@@ -61,7 +61,6 @@ func runGroupBy(p Params) (*Result, error) {
 
 	exec := engine.NewHolisticExecutor(tab, engine.HolisticConfig{
 		Cracking: cracking.Config{
-			Kernel:          cracking.KernelVectorized,
 			ParallelWorkers: p.Threads,
 			WithRows:        true, // the key-order walk reconstructs rows
 			Seed:            p.Seed,

@@ -72,7 +72,6 @@ func runJoin(p Params) (*Result, error) {
 	mkExec := func(t *engine.Table) *engine.HolisticExecutor {
 		return engine.NewHolisticExecutor(t, engine.HolisticConfig{
 			Cracking: cracking.Config{
-				Kernel:          cracking.KernelVectorized,
 				ParallelWorkers: p.Threads,
 				WithRows:        true, // the key-order walks reconstruct rows
 				Seed:            p.Seed,

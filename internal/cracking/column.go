@@ -28,29 +28,26 @@ import (
 	"holistic/internal/avl"
 )
 
-// Kernel selects the partition algorithm used to crack a piece.
+// Kernel is inert: every value selects the one crack kernel (crackInTwo).
+// The type, its constants and Config.Kernel are kept only because the
+// frozen benchmark module names them.
 type Kernel int
 
+// See Kernel: both constants mean the same thing.
 const (
-	// KernelInPlace is the classic two-cursor in-place crack-in-two.
 	KernelInPlace Kernel = iota
-	// KernelVectorized is the out-of-place, chunked ("vectorized")
-	// partition of Pirk et al. (DaMoN 2014), Figure 5 of the paper: a
-	// sequential read cursor copies each vector into either the head or
-	// the tail of a scratch buffer. It is the most CPU-efficient
-	// single-threaded cracking kernel reported.
 	KernelVectorized
 )
 
 // Config controls cracking behaviour for one cracker column.
 type Config struct {
-	// Kernel picks the single-threaded partition kernel.
+	// Kernel is ignored (see the Kernel type).
 	Kernel Kernel
 	// ParallelWorkers > 1 enables the refined partition & merge
 	// algorithm (Figure 4) for pieces of at least MinParallelPiece
 	// values: the piece is sliced across this many goroutines, each
-	// partitions its slice with the vectorized kernel, and the slices
-	// are merged back.
+	// partitions its slice in place, and the misplaced runs are swapped
+	// across the split.
 	ParallelWorkers int
 	// MinParallelPiece is the smallest piece worth parallelizing.
 	// Defaults to 1<<16 values.
@@ -114,9 +111,6 @@ type Column struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	scratch  sync.Pool // *[]int64 partition buffers
-	scratchR sync.Pool // *[]uint32 row partition buffers
 }
 
 // sentinelKey is the key of the boundary that starts the first piece.
@@ -127,6 +121,18 @@ const sentinelKey = math.MinInt64
 // New builds a cracker column from a copy of base. The copy is the
 // "cracker column ACRK" of Section 3.2; the base column stays untouched.
 func New(name string, base []int64, cfg Config) *Column {
+	return NewCracked(name, base, cfg, 0, 0)
+}
+
+// NewCracked builds the cracker column already cracked on [lo, hi): the
+// result equals New followed by SelectRange(lo, hi) — same boundaries,
+// same values per piece — but the copy out of base is itself the crack at
+// lo and the crack at hi follows in place (build), so the query that
+// creates a cracker does not copy the column and then reorder all of it.
+// An empty range (lo >= hi) cracks nothing, exactly as SelectRange would
+// not. Under Config.Stochastic the auxiliary random crack of that first
+// select is not taken.
+func NewCracked(name string, base []int64, cfg Config, lo, hi int64) *Column {
 	if cfg.MinParallelPiece == 0 {
 		cfg.MinParallelPiece = 1 << 16
 	}
@@ -136,28 +142,17 @@ func New(name string, base []int64, cfg Config) *Column {
 	c := &Column{
 		name: name,
 		tree: avl.New(),
-		vals: append([]int64(nil), base...),
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.WithRows {
-		c.rows = make([]uint32, len(base))
-		for i := range c.rows {
-			c.rows[i] = uint32(i)
-		}
-	}
+	var nLo, nHi int
+	c.vals, c.rows, nLo, nHi, c.domainLo, c.domainHi = build(base, cfg.WithRows, lo, hi)
 	c.tree.Insert(sentinelKey, &piece{start: 0})
-	c.domainLo, c.domainHi = int64(math.MaxInt64), int64(math.MinInt64)
-	for _, v := range base {
-		if v < c.domainLo {
-			c.domainLo = v
+	if lo < hi {
+		if lo != sentinelKey {
+			c.tree.Insert(lo, &piece{start: nLo})
 		}
-		if v > c.domainHi {
-			c.domainHi = v
-		}
-	}
-	if len(base) == 0 {
-		c.domainLo, c.domainHi = 0, 0
+		c.tree.Insert(hi, &piece{start: nHi})
 	}
 	return c
 }
@@ -265,8 +260,7 @@ func (c *Column) pieceByPosLocked(pos int) (p *piece, end int) {
 // the TPC-H experiments use (Section 5.6): the select attribute is
 // cracked, and the attributes a query projects stay position-aligned, so
 // aggregation runs tight loops over contiguous blocks. Each payload is
-// copied; base columns stay untouched. Payload kernels are in-place
-// (the out-of-place kernels would need scratch per payload).
+// copied; base columns stay untouched.
 func NewSideways(name string, base []int64, payloadNames []string, payloads [][]int64, cfg Config) *Column {
 	if len(payloadNames) != len(payloads) {
 		panic("cracking: payload name/column count mismatch")

@@ -178,7 +178,8 @@ func (c *Column) selectRangeLocked(lo, hi int64) Range {
 	}
 
 	// Crack-in-three fast path: both bounds fall into the same piece and
-	// neither is an existing boundary — partition once instead of twice.
+	// neither is an existing boundary — latch and look the piece up once,
+	// then crack at lo over the piece and at hi over its right part.
 	// Skipped under stochastic cracking, which weaves its auxiliary crack
 	// into the first bound's crack instead.
 	if !c.cfg.Stochastic {
@@ -202,12 +203,8 @@ func (c *Column) selectRangeLocked(lo, hi int64) Range {
 				pLo.latch.Unlock()
 				continue // piece changed while we waited; reassess
 			}
-			var m1, m2 int
-			if len(c.payloads) > 0 {
-				m1, m2 = crackInThreeSideways(c.vals, c.rows, c.payloads, pLo.start, endLo, lo, hi)
-			} else {
-				m1, m2 = crackInThree(c.vals, c.rows, pLo.start, endLo, lo, hi)
-			}
+			m1 := c.partition(pLo.start, endLo, lo)
+			m2 := c.partition(m1, endLo, hi)
 			c.mu.Lock()
 			c.tree.Insert(lo, &piece{start: m1})
 			c.tree.Insert(hi, &piece{start: m2})

@@ -31,18 +31,26 @@ func TestSelectRangeMatchesScan(t *testing.T) {
 	}
 }
 
-func TestSelectRangeVectorizedKernel(t *testing.T) {
+// TestConfigKernelIsInert pins the one-kernel contract: Config.Kernel is
+// kept for source compatibility only, so both of its values must crack a
+// column into the same physical order.
+func TestConfigKernelIsInert(t *testing.T) {
 	base := randVals(20_000, 6, 10_000)
-	c := New("a", base, Config{Kernel: KernelVectorized})
+	a := New("a", base, Config{Kernel: KernelInPlace, WithRows: true})
+	b := New("a", base, Config{Kernel: KernelVectorized, WithRows: true})
 	rng := rand.New(rand.NewSource(98))
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(10_000)
 		hi := lo + rng.Int63n(10_000-lo) + 1
-		if got, want := c.SelectRange(lo, hi).Count(), column.CountRange(base, lo, hi); got != want {
-			t.Fatalf("query %d [%d,%d): Count = %d, want %d", q, lo, hi, got, want)
+		ra, rb := a.SelectRange(lo, hi), b.SelectRange(lo, hi)
+		if want := column.CountRange(base, lo, hi); ra.Count() != want || rb != ra {
+			t.Fatalf("query %d [%d,%d): ranges %+v and %+v, want count %d", q, lo, hi, ra, rb, want)
 		}
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if !equalSlices(a.Snapshot(), b.Snapshot()) {
+		t.Fatal("Config.Kernel changed the physical order")
+	}
+	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

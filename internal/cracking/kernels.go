@@ -1,36 +1,110 @@
 package cracking
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// vectorSize is the chunk width of the vectorized kernel: large enough to
-// amortize loop overhead, small enough that a read vector plus the two
-// write frontiers stay cache resident (Pirk et al., DaMoN 2014).
-const vectorSize = 1024
+// blockSize is the number of values the crack kernel classifies from each
+// end before it swaps: large enough to amortize the swap loop's set-up,
+// small enough that a block's offsets fit a byte and both blocks plus
+// their offset buffers stay in L1 (Edelkamp & Weiß, BlockQuicksort).
+const blockSize = 128
 
-// crackInTwoInPlace partitions vals[lo:hi] (and rows in lockstep when
-// non-nil) so that values < pivot precede values >= pivot, returning the
-// index of the first value >= pivot. Classic two-cursor crack-in-two.
+const signBit = 1 << 63
+
+// less returns 1 when v < pivot and 0 otherwise, as arithmetic: biased is
+// the pivot with its sign bit flipped, which maps signed order onto
+// unsigned order, and the borrow of the unsigned subtraction is the
+// comparison. Exact over the whole int64 range (v-pivot may overflow;
+// the borrow cannot), and never compiled to a branch.
 //
 //holistic:noalloc
-func crackInTwoInPlace(vals []int64, rows []uint32, lo, hi int, pivot int64) int {
-	i, j := lo, hi-1
-	if rows == nil {
-		for {
-			for i <= j && vals[i] < pivot {
-				i++
-			}
-			for i <= j && vals[j] >= pivot {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			vals[i], vals[j] = vals[j], vals[i]
-			i++
-			j--
-		}
-		return i
+func less(v int64, biased uint64) uint8 {
+	_, borrow := bits.Sub64(uint64(v)^signBit, biased, 0)
+	return uint8(borrow)
+}
+
+// classify records in off the offsets of the block's values that sit on
+// the wrong side of the pivot and returns how many there are: values
+// >= pivot when misplaced is 1 (a left block), values < pivot when it is
+// 0 (a right block). Every offset is stored unconditionally and the
+// cursor advances by the comparison's outcome, so control flow does not
+// depend on the data; off is oversized so a byte cursor needs no bounds
+// check.
+//
+//holistic:noalloc
+func classify(blk *[blockSize]int64, off *[256]uint8, biased uint64, misplaced uint8) int {
+	var n uint8
+	for i := 0; i < blockSize; i += 4 {
+		q := (*[4]int64)(blk[i:])
+		off[n] = uint8(i)
+		n += less(q[0], biased) ^ misplaced
+		off[n] = uint8(i + 1)
+		n += less(q[1], biased) ^ misplaced
+		off[n] = uint8(i + 2)
+		n += less(q[2], biased) ^ misplaced
+		off[n] = uint8(i + 3)
+		n += less(q[3], biased) ^ misplaced
 	}
+	return int(n)
+}
+
+// swapPairs exchanges left[offL[k]] with right[offR[k]] for every k.
+//
+//holistic:noalloc
+func swapPairs[T int64 | uint32](left, right *[blockSize]T, offL, offR []uint8) {
+	offR = offR[:len(offL)]
+	for k, a := range offL {
+		a, b := a&(blockSize-1), offR[k]&(blockSize-1)
+		left[a], right[b] = right[b], left[a]
+	}
+}
+
+// crackInTwo partitions vals[lo:hi] in place so that values < pivot
+// precede values >= pivot and returns the index of the first value
+// >= pivot; rows (when non-nil) and every sideways payload are permuted
+// in lockstep. It is a block partition: one block from each end is
+// classified into offset buffers, the misplaced pairs are swapped, and
+// whichever block has no misplaced value left gives way to the next one;
+// the classic two-cursor loop finishes what is left when fewer than two
+// blocks remain.
+//
+//holistic:noalloc
+func crackInTwo(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64) int {
+	biased := uint64(pivot) ^ signBit
+	var offL, offR [256]uint8
+	var numL, numR, startL, startR int
+	l, r := lo, hi
+	for r-l >= 2*blockSize {
+		left, right := (*[blockSize]int64)(vals[l:]), (*[blockSize]int64)(vals[r-blockSize:])
+		if numL == 0 {
+			startL, numL = 0, classify(left, &offL, biased, 1)
+		}
+		if numR == 0 {
+			startR, numR = 0, classify(right, &offR, biased, 0)
+		}
+		n := min(numL, numR)
+		ol, or := offL[startL:startL+n], offR[startR:startR+n]
+		swapPairs(left, right, ol, or)
+		if rows != nil {
+			swapPairs((*[blockSize]uint32)(rows[l:]), (*[blockSize]uint32)(rows[r-blockSize:]), ol, or)
+		}
+		for _, p := range payloads {
+			swapPairs((*[blockSize]int64)(p[l:]), (*[blockSize]int64)(p[r-blockSize:]), ol, or)
+		}
+		numL, startL = numL-n, startL+n
+		numR, startR = numR-n, startR+n
+		if numL == 0 {
+			l += blockSize
+		}
+		if numR == 0 {
+			r -= blockSize
+		}
+	}
+	// A block that still has misplaced values stays inside [l, r) and is
+	// simply partitioned again.
+	i, j := l, r-1
 	for {
 		for i <= j && vals[i] < pivot {
 			i++
@@ -39,116 +113,7 @@ func crackInTwoInPlace(vals []int64, rows []uint32, lo, hi int, pivot int64) int
 			j--
 		}
 		if i >= j {
-			break
-		}
-		vals[i], vals[j] = vals[j], vals[i]
-		rows[i], rows[j] = rows[j], rows[i]
-		i++
-		j--
-	}
-	return i
-}
-
-// getScratch returns a partition buffer of at least n values (and n rows
-// when needRows is set), reusing pooled buffers.
-//
-//holistic:alloc-ok pool warm-up allocates the recycled object
-func (c *Column) getScratch(n int, needRows bool) ([]int64, []uint32) {
-	var sv []int64
-	if p, _ := c.scratch.Get().(*[]int64); p != nil && cap(*p) >= n {
-		sv = (*p)[:n]
-	} else {
-		sv = make([]int64, n)
-	}
-	var sr []uint32
-	if needRows {
-		if p, _ := c.scratchR.Get().(*[]uint32); p != nil && cap(*p) >= n {
-			sr = (*p)[:n]
-		} else {
-			sr = make([]uint32, n)
-		}
-	}
-	return sv, sr
-}
-
-//holistic:noalloc
-func (c *Column) putScratch(sv []int64, sr []uint32) {
-	c.scratch.Put(&sv)
-	if sr != nil {
-		c.scratchR.Put(&sr)
-	}
-}
-
-// crackInTwoVectorized is the out-of-place vectorized partition of
-// Figure 5: a strictly sequential read cursor walks the piece one vector
-// at a time, copying each value to either the head cursor or the tail
-// cursor of a scratch buffer; the scratch is then copied back. The tail
-// half ends up reversed, which is irrelevant — order inside a piece
-// carries no information.
-//
-//holistic:noalloc
-func crackInTwoVectorized(vals, scratchV []int64, rows, scratchR []uint32, lo, hi int, pivot int64) int {
-	n := hi - lo
-	head, tail := 0, n-1
-	if rows == nil {
-		for base := 0; base < n; base += vectorSize {
-			limit := base + vectorSize
-			if limit > n {
-				limit = n
-			}
-			for i := base; i < limit; i++ {
-				v := vals[lo+i]
-				if v < pivot {
-					scratchV[head] = v
-					head++
-				} else {
-					scratchV[tail] = v
-					tail--
-				}
-			}
-		}
-		copy(vals[lo:hi], scratchV[:n])
-		return lo + head
-	}
-	for base := 0; base < n; base += vectorSize {
-		limit := base + vectorSize
-		if limit > n {
-			limit = n
-		}
-		for i := base; i < limit; i++ {
-			v := vals[lo+i]
-			r := rows[lo+i]
-			if v < pivot {
-				scratchV[head] = v
-				scratchR[head] = r
-				head++
-			} else {
-				scratchV[tail] = v
-				scratchR[tail] = r
-				tail--
-			}
-		}
-	}
-	copy(vals[lo:hi], scratchV[:n])
-	copy(rows[lo:hi], scratchR[:n])
-	return lo + head
-}
-
-// crackInTwoSideways is crack-in-two with payload columns (and optional
-// rowids) swapped in lockstep: the sideways-cracking kernel.
-//
-//holistic:noalloc
-func crackInTwoSideways(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64) int {
-	i, j := lo, hi-1
-	for {
-		for i <= j && vals[i] < pivot {
-			i++
-		}
-		for i <= j && vals[j] >= pivot {
-			j--
-		}
-		if i >= j {
-			break
+			return i
 		}
 		vals[i], vals[j] = vals[j], vals[i]
 		if rows != nil {
@@ -160,191 +125,78 @@ func crackInTwoSideways(vals []int64, rows []uint32, payloads [][]int64, lo, hi 
 		i++
 		j--
 	}
-	return i
 }
 
-// crackInThreeSideways is crack-in-three with payloads in lockstep.
+// swapRuns exchanges s[a:a+n] with s[b:b+n]; the runs must not overlap.
 //
 //holistic:noalloc
-func crackInThreeSideways(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, a, b int64) (m1, m2 int) {
-	low, mid, high := lo, lo, hi-1
-	swap := func(x, y int) {
-		vals[x], vals[y] = vals[y], vals[x]
-		if rows != nil {
-			rows[x], rows[y] = rows[y], rows[x]
-		}
-		for _, p := range payloads {
-			p[x], p[y] = p[y], p[x]
-		}
+func swapRuns[T int64 | uint32](s []T, a, b, n int) {
+	x, y := s[a:a+n], s[b:b+n]
+	for i := range x {
+		x[i], y[i] = y[i], x[i]
 	}
-	for mid <= high {
-		switch v := vals[mid]; {
-		case v < a:
-			swap(low, mid)
-			low++
-			mid++
-		case v >= b:
-			swap(mid, high)
-			high--
-		default:
-			mid++
-		}
-	}
-	return low, mid
-}
-
-// crackInThree partitions vals[lo:hi] into [< a | a <= v < b | >= b] in a
-// single pass (Dutch national flag), returning the two split points. Used
-// when both bounds of a range select fall into the same piece.
-//
-//holistic:noalloc
-func crackInThree(vals []int64, rows []uint32, lo, hi int, a, b int64) (m1, m2 int) {
-	low, mid, high := lo, lo, hi-1
-	if rows == nil {
-		for mid <= high {
-			v := vals[mid]
-			switch {
-			case v < a:
-				vals[low], vals[mid] = vals[mid], vals[low]
-				low++
-				mid++
-			case v >= b:
-				vals[mid], vals[high] = vals[high], vals[mid]
-				high--
-			default:
-				mid++
-			}
-		}
-		return low, mid
-	}
-	for mid <= high {
-		v := vals[mid]
-		switch {
-		case v < a:
-			vals[low], vals[mid] = vals[mid], vals[low]
-			rows[low], rows[mid] = rows[mid], rows[low]
-			low++
-			mid++
-		case v >= b:
-			vals[mid], vals[high] = vals[high], vals[mid]
-			rows[mid], rows[high] = rows[high], rows[mid]
-			high--
-		default:
-			mid++
-		}
-	}
-	return low, mid
 }
 
 // parallelCrack is the refined partition & merge algorithm of Figure 4
-// (Pirk et al., DaMoN 2014): the to-be-cracked piece is sliced across
-// workers goroutines, each partitions its slice out-of-place with the
-// vectorized kernel, and the per-slice halves are merged back so that all
-// values < pivot form a prefix. The concentric slice layout of the
-// original is replaced by contiguous slices plus an explicit merge copy
-// (identical output and parallel structure; see DESIGN.md §3).
+// (Pirk et al., DaMoN 2014): the piece is sliced across workers
+// goroutines, each partitions its slice in place with crackInTwo, and the
+// merge swaps the runs that ended up on the wrong side of the global
+// split — the >= pivot runs left of it with the < pivot runs right of it
+// — which moves exactly the misplaced values and needs no scratch space.
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
-func (c *Column) parallelCrack(vals []int64, rows []uint32, lo, hi int, pivot int64, workers int) int {
+func parallelCrack(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64, workers int) int {
 	n := hi - lo
-	if workers > n {
-		workers = n
-	}
-	scratchV, scratchR := c.getScratch(n, rows != nil)
-	defer c.putScratch(scratchV, scratchR)
-
-	// Phase 1: partition each slice into scratch (same offsets).
-	mids := make([]int, workers) // count of < pivot per slice
+	workers = max(1, min(workers, n))
 	starts := make([]int, workers+1)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		s := w * chunk
-		if s > n {
-			s = n
-		}
-		starts[w] = s
+	for w := range starts {
+		starts[w] = lo + w*n/workers
 	}
-	starts[workers] = n
-
+	mids := make([]int, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		s, e := starts[w], starts[w+1]
-		if s >= e {
-			continue
-		}
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(w, s, e int) {
+		go func(w int) {
 			defer wg.Done()
-			head, tail := s, e-1
-			if rows == nil {
-				for i := lo + s; i < lo+e; i++ {
-					v := vals[i]
-					if v < pivot {
-						scratchV[head] = v
-						head++
-					} else {
-						scratchV[tail] = v
-						tail--
-					}
-				}
-			} else {
-				for i := lo + s; i < lo+e; i++ {
-					v := vals[i]
-					r := rows[i]
-					if v < pivot {
-						scratchV[head] = v
-						scratchR[head] = r
-						head++
-					} else {
-						scratchV[tail] = v
-						scratchR[tail] = r
-						tail--
-					}
-				}
-			}
-			mids[w] = head - s
-		}(w, s, e)
+			mids[w] = crackInTwo(vals, rows, payloads, starts[w], starts[w+1], pivot)
+		}(w)
 	}
+	mids[0] = crackInTwo(vals, rows, payloads, starts[0], starts[1], pivot)
 	wg.Wait()
 
-	// Phase 2: merge. Compute destination offsets for each slice's two
-	// halves, then copy both halves back concurrently.
-	totalLeft := 0
-	for _, m := range mids {
-		totalLeft += m
+	split := lo
+	for w, m := range mids {
+		split += m - starts[w]
 	}
-	leftOff := make([]int, workers)
-	rightOff := make([]int, workers)
-	accL, accR := 0, totalLeft
-	for w := 0; w < workers; w++ {
-		leftOff[w] = accL
-		accL += mids[w]
-		rightOff[w] = accR
-		accR += (starts[w+1] - starts[w]) - mids[w]
-	}
-	for w := 0; w < workers; w++ {
-		s, e := starts[w], starts[w+1]
-		if s >= e {
-			continue
+	// [a, aEnd) is a run of values >= pivot left of split, [b, bEnd) a run
+	// of values < pivot right of it; both kinds total the same length.
+	var a, aEnd, b, bEnd, wa, wb int
+	for {
+		for a >= aEnd && wa < workers {
+			a, aEnd = mids[wa], min(starts[wa+1], split)
+			wa++
 		}
-		wg.Add(1)
-		go func(w, s, e int) {
-			defer wg.Done()
-			m := mids[w]
-			copy(vals[lo+leftOff[w]:], scratchV[s:s+m])
-			copy(vals[lo+rightOff[w]:], scratchV[s+m:e])
-			if rows != nil {
-				copy(rows[lo+leftOff[w]:], scratchR[s:s+m])
-				copy(rows[lo+rightOff[w]:], scratchR[s+m:e])
-			}
-		}(w, s, e)
+		for b >= bEnd && wb < workers {
+			b, bEnd = max(starts[wb], split), mids[wb]
+			wb++
+		}
+		if a >= aEnd || b >= bEnd {
+			return split
+		}
+		k := min(aEnd-a, bEnd-b)
+		swapRuns(vals, a, b, k)
+		if rows != nil {
+			swapRuns(rows, a, b, k)
+		}
+		for _, p := range payloads {
+			swapRuns(p, a, b, k)
+		}
+		a, b = a+k, b+k
 	}
-	wg.Wait()
-	return lo + totalLeft
 }
 
-// partition cracks vals[lo:hi] at pivot using the configured kernel and
-// the user-query thread budget. Caller holds the piece's write latch.
+// partition cracks vals[lo:hi] at pivot with the user-query thread
+// budget. Caller holds the piece's write latch.
 //
 //holistic:noalloc
 func (c *Column) partition(lo, hi int, pivot int64) int {
@@ -356,23 +208,8 @@ func (c *Column) partition(lo, hi int, pivot int64) int {
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
 func (c *Column) partitionWith(lo, hi int, pivot int64, workers int) int {
-	n := hi - lo
-	if n == 0 {
-		return lo
+	if workers > 1 && hi-lo >= c.cfg.MinParallelPiece {
+		return parallelCrack(c.vals, c.rows, c.payloads, lo, hi, pivot, workers)
 	}
-	if len(c.payloads) > 0 {
-		return crackInTwoSideways(c.vals, c.rows, c.payloads, lo, hi, pivot)
-	}
-	if workers > 1 && n >= c.cfg.MinParallelPiece {
-		return c.parallelCrack(c.vals, c.rows, lo, hi, pivot, workers)
-	}
-	switch c.cfg.Kernel {
-	case KernelVectorized:
-		sv, sr := c.getScratch(n, c.rows != nil)
-		mid := crackInTwoVectorized(c.vals, sv, c.rows, sr, lo, hi, pivot)
-		c.putScratch(sv, sr)
-		return mid
-	default:
-		return crackInTwoInPlace(c.vals, c.rows, lo, hi, pivot)
-	}
+	return crackInTwo(c.vals, c.rows, c.payloads, lo, hi, pivot)
 }

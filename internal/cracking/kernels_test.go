@@ -1,15 +1,40 @@
 package cracking
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// crackInTwoInPlace is the classic two-cursor crack-in-two, kept as the
+// reference the block-partition kernel is checked against: values
+// < pivot end up before values >= pivot, and the index of the first
+// value >= pivot is returned.
+func crackInTwoInPlace(vals []int64, lo, hi int, pivot int64) int {
+	i, j := lo, hi-1
+	for {
+		for i <= j && vals[i] < pivot {
+			i++
+		}
+		for i <= j && vals[j] >= pivot {
+			j--
+		}
+		if i >= j {
+			return i
+		}
+		vals[i], vals[j] = vals[j], vals[i]
+		i++
+		j--
+	}
+}
+
 // checkPartition verifies the crack-in-two post-condition on vals[lo:hi]:
 // values < pivot occupy [lo, mid), values >= pivot occupy [mid, hi).
-func checkPartition(t *testing.T, vals []int64, lo, hi, mid int, pivot int64) {
+func checkPartition(t testing.TB, vals []int64, lo, hi, mid int, pivot int64) {
 	t.Helper()
 	if mid < lo || mid > hi {
 		t.Fatalf("mid %d outside [%d, %d]", mid, lo, hi)
@@ -54,257 +79,251 @@ func randVals(n int, seed int64, domain int64) []int64 {
 	return vals
 }
 
-func TestCrackInTwoInPlace(t *testing.T) {
-	vals := randVals(1000, 1, 100)
-	before := multiset(vals)
-	mid := crackInTwoInPlace(vals, nil, 0, len(vals), 50)
-	checkPartition(t, vals, 0, len(vals), mid, 50)
-	if !equalSlices(before, multiset(vals)) {
-		t.Fatal("partition changed the multiset of values")
-	}
-}
-
-func TestCrackInTwoInPlaceWithRows(t *testing.T) {
-	vals := randVals(500, 2, 100)
-	rows := make([]uint32, len(vals))
-	orig := append([]int64(nil), vals...)
+func iota32(n int) []uint32 {
+	rows := make([]uint32, n)
 	for i := range rows {
 		rows[i] = uint32(i)
 	}
-	mid := crackInTwoInPlace(vals, rows, 0, len(vals), 42)
-	checkPartition(t, vals, 0, len(vals), mid, 42)
-	for i, r := range rows {
-		if orig[r] != vals[i] {
-			t.Fatalf("row %d points at %d but value is %d: rows not in lockstep", r, orig[r], vals[i])
+	return rows
+}
+
+// payloadsOf derives k payload columns from vals, each a fixed function
+// of the value, so a lockstep violation shows at any position.
+func payloadsOf(vals []int64, k int) [][]int64 {
+	out := make([][]int64, k)
+	for p := range out {
+		out[p] = make([]int64, len(vals))
+		for i, v := range vals {
+			out[p][i] = v*int64(p+2) + int64(p)
+		}
+	}
+	return out
+}
+
+// crackFunc is the signature of crackInTwo; inParallel adapts the
+// parallel driver to it.
+type crackFunc func(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64) int
+
+func inParallel(workers int) crackFunc {
+	return func(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64) int {
+		return parallelCrack(vals, rows, payloads, lo, hi, pivot, workers)
+	}
+}
+
+// kernelCase runs crack on a copy of orig[lo:hi] with rowids and
+// nPayloads payloads attached, and checks everything a crack promises:
+// the reference's split position, the partition property, the multiset,
+// nothing touched outside [lo, hi), and rowids and payloads still
+// describing their value.
+func kernelCase(t testing.TB, orig []int64, lo, hi int, pivot int64, withRows bool, nPayloads int, crack crackFunc) {
+	t.Helper()
+	vals := append([]int64(nil), orig...)
+	var rows []uint32
+	if withRows {
+		rows = iota32(len(vals))
+	}
+	payloads := payloadsOf(vals, nPayloads)
+	ref := append([]int64(nil), orig...)
+	want := crackInTwoInPlace(ref, lo, hi, pivot)
+
+	mid := crack(vals, rows, payloads, lo, hi, pivot)
+	if mid != want {
+		t.Fatalf("split at %d, reference splits at %d", mid, want)
+	}
+	checkPartition(t, vals, lo, hi, mid, pivot)
+	if !equalSlices(multiset(orig[lo:hi]), multiset(vals[lo:hi])) {
+		t.Fatal("partition changed the multiset of values")
+	}
+	for i := range vals {
+		if (i < lo || i >= hi) && vals[i] != orig[i] {
+			t.Fatalf("vals[%d] changed outside the cracked range", i)
+		}
+		if rows != nil && orig[rows[i]] != vals[i] {
+			t.Fatalf("rows[%d] = %d points at %d but the value is %d", i, rows[i], orig[rows[i]], vals[i])
+		}
+	}
+	for p, want := range payloadsOf(vals, nPayloads) {
+		if !equalSlices(payloads[p], want) {
+			t.Fatalf("payload %d out of lockstep with the values", p)
+		}
+	}
+}
+
+// kernelLengths brackets every multiple of the block size the main loop
+// and the remainder step can hand over at.
+func kernelLengths() []int {
+	lens := []int{0, 1, 2, 3}
+	for m := 1; m <= 5; m++ {
+		lens = append(lens, m*blockSize-1, m*blockSize, m*blockSize+1)
+	}
+	return append(lens, 10_000, 1<<16+5)
+}
+
+func TestCrackInTwoLengthsAndPivots(t *testing.T) {
+	const domain = 1000
+	for _, n := range kernelLengths() {
+		uniform := randVals(n, int64(n)+1, domain)
+		allEqual := make([]int64, n)
+		for i := range allEqual {
+			allEqual[i] = 7
+		}
+		for name, orig := range map[string][]int64{"uniform": uniform, "all-equal": allEqual} {
+			pivots := []int64{-1, 0, 7, 8, domain / 2, domain - 1, domain, math.MinInt64, math.MaxInt64}
+			for _, pivot := range pivots {
+				for _, withRows := range []bool{false, true} {
+					for nPayloads := 0; nPayloads <= 3; nPayloads++ {
+						if nPayloads > 0 && n > 1000 && pivot != domain/2 {
+							continue // payload lockstep does not depend on the pivot; keep the table quick
+						}
+						t.Run(fmt.Sprintf("%s/n=%d/pivot=%d/rows=%v/payloads=%d", name, n, pivot, withRows, nPayloads), func(t *testing.T) {
+							kernelCase(t, orig, 0, n, pivot, withRows, nPayloads, crackInTwo)
+						})
+					}
+				}
+			}
 		}
 	}
 }
 
 func TestCrackInTwoSubrange(t *testing.T) {
-	vals := randVals(1000, 3, 100)
-	snapshot := append([]int64(nil), vals...)
-	lo, hi := 200, 700
-	mid := crackInTwoInPlace(vals, nil, lo, hi, 55)
-	checkPartition(t, vals, lo, hi, mid, 55)
-	// Outside the subrange nothing may change.
-	for i := 0; i < lo; i++ {
-		if vals[i] != snapshot[i] {
-			t.Fatalf("vals[%d] changed outside cracked range", i)
-		}
+	orig := randVals(5000, 3, 100)
+	for _, span := range [][2]int{{200, 700}, {1, 4999}, {300, 300}, {17, 17 + 2*blockSize}, {4000, 5000}} {
+		lo, hi := span[0], span[1]
+		kernelCase(t, orig, lo, hi, 55, true, 1, crackInTwo)
 	}
-	for i := hi; i < len(vals); i++ {
-		if vals[i] != snapshot[i] {
-			t.Fatalf("vals[%d] changed outside cracked range", i)
+}
+
+// extremes are the values and pivots on which a subtraction-based
+// comparison goes wrong: their pairwise differences overflow int64.
+var extremes = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+
+func TestLessIsExactOverFullInt64(t *testing.T) {
+	for _, v := range extremes {
+		for _, p := range extremes {
+			want := uint8(0)
+			if v < p {
+				want = 1
+			}
+			if got := less(v, uint64(p)^signBit); got != want {
+				t.Errorf("less(%d, %d) = %d, want %d", v, p, got, want)
+			}
 		}
 	}
 }
 
-func TestCrackInTwoEdgePivots(t *testing.T) {
-	vals := randVals(256, 4, 100)
-	if mid := crackInTwoInPlace(append([]int64(nil), vals...), nil, 0, len(vals), -1); mid != 0 {
-		t.Errorf("pivot below domain: mid = %d, want 0", mid)
-	}
-	if mid := crackInTwoInPlace(append([]int64(nil), vals...), nil, 0, len(vals), 1000); mid != len(vals) {
-		t.Errorf("pivot above domain: mid = %d, want %d", mid, len(vals))
-	}
-	if mid := crackInTwoInPlace(vals, nil, 5, 5, 50); mid != 5 {
-		t.Errorf("empty range: mid = %d, want 5", mid)
-	}
-}
-
-func TestCrackInTwoVectorized(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 100, vectorSize, vectorSize + 1, 3*vectorSize + 17} {
-		vals := randVals(n, int64(n), 1000)
-		before := multiset(vals)
-		scratch := make([]int64, n)
-		mid := crackInTwoVectorized(vals, scratch, nil, nil, 0, n, 500)
-		checkPartition(t, vals, 0, n, mid, 500)
-		if !equalSlices(before, multiset(vals)) {
-			t.Fatalf("n=%d: vectorized partition changed the multiset", n)
+func TestCrackInTwoFullInt64Domain(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{blockSize, 4*blockSize + 3, 10_000} {
+		orig := make([]int64, n)
+		for i := range orig {
+			if rng.Intn(2) == 0 {
+				orig[i] = extremes[rng.Intn(len(extremes))]
+			} else {
+				orig[i] = int64(rng.Uint64())
+			}
+		}
+		for _, pivot := range extremes {
+			kernelCase(t, orig, 0, n, pivot, true, 0, crackInTwo)
 		}
 	}
 }
 
-func TestCrackInTwoVectorizedWithRows(t *testing.T) {
-	n := 2*vectorSize + 100
-	vals := randVals(n, 9, 1000)
-	orig := append([]int64(nil), vals...)
-	rows := make([]uint32, n)
-	for i := range rows {
-		rows[i] = uint32(i)
+func TestCrackInTwoFourMi(t *testing.T) {
+	if testing.Short() {
+		t.Skip("partitions 4 Mi values")
 	}
-	sv := make([]int64, n)
-	sr := make([]uint32, n)
-	mid := crackInTwoVectorized(vals, sv, rows, sr, 0, n, 333)
-	checkPartition(t, vals, 0, n, mid, 333)
-	for i, r := range rows {
-		if orig[r] != vals[i] {
-			t.Fatalf("rows out of lockstep at %d", i)
-		}
-	}
-}
-
-func TestVectorizedMatchesInPlaceSplit(t *testing.T) {
-	// Both kernels must produce the same split position (the partition
-	// itself may order values differently inside each side).
-	vals1 := randVals(5000, 11, 1<<20)
-	vals2 := append([]int64(nil), vals1...)
-	scratch := make([]int64, len(vals1))
-	pivot := int64(1 << 19)
-	m1 := crackInTwoInPlace(vals1, nil, 0, len(vals1), pivot)
-	m2 := crackInTwoVectorized(vals2, scratch, nil, nil, 0, len(vals2), pivot)
-	if m1 != m2 {
-		t.Fatalf("split positions differ: in-place %d vs vectorized %d", m1, m2)
-	}
-}
-
-func TestCrackInThree(t *testing.T) {
-	vals := randVals(3000, 12, 1000)
-	before := multiset(vals)
-	a, b := int64(300), int64(700)
-	m1, m2 := crackInThree(vals, nil, 0, len(vals), a, b)
-	if m1 > m2 {
-		t.Fatalf("m1 %d > m2 %d", m1, m2)
-	}
-	for i := 0; i < m1; i++ {
-		if vals[i] >= a {
-			t.Fatalf("vals[%d] = %d >= %d in first region", i, vals[i], a)
-		}
-	}
-	for i := m1; i < m2; i++ {
-		if vals[i] < a || vals[i] >= b {
-			t.Fatalf("vals[%d] = %d outside [%d, %d) in middle region", i, vals[i], a, b)
-		}
-	}
-	for i := m2; i < len(vals); i++ {
-		if vals[i] < b {
-			t.Fatalf("vals[%d] = %d < %d in last region", i, vals[i], b)
-		}
-	}
-	if !equalSlices(before, multiset(vals)) {
-		t.Fatal("crack-in-three changed the multiset")
-	}
-}
-
-func TestCrackInThreeWithRows(t *testing.T) {
-	vals := randVals(1000, 13, 100)
-	orig := append([]int64(nil), vals...)
-	rows := make([]uint32, len(vals))
-	for i := range rows {
-		rows[i] = uint32(i)
-	}
-	crackInThree(vals, rows, 0, len(vals), 30, 60)
-	for i, r := range rows {
-		if orig[r] != vals[i] {
-			t.Fatalf("rows out of lockstep at %d", i)
-		}
-	}
+	n := 4 << 20
+	orig := randVals(n, 44, 1<<30)
+	kernelCase(t, orig, 0, n, 1<<29, true, 0, crackInTwo)
 }
 
 func TestParallelCrack(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		c := New("a", nil, Config{ParallelWorkers: workers})
-		vals := randVals(100_000, int64(workers), 1<<20)
-		before := multiset(vals)
-		pivot := int64(1 << 19)
-		mid := c.parallelCrack(vals, nil, 0, len(vals), pivot, workers)
-		checkPartition(t, vals, 0, len(vals), mid, pivot)
-		if !equalSlices(before, multiset(vals)) {
-			t.Fatalf("workers=%d: parallel crack changed the multiset", workers)
+	for workers := 1; workers <= 8; workers++ {
+		for _, n := range []int{0, 1, 3, 7, blockSize, 1000, 100_003} {
+			orig := randVals(n, int64(workers*1000+n), 1<<20)
+			for _, pivot := range []int64{-5, 1 << 17, 1 << 19, 1 << 21} {
+				t.Run(fmt.Sprintf("workers=%d/n=%d/pivot=%d", workers, n, pivot), func(t *testing.T) {
+					kernelCase(t, orig, 0, n, pivot, true, 1, inParallel(workers))
+				})
+			}
 		}
 	}
 }
 
-func TestParallelCrackWithRowsAndSubrange(t *testing.T) {
-	c := New("a", nil, Config{ParallelWorkers: 4})
+// TestParallelCrackSkewedSlices makes the per-slice splits as unequal as
+// they get — each slice entirely below or entirely above the pivot — so
+// the merge swaps whole slices and skips empty runs.
+func TestParallelCrackSkewedSlices(t *testing.T) {
+	const n, workers = 4000, 4
+	for _, layout := range [][workers]bool{
+		{true, false, true, false}, {false, false, true, true}, {true, true, true, false}, {false, true, true, true},
+	} {
+		orig := make([]int64, n)
+		for i := range orig {
+			if layout[i*workers/n] {
+				orig[i] = 100 + int64(i)
+			} else {
+				orig[i] = -int64(i) - 1
+			}
+		}
+		kernelCase(t, orig, 0, n, 0, true, 0, inParallel(workers))
+	}
+}
+
+func TestParallelCrackSubrange(t *testing.T) {
 	n := 50_000
-	vals := randVals(n, 21, 1000)
-	orig := append([]int64(nil), vals...)
-	rows := make([]uint32, n)
-	for i := range rows {
-		rows[i] = uint32(i)
-	}
+	orig := randVals(n, 21, 1000)
 	lo, hi := 1000, n-1000
-	snapshot := append([]int64(nil), vals...)
-	mid := c.parallelCrack(vals, rows, lo, hi, 500, 4)
-	checkPartition(t, vals, lo, hi, mid, 500)
-	for i := 0; i < lo; i++ {
-		if vals[i] != snapshot[i] {
-			t.Fatalf("vals[%d] changed outside range", i)
-		}
+	for _, workers := range []int{2, 3, 4} {
+		kernelCase(t, orig, lo, hi, 500, true, 2, inParallel(workers))
 	}
-	for i := hi; i < n; i++ {
-		if vals[i] != snapshot[i] {
-			t.Fatalf("vals[%d] changed outside range", i)
-		}
-	}
-	for i, r := range rows {
-		if orig[r] != vals[i] {
-			t.Fatalf("rows out of lockstep at %d", i)
-		}
-	}
-}
-
-func TestParallelCrackMoreWorkersThanValues(t *testing.T) {
-	c := New("a", nil, Config{ParallelWorkers: 16})
-	vals := []int64{5, 1, 9, 3}
-	mid := c.parallelCrack(vals, nil, 0, len(vals), 4, 16)
-	checkPartition(t, vals, 0, len(vals), mid, 4)
 }
 
 func TestQuickKernelsAgree(t *testing.T) {
-	check := func(vals []int64, pivot int64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		v1 := append([]int64(nil), vals...)
-		v2 := append([]int64(nil), vals...)
-		v3 := append([]int64(nil), vals...)
-		scratch := make([]int64, len(vals))
-		c := New("q", nil, Config{ParallelWorkers: 3})
-		m1 := crackInTwoInPlace(v1, nil, 0, len(v1), pivot)
-		m2 := crackInTwoVectorized(v2, scratch, nil, nil, 0, len(v2), pivot)
-		m3 := c.parallelCrack(v3, nil, 0, len(v3), pivot, 3)
-		if m1 != m2 || m1 != m3 {
-			return false
-		}
-		return equalSlices(multiset(vals), multiset(v1)) &&
-			equalSlices(multiset(vals), multiset(v2)) &&
-			equalSlices(multiset(vals), multiset(v3))
+	check := func(orig []int64, pivot int64, workers uint8) bool {
+		n := len(orig)
+		kernelCase(t, orig, 0, n, pivot, true, 1, crackInTwo)
+		kernelCase(t, orig, 0, n, pivot, false, 0, inParallel(int(workers%8)+1))
+		return !t.Failed()
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestQuickCrackInThreePostcondition(t *testing.T) {
-	check := func(vals []int64, a, b int64) bool {
-		if a > b {
-			a, b = b, a
-		}
-		v := append([]int64(nil), vals...)
-		m1, m2 := crackInThree(v, nil, 0, len(v), a, b)
-		if m1 > m2 || m2 > len(v) {
-			return false
-		}
-		for i := 0; i < m1; i++ {
-			if v[i] >= a {
-				return false
+// FuzzPartition feeds the kernel arbitrary lengths, pivots and values;
+// the input bytes are read as little-endian int64s and every eighth value
+// is replaced by an extreme so the overflow cases are always in play.
+func FuzzPartition(f *testing.F) {
+	seed := make([]byte, 8*(2*blockSize+9))
+	rand.New(rand.NewSource(1)).Read(seed)
+	f.Add(seed, int64(0), uint8(0))
+	f.Add(seed[:8*blockSize], int64(math.MinInt64), uint8(3))
+	f.Add(seed[:24], int64(math.MaxInt64), uint8(1))
+	f.Add([]byte{}, int64(1), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, pivot int64, workers uint8) {
+		orig := make([]int64, len(data)/8)
+		for i := range orig {
+			orig[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+			if i%8 == 7 {
+				orig[i] = extremes[uint64(orig[i])%uint64(len(extremes))]
 			}
 		}
-		for i := m1; i < m2; i++ {
-			if v[i] < a || v[i] >= b {
-				return false
-			}
-		}
-		for i := m2; i < len(v); i++ {
-			if v[i] < b {
-				return false
-			}
-		}
-		return equalSlices(multiset(vals), multiset(v))
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		n := len(orig)
+		kernelCase(t, orig, 0, n, pivot, true, 0, crackInTwo)
+		kernelCase(t, orig, 0, n, pivot, true, 0, inParallel(int(workers%8)+1))
+	})
+}
+
+func TestCrackInTwoAllocationFree(t *testing.T) {
+	orig := randVals(10_000, 77, 1<<20)
+	vals := make([]int64, len(orig))
+	rows := iota32(len(orig))
+	payloads := payloadsOf(orig, 1)
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(vals, orig)
+		crackInTwo(vals, rows, payloads, 0, len(vals), 1<<19)
+	}); allocs != 0 {
+		t.Fatalf("crackInTwo allocates: %v allocs/op", allocs)
 	}
 }

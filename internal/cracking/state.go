@@ -2,7 +2,6 @@ package cracking
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"holistic/internal/avl"
@@ -77,18 +76,7 @@ func Restore(name string, st ExportedState, cfg Config) (*Column, error) {
 		}
 		c.tree.Insert(st.Keys[i], &piece{start: int(st.Starts[i])})
 	}
-	c.domainLo, c.domainHi = int64(math.MaxInt64), int64(math.MinInt64)
-	for _, v := range st.Vals {
-		if v < c.domainLo {
-			c.domainLo = v
-		}
-		if v > c.domainHi {
-			c.domainHi = v
-		}
-	}
-	if len(st.Vals) == 0 {
-		c.domainLo, c.domainHi = 0, 0
-	}
+	c.domainLo, c.domainHi = domain(st.Vals)
 	if err := c.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("cracking: restore %s: %w", name, err)
 	}

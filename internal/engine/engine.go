@@ -9,7 +9,7 @@
 //	ModeScan       — plain parallel scans, no indexing
 //	ModeOffline    — pre-sorted columns, binary-search selects
 //	ModeOnline     — scan for an epoch, then sort, then binary search
-//	ModeAdaptive   — database cracking (parallel vectorized, PVDC)
+//	ModeAdaptive   — database cracking (parallel partition & merge, PVDC)
 //	ModeStochastic — stochastic cracking (PVSDC)
 //	ModeCCGI       — the mP-CCGI multi-core baseline
 //	ModeHolistic   — cracking plus the holistic indexing daemon

@@ -448,9 +448,9 @@ func (e *OnlineExecutor) WalkKeyOrder(attr string, fn func(vals []int64, rows []
 func (e *OnlineExecutor) Close() {}
 
 // AdaptiveExecutor is database cracking: the first query on an attribute
-// creates its cracker column, every query refines it. With the default
-// configuration it is PVDC (parallel vectorized database cracking); with
-// Stochastic set it is PVSDC.
+// creates its cracker column, every query refines it. With
+// ParallelWorkers > 1 it is the paper's PVDC (parallel partition & merge);
+// with Stochastic set, PVSDC.
 type AdaptiveExecutor struct {
 	table *Table
 	cfg   cracking.Config
@@ -459,16 +459,22 @@ type AdaptiveExecutor struct {
 	// Registry is optional: when set, the select operator records
 	// per-index statistics (holistic mode shares this executor).
 	Registry *stats.Registry
-	// Admit is called to register a new cracker column; holistic mode
-	// routes it through the daemon's storage budget. Nil registers
-	// directly on Registry (when present).
-	Admit func(name string, col *cracking.Column) *stats.Entry
+	// Admit is called to register a new cracker column (potential: built
+	// ahead of any query driving it); holistic mode routes it through the
+	// daemon's storage budget. Nil registers directly on Registry (when
+	// present).
+	Admit func(name string, col *cracking.Column, potential bool) *stats.Entry
 
 	// met records access-path telemetry when attached (Instrumented).
 	met *obs.ExecMetrics
 
+	// mu guards the two maps only, never a build: building[attr] is
+	// closed when the first touch of attr in flight is over, so other
+	// attributes' queries, CrackerIfExists and admission do not wait for
+	// an O(N) build, and a second first touch of attr builds nothing.
 	mu       sync.Mutex
 	crackers map[string]*cracking.Column
+	building map[string]chan struct{}
 
 	pendMu  sync.Mutex
 	pending map[string]*updates.Pending
@@ -492,7 +498,7 @@ type AdaptiveExecutor struct {
 	viewCache map[string]column.View
 }
 
-// NewAdaptiveExecutor builds a cracking executor; cfg selects the kernel,
+// NewAdaptiveExecutor builds a cracking executor; cfg selects the
 // parallelism and stochastic behaviour.
 func NewAdaptiveExecutor(t *Table, cfg cracking.Config, label string) *AdaptiveExecutor {
 	if label == "" {
@@ -503,6 +509,7 @@ func NewAdaptiveExecutor(t *Table, cfg cracking.Config, label string) *AdaptiveE
 		cfg:       cfg,
 		label:     label,
 		crackers:  make(map[string]*cracking.Column),
+		building:  make(map[string]chan struct{}),
 		pending:   make(map[string]*updates.Pending),
 		nextRow:   make(map[string]uint32),
 		tails:     make(map[string][]int64),
@@ -521,26 +528,56 @@ func (e *AdaptiveExecutor) SetExecMetrics(m *obs.ExecMetrics) { e.met = m }
 // Cracker returns (building if needed) the cracker column of attr; the
 // bool reports whether it already existed.
 func (e *AdaptiveExecutor) Cracker(attr string) (*cracking.Column, bool, error) {
+	return e.ensureCracker(attr, 0, 0, false)
+}
+
+// ensureCracker returns attr's cracker column, building it when absent —
+// already cracked on [lo, hi), the bounds of the select that needs it
+// (none when lo >= hi) — outside e.mu, then publishing and admitting it.
+// Callers that find a build in flight wait for it and use its column.
+func (e *AdaptiveExecutor) ensureCracker(attr string, lo, hi int64, potential bool) (*cracking.Column, bool, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.crackers[attr]; ok {
-		return c, true, nil
+	for {
+		if c, ok := e.crackers[attr]; ok {
+			e.mu.Unlock()
+			return c, true, nil
+		}
+		inFlight, ok := e.building[attr]
+		if !ok {
+			break
+		}
+		e.mu.Unlock()
+		<-inFlight
+		e.mu.Lock()
 	}
 	base := e.table.Column(attr)
 	if base == nil {
+		e.mu.Unlock()
 		return nil, false, fmt.Errorf("engine: unknown attribute %q", attr)
 	}
+	done := make(chan struct{})
+	e.building[attr] = done
 	cfg := e.cfg
-	cfg.Seed = e.cfg.Seed + int64(len(e.crackers))
-	c := cracking.New(attr, base.Values(), cfg)
+	cfg.Seed += int64(len(e.crackers) + len(e.building) - 1)
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		delete(e.building, attr)
+		e.mu.Unlock()
+		close(done)
+	}()
+
+	c := cracking.NewCracked(attr, base.Values(), cfg, lo, hi)
+	e.mu.Lock()
 	e.crackers[attr] = c
-	if e.met != nil {
+	e.mu.Unlock()
+	if !potential && e.met != nil {
 		e.met.CrackerBuilds.Inc()
 	}
 	if e.Admit != nil {
-		e.Admit(attr, c)
+		e.Admit(attr, c, potential)
 	} else if e.Registry != nil {
-		e.Registry.Add(attr, c, false)
+		e.Registry.Add(attr, c, potential)
 	}
 	return c, false, nil
 }
@@ -732,9 +769,11 @@ func (e *AdaptiveExecutor) EstimateCount(attr string, lo, hi int64) (float64, bo
 }
 
 // selectCracker returns attr's cracker with every pending update covering
-// [lo, hi) merged in — the shared front half of all select forms.
+// [lo, hi) merged in — the shared front half of all select forms. When
+// this is the call that creates the cracker, it is built already cracked
+// on [lo, hi) and the select that follows is an exact hit.
 func (e *AdaptiveExecutor) selectCracker(attr string, lo, hi int64) (*cracking.Column, error) {
-	c, _, err := e.Cracker(attr)
+	c, _, err := e.ensureCracker(attr, lo, hi, false)
 	if err != nil {
 		return nil, err
 	}
@@ -921,8 +960,8 @@ type HolisticExecutor struct {
 
 // HolisticConfig assembles the pieces of a holistic executor.
 type HolisticConfig struct {
-	// Cracking configures the user-query cracker columns (PVDC kernel,
-	// user parallelism, RefineWorkers for the daemon's cracks).
+	// Cracking configures the user-query cracker columns (user
+	// parallelism, RefineWorkers for the daemon's cracks).
 	Cracking cracking.Config
 	// Daemon configures the tuning cycle.
 	Daemon holistic.Config
@@ -962,8 +1001,8 @@ func NewHolisticExecutor(t *Table, cfg HolisticConfig) *HolisticExecutor {
 		Acct:             acct,
 		UserThreads:      cfg.UserThreads,
 	}
-	ad.Admit = func(name string, col *cracking.Column) *stats.Entry {
-		entry, _ := daemon.AdmitIndex(name, col, false)
+	ad.Admit = func(name string, col *cracking.Column, potential bool) *stats.Entry {
+		entry, _ := daemon.AdmitIndex(name, col, potential)
 		daemon.AttachPending(name, ad.Pending(name))
 		return entry
 	}
@@ -974,20 +1013,8 @@ func NewHolisticExecutor(t *Table, cfg HolisticConfig) *HolisticExecutor {
 // AddPotential registers an index on attr into Cpotential so the daemon
 // can refine it before any query arrives (Figure 9's idle-time prefill).
 func (h *HolisticExecutor) AddPotential(attr string) error {
-	base := h.table.Column(attr)
-	if base == nil {
-		return fmt.Errorf("engine: unknown attribute %q", attr)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.crackers[attr]; ok {
-		return nil
-	}
-	c := cracking.New(attr, base.Values(), h.cfg)
-	h.crackers[attr] = c
-	h.Daemon.AdmitIndex(attr, c, true)
-	h.Daemon.AttachPending(attr, h.Pending(attr))
-	return nil
+	_, _, err := h.ensureCracker(attr, 0, 0, true)
+	return err
 }
 
 // NotePredicate implements PredicateSink: a conjunctive query touched

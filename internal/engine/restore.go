@@ -153,7 +153,7 @@ func (e *AdaptiveExecutor) InstallRestoredCracker(attr string, c *cracking.Colum
 	}
 	e.crackers[attr] = c
 	if e.Admit != nil {
-		return e.Admit(attr, c)
+		return e.Admit(attr, c, false)
 	}
 	if e.Registry != nil {
 		return e.Registry.Add(attr, c, false)

@@ -154,7 +154,7 @@ func TestAnnotatedHotPaths(t *testing.T) {
 		"holistic/internal/groupby":  {"GroupRows", "GroupBitmap", "accumulateDense", "accumulateHash"},
 		"holistic/internal/join":     {"Merge", "PutPairs"},
 		"holistic/internal/column":   {"CountRange", "SumRange", "FilterBitmap", "SumBitmap"},
-		"holistic/internal/cracking": {"crackInTwoVectorized", "crackInThree"},
+		"holistic/internal/cracking": {"crackInTwo", "classify", "less", "swapPairs", "swapRuns", "split"},
 		"holistic/internal/obs":      {"Inc", "Add", "Record", "RecordNanos", "NextSeq", "RecordOp", "RecordRep", "RecordStrategy"},
 		"holistic/internal/obs/flight": {
 			"record", "RecordQuery", "RecordRep", "RecordStrategy", "RecordRefine",

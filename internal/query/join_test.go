@@ -39,7 +39,7 @@ func joinFixture(t testing.TB, rows int, domain int64, seed int64) (lt, rt *engi
 // table (the full seven-mode sweep lives in the repository root's
 // differential test; here the access-path variety matters).
 func joinExecs(tab *engine.Table, threads int) map[string]engine.Executor {
-	crackCfg := cracking.Config{Kernel: cracking.KernelVectorized, ParallelWorkers: threads, WithRows: true}
+	crackCfg := cracking.Config{ParallelWorkers: threads, WithRows: true}
 	return map[string]engine.Executor{
 		"scan":     engine.NewScanExecutor(tab, threads),
 		"offline":  engine.NewOfflineExecutor(tab, threads),
