@@ -14,14 +14,11 @@ import (
 	"time"
 
 	"holistic/internal/column"
-	"holistic/internal/cracking"
 	"holistic/internal/durable"
 	"holistic/internal/engine"
 	"holistic/internal/holistic"
 	"holistic/internal/obs"
 	"holistic/internal/obs/flight"
-	"holistic/internal/sortidx"
-	"holistic/internal/stats"
 )
 
 // WALSync selects the fsync policy of a durable store's write-ahead
@@ -162,7 +159,7 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 		d.installState(rec)
 		for _, r := range rec.Records {
 			d.met.ReplayedRecords.Inc()
-			if err := d.apply(r); err != nil {
+			if err := applyRecord(d.exec, r); err != nil {
 				// A replayed operation that fails here failed identically
 				// before the crash (same state, same op): a deterministic
 				// no-op, not a recovery error.
@@ -237,12 +234,12 @@ type durability struct {
 	// locks (pendMu, cracker latches).
 	writeMu   sync.Mutex
 	wal       *durable.Log
-	exec      engine.Executor // cached by attachExec; nil until first build
-	gen       uint64          // generation of the current manifest
-	walPart   int             // part number of the live WAL segment
-	haveSnap  bool            // a manifest for gen exists on disk
-	dirty     int64           // records appended since the last checkpoint
-	syncsBase int64           // fsyncs of already-rotated segments (telemetry)
+	exec      *engine.Executor // cached by attachExec; nil until first build
+	gen       uint64           // generation of the current manifest
+	walPart   int              // part number of the live WAL segment
+	haveSnap  bool             // a manifest for gen exists on disk
+	dirty     int64            // records appended since the last checkpoint
+	syncsBase int64            // fsyncs of already-rotated segments (telemetry)
 	lastSnap  time.Time
 	closed    bool
 
@@ -300,40 +297,16 @@ func (d *durability) flightDumpLocked(trig flight.Trigger) {
 	_ = durable.PruneFlightDumps(d.fs, d.cfg.flightDumpKeep())
 }
 
-// loggedInsert, loggedDelete and loggedUpdate are the Store write
-// paths' entry into the WAL. They carry the //holistic:alloc-ok
-// boundary for the durable write path: mutations are cold relative to
-// queries, and nothing on the query hot path may reach past these
-// functions into WAL framing (the noalloc check enforces the split).
-//
-//holistic:alloc-ok durable write path is cold; record framing and error wrapping may allocate
-func (d *durability) loggedInsert(ins engine.Inserter, attr string, v int64) error {
-	return d.logged(durable.Record{Kind: durable.KindInsert, Attr: attr, A: v},
-		func() error { return ins.Insert(attr, v) })
-}
-
-//holistic:alloc-ok durable write path is cold; record framing and error wrapping may allocate
-func (d *durability) loggedDelete(del engine.Deleter, attr string, v int64) error {
-	return d.logged(durable.Record{Kind: durable.KindDelete, Attr: attr, A: v},
-		func() error { return del.Delete(attr, v) })
-}
-
-//holistic:alloc-ok durable write path is cold; record framing and error wrapping may allocate
-func (d *durability) loggedUpdate(up engine.Updater, attr string, oldV, newV int64) error {
-	return d.logged(durable.Record{Kind: durable.KindUpdate, Attr: attr, A: oldV, B: newV},
-		func() error { return up.Update(attr, oldV, newV) })
-}
-
 // attachExec caches the executor on first build and, for a fresh
 // directory, commits the initial snapshot so the columns — and the
 // positional base every WAL record replays against — are on disk before
 // the first logged write. Called under Store.mu.
-func (d *durability) attachExec(exec engine.Executor) error {
+func (d *durability) attachExec(exec *engine.Executor) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	d.exec = exec
-	if h, ok := exec.(*engine.HolisticExecutor); ok {
-		h.Daemon.SetIdleHook(d.maybeSnapshot)
+	if dm := exec.Daemon(); dm != nil {
+		dm.SetIdleHook(d.maybeSnapshot)
 	}
 	if !d.haveSnap {
 		if err := d.checkpointLocked(); err != nil {
@@ -345,10 +318,13 @@ func (d *durability) attachExec(exec engine.Executor) error {
 
 // logged runs one write through the WAL: append the record, apply it in
 // memory under the write lock, then make it durable (group commit under
-// the default policy) before acknowledging.
+// the default policy) before acknowledging. It carries the
+// //holistic:alloc-ok boundary for the durable write path: mutations are
+// cold relative to queries, and nothing on the query hot path may reach
+// past it into WAL framing (the noalloc check enforces the split).
 //
 //holistic:alloc-ok durable write path is cold; record framing and error wrapping may allocate
-func (d *durability) logged(rec durable.Record, apply func() error) error {
+func (d *durability) logged(rec durable.Record) error {
 	d.writeMu.Lock()
 	if d.closed {
 		d.writeMu.Unlock()
@@ -371,32 +347,13 @@ func (d *durability) logged(rec durable.Record, apply func() error) error {
 	d.met.WALRecords.Inc()
 	d.met.WALBytes.Add(int64(19 + len(rec.Attr)))
 	d.dirty++
-	applyErr := apply()
+	applyErr := applyRecord(d.exec, rec)
 	wal := d.wal
 	d.writeMu.Unlock()
 	if err := wal.Commit(seq); err != nil {
 		return fmt.Errorf("holistic: wal commit: %w", err)
 	}
 	return applyErr
-}
-
-// apply reapplies one WAL record through the executor's write path.
-func (d *durability) apply(r durable.Record) error {
-	switch r.Kind {
-	case durable.KindInsert:
-		if ins, ok := d.exec.(engine.Inserter); ok {
-			return ins.Insert(r.Attr, r.A)
-		}
-	case durable.KindDelete:
-		if del, ok := d.exec.(engine.Deleter); ok {
-			return del.Delete(r.Attr, r.A)
-		}
-	case durable.KindUpdate:
-		if up, ok := d.exec.(engine.Updater); ok {
-			return up.Update(r.Attr, r.A, r.B)
-		}
-	}
-	return fmt.Errorf("holistic: mode %v cannot replay record kind %d", d.cfg.Mode, r.Kind)
 }
 
 // checkpoint takes the write lock and commits a snapshot generation.
@@ -474,32 +431,26 @@ func (d *durability) checkpointLocked() error {
 // concurrent queries may keep cracking, which never changes logical
 // content.
 func (d *durability) export() ([]durable.ColumnData, []durable.IndexState, *durable.DaemonState) {
-	switch e := d.exec.(type) {
-	case *engine.HolisticExecutor:
-		cols, states := e.ExportDurable()
-		t := e.Daemon.CycleTotals()
-		return cols, states, &durable.DaemonState{
-			Cycles:        t.Cycles,
-			Workers:       t.Workers,
-			WorkerTimeNS:  int64(t.WorkerTime),
-			WallNS:        int64(t.Wall),
-			Refinements:   t.Refinements,
-			MergedUpdates: t.MergedUpdates,
-			TotalRefined:  e.Daemon.Refinements(),
-			TotalAttempts: e.Daemon.Attempts(),
-			BusyRerolls:   e.Daemon.BusyRerolls(),
-		}
-	case *engine.AdaptiveExecutor:
-		cols, states := e.ExportDurable()
-		return cols, states, nil
-	case *engine.OfflineExecutor:
-		return engine.ExportTableData(d.s.table), e.ExportSorted(), nil
-	case *engine.OnlineExecutor:
-		return engine.ExportTableData(d.s.table), e.ExportSorted(), nil
-	default:
-		// Scan and CCGI (and a store queried before any executor build)
-		// persist base data only; their index state is recomputed.
+	if d.exec == nil {
+		// Checkpointed before any query built the executor.
 		return engine.ExportTableData(d.s.table), nil, nil
+	}
+	cols, states := d.exec.ExportDurable()
+	dm := d.exec.Daemon()
+	if dm == nil {
+		return cols, states, nil
+	}
+	t := dm.CycleTotals()
+	return cols, states, &durable.DaemonState{
+		Cycles:        t.Cycles,
+		Workers:       t.Workers,
+		WorkerTimeNS:  int64(t.WorkerTime),
+		WallNS:        int64(t.Wall),
+		Refinements:   t.Refinements,
+		MergedUpdates: t.MergedUpdates,
+		TotalRefined:  dm.Refinements(),
+		TotalAttempts: dm.Attempts(),
+		BusyRerolls:   dm.BusyRerolls(),
 	}
 }
 
@@ -513,104 +464,19 @@ func (d *durability) installState(rec *durable.Recovered) {
 	if d.cfg.DataOnlyRecovery {
 		states = nil
 	}
-	crackers := make(map[string]durable.IndexState)
-	var sorted []durable.IndexState
-	for _, st := range states {
-		switch st.Kind {
-		case durable.IndexCracker:
-			crackers[st.Attr] = st
-		case durable.IndexSorted:
-			sorted = append(sorted, st)
-		}
-	}
-	switch e := d.exec.(type) {
-	case *engine.HolisticExecutor:
-		d.installCrackers(e.AdaptiveExecutor, rec.Columns, crackers)
-		if ds := rec.Manifest.Daemon; ds != nil && !d.cfg.DataOnlyRecovery {
-			e.Daemon.RestoreTotals(holistic.CycleTotals{
-				Cycles:        ds.Cycles,
-				Workers:       ds.Workers,
-				WorkerTime:    time.Duration(ds.WorkerTimeNS),
-				Wall:          time.Duration(ds.WallNS),
-				Refinements:   ds.Refinements,
-				MergedUpdates: ds.MergedUpdates,
-			}, ds.TotalRefined, ds.TotalAttempts, ds.BusyRerolls)
-		}
-	case *engine.AdaptiveExecutor:
-		d.installCrackers(e, rec.Columns, crackers)
-	case *engine.OfflineExecutor:
-		for _, st := range sorted {
-			d.installSorted(st, e.SeedSorted)
-		}
-	case *engine.OnlineExecutor:
-		for _, st := range sorted {
-			d.installSorted(st, e.SeedSorted)
-		}
-	}
-}
-
-// installCrackers walks the recovered columns, rebuilding each cracker
-// whose state survived and falling back to the unrefined path (overlay
-// plus synthetic pending operations) otherwise.
-func (d *durability) installCrackers(ad *engine.AdaptiveExecutor, cols []durable.ColumnData, states map[string]durable.IndexState) {
-	for _, cd := range cols {
-		if st, ok := states[cd.Name]; ok {
-			c, err := cracking.Restore(cd.Name, cracking.ExportedState{
-				Vals:   st.Vals,
-				Rows:   st.Rows,
-				Keys:   st.Keys,
-				Starts: st.Starts,
-			}, d.crackCfg(st.HasRows))
-			if err == nil {
-				entry := ad.InstallRestoredCracker(cd.Name, c)
-				if entry != nil && st.StatsState > 0 {
-					entry.RestoreCounts(st.Accesses, st.Hits, stats.State(st.StatsState-1))
-				}
-				ad.RestoreOverlay(cd)
-				d.met.RestoredIndexes.Inc()
-				continue
-			}
-			d.met.DroppedIndexes.Inc()
-		}
-		ad.RestoreAttrData(cd)
-	}
-}
-
-// installSorted rebuilds one sorted run, dropping it (to on-demand
-// re-sorting) if validation fails.
-func (d *durability) installSorted(st durable.IndexState, seed func(*sortidx.SortedColumn)) {
-	var rows []uint32
-	if st.HasRows {
-		rows = st.Rows
-	}
-	sc, err := sortidx.Restore(st.Attr, st.Vals, rows)
-	if err != nil {
-		d.met.DroppedIndexes.Inc()
-		return
-	}
-	seed(sc)
-	d.met.RestoredIndexes.Inc()
-}
-
-// crackCfg mirrors the cracking configuration Store.build would hand a
-// first-query cracker, so a restored column behaves identically.
-func (d *durability) crackCfg(hasRows bool) cracking.Config {
-	threads := d.cfg.threads()
-	if d.cfg.Mode == ModeHolistic {
-		user := d.cfg.UserThreads
-		if user < 1 {
-			user = threads / 2
-		}
-		if user < 1 {
-			user = 1
-		}
-		threads = user
-	}
-	return cracking.Config{
-		ParallelWorkers: threads,
-		WithRows:        hasRows,
-		Stochastic:      d.cfg.Mode == ModeStochastic,
-		Seed:            d.cfg.Seed,
+	restored, dropped := d.exec.RestoreDurable(rec.Columns, states)
+	d.met.RestoredIndexes.Add(int64(restored))
+	d.met.DroppedIndexes.Add(int64(dropped))
+	dm, ds := d.exec.Daemon(), rec.Manifest.Daemon
+	if dm != nil && ds != nil && !d.cfg.DataOnlyRecovery {
+		dm.RestoreTotals(holistic.CycleTotals{
+			Cycles:        ds.Cycles,
+			Workers:       ds.Workers,
+			WorkerTime:    time.Duration(ds.WorkerTimeNS),
+			Wall:          time.Duration(ds.WallNS),
+			Refinements:   ds.Refinements,
+			MergedUpdates: ds.MergedUpdates,
+		}, ds.TotalRefined, ds.TotalAttempts, ds.BusyRerolls)
 	}
 }
 

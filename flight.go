@@ -12,7 +12,6 @@ import (
 	"io"
 	"time"
 
-	"holistic/internal/engine"
 	"holistic/internal/obs"
 	"holistic/internal/obs/flight"
 )
@@ -131,9 +130,9 @@ func (s *Store) watchdogTick() {
 	if closed {
 		return
 	}
-	if h, ok := exec.(*engine.HolisticExecutor); ok {
-		o.WorkerPanics = h.Daemon.WorkerPanics()
-		if conv := h.Daemon.Convergence(); conv != nil {
+	if d := daemonOf(exec); d != nil {
+		o.WorkerPanics = d.WorkerPanics()
+		if conv := d.Convergence(); conv != nil {
 			o.Convergence = conv.Ratio
 			o.HaveConvergence = true
 		}

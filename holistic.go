@@ -60,6 +60,7 @@ import (
 
 	"holistic/internal/column"
 	"holistic/internal/cracking"
+	"holistic/internal/durable"
 	"holistic/internal/engine"
 	"holistic/internal/groupby"
 	"holistic/internal/holistic"
@@ -319,7 +320,7 @@ type Store struct {
 
 	mu     sync.Mutex
 	table  *engine.Table
-	exec   engine.Executor
+	exec   *engine.Executor
 	qr     *query.Runner
 	closed bool
 	// traceSink is the owned JSONL trace sink of SetTraceJSONL /
@@ -381,7 +382,7 @@ func (s *Store) AddIntColumn(name string, values []int64) error {
 }
 
 // executor builds the mode's executor on first use.
-func (s *Store) executor() (engine.Executor, error) {
+func (s *Store) executor() (*engine.Executor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -389,12 +390,10 @@ func (s *Store) executor() (engine.Executor, error) {
 	}
 	if s.exec == nil {
 		s.exec = s.build()
-		if ins, ok := s.exec.(engine.Instrumented); ok {
-			ins.SetExecMetrics(s.execMet)
-		}
-		if h, ok := s.exec.(*engine.HolisticExecutor); ok {
-			h.Daemon.SetFlight(s.flight)
-			h.SetEcon(s.ec)
+		s.exec.SetExecMetrics(s.execMet)
+		if d := s.exec.Daemon(); d != nil {
+			d.SetFlight(s.flight)
+			d.SetEcon(s.ec)
 		}
 		if s.dur != nil {
 			if err := s.dur.attachExec(s.exec); err != nil {
@@ -405,7 +404,7 @@ func (s *Store) executor() (engine.Executor, error) {
 	return s.exec, nil
 }
 
-func (s *Store) build() engine.Executor {
+func (s *Store) build() *engine.Executor {
 	threads := s.cfg.threads()
 	crackCfg := cracking.Config{
 		ParallelWorkers: threads,
@@ -461,9 +460,7 @@ func (s *Store) Prepare() {
 	if err != nil {
 		return
 	}
-	if off, ok := exec.(*engine.OfflineExecutor); ok {
-		off.PrepareAll()
-	}
+	exec.PrepareAll()
 }
 
 // CountRange answers "select count(*) where lo <= attr < hi", building or
@@ -536,17 +533,37 @@ func (s *Store) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
 // the adaptive index lazily (Ripple). Supported by the adaptive,
 // stochastic and holistic modes.
 func (s *Store) Insert(attr string, v int64) error {
+	return s.write(durable.Record{Kind: durable.KindInsert, Attr: attr, A: v}, "inserts")
+}
+
+// write applies one mutation through the executor's update path, logging
+// it first when the store is durable.
+func (s *Store) write(r durable.Record, what string) error {
 	exec, err := s.executor()
 	if err != nil {
 		return err
 	}
-	if ins, ok := exec.(engine.Inserter); ok {
-		if s.dur != nil {
-			return s.dur.loggedInsert(ins, attr, v)
-		}
-		return ins.Insert(attr, v)
+	if !exec.Updatable() {
+		return fmt.Errorf("holistic: mode %v does not support %s", s.cfg.Mode, what)
 	}
-	return fmt.Errorf("holistic: mode %v does not support inserts", s.cfg.Mode)
+	if s.dur != nil {
+		return s.dur.logged(r)
+	}
+	return applyRecord(exec, r)
+}
+
+// applyRecord runs one mutation record through the executor's write path
+// — directly, under the WAL lock, or on replay.
+func applyRecord(exec *engine.Executor, r durable.Record) error {
+	switch r.Kind {
+	case durable.KindInsert:
+		return exec.Insert(r.Attr, r.A)
+	case durable.KindDelete:
+		return exec.Delete(r.Attr, r.A)
+	case durable.KindUpdate:
+		return exec.Update(r.Attr, r.A, r.B)
+	}
+	return fmt.Errorf("holistic: unknown record kind %d", r.Kind)
 }
 
 // Delete removes attr's value from the row currently holding v — the
@@ -564,17 +581,7 @@ func (s *Store) Insert(attr string, v int64) error {
 // and scan modes have no pending-update machinery (their index is the
 // data) and return an error.
 func (s *Store) Delete(attr string, v int64) error {
-	exec, err := s.executor()
-	if err != nil {
-		return err
-	}
-	if d, ok := exec.(engine.Deleter); ok {
-		if s.dur != nil {
-			return s.dur.loggedDelete(d, attr, v)
-		}
-		return d.Delete(attr, v)
-	}
-	return fmt.Errorf("holistic: mode %v does not support deletes", s.cfg.Mode)
+	return s.write(durable.Record{Kind: durable.KindDelete, Attr: attr, A: v}, "deletes")
 }
 
 // Update changes the tuple whose current value in attr is oldV (the
@@ -582,17 +589,7 @@ func (s *Store) Delete(attr string, v int64) error {
 // pending insertion at the same row id, so the tuple keeps its
 // identity. Supported by the same modes as Delete.
 func (s *Store) Update(attr string, oldV, newV int64) error {
-	exec, err := s.executor()
-	if err != nil {
-		return err
-	}
-	if u, ok := exec.(engine.Updater); ok {
-		if s.dur != nil {
-			return s.dur.loggedUpdate(u, attr, oldV, newV)
-		}
-		return u.Update(attr, oldV, newV)
-	}
-	return fmt.Errorf("holistic: mode %v does not support updates", s.cfg.Mode)
+	return s.write(durable.Record{Kind: durable.KindUpdate, Attr: attr, A: oldV, B: newV}, "updates")
 }
 
 // runner returns the store's conjunctive query runner, building it (and
@@ -983,10 +980,19 @@ func (s *Store) AddPotentialIndex(attr string) error {
 	if err != nil {
 		return err
 	}
-	if h, ok := exec.(*engine.HolisticExecutor); ok {
-		return h.AddPotential(attr)
+	if exec.Daemon() == nil {
+		return fmt.Errorf("holistic: mode %v has no potential configuration", s.cfg.Mode)
 	}
-	return fmt.Errorf("holistic: mode %v has no potential configuration", s.cfg.Mode)
+	return exec.AddPotential(attr)
+}
+
+// daemonOf returns the holistic daemon behind exec: nil before the first
+// query has built the executor, and under every other mode.
+func daemonOf(exec *engine.Executor) *holistic.Daemon {
+	if exec == nil {
+		return nil
+	}
+	return exec.Daemon()
 }
 
 // Stats summarizes the store's self-tuning state.
@@ -1013,13 +1019,12 @@ func (s *Store) Stats() Stats {
 	exec := s.exec
 	s.mu.Unlock()
 	st := Stats{Mode: s.cfg.Mode}
-	switch e := exec.(type) {
-	case *engine.HolisticExecutor:
-		st.Pieces = e.TotalPieces()
-		st.Refinements = e.Daemon.Refinements()
-		st.Activations = int(e.Daemon.CycleTotals().Cycles)
-	case *engine.AdaptiveExecutor:
-		st.Pieces = e.TotalPieces()
+	if exec != nil {
+		st.Pieces = exec.TotalPieces()
+	}
+	if d := daemonOf(exec); d != nil {
+		st.Refinements = d.Refinements()
+		st.Activations = int(d.CycleTotals().Cycles)
 	}
 	return st
 }

@@ -54,7 +54,7 @@ func aggWorkload(p Params, data *tpch.Data, n int) []aggOp {
 
 // runAggMode drives the workload through one executor, returning the
 // elapsed time and a cross-mode checksum over every result.
-func runAggMode(exec engine.Executor, ops []aggOp) (time.Duration, int64, error) {
+func runAggMode(exec *engine.Executor, ops []aggOp) (time.Duration, int64, error) {
 	var checksum int64
 	start := time.Now()
 	for _, op := range ops {
@@ -105,21 +105,21 @@ func runAgg(p Params) (*Result, error) {
 
 	modes := []struct {
 		label string
-		build func() engine.Executor
-		prep  func(engine.Executor) time.Duration
+		build func() *engine.Executor
+		prep  func(*engine.Executor) time.Duration
 	}{
-		{"no indexing", func() engine.Executor { return engine.NewScanExecutor(li, p.Threads) }, nil},
-		{"offline indexing", func() engine.Executor { return engine.NewOfflineExecutor(li, p.Threads) },
-			func(e engine.Executor) time.Duration {
+		{"no indexing", func() *engine.Executor { return engine.NewScanExecutor(li, p.Threads) }, nil},
+		{"offline indexing", func() *engine.Executor { return engine.NewOfflineExecutor(li, p.Threads) },
+			func(e *engine.Executor) time.Duration {
 				start := time.Now()
-				e.(*engine.OfflineExecutor).PrepareAll()
+				e.PrepareAll()
 				return time.Since(start)
 			}},
-		{"adaptive indexing", func() engine.Executor { return engine.NewAdaptiveExecutor(li, crackCfg, "") }, nil},
-		{"mP-CCGI", func() engine.Executor {
+		{"adaptive indexing", func() *engine.Executor { return engine.NewAdaptiveExecutor(li, crackCfg, "") }, nil},
+		{"mP-CCGI", func() *engine.Executor {
 			return engine.NewCCGIExecutor(li, p.Threads, 64, cracking.Config{WithRows: true, Seed: p.Seed})
 		}, nil},
-		{"holistic indexing", func() engine.Executor {
+		{"holistic indexing", func() *engine.Executor {
 			return engine.NewHolisticExecutor(li, engine.HolisticConfig{
 				Cracking: userCfg,
 				Daemon: holistic.Config{

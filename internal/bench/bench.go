@@ -228,7 +228,7 @@ func buildTable(p Params) *engine.Table {
 
 // timeQueries drives the query sequence through an executor one query at
 // a time, returning per-query durations.
-func timeQueries(exec engine.Executor, qs []workload.Query) ([]time.Duration, error) {
+func timeQueries(exec *engine.Executor, qs []workload.Query) ([]time.Duration, error) {
 	out := make([]time.Duration, len(qs))
 	for i, q := range qs {
 		start := time.Now()

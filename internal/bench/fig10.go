@@ -47,17 +47,17 @@ func runFig10(p Params) (*Result, error) {
 // system is one competitor in Figures 11/12/13/15.
 type system struct {
 	label string
-	build func(p Params, t *engine.Table, threads int) engine.Executor
+	build func(p Params, t *engine.Table, threads int) *engine.Executor
 }
 
 func pvdcSystem() system {
-	return system{"PVDC", func(p Params, t *engine.Table, threads int) engine.Executor {
+	return system{"PVDC", func(p Params, t *engine.Table, threads int) *engine.Executor {
 		return engine.NewAdaptiveExecutor(t, pvdcConfig(p, threads), "PVDC")
 	}}
 }
 
 func pvsdcSystem() system {
-	return system{"PVSDC", func(p Params, t *engine.Table, threads int) engine.Executor {
+	return system{"PVSDC", func(p Params, t *engine.Table, threads int) *engine.Executor {
 		cfg := pvdcConfig(p, threads)
 		cfg.Stochastic = true
 		return engine.NewAdaptiveExecutor(t, cfg, "PVSDC")
@@ -65,7 +65,7 @@ func pvsdcSystem() system {
 }
 
 func ccgiSystem() system {
-	return system{"mP-CCGI", func(p Params, t *engine.Table, threads int) engine.Executor {
+	return system{"mP-CCGI", func(p Params, t *engine.Table, threads int) *engine.Executor {
 		return engine.NewCCGIExecutor(t, threads, 64, pvdcConfig(p, 1))
 	}}
 }
@@ -77,7 +77,7 @@ func holisticSystem(strategy stats.Strategy) system {
 	if strategy != 0 && strategy != stats.W4 {
 		label = "HI (" + strategy.String() + ")"
 	}
-	return system{label, func(p Params, t *engine.Table, threads int) engine.Executor {
+	return system{label, func(p Params, t *engine.Table, threads int) *engine.Executor {
 		user := threads / 2
 		if user < 1 {
 			user = 1

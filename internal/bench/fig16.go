@@ -39,12 +39,11 @@ func runFig16(p Params) (*Result, error) {
 		pp.Attrs = 1
 		t := buildTable(pp)
 
-		var exec engine.Executor
-		var ins engine.Inserter
+		var exec *engine.Executor
 		if m.holistic {
 			// Single worker refining only during idle time, as in the
 			// paper's update experiment.
-			h := engine.NewHolisticExecutor(t, engine.HolisticConfig{
+			exec = engine.NewHolisticExecutor(t, engine.HolisticConfig{
 				Cracking: pvdcConfig(p, 1),
 				Daemon: holistic.Config{
 					Interval:    p.Interval,
@@ -57,10 +56,8 @@ func runFig16(p Params) (*Result, error) {
 				Contexts:    1,
 				UserThreads: 1,
 			})
-			exec, ins = h, h
 		} else {
-			a := engine.NewAdaptiveExecutor(t, pvdcConfig(p, 1), "")
-			exec, ins = a, a
+			exec = engine.NewAdaptiveExecutor(t, pvdcConfig(p, 1), "")
 		}
 		defer exec.Close()
 
@@ -77,7 +74,7 @@ func runFig16(p Params) (*Result, error) {
 			cost += time.Since(start)
 			for next < len(batches) && batches[next].AfterQuery == i+1 {
 				for _, v := range batches[next].Values {
-					if err := ins.Insert(attrName(0), v); err != nil {
+					if err := exec.Insert(attrName(0), v); err != nil {
 						return 0, err
 					}
 				}
@@ -128,7 +125,7 @@ func runFig17(p Params) (*Result, error) {
 		}
 		pv := engine.NewAdaptiveExecutor(t, pvdcConfig(p, perClient), "")
 		start := time.Now()
-		if _, err := engine.RunQueries(pv, qs, attrName, clients); err != nil {
+		if _, err := engine.RunQueries(pv.Count, qs, attrName, clients); err != nil {
 			return nil, err
 		}
 		pvdcCost := time.Since(start)
@@ -156,11 +153,11 @@ func runFig17(p Params) (*Result, error) {
 			StatsSeed:   p.Seed,
 		})
 		start = time.Now()
-		if _, err := engine.RunQueries(hi, qs, attrName, clients); err != nil {
+		if _, err := engine.RunQueries(hi.Count, qs, attrName, clients); err != nil {
 			return nil, err
 		}
 		hiCost := time.Since(start)
-		activations := int(hi.Daemon.CycleTotals().Cycles)
+		activations := int(hi.Daemon().CycleTotals().Cycles)
 		hi.Close()
 
 		r.AddRow(fmt.Sprintf("%d", clients), secs(pvdcCost), secs(hiCost), fmt.Sprintf("%d", activations))

@@ -61,7 +61,7 @@ func pvdcConfig(p Params, threads int) cracking.Config {
 
 // newHolistic assembles the paper's default holistic configuration:
 // half the contexts to user queries, the rest picked up by the daemon.
-func newHolistic(p Params, t *engine.Table) *engine.HolisticExecutor {
+func newHolistic(p Params, t *engine.Table) *engine.Executor {
 	user := p.Threads / 2
 	if user < 1 {
 		user = 1
@@ -207,7 +207,7 @@ func runFig6c(p Params) (*Result, error) {
 		step = 1
 	}
 
-	measure := func(e engine.Executor, pieces func() int) ([]int, error) {
+	measure := func(e *engine.Executor, pieces func() int) ([]int, error) {
 		var series []int
 		for i, q := range qs {
 			if _, err := e.Count(attrName(q.Attr), q.Lo, q.Hi); err != nil {
@@ -254,11 +254,11 @@ func runFig6d(p Params) (*Result, error) {
 	// Give the tuning loop a few more measurement windows so that very
 	// short (reduced-scale) workloads still record activations.
 	time.Sleep(5 * p.Interval)
-	if hol.Daemon.CycleTotals().Cycles == 0 {
-		hol.Daemon.RunCycleNow(p.Threads / 2)
+	if hol.Daemon().CycleTotals().Cycles == 0 {
+		hol.Daemon().RunCycleNow(p.Threads / 2)
 	}
 	hol.Close()
-	cycles := hol.Daemon.Cycles()
+	cycles := hol.Daemon().Cycles()
 
 	r := &Result{Headers: []string{"activation", "#workers", "worker time (ms)", "refinements"}}
 	maxRows := 15
@@ -269,7 +269,7 @@ func runFig6d(p Params) (*Result, error) {
 		r.AddRow(fmt.Sprintf("%d", i+1), fmt.Sprintf("%d", c.Workers), ms(c.WorkerTime), fmt.Sprintf("%d", c.Refinements))
 	}
 	r.AddNote("activations: %d, total refinements: %d, busy re-rolls: %d",
-		hol.Daemon.CycleTotals().Cycles, hol.Daemon.Refinements(), hol.Daemon.BusyRerolls())
+		hol.Daemon().CycleTotals().Cycles, hol.Daemon().Refinements(), hol.Daemon().BusyRerolls())
 	r.AddNote("paper shape: worker time is high for the first activations and collapses as pieces shrink")
 	return r, nil
 }
@@ -322,7 +322,7 @@ func runFig7(p Params) (*Result, error) {
 	r := &Result{Headers: []string{"distribution", "total cost (s)"}}
 	for _, d := range distributions(p.Threads) {
 		t := buildTable(p)
-		var exec engine.Executor
+		var exec *engine.Executor
 		if d.workers == 0 {
 			exec = engine.NewAdaptiveExecutor(t, pvdcConfig(p, d.user), "")
 		} else {

@@ -103,7 +103,7 @@ func runGroupBy(p Params) (*Result, error) {
 
 	// The very first grouped query: the index space is empty, so the
 	// planner can only hash — and it admits the key attribute to the
-	// daemon (PredicateSink), starting background refinement.
+	// daemon (NotePredicate), starting background refinement.
 	var first groupby.Result
 	firstStart := time.Now()
 	if err := r.GroupedInto(&first, keys, aggs, preds); err != nil {
@@ -134,7 +134,6 @@ func runGroupBy(p Params) (*Result, error) {
 	// wait until the expected cluster span fits the sort strategy's
 	// per-cluster accumulator with room to spare, or time out (the
 	// result then records how far refinement got).
-	walker := engine.KeyOrderWalker(exec)
 	wantSpan := float64(groupby.DefaultClusterSlots) / 8
 	deadline := time.Now().Add(100 * p.Interval)
 	if min := 3 * time.Second; time.Until(deadline) > min {
@@ -142,7 +141,7 @@ func runGroupBy(p Params) (*Result, error) {
 	}
 	converged := false
 	for time.Now().Before(deadline) {
-		if span, ok := walker.KeyOrderSpan(keys[0]); ok && span <= wantSpan {
+		if span, ok := exec.KeyOrderSpan(keys[0]); ok && span <= wantSpan {
 			converged = true
 			break
 		}
@@ -165,7 +164,7 @@ func runGroupBy(p Params) (*Result, error) {
 		return nil, fmt.Errorf("groupby: refined checksums diverge (hash %d, sort %d, auto %d, cold %d)", hashSum, sortSum, autoSum, coldSum)
 	}
 
-	span, _ := walker.KeyOrderSpan(keys[0])
+	span, _ := exec.KeyOrderSpan(keys[0])
 	pieces := 0
 	if c := exec.CrackerIfExists(keys[0]); c != nil {
 		pieces = c.Pieces()
@@ -177,7 +176,7 @@ func runGroupBy(p Params) (*Result, error) {
 	res.AddNote("workload: group by %s (%d-group zipf(1.1) key) over %d rows, count+sum fused, predicate keeps 90%%; %d queries per cell",
 		keys[0], groupsTarget, p.ColumnSize, q)
 	res.AddNote("daemon refined the key index to %d pieces (expected cluster span %.0f values, refinements %d, converged %v)",
-		pieces, span, exec.Daemon.Refinements(), converged)
+		pieces, span, exec.Daemon().Refinements(), converged)
 	if sortT < hashT {
 		res.AddNote("refined: sort-based (index-clustered) grouping %.2fx faster than hash grouping — the holistic grouping payoff", float64(hashT)/float64(sortT))
 	} else {

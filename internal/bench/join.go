@@ -48,7 +48,7 @@ func joinCell(lr *query.Runner, j *query.Join, strat query.JoinStrategy, q int) 
 // runJoin is the join experiment: an M:N equi-join between two
 // relations whose join keys the holistic daemons refine in the
 // background. The first query can only hash — and it admits both join
-// attributes to the daemons (PredicateSink), starting refinement. Once
+// attributes to the daemons (NotePredicate), starting refinement. Once
 // background cracking has shrunk both key columns' clusters below the
 // merge join's per-pair accumulator bound, the index-clustered merge
 // join walks both indexes in key order with no hash table — the
@@ -69,7 +69,7 @@ func runJoin(p Params) (*Result, error) {
 		t.MustAddColumn(column.New(attrName(1), workload.UniformColumn(len(jk), p.Domain, seed)))
 		return t
 	}
-	mkExec := func(t *engine.Table) *engine.HolisticExecutor {
+	mkExec := func(t *engine.Table) *engine.Executor {
 		return engine.NewHolisticExecutor(t, engine.HolisticConfig{
 			Cracking: cracking.Config{
 				ParallelWorkers: p.Threads,
@@ -185,7 +185,7 @@ func runJoin(p Params) (*Result, error) {
 	res.AddNote("workload: L ⋈ R on %s (M:N, %d-key pool, 0.9 overlap) over 2×%d rows, count+sum, 90%% filters; %d queries per cell",
 		attrName(0), keys, p.ColumnSize, q)
 	res.AddNote("daemons refined the join-key indexes to cluster spans %.0f / %.0f values (refinements %d + %d, converged %v)",
-		lSpan, rSpan, lExec.Daemon.Refinements(), rExec.Daemon.Refinements(), converged)
+		lSpan, rSpan, lExec.Daemon().Refinements(), rExec.Daemon().Refinements(), converged)
 	if mergeT < hashT {
 		res.AddNote("refined: index-clustered merge join %.2fx faster than the hash join — the cross-relation holistic payoff", float64(hashT)/float64(mergeT))
 	} else {

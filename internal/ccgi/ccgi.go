@@ -174,102 +174,32 @@ func (x *Index) SelectCount(lo, hi int64) int {
 	return total
 }
 
-// SelectSum cracks every chunk in parallel on [lo, hi) and returns the
-// sum of qualifying values: the chunked parallel aggregate fold — each
-// chunk folds its own contiguous pieces, partial sums are combined once.
-func (x *Index) SelectSum(lo, hi int64) int64 {
-	sums := make([]int64, len(x.chunks))
-	x.forEachChunk(lo, hi, func(i int, c *cracking.Column) cracking.Range {
-		r, s := c.SelectSum(lo, hi)
-		sums[i] = s
-		return r
-	})
-	var total int64
-	for _, s := range sums {
-		total += s
-	}
-	return total
-}
-
-// SelectMinMax cracks every chunk in parallel on [lo, hi) and returns the
-// smallest and largest qualifying value; ok is false when no value
-// qualifies.
-func (x *Index) SelectMinMax(lo, hi int64) (mn, mx int64, ok bool) {
-	mins := make([]int64, len(x.chunks))
-	maxs := make([]int64, len(x.chunks))
-	ranges := x.forEachChunk(lo, hi, func(i int, c *cracking.Column) cracking.Range {
-		r, cmn, cmx := c.SelectMinMax(lo, hi)
-		mins[i], maxs[i] = cmn, cmx
-		return r
-	})
-	for i, r := range ranges {
-		if r.Count() == 0 {
-			continue
-		}
-		if !ok || mins[i] < mn {
-			mn = mins[i]
-		}
-		if !ok || maxs[i] > mx {
-			mx = maxs[i]
-		}
-		ok = true
-	}
-	return mn, mx, ok
-}
-
-// SelectRows cracks every chunk in parallel on [lo, hi) and materializes
-// the qualifying base row ids (chunk-local rowids shifted by the chunk's
-// base offset). The chunks must have been built with
-// cracking.Config.WithRows; ok is false otherwise.
-func (x *Index) SelectRows(lo, hi int64) (rows []uint32, ok bool) {
-	for _, c := range x.chunks {
-		if !c.HasRows() {
-			return nil, false
-		}
-	}
-	parts := make([][]uint32, len(x.chunks))
-	x.forEachChunk(lo, hi, func(i int, c *cracking.Column) cracking.Range {
-		r, local := c.SelectRows(lo, hi)
-		off := uint32(x.offsets[i])
-		for j := range local {
-			local[j] += off
-		}
-		parts[i] = local
-		return r
+// SelectSegments cracks every chunk in parallel on [lo, hi), then streams
+// the qualifying values and their chunk-local rowids (nil when the chunks
+// carry none) to fn on the calling goroutine, chunk by chunk, one stable
+// segment at a time: a row's base position is off plus its rowid, and
+// total is the number of qualifying values over all chunks. fn must not
+// retain the slices. Unlike SelectCount it consolidates nothing — the
+// consumer reads the chunks' own pieces.
+func (x *Index) SelectSegments(lo, hi int64, fn func(total int, off uint32, vals []int64, rows []uint32)) {
+	ranges := x.forEachChunk(lo, hi, func(_ int, c *cracking.Column) cracking.Range {
+		return c.SelectRange(lo, hi)
 	})
 	total := 0
-	for _, p := range parts {
-		total += len(p)
+	for _, r := range ranges {
+		total += r.Count()
 	}
-	rows = make([]uint32, 0, total)
-	for _, p := range parts {
-		rows = append(rows, p...)
+	for i, c := range x.chunks {
+		off := uint32(x.offsets[i])
+		c.ForEachSegment(ranges[i].Start, ranges[i].End, func(vals []int64, rows []uint32) {
+			fn(total, off, vals, rows)
+		})
 	}
-	return rows, true
 }
 
-// SelectRowsFunc cracks every chunk in parallel on [lo, hi) and streams
-// each chunk's qualifying chunk-local rowids to fn together with the
-// chunk's base-position offset, without materializing anything. fn is
-// invoked concurrently from the per-chunk cracking goroutines and must
-// synchronize its own writes (chunk position spans are disjoint but may
-// share a boundary word in packed representations); it must not retain
-// the slice. ok is false when any chunk was built without rowids.
-func (x *Index) SelectRowsFunc(lo, hi int64, fn func(off uint32, rows []uint32)) bool {
-	for _, c := range x.chunks {
-		if !c.HasRows() {
-			return false
-		}
-	}
-	x.forEachChunk(lo, hi, func(i int, c *cracking.Column) cracking.Range {
-		off := uint32(x.offsets[i])
-		r, _ := c.SelectRowsFunc(lo, hi, func(rows []uint32) {
-			fn(off, rows)
-		})
-		return r
-	})
-	return true
-}
+// HasRows reports whether the chunks carry rowids (built with
+// cracking.Config.WithRows).
+func (x *Index) HasRows() bool { return x.chunks[0].HasRows() }
 
 // consolidate copies the qualifying values of a never-before-seen value
 // range into one contiguous array, so downstream operators can run tight

@@ -32,6 +32,42 @@ func TestSelectCountMatchesScan(t *testing.T) {
 	}
 }
 
+// TestSelectSegmentsMatchesScan: the segment walk hands out exactly the
+// qualifying tuples, rowids shifted by the chunk offset, and announces
+// their total with every segment.
+func TestSelectSegmentsMatchesScan(t *testing.T) {
+	base := randVals(20_000, 8, 1<<16)
+	x := New("a", base, 3, 8, cracking.Config{WithRows: true})
+	if !x.HasRows() {
+		t.Fatal("HasRows false for a WithRows index")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for q := 0; q < 50; q++ {
+		lo := rng.Int63n(1 << 16)
+		hi := lo + rng.Int63n(1<<16-lo) + 1
+		want := column.CountRange(base, lo, hi)
+		seen := make(map[uint32]bool)
+		x.SelectSegments(lo, hi, func(total int, off uint32, vals []int64, rows []uint32) {
+			if total != want {
+				t.Fatalf("query %d: segment announces %d tuples, want %d", q, total, want)
+			}
+			for i, v := range vals {
+				row := off + rows[i]
+				if v < lo || v >= hi || base[row] != v || seen[row] {
+					t.Fatalf("query %d: bad tuple (row %d, value %d) for [%d,%d)", q, row, v, lo, hi)
+				}
+				seen[row] = true
+			}
+		})
+		if len(seen) != want {
+			t.Fatalf("query %d [%d,%d): walked %d tuples, want %d", q, lo, hi, len(seen), want)
+		}
+	}
+	if New("a", base, 2, 0, cracking.Config{}).HasRows() {
+		t.Error("HasRows true for an index built without rowids")
+	}
+}
+
 func TestChunking(t *testing.T) {
 	base := randVals(10_000, 3, 1000)
 	x := New("a", base, 4, 0, cracking.Config{})

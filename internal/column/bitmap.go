@@ -615,7 +615,7 @@ func (w View) FetchBitmap(b *Bitmap, dst []int64) []int64 {
 // pools whole per-query scratch structs (bitmap included), the
 // parallel materializing kernels pool their per-worker output slices
 // (workerLists, below), and external callers driving
-// engine.BitmapSelector directly borrow bitmaps via GetBitmap /
+// Executor.SelectBitmap directly borrow bitmaps via GetBitmap /
 // PutBitmap.
 
 var bitmapPool = sync.Pool{New: func() any { return new(Bitmap) }}

@@ -129,7 +129,7 @@ func TestConcurrentMaterializeStableResults(t *testing.T) {
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(1 << 20)
 		hi := lo + rng.Int63n(1<<20-lo) + 1
-		_, vals := c.SelectValues(lo, hi)
+		_, vals := selectValues(c, lo, hi)
 		want := column.CountRange(base, lo, hi)
 		if len(vals) != want {
 			close(stop)

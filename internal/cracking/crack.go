@@ -163,7 +163,7 @@ func (c *Column) stochasticPivot(loKey, hiKey, v int64) (int64, bool) {
 //
 // The returned positions stay valid until the next update merge
 // (MergeInsert/MergeDelete). Queries that materialize results on columns
-// receiving updates should use SelectSum/SelectValues/SelectRows, which
+// receiving updates should use SelectSum/SelectSegments/SelectRows, which
 // pin the column across both steps.
 func (c *Column) SelectRange(lo, hi int64) Range {
 	c.global.RLock()
@@ -269,39 +269,21 @@ func (c *Column) SelectSum(lo, hi int64) (Range, int64) {
 	return r, s
 }
 
-// SelectMinMax cracks on [lo, hi) and returns the smallest and largest
-// qualifying value (meaningful only when the returned range is
-// non-empty), under one column pin like SelectSum.
-func (c *Column) SelectMinMax(lo, hi int64) (Range, int64, int64) {
+// SelectSegments cracks on [lo, hi) and streams the qualifying values
+// and their aligned rowids (nil when the column carries none) to fn,
+// one stable segment at a time under the owning piece's read latch, all
+// under one column pin like SelectSum — the general form the other
+// Select* folds specialise. fn also receives the select's range, so a
+// consumer can size its output before the first segment; it must not
+// retain the slices.
+func (c *Column) SelectSegments(lo, hi int64, fn func(r Range, vals []int64, rows []uint32)) Range {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
-	var mn, mx int64
-	n := 0
-	c.forEachSegmentLocked(r.Start, r.End, func(vals []int64, _ []uint32) {
-		for _, v := range vals {
-			if n == 0 || v < mn {
-				mn = v
-			}
-			if n == 0 || v > mx {
-				mx = v
-			}
-			n++
-		}
+	c.forEachSegmentLocked(r.Start, r.End, func(vals []int64, rows []uint32) {
+		fn(r, vals, rows)
 	})
-	return r, mn, mx
-}
-
-// SelectValues cracks on [lo, hi) and materializes the qualifying values.
-func (c *Column) SelectValues(lo, hi int64) (Range, []int64) {
-	c.global.RLock()
-	defer c.global.RUnlock()
-	r := c.selectRangeLocked(lo, hi)
-	out := make([]int64, 0, r.Count())
-	c.forEachSegmentLocked(r.Start, r.End, func(vals []int64, _ []uint32) {
-		out = append(out, vals...)
-	})
-	return r, out
+	return r
 }
 
 // SelectRows cracks on [lo, hi) and materializes the qualifying rowids
@@ -419,29 +401,6 @@ func (c *Column) SelectPayloads(lo, hi int64, fn func(vals []int64, payloads [][
 	return r
 }
 
-// MaterializeValues copies the values at positions [start, end) into a
-// fresh slice, latching piece by piece.
-func (c *Column) MaterializeValues(start, end int) []int64 {
-	out := make([]int64, 0, end-start)
-	c.ForEachSegment(start, end, func(vals []int64, _ []uint32) {
-		out = append(out, vals...)
-	})
-	return out
-}
-
-// MaterializeRows copies the rowids at positions [start, end); it returns
-// nil when the column was built without rowids.
-func (c *Column) MaterializeRows(start, end int) []uint32 {
-	if c.rows == nil {
-		return nil
-	}
-	out := make([]uint32, 0, end-start)
-	c.ForEachSegment(start, end, func(_ []int64, rows []uint32) {
-		out = append(out, rows...)
-	})
-	return out
-}
-
 // ForEachPiece walks the whole column piece by piece in ascending key
 // order, invoking fn under each piece's read latch with the piece's
 // values and rowids (nil when the column carries none). Pieces are
@@ -464,17 +423,6 @@ func (c *Column) ForEachPiece(fn func(vals []int64, rows []uint32)) {
 			fn(c.vals[pos:seg], nil)
 		}
 	})
-}
-
-// SumRange sums the values at positions [start, end) under piece latches.
-func (c *Column) SumRange(start, end int) int64 {
-	var s int64
-	c.ForEachSegment(start, end, func(vals []int64, _ []uint32) {
-		for _, v := range vals {
-			s += v
-		}
-	})
-	return s
 }
 
 // RefineOutcome reports what a holistic refinement attempt achieved.

@@ -19,7 +19,7 @@ func TestSelectRangeMatchesScan(t *testing.T) {
 		if got, want := r.Count(), column.CountRange(base, lo, hi); got != want {
 			t.Fatalf("query %d [%d,%d): Count = %d, want %d", q, lo, hi, got, want)
 		}
-		vals := c.MaterializeValues(r.Start, r.End)
+		_, vals := selectValues(c, lo, hi)
 		for _, v := range vals {
 			if v < lo || v >= hi {
 				t.Fatalf("query %d: materialized value %d outside [%d,%d)", q, v, lo, hi)
@@ -227,15 +227,30 @@ func TestSelectSum(t *testing.T) {
 	}
 }
 
-func TestSelectValuesSorted(t *testing.T) {
+// selectValues materializes a select through SelectSegments, checking
+// that every segment reports the range the call returns.
+func selectValues(c *Column, lo, hi int64) (Range, []int64) {
+	var out []int64
+	var seen Range
+	r := c.SelectSegments(lo, hi, func(r Range, vals []int64, _ []uint32) {
+		seen = r
+		out = append(out, vals...)
+	})
+	if len(out) > 0 && seen != r {
+		panic("SelectSegments handed its consumer a different range than it returned")
+	}
+	return r, out
+}
+
+func TestSelectSegmentsMatchesScan(t *testing.T) {
 	base := randVals(10_000, 14, 1000)
 	c := New("a", base, Config{})
-	_, vals := c.SelectValues(100, 900)
-	if want := column.CountRange(base, 100, 900); len(vals) != want {
-		t.Fatalf("got %d values, want %d", len(vals), want)
+	r, vals := selectValues(c, 100, 900)
+	if want := column.CountRange(base, 100, 900); len(vals) != want || r.Count() != want {
+		t.Fatalf("got %d values for range %+v, want %d", len(vals), r, want)
 	}
 	if !equalSlices(multiset(vals), multiset(column.Project(base, column.ScanRange(base, 100, 900)))) {
-		t.Fatal("SelectValues multiset differs from scan")
+		t.Fatal("SelectSegments multiset differs from scan")
 	}
 }
 

@@ -3,70 +3,46 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"holistic/internal/workload"
 )
 
-// RunQueries drives a query sequence through an executor with the given
-// number of concurrent clients (Section 5.8 varies this from 1 to 32),
+// RunQueries drives a query sequence through count — an executor's Count
+// terminal — with the given number of concurrent clients (Section 5.8 varies this from 1 to 32),
 // verifying nothing — pure load generation. attrName maps a workload
 // attribute index to a column name. It returns the per-query counts in
 // sequence order (so correctness checks remain possible) and the first
-// error encountered.
-func RunQueries(exec Executor, queries []workload.Query, attrName func(int) string, clients int) ([]int, error) {
-	if clients < 1 {
-		clients = 1
-	}
+// error encountered; clients stop taking queries once one has failed.
+func RunQueries(count func(attr string, lo, hi int64) (int, error), queries []workload.Query, attrName func(int) string, clients int) ([]int, error) {
 	counts := make([]int, len(queries))
-	if clients == 1 {
-		for i, q := range queries {
-			n, err := exec.Count(attrName(q.Attr), q.Lo, q.Hi)
-			if err != nil {
-				return counts, fmt.Errorf("query %d: %w", i, err)
-			}
-			counts[i] = n
-		}
-		return counts, nil
-	}
-
-	type job struct {
-		idx int
-		q   workload.Query
-	}
-	jobs := make(chan job)
-	errs := make(chan error, clients)
-	var failed sync.Map
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		failed   atomic.Bool
+		once     sync.Once
+		firstErr error
+	)
+	for c := 0; c < max(clients, 1); c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				if _, dead := failed.Load("err"); dead {
-					continue // keep draining so the producer never blocks
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(queries) {
+					return
 				}
-				n, err := exec.Count(attrName(j.q.Attr), j.q.Lo, j.q.Hi)
+				q := queries[i]
+				n, err := count(attrName(q.Attr), q.Lo, q.Hi)
 				if err != nil {
-					failed.Store("err", true)
-					select {
-					case errs <- fmt.Errorf("query %d: %w", j.idx, err):
-					default:
-					}
-					continue
+					once.Do(func() { firstErr = fmt.Errorf("query %d: %w", i, err) })
+					failed.Store(true)
+					return
 				}
-				counts[j.idx] = n
+				counts[i] = n
 			}
 		}()
 	}
-	for i, q := range queries {
-		jobs <- job{i, q}
-	}
-	close(jobs)
 	wg.Wait()
-	select {
-	case err := <-errs:
-		return counts, err
-	default:
-		return counts, nil
-	}
+	return counts, firstErr
 }

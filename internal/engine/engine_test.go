@@ -53,9 +53,9 @@ func TestTableBasics(t *testing.T) {
 
 // allExecutors builds one executor per mode over the same table. Cracking
 // configurations carry rowids so the SelectRows form is answerable.
-func allExecutors(t *testing.T, tbl *Table) []Executor {
+func allExecutors(t *testing.T, tbl *Table) []*Executor {
 	t.Helper()
-	return []Executor{
+	return []*Executor{
 		NewScanExecutor(tbl, 2),
 		NewOfflineExecutor(tbl, 2),
 		NewOnlineExecutor(tbl, 2, 20),
@@ -190,6 +190,19 @@ func TestUnknownAttributeErrors(t *testing.T) {
 	}
 }
 
+// sortedPaths counts the attributes currently answered by a sorted copy.
+func sortedPaths(e *Executor) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, p := range e.paths {
+		if _, ok := p.(*sortedPath); ok {
+			n++
+		}
+	}
+	return n
+}
+
 func TestOnlineExecutorSortsAfterEpoch(t *testing.T) {
 	tbl, base := testTable(t, 1, 10_000, 1<<16)
 	e := NewOnlineExecutor(tbl, 2, 5)
@@ -199,14 +212,14 @@ func TestOnlineExecutorSortsAfterEpoch(t *testing.T) {
 			t.Fatal("pre-epoch count wrong")
 		}
 	}
-	if len(e.sorted) != 0 {
+	if sortedPaths(e) != 0 {
 		t.Fatal("sorted before epoch ended")
 	}
 	if n, _ := e.Count("A", 0, 1000); n != column.CountRange(base[0], 0, 1000) {
 		t.Fatal("epoch-crossing count wrong")
 	}
-	if len(e.sorted) != 1 {
-		t.Fatalf("sorted %d columns after epoch, want 1 (table has 1)", len(e.sorted))
+	if n := sortedPaths(e); n != 1 {
+		t.Fatalf("sorted %d columns after epoch, want 1 (table has 1)", n)
 	}
 }
 
@@ -214,8 +227,8 @@ func TestOfflinePrepareAll(t *testing.T) {
 	tbl, _ := testTable(t, 3, 5_000, 1<<16)
 	e := NewOfflineExecutor(tbl, 2)
 	e.PrepareAll()
-	if len(e.sorted) != 3 {
-		t.Fatalf("PrepareAll sorted %d columns, want 3", len(e.sorted))
+	if n := sortedPaths(e); n != 3 {
+		t.Fatalf("PrepareAll sorted %d columns, want 3", n)
 	}
 }
 
@@ -356,7 +369,7 @@ func TestRunQueriesSingleAndMultiClient(t *testing.T) {
 	}
 	for _, clients := range []int{1, 2, 4} {
 		e := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
-		got, err := RunQueries(e, qs, attrName, clients)
+		got, err := RunQueries(e.Count, qs, attrName, clients)
 		if err != nil {
 			t.Fatalf("clients=%d: %v", clients, err)
 		}
@@ -373,10 +386,10 @@ func TestRunQueriesPropagatesError(t *testing.T) {
 	tbl, _ := testTable(t, 1, 100, 1000)
 	e := NewScanExecutor(tbl, 1)
 	qs := []workload.Query{{Attr: 5, Lo: 0, Hi: 1}}
-	if _, err := RunQueries(e, qs, attrName, 1); err == nil {
+	if _, err := RunQueries(e.Count, qs, attrName, 1); err == nil {
 		t.Error("single-client error not propagated")
 	}
-	if _, err := RunQueries(e, qs, attrName, 4); err == nil {
+	if _, err := RunQueries(e.Count, qs, attrName, 4); err == nil {
 		t.Error("multi-client error not propagated")
 	}
 }
@@ -426,7 +439,7 @@ func TestRunQueriesMultiClientMidstreamError(t *testing.T) {
 			e.left.Add(1)
 		}
 	}
-	got, err := RunQueries(e, qs, attrName, 4)
+	got, err := RunQueries(e.Count, qs, attrName, 4)
 	if err == nil {
 		t.Fatal("mid-stream error not propagated")
 	}
@@ -447,95 +460,10 @@ func TestRunQueriesMultiClientMidstreamError(t *testing.T) {
 	}
 }
 
-func TestHashJoin(t *testing.T) {
-	build := []int64{10, 20, 30}
-	probe := []int64{20, 99, 10, 30, 20}
-	got := HashJoin(build, probe)
-	want := []int32{1, -1, 0, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("HashJoin = %v, want %v", got, want)
-		}
-	}
-}
-
-// mapHashJoin is the retired Go-map implementation of HashJoin, kept
-// as the differential oracle for the open-addressing rewrite: the map
-// semantics (last build occurrence wins for duplicated keys, -1 on
-// miss) are the contract.
-func mapHashJoin(build, probe []int64) []int32 {
-	ht := make(map[int64]int32, len(build))
-	for i, k := range build {
-		ht[k] = int32(i)
-	}
-	out := make([]int32, len(probe))
-	for i, k := range probe {
-		if j, ok := ht[k]; ok {
-			out[i] = j
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}
-
-// TestHashJoinMatchesMapOracle drives the open-addressing HashJoin
-// against the map oracle across duplicated keys (last-wins), negative
-// keys, misses and empty sides.
-func TestHashJoinMatchesMapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	cases := []struct {
-		nb, np int
-		domain int64
-	}{
-		{0, 10, 8}, {10, 0, 8}, {1, 1, 1},
-		{100, 400, 30}, // heavy duplication: last build index must win
-		{5000, 5000, 1 << 40},
-	}
-	for _, tc := range cases {
-		build := make([]int64, tc.nb)
-		probe := make([]int64, tc.np)
-		for i := range build {
-			build[i] = rng.Int63n(tc.domain) - tc.domain/2
-		}
-		for i := range probe {
-			probe[i] = rng.Int63n(tc.domain) - tc.domain/2
-		}
-		want := mapHashJoin(build, probe)
-		for _, workers := range []int{1, 4} {
-			got := ParallelHashJoin(build, probe, workers)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("case %+v workers=%d: out[%d] = %d, oracle %d", tc, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestParallelHashJoinMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	build := make([]int64, 10_000)
-	for i := range build {
-		build[i] = int64(i) * 3
-	}
-	probe := make([]int64, 50_000)
-	for i := range probe {
-		probe[i] = rng.Int63n(40_000)
-	}
-	seq := HashJoin(build, probe)
-	par := ParallelHashJoin(build, probe, 4)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("mismatch at %d: %d vs %d", i, seq[i], par[i])
-		}
-	}
-}
-
-// checkKeyOrderClusters asserts the KeyOrderWalker contract over a
+// checkKeyOrderClusters asserts the WalkKeyOrder contract over a
 // walk: clusters' value sets are disjoint and ascending, rows align
 // with values, and the multiset of (value, row) pairs equals want.
-func checkKeyOrderClusters(t *testing.T, e KeyOrderWalker, attr string, want map[uint32]int64) {
+func checkKeyOrderClusters(t *testing.T, e *Executor, attr string, want map[uint32]int64) {
 	t.Helper()
 	var prevMax int64
 	first := true
@@ -667,7 +595,7 @@ func TestHolisticExecutorStorageBudget(t *testing.T) {
 	h.Count(attrName(1), 0, 100)
 	h.Count(attrName(1), 0, 200) // attr 1 now more frequently used
 	h.Count(attrName(2), 0, 100) // must evict attr 0 (LFU)
-	reg := h.Registry
+	reg := h.Daemon().Registry()
 	if reg.Get(attrName(0)) != nil {
 		t.Error("LFU index not evicted under storage budget")
 	}
@@ -687,7 +615,7 @@ func TestCCGIExecutorConcurrentClients(t *testing.T) {
 	qs := workload.Generate(workload.Config{
 		Pattern: workload.Random, Queries: 80, Domain: 1 << 16, Attrs: 2, Seed: 17,
 	})
-	got, err := RunQueries(e, qs, attrName, 4)
+	got, err := RunQueries(e.Count, qs, attrName, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +635,7 @@ func TestOnlineExecutorConcurrentEpochCrossing(t *testing.T) {
 	qs := workload.Generate(workload.Config{
 		Pattern: workload.Random, Queries: 100, Domain: 1 << 16, Attrs: 2, Seed: 18,
 	})
-	got, err := RunQueries(e, qs, attrName, 4)
+	got, err := RunQueries(e.Count, qs, attrName, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,8 +644,8 @@ func TestOnlineExecutorConcurrentEpochCrossing(t *testing.T) {
 			t.Fatalf("query %d: got %d, want %d", i, got[i], want)
 		}
 	}
-	if len(e.sorted) != 2 {
-		t.Fatalf("sorted %d columns, want 2", len(e.sorted))
+	if n := sortedPaths(e); n != 2 {
+		t.Fatalf("sorted %d columns, want 2", n)
 	}
 }
 
@@ -848,11 +776,7 @@ func TestSelectBitmapAgreesWithSelectRows(t *testing.T) {
 		hi := lo + rng.Int63n(domain-lo) + 1
 		wantRows := column.ScanRange(bases[a], lo, hi) // ascending base positions
 		for _, e := range execs {
-			bs, ok := e.(BitmapSelector)
-			if !ok {
-				t.Fatalf("%s does not implement BitmapSelector", e.Label())
-			}
-			if err := bs.SelectBitmap(attrName(a), lo, hi, bm); err != nil {
+			if err := e.SelectBitmap(attrName(a), lo, hi, bm); err != nil {
 				t.Fatalf("%s: SelectBitmap: %v", e.Label(), err)
 			}
 			if got := bm.Count(); got != len(wantRows) {

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"holistic/internal/cracking"
 	"holistic/internal/durable"
@@ -9,230 +9,118 @@ import (
 	"holistic/internal/stats"
 )
 
-// This file is the bridge between the executors and the durable layer:
-// exporting the logical column content plus the physical adaptive state
-// for a snapshot, and reinstalling both on recovery. Exports run under
+// This file bridges the executor and the durable layer: exporting the
+// logical column content plus the physical state of every built index
+// for a snapshot, and reinstalling both on recovery. Which index a state
+// blob describes travels in durable.IndexState.Kind. Exports run under
 // the store's write lock (no concurrent Insert/Delete/Update), so the
-// overlay read under pendMu and the index export observe one cut of the
-// logical state; concurrent queries may keep cracking, which never
-// changes logical content.
+// overlay and the index export observe one cut of the logical state;
+// concurrent queries may keep cracking, which never changes content.
 
-// ExportTableData captures the base columns of t as durable column
-// data — the export path for executors without an update overlay.
+// ExportTableData captures the base columns of t as durable column data:
+// the logical content of a table no executor has been built over yet.
 func ExportTableData(t *Table) []durable.ColumnData {
 	var cols []durable.ColumnData
 	for _, name := range t.ColumnNames() {
-		cols = append(cols, durable.ColumnData{
-			Name: name,
-			Base: append([]int64(nil), t.Column(name).Values()...),
-		})
+		cols = append(cols, durable.ColumnData{Name: name, Base: slices.Clone(t.Column(name).Values())})
 	}
 	return cols
 }
 
-// ExportDurable captures every attribute's folded logical content and,
-// where a cracker exists, its physical state. Folding bakes the update
-// overlay into the arrays: updated rows carry their newest value and
-// deleted rows keep the value they last held, so recovery can rebuild a
-// first-touch cracker from the base array and replay the deletions
-// exactly as the normal write path would have.
-func (e *AdaptiveExecutor) ExportDurable() ([]durable.ColumnData, []durable.IndexState) {
+// ExportDurable captures every attribute's logical content and the state
+// of every index built so far (cracker pieces with their convergence
+// statistics, sorted runs; scans and CCGI chunks are recomputed), the
+// update overlay folded into the content. Online indexing's epoch
+// counter is deliberately not persisted: a restarted store restarts its
+// monitoring epoch.
+func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexState) {
 	var cols []durable.ColumnData
 	var states []durable.IndexState
 	for _, attr := range e.table.ColumnNames() {
-		// Complete the cracker's physical state first: with every
-		// pending op merged, the exported arrays hold exactly the live
-		// logical values and an empty pending queue on restore matches.
-		c := e.CrackerIfExists(attr)
-		if c != nil {
-			if n := e.Pending(attr).MergeAll(c); n > 0 && e.met != nil {
+		switch p := e.lookup(attr).(type) {
+		case *crackerPath:
+			// Complete the physical state first: with every pending op
+			// merged, the exported arrays hold exactly the live logical
+			// values and an empty pending queue on restore matches.
+			if n := p.pend.MergeAll(p.col); n > 0 && e.met != nil {
 				e.met.MergedUpdates.Add(int64(n))
 			}
-		}
-		cols = append(cols, e.exportAttrData(attr))
-		if c != nil {
-			st := c.ExportState()
+			st := p.col.ExportState()
 			is := durable.IndexState{
-				Attr:    attr,
-				Kind:    durable.IndexCracker,
-				Vals:    st.Vals,
-				Rows:    st.Rows,
-				HasRows: st.Rows != nil,
-				Keys:    st.Keys,
-				Starts:  st.Starts,
+				Attr: attr, Kind: durable.IndexCracker,
+				Vals: st.Vals, Rows: st.Rows, HasRows: st.Rows != nil,
+				Keys: st.Keys, Starts: st.Starts,
 			}
-			if e.Registry != nil {
-				if entry := e.Registry.Get(attr); entry != nil {
-					is.Accesses = entry.Accesses()
-					is.Hits = entry.Hits()
+			if e.daemon != nil {
+				if entry := e.daemon.Registry().Get(attr); entry != nil {
+					is.Accesses, is.Hits = entry.Accesses(), entry.Hits()
 					is.StatsState = uint8(entry.State()) + 1
 				}
 			}
 			states = append(states, is)
+		case *sortedPath:
+			states = append(states, durable.IndexState{
+				Attr: attr, Kind: durable.IndexSorted,
+				Vals: slices.Clone(p.col.Values()),
+				Rows: slices.Clone(p.col.RowIDs()), HasRows: p.col.HasRows(),
+			})
 		}
+		cols = append(cols, e.exportAttrData(attr))
 	}
 	return cols, states
 }
 
-// exportAttrData folds one attribute's overlay into durable arrays.
-func (e *AdaptiveExecutor) exportAttrData(attr string) durable.ColumnData {
-	base := e.table.Column(attr).Values()
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	cd := durable.ColumnData{
-		Name:  attr,
-		Base:  append([]int64(nil), base...),
-		Tails: append([]int64(nil), e.tails[attr]...),
+// RestoreDurable reinstates recovered state on a freshly built executor
+// whose table base came from the snapshot: every index state of the
+// mode's own kind that validates is installed as if queries had built it
+// (daemon admission and convergence statistics included; a sorted run
+// also marks online indexing's epoch sort as paid), and under the
+// cracking modes every attribute gets its update overlay back. It reports
+// how many indexes were restored and how many were dropped for failing
+// validation — those attributes rebuild from the recovered data exactly
+// as a first query would.
+func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.IndexState) (restored, dropped int) {
+	for _, st := range states {
+		var p accessPath
+		var err error
+		switch {
+		case st.Kind == durable.IndexCracker && e.kind == kindCracker:
+			cfg := e.crack
+			cfg.WithRows = st.HasRows
+			var c *cracking.Column
+			if c, err = cracking.Restore(st.Attr, cracking.ExportedState{Vals: st.Vals, Rows: st.Rows, Keys: st.Keys, Starts: st.Starts}, cfg); err == nil {
+				cp := &crackerPath{col: c, pend: e.Pending(st.Attr)}
+				if entry := e.admit(st.Attr, cp, false); entry != nil && st.StatsState > 0 {
+					entry.RestoreCounts(st.Accesses, st.Hits, stats.State(st.StatsState-1))
+				}
+				p = cp
+			}
+		case st.Kind == durable.IndexSorted && e.kind == kindSorted:
+			rows := st.Rows
+			if !st.HasRows {
+				rows = nil
+			}
+			var sc *sortidx.SortedColumn
+			if sc, err = sortidx.Restore(st.Attr, st.Vals, rows); err == nil {
+				p = &sortedPath{col: sc}
+			}
+		default:
+			continue // another mode's index: recomputed, not restored
+		}
+		if err != nil {
+			dropped++
+			continue
+		}
+		e.mu.Lock()
+		e.paths[st.Attr] = p
+		e.scanning = false
+		e.mu.Unlock()
+		restored++
 	}
-	for row, v := range e.updated[attr] {
-		if int(row) < len(cd.Base) {
-			cd.Base[row] = v
-		} else if i := int(row) - len(cd.Base); i < len(cd.Tails) {
-			cd.Tails[i] = v
+	if e.Updatable() {
+		for _, cd := range cols {
+			e.restoreOverlay(cd, e.lookup(cd.Name) == nil)
 		}
 	}
-	for row := range e.deleted[attr] {
-		cd.Dead = append(cd.Dead, row)
-	}
-	sort.Slice(cd.Dead, func(i, j int) bool { return cd.Dead[i] < cd.Dead[j] })
-	return cd
-}
-
-// RestoreAttrData reinstates one attribute's logical overlay on a
-// freshly built executor whose table base came from the snapshot, and
-// queues the synthetic pending operations that reproduce the normal
-// write path against a first-touch cracker: the base array still holds
-// the last value of every dead base row, so AddDeleteRow removes
-// exactly that occurrence on merge, and tail inserts (with their
-// deletions, for dead tails) replay in row order.
-func (e *AdaptiveExecutor) RestoreAttrData(cd durable.ColumnData) {
-	baseRows := uint32(len(cd.Base))
-	p := e.Pending(cd.Name)
-	e.pendMu.Lock()
-	if len(cd.Tails) > 0 {
-		e.tails[cd.Name] = append([]int64(nil), cd.Tails...)
-		e.nextRow[cd.Name] = baseRows + uint32(len(cd.Tails))
-	}
-	var dead map[uint32]struct{}
-	if len(cd.Dead) > 0 {
-		dead = make(map[uint32]struct{}, len(cd.Dead))
-		for _, row := range cd.Dead {
-			dead[row] = struct{}{}
-		}
-		e.deleted[cd.Name] = dead
-	}
-	delete(e.viewCache, cd.Name)
-	e.pendMu.Unlock()
-
-	for _, row := range cd.Dead {
-		if row >= baseRows {
-			break // tail deletions interleave with the inserts below
-		}
-		p.AddDeleteRow(cd.Base[row], row)
-	}
-	for i, v := range cd.Tails {
-		row := baseRows + uint32(i)
-		p.AddInsert(v, row)
-		if _, d := dead[row]; d {
-			p.AddDeleteRow(v, row)
-		}
-	}
-}
-
-// InstallRestoredCracker installs a rebuilt cracker column for attr,
-// registering it exactly as a first query would (through the Admit hook
-// when holistic mode routes admission via the daemon), and returns the
-// stats entry for count restoration. The caller must have reinstated
-// the attribute's overlay WITHOUT synthetic pending operations: the
-// restored cracker already contains every live value.
-func (e *AdaptiveExecutor) InstallRestoredCracker(attr string, c *cracking.Column) *stats.Entry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.crackers[attr]; ok {
-		return nil
-	}
-	e.crackers[attr] = c
-	if e.Admit != nil {
-		return e.Admit(attr, c, false)
-	}
-	if e.Registry != nil {
-		return e.Registry.Add(attr, c, false)
-	}
-	return nil
-}
-
-// RestoreOverlay reinstates just the logical overlay (tails and
-// tombstones) of one attribute — the companion of
-// InstallRestoredCracker, which needs no synthetic pending queue.
-func (e *AdaptiveExecutor) RestoreOverlay(cd durable.ColumnData) {
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	if len(cd.Tails) > 0 {
-		e.tails[cd.Name] = append([]int64(nil), cd.Tails...)
-		e.nextRow[cd.Name] = uint32(len(cd.Base) + len(cd.Tails))
-	}
-	if len(cd.Dead) > 0 {
-		dead := make(map[uint32]struct{}, len(cd.Dead))
-		for _, row := range cd.Dead {
-			dead[row] = struct{}{}
-		}
-		e.deleted[cd.Name] = dead
-	}
-	delete(e.viewCache, cd.Name)
-}
-
-// ExportSorted captures the sorted runs built so far.
-func (e *OfflineExecutor) ExportSorted() []durable.IndexState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return exportSortedMap(e.sorted)
-}
-
-// SeedSorted reinstates a restored sorted run, so the executor serves
-// it instead of re-sorting on first touch.
-func (e *OfflineExecutor) SeedSorted(sc *sortidx.SortedColumn) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sorted[sc.Name()] = sc
-}
-
-// ExportSorted captures the sorted runs built so far. The epoch query
-// counter is deliberately not persisted: a restarted store restarts its
-// monitoring epoch, but seeded runs keep serving index probes.
-func (e *OnlineExecutor) ExportSorted() []durable.IndexState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return exportSortedMap(e.sorted)
-}
-
-// SeedSorted reinstates a restored sorted run. A non-empty sorted map
-// also marks the epoch sort as already paid, so the post-epoch bulk
-// build is skipped.
-func (e *OnlineExecutor) SeedSorted(sc *sortidx.SortedColumn) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sorted[sc.Name()] = sc
-}
-
-func exportSortedMap(sorted map[string]*sortidx.SortedColumn) []durable.IndexState {
-	var states []durable.IndexState
-	names := make([]string, 0, len(sorted))
-	for name := range sorted {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sc := sorted[name]
-		st := durable.IndexState{
-			Attr:    name,
-			Kind:    durable.IndexSorted,
-			Vals:    append([]int64(nil), sc.Values()...),
-			HasRows: sc.HasRows(),
-		}
-		if sc.HasRows() {
-			st.Rows = append([]uint32(nil), sc.RowIDs()...)
-		}
-		states = append(states, st)
-	}
-	return states
+	return restored, dropped
 }

@@ -83,7 +83,7 @@ var identityPk = packing{
 
 // GroupClusters executes the fused plan with sort-based (index-
 // clustered) grouping: walk streams the single group-key attribute in
-// ascending key-cluster order (engine.KeyOrderWalker's contract —
+// ascending key-cluster order (Executor.WalkKeyOrder's contract —
 // cluster value sets disjoint and ascending), each cluster is
 // aggregated locally, and groups append to res already in key order.
 // No global hash table exists at any point; a cluster whose observed

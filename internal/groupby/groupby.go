@@ -19,7 +19,7 @@
 //     groups are sorted at the emit boundary.
 //
 //   - StrategySort: the key attribute's index streams the column in
-//     key-clustered order (engine.KeyOrderWalker: sorted runs, or
+//     key-clustered order (Executor.WalkKeyOrder: sorted runs, or
 //     cracker pieces in key order) and each cluster is aggregated with
 //     a small local accumulator — no global hash table at all, and
 //     groups emit in key order for free. This is the holistic payoff:

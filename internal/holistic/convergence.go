@@ -76,7 +76,7 @@ func (d *Daemon) Convergence() *Convergence {
 		dist := d.reg.Distance(e)
 		d0 := float64(e.Col.Len()) - float64(l1)
 		progress := 1.0
-		if d0 > 0 {
+		if d0 > 0 && e.State() != stats.Optimal {
 			progress = 1 - dist/d0
 			if progress < 0 {
 				progress = 0

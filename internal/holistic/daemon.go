@@ -420,6 +420,9 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 		for attempt := 0; attempt < maxAttemptsPerRefinement && !done; attempt++ {
 			lo, hi := e.Col.Domain()
 			if hi <= lo {
+				// One distinct value: nothing to crack, now or ever.
+				// Retire the index instead of picking it every cycle.
+				d.reg.MarkOptimal(e)
 				return refined, mergedUpdates
 			}
 			pivot := lo + rng.Int63n(hi-lo+1)

@@ -355,87 +355,3 @@ func (st *hashState) probeRange(op Op, in Input, swapped, sumOnBuild bool, lo, h
 	}
 	return count, sum
 }
-
-// Map is a minimal open-addressing int64 -> int32 table with last-wins
-// puts: the drop-in core that replaced the Go map inside
-// engine.HashJoin (the map version survives as the differential oracle
-// in engine's tests).
-type Map struct {
-	keys []int64
-	vals []int32 // stored value + 1; 0 = empty
-	mask uint64
-	n    int
-}
-
-// NewMap returns a table pre-sized for n keys.
-func NewMap(n int) *Map {
-	slots := pow2(2 * n)
-	if slots < 8 {
-		slots = 8
-	}
-	return &Map{keys: make([]int64, slots), vals: make([]int32, slots), mask: uint64(slots - 1)}
-}
-
-// Put inserts or overwrites k's value. v must be non-negative: values
-// are stored biased by one with 0 as the empty-slot sentinel, so a
-// negative value would alias it.
-func (m *Map) Put(k int64, v int32) {
-	if v < 0 {
-		panic("join: Map values must be non-negative")
-	}
-	s := splitmix64(uint64(k)) & m.mask
-	for {
-		if m.vals[s] == 0 {
-			m.keys[s] = k
-			m.vals[s] = v + 1
-			m.n++
-			if uint64(m.n)*2 >= uint64(len(m.keys)) {
-				m.grow()
-			}
-			return
-		}
-		if m.keys[s] == k {
-			m.vals[s] = v + 1
-			return
-		}
-		s = (s + 1) & m.mask
-	}
-}
-
-// Get returns k's value; ok is false when absent.
-func (m *Map) Get(k int64) (int32, bool) {
-	s := splitmix64(uint64(k)) & m.mask
-	for {
-		v := m.vals[s]
-		if v == 0 {
-			return 0, false
-		}
-		if m.keys[s] == k {
-			return v - 1, true
-		}
-		s = (s + 1) & m.mask
-	}
-}
-
-// Len returns the number of distinct keys.
-func (m *Map) Len() int { return m.n }
-
-func (m *Map) grow() {
-	ok, ov := m.keys, m.vals
-	slots := len(ok) * 2
-	m.keys = make([]int64, slots)
-	m.vals = make([]int32, slots)
-	m.mask = uint64(slots - 1)
-	for s, v := range ov {
-		if v == 0 {
-			continue
-		}
-		k := ok[s]
-		i := splitmix64(uint64(k)) & m.mask
-		for m.vals[i] != 0 {
-			i = (i + 1) & m.mask
-		}
-		m.keys[i] = k
-		m.vals[i] = v
-	}
-}

@@ -18,7 +18,7 @@
 //     scratch: a steady-state count is allocation-free.
 //
 //   - Merge (merge.go): an index-clustered merge join. Both sides
-//     stream in ascending key-cluster order (engine.KeyOrderWalker:
+//     stream in ascending key-cluster order (Executor.WalkKeyOrder:
 //     sorted runs, or cracker pieces with pending updates merged
 //     first), the smaller side's clusters are buffered once, and the
 //     cluster value ranges are intersected as the larger side walks:
@@ -132,7 +132,7 @@ type Input struct {
 }
 
 // Stream is one side of a merge join: a key-ordered cluster stream
-// (engine.KeyOrderWalker's contract — cluster value sets disjoint and
+// (Executor.WalkKeyOrder's contract — cluster value sets disjoint and
 // ascending, values within one cluster unordered), the selection
 // bitmap rows must pass (nil selects every streamed row), an
 // update-aware payload view for OpSum on this side, and the side's

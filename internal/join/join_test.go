@@ -129,7 +129,7 @@ func clusterStream(rng *rand.Rand, in Input, sel *column.Bitmap) Stream {
 	}
 	bounds = append(bounds, len(s))
 	// Shuffle within each cluster: values inside one cluster are
-	// unordered per the KeyOrderWalker contract.
+	// unordered per the WalkKeyOrder contract.
 	prev := 0
 	var clusters [][]kv
 	for _, b := range bounds {
@@ -309,36 +309,6 @@ func TestGroupedOverPairs(t *testing.T) {
 		}
 		if g > 0 && res.Keys[0][g-1] >= k {
 			t.Fatal("groups not in ascending key order")
-		}
-	}
-}
-
-// TestMapMatchesGoMap checks the open-addressing table (the
-// engine.HashJoin core) against a Go map, including last-wins
-// overwrites and negative keys.
-func TestMapMatchesGoMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := NewMap(4)
-	oracle := map[int64]int32{}
-	for i := 0; i < 5000; i++ {
-		k := rng.Int63n(600) - 300
-		v := int32(i)
-		m.Put(k, v)
-		oracle[k] = v
-	}
-	if m.Len() != len(oracle) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(oracle))
-	}
-	for k, want := range oracle {
-		got, ok := m.Get(k)
-		if !ok || got != want {
-			t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k, got, ok, want)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		k := rng.Int63n(1 << 40)
-		if _, ok := m.Get(k); ok != (func() bool { _, o := oracle[k]; return o }()) {
-			t.Fatalf("Get(%d) presence mismatch", k)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (r *Runner) fillActual(tr *obs.QueryTrace, side string) {
 		if c.Side != side {
 			continue
 		}
-		w, err := r.view(c.Attr)
+		w, err := r.exec.View(c.Attr)
 		if err != nil {
 			continue
 		}

@@ -12,14 +12,14 @@
 //   - dense, when the composite key domain bit-packs small
 //     (groupby.DenseEligible);
 //   - sort (index-clustered), when the single group key has a
-//     key-ordered access path (engine.KeyOrderWalker) whose clusters
+//     key-ordered access path (Executor.WalkKeyOrder) whose clusters
 //     are already refined below the per-cluster accumulator bound and
 //     the selection is dense enough to amortize walking the whole
 //     index;
 //   - hash, otherwise.
 //
 // Under ModeHolistic the group-by attributes are reported to the
-// executor like residual conjuncts (engine.PredicateSink), so they
+// executor like residual conjuncts (Executor.NotePredicate), so they
 // enter the daemon's index space: idle-time refinement shrinks their
 // clusters and converts hash grouping into sort-based grouping over
 // time — grouping is how background cracking pays off beyond selects.
@@ -29,16 +29,26 @@ import (
 	"fmt"
 
 	"holistic/internal/column"
-	"holistic/internal/engine"
 	"holistic/internal/groupby"
 	"holistic/internal/obs"
 )
 
-// sortScanRatio guards the sort strategy against sparse selections: the
-// cluster walk visits every index entry while dense/hash touch only
-// selected rows, so sort is considered when at least 1/sortScanRatio of
-// the position universe is selected.
-const sortScanRatio = 4
+// keyOrderScanRatio guards the index-clustered strategies (sort-based
+// grouping, merge join) against sparse selections: a cluster walk visits
+// every index entry while the hash strategies touch only selected rows,
+// so a walk is considered when at least 1/keyOrderScanRatio of the
+// position universe is selected.
+const keyOrderScanRatio = 4
+
+// walkPays is the planner rule grouping and joins share: a key-ordered
+// access path is worth walking for the selection sel when its clusters
+// span at most bound keys (they fit the per-cluster accumulator) and
+// sel is dense enough to amortize visiting the whole index.
+//
+//holistic:noalloc
+func walkPays(span, bound float64, sel *column.Bitmap) bool {
+	return span <= bound && sel.Count()*keyOrderScanRatio >= sel.Len()
+}
 
 // SetGroupStrategy pins the physical grouping strategy
 // (groupby.StrategyAuto restores per-query selection); safe to call
@@ -152,7 +162,6 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 		}
 	}
 
-	useBm := false
 	live := true
 	if len(preds) > 0 {
 		empty, err := r.planScratch(sc, preds)
@@ -161,16 +170,13 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 		}
 		if empty {
 			live = false
-		} else {
-			if useBm, err = r.runSel(sc, sc.extras, repWantBitmap); err != nil {
-				return err
-			}
+		} else if _, err = r.runSel(sc, sc.extras, repWantBitmap); err != nil {
+			return err
 		}
 	} else {
 		if err := r.selectUniverse(sc, sc.extras); err != nil {
 			return err
 		}
-		useBm = true
 		if r.met != nil {
 			r.met.RecordRep(obs.RepBitmap)
 		}
@@ -184,11 +190,9 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 	// Group-by attributes join the index space like residual conjuncts:
 	// the daemon's refinement converts their grouping to the sort
 	// strategy over time.
-	if sink, ok := r.exec.(engine.PredicateSink); ok {
-		for _, k := range keys {
-			if err := sink.NotePredicate(k); err != nil {
-				return err
-			}
+	for _, k := range keys {
+		if err := r.exec.NotePredicate(k); err != nil {
+			return err
 		}
 	}
 
@@ -198,37 +202,26 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 	}
 
 	forced := groupby.Strategy(r.groupStrategy.Load())
-	if useBm {
-		if walker, attr, ok := r.chooseSort(sc, spec, keys, forced); ok {
-			walked := false
-			err := groupby.GroupClusters(spec, sc.bm, func(fn func(vals []int64, rows []uint32)) {
-				walked, _ = walker.WalkKeyOrder(attr, fn)
-			}, res)
-			if err != nil {
-				return err
-			}
-			if walked {
-				r.noteStrategy(sc, obs.StratGroupSort, "single key with refined key-ordered clusters over a dense selection")
-				return nil
-			}
-			// The access path declined after probing (should not happen —
-			// KeyOrderSpan said ok); regroup through the hash path.
-		}
-		switch forced {
-		case groupby.StrategyDense, groupby.StrategyHash:
-			spec.Force = forced
-		}
-		if err := groupby.GroupBitmap(spec, sc.bm, res); err != nil {
+	if r.chooseSort(sc, spec, keys, forced) {
+		walked := false
+		err := groupby.GroupClusters(spec, sc.bm, func(fn func(vals []int64, rows []uint32)) {
+			walked, _ = r.exec.WalkKeyOrder(keys[0], fn)
+		}, res)
+		if err != nil {
 			return err
 		}
-		r.noteGroupFallback(sc, res.Strategy, forced)
-		return nil
+		if walked {
+			r.noteStrategy(sc, obs.StratGroupSort, "single key with refined key-ordered clusters over a dense selection")
+			return nil
+		}
+		// The access path declined after probing (should not happen —
+		// KeyOrderSpan said ok); regroup through the hash path.
 	}
 	switch forced {
 	case groupby.StrategyDense, groupby.StrategyHash:
 		spec.Force = forced
 	}
-	if err := groupby.GroupRows(spec, sc.sel, res); err != nil {
+	if err := groupby.GroupBitmap(spec, sc.bm, res); err != nil {
 		return err
 	}
 	r.noteGroupFallback(sc, res.Strategy, forced)
@@ -259,7 +252,7 @@ func (r *Runner) noteGroupFallback(sc *scratch, executed, forced groupby.Strateg
 func (r *Runner) selectUniverse(sc *scratch, extras []string) error {
 	universe := 0
 	for _, attr := range extras {
-		w, err := r.view(attr)
+		w, err := r.exec.View(attr)
 		if err != nil {
 			return err
 		}
@@ -305,49 +298,32 @@ func (r *Runner) groupSpec(sc *scratch, keys []string, aggs []groupby.Agg) *grou
 }
 
 // chooseSort applies the sort-strategy rule: a single group key with a
-// key-ordered access path whose current clusters fit the per-cluster
-// accumulator, skipped when the dense strategy qualifies (a small packed
-// domain groups faster through direct array indexing) or when the
-// selection is too sparse to justify walking the whole index. A forced
-// sort strategy skips the profitability checks but not the
-// availability ones.
-func (r *Runner) chooseSort(sc *scratch, spec *groupby.Spec, keys []string, forced groupby.Strategy) (engine.KeyOrderWalker, string, bool) {
-	if forced != groupby.StrategyAuto && forced != groupby.StrategySort {
-		return nil, "", false
+// key-ordered access path worth walking (walkPays), skipped when the
+// dense strategy qualifies (a small packed domain groups faster through
+// direct array indexing). A forced sort strategy skips the profitability
+// checks but not the availability ones.
+func (r *Runner) chooseSort(sc *scratch, spec *groupby.Spec, keys []string, forced groupby.Strategy) bool {
+	if (forced != groupby.StrategyAuto && forced != groupby.StrategySort) || len(keys) != 1 {
+		return false
 	}
-	if len(keys) != 1 {
-		return nil, "", false
-	}
-	walker, ok := r.exec.(engine.KeyOrderWalker)
+	span, ok := r.exec.KeyOrderSpan(keys[0])
 	if !ok {
-		return nil, "", false
+		return false
 	}
-	span, ok := walker.KeyOrderSpan(keys[0])
-	if ok {
-		// The statistics behind the sort-vs-hash choice, captured for
-		// the strategy audit event regardless of tracing.
-		sc.fstat[0] = span
-		sc.fstat[1] = float64(sc.bm.Count())
-	}
-	if tr := sc.trace; tr != nil && ok {
+	// The statistics behind the sort-vs-hash choice, captured for the
+	// strategy audit event regardless of tracing.
+	sc.fstat[0] = span
+	sc.fstat[1] = float64(sc.bm.Count())
+	if tr := sc.trace; tr != nil {
 		tr.SetStat("key_order_span", span)
 		tr.SetStat("cluster_slots", float64(groupby.DefaultClusterSlots))
 		tr.SetStat("selected_rows", float64(sc.bm.Count()))
 		tr.SetStat("position_universe", float64(sc.bm.Len()))
 	}
-	if !ok || span > float64(groupby.DefaultClusterSlots) {
-		return nil, "", false
-	}
 	if forced == groupby.StrategySort {
-		return walker, keys[0], true
+		return span <= float64(groupby.DefaultClusterSlots)
 	}
-	if groupby.DenseEligible(spec.Keys, 0) {
-		return nil, "", false
-	}
-	if sc.bm.Count()*sortScanRatio < sc.bm.Len() {
-		return nil, "", false
-	}
-	return walker, keys[0], true
+	return !groupby.DenseEligible(spec.Keys, 0) && walkPays(span, float64(groupby.DefaultClusterSlots), sc.bm)
 }
 
 // MinMax answers "select min(attr), max(attr) where <conjunction>"; ok

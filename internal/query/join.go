@@ -9,7 +9,7 @@
 // subsystem's strategy selection:
 //
 //   - merge (index-clustered), when both sides have a key-ordered
-//     access path on their join attribute (engine.KeyOrderWalker) whose
+//     access path on their join attribute (Executor.WalkKeyOrder) whose
 //     clusters are already refined below the per-pair accumulator
 //     bound and whose selections are dense enough to amortize walking
 //     the whole index — no hash table over either relation;
@@ -17,7 +17,7 @@
 //     build side always the smaller filtered cardinality.
 //
 // Under ModeHolistic the join attributes of both relations are
-// reported to their executors (engine.PredicateSink), so they enter
+// reported to their executors (Executor.NotePredicate), so they enter
 // the daemons' index spaces: idle-time refinement shrinks their
 // clusters and converts hash joins into merge joins over time — the
 // same convergence grouped aggregation proved, now across relations.
@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"holistic/internal/column"
-	"holistic/internal/engine"
 	"holistic/internal/groupby"
 	"holistic/internal/join"
 	"holistic/internal/obs"
@@ -46,13 +44,6 @@ const (
 	// key-ordered access path exists on both sides (hash otherwise).
 	JoinMerge
 )
-
-// joinScanRatio guards the auto merge strategy against sparse
-// selections, mirroring the grouped subsystem's sortScanRatio: the
-// cluster walks visit every index entry of both sides, so merge is
-// considered only when at least 1/joinScanRatio of each side's
-// position universe is selected.
-const joinScanRatio = 4
 
 // SetJoinStrategy pins the join strategy of joins driven by this
 // runner (the left side); JoinAuto restores per-query selection. Safe
@@ -272,15 +263,11 @@ func (j *Join) runInto(op join.Op, lExtra, rExtra []string, pairs *join.Pairs) (
 	// Join attributes enter the index space on both sides, like the
 	// residual conjuncts and group-by keys before them: the daemons'
 	// idle refinement converts hash joins into merge joins over time.
-	if sink, ok := j.left.exec.(engine.PredicateSink); ok {
-		if err := sink.NotePredicate(j.leftAttr); err != nil {
-			return nil, nil, err
-		}
+	if err := j.left.exec.NotePredicate(j.leftAttr); err != nil {
+		return nil, nil, err
 	}
-	if sink, ok := j.right.exec.(engine.PredicateSink); ok {
-		if err := sink.NotePredicate(j.rightAttr); err != nil {
-			return nil, nil, err
-		}
+	if err := j.right.exec.NotePredicate(j.rightAttr); err != nil {
+		return nil, nil, err
 	}
 
 	lsc = j.left.getScratch()
@@ -364,7 +351,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 	if tr := lsc.trace; tr != nil {
 		tr.BeginSide("left")
 	}
-	lLive, lUseBm, err := selectSide(j.left, lsc, j.leftPreds, j.leftAttr, lExtra)
+	lLive, err := selectSide(j.left, lsc, j.leftPreds, j.leftAttr, lExtra)
 	if err != nil {
 		return err
 	}
@@ -376,7 +363,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 	if tr := rsc.trace; tr != nil {
 		tr.BeginSide("right")
 	}
-	rLive, rUseBm, err := selectSide(j.right, rsc, j.rightPreds, j.rightAttr, rExtra)
+	rLive, err := selectSide(j.right, rsc, j.rightPreds, j.rightAttr, rExtra)
 	if err != nil {
 		return err
 	}
@@ -391,13 +378,12 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		hashReason = "strategy pinned by configuration"
 	}
 
-	if j.chooseMerge(lsc, rsc, lUseBm, rUseBm) {
+	if j.chooseMerge(lsc, rsc) {
 		var walkErr error
 		mkStream := func(r *Runner, sc *scratch, attr string, sumSide bool) join.Stream {
-			w := r.exec.(engine.KeyOrderWalker)
 			s := join.Stream{
 				Walk: func(fn func(vals []int64, rows []uint32)) bool {
-					ok, err := w.WalkKeyOrder(attr, fn)
+					ok, err := r.exec.WalkKeyOrder(attr, fn)
 					if err != nil && walkErr == nil {
 						walkErr = err
 					}
@@ -426,8 +412,8 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		// KeyOrderSpan said ok); rejoin through the hash path.
 	}
 
-	lIn := gatherJoinSide(lsc, j.leftAttr, lUseBm)
-	rIn := gatherJoinSide(rsc, j.rightAttr, rUseBm)
+	lIn := gatherJoinSide(lsc, j.leftAttr)
+	rIn := gatherJoinSide(rsc, j.rightAttr)
 	if op.Kind == join.OpSum {
 		attr := sumAttr(op, lExtra, rExtra)
 		if op.SumSide == join.Left {
@@ -462,7 +448,7 @@ func sumAttr(op join.Op, lExtra, rExtra []string) string {
 // provably empty.
 //
 //holistic:noalloc
-func selectSide(r *Runner, sc *scratch, preds []Predicate, joinAttr string, extra []string) (live, useBm bool, err error) {
+func selectSide(r *Runner, sc *scratch, preds []Predicate, joinAttr string, extra []string) (live bool, err error) {
 	sc.extras = append(sc.extras[:0], joinAttr)
 	for _, a := range extra {
 		dup := false
@@ -478,69 +464,46 @@ func selectSide(r *Runner, sc *scratch, preds []Predicate, joinAttr string, extr
 	}
 	if len(preds) == 0 {
 		if err := r.selectUniverse(sc, sc.extras); err != nil {
-			return false, false, err
+			return false, err
 		}
-		return sc.bm.Any(), true, nil
+		return sc.bm.Any(), nil
 	}
 	empty, err := r.planScratch(sc, preds)
-	if err != nil {
-		return false, false, err
+	if err != nil || empty {
+		return false, err
 	}
-	if empty {
-		return false, false, nil
+	if _, err = r.runSel(sc, sc.extras, repWantBitmap); err != nil {
+		return false, err
 	}
-	useBm, err = r.runSel(sc, sc.extras, repWantBitmap)
-	if err != nil {
-		return false, false, err
-	}
-	if useBm {
-		return sc.bm.Any(), true, nil
-	}
-	return len(sc.sel) > 0, false, nil
+	return sc.bm.Any(), nil
 }
 
 // gatherJoinSide materializes one side's selected join keys and rows
 // into the side's pooled scratch — the hash join's input form.
 //
 //holistic:noalloc
-func gatherJoinSide(sc *scratch, attr string, useBm bool) join.Input {
-	var rows column.PosList
-	if useBm {
-		rows = sc.bm.AppendPositions(sc.jrows[:0])
-		sc.jrows = rows
-	} else {
-		rows = sc.sel
-	}
+func gatherJoinSide(sc *scratch, attr string) join.Input {
+	rows := sc.bm.AppendPositions(sc.jrows[:0])
+	sc.jrows = rows
 	keys := sc.views[attr].GatherRows(sc.jkeys[:0], rows)
 	sc.jkeys = keys
 	return join.Input{Keys: keys, Rows: rows}
 }
 
 // chooseMerge applies the join-strategy rule: both sides need a
-// key-ordered access path on their join attribute whose current
-// clusters fit the per-pair accumulator, and — under JoinAuto — whose
-// selections are dense enough to justify walking both indexes end to
-// end. A forced merge strategy skips the profitability checks but not
-// the availability ones.
+// key-ordered access path on their join attribute, and — under JoinAuto
+// — one worth walking end to end (walkPays, the rule grouping shares). A
+// forced merge strategy skips the profitability checks but not the
+// availability ones.
 //
 //holistic:noalloc
-func (j *Join) chooseMerge(lsc, rsc *scratch, lUseBm, rUseBm bool) bool {
+func (j *Join) chooseMerge(lsc, rsc *scratch) bool {
 	forced := JoinStrategy(j.left.joinStrategy.Load())
 	if forced == JoinHash {
 		return false
 	}
-	if !lUseBm || !rUseBm {
-		return false // merge filters rows through the bitmaps
-	}
-	sideOK := func(r *Runner, attr string) (float64, bool) {
-		w, ok := r.exec.(engine.KeyOrderWalker)
-		if !ok {
-			return 0, false
-		}
-		return w.KeyOrderSpan(attr)
-	}
-	lSpan, lOK := sideOK(j.left, j.leftAttr)
-	rSpan, rOK := sideOK(j.right, j.rightAttr)
+	lSpan, lOK := j.left.exec.KeyOrderSpan(j.leftAttr)
+	rSpan, rOK := j.right.exec.KeyOrderSpan(j.rightAttr)
 	if lOK {
 		lsc.fstat[0] = lSpan
 	}
@@ -564,11 +527,6 @@ func (j *Join) chooseMerge(lsc, rsc *scratch, lUseBm, rUseBm bool) bool {
 	if forced == JoinMerge {
 		return true
 	}
-	if lSpan > float64(join.DefaultMergeSpan) || rSpan > float64(join.DefaultMergeSpan) {
-		return false
-	}
-	if lsc.bm.Count()*joinScanRatio < lsc.bm.Len() || rsc.bm.Count()*joinScanRatio < rsc.bm.Len() {
-		return false
-	}
-	return true
+	bound := float64(join.DefaultMergeSpan)
+	return walkPays(lSpan, bound, lsc.bm) && walkPays(rSpan, bound, rsc.bm)
 }

@@ -38,9 +38,9 @@ func joinFixture(t testing.TB, rows int, domain int64, seed int64) (lt, rt *engi
 // joinExecs builds one executor per strategy-relevant mode over a
 // table (the full seven-mode sweep lives in the repository root's
 // differential test; here the access-path variety matters).
-func joinExecs(tab *engine.Table, threads int) map[string]engine.Executor {
+func joinExecs(tab *engine.Table, threads int) map[string]*engine.Executor {
 	crackCfg := cracking.Config{ParallelWorkers: threads, WithRows: true}
-	return map[string]engine.Executor{
+	return map[string]*engine.Executor{
 		"scan":     engine.NewScanExecutor(tab, threads),
 		"offline":  engine.NewOfflineExecutor(tab, threads),
 		"adaptive": engine.NewAdaptiveExecutor(tab, crackCfg, ""),
@@ -243,11 +243,11 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-// TestJoinFeedsPredicateSink: under the holistic executor both join
+// TestJoinFeedsNotePredicate: under the holistic executor both join
 // attributes enter the daemon's index space on the first join.
-func TestJoinFeedsPredicateSink(t *testing.T) {
+func TestJoinFeedsNotePredicate(t *testing.T) {
 	lt, rt := joinFixture(t, 400, 100, 51)
-	mkHolistic := func(tab *engine.Table) *engine.HolisticExecutor {
+	mkHolistic := func(tab *engine.Table) *engine.Executor {
 		return engine.NewHolisticExecutor(tab, engine.HolisticConfig{
 			Cracking: cracking.Config{WithRows: true},
 			Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 4},

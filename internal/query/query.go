@@ -3,12 +3,12 @@
 //
 //	SELECT agg(c) FROM R WHERE a BETWEEN .. AND b BETWEEN .. [AND ...]
 //
-// over any engine.Executor mode. It follows the column-store pipeline
+// over any mode of the engine.Executor. It follows the column-store pipeline
 // of the paper's Section 3.1, generalized to several predicates:
 //
 //  1. Plan: estimate each conjunct's selectivity — exactly, when the
 //     mode's index structures can answer (sorted columns, existing
-//     cracker boundaries, via engine.CardEstimator), otherwise a
+//     cracker boundaries, via Executor.EstimateCount), otherwise a
 //     uniform guess over the attribute's cached value domain — and
 //     order the conjuncts most selective first.
 //  2. Choose a representation for the intermediate selection vector
@@ -35,7 +35,7 @@
 //     only at this boundary, and only for the materializing forms.
 //
 // Under ModeHolistic every conjunct — not only the driving one — is
-// reported to the executor (engine.PredicateSink), so all touched
+// reported to the executor (Executor.NotePredicate), so all touched
 // attributes enter the index space and background refinement spreads
 // across them; a later query can then drive on any of them cheaply.
 //
@@ -80,8 +80,7 @@ const (
 	// RepPosList forces position-list intermediates (the pre-bitmap
 	// behaviour); used by tests and the crossover benchmark.
 	RepPosList
-	// RepBitmap forces bitmap intermediates whenever the executor can
-	// produce them.
+	// RepBitmap forces bitmap intermediates.
 	RepBitmap
 )
 
@@ -103,7 +102,7 @@ const DefaultBitmapCrossover = 0.06
 // one executor mode. It is safe for concurrent use.
 type Runner struct {
 	table   *engine.Table
-	exec    engine.Executor
+	exec    *engine.Executor
 	threads int
 
 	policy        atomic.Int32
@@ -142,7 +141,7 @@ type sinkBox struct{ s obs.TraceSink }
 
 // New builds a runner; threads bounds the parallelism of probe and
 // fetch kernels.
-func New(t *engine.Table, exec engine.Executor, threads int) *Runner {
+func New(t *engine.Table, exec *engine.Executor, threads int) *Runner {
 	if threads < 1 {
 		threads = 1
 	}
@@ -333,10 +332,8 @@ func (r *Runner) domain(attr string) (lo, hi int64) {
 //
 //holistic:noalloc
 func (r *Runner) estimate(p Predicate) float64 {
-	if est, ok := r.exec.(engine.CardEstimator); ok {
-		if n, _, ok := est.EstimateCount(p.Attr, p.Lo, p.Hi); ok {
-			return n
-		}
+	if n, _, ok := r.exec.EstimateCount(p.Attr, p.Lo, p.Hi); ok {
+		return n
 	}
 	dLo, dHi := r.domain(p.Attr)
 	return column.UniformEstimate(float64(r.table.Rows()), dLo, dHi, p.Lo, p.Hi)
@@ -429,16 +426,9 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 		}
 	}
 	if r.ec != nil {
-		// Predicate admission charges the access heatmaps. Residual
-		// conjuncts reach the executor through PredicateSpanSink (which
-		// records them itself, with the cracker's domain); here only the
-		// driving conjunct — plus everything when the mode has no span
-		// sink — is charged, so each span lands exactly once.
-		_, spanSink := r.exec.(engine.PredicateSpanSink)
-		for i, p := range sc.preds {
-			if i > 0 && spanSink {
-				continue
-			}
+		// Predicate admission charges the access heatmaps, every
+		// conjunct's span once.
+		for _, p := range sc.preds {
 			dLo, dHi := r.domain(p.Attr)
 			r.ec.NotePredicate(p.Attr, p.Lo, p.Hi, dLo, dHi)
 		}
@@ -446,35 +436,15 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 	return false, nil
 }
 
-// view returns the update-aware positional view of attr, falling back
-// to the bare base column on executors without update support (where
-// the base is by construction current).
-//
-//holistic:alloc-ok error paths format diagnostics
-func (r *Runner) view(attr string) (column.View, error) {
-	if v, ok := r.exec.(engine.Viewer); ok {
-		return v.View(attr)
-	}
-	c := r.table.Column(attr)
-	if c == nil {
-		return column.View{}, fmt.Errorf("query: unknown attribute %q", attr)
-	}
-	return column.View{Base: c.Values()}, nil
-}
-
 // chooseBitmap applies the representation policy to the planned query
-// in sc: bitmaps need an executor that can produce them and pay off
-// only when the driving conjunct is dense and there is at least one
-// residual conjunct to intersect. The reason is a static string for the
+// in sc: bitmaps pay off only when the driving conjunct is dense and
+// there is at least one residual conjunct to intersect. The reason is a static string for the
 // trace — the numbers it refers to travel as trace stats.
 //
 //holistic:noalloc
 func (r *Runner) chooseBitmap(sc *scratch) (bool, string) {
 	if len(sc.preds) < 2 {
 		return false, "single conjunct: nothing to intersect"
-	}
-	if _, ok := r.exec.(engine.BitmapSelector); !ok {
-		return false, "mode has no bitmap select path"
 	}
 	switch RepPolicy(r.policy.Load()) {
 	case RepPosList:
@@ -515,12 +485,7 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 	drive := sc.preds[0]
 	var reason string
 	if rep == repWantBitmap {
-		_, useBitmap = r.exec.(engine.BitmapSelector)
-		if useBitmap {
-			reason = "pipeline consumes bits (grouped/join path)"
-		} else {
-			reason = "mode has no bitmap select path"
-		}
+		useBitmap, reason = true, "pipeline consumes bits (grouped/join path)"
 	} else {
 		useBitmap, reason = r.chooseBitmap(sc)
 	}
@@ -548,7 +513,7 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 		t0 = time.Now()
 	}
 	if useBitmap {
-		if err := r.exec.(engine.BitmapSelector).SelectBitmap(drive.Attr, drive.Lo, drive.Hi, sc.bm); err != nil {
+		if err := r.exec.SelectBitmap(drive.Attr, drive.Lo, drive.Hi, sc.bm); err != nil {
 			return false, err
 		}
 	} else {
@@ -577,24 +542,16 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 	if timed {
 		t0 = time.Now()
 	}
-	if span, ok := r.exec.(engine.PredicateSpanSink); ok {
-		for _, p := range sc.preds[1:] {
-			if err := span.NotePredicateSpan(p.Attr, p.Lo, p.Hi); err != nil {
-				return false, err
-			}
-		}
-	} else if sink, ok := r.exec.(engine.PredicateSink); ok {
-		for _, p := range sc.preds[1:] {
-			if err := sink.NotePredicate(p.Attr); err != nil {
-				return false, err
-			}
+	for _, p := range sc.preds[1:] {
+		if err := r.exec.NotePredicate(p.Attr); err != nil {
+			return false, err
 		}
 	}
 	// live mirrors the poslist path's len > 0 guards: once the
 	// conjunction is empty, later stages skip the data entirely.
 	live := !useBitmap || sc.bm.Any()
 	for i, p := range sc.preds[1:] {
-		w, err := r.view(p.Attr)
+		w, err := r.exec.View(p.Attr)
 		if err != nil {
 			return false, err
 		}
@@ -634,7 +591,7 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 		if _, ok := sc.views[attr]; ok {
 			continue
 		}
-		w, err := r.view(attr)
+		w, err := r.exec.View(attr)
 		if err != nil {
 			return false, err
 		}

@@ -126,7 +126,7 @@ func TestQueryErrors(t *testing.T) {
 func TestConjunctionMatchesOracle(t *testing.T) {
 	const domain = 1 << 12
 	tab, cols := buildTable(4, 6000, domain, 5)
-	execs := map[string]engine.Executor{
+	execs := map[string]*engine.Executor{
 		"scan":     engine.NewScanExecutor(tab, 2),
 		"adaptive": engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, ""),
 	}
@@ -222,9 +222,9 @@ func TestSinglePredicateFastPaths(t *testing.T) {
 // allModeExecutors builds one executor per mode of the paper over the
 // same table; cracking configurations carry rowids so the row and
 // bitmap select forms are answerable.
-func allModeExecutors(t *testing.T, tab *engine.Table) map[string]engine.Executor {
+func allModeExecutors(t *testing.T, tab *engine.Table) map[string]*engine.Executor {
 	t.Helper()
-	return map[string]engine.Executor{
+	return map[string]*engine.Executor{
 		"scan":       engine.NewScanExecutor(tab, 2),
 		"offline":    engine.NewOfflineExecutor(tab, 2),
 		"online":     engine.NewOnlineExecutor(tab, 2, 10),

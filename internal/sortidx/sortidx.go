@@ -75,9 +75,13 @@ func (s *SortedColumn) SizeBytes() int64 {
 
 // SelectRange returns the position range [start, end) of values in
 // [lo, hi) via two binary searches: the O(log N) select of a full index.
+// An inverted range (hi < lo) is empty: end is never below start.
 func (s *SortedColumn) SelectRange(lo, hi int64) (start, end int) {
 	start = sort.Search(len(s.vals), func(i int) bool { return s.vals[i] >= lo })
 	end = sort.Search(len(s.vals), func(i int) bool { return s.vals[i] >= hi })
+	if end < start {
+		end = start
+	}
 	return start, end
 }
 

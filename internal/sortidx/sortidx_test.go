@@ -104,6 +104,7 @@ func TestSelectRangeBoundaries(t *testing.T) {
 		{10, 31, 0, 4},  // everything
 		{31, 100, 4, 4}, // above domain
 		{20, 20, 1, 1},  // empty range
+		{25, 15, 3, 3},  // inverted range: empty, end never below start
 	}
 	for _, c := range cases {
 		start, end := s.SelectRange(c.lo, c.hi)

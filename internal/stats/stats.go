@@ -304,10 +304,17 @@ func (r *Registry) MarkOptimalIfDone(e *Entry) bool {
 	if r.Distance(e) > 0 {
 		return false
 	}
+	r.MarkOptimal(e)
+	return true
+}
+
+// MarkOptimal moves the entry to Coptimal whatever its distance: the
+// caller knows no crack can shrink its pieces further (a column holding
+// one distinct value is one piece for good).
+func (r *Registry) MarkOptimal(e *Entry) {
 	if old := State(e.state.Swap(int64(Optimal))); old != Optimal {
 		r.recordTransition(e.Name, old, Optimal)
 	}
-	return true
 }
 
 // PickForRefinement selects the next index a holistic worker should

@@ -9,7 +9,6 @@ import (
 	"os"
 	"time"
 
-	"holistic/internal/engine"
 	"holistic/internal/groupby"
 	"holistic/internal/holistic"
 	"holistic/internal/obs"
@@ -285,8 +284,8 @@ func (s *Store) Metrics() Metrics {
 		Query: s.met.Snapshot(),
 		Exec:  s.execMet.Snapshot(),
 	}
-	if h, ok := exec.(*engine.HolisticExecutor); ok {
-		m.Daemon = h.Daemon.Convergence()
+	if d := daemonOf(exec); d != nil {
+		m.Daemon = d.Convergence()
 	}
 	if s.dur != nil {
 		m.Recovery = s.dur.snapshotMetrics()

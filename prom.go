@@ -16,7 +16,7 @@ import (
 	"sort"
 	"strconv"
 
-	"holistic/internal/engine"
+	"holistic/internal/holistic"
 	"holistic/internal/obs"
 	"holistic/internal/obs/econ"
 	"holistic/internal/obs/prom"
@@ -71,8 +71,8 @@ func (s *Store) promCollect(w *prom.Writer) {
 	w.Meta("holistic_key_order_walks_total", "Full key-ordered index walks.", "counter")
 	w.IntSample("holistic_key_order_walks_total", store, s.execMet.KeyOrderWalks.Load())
 
-	if h, ok := exec.(*engine.HolisticExecutor); ok {
-		s.promDaemon(w, store, h)
+	if d := daemonOf(exec); d != nil {
+		s.promDaemon(w, store, d)
 	}
 	s.promEconomics(w, store)
 
@@ -91,8 +91,8 @@ func (s *Store) promCollect(w *prom.Writer) {
 }
 
 // promDaemon streams the background daemon's convergence state.
-func (s *Store) promDaemon(w *prom.Writer, store []prom.Label, h *engine.HolisticExecutor) {
-	conv := h.Daemon.Convergence()
+func (s *Store) promDaemon(w *prom.Writer, store []prom.Label, d *holistic.Daemon) {
+	conv := d.Convergence()
 	if conv == nil {
 		return
 	}

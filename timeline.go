@@ -12,7 +12,6 @@ package holistic
 import (
 	"time"
 
-	"holistic/internal/engine"
 	"holistic/internal/obs"
 )
 
@@ -65,8 +64,8 @@ func (s *Store) timelineTick(now time.Time) {
 		return
 	}
 	var refinements int64
-	if h, ok := exec.(*engine.HolisticExecutor); ok {
-		refinements = h.Daemon.Refinements()
+	if d := daemonOf(exec); d != nil {
+		refinements = d.Refinements()
 	}
 	var flightEvents int64
 	if s.flight != nil {
