@@ -92,8 +92,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// relation is loaded, and a warm-up query has run — until then
 	// /readyz answers 503 and a load balancer keeps traffic away.
 	var ready atomic.Bool
-	obs.RegisterReadiness("holisticserve", ready.Load)
-	defer obs.UnregisterReadiness("holisticserve")
+	obs.Register("holisticserve", obs.Entry{Ready: ready.Load})
+	defer obs.Unregister("holisticserve")
 
 	cfg := holistic.Config{
 		Mode:             holistic.ModeHolistic,

@@ -50,18 +50,6 @@ func (c Config) walPolicy() durable.SyncPolicy {
 	}
 }
 
-// snapInterval resolves the background snapshot cadence: 10s by
-// default, disabled when negative.
-func (c Config) snapInterval() time.Duration {
-	if c.SnapshotInterval == 0 {
-		return 10 * time.Second
-	}
-	if c.SnapshotInterval < 0 {
-		return 0
-	}
-	return c.SnapshotInterval
-}
-
 // OpenStore opens (creating if needed) a durable store in dir: it
 // recovers the newest valid snapshot generation, rebuilds the adaptive
 // indexes from their persisted state (unless Config.DataOnlyRecovery),
@@ -88,7 +76,7 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("holistic: recover: %w", err)
 	}
-	s := NewStore(cfg)
+	s := newStore(cfg)
 	d := &durability{
 		fs:       fs,
 		cfg:      cfg,
@@ -99,7 +87,7 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 		haveSnap: rec.Manifest != nil,
 		clean:    rec.Clean,
 		torn:     rec.TornTail,
-		interval: cfg.snapInterval(),
+		interval: cadence(cfg.SnapshotInterval, 10*time.Second),
 		stop:     make(chan struct{}),
 	}
 	s.dur = d
@@ -134,14 +122,11 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 			}
 		}
 	}
-	s.flight.RecordRecovery(int64(rec.Gen), int64(len(rec.Records)), rec.TornTail,
-		int64(len(rec.Indexes)), int64(rec.DroppedIndexes))
-	if rec.TornTail && s.wd != nil {
+	if s.ob.Recovery(int64(rec.Gen), int64(len(rec.Records)), rec.TornTail,
+		int64(len(rec.Indexes)), int64(rec.DroppedIndexes)) {
 		// Crash evidence: the WAL tail was torn, so the previous process
-		// died mid-write. Record the anomaly and preserve what we know
-		// in a dump immediately.
-		v := s.wd.NoteTornTail()
-		s.flight.RecordAnomaly(v.Trigger, 0, 0, 0, 0, 0)
+		// died mid-write. The observer recorded the anomaly; preserve what
+		// we know in a dump immediately.
 		d.flightDump(flight.TriggerTornTail)
 	}
 
@@ -179,18 +164,14 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 	if cfg.Mode != ModeHolistic && d.interval > 0 {
 		go d.tickerLoop()
 	}
+	s.publish()
 	return s, nil
 }
 
-// discard unregisters a store whose open failed partway.
-func (s *Store) discard() {
-	obs.UnregisterSource(s.obsName)
-	obs.UnregisterFlight(s.obsName)
-	obs.UnregisterTimeline(s.obsName)
-	obs.UnregisterProm(s.obsName)
-	s.stopWatchdog()
-	s.stopTimeline()
-}
+// discard releases a store whose open failed partway: whatever
+// openStoreFS acquired so far — the executor with its daemon and
+// workers, the WAL file — goes, and nothing is flushed.
+func (s *Store) discard() { s.shutdown(false) }
 
 // Columns lists the store's column names, in insertion order. A
 // recovered store reports the persisted columns.
@@ -251,9 +232,9 @@ type durability struct {
 	lastFlight   string
 }
 
-// The on-disk flight dumps are bounded by Config.FlightDumpKeep: the
-// writer self-prunes (generation Prune deliberately does not own
-// flight-* files, so anomaly post-mortems survive snapshot turnover).
+// The on-disk flight dumps are bounded by flightDumpKeep: the writer
+// self-prunes (generation Prune deliberately does not own flight-*
+// files, so anomaly post-mortems survive snapshot turnover).
 
 // generation reads the current snapshot generation.
 func (d *durability) generation() uint64 {
@@ -281,10 +262,10 @@ func (d *durability) flightDump(trig flight.Trigger) {
 // old dumps. Best-effort: a failed dump is counted, never fatal — the
 // flight recorder must not take down the write path it observes.
 func (d *durability) flightDumpLocked(trig flight.Trigger) {
-	if d.s.flight == nil {
+	if d.s.ob.Flight == nil {
 		return
 	}
-	data := flight.Encode(d.s.flight, trig, d.gen)
+	data := flight.Encode(d.s.ob.Flight, trig, d.gen)
 	name := durable.FlightName(d.gen, d.flightSeq)
 	if err := durable.WriteFlightDump(d.fs, name, data); err != nil {
 		d.met.FlightDumpFailures.Inc()
@@ -293,8 +274,8 @@ func (d *durability) flightDumpLocked(trig flight.Trigger) {
 	d.flightSeq++
 	d.lastFlight = name
 	d.met.FlightDumps.Inc()
-	d.s.wd.NoteDump()
-	_ = durable.PruneFlightDumps(d.fs, d.cfg.flightDumpKeep())
+	d.s.ob.DumpWritten()
+	_ = durable.PruneFlightDumps(d.fs, flightDumpKeep)
 }
 
 // attachExec caches the executor on first build and, for a fresh
@@ -415,8 +396,7 @@ func (d *durability) checkpointLocked() error {
 	d.met.Snapshots.Inc()
 	_ = old.Close()
 	d.syncsBase += old.Syncs()
-	d.s.flight.RecordCheckpoint(int64(gen), records, time.Since(start).Nanoseconds())
-	d.s.flight.RecordWALRotate(int64(gen), 0)
+	d.s.ob.Checkpoint(int64(gen), records, time.Since(start).Nanoseconds())
 	// Persist the black box alongside the generation: a kill -9 at any
 	// later point leaves a decodable dump of the events up to here.
 	d.flightDumpLocked(flight.TriggerCheckpoint)
@@ -510,25 +490,30 @@ func (d *durability) tickerLoop() {
 // final checkpoint if records are unsnapshotted (so the next open
 // replays nothing), then the CLEAN file naming the generation. I/O
 // errors are swallowed — the WAL already made acknowledged writes
-// durable, and an unclean-looking directory just means replay.
-func (d *durability) close() {
+// durable, and an unclean-looking directory just means replay. Without
+// flush (an open that failed partway) only the WAL file is closed: the
+// directory stays exactly as recovery found it.
+func (d *durability) close(flush bool) {
 	d.stopOnce.Do(func() { close(d.stop) })
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	if d.closed {
 		return
 	}
+	d.closed = true
+	if d.wal == nil {
+		return // the open failed before the WAL existed
+	}
 	// A final snapshot whenever an executor ran: queries refine the
 	// adaptive state without dirtying the WAL, and that refinement is
 	// exactly what a restart should not have to repay.
-	if d.dirty > 0 || !d.haveSnap || d.exec != nil {
+	if flush && (d.dirty > 0 || !d.haveSnap || d.exec != nil) {
 		_ = d.checkpointLocked()
 	}
 	_ = d.wal.Close()
-	if d.haveSnap && d.dirty == 0 {
+	if flush && d.haveSnap && d.dirty == 0 {
 		_ = durable.WriteCleanMarker(d.fs, d.gen)
 	}
-	d.closed = true
 }
 
 // snapshotMetrics assembles the recovery/WAL telemetry for Metrics.

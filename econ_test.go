@@ -1,5 +1,5 @@
 // Integration tests for the refinement-economics surface (DESIGN.md
-// §12): the ledger and heatmaps filling in under a real holistic
+// §9): the ledger and heatmaps filling in under a real holistic
 // workload, the time-series ring accumulating windows, and the
 // /metrics and /debug/holistic/timeline endpoints serving them.
 
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"holistic/internal/obs"
+	"holistic/internal/obs/observer"
 )
 
 // econWorkload drives a small conjunctive mix long enough for the
@@ -119,7 +120,7 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 	}
 	econWorkload(t, s, 50)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ec.TotalInvestedNS() == 0 {
+	for s.ob.Econ.TotalInvestedNS() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("daemon never invested refinement time")
 		}
@@ -168,7 +169,6 @@ func TestTimelineEndpointAccumulatesWindows(t *testing.T) {
 		Mode:             ModeAdaptive,
 		Threads:          1,
 		TimelineInterval: 20 * time.Millisecond,
-		TimelineSamples:  16,
 		Seed:             1,
 	})
 	defer s.Close()
@@ -180,7 +180,7 @@ func TestTimelineEndpointAccumulatesWindows(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		econWorkload(t, s, 5)
-		if snap := s.ts.Snapshot(); len(snap.Windows) >= 2 {
+		if snap := s.ob.Timeline.Snapshot(); len(snap.Windows) >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -213,8 +213,11 @@ func TestTimelineEndpointAccumulatesWindows(t *testing.T) {
 		if len(tl.Windows) < 2 {
 			t.Errorf("timeline has %d windows, want >= 2", len(tl.Windows))
 		}
-		if len(tl.Counters) != len(timelineCounters) {
-			t.Errorf("timeline publishes %d counters, want %d", len(tl.Counters), len(timelineCounters))
+		if len(tl.Counters) != len(observer.TimelineCounters) {
+			t.Errorf("timeline publishes %d counters, want %d", len(tl.Counters), len(observer.TimelineCounters))
+		}
+		if tl.Capacity != observer.TimelineCapacity {
+			t.Errorf("timeline capacity %d, want %d", tl.Capacity, observer.TimelineCapacity)
 		}
 		var queries int64
 		for _, w := range tl.Windows {
@@ -229,28 +232,5 @@ func TestTimelineEndpointAccumulatesWindows(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("store %s missing from timeline payload", s.obsName)
-	}
-}
-
-// TestFlightDumpKnobsSurfaced: the configured dump cooldown and keep
-// count appear in the metrics flight block.
-func TestFlightDumpKnobsSurfaced(t *testing.T) {
-	s := NewStore(Config{
-		Mode:               ModeAdaptive,
-		FlightDumpCooldown: 7 * time.Second,
-		FlightDumpKeep:     3,
-		WatchdogInterval:   -1,
-		TimelineInterval:   -1,
-	})
-	defer s.Close()
-	m := s.Metrics()
-	if m.Flight == nil {
-		t.Fatal("flight status missing")
-	}
-	if got := m.Flight.Watchdog.DumpCooldownMS; got != 7000 {
-		t.Errorf("dump cooldown %dms, want 7000", got)
-	}
-	if got := m.Flight.DumpKeep; got != 3 {
-		t.Errorf("dump keep %d, want 3", got)
 	}
 }

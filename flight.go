@@ -1,5 +1,5 @@
-// The flight-recorder surface (DESIGN.md §11): every Store keeps a
-// bounded lock-free ring of structured events — query timings,
+// The flight-recorder surface (DESIGN.md §9): every Store's observer
+// keeps a bounded lock-free ring of structured events — query timings,
 // representation/strategy decisions, daemon refinements, WAL and
 // checkpoint lifecycle — and a watchdog that baselines latency and
 // convergence, dumping the ring to a checksummed flight-*.bin in the
@@ -10,10 +10,9 @@ package holistic
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"holistic/internal/obs"
 	"holistic/internal/obs/flight"
+	"holistic/internal/obs/observer"
 )
 
 // FlightDump encodes the store's current flight-recorder ring — every
@@ -23,17 +22,16 @@ import (
 // by the watchdog use the same encoding. Stores with flight recording
 // disabled (Config.FlightEvents < 0) return an error.
 func (s *Store) FlightDump(w io.Writer) (int, error) {
-	if s.flight == nil {
+	if s.ob.Flight == nil {
 		return 0, fmt.Errorf("holistic: flight recording is disabled")
 	}
 	var gen uint64
 	if s.dur != nil {
 		gen = s.dur.generation()
 	}
-	data := flight.Encode(s.flight, flight.TriggerManual, gen)
-	n, err := w.Write(data)
+	n, err := w.Write(flight.Encode(s.ob.Flight, flight.TriggerManual, gen))
 	if err == nil {
-		s.wd.NoteDump()
+		s.ob.DumpWritten()
 	}
 	return n, err
 }
@@ -54,95 +52,34 @@ type FlightStatus struct {
 	// of the most recent events the ring retains.
 	EventsRecorded uint64 `json:"events_recorded"`
 	RingCapacity   int    `json:"ring_capacity"`
-	// DumpKeep is the configured on-disk dump retention of a durable
-	// store (Config.FlightDumpKeep; the dump cooldown is inside
-	// Watchdog).
+	// DumpKeep is the on-disk dump retention of a durable store (the
+	// dump cooldown is inside Watchdog).
 	DumpKeep int `json:"dump_keep"`
 	// Watchdog is the anomaly detector's rolling state.
 	Watchdog flight.State `json:"watchdog"`
 }
 
-// flightStatus assembles the metrics block; nil when disabled.
-func (s *Store) flightStatus() *FlightStatus {
-	if s.flight == nil {
-		return nil
-	}
-	return &FlightStatus{
-		EventsRecorded: s.flight.Head(),
-		RingCapacity:   s.flight.Cap(),
-		DumpKeep:       s.cfg.flightDumpKeep(),
-		Watchdog:       s.wd.State(),
-	}
-}
-
-// flightState renders the ring and watchdog for the
-// /debug/holistic/flight endpoint: JSON-decoded events (oldest first)
-// plus the watchdog state and any prior on-disk dumps.
-func (s *Store) flightState() any {
-	events := s.flight.Snapshot()
-	names := s.flight.Names()
-	decoded := make([]map[string]any, len(events))
-	for i, e := range events {
-		decoded[i] = e.Fields(names)
-	}
-	return map[string]any{
-		"ring_capacity":   s.flight.Cap(),
-		"events_recorded": s.flight.Head(),
-		"watchdog":        s.wd.State(),
-		"prior_dumps":     s.PriorFlightDumps(),
-		"events":          decoded,
-	}
-}
-
-// stopWatchdog terminates the watchdog goroutine (idempotent).
-func (s *Store) stopWatchdog() {
-	if s.wdStop != nil {
-		s.wdOnce.Do(func() { close(s.wdStop) })
-	}
-}
-
-// watchdogLoop drives periodic watchdog observations until Close.
-func (s *Store) watchdogLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.wdStop:
-			return
-		case <-t.C:
-			s.watchdogTick()
-		}
-	}
-}
-
-// watchdogTick takes one observation — the cumulative merged latency
-// digest, the daemon's convergence ratio and panic count — and, when
-// the watchdog calls anomaly, records the trigger into the ring and
-// dumps it to the durable directory.
-func (s *Store) watchdogTick() {
-	var hist obs.HistSnapshot
-	s.met.MergedLatency(&hist)
-	o := flight.Observation{Latency: &hist}
+// health is the sampler's view of the holistic daemon, once per tick.
+func (s *Store) health() (h observer.Health) {
 	s.mu.Lock()
-	exec := s.exec
-	closed := s.closed
+	exec, closed := s.exec, s.closed
 	s.mu.Unlock()
-	if closed {
-		return
+	d := daemonOf(exec)
+	if closed || d == nil {
+		return h
 	}
-	if d := daemonOf(exec); d != nil {
-		o.WorkerPanics = d.WorkerPanics()
-		if conv := d.Convergence(); conv != nil {
-			o.Convergence = conv.Ratio
-			o.HaveConvergence = true
-		}
+	h.Refinements, h.WorkerPanics = d.Refinements(), d.WorkerPanics()
+	if conv := d.Convergence(); conv != nil {
+		h.Convergence, h.HaveConvergence = conv.Ratio, true
 	}
-	v := s.wd.Observe(o)
-	if v.Trigger == flight.TriggerNone {
-		return
-	}
-	s.flight.RecordAnomaly(v.Trigger, v.WindowP99NS, v.BaselineP99NS, v.Convergence, v.WorkerPanics, v.Samples)
-	if v.Dump && s.dur != nil {
-		s.dur.flightDump(v.Trigger)
+	return h
+}
+
+// anomalyDump preserves the ring in the durable directory when the
+// sampler's watchdog calls an anomaly; in-memory stores keep it in the
+// ring only.
+func (s *Store) anomalyDump(trig flight.Trigger) {
+	if s.dur != nil {
+		s.dur.flightDump(trig)
 	}
 }

@@ -83,6 +83,10 @@ func TestFlightDumpRoundtrip(t *testing.T) {
 	if m.Flight.Watchdog.DumpsWritten < 1 {
 		t.Errorf("watchdog counted %d dumps, want >= 1", m.Flight.Watchdog.DumpsWritten)
 	}
+	// The dump pacing is fixed, and still surfaced.
+	if m.Flight.DumpKeep != 8 || m.Flight.Watchdog.DumpCooldownMS != 30_000 {
+		t.Errorf("dump keep %d / cooldown %dms, want 8 / 30000", m.Flight.DumpKeep, m.Flight.Watchdog.DumpCooldownMS)
+	}
 }
 
 // TestFlightDisabled asserts FlightEvents < 0 turns the subsystem off:

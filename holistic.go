@@ -66,8 +66,7 @@ import (
 	"holistic/internal/holistic"
 	"holistic/internal/join"
 	"holistic/internal/obs"
-	"holistic/internal/obs/econ"
-	"holistic/internal/obs/flight"
+	"holistic/internal/obs/observer"
 	"holistic/internal/query"
 	"holistic/internal/stats"
 )
@@ -146,10 +145,11 @@ func (s Strategy) internal() stats.Strategy {
 	}
 }
 
-// Config tunes a Store. The zero value is a usable adaptive-indexing
-// configuration; set Mode to choose another approach.
+// Config tunes a Store. The zero value is usable, but note what it
+// selects: the zero Mode is ModeScan — no indexing at all — so a store
+// that should crack or run the holistic daemon must say so.
 type Config struct {
-	// Mode selects the indexing approach (default ModeAdaptive).
+	// Mode selects the indexing approach (the zero value is ModeScan).
 	Mode Mode
 	// Threads is the hardware-context budget (default 2): scan and sort
 	// parallelism, and — under ModeHolistic — the pool split between
@@ -208,25 +208,20 @@ type Config struct {
 	SLOP99 time.Duration
 	// WatchdogInterval is the cadence of the watchdog's baseline
 	// observations (default 1s); negative disables the watchdog.
+	// Anomaly-triggered flight dumps are at least 30s apart, and a
+	// durable store keeps the newest 8 dump files.
 	WatchdogInterval time.Duration
-	// FlightDumpCooldown is the minimum gap between anomaly-triggered
-	// flight dumps, bounding dump storms while an incident is ongoing
-	// (<= 0 selects 30s).
-	FlightDumpCooldown time.Duration
-	// FlightDumpKeep bounds the flight-dump files a durable store keeps
-	// on disk; the writer self-prunes the oldest beyond it (default 8).
-	FlightDumpKeep int
 	// TimelineInterval is the cadence of the in-process time-series
 	// store: every interval the store samples its cumulative counters
 	// and latency histograms into the bounded ring behind
-	// /debug/holistic/timeline (default 5s); negative disables the
-	// timeline.
+	// /debug/holistic/timeline (512 windows; default 5s); negative
+	// disables the timeline.
 	TimelineInterval time.Duration
-	// TimelineSamples is the time-series ring capacity in windows
-	// (default 512 — about 42 minutes of history at the default
-	// interval; minimum 2).
-	TimelineSamples int
 }
+
+// flightDumpKeep bounds the flight-dump files a durable store keeps on
+// disk; the writer self-prunes the oldest beyond it.
+const flightDumpKeep = 8
 
 func (c Config) threads() int {
 	if c.Threads < 1 {
@@ -235,45 +230,14 @@ func (c Config) threads() int {
 	return c.Threads
 }
 
-// watchdogInterval resolves the watchdog observation cadence: 1s by
-// default, disabled when negative.
-func (c Config) watchdogInterval() time.Duration {
-	if c.WatchdogInterval == 0 {
-		return time.Second
+// cadence resolves one of Config's interval knobs (WatchdogInterval,
+// TimelineInterval, SnapshotInterval): def when unset, 0 — off — when
+// negative.
+func cadence(v, def time.Duration) time.Duration {
+	if v == 0 {
+		return def
 	}
-	if c.WatchdogInterval < 0 {
-		return 0
-	}
-	return c.WatchdogInterval
-}
-
-// timelineInterval resolves the time-series sampling cadence: 5s by
-// default, disabled when negative.
-func (c Config) timelineInterval() time.Duration {
-	if c.TimelineInterval == 0 {
-		return 5 * time.Second
-	}
-	if c.TimelineInterval < 0 {
-		return 0
-	}
-	return c.TimelineInterval
-}
-
-// timelineSamples resolves the time-series ring capacity (default 512;
-// the ring itself clamps to a minimum of 2).
-func (c Config) timelineSamples() int {
-	if c.TimelineSamples <= 0 {
-		return 512
-	}
-	return c.TimelineSamples
-}
-
-// flightDumpKeep resolves the on-disk flight-dump retention (default 8).
-func (c Config) flightDumpKeep() int {
-	if c.FlightDumpKeep <= 0 {
-		return 8
-	}
-	return c.FlightDumpKeep
+	return max(v, 0)
 }
 
 func (c Config) l1Values() int {
@@ -291,32 +255,18 @@ var ErrClosed = errors.New("holistic: store is closed")
 type Store struct {
 	cfg Config
 
-	// met and execMet are the store's lifetime telemetry aggregates
-	// (query latency histograms and access-path counters); obsName is
-	// the name the store is published under on /debug/holistic.
-	met     *obs.QueryMetrics
-	execMet *obs.ExecMetrics
+	// ob is the store's one observer — lifetime metrics, flight ring and
+	// watchdog, refinement ledger and heatmaps, trace sink, time-series
+	// ring and the sampler goroutine — shared by the query runner, the
+	// executor, its daemon and the durability layer (DESIGN.md §9);
+	// obsName is the name the store is registered under on the debug
+	// endpoints.
+	ob      *observer.Observer
 	obsName string
 
 	// dur is the persistence engine of a store opened with OpenStore;
 	// nil for purely in-memory stores.
 	dur *durability
-
-	// flight is the black-box event ring (nil when disabled); wd the
-	// watchdog that decides when to dump it. See DESIGN.md §11.
-	flight *flight.Recorder
-	wd     *flight.Watchdog
-	wdStop chan struct{}
-	wdOnce sync.Once
-
-	// ec is the refinement-economics recorder (cost-benefit ledger plus
-	// access/refine heatmaps) shared by the query runner, executor and
-	// daemon; ts is the periodic time-series ring behind
-	// /debug/holistic/timeline. See DESIGN.md §12.
-	ec     *econ.Econ
-	ts     *obs.TimeSeries
-	tsStop chan struct{}
-	tsOnce sync.Once
 
 	mu     sync.Mutex
 	table  *engine.Table
@@ -332,39 +282,41 @@ type Store struct {
 // storeSeq numbers stores for the process-wide metrics registry.
 var storeSeq atomic.Int64
 
-// NewStore creates an empty store. Every store registers itself as a
-// metrics source, so its Metrics snapshot appears on the
-// /debug/holistic endpoint (see DESIGN.md §9) until Close.
+// NewStore creates an empty store. Every store registers one entry on
+// the debug endpoints (see DESIGN.md §9) — its Metrics snapshot, flight
+// ring, timeline and Prometheus collector — until Close.
 func NewStore(cfg Config) *Store {
-	s := &Store{
-		cfg:     cfg,
-		table:   engine.NewTable("store"),
-		met:     obs.NewQueryMetrics(),
-		execMet: &obs.ExecMetrics{},
-	}
-	s.obsName = "store-" + strconv.FormatInt(storeSeq.Add(1), 10)
-	s.ec = econ.New()
-	obs.RegisterSource(s.obsName, func() any { return s.Metrics() })
-	obs.RegisterProm(s.obsName, s.promCollect)
-	if cfg.FlightEvents >= 0 {
-		s.flight = flight.NewRecorder(cfg.FlightEvents)
-		s.wd = flight.NewWatchdog(flight.WatchdogConfig{
-			AbsoluteP99: cfg.SLOP99,
-			Cooldown:    cfg.FlightDumpCooldown,
-		})
-		obs.RegisterFlight(s.obsName, s.flightState)
-		if iv := cfg.watchdogInterval(); iv > 0 {
-			s.wdStop = make(chan struct{})
-			go s.watchdogLoop(iv)
-		}
-	}
-	if iv := cfg.timelineInterval(); iv > 0 {
-		s.ts = obs.NewTimeSeries(cfg.timelineSamples(), timelineCounters, timelineHists)
-		obs.RegisterTimeline(s.obsName, func() any { return s.ts.Snapshot() })
-		s.tsStop = make(chan struct{})
-		go s.timelineLoop(iv)
-	}
+	s := newStore(cfg)
+	s.publish()
 	return s
+}
+
+// newStore builds a store that nothing outside can see yet.
+func newStore(cfg Config) *Store {
+	s := &Store{cfg: cfg, table: engine.NewTable("store")}
+	s.obsName = "store-" + strconv.FormatInt(storeSeq.Add(1), 10)
+	s.ob = observer.New(observer.Config{
+		FlightEvents: cfg.FlightEvents,
+		SLOP99:       cfg.SLOP99,
+		Watchdog:     cadence(cfg.WatchdogInterval, time.Second),
+		Timeline:     cadence(cfg.TimelineInterval, 5*time.Second),
+	})
+	return s
+}
+
+// publish registers the store on the debug endpoints and starts its
+// sampler. A durable store publishes once recovery is over, so neither
+// a scrape nor a sampler tick ever sees it half-opened.
+func (s *Store) publish() {
+	entry := obs.Entry{Metrics: func() any { return s.Metrics() }, Prom: s.promCollect}
+	if s.ob.Flight != nil {
+		entry.Flight = func() any { return s.ob.FlightState(s.PriorFlightDumps()) }
+	}
+	if tl := s.ob.Timeline; tl != nil {
+		entry.Timeline = func() any { return tl.Snapshot() }
+	}
+	obs.Register(s.obsName, entry)
+	s.ob.Start(s.health, s.anomalyDump)
 }
 
 // AddIntColumn adds a named column. Columns must be added before the
@@ -390,11 +342,7 @@ func (s *Store) executor() (*engine.Executor, error) {
 	}
 	if s.exec == nil {
 		s.exec = s.build()
-		s.exec.SetExecMetrics(s.execMet)
-		if d := s.exec.Daemon(); d != nil {
-			d.SetFlight(s.flight)
-			d.SetEcon(s.ec)
-		}
+		s.exec.SetObserver(s.ob)
 		if s.dur != nil {
 			if err := s.dur.attachExec(s.exec); err != nil {
 				return nil, err
@@ -470,20 +418,40 @@ func (s *Store) CountRange(attr string, lo, hi int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	start := time.Now()
+	sp := s.beginRange(exec, obs.OpCount)
 	n, err := exec.Count(attr, lo, hi)
-	s.recordOp(obs.OpCount, start)
+	s.endRange(exec, sp, attr, lo, hi, int64(n), err)
 	return n, err
 }
 
-// recordOp folds one single-predicate range operation into the store's
-// lifetime telemetry (query count plus the per-operation latency
-// histogram).
+// beginRange opens the observer's query bracket for one of the four
+// single-predicate range doors — the same bracket the query runner's
+// terminals use, without its planner: no estimate probe, no scratch.
 //
 //holistic:noalloc
-func (s *Store) recordOp(op obs.Op, start time.Time) {
-	s.met.NextSeq()
-	s.met.RecordOp(op, time.Since(start).Nanoseconds())
+func (s *Store) beginRange(exec *engine.Executor, op obs.Op) observer.Span {
+	sp := s.ob.Begin(op, nil)
+	if tr := sp.Trace; tr != nil {
+		tr.Mode = exec.Label()
+		tr.Rows = s.table.Rows()
+	}
+	return sp
+}
+
+// endRange closes a range door's bracket. The planner, which charges
+// the access heatmaps for conjunctive queries, never saw this
+// predicate, so the door charges it here — over the key domain the
+// cracker column learned building itself (computing it any other way
+// is a pass over the column; the modes without a cracker have no
+// refine heatmap to compare against either).
+//
+//holistic:noalloc
+func (s *Store) endRange(exec *engine.Executor, sp observer.Span, attr string, lo, hi, result int64, err error) {
+	if c := exec.CrackerIfExists(attr); c != nil && err == nil {
+		dLo, dHi := c.Domain()
+		s.ob.Predicate(attr, lo, hi, dLo, dHi)
+	}
+	s.ob.End(sp, 0, 0, result, err)
 }
 
 // SumRange answers "select sum(attr) where lo <= attr < hi", pushing the
@@ -495,9 +463,9 @@ func (s *Store) SumRange(attr string, lo, hi int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	start := time.Now()
+	sp := s.beginRange(exec, obs.OpSum)
 	v, err := exec.Sum(attr, lo, hi)
-	s.recordOp(obs.OpSum, start)
+	s.endRange(exec, sp, attr, lo, hi, v, err)
 	return v, err
 }
 
@@ -508,9 +476,9 @@ func (s *Store) MinMaxRange(attr string, lo, hi int64) (mn, mx int64, ok bool, e
 	if err != nil {
 		return 0, 0, false, err
 	}
-	start := time.Now()
+	sp := s.beginRange(exec, obs.OpMinMax)
 	mn, mx, ok, err = exec.MinMax(attr, lo, hi)
-	s.recordOp(obs.OpMinMax, start)
+	s.endRange(exec, sp, attr, lo, hi, 0, err)
 	return mn, mx, ok, err
 }
 
@@ -523,9 +491,9 @@ func (s *Store) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	sp := s.beginRange(exec, obs.OpRows)
 	rows, err := exec.SelectRows(attr, lo, hi)
-	s.recordOp(obs.OpRows, start)
+	s.endRange(exec, sp, attr, lo, hi, int64(len(rows)), err)
 	return rows, err
 }
 
@@ -605,9 +573,7 @@ func (s *Store) runner() (*query.Runner, error) {
 	}
 	if s.qr == nil {
 		s.qr = query.New(s.table, s.exec, s.cfg.threads())
-		s.qr.SetMetrics(s.met)
-		s.qr.SetFlight(s.flight)
-		s.qr.SetEcon(s.ec)
+		s.qr.SetObserver(s.ob)
 	}
 	return s.qr, nil
 }
@@ -1033,30 +999,33 @@ func (s *Store) Stats() Stats {
 // final snapshot of any unsnapshotted records and the clean-shutdown
 // marker, so the next OpenStore skips WAL replay. Close is idempotent;
 // queries issued after Close return ErrClosed.
+func (s *Store) Close() { s.shutdown(true) }
+
+// shutdown releases everything the store acquired: the registry entry,
+// the sampler, the durability engine, the executor (and with it the
+// holistic daemon and its workers) and the trace sink. flush is false
+// only for a store whose open failed partway (discard): its WAL file is
+// closed, but no final snapshot or clean marker is written over a
+// directory recovery could not finish with.
 //
 // The store lock is released before the durability flush and the
 // executor shutdown: the daemon's idle hook may be mid-checkpoint, and
 // joining it while holding the lock every query path needs would stall
 // the whole store behind that flush.
-func (s *Store) Close() {
+func (s *Store) shutdown(flush bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	exec := s.exec
-	sink := s.traceSink
+	exec, dur, sink := s.exec, s.dur, s.traceSink
 	s.traceSink = nil
-	obs.UnregisterSource(s.obsName)
-	obs.UnregisterFlight(s.obsName)
-	obs.UnregisterTimeline(s.obsName)
-	obs.UnregisterProm(s.obsName)
+	obs.Unregister(s.obsName)
 	s.mu.Unlock()
-	s.stopWatchdog()
-	s.stopTimeline()
-	if s.dur != nil {
-		s.dur.close()
+	s.ob.Stop()
+	if dur != nil {
+		dur.close(flush)
 	}
 	if exec != nil {
 		exec.Close()

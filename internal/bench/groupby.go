@@ -9,7 +9,7 @@ import (
 	"holistic/internal/engine"
 	"holistic/internal/groupby"
 	"holistic/internal/holistic"
-	"holistic/internal/obs"
+	"holistic/internal/obs/observer"
 	"holistic/internal/query"
 	"holistic/internal/workload"
 )
@@ -76,8 +76,8 @@ func runGroupBy(p Params) (*Result, error) {
 	})
 	defer exec.Close()
 	r := query.New(tab, exec, p.Threads)
-	met := obs.NewQueryMetrics()
-	r.SetMetrics(met)
+	ob := observer.New(observer.Config{FlightEvents: -1})
+	r.SetObserver(ob)
 
 	keys := []string{attrName(0)}
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum(attrName(1))}
@@ -169,7 +169,7 @@ func runGroupBy(p Params) (*Result, error) {
 	if c := exec.CrackerIfExists(keys[0]); c != nil {
 		pieces = c.Pieces()
 	}
-	snap := met.Snapshot()
+	snap := ob.Query.Snapshot()
 	res.AddPercentiles("grouped", snap.Latency["grouped"])
 	res.StrategyTimeline = snap.Timeline
 

@@ -9,7 +9,7 @@ import (
 	"holistic/internal/engine"
 	"holistic/internal/holistic"
 	"holistic/internal/join"
-	"holistic/internal/obs"
+	"holistic/internal/obs/observer"
 	"holistic/internal/query"
 	"holistic/internal/workload"
 )
@@ -93,8 +93,8 @@ func runJoin(p Params) (*Result, error) {
 	defer rExec.Close()
 	lr := query.New(lt, lExec, p.Threads)
 	rr := query.New(rt, rExec, p.Threads)
-	met := obs.NewQueryMetrics()
-	lr.SetMetrics(met)
+	ob := observer.New(observer.Config{FlightEvents: -1})
+	lr.SetObserver(ob)
 
 	// Dense pre-join filters (90% of each side qualifies): selective
 	// enough to exercise the selection pipeline, dense enough for the
@@ -176,7 +176,7 @@ func runJoin(p Params) (*Result, error) {
 			hashSum, mergeSum, autoSum, earlyHash)
 	}
 
-	snap := met.Snapshot()
+	snap := ob.Query.Snapshot()
 	res.AddPercentiles("join", snap.Latency["join"])
 	res.StrategyTimeline = snap.Timeline
 

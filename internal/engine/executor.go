@@ -11,7 +11,7 @@ import (
 	"holistic/internal/cpu"
 	"holistic/internal/cracking"
 	"holistic/internal/holistic"
-	"holistic/internal/obs"
+	"holistic/internal/obs/observer"
 	"holistic/internal/sortidx"
 	"holistic/internal/stats"
 )
@@ -40,7 +40,10 @@ type Executor struct {
 	buckets int             // CCGI coarse pre-partitioning
 	epoch   int             // online indexing: queries answered by scans before the sort
 
-	met *obs.ExecMetrics
+	// ob receives what run's epilogue reports (select latency, merged
+	// updates, key-order walks, the ledger's drive credit) and the
+	// cracker builds; nil leaves the executor uninstrumented.
+	ob *observer.Observer
 
 	// mu guards the registry, never a build: building[attr] is closed when
 	// the build of attr in flight is over, so other attributes' queries
@@ -172,10 +175,14 @@ func NewHolisticExecutor(t *Table, cfg HolisticConfig) *Executor {
 // Label names the mode as the paper's figures do.
 func (e *Executor) Label() string { return e.label }
 
-// SetExecMetrics attaches the access-path telemetry (select latency,
-// cracker builds, merged updates, key-order walks); nil detaches. Attach
-// before the first query.
-func (e *Executor) SetExecMetrics(m *obs.ExecMetrics) { e.met = m }
+// SetObserver attaches the store's observer to the executor and its
+// daemon; nil detaches. Attach before the first query.
+func (e *Executor) SetObserver(ob *observer.Observer) {
+	e.ob = ob
+	if e.daemon != nil {
+		e.daemon.SetObserver(ob)
+	}
+}
 
 // Daemon returns the holistic indexing daemon, nil under every other mode.
 func (e *Executor) Daemon() *holistic.Daemon { return e.daemon }
@@ -298,8 +305,8 @@ func (e *Executor) build(attr string, lo, hi int64, needRows, potential bool) ac
 	e.paths[attr] = p
 	e.mu.Unlock()
 	if cp != nil {
-		if !potential && e.met != nil {
-			e.met.CrackerBuilds.Inc()
+		if !potential {
+			e.ob.CrackerBuilt()
 		}
 		e.admit(attr, cp, potential)
 	}
@@ -352,7 +359,10 @@ func (e *Executor) PrepareAll() {
 // load-accounting bracket (so the daemon sees the occupied contexts), the
 // select-latency measurement, attribute validation, the empty-range guard,
 // path resolution by the mode's policy, the walk, and the recording of
-// what the walk reports back.
+// what the walk reports back — one observer call, through which every
+// door (Store range methods, conjunctive drives, join sides, Explain)
+// credits the attribute's ledger. A declined key-order walk did no work
+// and records nothing.
 //
 //holistic:noalloc
 func (e *Executor) run(attr string, f fold) (fold, error) {
@@ -361,19 +371,12 @@ func (e *Executor) run(attr string, f fold) (fold, error) {
 		defer e.acct.Release(e.userThreads)
 	}
 	var start time.Time
-	if e.met != nil {
+	if e.ob != nil {
 		start = time.Now()
 	}
 	f, err := e.answer(attr, f)
-	if e.met != nil {
-		if f.merged > 0 {
-			e.met.MergedUpdates.Add(int64(f.merged))
-		}
-		if f.walked {
-			e.met.KeyOrderWalks.Inc()
-		} else if f.op != opClusters {
-			e.met.RecordSelect(time.Since(start).Nanoseconds())
-		}
+	if e.ob != nil && (f.walked || f.op != opClusters) {
+		e.ob.Select(attr, time.Since(start).Nanoseconds(), f.merged, f.walked, err == nil)
 	}
 	return f, err
 }

@@ -10,7 +10,7 @@ import (
 	"holistic/internal/column"
 	"holistic/internal/cracking"
 	"holistic/internal/holistic"
-	"holistic/internal/obs"
+	"holistic/internal/obs/observer"
 )
 
 // sevenModes names the modes the first-touch tests run under; modeExecutor
@@ -58,9 +58,10 @@ func TestConcurrentFirstTouchBuildsOnce(t *testing.T) {
 	for _, mode := range sevenModes {
 		t.Run(mode.name, func(t *testing.T) {
 			tbl, bases := testTable(t, attrs, rows, domain)
-			var met obs.ExecMetrics
+			ob := observer.New(observer.Config{FlightEvents: -1})
+			met := &ob.Exec
 			exec := modeExecutor(tbl, mode.name)
-			exec.SetExecMetrics(&met)
+			exec.SetObserver(ob)
 			defer exec.Close()
 
 			var seen [attrs]sync.Map // the distinct access paths each attribute had

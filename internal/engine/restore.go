@@ -42,9 +42,7 @@ func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexState) 
 			// Complete the physical state first: with every pending op
 			// merged, the exported arrays hold exactly the live logical
 			// values and an empty pending queue on restore matches.
-			if n := p.pend.MergeAll(p.col); n > 0 && e.met != nil {
-				e.met.MergedUpdates.Add(int64(n))
-			}
+			e.ob.Merged(p.pend.MergeAll(p.col))
 			st := p.col.ExportState()
 			is := durable.IndexState{
 				Attr: attr, Kind: durable.IndexCracker,

@@ -33,8 +33,7 @@ import (
 
 	"holistic/internal/cpu"
 	"holistic/internal/cracking"
-	"holistic/internal/obs/econ"
-	"holistic/internal/obs/flight"
+	"holistic/internal/obs/observer"
 	"holistic/internal/stats"
 	"holistic/internal/updates"
 )
@@ -149,16 +148,11 @@ type Daemon struct {
 	// worker activation; the panic-containment test injects through it.
 	testRefineHook func()
 
-	// fr is the flight recorder cycle and refinement audit events go to;
-	// swapped atomically so workers never race SetFlight. A nil recorder
-	// is a no-op for every Record method.
-	fr atomic.Pointer[flight.Recorder]
-
-	// ec is the refinement-economics recorder: workers charge their
-	// invested nanoseconds and pivot positions to it, the same way the
-	// query side credits drive latencies. Swapped atomically like fr;
-	// nil is a no-op for every Note method.
-	ec atomic.Pointer[econ.Econ]
+	// ob is the store's observer: cycles, refinement passes (the ledger's
+	// investment side) and pivot positions go to it. The daemon runs
+	// before the store attaches it, so it is swapped atomically; a nil
+	// observer is a no-op for every call.
+	ob atomic.Pointer[observer.Observer]
 
 	stop chan struct{}
 	done chan struct{}
@@ -182,15 +176,9 @@ func New(reg *stats.Registry, mon cpu.Monitor, cfg Config) *Daemon {
 // Registry exposes the index space the daemon tunes.
 func (d *Daemon) Registry() *stats.Registry { return d.reg }
 
-// SetFlight attaches the flight recorder the daemon's cycles and
-// refinement steps record audit events into (nil detaches). Safe to
-// call concurrently with a running daemon.
-func (d *Daemon) SetFlight(fr *flight.Recorder) { d.fr.Store(fr) }
-
-// SetEcon attaches the economics recorder workers charge refinement
-// investment to (nil detaches). Safe to call concurrently with a
-// running daemon.
-func (d *Daemon) SetEcon(e *econ.Econ) { d.ec.Store(e) }
+// SetObserver attaches the observer cycles and refinement steps record
+// into (nil detaches). Safe to call concurrently with a running daemon.
+func (d *Daemon) SetObserver(ob *observer.Observer) { d.ob.Store(ob) }
 
 // AttachPending connects a pending-updates store to the named index so
 // workers merge updates while refining (Section 4.2, Updates).
@@ -369,7 +357,7 @@ func (d *Daemon) runCycle(cycle, n int) {
 	d.totals.Refinements += int64(cs.Refinements)
 	d.totals.MergedUpdates += int64(cs.MergedUpdates)
 	d.cycleMu.Unlock()
-	d.fr.Load().RecordCycle(int64(cycle), int64(cs.Workers), int64(cs.Refinements), int64(cs.MergedUpdates), cs.Wall.Nanoseconds())
+	d.ob.Load().Cycle(int64(cycle), int64(cs.Workers), int64(cs.Refinements), int64(cs.MergedUpdates), cs.Wall.Nanoseconds())
 }
 
 // maxAttemptsPerRefinement bounds the pivot re-rolls of one refinement
@@ -389,30 +377,24 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 	}
 	minPiece := d.reg.L1Values()
 	pend := d.pendingFor(e.Name)
-	ec := d.ec.Load()
+	ob := d.ob.Load()
 	t0 := time.Now()
 	attempts := int64(0)
 	defer func() {
-		if fr := d.fr.Load(); fr != nil {
-			fr.RecordRefine(fr.Intern(e.Name), int64(refined), int64(mergedUpdates),
-				attempts, d.reg.Distance(e), int64(e.Col.Pieces()))
+		if ob == nil {
+			return
 		}
-		if ec != nil {
-			// The ledger's investment side: this activation's wall time is
-			// idle-context time spent on e, and the convergence ratio after
-			// the pass (Progress, as in Convergence()) tells the benefit
-			// estimator which drive-latency bucket later queries credit.
-			progress := 1.0
-			if d0 := float64(e.Col.Len() - minPiece); d0 > 0 {
-				progress = 1 - d.reg.Distance(e)/d0
-				if progress < 0 {
-					progress = 0
-				} else if progress > 1 {
-					progress = 1
-				}
-			}
-			ec.NoteRefined(e.Name, time.Since(t0).Nanoseconds(), int64(refined), progress)
+		// The ledger's investment side: this activation's wall time is
+		// idle-context time spent on e, and the convergence ratio after
+		// the pass (Progress, as in Convergence()) tells the benefit
+		// estimator which drive-latency bucket later queries credit.
+		distance := d.reg.Distance(e)
+		progress := 1.0
+		if d0 := float64(e.Col.Len() - minPiece); d0 > 0 {
+			progress = min(max(1-distance/d0, 0), 1)
 		}
+		ob.Refined(e.Name, int64(refined), int64(mergedUpdates), attempts, distance,
+			int64(e.Col.Pieces()), time.Since(t0).Nanoseconds(), progress)
 	}()
 
 	for i := 0; i < d.cfg.Refinements; i++ {
@@ -426,7 +408,7 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 				return refined, mergedUpdates
 			}
 			pivot := lo + rng.Int63n(hi-lo+1)
-			ec.NoteRefinePivot(e.Name, pivot, lo, hi)
+			ob.RefinePivot(e.Name, pivot, lo, hi)
 			d.totalAttempts.Add(1)
 			attempts++
 			switch e.Col.TryRefineAt(pivot, minPiece) {

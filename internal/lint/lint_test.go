@@ -145,7 +145,7 @@ func TestRepoClean(t *testing.T) {
 // entry points must carry a verified //holistic:noalloc annotation, so
 // removing one is a visible, reviewed act.
 func TestAnnotatedHotPaths(t *testing.T) {
-	mod, err := Load("../..", "./internal/query", "./internal/groupby", "./internal/join", "./internal/column", "./internal/cracking", "./internal/obs", "./internal/obs/flight")
+	mod, err := Load("../..", "./internal/query", "./internal/groupby", "./internal/join", "./internal/column", "./internal/cracking", "./internal/obs", "./internal/obs/flight", "./internal/obs/observer")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -159,6 +159,9 @@ func TestAnnotatedHotPaths(t *testing.T) {
 		"holistic/internal/obs/flight": {
 			"record", "RecordQuery", "RecordRep", "RecordStrategy", "RecordRefine",
 			"RecordCycle", "RecordWALRotate", "RecordCheckpoint", "RecordRecovery", "RecordAnomaly",
+		},
+		"holistic/internal/obs/observer": {
+			"Begin", "End", "Rep", "Strategy", "Predicate", "Select", "CrackerBuilt", "RefinePivot", "Cycle", "Checkpoint",
 		},
 	}
 	annotated := make(map[string]map[string]bool)

@@ -21,7 +21,7 @@ type DurableMetrics struct {
 	RestoredIndexes   Counter // adaptive indexes rebuilt from state
 	DroppedIndexes    Counter // state sections dropped to unrefined
 
-	// Flight-recorder dumps (see DESIGN.md §11).
+	// Flight-recorder dumps (see DESIGN.md §9).
 	FlightDumps        Counter // dumps committed (checkpoint + anomaly)
 	FlightDumpFailures Counter // dump writes that failed
 	PriorFlightDumps   Counter // dumps found on disk at open (post-mortems)

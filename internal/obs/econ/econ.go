@@ -107,16 +107,14 @@ func (l *ledger) intern(name string) *slot {
 
 // Econ bundles the refinement ledger with the two heatmaps that
 // localize it in key space: where query predicates land (access) and
-// where the daemon cracks (refine). One Econ instance is shared by a
-// store's query runner, executor and daemon.
+// where the daemon cracks (refine). The zero value is ready to use; a
+// store's observer holds the one instance its query runner, executor
+// and daemon all record into.
 type Econ struct {
 	ledger ledger
 	access HeatmapSet
 	refine HeatmapSet
 }
-
-// New returns an empty economics recorder.
-func New() *Econ { return &Econ{} }
 
 // NotePredicate records one predicate admission: the half-open key
 // span [lo, hi) on attr, whose domain is [dLo, dHi]. Nil-safe.

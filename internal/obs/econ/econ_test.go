@@ -108,7 +108,7 @@ func TestHeatmapConcurrentRecording(t *testing.T) {
 // workload: queries at low convergence are slow, queries after
 // refinement are fast, so the savings are exactly the per-query delta.
 func TestLedgerEconomics(t *testing.T) {
-	e := New()
+	e := new(Econ)
 	// Baseline: three 1000ns drives before any refinement (bucket 0).
 	for i := 0; i < 3; i++ {
 		e.NoteDrive("x", 1000)
@@ -154,7 +154,7 @@ func TestLedgerEconomics(t *testing.T) {
 // and a regression (slower at high convergence) clamps at zero rather
 // than going negative.
 func TestLedgerNeverInventsBenefit(t *testing.T) {
-	e := New()
+	e := new(Econ)
 	for i := 0; i < 10; i++ {
 		e.NoteDrive("flat", 500)
 	}
@@ -191,7 +191,7 @@ func TestNilEconIsInert(t *testing.T) {
 // at 0 allocs/op (the first-sight intern is the only allocating step,
 // and it happens once per attribute).
 func TestRecordingAllocationFree(t *testing.T) {
-	e := New()
+	e := new(Econ)
 	e.NotePredicate("x", 0, 10, 0, 9999)
 	e.NoteDrive("x", 100)
 	e.NoteRefined("x", 10, 1, 0.5)

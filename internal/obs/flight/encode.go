@@ -121,10 +121,13 @@ func Decode(data []byte) (*Dump, error) {
 	count := binary.LittleEndian.Uint64(payload[16:])
 	d.Generation = binary.LittleEndian.Uint64(payload[24:])
 	body := payload[dumpHeaderLen:]
-	need := count * dumpEventSize
-	if uint64(len(body)) < need {
-		return nil, fmt.Errorf("flight: dump body truncated: %d events need %d bytes, have %d", count, need, len(body))
+	// Both length fields are bounded by the bytes actually present before
+	// anything is sized from them: a CRC is no barrier against a crafted
+	// file, and count*dumpEventSize overflows for count >= 2^58.
+	if count > uint64(len(body))/dumpEventSize {
+		return nil, fmt.Errorf("flight: dump body truncated: %d events do not fit in %d bytes", count, len(body))
 	}
+	need := count * dumpEventSize
 	d.Events = make([]Event, count)
 	for i := range d.Events {
 		rec := body[uint64(i)*dumpEventSize:]
@@ -144,6 +147,9 @@ func Decode(data []byte) (*Dump, error) {
 	}
 	nNames := binary.LittleEndian.Uint32(rest)
 	rest = rest[4:]
+	if uint64(nNames) > uint64(len(rest))/4 { // every name carries a 4-byte length
+		return nil, fmt.Errorf("flight: name table truncated: %d names do not fit in %d bytes", nNames, len(rest))
+	}
 	d.Names = make([]string, 0, nNames)
 	for i := uint32(0); i < nNames; i++ {
 		if len(rest) < 4 {

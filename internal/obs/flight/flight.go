@@ -166,7 +166,15 @@ func (r *Recorder) record(kind Kind, code uint8, id uint32, a0, a1, a2, a3, a4 i
 	if r == nil {
 		return
 	}
-	t := time.Since(r.epoch).Nanoseconds()
+	r.recordAt(time.Now(), kind, code, id, a0, a1, a2, a3, a4)
+}
+
+// recordAt is record stamped with a clock reading the caller already
+// took.
+//
+//holistic:noalloc
+func (r *Recorder) recordAt(at time.Time, kind Kind, code uint8, id uint32, a0, a1, a2, a3, a4 int64) {
+	t := at.Sub(r.epoch).Nanoseconds()
 	seq := r.head.Add(1)
 	s := &r.slots[seq&r.mask]
 	s.seq.Store(0)
@@ -180,11 +188,16 @@ func (r *Recorder) record(kind Kind, code uint8, id uint32, a0, a1, a2, a3, a4 i
 	s.seq.Store(seq)
 }
 
-// RecordQuery records one terminal query with its per-stage split.
+// RecordQuery records one terminal query with its per-stage split,
+// stamped with the clock reading that closed the query's bracket (so a
+// query costs one reading at each end, not one per consumer).
 //
 //holistic:noalloc
-func (r *Recorder) RecordQuery(op uint8, qseq uint64, totalNS, driveNS, refineNS, result int64) {
-	r.record(EvQuery, op, 0, int64(qseq), totalNS, driveNS, refineNS, result)
+func (r *Recorder) RecordQuery(at time.Time, op uint8, qseq uint64, totalNS, driveNS, refineNS, result int64) {
+	if r == nil {
+		return
+	}
+	r.recordAt(at, EvQuery, op, 0, int64(qseq), totalNS, driveNS, refineNS, result)
 }
 
 // RecordRep records a representation decision and its estimate input.

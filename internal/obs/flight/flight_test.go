@@ -10,7 +10,7 @@ import (
 
 func TestRecorderRoundtrip(t *testing.T) {
 	r := NewRecorder(128)
-	r.RecordQuery(uint8(obs.OpCount), 7, 1500, 900, 400, 42)
+	r.RecordQuery(time.Now(), uint8(obs.OpCount), 7, 1500, 900, 400, 42)
 	r.RecordRep(uint8(obs.RepBitmap), 7, 1000, 3)
 	r.RecordStrategy(uint8(obs.StratGroupSort), 7, 1.5, 2048)
 	id := r.Intern("orders.total")
@@ -71,7 +71,7 @@ func TestRecorderWraparound(t *testing.T) {
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
-	r.RecordQuery(0, 1, 2, 3, 4, 5)
+	r.RecordQuery(time.Now(), 0, 1, 2, 3, 4, 5)
 	r.RecordAnomaly(TriggerP99, 1, 2, 0.5, 0, 10)
 	if r.Intern("x") != 0 || r.Cap() != 0 || r.Head() != 0 {
 		t.Error("nil recorder should intern to 0 and report empty")
@@ -100,7 +100,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				r.RecordQuery(uint8(obs.OpCount), uint64(i), i, i, i, i)
+				r.RecordQuery(time.Now(), uint8(obs.OpCount), uint64(i), i, i, i, i)
 			}
 		}(w)
 	}
@@ -191,7 +191,7 @@ func TestRecordAllocationFree(t *testing.T) {
 	r := NewRecorder(256)
 	id := r.Intern("warm") // intern before measuring: first sight allocates
 	allocs := testing.AllocsPerRun(200, func() {
-		r.RecordQuery(uint8(obs.OpSum), 1, 100, 60, 40, 7)
+		r.RecordQuery(time.Now(), uint8(obs.OpSum), 1, 100, 60, 40, 7)
 		r.RecordRep(uint8(obs.RepPosList), 1, 50, 2)
 		r.RecordStrategy(uint8(obs.StratJoinMerge), 1, 1.0, 2.0)
 		r.RecordRefine(id, 1, 1, 1, 0.5, 3)
@@ -212,7 +212,7 @@ func observeHist(w *Watchdog, h *obs.Histogram, conv float64, haveConv bool, pan
 }
 
 func TestWatchdogP99Baseline(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{SLOMultiple: 3, MinSamples: 10, Cooldown: time.Hour})
+	w := NewWatchdog(0)
 	var h obs.Histogram
 	// Three healthy windows around 1ms establish the baseline.
 	for win := 0; win < 3; win++ {
@@ -227,7 +227,7 @@ func TestWatchdogP99Baseline(t *testing.T) {
 	if st.BaselineP99US < 500 || st.BaselineP99US > 2000 {
 		t.Fatalf("baseline = %.0fus, want ~1000us", st.BaselineP99US)
 	}
-	// A 10x spike breaches the 3x multiple.
+	// A 10x spike breaches the 4x multiple.
 	for i := 0; i < 100; i++ {
 		h.RecordNanos(10_000_000)
 	}
@@ -250,7 +250,7 @@ func TestWatchdogP99Baseline(t *testing.T) {
 }
 
 func TestWatchdogAbsoluteSLO(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{AbsoluteP99: time.Millisecond, MinSamples: 5})
+	w := NewWatchdog(time.Millisecond)
 	var h obs.Histogram
 	for i := 0; i < 50; i++ {
 		h.RecordNanos(5_000_000)
@@ -263,7 +263,7 @@ func TestWatchdogAbsoluteSLO(t *testing.T) {
 }
 
 func TestWatchdogSmallWindowsNotJudged(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{AbsoluteP99: time.Microsecond, MinSamples: 32})
+	w := NewWatchdog(time.Microsecond)
 	var h obs.Histogram
 	for i := 0; i < 10; i++ {
 		h.RecordNanos(50_000_000)
@@ -274,7 +274,7 @@ func TestWatchdogSmallWindowsNotJudged(t *testing.T) {
 }
 
 func TestWatchdogConvergenceRegression(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{ConvergenceSlack: 0.05, Cooldown: time.Hour})
+	w := NewWatchdog(0)
 	if v := w.Observe(Observation{Convergence: 0.8, HaveConvergence: true}); v.Trigger != TriggerNone {
 		t.Fatalf("first convergence reading triggered %v", v.Trigger)
 	}
@@ -288,7 +288,7 @@ func TestWatchdogConvergenceRegression(t *testing.T) {
 }
 
 func TestWatchdogPanicDelta(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Cooldown: time.Hour})
+	w := NewWatchdog(0)
 	if v := w.Observe(Observation{WorkerPanics: 0}); v.Trigger != TriggerNone {
 		t.Fatalf("zero panics triggered %v", v.Trigger)
 	}
@@ -303,7 +303,7 @@ func TestWatchdogPanicDelta(t *testing.T) {
 }
 
 func TestWatchdogTornTail(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{})
+	w := NewWatchdog(0)
 	v := w.NoteTornTail()
 	if v.Trigger != TriggerTornTail || !v.Dump {
 		t.Fatalf("torn tail verdict = %+v", v)

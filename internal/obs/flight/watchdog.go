@@ -48,41 +48,21 @@ func (t Trigger) String() string {
 	return "unknown"
 }
 
-// WatchdogConfig tunes the anomaly rules. The zero value selects the
-// defaults documented on each field.
-type WatchdogConfig struct {
-	// SLOMultiple: window p99 > SLOMultiple x rolling baseline p99 is
-	// an anomaly. <= 0 selects 4.
-	SLOMultiple float64
-	// AbsoluteP99: window p99 above this absolute bound is an anomaly
-	// regardless of baseline. 0 disables the absolute rule.
-	AbsoluteP99 time.Duration
-	// MinSamples: windows with fewer observations are never judged
-	// (they still feed the baseline). <= 0 selects 32.
-	MinSamples uint64
-	// ConvergenceSlack: convergence ratio more than this far below its
-	// best observed value is a regression. <= 0 selects 0.05.
-	ConvergenceSlack float64
-	// Cooldown: minimum gap between anomaly-triggered dumps, bounding
-	// dump storms while an incident is ongoing. <= 0 selects 30s.
-	Cooldown time.Duration
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.SLOMultiple <= 0 {
-		c.SLOMultiple = 4
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
-	if c.ConvergenceSlack <= 0 {
-		c.ConvergenceSlack = 0.05
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	return c
-}
+// The anomaly rules. Nothing outside the tests ever set them to anything
+// else, so they are constants, not configuration.
+const (
+	// sloMultiple: window p99 above sloMultiple x the rolling baseline
+	// p99 is an anomaly.
+	sloMultiple = 4
+	// minSamples: windows with fewer observations are never judged.
+	minSamples = 32
+	// convergenceSlack: a convergence ratio more than this far below its
+	// best observed value is a regression.
+	convergenceSlack = 0.05
+	// DumpCooldown is the minimum gap between anomaly-triggered dumps,
+	// bounding dump storms while an incident is ongoing.
+	DumpCooldown = 30 * time.Second
+)
 
 // Watchdog maintains rolling latency and convergence baselines from
 // periodic observations and decides when the ring should be dumped.
@@ -91,7 +71,9 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 // diffs it against the previous call's to get the window distribution,
 // then folds the window p99 into an EWMA baseline.
 type Watchdog struct {
-	cfg WatchdogConfig
+	// absoluteP99: a window p99 above this bound is an anomaly regardless
+	// of the baseline; 0 leaves only the relative rule.
+	absoluteP99 time.Duration
 
 	mu          sync.Mutex
 	prev        obs.HistSnapshot // last cumulative snapshot
@@ -113,9 +95,10 @@ type Watchdog struct {
 // baselineAlpha is the EWMA weight of the newest window.
 const baselineAlpha = 0.2
 
-// NewWatchdog returns a watchdog with cfg (zero fields defaulted).
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	return &Watchdog{cfg: cfg.withDefaults()}
+// NewWatchdog returns a watchdog enforcing the absolute p99 bound (0 =
+// none) next to the relative rule.
+func NewWatchdog(absoluteP99 time.Duration) *Watchdog {
+	return &Watchdog{absoluteP99: absoluteP99}
 }
 
 // Observation is one periodic reading of the system's health signals.
@@ -176,7 +159,7 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 	if haveWindow {
 		v.Samples = int64(window.Count)
 	}
-	judged := haveWindow && window.Count >= w.cfg.MinSamples
+	judged := haveWindow && window.Count >= minSamples
 	p99 := float64(0)
 	if judged {
 		p99 = float64(window.Quantile(0.99).Nanoseconds())
@@ -194,7 +177,7 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 
 	// Rule 2: convergence ratio regressed below its best.
 	if v.Trigger == TriggerNone && o.HaveConvergence {
-		if w.haveConv && o.Convergence+w.cfg.ConvergenceSlack < w.bestConv {
+		if w.haveConv && o.Convergence+convergenceSlack < w.bestConv {
 			v.Trigger = TriggerConvergence
 		}
 		if !w.haveConv || o.Convergence > w.bestConv {
@@ -206,9 +189,9 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 	// Rule 3: window p99 against the absolute SLO and the rolling
 	// baseline multiple.
 	if v.Trigger == TriggerNone && judged {
-		if w.cfg.AbsoluteP99 > 0 && p99 > float64(w.cfg.AbsoluteP99.Nanoseconds()) {
+		if w.absoluteP99 > 0 && p99 > float64(w.absoluteP99.Nanoseconds()) {
 			v.Trigger = TriggerP99
-		} else if w.baseline > 0 && p99 > w.cfg.SLOMultiple*w.baseline {
+		} else if w.baseline > 0 && p99 > sloMultiple*w.baseline {
 			v.Trigger = TriggerP99
 		}
 	}
@@ -229,7 +212,7 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 		w.anomalies++
 		w.lastTrigger = v.Trigger
 		now := time.Now()
-		if w.lastAnomaly.IsZero() || now.Sub(w.lastAnomaly) >= w.cfg.Cooldown {
+		if w.lastAnomaly.IsZero() || now.Sub(w.lastAnomaly) >= DumpCooldown {
 			v.Dump = true
 			w.lastAnomaly = now
 		} else {
@@ -291,6 +274,6 @@ func (w *Watchdog) State() State {
 		Suppressed:      w.suppressed,
 		LastTrigger:     w.lastTrigger.String(),
 		DumpsWritten:    w.dumps,
-		DumpCooldownMS:  w.cfg.Cooldown.Milliseconds(),
+		DumpCooldownMS:  DumpCooldown.Milliseconds(),
 	}
 }

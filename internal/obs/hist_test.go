@@ -247,7 +247,7 @@ func TestForEachBucket(t *testing.T) {
 func TestRecordAllocationFree(t *testing.T) {
 	var h Histogram
 	var c Counter
-	m := NewQueryMetrics()
+	m := new(QueryMetrics)
 	if a := testing.AllocsPerRun(200, func() {
 		h.RecordNanos(12345)
 		c.Inc()

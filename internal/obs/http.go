@@ -1,14 +1,17 @@
-// The process metrics registry and HTTP surface: named sources (each a
-// snapshot function) are published together as JSON on /debug/holistic,
-// as the expvar variable "holistic" on /debug/vars, and next to the
-// standard pprof handlers — the endpoint cmd/holisticserve and
-// `holisticbench -metrics-addr` mount.
+// The process metrics registry and HTTP surface: every store registers
+// one Entry — its snapshot functions and its Prometheus collector — and
+// the registry serves them together as JSON on /debug/holistic,
+// /debug/holistic/flight and /debug/holistic/timeline, as the expvar
+// variable "holistic" on /debug/vars, as the /metrics exposition, behind
+// /readyz, and next to the standard pprof handlers — the endpoint
+// cmd/holisticserve and `holisticbench -metrics-addr` mount.
 
 package obs
 
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -17,289 +20,131 @@ import (
 	"holistic/internal/obs/prom"
 )
 
-var (
-	srcMu   sync.Mutex
-	sources = map[string]func() any{}
-)
-
-// RegisterSource publishes a named snapshot source (e.g. one Store's
-// Metrics). The function is called on every scrape and must be safe for
-// concurrent use. Re-registering a name replaces the source.
-func RegisterSource(name string, fn func() any) {
-	srcMu.Lock()
-	sources[name] = fn
-	srcMu.Unlock()
-}
-
-// UnregisterSource removes a source; unknown names are a no-op.
-func UnregisterSource(name string) {
-	srcMu.Lock()
-	delete(sources, name)
-	srcMu.Unlock()
-}
-
-// SnapshotSources evaluates every registered source, keyed by name.
-func SnapshotSources() map[string]any {
-	srcMu.Lock()
-	names := make([]string, 0, len(sources))
-	fns := make([]func() any, 0, len(sources))
-	for n, fn := range sources {
-		names = append(names, n)
-		fns = append(fns, fn)
-	}
-	srcMu.Unlock()
-	out := make(map[string]any, len(names))
-	for i, n := range names {
-		out[n] = fns[i]() // outside the lock: sources may take their own
-	}
-	return out
-}
-
-// The expvar bridge: one variable holding every registered source, so
-// the standard /debug/vars surface carries the holistic telemetry too.
-func init() {
-	expvar.Publish("holistic", expvar.Func(func() any { return SnapshotSources() }))
+// Entry is what one publisher — a store, or the serving process for its
+// readiness — registers. Every function is called on every scrape of its
+// endpoint and must be safe for concurrent use; a nil function leaves
+// the publisher out of that endpoint (a store without a flight ring has
+// no Flight, one without a timeline no Timeline).
+type Entry struct {
+	// Metrics (the store's full snapshot), Flight (decoded ring plus
+	// watchdog state) and Timeline (deltified metric windows) are served
+	// on /debug/holistic, /debug/holistic/flight and
+	// /debug/holistic/timeline.
+	Metrics, Flight, Timeline func() any
+	// Prom streams the store's samples through the scrape's shared
+	// prom.Writer (which deduplicates HELP/TYPE metadata across stores),
+	// served on /metrics.
+	Prom func(*prom.Writer)
+	// Ready is a readiness probe: /readyz reports ready only when every
+	// registered probe returns true.
+	Ready func() bool
 }
 
 var (
-	flightMu      sync.Mutex
-	flightSources = map[string]func() any{}
+	regMu   sync.Mutex
+	entries = map[string]Entry{}
 )
 
-// RegisterFlight publishes a named flight-recorder source (decoded
-// ring events plus watchdog state), served on /debug/holistic/flight.
-// Re-registering a name replaces the source.
-func RegisterFlight(name string, fn func() any) {
-	flightMu.Lock()
-	flightSources[name] = fn
-	flightMu.Unlock()
+// Register publishes an entry under name; re-registering a name
+// replaces it.
+func Register(name string, e Entry) {
+	regMu.Lock()
+	entries[name] = e
+	regMu.Unlock()
 }
 
-// UnregisterFlight removes a flight source; unknown names are a no-op.
-func UnregisterFlight(name string) {
-	flightMu.Lock()
-	delete(flightSources, name)
-	flightMu.Unlock()
+// Unregister removes a publisher from every endpoint; unknown names are
+// a no-op.
+func Unregister(name string) {
+	regMu.Lock()
+	delete(entries, name)
+	regMu.Unlock()
 }
 
-// SnapshotFlight evaluates every registered flight source by name.
-func SnapshotFlight() map[string]any {
-	flightMu.Lock()
-	names := make([]string, 0, len(flightSources))
-	fns := make([]func() any, 0, len(flightSources))
-	for n, fn := range flightSources {
-		names = append(names, n)
-		fns = append(fns, fn)
-	}
-	flightMu.Unlock()
-	out := make(map[string]any, len(names))
-	for i, n := range names {
-		out[n] = fns[i]() // outside the lock: sources may take their own
-	}
-	return out
-}
-
-var (
-	tlMu      sync.Mutex
-	tlSources = map[string]func() any{}
-)
-
-// RegisterTimeline publishes a named time-series source (a TimeSeries
-// snapshot function), served on /debug/holistic/timeline.
-// Re-registering a name replaces the source.
-func RegisterTimeline(name string, fn func() any) {
-	tlMu.Lock()
-	tlSources[name] = fn
-	tlMu.Unlock()
-}
-
-// UnregisterTimeline removes a timeline source; unknown names are a
-// no-op.
-func UnregisterTimeline(name string) {
-	tlMu.Lock()
-	delete(tlSources, name)
-	tlMu.Unlock()
-}
-
-// SnapshotTimelines evaluates every registered timeline source by name.
-func SnapshotTimelines() map[string]any {
-	tlMu.Lock()
-	names := make([]string, 0, len(tlSources))
-	fns := make([]func() any, 0, len(tlSources))
-	for n, fn := range tlSources {
-		names = append(names, n)
-		fns = append(fns, fn)
-	}
-	tlMu.Unlock()
-	out := make(map[string]any, len(names))
-	for i, n := range names {
-		out[n] = fns[i]() // outside the lock: sources may take their own
-	}
-	return out
-}
-
-var (
-	promMu      sync.Mutex
-	promSources = map[string]func(*prom.Writer){}
-)
-
-// RegisterProm publishes a named Prometheus collector: a function that
-// streams its samples through the scrape's shared prom.Writer (which
-// deduplicates HELP/TYPE metadata across collectors). Served on
-// /metrics. Re-registering a name replaces the collector.
-func RegisterProm(name string, fn func(*prom.Writer)) {
-	promMu.Lock()
-	promSources[name] = fn
-	promMu.Unlock()
-}
-
-// UnregisterProm removes a collector; unknown names are a no-op.
-func UnregisterProm(name string) {
-	promMu.Lock()
-	delete(promSources, name)
-	promMu.Unlock()
-}
-
-// WriteProm runs every registered collector, in name order, against
-// one shared writer.
-func WriteProm(w *prom.Writer) {
-	promMu.Lock()
-	names := make([]string, 0, len(promSources))
-	for n := range promSources {
+// registered copies the registry in name order (stable for humans and
+// smoke tests). Callers run the functions outside the lock: they may
+// take locks of their own.
+func registered() (names []string, es []Entry) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	for n := range entries {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fns := make([]func(*prom.Writer), 0, len(names))
 	for _, n := range names {
-		fns = append(fns, promSources[n])
+		es = append(es, entries[n])
 	}
-	promMu.Unlock()
-	for _, fn := range fns {
-		fn(w) // outside the lock: collectors may take their own
-	}
+	return names, es
 }
 
-var (
-	readyMu     sync.Mutex
-	readyProbes = map[string]func() bool{}
-)
-
-// RegisterReadiness publishes a named readiness probe consulted by
-// /readyz: the endpoint reports ready only when every registered probe
-// returns true. Re-registering a name replaces the probe.
-func RegisterReadiness(name string, fn func() bool) {
-	readyMu.Lock()
-	readyProbes[name] = fn
-	readyMu.Unlock()
+// named is one store's element of a JSON endpoint's array:
+// {"name": ..., "<key>": <payload>}, in that order.
+type named struct {
+	name, key string
+	payload   any
 }
 
-// UnregisterReadiness removes a probe; unknown names are a no-op.
-func UnregisterReadiness(name string) {
-	readyMu.Lock()
-	delete(readyProbes, name)
-	readyMu.Unlock()
-}
-
-// notReady evaluates every probe and returns the names that failed.
-func notReady() []string {
-	readyMu.Lock()
-	names := make([]string, 0, len(readyProbes))
-	fns := make([]func() bool, 0, len(readyProbes))
-	for n, fn := range readyProbes {
-		names = append(names, n)
-		fns = append(fns, fn)
+func (n named) MarshalJSON() ([]byte, error) {
+	name, _ := json.Marshal(n.name)
+	payload, err := json.Marshal(n.payload)
+	if err != nil {
+		return nil, err
 	}
-	readyMu.Unlock()
-	var failed []string
-	for i, fn := range fns {
-		if !fn() {
-			failed = append(failed, names[i])
+	return fmt.Appendf(nil, `{"name":%s,%q:%s}`, name, n.key, payload), nil
+}
+
+// json returns the entry's snapshot function for one JSON endpoint,
+// named by the key its payload is served under.
+func (e Entry) json(key string) func() any {
+	return map[string]func() any{"metrics": e.Metrics, "flight": e.Flight, "timeline": e.Timeline}[key]
+}
+
+// snapshot evaluates one JSON endpoint over every entry that serves it.
+func snapshot(key string) []named {
+	names, es := registered()
+	out := make([]named, 0, len(names))
+	for i, e := range es {
+		if fn := e.json(key); fn != nil {
+			out = append(out, named{names[i], key, fn()})
 		}
 	}
-	sort.Strings(failed)
-	return failed
+	return out
 }
 
-// serveJSON writes the full source snapshot as indented JSON.
-func serveJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	snap := SnapshotSources()
-	// Stable top-level ordering for humans and smoke tests.
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ordered := make([]struct {
-		Name    string `json:"name"`
-		Metrics any    `json:"metrics"`
-	}, 0, len(names))
-	for _, n := range names {
-		ordered = append(ordered, struct {
-			Name    string `json:"name"`
-			Metrics any    `json:"metrics"`
-		}{n, snap[n]})
-	}
-	_ = enc.Encode(ordered)
+// The expvar bridge: one variable holding every store's metrics by name,
+// so the standard /debug/vars surface carries the holistic telemetry too.
+func init() {
+	expvar.Publish("holistic", expvar.Func(func() any {
+		out := make(map[string]any)
+		for _, n := range snapshot("metrics") {
+			out[n.name] = n.payload
+		}
+		return out
+	}))
 }
 
-// serveFlight writes the flight-recorder snapshot — per-store decoded
-// ring events and watchdog state — as indented JSON.
-func serveFlight(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	snap := SnapshotFlight()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
+// serveJSON is the one body of the three /debug/holistic* endpoints: one
+// snapshot of every store as an indented JSON array.
+func serveJSON(key string) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(snapshot(key))
 	}
-	sort.Strings(names)
-	ordered := make([]struct {
-		Name   string `json:"name"`
-		Flight any    `json:"flight"`
-	}, 0, len(names))
-	for _, n := range names {
-		ordered = append(ordered, struct {
-			Name   string `json:"name"`
-			Flight any    `json:"flight"`
-		}{n, snap[n]})
-	}
-	_ = enc.Encode(ordered)
 }
 
-// serveTimeline writes every registered time-series ring — per-store
-// deltified metric windows — as indented JSON.
-func serveTimeline(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	snap := SnapshotTimelines()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ordered := make([]struct {
-		Name     string `json:"name"`
-		Timeline any    `json:"timeline"`
-	}, 0, len(names))
-	for _, n := range names {
-		ordered = append(ordered, struct {
-			Name     string `json:"name"`
-			Timeline any    `json:"timeline"`
-		}{n, snap[n]})
-	}
-	_ = enc.Encode(ordered)
-}
-
-// serveProm streams the Prometheus text exposition (all registered
-// collectors through one metadata-deduplicating writer).
+// serveProm streams the Prometheus text exposition: every store's
+// collector, in name order, through one metadata-deduplicating writer.
 func serveProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", prom.ContentType)
-	WriteProm(prom.NewWriter(w))
+	pw := prom.NewWriter(w)
+	_, es := registered()
+	for _, e := range es {
+		if e.Prom != nil {
+			e.Prom(pw)
+		}
+	}
 }
 
 // serveHealthz is liveness: the process is up and serving.
@@ -312,7 +157,13 @@ func serveHealthz(w http.ResponseWriter, _ *http.Request) {
 // (recovery replayed, daemon started), 503 with the failing probe
 // names otherwise — the signal a load balancer keys traffic on.
 func serveReadyz(w http.ResponseWriter, _ *http.Request) {
-	failed := notReady()
+	names, es := registered()
+	var failed []string
+	for i, e := range es {
+		if e.Ready != nil && !e.Ready() {
+			failed = append(failed, names[i])
+		}
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	if len(failed) > 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -324,7 +175,7 @@ func serveReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Handler returns the debug mux: /debug/holistic (JSON snapshot of all
-// registered sources), /debug/holistic/flight (decoded flight-recorder
+// registered stores), /debug/holistic/flight (decoded flight-recorder
 // rings and watchdog state), /debug/holistic/timeline (per-store
 // deltified metric windows), /metrics (Prometheus text exposition),
 // /healthz and /readyz (liveness/readiness), /debug/vars (expvar,
@@ -332,9 +183,9 @@ func serveReadyz(w http.ResponseWriter, _ *http.Request) {
 // profiles).
 func Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/holistic", serveJSON)
-	mux.HandleFunc("/debug/holistic/flight", serveFlight)
-	mux.HandleFunc("/debug/holistic/timeline", serveTimeline)
+	mux.HandleFunc("/debug/holistic", serveJSON("metrics"))
+	mux.HandleFunc("/debug/holistic/flight", serveJSON("flight"))
+	mux.HandleFunc("/debug/holistic/timeline", serveJSON("timeline"))
 	mux.HandleFunc("/metrics", serveProm)
 	mux.HandleFunc("/healthz", serveHealthz)
 	mux.HandleFunc("/readyz", serveReadyz)

@@ -9,32 +9,47 @@ import (
 	"testing"
 )
 
-func TestSourceRegistry(t *testing.T) {
-	RegisterSource("test-src", func() any { return map[string]int{"x": 1} })
-	defer UnregisterSource("test-src")
-	snap := SnapshotSources()
-	if _, ok := snap["test-src"]; !ok {
-		t.Fatal("registered source missing from snapshot")
+// metricsOf evaluates the registry's metrics snapshot and returns the
+// payload registered under name.
+func metricsOf(name string) (any, bool) {
+	for _, n := range snapshot("metrics") {
+		if n.name == name {
+			return n.payload, true
+		}
 	}
-	RegisterSource("test-src", func() any { return map[string]int{"x": 2} })
-	snap = SnapshotSources()
-	if m, ok := snap["test-src"].(map[string]int); !ok || m["x"] != 2 {
-		t.Fatalf("re-registration did not replace source: %v", snap["test-src"])
+	return nil, false
+}
+
+func TestRegistry(t *testing.T) {
+	Register("test-src", Entry{Metrics: func() any { return map[string]int{"x": 1} }})
+	defer Unregister("test-src")
+	if _, ok := metricsOf("test-src"); !ok {
+		t.Fatal("registered entry missing from snapshot")
 	}
-	UnregisterSource("test-src")
-	if _, ok := SnapshotSources()["test-src"]; ok {
-		t.Fatal("unregistered source still present")
+	Register("test-src", Entry{Metrics: func() any { return map[string]int{"x": 2} }})
+	if v, _ := metricsOf("test-src"); v.(map[string]int)["x"] != 2 {
+		t.Fatalf("re-registration did not replace entry: %v", v)
 	}
-	UnregisterSource("never-registered") // must not panic
+	// One entry serves only the endpoints it has functions for.
+	for _, n := range snapshot("flight") {
+		if n.name == "test-src" {
+			t.Fatal("entry without a Flight function listed on the flight endpoint")
+		}
+	}
+	Unregister("test-src")
+	if _, ok := metricsOf("test-src"); ok {
+		t.Fatal("unregistered entry still present")
+	}
+	Unregister("never-registered") // must not panic
 }
 
 func TestHandlerHolisticEndpoint(t *testing.T) {
-	m := NewQueryMetrics()
+	m := new(QueryMetrics)
 	m.RecordOp(OpCount, 1500)
 	m.RecordRep(RepBitmap)
 	m.RecordStrategy(m.NextSeq(), StratJoinHash)
-	RegisterSource("test-store", func() any { return m.Snapshot() })
-	defer UnregisterSource("test-store")
+	Register("test-store", Entry{Metrics: func() any { return m.Snapshot() }})
+	defer Unregister("test-store")
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -109,10 +124,10 @@ func TestHandlerVarsAndPprof(t *testing.T) {
 }
 
 func TestHandlerFlightEndpoint(t *testing.T) {
-	RegisterFlight("test-store", func() any {
+	Register("test-store", Entry{Flight: func() any {
 		return map[string]any{"ring_capacity": 64, "events": []any{}}
-	})
-	defer UnregisterFlight("test-store")
+	}})
+	defer Unregister("test-store")
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -163,8 +178,8 @@ func TestHealthzReadyz(t *testing.T) {
 	}
 
 	ready := false
-	RegisterReadiness("test-store", func() bool { return ready })
-	defer UnregisterReadiness("test-store")
+	Register("test-store", Entry{Ready: func() bool { return ready }})
+	defer Unregister("test-store")
 
 	check := func(wantCode int, wantReady bool, wantFailed []string) {
 		t.Helper()
@@ -201,12 +216,12 @@ func TestHealthzReadyz(t *testing.T) {
 }
 
 func TestTimelineRingBound(t *testing.T) {
-	m := NewQueryMetrics()
+	m := new(QueryMetrics)
 	strats := []Strat{StratGroupDense, StratGroupHash, StratGroupSort}
 	for i := 0; i < 3*timelineCap; i++ {
 		m.RecordStrategy(uint64(i), strats[i%len(strats)])
 	}
-	tl := m.Timeline()
+	tl := m.Snapshot().Timeline
 	if len(tl) != timelineCap {
 		t.Fatalf("timeline holds %d events, want cap %d", len(tl), timelineCap)
 	}
@@ -216,7 +231,7 @@ func TestTimelineRingBound(t *testing.T) {
 		}
 	}
 	// Steady state: repeating the same strategy records nothing new.
-	before := len(m.Timeline())
+	before := len(m.Snapshot().Timeline)
 	last := tl[len(tl)-1]
 	var s Strat
 	switch last.Strategy {
@@ -228,7 +243,7 @@ func TestTimelineRingBound(t *testing.T) {
 		s = StratGroupSort
 	}
 	m.RecordStrategy(99999, s)
-	if got := len(m.Timeline()); got != before {
+	if got := len(m.Snapshot().Timeline); got != before {
 		t.Fatalf("repeat strategy grew timeline: %d -> %d", before, got)
 	}
 }

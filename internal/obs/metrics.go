@@ -71,10 +71,11 @@ func (t *timeline) snapshot() []TimelineEvent {
 	return out
 }
 
-// QueryMetrics aggregates one query runner's telemetry: per-op latency
+// QueryMetrics aggregates one store's query telemetry: per-op latency
 // histograms, representation and strategy counters and the strategy
-// timeline. All record methods are zero-allocation; one instance is
-// shared by every query of a Store.
+// timeline. All record methods are zero-allocation; the zero value is
+// ready to use (a few hundred KB of histogram buckets), and the store's
+// observer holds the one instance every query records into.
 type QueryMetrics struct {
 	seq    atomic.Uint64
 	lat    [NumOps]Histogram
@@ -82,10 +83,6 @@ type QueryMetrics struct {
 	strats [NumStrats]Counter
 	tl     timeline
 }
-
-// NewQueryMetrics allocates a metrics block (a few hundred KB of
-// histogram buckets; one per store).
-func NewQueryMetrics() *QueryMetrics { return &QueryMetrics{} }
 
 // NextSeq assigns the next query sequence number.
 //
@@ -139,9 +136,6 @@ func (m *QueryMetrics) MergedLatency(s *HistSnapshot) {
 		s.Merge(&one)
 	}
 }
-
-// Timeline returns the retained strategy transitions, oldest first.
-func (m *QueryMetrics) Timeline() []TimelineEvent { return m.tl.snapshot() }
 
 // QuerySnapshot is the JSON view of a QueryMetrics.
 type QuerySnapshot struct {

@@ -74,17 +74,6 @@ func (o Op) String() string {
 	}
 }
 
-// Trace kinds mirror the op names; QueryTrace.Kind uses them.
-const (
-	KindCount   = "count"
-	KindSum     = "sum"
-	KindMinMax  = "minmax"
-	KindRows    = "rows"
-	KindValues  = "values"
-	KindGrouped = "grouped"
-	KindJoin    = "join"
-)
-
 // Rep identifies the intermediate selection-vector representation a
 // conjunctive query executed with.
 type Rep uint8

@@ -13,7 +13,7 @@ import (
 )
 
 func fillTrace(tr *QueryTrace) {
-	tr.Seq, tr.Kind, tr.Mode, tr.Rows = 7, KindCount, "holistic", 1000
+	tr.Seq, tr.Kind, tr.Mode, tr.Rows = 7, OpCount.String(), "holistic", 1000
 	tr.Rep, tr.RepReason = "bitmap", "policy auto: estimated selectivity above crossover"
 	tr.BeginSide("")
 	tr.AddConjunct("a", 10, 20, 120, true)

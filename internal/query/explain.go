@@ -6,41 +6,20 @@
 package query
 
 import (
-	"time"
-
 	"holistic/internal/column"
 	"holistic/internal/groupby"
 	"holistic/internal/obs"
 )
 
-// explainRun executes body with a fresh caller-owned trace wired into
-// the pooled scratch, mirroring the begin/finish bracket without the
-// sink hand-off: the returned trace belongs to the caller and is never
+// explainRun executes body inside the same begin/finish bracket as the
+// terminals, with a fresh caller-owned trace forced on: the returned
+// trace belongs to the caller and is neither handed to the sink nor
 // recycled into the trace pool.
-func (r *Runner) explainRun(kind string, op obs.Op, body func(sc *scratch) (int64, error)) (*obs.QueryTrace, error) {
+func (r *Runner) explainRun(op obs.Op, body func(sc *scratch) (int64, error)) (*obs.QueryTrace, error) {
 	tr := obs.NewTrace()
-	sc := r.getScratch()
-	if r.met != nil {
-		sc.seq = r.met.NextSeq()
-	}
-	sc.trace = tr
-	tr.Seq = sc.seq
-	tr.Kind = kind
-	tr.Mode = r.exec.Label()
-	tr.Rows = r.table.Rows()
-	start := time.Now()
+	sc := r.begin(op, tr)
 	result, err := body(sc)
-	elapsed := time.Since(start).Nanoseconds()
-	if r.met != nil {
-		r.met.RecordOp(op, elapsed)
-	}
-	tr.Result = result
-	tr.TotalNanos = elapsed
-	if err != nil {
-		tr.Err = err.Error()
-	}
-	sc.trace = nil
-	r.putScratch(sc)
+	r.finish(sc, result, err)
 	if err == nil {
 		r.fillActual(tr, "")
 	}
@@ -77,7 +56,7 @@ func (r *Runner) fillActual(tr *obs.QueryTrace, side string) {
 // completed trace alongside the count.
 func (r *Runner) ExplainCount(preds []Predicate) (*obs.QueryTrace, int, error) {
 	var n int
-	tr, err := r.explainRun(obs.KindCount, obs.OpCount, func(sc *scratch) (int64, error) {
+	tr, err := r.explainRun(obs.OpCount, func(sc *scratch) (int64, error) {
 		var e error
 		n, e = r.countSC(sc, preds)
 		return int64(n), e
@@ -91,7 +70,7 @@ func (r *Runner) ExplainSum(attr string, preds []Predicate) (*obs.QueryTrace, in
 		return nil, 0, errf("query: unknown attribute %q", attr)
 	}
 	var s int64
-	tr, err := r.explainRun(obs.KindSum, obs.OpSum, func(sc *scratch) (int64, error) {
+	tr, err := r.explainRun(obs.OpSum, func(sc *scratch) (int64, error) {
 		var e error
 		s, e = r.sumSC(sc, attr, preds)
 		return s, e
@@ -105,7 +84,7 @@ func (r *Runner) ExplainGrouped(res *groupby.Result, keys []string, aggs []group
 	if err := r.checkGrouped(keys, aggs); err != nil {
 		return nil, err
 	}
-	return r.explainRun(obs.KindGrouped, obs.OpGrouped, func(sc *scratch) (int64, error) {
+	return r.explainRun(obs.OpGrouped, func(sc *scratch) (int64, error) {
 		if err := r.groupedSC(sc, res, keys, aggs, preds); err != nil {
 			return 0, err
 		}

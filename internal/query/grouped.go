@@ -74,13 +74,13 @@ func (r *Runner) GroupedInto(res *groupby.Result, keys []string, aggs []groupby.
 	if err := r.checkGrouped(keys, aggs); err != nil {
 		return err
 	}
-	sc, start := r.begin(obs.KindGrouped)
+	sc := r.begin(obs.OpGrouped, nil)
 	err := r.groupedSC(sc, res, keys, aggs, preds)
 	var emitted int64
 	if err == nil {
 		emitted = int64(res.Len())
 	}
-	r.finish(sc, obs.OpGrouped, start, emitted, err)
+	r.finish(sc, emitted, err)
 	return err
 }
 
@@ -112,15 +112,12 @@ func (r *Runner) checkGrouped(keys []string, aggs []groupby.Agg) error {
 }
 
 // noteStrategy records the executed physical strategy (grouping or
-// join) on the metrics aggregate and the trace.
+// join) with the observer and on the trace.
 //
 //holistic:noalloc
 func (r *Runner) noteStrategy(sc *scratch, s obs.Strat, reason string) {
-	if r.met != nil {
-		r.met.RecordStrategy(sc.seq, s)
-	}
-	r.fr.RecordStrategy(uint8(s), sc.seq, sc.fstat[0], sc.fstat[1])
-	if tr := sc.trace; tr != nil {
+	r.ob.Strategy(sc.sp.Seq, s, sc.fstat[0], sc.fstat[1])
+	if tr := sc.sp.Trace; tr != nil {
 		tr.Strategy = s.String()
 		tr.StrategyReason = reason
 	}
@@ -177,10 +174,8 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 		if err := r.selectUniverse(sc, sc.extras); err != nil {
 			return err
 		}
-		if r.met != nil {
-			r.met.RecordRep(obs.RepBitmap)
-		}
-		if tr := sc.trace; tr != nil {
+		r.ob.Rep(sc.sp.Seq, obs.RepBitmap, float64(sc.bm.Len()), 0)
+		if tr := sc.sp.Trace; tr != nil {
 			tr.Rep = "bitmap"
 			tr.RepReason = "no predicates: whole-relation universe selection"
 			tr.Scanned = int64(sc.bm.Count())
@@ -314,7 +309,7 @@ func (r *Runner) chooseSort(sc *scratch, spec *groupby.Spec, keys []string, forc
 	// strategy audit event regardless of tracing.
 	sc.fstat[0] = span
 	sc.fstat[1] = float64(sc.bm.Count())
-	if tr := sc.trace; tr != nil {
+	if tr := sc.sp.Trace; tr != nil {
 		tr.SetStat("key_order_span", span)
 		tr.SetStat("cluster_slots", float64(groupby.DefaultClusterSlots))
 		tr.SetStat("selected_rows", float64(sc.bm.Count()))
@@ -335,9 +330,9 @@ func (r *Runner) MinMax(attr string, preds []Predicate) (mn, mx int64, ok bool, 
 	if r.table.Column(attr) == nil {
 		return 0, 0, false, fmt.Errorf("query: unknown attribute %q", attr)
 	}
-	sc, start := r.begin(obs.KindMinMax)
+	sc := r.begin(obs.OpMinMax, nil)
 	mn, mx, ok, err = r.minMaxSC(sc, attr, preds)
-	r.finish(sc, obs.OpMinMax, start, 0, err)
+	r.finish(sc, 0, err)
 	return mn, mx, ok, err
 }
 
@@ -361,7 +356,7 @@ func (r *Runner) minMaxSC(sc *scratch, attr string, preds []Predicate) (mn, mx i
 	} else {
 		mn, mx, n = sc.views[attr].MinMaxRows(sc.sel)
 	}
-	if tr := sc.trace; tr != nil {
+	if tr := sc.sp.Trace; tr != nil {
 		tr.Emitted = int64(n)
 	}
 	return mn, mx, n > 0, nil

@@ -25,7 +25,6 @@ package query
 
 import (
 	"fmt"
-	"time"
 
 	"holistic/internal/groupby"
 	"holistic/internal/join"
@@ -270,77 +269,24 @@ func (j *Join) runInto(op join.Op, lExtra, rExtra []string, pairs *join.Pairs) (
 		return nil, nil, err
 	}
 
-	lsc = j.left.getScratch()
+	// One bracket, opened by the left runner's observer, spans both
+	// sides: the right side shares its sequence number and trace (the
+	// Explain preset or the left sink's), so its stages fill the same
+	// report.
+	lsc = j.left.begin(obs.OpJoin, j.trace)
 	rsc = j.right.getScratch()
-	start := j.beginJoin(lsc, rsc)
-	err = j.joinSC(op, lsc, rsc, lExtra, rExtra, pairs)
-	j.finishJoin(lsc, rsc, start, err)
-	return lsc, rsc, err
-}
-
-// beginJoin opens the instrumented join bracket: sequence number, start
-// timestamp and — from the Explain preset or the left runner's sink —
-// the trace both sides fill.
-//
-//holistic:noalloc
-func (j *Join) beginJoin(lsc, rsc *scratch) time.Time {
-	m := j.left.met
-	tr := j.trace // preset by the Explain path; caller-owned
-	if m != nil {
-		lsc.seq = m.NextSeq()
-		rsc.seq = lsc.seq
-		if tr == nil {
-			if box := j.left.sink.Load(); box != nil {
-				tr = obs.GetTrace()
-			}
-		}
-	}
-	if tr != nil {
-		tr.Seq = lsc.seq
-		tr.Kind = obs.KindJoin
-		tr.Mode = j.left.exec.Label()
-		tr.Rows = j.left.table.Rows()
+	rsc.sp = lsc.sp
+	if tr := lsc.sp.Trace; tr != nil {
 		tr.RowsRight = j.right.table.Rows()
-		lsc.trace = tr
-		rsc.trace = tr
 	}
-	if m == nil && tr == nil {
-		return time.Time{}
+	err = j.joinSC(op, lsc, rsc, lExtra, rExtra, pairs)
+	if tr := lsc.sp.Trace; tr != nil {
+		tr.Emitted = j.count
 	}
-	return time.Now()
-}
-
-// finishJoin closes the bracket: op latency, trace emission, recycling.
-//
-//holistic:noalloc
-func (j *Join) finishJoin(lsc, rsc *scratch, start time.Time, err error) {
-	m := j.left.met
-	tr := lsc.trace
-	lsc.trace, rsc.trace = nil, nil
-	if m == nil && tr == nil {
-		return
-	}
-	elapsed := time.Since(start).Nanoseconds()
-	if m != nil {
-		m.RecordOp(obs.OpJoin, elapsed)
-	}
-	j.left.fr.RecordQuery(uint8(obs.OpJoin), lsc.seq, elapsed, lsc.driveNs+rsc.driveNs, lsc.refineNs+rsc.refineNs, j.count)
-	if tr == nil {
-		return
-	}
-	tr.Result = j.count
-	tr.Emitted = j.count
-	tr.TotalNanos = elapsed
-	if err != nil {
-		tr.Err = err.Error()
-	}
-	if j.trace != nil {
-		return // Explain owns the trace: neither emitted nor recycled
-	}
-	if box := j.left.sink.Load(); box != nil {
-		box.s.Emit(tr)
-	}
-	obs.PutTrace(tr)
+	sp := lsc.sp
+	lsc.sp.Trace, rsc.sp.Trace = nil, nil // End emits and recycles it, or it is the caller's
+	j.left.ob.End(sp, lsc.driveNs+rsc.driveNs, lsc.refineNs+rsc.refineNs, j.count, err)
+	return lsc, rsc, err
 }
 
 // joinSC is the join body between begin/finish: per-side selection,
@@ -348,7 +294,7 @@ func (j *Join) finishJoin(lsc, rsc *scratch, start time.Time, err error) {
 //
 //holistic:noalloc
 func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pairs *join.Pairs) error {
-	if tr := lsc.trace; tr != nil {
+	if tr := lsc.sp.Trace; tr != nil {
 		tr.BeginSide("left")
 	}
 	lLive, err := selectSide(j.left, lsc, j.leftPreds, j.leftAttr, lExtra)
@@ -360,7 +306,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		// side's selection pass entirely.
 		return nil
 	}
-	if tr := rsc.trace; tr != nil {
+	if tr := rsc.sp.Trace; tr != nil {
 		tr.BeginSide("right")
 	}
 	rLive, err := selectSide(j.right, rsc, j.rightPreds, j.rightAttr, rExtra)
@@ -510,7 +456,7 @@ func (j *Join) chooseMerge(lsc, rsc *scratch) bool {
 	if rOK {
 		lsc.fstat[1] = rSpan
 	}
-	if tr := lsc.trace; tr != nil {
+	if tr := lsc.sp.Trace; tr != nil {
 		if lOK {
 			tr.SetStat("left_key_order_span", lSpan)
 		}

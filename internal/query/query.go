@@ -60,8 +60,7 @@ import (
 	"holistic/internal/engine"
 	"holistic/internal/groupby"
 	"holistic/internal/obs"
-	"holistic/internal/obs/econ"
-	"holistic/internal/obs/flight"
+	"holistic/internal/obs/observer"
 )
 
 // Predicate is one range conjunct: lo <= attr < hi.
@@ -115,29 +114,15 @@ type Runner struct {
 	// allocate.
 	scratchPool sync.Pool
 
-	// met aggregates per-op latency, representation and strategy
-	// telemetry; nil leaves every terminal uninstrumented. Attach before
-	// the first query.
-	met *obs.QueryMetrics
-	// fr is the flight recorder every terminal and physical-choice site
-	// records into; nil disables flight recording (the Record methods
-	// are nil-safe, so the hot paths call through unconditionally).
-	fr *flight.Recorder
-	// ec is the refinement-economics recorder: predicate admissions
-	// charge the access heatmaps and the driving select's stage latency
-	// feeds the per-index benefit stream. Nil disables (the Note
-	// methods are nil-safe).
-	ec *econ.Econ
-	// sink receives one pooled QueryTrace per terminal when attached
-	// (boxed so swapping the interface is one atomic pointer store).
-	sink atomic.Pointer[sinkBox]
+	// ob is the store's observer: every terminal's bracket, every
+	// representation and strategy choice and every admitted predicate
+	// goes to it, one call per site. nil leaves the runner uninstrumented
+	// (the calls are nil-safe). Attach before the first query.
+	ob *observer.Observer
 
 	mu      sync.Mutex
 	domains map[string][2]int64 // cached base-column min/max per attribute
 }
-
-// sinkBox wraps the sink interface value for atomic.Pointer.
-type sinkBox struct{ s obs.TraceSink }
 
 // New builds a runner; threads bounds the parallelism of probe and
 // fetch kernels.
@@ -158,33 +143,10 @@ func (r *Runner) SetRepPolicy(p RepPolicy) { r.policy.Store(int32(p)) }
 // to call concurrently with queries.
 func (r *Runner) SetBitmapCrossover(sel float64) { r.crossover.Store(math.Float64bits(sel)) }
 
-// SetMetrics attaches the telemetry aggregate every terminal records
-// into (nil detaches). Attach before running queries; the recording
-// paths themselves are zero-allocation.
-func (r *Runner) SetMetrics(m *obs.QueryMetrics) { r.met = m }
-
-// Metrics returns the attached telemetry aggregate, or nil.
-func (r *Runner) Metrics() *obs.QueryMetrics { return r.met }
-
-// SetFlight attaches the flight recorder the terminals, representation
-// and strategy choices record audit events into (nil detaches). Attach
-// before running queries, like SetMetrics.
-func (r *Runner) SetFlight(fr *flight.Recorder) { r.fr = fr }
-
-// SetEcon attaches the refinement-economics recorder predicate spans
-// and drive latencies are charged to (nil detaches). Attach before
-// running queries, like SetMetrics.
-func (r *Runner) SetEcon(e *econ.Econ) { r.ec = e }
-
-// SetTraceSink streams one execution trace per terminal into s (nil
-// stops tracing). Safe to swap concurrently with queries.
-func (r *Runner) SetTraceSink(s obs.TraceSink) {
-	if s == nil {
-		r.sink.Store(nil)
-		return
-	}
-	r.sink.Store(&sinkBox{s: s})
-}
+// SetObserver attaches the observer every terminal records into (nil
+// detaches). Attach before running queries; the recording paths
+// themselves are zero-allocation.
+func (r *Runner) SetObserver(ob *observer.Observer) { r.ob = ob }
 
 // ErrNoPredicates is returned by query forms invoked without a single
 // Where clause.
@@ -213,14 +175,13 @@ type scratch struct {
 	jkeys []int64
 	jrows column.PosList
 	jvals []int64
-	// Telemetry: the query sequence number and — when a sink is
-	// attached or an Explain runs — the trace the stages fill.
-	seq   uint64
-	trace *obs.QueryTrace
-	// Flight-recorder telemetry: stage durations (timed when a trace or
-	// a flight recorder is attached) and the two statistics behind the
-	// last physical-strategy choice (key-order spans; always set by the
-	// choosers so the strategy audit event carries its inputs).
+	// Telemetry: the open observer bracket (sequence number, start and —
+	// when a sink is attached or an Explain runs — the trace the stages
+	// fill), the stage durations (timed when observed or traced) and the
+	// two statistics behind the last physical-strategy choice (key-order
+	// spans; always set by the choosers so the strategy audit event
+	// carries its inputs).
+	sp                observer.Span
 	driveNs, refineNs int64
 	fstat             [2]float64
 }
@@ -249,62 +210,33 @@ func (r *Runner) putScratch(sc *scratch) {
 	sc.jkeys = sc.jkeys[:0]
 	sc.jrows = sc.jrows[:0]
 	sc.jvals = sc.jvals[:0]
-	sc.seq = 0
-	sc.trace = nil
+	sc.sp = observer.Span{}
 	sc.driveNs, sc.refineNs = 0, 0
 	sc.fstat[0], sc.fstat[1] = 0, 0
 	r.scratchPool.Put(sc)
 }
 
-// begin opens one instrumented terminal: pooled scratch, the start
-// timestamp (zero when uninstrumented) and — when a trace sink is
-// attached — a pooled trace the stages fill. Explicit begin/finish
-// pairs, not deferred closures: the bracket must not allocate.
+// begin opens one terminal: pooled scratch holding the observer's open
+// bracket. own is the Explain path's caller-owned trace, nil otherwise.
 //
 //holistic:noalloc
-func (r *Runner) begin(kind string) (*scratch, time.Time) {
+func (r *Runner) begin(op obs.Op, own *obs.QueryTrace) *scratch {
 	sc := r.getScratch()
-	if r.met == nil {
-		return sc, time.Time{}
-	}
-	sc.seq = r.met.NextSeq()
-	if box := r.sink.Load(); box != nil {
-		tr := obs.GetTrace()
-		tr.Seq = sc.seq
-		tr.Kind = kind
+	sc.sp = r.ob.Begin(op, own)
+	if tr := sc.sp.Trace; tr != nil {
 		tr.Mode = r.exec.Label()
 		tr.Rows = r.table.Rows()
-		sc.trace = tr
 	}
-	return sc, time.Now()
+	return sc
 }
 
-// finish closes a begin bracket: records the op latency, emits and
-// recycles the trace, returns the scratch.
+// finish closes a begin bracket — the observer records the op latency
+// and the query event, emits and recycles the trace — and returns the
+// scratch.
 //
 //holistic:noalloc
-func (r *Runner) finish(sc *scratch, op obs.Op, start time.Time, result int64, err error) {
-	if r.met == nil {
-		r.putScratch(sc)
-		return
-	}
-	elapsed := time.Since(start).Nanoseconds()
-	r.met.RecordOp(op, elapsed)
-	r.fr.RecordQuery(uint8(op), sc.seq, elapsed, sc.driveNs, sc.refineNs, result)
-	if tr := sc.trace; tr != nil {
-		tr.Result = result
-		tr.TotalNanos = elapsed
-		if err != nil {
-			tr.Err = err.Error()
-		}
-		if box := r.sink.Load(); box != nil {
-			box.s.Emit(tr)
-		}
-		// Recycle through the field: sc.trace is how the pool
-		// discipline knows scratch-attached traces reach PutTrace.
-		obs.PutTrace(sc.trace)
-		sc.trace = nil
-	}
+func (r *Runner) finish(sc *scratch, result int64, err error) {
+	r.ob.End(sc.sp, sc.driveNs, sc.refineNs, result, err)
 	r.putScratch(sc)
 }
 
@@ -420,17 +352,17 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 	}
 	sc.ests = ests
 	sortByEstimate(sc.preds, sc.ests)
-	if tr := sc.trace; tr != nil {
+	if tr := sc.sp.Trace; tr != nil {
 		for i, p := range sc.preds {
 			tr.AddConjunct(p.Attr, p.Lo, p.Hi, sc.ests[i], i == 0)
 		}
 	}
-	if r.ec != nil {
+	if r.ob != nil {
 		// Predicate admission charges the access heatmaps, every
 		// conjunct's span once.
 		for _, p := range sc.preds {
 			dLo, dHi := r.domain(p.Attr)
-			r.ec.NotePredicate(p.Attr, p.Lo, p.Hi, dLo, dHi)
+			r.ob.Predicate(p.Attr, p.Lo, p.Hi, dLo, dHi)
 		}
 	}
 	return false, nil
@@ -493,12 +425,9 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 	if useBitmap {
 		repKind = obs.RepBitmap
 	}
-	if r.met != nil {
-		r.met.RecordRep(repKind)
-	}
-	r.fr.RecordRep(uint8(repKind), sc.seq, int64(sc.ests[0]), int64(len(sc.preds)))
-	tr := sc.trace
-	timed := tr != nil || r.fr != nil || r.ec != nil
+	r.ob.Rep(sc.sp.Seq, repKind, sc.ests[0], len(sc.preds))
+	tr := sc.sp.Trace
+	timed := tr != nil || r.ob != nil
 	var t0 time.Time
 	if tr != nil {
 		if useBitmap {
@@ -524,11 +453,9 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 		sc.sel = rows // SelectRows results are caller-owned: refine in place
 	}
 	if timed {
+		// The ledger's drive credit is the executor's to give (its
+		// epilogue sees every door); this split feeds the query event.
 		sc.driveNs = time.Since(t0).Nanoseconds()
-		// The benefit stream: this drive's latency lands in the index's
-		// current convergence bucket, where the ledger's estimator
-		// compares it against the unrefined baseline.
-		r.ec.NoteDrive(drive.Attr, sc.driveNs)
 	}
 	if tr != nil {
 		if useBitmap {
@@ -614,9 +541,9 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 //
 //holistic:noalloc
 func (r *Runner) Count(preds []Predicate) (int, error) {
-	sc, start := r.begin(obs.KindCount)
+	sc := r.begin(obs.OpCount, nil)
 	n, err := r.countSC(sc, preds)
-	r.finish(sc, obs.OpCount, start, int64(n), err)
+	r.finish(sc, int64(n), err)
 	return n, err
 }
 
@@ -642,7 +569,7 @@ func (r *Runner) countSC(sc *scratch, preds []Predicate) (int, error) {
 	} else {
 		n = len(sc.sel)
 	}
-	if tr := sc.trace; tr != nil {
+	if tr := sc.sp.Trace; tr != nil {
 		tr.Emitted = int64(n)
 	}
 	return n, nil
@@ -653,15 +580,12 @@ func (r *Runner) countSC(sc *scratch, preds []Predicate) (int, error) {
 //
 //holistic:noalloc
 func (r *Runner) noteNativeRep(sc *scratch, reason string) {
-	if r.met != nil {
-		r.met.RecordRep(obs.RepNative)
-	}
-	est := int64(0)
+	est := 0.0
 	if len(sc.ests) > 0 {
-		est = int64(sc.ests[0])
+		est = sc.ests[0]
 	}
-	r.fr.RecordRep(uint8(obs.RepNative), sc.seq, est, int64(len(sc.preds)))
-	if tr := sc.trace; tr != nil {
+	r.ob.Rep(sc.sp.Seq, obs.RepNative, est, len(sc.preds))
+	if tr := sc.sp.Trace; tr != nil {
 		tr.Rep = "native"
 		tr.RepReason = reason
 	}
@@ -671,7 +595,7 @@ func (r *Runner) noteNativeRep(sc *scratch, reason string) {
 //
 //holistic:noalloc
 func (r *Runner) noteNativeResult(sc *scratch, n int64, err error) {
-	if tr := sc.trace; tr != nil && err == nil {
+	if tr := sc.sp.Trace; tr != nil && err == nil {
 		tr.SetCum(0, n)
 		tr.Scanned, tr.Emitted = n, n
 	}
@@ -687,9 +611,9 @@ func (r *Runner) Sum(attr string, preds []Predicate) (int64, error) {
 	if r.table.Column(attr) == nil {
 		return 0, errf("query: unknown attribute %q", attr)
 	}
-	sc, start := r.begin(obs.KindSum)
+	sc := r.begin(obs.OpSum, nil)
 	s, err := r.sumSC(sc, attr, preds)
-	r.finish(sc, obs.OpSum, start, s, err)
+	r.finish(sc, s, err)
 	return s, err
 }
 
@@ -708,7 +632,7 @@ func (r *Runner) sumSC(sc *scratch, attr string, preds []Predicate) (int64, erro
 	if err != nil {
 		return 0, err
 	}
-	if tr := sc.trace; tr != nil {
+	if tr := sc.sp.Trace; tr != nil {
 		if useBm {
 			tr.Emitted = int64(sc.bm.Count())
 		} else {
@@ -725,9 +649,9 @@ func (r *Runner) sumSC(sc *scratch, attr string, preds []Predicate) (int64, erro
 // Bitmap intermediates iterate in ascending position order, so the sort
 // disappears on the dense path.
 func (r *Runner) Rows(preds []Predicate) ([]uint32, error) {
-	sc, start := r.begin(obs.KindRows)
+	sc := r.begin(obs.OpRows, nil)
 	rows, err := r.rowsSC(sc, preds)
-	r.finish(sc, obs.OpRows, start, int64(len(rows)), err)
+	r.finish(sc, int64(len(rows)), err)
 	return rows, err
 }
 
@@ -757,7 +681,7 @@ func (r *Runner) rowsSC(sc *scratch, preds []Predicate) ([]uint32, error) {
 		out = append([]uint32(nil), sc.sel...)
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	}
-	if tr := sc.trace; tr != nil {
+	if tr := sc.sp.Trace; tr != nil {
 		tr.Emitted = int64(len(out))
 	}
 	return out, nil
@@ -776,13 +700,13 @@ func (r *Runner) Values(attrs []string, preds []Predicate) ([][]int64, error) {
 			return nil, fmt.Errorf("query: unknown attribute %q", a)
 		}
 	}
-	sc, start := r.begin(obs.KindValues)
+	sc := r.begin(obs.OpValues, nil)
 	out, err := r.valuesSC(sc, attrs, preds)
 	var emitted int64
 	if len(out) > 0 {
 		emitted = int64(len(out[0]))
 	}
-	r.finish(sc, obs.OpValues, start, emitted, err)
+	r.finish(sc, emitted, err)
 	return out, err
 }
 

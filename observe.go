@@ -209,22 +209,22 @@ func (s *Store) SetTraceJSONLFile(path string, maxBytes int64) error {
 	return nil
 }
 
-// setTraceSink swaps the runner's trace sink, flushing and closing any
+// setTraceSink swaps the observer's trace sink, flushing and closing any
 // sink the store previously owned.
 func (s *Store) setTraceSink(sink *obs.JSONLSink) error {
-	r, err := s.runner()
-	if err != nil {
-		return err
-	}
-	if sink == nil {
-		r.SetTraceSink(nil)
-	} else {
-		r.SetTraceSink(sink)
-	}
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
 	old := s.traceSink
 	s.traceSink = sink
 	s.mu.Unlock()
+	if sink == nil {
+		s.ob.TraceTo(nil) // a nil *JSONLSink must not become a non-nil interface
+	} else {
+		s.ob.TraceTo(sink)
+	}
 	if old != nil {
 		_ = old.Close()
 	}
@@ -256,16 +256,21 @@ type Metrics struct {
 	// last recovery found and replayed.
 	Recovery *obs.DurableSnapshot `json:"recovery,omitempty"`
 	// Flight reports the flight recorder and its watchdog: ring
-	// occupancy, rolling baselines, anomaly counts (DESIGN.md §11).
+	// occupancy, rolling baselines, anomaly counts (DESIGN.md §9).
 	Flight *FlightStatus `json:"flight,omitempty"`
 	// Economics reports the refinement cost-benefit ledger — per-index
 	// daemon time invested versus estimated drive-latency savings — and
-	// the key-range access/refine heatmaps (DESIGN.md §12).
+	// the key-range access/refine heatmaps (DESIGN.md §9).
 	Economics *econ.Snapshot `json:"economics,omitempty"`
 	// Trace reports the JSONL trace sink attached via SetTraceJSONL /
 	// SetTraceJSONLFile: lines and bytes written, write errors (which
 	// would otherwise drop silently), and file rotations.
 	Trace *obs.TraceSinkStatus `json:"trace,omitempty"`
+
+	// The raw latency buckets behind Query.Latency (all operations
+	// merged) and Exec.SelectLatency: the Prometheus collector renders
+	// its histograms from the same snapshot the JSON digests come from.
+	queryLatency, selectLatency obs.HistSnapshot
 }
 
 // Metrics returns the store's telemetry snapshot. Like Stats it is a
@@ -279,19 +284,28 @@ func (s *Store) Metrics() Metrics {
 	sink := s.traceSink
 	s.mu.Unlock()
 	m := Metrics{
-		Mode:  s.cfg.Mode.String(),
-		Rows:  rows,
-		Query: s.met.Snapshot(),
-		Exec:  s.execMet.Snapshot(),
+		Mode:      s.cfg.Mode.String(),
+		Rows:      rows,
+		Query:     s.ob.Query.Snapshot(),
+		Exec:      s.ob.Exec.Snapshot(),
+		Economics: s.ob.Econ.Snapshot(),
 	}
+	s.ob.Query.MergedLatency(&m.queryLatency)
+	s.ob.Exec.SelectLatency.Snapshot(&m.selectLatency)
 	if d := daemonOf(exec); d != nil {
 		m.Daemon = d.Convergence()
 	}
 	if s.dur != nil {
 		m.Recovery = s.dur.snapshotMetrics()
 	}
-	m.Flight = s.flightStatus()
-	m.Economics = s.ec.Snapshot()
+	if fr := s.ob.Flight; fr != nil {
+		m.Flight = &FlightStatus{
+			EventsRecorded: fr.Head(),
+			RingCapacity:   fr.Cap(),
+			DumpKeep:       flightDumpKeep,
+			Watchdog:       s.ob.Watchdog.State(),
+		}
+	}
 	if sink != nil {
 		st := sink.Snapshot()
 		m.Trace = &st

@@ -197,3 +197,52 @@ func TestSetTraceJSONL(t *testing.T) {
 		t.Fatalf("got %d trace lines, want %d", lines, q)
 	}
 }
+
+// TestTraceBeforeColumnsAndThroughRangeDoors: attaching the trace stream
+// builds nothing — columns can still be added afterwards (it used to
+// build the executor as a side effect, after which AddIntColumn
+// refused) — and the single-predicate range doors emit traces like
+// every other door.
+func TestTraceBeforeColumnsAndThroughRangeDoors(t *testing.T) {
+	s := holistic.NewStore(holistic.Config{Mode: holistic.ModeAdaptive})
+	defer s.Close()
+	var buf bytes.Buffer
+	if err := s.SetTraceJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddIntColumn("a", []int64{5, 3, 9, 1, 7}); err != nil {
+		t.Fatalf("AddIntColumn after SetTraceJSONL: %v", err)
+	}
+	if _, err := s.CountRange("a", 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SumRange("a", 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetTraceJSONL(nil); err != nil { // flushes
+		t.Fatal(err)
+	}
+	var kinds []string
+	scan := bufio.NewScanner(&buf)
+	for scan.Scan() {
+		var tr struct {
+			Kind   string `json:"kind"`
+			Mode   string `json:"mode"`
+			Rows   int    `json:"rows"`
+			Result int64  `json:"result"`
+		}
+		if err := json.Unmarshal(scan.Bytes(), &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Mode == "" || tr.Rows != 5 {
+			t.Errorf("trace header incomplete: %s", scan.Text())
+		}
+		kinds = append(kinds, tr.Kind)
+		if tr.Kind == "sum" && tr.Result != 3+5+7 {
+			t.Errorf("sum trace result = %d, want 15", tr.Result)
+		}
+	}
+	if strings.Join(kinds, ",") != "count,sum" {
+		t.Errorf("trace kinds = %v, want [count sum]", kinds)
+	}
+}

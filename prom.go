@@ -1,6 +1,6 @@
-// The store's Prometheus collector (DESIGN.md §12): every Store
-// registers itself on the shared /metrics exposition at creation and
-// streams its counters, latency histograms, daemon convergence,
+// The store's Prometheus collector (DESIGN.md §9): every Store's
+// registry entry carries it, and each scrape of the shared /metrics
+// exposition renders one Store.Metrics snapshot through it — counters, latency histograms, daemon convergence,
 // refinement economics and heatmaps through the scrape's shared
 // prom.Writer. Naming follows the Prometheus conventions adapted to
 // this codebase's units: histograms and invested/saved series carry an
@@ -22,31 +22,25 @@ import (
 	"holistic/internal/obs/prom"
 )
 
-// promCollect streams the store's samples into one scrape. Cold path;
-// allocates freely.
+// promCollect streams the store's samples into one scrape, all of them
+// read off one Metrics snapshot. Cold path; allocates freely.
 func (s *Store) promCollect(w *prom.Writer) {
 	store := []prom.Label{prom.L("store", s.obsName)}
-	s.mu.Lock()
-	exec := s.exec
-	rows := s.table.Rows()
-	s.mu.Unlock()
+	m := s.Metrics()
+	qs := m.Query
 
 	w.Meta("holistic_rows", "Relation row count.", "gauge")
-	w.IntSample("holistic_rows", store, int64(rows))
+	w.IntSample("holistic_rows", store, int64(m.Rows))
 	w.Meta("holistic_queries_total", "Sequenced query executions.", "counter")
-	w.IntSample("holistic_queries_total", store, int64(s.met.Seq()))
+	w.IntSample("holistic_queries_total", store, int64(qs.Queries))
 
 	// Latency histograms: the merged all-operations distribution and the
 	// executor's single-attribute select distribution, in nanoseconds.
-	var merged, sel obs.HistSnapshot
-	s.met.MergedLatency(&merged)
-	s.execMet.SelectLatency.Snapshot(&sel)
 	writePromHist(w, "holistic_query_latency_ns",
-		"Latency of query operations across all terminals, nanoseconds.", store, &merged)
+		"Latency of query operations across all terminals, nanoseconds.", store, &m.queryLatency)
 	writePromHist(w, "holistic_select_latency_ns",
-		"Latency of single-attribute select operations, nanoseconds.", store, &sel)
+		"Latency of single-attribute select operations, nanoseconds.", store, &m.selectLatency)
 
-	qs := s.met.Snapshot()
 	w.Meta("holistic_op_p99_us", "Per-operation p99 latency, microseconds.", "gauge")
 	for _, op := range sortedKeys(qs.Latency) {
 		w.Sample("holistic_op_p99_us", append(store, prom.L("op", op)), qs.Latency[op].P99US)
@@ -63,23 +57,23 @@ func (s *Store) promCollect(w *prom.Writer) {
 	}
 
 	w.Meta("holistic_selects_total", "Single-attribute select operations.", "counter")
-	w.IntSample("holistic_selects_total", store, s.execMet.Selects.Load())
+	w.IntSample("holistic_selects_total", store, m.Exec.Selects)
 	w.Meta("holistic_cracker_builds_total", "Index structures created on first touch.", "counter")
-	w.IntSample("holistic_cracker_builds_total", store, s.execMet.CrackerBuilds.Load())
+	w.IntSample("holistic_cracker_builds_total", store, m.Exec.CrackerBuilds)
 	w.Meta("holistic_merged_updates_total", "Pending updates merged on the query path.", "counter")
-	w.IntSample("holistic_merged_updates_total", store, s.execMet.MergedUpdates.Load())
+	w.IntSample("holistic_merged_updates_total", store, m.Exec.MergedUpdates)
 	w.Meta("holistic_key_order_walks_total", "Full key-ordered index walks.", "counter")
-	w.IntSample("holistic_key_order_walks_total", store, s.execMet.KeyOrderWalks.Load())
+	w.IntSample("holistic_key_order_walks_total", store, m.Exec.KeyOrderWalks)
 
-	if d := daemonOf(exec); d != nil {
-		s.promDaemon(w, store, d)
+	if m.Daemon != nil {
+		promDaemon(w, store, m.Daemon)
 	}
-	s.promEconomics(w, store)
+	promEconomics(w, store, m.Economics)
 
-	if s.flight != nil {
+	if m.Flight != nil {
 		w.Meta("holistic_flight_events_total", "Flight-recorder events recorded.", "counter")
-		w.IntSample("holistic_flight_events_total", store, int64(s.flight.Head()))
-		wd := s.wd.State()
+		w.IntSample("holistic_flight_events_total", store, int64(m.Flight.EventsRecorded))
+		wd := m.Flight.Watchdog
 		w.Meta("holistic_flight_anomalies_total", "Watchdog anomalies detected.", "counter")
 		w.IntSample("holistic_flight_anomalies_total", store, wd.Anomalies)
 		w.Meta("holistic_flight_dumps_total", "Flight dumps written.", "counter")
@@ -91,11 +85,7 @@ func (s *Store) promCollect(w *prom.Writer) {
 }
 
 // promDaemon streams the background daemon's convergence state.
-func (s *Store) promDaemon(w *prom.Writer, store []prom.Label, d *holistic.Daemon) {
-	conv := d.Convergence()
-	if conv == nil {
-		return
-	}
+func promDaemon(w *prom.Writer, store []prom.Label, conv *holistic.Convergence) {
 	w.Meta("holistic_convergence_ratio",
 		"Mean per-index refinement progress, 1.0 = whole index space optimal.", "gauge")
 	w.Sample("holistic_convergence_ratio", store, conv.Ratio)
@@ -121,11 +111,7 @@ func (s *Store) promDaemon(w *prom.Writer, store []prom.Label, d *holistic.Daemo
 
 // promEconomics streams the refinement cost-benefit ledger and the
 // key-range heatmaps.
-func (s *Store) promEconomics(w *prom.Writer, store []prom.Label) {
-	es := s.ec.Snapshot()
-	if es == nil {
-		return
-	}
+func promEconomics(w *prom.Writer, store []prom.Label, es *econ.Snapshot) {
 	w.Meta("holistic_refine_invested_ns",
 		"Daemon nanoseconds invested refining each index.", "counter")
 	w.Meta("holistic_refine_saved_ns",
