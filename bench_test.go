@@ -14,11 +14,13 @@
 package holistic_test
 
 import (
+	"math/rand"
 	"os"
 	"sync"
 	"testing"
 	"time"
 
+	"holistic"
 	"holistic/internal/bench"
 )
 
@@ -131,3 +133,36 @@ func BenchmarkJoinWorkload(b *testing.B) { runExperiment(b, "join") }
 func BenchmarkAblationPivotChoice(b *testing.B) { runExperiment(b, "ablation-pivot") }
 func BenchmarkAblationLatchPolicy(b *testing.B) { runExperiment(b, "ablation-latch") }
 func BenchmarkAblationL1Threshold(b *testing.B) { runExperiment(b, "ablation-l1") }
+
+// BenchmarkCountRangeExactHit times a range door on a converged column:
+// the bounds are piece boundaries already, so the call is the door's own
+// cost — latches, the observer's bracket, the access heatmap's span.
+func BenchmarkCountRangeExactHit(b *testing.B) {
+	const n, domain = 1 << 16, 1 << 30
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(domain)
+	}
+	s := holistic.NewStore(holistic.Config{Mode: holistic.ModeAdaptive, Threads: 1, Seed: 1})
+	defer s.Close()
+	if err := s.AddIntColumn("a", vals); err != nil {
+		b.Fatal(err)
+	}
+	ranges := make([][2]int64, 256)
+	for i := range ranges {
+		lo := rng.Int63n(domain)
+		ranges[i] = [2]int64{lo, lo + rng.Int63n(domain-lo) + 1}
+		if _, err := s.CountRange("a", ranges[i][0], ranges[i][1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := ranges[i%len(ranges)]
+		if _, err := s.CountRange("a", r[0], r[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -175,13 +175,13 @@ func (x *Index) SelectCount(lo, hi int64) int {
 }
 
 // SelectSegments cracks every chunk in parallel on [lo, hi), then streams
-// the qualifying values and their chunk-local rowids (nil when the chunks
-// carry none) to fn on the calling goroutine, chunk by chunk, one stable
+// the qualifying tuples — values, and chunk-local rowids when the chunks
+// carry them — to fn on the calling goroutine, chunk by chunk, one stable
 // segment at a time: a row's base position is off plus its rowid, and
 // total is the number of qualifying values over all chunks. fn must not
-// retain the slices. Unlike SelectCount it consolidates nothing — the
+// retain the segment. Unlike SelectCount it consolidates nothing — the
 // consumer reads the chunks' own pieces.
-func (x *Index) SelectSegments(lo, hi int64, fn func(total int, off uint32, vals []int64, rows []uint32)) {
+func (x *Index) SelectSegments(lo, hi int64, fn func(total int, off uint32, s cracking.Segment)) {
 	ranges := x.forEachChunk(lo, hi, func(_ int, c *cracking.Column) cracking.Range {
 		return c.SelectRange(lo, hi)
 	})
@@ -191,8 +191,8 @@ func (x *Index) SelectSegments(lo, hi int64, fn func(total int, off uint32, vals
 	}
 	for i, c := range x.chunks {
 		off := uint32(x.offsets[i])
-		c.ForEachSegment(ranges[i].Start, ranges[i].End, func(vals []int64, rows []uint32) {
-			fn(total, off, vals, rows)
+		c.ForEachSegment(ranges[i].Start, ranges[i].End, func(s cracking.Segment) {
+			fn(total, off, s)
 		})
 	}
 }
@@ -217,16 +217,14 @@ func (x *Index) consolidate(lo, hi int64, ranges []cracking.Range, total int) {
 	x.mu.Unlock()
 	// Each consolidation owns its buffer: concurrent queries consolidate
 	// distinct value ranges simultaneously.
-	buf := make([]int64, total)
-
-	off := 0
+	buf := make([]int64, 0, total)
 	for i, c := range x.chunks {
 		r := ranges[i]
 		if r.Count() == 0 {
 			continue
 		}
-		c.ForEachSegment(r.Start, r.End, func(vals []int64, _ []uint32) {
-			off += copy(buf[off:], vals)
+		c.ForEachSegment(r.Start, r.End, func(s cracking.Segment) {
+			buf = s.AppendValues(buf)
 		})
 	}
 }

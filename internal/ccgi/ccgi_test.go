@@ -47,12 +47,12 @@ func TestSelectSegmentsMatchesScan(t *testing.T) {
 		hi := lo + rng.Int63n(1<<16-lo) + 1
 		want := column.CountRange(base, lo, hi)
 		seen := make(map[uint32]bool)
-		x.SelectSegments(lo, hi, func(total int, off uint32, vals []int64, rows []uint32) {
+		x.SelectSegments(lo, hi, func(total int, off uint32, s cracking.Segment) {
 			if total != want {
 				t.Fatalf("query %d: segment announces %d tuples, want %d", q, total, want)
 			}
-			for i, v := range vals {
-				row := off + rows[i]
+			for i := 0; i < s.Len(); i++ {
+				v, row := s.Value(i), off+s.Row(i)
 				if v < lo || v >= hi || base[row] != v || seen[row] {
 					t.Fatalf("query %d: bad tuple (row %d, value %d) for [%d,%d)", q, row, v, lo, hi)
 				}

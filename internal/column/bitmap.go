@@ -164,8 +164,19 @@ func (b *Bitmap) SetRows(rows []uint32) {
 // and must extend the bitmap instead of corrupting memory.
 //
 //holistic:noalloc
-func (b *Bitmap) SetRowsExtend(rows []uint32) {
-	for _, r := range rows {
+func (b *Bitmap) SetRowsExtend(rows []uint32) { setRowsExtend(b, rows) }
+
+// SetLowRowsExtend is SetRowsExtend over row ids that travel as the low
+// 32 bits of 64-bit words (a cracker column's packed tuples): the bits
+// are set straight off the words, with no row id array in between.
+//
+//holistic:noalloc
+func (b *Bitmap) SetLowRowsExtend(words []int64) { setRowsExtend(b, words) }
+
+//holistic:noalloc
+func setRowsExtend[T uint32 | int64](b *Bitmap, rows []T) {
+	for _, x := range rows {
+		r := uint32(x)
 		if int(r) >= b.n {
 			b.extend(int(r) + 1)
 		}
@@ -190,9 +201,18 @@ func (b *Bitmap) extend(n int) {
 // further synchronization.
 //
 //holistic:noalloc
-func (b *Bitmap) OrRowsAtomic(rows []uint32, off uint32) {
-	for _, r := range rows {
-		p := r + off
+func (b *Bitmap) OrRowsAtomic(rows []uint32, off uint32) { orRowsAtomic(b, rows, off) }
+
+// OrLowRowsAtomic is OrRowsAtomic over row ids in the low 32 bits of
+// 64-bit words (see SetLowRowsExtend).
+//
+//holistic:noalloc
+func (b *Bitmap) OrLowRowsAtomic(words []int64, off uint32) { orRowsAtomic(b, words, off) }
+
+//holistic:noalloc
+func orRowsAtomic[T uint32 | int64](b *Bitmap, rows []T, off uint32) {
+	for _, x := range rows {
+		p := uint32(x) + off
 		atomic.OrUint64(&b.words[p>>6], 1<<(p&63))
 	}
 }

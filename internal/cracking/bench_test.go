@@ -4,8 +4,11 @@ import "testing"
 
 // BenchmarkPartition times one crack-in-two of a uniform piece at its
 // median — the worst case for a branchy kernel — at a piece that fits L1/L2
-// (8 Ki), L2/L3 (256 Ki) and none of them (4 Mi). Bytes are the piece's
-// values plus rowids; each iteration restores the piece outside the timer.
+// (8 Ki), L2/L3 (256 Ki) and none of them (4 Mi), as each layout stores
+// it: values alone (norows), values beside a rowid array (rows), and
+// values and rowids in one array of packed words (packed). Bytes are what
+// the layout keeps per tuple; each iteration restores the piece outside
+// the timer.
 func BenchmarkPartition(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -13,22 +16,36 @@ func BenchmarkPartition(b *testing.B) {
 	}{{"8Ki", 8 << 10}, {"256Ki", 256 << 10}, {"4Mi", 4 << 20}} {
 		src := randVals(size.n, 1, 1<<30)
 		srcRows := iota32(size.n)
+		ref, _ := refFor(0, 1<<30-1)
+		lay := packedAt(ref)
+		srcWords := make([]int64, size.n)
+		for i, v := range src {
+			srcWords[i] = lay.word(v, uint32(i))
+		}
+		wordPivot, _ := lay.pivot(1 << 29)
 		vals := make([]int64, size.n)
-		for _, withRows := range []bool{true, false} {
-			name, bytes := size.name+"/norows", int64(size.n)*8
-			var rows []uint32
-			if withRows {
-				name, bytes, rows = size.name+"/rows", int64(size.n)*12, make([]uint32, size.n)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.SetBytes(bytes)
+		for _, c := range []struct {
+			name  string
+			src   []int64
+			rows  []uint32
+			bytes int
+			pivot int64
+		}{
+			{"rows", src, make([]uint32, size.n), 12, 1 << 29},
+			{"norows", src, nil, 8, 1 << 29},
+			{"packed", srcWords, nil, 8, wordPivot},
+		} {
+			b.Run(size.name+"/"+c.name, func(b *testing.B) {
+				b.SetBytes(int64(size.n * c.bytes))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					copy(vals, src)
-					copy(rows, srcRows)
+					copy(vals, c.src)
+					copy(c.rows, srcRows)
 					b.StartTimer()
-					crackInTwo(vals, rows, nil, 0, size.n, 1<<29)
+					if mid := crackInTwo(vals, c.rows, nil, 0, size.n, c.pivot); mid == 0 || mid == size.n {
+						b.Fatalf("median crack split at %d of %d", mid, size.n)
+					}
 				}
 			})
 		}
@@ -39,7 +56,12 @@ func BenchmarkPartition(b *testing.B) {
 // 4 Mi values with rowids: build then crack, against the fused build.
 // Iterations rotate over eight base columns, as a session over eight
 // attributes does, so each build reads its base from memory, not from a
-// cache the previous iteration warmed.
+// cache the previous iteration warmed. The NewCracked cases differ in
+// what the data lets the build do. The 2^30 domain packs. One value far
+// outside it makes the column wide: from the start when the sample sees
+// it (position 0), after one abandoned block when it sits in the first
+// block unsampled, and — the worst case — after a whole abandoned pass
+// when it is the last value.
 func BenchmarkFirstTouch(b *testing.B) {
 	const n = 4 << 20
 	bases := make([][]int64, 8)
@@ -49,17 +71,36 @@ func BenchmarkFirstTouch(b *testing.B) {
 	lo, hi := int64(300<<20), int64(600<<20)
 	cfg := Config{WithRows: true}
 	b.Run("New+Select", func(b *testing.B) {
-		b.SetBytes(n * 12)
+		b.SetBytes(n * 8)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			New("a", bases[i%len(bases)], cfg).SelectRange(lo, hi)
 		}
 	})
-	b.Run("NewCracked", func(b *testing.B) {
-		b.SetBytes(n * 12)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewCracked("a", bases[i%len(bases)], cfg, lo, hi).SelectRange(lo, hi)
-		}
-	})
+	for _, c := range []struct {
+		name    string
+		outlier int // position of the value outside the window; -1: none
+	}{
+		{"NewCracked", -1},
+		{"NewCracked/wide-sampled", 0},
+		{"NewCracked/wide-first-block", 1},
+		{"NewCracked/wide-last-block", n - 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if c.outlier >= 0 {
+				for _, base := range bases {
+					base[c.outlier] ^= 1 << 50
+					defer func() { base[c.outlier] ^= 1 << 50 }()
+				}
+			}
+			b.SetBytes(n * 8)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col := NewCracked("a", bases[i%len(bases)], cfg, lo, hi)
+				if col.SelectRange(lo, hi); col.packed != (c.outlier < 0) {
+					b.Fatalf("outlier at %d but packed = %v", c.outlier, col.packed)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package cracking
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -134,4 +135,27 @@ func TestNewCrackedThenWorkload(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzFirstTouch feeds the fused build arbitrary columns. shift narrows
+// the values (an arithmetic shift of each by shift%64 bits), so inputs
+// range from the whole of int64, which no window holds, through spans
+// around 2^32, where one value decides the layout after the sample has
+// guessed, to a handful of values that always pack; whichever layout the
+// data gets, the column must equal New followed by SelectRange.
+func FuzzFirstTouch(f *testing.F) {
+	seed := make([]byte, 8*300)
+	rand.New(rand.NewSource(2)).Read(seed)
+	for _, shift := range []uint8{0, 30, 31, 32, 33, 50} {
+		f.Add(seed, int64(-1<<20), int64(1<<20), shift)
+	}
+	f.Add(seed[:16], int64(math.MinInt64), int64(math.MaxInt64), uint8(31))
+	f.Add([]byte{}, int64(0), int64(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi int64, shift uint8) {
+		base := make([]int64, len(data)/8)
+		for i := range base {
+			base[i] = int64(binary.LittleEndian.Uint64(data[8*i:])) >> (shift % 64)
+		}
+		checkBuiltLikeSelect(t, base, Config{WithRows: true}, lo, hi)
+	})
 }

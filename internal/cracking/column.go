@@ -63,9 +63,10 @@ type Config struct {
 	// random pivot inside the piece about to be cracked, bounding the
 	// worst case on skewed/sequential workloads.
 	Stochastic bool
-	// WithRows attaches a rowid array that is permuted in lockstep with
-	// the values, so select-project queries can reconstruct tuples after
-	// cracking (sideways-style tuple reconstruction).
+	// WithRows makes every tuple carry its rowid through each
+	// reorganization, so select-project queries can reconstruct tuples
+	// after cracking (sideways-style tuple reconstruction). Where the
+	// rowid is kept is the column's own choice (see layout).
 	WithRows bool
 	// Seed seeds the column's private RNG (stochastic pivots).
 	Seed int64
@@ -89,12 +90,16 @@ type Column struct {
 	// — the one mutation the piece-latch protocol cannot isolate.
 	global sync.RWMutex
 
-	// mu guards the cracker index tree and the vals/rows slice headers.
+	// mu guards the cracker index tree, the vals/rows slice headers and
+	// the layout.
 	mu   sync.RWMutex
 	tree *avl.Tree
 
+	// vals holds values and rows their rowids, or vals holds packed words
+	// and rows is nil: see layout, which only widen changes.
 	vals []int64
 	rows []uint32
+	layout
 
 	// payloads are attribute columns physically reorganized in lockstep
 	// with vals: sideways cracking (Idreos et al., SIGMOD 2009). A range
@@ -146,7 +151,7 @@ func NewCracked(name string, base []int64, cfg Config, lo, hi int64) *Column {
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	var nLo, nHi int
-	c.vals, c.rows, nLo, nHi, c.domainLo, c.domainHi = build(base, cfg.WithRows, lo, hi)
+	c.vals, c.rows, c.layout, nLo, nHi, c.domainLo, c.domainHi = build(base, cfg.WithRows, lo, hi)
 	c.tree.Insert(sentinelKey, &piece{start: 0})
 	if lo < hi {
 		if lo != sentinelKey {
@@ -167,12 +172,27 @@ func (c *Column) Len() int {
 	return len(c.vals)
 }
 
-// HasRows reports whether the column carries a rowid array (built with
+// HasRows reports whether the column carries rowids (built with
 // Config.WithRows), i.e. whether SelectRows can materialize positions.
 func (c *Column) HasRows() bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.rows != nil
+	return c.all().HasRows()
+}
+
+// all views the whole column as one segment. Caller holds mu or global.
+func (c *Column) all() Segment { return c.segment(0, len(c.vals)) }
+
+// segment views positions [pos, end). Caller holds global shared and the
+// owning piece's latch, or the column exclusively.
+//
+//holistic:noalloc
+func (c *Column) segment(pos, end int) Segment {
+	s := Segment{vals: c.vals[pos:end], layout: c.layout}
+	if c.rows != nil {
+		s.rows = c.rows[pos:end]
+	}
+	return s
 }
 
 // Pieces returns the current number of pieces in the cracker column.
@@ -190,7 +210,8 @@ func (c *Column) Domain() (lo, hi int64) {
 }
 
 // SizeBytes reports the materialized size of the cracker column: the
-// storage-budget accounting unit for the holistic index space.
+// storage-budget accounting unit for the holistic index space. A packed
+// column has no rowid array to count.
 func (c *Column) SizeBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -216,17 +237,18 @@ func (c *Column) AvgPieceSize() float64 {
 func (c *Column) Snapshot() []int64 {
 	c.global.Lock()
 	defer c.global.Unlock()
-	return append([]int64(nil), c.vals...)
+	return c.all().AppendValues(make([]int64, 0, len(c.vals)))
 }
 
-// SnapshotRows returns a copy of the rowid array (nil when disabled).
+// SnapshotRows returns a copy of the rowids in physical order (nil when
+// disabled).
 func (c *Column) SnapshotRows() []uint32 {
 	c.global.Lock()
 	defer c.global.Unlock()
-	if c.rows == nil {
+	if !c.all().HasRows() {
 		return nil
 	}
-	return append([]uint32(nil), c.rows...)
+	return c.all().AppendRows(make([]uint32, 0, len(c.vals)))
 }
 
 // pieceByPosLocked returns the piece containing position pos and its end.
@@ -343,13 +365,14 @@ func (c *Column) CheckInvariants() error {
 			return fmt.Errorf("boundary %+v beyond column length %d", bounds[i], len(c.vals))
 		}
 	}
+	all := c.all()
 	for i, b := range bounds {
 		end := len(c.vals)
 		if i+1 < len(bounds) {
 			end = bounds[i+1].start
 		}
 		for pos := b.start; pos < end; pos++ {
-			v := c.vals[pos]
+			v := all.Value(pos)
 			if b.key != sentinelKey && v < b.key {
 				return fmt.Errorf("value %d at pos %d below piece lower bound %d", v, pos, b.key)
 			}

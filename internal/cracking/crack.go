@@ -1,6 +1,9 @@
 package cracking
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Range is the result of a range select on a cracker column: after the
 // necessary cracks, all qualifying values (lo <= v < hi) occupy the
@@ -261,27 +264,24 @@ func (c *Column) SelectSum(lo, hi int64) (Range, int64) {
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
 	var s int64
-	c.forEachSegmentLocked(r.Start, r.End, func(vals []int64, _ []uint32) {
-		for _, v := range vals {
-			s += v
-		}
+	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
+		s += c.segment(pos, seg).Sum()
 	})
 	return r, s
 }
 
-// SelectSegments cracks on [lo, hi) and streams the qualifying values
-// and their aligned rowids (nil when the column carries none) to fn,
-// one stable segment at a time under the owning piece's read latch, all
-// under one column pin like SelectSum — the general form the other
+// SelectSegments cracks on [lo, hi) and streams the qualifying tuples to
+// fn, one stable segment at a time under the owning piece's read latch,
+// all under one column pin like SelectSum — the general form the other
 // Select* folds specialise. fn also receives the select's range, so a
 // consumer can size its output before the first segment; it must not
-// retain the slices.
-func (c *Column) SelectSegments(lo, hi int64, fn func(r Range, vals []int64, rows []uint32)) Range {
+// retain the segment.
+func (c *Column) SelectSegments(lo, hi int64, fn func(r Range, s Segment)) Range {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
-	c.forEachSegmentLocked(r.Start, r.End, func(vals []int64, rows []uint32) {
-		fn(r, vals, rows)
+	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
+		fn(r, c.segment(pos, seg))
 	})
 	return r
 }
@@ -293,54 +293,59 @@ func (c *Column) SelectRows(lo, hi int64) (Range, []uint32) {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
-	if c.rows == nil {
+	if !c.all().HasRows() {
 		return r, nil
 	}
 	out := make([]uint32, 0, r.Count())
-	c.forEachSegmentLocked(r.Start, r.End, func(_ []int64, rows []uint32) {
-		out = append(out, rows...)
+	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
+		out = c.segment(pos, seg).AppendRows(out)
 	})
 	return r, out
 }
 
+// rowChunk is how many rowids a packed column decodes at a time for a
+// consumer that takes them as a slice.
+const rowChunk = 1024
+
+// rowChunks recycles the decode buffers of SelectRowsFunc: its consumer
+// is a function value, so a buffer on the stack would escape.
+var rowChunks = sync.Pool{New: func() any { return new([rowChunk]uint32) }}
+
 // SelectRowsFunc cracks on [lo, hi) and streams the qualifying rowids
-// to fn segment by segment under the owning pieces' read latches,
-// without materializing a position list — the zero-allocation feed of
-// the bitmap select path. fn must not retain the slice. ok is false
-// (and fn is never called) when the column was built without rowids.
+// to fn under the owning pieces' read latches, without materializing a
+// position list — the zero-allocation feed of the bitmap select path: a
+// segment at a time from a rowid array, a chunk at a time decoded from
+// packed words. fn must not retain the slice. ok is false (and fn is
+// never called) when the column was built without rowids.
 func (c *Column) SelectRowsFunc(lo, hi int64, fn func(rows []uint32)) (Range, bool) {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
-	if c.rows == nil {
+	if !c.all().HasRows() {
 		return r, false
 	}
-	c.forEachSegmentLocked(r.Start, r.End, func(_ []int64, rows []uint32) {
-		fn(rows)
+	buf := rowChunks.Get().(*[rowChunk]uint32)
+	defer rowChunks.Put(buf)
+	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
+		s := c.segment(pos, seg)
+		for from := 0; from < s.Len(); {
+			rows := s.rowsFrom(from, buf[:])
+			fn(rows)
+			from += len(rows)
+		}
 	})
 	return r, true
 }
 
 // ForEachSegment invokes fn on consecutive stable sub-segments covering
 // positions [start, end), each passed under the owning piece's read
-// latch. fn receives aliased slices and must not retain them. Positions
-// must come from a select on this column with no intervening update
-// merge.
-func (c *Column) ForEachSegment(start, end int, fn func(vals []int64, rows []uint32)) {
+// latch. fn must not retain the segment. Positions must come from a
+// select on this column with no intervening update merge.
+func (c *Column) ForEachSegment(start, end int, fn func(s Segment)) {
 	c.global.RLock()
 	defer c.global.RUnlock()
-	c.forEachSegmentLocked(start, end, fn)
-}
-
-// forEachSegmentLocked implements ForEachSegment; caller holds c.global
-// shared.
-func (c *Column) forEachSegmentLocked(start, end int, fn func(vals []int64, rows []uint32)) {
 	c.forEachSpanLocked(start, end, func(pos, seg int) {
-		if c.rows != nil {
-			fn(c.vals[pos:seg], c.rows[pos:seg])
-		} else {
-			fn(c.vals[pos:seg], nil)
-		}
+		fn(c.segment(pos, seg))
 	})
 }
 
@@ -383,45 +388,52 @@ func (c *Column) forEachSpanLocked(start, end int, fn func(pos, seg int)) {
 }
 
 // SelectPayloads cracks on [lo, hi) and streams the qualifying block to
-// fn, one stable segment at a time, with every payload column aligned to
-// the values — the sideways-cracking read path: aggregation over the
-// result is a tight loop over contiguous arrays, no rowid gather. fn must
-// not retain the slices. The whole operation runs under one column pin.
+// fn, one stable run at a time, with every payload column aligned to the
+// values — the sideways-cracking read path: aggregation over the result
+// is a tight loop over contiguous arrays, no rowid gather. A run is a
+// whole segment, or under the packed layout a chunk of one with its
+// values decoded. fn must not retain the slices. The whole operation runs
+// under one column pin.
 func (c *Column) SelectPayloads(lo, hi int64, fn func(vals []int64, payloads [][]int64)) Range {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
 	views := make([][]int64, len(c.payloads))
+	var decoded []int64
 	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
-		for i, p := range c.payloads {
-			views[i] = p[pos:seg]
+		for pos < seg {
+			end, vals := seg, c.vals[pos:seg]
+			if c.packed {
+				end = min(seg, pos+rowChunk)
+				decoded = c.segment(pos, end).AppendValues(decoded[:0])
+				vals = decoded
+			}
+			for i, p := range c.payloads {
+				views[i] = p[pos:end]
+			}
+			fn(vals, views)
+			pos = end
 		}
-		fn(c.vals[pos:seg], views)
 	})
 	return r
 }
 
 // ForEachPiece walks the whole column piece by piece in ascending key
 // order, invoking fn under each piece's read latch with the piece's
-// values and rowids (nil when the column carries none). Pieces are
-// value-disjoint and ordered — every value of an earlier piece is
-// strictly below every value of a later one — so the stream is a
-// key-clustered partition of the column: the access path of sort-based
-// (index-clustered) grouping, which aggregates each piece with a small
-// local accumulator and emits groups in key order with no global hash
-// table. Values inside one piece are unordered. fn receives aliased
-// slices and must not retain them. Concurrent refinement may split a
-// piece mid-walk, in which case its halves are streamed separately —
-// still disjoint, still ascending.
-func (c *Column) ForEachPiece(fn func(vals []int64, rows []uint32)) {
+// tuples. Pieces are value-disjoint and ordered — every value of an
+// earlier piece is strictly below every value of a later one — so the
+// stream is a key-clustered partition of the column: the access path of
+// sort-based (index-clustered) grouping, which aggregates each piece with
+// a small local accumulator and emits groups in key order with no global
+// hash table. Values inside one piece are unordered. fn must not retain
+// the segment. Concurrent refinement may split a piece mid-walk, in which
+// case its halves are streamed separately — still disjoint, still
+// ascending.
+func (c *Column) ForEachPiece(fn func(s Segment)) {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	c.forEachSpanLocked(0, len(c.vals), func(pos, seg int) {
-		if c.rows != nil {
-			fn(c.vals[pos:seg], c.rows[pos:seg])
-		} else {
-			fn(c.vals[pos:seg], nil)
-		}
+		fn(c.segment(pos, seg))
 	})
 }
 

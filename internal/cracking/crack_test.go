@@ -1,6 +1,7 @@
 package cracking
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,9 +233,9 @@ func TestSelectSum(t *testing.T) {
 func selectValues(c *Column, lo, hi int64) (Range, []int64) {
 	var out []int64
 	var seen Range
-	r := c.SelectSegments(lo, hi, func(r Range, vals []int64, _ []uint32) {
+	r := c.SelectSegments(lo, hi, func(r Range, s Segment) {
 		seen = r
-		out = append(out, vals...)
+		out = s.AppendValues(out)
 	})
 	if len(out) > 0 && seen != r {
 		panic("SelectSegments handed its consumer a different range than it returned")
@@ -381,8 +382,13 @@ func TestSizeBytes(t *testing.T) {
 	if got := c.SizeBytes(); got != 800 {
 		t.Errorf("SizeBytes() = %d, want 800", got)
 	}
+	// Rowids that ride in the value's word cost nothing; an array does.
 	cr := New("a", make([]int64, 100), Config{WithRows: true})
-	if got := cr.SizeBytes(); got != 1200 {
-		t.Errorf("SizeBytes() with rows = %d, want 1200", got)
+	if got := cr.SizeBytes(); got != 800 {
+		t.Errorf("SizeBytes() of a packed column = %d, want 800", got)
+	}
+	cr.MergeInsert(math.MaxInt64, 100)
+	if got := cr.SizeBytes(); got != 101*12 {
+		t.Errorf("SizeBytes() of a widened column = %d, want %d", got, 101*12)
 	}
 }

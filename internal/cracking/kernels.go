@@ -203,11 +203,17 @@ func (c *Column) partition(lo, hi int, pivot int64) int {
 	return c.partitionWith(lo, hi, pivot, c.cfg.ParallelWorkers)
 }
 
-// partitionWith cracks vals[lo:hi] at pivot with an explicit thread
-// budget; holistic refinement passes its own (RefineWorkers).
+// partitionWith cracks vals[lo:hi] at the value pivot with an explicit
+// thread budget; holistic refinement passes its own (RefineWorkers). This
+// is where a crack learns the layout, and all it learns is its pivot: the
+// kernels see int64s to compare and swap, values or packed words alike.
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
 func (c *Column) partitionWith(lo, hi int, pivot int64, workers int) int {
+	pivot, all := c.pivot(pivot)
+	if all {
+		return hi
+	}
 	if workers > 1 && hi-lo >= c.cfg.MinParallelPiece {
 		return parallelCrack(c.vals, c.rows, c.payloads, lo, hi, pivot, workers)
 	}

@@ -301,6 +301,16 @@ func FuzzPartition(f *testing.F) {
 	f.Add(seed[:8*blockSize], int64(math.MinInt64), uint8(3))
 	f.Add(seed[:24], int64(math.MaxInt64), uint8(1))
 	f.Add([]byte{}, int64(1), uint8(2))
+	// Packed words, as a column with rowids stores them: few keys, so most
+	// words differ from their neighbours and from the pivot only in the
+	// rowid bits, and the pivot is a key with no rowid, as cracks use.
+	packed := make([]byte, 8*(2*blockSize+9))
+	for i := 0; i < len(packed)/8; i++ {
+		binary.LittleEndian.PutUint64(packed[8*i:], uint64(int64(i%3-1)<<32|int64(i)))
+	}
+	f.Add(packed, int64(0), uint8(1))
+	f.Add(packed, int64(1)<<32, uint8(2))
+	f.Add(packed, int64(-1)<<32, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, pivot int64, workers uint8) {
 		orig := make([]int64, len(data)/8)
 		for i := range orig {

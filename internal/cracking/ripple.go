@@ -17,6 +17,32 @@ import "holistic/internal/avl"
 // boundary) and, in the paper's workloads, arrive in small batches, so
 // the exclusive section is brief.
 
+// moveLocked copies the tuple at position from over the one at to, in
+// every array the layout keeps. Caller must hold the column exclusively.
+func (c *Column) moveLocked(to, from int) {
+	c.vals[to] = c.vals[from]
+	if c.rows != nil {
+		c.rows[to] = c.rows[from]
+	}
+	for _, p := range c.payloads {
+		p[to] = p[from]
+	}
+}
+
+// widenLocked converts a packed column to the wide layout in place:
+// every word gives way to its value and the rowids move to an array of
+// their own. Positions, pieces and the tree (keyed by value all along)
+// are untouched. One O(N) pass, taken once, by the first insert the
+// window cannot hold. Caller must hold the column exclusively.
+func (c *Column) widenLocked() {
+	rows := make([]uint32, len(c.vals), cap(c.vals))
+	for i, w := range c.vals {
+		rows[i] = uint32(w)
+		c.vals[i] = c.value(w)
+	}
+	c.rows, c.layout = rows, layout{}
+}
+
 // boundariesAboveLocked returns the pieces whose boundary key is greater
 // than key, in ascending key (= position) order. Caller must hold the
 // column exclusively.
@@ -52,6 +78,10 @@ func (c *Column) MergeInsertSideways(v int64, row uint32, payload []int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
+	if c.packed && !c.fits(v) {
+		c.widenLocked()
+	}
+
 	// Locate the piece that must receive v.
 	targetKey, _, _, _ := c.pieceSpanLocked(v)
 
@@ -72,19 +102,16 @@ func (c *Column) MergeInsertSideways(v int64, row uint32, payload []int64) {
 	above := c.boundariesAboveLocked(targetKey)
 	for i := len(above) - 1; i >= 0; i-- {
 		p := above[i]
-		first := p.start
-		c.vals[hole] = c.vals[first]
-		if c.rows != nil {
-			c.rows[hole] = c.rows[first]
-		}
-		for j := range c.payloads {
-			c.payloads[j][hole] = c.payloads[j][first]
-		}
-		hole = first
+		c.moveLocked(hole, p.start)
+		hole = p.start
 		p.start++
 	}
 
-	c.vals[hole] = v
+	if c.packed {
+		c.vals[hole] = c.word(v, row)
+	} else {
+		c.vals[hole] = v
+	}
 	if c.rows != nil {
 		c.rows[hole] = row
 	}
@@ -129,39 +156,24 @@ func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32,
 
 	targetKey, p, end, _ := c.pieceSpanLocked(v)
 	// Linear search inside the target piece: pieces are unordered inside.
-	victim := -1
-	if byRow && c.rows != nil {
-		for i := p.start; i < end; i++ {
-			if c.vals[i] == v && c.rows[i] == targetRow {
-				victim = i
-				break
-			}
-		}
+	tuples, victim := c.segment(p.start, end), -1
+	if byRow && tuples.HasRows() {
+		victim = tuples.find(v, targetRow, true)
 	}
 	if victim < 0 {
-		for i := p.start; i < end; i++ {
-			if c.vals[i] == v {
-				victim = i
-				break
-			}
-		}
+		victim = tuples.find(v, 0, false)
 	}
 	if victim < 0 {
 		return 0, false
 	}
-	if c.rows != nil {
-		row = c.rows[victim]
+	if tuples.HasRows() {
+		row = tuples.Row(victim)
 	}
+	victim += p.start
 
 	// Fill the victim slot with the last value of its piece; the hole is
 	// now the piece's last slot.
-	c.vals[victim] = c.vals[end-1]
-	if c.rows != nil {
-		c.rows[victim] = c.rows[end-1]
-	}
-	for j := range c.payloads {
-		c.payloads[j][victim] = c.payloads[j][end-1]
-	}
+	c.moveLocked(victim, end-1)
 	hole := end - 1
 
 	// Ripple the hole up: each piece above the target shifts left by one
@@ -178,15 +190,8 @@ func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32,
 		}
 	}
 	for i, q := range above {
-		qEnd := ends[i]
-		c.vals[hole] = c.vals[qEnd-1]
-		if c.rows != nil {
-			c.rows[hole] = c.rows[qEnd-1]
-		}
-		for j := range c.payloads {
-			c.payloads[j][hole] = c.payloads[j][qEnd-1]
-		}
-		hole = qEnd - 1
+		c.moveLocked(hole, ends[i]-1)
+		hole = ends[i] - 1
 		q.start--
 	}
 

@@ -73,6 +73,11 @@ func TestSidewaysSizeBytes(t *testing.T) {
 	if got := c.SizeBytes(); got != 3*100*8 {
 		t.Fatalf("SizeBytes() = %d, want %d", got, 3*100*8)
 	}
+	// Rowids packed into the value words add nothing.
+	c, _ = newSidewaysFixture(t, 100, 74, Config{WithRows: true})
+	if got := c.SizeBytes(); got != 3*100*8 {
+		t.Fatalf("SizeBytes() with rows = %d, want %d", got, 3*100*8)
+	}
 }
 
 func TestSidewaysMismatchedPayloadPanics(t *testing.T) {

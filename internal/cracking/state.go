@@ -10,8 +10,9 @@ import (
 // ExportedState is the physical state of a cracker column in a form the
 // durable layer can serialize: the values (and rowids) in cracked
 // physical order plus the piece-boundary table. Restoring it rebuilds
-// the column by copying the arrays and re-inserting the boundaries —
-// none of the cracking work is repeated.
+// the column by taking the arrays and re-inserting the boundaries —
+// none of the cracking work is repeated. The state is the same whatever
+// the column's layout: ExportState decodes, Restore packs again.
 type ExportedState struct {
 	Vals   []int64
 	Rows   []uint32 // nil when the column carries no rowids
@@ -25,11 +26,10 @@ type ExportedState struct {
 func (c *Column) ExportState() ExportedState {
 	c.global.Lock()
 	defer c.global.Unlock()
-	st := ExportedState{
-		Vals: append([]int64(nil), c.vals...),
-	}
-	if c.rows != nil {
-		st.Rows = append([]uint32(nil), c.rows...)
+	all := c.all()
+	st := ExportedState{Vals: all.AppendValues(make([]int64, 0, all.Len()))}
+	if all.HasRows() {
+		st.Rows = all.AppendRows(make([]uint32, 0, all.Len()))
 	}
 	c.tree.Ascend(func(k int64, v avl.Value) bool {
 		st.Keys = append(st.Keys, k)
@@ -79,6 +79,15 @@ func Restore(name string, st ExportedState, cfg Config) (*Column, error) {
 	c.domainLo, c.domainHi = domain(st.Vals)
 	if err := c.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("cracking: restore %s: %w", name, err)
+	}
+	// The domain is known here, so the layout is not a guess: pack in
+	// place when the values fit one window.
+	if ref, ok := refFor(c.domainLo, c.domainHi); ok && c.rows != nil {
+		c.layout = packedAt(ref)
+		for i, v := range c.vals {
+			c.vals[i] = c.word(v, c.rows[i])
+		}
+		c.rows = nil
 	}
 	return c, nil
 }

@@ -608,6 +608,56 @@ func TestHolisticExecutorStorageBudget(t *testing.T) {
 	}
 }
 
+// TestStorageBudgetCountsWhatIsStored: the budget is charged what an
+// index keeps. Three cracker columns with rowids fit the budget that two
+// took while a rowid cost four bytes beside the value — as it still does
+// for a column whose values span more than one packing window.
+func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
+	const n = 10_000
+	for _, tc := range []struct {
+		name string
+		top  int64 // overwrites one value of every column
+		kept int
+	}{
+		{"rowids in the value words", 1 << 15, 3},
+		{"rowids in an array", 1 << 40, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := NewTable("R")
+			for a := 0; a < 3; a++ {
+				base := workload.UniformColumn(n, 1<<16, int64(100+a))
+				base[n/2] = tc.top
+				tbl.MustAddColumn(column.New(attrName(a), base))
+			}
+			h := NewHolisticExecutor(tbl, HolisticConfig{
+				Daemon: holistic.Config{
+					Interval:      time.Hour, // daemon idle; this test is about admission
+					StorageBudget: 2 * n * 12,
+					Seed:          1,
+				},
+				Cracking: cracking.Config{WithRows: true},
+				L1Values: 256,
+				Contexts: 2,
+			})
+			defer h.Close()
+			for a := 0; a < 3; a++ {
+				if _, err := h.Count(attrName(a), 0, 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg, kept := h.Daemon().Registry(), 0
+			for a := 0; a < 3; a++ {
+				if reg.Get(attrName(a)) != nil {
+					kept++
+				}
+			}
+			if kept != tc.kept {
+				t.Fatalf("a budget of %d bytes keeps %d of three %d-tuple indexes, want %d", 2*n*12, kept, n, tc.kept)
+			}
+		})
+	}
+}
+
 func TestCCGIExecutorConcurrentClients(t *testing.T) {
 	tbl, bases := testTable(t, 2, 20_000, 1<<16)
 	e := NewCCGIExecutor(tbl, 2, 8, cracking.Config{})

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"holistic/internal/ccgi"
 	"holistic/internal/column"
 	"holistic/internal/cracking"
@@ -27,24 +29,6 @@ type accessPath interface {
 	estimate(lo, hi int64) (est float64, exact, ok bool)
 }
 
-// segment is one contiguous run of tuples.
-type segment struct {
-	vals []int64
-	// rows[i]+rowBase is the base row id of vals[i]. On a needsFilter
-	// segment rows is nil: vals is the base column and vals[i] is row i.
-	rows    []uint32
-	rowBase uint32
-	// needsFilter: only the values inside the fold's bounds qualify;
-	// every value of any other segment does.
-	needsFilter bool
-	// sorted: vals ascend, so extrema are edge reads and runs of equal
-	// values are the key clusters.
-	sorted bool
-	// total is the number of tuples of the whole walk this segment
-	// belongs to, for consumers that size their output up front.
-	total int
-}
-
 // foldOp is what a terminal wants from the qualifying tuples.
 type foldOp uint8
 
@@ -63,7 +47,7 @@ const (
 type fold struct {
 	op      foldOp
 	lo, hi  int64
-	threads int // parallelism of the kernels over needsFilter segments
+	threads int // parallelism of the kernels that filter the base column
 
 	n        int // qualifying tuples (opCount: set by the path; opMinMax: folded)
 	sum      int64
@@ -72,6 +56,10 @@ type fold struct {
 	bm       *column.Bitmap
 	clusters func(vals []int64, rows []uint32)
 	walked   bool // opClusters: the attribute had a key-ordered path to stream
+	// opClusters over cracker pieces: where a piece's tuples are decoded
+	// for clusters, reused from piece to piece.
+	pieceVals []int64
+	pieceRows []uint32
 
 	// What a cracking path reports back for the shared epilogue: the
 	// select needed no reorganization, pending updates it merged first,
@@ -84,94 +72,73 @@ type fold struct {
 // wantsRows reports whether the fold consumes row ids.
 func (f *fold) wantsRows() bool { return f.op >= opRows }
 
-// add folds one segment.
-func (f *fold) add(s segment) {
+// addBounds folds the extrema of n more qualifying values.
+func (f *fold) addBounds(mn, mx int64, n int) {
+	if n > 0 && (f.n == 0 || mn < f.mn) {
+		f.mn = mn
+	}
+	if n > 0 && (f.n == 0 || mx > f.mx) {
+		f.mx = mx
+	}
+	f.n += n
+}
+
+// addCracked folds one segment of a cracker column, every tuple of which
+// qualifies: total is the tuple count of the whole walk and rowBase what
+// to add to a row id to get the base row id. How the column stores its
+// tuples stays behind cracking.Segment.
+func (f *fold) addCracked(s cracking.Segment, rowBase uint32, total int) {
 	switch f.op {
 	case opSum:
-		if s.needsFilter {
-			f.sum += column.ParallelSumRange(s.vals, f.lo, f.hi, f.threads)
-			return
-		}
-		for _, v := range s.vals {
-			f.sum += v
-		}
+		f.sum += s.Sum()
 	case opMinMax:
-		// Segments are never empty; only the filter can qualify nothing.
-		mn, mx, n := int64(0), int64(0), len(s.vals)
-		switch {
-		case s.needsFilter:
-			mn, mx, n = column.ParallelMinMaxRange(s.vals, f.lo, f.hi, f.threads)
-		case s.sorted:
-			mn, mx = s.vals[0], s.vals[n-1]
-		default:
-			mn, mx = column.Bounds(s.vals)
-		}
-		if n > 0 && (f.n == 0 || mn < f.mn) {
-			f.mn = mn
-		}
-		if n > 0 && (f.n == 0 || mx > f.mx) {
-			f.mx = mx
-		}
-		f.n += n
+		mn, mx := s.Bounds()
+		f.addBounds(mn, mx, s.Len())
 	case opRows:
-		if s.needsFilter {
-			f.rows = column.ParallelScanRange(s.vals, f.lo, f.hi, f.threads)
-			return
-		}
 		if f.rows == nil {
-			f.rows = make([]uint32, 0, s.total)
+			f.rows = make([]uint32, 0, total)
 		}
-		if s.rowBase == 0 {
-			f.rows = append(f.rows, s.rows...)
-			return
-		}
-		for _, r := range s.rows {
-			f.rows = append(f.rows, r+s.rowBase)
+		n := len(f.rows)
+		f.rows = s.AppendRows(f.rows)
+		if rowBase != 0 {
+			for i := range f.rows[n:] {
+				f.rows[n+i] += rowBase
+			}
 		}
 	case opBitmap:
-		switch {
-		case s.needsFilter:
-			column.ParallelScanRangeBitmap(s.vals, f.lo, f.hi, f.bm, f.threads)
-		case s.rowBase != 0:
-			f.bm.OrRowsAtomic(s.rows, s.rowBase)
-		default:
-			// Extend, not plain set: between the terminal sizing the
-			// bitmap and this segment, a concurrent query can merge a
-			// pending insert whose row id lies beyond the universe.
-			f.bm.SetRowsExtend(s.rows)
-		}
+		s.MarkRows(f.bm, rowBase)
 	case opClusters:
-		if !s.sorted {
-			f.clusters(s.vals, s.rows)
-			return
-		}
-		for i := 0; i < len(s.vals); {
-			j := i + 1
-			for j < len(s.vals) && s.vals[j] == s.vals[i] {
-				j++
-			}
-			f.clusters(s.vals[i:j], s.rows[i:j])
-			i = j
-		}
+		f.pieceVals = s.AppendValues(f.pieceVals[:0])
+		f.pieceRows = s.AppendRows(f.pieceRows[:0])
+		f.clusters(f.pieceVals, f.pieceRows)
 	}
 }
 
-// scanPath is no order at all: every walk filters the base column.
+// scanPath is no order at all: every walk filters the base column, of
+// which vals[i] is row i.
 type scanPath struct{ vals []int64 }
 
 func (p *scanPath) walk(f fold) fold {
-	if f.op == opCount {
+	switch f.op {
+	case opCount:
 		f.n = column.ParallelCountRange(p.vals, f.lo, f.hi, f.threads)
-		return f
+	case opSum:
+		f.sum = column.ParallelSumRange(p.vals, f.lo, f.hi, f.threads)
+	case opMinMax:
+		f.addBounds(column.ParallelMinMaxRange(p.vals, f.lo, f.hi, f.threads))
+	case opRows:
+		f.rows = column.ParallelScanRange(p.vals, f.lo, f.hi, f.threads)
+	case opBitmap:
+		column.ParallelScanRangeBitmap(p.vals, f.lo, f.hi, f.bm, f.threads)
 	}
-	f.add(segment{vals: p.vals, needsFilter: true})
 	return f
 }
 
 func (p *scanPath) span() (float64, bool)                       { return 0, false }
 func (p *scanPath) estimate(lo, hi int64) (float64, bool, bool) { return 0, false, false }
 
-// sortedPath is a fully sorted copy: binary search brackets the run.
+// sortedPath is a fully sorted copy: binary search brackets the run, its
+// extrema are edge reads and its runs of equal values the key clusters.
 type sortedPath struct{ col *sortidx.SortedColumn }
 
 func (p *sortedPath) walk(f fold) fold {
@@ -179,10 +146,31 @@ func (p *sortedPath) walk(f fold) fold {
 	if f.op != opClusters {
 		start, end = p.col.SelectRange(f.lo, f.hi)
 	}
-	if f.op == opCount {
+	if f.op == opCount || start == end {
 		f.n = end - start
-	} else if end > start {
-		f.add(segment{vals: p.col.Values()[start:end], rows: p.col.Rows(start, end), sorted: true, total: end - start})
+		return f
+	}
+	vals, rows := p.col.Values()[start:end], p.col.Rows(start, end)
+	switch f.op {
+	case opSum:
+		for _, v := range vals {
+			f.sum += v
+		}
+	case opMinMax:
+		f.addBounds(vals[0], vals[len(vals)-1], len(vals))
+	case opRows:
+		f.rows = slices.Clone(rows)
+	case opBitmap:
+		f.bm.SetRowsExtend(rows)
+	case opClusters:
+		for i := 0; i < len(vals); {
+			j := i + 1
+			for j < len(vals) && vals[j] == vals[i] {
+				j++
+			}
+			f.clusters(vals[i:j], rows[i:j])
+			i = j
+		}
 	}
 	return f
 }
@@ -211,8 +199,8 @@ func (p *crackerPath) walk(f fold) fold {
 		if p.pend.Len() > 0 {
 			f.merged = p.pend.MergeAll(p.col)
 		}
-		p.col.ForEachPiece(func(vals []int64, rows []uint32) {
-			f.add(segment{vals: vals, rows: rows})
+		p.col.ForEachPiece(func(s cracking.Segment) {
+			f.addCracked(s, 0, 0)
 		})
 		return f
 	}
@@ -227,8 +215,8 @@ func (p *crackerPath) walk(f fold) fold {
 	}
 	// One column pin around crack and fold, so an update merge cannot
 	// shift positions between the two.
-	r := p.col.SelectSegments(f.lo, f.hi, func(r cracking.Range, vals []int64, rows []uint32) {
-		f.add(segment{vals: vals, rows: rows, total: r.Count()})
+	r := p.col.SelectSegments(f.lo, f.hi, func(r cracking.Range, s cracking.Segment) {
+		f.addCracked(s, 0, r.Count())
 	})
 	f.exact = r.ExactHit()
 	return f
@@ -266,8 +254,8 @@ func (p *ccgiPath) walk(f fold) fold {
 	case f.op == opCount:
 		f.n = p.idx.SelectCount(f.lo, f.hi)
 	default:
-		p.idx.SelectSegments(f.lo, f.hi, func(total int, off uint32, vals []int64, rows []uint32) {
-			f.add(segment{vals: vals, rows: rows, rowBase: off, total: total})
+		p.idx.SelectSegments(f.lo, f.hi, func(total int, off uint32, s cracking.Segment) {
+			f.addCracked(s, off, total)
 		})
 	}
 	return f

@@ -1,6 +1,7 @@
 package econ
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -53,6 +54,45 @@ func TestHeatmapBucketGeometry(t *testing.T) {
 	}
 }
 
+// TestHeatmapMatchesPerBucketCounting: the difference array reports, for
+// any mix of spans and points, what adding one to every overlapped
+// bucket would.
+func TestHeatmapMatchesPerBucketCounting(t *testing.T) {
+	const lo, hi = -5000, 20000
+	h := newHeatmap(lo, hi)
+	var want [HeatBuckets]int64
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		a := lo - 1000 + rng.Int63n(hi-lo+2000)
+		b := a + rng.Int63n(hi-lo)
+		switch i % 3 {
+		case 0:
+			h.RecordPoint(a)
+			want[h.bucketOf(a)]++
+			continue
+		case 1:
+			b = a + 1
+		}
+		h.RecordSpan(a, b)
+		for k := h.bucketOf(a); k <= h.bucketOf(b-1); k++ {
+			want[k]++
+		}
+	}
+	h.RecordSpan(7, 7) // empty: counts nothing
+	h.RecordSpan(9, 3)
+	st := h.state("x")
+	var total, peak int64
+	for b, n := range st.Counts {
+		if n != want[b] {
+			t.Fatalf("bucket %d counts %d, per-bucket counting %d", b, n, want[b])
+		}
+		total, peak = total+n, max(peak, n)
+	}
+	if st.Total != total || st.Peak != peak || st.Counts[st.PeakBucket] != peak {
+		t.Fatalf("total %d peak %d at bucket %d; counts say %d and %d", st.Total, st.Peak, st.PeakBucket, total, peak)
+	}
+}
+
 // TestHeatmapConcurrentRecording is the -race satellite: many writers
 // hammer overlapping attributes (racing the first-sight intern path)
 // while a reader snapshots; no increment may be lost.
@@ -74,7 +114,12 @@ func TestHeatmapConcurrentRecording(t *testing.T) {
 				return
 			default:
 				for _, st := range set.states() {
-					_ = st.Total
+					for b, n := range st.Counts {
+						if n < 0 {
+							t.Errorf("snapshot of %s shows %d accesses in bucket %d", st.Attr, n, b)
+							return
+						}
+					}
 				}
 			}
 		}

@@ -4,12 +4,14 @@
 // two answers the capacity question the refinement ledger can't: is
 // idle work being spent on the ranges queries actually touch?
 //
-// Each heatmap is a flat array of HeatBuckets cache-line-padded atomic
-// counters over the column's key domain, fixed when the attribute is
-// first seen. Recording is lock-free and allocation-free; a query span
-// increments every bucket it overlaps (at most HeatBuckets adds,
-// negligible next to the select it annotates), a refinement pivot
-// increments exactly one.
+// Each heatmap is a difference array over HeatBuckets equi-width slices
+// of the column's key domain, fixed when the attribute is first seen:
+// cell b holds count(b) - count(b-1), so an access of any width is two
+// atomic adds — +1 where it starts, -1 past where it ends — and the
+// counts are the prefix sums, taken when somebody asks. (A query span
+// used to add to every bucket it overlapped, a third of them for a
+// random range: most of what a range door paid for recording.) Cells are
+// cache-line padded; recording is lock-free and allocation-free.
 
 package econ
 
@@ -38,7 +40,9 @@ type heatCell struct {
 type Heatmap struct {
 	lo, hi int64  // inclusive key domain
 	width  uint64 // keys per bucket, >= 1
-	cells  [HeatBuckets]heatCell
+	// cells[b] is count(b) - count(b-1); the extra cell takes the -1 of
+	// an access that ends in the last bucket.
+	cells [HeatBuckets + 1]heatCell
 }
 
 // newHeatmap fixes the bucket geometry for the attribute's domain.
@@ -74,17 +78,26 @@ func (h *Heatmap) RecordSpan(lo, hi int64) {
 	if hi <= lo {
 		return
 	}
-	last := h.bucketOf(hi - 1)
-	for b := h.bucketOf(lo); b <= last; b++ {
-		h.cells[b].n.Add(1)
-	}
+	h.record(h.bucketOf(lo), h.bucketOf(hi-1))
+}
+
+// record counts one access of buckets first..last. The +1 goes in before
+// the -1 and state reads the cells from the top down, so a snapshot that
+// sees the -1 also sees its +1: an access in flight can show in buckets
+// past its end for one snapshot, never as a negative count.
+//
+//holistic:noalloc
+func (h *Heatmap) record(first, last int) {
+	h.cells[first].n.Add(1)
+	h.cells[last+1].n.Add(-1)
 }
 
 // RecordPoint counts one access of a single key (a refinement pivot).
 //
 //holistic:noalloc
 func (h *Heatmap) RecordPoint(v int64) {
-	h.cells[h.bucketOf(v)].n.Add(1)
+	b := h.bucketOf(v)
+	h.record(b, b)
 }
 
 // HeatmapState is a JSON-friendly copy of one heatmap: the bucket
@@ -101,8 +114,9 @@ type HeatmapState struct {
 	Counts      []int64 `json:"counts"`
 }
 
-// state snapshots the heatmap. Counters are read individually (not an
-// atomic cut), which is fine: each is monotone.
+// state snapshots the heatmap: the prefix sums of the cells, which are
+// read individually, not as an atomic cut (see record for what that can
+// show).
 func (h *Heatmap) state(attr string) HeatmapState {
 	st := HeatmapState{
 		Attr:        attr,
@@ -111,8 +125,12 @@ func (h *Heatmap) state(attr string) HeatmapState {
 		BucketWidth: int64(h.width),
 		Counts:      make([]int64, HeatBuckets),
 	}
-	for i := range h.cells {
-		n := h.cells[i].n.Load()
+	for i := HeatBuckets - 1; i >= 0; i-- {
+		st.Counts[i] = h.cells[i].n.Load()
+	}
+	var n int64
+	for i, d := range st.Counts {
+		n += d
 		st.Counts[i] = n
 		st.Total += n
 		if n > st.Peak {

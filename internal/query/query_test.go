@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -419,5 +420,57 @@ func TestSteadyStateCountSumAllocationFree(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Errorf("steady-state Sum allocates %.2f times per query, want 0", allocs)
+	}
+}
+
+// TestSteadyStateCrackerAllocationFree is the allocation bar over cracker
+// columns, whichever way they store their tuples: a table whose values fit
+// one packing window and the same table with the int64 extremes added,
+// which cannot pack. Once the bounds are piece boundaries, Count and Sum
+// through the bitmap path — rowids decoded from packed words a stack
+// chunk at a time, or read from the rowid array — allocate nothing.
+func TestSteadyStateCrackerAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts are meaningless")
+	}
+	const domain = 1 << 16
+	for _, extremes := range [][]int64{nil, {math.MinInt64, math.MaxInt64}} {
+		tab := engine.NewTable("R")
+		rng := rand.New(rand.NewSource(29))
+		for _, name := range []string{"a", "b", "c"} {
+			vals := append([]int64(nil), extremes...)
+			for len(vals) < 1<<15 {
+				vals = append(vals, rng.Int63n(domain))
+			}
+			tab.MustAddColumn(column.New(name, vals))
+		}
+		exec := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "adaptive")
+		r := New(tab, exec, 1)
+		// The extremes stretch the planner's domain guess, which would
+		// otherwise send that table down the position-list path.
+		r.SetRepPolicy(RepBitmap)
+		preds := []Predicate{
+			{Attr: "a", Lo: 0, Hi: domain / 2},
+			{Attr: "b", Lo: domain / 4, Hi: domain},
+			{Attr: "c", Lo: 0, Hi: 3 * domain / 4},
+		}
+		for name, run := range map[string]func() error{
+			"Count": func() error { _, err := r.Count(preds); return err },
+			"Sum":   func() error { _, err := r.Sum("c", preds); return err },
+		} {
+			if err := run(); err != nil { // cracks, and warms the scratch pool
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 0.5 {
+				t.Errorf("extremes %v: steady-state %s over crackers allocates %.2f times per query, want 0", extremes, name, allocs)
+			}
+		}
+		if exec.TotalPieces() == 0 {
+			t.Fatal("no conjunct went through a cracker column")
+		}
 	}
 }

@@ -12,6 +12,8 @@
 package sortidx
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -24,7 +26,8 @@ type SortedColumn struct {
 	rows []uint32 // nil when built without rowids
 }
 
-// pair travels through the sort when rowids are carried.
+// pair travels through the sort when rowids are carried and the values
+// span more than 2^32 (see BuildWithRows).
 type pair struct {
 	v int64
 	r uint32
@@ -33,26 +36,45 @@ type pair struct {
 // Build sorts a copy of base with workers goroutines and returns the
 // sorted column. workers <= 1 sorts sequentially.
 func Build(name string, base []int64, workers int) *SortedColumn {
-	vals := append([]int64(nil), base...)
-	parallelSort(vals, workers)
+	vals := slices.Clone(base)
+	parallelSort(vals, workers, slices.Sort[[]int64], cmp.Compare[int64])
 	return &SortedColumn{name: name, vals: vals}
 }
 
 // BuildWithRows sorts a copy of base, keeping base row ids aligned with
-// the sorted values.
+// the sorted values. When the values span less than 2^32 each travels
+// through the sort as one word, (value - min - 2^31) << 32 | rowid, whose
+// signed order is the order of (value, rowid) — the word a cracker column
+// packs (Compressed Key Sort's key‖rowid): the sort then is the plain
+// int64 sort of Build, and the word comes apart again afterwards. Wider
+// columns sort (value, rowid) pairs.
 func BuildWithRows(name string, base []int64, workers int) *SortedColumn {
+	s := &SortedColumn{name: name, vals: make([]int64, len(base)), rows: make([]uint32, len(base))}
+	if len(base) == 0 {
+		return s
+	}
+	lo, hi := slices.Min(base), slices.Max(base)
+	if uint64(hi)-uint64(lo) < 1<<32 {
+		words, bias := s.vals, lo+1<<31
+		for i, v := range base {
+			words[i] = (v-bias)<<32 | int64(i)
+		}
+		parallelSort(words, workers, slices.Sort[[]int64], cmp.Compare[int64])
+		for i, w := range words {
+			s.vals[i], s.rows[i] = w>>32+bias, uint32(w)
+		}
+		return s
+	}
 	pairs := make([]pair, len(base))
 	for i, v := range base {
 		pairs[i] = pair{v, uint32(i)}
 	}
-	parallelSortPairs(pairs, workers)
-	vals := make([]int64, len(pairs))
-	rows := make([]uint32, len(pairs))
+	byValue := func(a, b pair) int { return cmp.Compare(a.v, b.v) }
+	parallelSort(pairs, workers, func(run []pair) { slices.SortFunc(run, byValue) }, byValue)
 	for i, p := range pairs {
-		vals[i] = p.v
-		rows[i] = p.r
+		s.vals[i], s.rows[i] = p.v, p.r
 	}
-	return &SortedColumn{name: name, vals: vals, rows: rows}
+	return s
 }
 
 // Name returns the attribute name.
@@ -121,13 +143,14 @@ func (s *SortedColumn) Rows(start, end int) []uint32 {
 	return s.rows[start:end]
 }
 
-// parallelSort sorts vals in place using a multi-way parallel merge sort:
-// the array is cut into `workers` runs, each sorted concurrently with the
-// standard library's introsort, then merged pairwise in parallel rounds.
-func parallelSort(vals []int64, workers int) {
-	n := len(vals)
+// parallelSort sorts s in place using a multi-way parallel merge sort:
+// the array is cut into `workers` runs, each sorted concurrently by
+// sortRun — the standard library's pdqsort, specialised for int64 where
+// the elements are — then merged pairwise, by compare, in parallel rounds.
+func parallelSort[T any](s []T, workers int, sortRun func([]T), compare func(a, b T) int) {
+	n := len(s)
 	if workers < 2 || n < 4096 {
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		sortRun(s)
 		return
 	}
 	if workers > n {
@@ -147,15 +170,14 @@ func parallelSort(vals []int64, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			seg := vals[lo:hi]
-			sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+			sortRun(s[lo:hi])
 		}(bounds[w], bounds[w+1])
 	}
 	wg.Wait()
 
 	// Merge rounds: runs double in width each round.
-	buf := make([]int64, n)
-	src, dst := vals, buf
+	buf := make([]T, n)
+	src, dst := s, buf
 	runs := bounds
 	for len(runs) > 2 {
 		nextRuns := make([]int, 0, (len(runs)+1)/2+1)
@@ -164,7 +186,7 @@ func parallelSort(vals []int64, workers int) {
 			mg.Add(1)
 			go func(lo, mid, hi int) {
 				defer mg.Done()
-				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], compare)
 			}(runs[i], runs[i+1], runs[i+2])
 			nextRuns = append(nextRuns, runs[i])
 		}
@@ -179,88 +201,15 @@ func parallelSort(vals []int64, workers int) {
 		src, dst = dst, src
 		runs = nextRuns
 	}
-	if &src[0] != &vals[0] {
-		copy(vals, src)
+	if &src[0] != &s[0] {
+		copy(s, src)
 	}
 }
 
-func mergeInto(dst, a, b []int64) {
+func mergeInto[T any](dst, a, b []T, compare func(a, b T) int) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
-}
-
-// parallelSortPairs mirrors parallelSort for (value, rowid) pairs.
-func parallelSortPairs(pairs []pair, workers int) {
-	n := len(pairs)
-	if workers < 2 || n < 4096 {
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	for workers&(workers-1) != 0 {
-		workers--
-	}
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * n / workers
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			seg := pairs[lo:hi]
-			sort.Slice(seg, func(i, j int) bool { return seg[i].v < seg[j].v })
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
-
-	buf := make([]pair, n)
-	src, dst := pairs, buf
-	runs := bounds
-	for len(runs) > 2 {
-		nextRuns := make([]int, 0, (len(runs)+1)/2+1)
-		var mg sync.WaitGroup
-		for i := 0; i+2 < len(runs); i += 2 {
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergePairsInto(dst[lo:hi], src[lo:mid], src[mid:hi])
-			}(runs[i], runs[i+1], runs[i+2])
-			nextRuns = append(nextRuns, runs[i])
-		}
-		if (len(runs)-1)%2 == 1 {
-			lo, hi := runs[len(runs)-2], runs[len(runs)-1]
-			copy(dst[lo:hi], src[lo:hi])
-			nextRuns = append(nextRuns, lo)
-		}
-		nextRuns = append(nextRuns, n)
-		mg.Wait()
-		src, dst = dst, src
-		runs = nextRuns
-	}
-	if &src[0] != &pairs[0] {
-		copy(pairs, src)
-	}
-}
-
-func mergePairsInto(dst, a, b []pair) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].v <= b[j].v {
+		if compare(a[i], b[j]) <= 0 {
 			dst[k] = a[i]
 			i++
 		} else {

@@ -1,7 +1,9 @@
 package sortidx
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -54,18 +56,44 @@ func TestBuildSmallAndEmpty(t *testing.T) {
 	}
 }
 
+// TestBuildWithRowsAlignment covers both ways the rowids travel through
+// the sort: inside the value's word when the values span less than 2^32
+// (at either end of int64 too), as pairs when they do not.
 func TestBuildWithRowsAlignment(t *testing.T) {
-	base := randVals(30_000, 7, 1000)
-	s := BuildWithRows("a", base, 4)
-	vals := s.Values()
-	if !sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i] < vals[j] }) {
-		t.Fatal("not sorted")
-	}
-	rows := s.Rows(0, s.Len())
-	for i, r := range rows {
-		if base[r] != vals[i] {
-			t.Fatalf("row %d points at base value %d but sorted value is %d", r, base[r], vals[i])
+	shift := func(base []int64, by int64) []int64 {
+		out := make([]int64, len(base))
+		for i, v := range base {
+			out[i] = v + by
 		}
+		return out
+	}
+	narrow := randVals(30_000, 7, 1000)
+	for name, base := range map[string][]int64{
+		"narrow":           narrow,
+		"just under 2^32":  append(randVals(10_000, 8, 1<<32-1), 0, 1<<32-1),
+		"exactly 2^32":     append(randVals(10_000, 8, 1<<32), 0, 1<<32),
+		"bottom of int64":  shift(narrow, math.MinInt64),
+		"top of int64":     shift(narrow, math.MaxInt64-999),
+		"the whole domain": append(randVals(10_000, 9, 1<<62), math.MinInt64, math.MaxInt64),
+		"one value":        {42},
+	} {
+		for _, workers := range []int{1, 4} {
+			s := BuildWithRows("a", base, workers)
+			vals := s.Values()
+			if len(vals) != len(base) || !slices.IsSorted(vals) {
+				t.Fatalf("%s, %d workers: %d values out of %d, sorted %v", name, workers, len(vals), len(base), slices.IsSorted(vals))
+			}
+			seen := make([]bool, len(base))
+			for i, r := range s.Rows(0, s.Len()) {
+				if base[r] != vals[i] || seen[r] {
+					t.Fatalf("%s, %d workers: row %d (seen before: %v) is base value %d but sorted value %d", name, workers, r, seen[r], base[r], vals[i])
+				}
+				seen[r] = true
+			}
+		}
+	}
+	if s := BuildWithRows("a", nil, 4); s.Len() != 0 || !s.HasRows() {
+		t.Fatalf("empty build: Len %d, HasRows %v", s.Len(), s.HasRows())
 	}
 }
 
