@@ -4,19 +4,15 @@ import (
 	"holistic/internal/column"
 )
 
-// Acc is the slice-fed face of the subsystem: callers that already hold
-// the group-key and aggregate attributes as position-aligned slices —
-// sideways-cracked payload segments, pre-sorted projection windows —
+// Acc is the slice-fed feeder: callers that already hold the group-key
+// and aggregate attributes as position-aligned slices — sideways-cracked
+// payload segments, pre-sorted projection windows, gathered join pairs —
 // stream them through Segment and collect the ordered result with
-// Finish. It runs the same fused dense/hash accumulators as the
-// selection-vector entry points, chosen by the same composite packing
-// rule, and migrates dense → hash transparently if a key value escapes
-// the declared domain mid-stream.
+// Finish. The core reads the caller's slices in place.
 type Acc struct {
-	spec  Spec
-	st    *runState
-	dense bool
-	err   error
+	spec Spec
+	st   *runState
+	err  error
 }
 
 // NewAcc builds an accumulator over the given key domains (Key.View is
@@ -25,22 +21,20 @@ type Acc struct {
 //
 //holistic:alloc-ok builds the accumulator and its pooled run state
 func NewAcc(keys []Key, aggs []Agg) (*Acc, error) {
-	a := &Acc{spec: Spec{Keys: keys, Aggs: aggs, AggViews: make([]column.View, len(aggs))}}
+	// The length of the stream is unknown up front, so the fill rule of
+	// the dense/hash crossover cannot apply: dense whenever the domain
+	// packs.
+	a := &Acc{spec: Spec{Keys: keys, Aggs: aggs, AggViews: make([]column.View, len(aggs)), Force: StrategyDense}}
 	if err := a.spec.validate(); err != nil {
 		return nil, err
 	}
-	a.st = getRunState()
-	a.st.buffers()
-	if err := makePacking(&a.st.pk, keys); err != nil {
-		putRunState(a.st)
+	st := getRunState()
+	if err := makePacking(&st.pk, keys); err != nil {
+		putRunState(st)
 		return nil, err
 	}
-	a.dense = a.st.pk.slots > 0 && a.st.pk.slots <= a.spec.denseSlots()
-	if a.dense {
-		a.st.denseFor(&a.spec, a.st.pk.slots)
-	} else {
-		a.st.hashFor(&a.spec)
-	}
+	st.start(&a.spec, &st.pk, chooseDense(&a.spec, &st.pk, 0))
+	a.st = st
 	return a, nil
 }
 
@@ -59,169 +53,11 @@ func (a *Acc) Segment(keyCols [][]int64, aggCols [][]int64) {
 			len(keyCols), len(aggCols), len(a.spec.Keys), len(a.spec.Aggs))
 		return
 	}
-	n := len(keyCols[0])
-	for off := 0; off < n; off += chunkSize {
-		end := off + chunkSize
-		if end > n {
-			end = n
-		}
-		if a.dense {
-			if a.segmentDense(keyCols, aggCols, off, end) {
-				continue
-			}
-			// A key escaped its declared domain: migrate the dense partial
-			// into a hash state and continue there.
-			a.migrate()
-		}
-		a.segmentHash(keyCols, aggCols, off, end)
+	c := chunk{keys: keyCols, aggs: aggCols}
+	for n := len(keyCols[0]); c.off < n; c.off += chunkSize {
+		c.n = min(chunkSize, n-c.off)
+		a.st.fold(&a.spec, &a.st.pk, &c)
 	}
-}
-
-// segmentDense folds rows [off, end); false when a key value falls
-// outside the packed domain (nothing of the chunk has been applied yet).
-//
-//holistic:noalloc
-func (a *Acc) segmentDense(keyCols, aggCols [][]int64, off, end int) bool {
-	st := a.st
-	d := st.dense
-	slots := st.slotbuf[:end-off]
-	for i := range a.spec.Keys {
-		lo, span, shift := st.pk.los[i], st.pk.spans[i], st.pk.shifts[i]
-		vals := keyCols[i][off:end]
-		if i == 0 {
-			for j, v := range vals {
-				dlt := uint64(v - lo)
-				if dlt >= span {
-					return false
-				}
-				slots[j] = int32(dlt << shift)
-			}
-		} else {
-			for j, v := range vals {
-				dlt := uint64(v - lo)
-				if dlt >= span {
-					return false
-				}
-				slots[j] |= int32(dlt << shift)
-			}
-		}
-	}
-	for _, s := range slots {
-		d.counts[s]++
-	}
-	a.foldAggs(d.accs, slots, aggCols, off, end)
-	return true
-}
-
-// segmentHash folds rows [off, end) through the hash accumulator.
-//
-//holistic:noalloc
-func (a *Acc) segmentHash(keyCols, aggCols [][]int64, off, end int) {
-	st := a.st
-	h := st.hash
-	if !st.pk.packable() {
-		h.toTupleMode()
-	}
-	slots := st.slotbuf[:end-off]
-	if !h.tuple {
-		st.packbuf = growU64(st.packbuf, end-off)
-		packed := st.packbuf
-		ok := true
-	pack:
-		for i := range a.spec.Keys {
-			lo, span, shift := st.pk.los[i], st.pk.spans[i], st.pk.shifts[i]
-			vals := keyCols[i][off:end]
-			for j, v := range vals {
-				d := uint64(v - lo)
-				if d >= span {
-					ok = false
-					break pack
-				}
-				if i == 0 {
-					packed[j] = d << shift
-				} else {
-					packed[j] |= d << shift
-				}
-			}
-		}
-		if ok {
-			for j := range slots {
-				slots[j] = h.groupOf(&a.spec, &st.pk, packed[j])
-			}
-		} else {
-			h.toTupleMode()
-		}
-	}
-	if h.tuple {
-		st.tuplebuf = grow64(st.tuplebuf, len(a.spec.Keys))
-		tuple := st.tuplebuf
-		for j := 0; j < end-off; j++ {
-			for k := range tuple {
-				tuple[k] = keyCols[k][off+j]
-			}
-			slots[j] = h.groupOfTuple(&a.spec, &st.pk, tuple)
-		}
-	}
-	for _, g := range slots {
-		h.counts[g]++
-	}
-	a.foldAggs(h.accs, slots, aggCols, off, end)
-}
-
-// foldAggs applies every non-count aggregate of rows [off, end) to the
-// accumulator columns indexed by slots.
-//
-//holistic:noalloc
-func (a *Acc) foldAggs(accs [][]int64, slots []int32, aggCols [][]int64, off, end int) {
-	for ai, agg := range a.spec.Aggs {
-		if agg.Kind == KindCount {
-			continue
-		}
-		acc := accs[ai]
-		vals := aggCols[ai][off:end]
-		switch agg.Kind {
-		case KindSum:
-			for j, v := range vals {
-				acc[slots[j]] += v
-			}
-		case KindMin:
-			for j, v := range vals {
-				if v < acc[slots[j]] {
-					acc[slots[j]] = v
-				}
-			}
-		case KindMax:
-			for j, v := range vals {
-				if v > acc[slots[j]] {
-					acc[slots[j]] = v
-				}
-			}
-		}
-	}
-}
-
-// migrate converts the dense partial into hash groups. A dense slot is
-// the packed composite key itself, so the conversion is a walk over the
-// occupied slots.
-//
-//holistic:alloc-ok grows the retained buffer on first use or resize
-func (a *Acc) migrate() {
-	st := a.st
-	d := st.dense
-	h := st.hashFor(&a.spec)
-	for s, c := range d.counts {
-		if c == 0 {
-			continue
-		}
-		g := h.groupOf(&a.spec, &st.pk, uint64(s))
-		h.counts[g] += c
-		for ai, agg := range a.spec.Aggs {
-			if agg.Kind != KindCount {
-				h.accs[ai][g] = d.accs[ai][s]
-			}
-		}
-	}
-	a.dense = false
 }
 
 // Finish emits the ordered result into res and releases the pooled
@@ -237,12 +73,7 @@ func (a *Acc) Finish(res *Result) error {
 		return a.err
 	}
 	res.reset(len(a.spec.Keys), len(a.spec.Aggs))
-	if a.dense {
-		res.Strategy = StrategyDense
-		emitDense(&a.spec, &a.st.pk, a.st.dense, res)
-	} else {
-		res.Strategy = StrategyHash
-		emitHash(&a.spec, a.st.hash, res)
-	}
+	res.Strategy = a.st.strategy()
+	a.st.emit(&a.spec, &a.st.pk, res)
 	return nil
 }

@@ -146,14 +146,62 @@ func buildSpec(keyCols, aggCols [][]int64, aggSpecs []Agg, threads int) *Spec {
 	return spec
 }
 
-// TestStrategiesAgreeWithOracle runs randomized fused plans through the
-// dense and hash strategies — sequential and partition-parallel, both
-// selection-vector forms — against the brute-force oracle.
+// clusterStream turns a key column into the key-ordered stream of an
+// index walk: (value, row) pairs sorted by value, cut into clusters at
+// random ascending boundaries that never split equal values, rows
+// shuffled inside each cluster (a cracker piece is unordered).
+func clusterStream(rng *rand.Rand, keyCol []int64) func(fn func(vals []int64, rows []uint32)) {
+	rows := make([]uint32, len(keyCol))
+	for i := range rows {
+		rows[i] = uint32(i)
+	}
+	sort.Slice(rows, func(i, j int) bool { return keyCol[rows[i]] < keyCol[rows[j]] })
+	vals := make([]int64, len(rows))
+	var cuts []int
+	for i := 0; i < len(rows); {
+		j := min(i+1+rng.Intn(2*chunkSize), len(rows))
+		for j < len(rows) && keyCol[rows[j]] == keyCol[rows[j-1]] {
+			j++
+		}
+		rng.Shuffle(j-i, func(a, b int) { rows[i+a], rows[i+b] = rows[i+b], rows[i+a] })
+		cuts = append(cuts, j)
+		i = j
+	}
+	for i, r := range rows {
+		vals[i] = keyCol[r]
+	}
+	return func(fn func(vals []int64, rows []uint32)) {
+		lo := 0
+		for _, hi := range cuts {
+			fn(vals[lo:hi], rows[lo:hi])
+			lo = hi
+		}
+	}
+}
+
+// TestStrategiesAgreeWithOracle runs randomized fused plans through
+// every feeder of the core against the brute-force oracle: both
+// selection-vector forms under the dense and hash strategies,
+// sequential and partition-parallel (a third of the trials are large
+// enough that threads=4 really splits the selection and merges
+// partials); the same selected rows streamed through Acc in
+// random-length segments; and, for single-key trials, the cluster walk
+// over random ascending cluster cuts. Trials rotate through exact key
+// domains, a stale domain whose escaping values sit in one eighth of
+// the rows (so one worker's dense partial migrates, or one worker's hash
+// turns tuple-keyed, and the merge mixes them with partials that did
+// not), and a composite wider than 64 bits; every other trial reads
+// its aggregates through an overlay view (tail, updated, deleted).
 func TestStrategiesAgreeWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		rows := 500 + rng.Intn(4000)
+		if trial%3 == 0 {
+			rows = 2*minParallel + rng.Intn(4000)
+		}
 		nkeys := 1 + rng.Intn(3)
+		wide := nkeys > 1 && trial%5 == 1
+		stale := trial%5 == 2
 		keyCols := make([][]int64, nkeys)
 		for k := range keyCols {
 			domain := int64(2 + rng.Intn(40))
@@ -161,6 +209,9 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 			col := make([]int64, rows)
 			for i := range col {
 				col[i] = base + rng.Int63n(domain)
+				if wide {
+					col[i] = (col[i] - base) * (math.MaxInt64 / 64) // 63 bits per key
+				}
 			}
 			keyCols[k] = col
 		}
@@ -178,27 +229,124 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 		var sel column.PosList
 		bm := column.NewBitmap(rows)
 		for i := 0; i < rows; i++ {
-			if rng.Intn(3) != 0 {
+			if rng.Intn(3) != 0 || i == 0 || i == rows-1 {
 				sel = append(sel, column.Pos(i))
 				bm.Set(column.Pos(i))
 			}
 		}
+
+		// The declared key domains are exact — except that a stale trial
+		// then moves some rows of one eighth of the column (its first and
+		// last row for certain, both selected) past a key's declared
+		// maximum: the last eighth and the first key, or the first eighth
+		// and the last key, so either side of a merge gets to be the
+		// partial that escaped.
+		declared := buildSpec(keyCols, aggCols, aggSpecs, 1).Keys
+		if stale {
+			k, lo := 0, rows-rows/8
+			if trial%10 == 7 {
+				k, lo = nkeys-1, 0
+			}
+			for i := lo; i < lo+rows/8; i++ {
+				if i == lo || i == lo+rows/8-1 || rng.Intn(40) == 0 {
+					keyCols[k][i] = declared[k].Hi + 1 + rng.Int63n(3)
+				}
+			}
+		}
+		// The aggregate attribute, read plain or through an overlay whose
+		// logical content is the same: a tenth of the rows live in the
+		// tail, some base values are stale under an update, some unselected
+		// rows are deleted.
+		aggView := column.View{Base: vals}
+		if trial%2 == 1 {
+			nb := rows - rows/10
+			aggView = column.View{
+				Base:    append([]int64(nil), vals[:nb]...),
+				Tail:    vals[nb:],
+				Updated: map[column.Pos]int64{},
+				Deleted: map[column.Pos]struct{}{},
+			}
+			for i := 0; i < rows; i += 1 + rng.Intn(50) {
+				if !bm.Test(column.Pos(i)) {
+					aggView.Deleted[column.Pos(i)] = struct{}{}
+				} else if i < nb {
+					aggView.Base[i] = ^vals[i]
+					aggView.Updated[column.Pos(i)] = vals[i]
+				}
+			}
+		}
+		mkSpec := func(threads int) *Spec {
+			spec := buildSpec(keyCols, aggCols, aggSpecs, threads)
+			for k := range spec.Keys {
+				spec.Keys[k].Lo, spec.Keys[k].Hi = declared[k].Lo, declared[k].Hi
+			}
+			for a := 1; a < len(spec.AggViews); a++ {
+				spec.AggViews[a] = aggView
+			}
+			return spec
+		}
 		wantKeys, wantAggs := oracleGroup(keyCols, aggSpecs, aggCols, sel)
+		check := func(feed string, res *Result) {
+			t.Helper()
+			if (stale || wide) && res.Strategy == StrategyDense {
+				t.Fatalf("trial %d %s: strategy dense over a stale or unpackable domain", trial, feed)
+			}
+			checkEqual(t, res, wantKeys, wantAggs)
+		}
 
 		for _, threads := range []int{1, 4} {
 			for _, force := range []Strategy{StrategyAuto, StrategyDense, StrategyHash} {
-				spec := buildSpec(keyCols, aggCols, aggSpecs, threads)
+				spec := mkSpec(threads)
 				spec.Force = force
 				var res Result
 				if err := GroupRows(spec, sel, &res); err != nil {
 					t.Fatal(err)
 				}
-				checkEqual(t, &res, wantKeys, wantAggs)
+				check("rows", &res)
 				if err := GroupBitmap(spec, bm, &res); err != nil {
 					t.Fatal(err)
 				}
-				checkEqual(t, &res, wantKeys, wantAggs)
+				check("bitmap", &res)
 			}
+		}
+
+		// The same selected rows as position-aligned slices, through Acc.
+		spec := mkSpec(1)
+		accKeys := make([][]int64, nkeys)
+		for k := range accKeys {
+			accKeys[k] = column.Project(keyCols[k], sel)
+		}
+		accVals := column.Project(vals, sel)
+		acc, err := NewAcc(spec.Keys, aggSpecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segKeys := make([][]int64, nkeys)
+		for off := 0; off < len(sel); {
+			end := min(off+1+rng.Intn(3*chunkSize), len(sel))
+			for k := range segKeys {
+				segKeys[k] = accKeys[k][off:end]
+			}
+			acc.Segment(segKeys, [][]int64{nil, accVals[off:end], accVals[off:end], accVals[off:end]})
+			off = end
+		}
+		var res Result
+		if err := acc.Finish(&res); err != nil {
+			t.Fatal(err)
+		}
+		check("acc", &res)
+
+		// The cluster walk streams the key itself; refined (default bound)
+		// and unrefined (tiny bound: sparse clusters hash) alike.
+		if nkeys == 1 {
+			spec.ClusterSlots = []int{0, 16}[trial%2]
+			if err := GroupClusters(spec, bm, clusterStream(rng, keyCols[0]), &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Strategy != StrategySort {
+				t.Fatalf("trial %d clusters: strategy = %v, want sort", trial, res.Strategy)
+			}
+			checkEqual(t, &res, wantKeys, wantAggs)
 		}
 	}
 }
@@ -466,6 +614,60 @@ func TestAccMatchesOracle(t *testing.T) {
 		t.Fatalf("post-migration strategy = %v, want hash", res.Strategy)
 	}
 	checkEqual(t, &res, wantKeys, wantAggs)
+}
+
+// TestWarmedFeedersAllocationFree: once the pooled state and the result
+// table have grown, the slice-fed segment loop and a cluster walk —
+// dense and hash clusters alike — allocate nothing. (The selection-
+// vector feeders' bar is TestSteadyStateGroupedAllocationFree in
+// internal/query.)
+func TestWarmedFeedersAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts are meaningless")
+	}
+	rng := rand.New(rand.NewSource(16))
+	const rows = 3 * chunkSize
+	key := make([]int64, rows)
+	val := make([]int64, rows)
+	bm := column.NewBitmap(rows)
+	for i := range key {
+		key[i] = rng.Int63n(1 << 12)
+		val[i] = rng.Int63n(1000)
+		if i%5 != 0 {
+			bm.Set(column.Pos(i))
+		}
+	}
+	aggSpecs := []Agg{Count(), Sum("v"), Min("v"), Max("v")}
+	keyCols, aggCols := [][]int64{key}, [][]int64{nil, val, val, val}
+	for _, hi := range []int64{1<<12 - 1 /* dense */, 1<<40 - 1 /* hash */} {
+		acc, err := NewAcc([]Key{{Lo: 0, Hi: hi}}, aggSpecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.Segment(keyCols, aggCols) // every group exists from here on
+		if allocs := testing.AllocsPerRun(20, func() { acc.Segment(keyCols, aggCols) }); allocs > 0 {
+			t.Errorf("warmed Acc.Segment over [0, %d] allocates %.2f times per segment, want 0", hi, allocs)
+		}
+		var res Result
+		if err := acc.Finish(&res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk := clusterStream(rng, key)
+	for _, clusterSlots := range []int{0 /* dense clusters */, 16 /* hash clusters */} {
+		spec := buildSpec(keyCols, aggCols, aggSpecs, 1)
+		spec.ClusterSlots = clusterSlots
+		var res Result
+		run := func() {
+			if err := GroupClusters(spec, bm, walk, &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+			t.Errorf("warmed GroupClusters (ClusterSlots %d) allocates %.2f times per walk, want 0", clusterSlots, allocs)
+		}
+	}
 }
 
 // TestEmptySelection and validation errors.

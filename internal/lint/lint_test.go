@@ -151,7 +151,7 @@ func TestAnnotatedHotPaths(t *testing.T) {
 	}
 	want := map[string][]string{
 		"holistic/internal/query":    {"Count", "Sum", "runSel", "putScratch", "finish", "noteStrategy"},
-		"holistic/internal/groupby":  {"GroupRows", "GroupBitmap", "accumulateDense", "accumulateHash"},
+		"holistic/internal/groupby":  {"GroupRows", "GroupBitmap", "GroupClusters", "Segment", "feedSpan", "nextChunk", "cluster", "fold", "packKeys", "keyCol", "aggCol", "merge", "mergeGroup", "emit"},
 		"holistic/internal/join":     {"Merge", "PutPairs"},
 		"holistic/internal/column":   {"CountRange", "SumRange", "FilterBitmap", "SumBitmap"},
 		"holistic/internal/cracking": {"crackInTwo", "classify", "less", "swapPairs", "swapRuns", "split"},

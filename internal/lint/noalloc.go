@@ -307,6 +307,9 @@ func (w *naWalker) checkBox(expr ast.Expr, dst types.Type) {
 	if dst == nil || !types.IsInterface(dst.Underlying()) {
 		return
 	}
+	if _, isParam := types.Unalias(dst).(*types.TypeParam); isParam {
+		return // a type parameter's underlying type is its constraint; it is instantiated concrete
+	}
 	tv, ok := w.pkg.Info.Types[expr]
 	if !ok || tv.Type == nil {
 		return

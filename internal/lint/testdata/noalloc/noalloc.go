@@ -53,6 +53,11 @@ func boxes(n int, p *point) (any, error) {
 func sink(v any) { _ = v }
 
 //holistic:noalloc
+func narrows[T int32 | uint64](dst []T, v uint64) {
+	dst[0] = T(v) // a conversion to a type parameter is not a box: fine
+}
+
+//holistic:noalloc
 func formats(n int) string {
 	return fmt.Sprintf("%d", n) // want "calls fmt.Sprintf"
 }

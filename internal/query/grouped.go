@@ -27,6 +27,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"holistic/internal/column"
 	"holistic/internal/groupby"
@@ -144,42 +145,13 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 	// accumulators.
 	sc.extras = append(sc.extras[:0], keys...)
 	for _, a := range aggs {
-		if a.Kind == groupby.KindCount {
-			continue
-		}
-		seen := false
-		for _, e := range sc.extras {
-			if e == a.Attr {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			sc.extras = append(sc.extras, a.Attr)
+		if a.Kind != groupby.KindCount {
+			sc.extras = appendAbsent(sc.extras, a.Attr)
 		}
 	}
-
-	live := true
-	if len(preds) > 0 {
-		empty, err := r.planScratch(sc, preds)
-		if err != nil {
-			return err
-		}
-		if empty {
-			live = false
-		} else if _, err = r.runSel(sc, sc.extras, repWantBitmap); err != nil {
-			return err
-		}
-	} else {
-		if err := r.selectUniverse(sc, sc.extras); err != nil {
-			return err
-		}
-		r.ob.Rep(sc.sp.Seq, obs.RepBitmap, float64(sc.bm.Len()), 0)
-		if tr := sc.sp.Trace; tr != nil {
-			tr.Rep = "bitmap"
-			tr.RepReason = "no predicates: whole-relation universe selection"
-			tr.Scanned = int64(sc.bm.Count())
-		}
+	live, err := r.selectFor(sc, preds, sc.extras)
+	if err != nil {
+		return err
 	}
 
 	// Group-by attributes join the index space like residual conjuncts:
@@ -240,10 +212,53 @@ func (r *Runner) noteGroupFallback(sc *scratch, executed, forced groupby.Strateg
 	r.noteStrategy(sc, groupStratOf(executed), reason)
 }
 
+// appendAbsent appends attr to list unless it is already there.
+//
+//holistic:noalloc
+func appendAbsent(list []string, attr string) []string {
+	if !slices.Contains(list, attr) {
+		list = append(list, attr)
+	}
+	return list
+}
+
+// selectFor is the selection prologue grouping and join sides share:
+// the conjunction through the usual pipeline, materialized as a bitmap,
+// when predicates exist; the presence-filtered universe otherwise. The
+// extras ride along, so every selected row has a value in all of them.
+// Either way the side's observer and the trace see one bitmap
+// representation choice. live is false when the selection is provably
+// empty; sc.bm and sc.views are then unspecified.
+//
+//holistic:noalloc
+func (r *Runner) selectFor(sc *scratch, preds []Predicate, extras []string) (live bool, err error) {
+	if len(preds) > 0 {
+		empty, err := r.planScratch(sc, preds)
+		if err != nil || empty {
+			return false, err
+		}
+		if _, err = r.runSel(sc, extras, repWantBitmap); err != nil {
+			return false, err
+		}
+		return sc.bm.Any(), nil
+	}
+	if err := r.selectUniverse(sc, extras); err != nil {
+		return false, err
+	}
+	r.ob.Rep(sc.sp.Seq, obs.RepBitmap, float64(sc.bm.Len()), 0)
+	if tr := sc.sp.Trace; tr != nil {
+		tr.Rep = "bitmap"
+		tr.RepReason = "no predicates: whole-relation universe selection"
+		tr.Scanned = int64(sc.bm.Count())
+	}
+	return sc.bm.Any(), nil
+}
+
 // selectUniverse fills sc.bm with the whole position universe of the
 // referenced attributes, presence-filtered per attribute, and records
-// their views in sc.views — the selection of a query without
-// predicates (whole-relation grouping, unfiltered join sides).
+// their views in sc.views.
+//
+//holistic:noalloc
 func (r *Runner) selectUniverse(sc *scratch, extras []string) error {
 	universe := 0
 	for _, attr := range extras {

@@ -460,6 +460,23 @@ func TestSteadyStateGroupedAllocationFree(t *testing.T) {
 	if allocs > 0.5 {
 		t.Errorf("steady-state whole-relation grouped query allocates %.2f times per query, want 0", allocs)
 	}
+	// So do the hash accumulators, once their table and group columns
+	// have grown.
+	r.SetGroupStrategy(groupby.StrategyHash)
+	if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != groupby.StrategyHash {
+		t.Fatalf("forced hash ran %v", res.Strategy)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0.5 {
+		t.Errorf("steady-state forced-hash grouped query allocates %.2f times per query, want 0", allocs)
+	}
 }
 
 // colView builds a plain view for kernel-level checks.

@@ -153,30 +153,18 @@ func (j *Join) GroupedInto(res *groupby.Result, keys []GroupKey, aggs []GroupAgg
 	if len(aggs) == 0 {
 		return fmt.Errorf("query: grouped join needs at least one aggregate")
 	}
-	var lExtra, rExtra []string
-	addExtra := func(side join.Side, attr string) {
-		lst := &lExtra
-		if side == join.Right {
-			lst = &rExtra
-		}
-		for _, e := range *lst {
-			if e == attr {
-				return
-			}
-		}
-		*lst = append(*lst, attr)
-	}
+	var extra [2][]string // indexed by join.Side
 	for _, k := range keys {
-		addExtra(k.Side, k.Attr)
+		extra[k.Side] = appendAbsent(extra[k.Side], k.Attr)
 	}
 	for _, a := range aggs {
 		if a.Agg.Kind != groupby.KindCount {
-			addExtra(a.Side, a.Agg.Attr)
+			extra[a.Side] = appendAbsent(extra[a.Side], a.Agg.Attr)
 		}
 	}
 	p := join.GetPairs()
 	defer join.PutPairs(p)
-	lsc, rsc, err := j.runInto(join.Op{Kind: join.OpPairs}, lExtra, rExtra, p)
+	lsc, rsc, err := j.runInto(join.Op{Kind: join.OpPairs}, extra[join.Left], extra[join.Right], p)
 	if lsc != nil {
 		defer j.left.putScratch(lsc)
 	}
@@ -386,42 +374,16 @@ func sumAttr(op join.Op, lExtra, rExtra []string) string {
 	return rExtra[0]
 }
 
-// selectSide runs one side's pre-join selection: its conjunction
-// through the usual pipeline when predicates exist, the
-// presence-filtered universe otherwise. The join attribute and the
-// side's payload attributes ride along as extras, so every selected
-// row has a value in all of them. live is false when the selection is
-// provably empty.
+// selectSide runs one side's pre-join selection (selectFor) with the
+// join attribute and the side's payload attributes as its extras.
 //
 //holistic:noalloc
 func selectSide(r *Runner, sc *scratch, preds []Predicate, joinAttr string, extra []string) (live bool, err error) {
 	sc.extras = append(sc.extras[:0], joinAttr)
 	for _, a := range extra {
-		dup := false
-		for _, e := range sc.extras {
-			if e == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			sc.extras = append(sc.extras, a)
-		}
+		sc.extras = appendAbsent(sc.extras, a)
 	}
-	if len(preds) == 0 {
-		if err := r.selectUniverse(sc, sc.extras); err != nil {
-			return false, err
-		}
-		return sc.bm.Any(), nil
-	}
-	empty, err := r.planScratch(sc, preds)
-	if err != nil || empty {
-		return false, err
-	}
-	if _, err = r.runSel(sc, sc.extras, repWantBitmap); err != nil {
-		return false, err
-	}
-	return sc.bm.Any(), nil
+	return r.selectFor(sc, preds, sc.extras)
 }
 
 // gatherJoinSide materializes one side's selected join keys and rows

@@ -51,7 +51,7 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -667,7 +667,7 @@ func (r *Runner) rowsSC(sc *scratch, preds []Predicate) ([]uint32, error) {
 			return nil, err
 		}
 		r.noteNativeResult(sc, int64(len(rows)), nil)
-		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+		slices.Sort(rows)
 		return rows, nil
 	}
 	useBm, err := r.runSel(sc, nil, repByPolicy)
@@ -679,7 +679,7 @@ func (r *Runner) rowsSC(sc *scratch, preds []Predicate) ([]uint32, error) {
 		out = sc.bm.AppendPositions(make(column.PosList, 0, sc.bm.Count()))
 	} else {
 		out = append([]uint32(nil), sc.sel...)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	if tr := sc.sp.Trace; tr != nil {
 		tr.Emitted = int64(len(out))
@@ -734,7 +734,7 @@ func (r *Runner) valuesSC(sc *scratch, attrs []string, preds []Predicate) ([][]i
 		return out, nil
 	}
 	sorted := append(column.PosList(nil), sc.sel...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	for i, a := range attrs {
 		out[i] = sc.views[a].FetchRows(sorted, r.threads)
 	}

@@ -64,10 +64,12 @@ func observe(s *Store, driven ...string) observed {
 // through, the one observer sees it once — the query count, the flight
 // ring's EvQuery events and (where the door drives an index) the
 // ledger's drive samples for that attribute all advance by exactly the
-// number of queries issued, and a grouped query records its
-// representation. Before the observer, every site had to remember every
-// sink, and the four range doors, the single-conjunct pushdowns, the
-// predicate-free grouping and Explain each forgot at least one.
+// number of queries issued, and every selection a grouped query or a join
+// side builds records its representation once, on that side's store —
+// with or without predicates. Before the observer, every site had to
+// remember every sink, and the four range doors, the single-conjunct
+// pushdowns, the predicate-free grouping, the predicate-free join side
+// and Explain each forgot at least one.
 func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 	s := doorStore(t, 20_000, 1)
 	defer s.Close()
@@ -79,37 +81,46 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 		name   string
 		driven []string // attributes whose index the door drives; nil = none
 		reps   int64    // EvRep events per query
+		dim    int64    // EvRep events per query on the joined store
 		run    func(i int64) error
 	}{
-		{"CountRange", []string{"a"}, 0, func(i int64) error { _, err := s.CountRange("a", i*100, i*100+3000); return err }},
-		{"SumRange", []string{"a"}, 0, func(i int64) error { _, err := s.SumRange("a", i*100, i*100+3000); return err }},
-		{"MinMaxRange", []string{"b"}, 0, func(i int64) error { _, _, _, err := s.MinMaxRange("b", i*100, i*100+3000); return err }},
-		{"SelectRows", []string{"b"}, 0, func(i int64) error { _, err := s.SelectRows("b", i*100, i*100+3000); return err }},
-		{"Where(1).Count", []string{"a"}, 1, func(i int64) error { _, err := s.Query().Where("a", i*50, i*50+2000).Count(); return err }},
-		{"Where(2).Count", []string{"a", "b"}, 1, func(i int64) error {
+		{"CountRange", []string{"a"}, 0, 0, func(i int64) error { _, err := s.CountRange("a", i*100, i*100+3000); return err }},
+		{"SumRange", []string{"a"}, 0, 0, func(i int64) error { _, err := s.SumRange("a", i*100, i*100+3000); return err }},
+		{"MinMaxRange", []string{"b"}, 0, 0, func(i int64) error { _, _, _, err := s.MinMaxRange("b", i*100, i*100+3000); return err }},
+		{"SelectRows", []string{"b"}, 0, 0, func(i int64) error { _, err := s.SelectRows("b", i*100, i*100+3000); return err }},
+		{"Where(1).Count", []string{"a"}, 1, 0, func(i int64) error { _, err := s.Query().Where("a", i*50, i*50+2000).Count(); return err }},
+		{"Where(2).Count", []string{"a", "b"}, 1, 0, func(i int64) error {
 			_, err := s.Query().Where("a", i*50, i*50+2000).Where("b", 0, 1<<13).Count()
 			return err
 		}},
-		{"Where(1).GroupBy.Aggregate", []string{"a"}, 1, func(i int64) error {
+		{"Where(1).GroupBy.Aggregate", []string{"a"}, 1, 0, func(i int64) error {
 			_, err := s.Query().Where("a", i*50, i*50+6000).GroupBy("g").Aggregate(Count(), Sum("b"))
 			return err
 		}},
-		{"GroupBy.Aggregate", nil, 1, func(int64) error {
+		{"GroupBy.Aggregate", nil, 1, 0, func(int64) error {
 			_, err := s.Query().GroupBy("g").Aggregate(Count())
 			return err
 		}},
-		{"Join.Count", []string{"a"}, 1, func(i int64) error {
+		{"Join.Count", []string{"a"}, 1, 1, func(i int64) error {
 			_, err := s.Query().Where("a", i*50, i*50+6000).Join(dim.Query(), "g", "g").Count()
 			return err
 		}},
-		{"Explain", []string{"a", "b"}, 1, func(i int64) error {
+		{"Join(unfiltered left).Count", nil, 1, 1, func(i int64) error {
+			_, err := s.Query().Join(dim.Query().Where("a", i*50, i*50+6000), "g", "g").Count()
+			return err
+		}},
+		{"Join(both unfiltered).Count", nil, 1, 1, func(int64) error {
+			_, err := s.Query().Join(dim.Query(), "g", "g").Count()
+			return err
+		}},
+		{"Explain", []string{"a", "b"}, 1, 0, func(i int64) error {
 			_, err := s.Query().Where("a", i*50, i*50+2000).Where("b", 0, 1<<13).Explain()
 			return err
 		}},
 	}
 	for _, d := range doors {
 		t.Run(d.name, func(t *testing.T) {
-			before := observe(s, d.driven...)
+			before, dimBefore := observe(s, d.driven...), observe(dim)
 			for i := int64(0); i < n; i++ {
 				if err := d.run(i); err != nil {
 					t.Fatal(err)
@@ -124,6 +135,9 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 			}
 			if got := after.evRep - before.evRep; got != n*d.reps {
 				t.Errorf("flight ring gained %d EvRep events, want %d", got, n*d.reps)
+			}
+			if got := observe(dim).evRep - dimBefore.evRep; got != n*d.dim {
+				t.Errorf("joined store's flight ring gained %d EvRep events, want %d", got, n*d.dim)
 			}
 			wantDrives := int64(0)
 			if d.driven != nil {
