@@ -166,3 +166,62 @@ func BenchmarkCountRangeExactHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteVictim times Delete and Update on a converged 2 Mi-row
+// adaptive column: what it costs to turn "the row holding v" into a row
+// id. head16Ki draws victims from the first 16 Ki rows — the prefix the
+// frozen benchmark confines them to, because a front-to-back scan made
+// anything else unaffordable — and uniform from all rows, where a scan
+// pays ~13 ms a write and the index one piece. Run with -benchtime 20x in
+// CI: a scan coming back shows as a timeout-sized number.
+func BenchmarkWriteVictim(b *testing.B) {
+	const n, domain, queries = 2 << 20, 1 << 30, 2000
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(domain)
+	}
+	converged := func(b *testing.B) *holistic.Store {
+		s := holistic.NewStore(holistic.Config{Mode: holistic.ModeAdaptive, Threads: 1, Seed: 1})
+		if err := s.AddIntColumn("a", vals); err != nil {
+			b.Fatal(err)
+		}
+		qr := rand.New(rand.NewSource(2))
+		for i := 0; i < queries; i++ {
+			lo := qr.Int63n(domain)
+			if _, err := s.CountRange("a", lo, lo+1+qr.Int63n(domain-lo)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return s
+	}
+	for _, from := range []struct {
+		name string
+		rows int
+	}{{"head16Ki", 16 << 10}, {"uniform", n}} {
+		for _, op := range []string{"delete", "update"} {
+			b.Run(from.name+"/"+op, func(b *testing.B) {
+				s := converged(b)
+				defer s.Close()
+				// Distinct victim rows, so no write names a value an
+				// earlier one consumed (random 30-bit values rarely repeat).
+				vr := rand.New(rand.NewSource(3))
+				victims := vr.Perm(from.rows)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v := vals[victims[i%len(victims)]]
+					var err error
+					if op == "delete" {
+						err = s.Delete("a", v)
+					} else {
+						err = s.Update("a", v, vr.Int63n(domain))
+					}
+					if err != nil && i < len(victims) {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

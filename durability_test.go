@@ -31,6 +31,22 @@ type scriptOp struct {
 	a, b int64
 }
 
+// apply runs the step against s.
+func (op scriptOp) apply(s *Store) error {
+	switch op.kind {
+	case 'q':
+		_, err := s.CountRange(op.attr, op.a, op.b)
+		return err
+	case 'c':
+		return s.Checkpoint()
+	case 'i':
+		return s.Insert(op.attr, op.a)
+	case 'd':
+		return s.Delete(op.attr, op.a)
+	}
+	return s.Update(op.attr, op.a, op.b)
+}
+
 func matrixBases() (a, b []int64) {
 	const n = 48
 	a = make([]int64, n)
@@ -80,20 +96,7 @@ func matrixScript(mode Mode) []scriptOp {
 // and returns the acknowledged write operations.
 func runScript(s *Store, ops []scriptOp) (acked []scriptOp) {
 	for _, op := range ops {
-		var err error
-		switch op.kind {
-		case 'q':
-			_, err = s.CountRange(op.attr, op.a, op.b)
-		case 'c':
-			err = s.Checkpoint()
-		case 'i':
-			err = s.Insert(op.attr, op.a)
-		case 'd':
-			err = s.Delete(op.attr, op.a)
-		case 'u':
-			err = s.Update(op.attr, op.a, op.b)
-		}
-		if err != nil {
+		if err := op.apply(s); err != nil {
 			return acked
 		}
 		if op.kind == 'i' || op.kind == 'd' || op.kind == 'u' {
@@ -117,16 +120,7 @@ func oracleStore(t *testing.T, mode Mode, acked []scriptOp) *Store {
 		t.Fatal(err)
 	}
 	for _, op := range acked {
-		var err error
-		switch op.kind {
-		case 'i':
-			err = o.Insert(op.attr, op.a)
-		case 'd':
-			err = o.Delete(op.attr, op.a)
-		case 'u':
-			err = o.Update(op.attr, op.a, op.b)
-		}
-		if err != nil {
+		if err := op.apply(o); err != nil {
 			t.Fatalf("oracle %c %s: %v", op.kind, op.attr, err)
 		}
 	}

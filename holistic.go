@@ -543,8 +543,16 @@ func applyRecord(exec *engine.Executor, r durable.Record) error {
 // materialized results and conjunctive probes stay consistent even for
 // duplicated values (under Config.NoRowIDs the merge falls back to
 // removing an unspecified occurrence; multiset counts and aggregates
-// are exact either way). Resolving the row scans the attribute once —
-// updates are expected in the paper's small batches, not bulk loads.
+// are exact either way). The row is resolved through the index: pending
+// operations on exactly v are merged into attr's cracker column, as a
+// read of v would merge them, and the lowest row id holding v is read
+// out of the one piece v falls into — a piece scan that cracks nothing,
+// so a write on a refined column costs microseconds wherever its victim
+// sits, and on a barely cracked one up to a pass over a large piece (an
+// attribute no query has touched gets its cracker built first). Only
+// under Config.NoRowIDs, where the index cannot name a row, does
+// resolving scan the attribute front to back. Concurrent writers are
+// serialized; readers are never held up behind one.
 // Supported by the adaptive, stochastic and holistic modes; the sorted
 // and scan modes have no pending-update machinery (their index is the
 // data) and return an error.
@@ -553,9 +561,10 @@ func (s *Store) Delete(attr string, v int64) error {
 }
 
 // Update changes the tuple whose current value in attr is oldV (the
-// lowest such row id) to newV — a pending deletion followed by a
-// pending insertion at the same row id, so the tuple keeps its
-// identity. Supported by the same modes as Delete.
+// lowest such row id, resolved through the index as for Delete) to newV
+// — a pending deletion followed by a pending insertion at the same row
+// id, so the tuple keeps its identity. Supported by the same modes as
+// Delete.
 func (s *Store) Update(attr string, oldV, newV int64) error {
 	return s.write(durable.Record{Kind: durable.KindUpdate, Attr: attr, A: oldV, B: newV}, "updates")
 }

@@ -314,6 +314,25 @@ func ascendRange(n *node, lo, hi int64, fn func(int64, Value) bool) bool {
 	return true
 }
 
+// AscendAfter calls fn on every pair with key > probe in ascending order
+// until fn returns false: an Ascend that starts at probe's successor
+// instead of visiting, and discarding, everything below it.
+func (t *Tree) AscendAfter(probe int64, fn func(key int64, value Value) bool) {
+	ascendAfter(t.root, probe, fn)
+}
+
+func ascendAfter(n *node, probe int64, fn func(int64, Value) bool) bool {
+	if n == nil {
+		return true
+	}
+	if n.key > probe {
+		if !ascendAfter(n.left, probe, fn) || !fn(n.key, n.value) {
+			return false
+		}
+	}
+	return ascendAfter(n.right, probe, fn)
+}
+
 // FloorWhere locates the node with the greatest key for which pred holds,
 // assuming pred is monotone over the key order (true for a prefix of the
 // keys, then false). If such a node exists, visit is called once with its

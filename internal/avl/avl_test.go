@@ -1,7 +1,9 @@
 package avl
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -208,6 +210,37 @@ func TestAscendRange(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("AscendRange returned %v, want %v", got, want)
 		}
+	}
+}
+
+func TestAscendAfter(t *testing.T) {
+	tr := New()
+	keys := []int64{math.MinInt64, -7, 0, 10, 20, 30, math.MaxInt64}
+	for _, k := range keys {
+		tr.Insert(k, k)
+	}
+	for _, probe := range []int64{math.MinInt64, -8, -7, 5, 30, math.MaxInt64 - 1, math.MaxInt64} {
+		var got, want []int64
+		tr.AscendAfter(probe, func(k int64, _ Value) bool {
+			got = append(got, k)
+			return true
+		})
+		for _, k := range keys {
+			if k > probe {
+				want = append(want, k)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("AscendAfter(%d) = %v, want %v", probe, got, want)
+		}
+	}
+	visited := 0
+	tr.AscendAfter(-7, func(k int64, _ Value) bool {
+		visited++
+		return k < 10
+	})
+	if visited != 2 {
+		t.Errorf("visited %d nodes after -7, want 2 (stops when key 10 returns false)", visited)
 	}
 }
 

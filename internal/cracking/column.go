@@ -112,6 +112,10 @@ type Column struct {
 	// refinement. Guarded by mu.
 	domainLo, domainHi int64
 
+	// above is the scratch of boundariesAboveLocked, reused from merge to
+	// merge under the exclusive column lock.
+	above []*piece
+
 	cfg Config
 
 	rngMu sync.Mutex

@@ -256,6 +256,30 @@ func (c *Column) LookupRange(lo, hi int64) (Range, bool) {
 	}, true
 }
 
+// LowestRow returns the smallest rowid among the tuples holding value v,
+// with ok=false when none does: the index side of a write that names its
+// victim by value. It cracks nothing — v's tuples all sit in the one piece
+// v falls into, which is read under its read latch — so what it costs is a
+// scan of that piece, and the column has the same pieces afterwards. The
+// column must carry rowids.
+//
+//holistic:noalloc
+func (c *Column) LowestRow(v int64) (row uint32, ok bool) {
+	c.global.RLock()
+	defer c.global.RUnlock()
+	c.mu.RLock()
+	_, p, end, _ := c.pieceSpanLocked(v)
+	c.mu.RUnlock()
+	// Should a crack split the piece before its latch is taken, the walk
+	// covers the halves one by one: the same positions, the same tuples.
+	c.forEachSpanLocked(p.start, end, func(pos, seg int) {
+		if r, found := c.segment(pos, seg).lowestRow(v); found && (!ok || r < row) {
+			row, ok = r, true
+		}
+	})
+	return row, ok
+}
+
 // SelectSum cracks on [lo, hi) and sums the qualifying values, all under
 // one column pin so concurrent update merges cannot shift positions
 // between the two steps.

@@ -247,3 +247,29 @@ func (s Segment) find(v int64, row uint32, byRow bool) int {
 	}
 	return -1
 }
+
+// lowestRow returns the smallest rowid among the tuples with value v; the
+// segment must carry rowids. Under the packed layout that is the low half
+// of the smallest word whose high half is v's.
+//
+//holistic:noalloc
+func (s Segment) lowestRow(v int64) (row uint32, ok bool) {
+	if s.packed {
+		if !s.fits(v) {
+			return 0, false
+		}
+		key := s.word(v, 0) >> 32
+		for _, w := range s.vals {
+			if w>>32 == key && (!ok || uint32(w) < row) {
+				row, ok = uint32(w), true
+			}
+		}
+		return row, ok
+	}
+	for i, x := range s.vals {
+		if x == v && (!ok || s.rows[i] < row) {
+			row, ok = s.rows[i], true
+		}
+	}
+	return row, ok
+}

@@ -213,6 +213,27 @@ func checkRange(t *testing.T, c *Column, o oracle, lo, hi int64) {
 	}
 }
 
+// checkLowestRow compares LowestRow(v) with the smallest rowid the oracle
+// holds for v and, when nothing refines the column meanwhile, checks that
+// the lookup left the pieces alone.
+func checkLowestRow(t *testing.T, c *Column, o oracle, v int64, quiet bool) {
+	t.Helper()
+	var want uint32
+	held := false
+	for _, tu := range o {
+		if tu.v == v && (!held || tu.row < want) {
+			want, held = tu.row, true
+		}
+	}
+	pieces := c.Pieces()
+	if row, ok := c.LowestRow(v); ok != held || row != want {
+		t.Fatalf("LowestRow(%d) = (%d, %v), scan finds (%d, %v)", v, row, ok, want, held)
+	}
+	if quiet && c.Pieces() != pieces {
+		t.Fatalf("LowestRow(%d) took the column from %d to %d pieces", v, pieces, c.Pieces())
+	}
+}
+
 // layoutSession drives one seeded sequence of everything a cracker
 // column does — selects, sums, extrema, row materialisations, refinement,
 // ripple inserts and deletes by value and by row, export and restore —
@@ -249,6 +270,8 @@ func layoutSession(t *testing.T, base []int64, seed int64, refine func(*Column))
 			lo, hi = hi, lo
 		}
 		checkRange(t, c, o, lo, hi)
+		checkLowestRow(t, c, o, o[rng.Intn(len(o))].v, refine == nil)
+		checkLowestRow(t, c, o, lo, refine == nil) // held by no tuple, or by luck
 		switch step % 6 {
 		case 0:
 			c.TryRefineAt(rng.Int63n(domain), 16)
@@ -398,7 +421,10 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 				}
 				for _, r := range ranges {
 					checkRange(t, c, o, r[0], r[1])
+					checkLowestRow(t, c, o, r[0], true)
+					checkLowestRow(t, c, o, r[1], true)
 				}
+				checkLowestRow(t, c, o, outside, true)
 			}
 			if !c.packed {
 				t.Fatal("the column did not start packed")

@@ -44,17 +44,16 @@ func (c *Column) widenLocked() {
 }
 
 // boundariesAboveLocked returns the pieces whose boundary key is greater
-// than key, in ascending key (= position) order. Caller must hold the
-// column exclusively.
+// than key, in ascending key (= position) order, starting the walk at
+// key's successor. The slice is the column's ripple scratch: valid until
+// the next merge. Caller must hold the column exclusively.
 func (c *Column) boundariesAboveLocked(key int64) []*piece {
-	var above []*piece
-	c.tree.Ascend(func(k int64, pv avl.Value) bool {
-		if k > key {
-			above = append(above, pv.(*piece))
-		}
+	c.above = c.above[:0]
+	c.tree.AscendAfter(key, func(_ int64, pv avl.Value) bool {
+		c.above = append(c.above, pv.(*piece))
 		return true
 	})
-	return above
+	return c.above
 }
 
 // MergeInsert inserts value v with rowid row into the cracked column,
@@ -178,20 +177,16 @@ func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32,
 
 	// Ripple the hole up: each piece above the target shifts left by one
 	// by moving its last value into the hole at its (new) first slot and
-	// decrementing its boundary. Ends are derived from the next piece's
-	// original start, so they are computed before any boundary moves.
+	// decrementing its boundary. A piece ends where the next one starts,
+	// and that start has not moved yet when the piece is visited.
 	above := c.boundariesAboveLocked(targetKey)
-	ends := make([]int, len(above))
-	for i := range above {
-		if i+1 < len(above) {
-			ends[i] = above[i+1].start
-		} else {
-			ends[i] = len(c.vals)
-		}
-	}
 	for i, q := range above {
-		c.moveLocked(hole, ends[i]-1)
-		hole = ends[i] - 1
+		last := len(c.vals) - 1
+		if i+1 < len(above) {
+			last = above[i+1].start - 1
+		}
+		c.moveLocked(hole, last)
+		hole = last
 		q.start--
 	}
 

@@ -1,6 +1,7 @@
 package cracking
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -282,5 +283,35 @@ func TestMergeDeleteRowWithoutRows(t *testing.T) {
 	}
 	if n := c.SelectRange(5, 6).Count(); n != 1 {
 		t.Fatalf("%d fives left, want 1", n)
+	}
+}
+
+// TestRippleMergeAllocationFree: a merge walks the boundaries above its
+// target into the column's own scratch, so a steady stream of ripple
+// inserts and deletes over a cracked column allocates nothing — under
+// either layout, and for a target piece anywhere in the column.
+func TestRippleMergeAllocationFree(t *testing.T) {
+	base := randVals(20_000, 71, 1<<20)
+	for _, b := range [][]int64{base, append(append([]int64(nil), base...), math.MinInt64, math.MaxInt64)} {
+		c := New("a", b, Config{WithRows: true})
+		rng := rand.New(rand.NewSource(72))
+		for i := 0; i < 200; i++ {
+			c.CrackAt(rng.Int63n(1 << 20))
+		}
+		row := uint32(len(b))
+		c.MergeInsert(0, row) // grow the arrays once
+		c.MergeDeleteRow(0, row)
+		if avg := testing.AllocsPerRun(200, func() {
+			v := rng.Int63n(1 << 20)
+			c.MergeInsert(v, row)
+			if _, found := c.MergeDeleteRow(v, row); !found {
+				t.Fatal("merged tuple not found")
+			}
+		}); avg != 0 {
+			t.Fatalf("packed = %v: a ripple insert + delete allocates %.1f times", c.packed, avg)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

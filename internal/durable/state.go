@@ -133,6 +133,9 @@ func decodeIndexState(p []byte) (IndexState, bool) {
 	st.Attr = string(p[:attrLen])
 	p = p[attrLen:]
 	st.Kind = IndexKind(p[0])
+	if p[1] > 1 {
+		return st, false // a flag byte EncodeState never writes
+	}
 	st.HasRows = p[1] == 1
 	nVals := int(binary.LittleEndian.Uint32(p[2:]))
 	nRows := int(binary.LittleEndian.Uint32(p[6:]))

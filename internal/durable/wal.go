@@ -242,9 +242,11 @@ func ReadLog(data []byte) (recs []Record, torn bool) {
 		if len(data) < 8 {
 			return recs, true
 		}
-		n := binary.LittleEndian.Uint32(data)
+		// The length in 64 bits: as a uint32, 8+n wraps from 2^32-8 on and
+		// a hostile frame would pass the bound only to slice out of range.
+		n := uint64(binary.LittleEndian.Uint32(data))
 		sum := binary.LittleEndian.Uint32(data[4:])
-		if uint64(8+n) > uint64(len(data)) {
+		if 8+n > uint64(len(data)) {
 			return recs, true
 		}
 		payload := data[8 : 8+n]

@@ -55,9 +55,15 @@ type Executor struct {
 	queries  int  // online indexing: queries seen so far
 	scanning bool // online indexing: still inside the monitoring epoch
 
-	// pendMu guards the update state of the cracking modes (overlay.go).
-	pendMu  sync.Mutex
-	updates map[string]*attrUpdates
+	// writeMu serializes Insert, Delete and Update from resolving their
+	// row to applying it; pendMu guards the update state of the cracking
+	// modes and is held only for the overlay edit itself (overlay.go).
+	// rowScans counts the writes that resolved their row by scanning
+	// instead of through the index, under writeMu.
+	writeMu  sync.Mutex
+	pendMu   sync.Mutex
+	updates  map[string]*attrUpdates
+	rowScans int
 
 	// Holistic indexing: the daemon refines the cracker columns in idle
 	// contexts; acct tells it how many contexts user queries occupy.

@@ -55,12 +55,25 @@ func (e *Executor) Pending(attr string) *updates.Pending {
 }
 
 // mutate is the shared front half of Insert, Delete and Update: it
-// resolves the row the operation targets — the next appended position
-// for an insertion (find nil), otherwise the lowest row id currently
-// holding *find, found by scanning the attribute through its overlay:
-// O(column) under pendMu, sized for the paper's small update batches
-// rather than bulk deletes — and applies fn to the overlay and the
-// pending queue, dropping the cached view.
+// resolves the row the operation targets — the next appended position for
+// an insertion (find nil), otherwise the lowest row id currently holding
+// *find — and applies fn to the overlay and the pending queue, dropping
+// the cached view.
+//
+// The victim comes out of the index, the way doradb resolves Key → RowID:
+// the pending operations on exactly *find are merged into the attribute's
+// cracker column (what a read of that value would do, counted in
+// MergedUpdates like one), after which the tuples the column holds for
+// *find are the rows that logically hold it, all in the one piece *find
+// falls into; the lowest of their row ids is read there under the piece's
+// read latch. Nothing is cracked. A write to an attribute no query has
+// touched builds its cracker first, as a potential index.
+//
+// Writers are serialized by writeMu from resolve to apply, so two
+// concurrent deletes of a duplicated value take two distinct rows; readers
+// and the daemon are not held up — pendMu is taken only for the overlay
+// edit, never across index work. Lock order: writeMu → Pending.mu →
+// column locks, and writeMu → pendMu.
 func (e *Executor) mutate(attr, op string, find *int64, fn func(u *attrUpdates, row uint32)) error {
 	if !e.Updatable() {
 		return ErrNoUpdatePath
@@ -69,26 +82,58 @@ func (e *Executor) mutate(attr, op string, find *int64, fn func(u *attrUpdates, 
 	if base == nil {
 		return errf("engine: unknown attribute %q", attr)
 	}
+	var cp *crackerPath
+	if find != nil {
+		p, err := e.path(attr, 0, 0, true, true)
+		if err != nil {
+			return err
+		}
+		cp = p.(*crackerPath)
+	}
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	var row uint32
+	if find != nil {
+		var ok bool
+		if cp.col.HasRows() {
+			e.ob.Merged(cp.pend.MergeValue(cp.col, *find))
+			row, ok = cp.col.LowestRow(*find)
+		} else {
+			e.rowScans++
+			row, ok = e.scanForRow(attr, base.Values(), *find)
+		}
+		if !ok {
+			return errf("engine: %s %s = %d: no such value", op, attr, *find)
+		}
+	}
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
 	u := e.updatesLocked(attr)
-	row := u.next
 	if find == nil {
+		row = u.next
 		u.next++
-	} else {
-		w := column.View{Base: base.Values(), Tail: u.tail, Deleted: u.deleted, Updated: u.updated}
-		for row = 0; ; row++ {
-			if int(row) == w.Extent() {
-				return errf("engine: %s %s = %d: no such value", op, attr, *find)
-			}
-			if cur, ok := w.At(row); ok && cur == *find {
-				break
-			}
-		}
 	}
 	fn(u, row)
 	u.view = nil
 	return nil
+}
+
+// scanForRow resolves the lowest row id currently holding v by scanning
+// the attribute front to back through its overlay: O(column) under pendMu.
+// It is the write path of a cracker column built without row ids, whose
+// index cannot name a row, and the oracle the tests hold the index lookup
+// against.
+func (e *Executor) scanForRow(attr string, base []int64, v int64) (uint32, bool) {
+	e.pendMu.Lock()
+	defer e.pendMu.Unlock()
+	u := e.updatesLocked(attr)
+	w := column.View{Base: base, Tail: u.tail, Deleted: u.deleted, Updated: u.updated}
+	for row := uint32(0); int(row) < w.Extent(); row++ {
+		if cur, ok := w.At(row); ok && cur == v {
+			return row, true
+		}
+	}
+	return 0, false
 }
 
 // Insert appends v to attr as a pending insertion, merged lazily by

@@ -196,17 +196,13 @@ func (p *crackerPath) walk(f fold) fold {
 	if f.op == opClusters {
 		// A whole-column walk is a select over the whole value range and
 		// pays for every pending merge like one.
-		if p.pend.Len() > 0 {
-			f.merged = p.pend.MergeAll(p.col)
-		}
+		f.merged = p.pend.MergeAll(p.col)
 		p.col.ForEachPiece(func(s cracking.Segment) {
 			f.addCracked(s, 0, 0)
 		})
 		return f
 	}
-	if p.pend.Len() > 0 && p.pend.HasInRange(f.lo, f.hi) {
-		f.merged = p.pend.MergeRange(p.col, f.lo, f.hi)
-	}
+	f.merged = p.pend.MergeRange(p.col, f.lo, f.hi)
 	if f.op == opCount {
 		// Crack, subtract positions: no piece is latched or read.
 		r := p.col.SelectRange(f.lo, f.hi)

@@ -192,7 +192,8 @@ type ExecMetrics struct {
 	// CrackerBuilds counts index structures created on first touch.
 	CrackerBuilds Counter
 	// MergedUpdates counts pending update operations merged into index
-	// structures on the query path.
+	// structures by queries, by writes resolving their row, and by
+	// checkpoint exports.
 	MergedUpdates Counter
 	// KeyOrderWalks counts full key-ordered index walks (the sort
 	// grouping and merge join access path).

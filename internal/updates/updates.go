@@ -3,12 +3,14 @@
 // the design of Idreos et al. ("Updating a Cracked Database", SIGMOD
 // 2007): updates are buffered as pending insertions/deletions and merged
 // into the cracker column lazily — by a query whose requested value range
-// contains pending values, or by a holistic worker whose random pivot
-// falls into a piece with pending values. An update is modelled as a
+// contains pending values, by a holistic worker whose random pivot falls
+// into a piece with pending values, or by a Delete/Update that names its
+// victim by a value with pending operations. An update is modelled as a
 // deletion followed by an insertion.
 package updates
 
 import (
+	"slices"
 	"sync"
 
 	"holistic/internal/cracking"
@@ -36,6 +38,9 @@ type Op struct {
 type Pending struct {
 	mu  sync.Mutex
 	ops []Op
+	// batch holds the operations one merge call took out of ops, reused
+	// from call to call.
+	batch []Op
 }
 
 // NewPending returns an empty store.
@@ -82,44 +87,56 @@ func (p *Pending) Len() int {
 	return len(p.ops)
 }
 
-// HasInRange reports whether any pending operation's value falls in
-// [lo, hi) — the check a query makes before deciding to merge.
-func (p *Pending) HasInRange(lo, hi int64) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, op := range p.ops {
-		if op.Value >= lo && op.Value < hi {
-			return true
-		}
-	}
-	return false
-}
-
 // MergeRange merges every pending operation whose value lies in [lo, hi)
 // into col via the Ripple algorithm, preserving arrival order, and
 // returns how many operations were merged. Operations outside the range
-// stay pending — "only those updates are merged on-the-fly".
+// stay pending — "only those updates are merged on-the-fly". It is the
+// check a query makes and the merge it triggers in one: with nothing in
+// range it is a single pass over the queue that allocates nothing.
 // The store's mutex is held across the merge itself, so a pending value
 // is always observable — either still pending or already merged — never
 // lost in between. Lock order is always Pending.mu before the column
 // lock; no code path acquires them in the other order.
 func (p *Pending) MergeRange(col *cracking.Column, lo, hi int64) int {
+	if lo >= hi {
+		return 0
+	}
+	return p.mergeBetween(col, lo, hi-1)
+}
+
+// MergeValue merges the pending operations whose value is exactly v —
+// what a write that names its victim by value needs merged before the
+// index can answer for v. Unlike [v, v+1) it has no trouble with
+// math.MaxInt64.
+func (p *Pending) MergeValue(col *cracking.Column, v int64) int {
+	return p.mergeBetween(col, v, v)
+}
+
+// mergeBetween merges the operations with first <= value <= last.
+func (p *Pending) mergeBetween(col *cracking.Column, first, last int64) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var toMerge []Op
-	kept := p.ops[:0]
-	for _, op := range p.ops {
-		if op.Value >= lo && op.Value < hi {
-			toMerge = append(toMerge, op)
+	in := func(op Op) bool { return op.Value >= first && op.Value <= last }
+	hit := slices.IndexFunc(p.ops, in)
+	if hit < 0 {
+		return 0
+	}
+	// Split before merging, so a merge that panics has not left its
+	// operation queued for a second application.
+	p.batch = p.batch[:0]
+	kept := p.ops[:hit]
+	for _, op := range p.ops[hit:] {
+		if in(op) {
+			p.batch = append(p.batch, op)
 		} else {
 			kept = append(kept, op)
 		}
 	}
 	p.ops = kept
-	for _, op := range toMerge {
+	for _, op := range p.batch {
 		merge(col, op)
 	}
-	return len(toMerge)
+	return len(p.batch)
 }
 
 // merge applies one operation to the cracker column.

@@ -1,6 +1,7 @@
 package updates
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -32,20 +33,6 @@ func TestAddAndLen(t *testing.T) {
 	}
 }
 
-func TestHasInRange(t *testing.T) {
-	p := NewPending()
-	p.AddInsert(50, 0)
-	if !p.HasInRange(0, 100) {
-		t.Error("HasInRange missed pending value")
-	}
-	if p.HasInRange(51, 100) {
-		t.Error("HasInRange matched outside range")
-	}
-	if p.HasInRange(0, 50) {
-		t.Error("HasInRange matched exclusive upper bound")
-	}
-}
-
 func TestMergeRangeOnlyTouchesRange(t *testing.T) {
 	base := randVals(10_000, 1, 1000)
 	c := cracking.New("a", base, cracking.Config{})
@@ -65,6 +52,9 @@ func TestMergeRangeOnlyTouchesRange(t *testing.T) {
 	}
 	if got := c.SelectRange(900, 901).Count(); got != column.CountRange(base, 900, 901) {
 		t.Error("out-of-range insert leaked into the column")
+	}
+	if p.MergeRange(c, 500, 900)+p.MergeRange(c, 901, 2000)+p.MergeRange(c, 900, 900) != 0 {
+		t.Error("MergeRange matched outside [lo, hi): the upper bound is exclusive")
 	}
 }
 
@@ -154,5 +144,51 @@ func TestConcurrentMergersAndWriters(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMergeValueTakesExactlyOneValue: only the operations on v merge, in
+// arrival order, and math.MaxInt64 — which [v, v+1) cannot name — is a
+// value like any other.
+func TestMergeValueTakesExactlyOneValue(t *testing.T) {
+	c := cracking.New("a", []int64{10, 20, 30}, cracking.Config{WithRows: true})
+	p := NewPending()
+	p.AddInsert(math.MaxInt64, 3)
+	p.AddInsert(20, 4)
+	p.AddDeleteRow(math.MaxInt64, 3)
+	p.AddInsert(math.MaxInt64, 5)
+	p.AddInsert(math.MaxInt64-1, 6)
+	if n := p.MergeValue(c, math.MaxInt64); n != 3 {
+		t.Fatalf("MergeValue(MaxInt64) = %d, want 3", n)
+	}
+	if row, ok := c.LowestRow(math.MaxInt64); !ok || row != 5 {
+		t.Fatalf("MaxInt64 sits in row (%d, %v), want row 5 (insert 3, delete 3, insert 5)", row, ok)
+	}
+	if p.Len() != 2 || c.Len() != 4 {
+		t.Fatalf("%d operations pending, %d tuples, want 2 and 4", p.Len(), c.Len())
+	}
+	if n := p.MergeRange(c, math.MaxInt64-1, math.MaxInt64); n != 1 {
+		t.Fatalf("MergeRange up to MaxInt64 = %d, want 1", n)
+	}
+	if n := p.MergeValue(c, 21); n != 0 || p.Len() != 1 {
+		t.Fatalf("MergeValue of a value nothing names = %d, %d pending", n, p.Len())
+	}
+}
+
+// TestMergeWithoutMatchAllocatesNothing: the check every read and write
+// makes costs one pass over the queue and no memory when nothing is in
+// range; a batch that does merge reuses the last one's scratch.
+func TestMergeWithoutMatchAllocatesNothing(t *testing.T) {
+	c := cracking.New("a", randVals(1000, 5, 1000), cracking.Config{WithRows: true})
+	p := NewPending()
+	for i := 0; i < 64; i++ {
+		p.AddInsert(int64(2000+i), uint32(1000+i))
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if p.MergeRange(c, 0, 1000)+p.MergeValue(c, 1999)+p.MergeRange(c, 5, 5) != 0 {
+			t.Fatal("merged an operation out of range")
+		}
+	}); avg != 0 {
+		t.Fatalf("a merge with nothing in range allocates %.1f times", avg)
 	}
 }
