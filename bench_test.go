@@ -14,8 +14,10 @@
 package holistic_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -224,4 +226,88 @@ func BenchmarkWriteVictim(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCheckpoint times one Checkpoint of a durable store holding
+// four 2 Mi-row columns that 2500 range queries have converged: the
+// snapshot of the data plus whatever index the mode built. adaptive-packed
+// keeps one 8-byte word per tuple, adaptive-wide (a domain no 2^32 window
+// holds) values beside rowids, offline a sorted run with rowids. Beside
+// ns/op and the allocation columns it reports the size of the generation
+// each checkpoint leaves on disk; B/op growing with the row count is a
+// clone or a whole-file buffer coming back. Run with -benchtime 5x.
+func BenchmarkCheckpoint(b *testing.B) {
+	const n, attrs, queries = 2 << 20, 4, 2500
+	names := []string{"a", "b", "c", "d"}
+	for _, tc := range []struct {
+		name   string
+		mode   holistic.Mode
+		domain int64
+	}{
+		{"adaptive-packed", holistic.ModeAdaptive, 1 << 30},
+		{"adaptive-wide", holistic.ModeAdaptive, 1 << 40},
+		{"offline", holistic.ModeOffline, 1 << 30},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			dir := b.TempDir()
+			s, err := holistic.OpenStore(dir, holistic.Config{Mode: tc.mode, Threads: 1, Seed: 1, SnapshotInterval: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			rng := rand.New(rand.NewSource(1))
+			for _, name := range names[:attrs] {
+				vals := make([]int64, n)
+				for i := range vals {
+					vals[i] = rng.Int63n(tc.domain)
+				}
+				if err := s.AddIntColumn(name, vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < queries; i++ {
+				lo := rng.Int63n(tc.domain)
+				if _, err := s.CountRange(names[i%attrs], lo, lo+1+rng.Int63n(tc.domain-lo)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var written int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				written += generationBytes(b, dir, s.Metrics().Recovery.Generation)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(written)/float64(b.N)/1e6, "MB-written/op")
+		})
+	}
+}
+
+// generationBytes sums the sizes of the files in dir that snapshot
+// generation gen owns: its column segments, state file and manifest.
+func generationBytes(b *testing.B, dir string, gen uint64) int64 {
+	b.Helper()
+	tag := fmt.Sprintf("-%012d", gen)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var total int64
+	for _, e := range ents {
+		name := e.Name()
+		owned := strings.HasPrefix(name, "seg-") || strings.HasPrefix(name, "state-") || strings.HasPrefix(name, "manifest-")
+		if !owned || !strings.Contains(name, tag) {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total
 }

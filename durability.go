@@ -87,6 +87,7 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 		haveSnap: rec.Manifest != nil,
 		clean:    rec.Clean,
 		torn:     rec.TornTail,
+		noState:  rec.StateDropped,
 		interval: cadence(cfg.SnapshotInterval, 10*time.Second),
 		stop:     make(chan struct{}),
 	}
@@ -132,7 +133,7 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 
 	if rec.Manifest != nil && len(rec.Columns) > 0 {
 		for _, cd := range rec.Columns {
-			if err := s.table.AddColumn(column.New(cd.Name, cd.Base)); err != nil {
+			if err := s.table.AddColumn(column.NewBounded(cd.Name, cd.Base, cd.Lo, cd.Hi)); err != nil {
 				s.discard()
 				return nil, fmt.Errorf("holistic: recover column %q: %w", cd.Name, err)
 			}
@@ -205,6 +206,8 @@ type durability struct {
 
 	clean bool // last shutdown was clean (recovery skipped replay)
 	torn  bool // recovery stopped replay at a torn WAL frame
+	// noState: recovery could not use the adaptive-state file at all
+	noState bool
 
 	interval time.Duration // background snapshot cadence; 0 = disabled
 	stop     chan struct{}
@@ -220,6 +223,7 @@ type durability struct {
 	walPart   int              // part number of the live WAL segment
 	haveSnap  bool             // a manifest for gen exists on disk
 	dirty     int64            // records appended since the last checkpoint
+	snapBytes int64            // segment and state bytes of the last checkpoint
 	syncsBase int64            // fsyncs of already-rotated segments (telemetry)
 	lastSnap  time.Time
 	closed    bool
@@ -351,10 +355,11 @@ func (d *durability) checkpoint() error {
 //
 //  1. sync the live WAL segment — every record the snapshot bakes in
 //     is durable before the manifest claims to cover it;
-//  2. write the column segments and the adaptive-state file of the
-//     NEXT generation — generations strictly increase, so no file of
-//     the still-valid current generation is ever touched in place and
-//     a crash mid-write always leaves the previous snapshot intact;
+//  2. stream the column segments and the adaptive-state file of the
+//     NEXT generation straight from the live arrays, then fsync them
+//     all — generations strictly increase, so no file of the
+//     still-valid current generation is ever touched in place and a
+//     crash mid-write always leaves the previous snapshot intact;
 //  3. write manifest.tmp, sync it, rename it into place (the commit
 //     point — a crash on either side leaves a valid directory);
 //  4. rotate the WAL to the new generation so replay starts empty;
@@ -374,9 +379,10 @@ func (d *durability) checkpointLocked() error {
 	}
 	gen := d.gen + 1
 	records := d.dirty
-	cols, states, daemon := d.export()
+	cols, indexes, daemon := d.export()
 	m := &durable.Manifest{Generation: gen, Mode: d.cfg.Mode.String(), Daemon: daemon}
-	if err := durable.WriteSnapshot(d.fs, m, cols, states); err != nil {
+	written, err := durable.WriteSnapshot(d.fs, m, cols, indexes)
+	if err != nil {
 		d.met.SnapshotFailures.Inc()
 		return err
 	}
@@ -393,10 +399,11 @@ func (d *durability) checkpointLocked() error {
 	d.haveSnap = true
 	d.dirty = 0
 	d.lastSnap = time.Now()
+	d.snapBytes = written
 	d.met.Snapshots.Inc()
 	_ = old.Close()
 	d.syncsBase += old.Syncs()
-	d.s.ob.Checkpoint(int64(gen), records, time.Since(start).Nanoseconds())
+	d.s.ob.Checkpoint(int64(gen), records, written, time.Since(start).Nanoseconds())
 	// Persist the black box alongside the generation: a kill -9 at any
 	// later point leaves a decodable dump of the events up to here.
 	d.flightDumpLocked(flight.TriggerCheckpoint)
@@ -406,11 +413,11 @@ func (d *durability) checkpointLocked() error {
 	return nil
 }
 
-// export captures the logical column data and the mode's adaptive state
-// for a snapshot. Runs under writeMu, so no logged write is in flight;
-// concurrent queries may keep cracking, which never changes logical
-// content.
-func (d *durability) export() ([]durable.ColumnData, []durable.IndexState, *durable.DaemonState) {
+// export names the logical column data and the mode's adaptive state for
+// a snapshot, copying neither. Runs under writeMu, so no logged write is in
+// flight; concurrent queries may keep cracking, which never changes
+// logical content.
+func (d *durability) export() ([]durable.ColumnData, []durable.IndexSource, *durable.DaemonState) {
 	if d.exec == nil {
 		// Checkpointed before any query built the executor.
 		return engine.ExportTableData(d.s.table), nil, nil
@@ -521,9 +528,11 @@ func (d *durability) snapshotMetrics() *obs.DurableSnapshot {
 	sn := d.met.Snapshot()
 	sn.CleanStart = d.clean
 	sn.TornWALTail = d.torn
+	sn.StateDropped = d.noState
 	d.writeMu.Lock()
 	sn.WALSyncs = d.syncsBase + d.wal.Syncs()
 	sn.Generation = d.gen
+	sn.SnapshotBytes = d.snapBytes
 	sn.LastFlightDump = d.lastFlight
 	d.writeMu.Unlock()
 	return sn

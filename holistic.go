@@ -330,6 +330,11 @@ func (s *Store) AddIntColumn(name string, values []int64) error {
 	if s.exec != nil {
 		return fmt.Errorf("holistic: cannot add column %q after the first query", name)
 	}
+	if s.dur != nil && len(name) > durable.MaxNameLen {
+		// Refused here, not at the first checkpoint: the snapshot format
+		// frames a name's length in 16 bits.
+		return fmt.Errorf("holistic: column name of %d bytes: a durable store takes at most %d", len(name), durable.MaxNameLen)
+	}
 	return s.table.AddColumn(column.New(name, values))
 }
 

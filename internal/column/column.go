@@ -29,12 +29,26 @@ type PosList []Pos
 type Column struct {
 	name string
 	vals []int64
+	// lo, hi are Bounds(vals) when bounded is set: see NewBounded.
+	lo, hi  int64
+	bounded bool
 }
 
 // New creates a column that takes ownership of vals.
 func New(name string, vals []int64) *Column {
 	return &Column{name: name, vals: vals}
 }
+
+// NewBounded is New for values whose Bounds the caller already holds — a
+// loader that has just decoded every one of them — so that no reader has
+// to scan the column for them again.
+func NewBounded(name string, vals []int64, lo, hi int64) *Column {
+	return &Column{name: name, vals: vals, lo: lo, hi: hi, bounded: true}
+}
+
+// KnownBounds returns Bounds(Values()) without a scan when the column was
+// built knowing them.
+func (c *Column) KnownBounds() (lo, hi int64, ok bool) { return c.lo, c.hi, c.bounded }
 
 // Name returns the attribute name.
 func (c *Column) Name() string { return c.name }
@@ -51,6 +65,12 @@ func (c *Column) At(p Pos) int64 { return c.vals[p] }
 
 // Append adds a value at the end of the column and returns its position.
 func (c *Column) Append(v int64) Pos {
+	if c.bounded {
+		if len(c.vals) == 0 {
+			c.lo, c.hi = v, v
+		}
+		c.lo, c.hi = min(c.lo, v), max(c.hi, v)
+	}
 	c.vals = append(c.vals, v)
 	return Pos(len(c.vals) - 1)
 }

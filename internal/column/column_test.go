@@ -29,6 +29,26 @@ func TestColumnBasics(t *testing.T) {
 	if p != 10 || c.At(p) != 99 || c.Len() != 11 {
 		t.Errorf("Append gave pos %d, len %d, val %d", p, c.Len(), c.At(p))
 	}
+	if _, _, ok := c.KnownBounds(); ok {
+		t.Error("a column built without bounds claims to know them")
+	}
+}
+
+// TestKnownBounds: bounds handed to NewBounded are what KnownBounds
+// reports, and an append keeps them the Bounds of the values — from the
+// empty column's (0, -1) on.
+func TestKnownBounds(t *testing.T) {
+	for _, vals := range [][]int64{nil, {4, -2, 9}} {
+		lo, hi := Bounds(vals)
+		c := NewBounded("a", vals, lo, hi)
+		for _, v := range []int64{5, -7, 5, 30} {
+			c.Append(v)
+			wantLo, wantHi := Bounds(c.Values())
+			if lo, hi, ok := c.KnownBounds(); !ok || lo != wantLo || hi != wantHi {
+				t.Fatalf("after appending %d to %v: KnownBounds = (%d, %d, %v), Bounds = (%d, %d)", v, vals, lo, hi, ok, wantLo, wantHi)
+			}
+		}
+	}
 }
 
 func TestScanRange(t *testing.T) {

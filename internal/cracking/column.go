@@ -349,6 +349,14 @@ func (c *Column) PieceBounds() []PieceInfo {
 func (c *Column) CheckInvariants() error {
 	c.global.Lock()
 	defer c.global.Unlock()
+	_, _, err := c.checkLocked()
+	return err
+}
+
+// checkLocked is CheckInvariants under the exclusive column lock. Every
+// piece is held to its key bounds by its extrema, one Bounds pass per
+// piece, which also yields the column's value domain ((0, 0) when empty).
+func (c *Column) checkLocked() (dLo, dHi int64, err error) {
 	type bound struct {
 		key   int64
 		start int
@@ -359,31 +367,39 @@ func (c *Column) CheckInvariants() error {
 		return true
 	})
 	if len(bounds) == 0 || bounds[0].key != sentinelKey || bounds[0].start != 0 {
-		return fmt.Errorf("missing or misplaced sentinel boundary: %+v", bounds)
+		return 0, 0, fmt.Errorf("missing or misplaced sentinel boundary: %+v", bounds)
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i].start < bounds[i-1].start {
-			return fmt.Errorf("boundary positions not monotone: %+v then %+v", bounds[i-1], bounds[i])
+			return 0, 0, fmt.Errorf("boundary positions not monotone: %+v then %+v", bounds[i-1], bounds[i])
 		}
 		if bounds[i].start > len(c.vals) {
-			return fmt.Errorf("boundary %+v beyond column length %d", bounds[i], len(c.vals))
+			return 0, 0, fmt.Errorf("boundary %+v beyond column length %d", bounds[i], len(c.vals))
 		}
 	}
-	all := c.all()
+	seen := false
 	for i, b := range bounds {
 		end := len(c.vals)
 		if i+1 < len(bounds) {
 			end = bounds[i+1].start
 		}
-		for pos := b.start; pos < end; pos++ {
-			v := all.Value(pos)
-			if b.key != sentinelKey && v < b.key {
-				return fmt.Errorf("value %d at pos %d below piece lower bound %d", v, pos, b.key)
-			}
-			if i+1 < len(bounds) && v >= bounds[i+1].key {
-				return fmt.Errorf("value %d at pos %d not below next boundary %d", v, pos, bounds[i+1].key)
-			}
+		if b.start == end {
+			continue
 		}
+		mn, mx := c.segment(b.start, end).Bounds()
+		if b.key != sentinelKey && mn < b.key {
+			return 0, 0, fmt.Errorf("value %d in piece [%d, %d) below its lower bound %d", mn, b.start, end, b.key)
+		}
+		if i+1 < len(bounds) && mx >= bounds[i+1].key {
+			return 0, 0, fmt.Errorf("value %d in piece [%d, %d) not below next boundary %d", mx, b.start, end, bounds[i+1].key)
+		}
+		if !seen || mn < dLo {
+			dLo = mn
+		}
+		if !seen || mx > dHi {
+			dHi = mx
+		}
+		seen = true
 	}
-	return nil
+	return dLo, dHi, nil
 }

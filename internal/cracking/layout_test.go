@@ -299,7 +299,17 @@ func layoutSession(t *testing.T, base []int64, seed int64, refine func(*Column))
 				t.Fatalf("step %d: deleted a value the column never held", step)
 			}
 			if step%30 == 5 {
-				st := c.ExportState()
+				// A copy of the state as stored, so that Restore adopts
+				// arrays the live column does not share.
+				var st State
+				c.ViewState(func(live State) error {
+					st = live
+					st.Vals, st.Rows = slices.Clone(live.Vals), slices.Clone(live.Rows)
+					return nil
+				})
+				if st.Packed != c.packed || (st.Rows != nil) == c.packed {
+					t.Fatalf("step %d: state of a column with packed = %v has Packed = %v and %d rowids", step, c.packed, st.Packed, len(st.Rows))
+				}
 				pieces := len(st.Keys)
 				restored, err := Restore("a", st, cfg)
 				if err != nil {

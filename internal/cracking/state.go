@@ -2,59 +2,67 @@ package cracking
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"holistic/internal/avl"
 )
 
-// ExportedState is the physical state of a cracker column in a form the
-// durable layer can serialize: the values (and rowids) in cracked
-// physical order plus the piece-boundary table. Restoring it rebuilds
-// the column by taking the arrays and re-inserting the boundaries —
-// none of the cracking work is repeated. The state is the same whatever
-// the column's layout: ExportState decodes, Restore packs again.
-type ExportedState struct {
-	Vals   []int64
-	Rows   []uint32 // nil when the column carries no rowids
+// State is the physical state of a cracker column as the column stores
+// it: the tuples in cracked physical order — packed words, values beside
+// rowids, or values alone, whichever its layout keeps — plus the
+// piece-boundary table. It is what the durable layer persists, unconverted,
+// and what Restore adopts: none of the cracking work is repeated and no
+// array is decoded on the way out or packed again on the way in.
+type State struct {
+	Vals   []int64  // values, or words when Packed
+	Rows   []uint32 // rowids beside values; nil when Packed or none are carried
+	Packed bool
+	Ref    int64    // Packed: the smallest value the window holds
 	Keys   []int64  // piece lower-bound keys; Keys[0] is the sentinel
 	Starts []uint32 // piece start offsets, parallel to Keys
 }
 
-// ExportState atomically captures the column's physical state. It takes
-// the global latch exclusively, so no crack, select or merge is in
-// flight while the arrays are copied.
-func (c *Column) ExportState() ExportedState {
+// ViewState calls fn with the column's physical state and returns its
+// error. Vals and Rows are the column's own arrays, not copies: the global
+// latch is held exclusively for the duration of the call, so no crack,
+// select or merge is in flight and words, keys and starts are one cut; fn
+// must not retain or change them.
+func (c *Column) ViewState(fn func(State) error) error {
 	c.global.Lock()
 	defer c.global.Unlock()
-	all := c.all()
-	st := ExportedState{Vals: all.AppendValues(make([]int64, 0, all.Len()))}
-	if all.HasRows() {
-		st.Rows = all.AppendRows(make([]uint32, 0, all.Len()))
+	st := State{Vals: c.vals, Rows: c.rows, Packed: c.packed}
+	if c.packed {
+		st.Ref = c.ref()
 	}
+	st.Keys = make([]int64, 0, c.tree.Len())
+	st.Starts = make([]uint32, 0, c.tree.Len())
 	c.tree.Ascend(func(k int64, v avl.Value) bool {
 		st.Keys = append(st.Keys, k)
 		st.Starts = append(st.Starts, uint32(v.(*piece).start))
 		return true
 	})
-	return st
+	return fn(st)
 }
 
-// Restore rebuilds a cracker column from an exported state, taking
-// ownership of the state's slices. The boundary table is validated
-// against the same invariants CheckInvariants enforces; an inconsistent
-// state (a corrupt or stale snapshot) is rejected so the caller can
-// fall back to rebuilding an unrefined column from the base data.
-func Restore(name string, st ExportedState, cfg Config) (*Column, error) {
+// Restore rebuilds a cracker column from a state, taking ownership of its
+// arrays in the layout they come in. The boundary table and every piece's
+// value bounds are held to the invariants CheckInvariants enforces, by the
+// same code; an inconsistent state (a corrupt or stale snapshot) is
+// rejected so the caller can fall back to rebuilding an unrefined column
+// from the base data.
+func Restore(name string, st State, cfg Config) (*Column, error) {
 	if cfg.MinParallelPiece == 0 {
 		cfg.MinParallelPiece = 1 << 16
 	}
 	if cfg.ParallelWorkers < 1 {
 		cfg.ParallelWorkers = 1
 	}
-	if len(st.Keys) == 0 || st.Keys[0] != sentinelKey || len(st.Keys) != len(st.Starts) || st.Starts[0] != 0 {
-		return nil, fmt.Errorf("cracking: restore %s: missing or misplaced sentinel boundary", name)
+	if len(st.Keys) != len(st.Starts) {
+		return nil, fmt.Errorf("cracking: restore %s: %d boundary keys, %d positions", name, len(st.Keys), len(st.Starts))
 	}
-	if cfg.WithRows != (st.Rows != nil) || (st.Rows != nil && len(st.Rows) != len(st.Vals)) {
+	hasRows := st.Packed || st.Rows != nil
+	if cfg.WithRows != hasRows || (st.Rows != nil && (st.Packed || len(st.Rows) != len(st.Vals))) {
 		return nil, fmt.Errorf("cracking: restore %s: rowid array mismatch", name)
 	}
 	c := &Column{
@@ -65,23 +73,25 @@ func Restore(name string, st ExportedState, cfg Config) (*Column, error) {
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
+	if st.Packed {
+		// The window must end inside int64, as refFor makes it.
+		if st.Ref > math.MaxInt64-(window-1) {
+			return nil, fmt.Errorf("cracking: restore %s: packing window [%d, +2^32) leaves int64", name, st.Ref)
+		}
+		c.layout = packedAt(st.Ref)
+	}
 	for i := range st.Keys {
-		if i > 0 {
-			if st.Keys[i] <= st.Keys[i-1] {
-				return nil, fmt.Errorf("cracking: restore %s: boundary keys not increasing", name)
-			}
-			if st.Starts[i] < st.Starts[i-1] || int(st.Starts[i]) > len(st.Vals) {
-				return nil, fmt.Errorf("cracking: restore %s: boundary positions not monotone", name)
-			}
+		if i > 0 && st.Keys[i] <= st.Keys[i-1] {
+			return nil, fmt.Errorf("cracking: restore %s: boundary keys not increasing", name)
 		}
 		c.tree.Insert(st.Keys[i], &piece{start: int(st.Starts[i])})
 	}
-	c.domainLo, c.domainHi = domain(st.Vals)
-	if err := c.CheckInvariants(); err != nil {
+	var err error
+	if c.domainLo, c.domainHi, err = c.checkLocked(); err != nil {
 		return nil, fmt.Errorf("cracking: restore %s: %w", name, err)
 	}
-	// The domain is known here, so the layout is not a guess: pack in
-	// place when the values fit one window.
+	// A wide column whose values fit one window by now is packed in
+	// place: the data picks the layout, here as at first touch.
 	if ref, ok := refFor(c.domainLo, c.domainHi); ok && c.rows != nil {
 		c.layout = packedAt(ref)
 		for i, v := range c.vals {

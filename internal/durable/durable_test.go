@@ -1,8 +1,14 @@
 package durable
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -116,6 +122,26 @@ func TestWALTornTailTruncates(t *testing.T) {
 	}
 }
 
+// encSeg and encState are EncodeSegment and EncodeState of inputs that
+// must encode.
+func encSeg(t *testing.T, c ColumnData) []byte {
+	t.Helper()
+	enc, err := EncodeSegment(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+func encState(t *testing.T, states []IndexState) []byte {
+	t.Helper()
+	enc, err := EncodeState(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
 func TestSegmentRoundTrip(t *testing.T) {
 	c := ColumnData{
 		Name:  "price",
@@ -123,10 +149,12 @@ func TestSegmentRoundTrip(t *testing.T) {
 		Tails: []int64{7, 8},
 		Dead:  []uint32{1, 5},
 	}
-	got, err := DecodeSegment(EncodeSegment(c))
+	enc := encSeg(t, c)
+	got, err := DecodeSegment(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Lo, c.Hi = -3, 99 // what the decoder saw of Base
 	if !reflect.DeepEqual(got, c) {
 		t.Fatalf("decoded = %+v, want %+v", got, c)
 	}
@@ -134,21 +162,35 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("NextRow = %d, want 6", got.NextRow())
 	}
 	// Any flipped byte must fail the checksum.
-	enc := EncodeSegment(c)
 	enc[len(segMagic)+10] ^= 0x40
 	if _, err := DecodeSegment(enc); err == nil {
 		t.Fatal("corrupt segment decoded without error")
 	}
 }
 
-func TestStatePerSectionDegradation(t *testing.T) {
-	states := []IndexState{
-		{Attr: "a", Kind: IndexCracker, Vals: []int64{1, 2, 3}, Rows: []uint32{0, 1, 2},
-			HasRows: true, Keys: []int64{-1 << 62, 2}, Starts: []uint32{0, 1},
+// stateCases are index states of every shape the format stores: a packed
+// cracker, one whose values cannot pack, one without row ids, and sorted
+// runs with and without them.
+func stateCases() []IndexState {
+	return []IndexState{
+		{Attr: "packed", Kind: IndexCracker, Layout: LayoutPacked, Ref: -1 << 31,
+			Vals: []int64{1<<32 | 0, 2<<32 | 1, 3<<32 | 2},
+			Keys: []int64{-1 << 63, 2}, Starts: []uint32{0, 1},
 			Accesses: 9, Hits: 4, StatsState: 2},
-		{Attr: "b", Kind: IndexSorted, Vals: []int64{4, 5, 6}},
+		{Attr: "wide", Kind: IndexCracker, Layout: LayoutRows,
+			Vals: []int64{-1 << 63, 0, 1<<63 - 1}, Rows: []uint32{2, 0, 1},
+			Keys: []int64{-1 << 63, 0, 5}, Starts: []uint32{0, 1, 2}},
+		{Attr: "norows", Kind: IndexCracker, Layout: LayoutValues,
+			Vals: []int64{1, 2, 3}, Keys: []int64{-1 << 63}, Starts: []uint32{0}, StatsState: 1},
+		{Attr: "sorted", Kind: IndexSorted, Layout: LayoutRows, Vals: []int64{4, 5, 6}, Rows: []uint32{2, 1, 0}},
+		{Attr: "sorted-norows", Kind: IndexSorted, Vals: []int64{4, 5, 6}},
+		{Attr: "empty", Kind: IndexCracker, Layout: LayoutPacked, Keys: []int64{-1 << 63}, Starts: []uint32{0}},
 	}
-	enc := EncodeState(states)
+}
+
+func TestStatePerSectionDegradation(t *testing.T) {
+	states := stateCases()
+	enc := encState(t, states)
 	got, dropped, err := DecodeState(enc)
 	if err != nil || dropped != 0 {
 		t.Fatalf("clean decode: dropped=%d err=%v", dropped, err)
@@ -156,20 +198,214 @@ func TestStatePerSectionDegradation(t *testing.T) {
 	if !reflect.DeepEqual(got, states) {
 		t.Fatalf("decoded = %+v, want %+v", got, states)
 	}
-	// Corrupt a byte inside the first section: only that index drops.
-	enc = EncodeState(states)
-	enc[len(stateMagic)+4+8+4] ^= 0x01
-	got, dropped, err = DecodeState(enc)
-	if err != nil {
+	// Corrupt a byte inside the first section's arrays: only that index
+	// drops, whether the damage is in the body or in its trailing checksum.
+	first := len(stateMagic) + 8
+	body := int(sectionLen(len(states[0].Attr), states[0].Layout, 3, 2))
+	for _, at := range []int{first + 8 + body - 20, first + 8 + body + 1} {
+		enc = encState(t, states)
+		enc[at] ^= 0x01
+		got, dropped, err = DecodeState(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dropped != 1 || !reflect.DeepEqual(got, states[1:]) {
+			t.Fatalf("byte %d flipped: dropped=%d survivors=%+v", at, dropped, got)
+		}
+	}
+	// A section whose own fields disagree with its length drops alone too.
+	enc = encState(t, states)
+	enc[first+8+2+len(states[0].Attr)+1] = 7 // no such layout
+	if got, dropped, err = DecodeState(enc); err != nil || dropped != 1 || !reflect.DeepEqual(got, states[1:]) {
+		t.Fatalf("hostile layout byte: dropped=%d err=%v survivors=%+v", dropped, err, got)
+	}
+	// A truncated file keeps the sections that are whole.
+	enc = encState(t, states)
+	if got, dropped, err = DecodeState(enc[:first+8+body+4+30]); err != nil || dropped != len(states)-1 || !reflect.DeepEqual(got, states[:1]) {
+		t.Fatalf("truncated file: dropped=%d err=%v survivors=%+v", dropped, err, got)
+	}
+	// A corrupt header — the count included — fails the whole file, and so
+	// does the previous format's magic.
+	for _, at := range []int{0, 4, len(stateMagic) + 1, len(stateMagic) + 5} {
+		enc = encState(t, states)
+		enc[at] ^= 0xff
+		if _, _, err := DecodeState(enc); err == nil {
+			t.Fatalf("header byte %d corrupted: decoded without error", at)
+		}
+	}
+}
+
+// TestEncodersRejectWhatTheyCannotFrame: a name the 16-bit length field
+// would truncate, a patch list out of order and arrays that contradict
+// their layout are errors, not checksummed files that decode to other
+// data.
+func TestEncodersRejectWhatTheyCannotFrame(t *testing.T) {
+	long := strings.Repeat("n", 1<<16)
+	if _, err := EncodeSegment(ColumnData{Name: long, Base: []int64{1}}); !errors.Is(err, ErrFrame) {
+		t.Fatalf("segment with a %d-byte name: %v, want ErrFrame", len(long), err)
+	}
+	if _, err := EncodeSegment(ColumnData{Name: long[:1<<16-1], Base: []int64{1}}); err != nil {
+		t.Fatalf("segment with a 65535-byte name: %v", err)
+	}
+	if _, err := EncodeState([]IndexState{{Attr: long, Kind: IndexSorted}}); !errors.Is(err, ErrFrame) {
+		t.Fatalf("state with a %d-byte name: %v, want ErrFrame", len(long), err)
+	}
+	for _, bad := range []ColumnData{
+		{Name: "a", Base: []int64{1, 2}, Patch: []RowValue{{1, 0}, {0, 0}}},
+		{Name: "a", Base: []int64{1, 2}, Patch: []RowValue{{2, 0}}},
+	} {
+		if _, err := EncodeSegment(bad); err == nil {
+			t.Fatalf("segment with patch %v encoded", bad.Patch)
+		}
+	}
+	for _, bad := range []IndexState{
+		{Attr: "a", Kind: IndexCracker, Layout: LayoutRows, Vals: []int64{1}},
+		{Attr: "a", Kind: IndexCracker, Layout: LayoutPacked, Vals: []int64{1}, Rows: []uint32{0}},
+		{Attr: "a", Kind: IndexSorted, Layout: LayoutPacked},
+		{Attr: "a", Kind: IndexCracker, Keys: []int64{0}},
+		{Attr: "a", Kind: 9},
+	} {
+		if _, err := EncodeState([]IndexState{bad}); err == nil {
+			t.Fatalf("state %+v encoded", bad)
+		}
+	}
+
+	// A snapshot that cannot be framed creates no file, and the previous
+	// generation stays the one recovery picks.
+	fs := NewFaultFS()
+	snapshotAt(t, fs, 1, []int64{10, 20})
+	ops := fs.Ops()
+	m := &Manifest{Generation: 2, Mode: "test"}
+	cols := []ColumnData{{Name: "a", Base: []int64{1}}, {Name: long, Base: []int64{2}}}
+	if _, err := WriteSnapshot(fs, m, cols, nil); !errors.Is(err, ErrFrame) {
+		t.Fatalf("WriteSnapshot with a %d-byte name: %v, want ErrFrame", len(long), err)
+	}
+	if fs.Ops() != ops {
+		t.Fatalf("the refused snapshot performed %d filesystem operations", fs.Ops()-ops)
+	}
+	rec, err := Recover(fs)
+	if err != nil || rec.Gen != 1 || !reflect.DeepEqual(rec.Columns[0].Base, []int64{10, 20}) {
+		t.Fatalf("after the refused snapshot: %+v, %v", rec, err)
+	}
+}
+
+// TestSnapshotBytesGolden: the streamed segment is HSEG1 byte for byte —
+// hand-framed here from the format's description, with updated rows in
+// the base and in the tail, tails and tombstones — and it is what a reader
+// of the folded arrays decodes.
+func TestSnapshotBytesGolden(t *testing.T) {
+	c := ColumnData{
+		Name:  "qty",
+		Base:  []int64{5, -3, 99, 0},
+		Tails: []int64{7, 8},
+		Dead:  []uint32{1, 5},
+		Patch: []RowValue{{Row: 0, Val: -1}, {Row: 3, Val: 1 << 40}, {Row: 5, Val: 80}},
+	}
+	folded := ColumnData{Name: "qty", Base: []int64{-1, -3, 99, 1 << 40}, Tails: []int64{7, 80}, Dead: []uint32{1, 5}, Lo: -3, Hi: 1 << 40}
+
+	want := []byte("HSEG1\n")
+	want = binary.LittleEndian.AppendUint16(want, 3)
+	want = append(want, "qty"...)
+	want = binary.LittleEndian.AppendUint32(want, 4)
+	want = binary.LittleEndian.AppendUint32(want, 2)
+	want = binary.LittleEndian.AppendUint32(want, 2)
+	for _, v := range append(append([]int64(nil), folded.Base...), folded.Tails...) {
+		want = binary.LittleEndian.AppendUint64(want, uint64(v))
+	}
+	for _, row := range folded.Dead {
+		want = binary.LittleEndian.AppendUint32(want, row)
+	}
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
+
+	if got := encSeg(t, c); !bytes.Equal(got, want) {
+		t.Fatalf("patched segment =\n%x, want\n%x", got, want)
+	}
+	if got := encSeg(t, folded); !bytes.Equal(got, want) {
+		t.Fatalf("folded segment =\n%x, want\n%x", got, want)
+	}
+	if got, err := DecodeSegment(want); err != nil || !reflect.DeepEqual(got, folded) {
+		t.Fatalf("decoded = %+v, %v; want %+v", got, err, folded)
+	}
+
+	// The same bytes at every array size around the chunk boundary, where
+	// a value, a patch or the checksum straddles two writes.
+	for _, n := range []int{chunkSize/8 - 4, chunkSize/8 - 3, chunkSize / 8, chunkSize/4 + 1} {
+		big := ColumnData{Name: "qty", Base: make([]int64, n), Tails: []int64{1, 2, 3}, Dead: []uint32{9}}
+		for i := range big.Base {
+			big.Base[i] = int64(i) * 7919
+		}
+		big.Hi = big.Base[n-1]
+		patched := big
+		patched.Base = append([]int64(nil), big.Base...)
+		for _, row := range []int{0, n / 2, chunkSize/8 - 4, n - 1, n + 2} {
+			if row >= 0 && row < n {
+				patched.Base[row] = -1 // what Base says is not what is stored
+				patched.Patch = append(patched.Patch, RowValue{Row: uint32(row), Val: big.Base[row]})
+			} else if row == n+2 {
+				patched.Tails = []int64{1, 2, -1}
+				patched.Patch = append(patched.Patch, RowValue{Row: uint32(row), Val: 3})
+			}
+		}
+		slices.SortFunc(patched.Patch, func(a, b RowValue) int { return cmp.Compare(a.Row, b.Row) })
+		patched.Patch = slices.CompactFunc(patched.Patch, func(a, b RowValue) bool { return a.Row == b.Row })
+		enc := encSeg(t, patched)
+		got, err := DecodeSegment(enc)
+		if err != nil || !reflect.DeepEqual(got, big) {
+			t.Fatalf("%d values: streamed segment does not decode to the folded column (%v)", n, err)
+		}
+	}
+}
+
+// TestSnapshotKilledAtEveryOp streams a multi-chunk snapshot over an older
+// generation and cuts power at each of its filesystem operations, clean
+// and torn — chunks mid-array, the fsyncs that follow the last write, the
+// manifest rename: recovery picks the new generation exactly when
+// WriteSnapshot returned, the old one otherwise, never a mixture.
+func TestSnapshotKilledAtEveryOp(t *testing.T) {
+	oldVals := []int64{10, 20}
+	newVals := make([]int64, chunkSize/4+100) // three chunks a segment
+	for i := range newVals {
+		newVals[i] = int64(i)
+	}
+	index := IndexState{Attr: "a", Kind: IndexSorted, Vals: newVals}
+	write := func(fs FS) error {
+		m := &Manifest{Generation: 2, Mode: "test"}
+		cols := []ColumnData{{Name: "a", Base: newVals}, {Name: "b", Base: newVals[:5]}}
+		_, err := WriteSnapshot(fs, m, cols, []IndexSource{func(emit func(IndexState) error) error { return emit(index) }})
+		return err
+	}
+	count := NewFaultFS()
+	snapshotAt(t, count, 1, oldVals)
+	before := count.Ops()
+	if err := write(count); err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 1 || len(got) != 1 || got[0].Attr != "b" {
-		t.Fatalf("degraded decode: dropped=%d survivors=%+v", dropped, got)
+	total := count.Ops() - before
+	if total < 3*3+3+2 {
+		t.Fatalf("the snapshot took %d filesystem operations; it is not chunked", total)
 	}
-	// A corrupt header fails the whole file.
-	enc[0] ^= 0xff
-	if _, _, err := DecodeState(enc); err == nil {
-		t.Fatal("corrupt header decoded without error")
+	for k := 1; k <= total; k++ {
+		for _, torn := range []bool{false, true} {
+			fs := NewFaultFS()
+			snapshotAt(t, fs, 1, oldVals)
+			fs.KillAt(k, torn)
+			werr := write(fs)
+			fs.Crash()
+			rec, err := Recover(fs)
+			if err != nil {
+				t.Fatalf("kill=%d torn=%v: recover: %v", k, torn, err)
+			}
+			wantGen, wantBase := uint64(1), oldVals
+			if werr == nil {
+				wantGen, wantBase = 2, newVals
+			}
+			if rec.Gen != wantGen || !reflect.DeepEqual(rec.Columns[0].Base, wantBase) {
+				t.Fatalf("kill=%d torn=%v: write error %v, recovered generation %d", k, torn, werr, rec.Gen)
+			}
+			if werr == nil && (len(rec.Indexes) != 1 || !reflect.DeepEqual(rec.Indexes[0], index)) {
+				t.Fatalf("kill=%d torn=%v: committed generation lost its index state", k, torn)
+			}
+		}
 	}
 }
 
@@ -177,7 +413,7 @@ func snapshotAt(t *testing.T, fs FS, gen uint64, vals []int64) {
 	t.Helper()
 	m := &Manifest{Generation: gen, Mode: "test"}
 	cols := []ColumnData{{Name: "a", Base: vals}}
-	if err := WriteSnapshot(fs, m, cols, nil); err != nil {
+	if _, err := WriteSnapshot(fs, m, cols, nil); err != nil {
 		t.Fatal(err)
 	}
 }

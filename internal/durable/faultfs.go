@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -137,6 +139,15 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 }
 
 var errNotExist = errors.New("file does not exist")
+
+// Open implements FS over a copy of the file's current content.
+func (f *FaultFS) Open(name string) (io.ReadCloser, int64, error) {
+	data, err := f.ReadFile(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
+}
 
 // Rename implements FS.
 func (f *FaultFS) Rename(oldname, newname string) error {

@@ -32,6 +32,10 @@ type FS interface {
 	Create(name string) (File, error)
 	// ReadFile returns the full content of name.
 	ReadFile(name string) ([]byte, error)
+	// Open opens name for sequential reading and returns its size: the
+	// snapshot files, which can be as large as the data, are decoded from
+	// the stream instead of from a buffer holding all of them.
+	Open(name string) (io.ReadCloser, int64, error)
 	// Rename atomically replaces newname with oldname.
 	Rename(oldname, newname string) error
 	// Remove deletes name. Removing a missing file is an error.
@@ -67,6 +71,20 @@ func (fs *OSFS) Create(name string) (File, error) {
 // ReadFile implements FS.
 func (fs *OSFS) ReadFile(name string) ([]byte, error) {
 	return os.ReadFile(fs.path(name))
+}
+
+// Open implements FS.
+func (fs *OSFS) Open(name string) (io.ReadCloser, int64, error) {
+	f, err := os.Open(fs.path(name))
+	if err != nil {
+		return nil, 0, err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, info.Size(), nil
 }
 
 // Rename implements FS. The directory is fsynced afterwards so the

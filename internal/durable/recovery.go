@@ -44,9 +44,10 @@ func Recover(fs FS) (*Recovered, error) {
 	}
 
 	rec := &Recovered{}
+	chunk := make([]byte, chunkSize) // every snapshot file is decoded through it
 	gens := manifestGens(names)
 	for _, gen := range gens {
-		m, cols, ok := loadGeneration(fs, gen)
+		m, cols, ok := loadGeneration(fs, gen, chunk)
 		if !ok {
 			rec.Fallbacks++
 			continue
@@ -61,14 +62,10 @@ func Recover(fs FS) (*Recovered, error) {
 	}
 
 	if rec.Manifest != nil && rec.Manifest.StateFile != "" {
-		if data, err := fs.ReadFile(rec.Manifest.StateFile); err != nil {
-			rec.StateDropped = true
-		} else if states, dropped, err := DecodeState(data); err != nil {
-			rec.StateDropped = true
-		} else {
-			rec.Indexes = states
-			rec.DroppedIndexes = dropped
-		}
+		states, dropped, err := loadState(fs, rec.Manifest.StateFile, chunk)
+		rec.StateDropped = err != nil
+		rec.Indexes = states
+		rec.DroppedIndexes = dropped
 	}
 
 	for _, seg := range walSegmentsFrom(names, rec.Gen) {
@@ -95,18 +92,14 @@ func Recover(fs FS) (*Recovered, error) {
 
 // loadGeneration loads and validates one manifest generation with every
 // column segment it references.
-func loadGeneration(fs FS, gen uint64) (*Manifest, []ColumnData, bool) {
+func loadGeneration(fs FS, gen uint64, chunk []byte) (*Manifest, []ColumnData, bool) {
 	m, err := LoadManifest(fs, ManifestName(gen))
 	if err != nil || m.Generation != gen {
 		return nil, nil, false
 	}
 	cols := make([]ColumnData, 0, len(m.Columns))
 	for _, mc := range m.Columns {
-		data, err := fs.ReadFile(mc.File)
-		if err != nil {
-			return nil, nil, false
-		}
-		c, err := DecodeSegment(data)
+		c, err := loadSegment(fs, mc.File, chunk)
 		if err != nil || c.Name != mc.Attr {
 			return nil, nil, false
 		}
@@ -115,26 +108,111 @@ func loadGeneration(fs FS, gen uint64) (*Manifest, []ColumnData, bool) {
 	return m, cols, true
 }
 
+// loadSegment decodes the segment file name from the stream.
+func loadSegment(fs FS, name string, chunk []byte) (ColumnData, error) {
+	f, size, err := fs.Open(name)
+	if err != nil {
+		return ColumnData{}, err
+	}
+	defer f.Close()
+	return readSegment(newReader(f, size, chunk))
+}
+
+// loadState decodes the state file name from the stream.
+func loadState(fs FS, name string, chunk []byte) ([]IndexState, int, error) {
+	f, size, err := fs.Open(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	return readState(newReader(f, size, chunk))
+}
+
+// maxUnsynced bounds the files WriteSnapshot holds open, written and not
+// yet fsynced, so that a table of thousands of columns does not need
+// thousands of descriptors.
+const maxUnsynced = 64
+
 // WriteSnapshot writes the column segments and adaptive-state file of
 // generation m.Generation, then commits them by writing and renaming
-// the manifest. On return the new generation is the one recovery picks.
-func WriteSnapshot(fs FS, m *Manifest, cols []ColumnData, states []IndexState) error {
-	m.Columns = m.Columns[:0]
-	for _, c := range cols {
-		name := SegmentName(m.Generation, c.Name)
-		if err := WriteSegment(fs, name, c); err != nil {
+// the manifest. On return the new generation is the one recovery picks;
+// written is the size of its segments and state file.
+//
+// Every file is streamed from its source through one chunk — cols may
+// share their arrays with the live table, indexes latch and hand over
+// live index arrays — so no byte is copied on the way but into that
+// chunk. The files are written in manifest order and fsynced only once
+// the last is written (beyond maxUnsynced files, the oldest first): the
+// kernel may write file i back while file i+1 is being encoded. No file
+// is durable before its fsync returns and none is referenced before the
+// manifest rename, which stays the one commit point; a crash anywhere
+// earlier leaves files of a generation no manifest names. A column or index the format cannot frame fails the
+// snapshot with ErrFrame, columns before any file is created.
+func WriteSnapshot(fs FS, m *Manifest, cols []ColumnData, indexes []IndexSource) (written int64, err error) {
+	for i := range cols {
+		if err := cols[i].frameable(); err != nil {
+			return 0, err
+		}
+	}
+	var files []File
+	defer func() {
+		for _, f := range files {
+			f.Close() // the error path: the success path closed them all
+		}
+	}()
+	// syncOldest makes the longest-written file durable and closes it.
+	syncOldest := func() error {
+		f := files[0]
+		files = files[1:]
+		if err := f.Sync(); err != nil {
+			f.Close()
 			return err
 		}
-		m.Columns = append(m.Columns, ManifestColumn{Attr: c.Name, File: name})
+		return f.Close()
+	}
+	w := newWriter(nil)
+	create := func(name string) error {
+		if len(files) == maxUnsynced {
+			if err := syncOldest(); err != nil {
+				return err
+			}
+		}
+		f, err := fs.Create(name)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		w.reset(f)
+		return nil
+	}
+	m.Columns = m.Columns[:0]
+	for i := range cols {
+		name := SegmentName(m.Generation, cols[i].Name)
+		if err := create(name); err != nil {
+			return 0, err
+		}
+		writeSegment(w, &cols[i])
+		if err := w.flush(); err != nil {
+			return 0, err
+		}
+		m.Columns = append(m.Columns, ManifestColumn{Attr: cols[i].Name, File: name})
 	}
 	m.StateFile = ""
-	if len(states) > 0 {
+	if len(indexes) > 0 {
 		m.StateFile = StateName(m.Generation)
-		if err := writeFileSync(fs, m.StateFile, EncodeState(states)); err != nil {
-			return err
+		if err := create(m.StateFile); err != nil {
+			return 0, err
+		}
+		if err := writeState(w, indexes); err != nil {
+			return 0, err
 		}
 	}
-	return WriteManifest(fs, m)
+	for len(files) > 0 {
+		if err := syncOldest(); err != nil {
+			return 0, err
+		}
+	}
+	return w.total, WriteManifest(fs, m)
 }
 
 // Prune removes snapshot and WAL files of generations not in keep. It

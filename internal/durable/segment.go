@@ -1,9 +1,8 @@
 package durable
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 )
 
 // segMagic heads every column segment file.
@@ -21,6 +20,21 @@ type ColumnData struct {
 	Base  []int64
 	Tails []int64
 	Dead  []uint32
+	// Lo and Hi are the smallest and largest value of Base — (0, -1) when
+	// it is empty — as the decoder saw them go by. The encoder ignores
+	// them.
+	Lo, Hi int64
+	// Patch is the write side's way of folding updates in without a copy
+	// of Base: the rows, ascending, whose value is Val and not what Base
+	// or Tails holds. The segment is written as if they had been stored;
+	// a decoded segment has none.
+	Patch []RowValue
+}
+
+// RowValue overrides the value of one row of a column being written.
+type RowValue struct {
+	Row uint32
+	Val int64
 }
 
 // NextRow returns the row id the next insert on this attribute takes.
@@ -33,59 +47,75 @@ func SegmentName(gen uint64, attr string) string {
 	return fmt.Sprintf("seg-%012d-%s.col", gen, attr)
 }
 
-// EncodeSegment serializes one column: magic, name, array lengths, the
-// arrays, and a trailing CRC32C over everything before it.
-func EncodeSegment(c ColumnData) []byte {
-	size := len(segMagic) + 2 + len(c.Name) + 12 +
-		8*len(c.Base) + 8*len(c.Tails) + 4*len(c.Dead) + 4
-	buf := make([]byte, 0, size)
-	buf = append(buf, segMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Name)))
-	buf = append(buf, c.Name...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Base)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Tails)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Dead)))
-	buf = appendInt64s(buf, c.Base)
-	buf = appendInt64s(buf, c.Tails)
-	buf = appendUint32s(buf, c.Dead)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+// frameable reports ErrFrame when the segment's length fields cannot hold
+// the column, or its patch list is not ascending rows of the column.
+func (c *ColumnData) frameable() error {
+	rows := uint64(len(c.Base)) + uint64(len(c.Tails))
+	if len(c.Name) > MaxNameLen || rows > maxU32 || uint64(len(c.Dead)) > maxU32 {
+		return fmt.Errorf("durable: segment %.40q: %w", c.Name, ErrFrame)
+	}
+	for i, p := range c.Patch {
+		if uint64(p.Row) >= rows || (i > 0 && p.Row <= c.Patch[i-1].Row) {
+			return fmt.Errorf("durable: segment %q: patch rows out of order or range", c.Name)
+		}
+	}
+	return nil
+}
+
+// writeSegment streams one column: magic, name, array lengths, the
+// arrays, and a trailing CRC32C over everything before it. The column
+// must be frameable.
+func writeSegment(w *writer, c *ColumnData) {
+	w.bytes([]byte(segMagic))
+	w.u16(uint16(len(c.Name)))
+	w.bytes([]byte(c.Name))
+	w.u32(uint32(len(c.Base)))
+	w.u32(uint32(len(c.Tails)))
+	w.u32(uint32(len(c.Dead)))
+	patch := w.int64s(c.Base, 0, c.Patch)
+	w.int64s(c.Tails, len(c.Base), patch)
+	w.uint32s(c.Dead)
+	w.sum()
+}
+
+// EncodeSegment is the segment file of c in memory: what WriteSnapshot
+// streams to disk, into a buffer.
+func EncodeSegment(c ColumnData) ([]byte, error) {
+	if err := c.frameable(); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	w := newWriter(&buf)
+	writeSegment(w, &c)
+	err := w.flush()
+	return buf.Bytes(), err
 }
 
 // DecodeSegment parses and checksum-validates one column segment.
 func DecodeSegment(data []byte) (ColumnData, error) {
-	var c ColumnData
-	if len(data) < len(segMagic)+2+12+4 || string(data[:len(segMagic)]) != segMagic {
-		return c, fmt.Errorf("durable: segment: bad header")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != sum {
-		return c, fmt.Errorf("durable: segment: checksum mismatch")
-	}
-	p := body[len(segMagic):]
-	nameLen := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
-	if len(p) < nameLen+12 {
-		return c, fmt.Errorf("durable: segment: truncated name")
-	}
-	c.Name = string(p[:nameLen])
-	p = p[nameLen:]
-	nBase := int(binary.LittleEndian.Uint32(p))
-	nTails := int(binary.LittleEndian.Uint32(p[4:]))
-	nDead := int(binary.LittleEndian.Uint32(p[8:]))
-	p = p[12:]
-	if len(p) != 8*nBase+8*nTails+4*nDead {
-		return c, fmt.Errorf("durable: segment: length mismatch")
-	}
-	c.Base, p = readInt64s(p, nBase)
-	c.Tails, p = readInt64s(p, nTails)
-	c.Dead, _ = readUint32s(p, nDead)
-	return c, nil
+	return readSegment(newReader(bytes.NewReader(data), int64(len(data)), nil))
 }
 
-// WriteSegment encodes and durably writes one column segment in a
-// single file write followed by an fsync.
-func WriteSegment(fs FS, name string, c ColumnData) error {
-	return writeFileSync(fs, name, EncodeSegment(c))
+// readSegment decodes a segment file, each array straight into the slice
+// the column keeps.
+func readSegment(r *reader) (ColumnData, error) {
+	var c ColumnData
+	if r.str(len(segMagic)) != segMagic {
+		return c, fmt.Errorf("durable: segment: bad header")
+	}
+	name := r.str(int(r.u16()))
+	nBase, nTails, nDead := int64(r.u32()), int64(r.u32()), int64(r.u32())
+	if r.err != nil || r.left != 8*nBase+8*nTails+4*nDead+4 {
+		return c, fmt.Errorf("durable: segment: length mismatch")
+	}
+	c.Name = name
+	c.Base, c.Lo, c.Hi = r.int64s(int(nBase))
+	c.Tails, _, _ = r.int64s(int(nTails))
+	c.Dead = r.uint32s(int(nDead))
+	if !r.sum() {
+		return ColumnData{}, fmt.Errorf("durable: segment: checksum mismatch")
+	}
+	return c, nil
 }
 
 // writeFileSync creates name with the given content and fsyncs it.
@@ -103,40 +133,4 @@ func writeFileSync(fs FS, name string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-func appendInt64s(dst []byte, vals []int64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-	}
-	return dst
-}
-
-func appendUint32s(dst []byte, vals []uint32) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
-	}
-	return dst
-}
-
-func readInt64s(p []byte, n int) ([]int64, []byte) {
-	if n == 0 {
-		return nil, p
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return out, p[8*n:]
-}
-
-func readUint32s(p []byte, n int) ([]uint32, []byte) {
-	if n == 0 {
-		return nil, p
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(p[4*i:])
-	}
-	return out, p[4*n:]
 }

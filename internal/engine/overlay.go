@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 
@@ -230,27 +231,26 @@ func (e *Executor) universe(attr string) int {
 	return e.table.Rows()
 }
 
-// exportAttrData folds one attribute's overlay into durable arrays:
-// updated rows carry their newest value and deleted rows keep the value
-// they last held, so recovery can rebuild a first-touch cracker from the
-// base array and replay the deletions exactly as the normal write path
-// would have.
+// exportAttrData names one attribute's durable content without copying
+// it: the table's immutable base array, the overlay's append-only tail,
+// and — the cut taken under pendMu — the updated rows as a sorted patch
+// list and the sorted tombstones. The segment writer stores a patched row
+// with its newest value and a deleted row with the value it last held, so
+// recovery can rebuild a first-touch cracker from the base array and
+// replay the deletions exactly as the normal write path would have.
 func (e *Executor) exportAttrData(attr string) durable.ColumnData {
-	cd := durable.ColumnData{Name: attr, Base: slices.Clone(e.table.Column(attr).Values())}
+	cd := durable.ColumnData{Name: attr, Base: e.table.Column(attr).Values()}
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
 	u := e.updates[attr]
 	if u == nil {
 		return cd
 	}
-	cd.Tails = slices.Clone(u.tail)
+	cd.Tails = u.tail[:len(u.tail):len(u.tail)]
 	for row, v := range u.updated {
-		if int(row) < len(cd.Base) {
-			cd.Base[row] = v
-		} else {
-			cd.Tails[int(row)-len(cd.Base)] = v
-		}
+		cd.Patch = append(cd.Patch, durable.RowValue{Row: row, Val: v})
 	}
+	slices.SortFunc(cd.Patch, func(a, b durable.RowValue) int { return cmp.Compare(a.Row, b.Row) })
 	for row := range u.deleted {
 		cd.Dead = append(cd.Dead, row)
 	}
@@ -259,7 +259,7 @@ func (e *Executor) exportAttrData(attr string) durable.ColumnData {
 }
 
 // restoreOverlay reinstates one attribute's logical overlay (tails and
-// tombstones). A restored cracker already contains every live value;
+// tombstones), taking ownership of cd's tail array. A restored cracker already contains every live value;
 // without one, replay queues the synthetic pending operations that
 // reproduce the normal write path against a first-touch cracker: the
 // base array still holds the last value of every dead base row, so
@@ -269,7 +269,7 @@ func (e *Executor) restoreOverlay(cd durable.ColumnData, replay bool) {
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
 	u := e.updatesLocked(cd.Name)
-	u.tail = slices.Clone(cd.Tails)
+	u.tail = cd.Tails
 	u.next += uint32(len(cd.Tails))
 	u.deleted = make(map[uint32]struct{}, len(cd.Dead))
 	for _, row := range cd.Dead {

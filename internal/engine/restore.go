@@ -1,71 +1,80 @@
 package engine
 
 import (
-	"slices"
-
 	"holistic/internal/cracking"
 	"holistic/internal/durable"
 	"holistic/internal/sortidx"
 	"holistic/internal/stats"
 )
 
-// This file bridges the executor and the durable layer: exporting the
-// logical column content plus the physical state of every built index
-// for a snapshot, and reinstalling both on recovery. Which index a state
-// blob describes travels in durable.IndexState.Kind. Exports run under
-// the store's write lock (no concurrent Insert/Delete/Update), so the
-// overlay and the index export observe one cut of the logical state;
-// concurrent queries may keep cracking, which never changes content.
+// This file bridges the executor and the durable layer: naming, for a
+// snapshot, the logical column content plus the physical state of every
+// built index, and reinstalling both on recovery. Which index a state
+// blob describes travels in durable.IndexState.Kind. Nothing is copied for
+// a snapshot: column data shares the table's immutable base arrays and the
+// overlay's append-only tail, index sources hand over live index arrays.
+// Exports run under the store's write lock (no concurrent
+// Insert/Delete/Update), so the overlay and the indexes are one cut of the
+// logical state; concurrent queries may keep cracking until a column's own
+// section is written, which never changes content.
 
-// ExportTableData captures the base columns of t as durable column data:
-// the logical content of a table no executor has been built over yet.
+// ExportTableData names the base columns of t as durable column data: the
+// logical content of a table no executor has been built over yet.
 func ExportTableData(t *Table) []durable.ColumnData {
 	var cols []durable.ColumnData
 	for _, name := range t.ColumnNames() {
-		cols = append(cols, durable.ColumnData{Name: name, Base: slices.Clone(t.Column(name).Values())})
+		cols = append(cols, durable.ColumnData{Name: name, Base: t.Column(name).Values()})
 	}
 	return cols
 }
 
-// ExportDurable captures every attribute's logical content and the state
-// of every index built so far (cracker pieces with their convergence
-// statistics, sorted runs; scans and CCGI chunks are recomputed), the
-// update overlay folded into the content. Online indexing's epoch
-// counter is deliberately not persisted: a restarted store restarts its
-// monitoring epoch.
-func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexState) {
+// ExportDurable names every attribute's logical content and a source for
+// the state of every index built so far (cracker pieces with their
+// convergence statistics, sorted runs; scans and CCGI chunks are
+// recomputed). A cracker's source latches the column for as long as the
+// snapshot writer reads its arrays; a sorted run never changes. Online
+// indexing's epoch counter is deliberately not persisted: a restarted
+// store restarts its monitoring epoch.
+func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexSource) {
 	var cols []durable.ColumnData
-	var states []durable.IndexState
+	var indexes []durable.IndexSource
 	for _, attr := range e.table.ColumnNames() {
 		switch p := e.lookup(attr).(type) {
 		case *crackerPath:
 			// Complete the physical state first: with every pending op
-			// merged, the exported arrays hold exactly the live logical
-			// values and an empty pending queue on restore matches.
+			// merged, the persisted arrays hold exactly the live logical
+			// values and an empty pending queue on restore matches. No
+			// write can queue another before the section is written.
 			e.ob.Merged(p.pend.MergeAll(p.col))
-			st := p.col.ExportState()
-			is := durable.IndexState{
-				Attr: attr, Kind: durable.IndexCracker,
-				Vals: st.Vals, Rows: st.Rows, HasRows: st.Rows != nil,
-				Keys: st.Keys, Starts: st.Starts,
-			}
+			is := durable.IndexState{Attr: attr, Kind: durable.IndexCracker}
 			if e.daemon != nil {
 				if entry := e.daemon.Registry().Get(attr); entry != nil {
 					is.Accesses, is.Hits = entry.Accesses(), entry.Hits()
 					is.StatsState = uint8(entry.State()) + 1
 				}
 			}
-			states = append(states, is)
-		case *sortedPath:
-			states = append(states, durable.IndexState{
-				Attr: attr, Kind: durable.IndexSorted,
-				Vals: slices.Clone(p.col.Values()),
-				Rows: slices.Clone(p.col.RowIDs()), HasRows: p.col.HasRows(),
+			indexes = append(indexes, func(emit func(durable.IndexState) error) error {
+				return p.col.ViewState(func(st cracking.State) error {
+					is.Vals, is.Rows, is.Keys, is.Starts = st.Vals, st.Rows, st.Keys, st.Starts
+					switch {
+					case st.Packed:
+						is.Layout, is.Ref = durable.LayoutPacked, st.Ref
+					case st.Rows != nil:
+						is.Layout = durable.LayoutRows
+					}
+					return emit(is)
+				})
 			})
+		case *sortedPath:
+			is := durable.IndexState{Attr: attr, Kind: durable.IndexSorted, Vals: p.col.Values()}
+			if p.col.HasRows() {
+				is.Layout, is.Rows = durable.LayoutRows, p.col.RowIDs()
+			}
+			indexes = append(indexes, func(emit func(durable.IndexState) error) error { return emit(is) })
 		}
 		cols = append(cols, e.exportAttrData(attr))
 	}
-	return cols, states
+	return cols, indexes
 }
 
 // RestoreDurable reinstates recovered state on a freshly built executor
@@ -84,9 +93,12 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 		switch {
 		case st.Kind == durable.IndexCracker && e.kind == kindCracker:
 			cfg := e.crack
-			cfg.WithRows = st.HasRows
+			cfg.WithRows = st.Layout != durable.LayoutValues
 			var c *cracking.Column
-			if c, err = cracking.Restore(st.Attr, cracking.ExportedState{Vals: st.Vals, Rows: st.Rows, Keys: st.Keys, Starts: st.Starts}, cfg); err == nil {
+			if c, err = cracking.Restore(st.Attr, cracking.State{
+				Vals: st.Vals, Rows: rowsOf(st), Packed: st.Layout == durable.LayoutPacked, Ref: st.Ref,
+				Keys: st.Keys, Starts: st.Starts,
+			}, cfg); err == nil {
 				cp := &crackerPath{col: c, pend: e.Pending(st.Attr)}
 				if entry := e.admit(st.Attr, cp, false); entry != nil && st.StatsState > 0 {
 					entry.RestoreCounts(st.Accesses, st.Hits, stats.State(st.StatsState-1))
@@ -94,12 +106,8 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 				p = cp
 			}
 		case st.Kind == durable.IndexSorted && e.kind == kindSorted:
-			rows := st.Rows
-			if !st.HasRows {
-				rows = nil
-			}
 			var sc *sortidx.SortedColumn
-			if sc, err = sortidx.Restore(st.Attr, st.Vals, rows); err == nil {
+			if sc, err = sortidx.Restore(st.Attr, st.Vals, rowsOf(st)); err == nil {
 				p = &sortedPath{col: sc}
 			}
 		default:
@@ -121,4 +129,14 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 		}
 	}
 	return restored, dropped
+}
+
+// rowsOf returns the row id array of a decoded index state, non-nil —
+// which is how the indexes tell carrying no row ids from carrying none yet
+// — whenever its layout has one, even over an empty column.
+func rowsOf(st durable.IndexState) []uint32 {
+	if st.Layout == durable.LayoutRows && st.Rows == nil {
+		return []uint32{}
+	}
+	return st.Rows
 }

@@ -10,6 +10,7 @@ import (
 
 	"holistic/internal/column"
 	"holistic/internal/cracking"
+	"holistic/internal/durable"
 	"holistic/internal/holistic"
 	"holistic/internal/obs/observer"
 )
@@ -351,7 +352,7 @@ func TestWriteVictimNeverReorganizes(t *testing.T) {
 	}
 }
 
-// TestWriteVictimAfterRestore: a session exported mid-way and reinstated
+// TestWriteVictimAfterRestore: a session snapshotted mid-way and recovered
 // — with its cracker state, and without it (the replay path recovery
 // takes for a dropped index) — picks the same rows for the rest of the
 // session as the executor that never stopped.
@@ -366,20 +367,28 @@ func TestWriteVictimAfterRestore(t *testing.T) {
 	ws := &writeSession{t: t, e: e, attr: "A", sh: newShadow(base)}
 	ws.read(4, 20)
 	ws.run(21, 600, pool)
-	cols, states := e.ExportDurable()
+	fs := durable.NewFaultFS()
+	cols, indexes := e.ExportDurable()
+	if _, err := durable.WriteSnapshot(fs, &durable.Manifest{Generation: 1}, cols, indexes); err != nil {
+		t.Fatal(err)
+	}
 
 	ends := []*shadowAttr{ws.sh}
 	for _, withState := range []bool{true, false} {
 		t.Run(fmt.Sprintf("state=%v", withState), func(t *testing.T) {
+			rec, err := durable.Recover(fs)
+			if err != nil || len(rec.Indexes) != 1 {
+				t.Fatalf("recovered %d index states, %v", len(rec.Indexes), err)
+			}
 			rtbl := NewTable("R")
-			rtbl.MustAddColumn(column.New("A", cols[0].Base))
+			rtbl.MustAddColumn(column.New("A", rec.Columns[0].Base))
 			r := NewAdaptiveExecutor(rtbl, cfg, "")
 			defer r.Close()
-			st := states
+			st := rec.Indexes
 			if !withState {
 				st = nil
 			}
-			if restored, dropped := r.RestoreDurable(cols, st); restored != len(st) || dropped != 0 {
+			if restored, dropped := r.RestoreDurable(rec.Columns, st); restored != len(st) || dropped != 0 {
 				t.Fatalf("restored %d, dropped %d", restored, dropped)
 			}
 			sh := &shadowAttr{vals: slices.Clone(ws.sh.vals), live: slices.Clone(ws.sh.live)}

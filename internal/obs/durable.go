@@ -46,6 +46,14 @@ type DurableSnapshot struct {
 	TornWALTail       bool   `json:"torn_wal_tail"`
 	Generation        uint64 `json:"generation"`
 
+	// StateDropped: the adaptive-state file recovery found was unusable
+	// as a whole (corrupt header, or written in an earlier format), so the
+	// store opened data-only and its indexes rebuild from the data.
+	StateDropped bool `json:"state_dropped"`
+	// SnapshotBytes is the size of the column segments and state file the
+	// last checkpoint of this process wrote; 0 before the first.
+	SnapshotBytes int64 `json:"snapshot_bytes"`
+
 	FlightDumps        int64  `json:"flight_dumps"`
 	FlightDumpFailures int64  `json:"flight_dump_failures"`
 	PriorFlightDumps   int64  `json:"prior_flight_dumps"`

@@ -217,6 +217,10 @@ func (e Event) Fields(names []string) map[string]any {
 		f["generation"] = e.Args[0]
 		f["records"] = e.Args[1]
 		f["duration_us"] = usFromNS(e.Args[2])
+		f["mb"] = float64(e.Args[3]) / 1e6
+		if e.Args[2] > 0 {
+			f["mb_per_s"] = float64(e.Args[3]) * 1e3 / float64(e.Args[2])
+		}
 	case EvRecovery:
 		f["generation"] = e.Args[0]
 		f["replayed_records"] = e.Args[1]

@@ -47,7 +47,7 @@ const (
 	// part].
 	EvWALRotate
 	// EvCheckpoint is a committed snapshot generation: args are
-	// [generation, records since previous, duration ns].
+	// [generation, records since previous, duration ns, bytes written].
 	EvCheckpoint
 	// EvRecovery is one boot-time recovery: args are [generation,
 	// replayed records, torn tail (0/1), restored indexes, dropped
@@ -240,8 +240,8 @@ func (r *Recorder) RecordWALRotate(gen, part int64) {
 // RecordCheckpoint records a committed snapshot generation.
 //
 //holistic:noalloc
-func (r *Recorder) RecordCheckpoint(gen, records, durNS int64) {
-	r.record(EvCheckpoint, 0, 0, gen, records, durNS, 0, 0)
+func (r *Recorder) RecordCheckpoint(gen, records, bytes, durNS int64) {
+	r.record(EvCheckpoint, 0, 0, gen, records, durNS, bytes, 0)
 }
 
 // RecordRecovery records a boot-time recovery result.

@@ -125,7 +125,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	r := NewRecorder(64)
 	r.RecordRecovery(3, 120, true, 4, 1)
-	r.RecordCheckpoint(4, 120, 5_000_000)
+	r.RecordCheckpoint(4, 120, 96_000_000, 5_000_000)
 	id := r.Intern("a")
 	r.RecordRefine(id, 1, 0, 2, 64.0, 9)
 	r.RecordAnomaly(TriggerP99, 9_000_000, 1_000_000, 0.75, 0, 100)
@@ -161,7 +161,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	r := NewRecorder(64)
 	for i := int64(0); i < 10; i++ {
-		r.RecordCheckpoint(i, 1, 1)
+		r.RecordCheckpoint(i, 1, 1, 1)
 	}
 	data := Encode(r, TriggerCheckpoint, 1)
 	if _, err := Decode(data); err != nil {
@@ -197,7 +197,7 @@ func TestRecordAllocationFree(t *testing.T) {
 		r.RecordRefine(id, 1, 1, 1, 0.5, 3)
 		r.RecordCycle(1, 2, 3, 4, 5)
 		r.RecordWALRotate(1, 2)
-		r.RecordCheckpoint(1, 2, 3)
+		r.RecordCheckpoint(1, 2, 3, 4)
 		r.RecordAnomaly(TriggerPanic, 1, 2, 0.1, 1, 10)
 	})
 	if allocs > 0 {

@@ -25,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 	r := NewRecorder(64)
 	r.RecordQuery(time.Now(), 1, 7, 1500, 900, 400, 42)
 	r.RecordRefine(r.Intern("orders.total"), 2, 5, 3, 123.5, 17)
-	r.RecordCheckpoint(4, 120, 5_000_000)
+	r.RecordCheckpoint(4, 120, 96_000_000, 5_000_000)
 	good := Encode(r, TriggerCheckpoint, 4)
 	f.Add(good, uint64(3), uint32(2), true)
 	f.Add(good, uint64(1)<<58, uint32(2), true)      // count*64 wraps to 0

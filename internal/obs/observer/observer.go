@@ -284,15 +284,16 @@ func (o *Observer) Cycle(cycle, workers, refinements, merged, wallNs int64) {
 	o.Flight.RecordCycle(cycle, workers, refinements, merged, wallNs)
 }
 
-// Checkpoint records a committed snapshot generation and the WAL
-// rotation that follows it.
+// Checkpoint records a committed snapshot generation — the WAL records it
+// baked in, the bytes it wrote, how long it took — and the WAL rotation
+// that follows it.
 //
 //holistic:noalloc
-func (o *Observer) Checkpoint(gen, records, durNs int64) {
+func (o *Observer) Checkpoint(gen, records, bytes, durNs int64) {
 	if o == nil {
 		return
 	}
-	o.Flight.RecordCheckpoint(gen, records, durNs)
+	o.Flight.RecordCheckpoint(gen, records, bytes, durNs)
 	o.Flight.RecordWALRotate(gen, 0)
 }
 

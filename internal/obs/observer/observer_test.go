@@ -78,7 +78,7 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	o.Refined("a", 2, 1, 3, 64.0, 9, 5000, 0.5)
 	o.RefinePivot("a", 50, 0, 100)
 	o.Cycle(1, 2, 2, 1, 7000)
-	o.Checkpoint(4, 120, 5_000_000)
+	o.Checkpoint(4, 120, 96_000_000, 5_000_000)
 	if dump := o.Recovery(4, 3, true, 1, 0); !dump {
 		t.Error("a torn WAL tail must ask for a dump")
 	}
@@ -122,7 +122,7 @@ func TestNilObserverAndOwnedTrace(t *testing.T) {
 	o.Refined("a", 1, 1, 1, 1, 1, 1, 1)
 	o.RefinePivot("a", 0, 0, 1)
 	o.Cycle(0, 0, 0, 0, 0)
-	o.Checkpoint(0, 0, 0)
+	o.Checkpoint(0, 0, 0, 0)
 	o.DumpWritten()
 	if o.Recovery(0, 0, true, 0, 0) {
 		t.Error("nil observer asked for a dump")

@@ -241,7 +241,7 @@ func (r *Runner) finish(sc *scratch, result int64, err error) {
 }
 
 // domain returns the cached [min, max] of attr's base column, scanning
-// it once on first use.
+// it once on first use unless the column was loaded knowing them.
 //
 //holistic:noalloc
 func (r *Runner) domain(attr string) (lo, hi int64) {
@@ -251,7 +251,10 @@ func (r *Runner) domain(attr string) (lo, hi int64) {
 	if ok {
 		return d[0], d[1]
 	}
-	lo, hi = column.Bounds(r.table.Column(attr).Values())
+	col := r.table.Column(attr)
+	if lo, hi, ok = col.KnownBounds(); !ok {
+		lo, hi = column.Bounds(col.Values())
+	}
 	r.mu.Lock()
 	r.domains[attr] = [2]int64{lo, hi}
 	r.mu.Unlock()
