@@ -72,7 +72,7 @@ func TestAggregatesMatchScanOracleAllModes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := column.SumRange(oracle[a], lo, hi); sum != want {
+				if want := column.ParallelSumRange(oracle[a], lo, hi, 1); sum != want {
 					t.Fatalf("query %d [%d,%d): sum = %d, want %d", q, lo, hi, sum, want)
 				}
 
@@ -80,7 +80,7 @@ func TestAggregatesMatchScanOracleAllModes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantMn, wantMx, wantN := column.MinMaxRange(oracle[a], lo, hi)
+				wantMn, wantMx, wantN := column.ParallelMinMaxRange(oracle[a], lo, hi, 1)
 				if ok != (wantN > 0) || (ok && (mn != wantMn || mx != wantMx)) {
 					t.Fatalf("query %d [%d,%d): minmax = (%d,%d,%v), want (%d,%d,%v)",
 						q, lo, hi, mn, mx, ok, wantMn, wantMx, wantN > 0)
@@ -185,24 +185,5 @@ func TestStoreErrorPaths(t *testing.T) {
 	// AddPotentialIndex outside ModeHolistic.
 	if err := ad.AddPotentialIndex("a"); err == nil {
 		t.Error("non-holistic mode accepted a potential index")
-	}
-}
-
-// TestNoRowIDsTradeoff: with rowid tracking disabled, aggregates still
-// answer but SelectRows reports the configuration error on the cracking
-// modes (the sorted and scan modes derive rows regardless).
-func TestNoRowIDsTradeoff(t *testing.T) {
-	cfg := storeConfig(ModeAdaptive)
-	cfg.NoRowIDs = true
-	s := NewStore(cfg)
-	defer s.Close()
-	if err := s.AddIntColumn("a", []int64{3, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if sum, err := s.SumRange("a", 0, 3); err != nil || sum != 3 {
-		t.Fatalf("SumRange = %d, %v; want 3, nil", sum, err)
-	}
-	if _, err := s.SelectRows("a", 0, 3); err == nil {
-		t.Fatal("SelectRows with NoRowIDs did not error")
 	}
 }

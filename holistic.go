@@ -175,13 +175,6 @@ type Config struct {
 	// StorageBudget bounds the materialized index space in bytes under
 	// ModeHolistic; 0 = unlimited. LFU indices are evicted to fit.
 	StorageBudget int64
-	// NoRowIDs disables rowid tracking in the cracking-based modes
-	// (adaptive, stochastic, CCGI, holistic), reclaiming 4 bytes/value
-	// of index space and the lockstep rowid permutation on every crack.
-	// SelectRows then returns an error under those modes — unlike the
-	// sorted modes, a cracker column cannot recover the permutation
-	// later, so the choice must be made up front.
-	NoRowIDs bool
 	// Seed fixes all randomized choices for reproducibility.
 	Seed int64
 	// WALSync selects the write-ahead-log fsync policy of a store opened
@@ -361,7 +354,6 @@ func (s *Store) build() *engine.Executor {
 	threads := s.cfg.threads()
 	crackCfg := cracking.Config{
 		ParallelWorkers: threads,
-		WithRows:        !s.cfg.NoRowIDs, // SelectRows materializes base positions
 		Seed:            s.cfg.Seed,
 	}
 	switch s.cfg.Mode {
@@ -375,7 +367,7 @@ func (s *Store) build() *engine.Executor {
 		crackCfg.Stochastic = true
 		return engine.NewAdaptiveExecutor(s.table, crackCfg, "stochastic")
 	case ModeCCGI:
-		return engine.NewCCGIExecutor(s.table, threads, 64, cracking.Config{WithRows: !s.cfg.NoRowIDs, Seed: s.cfg.Seed})
+		return engine.NewCCGIExecutor(s.table, threads, 64, cracking.Config{Seed: s.cfg.Seed})
 	case ModeHolistic:
 		user := s.cfg.UserThreads
 		if user < 1 {
@@ -546,18 +538,15 @@ func applyRecord(exec *engine.Executor, r durable.Record) error {
 // attributes and only stops qualifying for predicates (and
 // aggregation) on attr. The merge targets the resolved row, so
 // materialized results and conjunctive probes stay consistent even for
-// duplicated values (under Config.NoRowIDs the merge falls back to
-// removing an unspecified occurrence; multiset counts and aggregates
-// are exact either way). The row is resolved through the index: pending
+// duplicated values. The row is resolved through the index: pending
 // operations on exactly v are merged into attr's cracker column, as a
 // read of v would merge them, and the lowest row id holding v is read
 // out of the one piece v falls into — a piece scan that cracks nothing,
 // so a write on a refined column costs microseconds wherever its victim
 // sits, and on a barely cracked one up to a pass over a large piece (an
-// attribute no query has touched gets its cracker built first). Only
-// under Config.NoRowIDs, where the index cannot name a row, does
-// resolving scan the attribute front to back. Concurrent writers are
-// serialized; readers are never held up behind one.
+// attribute no query has touched gets its cracker built first).
+// Concurrent writers are serialized; readers are never held up behind
+// one.
 // Supported by the adaptive, stochastic and holistic modes; the sorted
 // and scan modes have no pending-update machinery (their index is the
 // data) and return an error.

@@ -186,3 +186,49 @@ func TestStatsNonCrackingModes(t *testing.T) {
 		t.Errorf("scan stats = %+v, want zeros", st)
 	}
 }
+
+// TestConvergedStoreDaemonStandsDown: the shape of the analytic workload
+// — uniform predicate columns beside a 64-value and an 8-value group key,
+// which can never average |L1| values a piece — converges to ratio 1.0
+// with every index optimal, after which the daemon keeps cycling but
+// makes no refinement attempt.
+func TestConvergedStoreDaemonStandsDown(t *testing.T) {
+	s := NewStore(storeConfig(ModeHolistic)) // |L1| = 512 values
+	defer s.Close()
+	const rows = 1 << 16
+	domains := map[string]int64{"u0": 1 << 20, "u1": 1 << 20, "g0": 64, "g1": 8}
+	for name, domain := range domains {
+		if err := s.AddIntColumn(name, workload.UniformColumn(rows, domain, domain)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name := range domains {
+		if err := s.AddPotentialIndex(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.CountRange("u0", 0, 1<<19); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for s.Metrics().Daemon.Ratio < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("never converged: %+v", s.Metrics().Daemon.Indexes)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before := s.Metrics().Daemon
+	for _, ix := range before.Indexes {
+		if ix.State != "optimal" {
+			t.Errorf("ratio 1.0 with %s still %s (%d pieces)", ix.Name, ix.State, ix.Pieces)
+		}
+	}
+	after := s.Metrics().Daemon
+	for after.Totals.Cycles < before.Totals.Cycles+20 {
+		time.Sleep(time.Millisecond)
+		after = s.Metrics().Daemon
+	}
+	if after.Attempts != before.Attempts {
+		t.Fatalf("%d attempts over %d cycles of a converged store", after.Attempts-before.Attempts, after.Totals.Cycles-before.Totals.Cycles)
+	}
+}

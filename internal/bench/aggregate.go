@@ -95,13 +95,11 @@ func runAgg(p Params) (*Result, error) {
 	ops := aggWorkload(p, data, nOps)
 
 	crackCfg := pvdcConfig(p, p.Threads)
-	crackCfg.WithRows = true
 	user := p.Threads / 2
 	if user < 1 {
 		user = 1
 	}
 	userCfg := pvdcConfig(p, user)
-	userCfg.WithRows = true
 
 	modes := []struct {
 		label string
@@ -117,7 +115,7 @@ func runAgg(p Params) (*Result, error) {
 			}},
 		{"adaptive indexing", func() *engine.Executor { return engine.NewAdaptiveExecutor(li, crackCfg, "") }, nil},
 		{"mP-CCGI", func() *engine.Executor {
-			return engine.NewCCGIExecutor(li, p.Threads, 64, cracking.Config{WithRows: true, Seed: p.Seed})
+			return engine.NewCCGIExecutor(li, p.Threads, 64, cracking.Config{Seed: p.Seed})
 		}, nil},
 		{"holistic indexing", func() *engine.Executor {
 			return engine.NewHolisticExecutor(li, engine.HolisticConfig{

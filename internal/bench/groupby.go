@@ -62,7 +62,6 @@ func runGroupBy(p Params) (*Result, error) {
 	exec := engine.NewHolisticExecutor(tab, engine.HolisticConfig{
 		Cracking: cracking.Config{
 			ParallelWorkers: p.Threads,
-			WithRows:        true, // the key-order walk reconstructs rows
 			Seed:            p.Seed,
 		},
 		Daemon: holistic.Config{

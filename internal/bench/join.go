@@ -73,7 +73,6 @@ func runJoin(p Params) (*Result, error) {
 		return engine.NewHolisticExecutor(t, engine.HolisticConfig{
 			Cracking: cracking.Config{
 				ParallelWorkers: p.Threads,
-				WithRows:        true, // the key-order walks reconstruct rows
 				Seed:            p.Seed,
 			},
 			Daemon: holistic.Config{

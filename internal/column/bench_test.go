@@ -1,0 +1,83 @@
+package column
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// BenchmarkKernels times every loop of the kernel family once, through
+// the door that runs it: 1 Mi uniform values, predicates of 10 % and
+// 50 % selectivity, sequential (workers = 1) and fanned out over
+// GOMAXPROCS (at least 2) workers. Dense cells report ns per value
+// scanned; cells over a selection (filter-rows … sum-bitmap) select at
+// the cell's selectivity on one column, probe a second one, and report
+// ns per selected position. Every seq cell is expected at 0 allocs/op
+// (positions/seq runs the loop into a reused list; the door's one
+// allocation is the list it returns).
+func BenchmarkKernels(b *testing.B) {
+	const n, domain = 1 << 20, 1 << 30
+	drive, vals := randVals(n, domain, 1), randVals(n, domain, 2)
+	par := max(runtime.GOMAXPROCS(0), 2)
+	view := View{Base: vals}
+	var (
+		sink    int64
+		posBuf  = make(PosList, 0, n)
+		valBuf  = make([]int64, 0, n)
+		bm, tmp = NewBitmap(n), NewBitmap(n)
+	)
+	for _, pct := range []int64{10, 50} {
+		lo, hi := int64(0), domain/100*pct
+		sel := ScanRange(drive, lo, hi)
+		ScanRangeBitmap(drive, lo, hi, bm)
+		cells := []struct {
+			name  string
+			items int
+			run   func(workers int)
+		}{
+			{"count", n, func(w int) { sink += int64(ParallelCountRange(vals, lo, hi, w)) }},
+			{"sum", n, func(w int) { sink += ParallelSumRange(vals, lo, hi, w) }},
+			{"minmax", n, func(w int) {
+				mn, mx, _ := ParallelMinMaxRange(vals, lo, hi, w)
+				sink += mn + mx
+			}},
+			{"positions", n, func(w int) {
+				if w == 1 {
+					posBuf = appendRange(posBuf[:0], vals, 0, lo, hi)
+				} else {
+					posBuf = ParallelScanRange(vals, lo, hi, w)
+				}
+			}},
+			{"bits", n, func(w int) { ParallelScanRangeBitmap(vals, lo, hi, tmp, w) }},
+			{"filter-rows", len(sel), func(w int) {
+				posBuf = view.FilterRowsInPlace(append(posBuf[:0], sel...), lo, hi, w)
+			}},
+			{"filter-bitmap", len(sel), func(w int) {
+				tmp.words = append(tmp.words[:0], bm.words...)
+				view.FilterBitmap(tmp, lo, hi, w)
+			}},
+			{"gather", len(sel), func(w int) { valBuf = view.gatherRows(valBuf[:0], sel, w) }},
+			{"sum-bitmap", len(sel), func(int) { sink += view.SumBitmap(bm) }},
+		}
+		for _, c := range cells {
+			for _, mode := range []struct {
+				name    string
+				workers int
+			}{{"seq", 1}, {"par", par}} {
+				if c.name == "sum-bitmap" && mode.workers > 1 {
+					continue // no fan-out exists for it
+				}
+				b.Run(fmt.Sprintf("%s/%s/%dpct", c.name, mode.name, pct), func(b *testing.B) {
+					b.ReportAllocs()
+					c.run(mode.workers) // warm the pools
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.run(mode.workers)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.items), "ns/value")
+				})
+			}
+		}
+	}
+	_ = sink
+}

@@ -1,7 +1,6 @@
 package column
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -53,6 +52,11 @@ func (b *Bitmap) Len() int { return b.n }
 //holistic:noalloc
 func (b *Bitmap) Set(p Pos) { b.words[p>>6] |= 1 << (p & 63) }
 
+// unset clears position p, which must be < Len().
+//
+//holistic:noalloc
+func (b *Bitmap) unset(p Pos) { b.words[p>>6] &^= 1 << (p & 63) }
+
 // Test reports whether position p qualifies.
 //
 //holistic:noalloc
@@ -89,35 +93,6 @@ func (b *Bitmap) Any() bool {
 	return false
 }
 
-// And intersects b with o in place, word at a time; positions beyond
-// o's universe are absent from o and therefore cleared.
-//
-//holistic:noalloc
-func (b *Bitmap) And(o *Bitmap) {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		b.words[i] &= o.words[i]
-	}
-	clear(b.words[n:])
-}
-
-// AndNot clears from b every position set in o, word at a time;
-// positions beyond o's universe are unaffected.
-//
-//holistic:noalloc
-func (b *Bitmap) AndNot(o *Bitmap) {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		b.words[i] &^= o.words[i]
-	}
-}
-
 // SetRange marks every position in [start, end): the selection vector of
 // a contiguous qualifying window (a pre-sorted projection slice, or the
 // all-rows universe of a grouped query without predicates), built word
@@ -148,17 +123,8 @@ func (b *Bitmap) SetRange(start, end int) {
 	b.words[last] |= hiMask
 }
 
-// SetRows marks every row id in rows. All ids must be < Len().
-//
-//holistic:noalloc
-func (b *Bitmap) SetRows(rows []uint32) {
-	for _, r := range rows {
-		b.words[r>>6] |= 1 << (r & 63)
-	}
-}
-
-// SetRowsExtend is SetRows growing the bitmap to cover row ids at or
-// beyond Len(). The adaptive select path streams rowids whose universe
+// SetRowsExtend marks every row id in rows, growing the bitmap to cover
+// ids at or beyond Len(). The adaptive select path streams rowids whose universe
 // was sized before the select: a pending insert merged by a concurrent
 // query can legitimately surface a row id assigned after the sizing,
 // and must extend the bitmap instead of corrupting memory.
@@ -217,15 +183,12 @@ func orRowsAtomic[T uint32 | int64](b *Bitmap, rows []T, off uint32) {
 	}
 }
 
-// ClearFrom clears every position >= n without shrinking the bitmap:
+// clearFrom clears every position >= n without shrinking the bitmap:
 // the presence filter against an attribute whose base array is shorter
 // than the position universe (rows appended to other attributes only).
 //
 //holistic:noalloc
-func (b *Bitmap) ClearFrom(n int) {
-	if n < 0 {
-		n = 0
-	}
+func (b *Bitmap) clearFrom(n int) {
 	if n >= b.n {
 		return
 	}
@@ -243,13 +206,7 @@ func (b *Bitmap) ClearFrom(n int) {
 //
 //holistic:noalloc
 func (b *Bitmap) AppendPositions(dst PosList) PosList {
-	for wi, w := range b.words {
-		base := Pos(wi << 6)
-		for ; w != 0; w &= w - 1 {
-			dst = append(dst, base+Pos(bits.TrailingZeros64(w)))
-		}
-	}
-	return dst
+	return b.AppendPositionsWords(dst, 0, len(b.words))
 }
 
 // AppendPositionsWords is AppendPositions restricted to the words
@@ -260,16 +217,10 @@ func (b *Bitmap) AppendPositions(dst PosList) PosList {
 //
 //holistic:noalloc
 func (b *Bitmap) AppendPositionsWords(dst PosList, fromWord, toWord int) PosList {
-	if fromWord < 0 {
-		fromWord = 0
-	}
-	if toWord > len(b.words) {
-		toWord = len(b.words)
-	}
+	fromWord, toWord = max(fromWord, 0), min(toWord, len(b.words))
 	for wi := fromWord; wi < toWord; wi++ {
-		w := b.words[wi]
 		base := Pos(wi << 6)
-		for ; w != 0; w &= w - 1 {
+		for w := b.words[wi]; w != 0; w &= w - 1 {
 			dst = append(dst, base+Pos(bits.TrailingZeros64(w)))
 		}
 	}
@@ -280,136 +231,62 @@ func (b *Bitmap) AppendPositionsWords(dst PosList, fromWord, toWord int) PosList
 // the unit chunked consumers split on.
 func (b *Bitmap) Words() int { return len(b.words) }
 
-// denseLanes is the per-word popcount at and above which the filter
-// kernels evaluate all 64 lanes branch-free and mask, rather than
-// probing set bit by set bit: on dense words the straight-line loop
-// beats the dependent find-first-set chain.
-const denseLanes = 32
+// --- dense range of vals → bits ---
 
-// signBit biases int64 values into order-preserving uint64 space, so
-// lo <= v < hi collapses to one unsigned compare: (u(v)-u(lo)) < span.
-const signBit = 1 << 63
-
-// rangeBits returns the biased lower bound and span of [lo, hi). A
-// value qualifies iff (uint64(v)^signBit)-ulo < span — evaluated
-// branch-free through the bits.Sub64 borrow, so 50%-selective scans pay
-// no branch mispredictions. Callers must handle hi <= lo themselves
-// (the span would wrap).
-//
-//holistic:noalloc
-func rangeBits(lo, hi int64) (ulo, span uint64) {
-	ulo = uint64(lo) ^ signBit
-	return ulo, (uint64(hi) ^ signBit) - ulo
-}
-
-// filterWord evaluates the range predicate for the lanes of one
-// 64-position word and returns w intersected with the outcome. Lanes at
-// or beyond len(vals) never qualify (mirroring FilterRows, which drops
-// positions without a value).
-//
-//holistic:noalloc
-func filterWord(vals []int64, base int, w uint64, ulo, span uint64) uint64 {
-	end := len(vals) - base
-	if end >= 64 && bits.OnesCount64(w) >= denseLanes {
-		var m uint64
-		for j, v := range vals[base : base+64] {
-			_, lt := bits.Sub64((uint64(v)^signBit)-ulo, span, 0)
-			m |= lt << uint(j)
-		}
-		return w & m
-	}
-	var m uint64
-	for t := w; t != 0; t &= t - 1 {
-		j := bits.TrailingZeros64(t)
-		if j < end && (uint64(vals[base+j])^signBit)-ulo < span {
-			m |= 1 << uint(j)
-		}
-	}
-	return m
-}
-
-// ScanRangeBitmap is the bitmap-producing select operator: it resets b
-// to cover vals and sets bit p iff lo <= vals[p] < hi, built word at a
-// time with branch-free lane evaluation.
-//
-//holistic:noalloc
-func ScanRangeBitmap(vals []int64, lo, hi int64, b *Bitmap) {
-	b.Reset(len(vals))
-	if hi <= lo {
-		return
-	}
-	scanWords(vals, lo, hi, b.words, 0, len(vals))
-}
-
-// scanWords fills the words covering positions [start, end); start must
-// be 64-aligned so writers of adjacent spans touch disjoint words, and
-// the caller must have rejected hi <= lo.
+// scanWords fills the words covering positions [start, end) with the
+// range test of vals, branch-free lane by lane; start must be 64-aligned
+// so writers of adjacent spans touch disjoint words.
 //
 //holistic:noalloc
 func scanWords(vals []int64, lo, hi int64, words []uint64, start, end int) {
 	ulo, span := rangeBits(lo, hi)
-	p := start
-	for p < end {
-		stop := (p | 63) + 1
-		if stop > end {
-			stop = end
-		}
+	for p := start; p < end; {
+		stop := min((p|63)+1, end)
 		var w uint64
 		for j, v := range vals[p:stop] {
-			_, lt := bits.Sub64((uint64(v)^signBit)-ulo, span, 0)
-			w |= lt << uint(j)
+			w |= laneBit(v, ulo, span) << uint(j)
 		}
 		words[p>>6] = w
 		p = stop
 	}
 }
 
-// ParallelScanRangeBitmap is ScanRangeBitmap with the scan split across
-// workers contiguous 64-aligned chunks, so every worker owns whole
-// words and no write is shared.
+// ScanRangeBitmap is the bitmap-producing select operator: it resets b
+// to cover vals and sets bit p iff lo <= vals[p] < hi.
+//
+//holistic:noalloc
+func ScanRangeBitmap(vals []int64, lo, hi int64, b *Bitmap) {
+	ParallelScanRangeBitmap(vals, lo, hi, b, 1)
+}
+
+// ParallelScanRangeBitmap is ScanRangeBitmap split across workers
+// 64-aligned chunks, so every worker owns whole words and no write is
+// shared.
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
 func ParallelScanRangeBitmap(vals []int64, lo, hi int64, b *Bitmap, workers int) {
-	if workers < 2 || len(vals) < 2*1024 {
-		ScanRangeBitmap(vals, lo, hi, b)
-		return
-	}
 	b.Reset(len(vals))
-	if hi <= lo {
+	if workers < 2 || len(vals) < minParallelScan {
+		scanWords(vals, lo, hi, b.words, 0, len(vals))
 		return
 	}
-	chunk := ((len(vals)+workers-1)/workers + 63) &^ 63
-	var wg sync.WaitGroup
-	for start := 0; start < len(vals); start += chunk {
-		end := start + chunk
-		if end > len(vals) {
-			end = len(vals)
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			scanWords(vals, lo, hi, b.words, start, end)
-		}(start, end)
-	}
-	wg.Wait()
+	ForChunks(len(vals), workers, 64, func(_, start, end int) {
+		scanWords(vals, lo, hi, b.words, start, end)
+	})
 }
 
-// FilterBitmap intersects b in place with the predicate lo <= vals[p] <
-// hi: the residual-conjunct kernel on the bitmap representation. Zero
-// words — already-disqualified regions — are skipped without touching
-// the data.
-//
-//holistic:noalloc
-func FilterBitmap(vals []int64, b *Bitmap, lo, hi int64) {
-	if hi <= lo {
-		clear(b.words)
-		return
-	}
-	filterWords(vals, b.words, 0, lo, hi)
-}
+// --- set bits → fold ---
 
-// filterWords filters the words (which cover positions starting at word
-// index from) in place; the caller must have rejected hi <= lo.
+// denseLanes is the per-word popcount at and above which filterWords
+// evaluates all 64 lanes branch-free and masks, rather than probing set
+// bit by set bit: on dense words the straight-line loop beats the
+// dependent find-first-set chain.
+const denseLanes = 32
+
+// filterWords intersects words, the first of which covers positions
+// from (from<<6), with the range test of vals, in place. Zero words —
+// regions already disqualified — are skipped without touching vals, and
+// lanes at or beyond len(vals) have no value and never qualify.
 //
 //holistic:noalloc
 func filterWords(vals []int64, words []uint64, from int, lo, hi int64) {
@@ -418,46 +295,32 @@ func filterWords(vals []int64, words []uint64, from int, lo, hi int64) {
 		if w == 0 {
 			continue
 		}
-		words[wi] = filterWord(vals, (from+wi)<<6, w, ulo, span)
-	}
-}
-
-// ParallelFilterBitmap is FilterBitmap with the word array split across
-// workers contiguous chunks; writes are word-disjoint by construction.
-//
-//holistic:alloc-ok goroutine fan-out for the parallel path
-func ParallelFilterBitmap(vals []int64, b *Bitmap, lo, hi int64, workers int) {
-	if workers < 2 || b.n < minParallelSel {
-		FilterBitmap(vals, b, lo, hi)
-		return
-	}
-	if hi <= lo {
-		clear(b.words)
-		return
-	}
-	chunk := (len(b.words) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for start := 0; start < len(b.words); start += chunk {
-		end := start + chunk
-		if end > len(b.words) {
-			end = len(b.words)
+		base := (from + wi) << 6
+		end := len(vals) - base
+		var m uint64
+		if end >= 64 && bits.OnesCount64(w) >= denseLanes {
+			for j, v := range vals[base : base+64] {
+				m |= laneBit(v, ulo, span) << uint(j)
+			}
+			m &= w
+		} else {
+			for t := w; t != 0; t &= t - 1 {
+				j := bits.TrailingZeros64(t)
+				if j < end && inRange(vals[base+j], ulo, span) {
+					m |= 1 << uint(j)
+				}
+			}
 		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			filterWords(vals, b.words[start:end], start, lo, hi)
-		}(start, end)
+		words[wi] = m
 	}
-	wg.Wait()
 }
 
-// FetchBitmapAppend appends vals at the qualifying positions to dst in
-// ascending position order — the gather at the project boundary. Every
-// set position must be < len(vals).
+// gatherBits appends vals at the set positions to dst in ascending
+// order; every set position must be < len(vals).
 //
 //holistic:noalloc
-func FetchBitmapAppend(vals []int64, b *Bitmap, dst []int64) []int64 {
-	for wi, w := range b.words {
+func gatherBits(dst, vals []int64, words []uint64) []int64 {
+	for wi, w := range words {
 		base := wi << 6
 		for ; w != 0; w &= w - 1 {
 			dst = append(dst, vals[base+bits.TrailingZeros64(w)])
@@ -481,162 +344,51 @@ func SumBitmap(vals []int64, b *Bitmap) int64 {
 	return s
 }
 
-// MinMaxBitmap folds min/max of vals over the qualifying positions and
-// reports how many qualified; mn/mx are meaningful only when n > 0.
-// Every set position must be < len(vals).
+// minMaxBits folds the extrema of vals over the set positions; every
+// set position must be < len(vals).
 //
 //holistic:noalloc
-func MinMaxBitmap(vals []int64, b *Bitmap) (mn, mx int64, n int) {
-	for wi, w := range b.words {
+func minMaxBits(vals []int64, words []uint64) (mn, mx int64, n int) {
+	mn, mx = noMin, noMax
+	for wi, w := range words {
 		base := wi << 6
+		n += bits.OnesCount64(w)
 		for ; w != 0; w &= w - 1 {
-			v := vals[base+bits.TrailingZeros64(w)]
-			if n == 0 || v < mn {
-				mn = v
-			}
-			if n == 0 || v > mx {
-				mx = v
-			}
-			n++
+			mn, mx = widen(mn, mx, vals[base+bits.TrailingZeros64(w)])
 		}
 	}
 	return mn, mx, n
 }
 
-// MinMaxBitmap folds min/max of the current values at the set positions;
-// every set position must have a value (run PresentBitmap first).
+// FilterBitmap intersects b in place with the predicate lo <= vals[p] <
+// hi: the residual-conjunct kernel on the bitmap representation.
 //
 //holistic:noalloc
-func (w View) MinMaxBitmap(b *Bitmap) (mn, mx int64, n int) {
-	if w.Plain() {
-		return MinMaxBitmap(w.Base, b)
-	}
-	for wi, word := range b.words {
-		base := Pos(wi << 6)
-		for ; word != 0; word &= word - 1 {
-			p := base + Pos(bits.TrailingZeros64(word))
-			v, ok := w.At(p)
-			if !ok {
-				panic(fmt.Sprintf("column: MinMaxBitmap at row %d without a value", p))
-			}
-			if n == 0 || v < mn {
-				mn = v
-			}
-			if n == 0 || v > mx {
-				mx = v
-			}
-			n++
-		}
-	}
-	return mn, mx, n
+func FilterBitmap(vals []int64, b *Bitmap, lo, hi int64) {
+	filterWords(vals, b.words, 0, lo, hi)
 }
 
-// FilterBitmap is the bitmap form of View.FilterRows: it clears from b
-// every position whose current value is outside [lo, hi) (or that has
-// no value), in place. Plain views run the word-parallel kernel;
-// overlaid views probe set bit by set bit through At.
+// parallelFilterBitmap is FilterBitmap with the word array split across
+// workers; writes are word-disjoint by construction.
 //
-//holistic:noalloc
-func (w View) FilterBitmap(b *Bitmap, lo, hi int64, workers int) {
-	if w.Plain() {
-		ParallelFilterBitmap(w.Base, b, lo, hi, workers)
+//holistic:alloc-ok goroutine fan-out for the parallel path
+func parallelFilterBitmap(vals []int64, b *Bitmap, lo, hi int64, workers int) {
+	if workers < 2 || b.n < minParallelSel {
+		filterWords(vals, b.words, 0, lo, hi)
 		return
 	}
-	for wi, word := range b.words {
-		if word == 0 {
-			continue
-		}
-		var m uint64
-		base := Pos(wi << 6)
-		for t := word; t != 0; t &= t - 1 {
-			j := bits.TrailingZeros64(t)
-			if v, ok := w.At(base + Pos(j)); ok && v >= lo && v < hi {
-				m |= 1 << uint(j)
-			}
-		}
-		b.words[wi] = m
-	}
+	ForChunks(len(b.words), workers, 1, func(_, start, end int) {
+		filterWords(vals, b.words[start:end], start, lo, hi)
+	})
 }
 
-// PresentBitmap is the bitmap form of View.PresentRows: it clears from
-// b every position without a value in this attribute, in place.
-//
-//holistic:noalloc
-func (w View) PresentBitmap(b *Bitmap) {
-	if w.Plain() {
-		b.ClearFrom(len(w.Base))
-		return
-	}
-	for wi, word := range b.words {
-		if word == 0 {
-			continue
-		}
-		var m uint64
-		base := Pos(wi << 6)
-		for t := word; t != 0; t &= t - 1 {
-			j := bits.TrailingZeros64(t)
-			if _, ok := w.At(base + Pos(j)); ok {
-				m |= 1 << uint(j)
-			}
-		}
-		b.words[wi] = m
-	}
-}
-
-// SumBitmap folds sum of the current values at the set positions;
-// every set position must have a value (run PresentBitmap first).
-//
-//holistic:noalloc
-func (w View) SumBitmap(b *Bitmap) int64 {
-	if w.Plain() {
-		return SumBitmap(w.Base, b)
-	}
-	var s int64
-	for wi, word := range b.words {
-		base := Pos(wi << 6)
-		for ; word != 0; word &= word - 1 {
-			p := base + Pos(bits.TrailingZeros64(word))
-			v, ok := w.At(p)
-			if !ok {
-				panic(fmt.Sprintf("column: SumBitmap at row %d without a value", p))
-			}
-			s += v
-		}
-	}
-	return s
-}
-
-// FetchBitmap gathers the current values at the set positions in
-// ascending position order; every set position must have a value.
-//
-//holistic:noalloc
-func (w View) FetchBitmap(b *Bitmap, dst []int64) []int64 {
-	if w.Plain() {
-		return FetchBitmapAppend(w.Base, b, dst)
-	}
-	for wi, word := range b.words {
-		base := Pos(wi << 6)
-		for ; word != 0; word &= word - 1 {
-			p := base + Pos(bits.TrailingZeros64(word))
-			v, ok := w.At(p)
-			if !ok {
-				panic(fmt.Sprintf("column: FetchBitmap at row %d without a value", p))
-			}
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// --- pooled scratch ---
+// --- pooled bitmaps ---
 //
 // The steady-state query path recycles its intermediates so a query
 // allocates nothing once the pools are warm: internal/query's runner
-// pools whole per-query scratch structs (bitmap included), the
-// parallel materializing kernels pool their per-worker output slices
-// (workerLists, below), and external callers driving
-// Executor.SelectBitmap directly borrow bitmaps via GetBitmap /
-// PutBitmap.
+// pools whole per-query scratch structs (bitmap included), the doors
+// that materialize positions pool their per-worker lists (workerLists),
+// and callers driving Executor.SelectBitmap directly borrow bitmaps here.
 
 var bitmapPool = sync.Pool{New: func() any { return new(Bitmap) }}
 
@@ -658,29 +410,3 @@ func PutBitmap(b *Bitmap) {
 		bitmapPool.Put(b)
 	}
 }
-
-// workerLists is the pooled per-worker output scratch of the parallel
-// materializing kernels: each worker appends into its own retained
-// slice, so the fan-out costs no allocations once warm.
-type workerLists struct {
-	lists []PosList
-}
-
-var workerListsPool = sync.Pool{New: func() any { return new(workerLists) }}
-
-//holistic:alloc-ok pool warm-up allocates the recycled object
-func getWorkerLists(workers int) *workerLists {
-	p := workerListsPool.Get().(*workerLists)
-	if cap(p.lists) < workers {
-		p.lists = make([]PosList, workers)
-	} else {
-		p.lists = p.lists[:workers]
-	}
-	for i := range p.lists {
-		p.lists[i] = p.lists[i][:0]
-	}
-	return p
-}
-
-//holistic:noalloc
-func putWorkerLists(p *workerLists) { workerListsPool.Put(p) }

@@ -90,13 +90,13 @@ func TestFilterBitmapMatchesFilterRows(t *testing.T) {
 				}
 
 				ScanRangeBitmap(vals, dLo, dHi, bm)
-				ParallelFilterBitmap(probe, bm, fLo, fHi, 4)
+				parallelFilterBitmap(probe, bm, fLo, fHi, 4)
 				if got := bm.AppendPositions(nil); !posListEqual(got, want) {
 					t.Fatalf("n=%d: parallel filter diverges", n)
 				}
 
-				if got := FilterRowsInPlace(probe, append(PosList(nil), drive...), fLo, fHi); !posListEqual(got, want) {
-					t.Fatalf("n=%d: FilterRowsInPlace diverges", n)
+				if got := filterRows(nil, probe, drive, fLo, fHi); !posListEqual(got, want) {
+					t.Fatalf("n=%d: filterRows into nil diverges", n)
 				}
 			}
 		}
@@ -104,15 +104,15 @@ func TestFilterBitmapMatchesFilterRows(t *testing.T) {
 }
 
 // TestBitmapFetchSumMatchOracle: gather and fold over set bits agree
-// with Project/SumRows over the equivalent position list.
+// with FetchRows/sumRows over the equivalent position list.
 func TestBitmapFetchSumMatchOracle(t *testing.T) {
 	vals := randVals(1000, 1<<20, 9)
 	bm := NewBitmap(0)
 	ScanRangeBitmap(vals, 1<<18, 1<<19, bm)
 	sel := bm.AppendPositions(nil)
 
-	wantVals := Project(vals, sel)
-	gotVals := FetchBitmapAppend(vals, bm, nil)
+	wantVals := FetchRows(vals, sel)
+	gotVals := gatherBits(nil, vals, bm.words)
 	if len(gotVals) != len(wantVals) {
 		t.Fatalf("fetch %d values, want %d", len(gotVals), len(wantVals))
 	}
@@ -121,65 +121,35 @@ func TestBitmapFetchSumMatchOracle(t *testing.T) {
 			t.Fatalf("fetch[%d] = %d, want %d", i, gotVals[i], wantVals[i])
 		}
 	}
-	if got, want := SumBitmap(vals, bm), SumRows(vals, sel); got != want {
+	if got, want := SumBitmap(vals, bm), sumRows(vals, sel); got != want {
 		t.Fatalf("SumBitmap = %d, want %d", got, want)
 	}
-	if got, want := ParallelSumRows(vals, sel, 4), SumRows(vals, sel); got != want {
-		t.Fatalf("ParallelSumRows = %d, want %d", got, want)
+	if got, want := parallelSumRows(vals, sel, 4), sumRows(vals, sel); got != want {
+		t.Fatalf("parallelSumRows = %d, want %d", got, want)
 	}
 }
 
-// TestBitmapSetOps: And/AndNot/ClearFrom/SetRows/Test behave as the
-// set-algebra definitions say, across word boundaries.
+// TestBitmapSetOps: Set/unset/Test/Any/clearFrom behave as their
+// definitions say, across word boundaries.
 func TestBitmapSetOps(t *testing.T) {
 	a := NewBitmap(130)
-	b := NewBitmap(130)
-	for p := 0; p < 130; p += 2 {
-		a.Set(Pos(p))
+	for _, p := range []Pos{0, 5, 63, 64, 129} {
+		a.Set(p)
 	}
-	for p := 0; p < 130; p += 3 {
-		b.Set(Pos(p))
+	a.unset(5)
+	a.clearFrom(64)
+	if a.Count() != 2 || !a.Test(0) || !a.Test(63) || a.Test(5) || a.Test(64) || a.Test(129) {
+		t.Fatalf("clearFrom(64): wrong survivors (count %d)", a.Count())
 	}
-	a.And(b)
-	for p := 0; p < 130; p++ {
-		want := p%6 == 0
-		if a.Test(Pos(p)) != want {
-			t.Fatalf("And: bit %d = %v, want %v", p, a.Test(Pos(p)), want)
-		}
-	}
-	a.AndNot(b) // a ∩ b minus b = empty
-	if a.Count() != 0 {
-		t.Fatalf("AndNot left %d bits", a.Count())
-	}
-	a.SetRows([]uint32{0, 63, 64, 129})
-	a.ClearFrom(64)
-	if a.Count() != 2 || !a.Test(0) || !a.Test(63) || a.Test(64) || a.Test(129) {
-		t.Fatalf("ClearFrom(64): wrong survivors (count %d)", a.Count())
-	}
-	a.ClearFrom(1000) // beyond Len: no-op
+	a.clearFrom(1000) // beyond Len: no-op
 	if a.Count() != 2 {
-		t.Fatalf("ClearFrom beyond Len changed the bitmap")
+		t.Fatalf("clearFrom beyond Len changed the bitmap")
 	}
-	// Mismatched universes: And clears positions beyond the smaller
-	// operand, AndNot leaves them alone.
-	small := NewBitmap(64)
-	small.Set(0)
-	wide := NewBitmap(130)
-	wide.SetRows([]uint32{0, 63, 129})
-	wide.And(small)
-	if wide.Count() != 1 || !wide.Test(0) {
-		t.Fatalf("And with smaller universe: %d bits", wide.Count())
-	}
-	wide.SetRows([]uint32{63, 129})
-	wide.AndNot(small)
-	if wide.Count() != 2 || wide.Test(0) || !wide.Test(63) || !wide.Test(129) {
-		t.Fatalf("AndNot with smaller universe: %d bits", wide.Count())
-	}
-	if !wide.Any() {
+	if !a.Any() {
 		t.Fatalf("Any on non-empty bitmap = false")
 	}
-	wide.Reset(130)
-	if wide.Any() {
+	a.Reset(130)
+	if a.Any() {
 		t.Fatalf("Any on empty bitmap = true")
 	}
 	if a.Test(Pos(5000)) {
@@ -232,7 +202,7 @@ func TestViewBitmapWithOverlay(t *testing.T) {
 		bm.Set(Pos(i))
 	}
 
-	wantSel := v.FilterRows(all, 100, 600, 1)
+	wantSel := v.FilterRowsInPlace(append(PosList(nil), all...), 100, 600, 1)
 	v.FilterBitmap(bm, 100, 600, 1)
 	if got := bm.AppendPositions(nil); !posListEqual(got, wantSel) {
 		t.Fatalf("View.FilterBitmap: %v, want %v", got, wantSel)
@@ -264,19 +234,12 @@ func TestViewBitmapWithOverlay(t *testing.T) {
 	for i := 0; i < universe+5; i++ {
 		bm2.Set(Pos(i))
 	}
-	wantPresent := v.PresentRows(append(all, Pos(universe), Pos(universe+4)))
+	wantPresent := v.PresentRowsInPlace(append(append(PosList(nil), all...), Pos(universe), Pos(universe+4)))
 	v.PresentBitmap(bm2)
 	if got := bm2.AppendPositions(nil); !posListEqual(got, wantPresent) {
 		t.Fatalf("View.PresentBitmap: %d present, want %d", len(got), len(wantPresent))
 	}
 
-	// In-place PosList forms agree with the allocating ones.
-	if got := v.FilterRowsInPlace(append(PosList(nil), all...), 100, 600, 1); !posListEqual(got, wantSel) {
-		t.Fatalf("View.FilterRowsInPlace diverges")
-	}
-	if got := v.PresentRowsInPlace(append(PosList(nil), all...)); !posListEqual(got, v.PresentRows(all)) {
-		t.Fatalf("View.PresentRowsInPlace diverges")
-	}
 }
 
 // TestRandomizedBitmapDifferential is the randomized end-to-end kernel
@@ -305,7 +268,7 @@ func TestRandomizedBitmapDifferential(t *testing.T) {
 		if got := bm.AppendPositions(nil); !posListEqual(got, want) {
 			t.Fatalf("trial %d (n=%d): positions diverge", trial, n)
 		}
-		if got, want := SumBitmap(other, bm), SumRows(other, want); got != want {
+		if got, want := SumBitmap(other, bm), sumRows(other, want); got != want {
 			t.Fatalf("trial %d: sums diverge", trial)
 		}
 	}
@@ -330,7 +293,7 @@ func TestPooledBuffersConcurrent(t *testing.T) {
 
 				bm := GetBitmap(len(vals))
 				ParallelScanRangeBitmap(vals, lo, hi, bm, 4)
-				ParallelFilterBitmap(vals, bm, lo, hi, 4) // idempotent filter
+				parallelFilterBitmap(vals, bm, lo, hi, 4) // idempotent filter
 				if got := bm.Count(); got != want {
 					t.Errorf("goroutine %d: bitmap count %d, want %d", g, got, want)
 				}
@@ -338,7 +301,7 @@ func TestPooledBuffersConcurrent(t *testing.T) {
 				if len(sel) != want {
 					t.Errorf("goroutine %d: poslist len %d, want %d", g, len(sel), want)
 				}
-				sel = ParallelFilterRowsInPlace(vals, sel, lo, hi, 4)
+				sel = parallelFilterRows(sel[:0], vals, sel, lo, hi, 4)
 				if len(sel) != want {
 					t.Errorf("goroutine %d: in-place filter len %d, want %d", g, len(sel), want)
 				}

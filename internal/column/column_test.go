@@ -2,6 +2,7 @@ package column
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -83,7 +84,7 @@ func TestCountAndSumRange(t *testing.T) {
 	if n := CountRange(vals, 3, 8); n != 4 {
 		t.Errorf("CountRange = %d, want 4", n)
 	}
-	if s := SumRange(vals, 3, 8); s != 5+3+7+3 {
+	if s := sumRange(vals, 3, 8); s != 5+3+7+3 {
 		t.Errorf("SumRange = %d, want 18", s)
 	}
 }
@@ -99,7 +100,7 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 		if got, want := ParallelCountRange(vals, lo, hi, workers), CountRange(vals, lo, hi); got != want {
 			t.Errorf("workers=%d: ParallelCountRange = %d, want %d", workers, got, want)
 		}
-		if got, want := ParallelSumRange(vals, lo, hi, workers), SumRange(vals, lo, hi); got != want {
+		if got, want := ParallelSumRange(vals, lo, hi, workers), sumRange(vals, lo, hi); got != want {
 			t.Errorf("workers=%d: ParallelSumRange = %d, want %d", workers, got, want)
 		}
 		got, want := ParallelScanRange(vals, lo, hi, workers), ScanRange(vals, lo, hi)
@@ -124,17 +125,17 @@ func TestParallelKernelsSmallInput(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
+func TestFetchRows(t *testing.T) {
 	src := []int64{10, 20, 30, 40}
-	out := Project(src, PosList{3, 0, 2})
+	out := FetchRows(src, PosList{3, 0, 2})
 	want := []int64{40, 10, 30}
 	for i := range want {
 		if out[i] != want[i] {
-			t.Fatalf("Project = %v, want %v", out, want)
+			t.Fatalf("FetchRows = %v, want %v", out, want)
 		}
 	}
-	if len(Project(src, nil)) != 0 {
-		t.Error("Project with empty selection returned values")
+	if len(FetchRows(src, nil)) != 0 {
+		t.Error("FetchRows with empty selection returned values")
 	}
 }
 
@@ -157,7 +158,7 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		}
 		w := int(workers%8) + 1
 		return ParallelCountRange(vals, lo, hi, w) == CountRange(vals, lo, hi) &&
-			ParallelSumRange(vals, lo, hi, w) == SumRange(vals, lo, hi)
+			ParallelSumRange(vals, lo, hi, w) == sumRange(vals, lo, hi)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func TestParallelFilterAndFetchMatchSequential(t *testing.T) {
 		}
 	}
 	seqG := FetchRows(vals, seqF)
-	parG := ParallelFetchRows(vals, seqF, 4)
+	parG := gatherRows(nil, vals, seqF, 4)
 	for i := range seqG {
 		if seqG[i] != parG[i] {
 			t.Fatalf("fetch mismatch at %d: %d vs %d", i, parG[i], seqG[i])
@@ -318,21 +319,21 @@ func TestViewOverlay(t *testing.T) {
 	}
 
 	sel := PosList{0, 1, 2, 3, 4, 5, 6}
-	got := w.FilterRows(sel, 30, 61, 2)
+	got := w.FilterRowsInPlace(slices.Clone(sel), 30, 61, 2)
 	want := PosList{2, 3, 5}
 	if len(got) != len(want) {
-		t.Fatalf("View.FilterRows = %v, want %v", got, want)
+		t.Fatalf("View.FilterRowsInPlace = %v, want %v", got, want)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("View.FilterRows = %v, want %v", got, want)
+			t.Fatalf("View.FilterRowsInPlace = %v, want %v", got, want)
 		}
 	}
 
-	present := w.PresentRows(sel)
+	present := w.PresentRowsInPlace(slices.Clone(sel))
 	wantP := PosList{0, 2, 3, 5}
 	if len(present) != len(wantP) {
-		t.Fatalf("View.PresentRows = %v, want %v", present, wantP)
+		t.Fatalf("View.PresentRowsInPlace = %v, want %v", present, wantP)
 	}
 	vals := w.FetchRows(present, 2)
 	wantV := []int64{10, 35, 40, 60}
@@ -345,18 +346,18 @@ func TestViewOverlay(t *testing.T) {
 
 func TestPlainViewFastPaths(t *testing.T) {
 	w := View{Base: []int64{1, 2, 3}}
-	if !w.Plain() {
-		t.Fatal("base-only view is not Plain")
+	if !w.plain() {
+		t.Fatal("base-only view is not plain")
 	}
 	sel := PosList{0, 1, 2, 3} // 3 beyond base: dropped everywhere
-	if got := w.FilterRows(sel, 2, 4, 1); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("plain FilterRows = %v", got)
+	if got := w.FilterRowsInPlace(slices.Clone(sel), 2, 4, 1); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("plain FilterRowsInPlace = %v", got)
 	}
-	if got := w.PresentRows(sel); len(got) != 3 {
-		t.Fatalf("plain PresentRows = %v", got)
+	if got := w.PresentRowsInPlace(slices.Clone(sel)); len(got) != 3 {
+		t.Fatalf("plain PresentRowsInPlace = %v", got)
 	}
 	inRange := PosList{0, 2}
-	if got := w.PresentRows(inRange); len(got) != 2 {
-		t.Fatalf("plain PresentRows (all in range) = %v", got)
+	if got := w.PresentRowsInPlace(inRange); len(got) != 2 {
+		t.Fatalf("plain PresentRowsInPlace (all in range) = %v", got)
 	}
 }

@@ -213,6 +213,36 @@ func (c *Column) Domain() (lo, hi int64) {
 	return c.domainLo, c.domainHi
 }
 
+// Separated reports whether the boundaries already separate every value
+// of the domain — one at each of lo+1 … hi — so that every piece holds one
+// distinct value and no crack can shrink one, however large the pieces
+// are. A column of one distinct value (or none) is the degenerate case.
+// O(1) unless the column has as many boundaries as its domain has values.
+func (c *Column) Separated() bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.domainHi <= c.domainLo {
+		return true
+	}
+	// Exact in uint64 across the whole int64 domain; the tree's sentinel
+	// is not a boundary.
+	need := uint64(c.domainHi) - uint64(c.domainLo)
+	if uint64(c.tree.Len()-1) < need {
+		return false
+	}
+	// Boundaries outside (lo, hi] — a query bound beyond the domain, a
+	// pivot at lo — separate nothing.
+	var inside uint64
+	c.tree.AscendAfter(c.domainLo, func(k int64, _ avl.Value) bool {
+		if k > c.domainHi {
+			return false
+		}
+		inside++
+		return true
+	})
+	return inside == need
+}
+
 // SizeBytes reports the materialized size of the cracker column: the
 // storage-budget accounting unit for the holistic index space. A packed
 // column has no rowid array to count.

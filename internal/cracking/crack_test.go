@@ -223,7 +223,7 @@ func TestSelectSum(t *testing.T) {
 	base := randVals(10_000, 13, 1000)
 	c := New("a", base, Config{})
 	_, sum := c.SelectSum(250, 750)
-	if want := column.SumRange(base, 250, 750); sum != want {
+	if want := column.ParallelSumRange(base, 250, 750, 1); sum != want {
 		t.Fatalf("SelectSum = %d, want %d", sum, want)
 	}
 }
@@ -250,7 +250,7 @@ func TestSelectSegmentsMatchesScan(t *testing.T) {
 	if want := column.CountRange(base, 100, 900); len(vals) != want || r.Count() != want {
 		t.Fatalf("got %d values for range %+v, want %d", len(vals), r, want)
 	}
-	if !equalSlices(multiset(vals), multiset(column.Project(base, column.ScanRange(base, 100, 900)))) {
+	if !equalSlices(multiset(vals), multiset(column.FetchRows(base, column.ScanRange(base, 100, 900)))) {
 		t.Fatal("SelectSegments multiset differs from scan")
 	}
 }
@@ -390,5 +390,42 @@ func TestSizeBytes(t *testing.T) {
 	cr.MergeInsert(math.MaxInt64, 100)
 	if got := cr.SizeBytes(); got != 101*12 {
 		t.Errorf("SizeBytes() of a widened column = %d, want %d", got, 101*12)
+	}
+}
+
+// TestSeparated: a column is separated exactly when a boundary sits at
+// each of lo+1 … hi; boundaries at lo, below it or beyond hi count for
+// nothing, and a one-value column always is.
+func TestSeparated(t *testing.T) {
+	base := make([]int64, 4000)
+	for i := range base {
+		base[i] = int64(10 + i%5) // domain [10, 14]
+	}
+	c := New("a", base, Config{})
+	if c.Separated() {
+		t.Fatal("an uncracked 5-value column is separated")
+	}
+	// Five boundaries, as many as the domain has values, but only two of
+	// them inside (10, 14].
+	c.SelectRange(-100, 10)
+	c.SelectRange(11, 500)
+	c.SelectRange(12, 1000)
+	if c.Pieces() < 6 || c.Separated() {
+		t.Fatalf("%d pieces, separated = %v: boundaries outside the domain were counted", c.Pieces(), c.Separated())
+	}
+	c.SelectRange(13, 14)
+	if !c.Separated() {
+		t.Fatalf("boundaries at 11, 12, 13, 14 do not separate [10, 14]: pieces %v", c.PieceBounds())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if one := New("b", []int64{7, 7, 7}, Config{}); !one.Separated() {
+		t.Fatal("a one-value column is not separated")
+	}
+	wide := New("c", []int64{math.MinInt64, 0, math.MaxInt64}, Config{})
+	wide.SelectRange(-1, 1)
+	if wide.Separated() {
+		t.Fatal("three values across all of int64 are separated by two boundaries")
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -116,8 +117,8 @@ func TestAllModesAggregatesAgreeWithScan(t *testing.T) {
 		a := rng.Intn(2)
 		lo := rng.Int63n(domain)
 		hi := lo + rng.Int63n(domain-lo) + 1
-		wantSum := column.SumRange(bases[a], lo, hi)
-		wantMn, wantMx, wantN := column.MinMaxRange(bases[a], lo, hi)
+		wantSum := column.ParallelSumRange(bases[a], lo, hi, 1)
+		wantMn, wantMx, wantN := column.ParallelMinMaxRange(bases[a], lo, hi, 1)
 		wantRows := column.ScanRange(bases[a], lo, hi)
 		for _, e := range execs {
 			sum, err := e.Sum(attrName(a), lo, hi)
@@ -152,17 +153,26 @@ func TestAllModesAggregatesAgreeWithScan(t *testing.T) {
 	}
 }
 
-func TestSelectRowsWithoutRowidsErrors(t *testing.T) {
-	tbl, _ := testTable(t, 1, 1_000, 1000)
-	ad := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
-	defer ad.Close()
-	if _, err := ad.SelectRows("A", 0, 100); err == nil {
-		t.Error("adaptive without WithRows: SelectRows did not error")
-	}
-	cc := NewCCGIExecutor(tbl, 2, 4, cracking.Config{})
-	defer cc.Close()
-	if _, err := cc.SelectRows("A", 0, 100); err == nil {
-		t.Error("ccgi without WithRows: SelectRows did not error")
+// TestCrackingExecutorsAlwaysCarryRowIDs: whatever cfg.WithRows says,
+// the cracking executors build (oid, value) crackers, so the row-id
+// terminals answer.
+func TestCrackingExecutorsAlwaysCarryRowIDs(t *testing.T) {
+	tbl, bases := testTable(t, 1, 1_000, 1000)
+	want := column.ScanRange(bases[0], 0, 100)
+	for _, e := range []*Executor{
+		NewAdaptiveExecutor(tbl, cracking.Config{}, ""),
+		NewCCGIExecutor(tbl, 2, 4, cracking.Config{}),
+	} {
+		rows, err := e.SelectRows("A", 0, 100)
+		slices.Sort(rows)
+		if err != nil || !slices.Equal(rows, want) {
+			t.Errorf("%s: SelectRows = %d rows, %v; want %d", e.Label(), len(rows), err, len(want))
+		}
+		bm := column.NewBitmap(0)
+		if err := e.SelectBitmap("A", 0, 100, bm); err != nil || !slices.Equal(bm.AppendPositions(nil), want) {
+			t.Errorf("%s: SelectBitmap = %d rows, %v; want %d", e.Label(), bm.Count(), err, len(want))
+		}
+		e.Close()
 	}
 }
 
@@ -872,21 +882,5 @@ func TestSelectBitmapCoversPendingInserts(t *testing.T) {
 		if !bm.Test(uint32(len(bases[0]) + i)) {
 			t.Fatalf("appended row %d not marked", len(bases[0])+i)
 		}
-	}
-}
-
-// TestSelectBitmapWithoutRowidsErrors mirrors the SelectRows guard.
-func TestSelectBitmapWithoutRowidsErrors(t *testing.T) {
-	tbl, _ := testTable(t, 1, 1_000, 1000)
-	ad := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
-	defer ad.Close()
-	bm := column.NewBitmap(0)
-	if err := ad.SelectBitmap("A", 0, 100, bm); err == nil {
-		t.Error("adaptive without WithRows: SelectBitmap did not error")
-	}
-	cc := NewCCGIExecutor(tbl, 2, 4, cracking.Config{})
-	defer cc.Close()
-	if err := cc.SelectBitmap("A", 0, 100, bm); err == nil {
-		t.Error("ccgi without WithRows: SelectBitmap did not error")
 	}
 }

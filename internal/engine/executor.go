@@ -58,12 +58,9 @@ type Executor struct {
 	// writeMu serializes Insert, Delete and Update from resolving their
 	// row to applying it; pendMu guards the update state of the cracking
 	// modes and is held only for the overlay edit itself (overlay.go).
-	// rowScans counts the writes that resolved their row by scanning
-	// instead of through the index, under writeMu.
-	writeMu  sync.Mutex
-	pendMu   sync.Mutex
-	updates  map[string]*attrUpdates
-	rowScans int
+	writeMu sync.Mutex
+	pendMu  sync.Mutex
+	updates map[string]*attrUpdates
 
 	// Holistic indexing: the daemon refines the cracker columns in idle
 	// contexts; acct tells it how many contexts user queries occupy.
@@ -120,13 +117,16 @@ func NewOnlineExecutor(t *Table, threads, epoch int) *Executor {
 // NewAdaptiveExecutor is database cracking: the first query on an
 // attribute creates its cracker column, every query refines it. With
 // cfg.ParallelWorkers > 1 it is the paper's PVDC, with cfg.Stochastic
-// PVSDC.
+// PVSDC. Its cracker columns always carry row ids — the paper's (oid,
+// value) pairs — whatever cfg.WithRows says: writes, materialized
+// selects and key-order walks all name rows.
 func NewAdaptiveExecutor(t *Table, cfg cracking.Config, label string) *Executor {
 	if label == "" {
 		label = "adaptive indexing"
 	}
 	e := newExecutor(t, label, kindCracker, 1)
 	e.crack = cfg
+	e.crack.WithRows = true
 	return e
 }
 
@@ -135,6 +135,7 @@ func NewAdaptiveExecutor(t *Table, cfg cracking.Config, label string) *Executor 
 func NewCCGIExecutor(t *Table, threads, buckets int, cfg cracking.Config) *Executor {
 	e := newExecutor(t, "mP-CCGI", kindCCGI, threads)
 	e.crack, e.buckets = cfg, buckets
+	e.crack.WithRows = true
 	return e
 }
 
@@ -418,9 +419,6 @@ func (e *Executor) answer(attr string, f fold) (fold, error) {
 	}
 	f.threads = e.threads
 	f = p.walk(f)
-	if f.noRows {
-		return f, errf("engine: %s: row ids needed; build with cracking.Config.WithRows", e.label)
-	}
 	if e.daemon != nil && f.op != opClusters {
 		e.daemon.Registry().RecordAccess(attr, f.exact)
 	}
@@ -462,8 +460,7 @@ func (e *Executor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok bool, err
 
 // SelectRows materializes the base row ids of the qualifying tuples, in
 // unspecified order — the position list late tuple reconstruction feeds
-// to project operators. The result is caller-owned. Cracking modes must
-// carry row ids (cracking.Config.WithRows).
+// to project operators. The result is caller-owned.
 //
 //holistic:alloc-ok materializes a caller-owned position list
 func (e *Executor) SelectRows(attr string, lo, hi int64) ([]uint32, error) {

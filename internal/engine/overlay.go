@@ -96,14 +96,8 @@ func (e *Executor) mutate(attr, op string, find *int64, fn func(u *attrUpdates, 
 	var row uint32
 	if find != nil {
 		var ok bool
-		if cp.col.HasRows() {
-			e.ob.Merged(cp.pend.MergeValue(cp.col, *find))
-			row, ok = cp.col.LowestRow(*find)
-		} else {
-			e.rowScans++
-			row, ok = e.scanForRow(attr, base.Values(), *find)
-		}
-		if !ok {
+		e.ob.Merged(cp.pend.MergeValue(cp.col, *find))
+		if row, ok = cp.col.LowestRow(*find); !ok {
 			return errf("engine: %s %s = %d: no such value", op, attr, *find)
 		}
 	}
@@ -117,24 +111,6 @@ func (e *Executor) mutate(attr, op string, find *int64, fn func(u *attrUpdates, 
 	fn(u, row)
 	u.view = nil
 	return nil
-}
-
-// scanForRow resolves the lowest row id currently holding v by scanning
-// the attribute front to back through its overlay: O(column) under pendMu.
-// It is the write path of a cracker column built without row ids, whose
-// index cannot name a row, and the oracle the tests hold the index lookup
-// against.
-func (e *Executor) scanForRow(attr string, base []int64, v int64) (uint32, bool) {
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	u := e.updatesLocked(attr)
-	w := column.View{Base: base, Tail: u.tail, Deleted: u.deleted, Updated: u.updated}
-	for row := uint32(0); int(row) < w.Extent(); row++ {
-		if cur, ok := w.At(row); ok && cur == v {
-			return row, true
-		}
-	}
-	return 0, false
 }
 
 // Insert appends v to attr as a pending insertion, merged lazily by

@@ -62,11 +62,10 @@ type fold struct {
 	pieceRows []uint32
 
 	// What a cracking path reports back for the shared epilogue: the
-	// select needed no reorganization, pending updates it merged first,
-	// and that it carries no row ids although the fold needs them.
+	// select needed no reorganization and the pending updates it merged
+	// first.
 	exact  bool
 	merged int
-	noRows bool
 }
 
 // wantsRows reports whether the fold consumes row ids.
@@ -189,10 +188,6 @@ type crackerPath struct {
 }
 
 func (p *crackerPath) walk(f fold) fold {
-	if f.wantsRows() && !p.col.HasRows() {
-		f.noRows = true
-		return f
-	}
 	if f.op == opClusters {
 		// A whole-column walk is a select over the whole value range and
 		// pays for every pending merge like one.
@@ -221,9 +216,6 @@ func (p *crackerPath) walk(f fold) fold {
 // span: the pieces are the clusters, so the expected cluster span is the
 // domain span over the piece count — the number refinement keeps shrinking.
 func (p *crackerPath) span() (float64, bool) {
-	if !p.col.HasRows() {
-		return 0, false
-	}
 	dLo, dHi := p.col.Domain()
 	return (float64(dHi) - float64(dLo) + 1) / float64(max(p.col.Pieces(), 1)), true
 }
@@ -244,16 +236,13 @@ func (p *crackerPath) estimate(lo, hi int64) (float64, bool, bool) {
 type ccgiPath struct{ idx *ccgi.Index }
 
 func (p *ccgiPath) walk(f fold) fold {
-	switch {
-	case f.wantsRows() && !p.idx.HasRows():
-		f.noRows = true
-	case f.op == opCount:
+	if f.op == opCount {
 		f.n = p.idx.SelectCount(f.lo, f.hi)
-	default:
-		p.idx.SelectSegments(f.lo, f.hi, func(total int, off uint32, s cracking.Segment) {
-			f.addCracked(s, off, total)
-		})
+		return f
 	}
+	p.idx.SelectSegments(f.lo, f.hi, func(total int, off uint32, s cracking.Segment) {
+		f.addCracked(s, off, total)
+	})
 	return f
 }
 

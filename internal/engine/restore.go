@@ -92,13 +92,13 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 		var err error
 		switch {
 		case st.Kind == durable.IndexCracker && e.kind == kindCracker:
-			cfg := e.crack
-			cfg.WithRows = st.Layout != durable.LayoutValues
+			// A section without row ids (written by a store that had them
+			// turned off) fails here like any other that does not validate.
 			var c *cracking.Column
 			if c, err = cracking.Restore(st.Attr, cracking.State{
 				Vals: st.Vals, Rows: rowsOf(st), Packed: st.Layout == durable.LayoutPacked, Ref: st.Ref,
 				Keys: st.Keys, Starts: st.Starts,
-			}, cfg); err == nil {
+			}, e.crack); err == nil {
 				cp := &crackerPath{col: c, pend: e.Pending(st.Attr)}
 				if entry := e.admit(st.Attr, cp, false); entry != nil && st.StatsState > 0 {
 					entry.RestoreCounts(st.Accesses, st.Hits, stats.State(st.StatsState-1))

@@ -48,6 +48,23 @@ func (s *shadowAttr) rows(lo, hi int64) (rows []uint32) {
 	return rows
 }
 
+// scanForRow resolves the lowest row id currently holding v by scanning
+// the attribute front to back through its overlay: the write path before
+// victims came out of the index, kept as the oracle the index lookup is
+// held against.
+func (e *Executor) scanForRow(attr string, base []int64, v int64) (uint32, bool) {
+	e.pendMu.Lock()
+	defer e.pendMu.Unlock()
+	u := e.updatesLocked(attr)
+	w := column.View{Base: base, Tail: u.tail, Deleted: u.deleted, Updated: u.updated}
+	for row := uint32(0); int(row) < w.Extent(); row++ {
+		if cur, ok := w.At(row); ok && cur == v {
+			return row, true
+		}
+	}
+	return 0, false
+}
+
 // writeSession drives one executor attribute and holds every Delete and
 // Update against the old front-to-back scan (scanForRow), which picks the
 // row first; the write must then leave the overlay exactly as removing or
@@ -65,15 +82,11 @@ func (ws *writeSession) base() []int64 { return ws.e.table.Column(ws.attr).Value
 func (ws *writeSession) write(v int64, newV *int64) {
 	ws.t.Helper()
 	want, found := ws.e.scanForRow(ws.attr, ws.base(), v)
-	scans := ws.e.rowScans
 	op, err := "delete", error(nil)
 	if newV == nil {
 		err = ws.e.Delete(ws.attr, v)
 	} else {
 		op, err = "update", ws.e.Update(ws.attr, v, *newV)
-	}
-	if indexed := ws.e.CrackerIfExists(ws.attr).HasRows(); indexed != (ws.e.rowScans == scans) {
-		ws.t.Fatalf("%s %d: column has row ids = %v, but the write scanned %d times", op, v, indexed, ws.e.rowScans-scans)
 	}
 	if !found {
 		if text := fmt.Sprintf("engine: %s %s = %d: no such value", op, ws.attr, v); err == nil || err.Error() != text {
@@ -124,9 +137,6 @@ func (ws *writeSession) read(lo, hi int64) {
 	}
 	if want := ws.sh.count(lo, hi); n != want {
 		ws.t.Fatalf("count [%d, %d) = %d, want %d", lo, hi, n, want)
-	}
-	if !ws.e.CrackerIfExists(ws.attr).HasRows() {
-		return
 	}
 	rows, err := ws.e.SelectRows(ws.attr, lo, hi)
 	if err != nil {
@@ -204,29 +214,26 @@ var writeModes = []struct {
 // TestWriteVictimMatchesScan: on every updatable mode and every layout a
 // cracker column can have, a seeded session of interleaved inserts,
 // deletes, updates and reads picks, write by write, the row the old scan
-// picks — through the index whenever the column can name rows, through
-// the scan only when it cannot.
+// picks.
 func TestWriteVictimMatchesScan(t *testing.T) {
 	small := seq(0, 48)
 	layouts := []struct {
 		name   string
 		pool   []int64
 		base   []int64
-		noRows bool
 		packed [2]bool // before and after the session
 	}{
 		{name: "packed", pool: small, base: drawn(1, 3000, small), packed: [2]bool{true, true}},
 		{name: "wide", pool: append([]int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64}, small...),
 			base: append([]int64{math.MaxInt64, math.MinInt64, math.MaxInt64, math.MinInt64}, drawn(2, 3000, small)...)},
 		{name: "widens", pool: append([]int64{1 << 40, -(1 << 40)}, small...), base: drawn(3, 3000, small), packed: [2]bool{true, false}},
-		{name: "norows", pool: small, base: drawn(4, 3000, small), noRows: true},
 	}
 	for _, m := range writeModes {
 		for _, l := range layouts {
 			t.Run(m.name+"/"+l.name, func(t *testing.T) {
 				tbl := NewTable("R")
 				tbl.MustAddColumn(column.New("A", l.base))
-				e := m.make(tbl, cracking.Config{WithRows: !l.noRows, Seed: 7})
+				e := m.make(tbl, cracking.Config{Seed: 7})
 				defer e.Close()
 				ws := &writeSession{t: t, e: e, attr: "A", sh: newShadow(l.base)}
 				ws.read(8, 40)
@@ -240,9 +247,6 @@ func TestWriteVictimMatchesScan(t *testing.T) {
 				ws.run(11, 1500, l.pool)
 				if got := isPacked(); got != l.packed[1] {
 					t.Fatalf("packed after the session = %v, want %v", got, l.packed[1])
-				}
-				if l.noRows == (e.rowScans == 0) {
-					t.Fatalf("row ids = %v, victim scans = %d", !l.noRows, e.rowScans)
 				}
 				if err := e.CrackerIfExists("A").CheckInvariants(); err != nil {
 					t.Fatal(err)
@@ -260,7 +264,7 @@ func TestWriteVictimCases(t *testing.T) {
 	tbl := NewTable("R")
 	tbl.MustAddColumn(column.New("A", base))
 	ob := observer.New(observer.Config{})
-	e := NewAdaptiveExecutor(tbl, cracking.Config{WithRows: true}, "")
+	e := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
 	e.SetObserver(ob)
 	defer e.Close()
 	ws := &writeSession{t: t, e: e, attr: "A", sh: newShadow(base)}
@@ -309,7 +313,7 @@ func TestWriteVictimNeverReorganizes(t *testing.T) {
 	tbl := NewTable("R")
 	tbl.MustAddColumn(column.New("A", base))
 	ob := observer.New(observer.Config{})
-	e := NewAdaptiveExecutor(tbl, cracking.Config{WithRows: true}, "")
+	e := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
 	e.SetObserver(ob)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(6))
@@ -347,9 +351,6 @@ func TestWriteVictimNeverReorganizes(t *testing.T) {
 	if got := ob.Exec.MergedUpdates.Load() - merged; got > 200 {
 		t.Errorf("writes merged %d operations", got)
 	}
-	if e.rowScans != 0 {
-		t.Errorf("an indexed column resolved %d victims by scanning", e.rowScans)
-	}
 }
 
 // TestWriteVictimAfterRestore: a session snapshotted mid-way and recovered
@@ -361,7 +362,7 @@ func TestWriteVictimAfterRestore(t *testing.T) {
 	base := drawn(8, 2000, pool)
 	tbl := NewTable("R")
 	tbl.MustAddColumn(column.New("A", base))
-	cfg := cracking.Config{WithRows: true, Seed: 9}
+	cfg := cracking.Config{Seed: 9}
 	e := NewAdaptiveExecutor(tbl, cfg, "")
 	defer e.Close()
 	ws := &writeSession{t: t, e: e, attr: "A", sh: newShadow(base)}
@@ -395,9 +396,6 @@ func TestWriteVictimAfterRestore(t *testing.T) {
 			rs := &writeSession{t: t, e: r, attr: "A", sh: sh}
 			rs.checkView("restore")
 			rs.run(22, 600, pool)
-			if r.rowScans != 0 {
-				t.Errorf("replay resolved %d victims by scanning", r.rowScans)
-			}
 			ends = append(ends, sh)
 		})
 	}
@@ -412,4 +410,49 @@ func TestWriteVictimAfterRestore(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRowlessStateSectionIsDropped: a snapshot whose cracker section
+// carries values alone — what a store with row ids turned off used to
+// write — recovers, but the section is dropped and counted like one that
+// fails validation, and the attribute rebuilds with row ids on first touch.
+func TestRowlessStateSectionIsDropped(t *testing.T) {
+	base := drawn(12, 4000, seq(0, 500))
+	old := cracking.New("A", slices.Clone(base), cracking.Config{Seed: 3})
+	old.SelectRange(100, 300)
+	old.SelectRange(250, 420)
+	fs := durable.NewFaultFS()
+	rowless := func(emit func(durable.IndexState) error) error {
+		return old.ViewState(func(st cracking.State) error {
+			if st.Rows != nil || st.Packed {
+				t.Fatal("a column built without row ids exports some")
+			}
+			return emit(durable.IndexState{Attr: "A", Kind: durable.IndexCracker, Layout: durable.LayoutValues,
+				Vals: st.Vals, Keys: st.Keys, Starts: st.Starts})
+		})
+	}
+	cols := []durable.ColumnData{{Name: "A", Base: base}}
+	if _, err := durable.WriteSnapshot(fs, &durable.Manifest{Generation: 1}, cols, []durable.IndexSource{rowless}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := durable.Recover(fs)
+	if err != nil || len(rec.Indexes) != 1 || rec.Indexes[0].Layout != durable.LayoutValues {
+		t.Fatalf("recovered %d index states, %v", len(rec.Indexes), err)
+	}
+	tbl := NewTable("R")
+	tbl.MustAddColumn(column.New("A", rec.Columns[0].Base))
+	e := NewAdaptiveExecutor(tbl, cracking.Config{Seed: 3}, "")
+	defer e.Close()
+	if restored, dropped := e.RestoreDurable(rec.Columns, rec.Indexes); restored != 0 || dropped != 1 {
+		t.Fatalf("restored %d, dropped %d; want the rowless section dropped", restored, dropped)
+	}
+	if e.CrackerIfExists("A") != nil {
+		t.Fatal("a dropped section left a cracker behind")
+	}
+	ws := &writeSession{t: t, e: e, attr: "A", sh: newShadow(base)}
+	ws.read(120, 260) // count and row ids against the shadow
+	if c := e.CrackerIfExists("A"); c == nil || !c.HasRows() {
+		t.Fatal("first touch did not rebuild the cracker with row ids")
+	}
+	ws.run(13, 200, seq(0, 500))
 }

@@ -314,9 +314,9 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 		spec := mkSpec(1)
 		accKeys := make([][]int64, nkeys)
 		for k := range accKeys {
-			accKeys[k] = column.Project(keyCols[k], sel)
+			accKeys[k] = column.FetchRows(keyCols[k], sel)
 		}
-		accVals := column.Project(vals, sel)
+		accVals := column.FetchRows(vals, sel)
 		acc, err := NewAcc(spec.Keys, aggSpecs)
 		if err != nil {
 			t.Fatal(err)

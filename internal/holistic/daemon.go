@@ -400,13 +400,15 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 	for i := 0; i < d.cfg.Refinements; i++ {
 		done := false
 		for attempt := 0; attempt < maxAttemptsPerRefinement && !done; attempt++ {
-			lo, hi := e.Col.Domain()
-			if hi <= lo {
-				// One distinct value: nothing to crack, now or ever.
-				// Retire the index instead of picking it every cycle.
+			if e.Col.Separated() {
+				// Every piece holds one distinct value: nothing to crack,
+				// now or ever, though N/pieces may never reach |L1| (a
+				// key with fewer distinct values than N/|L1|). Retire the
+				// index instead of picking it every cycle.
 				d.reg.MarkOptimal(e)
 				return refined, mergedUpdates
 			}
+			lo, hi := e.Col.Domain()
 			pivot := lo + rng.Int63n(hi-lo+1)
 			ob.RefinePivot(e.Name, pivot, lo, hi)
 			d.totalAttempts.Add(1)

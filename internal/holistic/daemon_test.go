@@ -365,3 +365,37 @@ func TestDaemonQueriesRaceDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDaemonStandsDownOnLowCardinalityKey: a key with fewer distinct
+// values than N/|L1| can never reach an average piece of |L1| values —
+// here 8 values over 1 Mi rows leave 131 072-row pieces against |L1| =
+// 4096. Once every value has its own piece no crack can do anything, so
+// the index is optimal and the daemon stops spending attempts on it.
+func TestDaemonStandsDownOnLowCardinalityKey(t *testing.T) {
+	reg := newSpace(4096)
+	col := cracking.New("g", randVals(1<<20, 5, 8), cracking.Config{})
+	e := reg.Add("g", col, false)
+	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
+		Interval: time.Millisecond, Refinements: 16, Seed: 5,
+	})
+	d.Start()
+	defer d.Stop()
+	deadline := time.After(10 * time.Second)
+	for e.State() != stats.Optimal {
+		select {
+		case <-deadline:
+			t.Fatalf("the 8-value key never reached optimal: %d pieces, %d attempts", col.Pieces(), d.Attempts())
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	if !col.Separated() || reg.Distance(e) == 0 {
+		t.Fatalf("optimal with %d pieces, separated = %v, distance %.0f: not the case under test", col.Pieces(), col.Separated(), reg.Distance(e))
+	}
+	attempts, cycles := d.Attempts(), d.CycleTotals().Cycles
+	for d.CycleTotals().Cycles < cycles+20 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := d.Attempts(); got != attempts {
+		t.Fatalf("%d attempts in the 20 cycles after the index became optimal", got-attempts)
+	}
+}

@@ -1,6 +1,10 @@
 package join
 
-import "sync"
+import (
+	"sync"
+
+	"holistic/internal/column"
+)
 
 const (
 	// minPartitionKeys is the build cardinality below which the hash
@@ -277,24 +281,9 @@ func (st *hashState) probe(op Op, in Input, swapped, sumOnBuild bool, threads in
 		st.wsum = grow64(st.wsum, workers)
 		clear(st.wcount)
 		clear(st.wsum)
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= n {
-				break
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				st.wcount[w], st.wsum[w] = st.probeRange(op, in, swapped, sumOnBuild, lo, hi, nil)
-			}(w, lo, hi)
-		}
-		wg.Wait()
+		column.ForChunks(n, workers, 1, func(w, lo, hi int) {
+			st.wcount[w], st.wsum[w] = st.probeRange(op, in, swapped, sumOnBuild, lo, hi, nil)
+		})
 		for w := 0; w < workers; w++ {
 			count += st.wcount[w]
 			sum += st.wsum[w]

@@ -153,7 +153,7 @@ func TestAnnotatedHotPaths(t *testing.T) {
 		"holistic/internal/query":    {"Count", "Sum", "runSel", "putScratch", "finish", "noteStrategy"},
 		"holistic/internal/groupby":  {"GroupRows", "GroupBitmap", "GroupClusters", "Segment", "feedSpan", "nextChunk", "cluster", "fold", "packKeys", "keyCol", "aggCol", "merge", "mergeGroup", "emit"},
 		"holistic/internal/join":     {"Merge", "PutPairs"},
-		"holistic/internal/column":   {"CountRange", "SumRange", "FilterBitmap", "SumBitmap"},
+		"holistic/internal/column":   {"CountRange", "sumRange", "FilterBitmap", "SumBitmap"},
 		"holistic/internal/cracking": {"crackInTwo", "classify", "less", "swapPairs", "swapRuns", "split"},
 		"holistic/internal/obs":      {"Inc", "Add", "Record", "RecordNanos", "NextSeq", "RecordOp", "RecordRep", "RecordStrategy"},
 		"holistic/internal/obs/flight": {

@@ -16,9 +16,8 @@
 // without refinement put every sample in the first bucket and
 // therefore report zero savings — the estimator never invents benefit.
 //
-// All recording paths are lock-free, allocation-free and nil-receiver
-// safe, so they can be compiled into query and daemon hot paths
-// unconditionally and switched on by attaching an *Econ.
+// All recording paths are lock-free and allocation-free, so they sit in
+// the query and daemon hot paths unconditionally.
 package econ
 
 import (
@@ -117,24 +116,18 @@ type Econ struct {
 }
 
 // NotePredicate records one predicate admission: the half-open key
-// span [lo, hi) on attr, whose domain is [dLo, dHi]. Nil-safe.
+// span [lo, hi) on attr, whose domain is [dLo, dHi].
 //
 //holistic:noalloc
 func (e *Econ) NotePredicate(attr string, lo, hi, dLo, dHi int64) {
-	if e == nil {
-		return
-	}
 	e.access.RecordSpan(attr, lo, hi, dLo, dHi)
 }
 
 // NoteDrive credits attr's current convergence bucket with one query's
-// drive-stage nanoseconds — the benefit stream. Nil-safe.
+// drive-stage nanoseconds — the benefit stream.
 //
 //holistic:noalloc
 func (e *Econ) NoteDrive(attr string, driveNs int64) {
-	if e == nil {
-		return
-	}
 	s := e.ledger.get(attr)
 	if s == nil {
 		s = e.ledger.intern(attr)
@@ -146,13 +139,10 @@ func (e *Econ) NoteDrive(attr string, driveNs int64) {
 
 // NoteRefined records one daemon refinement pass over attr: invested
 // wall nanoseconds, the number of successful refinement actions, and
-// the index's convergence ratio after the pass. Nil-safe.
+// the index's convergence ratio after the pass.
 //
 //holistic:noalloc
 func (e *Econ) NoteRefined(attr string, investedNs, refined int64, progress float64) {
-	if e == nil {
-		return
-	}
 	s := e.ledger.get(attr)
 	if s == nil {
 		s = e.ledger.intern(attr)
@@ -163,22 +153,16 @@ func (e *Econ) NoteRefined(attr string, investedNs, refined int64, progress floa
 }
 
 // NoteRefinePivot records where in attr's key space one refinement
-// pivot landed. Nil-safe.
+// pivot landed.
 //
 //holistic:noalloc
 func (e *Econ) NoteRefinePivot(attr string, pivot, dLo, dHi int64) {
-	if e == nil {
-		return
-	}
 	e.refine.RecordPoint(attr, pivot, dLo, dHi)
 }
 
 // TotalInvestedNS sums invested nanoseconds across all indexes — the
-// cheap cumulative counter the timeline samples. Nil-safe.
+// cheap cumulative counter the timeline samples.
 func (e *Econ) TotalInvestedNS() int64 {
-	if e == nil {
-		return 0
-	}
 	m := e.ledger.slots.Load()
 	if m == nil {
 		return 0
@@ -228,12 +212,8 @@ type Snapshot struct {
 // mean drive latency of the least-converged populated bucket, and
 // every query served at higher convergence is credited the (clamped
 // non-negative) difference between that baseline and its own bucket's
-// mean. Returns nil on a nil receiver so Metrics assembly can pass it
-// straight through.
+// mean.
 func (e *Econ) Snapshot() *Snapshot {
-	if e == nil {
-		return nil
-	}
 	snap := &Snapshot{
 		Access: e.access.states(),
 		Refine: e.refine.states(),

@@ -216,22 +216,6 @@ func TestLedgerNeverInventsBenefit(t *testing.T) {
 	}
 }
 
-// TestNilEconIsInert: every recording method and the snapshot must be
-// safe on a nil receiver, so hot paths can call unconditionally.
-func TestNilEconIsInert(t *testing.T) {
-	var e *Econ
-	e.NotePredicate("x", 0, 10, 0, 100)
-	e.NoteDrive("x", 42)
-	e.NoteRefined("x", 1, 1, 0.5)
-	e.NoteRefinePivot("x", 5, 0, 100)
-	if e.TotalInvestedNS() != 0 {
-		t.Fatal("nil econ reported invested time")
-	}
-	if e.Snapshot() != nil {
-		t.Fatal("nil econ must snapshot to nil")
-	}
-}
-
 // TestRecordingAllocationFree gates the steady-state recording paths
 // at 0 allocs/op (the first-sight intern is the only allocating step,
 // and it happens once per attribute).

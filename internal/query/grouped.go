@@ -374,5 +374,8 @@ func (r *Runner) minMaxSC(sc *scratch, attr string, preds []Predicate) (mn, mx i
 	if tr := sc.sp.Trace; tr != nil {
 		tr.Emitted = int64(n)
 	}
-	return mn, mx, n > 0, nil
+	if n == 0 {
+		return 0, 0, false, nil
+	}
+	return mn, mx, true, nil
 }

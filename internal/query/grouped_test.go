@@ -486,7 +486,7 @@ func colView(vals []int64) column.View { return column.View{Base: vals} }
 func TestMinMaxKernels(t *testing.T) {
 	vals := []int64{5, -3, 8, 0, 7}
 	sel := column.PosList{1, 2, 4}
-	mn, mx, n := column.MinMaxRows(vals, sel)
+	mn, mx, n := colView(vals).MinMaxRows(sel)
 	if mn != -3 || mx != 8 || n != 3 {
 		t.Fatalf("MinMaxRows = (%d,%d,%d)", mn, mx, n)
 	}
@@ -494,7 +494,7 @@ func TestMinMaxKernels(t *testing.T) {
 	for _, p := range sel {
 		bm.Set(p)
 	}
-	mn, mx, n = column.MinMaxBitmap(vals, bm)
+	mn, mx, n = colView(vals).MinMaxBitmap(bm)
 	if mn != -3 || mx != 8 || n != 3 {
 		t.Fatalf("MinMaxBitmap = (%d,%d,%d)", mn, mx, n)
 	}

@@ -114,7 +114,7 @@ func TestSelectRangeMatchesScan(t *testing.T) {
 		if got, want := s.CountRange(lo, hi), column.CountRange(base, lo, hi); got != want {
 			t.Fatalf("[%d,%d): CountRange = %d, want %d", lo, hi, got, want)
 		}
-		if got, want := s.SumRange(lo, hi), column.SumRange(base, lo, hi); got != want {
+		if got, want := s.SumRange(lo, hi), column.ParallelSumRange(base, lo, hi, 1); got != want {
 			t.Fatalf("[%d,%d): SumRange = %d, want %d", lo, hi, got, want)
 		}
 	}

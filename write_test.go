@@ -84,9 +84,6 @@ func checkAttr(t *testing.T, tag string, s *Store, attr string, sh *rowShadow, r
 		if err != nil || n != len(want) {
 			t.Fatalf("%s: CountRange(%s, %d, %d) = %d, %v; want %d", tag, attr, r[0], r[1], n, err, len(want))
 		}
-		if s.cfg.NoRowIDs {
-			continue
-		}
 		rows, err := s.SelectRows(attr, r[0], r[1])
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
@@ -120,18 +117,15 @@ func TestWriteVictimStoreSession(t *testing.T) {
 	type variant struct {
 		mode    Mode
 		durable bool
-		noRows  bool
 	}
 	var variants []variant
 	for _, m := range []Mode{ModeAdaptive, ModeStochastic, ModeHolistic} {
-		variants = append(variants, variant{m, false, false}, variant{m, true, false})
+		variants = append(variants, variant{m, false}, variant{m, true})
 	}
-	variants = append(variants, variant{ModeAdaptive, true, true})
 	for _, v := range variants {
-		t.Run(fmt.Sprintf("%v/durable=%v/norows=%v", v.mode, v.durable, v.noRows), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%v/durable=%v", v.mode, v.durable), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			cfg := durCfg(v.mode)
-			cfg.NoRowIDs = v.noRows
 			fs := durable.NewFaultFS()
 			open := func() *Store {
 				if !v.durable {
