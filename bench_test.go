@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section 5), one Benchmark per experiment. Each iteration
-// executes the full experiment at a reduced scale tuned so a single run
-// takes well under a second; `go run ./cmd/holisticbench` executes the
-// same experiments at the larger default scale and prints the tables.
+// evaluation (Section 5): BenchmarkExperiment/<name>, one sub-benchmark
+// per experiment of internal/bench. Each iteration executes the full
+// experiment at a reduced scale tuned so a single run takes well under a
+// second; `go run ./cmd/holisticbench` executes the same experiments at
+// the larger default scale and prints the tables.
 //
 // Run everything:
 //
@@ -10,7 +11,7 @@
 //
 // Print a figure's rows while benchmarking:
 //
-//	go test -bench=BenchmarkFig6a -v
+//	go test -bench=BenchmarkExperiment/fig6a -v
 package holistic_test
 
 import (
@@ -63,78 +64,16 @@ func runExperiment(b *testing.B, name string) {
 	}
 }
 
-// Table 1 — qualitative comparison of the four indexing approaches.
-func BenchmarkTable1Qualitative(b *testing.B) { runExperiment(b, "table1") }
-
-// Figure 6(a) — cumulative response time of no/offline/online/adaptive/
-// holistic indexing over the Section 5.1 microbenchmark.
-func BenchmarkFig6aCumulativeResponse(b *testing.B) { runExperiment(b, "fig6a") }
-
-// Figure 6(b) — per-bucket breakdown, adaptive vs holistic.
-func BenchmarkFig6bBreakdown(b *testing.B) { runExperiment(b, "fig6b") }
-
-// Figure 6(c) — cumulative index partitions, adaptive vs holistic.
-func BenchmarkFig6cIndexPartitions(b *testing.B) { runExperiment(b, "fig6c") }
-
-// Figure 6(d) — worker activations and per-cycle worker time.
-func BenchmarkFig6dIdleUtilization(b *testing.B) { runExperiment(b, "fig6d") }
-
-// Figure 7 — distribution of threads between user queries and workers.
-func BenchmarkFig7ThreadDistribution(b *testing.B) { runExperiment(b, "fig7") }
-
-// Figure 8 — per-query response time of adaptive indexing.
-func BenchmarkFig8PerQueryAdaptive(b *testing.B) { runExperiment(b, "fig8") }
-
-// Figure 9 — idle time before the workload (Cpotential prefill).
-func BenchmarkFig9IdlePrefill(b *testing.B) { runExperiment(b, "fig9") }
-
-// Figure 10 — the five workload patterns' predicate series.
-func BenchmarkFig10WorkloadPatterns(b *testing.B) { runExperiment(b, "fig10") }
-
-// Figure 11 — cores sweep: mP-CCGI vs PVDC vs PVSDC vs HI.
-func BenchmarkFig11CoresSweep(b *testing.B) { runExperiment(b, "fig11") }
-
-// Figure 12 — robustness across workload patterns.
-func BenchmarkFig12Robustness(b *testing.B) { runExperiment(b, "fig12") }
-
-// Figure 13 — attribute-count sweep with strategies W1-W4.
-func BenchmarkFig13AttributeSweep(b *testing.B) { runExperiment(b, "fig13") }
-
-// Figure 14 — TPC-H Q1/Q6/Q12 under four execution modes.
-func BenchmarkFig14TPCH(b *testing.B) { runExperiment(b, "fig14") }
-
-// Figure 15 — refinements-per-worker (x) sweep.
-func BenchmarkFig15RefinementSweep(b *testing.B) { runExperiment(b, "fig15") }
-
-// Figure 16 — HFLV/LFHV update scenarios.
-func BenchmarkFig16Updates(b *testing.B) { runExperiment(b, "fig16") }
-
-// Figure 17 — concurrent-clients sweep.
-func BenchmarkFig17Clients(b *testing.B) { runExperiment(b, "fig17") }
-
-// Aggregate pushdown — TPC-H Q6-style sums/min-max/row materialization
-// over range predicates, all executors.
-func BenchmarkAggregateWorkload(b *testing.B) { runExperiment(b, "agg") }
-
-// Conjunctive multi-predicate workload: selectivity-ordered planning and
-// late tuple reconstruction through Store.Query (new, beyond the paper).
-func BenchmarkConjunctiveWorkload(b *testing.B) { runExperiment(b, "conj") }
-
-// Selection-vector representation sweep: bitmap vs position-list
-// intermediates across driving selectivity, validating the crossover
-// (new, beyond the paper). Per-query allocation evidence lives in
-// internal/query's BenchmarkConjunctiveCount/BenchmarkConjunctiveSum.
-func BenchmarkSelVecCrossover(b *testing.B) { runExperiment(b, "selvec") }
-
-// BenchmarkJoinWorkload reproduces the join experiment: hash vs
-// index-clustered merge join before and after the holistic daemons
-// refine both join-key indexes.
-func BenchmarkJoinWorkload(b *testing.B) { runExperiment(b, "join") }
-
-// Ablations of DESIGN.md's called-out design decisions.
-func BenchmarkAblationPivotChoice(b *testing.B) { runExperiment(b, "ablation-pivot") }
-func BenchmarkAblationLatchPolicy(b *testing.B) { runExperiment(b, "ablation-latch") }
-func BenchmarkAblationL1Threshold(b *testing.B) { runExperiment(b, "ablation-l1") }
+// BenchmarkExperiment runs every registered experiment — the paper's
+// Table 1 and Figures 6-17, the workloads beyond it (agg, conj, selvec,
+// groupby, join, recover) and the ablations of DESIGN.md's called-out
+// decisions — as BenchmarkExperiment/<name>; `holisticbench -list` gives
+// each name's title.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.Name, func(b *testing.B) { runExperiment(b, e.Name) })
+	}
+}
 
 // BenchmarkCountRangeExactHit times a range door on a converged column:
 // the bounds are piece boundaries already, so the call is the door's own

@@ -211,11 +211,12 @@ func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 		if err := col.CheckInvariants(); err != nil {
 			t.Fatalf("%s: restored column: %v", attr, err)
 		}
-		// The base column came back knowing its bounds, updates folded in.
+		// The bounds the base column came back with (the loader hands them
+		// to NewBounded) are its values', updates folded in.
 		base := r.table.Column(attr)
 		wantLo, wantHi := column.Bounds(base.Values())
-		if lo, hi, ok := base.KnownBounds(); !ok || lo != wantLo || hi != wantHi {
-			t.Fatalf("%s: recovered base bounds (%d, %d, %v), a scan finds (%d, %d)", attr, lo, hi, ok, wantLo, wantHi)
+		if lo, hi := base.Bounds(); lo != wantLo || hi != wantHi {
+			t.Fatalf("%s: recovered base bounds (%d, %d), a scan finds (%d, %d)", attr, lo, hi, wantLo, wantHi)
 		}
 		checkAttr(t, "after kill", r, attr, shadows[attr], rng, pool)
 	}

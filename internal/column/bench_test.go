@@ -50,14 +50,16 @@ func BenchmarkKernels(b *testing.B) {
 			}},
 			{"bits", n, func(w int) { ParallelScanRangeBitmap(vals, lo, hi, tmp, w) }},
 			{"filter-rows", len(sel), func(w int) {
-				posBuf = view.FilterRowsInPlace(append(posBuf[:0], sel...), lo, hi, w)
+				s := Selection{Rows: append(posBuf[:0], sel...)}
+				view.Filter(&s, lo, hi, w)
+				posBuf = s.Rows
 			}},
 			{"filter-bitmap", len(sel), func(w int) {
 				tmp.words = append(tmp.words[:0], bm.words...)
-				view.FilterBitmap(tmp, lo, hi, w)
+				view.Filter(&Selection{Bits: tmp, Dense: true}, lo, hi, w)
 			}},
-			{"gather", len(sel), func(w int) { valBuf = view.gatherRows(valBuf[:0], sel, w) }},
-			{"sum-bitmap", len(sel), func(int) { sink += view.SumBitmap(bm) }},
+			{"gather", len(sel), func(w int) { valBuf = view.Fetch(&Selection{Rows: sel}, valBuf[:0], w) }},
+			{"sum-bitmap", len(sel), func(int) { sink += view.Sum(&Selection{Bits: bm, Dense: true}, 1) }},
 		}
 		for _, c := range cells {
 			for _, mode := range []struct {

@@ -202,30 +202,32 @@ func TestViewBitmapWithOverlay(t *testing.T) {
 		bm.Set(Pos(i))
 	}
 
-	wantSel := v.FilterRowsInPlace(append(PosList(nil), all...), 100, 600, 1)
-	v.FilterBitmap(bm, 100, 600, 1)
+	rows, dense := Selection{Rows: append(PosList(nil), all...)}, Selection{Bits: bm, Dense: true}
+	v.Filter(&rows, 100, 600, 1)
+	v.Filter(&dense, 100, 600, 1)
+	wantSel := rows.Rows
 	if got := bm.AppendPositions(nil); !posListEqual(got, wantSel) {
-		t.Fatalf("View.FilterBitmap: %v, want %v", got, wantSel)
+		t.Fatalf("View.Filter over bits: %v, want %v", got, wantSel)
 	}
-	v.PresentBitmap(bm) // filtered rows are present by construction: no-op
+	v.Present(&dense) // filtered rows are present by construction: no-op
 	if got := bm.AppendPositions(nil); !posListEqual(got, wantSel) {
-		t.Fatalf("View.PresentBitmap dropped present rows")
+		t.Fatalf("View.Present over bits dropped present rows")
 	}
+	wantVals := v.Fetch(&rows, nil, 1)
 	var wantSum int64
-	for _, val := range v.FetchRows(wantSel, 1) {
+	for _, val := range wantVals {
 		wantSum += val
 	}
-	if got := v.SumBitmap(bm); got != wantSum {
-		t.Fatalf("View.SumBitmap = %d, want %d", got, wantSum)
+	if got := v.Sum(&dense, 1); got != wantSum {
+		t.Fatalf("View.Sum over bits = %d, want %d", got, wantSum)
 	}
-	if got := v.SumRows(wantSel, 1); got != wantSum {
-		t.Fatalf("View.SumRows = %d, want %d", got, wantSum)
+	if got := v.Sum(&rows, 1); got != wantSum {
+		t.Fatalf("View.Sum over rows = %d, want %d", got, wantSum)
 	}
-	gotVals := v.FetchBitmap(bm, nil)
-	wantVals := v.FetchRows(wantSel, 1)
+	gotVals := v.Fetch(&dense, nil, 1)
 	for i := range wantVals {
 		if gotVals[i] != wantVals[i] {
-			t.Fatalf("View.FetchBitmap[%d] = %d, want %d", i, gotVals[i], wantVals[i])
+			t.Fatalf("View.Fetch over bits [%d] = %d, want %d", i, gotVals[i], wantVals[i])
 		}
 	}
 
@@ -234,12 +236,12 @@ func TestViewBitmapWithOverlay(t *testing.T) {
 	for i := 0; i < universe+5; i++ {
 		bm2.Set(Pos(i))
 	}
-	wantPresent := v.PresentRowsInPlace(append(append(PosList(nil), all...), Pos(universe), Pos(universe+4)))
-	v.PresentBitmap(bm2)
-	if got := bm2.AppendPositions(nil); !posListEqual(got, wantPresent) {
-		t.Fatalf("View.PresentBitmap: %d present, want %d", len(got), len(wantPresent))
+	rows = Selection{Rows: append(append(PosList(nil), all...), Pos(universe), Pos(universe+4))}
+	v.Present(&rows)
+	v.Present(&Selection{Bits: bm2, Dense: true})
+	if got := bm2.AppendPositions(nil); !posListEqual(got, rows.Rows) {
+		t.Fatalf("View.Present over bits: %d present, want %d", len(got), len(rows.Rows))
 	}
-
 }
 
 // TestRandomizedBitmapDifferential is the randomized end-to-end kernel

@@ -29,9 +29,11 @@ type PosList []Pos
 type Column struct {
 	name string
 	vals []int64
-	// lo, hi are Bounds(vals) when bounded is set: see NewBounded.
+	// lo, hi are Bounds(vals) once scanned has run: seeded by NewBounded,
+	// computed by the first Bounds call otherwise. vals never change, so
+	// neither do they.
+	scanned sync.Once
 	lo, hi  int64
-	bounded bool
 }
 
 // New creates a column that takes ownership of vals.
@@ -41,14 +43,24 @@ func New(name string, vals []int64) *Column {
 
 // NewBounded is New for values whose Bounds the caller already holds — a
 // loader that has just decoded every one of them — so that no reader has
-// to scan the column for them again.
+// to scan the column for them.
 func NewBounded(name string, vals []int64, lo, hi int64) *Column {
-	return &Column{name: name, vals: vals, lo: lo, hi: hi, bounded: true}
+	c := &Column{name: name, vals: vals}
+	c.scanned.Do(func() { c.lo, c.hi = lo, hi })
+	return c
 }
 
-// KnownBounds returns Bounds(Values()) without a scan when the column was
-// built knowing them.
-func (c *Column) KnownBounds() (lo, hi int64, ok bool) { return c.lo, c.hi, c.bounded }
+// Bounds returns Bounds(Values()): the one home of an attribute's base
+// value domain, which the planner's uniform estimates, the access
+// heatmaps and the grouping key domains all read. The column is scanned
+// at most once, by whichever caller asks first; never when it was built
+// knowing them.
+//
+//holistic:noalloc
+func (c *Column) Bounds() (lo, hi int64) {
+	c.scanned.Do(func() { c.lo, c.hi = Bounds(c.vals) })
+	return c.lo, c.hi
+}
 
 // Name returns the attribute name.
 func (c *Column) Name() string { return c.name }
@@ -62,18 +74,6 @@ func (c *Column) Values() []int64 { return c.vals }
 
 // At returns the value at position p.
 func (c *Column) At(p Pos) int64 { return c.vals[p] }
-
-// Append adds a value at the end of the column and returns its position.
-func (c *Column) Append(v int64) Pos {
-	if c.bounded {
-		if len(c.vals) == 0 {
-			c.lo, c.hi = v, v
-		}
-		c.lo, c.hi = min(c.lo, v), max(c.hi, v)
-	}
-	c.vals = append(c.vals, v)
-	return Pos(len(c.vals) - 1)
-}
 
 // Bounds returns the minimum and maximum value of vals; an empty slice
 // reports the inverted pair (0, -1) so range overlap math naturally

@@ -3,6 +3,7 @@ package column
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -26,29 +27,43 @@ func TestColumnBasics(t *testing.T) {
 	if c.At(7) != 7 {
 		t.Errorf("At(7) = %d, want 7", c.At(7))
 	}
-	p := c.Append(99)
-	if p != 10 || c.At(p) != 99 || c.Len() != 11 {
-		t.Errorf("Append gave pos %d, len %d, val %d", p, c.Len(), c.At(p))
-	}
-	if _, _, ok := c.KnownBounds(); ok {
-		t.Error("a column built without bounds claims to know them")
+	if lo, hi := c.Bounds(); lo != 0 || hi != 9 {
+		t.Errorf("Bounds() = (%d, %d), want (0, 9)", lo, hi)
 	}
 }
 
-// TestKnownBounds: bounds handed to NewBounded are what KnownBounds
-// reports, and an append keeps them the Bounds of the values — from the
-// empty column's (0, -1) on.
-func TestKnownBounds(t *testing.T) {
-	for _, vals := range [][]int64{nil, {4, -2, 9}} {
-		lo, hi := Bounds(vals)
-		c := NewBounded("a", vals, lo, hi)
-		for _, v := range []int64{5, -7, 5, 30} {
-			c.Append(v)
-			wantLo, wantHi := Bounds(c.Values())
-			if lo, hi, ok := c.KnownBounds(); !ok || lo != wantLo || hi != wantHi {
-				t.Fatalf("after appending %d to %v: KnownBounds = (%d, %d, %v), Bounds = (%d, %d)", v, vals, lo, hi, ok, wantLo, wantHi)
-			}
+// TestColumnBoundsScanOnce: a column built knowing its bounds reports
+// them without looking at its values, and concurrent first callers of an
+// unbounded one agree on a single scan's answer — every later call
+// returns it without touching the (here: since overwritten) values.
+func TestColumnBoundsScanOnce(t *testing.T) {
+	if lo, hi := NewBounded("a", []int64{4, -2, 9}, -100, 100).Bounds(); lo != -100 || hi != 100 {
+		t.Fatalf("NewBounded column reports (%d, %d), want the bounds it was given", lo, hi)
+	}
+	if lo, hi := NewBounded("a", nil, 0, -1).Bounds(); lo != 0 || hi != -1 {
+		t.Fatalf("empty bounded column reports (%d, %d), want (0, -1)", lo, hi)
+	}
+	vals := randVals(1<<16, 1000, 9)
+	wantLo, wantHi := Bounds(vals)
+	c := New("a", vals)
+	var wg sync.WaitGroup
+	got := make([][2]int64, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i][0], got[i][1] = c.Bounds()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != [2]int64{wantLo, wantHi} {
+			t.Fatalf("caller %d saw bounds %v, want (%d, %d)", i, g, wantLo, wantHi)
 		}
+	}
+	vals[0] = wantHi + 1000 // a rescan would now disagree
+	if lo, hi := c.Bounds(); lo != wantLo || hi != wantHi {
+		t.Fatalf("a later Bounds() = (%d, %d): the column was scanned again", lo, hi)
 	}
 }
 
@@ -319,28 +334,19 @@ func TestViewOverlay(t *testing.T) {
 	}
 
 	sel := PosList{0, 1, 2, 3, 4, 5, 6}
-	got := w.FilterRowsInPlace(slices.Clone(sel), 30, 61, 2)
-	want := PosList{2, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("View.FilterRowsInPlace = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("View.FilterRowsInPlace = %v, want %v", got, want)
-		}
+	s := Selection{Rows: slices.Clone(sel)}
+	w.Filter(&s, 30, 61, 2)
+	if want := (PosList{2, 3, 5}); !slices.Equal(s.Rows, want) {
+		t.Fatalf("View.Filter = %v, want %v", s.Rows, want)
 	}
 
-	present := w.PresentRowsInPlace(slices.Clone(sel))
-	wantP := PosList{0, 2, 3, 5}
-	if len(present) != len(wantP) {
-		t.Fatalf("View.PresentRowsInPlace = %v, want %v", present, wantP)
+	s = Selection{Rows: slices.Clone(sel)}
+	w.Present(&s)
+	if want := (PosList{0, 2, 3, 5}); !slices.Equal(s.Rows, want) {
+		t.Fatalf("View.Present = %v, want %v", s.Rows, want)
 	}
-	vals := w.FetchRows(present, 2)
-	wantV := []int64{10, 35, 40, 60}
-	for i := range vals {
-		if vals[i] != wantV[i] {
-			t.Fatalf("View.FetchRows = %v, want %v", vals, wantV)
-		}
+	if vals, want := w.Fetch(&s, nil, 2), []int64{10, 35, 40, 60}; !slices.Equal(vals, want) {
+		t.Fatalf("View.Fetch = %v, want %v", vals, want)
 	}
 }
 
@@ -350,14 +356,16 @@ func TestPlainViewFastPaths(t *testing.T) {
 		t.Fatal("base-only view is not plain")
 	}
 	sel := PosList{0, 1, 2, 3} // 3 beyond base: dropped everywhere
-	if got := w.FilterRowsInPlace(slices.Clone(sel), 2, 4, 1); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("plain FilterRowsInPlace = %v", got)
+	s := Selection{Rows: slices.Clone(sel)}
+	if w.Filter(&s, 2, 4, 1); !slices.Equal(s.Rows, PosList{1, 2}) {
+		t.Fatalf("plain Filter = %v", s.Rows)
 	}
-	if got := w.PresentRowsInPlace(slices.Clone(sel)); len(got) != 3 {
-		t.Fatalf("plain PresentRowsInPlace = %v", got)
+	s = Selection{Rows: slices.Clone(sel)}
+	if w.Present(&s); len(s.Rows) != 3 {
+		t.Fatalf("plain Present = %v", s.Rows)
 	}
-	inRange := PosList{0, 2}
-	if got := w.PresentRowsInPlace(inRange); len(got) != 2 {
-		t.Fatalf("plain PresentRowsInPlace (all in range) = %v", got)
+	s = Selection{Rows: PosList{0, 2}}
+	if w.Present(&s); len(s.Rows) != 2 {
+		t.Fatalf("plain Present (all in range) = %v", s.Rows)
 	}
 }

@@ -3,6 +3,7 @@ package column
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -171,7 +172,7 @@ func TestKernelsMatchReference(t *testing.T) {
 						checkDense(t, name, base, rg.lo, rg.hi, l.fold(exact, inRg))
 						checkArrays(t, name, base, past, universe+70, rg.lo, rg.hi)
 					}
-					checkView(t, name, w, sel, universe, rg.lo, rg.hi, l.fold(sel, inRg), l.fold(sel, func(int64) bool { return true }))
+					checkView(t, name, w, l, sel, universe, rg.lo, rg.hi)
 				}
 			}
 		}
@@ -242,11 +243,11 @@ func checkArrays(t *testing.T, name string, vals []int64, sel PosList, universe 
 	}
 }
 
-// checkView: every View method in both representations. want is the
-// reference filter of sel, present the reference presence filter — the
-// selection the folds then run over.
-func checkView(t *testing.T, name string, w View, sel PosList, universe int, lo, hi int64, want, present refFold) {
+// checkView: At, GatherRows and ExtendBounds against the reference, then
+// every View × Selection method over sel.
+func checkView(t *testing.T, name string, w View, l logical, sel PosList, universe int, lo, hi int64) {
 	t.Helper()
+	present := l.fold(sel, func(int64) bool { return true })
 	// At is the walkers' definition of a value; a sample is enough at size.
 	for i := 0; i < len(sel); i += max(1, len(sel)/100) {
 		p := sel[i]
@@ -255,55 +256,98 @@ func checkView(t *testing.T, name string, w View, sel PosList, universe int, lo,
 			t.Fatalf("%s: At(%d) = (%d, %v) against the reference", name, p, v, ok)
 		}
 	}
-	workers := kernelWorkers
-	if !w.plain() {
-		workers = workers[:1] // the walkers never fan out
-	}
-	for _, k := range workers {
-		if got := w.FilterRowsInPlace(slices.Clone(sel), lo, hi, k); !slices.Equal(got, want.pos) {
-			t.Fatalf("%s workers=%d: View.FilterRowsInPlace diverges (%d rows, want %d)", name, k, len(got), len(want.pos))
-		}
-		bm := bitmapOf(universe, sel)
-		w.FilterBitmap(bm, lo, hi, k)
-		if got := bm.AppendPositions(nil); !slices.Equal(got, want.pos) {
-			t.Fatalf("%s workers=%d: View.FilterBitmap diverges (%d rows, want %d)", name, k, len(got), len(want.pos))
-		}
-		if got := w.FetchRows(present.pos, k); !slices.Equal(got, present.vals) {
-			t.Fatalf("%s workers=%d: View.FetchRows diverges", name, k)
-		}
-		if got := w.SumRows(present.pos, k); got != present.sum {
-			t.Fatalf("%s workers=%d: View.SumRows = %d, want %d", name, k, got, present.sum)
-		}
-	}
-	if got := w.PresentRowsInPlace(slices.Clone(sel)); !slices.Equal(got, present.pos) {
-		t.Fatalf("%s: View.PresentRowsInPlace diverges", name)
-	}
-	bm := bitmapOf(universe, sel)
-	w.PresentBitmap(bm)
-	if got := bm.AppendPositions(nil); !slices.Equal(got, present.pos) {
-		t.Fatalf("%s: View.PresentBitmap diverges", name)
-	}
 	if got := w.GatherRows([]int64{42}, present.pos); got[0] != 42 || !slices.Equal(got[1:], present.vals) {
 		t.Fatalf("%s: View.GatherRows diverges", name)
-	}
-	if got := w.FetchBitmap(bm, []int64{42}); got[0] != 42 || !slices.Equal(got[1:], present.vals) {
-		t.Fatalf("%s: View.FetchBitmap diverges", name)
-	}
-	if got := w.SumBitmap(bm); got != present.sum {
-		t.Fatalf("%s: View.SumBitmap = %d, want %d", name, got, present.sum)
-	}
-	for form, got := range map[string]func() (int64, int64, int){
-		"Rows":   func() (int64, int64, int) { return w.MinMaxRows(present.pos) },
-		"Bitmap": func() (int64, int64, int) { return w.MinMaxBitmap(bm) },
-	} {
-		if mn, mx, cnt := got(); cnt != len(present.pos) || (cnt > 0 && (mn != present.mn || mx != present.mx)) {
-			t.Fatalf("%s: View.MinMax%s = (%d, %d, %d), want (%d, %d, %d)", name, form, mn, mx, cnt, present.mn, present.mx, len(present.pos))
-		}
 	}
 	// Bounds widened by the overlay cover every value the view can show.
 	bLo, bHi := w.ExtendBounds(Bounds(w.Base))
 	if len(present.pos) > 0 && (present.mn < bLo || present.mx > bHi) {
 		t.Fatalf("%s: ExtendBounds = [%d, %d] misses [%d, %d]", name, bLo, bHi, present.mn, present.mx)
+	}
+	checkSelection(t, name, w, l, sel, universe, lo, hi, kernelWorkers)
+}
+
+// checkSelection: the five View methods and Selection's own over sel in
+// both representations. The bitmap holds sel ascending, the position
+// list in the order given — a driving select promises none — and what
+// comes out positional comes out ascending either way.
+func checkSelection(t *testing.T, name string, w View, l logical, sel PosList, universe int, lo, hi int64, workers []int) {
+	t.Helper()
+	if !w.plain() {
+		workers = workers[:1] // the walkers never fan out
+	}
+	asc := slices.Clone(sel)
+	slices.Sort(asc)
+	sorted := func(pos PosList) PosList { pos = slices.Clone(pos); slices.Sort(pos); return pos }
+	for rep, order := range map[string]PosList{"bitmap": asc, "poslist": sel} {
+		mk := func(pos PosList) *Selection {
+			if rep == "bitmap" {
+				return &Selection{Bits: bitmapOf(universe, pos), Dense: true}
+			}
+			return &Selection{Rows: slices.Clone(pos)}
+		}
+		want := l.fold(order, func(v int64) bool { return v >= lo && v < hi })
+		present := l.fold(order, func(int64) bool { return true })
+		for _, k := range workers {
+			ctx := fmt.Sprintf("%s rep=%s workers=%d", name, rep, k)
+			s := mk(order)
+			w.Filter(s, lo, hi, k)
+			if s.Count() != len(want.pos) || s.Any() != (len(want.pos) > 0) {
+				t.Fatalf("%s: Filter leaves Count %d, Any %v, want %d rows", ctx, s.Count(), s.Any(), len(want.pos))
+			}
+			if rep == "poslist" && !slices.Equal(s.Rows, want.pos) {
+				t.Fatalf("%s: Filter does not keep the list's order", ctx)
+			}
+			if got := s.Positions(PosList{7}); got[0] != 7 || !slices.Equal(got[1:], sorted(want.pos)) {
+				t.Fatalf("%s: Filter then Positions diverges", ctx)
+			}
+			s = mk(present.pos)
+			if got := w.Fetch(s, []int64{42}, k); got[0] != 42 || !slices.Equal(got[1:], present.vals) {
+				t.Fatalf("%s: Fetch diverges", ctx)
+			}
+			if got := w.Sum(s, k); got != present.sum {
+				t.Fatalf("%s: Sum = %d, want %d", ctx, got, present.sum)
+			}
+			if mn, mx, cnt := w.MinMax(s); cnt != len(present.pos) || (cnt > 0 && (mn != present.mn || mx != present.mx)) {
+				t.Fatalf("%s: MinMax = (%d, %d, %d), want (%d, %d, %d)", ctx, mn, mx, cnt, present.mn, present.mx, len(present.pos))
+			}
+		}
+		s := mk(order)
+		w.Present(s)
+		if got := s.Positions(nil); !slices.Equal(got, sorted(present.pos)) {
+			t.Fatalf("%s rep=%s: Present diverges", name, rep)
+		}
+		s.Sort()
+		if rep == "poslist" && !slices.IsSorted(s.Rows) {
+			t.Fatalf("%s: Sort leaves the list unsorted", name)
+		}
+	}
+}
+
+// TestSelectionMatchesReference holds the View × Selection operators
+// against the per-element reference at both representations, sizes
+// around word and chunk edges, plain and fully overlaid views, every
+// range shape, over a selection that reaches past Extent() and arrives
+// in no particular order.
+func TestSelectionMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, 100003} {
+		views := kernelViews(kernelVals(n))
+		for _, vname := range []string{"plain", "all"} {
+			w := views[vname]
+			universe := w.Extent() + 70
+			l := logicalOf(w, universe)
+			sel := PosList{}
+			for p := 0; p < universe; p++ {
+				if p%3 != 1 {
+					sel = append(sel, Pos(p))
+				}
+			}
+			rand.New(rand.NewSource(int64(n))).Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] })
+			for _, rg := range kernelRanges {
+				name := fmt.Sprintf("n=%d view=%s range=%s", n, vname, rg.name)
+				checkSelection(t, name, w, l, sel, universe, rg.lo, rg.hi, []int{1, 2, 3})
+			}
+		}
 	}
 }
 
@@ -312,9 +356,9 @@ func checkView(t *testing.T, name string, w View, sel PosList, universe int, lo,
 func TestFoldsPanicOnMissingValue(t *testing.T) {
 	w := View{Base: []int64{1, 2, 3}, Deleted: map[Pos]struct{}{1: {}}}
 	for name, run := range map[string]func(){
-		"SumRows":      func() { w.SumRows(PosList{0, 1}, 1) },
-		"GatherRows":   func() { w.GatherRows(nil, PosList{5}) },
-		"MinMaxBitmap": func() { w.MinMaxBitmap(bitmapOf(3, PosList{1})) },
+		"Sum":        func() { w.Sum(&Selection{Rows: PosList{0, 1}}, 1) },
+		"GatherRows": func() { w.GatherRows(nil, PosList{5}) },
+		"MinMax":     func() { w.MinMax(&Selection{Bits: bitmapOf(3, PosList{1}), Dense: true}) },
 	} {
 		func() {
 			defer func() {
@@ -360,28 +404,25 @@ func TestSequentialDoorsAllocationFree(t *testing.T) {
 			for i := range all {
 				all[i] = Pos(i)
 			}
-			present := w.PresentRowsInPlace(slices.Clone(all))
-			allBits, presentBits := bitmapOf(w.Extent(), all), bitmapOf(w.Extent(), present)
-			selBuf, valBuf := make(PosList, 0, len(all)), make([]int64, 0, len(all))
-			methods := map[string]func(){
-				"FilterRowsInPlace":  func() { selBuf = w.FilterRowsInPlace(append(selBuf[:0], all...), -300, 400, k) },
-				"PresentRowsInPlace": func() { selBuf = w.PresentRowsInPlace(append(selBuf[:0], all...)) },
-				"GatherRows":         func() { valBuf = w.GatherRows(valBuf[:0], present) },
-				"SumRows":            func() { sink += w.SumRows(present, k) },
-				"MinMaxRows":         func() { _, _, n := w.MinMaxRows(present); sink += int64(n) },
-				"FilterBitmap": func() {
-					tmp.Reset(w.Extent())
-					copy(tmp.words, allBits.words)
-					w.FilterBitmap(tmp, -300, 400, k)
-				},
-				"PresentBitmap": func() {
-					tmp.Reset(w.Extent())
-					copy(tmp.words, allBits.words)
-					w.PresentBitmap(tmp)
-				},
-				"FetchBitmap":  func() { valBuf = w.FetchBitmap(presentBits, valBuf[:0]) },
-				"SumBitmap":    func() { sink += w.SumBitmap(presentBits) },
-				"MinMaxBitmap": func() { _, _, n := w.MinMaxBitmap(presentBits); sink += int64(n) },
+			ps := Selection{Rows: slices.Clone(all)}
+			w.Present(&ps)
+			present := ps.Rows
+			allBits := bitmapOf(w.Extent(), all)
+			valBuf := make([]int64, 0, len(all))
+			rows, bits := Selection{Rows: make(PosList, 0, len(all))}, Selection{Bits: tmp, Dense: true}
+			presentRows, presentBits := Selection{Rows: present}, Selection{Bits: bitmapOf(w.Extent(), present), Dense: true}
+			refill := func() {
+				rows.Rows = append(rows.Rows[:0], all...)
+				tmp.Reset(w.Extent())
+				copy(tmp.words, allBits.words)
+			}
+			methods := map[string]func(){"GatherRows": func() { valBuf = w.GatherRows(valBuf[:0], present) }}
+			for rep, s := range map[string][2]*Selection{"poslist": {&rows, &presentRows}, "bitmap": {&bits, &presentBits}} {
+				methods["Filter/"+rep] = func() { refill(); w.Filter(s[0], -300, 400, k) }
+				methods["Present/"+rep] = func() { refill(); w.Present(s[0]) }
+				methods["Fetch/"+rep] = func() { valBuf = w.Fetch(s[1], valBuf[:0], k) }
+				methods["Sum/"+rep] = func() { sink += w.Sum(s[1], k) }
+				methods["MinMax/"+rep] = func() { _, _, n := w.MinMax(s[1]); sink += int64(n) }
 			}
 			for name, run := range methods {
 				run()

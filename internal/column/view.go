@@ -3,6 +3,7 @@ package column
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // View is an update-aware positional view of one attribute: the base
@@ -101,61 +102,113 @@ func (w View) walkBits(b *Bitmap, selecting bool, visit func(p Pos, v int64)) {
 	}
 }
 
-// FilterRowsInPlace keeps the positions of sel whose current value lies
-// in [lo, hi), in order and in sel's storage, which the caller must own;
-// rows without a value are dropped. It is the allocation-free refine
-// kernel of the conjunctive hot path.
+// Selection is the intermediate a conjunctive query refines: the
+// candidate positions, held as a word-packed Bitmap (Dense) or as a
+// position list in the order the driving select found them. Which of
+// the two is decided once per query, where the selection is driven; the
+// operators below take either.
+type Selection struct {
+	Bits  *Bitmap // the candidates when Dense
+	Rows  PosList // the candidates otherwise; its storage is the selection's
+	Dense bool
+}
+
+// Count returns the number of candidates: a popcount pass when Dense.
 //
 //holistic:noalloc
-func (w View) FilterRowsInPlace(sel PosList, lo, hi int64, workers int) PosList {
-	if w.plain() {
-		return parallelFilterRows(sel[:0], w.Base, sel, lo, hi, workers)
+func (s *Selection) Count() int {
+	if s.Dense {
+		return s.Bits.Count()
 	}
-	out := sel[:0]
+	return len(s.Rows)
+}
+
+// Any reports whether a candidate is left, stopping at the first.
+//
+//holistic:noalloc
+func (s *Selection) Any() bool {
+	if s.Dense {
+		return s.Bits.Any()
+	}
+	return len(s.Rows) > 0
+}
+
+// Sort puts a position list in ascending order, the order a bitmap
+// always has: what Fetch needs before it when tuples must come out by
+// row id.
+//
+//holistic:noalloc
+func (s *Selection) Sort() {
+	if !s.Dense {
+		slices.Sort(s.Rows)
+	}
+}
+
+// Positions appends the candidates to dst in ascending order.
+//
+//holistic:noalloc
+func (s *Selection) Positions(dst PosList) PosList {
+	if s.Dense {
+		return s.Bits.AppendPositions(dst)
+	}
+	s.Sort()
+	dst = append(dst, s.Rows...)
+	return dst
+}
+
+// Filter keeps the candidates whose current value lies in [lo, hi), in
+// place and in order; rows without a value are dropped. It is the refine
+// operator of the conjunctive hot path.
+//
+//holistic:noalloc
+func (w View) Filter(s *Selection, lo, hi int64, workers int) {
+	if w.plain() {
+		if s.Dense {
+			parallelFilterBitmap(w.Base, s.Bits, lo, hi, workers)
+		} else {
+			s.Rows = parallelFilterRows(s.Rows[:0], w.Base, s.Rows, lo, hi, workers)
+		}
+		return
+	}
 	ulo, span := rangeBits(lo, hi)
-	w.walkRows(sel, true, func(p Pos, v int64) {
+	if s.Dense {
+		w.walkBits(s.Bits, true, func(p Pos, v int64) {
+			if !inRange(v, ulo, span) {
+				s.Bits.unset(p)
+			}
+		})
+		return
+	}
+	out := s.Rows[:0]
+	w.walkRows(s.Rows, true, func(p Pos, v int64) {
 		if inRange(v, ulo, span) {
 			out = append(out, p)
 		}
 	})
-	return out
+	s.Rows = out
 }
 
-// FilterBitmap is FilterRowsInPlace over a bitmap: it clears from b
-// every position whose current value is outside [lo, hi) or that has
-// none.
-//
-//holistic:noalloc
-func (w View) FilterBitmap(b *Bitmap, lo, hi int64, workers int) {
-	if w.plain() {
-		parallelFilterBitmap(w.Base, b, lo, hi, workers)
-		return
-	}
-	ulo, span := rangeBits(lo, hi)
-	w.walkBits(b, true, func(p Pos, v int64) {
-		if !inRange(v, ulo, span) {
-			b.unset(p)
-		}
-	})
-}
-
-// PresentRowsInPlace keeps the positions of sel that have a value in
-// this attribute, in sel's storage, which the caller must own — the
+// Present keeps the candidates that have a value in this attribute — the
 // presence filter for aggregate and projection attributes that were not
 // among the predicates.
 //
 //holistic:noalloc
-func (w View) PresentRowsInPlace(sel PosList) PosList {
-	if w.plain() && allBelow(sel, Pos(len(w.Base))) {
-		return sel
+func (w View) Present(s *Selection) {
+	switch plain := w.plain(); {
+	case s.Dense && plain:
+		s.Bits.clearFrom(len(w.Base))
+	case s.Dense:
+		w.walkBits(s.Bits, true, func(Pos, int64) {})
+	case plain && allBelow(s.Rows, Pos(len(w.Base))):
+		// the common case: the filter of a plain view is the identity
+	default:
+		out := s.Rows[:0]
+		w.walkRows(s.Rows, true, func(p Pos, _ int64) { out = append(out, p) })
+		s.Rows = out
 	}
-	out := sel[:0]
-	w.walkRows(sel, true, func(p Pos, _ int64) { out = append(out, p) })
-	return out
 }
 
-// allBelow reports whether every position of sel is below n: the common
-// case where the presence filter of a plain view is the identity.
+// allBelow reports whether every position of sel is below n.
 //
 //holistic:noalloc
 func allBelow(sel PosList, n Pos) bool {
@@ -167,15 +220,63 @@ func allBelow(sel PosList, n Pos) bool {
 	return true
 }
 
-// PresentBitmap is PresentRowsInPlace over a bitmap.
+// walk is the folding walk of an overlaid view: visit gets the current
+// value of every candidate, each of which must have one.
 //
 //holistic:noalloc
-func (w View) PresentBitmap(b *Bitmap) {
-	if w.plain() {
-		b.clearFrom(len(w.Base))
-		return
+func (w View) walk(s *Selection, visit func(p Pos, v int64)) {
+	if s.Dense {
+		w.walkBits(s.Bits, false, visit)
+	} else {
+		w.walkRows(s.Rows, false, visit)
 	}
-	w.walkBits(b, true, func(Pos, int64) {})
+}
+
+// Sum folds the sum of the candidates' current values without
+// materializing them; a position list's fold is split across workers.
+//
+//holistic:noalloc
+func (w View) Sum(s *Selection, workers int) (sum int64) {
+	if !w.plain() {
+		w.walk(s, func(_ Pos, v int64) { sum += v })
+		return sum
+	}
+	if s.Dense {
+		return SumBitmap(w.Base, s.Bits)
+	}
+	return parallelSumRows(w.Base, s.Rows, workers)
+}
+
+// MinMax folds the extrema of the candidates' current values and counts
+// them; mn and mx mean something only when n > 0.
+//
+//holistic:noalloc
+func (w View) MinMax(s *Selection) (mn, mx int64, n int) {
+	if !w.plain() {
+		mn, mx = noMin, noMax
+		w.walk(s, func(_ Pos, v int64) { mn, mx = widen(mn, mx, v) })
+		return mn, mx, s.Count()
+	}
+	if s.Dense {
+		return minMaxBits(w.Base, s.Bits.words)
+	}
+	return minMaxRows(w.Base, s.Rows)
+}
+
+// Fetch appends the candidates' current values to dst in the selection's
+// order — ascending for a bitmap; Sort a position list first where that
+// matters. A position list's gather is split across workers.
+//
+//holistic:noalloc
+func (w View) Fetch(s *Selection, dst []int64, workers int) []int64 {
+	if !w.plain() {
+		w.walk(s, func(_ Pos, v int64) { dst = append(dst, v) })
+		return dst
+	}
+	if s.Dense {
+		return gatherBits(dst, w.Base, s.Bits.words)
+	}
+	return gatherRows(dst, w.Base, s.Rows, workers)
 }
 
 // GatherRows appends the current values at the positions of sel to dst:
@@ -184,82 +285,8 @@ func (w View) PresentBitmap(b *Bitmap) {
 //
 //holistic:noalloc
 func (w View) GatherRows(dst []int64, sel PosList) []int64 {
-	return w.gatherRows(dst, sel, 1)
-}
-
-// FetchRows returns the current values at the positions of sel, the
-// gather split across workers.
-func (w View) FetchRows(sel PosList, workers int) []int64 {
-	return w.gatherRows(make([]int64, 0, len(sel)), sel, workers)
-}
-
-//holistic:noalloc
-func (w View) gatherRows(dst []int64, sel PosList, workers int) []int64 {
-	if w.plain() {
-		return gatherRows(dst, w.Base, sel, workers)
-	}
-	w.walkRows(sel, false, func(_ Pos, v int64) { dst = append(dst, v) })
-	return dst
-}
-
-// FetchBitmap appends the current values at the set positions of b to
-// dst, in ascending position order.
-//
-//holistic:noalloc
-func (w View) FetchBitmap(b *Bitmap, dst []int64) []int64 {
-	if w.plain() {
-		return gatherBits(dst, w.Base, b.words)
-	}
-	w.walkBits(b, false, func(_ Pos, v int64) { dst = append(dst, v) })
-	return dst
-}
-
-// SumRows folds the sum of the current values at the positions of sel
-// without materializing them, the fold split across workers.
-//
-//holistic:noalloc
-func (w View) SumRows(sel PosList, workers int) (s int64) {
-	if w.plain() {
-		return parallelSumRows(w.Base, sel, workers)
-	}
-	w.walkRows(sel, false, func(_ Pos, v int64) { s += v })
-	return s
-}
-
-// SumBitmap folds the sum of the current values at the set positions.
-//
-//holistic:noalloc
-func (w View) SumBitmap(b *Bitmap) (s int64) {
-	if w.plain() {
-		return SumBitmap(w.Base, b)
-	}
-	w.walkBits(b, false, func(_ Pos, v int64) { s += v })
-	return s
-}
-
-// MinMaxRows folds the extrema of the current values at the positions
-// of sel and counts them; mn and mx mean something only when n > 0.
-//
-//holistic:noalloc
-func (w View) MinMaxRows(sel PosList) (mn, mx int64, n int) {
-	if w.plain() {
-		return minMaxRows(w.Base, sel)
-	}
-	mn, mx = noMin, noMax
-	w.walkRows(sel, false, func(_ Pos, v int64) { mn, mx = widen(mn, mx, v) })
-	return mn, mx, len(sel)
-}
-
-// MinMaxBitmap is MinMaxRows over the set positions of b.
-//
-//holistic:noalloc
-func (w View) MinMaxBitmap(b *Bitmap) (mn, mx int64, n int) {
-	if w.plain() {
-		return minMaxBits(w.Base, b.words)
-	}
-	mn, mx = noMin, noMax
-	w.walkBits(b, false, func(_ Pos, v int64) { mn, mx = widen(mn, mx, v) })
-	return mn, mx, b.Count()
+	s := Selection{Rows: sel}
+	return w.Fetch(&s, dst, 1)
 }
 
 // Extent returns the size of the view's position universe: base rows

@@ -2,6 +2,7 @@ package cracking
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 )
 
@@ -130,27 +131,47 @@ func (c *Column) pieceSpanLocked(v int64) (key int64, p *piece, end int, nextKey
 	return key, p, end, nextKey
 }
 
+// UniformIn draws a value uniformly from [lo, hi], lo <= hi. The span is
+// taken unsigned, so a domain wider than MaxInt64 — whose hi-lo+1 wraps
+// negative and makes Int63n panic — draws like any other; narrower spans
+// consume the generator exactly as lo + Int63n(hi-lo+1) does.
+func UniformIn(rng *rand.Rand, lo, hi int64) int64 {
+	span := uint64(hi) - uint64(lo) // one less than the number of values
+	if span < math.MaxInt64 {
+		return lo + rng.Int63n(int64(span)+1)
+	}
+	for {
+		if x := rng.Uint64(); x <= span { // accepts more than half the draws
+			return int64(uint64(lo) + x)
+		}
+	}
+}
+
 // stochasticPivot draws a random pivot strictly inside the piece's value
 // span (loKey, hiKey), different from v. ok is false when the span is too
 // narrow to be worth a crack.
 func (c *Column) stochasticPivot(loKey, hiKey, v int64) (int64, bool) {
-	lo, hi := loKey, hiKey
+	// The candidates are lo+1 .. last; everything is inclusive and the
+	// width unsigned, so neither domainHi = MaxInt64 nor a span beyond
+	// MaxInt64 wraps.
+	lo, last := loKey, hiKey-1
 	if lo == sentinelKey {
 		lo = c.domainLo
 	}
-	if hi == math.MaxInt64 {
-		hi = c.domainHi + 1
+	if hiKey == math.MaxInt64 {
+		last = c.domainHi
 	}
-	if hi-lo < 4 {
+	if last <= lo || uint64(last)-uint64(lo) < 3 {
 		return 0, false
 	}
 	c.rngMu.Lock()
-	r := lo + 1 + c.rng.Int63n(hi-lo-1)
+	r := UniformIn(c.rng, lo+1, last)
 	c.rngMu.Unlock()
 	if r == v {
-		r++
-		if r >= hi {
+		if r == last {
 			r = lo + 1
+		} else {
+			r++
 		}
 		if r == v {
 			return 0, false

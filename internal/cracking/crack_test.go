@@ -77,6 +77,79 @@ func TestSelectRangeStochastic(t *testing.T) {
 	}
 }
 
+// fullDomainVals spreads n values over [MinInt64+5, MaxInt64-5], both
+// ends present: a domain whose width does not fit an int64.
+func fullDomainVals(n int, seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = min(max(int64(rng.Uint64()), math.MinInt64+5), math.MaxInt64-5)
+	}
+	vals[0], vals[n-1] = math.MinInt64+5, math.MaxInt64-5
+	return vals
+}
+
+// TestStochasticCracksFullInt64Domain: over a domain wider than
+// MaxInt64 the signed width of the first piece wrapped negative and the
+// auxiliary crack was silently skipped — stochastic cracking ran as
+// plain cracking. It must add its random boundaries here too, and
+// answer right.
+func TestStochasticCracksFullInt64Domain(t *testing.T) {
+	base := fullDomainVals(1<<16, 13)
+	c := New("a", base, Config{Stochastic: true, Seed: 3})
+	rng := rand.New(rand.NewSource(31))
+	const queries = 50
+	for q := 0; q < queries; q++ {
+		lo := int64(rng.Uint64())
+		hi := lo + rng.Int63n(math.MaxInt64)
+		if hi < lo {
+			hi = math.MaxInt64
+		}
+		if got, want := c.SelectRange(lo, hi).Count(), column.CountRange(base, lo, hi); got != want {
+			t.Fatalf("query %d [%d,%d): Count = %d, want %d", q, lo, hi, got, want)
+		}
+		if q == 0 && c.Pieces() <= 3 {
+			t.Fatalf("first query left %d pieces: no auxiliary crack on the whole-domain piece", c.Pieces())
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Pieces() <= 2*queries {
+		t.Errorf("stochastic cracking produced only %d pieces over %d queries", c.Pieces(), queries)
+	}
+}
+
+// TestUniformInCoversAnySpan: every draw lies in [lo, hi] whatever the
+// span's width, both ends of a tiny span come up, and a span that fits
+// an int64 consumes the generator exactly as lo + Int63n(hi-lo+1).
+func TestUniformInCoversAnySpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sp := range [][2]int64{
+		{0, 0}, {-3, 4}, {math.MinInt64, math.MinInt64 + 1}, {math.MaxInt64 - 1, math.MaxInt64},
+		{-1, math.MaxInt64 - 2}, {-1, math.MaxInt64 - 1}, {-1, math.MaxInt64},
+		{math.MinInt64 + 5, math.MaxInt64 - 5}, {math.MinInt64, math.MaxInt64},
+	} {
+		seen := map[int64]bool{}
+		for i := 0; i < 200; i++ {
+			v := UniformIn(rng, sp[0], sp[1])
+			if v < sp[0] || v > sp[1] {
+				t.Fatalf("UniformIn(%d, %d) = %d", sp[0], sp[1], v)
+			}
+			seen[v] = true
+		}
+		if uint64(sp[1])-uint64(sp[0]) == 1 && len(seen) != 2 {
+			t.Errorf("UniformIn(%d, %d) drew only %v in 200 tries", sp[0], sp[1], seen)
+		}
+	}
+	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 100; i++ {
+		if got, want := UniformIn(a, -500, 1<<40), -500+b.Int63n(1<<40+501); got != want {
+			t.Fatalf("draw %d: UniformIn = %d, Int63n form = %d", i, got, want)
+		}
+	}
+}
+
 func TestSelectRangeParallelKernel(t *testing.T) {
 	base := randVals(200_000, 8, 1<<20)
 	c := New("a", base, Config{ParallelWorkers: 4, MinParallelPiece: 1024})

@@ -409,7 +409,7 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 				return refined, mergedUpdates
 			}
 			lo, hi := e.Col.Domain()
-			pivot := lo + rng.Int63n(hi-lo+1)
+			pivot := cracking.UniformIn(rng, lo, hi)
 			ob.RefinePivot(e.Name, pivot, lo, hi)
 			d.totalAttempts.Add(1)
 			attempts++

@@ -1,6 +1,7 @@
 package holistic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -54,6 +55,42 @@ func TestDaemonRefinesIdleSystem(t *testing.T) {
 	// Data integrity after background refinement.
 	if got, want := col.SelectRange(100, 1<<19).Count(), column.CountRange(base, 100, 1<<19); got != want {
 		t.Fatalf("count after refinement: %d, want %d", got, want)
+	}
+}
+
+// TestDaemonRefinesFullInt64Domain: over a column spanning
+// [MinInt64+5, MaxInt64-5] the pivot draw's signed span wrapped negative
+// and every activation died in Int63n — a contained panic per worker and
+// no refinement, holistic running as adaptive. The draw is over the
+// unsigned span now: the daemon refines, nothing panics, and the index
+// still answers like a scan.
+func TestDaemonRefinesFullInt64Domain(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	base := make([]int64, 1<<16)
+	for i := range base {
+		base[i] = min(max(int64(rng.Uint64()), math.MinInt64+5), math.MaxInt64-5)
+	}
+	base[0], base[len(base)-1] = math.MinInt64+5, math.MaxInt64-5
+	reg := newSpace(256)
+	col := cracking.New("a", base, cracking.Config{})
+	reg.Add("a", col, false)
+	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{Interval: time.Hour, Refinements: 16, Seed: 1})
+	for i := 0; i < 20; i++ {
+		d.RunCycleNow(2)
+	}
+	if got := d.WorkerPanics(); got != 0 {
+		t.Fatalf("WorkerPanics = %d (%s), want 0", got, d.LastPanic())
+	}
+	if d.Refinements() == 0 || col.Pieces() < 50 {
+		t.Fatalf("20 two-worker cycles refined %d times into %d pieces", d.Refinements(), col.Pieces())
+	}
+	if err := col.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rg := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MinInt64 + 5, 0}, {-1 << 62, 1 << 62}, {math.MaxInt64 - 5, math.MaxInt64}} {
+		if got, want := col.SelectRange(rg[0], rg[1]).Count(), column.CountRange(base, rg[0], rg[1]); got != want {
+			t.Fatalf("count over [%d, %d) after refinement: %d, want %d", rg[0], rg[1], got, want)
+		}
 	}
 }
 

@@ -101,19 +101,46 @@ func (t *QueryTrace) Reset() {
 	t.curBase, t.curSide = 0, ""
 }
 
+// The recording methods below accept a nil receiver, the way the
+// observer's do: an untraced query calls them and pays one pointer
+// compare. A caller guards a call itself only where computing the
+// argument costs a pass (a bitmap popcount).
+
+// SetRelation records the executing mode and the relation's row count.
+//
+//holistic:noalloc
+func (t *QueryTrace) SetRelation(mode string, rows int) {
+	if t != nil {
+		t.Mode, t.Rows = mode, rows
+	}
+}
+
+// SetRowsRight records a join's right relation's row count.
+//
+//holistic:noalloc
+func (t *QueryTrace) SetRowsRight(rows int) {
+	if t != nil {
+		t.RowsRight = rows
+	}
+}
+
 // BeginSide scopes subsequent conjunct recording to one join side
 // ("left"/"right"; "" for single-relation queries).
 //
 //holistic:noalloc
 func (t *QueryTrace) BeginSide(side string) {
-	t.curSide = side
-	t.curBase = len(t.Conjuncts)
+	if t != nil {
+		t.curSide, t.curBase = side, len(t.Conjuncts)
+	}
 }
 
 // AddConjunct appends one planned conjunct for the current side.
 //
 //holistic:noalloc
 func (t *QueryTrace) AddConjunct(attr string, lo, hi int64, est float64, driving bool) {
+	if t == nil {
+		return
+	}
 	t.Conjuncts = append(t.Conjuncts, ConjunctTrace{
 		Side: t.curSide, Attr: attr, Lo: lo, Hi: hi,
 		EstRows: est, Driving: driving, CumRows: -1, ActualRows: -1,
@@ -125,33 +152,66 @@ func (t *QueryTrace) AddConjunct(attr string, lo, hi int64, est float64, driving
 //
 //holistic:noalloc
 func (t *QueryTrace) SetCum(i int, n int64) {
-	idx := t.curBase + i
-	if idx >= 0 && idx < len(t.Conjuncts) {
+	if t == nil {
+		return
+	}
+	if idx := t.curBase + i; idx >= 0 && idx < len(t.Conjuncts) {
 		t.Conjuncts[idx].CumRows = n
 	}
 }
 
-// Stage appends a timed stage that started at start.
+// SetRep records the intermediate representation and why it was chosen.
 //
 //holistic:noalloc
-func (t *QueryTrace) Stage(name string, start time.Time) {
-	t.Stages = append(t.Stages, StageTrace{Name: name, Nanos: time.Since(start).Nanoseconds()})
+func (t *QueryTrace) SetRep(rep Rep, reason string) {
+	if t != nil {
+		t.Rep, t.RepReason = rep.String(), reason
+	}
 }
 
-// StageNanos appends a stage whose duration the caller already
-// measured (shared with the flight recorder's per-stage timings).
+// SetStrategy records the executed physical strategy and why.
+//
+//holistic:noalloc
+func (t *QueryTrace) SetStrategy(s Strat, reason string) {
+	if t != nil {
+		t.Strategy, t.StrategyReason = s.String(), reason
+	}
+}
+
+// SetScanned records the candidate count the driving select produced.
+//
+//holistic:noalloc
+func (t *QueryTrace) SetScanned(n int64) {
+	if t != nil {
+		t.Scanned = n
+	}
+}
+
+// SetEmitted records the final row/group/pair count.
+//
+//holistic:noalloc
+func (t *QueryTrace) SetEmitted(n int64) {
+	if t != nil {
+		t.Emitted = n
+	}
+}
+
+// StageNanos appends a stage whose duration the caller measured (shared
+// with the flight recorder's per-stage timings).
 //
 //holistic:noalloc
 func (t *QueryTrace) StageNanos(name string, nanos int64) {
-	t.Stages = append(t.Stages, StageTrace{Name: name, Nanos: nanos})
+	if t != nil {
+		t.Stages = append(t.Stages, StageTrace{Name: name, Nanos: nanos})
+	}
 }
 
 // SetStat records one named decision statistic.
 //
 //holistic:noalloc
 func (t *QueryTrace) SetStat(name string, v float64) {
-	if t.Stat == nil {
-		return // defensive: only a zero-value literal lacks the map
+	if t == nil || t.Stat == nil {
+		return // only a zero-value literal lacks the map
 	}
 	t.Stat[name] = v
 }

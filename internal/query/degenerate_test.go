@@ -18,11 +18,25 @@ func degenerateColumns() map[string][]int64 {
 	for i := range dups {
 		dups[i] = 7
 	}
+	// A domain wider than MaxInt64 on a column big enough to refine: the
+	// signed span of a random pivot draw wraps over it.
+	wide := make([]int64, 3000)
+	for i := range wide {
+		switch i % 3 {
+		case 0:
+			wide[i] = math.MinInt64 + 5
+		case 1:
+			wide[i] = math.MaxInt64 - 5
+		default:
+			wide[i] = int64(i-1500) << 51
+		}
+	}
 	return map[string][]int64{
-		"empty":      {},
-		"single":     {42},
-		"duplicates": dups,
-		"extremes":   {math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1, 5, 5},
+		"empty":         {},
+		"single":        {42},
+		"duplicates":    dups,
+		"extremes":      {math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1, 5, 5},
+		"both-extremes": wide,
 	}
 }
 
@@ -76,6 +90,9 @@ func TestDegenerateInputsAllModes(t *testing.T) {
 					for _, rg := range degenerateRanges(a) {
 						checkDegenerate(t, r, exec, bm, a, b, rg[0], rg[1])
 					}
+				}
+				if d := exec.Daemon(); d != nil && d.WorkerPanics() != 0 {
+					t.Errorf("%d daemon worker panics, last: %s", d.WorkerPanics(), d.LastPanic())
 				}
 			})
 		}

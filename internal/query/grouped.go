@@ -72,10 +72,16 @@ func (r *Runner) Grouped(keys []string, aggs []groupby.Agg, preds []Predicate) (
 // storage is reused across calls: the steady-state dense path allocates
 // nothing.
 func (r *Runner) GroupedInto(res *groupby.Result, keys []string, aggs []groupby.Agg, preds []Predicate) error {
+	return r.grouped(res, keys, aggs, preds, nil)
+}
+
+// grouped is GroupedInto inside its bracket; own is ExplainGrouped's
+// trace.
+func (r *Runner) grouped(res *groupby.Result, keys []string, aggs []groupby.Agg, preds []Predicate, own *obs.QueryTrace) error {
 	if err := r.checkGrouped(keys, aggs); err != nil {
 		return err
 	}
-	sc := r.begin(obs.OpGrouped, nil)
+	sc := r.begin(obs.OpGrouped, own)
 	err := r.groupedSC(sc, res, keys, aggs, preds)
 	var emitted int64
 	if err == nil {
@@ -86,7 +92,7 @@ func (r *Runner) GroupedInto(res *groupby.Result, keys []string, aggs []groupby.
 }
 
 // checkGrouped validates a grouped query's shape before any scratch is
-// pulled, shared by GroupedInto and ExplainGrouped.
+// pulled.
 func (r *Runner) checkGrouped(keys []string, aggs []groupby.Agg) error {
 	if len(keys) == 0 {
 		return fmt.Errorf("query: GroupBy needs at least one attribute")
@@ -118,10 +124,7 @@ func (r *Runner) checkGrouped(keys []string, aggs []groupby.Agg) error {
 //holistic:noalloc
 func (r *Runner) noteStrategy(sc *scratch, s obs.Strat, reason string) {
 	r.ob.Strategy(sc.sp.Seq, s, sc.fstat[0], sc.fstat[1])
-	if tr := sc.sp.Trace; tr != nil {
-		tr.Strategy = s.String()
-		tr.StrategyReason = reason
-	}
+	sc.sp.Trace.SetStrategy(s, reason)
 }
 
 // groupStratOf maps the executed groupby strategy to its telemetry
@@ -149,7 +152,7 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 			sc.extras = appendAbsent(sc.extras, a.Attr)
 		}
 	}
-	live, err := r.selectFor(sc, preds, sc.extras)
+	live, err := r.selectFor(sc, preds)
 	if err != nil {
 		return err
 	}
@@ -171,7 +174,7 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 	forced := groupby.Strategy(r.groupStrategy.Load())
 	if r.chooseSort(sc, spec, keys, forced) {
 		walked := false
-		err := groupby.GroupClusters(spec, sc.bm, func(fn func(vals []int64, rows []uint32)) {
+		err := groupby.GroupClusters(spec, sc.sel.Bits, func(fn func(vals []int64, rows []uint32)) {
 			walked, _ = r.exec.WalkKeyOrder(keys[0], fn)
 		}, res)
 		if err != nil {
@@ -188,7 +191,7 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 	case groupby.StrategyDense, groupby.StrategyHash:
 		spec.Force = forced
 	}
-	if err := groupby.GroupBitmap(spec, sc.bm, res); err != nil {
+	if err := groupby.GroupBitmap(spec, sc.sel.Bits, res); err != nil {
 		return err
 	}
 	r.noteGroupFallback(sc, res.Strategy, forced)
@@ -224,59 +227,48 @@ func appendAbsent(list []string, attr string) []string {
 
 // selectFor is the selection prologue grouping and join sides share:
 // the conjunction through the usual pipeline, materialized as a bitmap,
-// when predicates exist; the presence-filtered universe otherwise. The
-// extras ride along, so every selected row has a value in all of them.
-// Either way the side's observer and the trace see one bitmap
+// when predicates exist; the presence-filtered universe otherwise.
+// sc.extras ride along, so every selected row has a value in all of
+// them. Either way the side's observer and the trace see one bitmap
 // representation choice. live is false when the selection is provably
-// empty; sc.bm and sc.views are then unspecified.
+// empty; sc.sel and sc.views are then unspecified.
 //
 //holistic:noalloc
-func (r *Runner) selectFor(sc *scratch, preds []Predicate, extras []string) (live bool, err error) {
+func (r *Runner) selectFor(sc *scratch, preds []Predicate) (live bool, err error) {
 	if len(preds) > 0 {
 		empty, err := r.planScratch(sc, preds)
 		if err != nil || empty {
 			return false, err
 		}
-		if _, err = r.runSel(sc, extras, repWantBitmap); err != nil {
+		if err = r.runSel(sc, true); err != nil {
 			return false, err
 		}
-		return sc.bm.Any(), nil
+		return sc.sel.Any(), nil
 	}
-	if err := r.selectUniverse(sc, extras); err != nil {
-		return false, err
-	}
-	r.ob.Rep(sc.sp.Seq, obs.RepBitmap, float64(sc.bm.Len()), 0)
-	if tr := sc.sp.Trace; tr != nil {
-		tr.Rep = "bitmap"
-		tr.RepReason = "no predicates: whole-relation universe selection"
-		tr.Scanned = int64(sc.bm.Count())
-	}
-	return sc.bm.Any(), nil
-}
-
-// selectUniverse fills sc.bm with the whole position universe of the
-// referenced attributes, presence-filtered per attribute, and records
-// their views in sc.views.
-//
-//holistic:noalloc
-func (r *Runner) selectUniverse(sc *scratch, extras []string) error {
+	// No predicates: the whole position universe of the referenced
+	// attributes, presence-filtered per attribute.
+	bits := sc.sel.Bits
+	sc.sel.Dense = true
 	universe := 0
-	for _, attr := range extras {
+	for _, attr := range sc.extras {
 		w, err := r.exec.View(attr)
 		if err != nil {
-			return err
+			return false, err
 		}
 		sc.views[attr] = w
-		if n := w.Extent(); n > universe {
-			universe = n
-		}
+		universe = max(universe, w.Extent())
 	}
-	sc.bm.Reset(universe)
-	sc.bm.SetRange(0, universe)
-	for _, attr := range extras {
-		sc.views[attr].PresentBitmap(sc.bm)
+	bits.Reset(universe)
+	bits.SetRange(0, universe)
+	for _, attr := range sc.extras {
+		sc.views[attr].Present(&sc.sel)
 	}
-	return nil
+	r.ob.Rep(sc.sp.Seq, obs.RepBitmap, float64(universe), 0)
+	if tr := sc.sp.Trace; tr != nil { // the popcount is the trace's alone
+		tr.SetRep(obs.RepBitmap, "no predicates: whole-relation universe selection")
+		tr.Scanned = int64(bits.Count())
+	}
+	return bits.Any(), nil
 }
 
 // groupSpec assembles the groupby.Spec from pooled scratch: views from
@@ -286,8 +278,7 @@ func (r *Runner) groupSpec(sc *scratch, keys []string, aggs []groupby.Agg) *grou
 	sc.gkeys = sc.gkeys[:0]
 	for _, k := range keys {
 		w := sc.views[k]
-		lo, hi := r.domain(k)
-		lo, hi = w.ExtendBounds(lo, hi)
+		lo, hi := w.ExtendBounds(r.table.Column(k).Bounds())
 		sc.gkeys = append(sc.gkeys, groupby.Key{View: w, Lo: lo, Hi: hi})
 	}
 	sc.gviews = sc.gviews[:0]
@@ -322,60 +313,14 @@ func (r *Runner) chooseSort(sc *scratch, spec *groupby.Spec, keys []string, forc
 	}
 	// The statistics behind the sort-vs-hash choice, captured for the
 	// strategy audit event regardless of tracing.
-	sc.fstat[0] = span
-	sc.fstat[1] = float64(sc.bm.Count())
-	if tr := sc.sp.Trace; tr != nil {
-		tr.SetStat("key_order_span", span)
-		tr.SetStat("cluster_slots", float64(groupby.DefaultClusterSlots))
-		tr.SetStat("selected_rows", float64(sc.bm.Count()))
-		tr.SetStat("position_universe", float64(sc.bm.Len()))
-	}
+	bits, tr := sc.sel.Bits, sc.sp.Trace
+	sc.fstat[0], sc.fstat[1] = span, float64(bits.Count())
+	tr.SetStat("key_order_span", span)
+	tr.SetStat("cluster_slots", float64(groupby.DefaultClusterSlots))
+	tr.SetStat("selected_rows", sc.fstat[1])
+	tr.SetStat("position_universe", float64(bits.Len()))
 	if forced == groupby.StrategySort {
 		return span <= float64(groupby.DefaultClusterSlots)
 	}
-	return !groupby.DenseEligible(spec.Keys, 0) && walkPays(span, float64(groupby.DefaultClusterSlots), sc.bm)
-}
-
-// MinMax answers "select min(attr), max(attr) where <conjunction>"; ok
-// is false when no tuple qualifies. A single conjunct on attr itself
-// delegates to the mode's native MinMax pushdown; otherwise the extrema
-// fold late over the surviving selection vector — off set bits on the
-// bitmap path, by positional probes on the position-list path.
-func (r *Runner) MinMax(attr string, preds []Predicate) (mn, mx int64, ok bool, err error) {
-	if r.table.Column(attr) == nil {
-		return 0, 0, false, fmt.Errorf("query: unknown attribute %q", attr)
-	}
-	sc := r.begin(obs.OpMinMax, nil)
-	mn, mx, ok, err = r.minMaxSC(sc, attr, preds)
-	r.finish(sc, 0, err)
-	return mn, mx, ok, err
-}
-
-func (r *Runner) minMaxSC(sc *scratch, attr string, preds []Predicate) (mn, mx int64, ok bool, err error) {
-	empty, err := r.planScratch(sc, preds)
-	if err != nil || empty {
-		return 0, 0, false, err
-	}
-	if len(sc.preds) == 1 && sc.preds[0].Attr == attr {
-		r.noteNativeRep(sc, "single conjunct on the probed attribute: native minmax pushdown")
-		return r.exec.MinMax(attr, sc.preds[0].Lo, sc.preds[0].Hi)
-	}
-	extra := [1]string{attr}
-	useBm, err := r.runSel(sc, extra[:], repByPolicy)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	var n int
-	if useBm {
-		mn, mx, n = sc.views[attr].MinMaxBitmap(sc.bm)
-	} else {
-		mn, mx, n = sc.views[attr].MinMaxRows(sc.sel)
-	}
-	if tr := sc.sp.Trace; tr != nil {
-		tr.Emitted = int64(n)
-	}
-	if n == 0 {
-		return 0, 0, false, nil
-	}
-	return mn, mx, true, nil
+	return !groupby.DenseEligible(spec.Keys, 0) && walkPays(span, float64(groupby.DefaultClusterSlots), bits)
 }

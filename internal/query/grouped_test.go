@@ -479,30 +479,19 @@ func TestSteadyStateGroupedAllocationFree(t *testing.T) {
 	}
 }
 
-// colView builds a plain view for kernel-level checks.
-func colView(vals []int64) column.View { return column.View{Base: vals} }
-
-// TestMinMaxKernels sanity-checks the new column kernels directly.
+// TestMinMaxKernels sanity-checks the column MinMax operator directly,
+// in both representations.
 func TestMinMaxKernels(t *testing.T) {
 	vals := []int64{5, -3, 8, 0, 7}
 	sel := column.PosList{1, 2, 4}
-	mn, mx, n := colView(vals).MinMaxRows(sel)
-	if mn != -3 || mx != 8 || n != 3 {
-		t.Fatalf("MinMaxRows = (%d,%d,%d)", mn, mx, n)
-	}
 	bm := column.NewBitmap(len(vals))
 	for _, p := range sel {
 		bm.Set(p)
 	}
-	mn, mx, n = colView(vals).MinMaxBitmap(bm)
-	if mn != -3 || mx != 8 || n != 3 {
-		t.Fatalf("MinMaxBitmap = (%d,%d,%d)", mn, mx, n)
-	}
-	w := colView(vals)
-	if mn, mx, n = w.MinMaxRows(sel); mn != -3 || mx != 8 || n != 3 {
-		t.Fatalf("View.MinMaxRows = (%d,%d,%d)", mn, mx, n)
-	}
-	if mn, mx, n = w.MinMaxBitmap(bm); mn != -3 || mx != 8 || n != 3 {
-		t.Fatalf("View.MinMaxBitmap = (%d,%d,%d)", mn, mx, n)
+	w := column.View{Base: vals}
+	for name, s := range map[string]*column.Selection{"rows": {Rows: sel}, "bitmap": {Bits: bm, Dense: true}} {
+		if mn, mx, n := w.MinMax(s); mn != -3 || mx != 8 || n != 3 {
+			t.Fatalf("View.MinMax over %s = (%d,%d,%d)", name, mn, mx, n)
+		}
 	}
 }

@@ -69,10 +69,6 @@ type Join struct {
 	trace *obs.QueryTrace
 }
 
-// SetTrace presets a caller-owned trace the next terminal fills —
-// the Explain path. The trace is neither emitted nor recycled.
-func (j *Join) SetTrace(tr *obs.QueryTrace) { j.trace = tr }
-
 // Join starts an equi-join between this runner's relation (the left
 // side) and another runner's (the right side — possibly the same
 // runner, a self-join).
@@ -180,8 +176,7 @@ func (j *Join) GroupedInto(res *groupby.Result, keys []GroupKey, aggs []GroupAgg
 			r, sc = j.right, rsc
 		}
 		w := sc.views[attr]
-		lo, hi := r.domain(attr)
-		lo, hi = w.ExtendBounds(lo, hi)
+		lo, hi := w.ExtendBounds(r.table.Column(attr).Bounds())
 		return join.PairCol{Side: side, View: w}, [2]int64{lo, hi}
 	}
 	pkeys := make([]join.PairCol, len(keys))
@@ -264,13 +259,9 @@ func (j *Join) runInto(op join.Op, lExtra, rExtra []string, pairs *join.Pairs) (
 	lsc = j.left.begin(obs.OpJoin, j.trace)
 	rsc = j.right.getScratch()
 	rsc.sp = lsc.sp
-	if tr := lsc.sp.Trace; tr != nil {
-		tr.RowsRight = j.right.table.Rows()
-	}
+	lsc.sp.Trace.SetRowsRight(j.right.table.Rows())
 	err = j.joinSC(op, lsc, rsc, lExtra, rExtra, pairs)
-	if tr := lsc.sp.Trace; tr != nil {
-		tr.Emitted = j.count
-	}
+	lsc.sp.Trace.SetEmitted(j.count)
 	sp := lsc.sp
 	lsc.sp.Trace, rsc.sp.Trace = nil, nil // End emits and recycles it, or it is the caller's
 	j.left.ob.End(sp, lsc.driveNs+rsc.driveNs, lsc.refineNs+rsc.refineNs, j.count, err)
@@ -282,9 +273,7 @@ func (j *Join) runInto(op join.Op, lExtra, rExtra []string, pairs *join.Pairs) (
 //
 //holistic:noalloc
 func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pairs *join.Pairs) error {
-	if tr := lsc.sp.Trace; tr != nil {
-		tr.BeginSide("left")
-	}
+	lsc.sp.Trace.BeginSide("left")
 	lLive, err := selectSide(j.left, lsc, j.leftPreds, j.leftAttr, lExtra)
 	if err != nil {
 		return err
@@ -294,9 +283,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		// side's selection pass entirely.
 		return nil
 	}
-	if tr := rsc.sp.Trace; tr != nil {
-		tr.BeginSide("right")
-	}
+	rsc.sp.Trace.BeginSide("right")
 	rLive, err := selectSide(j.right, rsc, j.rightPreds, j.rightAttr, rExtra)
 	if err != nil {
 		return err
@@ -323,8 +310,8 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 					}
 					return err == nil && ok
 				},
-				Sel:   sc.bm,
-				Count: sc.bm.Count(),
+				Sel:   sc.sel.Bits,
+				Count: sc.sel.Bits.Count(),
 			}
 			if sumSide {
 				s.Vals = sc.views[sumAttr(op, lExtra, rExtra)]
@@ -383,7 +370,7 @@ func selectSide(r *Runner, sc *scratch, preds []Predicate, joinAttr string, extr
 	for _, a := range extra {
 		sc.extras = appendAbsent(sc.extras, a)
 	}
-	return r.selectFor(sc, preds, sc.extras)
+	return r.selectFor(sc, preds)
 }
 
 // gatherJoinSide materializes one side's selected join keys and rows
@@ -391,7 +378,7 @@ func selectSide(r *Runner, sc *scratch, preds []Predicate, joinAttr string, extr
 //
 //holistic:noalloc
 func gatherJoinSide(sc *scratch, attr string) join.Input {
-	rows := sc.bm.AppendPositions(sc.jrows[:0])
+	rows := sc.sel.Positions(sc.jrows[:0])
 	sc.jrows = rows
 	keys := sc.views[attr].GatherRows(sc.jkeys[:0], rows)
 	sc.jkeys = keys
@@ -410,24 +397,22 @@ func (j *Join) chooseMerge(lsc, rsc *scratch) bool {
 	if forced == JoinHash {
 		return false
 	}
+	lBits, rBits := lsc.sel.Bits, rsc.sel.Bits
 	lSpan, lOK := j.left.exec.KeyOrderSpan(j.leftAttr)
 	rSpan, rOK := j.right.exec.KeyOrderSpan(j.rightAttr)
+	tr := lsc.sp.Trace
 	if lOK {
 		lsc.fstat[0] = lSpan
+		tr.SetStat("left_key_order_span", lSpan)
 	}
 	if rOK {
 		lsc.fstat[1] = rSpan
+		tr.SetStat("right_key_order_span", rSpan)
 	}
-	if tr := lsc.sp.Trace; tr != nil {
-		if lOK {
-			tr.SetStat("left_key_order_span", lSpan)
-		}
-		if rOK {
-			tr.SetStat("right_key_order_span", rSpan)
-		}
-		tr.SetStat("merge_span_bound", float64(join.DefaultMergeSpan))
-		tr.SetStat("left_selected_rows", float64(lsc.bm.Count()))
-		tr.SetStat("right_selected_rows", float64(rsc.bm.Count()))
+	tr.SetStat("merge_span_bound", float64(join.DefaultMergeSpan))
+	if tr != nil { // two popcounts only a trace pays
+		tr.SetStat("left_selected_rows", float64(lBits.Count()))
+		tr.SetStat("right_selected_rows", float64(rBits.Count()))
 	}
 	if !lOK || !rOK {
 		return false
@@ -436,5 +421,5 @@ func (j *Join) chooseMerge(lsc, rsc *scratch) bool {
 		return true
 	}
 	bound := float64(join.DefaultMergeSpan)
-	return walkPays(lSpan, bound, lsc.bm) && walkPays(rSpan, bound, rsc.bm)
+	return walkPays(lSpan, bound, lBits) && walkPays(rSpan, bound, rBits)
 }

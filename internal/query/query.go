@@ -3,36 +3,36 @@
 //
 //	SELECT agg(c) FROM R WHERE a BETWEEN .. AND b BETWEEN .. [AND ...]
 //
-// over any mode of the engine.Executor. It follows the column-store pipeline
-// of the paper's Section 3.1, generalized to several predicates:
+// over any mode of the engine.Executor. Every terminal — Count, Sum,
+// MinMax, Rows, Values, and the selection half of grouped queries and
+// join sides — is one body (Runner.answer) over one intermediate
+// (column.Selection), the column-store pipeline of the paper's Section
+// 3.1 generalized to several predicates:
 //
-//  1. Plan: estimate each conjunct's selectivity — exactly, when the
-//     mode's index structures can answer (sorted columns, existing
-//     cracker boundaries, via Executor.EstimateCount), otherwise a
-//     uniform guess over the attribute's cached value domain — and
-//     order the conjuncts most selective first.
-//  2. Choose a representation for the intermediate selection vector
-//     from the driving conjunct's estimated selectivity: a dense drive
-//     (at or above the bitmap crossover) flows through a word-packed
-//     column.Bitmap — one bit per base position, residual conjuncts
-//     intersect word at a time — while a sparse drive materializes the
-//     classic position list and refines by positional probes. Both
-//     representations live in pooled scratch, so the steady-state
-//     count/aggregate path allocates nothing.
-//  3. Drive: evaluate the most selective conjunct through the mode's
-//     native access path (Executor.SelectBitmap or Executor.SelectRows:
-//     cracked pieces, sorted slices or parallel scan), producing the
-//     candidate selection vector. This is the only conjunct that builds
-//     or refines an index.
-//  4. Refine: evaluate every remaining conjunct against the candidate
-//     vector in place — bitmap words ANDed against branch-free
-//     predicate masks (zero words skipped), or position lists filtered
-//     by probes into the attribute's current data (column.View, late
-//     tuple reconstruction) — cheapest first, so each pass runs over
-//     the smallest possible intermediate.
-//  5. Project/aggregate: count, fold or fetch at the surviving
-//     positions; the bitmap converts to positions (already ascending)
-//     only at this boundary, and only for the materializing forms.
+//  1. Plan (planScratch): estimate each conjunct's selectivity — exactly,
+//     when the mode's index structures can answer (sorted columns,
+//     existing cracker boundaries, via Executor.EstimateCount),
+//     otherwise a uniform guess over the column's Bounds — and order the
+//     conjuncts most selective first. A single conjunct the mode has a
+//     terminal of its own for stops here (Runner.native).
+//  2. Drive (runSel): choose the selection's representation from the
+//     driving conjunct's estimated selectivity — a word-packed
+//     column.Bitmap at or above the crossover, the classic position list
+//     below it — and evaluate that conjunct through the mode's access
+//     path (Executor.SelectBitmap or SelectRows: cracked pieces, sorted
+//     slices or parallel scan). This is the only conjunct that builds or
+//     refines an index, and the only place the representation is named.
+//  3. Refine (runSel): every remaining conjunct filters the selection in
+//     place through the attribute's update-aware column.View — bitmap
+//     words ANDed against branch-free predicate masks, or positional
+//     probes (late tuple reconstruction) — cheapest first; attributes
+//     referenced but not filtered get a presence filter.
+//  4. Consume (answer): count, fold or fetch at the surviving positions;
+//     only the materializing forms allocate, and only what they return.
+//
+// The request and its result cross the stages as one by-value want; the
+// selection and everything else live in pooled scratch, so the
+// steady-state count/aggregate path allocates nothing.
 //
 // Under ModeHolistic every conjunct — not only the driving one — is
 // reported to the executor (Executor.NotePredicate), so all touched
@@ -119,18 +119,12 @@ type Runner struct {
 	// goes to it, one call per site. nil leaves the runner uninstrumented
 	// (the calls are nil-safe). Attach before the first query.
 	ob *observer.Observer
-
-	mu      sync.Mutex
-	domains map[string][2]int64 // cached base-column min/max per attribute
 }
 
 // New builds a runner; threads bounds the parallelism of probe and
 // fetch kernels.
 func New(t *engine.Table, exec *engine.Executor, threads int) *Runner {
-	if threads < 1 {
-		threads = 1
-	}
-	r := &Runner{table: t, exec: exec, threads: threads, domains: make(map[string][2]int64)}
+	r := &Runner{table: t, exec: exec, threads: max(threads, 1)}
 	r.crossover.Store(math.Float64bits(DefaultBitmapCrossover))
 	return r
 }
@@ -152,21 +146,22 @@ func (r *Runner) SetObserver(ob *observer.Observer) { r.ob = ob }
 // Where clause.
 var ErrNoPredicates = fmt.Errorf("query: at least one predicate is required")
 
-// scratch is the pooled per-query execution state. Exactly one of sel
-// (position-list form) or bm (bitmap form) carries the candidates after
-// runSel; views holds the snapshot each referenced attribute was
-// filtered through, which the fetch step MUST reuse — a fresh snapshot
-// taken later could already reflect a concurrent delete and would make
-// the fetch fail.
+// scratch is the pooled per-query execution state. sel carries the
+// candidates from the drive on; views holds the snapshot each referenced
+// attribute was filtered through, which the fetch step MUST reuse — a
+// fresh snapshot taken later could already reflect a concurrent delete
+// and would make the fetch fail.
 type scratch struct {
 	preds []Predicate
 	ests  []float64
-	sel   column.PosList
-	bm    *column.Bitmap
+	sel   column.Selection
 	views map[string]column.View
-	// Grouped-query extensions: the referenced-attribute work list and
-	// the groupby spec (with its backing arrays), reused per query.
+	// extras is the work list of attributes a query references beyond
+	// its predicates (aggregate inputs, projections, group and join
+	// keys): runSel presence-filters the selection through each.
 	extras []string
+	// Grouped-query extensions: the groupby spec with its backing
+	// arrays, reused per query.
 	gkeys  []groupby.Key
 	gviews []column.View
 	gspec  groupby.Spec
@@ -190,7 +185,7 @@ type scratch struct {
 func (r *Runner) getScratch() *scratch {
 	sc, _ := r.scratchPool.Get().(*scratch)
 	if sc == nil {
-		sc = &scratch{bm: column.NewBitmap(0), views: make(map[string]column.View, 4)}
+		sc = &scratch{sel: column.Selection{Bits: column.NewBitmap(0)}, views: make(map[string]column.View, 4)}
 	}
 	return sc
 }
@@ -198,7 +193,7 @@ func (r *Runner) getScratch() *scratch {
 //holistic:noalloc
 func (r *Runner) putScratch(sc *scratch) {
 	clear(sc.views) // drop references to column data; buckets are retained
-	sc.sel = sc.sel[:0]
+	sc.sel.Rows = sc.sel.Rows[:0]
 	sc.preds = sc.preds[:0]
 	sc.ests = sc.ests[:0]
 	sc.extras = sc.extras[:0]
@@ -223,10 +218,7 @@ func (r *Runner) putScratch(sc *scratch) {
 func (r *Runner) begin(op obs.Op, own *obs.QueryTrace) *scratch {
 	sc := r.getScratch()
 	sc.sp = r.ob.Begin(op, own)
-	if tr := sc.sp.Trace; tr != nil {
-		tr.Mode = r.exec.Label()
-		tr.Rows = r.table.Rows()
-	}
+	sc.sp.Trace.SetRelation(r.exec.Label(), r.table.Rows())
 	return sc
 }
 
@@ -240,27 +232,6 @@ func (r *Runner) finish(sc *scratch, result int64, err error) {
 	r.putScratch(sc)
 }
 
-// domain returns the cached [min, max] of attr's base column, scanning
-// it once on first use unless the column was loaded knowing them.
-//
-//holistic:noalloc
-func (r *Runner) domain(attr string) (lo, hi int64) {
-	r.mu.Lock()
-	d, ok := r.domains[attr]
-	r.mu.Unlock()
-	if ok {
-		return d[0], d[1]
-	}
-	col := r.table.Column(attr)
-	if lo, hi, ok = col.KnownBounds(); !ok {
-		lo, hi = column.Bounds(col.Values())
-	}
-	r.mu.Lock()
-	r.domains[attr] = [2]int64{lo, hi}
-	r.mu.Unlock()
-	return lo, hi
-}
-
 // estimate returns the expected number of qualifying tuples for one
 // conjunct: the executor's index-based answer when available, otherwise
 // a uniform guess over the attribute's base domain.
@@ -270,23 +241,8 @@ func (r *Runner) estimate(p Predicate) float64 {
 	if n, _, ok := r.exec.EstimateCount(p.Attr, p.Lo, p.Hi); ok {
 		return n
 	}
-	dLo, dHi := r.domain(p.Attr)
+	dLo, dHi := r.table.Column(p.Attr).Bounds()
 	return column.UniformEstimate(float64(r.table.Rows()), dLo, dHi, p.Lo, p.Hi)
-}
-
-// Plan orders the conjuncts most selective first (stable on ties) and
-// returns the per-conjunct estimates alongside, aligned with the
-// returned order. Exported for telemetry and tests; the query forms
-// plan internally through pooled scratch.
-func (r *Runner) Plan(preds []Predicate) ([]Predicate, []float64) {
-	ordered := make([]Predicate, len(preds))
-	ests := make([]float64, len(preds))
-	copy(ordered, preds)
-	for i, p := range ordered {
-		ests[i] = r.estimate(p)
-	}
-	sortByEstimate(ordered, ests)
-	return ordered, ests
 }
 
 // sortByEstimate stably sorts preds ascending by est (insertion sort:
@@ -302,11 +258,6 @@ func sortByEstimate(preds []Predicate, ests []float64) {
 	}
 }
 
-// planScratch validates attributes, intersects duplicate attributes
-// into one conjunct, reports empty ranges, and orders the surviving
-// conjuncts most selective first — all into sc, allocating nothing once
-// the scratch is warm.
-//
 // errf builds a formatted error; the noalloc entry points route their
 // cold error paths through it so the allocation sits behind one
 // reviewed boundary.
@@ -316,6 +267,11 @@ func errf(format string, args ...any) error {
 	return fmt.Errorf(format, args...)
 }
 
+// planScratch is the plan stage: it validates attributes, intersects
+// duplicate attributes into one conjunct, reports empty ranges, and
+// orders the surviving conjuncts most selective first — all into sc,
+// allocating nothing once the scratch is warm.
+//
 //holistic:alloc-ok error paths format diagnostics
 func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err error) {
 	if len(preds) == 0 {
@@ -329,12 +285,7 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 		merged := false
 		for i := range out {
 			if out[i].Attr == p.Attr {
-				if p.Lo > out[i].Lo {
-					out[i].Lo = p.Lo
-				}
-				if p.Hi < out[i].Hi {
-					out[i].Hi = p.Hi
-				}
+				out[i].Lo, out[i].Hi = max(out[i].Lo, p.Lo), min(out[i].Hi, p.Hi)
 				merged = true
 				break
 			}
@@ -355,117 +306,85 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 	}
 	sc.ests = ests
 	sortByEstimate(sc.preds, sc.ests)
-	if tr := sc.sp.Trace; tr != nil {
-		for i, p := range sc.preds {
-			tr.AddConjunct(p.Attr, p.Lo, p.Hi, sc.ests[i], i == 0)
-		}
-	}
-	if r.ob != nil {
-		// Predicate admission charges the access heatmaps, every
-		// conjunct's span once.
-		for _, p := range sc.preds {
-			dLo, dHi := r.domain(p.Attr)
+	for i, p := range sc.preds {
+		sc.sp.Trace.AddConjunct(p.Attr, p.Lo, p.Hi, sc.ests[i], i == 0)
+		if r.ob != nil {
+			// Predicate admission charges the access heatmaps, every
+			// conjunct's span once.
+			dLo, dHi := r.table.Column(p.Attr).Bounds()
 			r.ob.Predicate(p.Attr, p.Lo, p.Hi, dLo, dHi)
 		}
 	}
 	return false, nil
 }
 
-// chooseBitmap applies the representation policy to the planned query
-// in sc: bitmaps pay off only when the driving conjunct is dense and
-// there is at least one residual conjunct to intersect. The reason is a static string for the
-// trace — the numbers it refers to travel as trace stats.
+// chooseRep applies the representation policy to the planned query in
+// sc: bitmaps pay off only when the driving conjunct is dense and there
+// is at least one residual conjunct to intersect. The reason is a static
+// string for the trace — the numbers it refers to travel as trace stats.
 //
 //holistic:noalloc
-func (r *Runner) chooseBitmap(sc *scratch) (bool, string) {
+func (r *Runner) chooseRep(sc *scratch) (obs.Rep, string) {
 	if len(sc.preds) < 2 {
-		return false, "single conjunct: nothing to intersect"
+		return obs.RepPosList, "single conjunct: nothing to intersect"
 	}
 	switch RepPolicy(r.policy.Load()) {
 	case RepPosList:
-		return false, "policy pins position lists"
+		return obs.RepPosList, "policy pins position lists"
 	case RepBitmap:
-		return true, "policy pins bitmaps"
+		return obs.RepBitmap, "policy pins bitmaps"
 	}
 	rows := float64(r.table.Rows())
 	if rows <= 0 {
-		return false, "empty relation"
+		return obs.RepPosList, "empty relation"
 	}
 	if sc.ests[0] >= math.Float64frombits(r.crossover.Load())*rows {
-		return true, "estimated driving selectivity at or above crossover"
+		return obs.RepBitmap, "estimated driving selectivity at or above crossover"
 	}
-	return false, "estimated driving selectivity below crossover"
+	return obs.RepPosList, "estimated driving selectivity below crossover"
 }
 
-// repChoice tells runSel how to represent the intermediate selection
-// vector: by the crossover rule, or pinned (the grouped path always
-// wants the bitmap — its accumulators and the sort strategy's cluster
-// membership tests both consume bits).
-type repChoice int
-
-const (
-	repByPolicy repChoice = iota
-	repWantBitmap
-)
-
-// runSel executes plan steps 2-4 plus the presence filter for the
-// extra (aggregate/projection) attributes: the driving conjunct runs
-// through the mode's access path in the chosen representation, the rest
-// refine in place. On return the candidates sit in sc.bm (useBitmap
-// true) or sc.sel, and sc.views holds the snapshot each attribute was
-// filtered through.
+// runSel is the drive and refine stages plus the presence filter for
+// sc.extras: it decides the selection's representation — by the
+// crossover rule, or bits when the consumer wants them (grouping
+// accumulators and the sort strategy's cluster membership tests consume
+// bits) — and that is the last place the representation is named: the
+// driving conjunct fills sc.sel through the mode's access path, the rest
+// refine it in place through column.View. On return sc.views holds the
+// snapshot each attribute was filtered through.
 //
 //holistic:noalloc
-func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBitmap bool, err error) {
-	drive := sc.preds[0]
-	var reason string
-	if rep == repWantBitmap {
-		useBitmap, reason = true, "pipeline consumes bits (grouped/join path)"
-	} else {
-		useBitmap, reason = r.chooseBitmap(sc)
+func (r *Runner) runSel(sc *scratch, bits bool) error {
+	drive, sel, tr := sc.preds[0], &sc.sel, sc.sp.Trace
+	rep, reason := obs.RepBitmap, "pipeline consumes bits (grouped/join path)"
+	if !bits {
+		rep, reason = r.chooseRep(sc)
 	}
-	repKind := obs.RepPosList
-	if useBitmap {
-		repKind = obs.RepBitmap
-	}
-	r.ob.Rep(sc.sp.Seq, repKind, sc.ests[0], len(sc.preds))
-	tr := sc.sp.Trace
+	sel.Dense = rep == obs.RepBitmap
+	r.ob.Rep(sc.sp.Seq, rep, sc.ests[0], len(sc.preds))
+	tr.SetRep(rep, reason)
+	tr.SetStat("est_driving_rows", sc.ests[0])
 	timed := tr != nil || r.ob != nil
 	var t0 time.Time
-	if tr != nil {
-		if useBitmap {
-			tr.Rep = "bitmap"
-		} else {
-			tr.Rep = "poslist"
-		}
-		tr.RepReason = reason
-		tr.SetStat("est_driving_rows", sc.ests[0])
-	}
 	if timed {
 		t0 = time.Now()
 	}
-	if useBitmap {
-		if err := r.exec.SelectBitmap(drive.Attr, drive.Lo, drive.Hi, sc.bm); err != nil {
-			return false, err
-		}
+	var err error
+	if sel.Dense {
+		err = r.exec.SelectBitmap(drive.Attr, drive.Lo, drive.Hi, sel.Bits)
 	} else {
-		rows, err := r.exec.SelectRows(drive.Attr, drive.Lo, drive.Hi)
-		if err != nil {
-			return false, err
-		}
-		sc.sel = rows // SelectRows results are caller-owned: refine in place
+		sel.Rows, err = r.exec.SelectRows(drive.Attr, drive.Lo, drive.Hi) // caller-owned: refined in place
+	}
+	if err != nil {
+		return err
 	}
 	if timed {
 		// The ledger's drive credit is the executor's to give (its
 		// epilogue sees every door); this split feeds the query event.
 		sc.driveNs = time.Since(t0).Nanoseconds()
 	}
-	if tr != nil {
-		if useBitmap {
-			tr.Scanned = int64(sc.bm.Count())
-		} else {
-			tr.Scanned = int64(len(sc.sel))
-		}
+	if tr != nil { // counting a bitmap is a pass only a trace pays
+		tr.Scanned = int64(sel.Count())
 		tr.SetCum(0, tr.Scanned)
 		tr.StageNanos("drive", sc.driveNs)
 	}
@@ -474,68 +393,196 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 	}
 	for _, p := range sc.preds[1:] {
 		if err := r.exec.NotePredicate(p.Attr); err != nil {
-			return false, err
+			return err
 		}
 	}
-	// live mirrors the poslist path's len > 0 guards: once the
-	// conjunction is empty, later stages skip the data entirely.
-	live := !useBitmap || sc.bm.Any()
+	// Once the conjunction is empty, later stages skip the data entirely
+	// (and a skipped conjunct keeps CumRows -1).
+	live := sel.Any()
 	for i, p := range sc.preds[1:] {
 		w, err := r.exec.View(p.Attr)
 		if err != nil {
-			return false, err
+			return err
 		}
 		sc.views[p.Attr] = w
-		evaluated := false
-		if useBitmap {
-			if live {
-				w.FilterBitmap(sc.bm, p.Lo, p.Hi, r.threads)
-				live = sc.bm.Any()
-				evaluated = true
-			}
-		} else if len(sc.sel) > 0 {
-			sc.sel = w.FilterRowsInPlace(sc.sel, p.Lo, p.Hi, r.threads)
-			evaluated = true
+		if !live {
+			continue
 		}
-		// Surviving counts are measured only when tracing (the bitmap
-		// popcount is an extra pass); skipped conjuncts keep CumRows -1.
-		if tr != nil && evaluated {
-			if useBitmap {
-				tr.SetCum(i+1, int64(sc.bm.Count()))
-			} else {
-				tr.SetCum(i+1, int64(len(sc.sel)))
-			}
+		w.Filter(sel, p.Lo, p.Hi, r.threads)
+		live = sel.Any()
+		if tr != nil {
+			tr.SetCum(i+1, int64(sel.Count()))
 		}
 	}
 	if timed && len(sc.preds) > 1 {
 		sc.refineNs = time.Since(t0).Nanoseconds()
-		if tr != nil {
-			tr.StageNanos("refine", sc.refineNs)
-		}
+		tr.StageNanos("refine", sc.refineNs)
 	}
 	// Range-filtered attributes are present by construction; the other
 	// referenced attributes (including the driving one, whose rows came
 	// from the index rather than a view) get an explicit presence
 	// filter through the snapshot that will serve the fetch.
-	for _, attr := range extraAttrs {
+	for _, attr := range sc.extras {
 		if _, ok := sc.views[attr]; ok {
 			continue
 		}
 		w, err := r.exec.View(attr)
 		if err != nil {
-			return false, err
+			return err
 		}
 		sc.views[attr] = w
-		if useBitmap {
-			if live {
-				w.PresentBitmap(sc.bm)
-				live = sc.bm.Any()
-			}
-		} else if len(sc.sel) > 0 {
-			sc.sel = w.PresentRowsInPlace(sc.sel)
+		if live {
+			w.Present(sel)
+			live = sel.Any()
 		}
 	}
-	return useBitmap, nil
+	return nil
+}
+
+// want is one terminal's request and, once answered, its result. Like
+// engine.fold it crosses the pipeline by value: a pointer or a closure
+// would escape to the heap and cost the steady state its zero
+// allocations.
+type want struct {
+	op    obs.Op   // OpCount, OpSum, OpMinMax, OpRows or OpValues
+	attr  string   // the aggregated attribute (Sum, MinMax)
+	attrs []string // the projection list (Values)
+
+	n      int64 // qualifying rows (Count, Rows, Values)
+	sum    int64
+	mn, mx int64
+	ok     bool      // MinMax: a tuple qualified
+	rows   []uint32  // Rows: ascending
+	cols   [][]int64 // Values: one aligned slice per attrs, tuples by ascending row id
+}
+
+// nativeReason is why a single conjunct bypassed the selection vector,
+// per terminal that can: the mode's own terminal answers it.
+var nativeReason = [obs.NumOps]string{
+	obs.OpCount:  "single conjunct answered by the mode's native count",
+	obs.OpSum:    "single conjunct on the aggregated attribute: native sum pushdown",
+	obs.OpMinMax: "single conjunct on the probed attribute: native minmax pushdown",
+	obs.OpRows:   "single conjunct materialized by the mode's native row select",
+}
+
+// run is every terminal between its argument checks and its return:
+// begin, answer, finish. own is an Explain door's trace.
+//
+//holistic:noalloc
+func (r *Runner) run(preds []Predicate, w want, own *obs.QueryTrace) (want, error) {
+	sc := r.begin(w.op, own)
+	w, err := r.answer(sc, preds, w)
+	result := w.n
+	if w.op == obs.OpSum {
+		result = w.sum
+	}
+	r.finish(sc, result, err)
+	return w, err
+}
+
+// answer is the one query body: plan, then either the mode's native
+// terminal or drive and refine (runSel) and one consume step over the
+// surviving selection — a count, a late fold straight off it, or a fetch
+// at its positions.
+//
+//holistic:noalloc
+func (r *Runner) answer(sc *scratch, preds []Predicate, w want) (want, error) {
+	empty, err := r.planScratch(sc, preds)
+	if err != nil || empty {
+		return w, err
+	}
+	// A single conjunct needs no selection vector where the mode has a
+	// terminal of its own for it: a count or a row list always, a fold
+	// when it is over the conjunct's own attribute.
+	if p := sc.preds[0]; len(sc.preds) == 1 && nativeReason[w.op] != "" && (w.attr == "" || w.attr == p.Attr) {
+		return r.native(sc, p, w)
+	}
+	sc.extras = append(sc.extras[:0], w.attrs...)
+	if w.attr != "" {
+		sc.extras = append(sc.extras, w.attr)
+	}
+	if err := r.runSel(sc, false); err != nil {
+		return w, err
+	}
+	sel, tr := &sc.sel, sc.sp.Trace
+	switch w.op {
+	case obs.OpCount:
+		w.n = int64(sel.Count())
+		tr.SetEmitted(w.n)
+	case obs.OpSum:
+		if tr != nil { // the fold needs no count: only a trace pays for one
+			tr.Emitted = int64(sel.Count())
+		}
+		w.sum = sc.views[w.attr].Sum(sel, r.threads)
+	case obs.OpMinMax:
+		var n int
+		w.mn, w.mx, n = sc.views[w.attr].MinMax(sel)
+		w.ok = n > 0
+		tr.SetEmitted(int64(n))
+	case obs.OpRows:
+		w.rows = positions(sel)
+		w.n = int64(len(w.rows))
+		tr.SetEmitted(w.n)
+	case obs.OpValues:
+		w.cols = r.project(sc, w.attrs)
+		w.n = int64(len(w.cols[0]))
+	}
+	return w, nil
+}
+
+// native answers a single-conjunct query through the executor's own
+// terminal and records that no intermediate representation existed.
+//
+//holistic:noalloc
+func (r *Runner) native(sc *scratch, p Predicate, w want) (want, error) {
+	r.ob.Rep(sc.sp.Seq, obs.RepNative, sc.ests[0], 1)
+	tr := sc.sp.Trace
+	tr.SetRep(obs.RepNative, nativeReason[w.op])
+	var err error
+	switch w.op {
+	case obs.OpSum:
+		w.sum, err = r.exec.Sum(p.Attr, p.Lo, p.Hi)
+		return w, err
+	case obs.OpMinMax:
+		w.mn, w.mx, w.ok, err = r.exec.MinMax(p.Attr, p.Lo, p.Hi)
+		return w, err
+	case obs.OpCount:
+		var n int
+		n, err = r.exec.Count(p.Attr, p.Lo, p.Hi)
+		w.n = int64(n)
+	case obs.OpRows:
+		w.rows, err = r.exec.SelectRows(p.Attr, p.Lo, p.Hi)
+		slices.Sort(w.rows)
+		w.n = int64(len(w.rows))
+	}
+	if err == nil { // the terminals that know their cardinality report it
+		tr.SetCum(0, w.n)
+		tr.SetScanned(w.n)
+		tr.SetEmitted(w.n)
+	}
+	return w, err
+}
+
+// positions materializes the selection as ascending row ids.
+//
+//holistic:alloc-ok the result is the caller's
+func positions(sel *column.Selection) []uint32 {
+	return sel.Positions(make(column.PosList, 0, sel.Count()))
+}
+
+// project is the project operator over the surviving selection: the
+// requested attributes fetched at its positions in ascending row-id
+// order, each through the snapshot it was presence-filtered with.
+//
+//holistic:alloc-ok the result is the caller's
+func (r *Runner) project(sc *scratch, attrs []string) [][]int64 {
+	sc.sel.Sort()
+	n := sc.sel.Count()
+	out := make([][]int64, len(attrs))
+	for i, a := range attrs {
+		out[i] = sc.views[a].Fetch(&sc.sel, make([]int64, 0, n), r.threads)
+	}
+	return out
 }
 
 // Count answers "select count(*) where <conjunction>". A single
@@ -544,64 +591,8 @@ func (r *Runner) runSel(sc *scratch, extraAttrs []string, rep repChoice) (useBit
 //
 //holistic:noalloc
 func (r *Runner) Count(preds []Predicate) (int, error) {
-	sc := r.begin(obs.OpCount, nil)
-	n, err := r.countSC(sc, preds)
-	r.finish(sc, int64(n), err)
-	return n, err
-}
-
-//holistic:noalloc
-func (r *Runner) countSC(sc *scratch, preds []Predicate) (int, error) {
-	empty, err := r.planScratch(sc, preds)
-	if err != nil || empty {
-		return 0, err
-	}
-	if len(sc.preds) == 1 {
-		r.noteNativeRep(sc, "single conjunct answered by the mode's native count")
-		n, err := r.exec.Count(sc.preds[0].Attr, sc.preds[0].Lo, sc.preds[0].Hi)
-		r.noteNativeResult(sc, int64(n), err)
-		return n, err
-	}
-	useBm, err := r.runSel(sc, nil, repByPolicy)
-	if err != nil {
-		return 0, err
-	}
-	var n int
-	if useBm {
-		n = sc.bm.Count()
-	} else {
-		n = len(sc.sel)
-	}
-	if tr := sc.sp.Trace; tr != nil {
-		tr.Emitted = int64(n)
-	}
-	return n, nil
-}
-
-// noteNativeRep marks a traced single-conjunct query as answered by the
-// executor's native access path (no intermediate representation).
-//
-//holistic:noalloc
-func (r *Runner) noteNativeRep(sc *scratch, reason string) {
-	est := 0.0
-	if len(sc.ests) > 0 {
-		est = sc.ests[0]
-	}
-	r.ob.Rep(sc.sp.Seq, obs.RepNative, est, len(sc.preds))
-	if tr := sc.sp.Trace; tr != nil {
-		tr.Rep = "native"
-		tr.RepReason = reason
-	}
-}
-
-// noteNativeResult records the native path's cardinality on the trace.
-//
-//holistic:noalloc
-func (r *Runner) noteNativeResult(sc *scratch, n int64, err error) {
-	if tr := sc.sp.Trace; tr != nil && err == nil {
-		tr.SetCum(0, n)
-		tr.Scanned, tr.Emitted = n, n
-	}
+	w, err := r.run(preds, want{op: obs.OpCount}, nil)
+	return int(w.n), err
 }
 
 // Sum answers "select sum(attr) where <conjunction>". When the single
@@ -614,80 +605,27 @@ func (r *Runner) Sum(attr string, preds []Predicate) (int64, error) {
 	if r.table.Column(attr) == nil {
 		return 0, errf("query: unknown attribute %q", attr)
 	}
-	sc := r.begin(obs.OpSum, nil)
-	s, err := r.sumSC(sc, attr, preds)
-	r.finish(sc, s, err)
-	return s, err
+	w, err := r.run(preds, want{op: obs.OpSum, attr: attr}, nil)
+	return w.sum, err
 }
 
-//holistic:noalloc
-func (r *Runner) sumSC(sc *scratch, attr string, preds []Predicate) (int64, error) {
-	empty, err := r.planScratch(sc, preds)
-	if err != nil || empty {
-		return 0, err
+// MinMax answers "select min(attr), max(attr) where <conjunction>"; ok
+// is false when no tuple qualifies. Native pushdown and late fold as
+// for Sum.
+func (r *Runner) MinMax(attr string, preds []Predicate) (mn, mx int64, ok bool, err error) {
+	if r.table.Column(attr) == nil {
+		return 0, 0, false, errf("query: unknown attribute %q", attr)
 	}
-	if len(sc.preds) == 1 && sc.preds[0].Attr == attr {
-		r.noteNativeRep(sc, "single conjunct on the aggregated attribute: native sum pushdown")
-		return r.exec.Sum(attr, sc.preds[0].Lo, sc.preds[0].Hi)
-	}
-	extra := [1]string{attr}
-	useBm, err := r.runSel(sc, extra[:], repByPolicy)
-	if err != nil {
-		return 0, err
-	}
-	if tr := sc.sp.Trace; tr != nil {
-		if useBm {
-			tr.Emitted = int64(sc.bm.Count())
-		} else {
-			tr.Emitted = int64(len(sc.sel))
-		}
-	}
-	if useBm {
-		return sc.views[attr].SumBitmap(sc.bm), nil
-	}
-	return sc.views[attr].SumRows(sc.sel, r.threads), nil
+	w, err := r.run(preds, want{op: obs.OpMinMax, attr: attr}, nil)
+	return w.mn, w.mx, w.ok, err
 }
 
 // Rows materializes the qualifying base row ids in ascending order.
 // Bitmap intermediates iterate in ascending position order, so the sort
 // disappears on the dense path.
 func (r *Runner) Rows(preds []Predicate) ([]uint32, error) {
-	sc := r.begin(obs.OpRows, nil)
-	rows, err := r.rowsSC(sc, preds)
-	r.finish(sc, int64(len(rows)), err)
-	return rows, err
-}
-
-func (r *Runner) rowsSC(sc *scratch, preds []Predicate) ([]uint32, error) {
-	empty, err := r.planScratch(sc, preds)
-	if err != nil || empty {
-		return nil, err
-	}
-	if len(sc.preds) == 1 {
-		r.noteNativeRep(sc, "single conjunct materialized by the mode's native row select")
-		rows, err := r.exec.SelectRows(sc.preds[0].Attr, sc.preds[0].Lo, sc.preds[0].Hi)
-		if err != nil {
-			return nil, err
-		}
-		r.noteNativeResult(sc, int64(len(rows)), nil)
-		slices.Sort(rows)
-		return rows, nil
-	}
-	useBm, err := r.runSel(sc, nil, repByPolicy)
-	if err != nil {
-		return nil, err
-	}
-	var out []uint32
-	if useBm {
-		out = sc.bm.AppendPositions(make(column.PosList, 0, sc.bm.Count()))
-	} else {
-		out = append([]uint32(nil), sc.sel...)
-		slices.Sort(out)
-	}
-	if tr := sc.sp.Trace; tr != nil {
-		tr.Emitted = int64(len(out))
-	}
-	return out, nil
+	w, err := r.run(preds, want{op: obs.OpRows}, nil)
+	return w.rows, err
 }
 
 // Values materializes the requested attributes of the qualifying
@@ -696,50 +634,19 @@ func (r *Runner) rowsSC(sc *scratch, preds []Predicate) ([]uint32, error) {
 // vector.
 func (r *Runner) Values(attrs []string, preds []Predicate) ([][]int64, error) {
 	if len(attrs) == 0 {
-		return nil, fmt.Errorf("query: Values needs at least one attribute")
+		return nil, errf("query: Values needs at least one attribute")
 	}
 	for _, a := range attrs {
 		if r.table.Column(a) == nil {
-			return nil, fmt.Errorf("query: unknown attribute %q", a)
+			return nil, errf("query: unknown attribute %q", a)
 		}
 	}
-	sc := r.begin(obs.OpValues, nil)
-	out, err := r.valuesSC(sc, attrs, preds)
-	var emitted int64
-	if len(out) > 0 {
-		emitted = int64(len(out[0]))
-	}
-	r.finish(sc, emitted, err)
-	return out, err
-}
-
-func (r *Runner) valuesSC(sc *scratch, attrs []string, preds []Predicate) ([][]int64, error) {
-	empty, err := r.planScratch(sc, preds)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, len(attrs))
-	if empty {
-		for i := range out {
-			out[i] = []int64{}
+	w, err := r.run(preds, want{op: obs.OpValues, attrs: attrs}, nil)
+	if err == nil && w.cols == nil { // an empty range: aligned empty columns, not nil
+		w.cols = make([][]int64, len(attrs))
+		for i := range w.cols {
+			w.cols[i] = []int64{}
 		}
-		return out, nil
 	}
-	useBm, err := r.runSel(sc, attrs, repByPolicy)
-	if err != nil {
-		return nil, err
-	}
-	if useBm {
-		n := sc.bm.Count()
-		for i, a := range attrs {
-			out[i] = sc.views[a].FetchBitmap(sc.bm, make([]int64, 0, n))
-		}
-		return out, nil
-	}
-	sorted := append(column.PosList(nil), sc.sel...)
-	slices.Sort(sorted)
-	for i, a := range attrs {
-		out[i] = sc.views[a].FetchRows(sorted, r.threads)
-	}
-	return out, nil
+	return w.cols, err
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"holistic/internal/cracking"
 	"holistic/internal/engine"
 	"holistic/internal/holistic"
+	"holistic/internal/obs"
 )
 
 // buildTable returns a table of `attrs` uniform columns over [0, domain)
@@ -52,22 +54,38 @@ rows:
 
 var names = map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
 
+// planOrder returns the conjunct order and estimates the pipeline really
+// runs with, as ExplainCount reports them.
+func planOrder(t *testing.T, r *Runner, preds []Predicate) (order []string, ests []float64) {
+	t.Helper()
+	tr, _, err := r.ExplainCount(preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range tr.Conjuncts {
+		if c.Driving != (i == 0) {
+			t.Fatalf("conjunct %d (%s) driving = %v", i, c.Attr, c.Driving)
+		}
+		order, ests = append(order, c.Attr), append(ests, c.EstRows)
+	}
+	return order, ests
+}
+
 func TestPlanOrdersBySelectivity(t *testing.T) {
 	tab, _ := buildTable(3, 5000, 1000, 1)
 	off := engine.NewOfflineExecutor(tab, 1)
 	off.PrepareAll()
 	r := New(tab, off, 2)
 
-	preds := []Predicate{
+	order, ests := planOrder(t, r, []Predicate{
 		{Attr: "a", Lo: 0, Hi: 900}, // ~90%
 		{Attr: "b", Lo: 0, Hi: 10},  // ~1%
 		{Attr: "c", Lo: 0, Hi: 300}, // ~30%
+	})
+	if !slices.Equal(order, []string{"b", "c", "a"}) {
+		t.Fatalf("plan order = %v (estimates %v), want b, c, a", order, ests)
 	}
-	ordered, ests := r.Plan(preds)
-	if ordered[0].Attr != "b" || ordered[1].Attr != "c" || ordered[2].Attr != "a" {
-		t.Fatalf("plan order = %v (estimates %v), want b, c, a", ordered, ests)
-	}
-	if ests[0] > ests[1] || ests[1] > ests[2] {
+	if !slices.IsSorted(ests) {
 		t.Fatalf("estimates not ascending: %v", ests)
 	}
 }
@@ -75,12 +93,12 @@ func TestPlanOrdersBySelectivity(t *testing.T) {
 func TestPlanUniformFallback(t *testing.T) {
 	tab, _ := buildTable(2, 2000, 1<<20, 2)
 	r := New(tab, engine.NewScanExecutor(tab, 2), 2)
-	ordered, _ := r.Plan([]Predicate{
+	order, _ := planOrder(t, r, []Predicate{
 		{Attr: "a", Lo: 0, Hi: 1 << 19}, // half the domain
 		{Attr: "b", Lo: 0, Hi: 1 << 10}, // a sliver
 	})
-	if ordered[0].Attr != "b" {
-		t.Fatalf("uniform fallback drove on %q, want b", ordered[0].Attr)
+	if order[0] != "b" {
+		t.Fatalf("uniform fallback drove on %q, want b", order[0])
 	}
 }
 
@@ -343,11 +361,12 @@ func TestChooseBitmapCrossover(t *testing.T) {
 	if empty, err := r.planScratch(sc, dense); err != nil || empty {
 		t.Fatal(err)
 	}
-	if ok, _ := r.chooseBitmap(sc); !ok {
+	chooseBitmap := func(sc *scratch) bool { rep, _ := r.chooseRep(sc); return rep == obs.RepBitmap }
+	if !chooseBitmap(sc) {
 		t.Error("dense drive did not choose bitmap")
 	}
 	r.SetRepPolicy(RepPosList)
-	if ok, _ := r.chooseBitmap(sc); ok {
+	if chooseBitmap(sc) {
 		t.Error("RepPosList still chose bitmap")
 	}
 	r.SetRepPolicy(RepAuto)
@@ -355,16 +374,16 @@ func TestChooseBitmapCrossover(t *testing.T) {
 	if empty, err := r.planScratch(sc, sparse); err != nil || empty {
 		t.Fatal(err)
 	}
-	if ok, _ := r.chooseBitmap(sc); ok {
+	if chooseBitmap(sc) {
 		t.Error("sparse drive chose bitmap")
 	}
 	r.SetRepPolicy(RepBitmap)
-	if ok, _ := r.chooseBitmap(sc); !ok {
+	if !chooseBitmap(sc) {
 		t.Error("RepBitmap did not choose bitmap")
 	}
 	r.SetRepPolicy(RepAuto)
 	r.SetBitmapCrossover(0) // crossover 0: everything is dense enough
-	if ok, _ := r.chooseBitmap(sc); !ok {
+	if !chooseBitmap(sc) {
 		t.Error("crossover 0 did not choose bitmap")
 	}
 	r.SetBitmapCrossover(DefaultBitmapCrossover)
@@ -372,7 +391,7 @@ func TestChooseBitmapCrossover(t *testing.T) {
 	if empty, err := r.planScratch(sc, single); err != nil || empty {
 		t.Fatal(err)
 	}
-	if ok, _ := r.chooseBitmap(sc); ok {
+	if chooseBitmap(sc) {
 		t.Error("single conjunct chose bitmap")
 	}
 }
@@ -400,7 +419,7 @@ func TestSteadyStateCountSumAllocationFree(t *testing.T) {
 	if empty, err := r.planScratch(sc, preds); err != nil || empty {
 		t.Fatal(err)
 	}
-	if ok, _ := r.chooseBitmap(sc); !ok {
+	if rep, _ := r.chooseRep(sc); rep != obs.RepBitmap {
 		t.Fatal("steady-state test expects the bitmap path")
 	}
 	r.putScratch(sc)
@@ -420,6 +439,30 @@ func TestSteadyStateCountSumAllocationFree(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Errorf("steady-state Sum allocates %.2f times per query, want 0", allocs)
+	}
+	// The other three terminals share the body: MinMax folds off the bits
+	// like Sum, and the materializing forms allocate what they return —
+	// the row list; the column table and one slice per attribute — and
+	// nothing else.
+	project := []string{"c", "a"}
+	for name, tc := range map[string]struct {
+		run  func() error
+		want float64
+	}{
+		"MinMax": {func() error { _, _, _, err := r.MinMax("b", preds[:2]); return err }, 0},
+		"Rows":   {func() error { _, err := r.Rows(preds); return err }, 1},
+		"Values": {func() error { _, err := r.Values(project, preds); return err }, 3},
+	} {
+		if err := tc.run(); err != nil { // warm
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > tc.want+0.5 {
+			t.Errorf("steady-state %s allocates %.2f times per query, want %.0f", name, allocs, tc.want)
+		}
 	}
 }
 

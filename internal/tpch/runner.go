@@ -87,10 +87,7 @@ type Runner struct {
 	// the daemon under "<attr>.rows" to coexist with the sideways
 	// crackers.
 	rowCrackers map[string]*cracking.Column
-	// domains caches raw-slice min/max per attribute for the uniform
-	// selectivity estimates of the Q6 planner.
-	domains map[string][2]int64
-	threads int
+	threads     int
 
 	reg    *stats.Registry
 	daemon *holistic.Daemon
@@ -126,7 +123,6 @@ func NewRunner(data *Data, mode Mode, cfg RunnerConfig) *Runner {
 		proj:        make(map[string]*projection),
 		crackers:    make(map[string]*cracking.Column),
 		rowCrackers: make(map[string]*cracking.Column),
-		domains:     make(map[string][2]int64),
 		threads:     cfg.Contexts,
 	}
 	if r.threads < 1 {
@@ -390,8 +386,8 @@ func (r *Runner) Q1(delta int64) []Q1Row {
 // linestatus), most significant first, with exact dictionary-code
 // domains — matching the flag*2+status group enumeration of the oracle.
 func (r *Runner) q1Keys() []groupby.Key {
-	fLo, fHi := r.attrDomain("l_returnflag")
-	sLo, sHi := r.attrDomain("l_linestatus")
+	fLo, fHi := r.data.Lineitem.Column("l_returnflag").Bounds()
+	sLo, sHi := r.data.Lineitem.Column("l_linestatus").Bounds()
 	return []groupby.Key{{Lo: fLo, Hi: fHi}, {Lo: sLo, Hi: sHi}}
 }
 
@@ -418,28 +414,12 @@ type conjPred struct {
 	lo, hi int64
 }
 
-// attrDomain caches the min/max of one raw column for the uniform
-// selectivity estimates of the Q6 planner.
-func (r *Runner) attrDomain(attr string) (lo, hi int64) {
-	r.mu.Lock()
-	d, ok := r.domains[attr]
-	r.mu.Unlock()
-	if ok {
-		return d[0], d[1]
-	}
-	lo, hi = column.Bounds(r.li[attr])
-	r.mu.Lock()
-	r.domains[attr] = [2]int64{lo, hi}
-	r.mu.Unlock()
-	return lo, hi
-}
-
 // planConj orders the conjuncts most selective first under a uniform
 // estimate over each attribute's observed domain.
 func (r *Runner) planConj(preds []conjPred) []conjPred {
 	ests := make([]float64, len(preds))
 	for i, p := range preds {
-		dLo, dHi := r.attrDomain(p.attr)
+		dLo, dHi := r.data.Lineitem.Column(p.attr).Bounds()
 		ests[i] = column.UniformEstimate(1, dLo, dHi, p.lo, p.hi)
 	}
 	idx := make([]int, len(preds))
@@ -651,7 +631,7 @@ func (r *Runner) Q12(m1, m2 int64, year int) []Q12Row {
 		join.Input{Keys: lkeys, Rows: identityRows(len(lkeys))},
 		r.threads, pairs)
 
-	mLo, mHi := r.attrDomain("l_shipmode")
+	mLo, mHi := r.data.Lineitem.Column("l_shipmode").Bounds()
 	var res groupby.Result
 	if err := join.Grouped(pairs,
 		[]join.PairCol{{Side: join.Right, View: column.View{Base: lmode}}},
