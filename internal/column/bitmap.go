@@ -231,6 +231,13 @@ func (b *Bitmap) AppendPositionsWords(dst PosList, fromWord, toWord int) PosList
 // the unit chunked consumers split on.
 func (b *Bitmap) Words() int { return len(b.words) }
 
+// Word returns word i of the bitmap, positions [64i, 64i+64) one bit
+// each: a consumer that finds it all ones can read those positions
+// straight off a base array instead of decoding them.
+//
+//holistic:noalloc
+func (b *Bitmap) Word(i int) uint64 { return b.words[i] }
+
 // --- dense range of vals → bits ---
 
 // scanWords fills the words covering positions [start, end) with the

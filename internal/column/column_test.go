@@ -352,7 +352,7 @@ func TestViewOverlay(t *testing.T) {
 
 func TestPlainViewFastPaths(t *testing.T) {
 	w := View{Base: []int64{1, 2, 3}}
-	if !w.plain() {
+	if !w.Plain() {
 		t.Fatal("base-only view is not plain")
 	}
 	sel := PosList{0, 1, 2, 3} // 3 beyond base: dropped everywhere

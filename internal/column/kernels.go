@@ -35,21 +35,25 @@ const (
 
 // ForChunks splits [0, n) into at most workers contiguous chunks, every
 // chunk start a multiple of align, and runs fn(w, start, end) for chunk
-// number w on its own goroutine; it returns when all have. Chunks are
-// never empty, so fewer than workers run when n is small. align = 64
-// gives writers of a shared bitmap whole words each.
-func ForChunks(n, workers, align int, fn func(w, start, end int)) {
+// number w on its own goroutine; it returns, once all have, how many
+// chunks ran. Chunks are never empty, so fewer than workers run when n
+// is small. align = 64 gives writers of a shared bitmap whole words
+// each.
+func ForChunks(n, workers, align int, fn func(w, start, end int)) int {
 	workers = max(workers, 1)
 	chunk := ((n+workers-1)/workers + align - 1) / align * align
 	var wg sync.WaitGroup
+	ran := 0
 	for w, start := 0, 0; start < n; w, start = w+1, start+chunk {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			fn(w, start, min(start+chunk, n))
 		}()
+		ran++
 	}
 	wg.Wait()
+	return ran
 }
 
 // signBit biases int64 values into order-preserving uint64 space, so

@@ -273,7 +273,7 @@ func checkView(t *testing.T, name string, w View, l logical, sel PosList, univer
 // comes out positional comes out ascending either way.
 func checkSelection(t *testing.T, name string, w View, l logical, sel PosList, universe int, lo, hi int64, workers []int) {
 	t.Helper()
-	if !w.plain() {
+	if !w.Plain() {
 		workers = workers[:1] // the walkers never fan out
 	}
 	asc := slices.Clone(sel)
@@ -436,9 +436,9 @@ func TestSequentialDoorsAllocationFree(t *testing.T) {
 }
 
 // TestFanOutCoversExactlyOnce: ForChunks hands out every index of [0, n)
-// exactly once, in aligned non-empty chunks numbered below workers, for
-// sizes and alignments around chunk and word edges — more workers than
-// indexes included.
+// exactly once, in aligned non-empty chunks numbered below workers, and
+// returns how many chunks ran, for sizes and alignments around chunk and
+// word edges — more workers than indexes included.
 func TestFanOutCoversExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 1000, 4096, 4097} {
 		for _, workers := range []int{0, 1, 2, 3, 7, 8, 64, 5000} {

@@ -34,8 +34,11 @@ type View struct {
 	Updated map[Pos]int64
 }
 
-// plain reports whether the view is just the base array (no overlay).
-func (w View) plain() bool {
+// Plain reports whether the view is just the base array (no overlay):
+// every value it holds can then be read straight off Base.
+//
+//holistic:noalloc
+func (w View) Plain() bool {
 	return len(w.Tail) == 0 && len(w.Deleted) == 0 && len(w.Updated) == 0
 }
 
@@ -162,7 +165,7 @@ func (s *Selection) Positions(dst PosList) PosList {
 //
 //holistic:noalloc
 func (w View) Filter(s *Selection, lo, hi int64, workers int) {
-	if w.plain() {
+	if w.Plain() {
 		if s.Dense {
 			parallelFilterBitmap(w.Base, s.Bits, lo, hi, workers)
 		} else {
@@ -194,7 +197,7 @@ func (w View) Filter(s *Selection, lo, hi int64, workers int) {
 //
 //holistic:noalloc
 func (w View) Present(s *Selection) {
-	switch plain := w.plain(); {
+	switch plain := w.Plain(); {
 	case s.Dense && plain:
 		s.Bits.clearFrom(len(w.Base))
 	case s.Dense:
@@ -237,7 +240,7 @@ func (w View) walk(s *Selection, visit func(p Pos, v int64)) {
 //
 //holistic:noalloc
 func (w View) Sum(s *Selection, workers int) (sum int64) {
-	if !w.plain() {
+	if !w.Plain() {
 		w.walk(s, func(_ Pos, v int64) { sum += v })
 		return sum
 	}
@@ -252,7 +255,7 @@ func (w View) Sum(s *Selection, workers int) (sum int64) {
 //
 //holistic:noalloc
 func (w View) MinMax(s *Selection) (mn, mx int64, n int) {
-	if !w.plain() {
+	if !w.Plain() {
 		mn, mx = noMin, noMax
 		w.walk(s, func(_ Pos, v int64) { mn, mx = widen(mn, mx, v) })
 		return mn, mx, s.Count()
@@ -269,7 +272,7 @@ func (w View) MinMax(s *Selection) (mn, mx int64, n int) {
 //
 //holistic:noalloc
 func (w View) Fetch(s *Selection, dst []int64, workers int) []int64 {
-	if !w.plain() {
+	if !w.Plain() {
 		w.walk(s, func(_ Pos, v int64) { dst = append(dst, v) })
 		return dst
 	}

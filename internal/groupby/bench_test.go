@@ -23,7 +23,8 @@ const benchClusterRows = 8192
 
 // BenchmarkGroup times the one grouped-aggregation core through each of
 // its four feeders — bitmap and position-list selection vectors, the
-// slice-fed Acc, and the key-ordered cluster walk — on a key domain the
+// slice-fed Acc, and the key-ordered cluster walk; bitmap-all is the
+// bitmap of every row, folded in place — on a key domain the
 // dense accumulator takes (64 groups) and one only the hash table can
 // (2^19 groups), with the yardstick's fused count/sum/min/max plan. It
 // reports ns per input row; with the result table reused, allocs/op is
@@ -43,8 +44,10 @@ func BenchmarkGroup(b *testing.B) {
 			val[i] = rng.Int63n(1 << 20)
 		}
 		// Seven rows in eight selected, as a grouped query's selection
-		// typically is dense.
-		bm := column.NewBitmap(benchRows)
+		// typically is dense; and every row, as a grouped query without
+		// predicates selects.
+		bm, all := column.NewBitmap(benchRows), column.NewBitmap(benchRows)
+		all.SetRange(0, benchRows)
 		var sel column.PosList
 		for i := 0; i < benchRows; i++ {
 			if i&7 != 7 {
@@ -118,6 +121,7 @@ func BenchmarkGroup(b *testing.B) {
 			})
 		}
 		run("bitmap", len(sel), func() error { return GroupBitmap(spec, bm, &res) })
+		run("bitmap-all", benchRows, func() error { return GroupBitmap(spec, all, &res) })
 		run("rows", len(sel), func() error { return GroupRows(spec, sel, &res) })
 		keyCols, aggCols := make([][]int64, 1), make([][]int64, len(aggs))
 		run("acc", benchRows, func() error {

@@ -7,7 +7,8 @@
 // only the feed varies.
 //
 // The core (runState.fold) packs the chunk's composite keys, turns them
-// into accumulator indices, counts, and folds every aggregate column.
+// into accumulator indices, and folds each distinct aggregate input
+// column — its sums, minima and maxima, and the counts — in one pass.
 // Two accumulator sets exist, picked per execution from the key
 // attributes' domain statistics (chooseDense):
 //
@@ -32,6 +33,8 @@
 //	feeder                  keys                  aggregates
 //	GroupRows, GroupBitmap  gathered at the       gathered at the
 //	                        decoded positions     decoded positions
+//	GroupBitmap, all-ones   the base arrays,      the base arrays,
+//	words over plain views  in place              in place
 //	GroupClusters           the index walk's      gathered at the
 //	                        (value, row) pairs    cluster's selected rows
 //	Acc.Segment             the caller's slices   the caller's slices
@@ -59,7 +62,6 @@ package groupby
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"holistic/internal/column"
 )
@@ -192,7 +194,8 @@ type Spec struct {
 	// order lexicographically by this sequence.
 	Keys []Key
 	// Aggs are the fused aggregates; AggViews is aligned with it (the
-	// zero View for KindCount).
+	// zero View for KindCount). Aggregates naming the same Attr must
+	// have the same view: one gather and one pass serve them all.
 	Aggs     []Agg
 	AggViews []column.View
 	// Threads bounds the partition parallelism of dense/hash grouping.
@@ -430,84 +433,142 @@ func group(spec *Spec, sel column.PosList, bm *column.Bitmap, res *Result) error
 // --- the selection-vector feeder ---
 
 // feedSelection drives the selection vector through the core —
-// sequentially into st, or split into contiguous per-worker spans (index
-// ranges of the position list, word ranges of the bitmap), each worker
-// feeding its own pooled state and the partials merging into the first —
-// and returns the state holding the complete accumulators. It is the
-// only place grouping workers are spawned. The packing stays with the
-// query's root state and is handed to the workers by pointer: copying
-// its slice headers into pooled worker states would alias the backing
-// arrays across pooled states.
+// sequentially into st, or split by column.ForChunks into contiguous
+// per-worker spans (index ranges of the position list, word ranges of
+// the bitmap), each worker feeding its own pooled state and the partials
+// merging into the first — and returns the state holding the complete
+// accumulators. The packing and the source stay with the query's root
+// state and are handed to the workers by pointer: copying their slice
+// headers into pooled worker states would alias the backing arrays
+// across pooled states.
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
 func feedSelection(spec *Spec, st *runState, sel column.PosList, bm *column.Bitmap, n int) *runState {
-	pk := &st.pk
+	pk, src := &st.pk, &st.src
+	src.set(spec, sel, bm)
 	dense := chooseDense(spec, pk, n)
 	total := len(sel)
 	if bm != nil {
 		total = bm.Words()
 	}
 	if spec.Threads < 2 || n < minParallel {
-		st.feedSpan(spec, pk, dense, sel, bm, 0, total)
+		st.feedSpan(spec, pk, dense, src, 0, total)
 		return st
 	}
 	states := st.workerStates(spec.Threads)
-	span := (total + len(states) - 1) / len(states)
-	var wg sync.WaitGroup
-	for w, ws := range states {
-		lo := min(w*span, total)
-		hi := min(lo+span, total)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws.feedSpan(spec, pk, dense, sel, bm, lo, hi)
-		}()
-	}
-	wg.Wait()
-	for _, ws := range states[1:] {
+	ran := column.ForChunks(total, len(states), 1, func(w, lo, hi int) {
+		states[w].feedSpan(spec, pk, dense, src, lo, hi)
+	})
+	for _, ws := range states[1:ran] {
 		states[0].merge(spec, pk, ws)
 	}
 	return states[0]
 }
 
-// feedSpan starts st and folds the span [lo, hi) of the selection —
-// positions of a list, words of a bitmap — a chunk at a time; the core
-// gathers every column at the decoded positions.
+// source is the selection a feedSpan reads: a position list, or a bitmap
+// and — when every view the spec references is plain — their base
+// arrays, off which the bitmap's all-ones runs fold in place.
+type source struct {
+	sel        column.PosList
+	bm         *column.Bitmap
+	runs       bool
+	keys, aggs [][]int64 // the base arrays per key and per aggregate when runs
+}
+
+// set points the source at one execution's selection.
+//
+//holistic:alloc-ok grows the retained buffers on first use or resize
+func (s *source) set(spec *Spec, sel column.PosList, bm *column.Bitmap) {
+	s.sel, s.bm, s.runs = sel, bm, bm != nil
+	s.keys, s.aggs = s.keys[:0], s.aggs[:0]
+	for _, k := range spec.Keys {
+		s.runs = s.runs && k.View.Plain()
+		s.keys = append(s.keys, k.View.Base)
+	}
+	for _, w := range spec.AggViews { // count(*)'s zero view is plain and never read
+		s.runs = s.runs && w.Plain()
+		s.aggs = append(s.aggs, w.Base)
+	}
+}
+
+// drop forgets the caller's selection and arrays before the state pools.
 //
 //holistic:noalloc
-func (st *runState) feedSpan(spec *Spec, pk *packing, dense bool, sel column.PosList, bm *column.Bitmap, lo, hi int) {
+func (s *source) drop() {
+	clear(s.keys)
+	clear(s.aggs)
+	s.sel, s.bm = nil, nil
+}
+
+// run returns the length of the run of all-ones words opening at bitmap
+// word w, capped at a chunk and at end: 0 when there is none, or when
+// the source cannot fold in place.
+//
+//holistic:noalloc
+func (s *source) run(w, end int) int {
+	if !s.runs {
+		return 0
+	}
+	end = min(end, w+chunkSize/64)
+	n := 0
+	for w+n < end && s.bm.Word(w+n) == ^uint64(0) {
+		n++
+	}
+	return n
+}
+
+// feedSpan starts st and folds the span [lo, hi) of the selection —
+// positions of a list, words of a bitmap — a chunk at a time: a run of
+// all-ones words straight off the base arrays, anything else gathered
+// at its decoded positions.
+//
+//holistic:noalloc
+func (st *runState) feedSpan(spec *Spec, pk *packing, dense bool, src *source, lo, hi int) {
 	st.start(spec, pk, dense)
-	var c chunk
-	for cursor := lo; ; {
-		c.pos = st.nextChunk(sel, bm, &cursor, hi)
-		if c.n = len(c.pos); c.n == 0 {
-			return
+	for cursor := lo; cursor < hi; {
+		var c chunk
+		if n := src.run(cursor, hi); n > 0 {
+			c = chunk{n: n * 64, keys: src.keys, aggs: src.aggs, off: cursor * 64}
+			cursor += n
+		} else {
+			c.pos = st.nextChunk(src, &cursor, hi)
+			c.n = len(c.pos)
 		}
-		st.fold(spec, pk, &c)
+		if c.n > 0 {
+			st.fold(spec, pk, &c)
+		}
 	}
 }
 
 // nextChunk decodes the next chunk of selected positions from the span
 // [*cursor, end): a slice of the position list, or set bits of the next
-// word range. It returns a borrowed slice valid until the next call.
+// word range, stopping where a run feedSpan folds in place opens. It
+// returns a borrowed slice valid until the next call, and advances the
+// cursor by at least one word.
 //
 //holistic:noalloc
-func (st *runState) nextChunk(sel column.PosList, bm *column.Bitmap, cursor *int, end int) column.PosList {
-	if bm == nil {
+func (st *runState) nextChunk(src *source, cursor *int, end int) column.PosList {
+	if src.bm == nil {
 		lo := *cursor
 		hi := min(lo+chunkSize, end)
 		*cursor = hi
-		return sel[lo:hi]
+		return src.sel[lo:hi]
 	}
 	buf := st.posbuf[:0]
 	for *cursor < end && len(buf) < chunkSize-64 {
 		w := *cursor
-		step := (chunkSize - len(buf)) / 64 // >= 1 by the loop bound
-		if w+step > end {
-			step = end - w
+		stop := min(w+(chunkSize-len(buf))/64, end) // > w by the loop bound
+		for i := w; src.runs && i < stop; i++ {
+			if src.bm.Word(i) == ^uint64(0) {
+				stop = i
+				break
+			}
 		}
-		buf = bm.AppendPositionsWords(buf, w, w+step)
-		*cursor = w + step
+		if stop == w {
+			break
+		}
+		buf = src.bm.AppendPositionsWords(buf, w, stop)
+		*cursor = stop
 	}
 	return buf
 }

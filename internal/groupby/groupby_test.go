@@ -351,6 +351,102 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 	}
 }
 
+// runBitmap selects rows in runs of whole words — all set, none set or
+// a random half — of 1 to 100 words each, so full runs shorter and
+// longer than a chunk (64 words) straddle the chunk boundaries and the
+// worker-span boundaries; the last row's word is partial.
+func runBitmap(rng *rand.Rand, rows int) (*column.Bitmap, column.PosList) {
+	bm := column.NewBitmap(rows)
+	var sel column.PosList
+	for w := 0; w*64 < rows; {
+		kind, n := rng.Intn(3), 1+rng.Intn(100)
+		for ; n > 0 && w*64 < rows; n, w = n-1, w+1 {
+			for p := w * 64; p < min(w*64+64, rows); p++ {
+				if kind == 0 || kind == 2 && rng.Intn(2) == 0 {
+					bm.Set(column.Pos(p))
+					sel = append(sel, column.Pos(p))
+				}
+			}
+		}
+	}
+	return bm, sel
+}
+
+// overlay returns a view whose logical content is vals: the last tenth
+// lives in the tail, some base values are stale under an update, and
+// some rows outside sel are deleted.
+func overlay(rng *rand.Rand, vals []int64, bm *column.Bitmap) column.View {
+	nb := len(vals) - len(vals)/10
+	w := column.View{
+		Base:    append([]int64(nil), vals[:nb]...),
+		Tail:    vals[nb:],
+		Updated: map[column.Pos]int64{},
+		Deleted: map[column.Pos]struct{}{},
+	}
+	for i := 0; i < len(vals); i += 1 + rng.Intn(50) {
+		if !bm.Test(column.Pos(i)) {
+			w.Deleted[column.Pos(i)] = struct{}{}
+		} else if i < nb {
+			w.Base[i] = ^vals[i]
+			w.Updated[column.Pos(i)] = vals[i]
+		}
+	}
+	return w
+}
+
+// TestRunFeedMatchesOracle drives bitmaps mixing full, partial and empty
+// words (runBitmap) through GroupBitmap at threads 1 and 3, both
+// accumulator sets, against the oracle: with every view plain (the
+// all-ones runs fold in place), with one overlaid aggregate view beside
+// plain ones (the gather path throughout), and with two aggregates on
+// one overlaid attribute sharing a pass.
+func TestRunFeedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	rows := 3*minParallel + 64*37 + 11
+	key, x, y := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := range key {
+		key[i] = rng.Int63n(50)
+		x[i] = rng.Int63n(1<<20) - 1<<19
+		y[i] = rng.Int63n(1000)
+	}
+	bm, sel := runBitmap(rng, rows)
+	aggs := []Agg{Count(), Sum("x"), Min("x"), Max("x"), Sum("y")}
+	wantKeys, wantAggs := oracleGroup([][]int64{key}, aggs, [][]int64{nil, x, x, x, y}, sel)
+	for _, tc := range []struct {
+		name   string
+		xv, yv column.View
+		runs   bool
+	}{
+		{"plain", column.View{Base: x}, column.View{Base: y}, true},
+		{"overlaid y", column.View{Base: x}, overlay(rng, y, bm), false},
+		{"overlaid x", overlay(rng, x, bm), column.View{Base: y}, false},
+	} {
+		for _, threads := range []int{1, 3} {
+			for _, force := range []Strategy{StrategyDense, StrategyHash} {
+				spec := &Spec{
+					Keys:     []Key{{View: column.View{Base: key}, Lo: 0, Hi: 49}},
+					Aggs:     aggs,
+					AggViews: []column.View{{}, tc.xv, tc.xv, tc.xv, tc.yv},
+					Threads:  threads,
+					Force:    force,
+				}
+				var src source
+				if src.set(spec, nil, bm); src.runs != tc.runs {
+					t.Fatalf("%s: folds runs in place = %v, want %v", tc.name, src.runs, tc.runs)
+				}
+				var res Result
+				if err := GroupBitmap(spec, bm, &res); err != nil {
+					t.Fatal(err)
+				}
+				if res.Strategy != force {
+					t.Fatalf("%s threads=%d: strategy %v, want %v", tc.name, threads, res.Strategy, force)
+				}
+				checkEqual(t, &res, wantKeys, wantAggs)
+			}
+		}
+	}
+}
+
 // TestParallelCrossesThreshold exercises the partition-parallel merge on
 // a selection large enough to split.
 func TestParallelCrossesThreshold(t *testing.T) {
@@ -617,10 +713,10 @@ func TestAccMatchesOracle(t *testing.T) {
 }
 
 // TestWarmedFeedersAllocationFree: once the pooled state and the result
-// table have grown, the slice-fed segment loop and a cluster walk —
-// dense and hash clusters alike — allocate nothing. (The selection-
-// vector feeders' bar is TestSteadyStateGroupedAllocationFree in
-// internal/query.)
+// table have grown, the slice-fed segment loop, a cluster walk — dense
+// and hash clusters alike — and a sequential bitmap selection folded in
+// place allocate nothing. (The selection-vector feeders' query-level bar
+// is TestSteadyStateGroupedAllocationFree in internal/query.)
 func TestWarmedFeedersAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
@@ -651,6 +747,22 @@ func TestWarmedFeedersAllocationFree(t *testing.T) {
 		var res Result
 		if err := acc.Finish(&res); err != nil {
 			t.Fatal(err)
+		}
+	}
+	all := column.NewBitmap(rows)
+	all.SetRange(0, rows)
+	for _, force := range []Strategy{StrategyDense, StrategyHash} {
+		spec := buildSpec(keyCols, aggCols, aggSpecs, 1)
+		spec.Force = force
+		var res Result
+		run := func() {
+			if err := GroupBitmap(spec, all, &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+			t.Errorf("warmed in-place GroupBitmap (%v) allocates %.2f times per run, want 0", force, allocs)
 		}
 	}
 	walk := clusterStream(rng, key)

@@ -18,20 +18,49 @@ func benchInputs(n int) (Input, Input) {
 	return randInput(rng, n, domain), randInput(rng, 2*n, domain)
 }
 
-// BenchmarkJoinCountHash measures the radix-partitioned hash-join
-// count kernel; ReportAllocs shows the pooled steady state (0 B/op
-// sequential — the bar TestHashCountAllocationFree enforces).
+// oneToMany builds the analytic-mix join's shape over a key pool: 2^15
+// unique build keys drawn from the pool, 2^17 probe keys drawn from it
+// uniformly (about half match, each once).
+func oneToMany(pool []int64) (Input, Input) {
+	rng := rand.New(rand.NewSource(17))
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	build, probe := randInput(rng, 1<<15, 1), randInput(rng, 1<<17, 1)
+	copy(build.Keys, pool)
+	for i := range probe.Keys {
+		probe.Keys[i] = pool[rng.Intn(len(pool))]
+	}
+	return build, probe
+}
+
+// BenchmarkJoinCountHash measures the hash-join count kernel in both
+// slot-addressing modes: M:N over a quarter-sized pool and the
+// yardstick's 1:N over a dense 2^16-key pool (direct-addressed), and
+// the same 1:N over 2^16 keys scattered across 2^40 (radix-hashed).
+// ReportAllocs shows the pooled steady state (0 B/op sequential — the
+// bar TestHashCountAllocationFree enforces).
 func BenchmarkJoinCountHash(b *testing.B) {
-	left, right := benchInputs(1 << 16)
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			Hash(Op{Kind: OpCount}, left, right, threads, nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	dense, sparse := make([]int64, 1<<16), make([]int64, 1<<16)
+	rng := rand.New(rand.NewSource(19))
+	for i := range dense {
+		dense[i], sparse[i] = int64(i), rng.Int63n(1<<40)
+	}
+	type inputs struct{ left, right Input }
+	var cases [3]inputs
+	cases[0].left, cases[0].right = benchInputs(1 << 16)
+	cases[1].left, cases[1].right = oneToMany(dense)
+	cases[2].left, cases[2].right = oneToMany(sparse)
+	for i, name := range []string{"m:n", "dense-1:n", "sparse-1:n"} {
+		left, right := cases[i].left, cases[i].right
+		for _, threads := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
 				Hash(Op{Kind: OpCount}, left, right, threads, nil)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					Hash(Op{Kind: OpCount}, left, right, threads, nil)
+				}
+			})
+		}
 	}
 }
 

@@ -23,10 +23,10 @@ const (
 	minParallelJoin = 1 << 15
 )
 
-// hashState is the pooled per-execution scratch of the radix-
-// partitioned hash join: the scattered build side, the per-partition
-// slot arena and the per-worker partials, all recycled so steady-state
-// joins allocate nothing.
+// hashState is the pooled per-execution scratch of the hash join: the
+// build side, its slot arena — direct-addressed, or radix-partitioned
+// and hashed — and the per-worker partials, all recycled so
+// steady-state joins allocate nothing.
 type hashState struct {
 	bits   int
 	hist   []int32 // per-partition build counts
@@ -49,6 +49,12 @@ type hashState struct {
 	shead   []int32 // 1-based entry index of the key's newest duplicate
 	scnt    []int32 // duplicates of the key
 	ssum    []int64 // payload sum over the duplicates (OpSum on build)
+
+	// Direct addressing (buildDirect): slot s of shead, scnt and ssum is
+	// key dmin+s itself; skey, the partition arrays and the entry scatter
+	// go unused.
+	direct bool
+	dmin   int64
 
 	// Per-worker probe partials.
 	wcount []int64
@@ -101,10 +107,12 @@ func partitionBits(n int) int {
 	return bits
 }
 
-// Hash executes the radix-partitioned hash join: build over the
-// smaller side, probe with the larger, fold the terminal. pairs is
-// required (and filled) only for OpPairs; count reports the number of
-// matching pairs for every op, and sum the OpSum fold.
+// Hash executes the hash join: build over the smaller side, probe with
+// the larger, fold the terminal. The table is direct-addressed when the
+// build keys are dense enough (buildDirect), radix-partitioned and
+// hashed otherwise. pairs is required (and filled) only for OpPairs;
+// count reports the number of matching pairs for every op, and sum the
+// OpSum fold.
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
 func Hash(op Op, left, right Input, threads int, pairs *Pairs) (count, sum int64) {
@@ -128,13 +136,17 @@ func Hash(op Op, left, right Input, threads int, pairs *Pairs) (count, sum int64
 	return st.probe(op, probe, swapped, sumOnBuild, threads, pairs)
 }
 
-// build scatters the build side into hash partitions and erects each
-// partition's open-addressing table. Partition builds are independent
+// build erects the build side's table: direct-addressed when its keys
+// are dense enough, otherwise scattered into hash partitions, each with
+// its own open-addressing table. Partition builds are independent
 // (partition-disjoint slot regions and entry ranges), so they run in
 // parallel on large builds.
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
 func (st *hashState) build(in Input, sumOnBuild bool, threads int) {
+	if st.direct = st.buildDirect(in, sumOnBuild); st.direct {
+		return
+	}
 	n := len(in.Keys)
 	st.bits = partitionBits(n)
 	nparts := 1 << uint(st.bits)
@@ -203,26 +215,58 @@ func (st *hashState) build(in Input, sumOnBuild bool, threads int) {
 	clear(st.shead)
 
 	if threads > 1 && n >= minParallelJoin && nparts > 1 {
-		workers := threads
-		if workers > nparts {
-			workers = nparts
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for p := w; p < nparts; p += workers {
-					st.buildPart(p, sumOnBuild)
-				}
-			}(w)
-		}
-		wg.Wait()
+		column.ForChunks(nparts, threads, 1, func(_, lo, hi int) {
+			for p := lo; p < hi; p++ {
+				st.buildPart(p, sumOnBuild)
+			}
+		})
 		return
 	}
 	for p := 0; p < nparts; p++ {
 		st.buildPart(p, sumOnBuild)
 	}
+}
+
+// buildDirect erects a direct-addressed table when the build keys span
+// no more values than the slot arena hashing would allocate (pow2(2n)
+// slots, so it never takes more memory): slot k-min chains key k's
+// entries and carries their count and payload sum, and an empty slot
+// counts 0. The span is taken in uint64, exact for any two int64 keys.
+// It reports false, having built nothing, for a sparser domain.
+//
+//holistic:noalloc
+func (st *hashState) buildDirect(in Input, sumOnBuild bool) bool {
+	mn, mx := in.Keys[0], in.Keys[0]
+	for _, k := range in.Keys {
+		mn, mx = min(mn, k), max(mx, k)
+	}
+	n := len(in.Keys)
+	if uint64(mx)-uint64(mn) >= uint64(pow2(2*n)) {
+		return false
+	}
+	span := int(uint64(mx)-uint64(mn)) + 1
+	st.dmin = mn
+	st.shead = grow32(st.shead, span)
+	st.scnt = grow32(st.scnt, span)
+	clear(st.shead)
+	clear(st.scnt)
+	if sumOnBuild {
+		st.ssum = grow64(st.ssum, span)
+		clear(st.ssum)
+	}
+	st.next = grow32(st.next, n)
+	st.brows = growU32(st.brows, n)
+	copy(st.brows, in.Rows)
+	for e, k := range in.Keys {
+		s := uint64(k) - uint64(mn)
+		st.next[e] = st.shead[s]
+		st.shead[s] = int32(e + 1)
+		st.scnt[s]++
+		if sumOnBuild {
+			st.ssum[s] += in.Vals[e]
+		}
+	}
+	return true
 }
 
 // buildPart inserts partition p's entries into its slot region:
@@ -293,8 +337,13 @@ func (st *hashState) probe(op Op, in Input, swapped, sumOnBuild bool, threads in
 	return st.probeRange(op, in, swapped, sumOnBuild, 0, n, pairs)
 }
 
+// probeRange probes the rows [lo, hi) of the probe side.
+//
 //holistic:noalloc
 func (st *hashState) probeRange(op Op, in Input, swapped, sumOnBuild bool, lo, hi int, pairs *Pairs) (count, sum int64) {
+	if st.direct {
+		return st.probeDirect(op, in, swapped, sumOnBuild, lo, hi, pairs)
+	}
 	shift := uint(64 - st.bits)
 	for i := lo; i < hi; i++ {
 		k := in.Keys[i]
@@ -325,14 +374,7 @@ func (st *hashState) probeRange(op Op, in Input, swapped, sumOnBuild bool, lo, h
 					}
 				}
 				if pairs != nil {
-					bl, pl := &pairs.Left, &pairs.Right
-					if swapped {
-						bl, pl = &pairs.Right, &pairs.Left
-					}
-					for e := g; e != 0; e = st.next[e-1] {
-						*bl = append(*bl, st.brows[e-1])
-						*pl = append(*pl, in.Rows[i])
-					}
+					st.appendPairs(pairs, swapped, g, in.Rows[i])
 				}
 				break
 			}
@@ -343,4 +385,47 @@ func (st *hashState) probeRange(op Op, in Input, swapped, sumOnBuild bool, lo, h
 		}
 	}
 	return count, sum
+}
+
+// probeDirect is probeRange over a direct-addressed table: a probe key
+// outside the build span matches nothing, any other reads its slot —
+// empty slots count 0, so no test for one.
+//
+//holistic:noalloc
+func (st *hashState) probeDirect(op Op, in Input, swapped, sumOnBuild bool, lo, hi int, pairs *Pairs) (count, sum int64) {
+	span := uint64(len(st.scnt))
+	for i := lo; i < hi; i++ {
+		s := uint64(in.Keys[i]) - uint64(st.dmin)
+		if s >= span {
+			continue
+		}
+		c := int64(st.scnt[s])
+		count += c
+		if op.Kind == OpSum {
+			if sumOnBuild {
+				sum += st.ssum[s]
+			} else {
+				sum += c * in.Vals[i]
+			}
+		}
+		if pairs != nil {
+			st.appendPairs(pairs, swapped, st.shead[s], in.Rows[i])
+		}
+	}
+	return count, sum
+}
+
+// appendPairs appends probe row r paired with every build entry on the
+// duplicate chain from head e.
+//
+//holistic:noalloc
+func (st *hashState) appendPairs(p *Pairs, swapped bool, e int32, r uint32) {
+	bl, pl := &p.Left, &p.Right
+	if swapped {
+		bl, pl = &p.Right, &p.Left
+	}
+	for ; e != 0; e = st.next[e-1] {
+		*bl = append(*bl, st.brows[e-1])
+		*pl = append(*pl, r)
+	}
 }

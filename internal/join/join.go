@@ -6,16 +6,18 @@
 // that multi-relation analytics ride the partial indexes idle cores
 // keep refining:
 //
-//   - Hash (hash.go): a radix-partitioned open-addressing hash join.
-//     The build side — always the smaller filtered cardinality, so the
-//     table and its partitions stay cache-resident — is scattered into
-//     hash-disjoint partitions, each partition builds its own
-//     linear-probing table over one shared slot arena (distinct keys
-//     carry a running count, an optional payload sum and a duplicate
-//     chain), and the probe side streams through in parallel chunks.
-//     The count and sum terminals fold per-slot aggregates without ever
-//     walking duplicate chains, and the whole path runs through pooled
-//     scratch: a steady-state count is allocation-free.
+//   - Hash (hash.go): a table over the build side — always the smaller
+//     filtered cardinality, so it stays cache-resident — whose slots
+//     hold one distinct key each with a running count, an optional
+//     payload sum and a duplicate chain. Dense build keys (a span no
+//     larger than the slot arena hashing would take) address their
+//     slot directly by key − min; sparse ones are scattered into
+//     hash-disjoint partitions, each with its own linear-probing table
+//     over one shared slot arena. The probe side streams through in
+//     parallel chunks; the count and sum terminals fold per-slot
+//     aggregates without ever walking duplicate chains, and the whole
+//     path runs through pooled scratch: a steady-state count is
+//     allocation-free.
 //
 //   - Merge (merge.go): an index-clustered merge join. Both sides
 //     stream in ascending key-cluster order (Executor.WalkKeyOrder:

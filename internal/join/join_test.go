@@ -1,6 +1,8 @@
 package join
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -54,52 +56,127 @@ func randInput(rng *rand.Rand, n int, domain int64) Input {
 	return in
 }
 
+// spanInput is a build side of n keys spanning exactly span values from
+// lo (both ends present, the rest uniform inside; span >= 2), with
+// distinct row ids from rowBase.
+func spanInput(rng *rand.Rand, n int, lo int64, span uint64, rowBase uint32) Input {
+	in := randInput(rng, n, 1)
+	for i := range in.Keys {
+		in.Keys[i] = lo + int64(rng.Uint64()%span)
+		in.Rows[i] += rowBase
+	}
+	in.Keys[0], in.Keys[n-1] = lo, lo+int64(span-1)
+	return in
+}
+
+// probeOf draws n probe keys, half from the build side's keys and half
+// from extra (or the build keys shifted by ±1 when extra is nil).
+func probeOf(rng *rand.Rand, build Input, n int, extra []int64) Input {
+	in := randInput(rng, n, 1)
+	for i := range in.Keys {
+		k := build.Keys[rng.Intn(len(build.Keys))]
+		switch {
+		case i%2 == 0:
+		case extra != nil:
+			k = extra[rng.Intn(len(extra))]
+		default:
+			k += int64(rng.Intn(3)) - 1
+		}
+		in.Keys[i] = k
+	}
+	return in
+}
+
 // TestHashMatchesNestedLoop covers the hash kernel across size
-// asymmetries (build-side choice), duplicate fan-outs (small domains),
-// every terminal, and multi-partition builds.
+// asymmetries (build-side choice), duplicate fan-outs (small domains)
+// and both slot-addressing modes — each case states which one its build
+// side takes: direct spans right at and just past pow2(2n), a wide
+// domain over enough keys to partition, int64 extremes (a span that
+// overflows int64, keys at the edges with probes wrapping past them),
+// probes outside the build span, and a probe side large enough to split
+// across workers — for every terminal, both sum sides, threads 1 and 4.
 func TestHashMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cases := []struct {
+	type hashCase struct {
+		name        string
+		left, right Input
+		direct      bool
+	}
+	var cases []hashCase
+	add := func(name string, left, right Input, direct bool) {
+		cases = append(cases, hashCase{name, left, right, direct})
+	}
+	for _, tc := range []struct {
 		nl, nr int
 		domain int64
+		direct bool
 	}{
-		{0, 10, 8}, {10, 0, 8}, {1, 1, 1},
-		{50, 800, 40},    // heavy M:N duplication, left builds
-		{800, 50, 40},    // right builds
-		{300, 300, 1e9},  // mostly unique keys, sparse overlap
-		{20000, 700, 64}, // multi-partition build (over minPartitionKeys)
+		{0, 10, 8, false}, {10, 0, 8, false}, {1, 1, 1, true},
+		{50, 800, 40, true},    // heavy M:N duplication, left builds
+		{800, 50, 40, true},    // right builds
+		{300, 300, 1e9, false}, // mostly unique keys, sparse overlap
+	} {
+		add(fmt.Sprintf("random(%d,%d,dom=%d)", tc.nl, tc.nr, tc.domain),
+			randInput(rng, tc.nl, tc.domain), randInput(rng, tc.nr, tc.domain), tc.direct)
 	}
-	for _, tc := range cases {
-		for _, sumSide := range []Side{Left, Right} {
-			left := randInput(rng, tc.nl, tc.domain)
-			right := randInput(rng, tc.nr, tc.domain)
-			wantCount, wantSum, wantPairs := nestedLoopOracle(left, right, sumSide)
+	const n = 300 // pow2(2n) = 1024 slots
+	at := spanInput(rng, n, -500, 1024, 0)
+	add("span=pow2(2n)", at, probeOf(rng, at, 900, nil), true)
+	past := spanInput(rng, n, -500, 1025, 0)
+	add("span=pow2(2n)+1", probeOf(rng, past, 900, nil), past, false)
+	wide := spanInput(rng, 1<<14, 1<<39, 1<<40, 0)
+	add("wide-partitioned", wide, probeOf(rng, wide, 1<<14+500, nil), false)
+	ends := spanInput(rng, 64, math.MinInt64, 1<<63, 0)
+	ends.Keys[1] = math.MaxInt64 // a span of 2^64 values: past any arena
+	add("int64-extremes", probeOf(rng, ends, 200, nil), ends, false)
+	top := spanInput(rng, 64, math.MaxInt64-99, 100, 0)
+	add("top-edge", top, probeOf(rng, top, 300, []int64{math.MinInt64, math.MinInt64 + 1, -1, 0}), true)
+	bottom := spanInput(rng, 64, math.MinInt64, 100, 0)
+	add("bottom-edge", probeOf(rng, bottom, 300, []int64{math.MaxInt64, math.MaxInt64 - 1, 1 << 62}), bottom, true)
+	small := spanInput(rng, 100, 1000, 150, 0)
+	add("parallel-probe", small, probeOf(rng, small, minParallelJoin+1000, []int64{-1, 999, 1150, 1 << 40}), true)
 
+	for _, tc := range cases {
+		if len(tc.left.Keys) > 0 && len(tc.right.Keys) > 0 {
+			build := tc.left
+			if len(tc.right.Keys) < len(tc.left.Keys) {
+				build = tc.right
+			}
+			st := getHashState()
+			st.build(build, true, 1)
+			if st.direct != tc.direct {
+				t.Errorf("%s: direct addressing = %v, want %v", tc.name, st.direct, tc.direct)
+			}
+			putHashState(st)
+		}
+		left, right := tc.left, tc.right
+		for _, sumSide := range []Side{Left, Right} {
+			wantCount, wantSum, wantPairs := nestedLoopOracle(left, right, sumSide)
 			for _, threads := range []int{1, 4} {
 				c, _ := Hash(Op{Kind: OpCount}, left, right, threads, nil)
 				if c != wantCount {
-					t.Fatalf("Hash count(%d,%d,dom=%d,t=%d) = %d, want %d", tc.nl, tc.nr, tc.domain, threads, c, wantCount)
+					t.Fatalf("%s: Hash count(t=%d) = %d, want %d", tc.name, threads, c, wantCount)
 				}
 				c, s := Hash(Op{Kind: OpSum, SumSide: sumSide}, left, right, threads, nil)
 				if c != wantCount || s != wantSum {
-					t.Fatalf("Hash sum(%v) = (%d,%d), want (%d,%d)", sumSide, c, s, wantCount, wantSum)
+					t.Fatalf("%s: Hash sum(%v, t=%d) = (%d,%d), want (%d,%d)", tc.name, sumSide, threads, c, s, wantCount, wantSum)
 				}
-			}
-			var p Pairs
-			c, _ := Hash(Op{Kind: OpPairs}, left, right, 1, &p)
-			if c != wantCount || p.Len() != len(wantPairs) {
-				t.Fatalf("Hash pairs: count %d len %d, want %d", c, p.Len(), len(wantPairs))
-			}
-			got := sortedPairs(p.Left, p.Right)
-			sort.Slice(wantPairs, func(a, b int) bool {
-				if wantPairs[a][0] != wantPairs[b][0] {
-					return wantPairs[a][0] < wantPairs[b][0]
+				var p Pairs
+				c, _ = Hash(Op{Kind: OpPairs}, left, right, threads, &p)
+				if c != wantCount || p.Len() != len(wantPairs) {
+					t.Fatalf("%s: Hash pairs(t=%d): count %d len %d, want %d", tc.name, threads, c, p.Len(), len(wantPairs))
 				}
-				return wantPairs[a][1] < wantPairs[b][1]
-			})
-			for i := range got {
-				if got[i] != wantPairs[i] {
-					t.Fatalf("Hash pairs[%d] = %v, want %v", i, got[i], wantPairs[i])
+				got := sortedPairs(p.Left, p.Right)
+				sort.Slice(wantPairs, func(a, b int) bool {
+					if wantPairs[a][0] != wantPairs[b][0] {
+						return wantPairs[a][0] < wantPairs[b][0]
+					}
+					return wantPairs[a][1] < wantPairs[b][1]
+				})
+				for i := range got {
+					if got[i] != wantPairs[i] {
+						t.Fatalf("%s: Hash pairs[%d] = %v, want %v", tc.name, i, got[i], wantPairs[i])
+					}
 				}
 			}
 		}
@@ -314,20 +391,23 @@ func TestGroupedOverPairs(t *testing.T) {
 }
 
 // TestHashCountAllocationFree: the kernel-level count path through
-// pooled scratch allocates nothing once warm (the query-runner-level
-// gate lives in internal/query).
+// pooled scratch allocates nothing once warm, over a direct-addressed
+// table and a radix-hashed one alike (the query-runner-level gate lives
+// in internal/query).
 func TestHashCountAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	rng := rand.New(rand.NewSource(5))
-	left := randInput(rng, 4096, 512)
-	right := randInput(rng, 8192, 512)
-	Hash(Op{Kind: OpCount}, left, right, 1, nil) // warm the pool
-	allocs := testing.AllocsPerRun(50, func() {
-		Hash(Op{Kind: OpCount}, left, right, 1, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("hash-join count allocates %.1f times per run, want 0", allocs)
+	for _, domain := range []int64{512 /* direct */, 1 << 40 /* hashed */} {
+		left := randInput(rng, 4096, domain)
+		right := probeOf(rng, left, 8192, nil)
+		Hash(Op{Kind: OpCount}, left, right, 1, nil) // warm the pool
+		allocs := testing.AllocsPerRun(50, func() {
+			Hash(Op{Kind: OpCount}, left, right, 1, nil)
+		})
+		if allocs != 0 {
+			t.Errorf("hash-join count over domain %d allocates %.1f times per run, want 0", domain, allocs)
+		}
 	}
 }
