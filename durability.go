@@ -162,7 +162,7 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 			}
 		}
 	}
-	if cfg.Mode != ModeHolistic && d.interval > 0 {
+	if d.interval > 0 {
 		go d.tickerLoop()
 	}
 	s.publish()
@@ -290,9 +290,6 @@ func (d *durability) attachExec(exec *engine.Executor) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	d.exec = exec
-	if dm := exec.Daemon(); dm != nil {
-		dm.SetIdleHook(d.maybeSnapshot)
-	}
 	if !d.haveSnap {
 		if err := d.checkpointLocked(); err != nil {
 			return fmt.Errorf("holistic: initial checkpoint: %w", err)
@@ -468,9 +465,8 @@ func (d *durability) installState(rec *durable.Recovered) {
 }
 
 // maybeSnapshot is the background snapshot policy: checkpoint when
-// there are unsnapshotted records and the cadence has elapsed. Under
-// ModeHolistic it rides the daemon's idle cycles (SetIdleHook);
-// otherwise a ticker goroutine drives it.
+// there are unsnapshotted records and the cadence has elapsed. The
+// ticker goroutine drives it in every mode.
 func (d *durability) maybeSnapshot() {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()

@@ -581,3 +581,38 @@ func TestHolisticDaemonStateRestored(t *testing.T) {
 		t.Errorf("restored Refinements = %d, want >= %d", st.Refinements, refinements)
 	}
 }
+
+// TestBackgroundSnapshot: a store opened with a short SnapshotInterval
+// checkpoints by itself once a logged write is pending. One ticker drives
+// background snapshots in every mode, the daemon's included.
+func TestBackgroundSnapshot(t *testing.T) {
+	for _, mode := range []Mode{ModeAdaptive, ModeHolistic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := durCfg(mode)
+			cfg.SnapshotInterval = 5 * time.Millisecond
+			s, err := OpenStore(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			a, _ := matrixBases()
+			if err := s.AddIntColumn("a", a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CountRange("a", 0, 50); err != nil { // the initial snapshot
+				t.Fatal(err)
+			}
+			before := s.Metrics().Recovery.Snapshots
+			if err := s.Insert("a", 7); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Metrics().Recovery.Snapshots == before {
+				if time.Now().After(deadline) {
+					t.Fatalf("no background checkpoint in 5s at a %v interval", cfg.SnapshotInterval)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}

@@ -152,11 +152,12 @@ type Config struct {
 	// Mode selects the indexing approach (the zero value is ModeScan).
 	Mode Mode
 	// Threads is the hardware-context budget (default 2): scan and sort
-	// parallelism, and — under ModeHolistic — the pool split between
-	// user queries and holistic workers.
+	// parallelism, and — under ModeHolistic — the contexts the daemon
+	// counts as idle while no query or worker runs on them.
 	Threads int
-	// UserThreads caps the contexts one user query occupies under
-	// ModeHolistic (default Threads/2); the rest feed the daemon.
+	// UserThreads is the crack parallelism of one user query under
+	// ModeHolistic (default Threads/2): how many goroutines a query's
+	// crack of a large piece fans out to.
 	UserThreads int
 	// OnlineEpoch is the monitoring epoch of ModeOnline in queries
 	// (default 100).
@@ -369,14 +370,10 @@ func (s *Store) build() *engine.Executor {
 	case ModeCCGI:
 		return engine.NewCCGIExecutor(s.table, threads, 64, cracking.Config{Seed: s.cfg.Seed})
 	case ModeHolistic:
-		user := s.cfg.UserThreads
-		if user < 1 {
-			user = threads / 2
+		crackCfg.ParallelWorkers = s.cfg.UserThreads
+		if crackCfg.ParallelWorkers < 1 {
+			crackCfg.ParallelWorkers = max(threads/2, 1)
 		}
-		if user < 1 {
-			user = 1
-		}
-		crackCfg.ParallelWorkers = user
 		return engine.NewHolisticExecutor(s.table, engine.HolisticConfig{
 			Cracking: crackCfg,
 			Daemon: holistic.Config{
@@ -386,10 +383,9 @@ func (s *Store) build() *engine.Executor {
 				Seed:          s.cfg.Seed,
 				StorageBudget: s.cfg.StorageBudget,
 			},
-			L1Values:    s.cfg.l1Values(),
-			Contexts:    threads,
-			UserThreads: user,
-			StatsSeed:   s.cfg.Seed,
+			L1Values:  s.cfg.l1Values(),
+			Contexts:  threads,
+			StatsSeed: s.cfg.Seed,
 		})
 	default:
 		return engine.NewAdaptiveExecutor(s.table, crackCfg, "")
@@ -1012,9 +1008,9 @@ func (s *Store) Close() { s.shutdown(true) }
 // directory recovery could not finish with.
 //
 // The store lock is released before the durability flush and the
-// executor shutdown: the daemon's idle hook may be mid-checkpoint, and
-// joining it while holding the lock every query path needs would stall
-// the whole store behind that flush.
+// executor shutdown: the background snapshot ticker may be
+// mid-checkpoint, and waiting for it while holding the lock every query
+// path needs would stall the whole store behind that flush.
 func (s *Store) shutdown(flush bool) {
 	s.mu.Lock()
 	if s.closed {

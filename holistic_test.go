@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"holistic/internal/column"
+	"holistic/internal/cpu"
 	"holistic/internal/workload"
 )
 
@@ -230,5 +231,72 @@ func TestConvergedStoreDaemonStandsDown(t *testing.T) {
 	}
 	if after.Attempts != before.Attempts {
 		t.Fatalf("%d attempts over %d cycles of a converged store", after.Attempts-before.Attempts, after.Totals.Cycles-before.Totals.Cycles)
+	}
+}
+
+// TestTerminalsLeaveNoBusyContext: every Store terminal, answered or
+// refused, hands back the busy contexts it counted — its own and its
+// fan-outs' — so a leak cannot starve the daemon of idle contexts.
+func TestTerminalsLeaveNoBusyContext(t *testing.T) {
+	const rows, domain = 1 << 16, 1 << 10
+	for _, mode := range []Mode{ModeScan, ModeOffline, ModeOnline, ModeAdaptive, ModeStochastic, ModeCCGI, ModeHolistic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := storeConfig(mode)
+			cfg.TuningInterval = time.Hour // the daemon's workers count too: keep them out
+			mk := func(names ...string) *Store {
+				s := NewStore(cfg)
+				for i, name := range names {
+					if err := s.AddIntColumn(name, workload.UniformColumn(rows, domain, int64(300+i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s
+			}
+			l, r := mk("a", "b"), mk("k", "w")
+			defer r.Close()
+			defer l.Close()
+			q := func() *Query { return l.Query().Where("a", 100, 900).Where("b", 0, 800) }
+			j := func() *JoinQuery { return q().Join(r.Query().Where("w", 0, 500), "a", "k") }
+			terminals := []struct {
+				name    string
+				wantErr bool
+				run     func() error
+			}{
+				{"CountRange", false, func() error { _, err := l.CountRange("a", 100, 900); return err }},
+				{"SumRange", false, func() error { _, err := l.SumRange("a", 100, 900); return err }},
+				{"MinMaxRange", false, func() error { _, _, _, err := l.MinMaxRange("a", 100, 900); return err }},
+				{"SelectRows", false, func() error { _, err := l.SelectRows("a", 100, 900); return err }},
+				{"Count", false, func() error { _, err := q().Count(); return err }},
+				{"Sum", false, func() error { _, err := q().Sum("b"); return err }},
+				{"Rows", false, func() error { _, err := q().Rows(); return err }},
+				{"Values", false, func() error { _, err := q().Values("a", "b"); return err }},
+				{"Min", false, func() error { _, _, err := q().Min("b"); return err }},
+				{"Max", false, func() error { _, _, err := q().Max("b"); return err }},
+				{"GroupBy", false, func() error { _, err := q().GroupBy("b").Aggregate(Count(), Sum("a")); return err }},
+				{"whole-relation GroupBy", false, func() error { _, err := l.Query().GroupBy("b").Aggregate(Count(), Min("a")); return err }},
+				{"Join Count", false, func() error { _, err := j().Count(); return err }},
+				{"Join Sum", false, func() error { _, err := j().Sum("w"); return err }},
+				{"Join Pairs", false, func() error { _, _, err := j().Pairs(); return err }},
+				{"Join GroupBy", false, func() error { _, err := j().GroupBy("b").Aggregate(Count(), Max("w")); return err }},
+				{"Explain", false, func() error { _, err := q().Explain(); return err }},
+				{"GroupBy Explain", false, func() error { _, err := q().GroupBy("b").Explain(Count()); return err }},
+				{"Join Explain", false, func() error { _, err := j().Explain(); return err }},
+				{"unknown attribute range", true, func() error { _, err := l.CountRange("nope", 0, 1); return err }},
+				{"unknown attribute query", true, func() error { _, err := l.Query().Where("nope", 0, 1).Count(); return err }},
+				{"closed store", true, func() error { l.Close(); _, err := l.CountRange("a", 0, 1); return err }},
+			}
+			for _, tm := range terminals {
+				if err := tm.run(); (err != nil) != tm.wantErr {
+					t.Fatalf("%s: err = %v, want an error: %v", tm.name, err, tm.wantErr)
+				}
+				// A leak holds the count for good; anything still running
+				// from an earlier test holds it only for a moment.
+				for deadline := time.Now().Add(time.Second); cpu.Busy() != 0; time.Sleep(50 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("busy count %d after %s", cpu.Busy(), tm.name)
+					}
+				}
+			}
+		})
 	}
 }

@@ -125,10 +125,9 @@ func runAgg(p Params) (*Result, error) {
 					Refinements: p.Refinements,
 					Seed:        p.Seed,
 				},
-				L1Values:    p.L1Values,
-				Contexts:    p.Threads,
-				UserThreads: user,
-				StatsSeed:   p.Seed,
+				L1Values:  p.L1Values,
+				Contexts:  p.Threads,
+				StatsSeed: p.Seed,
 			})
 		}, nil},
 	}

@@ -95,11 +95,10 @@ func holisticSystem(strategy stats.Strategy) system {
 				Strategy:    strategy,
 				Seed:        p.Seed,
 			},
-			L1Values:    p.L1Values,
-			Contexts:    threads,
-			UserThreads: user,
-			Monitor:     cpu.Fixed{Total: threads, Idle: workers},
-			StatsSeed:   p.Seed,
+			L1Values:  p.L1Values,
+			Contexts:  threads,
+			Monitor:   cpu.Fixed{Total: threads, Idle: workers},
+			StatsSeed: p.Seed,
 		})
 	}}
 }

@@ -52,9 +52,8 @@ func runFig16(p Params) (*Result, error) {
 					Strategy:    stats.W4,
 					Seed:        p.Seed,
 				},
-				L1Values:    p.L1Values,
-				Contexts:    1,
-				UserThreads: 1,
+				L1Values: p.L1Values,
+				Contexts: 1,
 			})
 		} else {
 			exec = engine.NewAdaptiveExecutor(t, pvdcConfig(p, 1), "")
@@ -125,15 +124,15 @@ func runFig17(p Params) (*Result, error) {
 		}
 		pv := engine.NewAdaptiveExecutor(t, pvdcConfig(p, perClient), "")
 		start := time.Now()
-		if _, err := engine.RunQueries(pv.Count, qs, attrName, clients); err != nil {
+		if _, err := runQueries(pv.Count, qs, attrName, clients); err != nil {
 			return nil, err
 		}
 		pvdcCost := time.Since(start)
 		pv.Close()
 
 		// HI: each client's query gets half the PVDC thread share (the
-		// paper's u8w8x2-style splits); the load accountant sees the
-		// clients, so with clients >= contexts the daemon detects
+		// paper's u8w8x2-style splits); every client's query counts as a
+		// busy context, so with clients >= contexts the daemon detects
 		// saturation and stays out of the way.
 		hiPerClient := perClient / 2
 		if hiPerClient < 1 {
@@ -147,13 +146,12 @@ func runFig17(p Params) (*Result, error) {
 				Refinements: p.Refinements,
 				Seed:        p.Seed,
 			},
-			L1Values:    p.L1Values,
-			Contexts:    p.Threads,
-			UserThreads: hiPerClient,
-			StatsSeed:   p.Seed,
+			L1Values:  p.L1Values,
+			Contexts:  p.Threads,
+			StatsSeed: p.Seed,
 		})
 		start = time.Now()
-		if _, err := engine.RunQueries(hi.Count, qs, attrName, clients); err != nil {
+		if _, err := runQueries(hi.Count, qs, attrName, clients); err != nil {
 			return nil, err
 		}
 		hiCost := time.Since(start)

@@ -73,10 +73,9 @@ func newHolistic(p Params, t *engine.Table) *engine.Executor {
 			Refinements: p.Refinements,
 			Seed:        p.Seed,
 		},
-		L1Values:    p.L1Values,
-		Contexts:    p.Threads,
-		UserThreads: user,
-		StatsSeed:   p.Seed,
+		L1Values:  p.L1Values,
+		Contexts:  p.Threads,
+		StatsSeed: p.Seed,
 	})
 }
 
@@ -336,11 +335,10 @@ func runFig7(p Params) (*Result, error) {
 					MaxWorkers:  d.workers,
 					Seed:        p.Seed,
 				},
-				L1Values:    p.L1Values,
-				Contexts:    p.Threads,
-				UserThreads: d.user,
-				Monitor:     cpu.Fixed{Total: p.Threads, Idle: d.workers},
-				StatsSeed:   p.Seed,
+				L1Values:  p.L1Values,
+				Contexts:  p.Threads,
+				Monitor:   cpu.Fixed{Total: p.Threads, Idle: d.workers},
+				StatsSeed: p.Seed,
 			})
 		}
 		times, err := timeQueries(exec, qs)

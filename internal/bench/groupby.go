@@ -69,9 +69,8 @@ func runGroupBy(p Params) (*Result, error) {
 			Refinements: p.Refinements,
 			Seed:        p.Seed,
 		},
-		L1Values:    p.L1Values,
-		Contexts:    p.Threads,
-		UserThreads: p.Threads,
+		L1Values: p.L1Values,
+		Contexts: p.Threads,
 	})
 	defer exec.Close()
 	r := query.New(tab, exec, p.Threads)

@@ -80,9 +80,8 @@ func runJoin(p Params) (*Result, error) {
 				Refinements: p.Refinements,
 				Seed:        p.Seed,
 			},
-			L1Values:    p.L1Values,
-			Contexts:    p.Threads,
-			UserThreads: p.Threads,
+			L1Values: p.L1Values,
+			Contexts: p.Threads,
 		})
 	}
 	lt := mkTable("L", lk, p.Seed+1)

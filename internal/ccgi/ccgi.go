@@ -23,6 +23,7 @@ package ccgi
 import (
 	"sync"
 
+	"holistic/internal/column"
 	"holistic/internal/cracking"
 )
 
@@ -114,17 +115,11 @@ func (x *Index) prePartition() {
 	if step == 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	for _, c := range x.chunks {
-		wg.Add(1)
-		go func(c *cracking.Column) {
-			defer wg.Done()
-			for b := int64(1); b < int64(x.buckets); b++ {
-				c.CrackAt(x.domainLo + b*step)
-			}
-		}(c)
-	}
-	wg.Wait()
+	column.ForChunks(len(x.chunks), len(x.chunks), 1, func(i, _, _ int) {
+		for b := int64(1); b < int64(x.buckets); b++ {
+			x.chunks[i].CrackAt(x.domainLo + b*step)
+		}
+	})
 }
 
 // ensurePrePartitioned pays the coarse pre-index step exactly once, on
@@ -140,22 +135,14 @@ func (x *Index) ensurePrePartitioned() {
 	x.mu.Unlock()
 }
 
-// forEachChunk cracks every chunk on [lo, hi) in parallel, invoking fn
-// once per chunk, and returns the per-chunk ranges. fn runs on the
-// cracking goroutine of its chunk; writes to distinct slots need no
-// further synchronization.
-func (x *Index) forEachChunk(lo, hi int64, fn func(i int, c *cracking.Column) cracking.Range) []cracking.Range {
+// selectChunks cracks every chunk on [lo, hi) in parallel and returns
+// the per-chunk ranges.
+func (x *Index) selectChunks(lo, hi int64) []cracking.Range {
 	x.ensurePrePartitioned()
 	ranges := make([]cracking.Range, len(x.chunks))
-	var wg sync.WaitGroup
-	for i, c := range x.chunks {
-		wg.Add(1)
-		go func(i int, c *cracking.Column) {
-			defer wg.Done()
-			ranges[i] = fn(i, c)
-		}(i, c)
-	}
-	wg.Wait()
+	column.ForChunks(len(x.chunks), len(x.chunks), 1, func(i, _, _ int) {
+		ranges[i] = x.chunks[i].SelectRange(lo, hi)
+	})
 	return ranges
 }
 
@@ -163,9 +150,7 @@ func (x *Index) forEachChunk(lo, hi int64, fn func(i int, c *cracking.Column) cr
 // the value range if it is new, and returns the number of qualifying
 // tuples.
 func (x *Index) SelectCount(lo, hi int64) int {
-	ranges := x.forEachChunk(lo, hi, func(_ int, c *cracking.Column) cracking.Range {
-		return c.SelectRange(lo, hi)
-	})
+	ranges := x.selectChunks(lo, hi)
 	total := 0
 	for _, r := range ranges {
 		total += r.Count()
@@ -182,9 +167,7 @@ func (x *Index) SelectCount(lo, hi int64) int {
 // retain the segment. Unlike SelectCount it consolidates nothing — the
 // consumer reads the chunks' own pieces.
 func (x *Index) SelectSegments(lo, hi int64, fn func(total int, off uint32, s cracking.Segment)) {
-	ranges := x.forEachChunk(lo, hi, func(_ int, c *cracking.Column) cracking.Range {
-		return c.SelectRange(lo, hi)
-	})
+	ranges := x.selectChunks(lo, hi)
 	total := 0
 	for _, r := range ranges {
 		total += r.Count()

@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"holistic/internal/cpu"
 )
 
 // The kernels are built from three primitives, each written once:
@@ -38,21 +40,28 @@ const (
 // number w on its own goroutine; it returns, once all have, how many
 // chunks ran. Chunks are never empty, so fewer than workers run when n
 // is small. align = 64 gives writers of a shared bitmap whole words
-// each.
+// each. It is the library's only goroutine fan-out, and its goroutines
+// are counted busy (cpu.Acquire) until they have all returned, so the
+// holistic daemon sees them.
 func ForChunks(n, workers, align int, fn func(w, start, end int)) int {
 	workers = max(workers, 1)
 	chunk := ((n+workers-1)/workers + align - 1) / align * align
-	var wg sync.WaitGroup
 	ran := 0
-	for w, start := 0, 0; start < n; w, start = w+1, start+chunk {
-		wg.Add(1)
+	if n > 0 {
+		ran = (n + chunk - 1) / chunk
+	}
+	cpu.Acquire(ran)
+	var wg sync.WaitGroup
+	wg.Add(ran)
+	for w := range ran {
 		go func() {
 			defer wg.Done()
+			start := w * chunk
 			fn(w, start, min(start+chunk, n))
 		}()
-		ran++
 	}
 	wg.Wait()
+	cpu.Release(ran)
 	return ran
 }
 

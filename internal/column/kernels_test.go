@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+
+	"holistic/internal/cpu"
 )
 
 // kernelVals is the differential's column: uniform in [-1000, 1000) with
@@ -445,7 +447,7 @@ func TestFanOutCoversExactlyOnce(t *testing.T) {
 			for _, align := range []int{1, 64} {
 				seen := make([]atomic.Int32, n)
 				var chunks atomic.Int32
-				ForChunks(n, workers, align, func(w, start, end int) {
+				ran := ForChunks(n, workers, align, func(w, start, end int) {
 					chunks.Add(1)
 					if w < 0 || w >= max(workers, 1) || start%align != 0 || start >= end || end > n {
 						t.Errorf("n=%d workers=%d align=%d: chunk %d = [%d, %d)", n, workers, align, w, start, end)
@@ -460,10 +462,39 @@ func TestFanOutCoversExactlyOnce(t *testing.T) {
 						t.Fatalf("n=%d workers=%d align=%d: index %d visited %d times", n, workers, align, i, c)
 					}
 				}
-				if c := int(chunks.Load()); c > max(workers, 1) {
-					t.Fatalf("n=%d workers=%d align=%d: %d chunks", n, workers, align, c)
+				if c := int(chunks.Load()); c > max(workers, 1) || c != ran {
+					t.Fatalf("n=%d workers=%d align=%d: %d chunks, %d reported", n, workers, align, c, ran)
 				}
 			}
+		}
+	}
+}
+
+// TestFanOutCountsBusy: while ForChunks' chunks run, each is one busy
+// context for the daemon's load accountant; when it returns, none are.
+func TestFanOutCountsBusy(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		running := make(chan struct{}, workers)
+		release := make(chan struct{})
+		done := make(chan int)
+		go func() {
+			done <- ForChunks(workers, workers, 1, func(_, _, _ int) {
+				running <- struct{}{}
+				<-release
+			})
+		}()
+		for range workers {
+			<-running
+		}
+		if got := cpu.Busy(); got != workers {
+			t.Errorf("%d blocked chunks: busy count %d", workers, got)
+		}
+		close(release)
+		if ran := <-done; ran != workers {
+			t.Fatalf("ForChunks ran %d chunks, want %d", ran, workers)
+		}
+		if got := cpu.Busy(); got != 0 {
+			t.Fatalf("busy count %d after ForChunks returned", got)
 		}
 	}
 }

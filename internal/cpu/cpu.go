@@ -3,19 +3,22 @@
 // thread continuously monitors the CPU load ... when n idle CPU cores are
 // detected, n holistic worker threads are activated".
 //
-// Two implementations of the Monitor interface are provided:
+// The process keeps one count of busy contexts. engine.Executor.run
+// counts the goroutine that enters it, and column.ForChunks — the only
+// goroutine fan-out — counts the goroutines it runs for as long as they
+// run; internal/tpch, which assembles its queries by hand, brackets its
+// cracker selects the same way. So every query's fan-out and every
+// daemon's workers, which also run through ForChunks, are in the one
+// count. It is off in two known ways: one high while an executor call
+// fans out (its caller, blocked in the fan-out's wait, is still counted,
+// which errs toward the daemon yielding), and one low while tpch runs a
+// stage below the fan-out thresholds outside any executor call.
 //
-//   - ProcStatMonitor reads kernel statistics from /proc/stat, exactly as
-//     the paper's implementation does. It needs wall-clock sampling
-//     windows (the paper found 1 second gives proper kernel statistics),
-//     and it observes the whole machine.
-//
-//   - LoadAccountant tracks, inside the process, how many of a configured
-//     budget of hardware contexts the user-query workload currently
-//     occupies. It is deterministic and instantaneous, which lets tests
-//     and reduced-scale benchmarks run tuning cycles in milliseconds.
-//     This substitution is recorded in DESIGN.md §3: the daemon consumes
-//     only the signal "n contexts are idle", which both monitors produce.
+// The daemon consumes only the signal "n contexts are idle" (DESIGN.md
+// §3). LoadAccountant derives it from the busy count, instantly and
+// deterministically, so tuning cycles take milliseconds; ProcStatMonitor
+// reads /proc/stat over the whole machine, as the paper does; Fixed pins
+// it for the uXwY thread-distribution experiments.
 package cpu
 
 import (
@@ -29,6 +32,22 @@ import (
 	"sync/atomic"
 )
 
+// busy is the process-wide count of contexts running library work.
+var busy atomic.Int64
+
+// Acquire counts n more busy contexts.
+//
+//holistic:noalloc
+func Acquire(n int) { busy.Add(int64(n)) }
+
+// Release counts n busy contexts as done.
+//
+//holistic:noalloc
+func Release(n int) { busy.Add(-int64(n)) }
+
+// Busy returns the number of contexts currently counted busy.
+func Busy() int { return int(busy.Load()) }
+
 // Monitor reports how many hardware contexts are available in total and
 // how many of them are currently idle.
 type Monitor interface {
@@ -39,43 +58,23 @@ type Monitor interface {
 	IdleContexts() int
 }
 
-// LoadAccountant is an in-process Monitor: the query engine acquires
-// contexts while executing user queries and releases them when done; the
-// remainder of the budget is idle.
+// LoadAccountant is the in-process Monitor: a budget of contexts, of
+// which those the process-wide busy count does not hold are idle.
 type LoadAccountant struct {
-	contexts int64
-	active   atomic.Int64
+	contexts int
 }
 
 // NewLoadAccountant returns an accountant with the given context budget
 // (typically the number of hardware contexts dedicated to the store).
 func NewLoadAccountant(contexts int) *LoadAccountant {
-	if contexts < 1 {
-		contexts = 1
-	}
-	return &LoadAccountant{contexts: int64(contexts)}
+	return &LoadAccountant{contexts: max(contexts, 1)}
 }
-
-// Acquire marks n contexts as busy with user-query work.
-func (a *LoadAccountant) Acquire(n int) { a.active.Add(int64(n)) }
-
-// Release returns n contexts to the idle pool.
-func (a *LoadAccountant) Release(n int) { a.active.Add(-int64(n)) }
-
-// Active returns the number of contexts currently in use.
-func (a *LoadAccountant) Active() int { return int(a.active.Load()) }
 
 // Contexts implements Monitor.
-func (a *LoadAccountant) Contexts() int { return int(a.contexts) }
+func (a *LoadAccountant) Contexts() int { return a.contexts }
 
 // IdleContexts implements Monitor.
-func (a *LoadAccountant) IdleContexts() int {
-	idle := a.contexts - a.active.Load()
-	if idle < 0 {
-		return 0
-	}
-	return int(idle)
-}
+func (a *LoadAccountant) IdleContexts() int { return max(a.contexts-Busy(), 0) }
 
 // times holds one CPU line of /proc/stat (all jiffy counters we use).
 type times struct {
@@ -198,7 +197,8 @@ func parseProcStat(r io.Reader) ([]times, error) {
 
 // Fixed is a Monitor that always reports the same idle count; benchmarks
 // use it to pin worker parallelism to a chosen thread distribution (the
-// uXwYxZ configurations of Figures 7, 11 and 17).
+// uXwYxZ configurations of Figures 7, 11 and 17) whatever the busy count
+// says.
 type Fixed struct {
 	Total, Idle int
 }

@@ -16,16 +16,20 @@ func TestLoadAccountant(t *testing.T) {
 	if a.IdleContexts() != 8 {
 		t.Errorf("fresh IdleContexts() = %d, want 8", a.IdleContexts())
 	}
-	a.Acquire(3)
-	if a.IdleContexts() != 5 || a.Active() != 3 {
-		t.Errorf("after Acquire(3): idle %d active %d", a.IdleContexts(), a.Active())
+	Acquire(3)
+	if a.IdleContexts() != 5 || Busy() != 3 {
+		t.Errorf("after Acquire(3): idle %d busy %d", a.IdleContexts(), Busy())
 	}
-	a.Acquire(10) // oversubscribed
+	// Every accountant is a view of the one count.
+	if b := NewLoadAccountant(4); b.IdleContexts() != 1 {
+		t.Errorf("second accountant IdleContexts() = %d, want 1", b.IdleContexts())
+	}
+	Acquire(10) // oversubscribed
 	if a.IdleContexts() != 0 {
 		t.Errorf("oversubscribed IdleContexts() = %d, want 0", a.IdleContexts())
 	}
-	a.Release(10)
-	a.Release(3)
+	Release(10)
+	Release(3)
 	if a.IdleContexts() != 8 {
 		t.Errorf("after releases IdleContexts() = %d, want 8", a.IdleContexts())
 	}
@@ -46,14 +50,20 @@ func TestLoadAccountantConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				a.Acquire(2)
-				a.Release(2)
+				Acquire(2)
+				Release(2)
 			}
 		}()
 	}
 	wg.Wait()
-	if a.Active() != 0 {
-		t.Errorf("Active() = %d after balanced acquire/release", a.Active())
+	if Busy() != 0 || a.IdleContexts() != 16 {
+		t.Errorf("Busy() = %d, IdleContexts() = %d after balanced acquire/release", Busy(), a.IdleContexts())
+	}
+}
+
+func TestBusyCountAllocationFree(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Acquire(2); Release(2) }); n != 0 {
+		t.Errorf("Acquire/Release allocate %.0f times per pair, want 0", n)
 	}
 }
 

@@ -2,7 +2,8 @@ package cracking
 
 import (
 	"math/bits"
-	"sync"
+
+	"holistic/internal/column"
 )
 
 // blockSize is the number of values the crack kernel classifies from each
@@ -146,26 +147,17 @@ func swapRuns[T int64 | uint32](s []T, a, b, n int) {
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
 func parallelCrack(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64, workers int) int {
-	n := hi - lo
-	workers = max(1, min(workers, n))
+	// Slice w is [starts[w], starts[w+1]) and crackInTwo split it at mids[w].
 	starts := make([]int, workers+1)
-	for w := range starts {
-		starts[w] = lo + w*n/workers
-	}
 	mids := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mids[w] = crackInTwo(vals, rows, payloads, starts[w], starts[w+1], pivot)
-		}(w)
-	}
-	mids[0] = crackInTwo(vals, rows, payloads, starts[0], starts[1], pivot)
-	wg.Wait()
+	workers = column.ForChunks(hi-lo, workers, 1, func(w, start, end int) {
+		starts[w] = lo + start
+		mids[w] = crackInTwo(vals, rows, payloads, lo+start, lo+end, pivot)
+	})
+	starts[workers] = hi
 
 	split := lo
-	for w, m := range mids {
+	for w, m := range mids[:workers] {
 		split += m - starts[w]
 	}
 	// [a, aEnd) is a run of values >= pivot left of split, [b, bEnd) a run

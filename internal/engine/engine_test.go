@@ -367,109 +367,6 @@ func TestHolisticInsertsMergedByWorkers(t *testing.T) {
 	}
 }
 
-func TestRunQueriesSingleAndMultiClient(t *testing.T) {
-	const domain = 1 << 16
-	tbl, bases := testTable(t, 2, 20_000, domain)
-	qs := workload.Generate(workload.Config{
-		Pattern: workload.Random, Queries: 100, Domain: domain, Attrs: 2, Seed: 11,
-	})
-	want := make([]int, len(qs))
-	for i, q := range qs {
-		want[i] = column.CountRange(bases[q.Attr], q.Lo, q.Hi)
-	}
-	for _, clients := range []int{1, 2, 4} {
-		e := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
-		got, err := RunQueries(e.Count, qs, attrName, clients)
-		if err != nil {
-			t.Fatalf("clients=%d: %v", clients, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("clients=%d query %d: got %d, want %d", clients, i, got[i], want[i])
-			}
-		}
-		e.Close()
-	}
-}
-
-func TestRunQueriesPropagatesError(t *testing.T) {
-	tbl, _ := testTable(t, 1, 100, 1000)
-	e := NewScanExecutor(tbl, 1)
-	qs := []workload.Query{{Attr: 5, Lo: 0, Hi: 1}}
-	if _, err := RunQueries(e.Count, qs, attrName, 1); err == nil {
-		t.Error("single-client error not propagated")
-	}
-	if _, err := RunQueries(e.Count, qs, attrName, 4); err == nil {
-		t.Error("multi-client error not propagated")
-	}
-}
-
-// holdUntilEarlyDone delays the Count on attribute hold until every one
-// of the early (attr, lo, hi) queries has been answered.
-type holdUntilEarlyDone struct {
-	*AdaptiveExecutor
-	hold  string
-	early sync.Map // [3]int64{attr, lo, hi} of the queries not yet answered
-	left  sync.WaitGroup
-}
-
-func (h *holdUntilEarlyDone) Count(attr string, lo, hi int64) (int, error) {
-	if attr == h.hold {
-		h.left.Wait()
-	}
-	n, err := h.AdaptiveExecutor.Count(attr, lo, hi)
-	if _, ok := h.early.LoadAndDelete([3]int64{int64(attr[0]), lo, hi}); ok {
-		h.left.Done()
-	}
-	return n, err
-}
-
-// TestRunQueriesMultiClientMidstreamError plants a failing query in the
-// middle of a long sequence: the error must surface, the producer must
-// not deadlock, and queries answered before the failure stay correct.
-func TestRunQueriesMultiClientMidstreamError(t *testing.T) {
-	const domain = 1 << 16
-	tbl, bases := testTable(t, 2, 10_000, domain)
-	qs := workload.Generate(workload.Config{
-		Pattern: workload.Random, Queries: 200, Domain: domain, Attrs: 2, Seed: 23,
-	})
-	qs[120].Attr = 7 // unknown attribute mid-stream
-	// The first queries are handed to clients long before the poisoned
-	// one, but a client that has taken a query and not yet started it
-	// skips it once the failure is flagged; hold the failure back until
-	// the prefix under test has been answered, so the check below is about
-	// results surviving the error, not about who was scheduled first.
-	e := &holdUntilEarlyDone{
-		AdaptiveExecutor: NewAdaptiveExecutor(tbl, cracking.Config{}, ""),
-		hold:             attrName(7),
-	}
-	defer e.Close()
-	for _, q := range qs[:8] {
-		if _, dup := e.early.LoadOrStore([3]int64{int64(attrName(q.Attr)[0]), q.Lo, q.Hi}, true); !dup {
-			e.left.Add(1)
-		}
-	}
-	got, err := RunQueries(e.Count, qs, attrName, 4)
-	if err == nil {
-		t.Fatal("mid-stream error not propagated")
-	}
-	// An error later in the stream must not zero or corrupt results
-	// already computed.
-	completed := 0
-	for i := 0; i < 8; i++ {
-		want := column.CountRange(bases[qs[i].Attr], qs[i].Lo, qs[i].Hi)
-		if got[i] != want {
-			t.Fatalf("query %d: got %d, want %d", i, got[i], want)
-		}
-		if got[i] > 0 {
-			completed++
-		}
-	}
-	if completed == 0 {
-		t.Fatal("no early query produced a non-zero count; prefix check is vacuous")
-	}
-}
-
 // checkKeyOrderClusters asserts the WalkKeyOrder contract over a
 // walk: clusters' value sets are disjoint and ascending, rows align
 // with values, and the multiset of (value, row) pairs equals want.
@@ -668,6 +565,31 @@ func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
 	}
 }
 
+// countConcurrently answers qs through e.Count from clients goroutines,
+// client c taking every clients-th query from the c-th on, and returns the
+// counts in sequence order.
+func countConcurrently(t *testing.T, e *Executor, qs []workload.Query, clients int) []int {
+	t.Helper()
+	got := make([]int, len(qs))
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(qs); i += clients {
+				n, err := e.Count(attrName(qs[i].Attr), qs[i].Lo, qs[i].Hi)
+				if err != nil {
+					t.Errorf("query %d: %v", i, err)
+					return
+				}
+				got[i] = n
+			}
+		}()
+	}
+	wg.Wait()
+	return got
+}
+
 func TestCCGIExecutorConcurrentClients(t *testing.T) {
 	tbl, bases := testTable(t, 2, 20_000, 1<<16)
 	e := NewCCGIExecutor(tbl, 2, 8, cracking.Config{})
@@ -675,10 +597,7 @@ func TestCCGIExecutorConcurrentClients(t *testing.T) {
 	qs := workload.Generate(workload.Config{
 		Pattern: workload.Random, Queries: 80, Domain: 1 << 16, Attrs: 2, Seed: 17,
 	})
-	got, err := RunQueries(e.Count, qs, attrName, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := countConcurrently(t, e, qs, 4)
 	for i, q := range qs {
 		if want := column.CountRange(bases[q.Attr], q.Lo, q.Hi); got[i] != want {
 			t.Fatalf("query %d: got %d, want %d", i, got[i], want)
@@ -695,10 +614,7 @@ func TestOnlineExecutorConcurrentEpochCrossing(t *testing.T) {
 	qs := workload.Generate(workload.Config{
 		Pattern: workload.Random, Queries: 100, Domain: 1 << 16, Attrs: 2, Seed: 18,
 	})
-	got, err := RunQueries(e.Count, qs, attrName, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := countConcurrently(t, e, qs, 4)
 	for i, q := range qs {
 		if want := column.CountRange(bases[q.Attr], q.Lo, q.Hi); got[i] != want {
 			t.Fatalf("query %d: got %d, want %d", i, got[i], want)

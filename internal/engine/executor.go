@@ -63,10 +63,8 @@ type Executor struct {
 	updates map[string]*attrUpdates
 
 	// Holistic indexing: the daemon refines the cracker columns in idle
-	// contexts; acct tells it how many contexts user queries occupy.
-	daemon      *holistic.Daemon
-	acct        *cpu.LoadAccountant
-	userThreads int
+	// contexts.
+	daemon *holistic.Daemon
 }
 
 // AdaptiveExecutor is the cracking modes' executor by its former name.
@@ -148,11 +146,9 @@ type HolisticConfig struct {
 	Daemon holistic.Config
 	// L1Values is the optimal piece size (Equation 1).
 	L1Values int
-	// Contexts is the hardware-context budget of the load accountant.
+	// Contexts is the hardware-context budget of the load accountant
+	// (default 2).
 	Contexts int
-	// UserThreads is how many contexts a running user query occupies
-	// (the u of the paper's uXwYxZ distributions).
-	UserThreads int
 	// StatsSeed seeds the W4 strategy RNG.
 	StatsSeed int64
 	// Monitor overrides the load accountant as the daemon's idle signal;
@@ -165,14 +161,12 @@ type HolisticConfig struct {
 // contexts for auxiliary refinements.
 func NewHolisticExecutor(t *Table, cfg HolisticConfig) *Executor {
 	e := NewAdaptiveExecutor(t, cfg.Cracking, "holistic indexing")
-	if cfg.Contexts < 1 {
-		cfg.Contexts = 2
-	}
-	e.acct = cpu.NewLoadAccountant(cfg.Contexts)
-	e.userThreads = max(cfg.UserThreads, 1)
-	var mon cpu.Monitor = e.acct
-	if cfg.Monitor != nil {
-		mon = cfg.Monitor
+	mon := cfg.Monitor
+	if mon == nil {
+		if cfg.Contexts < 1 {
+			cfg.Contexts = 2
+		}
+		mon = cpu.NewLoadAccountant(cfg.Contexts)
 	}
 	e.daemon = holistic.New(stats.NewRegistry(cfg.L1Values, cfg.StatsSeed), mon, cfg.Daemon)
 	e.daemon.Start()
@@ -362,21 +356,20 @@ func (e *Executor) PrepareAll() {
 	}
 }
 
-// run is the one prologue and epilogue of every terminal: the holistic
-// load-accounting bracket (so the daemon sees the occupied contexts), the
-// select-latency measurement, attribute validation, the empty-range guard,
-// path resolution by the mode's policy, the walk, and the recording of
-// what the walk reports back — one observer call, through which every
-// door (Store range methods, conjunctive drives, join sides, Explain)
-// credits the attribute's ledger. A declined key-order walk did no work
-// and records nothing.
+// run is the one prologue and epilogue of every terminal: the busy-count
+// bracket (the calling goroutine is one busy context while it answers;
+// its fan-outs count themselves in column.ForChunks), the select-latency
+// measurement, attribute validation, the empty-range guard, path
+// resolution by the mode's policy, the walk, and the recording of what
+// the walk reports back — one observer call, through which every door
+// (Store range methods, conjunctive drives, join sides, Explain) credits
+// the attribute's ledger. A declined key-order walk did no work and
+// records nothing.
 //
 //holistic:noalloc
 func (e *Executor) run(attr string, f fold) (fold, error) {
-	if e.acct != nil {
-		e.acct.Acquire(e.userThreads)
-		defer e.acct.Release(e.userThreads)
-	}
+	cpu.Acquire(1)
+	defer cpu.Release(1)
 	var start time.Time
 	if e.ob != nil {
 		start = time.Now()

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"holistic/internal/column"
 	"holistic/internal/cpu"
 	"holistic/internal/cracking"
 	"holistic/internal/obs/observer"
@@ -131,18 +132,17 @@ type Daemon struct {
 	totalAttempts    atomic.Int64
 	busyRerolls      atomic.Int64
 
-	// workerPanics counts refinement workers (and idle hooks) that
-	// panicked and were contained; lastPanic keeps the most recent
-	// reason for the convergence report.
+	// workerPanics counts refinement workers that panicked and were
+	// contained; lastPanic keeps the most recent reason for the
+	// convergence report.
 	workerPanics atomic.Int64
 	panicMu      sync.Mutex
 	lastPanic    string
 
-	// idleHook, when set, runs once per tuning interval after the
-	// cycle's workers finish — the snapshotter piggybacks here so
-	// durability work rides the same idle capacity as refinement.
-	hookMu   sync.Mutex
-	idleHook func()
+	// slotMu serializes cycles (RunCycleNow may race the indexing
+	// thread) and guards slots, one per worker, kept across cycles.
+	slotMu sync.Mutex
+	slots  []workerSlot
 
 	// testRefineHook, when set before Start, runs at the top of every
 	// worker activation; the panic-containment test injects through it.
@@ -250,34 +250,12 @@ func (d *Daemon) run() {
 			d.runCycle(cycle, n)
 			cycle++
 		}
-		d.runIdleHook()
 	}
 }
 
-// SetIdleHook installs a function the indexing thread runs once per
-// tuning interval, after the cycle's workers have finished. The durable
-// layer's snapshotter attaches here. A panicking hook is contained like
-// a panicking worker.
-func (d *Daemon) SetIdleHook(fn func()) {
-	d.hookMu.Lock()
-	d.idleHook = fn
-	d.hookMu.Unlock()
-}
-
-func (d *Daemon) runIdleHook() {
-	d.hookMu.Lock()
-	fn := d.idleHook
-	d.hookMu.Unlock()
-	if fn == nil {
-		return
-	}
-	defer d.containPanic()
-	fn()
-}
-
-// containPanic is the deferred recovery barrier of one worker or hook:
-// the panic is counted and recorded, and the daemon moves on to the
-// next cycle instead of taking down the process.
+// containPanic is the deferred recovery barrier of one worker: the panic
+// is counted and recorded, and the daemon moves on to the next cycle
+// instead of taking down the process.
 func (d *Daemon) containPanic() {
 	r := recover()
 	if r == nil {
@@ -289,8 +267,8 @@ func (d *Daemon) containPanic() {
 	d.panicMu.Unlock()
 }
 
-// WorkerPanics returns how many worker activations or idle hooks
-// panicked and were contained.
+// WorkerPanics returns how many worker activations panicked and were
+// contained.
 func (d *Daemon) WorkerPanics() int64 { return d.workerPanics.Load() }
 
 // LastPanic returns the reason of the most recent contained panic.
@@ -312,34 +290,40 @@ func (d *Daemon) RestoreTotals(t CycleTotals, refinements, attempts, busyRerolls
 	d.busyRerolls.Store(busyRerolls)
 }
 
-// runCycle activates n workers and waits for all of them to finish.
+// workerSlot is what one worker of a cycle owns: its pivot RNG and what
+// it reports back.
+type workerSlot struct {
+	rng             *rand.Rand
+	time            time.Duration
+	refined, merged int
+}
+
+// runCycle activates n workers and waits for all of them to finish. The
+// workers run through column.ForChunks, so they count as busy contexts
+// for every daemon in the process.
 func (d *Daemon) runCycle(cycle, n int) {
-	var (
-		wg          sync.WaitGroup
-		workerTimes = make([]time.Duration, n)
-		refined     = make([]int, n)
-		merged      = make([]int, n)
-	)
-	start := time.Now()
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t0 := time.Now()
-			defer func() { workerTimes[w] = time.Since(t0) }()
-			defer d.containPanic()
-			r, m := d.idleFunction(rand.New(rand.NewSource(d.cfg.Seed + int64(cycle)*1024 + int64(w))))
-			refined[w] = r
-			merged[w] = m
-		}(w)
+	d.slotMu.Lock()
+	defer d.slotMu.Unlock()
+	for len(d.slots) < n {
+		d.slots = append(d.slots, workerSlot{rng: rand.New(rand.NewSource(0))})
 	}
-	wg.Wait()
+	slots := d.slots[:n]
+	start := time.Now()
+	column.ForChunks(n, n, 1, func(w, _, _ int) {
+		s := &slots[w]
+		s.refined, s.merged = 0, 0
+		t0 := time.Now()
+		defer func() { s.time = time.Since(t0) }()
+		defer d.containPanic()
+		s.rng.Seed(d.cfg.Seed + int64(cycle)*1024 + int64(w))
+		s.refined, s.merged = d.idleFunction(s.rng)
+	})
 
 	cs := CycleStats{Workers: n, Wall: time.Since(start)}
-	for w := 0; w < n; w++ {
-		cs.WorkerTime += workerTimes[w]
-		cs.Refinements += refined[w]
-		cs.MergedUpdates += merged[w]
+	for _, s := range slots {
+		cs.WorkerTime += s.time
+		cs.Refinements += s.refined
+		cs.MergedUpdates += s.merged
 	}
 	d.totalRefinements.Add(int64(cs.Refinements))
 	d.cycleMu.Lock()

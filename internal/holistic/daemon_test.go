@@ -98,7 +98,9 @@ func TestDaemonRespectsBusySystem(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(10_000, 2, 1<<20), cracking.Config{})
 	reg.Add("a", col, false)
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 0}, Config{Interval: time.Millisecond, Seed: 2})
+	d := New(reg, cpu.NewLoadAccountant(2), Config{Interval: time.Millisecond, Seed: 2})
+	cpu.Acquire(2)
+	defer cpu.Release(2)
 	d.Start()
 	time.Sleep(50 * time.Millisecond)
 	d.Stop()
@@ -114,11 +116,12 @@ func TestDaemonReactsToLoadChanges(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(50_000, 3, 1<<20), cracking.Config{})
 	reg.Add("a", col, false)
-	acct := cpu.NewLoadAccountant(2)
-	d := New(reg, acct, Config{Interval: time.Millisecond, Seed: 3})
+	d := New(reg, cpu.NewLoadAccountant(2), Config{Interval: time.Millisecond, Seed: 3})
 
 	// Saturate, start, verify no refinement.
-	acct.Acquire(2)
+	held := 2
+	cpu.Acquire(held)
+	defer func() { cpu.Release(held) }()
 	d.Start()
 	time.Sleep(30 * time.Millisecond)
 	if col.Pieces() != 1 {
@@ -126,7 +129,8 @@ func TestDaemonReactsToLoadChanges(t *testing.T) {
 		t.Fatalf("refined %d pieces while saturated", col.Pieces())
 	}
 	// Free a context; the daemon must pick the idleness up.
-	acct.Release(1)
+	cpu.Release(1)
+	held--
 	deadline := time.After(2 * time.Second)
 	for col.Pieces() == 1 {
 		select {
@@ -137,6 +141,48 @@ func TestDaemonReactsToLoadChanges(t *testing.T) {
 		}
 	}
 	d.Stop()
+}
+
+// TestDaemonStandsDownDuringFanOut: the goroutines of a running
+// column.ForChunks fan-out — a grouped fold, a join probe — are busy
+// contexts, so a daemon over a two-context budget makes no attempt while
+// a two-chunk fan-out blocks, and refines once it returns.
+func TestDaemonStandsDownDuringFanOut(t *testing.T) {
+	reg := newSpace(256)
+	col := cracking.New("a", randVals(50_000, 4, 1<<20), cracking.Config{})
+	reg.Add("a", col, false)
+	const interval = time.Millisecond
+	d := New(reg, cpu.NewLoadAccountant(2), Config{Interval: interval, Seed: 4})
+	defer d.Stop()
+
+	running := make(chan struct{}, 2)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		column.ForChunks(2, 2, 1, func(_, _, _ int) {
+			running <- struct{}{}
+			<-release
+		})
+	}()
+	<-running
+	<-running
+	d.Start()
+	time.Sleep(30 * interval) // at least 20 tuning intervals
+	attempts, cycles := d.Attempts(), len(d.Cycles())
+	close(release)
+	<-done
+	if attempts != 0 || cycles != 0 {
+		t.Fatalf("%d attempts in %d cycles while a two-chunk fan-out held both contexts", attempts, cycles)
+	}
+	deadline := time.After(2 * time.Second)
+	for d.Refinements() == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("daemon never refined after the fan-out returned")
+		case <-time.After(interval):
+		}
+	}
 }
 
 func TestDaemonMovesIndexToOptimal(t *testing.T) {

@@ -58,19 +58,3 @@ func TestWorkerPanicContained(t *testing.T) {
 		t.Errorf("Convergence.LastPanic = %q, want the injected reason", c.LastPanic)
 	}
 }
-
-// TestIdleHookPanicContained asserts a panicking idle hook (the
-// durability layer's snapshot trigger rides there) cannot kill the
-// daemon loop.
-func TestIdleHookPanicContained(t *testing.T) {
-	d := New(newSpace(64), cpu.Fixed{Total: 1, Idle: 1}, Config{Interval: time.Hour, Seed: 1})
-	d.SetIdleHook(func() { panic("snapshot hook failure") })
-	d.runIdleHook()
-	d.runIdleHook()
-	if got := d.WorkerPanics(); got != 2 {
-		t.Errorf("WorkerPanics = %d after two panicking hook runs, want 2", got)
-	}
-	if lp := d.LastPanic(); !strings.Contains(lp, "snapshot hook failure") {
-		t.Errorf("LastPanic = %q, want the hook reason", lp)
-	}
-}

@@ -251,7 +251,7 @@ func TestJoinFeedsNotePredicate(t *testing.T) {
 		return engine.NewHolisticExecutor(tab, engine.HolisticConfig{
 			Cracking: cracking.Config{WithRows: true},
 			Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 4},
-			Contexts: 2, UserThreads: 1,
+			Contexts: 2,
 		})
 	}
 	lExec, rExec := mkHolistic(lt), mkHolistic(rt)

@@ -15,7 +15,8 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"sync"
+
+	"holistic/internal/column"
 )
 
 // SortedColumn is a fully sorted copy of a base column, optionally
@@ -144,7 +145,7 @@ func (s *SortedColumn) Rows(start, end int) []uint32 {
 }
 
 // parallelSort sorts s in place using a multi-way parallel merge sort:
-// the array is cut into `workers` runs, each sorted concurrently by
+// the array is cut into up to `workers` runs, each sorted concurrently by
 // sortRun — the standard library's pdqsort, specialised for int64 where
 // the elements are — then merged pairwise, by compare, in parallel rounds.
 func parallelSort[T any](s []T, workers int, sortRun func([]T), compare func(a, b T) int) {
@@ -153,53 +154,38 @@ func parallelSort[T any](s []T, workers int, sortRun func([]T), compare func(a, 
 		sortRun(s)
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	// Round worker count down to a power of two so merge rounds pair up.
-	for workers&(workers-1) != 0 {
-		workers--
-	}
-
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * n / workers
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sortRun(s[lo:hi])
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
+	// Run r is [runs[r], runs[r+1]).
+	runs := make([]int, workers+1)
+	workers = column.ForChunks(n, workers, 1, func(w, start, end int) {
+		runs[w] = start
+		sortRun(s[start:end])
+	})
+	runs[workers] = n
+	runs = runs[:workers+1]
 
 	// Merge rounds: runs double in width each round.
 	buf := make([]T, n)
 	src, dst := s, buf
-	runs := bounds
 	for len(runs) > 2 {
-		nextRuns := make([]int, 0, (len(runs)+1)/2+1)
-		var mg sync.WaitGroup
-		for i := 0; i+2 < len(runs); i += 2 {
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], compare)
-			}(runs[i], runs[i+1], runs[i+2])
-			nextRuns = append(nextRuns, runs[i])
-		}
-		// Odd trailing run copies through unchanged.
+		pairs := (len(runs) - 1) / 2
+		column.ForChunks(pairs, pairs, 1, func(p, _, _ int) {
+			lo, mid, hi := runs[2*p], runs[2*p+1], runs[2*p+2]
+			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], compare)
+		})
+		// An odd trailing run copies through unchanged.
 		if (len(runs)-1)%2 == 1 {
 			lo, hi := runs[len(runs)-2], runs[len(runs)-1]
 			copy(dst[lo:hi], src[lo:hi])
-			nextRuns = append(nextRuns, lo)
 		}
-		nextRuns = append(nextRuns, n)
-		mg.Wait()
+		// Every merged pair, and the odd run, starts where its first run did.
+		m := 0
+		for i := 0; i < len(runs)-1; i += 2 {
+			runs[m] = runs[i]
+			m++
+		}
+		runs[m] = n
+		runs = runs[:m+1]
 		src, dst = dst, src
-		runs = nextRuns
 	}
 	if &src[0] != &s[0] {
 		copy(s, src)

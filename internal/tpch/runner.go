@@ -91,7 +91,6 @@ type Runner struct {
 
 	reg    *stats.Registry
 	daemon *holistic.Daemon
-	acct   *cpu.LoadAccountant
 
 	// PrepareTime records how long Prepare spent building projections
 	// (the pre-sorting cost Figure 14 reports separately: "8 sec").
@@ -173,8 +172,7 @@ func NewRunner(data *Data, mode Mode, cfg RunnerConfig) *Runner {
 			cfg.Interval = 10 * time.Millisecond
 		}
 		r.reg = stats.NewRegistry(cfg.L1Values, cfg.Seed)
-		r.acct = cpu.NewLoadAccountant(cfg.Contexts)
-		r.daemon = holistic.New(r.reg, r.acct, holistic.Config{
+		r.daemon = holistic.New(r.reg, cpu.NewLoadAccountant(cfg.Contexts), holistic.Config{
 			Interval:    cfg.Interval,
 			Refinements: cfg.Refinements,
 			Seed:        cfg.Seed,
@@ -288,13 +286,12 @@ func (r *Runner) Cracker(attr string) *cracking.Column {
 
 // selectPayloads streams the qualifying tuples (select values plus the
 // attr's payload columns, position-aligned) under the cracking modes,
-// recording statistics in holistic mode.
+// counting the caller as a busy context while it cracks, and recording
+// statistics in holistic mode.
 func (r *Runner) selectPayloads(attr string, lo, hi int64, fn func(vals []int64, payloads [][]int64)) {
 	c := r.cracker(attr)
-	if r.acct != nil {
-		r.acct.Acquire(1)
-		defer r.acct.Release(1)
-	}
+	cpu.Acquire(1)
+	defer cpu.Release(1)
 	rg := c.SelectPayloads(lo, hi, fn)
 	if r.reg != nil {
 		r.reg.RecordAccess(attr, rg.ExactHit())
@@ -528,10 +525,8 @@ func (r *Runner) Q6(year int, discount, quantity int64) int64 {
 		}
 		ext, disc = p.cols["l_extendedprice"], p.cols["l_discount"]
 	case ModeCracking, ModeHolistic:
-		if r.acct != nil {
-			r.acct.Acquire(1)
-			defer r.acct.Release(1)
-		}
+		cpu.Acquire(1)
+		defer cpu.Release(1)
 		c := r.rowCracker(plan[0].attr)
 		rg, rows := c.SelectRows(plan[0].lo, plan[0].hi)
 		if r.reg != nil {
