@@ -715,9 +715,10 @@ func Max(attr string) Agg { return Agg{groupby.Max(attr)} }
 // domains, open-addressing hash accumulators otherwise, and sort-based
 // grouping that walks the key's index clusters in order with no hash
 // table at all when the group key is an indexed attribute. Under
-// ModeHolistic the group-by attributes join the daemon's index space,
-// so idle-time refinement converts hash grouping into the sort strategy
-// over time. See DESIGN.md §6.
+// ModeHolistic a single key that is not dense-eligible, over a selection
+// dense enough to walk, joins the daemon's index space, so idle-time
+// refinement converts hash grouping into the sort strategy over time.
+// See DESIGN.md §6.
 func (q *Query) GroupBy(attrs ...string) *GroupedQuery {
 	return &GroupedQuery{q: q, keys: attrs}
 }
@@ -788,8 +789,8 @@ func (g *GroupedQuery) Aggregate(aggs ...Agg) (*GroupedResult, error) {
 // key-ordered index paths — an index-clustered merge join that
 // intersects cluster value ranges and builds no hash table at all.
 // Under ModeHolistic both join attributes feed their daemons' index
-// spaces, so idle refinement converts hash joins into merge joins over
-// time. Rows lacking a value in the join attribute (or in any
+// spaces while both selections are dense enough to walk, so idle
+// refinement converts hash joins into merge joins over time. Rows lacking a value in the join attribute (or in any
 // referenced payload attribute) never match.
 func (q *Query) Join(other *Query, leftAttr, rightAttr string) *JoinQuery {
 	return &JoinQuery{left: q, right: other, leftAttr: leftAttr, rightAttr: rightAttr}

@@ -100,8 +100,8 @@ func runGroupBy(p Params) (*Result, error) {
 	}
 
 	// The very first grouped query: the index space is empty, so the
-	// planner can only hash — and it admits the key attribute to the
-	// daemon (NotePredicate), starting background refinement.
+	// planner can only hash — and, the key being wide and the selection
+	// walkable, it admits the key, starting background refinement.
 	var first groupby.Result
 	firstStart := time.Now()
 	if err := r.GroupedInto(&first, keys, aggs, preds); err != nil {

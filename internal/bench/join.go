@@ -47,8 +47,8 @@ func joinCell(lr *query.Runner, j *query.Join, strat query.JoinStrategy, q int) 
 
 // runJoin is the join experiment: an M:N equi-join between two
 // relations whose join keys the holistic daemons refine in the
-// background. The first query can only hash — and it admits both join
-// attributes to the daemons (NotePredicate), starting refinement. Once
+// background. The first query can only hash — and, both selections being
+// walkable, it admits both join keys, starting refinement. Once
 // background cracking has shrunk both key columns' clusters below the
 // merge join's per-pair accumulator bound, the index-clustered merge
 // join walks both indexes in key order with no hash table — the

@@ -560,12 +560,13 @@ func (e *Executor) AddPotential(attr string) error {
 	return err
 }
 
-// NotePredicate tells the executor that a query touched attr without
-// driving its select — a residual conjunct, a group-by key, a join
-// attribute. Under holistic indexing the attribute joins the potential
-// configuration and its access statistics are bumped, so the daemon's
-// refinement spreads across every column the workload touches (the
-// paper's multi-column payoff); without a daemon nothing happens.
+// NotePredicate admits attr, which a query used without driving its
+// select, to the index space: under holistic indexing it joins the
+// potential configuration (its cracker copy is built now, inside the
+// caller's query) and its access statistics are bumped; without a daemon
+// nothing happens. Callers admit only what a plan can use — every
+// residual conjunct, and a group or join key only while the planner
+// could walk it (query.walkable).
 //
 //holistic:noalloc
 func (e *Executor) NotePredicate(attr string) error {

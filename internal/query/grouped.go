@@ -18,11 +18,10 @@
 //     index;
 //   - hash, otherwise.
 //
-// Under ModeHolistic the group-by attributes are reported to the
-// executor like residual conjuncts (Executor.NotePredicate), so they
-// enter the daemon's index space: idle-time refinement shrinks their
-// clusters and converts hash grouping into sort-based grouping over
-// time — grouping is how background cracking pays off beyond selects.
+// Under ModeHolistic a group key enters the daemon's index space
+// (admitKey) only while chooseSort could one day pick it; idle-time
+// refinement then shrinks its clusters and converts hash grouping into
+// sort-based grouping over time.
 package query
 
 import (
@@ -34,22 +33,28 @@ import (
 	"holistic/internal/obs"
 )
 
-// keyOrderScanRatio guards the index-clustered strategies (sort-based
-// grouping, merge join) against sparse selections: a cluster walk visits
-// every index entry while the hash strategies touch only selected rows,
-// so a walk is considered when at least 1/keyOrderScanRatio of the
-// position universe is selected.
-const keyOrderScanRatio = 4
-
-// walkPays is the planner rule grouping and joins share: a key-ordered
-// access path is worth walking for the selection sel when its clusters
-// span at most bound keys (they fit the per-cluster accumulator) and
-// sel is dense enough to amortize visiting the whole index.
+// walkable is the density half of the walk rule grouping and joins
+// share: a key-ordered walk visits every index entry while the hash
+// strategies touch only selected rows, so a walk is considered only when
+// at least a quarter of the position universe is selected. The span
+// half — clusters refined below the strategy's accumulator bound
+// (KeyOrderSpan) — needs an index to exist, so admission asks this half
+// alone.
 //
 //holistic:noalloc
-func walkPays(span, bound float64, sel *column.Bitmap) bool {
-	return span <= bound && sel.Count()*keyOrderScanRatio >= sel.Len()
+func walkable(selected, universe int) bool {
+	const keyOrderScanRatio = 4
+	return selected*keyOrderScanRatio >= universe
 }
+
+// admitKey enters a group or join key into the daemon's index space
+// (Executor.NotePredicate); callers admit only a key the planner could
+// one day walk. Besides runSel's residual conjuncts it is the one door:
+// a key no plan can walk would cost a cracker copy inside the query and
+// daemon cycles for nothing.
+//
+//holistic:noalloc
+func (r *Runner) admitKey(attr string) error { return r.exec.NotePredicate(attr) }
 
 // SetGroupStrategy pins the physical grouping strategy
 // (groupby.StrategyAuto restores per-query selection); safe to call
@@ -156,23 +161,24 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 	if err != nil {
 		return err
 	}
-
-	// Group-by attributes join the index space like residual conjuncts:
-	// the daemon's refinement converts their grouping to the sort
-	// strategy over time.
-	for _, k := range keys {
-		if err := r.exec.NotePredicate(k); err != nil {
-			return err
-		}
-	}
-
 	spec := r.groupSpec(sc, keys, aggs)
 	if !live {
 		return groupby.GroupRows(spec, nil, res)
 	}
 
+	// walk: chooseSort could pick the key once its clusters are refined —
+	// a single key, not dense-eligible, over a walkable selection, or a
+	// pinned sort strategy. Only then does the key enter the index space.
 	forced := groupby.Strategy(r.groupStrategy.Load())
-	if r.chooseSort(sc, spec, keys, forced) {
+	bits := sc.sel.Bits
+	walk := len(keys) == 1 && (forced == groupby.StrategySort ||
+		!groupby.DenseEligible(spec.Keys, 0) && walkable(bits.Count(), bits.Len()))
+	if walk {
+		if err := r.admitKey(keys[0]); err != nil {
+			return err
+		}
+	}
+	if r.chooseSort(sc, keys, forced, walk) {
 		walked := false
 		err := groupby.GroupClusters(spec, sc.sel.Bits, func(fn func(vals []int64, rows []uint32)) {
 			walked, _ = r.exec.WalkKeyOrder(keys[0], fn)
@@ -298,12 +304,12 @@ func (r *Runner) groupSpec(sc *scratch, keys []string, aggs []groupby.Agg) *grou
 	return &sc.gspec
 }
 
-// chooseSort applies the sort-strategy rule: a single group key with a
-// key-ordered access path worth walking (walkPays), skipped when the
-// dense strategy qualifies (a small packed domain groups faster through
-// direct array indexing). A forced sort strategy skips the profitability
-// checks but not the availability ones.
-func (r *Runner) chooseSort(sc *scratch, spec *groupby.Spec, keys []string, forced groupby.Strategy) bool {
+// chooseSort applies the sort-strategy rule: a single group key the
+// caller found walkable (walk: not dense-eligible — a small packed
+// domain groups faster through direct array indexing — over a dense
+// enough selection, or sort pinned) whose key-ordered access path has
+// clusters that fit the per-cluster accumulator.
+func (r *Runner) chooseSort(sc *scratch, keys []string, forced groupby.Strategy, walk bool) bool {
 	if (forced != groupby.StrategyAuto && forced != groupby.StrategySort) || len(keys) != 1 {
 		return false
 	}
@@ -319,8 +325,5 @@ func (r *Runner) chooseSort(sc *scratch, spec *groupby.Spec, keys []string, forc
 	tr.SetStat("cluster_slots", float64(groupby.DefaultClusterSlots))
 	tr.SetStat("selected_rows", sc.fstat[1])
 	tr.SetStat("position_universe", float64(bits.Len()))
-	if forced == groupby.StrategySort {
-		return span <= float64(groupby.DefaultClusterSlots)
-	}
-	return !groupby.DenseEligible(spec.Keys, 0) && walkPays(span, float64(groupby.DefaultClusterSlots), bits)
+	return walk && span <= float64(groupby.DefaultClusterSlots)
 }

@@ -223,6 +223,76 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 	checkGrouped(t, res3, groupOracle(cols, names, []string{"a"}, aggs, preds), "adaptive-sort")
 }
 
+// TestGroupedAdmitsOnlySortableKeys: under the holistic executor a
+// grouped query admits its key only when chooseSort could one day pick
+// it — a single key, not dense-eligible, over a dense selection — or
+// when sort is pinned. Dense-eligible and composite keys are never
+// admitted, with or without predicates.
+func TestGroupedAdmitsOnlySortableKeys(t *testing.T) {
+	const domain = 1 << 12
+	tab, _ := buildTable(4, 4000, domain, 71)
+	wide := func(seed int64) []int64 { // a key domain too wide to bit-pack densely
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]int64, tab.Rows())
+		for i := range out {
+			out[i] = rng.Int63n(1 << 24)
+		}
+		return out
+	}
+	small := func(src string, mod int64) []int64 {
+		out := make([]int64, tab.Rows())
+		for i, v := range tab.Column(src).Values() {
+			out[i] = v % mod
+		}
+		return out
+	}
+	tab.MustAddColumn(column.New("g", small("c", 16)))
+	tab.MustAddColumn(column.New("h", small("d", 8)))
+	tab.MustAddColumn(column.New("w1", wide(1)))
+	tab.MustAddColumn(column.New("w2", wide(2)))
+	tab.MustAddColumn(column.New("w3", wide(3)))
+	exec := newHolistic(tab)
+	defer exec.Close()
+	r := New(tab, exec, 2)
+	aggs := []groupby.Agg{groupby.Count()}
+	dense := []Predicate{{Attr: "a", Lo: 0, Hi: domain / 2}, {Attr: "b", Lo: 0, Hi: 3 * domain / 4}}
+	sparse := []Predicate{{Attr: "a", Lo: 0, Hi: domain / 16}}
+
+	for _, step := range []struct {
+		name  string
+		strat groupby.Strategy
+		keys  []string
+		preds []Predicate
+		want  bool
+	}{
+		{"dense-eligible key, no predicates", groupby.StrategyAuto, []string{"g"}, nil, false},
+		{"dense-eligible key, predicates", groupby.StrategyAuto, []string{"g"}, dense, false},
+		{"dense-eligible composite key, no predicates", groupby.StrategyAuto, []string{"g", "h"}, nil, false},
+		{"dense-eligible composite key, predicates", groupby.StrategyAuto, []string{"h", "g"}, dense, false},
+		{"wide composite key", groupby.StrategyAuto, []string{"w1", "w2"}, nil, false},
+		{"wide key, sparse selection", groupby.StrategyAuto, []string{"w1"}, sparse, false},
+		{"wide key, dense selection", groupby.StrategyAuto, []string{"w1"}, dense, true},
+		{"wide key, no predicates", groupby.StrategyAuto, []string{"w2"}, nil, true},
+		{"sort pinned, sparse selection", groupby.StrategySort, []string{"w3"}, sparse, true},
+	} {
+		r.SetGroupStrategy(step.strat)
+		if _, err := r.Grouped(step.keys, aggs, step.preds); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range step.keys {
+			if got := admitted(exec, k); got != step.want {
+				t.Errorf("%s: key %s admitted = %v, want %v", step.name, k, got, step.want)
+			}
+		}
+	}
+	// The range conjuncts, driving and residual, are always admitted.
+	for _, attr := range []string{"a", "b"} {
+		if !admitted(exec, attr) {
+			t.Errorf("range attribute %s not admitted", attr)
+		}
+	}
+}
+
 // TestGroupedNoPredicates groups the whole relation.
 func TestGroupedNoPredicates(t *testing.T) {
 	tab, cols := buildTable(2, 3000, 64, 41)

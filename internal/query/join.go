@@ -16,11 +16,9 @@
 //   - hash (radix-partitioned open-addressing), otherwise, with the
 //     build side always the smaller filtered cardinality.
 //
-// Under ModeHolistic the join attributes of both relations are
-// reported to their executors (Executor.NotePredicate), so they enter
-// the daemons' index spaces: idle-time refinement shrinks their
-// clusters and converts hash joins into merge joins over time — the
-// same convergence grouped aggregation proved, now across relations.
+// Under ModeHolistic both join keys enter their daemons' index spaces
+// (admitKey) only while chooseMerge could one day pick them: both
+// selections walkable, or merge pinned.
 package query
 
 import (
@@ -242,16 +240,6 @@ func (j *Join) runInto(op join.Op, lExtra, rExtra []string, pairs *join.Pairs) (
 		}
 	}
 
-	// Join attributes enter the index space on both sides, like the
-	// residual conjuncts and group-by keys before them: the daemons'
-	// idle refinement converts hash joins into merge joins over time.
-	if err := j.left.exec.NotePredicate(j.leftAttr); err != nil {
-		return nil, nil, err
-	}
-	if err := j.right.exec.NotePredicate(j.rightAttr); err != nil {
-		return nil, nil, err
-	}
-
 	// One bracket, opened by the left runner's observer, spans both
 	// sides: the right side shares its sequence number and trace (the
 	// Explain preset or the left sink's), so its stages fill the same
@@ -292,16 +280,30 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		return nil
 	}
 
+	// walk: chooseMerge could pick this join once both keys' clusters are
+	// refined. Only then do both keys enter the index space.
+	lN, rN := lsc.sel.Bits.Count(), rsc.sel.Bits.Count()
+	forced := JoinStrategy(j.left.joinStrategy.Load())
+	walk := forced == JoinMerge || walkable(lN, lsc.sel.Bits.Len()) && walkable(rN, rsc.sel.Bits.Len())
+	if walk {
+		if err := j.left.admitKey(j.leftAttr); err != nil {
+			return err
+		}
+		if err := j.right.admitKey(j.rightAttr); err != nil {
+			return err
+		}
+	}
+
 	mergeReason := "key-ordered clusters refined below the merge span on both sides"
 	hashReason := "no refined key-ordered path on both sides, or selections too sparse to walk the indexes"
-	if JoinStrategy(j.left.joinStrategy.Load()) != JoinAuto {
+	if forced != JoinAuto {
 		mergeReason = "strategy pinned by configuration"
 		hashReason = "strategy pinned by configuration"
 	}
 
-	if j.chooseMerge(lsc, rsc) {
+	if j.chooseMerge(lsc, rsc, forced, walk, lN, rN) {
 		var walkErr error
-		mkStream := func(r *Runner, sc *scratch, attr string, sumSide bool) join.Stream {
+		mkStream := func(r *Runner, sc *scratch, attr string, n int, sumSide bool) join.Stream {
 			s := join.Stream{
 				Walk: func(fn func(vals []int64, rows []uint32)) bool {
 					ok, err := r.exec.WalkKeyOrder(attr, fn)
@@ -311,15 +313,15 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 					return err == nil && ok
 				},
 				Sel:   sc.sel.Bits,
-				Count: sc.sel.Bits.Count(),
+				Count: n,
 			}
 			if sumSide {
 				s.Vals = sc.views[sumAttr(op, lExtra, rExtra)]
 			}
 			return s
 		}
-		ls := mkStream(j.left, lsc, j.leftAttr, op.Kind == join.OpSum && op.SumSide == join.Left)
-		rs := mkStream(j.right, rsc, j.rightAttr, op.Kind == join.OpSum && op.SumSide == join.Right)
+		ls := mkStream(j.left, lsc, j.leftAttr, lN, op.Kind == join.OpSum && op.SumSide == join.Left)
+		rs := mkStream(j.right, rsc, j.rightAttr, rN, op.Kind == join.OpSum && op.SumSide == join.Right)
 		count, sum, ok := join.Merge(op, ls, rs, 0, pairs)
 		if walkErr != nil {
 			return walkErr
@@ -387,17 +389,16 @@ func gatherJoinSide(sc *scratch, attr string) join.Input {
 
 // chooseMerge applies the join-strategy rule: both sides need a
 // key-ordered access path on their join attribute, and — under JoinAuto
-// — one worth walking end to end (walkPays, the rule grouping shares). A
-// forced merge strategy skips the profitability checks but not the
-// availability ones.
+// — selections the caller found walkable (walk) and clusters that fit
+// the per-pair accumulator. A forced merge strategy skips the
+// profitability checks but not the availability ones. lN and rN are the
+// sides' selected rows.
 //
 //holistic:noalloc
-func (j *Join) chooseMerge(lsc, rsc *scratch) bool {
-	forced := JoinStrategy(j.left.joinStrategy.Load())
+func (j *Join) chooseMerge(lsc, rsc *scratch, forced JoinStrategy, walk bool, lN, rN int) bool {
 	if forced == JoinHash {
 		return false
 	}
-	lBits, rBits := lsc.sel.Bits, rsc.sel.Bits
 	lSpan, lOK := j.left.exec.KeyOrderSpan(j.leftAttr)
 	rSpan, rOK := j.right.exec.KeyOrderSpan(j.rightAttr)
 	tr := lsc.sp.Trace
@@ -410,10 +411,8 @@ func (j *Join) chooseMerge(lsc, rsc *scratch) bool {
 		tr.SetStat("right_key_order_span", rSpan)
 	}
 	tr.SetStat("merge_span_bound", float64(join.DefaultMergeSpan))
-	if tr != nil { // two popcounts only a trace pays
-		tr.SetStat("left_selected_rows", float64(lBits.Count()))
-		tr.SetStat("right_selected_rows", float64(rBits.Count()))
-	}
+	tr.SetStat("left_selected_rows", float64(lN))
+	tr.SetStat("right_selected_rows", float64(rN))
 	if !lOK || !rOK {
 		return false
 	}
@@ -421,5 +420,5 @@ func (j *Join) chooseMerge(lsc, rsc *scratch) bool {
 		return true
 	}
 	bound := float64(join.DefaultMergeSpan)
-	return walkPays(lSpan, bound, lBits) && walkPays(rSpan, bound, rBits)
+	return walk && lSpan <= bound && rSpan <= bound
 }

@@ -243,30 +243,56 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-// TestJoinFeedsNotePredicate: under the holistic executor both join
-// attributes enter the daemon's index space on the first join.
-func TestJoinFeedsNotePredicate(t *testing.T) {
+// newHolistic builds a holistic executor over tab with a fast daemon.
+func newHolistic(tab *engine.Table) *engine.Executor {
+	return engine.NewHolisticExecutor(tab, engine.HolisticConfig{
+		Cracking: cracking.Config{WithRows: true},
+		Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 4},
+		Contexts: 2,
+	})
+}
+
+// admitted reports whether attr is in exec's index space: a cracker copy
+// exists or the daemon's registry knows it.
+func admitted(exec *engine.Executor, attr string) bool {
+	return exec.CrackerIfExists(attr) != nil || exec.Daemon().Registry().Get(attr) != nil
+}
+
+// TestJoinAdmitsKeysOnlyWhenBothSidesWalkable: under the holistic
+// executor a join admits both join keys when both selections are dense
+// enough to walk, or when merge is pinned; with one sparse side it
+// admits neither.
+func TestJoinAdmitsKeysOnlyWhenBothSidesWalkable(t *testing.T) {
 	lt, rt := joinFixture(t, 400, 100, 51)
-	mkHolistic := func(tab *engine.Table) *engine.Executor {
-		return engine.NewHolisticExecutor(tab, engine.HolisticConfig{
-			Cracking: cracking.Config{WithRows: true},
-			Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 4},
-			Contexts: 2,
+	dense := []Predicate{{Attr: "v", Lo: 0, Hi: 500}}
+	sparse := []Predicate{{Attr: "v", Lo: 0, Hi: 100}}
+	for _, tc := range []struct {
+		name           string
+		strat          JoinStrategy
+		lPreds, rPreds []Predicate
+		want           bool
+	}{
+		{"both walkable", JoinAuto, dense, nil, true},
+		{"left sparse", JoinAuto, sparse, nil, false},
+		{"right sparse", JoinAuto, dense, sparse, false},
+		{"merge pinned", JoinMerge, sparse, sparse, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lExec, rExec := newHolistic(lt), newHolistic(rt)
+			defer lExec.Close()
+			defer rExec.Close()
+			lr, rr := New(lt, lExec, 2), New(rt, rExec, 2)
+			lr.SetJoinStrategy(tc.strat)
+			if _, err := lr.Join(rr, "k", "k", tc.lPreds, tc.rPreds).Count(); err != nil {
+				t.Fatal(err)
+			}
+			if got := admitted(lExec, "k"); got != tc.want {
+				t.Errorf("left join key admitted = %v, want %v", got, tc.want)
+			}
+			if got := admitted(rExec, "k"); got != tc.want {
+				t.Errorf("right join key admitted = %v, want %v", got, tc.want)
+			}
 		})
-	}
-	lExec, rExec := mkHolistic(lt), mkHolistic(rt)
-	defer lExec.Close()
-	defer rExec.Close()
-	lr := New(lt, lExec, 2)
-	rr := New(rt, rExec, 2)
-	if _, err := lr.Join(rr, "k", "k", []Predicate{{Attr: "v", Lo: 0, Hi: 500}}, nil).Count(); err != nil {
-		t.Fatal(err)
-	}
-	if lExec.CrackerIfExists("k") == nil {
-		t.Error("left join attribute not admitted to the index space")
-	}
-	if rExec.CrackerIfExists("k") == nil {
-		t.Error("right join attribute not admitted to the index space")
 	}
 }
 
