@@ -15,7 +15,7 @@
 //   - StrategyDense: the (possibly composite) group key is bit-packed
 //     into an array index and every aggregate accumulates into dense,
 //     pooled arrays — no hashing, no comparisons. Chosen when the packed
-//     key domain is small (Spec.DenseSlots, default 2^16 slots) and the
+//     key domain is small (DefaultDenseSlots, 2^16 slots) and the
 //     input is not tiny relative to it. Groups emit in ascending key
 //     order by construction (a slot scan).
 //
@@ -200,29 +200,20 @@ type Spec struct {
 	AggViews []column.View
 	// Threads bounds the partition parallelism of dense/hash grouping.
 	Threads int
-	// DenseSlots overrides DefaultDenseSlots (0 keeps the default);
-	// ClusterSlots likewise for the sort path's per-cluster bound.
-	DenseSlots   int
-	ClusterSlots int
 	// Force pins the strategy of GroupRows/GroupBitmap to Dense or Hash;
 	// StrategyAuto (the zero value) applies the crossover rule.
 	Force Strategy
+	// slotBound overrides DefaultDenseSlots when positive: GroupClusters
+	// bounds its per-cluster executions by DefaultClusterSlots.
+	slotBound int
 }
 
 //holistic:noalloc
 func (s *Spec) denseSlots() int {
-	if s.DenseSlots > 0 {
-		return s.DenseSlots
+	if s.slotBound > 0 {
+		return s.slotBound
 	}
 	return DefaultDenseSlots
-}
-
-//holistic:noalloc
-func (s *Spec) clusterSlots() int {
-	if s.ClusterSlots > 0 {
-		return s.ClusterSlots
-	}
-	return DefaultClusterSlots
 }
 
 //holistic:alloc-ok error paths format diagnostics

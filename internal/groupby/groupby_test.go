@@ -336,11 +336,19 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 		}
 		check("acc", &res)
 
-		// The cluster walk streams the key itself; refined (default bound)
-		// and unrefined (tiny bound: sparse clusters hash) alike.
+		// The cluster walk streams the key itself: refined, or — every
+		// other trial — spread past DefaultClusterSlots, so that a cluster
+		// holding two distinct keys hashes.
 		if nkeys == 1 {
-			spec.ClusterSlots = []int{0, 16}[trial%2]
-			if err := GroupClusters(spec, bm, clusterStream(rng, keyCols[0]), &res); err != nil {
+			key, wantKeys := keyCols[0], wantKeys
+			if trial%2 == 1 {
+				key = make([]int64, rows)
+				for i, v := range keyCols[0] {
+					key[i] = v * 2 * DefaultClusterSlots
+				}
+				wantKeys, _ = oracleGroup([][]int64{key}, aggSpecs, aggCols, sel)
+			}
+			if err := GroupClusters(spec, bm, clusterStream(rng, key), &res); err != nil {
 				t.Fatal(err)
 			}
 			if res.Strategy != StrategySort {
@@ -584,15 +592,11 @@ func TestOverlayViews(t *testing.T) {
 func TestGroupClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	rows := 6000
-	keyCol := make([]int64, rows)
 	val := make([]int64, rows)
-	for i := range keyCol {
-		keyCol[i] = rng.Int63n(1 << 20) // wide domain: unrefined clusters go through the hash
-		val[i] = rng.Int63n(1000)
-	}
 	bm := column.NewBitmap(rows)
 	var sel column.PosList
 	for i := 0; i < rows; i++ {
+		val[i] = rng.Int63n(1000)
 		if rng.Intn(4) != 0 {
 			bm.Set(column.Pos(i))
 			sel = append(sel, column.Pos(i))
@@ -600,20 +604,28 @@ func TestGroupClusters(t *testing.T) {
 	}
 	aggSpecs := []Agg{Count(), Sum("v"), Min("v"), Max("v")}
 	aggCols := [][]int64{nil, val, val, val}
-	wantKeys, wantAggs := oracleGroup([][]int64{keyCol}, aggSpecs, aggCols, sel)
 
-	// Build a clustered stream: sort (value, row) pairs, then cut into
-	// clusters at value boundaries and shuffle within each cluster.
-	type pair struct {
-		v int64
-		r uint32
-	}
-	pairs := make([]pair, rows)
-	for i := range pairs {
-		pairs[i] = pair{keyCol[i], uint32(i)}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-	for _, clusterSlots := range []int{0 /* default: dense clusters */, 64 /* tiny: force hash clusters */} {
+	// A refined key domain folds every cluster into a dense array; over
+	// a wide one every cluster of two or more distinct keys spans past
+	// DefaultClusterSlots and hashes.
+	for _, domain := range []int64{1 << 12, 1 << 40} {
+		keyCol := make([]int64, rows)
+		for i := range keyCol {
+			keyCol[i] = rng.Int63n(domain)
+		}
+		wantKeys, wantAggs := oracleGroup([][]int64{keyCol}, aggSpecs, aggCols, sel)
+
+		// Build a clustered stream: sort (value, row) pairs, then cut into
+		// clusters at value boundaries and shuffle within each cluster.
+		type pair struct {
+			v int64
+			r uint32
+		}
+		pairs := make([]pair, rows)
+		for i := range pairs {
+			pairs[i] = pair{keyCol[i], uint32(i)}
+		}
+		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
 		var clusters [][]pair
 		for i := 0; i < rows; {
 			j := i + 1 + rng.Intn(500)
@@ -630,7 +642,6 @@ func TestGroupClusters(t *testing.T) {
 			i = j
 		}
 		spec := buildSpec([][]int64{keyCol}, aggCols, aggSpecs, 1)
-		spec.ClusterSlots = clusterSlots
 		var res Result
 		err := GroupClusters(spec, bm, func(fn func(vals []int64, rows []uint32)) {
 			vbuf := make([]int64, 0, 600)
@@ -765,10 +776,15 @@ func TestWarmedFeedersAllocationFree(t *testing.T) {
 			t.Errorf("warmed in-place GroupBitmap (%v) allocates %.2f times per run, want 0", force, allocs)
 		}
 	}
-	walk := clusterStream(rng, key)
-	for _, clusterSlots := range []int{0 /* dense clusters */, 16 /* hash clusters */} {
-		spec := buildSpec(keyCols, aggCols, aggSpecs, 1)
-		spec.ClusterSlots = clusterSlots
+	// Dense clusters, then the same keys spread past DefaultClusterSlots:
+	// hash clusters.
+	for _, scale := range []int64{1, 2 * DefaultClusterSlots} {
+		scaled := make([]int64, rows)
+		for i, v := range key {
+			scaled[i] = v * scale
+		}
+		walk := clusterStream(rng, scaled)
+		spec := buildSpec([][]int64{scaled}, aggCols, aggSpecs, 1)
 		var res Result
 		run := func() {
 			if err := GroupClusters(spec, bm, walk, &res); err != nil {
@@ -777,7 +793,7 @@ func TestWarmedFeedersAllocationFree(t *testing.T) {
 		}
 		run()
 		if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
-			t.Errorf("warmed GroupClusters (ClusterSlots %d) allocates %.2f times per walk, want 0", clusterSlots, allocs)
+			t.Errorf("warmed GroupClusters (keys x%d) allocates %.2f times per walk, want 0", scale, allocs)
 		}
 	}
 }

@@ -3,8 +3,12 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+
+	"holistic/internal/column"
+	"holistic/internal/engine"
 )
 
 // benchInputs builds an M:N join: n build keys, 2n probe keys, keys
@@ -64,43 +68,42 @@ func BenchmarkJoinCountHash(b *testing.B) {
 	}
 }
 
+// sortedStream streams in the way a fully refined index walks it: one
+// cluster per key value, ascending, held in memory so the walk costs
+// nothing.
+func sortedStream(in Input) Stream {
+	order := make([]int, len(in.Keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return in.Keys[order[a]] < in.Keys[order[b]] })
+	vals := make([]int64, len(order))
+	rows := make([]uint32, len(order))
+	for i, o := range order {
+		vals[i], rows[i] = in.Keys[o], in.Rows[o]
+	}
+	return Stream{
+		Walk: func(fn func([]int64, []uint32)) bool {
+			for i := 0; i < len(vals); {
+				j := i + 1
+				for j < len(vals) && vals[j] == vals[i] {
+					j++
+				}
+				fn(vals[i:j], rows[i:j])
+				i = j
+			}
+			return true
+		},
+		Count: len(vals),
+	}
+}
+
 // BenchmarkJoinCountMerge measures the index-clustered merge-join
 // count kernel over fully refined (span-1) cluster streams — the
 // post-convergence shape the holistic daemon produces.
 func BenchmarkJoinCountMerge(b *testing.B) {
 	left, right := benchInputs(1 << 16)
-	mkStream := func(in Input) Stream {
-		type kv struct {
-			k int64
-			r uint32
-		}
-		s := make([]kv, len(in.Keys))
-		for i := range in.Keys {
-			s[i] = kv{in.Keys[i], in.Rows[i]}
-		}
-		sort.Slice(s, func(a, b int) bool { return s[a].k < s[b].k })
-		vals := make([]int64, len(s))
-		rows := make([]uint32, len(s))
-		for i, e := range s {
-			vals[i] = e.k
-			rows[i] = e.r
-		}
-		return Stream{
-			Walk: func(fn func([]int64, []uint32)) bool {
-				for i := 0; i < len(vals); {
-					j := i + 1
-					for j < len(vals) && vals[j] == vals[i] {
-						j++
-					}
-					fn(vals[i:j], rows[i:j])
-					i = j
-				}
-				return true
-			},
-			Count: len(vals),
-		}
-	}
-	ls, rs := mkStream(left), mkStream(right)
+	ls, rs := sortedStream(left), sortedStream(right)
 	b.Run("spans=1", func(b *testing.B) {
 		Merge(Op{Kind: OpCount}, ls, rs, 0, nil)
 		b.ReportAllocs()
@@ -109,4 +112,102 @@ func BenchmarkJoinCountMerge(b *testing.B) {
 			Merge(Op{Kind: OpCount}, ls, rs, 0, nil)
 		}
 	})
+}
+
+// regimePool draws 2^16 distinct keys from [0, 2^bits): every key of the
+// span at bits = 16, ever sparser above it.
+func regimePool(bits uint) []int64 {
+	rng := rand.New(rand.NewSource(int64(bits)))
+	seen := make(map[int64]bool, 1<<16)
+	pool := make([]int64, 0, 1<<16)
+	for len(pool) < 1<<16 {
+		if k := rng.Int63n(1 << bits); !seen[k] {
+			seen[k] = true
+			pool = append(pool, k)
+		}
+	}
+	return pool
+}
+
+// offlineSide loads one join side into a table under offline indexing,
+// whole relation selected: the input of the planner's choice between
+// gathering for Hash and walking the sorted copy for Merge.
+func offlineSide(b *testing.B, in Input) (exec *engine.Executor, keys column.View, sel *column.Bitmap) {
+	t := engine.NewTable("side")
+	t.MustAddColumn(column.New("k", append([]int64(nil), in.Keys...)))
+	exec = engine.NewOfflineExecutor(t, 1)
+	b.Cleanup(exec.Close)
+	keys, err := exec.View("k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sel = column.NewBitmap(len(in.Keys))
+	sel.SetRange(0, len(in.Keys))
+	return exec, keys, sel
+}
+
+// BenchmarkJoinRegime is the join regime sweep: the yardstick's 1:N shape
+// (2^15 unique build keys and 2^17 probe keys from one 2^16-key pool) at
+// key spans 2^16, 2^24, 2^32 and 2^40, Hash paired with Merge on identical
+// inputs.
+//
+//   - kernel cells: sequential Hash over gathered inputs against Merge
+//     over pre-sorted in-memory streams. Merge's walk is free here, so
+//     these are context only.
+//   - decision cells: both sides are offline-indexed tables with the
+//     whole relation selected, so every cluster spans one value. Hash
+//     gathers the selected keys and rows first and runs on GOMAXPROCS
+//     threads, as a runner or the benchmark rung calls it; Merge, which
+//     has no parallel path, walks both sorted copies through
+//     Executor.WalkKeyOrder. This is the choice a planner would face,
+//     walk included.
+func BenchmarkJoinRegime(b *testing.B) {
+	op := Op{Kind: OpCount}
+	threads := runtime.GOMAXPROCS(0)
+	for _, bits := range []uint{16, 24, 32, 40} {
+		build, probe := oneToMany(regimePool(bits))
+		span := fmt.Sprintf("span=2^%d", bits)
+		b.Run(span+"/kernel/hash", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Hash(op, build, probe, 1, nil)
+			}
+		})
+		ls, rs := sortedStream(build), sortedStream(probe)
+		b.Run(span+"/kernel/merge", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Merge(op, ls, rs, 0, nil)
+			}
+		})
+
+		lExec, lKeys, lSel := offlineSide(b, build)
+		rExec, rKeys, rSel := offlineSide(b, probe)
+		b.Run(span+"/decision/hash", func(b *testing.B) {
+			var lIn, rIn Input
+			for i := 0; i < b.N; i++ {
+				lIn.Rows = lSel.AppendPositions(lIn.Rows[:0])
+				lIn.Keys = lKeys.GatherRows(lIn.Keys[:0], lIn.Rows)
+				rIn.Rows = rSel.AppendPositions(rIn.Rows[:0])
+				rIn.Keys = rKeys.GatherRows(rIn.Keys[:0], rIn.Rows)
+				Hash(op, lIn, rIn, threads, nil)
+			}
+		})
+		walk := func(exec *engine.Executor, sel *column.Bitmap) Stream {
+			return Stream{
+				Walk: func(fn func(vals []int64, rows []uint32)) bool {
+					ok, err := exec.WalkKeyOrder("k", fn)
+					return ok && err == nil
+				},
+				Sel: sel, Count: sel.Count(),
+			}
+		}
+		lw, rw := walk(lExec, lSel), walk(rExec, rSel)
+		want, _ := Hash(op, build, probe, 1, nil)
+		b.Run(span+"/decision/merge", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got, _, ok := Merge(op, lw, rw, 0, nil); !ok || got != want {
+					b.Fatalf("merge over the offline walks: %d (ok %v), hash %d", got, ok, want)
+				}
+			}
+		})
+	}
 }

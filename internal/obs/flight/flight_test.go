@@ -158,6 +158,24 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestDecodeUnknownStrategy: a dump holding a strategy code this build
+// does not know (one written by a build with more strategies) still
+// decodes, and the event renders as "strat?".
+func TestDecodeUnknownStrategy(t *testing.T) {
+	r := NewRecorder(64)
+	r.RecordStrategy(uint8(obs.NumStrats), 3, 1.5, 2.5)
+	d, err := Decode(Encode(r, TriggerP99, 1))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if len(d.Events) != 1 || d.Events[0].Kind != EvStrategy || d.Events[0].Code != uint8(obs.NumStrats) {
+		t.Fatalf("decoded events = %+v, want one strategy event with code %d", d.Events, obs.NumStrats)
+	}
+	if f := d.Events[0].Fields(d.Names); f["strategy"] != "strat?" {
+		t.Errorf("unknown strategy fields = %v, want strategy strat?", f)
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	r := NewRecorder(64)
 	for i := int64(0); i < 10; i++ {

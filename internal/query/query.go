@@ -50,7 +50,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -105,9 +104,8 @@ type Runner struct {
 	threads int
 
 	policy        atomic.Int32
-	crossover     atomic.Uint64 // math.Float64bits of the crossover selectivity
-	groupStrategy atomic.Int32  // groupby.Strategy override for grouped queries
-	joinStrategy  atomic.Int32  // JoinStrategy override for joins driven by this runner
+	groupStrategy atomic.Int32 // groupby.Strategy override for grouped queries
+	joinStrategy  atomic.Int32 // JoinStrategy override for joins driven by this runner
 
 	// scratchPool recycles per-query execution state (selection
 	// vectors, view maps, plan arrays) so steady-state queries do not
@@ -124,18 +122,12 @@ type Runner struct {
 // New builds a runner; threads bounds the parallelism of probe and
 // fetch kernels.
 func New(t *engine.Table, exec *engine.Executor, threads int) *Runner {
-	r := &Runner{table: t, exec: exec, threads: max(threads, 1)}
-	r.crossover.Store(math.Float64bits(DefaultBitmapCrossover))
-	return r
+	return &Runner{table: t, exec: exec, threads: max(threads, 1)}
 }
 
 // SetRepPolicy overrides the intermediate-representation policy; safe
 // to call concurrently with queries.
 func (r *Runner) SetRepPolicy(p RepPolicy) { r.policy.Store(int32(p)) }
-
-// SetBitmapCrossover overrides the RepAuto crossover selectivity; safe
-// to call concurrently with queries.
-func (r *Runner) SetBitmapCrossover(sel float64) { r.crossover.Store(math.Float64bits(sel)) }
 
 // SetObserver attaches the observer every terminal records into (nil
 // detaches). Attach before running queries; the recording paths
@@ -338,7 +330,7 @@ func (r *Runner) chooseRep(sc *scratch) (obs.Rep, string) {
 	if rows <= 0 {
 		return obs.RepPosList, "empty relation"
 	}
-	if sc.ests[0] >= math.Float64frombits(r.crossover.Load())*rows {
+	if sc.ests[0] >= DefaultBitmapCrossover*rows {
 		return obs.RepBitmap, "estimated driving selectivity at or above crossover"
 	}
 	return obs.RepPosList, "estimated driving selectivity below crossover"

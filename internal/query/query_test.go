@@ -382,11 +382,17 @@ func TestChooseBitmapCrossover(t *testing.T) {
 		t.Error("RepBitmap did not choose bitmap")
 	}
 	r.SetRepPolicy(RepAuto)
-	r.SetBitmapCrossover(0) // crossover 0: everything is dense enough
-	if !chooseBitmap(sc) {
-		t.Error("crossover 0 did not choose bitmap")
+	// Either side of the crossover: a drive at twice it picks the bitmap,
+	// one at half of it the position list.
+	for _, frac := range []float64{2 * DefaultBitmapCrossover, DefaultBitmapCrossover / 2} {
+		preds := []Predicate{{Attr: "a", Lo: 0, Hi: int64(frac * domain)}, {Attr: "b", Lo: 0, Hi: domain - 1}}
+		if empty, err := r.planScratch(sc, preds); err != nil || empty {
+			t.Fatal(err)
+		}
+		if got, want := chooseBitmap(sc), frac > DefaultBitmapCrossover; got != want {
+			t.Errorf("drive at %.0f%% selectivity: bitmap %v, want %v", 100*frac, got, want)
+		}
 	}
-	r.SetBitmapCrossover(DefaultBitmapCrossover)
 
 	if empty, err := r.planScratch(sc, single); err != nil || empty {
 		t.Fatal(err)
