@@ -77,7 +77,7 @@ func BenchmarkExperiment(b *testing.B) {
 
 // BenchmarkCountRangeExactHit times a range door on a converged column:
 // the bounds are piece boundaries already, so the call is the door's own
-// cost — latches, the observer's bracket, the access heatmap's span.
+// cost — latches and the observer's bracket.
 func BenchmarkCountRangeExactHit(b *testing.B) {
 	const n, domain = 1 << 16, 1 << 30
 	rng := rand.New(rand.NewSource(1))

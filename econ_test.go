@@ -1,7 +1,7 @@
 // Integration tests for the refinement-economics surface (DESIGN.md
-// §9): the ledger and heatmaps filling in under a real holistic
-// workload, the time-series ring accumulating windows, and the
-// /metrics and /debug/holistic/timeline endpoints serving them.
+// §9): the ledger filling in under a real holistic workload, the
+// time-series ring accumulating windows, and the /metrics and
+// /debug/holistic/timeline endpoints serving them.
 
 package holistic
 
@@ -43,8 +43,7 @@ func econStoreData(rows int) []int64 {
 }
 
 // TestEconomicsUnderHolisticWorkload: after a workload with an active
-// daemon, the balance sheet reports invested time and both heatmaps
-// saw the touched attributes.
+// daemon, the balance sheet reports invested time and drive samples.
 func TestEconomicsUnderHolisticWorkload(t *testing.T) {
 	s := NewStore(Config{
 		Mode:           ModeHolistic,
@@ -83,22 +82,6 @@ func TestEconomicsUnderHolisticWorkload(t *testing.T) {
 	}
 	if drives == 0 {
 		t.Error("no drive-stage samples in the ledger")
-	}
-	if len(snap.Access) != 2 {
-		t.Errorf("access heatmaps cover %d attrs, want 2", len(snap.Access))
-	}
-	for _, hm := range snap.Access {
-		if hm.Total == 0 {
-			t.Errorf("access heatmap %q is empty", hm.Attr)
-		}
-	}
-	if len(snap.Refine) == 0 {
-		t.Error("refine heatmap saw no pivots despite invested time")
-	}
-	for _, hm := range snap.Refine {
-		if hm.Total == 0 {
-			t.Errorf("refine heatmap %q is empty", hm.Attr)
-		}
 	}
 }
 
@@ -148,7 +131,6 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 		"holistic_queries_total{",
 		"holistic_query_latency_ns_bucket{",
 		`le="+Inf"`,
-		"holistic_access_heatmap_total{",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

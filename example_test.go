@@ -195,15 +195,15 @@ func ExampleStore_Metrics() {
 	fmt.Printf("bitmap selections: %v, cracker builds: %d\n",
 		m.Query.Representations["bitmap"] > 0, m.Exec.CrackerBuilds)
 	// Economics: every query's driving conjunct feeds the cost-benefit
-	// ledger and both predicates feed the access heatmaps; without a
-	// refinement daemon (ModeAdaptive) nothing is ever invested.
+	// ledger; without a refinement daemon (ModeAdaptive) nothing is ever
+	// invested.
 	ec := m.Economics
-	fmt.Printf("economics: %d drive samples on %q, %d access heatmaps, invested %dns\n",
-		ec.Indexes[0].DriveQueries, ec.Indexes[0].Name, len(ec.Access), ec.InvestedNS)
+	fmt.Printf("economics: %d drive samples on %q, invested %dns\n",
+		ec.Indexes[0].DriveQueries, ec.Indexes[0].Name, ec.InvestedNS)
 	// Output:
 	// mode adaptive: 3 queries, 3 count latencies recorded, p99 > 0: true
 	// bitmap selections: true, cracker builds: 1
-	// economics: 3 drive samples on "x", 2 access heatmaps, invested 0ns
+	// economics: 3 drive samples on "x", invested 0ns
 }
 
 // ExampleStore_FlightDump demonstrates the flight recorder: every

@@ -155,10 +155,6 @@ type Config struct {
 	// parallelism, and — under ModeHolistic — the contexts the daemon
 	// counts as idle while no query or worker runs on them.
 	Threads int
-	// UserThreads is the crack parallelism of one user query under
-	// ModeHolistic (default Threads/2): how many goroutines a query's
-	// crack of a large piece fans out to.
-	UserThreads int
 	// OnlineEpoch is the monitoring epoch of ModeOnline in queries
 	// (default 100).
 	OnlineEpoch int
@@ -250,11 +246,10 @@ type Store struct {
 	cfg Config
 
 	// ob is the store's one observer — lifetime metrics, flight ring and
-	// watchdog, refinement ledger and heatmaps, trace sink, time-series
-	// ring and the sampler goroutine — shared by the query runner, the
-	// executor, its daemon and the durability layer (DESIGN.md §9);
-	// obsName is the name the store is registered under on the debug
-	// endpoints.
+	// watchdog, refinement ledger, trace sink, time-series ring and the
+	// sampler goroutine — shared by the query runner, the executor, its
+	// daemon and the durability layer (DESIGN.md §9); obsName is the name
+	// the store is registered under on the debug endpoints.
 	ob      *observer.Observer
 	obsName string
 
@@ -370,10 +365,9 @@ func (s *Store) build() *engine.Executor {
 	case ModeCCGI:
 		return engine.NewCCGIExecutor(s.table, threads, 64, cracking.Config{Seed: s.cfg.Seed})
 	case ModeHolistic:
-		crackCfg.ParallelWorkers = s.cfg.UserThreads
-		if crackCfg.ParallelWorkers < 1 {
-			crackCfg.ParallelWorkers = max(threads/2, 1)
-		}
+		// A user query's crack of a large piece fans out to half the
+		// contexts.
+		crackCfg.ParallelWorkers = max(threads/2, 1)
 		return engine.NewHolisticExecutor(s.table, engine.HolisticConfig{
 			Cracking: crackCfg,
 			Daemon: holistic.Config{
@@ -413,7 +407,7 @@ func (s *Store) CountRange(attr string, lo, hi int64) (int, error) {
 	}
 	sp := s.beginRange(exec, obs.OpCount)
 	n, err := exec.Count(attr, lo, hi)
-	s.endRange(exec, sp, attr, lo, hi, int64(n), err)
+	s.ob.End(sp, 0, 0, int64(n), err)
 	return n, err
 }
 
@@ -431,22 +425,6 @@ func (s *Store) beginRange(exec *engine.Executor, op obs.Op) observer.Span {
 	return sp
 }
 
-// endRange closes a range door's bracket. The planner, which charges
-// the access heatmaps for conjunctive queries, never saw this
-// predicate, so the door charges it here — over the key domain the
-// cracker column learned building itself (computing it any other way
-// is a pass over the column; the modes without a cracker have no
-// refine heatmap to compare against either).
-//
-//holistic:noalloc
-func (s *Store) endRange(exec *engine.Executor, sp observer.Span, attr string, lo, hi, result int64, err error) {
-	if c := exec.CrackerIfExists(attr); c != nil && err == nil {
-		dLo, dHi := c.Domain()
-		s.ob.Predicate(attr, lo, hi, dLo, dHi)
-	}
-	s.ob.End(sp, 0, 0, result, err)
-}
-
 // SumRange answers "select sum(attr) where lo <= attr < hi", pushing the
 // fold down into the mode's access path (cracked pieces, sorted slices or
 // parallel scan chunks) and merging pending insertions that fall inside
@@ -458,7 +436,7 @@ func (s *Store) SumRange(attr string, lo, hi int64) (int64, error) {
 	}
 	sp := s.beginRange(exec, obs.OpSum)
 	v, err := exec.Sum(attr, lo, hi)
-	s.endRange(exec, sp, attr, lo, hi, v, err)
+	s.ob.End(sp, 0, 0, v, err)
 	return v, err
 }
 
@@ -471,7 +449,7 @@ func (s *Store) MinMaxRange(attr string, lo, hi int64) (mn, mx int64, ok bool, e
 	}
 	sp := s.beginRange(exec, obs.OpMinMax)
 	mn, mx, ok, err = exec.MinMax(attr, lo, hi)
-	s.endRange(exec, sp, attr, lo, hi, 0, err)
+	s.ob.End(sp, 0, 0, 0, err)
 	return mn, mx, ok, err
 }
 
@@ -486,7 +464,7 @@ func (s *Store) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
 	}
 	sp := s.beginRange(exec, obs.OpRows)
 	rows, err := exec.SelectRows(attr, lo, hi)
-	s.endRange(exec, sp, attr, lo, hi, int64(len(rows)), err)
+	s.ob.End(sp, 0, 0, int64(len(rows)), err)
 	return rows, err
 }
 

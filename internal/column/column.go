@@ -51,10 +51,9 @@ func NewBounded(name string, vals []int64, lo, hi int64) *Column {
 }
 
 // Bounds returns Bounds(Values()): the one home of an attribute's base
-// value domain, which the planner's uniform estimates, the access
-// heatmaps and the grouping key domains all read. The column is scanned
-// at most once, by whichever caller asks first; never when it was built
-// knowing them.
+// value domain, which the planner's uniform estimates and the grouping
+// key domains read. The column is scanned at most once, by whichever
+// caller asks first; never when it was built knowing them.
 //
 //holistic:noalloc
 func (c *Column) Bounds() (lo, hi int64) {

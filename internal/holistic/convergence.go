@@ -49,8 +49,6 @@ type Convergence struct {
 	// Ratio is the mean per-index Progress: 1.0 once the whole index
 	// space is optimal.
 	Ratio float64 `json:"convergence_ratio"`
-	// Transitions is the retained index state-transition timeline.
-	Transitions []stats.Transition `json:"transitions"`
 }
 
 // Convergence snapshots the daemon's refinement state. Cold path; safe
@@ -68,7 +66,6 @@ func (d *Daemon) Convergence() *Convergence {
 		WorkerPanics: d.WorkerPanics(),
 		LastPanic:    d.LastPanic(),
 		Totals:       d.CycleTotals(),
-		Transitions:  d.reg.Transitions(),
 	}
 	var sum float64
 	for _, e := range entries {

@@ -394,7 +394,6 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 			}
 			lo, hi := e.Col.Domain()
 			pivot := cracking.UniformIn(rng, lo, hi)
-			ob.RefinePivot(e.Name, pivot, lo, hi)
 			d.totalAttempts.Add(1)
 			attempts++
 			switch e.Col.TryRefineAt(pivot, minPiece) {

@@ -3,8 +3,7 @@
 // idle CPU contexts) against what queries get back (drive-stage
 // latency shrinking as the index converges). The paper's argument is
 // exactly this trade — idle-time investment repaid by future scans —
-// and this package makes it observable per index, per key range, and
-// over time.
+// and this package makes it observable per index and over time.
 //
 // The benefit side can't be measured directly (the unrefined latency
 // of a refined index is a counterfactual), so it is estimated from the
@@ -66,61 +65,47 @@ func convBucket(p float64) int {
 	return b
 }
 
-// ledger maps index names to slots with the same copy-on-write table
-// discipline as HeatmapSet: allocation-free lookup, once-per-index
-// copying insert.
-type ledger struct {
+// Econ is the refinement ledger: one slot per index, in a copy-on-write
+// table — allocation-free lookup, once-per-index copying insert. The
+// zero value is ready to use; a store's observer holds the one instance
+// its executor and daemon record into.
+type Econ struct {
 	mu    sync.Mutex
 	slots atomic.Pointer[map[string]*slot]
 }
 
+// slotOf returns attr's ledger slot, creating it on first sight.
+//
 //holistic:noalloc
-func (l *ledger) get(name string) *slot {
-	m := l.slots.Load()
-	if m == nil {
-		return nil
+func (e *Econ) slotOf(attr string) *slot {
+	if m := e.slots.Load(); m != nil {
+		if s := (*m)[attr]; s != nil {
+			return s
+		}
 	}
-	return (*m)[name]
+	return e.intern(attr)
 }
 
 //holistic:alloc-ok first-sight registration copies the read-mostly table
-func (l *ledger) intern(name string) *slot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if old := l.slots.Load(); old != nil {
+func (e *Econ) intern(name string) *slot {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old := e.slots.Load()
+	if old != nil {
 		if s := (*old)[name]; s != nil {
 			return s
 		}
 	}
 	next := make(map[string]*slot)
-	if old := l.slots.Load(); old != nil {
+	if old != nil {
 		for k, v := range *old {
 			next[k] = v
 		}
 	}
 	s := &slot{}
 	next[name] = s
-	l.slots.Store(&next)
+	e.slots.Store(&next)
 	return s
-}
-
-// Econ bundles the refinement ledger with the two heatmaps that
-// localize it in key space: where query predicates land (access) and
-// where the daemon cracks (refine). The zero value is ready to use; a
-// store's observer holds the one instance its query runner, executor
-// and daemon all record into.
-type Econ struct {
-	ledger ledger
-	access HeatmapSet
-	refine HeatmapSet
-}
-
-// NotePredicate records one predicate admission: the half-open key
-// span [lo, hi) on attr, whose domain is [dLo, dHi].
-//
-//holistic:noalloc
-func (e *Econ) NotePredicate(attr string, lo, hi, dLo, dHi int64) {
-	e.access.RecordSpan(attr, lo, hi, dLo, dHi)
 }
 
 // NoteDrive credits attr's current convergence bucket with one query's
@@ -128,10 +113,7 @@ func (e *Econ) NotePredicate(attr string, lo, hi, dLo, dHi int64) {
 //
 //holistic:noalloc
 func (e *Econ) NoteDrive(attr string, driveNs int64) {
-	s := e.ledger.get(attr)
-	if s == nil {
-		s = e.ledger.intern(attr)
-	}
+	s := e.slotOf(attr)
 	b := convBucket(math.Float64frombits(s.progress.Load()))
 	s.drive[b].queries.Add(1)
 	s.drive[b].sumNs.Add(driveNs)
@@ -143,27 +125,16 @@ func (e *Econ) NoteDrive(attr string, driveNs int64) {
 //
 //holistic:noalloc
 func (e *Econ) NoteRefined(attr string, investedNs, refined int64, progress float64) {
-	s := e.ledger.get(attr)
-	if s == nil {
-		s = e.ledger.intern(attr)
-	}
+	s := e.slotOf(attr)
 	s.invested.Add(investedNs)
 	s.refines.Add(refined)
 	s.progress.Store(math.Float64bits(progress))
 }
 
-// NoteRefinePivot records where in attr's key space one refinement
-// pivot landed.
-//
-//holistic:noalloc
-func (e *Econ) NoteRefinePivot(attr string, pivot, dLo, dHi int64) {
-	e.refine.RecordPoint(attr, pivot, dLo, dHi)
-}
-
 // TotalInvestedNS sums invested nanoseconds across all indexes — the
 // cheap cumulative counter the timeline samples.
 func (e *Econ) TotalInvestedNS() int64 {
-	m := e.ledger.slots.Load()
+	m := e.slots.Load()
 	if m == nil {
 		return 0
 	}
@@ -204,8 +175,6 @@ type Snapshot struct {
 	SavedNS    int64            `json:"saved_ns"`
 	ROI        float64          `json:"roi"`
 	Indexes    []IndexEconomics `json:"indexes,omitempty"`
-	Access     []HeatmapState   `json:"access_heatmaps,omitempty"`
-	Refine     []HeatmapState   `json:"refine_heatmaps,omitempty"`
 }
 
 // Snapshot computes the balance sheet: per index, the baseline is the
@@ -214,11 +183,8 @@ type Snapshot struct {
 // non-negative) difference between that baseline and its own bucket's
 // mean.
 func (e *Econ) Snapshot() *Snapshot {
-	snap := &Snapshot{
-		Access: e.access.states(),
-		Refine: e.refine.states(),
-	}
-	m := e.ledger.slots.Load()
+	snap := &Snapshot{}
+	m := e.slots.Load()
 	if m != nil && len(*m) > 0 {
 		names := make([]string, 0, len(*m))
 		for name := range *m {

@@ -210,9 +210,6 @@ func (e Event) Fields(names []string) map[string]any {
 		f["refinements"] = e.Args[2]
 		f["merged_updates"] = e.Args[3]
 		f["wall_us"] = usFromNS(e.Args[4])
-	case EvWALRotate:
-		f["generation"] = e.Args[0]
-		f["part"] = e.Args[1]
 	case EvCheckpoint:
 		f["generation"] = e.Args[0]
 		f["records"] = e.Args[1]

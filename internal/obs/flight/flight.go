@@ -1,7 +1,7 @@
 // Package flight is the black-box flight recorder: a bounded,
 // lock-free ring of fixed-layout binary events capturing the adaptive
 // decisions — representation and strategy choices with their stat
-// inputs, holistic-daemon refinement steps, WAL/checkpoint lifecycle —
+// inputs, holistic-daemon refinement steps, checkpoints and recoveries —
 // and per-query timings that led up to an anomaly or crash. Recording
 // is wait-free and allocation-free; reading (Snapshot/Encode) is a
 // cold-path operation that tolerates concurrent writers by discarding
@@ -43,8 +43,8 @@ const (
 	// EvCycle is one daemon cycle: args are [cycle, workers,
 	// refinements, merged updates, wall ns].
 	EvCycle
-	// EvWALRotate is a WAL segment rotation: args are [generation,
-	// part].
+	// EvWALRotate is reserved: nothing records it, but the constant
+	// keeps the later kinds' numbers, which dumps on disk carry.
 	EvWALRotate
 	// EvCheckpoint is a committed snapshot generation: args are
 	// [generation, records since previous, duration ns, bytes written].
@@ -228,13 +228,6 @@ func (r *Recorder) RecordRefine(id uint32, refined, merged, attempts int64, dist
 //holistic:noalloc
 func (r *Recorder) RecordCycle(cycle, workers, refinements, merged, wallNS int64) {
 	r.record(EvCycle, 0, 0, cycle, workers, refinements, merged, wallNS)
-}
-
-// RecordWALRotate records a WAL segment rotation.
-//
-//holistic:noalloc
-func (r *Recorder) RecordWALRotate(gen, part int64) {
-	r.record(EvWALRotate, 0, 0, gen, part, 0, 0, 0)
 }
 
 // RecordCheckpoint records a committed snapshot generation.

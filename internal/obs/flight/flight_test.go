@@ -214,7 +214,6 @@ func TestRecordAllocationFree(t *testing.T) {
 		r.RecordStrategy(uint8(obs.StratJoinMerge), 1, 1.0, 2.0)
 		r.RecordRefine(id, 1, 1, 1, 0.5, 3)
 		r.RecordCycle(1, 2, 3, 4, 5)
-		r.RecordWALRotate(1, 2)
 		r.RecordCheckpoint(1, 2, 3, 4)
 		r.RecordAnomaly(TriggerPanic, 1, 2, 0.1, 1, 10)
 	})

@@ -1,11 +1,11 @@
 // Package observer is the one recording surface of a store: a concrete,
 // nil-safe Observer that owns every consumer of the store's telemetry —
 // the query and executor metrics, the flight ring with its watchdog, the
-// refinement ledger with its heatmaps, the trace sink and the time-series
-// ring — and feeds all of them from one call per instrumentation site.
-// The query runner, the executor and its daemon, and the durability
-// layer each hold the same *Observer and never see a consumer directly,
-// so a new consumer is one line here, not one more setter at every site.
+// refinement ledger, the trace sink and the time-series ring — and feeds
+// all of them from one call per instrumentation site. The query runner,
+// the executor and its daemon, and the durability layer each hold the
+// same *Observer and never see a consumer directly, so a new consumer is
+// one line here, not one more setter at every site.
 //
 // Every record method is //holistic:noalloc and safe on a nil receiver:
 // an unobserved runner or executor pays one pointer compare per site.
@@ -59,7 +59,7 @@ type Observer struct {
 	// Flight is the event ring; nil when disabled (its Record methods
 	// are nil-safe).
 	Flight *flight.Recorder
-	// Econ is the refinement ledger with the access and refine heatmaps.
+	// Econ is the refinement ledger.
 	Econ econ.Econ
 
 	// Watchdog baselines latency and convergence and decides when the
@@ -196,17 +196,6 @@ func (o *Observer) Strategy(seq uint64, s obs.Strat, stat0, stat1 float64) {
 	o.Flight.RecordStrategy(uint8(s), seq, stat0, stat1)
 }
 
-// Predicate charges one admitted range conjunct [lo, hi) on attr, whose
-// key domain is [dLo, dHi], to the access heatmap.
-//
-//holistic:noalloc
-func (o *Observer) Predicate(attr string, lo, hi, dLo, dHi int64) {
-	if o == nil {
-		return
-	}
-	o.Econ.NotePredicate(attr, lo, hi, dLo, dHi)
-}
-
 // Select is the executor's epilogue, the one place every query door
 // passes through: pending updates the access merged, then either a
 // key-order walk or a select with its latency — which, when the select
@@ -263,17 +252,6 @@ func (o *Observer) Refined(attr string, refined, merged, attempts int64, distanc
 	o.Econ.NoteRefined(attr, investedNs, refined, progress)
 }
 
-// RefinePivot charges one refinement pivot on attr, whose key domain is
-// [dLo, dHi], to the refine heatmap.
-//
-//holistic:noalloc
-func (o *Observer) RefinePivot(attr string, pivot, dLo, dHi int64) {
-	if o == nil {
-		return
-	}
-	o.Econ.NoteRefinePivot(attr, pivot, dLo, dHi)
-}
-
 // Cycle records one completed daemon tuning cycle.
 //
 //holistic:noalloc
@@ -284,9 +262,8 @@ func (o *Observer) Cycle(cycle, workers, refinements, merged, wallNs int64) {
 	o.Flight.RecordCycle(cycle, workers, refinements, merged, wallNs)
 }
 
-// Checkpoint records a committed snapshot generation — the WAL records it
-// baked in, the bytes it wrote, how long it took — and the WAL rotation
-// that follows it.
+// Checkpoint records a committed snapshot generation: the WAL records it
+// baked in, the bytes it wrote, how long it took.
 //
 //holistic:noalloc
 func (o *Observer) Checkpoint(gen, records, bytes, durNs int64) {
@@ -294,7 +271,6 @@ func (o *Observer) Checkpoint(gen, records, bytes, durNs int64) {
 		return
 	}
 	o.Flight.RecordCheckpoint(gen, records, bytes, durNs)
-	o.Flight.RecordWALRotate(gen, 0)
 }
 
 // Recovery records one boot-time recovery. A torn WAL tail is crash

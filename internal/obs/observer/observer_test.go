@@ -45,7 +45,6 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	}
 	o.Rep(sp.Seq, obs.RepBitmap, 1000, 2)
 	o.Strategy(sp.Seq, obs.StratGroupHash, 1.5, 2048)
-	o.Predicate("a", 10, 20, 0, 100)
 	o.Select("a", 1500, 3, false, true)
 	o.Select("a", 0, 0, true, true)        // a key-order walk is no select
 	o.Select("nope", 700, 0, false, false) // a failed select credits no index
@@ -67,30 +66,29 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	if len(ec.Indexes) != 1 || ec.Indexes[0].Name != "a" || ec.Indexes[0].DriveQueries != 1 {
 		t.Errorf("ledger = %+v, want one drive sample on a only", ec.Indexes)
 	}
-	if len(ec.Access) != 1 || ec.Access[0].Total == 0 {
-		t.Errorf("access heatmaps = %+v", ec.Access)
-	}
 	if sink.n != 1 || sink.kind != "sum" || sink.result != 42 {
 		t.Errorf("sink saw %+v, want one sum trace with result 42", sink)
 	}
 
 	// The daemon's and durability's sites.
 	o.Refined("a", 2, 1, 3, 64.0, 9, 5000, 0.5)
-	o.RefinePivot("a", 50, 0, 100)
 	o.Cycle(1, 2, 2, 1, 7000)
 	o.Checkpoint(4, 120, 96_000_000, 5_000_000)
 	if dump := o.Recovery(4, 3, true, 1, 0); !dump {
 		t.Error("a torn WAL tail must ask for a dump")
 	}
 	ks := kinds(o)
-	for _, k := range []flight.Kind{flight.EvRefine, flight.EvCycle, flight.EvCheckpoint, flight.EvWALRotate, flight.EvRecovery, flight.EvAnomaly} {
+	for _, k := range []flight.Kind{flight.EvRefine, flight.EvCycle, flight.EvCheckpoint, flight.EvRecovery, flight.EvAnomaly} {
 		if ks[k] != 1 {
 			t.Errorf("flight ring holds %d %v events, want 1", ks[k], k)
 		}
 	}
+	if ks[flight.EvWALRotate] != 0 {
+		t.Error("a checkpoint recorded a wal_rotate event: nothing records that kind")
+	}
 	ec = o.Econ.Snapshot()
-	if ec.InvestedNS != 5000 || len(ec.Refine) != 1 {
-		t.Errorf("ledger invested %d ns over %d refine heatmaps, want 5000 over 1", ec.InvestedNS, len(ec.Refine))
+	if ec.InvestedNS != 5000 {
+		t.Errorf("ledger invested %d ns, want 5000", ec.InvestedNS)
 	}
 	if got := o.Watchdog.State().LastTrigger; got != "torn_wal_tail" {
 		t.Errorf("watchdog last trigger = %q, want torn_wal_tail", got)
@@ -115,12 +113,10 @@ func TestNilObserverAndOwnedTrace(t *testing.T) {
 	var o *Observer
 	o.Rep(1, obs.RepNative, 0, 1)
 	o.Strategy(1, obs.StratJoinHash, 0, 0)
-	o.Predicate("a", 0, 1, 0, 1)
 	o.Select("a", 1, 1, false, true)
 	o.Merged(1)
 	o.CrackerBuilt()
 	o.Refined("a", 1, 1, 1, 1, 1, 1, 1)
-	o.RefinePivot("a", 0, 0, 1)
 	o.Cycle(0, 0, 0, 0, 0)
 	o.Checkpoint(0, 0, 0, 0)
 	o.DumpWritten()
@@ -165,15 +161,13 @@ func TestRecordingAllocationFree(t *testing.T) {
 	o := New(Config{})
 	run := func() {
 		sp := o.Begin(obs.OpCount, nil)
-		o.Predicate("a", 10, 20, 0, 100)
 		o.Rep(sp.Seq, obs.RepPosList, 50, 2)
 		o.Strategy(sp.Seq, obs.StratJoinMerge, 1, 2)
 		o.Select("a", 100, 1, false, true)
-		o.RefinePivot("a", 5, 0, 100)
 		o.Cycle(1, 2, 3, 4, 5)
 		o.End(sp, 60, 40, 7, nil)
 	}
-	run() // first sight of "a" interns its ledger slot and heatmaps
+	run() // first sight of "a" interns its ledger slot
 	if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
 		t.Errorf("recording allocates %.1f times per query, want 0", allocs)
 	}

@@ -311,10 +311,10 @@ func TestSteadyStateCountFlightAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSteadyStateCountEconAllocationFree: the economics recorder —
-// heatmap spans at plan time plus the drive-latency ledger in the
-// executor's epilogue — rides the same hot path as the metrics block and must preserve its
-// zero-allocation steady state.
+// TestSteadyStateCountEconAllocationFree: the economics recorder — the
+// drive-latency ledger in the executor's epilogue — rides the same hot
+// path as the metrics block and must preserve its zero-allocation
+// steady state.
 func TestSteadyStateCountEconAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
@@ -328,7 +328,7 @@ func TestSteadyStateCountEconAllocationFree(t *testing.T) {
 		{Attr: "b", Lo: domain / 4, Hi: domain},
 		{Attr: "c", Lo: 0, Hi: 3 * domain / 4},
 	}
-	if _, err := r.Count(preds); err != nil { // warm pools, intern heatmaps
+	if _, err := r.Count(preds); err != nil { // warm pools, intern the ledger slot
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
@@ -340,14 +340,6 @@ func TestSteadyStateCountEconAllocationFree(t *testing.T) {
 		t.Errorf("econ-recorded Count allocates %.2f times per query, want 0", allocs)
 	}
 	snap := ec.Snapshot()
-	if len(snap.Access) != 3 {
-		t.Fatalf("access heatmaps cover %d attrs, want 3", len(snap.Access))
-	}
-	for _, hm := range snap.Access {
-		if hm.Total < 51 {
-			t.Errorf("heatmap %q recorded %d span-bucket hits, want >= 51", hm.Attr, hm.Total)
-		}
-	}
 	// The driving conjunct's ledger saw every query's drive stage.
 	var drives int64
 	for _, ie := range snap.Indexes {

@@ -300,12 +300,6 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 	sortByEstimate(sc.preds, sc.ests)
 	for i, p := range sc.preds {
 		sc.sp.Trace.AddConjunct(p.Attr, p.Lo, p.Hi, sc.ests[i], i == 0)
-		if r.ob != nil {
-			// Predicate admission charges the access heatmaps, every
-			// conjunct's span once.
-			dLo, dHi := r.table.Column(p.Attr).Bounds()
-			r.ob.Predicate(p.Attr, p.Lo, p.Hi, dLo, dHi)
-		}
 	}
 	return false, nil
 }

@@ -33,7 +33,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"holistic/internal/cracking"
 )
@@ -97,22 +96,6 @@ func (s State) String() string {
 	}
 }
 
-// Transition records one index moving between configurations: admission
-// (From empty), promotion Potential→Actual on first access, and
-// convergence to Optimal. Since is the offset from registry creation, so
-// transition timelines from one run are directly comparable.
-type Transition struct {
-	Index string        `json:"index"`
-	From  string        `json:"from,omitempty"`
-	To    string        `json:"to"`
-	Since time.Duration `json:"since_ns"`
-}
-
-// transitionCap bounds the retained transition history. Each index
-// contributes at most three transitions (admit, promote, converge), so
-// the ring only wraps for spaces of ~100+ indices.
-const transitionCap = 256
-
 // Entry is the statistics node of one adaptive index. Its counters and
 // state are atomics: the select operator, holistic workers and the
 // telemetry readers all touch them concurrently.
@@ -140,14 +123,6 @@ type Registry struct {
 	l1s     float64
 	entries map[string]*Entry
 	rng     *rand.Rand
-
-	// The state-transition timeline: a bounded ring under its own mutex
-	// so RecordAccess promotions never contend with registry reads.
-	trMu    sync.Mutex
-	trans   [transitionCap]Transition
-	trStart int
-	trLen   int
-	born    time.Time
 }
 
 // DefaultL1Values is the number of int64 values fitting a 32 KiB L1 data
@@ -164,39 +139,7 @@ func NewRegistry(l1Values int, seed int64) *Registry {
 		l1s:     float64(l1Values),
 		entries: make(map[string]*Entry),
 		rng:     rand.New(rand.NewSource(seed)),
-		born:    time.Now(),
 	}
-}
-
-// recordTransition appends one transition to the bounded ring.
-func (r *Registry) recordTransition(index string, from, to State) {
-	// Admissions pass from == to; they render with From omitted.
-	fromName := ""
-	if from != to {
-		fromName = from.String()
-	}
-	r.trMu.Lock()
-	t := Transition{Index: index, From: fromName, To: to.String(), Since: time.Since(r.born)}
-	if r.trLen < transitionCap {
-		r.trans[(r.trStart+r.trLen)%transitionCap] = t
-		r.trLen++
-	} else {
-		r.trans[r.trStart] = t
-		r.trStart = (r.trStart + 1) % transitionCap
-	}
-	r.trMu.Unlock()
-}
-
-// Transitions returns the retained state-transition timeline, oldest
-// first.
-func (r *Registry) Transitions() []Transition {
-	r.trMu.Lock()
-	defer r.trMu.Unlock()
-	out := make([]Transition, 0, r.trLen)
-	for i := 0; i < r.trLen; i++ {
-		out = append(out, r.trans[(r.trStart+i)%transitionCap])
-	}
-	return out
 }
 
 // L1Values returns the optimal piece size in values.
@@ -213,13 +156,10 @@ func (r *Registry) Add(name string, col *cracking.Column, potential bool) *Entry
 		return e
 	}
 	e := &Entry{Name: name, Col: col}
-	st := Actual
 	if potential {
-		st = Potential
 		e.state.Store(int64(Potential))
 	}
 	r.entries[name] = e
-	r.recordTransition(name, st, st)
 	return e
 }
 
@@ -267,9 +207,7 @@ func (r *Registry) RecordAccess(name string, exactHit bool) {
 	if exactHit {
 		e.hits.Add(1)
 	}
-	if e.state.CompareAndSwap(int64(Potential), int64(Actual)) {
-		r.recordTransition(name, Potential, Actual)
-	}
+	e.state.CompareAndSwap(int64(Potential), int64(Actual))
 }
 
 // Distance returns d(I, Iopt) = N/p - |L1| for the entry, clamped at 0.
@@ -312,9 +250,7 @@ func (r *Registry) MarkOptimalIfDone(e *Entry) bool {
 // caller knows no crack can shrink its pieces further (a column holding
 // one distinct value is one piece for good).
 func (r *Registry) MarkOptimal(e *Entry) {
-	if old := State(e.state.Swap(int64(Optimal))); old != Optimal {
-		r.recordTransition(e.Name, old, Optimal)
-	}
+	e.state.Store(int64(Optimal))
 }
 
 // PickForRefinement selects the next index a holistic worker should

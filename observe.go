@@ -258,9 +258,9 @@ type Metrics struct {
 	// Flight reports the flight recorder and its watchdog: ring
 	// occupancy, rolling baselines, anomaly counts (DESIGN.md §9).
 	Flight *FlightStatus `json:"flight,omitempty"`
-	// Economics reports the refinement cost-benefit ledger — per-index
-	// daemon time invested versus estimated drive-latency savings — and
-	// the key-range access/refine heatmaps (DESIGN.md §9).
+	// Economics reports the refinement cost-benefit ledger: per-index
+	// daemon time invested versus estimated drive-latency savings
+	// (DESIGN.md §9).
 	Economics *econ.Snapshot `json:"economics,omitempty"`
 	// Trace reports the JSONL trace sink attached via SetTraceJSONL /
 	// SetTraceJSONLFile: lines and bytes written, write errors (which

@@ -153,10 +153,9 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 // TestRangeDoorsReachTheLedger is the explore-range shape: a holistic
 // store driven by nothing but CountRange and SumRange must end with a
 // ledger that has a benefit side — drive samples for every touched
-// attribute — one flight query event per query, and the predicates in
-// the access heatmaps. Before the observer all three stayed empty, so on
-// the one workload where the benchmark measures the daemon paying off
-// the ledger said invested > 0, saved = 0.
+// attribute — and one flight query event per query. Before the observer
+// both stayed empty, so on the one workload where the benchmark
+// measures the daemon paying off the ledger said invested > 0, saved = 0.
 func TestRangeDoorsReachTheLedger(t *testing.T) {
 	s := doorStore(t, 20_000, 3)
 	defer s.Close()
@@ -177,18 +176,9 @@ func TestRangeDoorsReachTheLedger(t *testing.T) {
 	if o.evQuery != n || o.queries != n {
 		t.Errorf("%d queries: Metrics counts %d, flight ring holds %d EvQuery", n, o.queries, o.evQuery)
 	}
-	ec := s.Metrics().Economics
 	for _, attr := range []string{"a", "b"} {
 		if d := observe(s, attr).drives; d != n/2 {
 			t.Errorf("ledger DriveQueries[%s] = %d, want %d", attr, d, n/2)
-		}
-	}
-	if len(ec.Access) != 2 {
-		t.Fatalf("access heatmaps cover %d attributes, want 2", len(ec.Access))
-	}
-	for _, hm := range ec.Access {
-		if hm.Total < n/2 {
-			t.Errorf("access heatmap %q saw %d bucket hits, want >= %d", hm.Attr, hm.Total, n/2)
 		}
 	}
 }

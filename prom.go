@@ -1,8 +1,8 @@
 // The store's Prometheus collector (DESIGN.md §9): every Store's
 // registry entry carries it, and each scrape of the shared /metrics
-// exposition renders one Store.Metrics snapshot through it — counters, latency histograms, daemon convergence,
-// refinement economics and heatmaps through the scrape's shared
-// prom.Writer. Naming follows the Prometheus conventions adapted to
+// exposition renders one Store.Metrics snapshot through it — counters,
+// latency histograms, daemon convergence and refinement economics —
+// through the scrape's shared prom.Writer. Naming follows the Prometheus conventions adapted to
 // this codebase's units: histograms and invested/saved series carry an
 // explicit _ns suffix (the repo measures in nanoseconds, not seconds),
 // cumulative counters end in _total, and every series is labeled with
@@ -109,8 +109,7 @@ func promDaemon(w *prom.Writer, store []prom.Label, conv *holistic.Convergence) 
 	}
 }
 
-// promEconomics streams the refinement cost-benefit ledger and the
-// key-range heatmaps.
+// promEconomics streams the refinement cost-benefit ledger.
 func promEconomics(w *prom.Writer, store []prom.Label, es *econ.Snapshot) {
 	w.Meta("holistic_refine_invested_ns",
 		"Daemon nanoseconds invested refining each index.", "counter")
@@ -123,29 +122,6 @@ func promEconomics(w *prom.Writer, store []prom.Label, es *econ.Snapshot) {
 		w.IntSample("holistic_refine_invested_ns", labels, ie.InvestedNS)
 		w.IntSample("holistic_refine_saved_ns", labels, ie.SavedNS)
 		w.Sample("holistic_refine_roi", labels, ie.ROI)
-	}
-	writePromHeatmaps(w, "holistic_access_heatmap_total",
-		"Predicate accesses per equi-width key-range bucket.", store, es.Access)
-	writePromHeatmaps(w, "holistic_refine_heatmap_total",
-		"Refinement pivots per equi-width key-range bucket.", store, es.Refine)
-}
-
-// writePromHeatmaps emits the non-zero buckets of each heatmap; empty
-// buckets are implicit zeros, keeping a 256-bucket map's exposition
-// proportional to where load actually landed.
-func writePromHeatmaps(w *prom.Writer, name, help string, store []prom.Label, maps []econ.HeatmapState) {
-	if len(maps) == 0 {
-		return
-	}
-	w.Meta(name, help, "counter")
-	for _, hm := range maps {
-		for b, n := range hm.Counts {
-			if n == 0 {
-				continue
-			}
-			w.IntSample(name, append(store,
-				prom.L("attr", hm.Attr), prom.L("bucket", strconv.Itoa(b))), n)
-		}
 	}
 }
 
