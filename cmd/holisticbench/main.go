@@ -9,16 +9,16 @@
 //	holisticbench -list                        # enumerate experiments
 //	holisticbench -experiment fig12 -columns 4194304 -queries 1000
 //	holisticbench -experiment agg              # aggregate pushdown (Q6-style)
-//	holisticbench -experiment join             # hash vs index-clustered merge join
+//	holisticbench -experiment join             # holistic vs adaptive join
 //	holisticbench -experiment conj -cpuprofile cpu.out -memprofile mem.out
 //	holisticbench -experiment conj -baseline ci/baselines/BENCH_conj.json
 //
-// Scale defaults target a laptop-class machine; EXPERIMENTS.md records a
-// full run and compares each result against the paper. -baseline turns a
-// run into a regression gate: per-label mean latencies are compared
-// against a committed BENCH_*.json (produced by an earlier -json run at
-// the same parameters) and the process exits 1 when any shared label's
-// mean exceeds the baseline by more than -baseline-tolerance.
+// Scale defaults target a laptop-class machine; DESIGN.md §3 maps them
+// to the paper's scale. -baseline turns a run into a regression gate:
+// per-label mean latencies are compared against a committed
+// BENCH_*.json (produced by an earlier -json run at the same parameters)
+// and the process exits 1 when any shared label's mean exceeds the
+// baseline by more than -baseline-tolerance.
 package main
 
 import (

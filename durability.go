@@ -55,7 +55,7 @@ func (c Config) walPolicy() durable.SyncPolicy {
 // indexes from their persisted state (unless Config.DataOnlyRecovery),
 // replays the WAL tail, and from then on logs every Insert, Delete and
 // Update before applying it. Snapshots are written in the background —
-// under ModeHolistic by piggybacking on the daemon's idle cycles — and
+// one ticker (Config.SnapshotInterval) drives them in every mode — and
 // Close leaves a clean-shutdown marker so the next open skips replay.
 //
 // A recovered store that already holds columns serves queries
@@ -364,7 +364,7 @@ func (d *durability) checkpoint() error {
 //     one is the fallback if the new manifest is later found torn).
 //
 // Writers are blocked for the duration; checkpoints are background
-// work riding idle cycles, not a query-path operation. Every call
+// work on the snapshot ticker, not a query-path operation. Every call
 // writes a full snapshot — queries refine adaptive state without
 // dirtying the WAL, so "no new records" does not mean "nothing worth
 // persisting"; the dirty-records gate lives in maybeSnapshot.

@@ -8,7 +8,7 @@
 //
 // Scale defaults are chosen so the full suite runs on a laptop-class
 // machine in minutes (the paper used 2^30-value columns and 32 hardware
-// contexts; see DESIGN.md §3 and EXPERIMENTS.md for the mapping).
+// contexts; see DESIGN.md §3 for the mapping).
 package bench
 
 import (

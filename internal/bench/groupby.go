@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"holistic/internal/column"
@@ -15,41 +17,57 @@ import (
 )
 
 func init() {
-	register("groupby", "Grouped aggregation: hash vs index-clustered (sort) grouping under the holistic daemon (new)", runGroupBy)
+	register("groupby", "Grouped aggregation: holistic vs adaptive runner, hash grouping turning index-clustered (sort) as the daemon refines the key (new)", runGroupBy)
 }
 
-// groupByCell times q grouped count+sum queries under one forced
-// strategy, returning ns/query, the group count, the executed strategy
-// of the last query, and a checksum over keys and aggregates.
-func groupByCell(r *query.Runner, strat groupby.Strategy, keys []string, aggs []groupby.Agg, preds []query.Predicate, q int) (perQuery time.Duration, groups int, ran groupby.Strategy, checksum int64, err error) {
-	r.SetGroupStrategy(strat)
-	defer r.SetGroupStrategy(groupby.StrategyAuto)
+// ranStrategies names the strategies an observer counted between two
+// snapshots of its strategy counts — what a cell's queries actually ran
+// — subsystem prefixes dropped, in a fixed order.
+func ranStrategies(before, after map[string]int64) string {
+	var ran []string
+	for k, n := range after {
+		if n > before[k] {
+			ran = append(ran, k[strings.IndexByte(k, '/')+1:])
+		}
+	}
+	sort.Strings(ran)
+	return strings.Join(ran, "+")
+}
+
+// groupByCell times q grouped count+sum queries through one runner on
+// auto, returning ns/query, the group count, the strategies its observer
+// saw run, and a checksum over keys and aggregates.
+func groupByCell(r *query.Runner, ob *observer.Observer, keys []string, aggs []groupby.Agg, preds []query.Predicate, q int) (perQuery time.Duration, groups int, ran string, checksum int64, err error) {
 	var res groupby.Result
 	// One warm-up query fills the pooled scratch before measuring.
 	if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, "", 0, err
 	}
+	before := ob.Query.Snapshot().Strategies
 	start := time.Now()
 	for i := 0; i < q; i++ {
 		if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, "", 0, err
 		}
 		for g := 0; g < res.Len(); g++ {
 			checksum += res.Keys[0][g]*7 + res.Aggs[0][g]*3 + res.Aggs[1][g]
 		}
 	}
-	return time.Since(start) / time.Duration(q), res.Len(), res.Strategy, checksum, nil
+	perQuery = time.Since(start) / time.Duration(q)
+	return perQuery, res.Len(), ranStrategies(before, ob.Query.Snapshot().Strategies), checksum, nil
 }
 
 // runGroupBy is the groupby experiment: grouped aggregation over a
 // skewed group-key attribute whose domain is too wide for the dense
-// strategy, compared before and after the holistic daemon refines the
-// key's index. Before refinement the only viable strategy is the global
-// hash; once background cracking has shrunk the key clusters below the
-// per-cluster accumulator bound, sort-based (index-clustered) grouping
-// walks the pieces in key order with no hash table — the experiment
-// shows it overtaking the hash strategy, which is the grouped-
-// aggregation payoff of holistic indexing.
+// strategy, through two runners over the same table, both left to the
+// planner: one holistic, one adaptive. Neither can do better than hash
+// at first. The adaptive runner hashes for good — its predicates crack
+// another attribute, and no daemon ever refines the key — while the
+// holistic one admits the key (wide, selection walkable), and once
+// background cracking has shrunk the key clusters below the per-cluster
+// accumulator bound its planner switches to sort-based (index-clustered)
+// grouping, walking the pieces in key order with no hash table: the
+// grouped-aggregation payoff of holistic indexing.
 func runGroupBy(p Params) (*Result, error) {
 	groupsTarget := p.ColumnSize / 2
 	if groupsTarget < 64 {
@@ -59,11 +77,9 @@ func runGroupBy(p Params) (*Result, error) {
 	tab.MustAddColumn(column.New(attrName(0), workload.GroupKeyColumn(p.ColumnSize, groupsTarget, 1.1, p.Seed)))
 	tab.MustAddColumn(column.New(attrName(1), workload.UniformColumn(p.ColumnSize, p.Domain, p.Seed+1)))
 
+	crack := cracking.Config{ParallelWorkers: p.Threads, Seed: p.Seed}
 	exec := engine.NewHolisticExecutor(tab, engine.HolisticConfig{
-		Cracking: cracking.Config{
-			ParallelWorkers: p.Threads,
-			Seed:            p.Seed,
-		},
+		Cracking: crack,
 		Daemon: holistic.Config{
 			Interval:    p.Interval,
 			Refinements: p.Refinements,
@@ -73,9 +89,12 @@ func runGroupBy(p Params) (*Result, error) {
 		Contexts: p.Threads,
 	})
 	defer exec.Close()
-	r := query.New(tab, exec, p.Threads)
-	ob := observer.New(observer.Config{FlightEvents: -1})
+	adExec := engine.NewAdaptiveExecutor(tab, crack, "")
+	defer adExec.Close()
+	r, ad := query.New(tab, exec, p.Threads), query.New(tab, adExec, p.Threads)
+	ob, adOb := observer.New(observer.Config{FlightEvents: -1}), observer.New(observer.Config{FlightEvents: -1})
 	r.SetObserver(ob)
+	ad.SetObserver(adOb)
 
 	keys := []string{attrName(0)}
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum(attrName(1))}
@@ -85,17 +104,13 @@ func runGroupBy(p Params) (*Result, error) {
 		q = 4
 	}
 
-	res := &Result{Headers: []string{"phase", "strategy", "µs/q", "groups", "checksum"}}
-	addCell := func(phase string, strat groupby.Strategy) (time.Duration, int64, error) {
-		t, groups, ran, sum, err := groupByCell(r, strat, keys, aggs, preds, q)
+	res := &Result{Headers: []string{"phase", "runner", "strategy", "µs/q", "groups", "checksum"}}
+	addCell := func(phase string, runner *query.Runner, o *observer.Observer, label string) (time.Duration, int64, error) {
+		t, groups, ran, sum, err := groupByCell(runner, o, keys, aggs, preds, q)
 		if err != nil {
 			return 0, 0, err
 		}
-		label := strat.String()
-		if ran != strat {
-			label = fmt.Sprintf("%v→%v", strat, ran)
-		}
-		res.AddRow(phase, label, us(t), fmt.Sprintf("%d", groups), fmt.Sprintf("%d", sum))
+		res.AddRow(phase, label, ran, us(t), fmt.Sprintf("%d", groups), fmt.Sprintf("%d", sum))
 		return t, sum, nil
 	}
 
@@ -113,19 +128,20 @@ func runGroupBy(p Params) (*Result, error) {
 		coldSum += first.Keys[0][g]*7 + first.Aggs[0][g]*3 + first.Aggs[1][g]
 	}
 	coldSum *= int64(q) // cells accumulate q queries' worth
-	res.AddRow("first query", first.Strategy.String(), us(firstT), fmt.Sprintf("%d", first.Len()), fmt.Sprintf("%d", coldSum))
+	res.AddRow("first query", "holistic", first.Strategy.String(), us(firstT), fmt.Sprintf("%d", first.Len()), fmt.Sprintf("%d", coldSum))
 
 	// Early phase: refinement has barely started (it proceeds between
 	// these queries — holistic indexing never waits for idle windows).
-	if _, earlySum, err := addCell("early", groupby.StrategyHash); err != nil {
-		return nil, err
-	} else if earlySum != coldSum {
-		return nil, fmt.Errorf("groupby: early hash checksum %d != first %d", earlySum, coldSum)
-	}
-	if _, autoSum, err := addCell("early", groupby.StrategyAuto); err != nil {
-		return nil, err
-	} else if autoSum != coldSum {
-		return nil, fmt.Errorf("groupby: early auto checksum %d != first %d", autoSum, coldSum)
+	for _, c := range []struct {
+		runner *query.Runner
+		o      *observer.Observer
+		label  string
+	}{{ad, adOb, "adaptive"}, {r, ob, "holistic"}} {
+		if _, sum, err := addCell("early", c.runner, c.o, c.label); err != nil {
+			return nil, err
+		} else if sum != coldSum {
+			return nil, fmt.Errorf("groupby: early %s checksum %d != first %d", c.label, sum, coldSum)
+		}
 	}
 
 	// Idle window: background refinement shrinks the key's clusters. We
@@ -146,20 +162,19 @@ func runGroupBy(p Params) (*Result, error) {
 		time.Sleep(p.Interval)
 	}
 
-	// Phase 2: refined index. Sort-based grouping walks the pieces in
-	// key order with small dense per-cluster accumulators.
-	hashT, hashSum, err := addCell("refined", groupby.StrategyHash)
+	// Refined index: the holistic planner walks the pieces in key order
+	// with small dense per-cluster accumulators; the adaptive one still
+	// hashes.
+	adT, adSum, err := addCell("refined", ad, adOb, "adaptive")
 	if err != nil {
 		return nil, err
 	}
-	sortT, sortSum, err := addCell("refined", groupby.StrategySort)
+	hoT, hoSum, err := addCell("refined", r, ob, "holistic")
 	if err != nil {
 		return nil, err
 	}
-	if _, autoSum, err := addCell("refined", groupby.StrategyAuto); err != nil {
-		return nil, err
-	} else if autoSum != hashSum || sortSum != hashSum || hashSum != coldSum {
-		return nil, fmt.Errorf("groupby: refined checksums diverge (hash %d, sort %d, auto %d, cold %d)", hashSum, sortSum, autoSum, coldSum)
+	if adSum != coldSum || hoSum != coldSum {
+		return nil, fmt.Errorf("groupby: refined checksums diverge (adaptive %d, holistic %d, cold %d)", adSum, hoSum, coldSum)
 	}
 
 	span, _ := exec.KeyOrderSpan(keys[0])
@@ -175,10 +190,10 @@ func runGroupBy(p Params) (*Result, error) {
 		keys[0], groupsTarget, p.ColumnSize, q)
 	res.AddNote("daemon refined the key index to %d pieces (expected cluster span %.0f values, refinements %d, converged %v)",
 		pieces, span, exec.Daemon().Refinements(), converged)
-	if sortT < hashT {
-		res.AddNote("refined: sort-based (index-clustered) grouping %.2fx faster than hash grouping — the holistic grouping payoff", float64(hashT)/float64(sortT))
+	if hoT < adT {
+		res.AddNote("refined: the holistic runner groups %.2fx faster than the adaptive one — the holistic grouping payoff", float64(adT)/float64(hoT))
 	} else {
-		res.AddNote("refined: sort %.1fµs vs hash %.1fµs — refinement has not paid off at this scale", float64(sortT.Nanoseconds())/1000, float64(hashT.Nanoseconds())/1000)
+		res.AddNote("refined: holistic %.1fµs vs adaptive %.1fµs — refinement has not paid off at this scale", float64(hoT.Nanoseconds())/1000, float64(adT.Nanoseconds())/1000)
 	}
 	return res, nil
 }

@@ -15,45 +15,49 @@ import (
 )
 
 func init() {
-	register("join", "Equi-join: radix-partitioned hash vs index-clustered merge join under the holistic daemon (new)", runJoin)
+	register("join", "Equi-join: holistic vs adaptive runner, hash join turning index-clustered (merge) as the daemons refine the keys (new)", runJoin)
 }
 
-// joinCell times q join queries under one forced strategy: every query
-// counts the matching pairs, every fourth also sums a right-side
-// payload, and the folds accumulate into a cross-strategy checksum.
-func joinCell(lr *query.Runner, j *query.Join, strat query.JoinStrategy, q int) (perQuery time.Duration, checksum int64, err error) {
-	lr.SetJoinStrategy(strat)
-	defer lr.SetJoinStrategy(query.JoinAuto)
+// joinCell times q join queries through one runner pair on auto: every
+// query counts the matching pairs, every fourth also sums a right-side
+// payload, and the folds accumulate into a cross-runner checksum. ran
+// names the strategies the left runner's observer saw run.
+func joinCell(j *query.Join, ob *observer.Observer, q int) (perQuery time.Duration, ran string, checksum int64, err error) {
 	if _, err := j.Count(); err != nil { // warm the pools
-		return 0, 0, err
+		return 0, "", 0, err
 	}
+	before := ob.Query.Snapshot().Strategies
 	start := time.Now()
 	for i := 0; i < q; i++ {
 		n, err := j.Count()
 		if err != nil {
-			return 0, 0, err
+			return 0, "", 0, err
 		}
 		checksum += n
 		if i%4 == 3 {
 			s, err := j.Sum(join.Right, attrName(1))
 			if err != nil {
-				return 0, 0, err
+				return 0, "", 0, err
 			}
 			checksum += s
 		}
 	}
-	return time.Since(start) / time.Duration(q), checksum, nil
+	perQuery = time.Since(start) / time.Duration(q)
+	return perQuery, ranStrategies(before, ob.Query.Snapshot().Strategies), checksum, nil
 }
 
-// runJoin is the join experiment: an M:N equi-join between two
-// relations whose join keys the holistic daemons refine in the
-// background. The first query can only hash — and, both selections being
-// walkable, it admits both join keys, starting refinement. Once
-// background cracking has shrunk both key columns' clusters below the
-// merge join's per-pair accumulator bound, the index-clustered merge
-// join walks both indexes in key order with no hash table — the
-// experiment shows it overtaking the hash join, which is the
-// cross-relation payoff of holistic indexing.
+// runJoin is the join experiment: an M:N equi-join between two relations,
+// run by two runner pairs over the same tables, both left to the
+// planner: one holistic, one adaptive. The adaptive pair hashes for good
+// — its predicates crack the payload attributes, and no daemon ever
+// refines the join keys. The holistic pair's first query can only hash
+// too, but, both selections being walkable, it admits both join keys,
+// and once background cracking has shrunk both key columns' clusters
+// below the merge join's per-pair accumulator bound its planner switches
+// to the index-clustered merge join, which walks both indexes in key
+// order with no hash table: the cross-relation payoff of holistic
+// indexing wherever the walk beats the hash join (the last note says
+// whether it does at this scale).
 func runJoin(p Params) (*Result, error) {
 	keys := p.ColumnSize / 2
 	if keys < 64 {
@@ -69,12 +73,10 @@ func runJoin(p Params) (*Result, error) {
 		t.MustAddColumn(column.New(attrName(1), workload.UniformColumn(len(jk), p.Domain, seed)))
 		return t
 	}
+	crack := cracking.Config{ParallelWorkers: p.Threads, Seed: p.Seed}
 	mkExec := func(t *engine.Table) *engine.Executor {
 		return engine.NewHolisticExecutor(t, engine.HolisticConfig{
-			Cracking: cracking.Config{
-				ParallelWorkers: p.Threads,
-				Seed:            p.Seed,
-			},
+			Cracking: crack,
 			Daemon: holistic.Config{
 				Interval:    p.Interval,
 				Refinements: p.Refinements,
@@ -87,55 +89,59 @@ func runJoin(p Params) (*Result, error) {
 	lt := mkTable("L", lk, p.Seed+1)
 	rt := mkTable("R", rk, p.Seed+2)
 	lExec, rExec := mkExec(lt), mkExec(rt)
-	defer lExec.Close()
-	defer rExec.Close()
+	lAd, rAd := engine.NewAdaptiveExecutor(lt, crack, ""), engine.NewAdaptiveExecutor(rt, crack, "")
+	for _, e := range []*engine.Executor{lExec, rExec, lAd, rAd} {
+		defer e.Close()
+	}
 	lr := query.New(lt, lExec, p.Threads)
-	rr := query.New(rt, rExec, p.Threads)
-	ob := observer.New(observer.Config{FlightEvents: -1})
+	lar := query.New(lt, lAd, p.Threads)
+	ob, adOb := observer.New(observer.Config{FlightEvents: -1}), observer.New(observer.Config{FlightEvents: -1})
 	lr.SetObserver(ob)
+	lar.SetObserver(adOb)
 
 	// Dense pre-join filters (90% of each side qualifies): selective
 	// enough to exercise the selection pipeline, dense enough for the
 	// merge strategy's profitability rule.
 	lPreds := []query.Predicate{{Attr: attrName(1), Lo: 0, Hi: 9 * p.Domain / 10}}
 	rPreds := []query.Predicate{{Attr: attrName(1), Lo: p.Domain / 10, Hi: p.Domain}}
-	j := lr.Join(rr, attrName(0), attrName(0), lPreds, rPreds)
+	j := lr.Join(query.New(rt, rExec, p.Threads), attrName(0), attrName(0), lPreds, rPreds)
+	ja := lar.Join(query.New(rt, rAd, p.Threads), attrName(0), attrName(0), lPreds, rPreds)
 	q := p.Queries / 20
 	if q < 4 {
 		q = 4
 	}
 
-	res := &Result{Headers: []string{"phase", "strategy", "µs/q", "checksum"}}
-	addCell := func(phase string, strat query.JoinStrategy, label string) (time.Duration, int64, error) {
-		t, sum, err := joinCell(lr, j, strat, q)
+	res := &Result{Headers: []string{"phase", "runner", "strategy", "µs/q", "checksum"}}
+	addCell := func(phase string, jn *query.Join, o *observer.Observer, label string) (time.Duration, int64, error) {
+		t, ran, sum, err := joinCell(jn, o, q)
 		if err != nil {
 			return 0, 0, err
 		}
-		res.AddRow(phase, label, us(t), fmt.Sprintf("%d", sum))
+		res.AddRow(phase, label, ran, us(t), fmt.Sprintf("%d", sum))
 		return t, sum, nil
 	}
 
 	// The very first join admits both join attributes into the daemons'
 	// index spaces, starting refinement. Its physical strategy is not
-	// assumed: the strategy timeline (recorded below) reports what auto
-	// actually picked — on key domains small relative to the merge-span
-	// bound even a barely-cracked index can qualify for the merge path.
+	// assumed: on key domains small relative to the merge-span bound even
+	// a barely-cracked index can qualify for the merge path.
+	before := ob.Query.Snapshot().Strategies
 	firstStart := time.Now()
 	firstN, err := j.Count()
 	if err != nil {
 		return nil, err
 	}
 	firstT := time.Since(firstStart)
-	res.AddRow("first query", "auto", us(firstT), fmt.Sprintf("%d", firstN))
+	res.AddRow("first query", "holistic", ranStrategies(before, ob.Query.Snapshot().Strategies), us(firstT), fmt.Sprintf("%d", firstN))
 
-	_, earlyHash, err := addCell("early", query.JoinHash, "hash")
+	_, earlyAd, err := addCell("early", ja, adOb, "adaptive")
 	if err != nil {
 		return nil, err
 	}
-	if _, earlyAuto, err := addCell("early", query.JoinAuto, "auto"); err != nil {
+	if _, earlyHo, err := addCell("early", j, ob, "holistic"); err != nil {
 		return nil, err
-	} else if earlyAuto != earlyHash {
-		return nil, fmt.Errorf("join: early auto checksum %d != hash %d", earlyAuto, earlyHash)
+	} else if earlyHo != earlyAd {
+		return nil, fmt.Errorf("join: early holistic checksum %d != adaptive %d", earlyHo, earlyAd)
 	}
 
 	// Idle window: wait until both join-key indexes have refined below
@@ -157,21 +163,16 @@ func runJoin(p Params) (*Result, error) {
 		time.Sleep(p.Interval)
 	}
 
-	hashT, hashSum, err := addCell("refined", query.JoinHash, "hash")
+	adT, adSum, err := addCell("refined", ja, adOb, "adaptive")
 	if err != nil {
 		return nil, err
 	}
-	mergeT, mergeSum, err := addCell("refined", query.JoinMerge, "merge")
+	hoT, hoSum, err := addCell("refined", j, ob, "holistic")
 	if err != nil {
 		return nil, err
 	}
-	_, autoSum, err := addCell("refined", query.JoinAuto, "auto")
-	if err != nil {
-		return nil, err
-	}
-	if mergeSum != hashSum || autoSum != hashSum || hashSum != earlyHash {
-		return nil, fmt.Errorf("join: refined checksums diverge (hash %d, merge %d, auto %d, early %d)",
-			hashSum, mergeSum, autoSum, earlyHash)
+	if hoSum != adSum || adSum != earlyAd {
+		return nil, fmt.Errorf("join: refined checksums diverge (holistic %d, adaptive %d, early %d)", hoSum, adSum, earlyAd)
 	}
 
 	snap := ob.Query.Snapshot()
@@ -184,10 +185,10 @@ func runJoin(p Params) (*Result, error) {
 		attrName(0), keys, p.ColumnSize, q)
 	res.AddNote("daemons refined the join-key indexes to cluster spans %.0f / %.0f values (refinements %d + %d, converged %v)",
 		lSpan, rSpan, lExec.Daemon().Refinements(), rExec.Daemon().Refinements(), converged)
-	if mergeT < hashT {
-		res.AddNote("refined: index-clustered merge join %.2fx faster than the hash join — the cross-relation holistic payoff", float64(hashT)/float64(mergeT))
+	if hoT < adT {
+		res.AddNote("refined: the holistic runner joins %.2fx faster than the adaptive one — the cross-relation holistic payoff", float64(adT)/float64(hoT))
 	} else {
-		res.AddNote("refined: merge %.1fµs vs hash %.1fµs — refinement has not paid off at this scale", float64(mergeT.Nanoseconds())/1000, float64(hashT.Nanoseconds())/1000)
+		res.AddNote("refined: holistic %.1fµs vs adaptive %.1fµs — refinement has not paid off at this scale", float64(hoT.Nanoseconds())/1000, float64(adT.Nanoseconds())/1000)
 	}
 	return res, nil
 }

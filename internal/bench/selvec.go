@@ -24,11 +24,10 @@ func us(d time.Duration) string {
 // visits, bracketing the crossover from both sides.
 var selVecSelectivities = []float64{0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5}
 
-// selVecCell times one (selectivity, policy) cell: q two-conjunct count
+// selVecCell times one (selectivity, counter) cell: q two-conjunct count
 // queries whose driving conjunct covers sel of the domain at a rotating
 // offset, returning ns/query, allocations/query and a checksum.
-func selVecCell(r *query.Runner, pol query.RepPolicy, sel float64, domain int64, q int, seed int64) (perQuery time.Duration, allocs float64, checksum int64, err error) {
-	r.SetRepPolicy(pol)
+func selVecCell(count func([]query.Predicate) (int, error), sel float64, domain int64, q int, seed int64) (perQuery time.Duration, allocs float64, checksum int64, err error) {
 	span := int64(sel * float64(domain))
 	if span < 1 {
 		span = 1
@@ -38,20 +37,18 @@ func selVecCell(r *query.Runner, pol query.RepPolicy, sel float64, domain int64,
 	}
 	room := domain - span + 1 // lo ∈ [0, room); ≥ 1 even for tiny -domain
 	resHi := 3 * domain / 4   // residual conjunct keeps ~75%
-	lo := seed % room
+	preds := func(lo int64) []query.Predicate {
+		return []query.Predicate{{Attr: attrName(0), Lo: lo, Hi: lo + span}, {Attr: attrName(1), Lo: 0, Hi: resHi}}
+	}
 	// One warm-up query fills the pooled scratch before measuring.
-	if _, err := r.Count([]query.Predicate{{Attr: attrName(0), Lo: lo, Hi: lo + span}, {Attr: attrName(1), Lo: 0, Hi: resHi}}); err != nil {
+	if _, err := count(preds(seed % room)); err != nil {
 		return 0, 0, 0, err
 	}
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	for i := 0; i < q; i++ {
-		lo := (seed + int64(i)*7919) % room
-		n, err := r.Count([]query.Predicate{
-			{Attr: attrName(0), Lo: lo, Hi: lo + span},
-			{Attr: attrName(1), Lo: 0, Hi: resHi},
-		})
+		n, err := count(preds((seed + int64(i)*7919) % room))
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -62,12 +59,34 @@ func selVecCell(r *query.Runner, pol query.RepPolicy, sel float64, domain int64,
 	return elapsed / time.Duration(q), float64(ms1.Mallocs-ms0.Mallocs) / float64(q), checksum, nil
 }
 
+// kernelCount is a two-conjunct count composed by hand at the kernel
+// layer, the way the runner's scan path composes it, in one
+// representation: the driving conjunct fills a column.Selection
+// (ParallelScanRange for a position list, ParallelScanRangeBitmap for a
+// bitmap), the residual refines it through View.Filter, and Count
+// counts it.
+func kernelCount(t *engine.Table, dense bool, threads int) func([]query.Predicate) (int, error) {
+	s := column.Selection{Bits: column.NewBitmap(0), Dense: dense}
+	return func(preds []query.Predicate) (int, error) {
+		drive, res := preds[0], preds[1]
+		vals := t.Column(drive.Attr).Values()
+		if dense {
+			column.ParallelScanRangeBitmap(vals, drive.Lo, drive.Hi, s.Bits, threads)
+		} else {
+			s.Rows = column.ParallelScanRange(vals, drive.Lo, drive.Hi, threads)
+		}
+		column.View{Base: t.Column(res.Attr).Values()}.Filter(&s, res.Lo, res.Hi, threads)
+		return s.Count(), nil
+	}
+}
+
 // runSelVec is the selvec experiment: it validates the bitmap/poslist
 // crossover rule by sweeping the driving conjunct's selectivity over a
-// two-conjunct count workload on the scan executor (the representation
-// question isolated from index refinement) and timing both forced
-// representations plus the Auto policy. The allocation columns show the
-// pooled bitmap path's allocation-free steady state.
+// two-conjunct count workload — the representation question isolated
+// from index refinement. Both representations are timed at the kernel
+// layer (kernelCount), beside the scan-mode runner, whose crossover rule
+// picks one of them per query. The allocation columns show the bitmap's
+// allocation-free steady state.
 func runSelVec(p Params) (*Result, error) {
 	t := engine.NewTable("R")
 	for a := 0; a < 2; a++ {
@@ -76,6 +95,7 @@ func runSelVec(p Params) (*Result, error) {
 	exec := engine.NewScanExecutor(t, p.Threads)
 	defer exec.Close()
 	r := query.New(t, exec, p.Threads)
+	poslist, bitmap := kernelCount(t, false, p.Threads), kernelCount(t, true, p.Threads)
 
 	q := p.Queries / 25
 	if q < 8 {
@@ -83,18 +103,18 @@ func runSelVec(p Params) (*Result, error) {
 	}
 	res := &Result{Headers: []string{"drive sel", "poslist µs/q", "bitmap µs/q", "auto µs/q", "auto rep", "poslist allocs/q", "bitmap allocs/q", "bitmap speedup"}}
 	for _, sel := range selVecSelectivities {
-		pl, plAllocs, plSum, err := selVecCell(r, query.RepPosList, sel, p.Domain, q, p.Seed)
+		pl, plAllocs, plSum, err := selVecCell(poslist, sel, p.Domain, q, p.Seed)
 		if err != nil {
 			return nil, err
 		}
-		bm, bmAllocs, bmSum, err := selVecCell(r, query.RepBitmap, sel, p.Domain, q, p.Seed)
+		bm, bmAllocs, bmSum, err := selVecCell(bitmap, sel, p.Domain, q, p.Seed)
 		if err != nil {
 			return nil, err
 		}
 		if plSum != bmSum {
 			return nil, fmt.Errorf("selvec: representations disagree at sel %.3f: poslist %d, bitmap %d", sel, plSum, bmSum)
 		}
-		auto, _, autoSum, err := selVecCell(r, query.RepAuto, sel, p.Domain, q, p.Seed)
+		auto, _, autoSum, err := selVecCell(r.Count, sel, p.Domain, q, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -115,6 +135,7 @@ func runSelVec(p Params) (*Result, error) {
 		)
 	}
 	res.AddNote("two-conjunct counts over %d values, %d queries per cell, %d threads; residual conjunct keeps 75%%", p.ColumnSize, q, p.Threads)
+	res.AddNote("poslist and bitmap: the scan kernels composed by hand (select, View.Filter, Count); auto: the scan-mode query runner")
 	res.AddNote("auto crossover: drive selectivity >= %.1f%% picks the word-packed bitmap (query.DefaultBitmapCrossover)", query.DefaultBitmapCrossover*100)
 	res.AddNote("columns µs/q: microseconds per query; allocs/q from runtime.MemStats across the cell (parallel kernels cost O(workers) goroutine allocations, the bitmap path itself allocates nothing)")
 	return res, nil

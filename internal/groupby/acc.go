@@ -24,7 +24,7 @@ func NewAcc(keys []Key, aggs []Agg) (*Acc, error) {
 	// The length of the stream is unknown up front, so the fill rule of
 	// the dense/hash crossover cannot apply: dense whenever the domain
 	// packs.
-	a := &Acc{spec: Spec{Keys: keys, Aggs: aggs, AggViews: make([]column.View, len(aggs)), Force: StrategyDense}}
+	a := &Acc{spec: Spec{Keys: keys, Aggs: aggs, AggViews: make([]column.View, len(aggs)), stream: true}}
 	if err := a.spec.validate(); err != nil {
 		return nil, err
 	}

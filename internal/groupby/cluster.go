@@ -58,7 +58,6 @@ func GroupClusters(spec *Spec, bm *column.Bitmap, walk func(fn func(vals []int64
 	cw.bm, cw.res, cw.spec = bm, res, *spec
 	cw.spec.Keys = cw.key[:]
 	cw.spec.slotBound = DefaultClusterSlots
-	cw.spec.Force = StrategyAuto
 	walk(cw.fn)
 	*cw = clusterWalk{fn: cw.fn} // drop the caller's references before pooling
 	return nil

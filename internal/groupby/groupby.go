@@ -119,15 +119,13 @@ func (a Agg) String() string {
 type Strategy int
 
 const (
-	// StrategyAuto picks per query from the key domain statistics.
+	// StrategyAuto is a Result no execution has reported into yet.
 	StrategyAuto Strategy = iota
-	// StrategyDense forces array-indexed accumulators.
+	// StrategyDense is array-indexed accumulators.
 	StrategyDense
-	// StrategyHash forces open-addressing hash accumulators.
+	// StrategyHash is open-addressing hash accumulators.
 	StrategyHash
-	// StrategySort is index-clustered grouping (GroupClusters); reported
-	// in Result.Strategy, and forceable at the query-runner level where
-	// the index access path lives.
+	// StrategySort is index-clustered grouping (GroupClusters).
 	StrategySort
 )
 
@@ -200,9 +198,9 @@ type Spec struct {
 	AggViews []column.View
 	// Threads bounds the partition parallelism of dense/hash grouping.
 	Threads int
-	// Force pins the strategy of GroupRows/GroupBitmap to Dense or Hash;
-	// StrategyAuto (the zero value) applies the crossover rule.
-	Force Strategy
+	// stream marks Acc's slice-fed stream, whose length is unknown up
+	// front: dense whenever the domain packs.
+	stream bool
 	// slotBound overrides DefaultDenseSlots when positive: GroupClusters
 	// bounds its per-cluster executions by DefaultClusterSlots.
 	slotBound int
@@ -342,15 +340,14 @@ func (pk *packing) unpack(packed uint64, i int) int64 {
 // chooseDense applies the dense/hash crossover to n input rows: the
 // packed domain must be indexable and small, and — above denseMinSlots —
 // the input must fill it densely enough to amortize the O(slots) clear
-// and emit scan. Spec.Force pins the choice (dense still needs a domain
-// that packs).
+// and emit scan — a stream of unknown length skips that fill test.
 //
 //holistic:noalloc
 func chooseDense(spec *Spec, pk *packing, n int) bool {
-	if spec.Force == StrategyHash || pk.slots == 0 || pk.slots > spec.denseSlots() {
+	if pk.slots == 0 || pk.slots > spec.denseSlots() {
 		return false
 	}
-	return spec.Force == StrategyDense || pk.slots <= denseMinSlots || n*denseFill >= pk.slots
+	return spec.stream || pk.slots <= denseMinSlots || n*denseFill >= pk.slots
 }
 
 // --- entry points ---
@@ -404,10 +401,7 @@ func group(spec *Spec, sel column.PosList, bm *column.Bitmap, res *Result) error
 		n = bm.Count()
 	}
 	if n == 0 {
-		res.Strategy = spec.Force
-		if res.Strategy == StrategyAuto {
-			res.Strategy = StrategyDense
-		}
+		res.Strategy = StrategyDense
 		return nil
 	}
 	st := getRunState()

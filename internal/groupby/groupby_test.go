@@ -146,6 +146,14 @@ func buildSpec(keyCols, aggCols [][]int64, aggSpecs []Agg, threads int) *Spec {
 	return spec
 }
 
+// widen declares every key's domain at least 2^40 values wide: too wide
+// to pack densely, so the crossover rule picks hash for the same rows.
+func widen(spec *Spec) {
+	for k := range spec.Keys {
+		spec.Keys[k].Hi = max(spec.Keys[k].Hi, spec.Keys[k].Lo+1<<40)
+	}
+}
+
 // clusterStream turns a key column into the key-ordered stream of an
 // index walk: (value, row) pairs sorted by value, cut into clusters at
 // random ascending boundaries that never split equal values, rows
@@ -294,15 +302,23 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 			checkEqual(t, res, wantKeys, wantAggs)
 		}
 
+		// The declared domains as they are, then widened past any dense
+		// packing: the same rows through whichever accumulator the
+		// domains pick, then through hash.
 		for _, threads := range []int{1, 4} {
-			for _, force := range []Strategy{StrategyAuto, StrategyDense, StrategyHash} {
+			for _, widened := range []bool{false, true} {
 				spec := mkSpec(threads)
-				spec.Force = force
+				if widened {
+					widen(spec)
+				}
 				var res Result
 				if err := GroupRows(spec, sel, &res); err != nil {
 					t.Fatal(err)
 				}
 				check("rows", &res)
+				if widened && res.Strategy != StrategyHash {
+					t.Fatalf("trial %d: strategy %v over a widened domain, want hash", trial, res.Strategy)
+				}
 				if err := GroupBitmap(spec, bm, &res); err != nil {
 					t.Fatal(err)
 				}
@@ -430,13 +446,15 @@ func TestRunFeedMatchesOracle(t *testing.T) {
 		{"overlaid x", overlay(rng, x, bm), column.View{Base: y}, false},
 	} {
 		for _, threads := range []int{1, 3} {
-			for _, force := range []Strategy{StrategyDense, StrategyHash} {
+			for _, want := range []Strategy{StrategyDense, StrategyHash} {
 				spec := &Spec{
 					Keys:     []Key{{View: column.View{Base: key}, Lo: 0, Hi: 49}},
 					Aggs:     aggs,
 					AggViews: []column.View{{}, tc.xv, tc.xv, tc.xv, tc.yv},
 					Threads:  threads,
-					Force:    force,
+				}
+				if want == StrategyHash {
+					widen(spec)
 				}
 				var src source
 				if src.set(spec, nil, bm); src.runs != tc.runs {
@@ -446,8 +464,8 @@ func TestRunFeedMatchesOracle(t *testing.T) {
 				if err := GroupBitmap(spec, bm, &res); err != nil {
 					t.Fatal(err)
 				}
-				if res.Strategy != force {
-					t.Fatalf("%s threads=%d: strategy %v, want %v", tc.name, threads, res.Strategy, force)
+				if res.Strategy != want {
+					t.Fatalf("%s threads=%d: strategy %v, want %v", tc.name, threads, res.Strategy, want)
 				}
 				checkEqual(t, &res, wantKeys, wantAggs)
 			}
@@ -473,15 +491,17 @@ func TestParallelCrossesThreshold(t *testing.T) {
 	aggSpecs := []Agg{Count(), Sum("v"), Min("v"), Max("v")}
 	aggCols := [][]int64{nil, val, val, val}
 	wantKeys, wantAggs := oracleGroup([][]int64{keyCol}, aggSpecs, aggCols, sel)
-	for _, force := range []Strategy{StrategyDense, StrategyHash} {
+	for _, want := range []Strategy{StrategyDense, StrategyHash} {
 		spec := buildSpec([][]int64{keyCol}, aggCols, aggSpecs, 4)
-		spec.Force = force
+		if want == StrategyHash {
+			widen(spec)
+		}
 		var res Result
 		if err := GroupRows(spec, sel, &res); err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != force {
-			t.Fatalf("strategy = %v, want %v", res.Strategy, force)
+		if res.Strategy != want {
+			t.Fatalf("strategy = %v, want %v", res.Strategy, want)
 		}
 		checkEqual(t, &res, wantKeys, wantAggs)
 	}
@@ -762,9 +782,11 @@ func TestWarmedFeedersAllocationFree(t *testing.T) {
 	}
 	all := column.NewBitmap(rows)
 	all.SetRange(0, rows)
-	for _, force := range []Strategy{StrategyDense, StrategyHash} {
+	for _, want := range []Strategy{StrategyDense, StrategyHash} {
 		spec := buildSpec(keyCols, aggCols, aggSpecs, 1)
-		spec.Force = force
+		if want == StrategyHash {
+			widen(spec)
+		}
 		var res Result
 		run := func() {
 			if err := GroupBitmap(spec, all, &res); err != nil {
@@ -773,7 +795,7 @@ func TestWarmedFeedersAllocationFree(t *testing.T) {
 		}
 		run()
 		if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
-			t.Errorf("warmed in-place GroupBitmap (%v) allocates %.2f times per run, want 0", force, allocs)
+			t.Errorf("warmed in-place GroupBitmap (%v) allocates %.2f times per run, want 0", want, allocs)
 		}
 	}
 	// Dense clusters, then the same keys spread past DefaultClusterSlots:

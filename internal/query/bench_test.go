@@ -11,33 +11,44 @@ import (
 // benchRunner builds a scan-mode runner over a 2^20-row, 3-attribute
 // table (buildTable, shared with the tests): the steady-state
 // conjunctive hot path with no index mutation noise, so allocs/op
-// isolates the query pipeline itself.
+// isolates the query pipeline itself. The predicates drive at 25%, on
+// the bitmap side of the crossover.
 func benchRunner(b *testing.B, threads int) (*Runner, []Predicate) {
 	b.Helper()
-	const domain = 1 << 20
-	tab, _ := buildTable(3, 1<<20, domain, 42)
-	r := New(tab, engine.NewScanExecutor(tab, threads), threads)
-	preds := []Predicate{
-		{Attr: "a", Lo: 0, Hi: domain / 4},      // 25% drives
-		{Attr: "b", Lo: domain / 8, Hi: domain}, // ~88%
-		{Attr: "c", Lo: 0, Hi: 9 * domain / 10}, // 90%
-	}
-	return r, preds
+	tab, _ := buildTable(3, 1<<20, benchDomain, 42)
+	return New(tab, engine.NewScanExecutor(tab, threads), threads), benchDrive(benchDomain / 4)
 }
 
+const benchDomain = 1 << 20
+
+// benchDrive is the three-conjunct shape whose driving conjunct keeps
+// [0, drive) of the domain: the crossover rule turns a 1% drive into a
+// position list and a 25% one into a bitmap.
+func benchDrive(drive int64) []Predicate {
+	return []Predicate{
+		{Attr: "a", Lo: 0, Hi: drive},
+		{Attr: "b", Lo: benchDomain / 8, Hi: benchDomain}, // ~88%
+		{Attr: "c", Lo: 0, Hi: 9 * benchDomain / 10},      // 90%
+	}
+}
+
+// benchDrives are the driving selectivities the conjunctive benchmarks
+// sweep, one on each side of the crossover.
+var benchDrives = []struct {
+	name  string
+	drive int64
+}{{"drive=1%", benchDomain / 100}, {"drive=25%", benchDomain / 4}}
+
 // BenchmarkConjunctiveCount measures the three-conjunct count pipeline
-// per representation. With ReportAllocs the bitmap rows show the
-// allocation-free steady state; the poslist rows pay the driving
-// materialization.
+// per driving selectivity. With ReportAllocs the 25% rows show the
+// bitmap's allocation-free steady state; the 1% rows pay the position
+// list's driving materialization.
 func BenchmarkConjunctiveCount(b *testing.B) {
 	for _, threads := range []int{1, 4} {
-		r, preds := benchRunner(b, threads)
-		for _, pol := range []struct {
-			name string
-			p    RepPolicy
-		}{{"poslist", RepPosList}, {"bitmap", RepBitmap}, {"auto", RepAuto}} {
-			b.Run(fmt.Sprintf("%s/threads=%d", pol.name, threads), func(b *testing.B) {
-				r.SetRepPolicy(pol.p)
+		r, _ := benchRunner(b, threads)
+		for _, d := range benchDrives {
+			preds := benchDrive(d.drive)
+			b.Run(fmt.Sprintf("%s/threads=%d", d.name, threads), func(b *testing.B) {
 				if _, err := r.Count(preds); err != nil { // warm pools
 					b.Fatal(err)
 				}
@@ -54,7 +65,8 @@ func BenchmarkConjunctiveCount(b *testing.B) {
 }
 
 // benchGroupedRunner builds a scan-mode runner whose first attribute is
-// a small-domain group key, so the dense strategy applies.
+// a small-domain group key, so the dense strategy applies, and whose w
+// holds the same 97 groups too far apart to pack, so hash applies.
 func benchGroupedRunner(b *testing.B, threads int) (*Runner, []Predicate) {
 	b.Helper()
 	const domain = 1 << 20
@@ -63,6 +75,7 @@ func benchGroupedRunner(b *testing.B, threads int) (*Runner, []Predicate) {
 	for i := range keyVals {
 		keyVals[i] %= 97
 	}
+	wideKey(tab, "a")
 	r := New(tab, engine.NewScanExecutor(tab, threads), threads)
 	preds := []Predicate{
 		{Attr: "b", Lo: 0, Hi: domain / 2},
@@ -79,7 +92,6 @@ func BenchmarkGroupedCount(b *testing.B) {
 	for _, threads := range []int{1, 4} {
 		r, preds := benchGroupedRunner(b, threads)
 		b.Run(fmt.Sprintf("dense/threads=%d", threads), func(b *testing.B) {
-			r.SetGroupStrategy(groupby.StrategyDense)
 			keys := []string{"a"}
 			aggs := []groupby.Agg{groupby.Count()}
 			var res groupby.Result
@@ -98,17 +110,17 @@ func BenchmarkGroupedCount(b *testing.B) {
 }
 
 // BenchmarkGroupedSum is BenchmarkGroupedCount with the full fused
-// aggregate set (count, sum, min, max) and a strategy comparison.
+// aggregate set (count, sum, min, max) and a strategy comparison: the
+// same groups under a packable key and a wide one.
 func BenchmarkGroupedSum(b *testing.B) {
 	r, preds := benchGroupedRunner(b, 1)
-	keys := []string{"a"}
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum("c"), groupby.Min("c"), groupby.Max("c")}
 	for _, strat := range []struct {
 		name string
-		s    groupby.Strategy
-	}{{"dense", groupby.StrategyDense}, {"hash", groupby.StrategyHash}} {
+		key  string
+	}{{"dense", "a"}, {"hash", "w"}} {
+		keys := []string{strat.key}
 		b.Run(strat.name, func(b *testing.B) {
-			r.SetGroupStrategy(strat.s)
 			var res groupby.Result
 			if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
 				b.Fatal(err)
@@ -125,15 +137,12 @@ func BenchmarkGroupedSum(b *testing.B) {
 }
 
 // BenchmarkConjunctiveSum is BenchmarkConjunctiveCount with a late
-// aggregate fold over a fourth attribute.
+// aggregate fold over the third attribute.
 func BenchmarkConjunctiveSum(b *testing.B) {
-	r, preds := benchRunner(b, 1)
-	for _, pol := range []struct {
-		name string
-		p    RepPolicy
-	}{{"poslist", RepPosList}, {"bitmap", RepBitmap}} {
-		b.Run(pol.name, func(b *testing.B) {
-			r.SetRepPolicy(pol.p)
+	r, _ := benchRunner(b, 1)
+	for _, d := range benchDrives {
+		preds := benchDrive(d.drive)
+		b.Run(d.name, func(b *testing.B) {
 			if _, err := r.Sum("c", preds); err != nil {
 				b.Fatal(err)
 			}

@@ -66,9 +66,8 @@ func degenerateRanges(a []int64) [][2]int64 {
 
 // TestDegenerateInputsAllModes is the table-driven differential over
 // what the randomized ones do not reach: seven modes × every terminal of
-// the executor and the two-conjunct query forms in both selection-vector
-// representations × degenerate columns × degenerate ranges, each checked
-// against a brute-force loop.
+// the executor and the two-conjunct query forms × degenerate columns ×
+// degenerate ranges, each checked against a brute-force loop.
 func TestDegenerateInputsAllModes(t *testing.T) {
 	for colName, a := range degenerateColumns() {
 		// b is the second conjunct's attribute: row i holds i mod 3.
@@ -141,18 +140,18 @@ func checkDegenerate(t *testing.T, r *Runner, exec *engine.Executor, bm *column.
 		t.Fatalf("SelectBitmap[%d,%d) = %v over %d positions, %v; want %v over %d", lo, hi, bm.AppendPositions(nil), bm.Len(), err, rows, len(a))
 	}
 
+	// The crossover picks the representation: a narrow range on a drives
+	// a position list, a range covering a leaves b's two thirds to drive
+	// a bitmap.
 	preds := []Predicate{{Attr: "a", Lo: lo, Hi: hi}, {Attr: "b", Lo: 0, Hi: 2}}
-	for _, rep := range []RepPolicy{RepPosList, RepBitmap} {
-		r.SetRepPolicy(rep)
-		if n, err := r.Count(preds); err != nil || n != len(conjRows) {
-			t.Fatalf("rep %d: conjunctive Count[%d,%d) = %d, %v; want %d", rep, lo, hi, n, err, len(conjRows))
-		}
-		if s, err := r.Sum("a", preds); err != nil || s != conjSum {
-			t.Fatalf("rep %d: conjunctive Sum[%d,%d) = %d, %v; want %d", rep, lo, hi, s, err, conjSum)
-		}
-		if got, err := r.Rows(preds); err != nil || !slices.Equal(got, conjRows) {
-			t.Fatalf("rep %d: conjunctive Rows[%d,%d) = %v, %v; want %v", rep, lo, hi, got, err, conjRows)
-		}
+	if n, err := r.Count(preds); err != nil || n != len(conjRows) {
+		t.Fatalf("conjunctive Count[%d,%d) = %d, %v; want %d", lo, hi, n, err, len(conjRows))
+	}
+	if s, err := r.Sum("a", preds); err != nil || s != conjSum {
+		t.Fatalf("conjunctive Sum[%d,%d) = %d, %v; want %d", lo, hi, s, err, conjSum)
+	}
+	if got, err := r.Rows(preds); err != nil || !slices.Equal(got, conjRows) {
+		t.Fatalf("conjunctive Rows[%d,%d) = %v, %v; want %v", lo, hi, got, err, conjRows)
 	}
 }
 

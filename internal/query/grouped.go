@@ -37,14 +37,24 @@ import (
 // share: a key-ordered walk visits every index entry while the hash
 // strategies touch only selected rows, so a walk is considered only when
 // at least a quarter of the position universe is selected. The span
-// half — clusters refined below the strategy's accumulator bound
-// (KeyOrderSpan) — needs an index to exist, so admission asks this half
+// half (clustered) needs an index to exist, so admission asks this half
 // alone.
 //
 //holistic:noalloc
 func walkable(selected, universe int) bool {
 	const keyOrderScanRatio = 4
 	return selected*keyOrderScanRatio >= universe
+}
+
+// clustered is the span half of the walk rule: ok when attr has a
+// key-ordered access path at all, fits when its clusters are refined to
+// at most bound values — the strategy's accumulator bound. span is the
+// path's statistic (Executor.KeyOrderSpan) for the strategy audit.
+//
+//holistic:noalloc
+func (r *Runner) clustered(attr string, bound int) (span float64, ok, fits bool) {
+	span, ok = r.exec.KeyOrderSpan(attr)
+	return span, ok, ok && span <= float64(bound)
 }
 
 // admitKey enters a group or join key into the daemon's index space
@@ -55,12 +65,6 @@ func walkable(selected, universe int) bool {
 //
 //holistic:noalloc
 func (r *Runner) admitKey(attr string) error { return r.exec.NotePredicate(attr) }
-
-// SetGroupStrategy pins the physical grouping strategy
-// (groupby.StrategyAuto restores per-query selection); safe to call
-// concurrently with queries. A forced sort strategy still requires a
-// key-ordered access path and falls back to hash when none exists.
-func (r *Runner) SetGroupStrategy(s groupby.Strategy) { r.groupStrategy.Store(int32(s)) }
 
 // Grouped answers "select keys..., aggs... where <conjunction> group by
 // keys..." with a freshly allocated ordered result table. Zero
@@ -167,18 +171,16 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 	}
 
 	// walk: chooseSort could pick the key once its clusters are refined —
-	// a single key, not dense-eligible, over a walkable selection, or a
-	// pinned sort strategy. Only then does the key enter the index space.
-	forced := groupby.Strategy(r.groupStrategy.Load())
+	// a single key, not dense-eligible, over a walkable selection. Only
+	// then does the key enter the index space.
 	bits := sc.sel.Bits
-	walk := len(keys) == 1 && (forced == groupby.StrategySort ||
-		!groupby.DenseEligible(spec.Keys, 0) && walkable(bits.Count(), bits.Len()))
+	walk := len(keys) == 1 && !groupby.DenseEligible(spec.Keys, 0) && walkable(bits.Count(), bits.Len())
 	if walk {
 		if err := r.admitKey(keys[0]); err != nil {
 			return err
 		}
 	}
-	if r.chooseSort(sc, keys, forced, walk) {
+	if r.chooseSort(sc, keys, walk) {
 		walked := false
 		err := groupby.GroupClusters(spec, sc.sel.Bits, func(fn func(vals []int64, rows []uint32)) {
 			walked, _ = r.exec.WalkKeyOrder(keys[0], fn)
@@ -191,34 +193,17 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 			return nil
 		}
 		// The access path declined after probing (should not happen —
-		// KeyOrderSpan said ok); regroup through the hash path.
-	}
-	switch forced {
-	case groupby.StrategyDense, groupby.StrategyHash:
-		spec.Force = forced
+		// clustered said ok); regroup through the hash path.
 	}
 	if err := groupby.GroupBitmap(spec, sc.sel.Bits, res); err != nil {
 		return err
 	}
-	r.noteGroupFallback(sc, res.Strategy, forced)
-	return nil
-}
-
-// noteGroupFallback records the strategy the dense/hash grouping kernels
-// actually executed.
-//
-//holistic:noalloc
-func (r *Runner) noteGroupFallback(sc *scratch, executed, forced groupby.Strategy) {
-	reason := ""
-	switch {
-	case forced == groupby.StrategyDense || forced == groupby.StrategyHash:
-		reason = "strategy pinned by configuration"
-	case executed == groupby.StrategyDense:
+	reason := "no dense packing; key order not refined enough or selection too sparse"
+	if res.Strategy == groupby.StrategyDense {
 		reason = "composite key domain bit-packs into the dense accumulator"
-	default:
-		reason = "no dense packing; key order not refined enough or selection too sparse"
 	}
-	r.noteStrategy(sc, groupStratOf(executed), reason)
+	r.noteStrategy(sc, groupStratOf(res.Strategy), reason)
+	return nil
 }
 
 // appendAbsent appends attr to list unless it is already there.
@@ -307,13 +292,13 @@ func (r *Runner) groupSpec(sc *scratch, keys []string, aggs []groupby.Agg) *grou
 // chooseSort applies the sort-strategy rule: a single group key the
 // caller found walkable (walk: not dense-eligible — a small packed
 // domain groups faster through direct array indexing — over a dense
-// enough selection, or sort pinned) whose key-ordered access path has
-// clusters that fit the per-cluster accumulator.
-func (r *Runner) chooseSort(sc *scratch, keys []string, forced groupby.Strategy, walk bool) bool {
-	if (forced != groupby.StrategyAuto && forced != groupby.StrategySort) || len(keys) != 1 {
+// enough selection) whose key-ordered access path has clusters that fit
+// the per-cluster accumulator.
+func (r *Runner) chooseSort(sc *scratch, keys []string, walk bool) bool {
+	if len(keys) != 1 {
 		return false
 	}
-	span, ok := r.exec.KeyOrderSpan(keys[0])
+	span, ok, fits := r.clustered(keys[0], groupby.DefaultClusterSlots)
 	if !ok {
 		return false
 	}
@@ -325,5 +310,5 @@ func (r *Runner) chooseSort(sc *scratch, keys []string, forced groupby.Strategy,
 	tr.SetStat("cluster_slots", float64(groupby.DefaultClusterSlots))
 	tr.SetStat("selected_rows", sc.fstat[1])
 	tr.SetStat("position_universe", float64(bits.Len()))
-	return walk && span <= float64(groupby.DefaultClusterSlots)
+	return walk && fits
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -32,11 +33,10 @@ rows:
 			}
 		}
 		key := make([]int64, len(keys))
-		raw := ""
 		for k, attr := range keys {
 			key[k] = cols[names[attr]][i]
-			raw += "\x00" + string(rune(key[k]&0xffff)) + string(rune((key[k]>>16)&0xffff))
 		}
+		raw := fmt.Sprint(key)
 		g, ok := groups[raw]
 		if !ok {
 			g = &groupOracleRow{key: key, aggs: make([]int64, len(aggs))}
@@ -104,11 +104,14 @@ func checkGrouped(t *testing.T, res *groupby.Result, want []groupOracleRow, ctx 
 
 // TestGroupedMatchesOracleAllModes is the grouped differential test:
 // randomized key sets, fused aggregate lists and predicate sets run
-// through every executor mode under every forceable strategy, checked
-// against the brute-force oracle.
+// through every executor mode, checked against the brute-force oracle.
+// Single narrow keys group dense, composites hash, and the wide key w
+// hashes until its mode has a refined key-ordered path to walk.
 func TestGroupedMatchesOracleAllModes(t *testing.T) {
 	const domain = 1 << 10
 	tab, cols := buildTable(4, 5000, domain, 29)
+	cols = append(cols, wideKey(tab, "a"))
+	colOf := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3, "w": 4}
 	execs := allModeExecutors(t, tab)
 	attrNames := []string{"a", "b", "c", "d"}
 	for label, exec := range execs {
@@ -116,12 +119,15 @@ func TestGroupedMatchesOracleAllModes(t *testing.T) {
 			defer exec.Close()
 			r := New(tab, exec, 2)
 			rng := rand.New(rand.NewSource(31))
-			for q := 0; q < 25; q++ {
+			for q := 0; q < 50; q++ {
 				perm := rng.Perm(4)
 				nk := 1 + rng.Intn(2)
 				keys := make([]string, nk)
 				for i := range keys {
 					keys[i] = attrNames[perm[i]]
+				}
+				if q%3 == 0 {
+					keys = []string{"w"}
 				}
 				aggAttr := attrNames[perm[nk%4]]
 				aggs := []groupby.Agg{groupby.Count(), groupby.Sum(aggAttr), groupby.Min(aggAttr), groupby.Max(aggAttr)}
@@ -133,21 +139,27 @@ func TestGroupedMatchesOracleAllModes(t *testing.T) {
 				}
 				// Mirror the runner's duplicate-attribute intersection for
 				// the oracle.
-				merged := mergePreds(preds)
-				want := groupOracle(cols, names, keys, aggs, merged)
-
-				for _, strat := range []groupby.Strategy{groupby.StrategyAuto, groupby.StrategyDense, groupby.StrategyHash, groupby.StrategySort} {
-					r.SetGroupStrategy(strat)
-					res, err := r.Grouped(keys, aggs, preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkGrouped(t, res, want, label)
+				want := groupOracle(cols, colOf, keys, aggs, mergePreds(preds))
+				res, err := r.Grouped(keys, aggs, preds)
+				if err != nil {
+					t.Fatal(err)
 				}
-				r.SetGroupStrategy(groupby.StrategyAuto)
+				checkGrouped(t, res, want, label)
 			}
 		})
 	}
+}
+
+// wideKey adds attribute w to tab: src's values spread 2^20 apart, a key
+// with src's groups whose domain is too wide to pack densely. It returns
+// the new column's values.
+func wideKey(tab *engine.Table, src string) []int64 {
+	vals := make([]int64, tab.Rows())
+	for i, v := range tab.Column(src).Values() {
+		vals[i] = v << 20
+	}
+	tab.MustAddColumn(column.New("w", vals))
+	return vals
 }
 
 // mergePreds intersects duplicate attributes (the planner's
@@ -174,16 +186,16 @@ func mergePreds(preds []Predicate) []Predicate {
 	return out
 }
 
-// TestGroupedSortStrategyRuns pins the sort strategy on an executor with
-// a key-ordered access path and verifies it actually executes (and
-// agrees with the oracle); on an executor without one it must fall back
-// to hash, not fail.
+// TestGroupedSortStrategyRuns: a single key too wide to pack densely,
+// over a selection dense enough to walk, groups by sort wherever its
+// key-ordered access path has clusters that fit the accumulator — at
+// once under offline indexing, which sorts on demand — and agrees with
+// the oracle; without such a path it hashes, not fails.
 func TestGroupedSortStrategyRuns(t *testing.T) {
-	const domain = 1 << 10
+	const domain = 1 << 17 // 17 bits: one past the dense slot bound
 	tab, cols := buildTable(2, 4000, domain, 37)
 	off := engine.NewOfflineExecutor(tab, 2)
 	r := New(tab, off, 2)
-	r.SetGroupStrategy(groupby.StrategySort)
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum("b")}
 	preds := []Predicate{{Attr: "b", Lo: 0, Hi: domain / 2}}
 	res, err := r.Grouped([]string{"a"}, aggs, preds)
@@ -191,14 +203,13 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Strategy != groupby.StrategySort {
-		t.Fatalf("offline forced-sort strategy = %v, want sort", res.Strategy)
+		t.Fatalf("offline strategy = %v, want sort", res.Strategy)
 	}
 	checkGrouped(t, res, groupOracle(cols, names, []string{"a"}, aggs, preds), "offline")
 
-	// Adaptive: no cracker on "a" yet → sort unavailable → hash fallback.
+	// Adaptive: no cracker on "a" yet → no key-ordered path → hash.
 	ad := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
 	ra := New(tab, ad, 2)
-	ra.SetGroupStrategy(groupby.StrategySort)
 	res2, err := ra.Grouped([]string{"a"}, aggs, preds)
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +219,9 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 	}
 	checkGrouped(t, res2, groupOracle(cols, names, []string{"a"}, aggs, preds), "adaptive-fallback")
 
-	// After a select drives on "a", the cracker exists and forced sort
-	// walks it.
-	if _, err := ra.Count([]Predicate{{Attr: "a", Lo: 0, Hi: domain / 3}}); err != nil {
+	// After a select drives on "a", the cracker exists and its pieces
+	// span fewer values than the accumulator bound: sort walks it.
+	if _, err := ra.Count([]Predicate{{Attr: "a", Lo: domain / 4, Hi: domain / 2}}); err != nil {
 		t.Fatal(err)
 	}
 	res3, err := ra.Grouped([]string{"a"}, aggs, preds)
@@ -218,16 +229,16 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res3.Strategy != groupby.StrategySort {
-		t.Fatalf("adaptive forced-sort strategy = %v, want sort", res3.Strategy)
+		t.Fatalf("adaptive strategy after a crack = %v, want sort", res3.Strategy)
 	}
 	checkGrouped(t, res3, groupOracle(cols, names, []string{"a"}, aggs, preds), "adaptive-sort")
 }
 
 // TestGroupedAdmitsOnlySortableKeys: under the holistic executor a
 // grouped query admits its key only when chooseSort could one day pick
-// it — a single key, not dense-eligible, over a dense selection — or
-// when sort is pinned. Dense-eligible and composite keys are never
-// admitted, with or without predicates.
+// it — a single key, not dense-eligible, over a dense selection.
+// Dense-eligible and composite keys are never admitted, with or without
+// predicates.
 func TestGroupedAdmitsOnlySortableKeys(t *testing.T) {
 	const domain = 1 << 12
 	tab, _ := buildTable(4, 4000, domain, 71)
@@ -250,7 +261,6 @@ func TestGroupedAdmitsOnlySortableKeys(t *testing.T) {
 	tab.MustAddColumn(column.New("h", small("d", 8)))
 	tab.MustAddColumn(column.New("w1", wide(1)))
 	tab.MustAddColumn(column.New("w2", wide(2)))
-	tab.MustAddColumn(column.New("w3", wide(3)))
 	exec := newHolistic(tab)
 	defer exec.Close()
 	r := New(tab, exec, 2)
@@ -260,22 +270,19 @@ func TestGroupedAdmitsOnlySortableKeys(t *testing.T) {
 
 	for _, step := range []struct {
 		name  string
-		strat groupby.Strategy
 		keys  []string
 		preds []Predicate
 		want  bool
 	}{
-		{"dense-eligible key, no predicates", groupby.StrategyAuto, []string{"g"}, nil, false},
-		{"dense-eligible key, predicates", groupby.StrategyAuto, []string{"g"}, dense, false},
-		{"dense-eligible composite key, no predicates", groupby.StrategyAuto, []string{"g", "h"}, nil, false},
-		{"dense-eligible composite key, predicates", groupby.StrategyAuto, []string{"h", "g"}, dense, false},
-		{"wide composite key", groupby.StrategyAuto, []string{"w1", "w2"}, nil, false},
-		{"wide key, sparse selection", groupby.StrategyAuto, []string{"w1"}, sparse, false},
-		{"wide key, dense selection", groupby.StrategyAuto, []string{"w1"}, dense, true},
-		{"wide key, no predicates", groupby.StrategyAuto, []string{"w2"}, nil, true},
-		{"sort pinned, sparse selection", groupby.StrategySort, []string{"w3"}, sparse, true},
+		{"dense-eligible key, no predicates", []string{"g"}, nil, false},
+		{"dense-eligible key, predicates", []string{"g"}, dense, false},
+		{"dense-eligible composite key, no predicates", []string{"g", "h"}, nil, false},
+		{"dense-eligible composite key, predicates", []string{"h", "g"}, dense, false},
+		{"wide composite key", []string{"w1", "w2"}, nil, false},
+		{"wide key, sparse selection", []string{"w1"}, sparse, false},
+		{"wide key, dense selection", []string{"w1"}, dense, true},
+		{"wide key, no predicates", []string{"w2"}, nil, true},
 	} {
-		r.SetGroupStrategy(step.strat)
 		if _, err := r.Grouped(step.keys, aggs, step.preds); err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +344,8 @@ func TestGroupedErrors(t *testing.T) {
 }
 
 // TestMinMaxMatchesOracleAllModes covers the Min/Max terminal
-// aggregates over conjunctions, both representations, every mode.
+// aggregates over conjunctions, every mode; the random ranges drive both
+// representations.
 func TestMinMaxMatchesOracleAllModes(t *testing.T) {
 	const domain = 1 << 12
 	tab, cols := buildTable(3, 5000, domain, 47)
@@ -370,18 +378,14 @@ func TestMinMaxMatchesOracleAllModes(t *testing.T) {
 					}
 					wantOk = true
 				}
-				for _, pol := range []RepPolicy{RepAuto, RepPosList, RepBitmap} {
-					r.SetRepPolicy(pol)
-					mn, mx, ok, err := r.MinMax(target, preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ok != wantOk || (ok && (mn != wantMn || mx != wantMx)) {
-						t.Fatalf("query %d policy %d: MinMax(%s) = (%d,%d,%v), want (%d,%d,%v)",
-							q, pol, target, mn, mx, ok, wantMn, wantMx, wantOk)
-					}
+				mn, mx, ok, err := r.MinMax(target, preds)
+				if err != nil {
+					t.Fatal(err)
 				}
-				r.SetRepPolicy(RepAuto)
+				if ok != wantOk || (ok && (mn != wantMn || mx != wantMx)) {
+					t.Fatalf("query %d: MinMax(%s) = (%d,%d,%v), want (%d,%d,%v)",
+						q, target, mn, mx, ok, wantMn, wantMx, wantOk)
+				}
 			}
 		})
 	}
@@ -390,8 +394,8 @@ func TestMinMaxMatchesOracleAllModes(t *testing.T) {
 // TestRepeatedAttributeIntersection is the property test of the
 // duplicate-conjunct normalization: any set of overlapping, disjoint or
 // inverted ranges on one attribute must behave exactly like the single
-// merged predicate — across every executor mode and both selection-
-// vector representations, for every query form.
+// merged predicate — across every executor mode and whichever
+// selection-vector representation the drive picks, for every query form.
 func TestRepeatedAttributeIntersection(t *testing.T) {
 	const domain = 1 << 12
 	tab, cols := buildTable(2, 4000, domain, 59)
@@ -439,44 +443,40 @@ func TestRepeatedAttributeIntersection(t *testing.T) {
 				merged := append([]Predicate{{Attr: "a", Lo: mLo, Hi: mHi}}, extra...)
 				want := oracle(cols, names, merged)
 
-				for _, pol := range []RepPolicy{RepPosList, RepBitmap} {
-					r.SetRepPolicy(pol)
-					n, err := r.Count(preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					nm, err := r.Count(merged)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n != len(want) || nm != len(want) {
-						t.Fatalf("trial %d policy %d: count repeated=%d merged=%d, want %d (%v)", trial, pol, n, nm, len(want), preds)
-					}
-					rows, err := r.Rows(preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(rows) != len(want) {
-						t.Fatalf("trial %d policy %d: %d rows, want %d", trial, pol, len(rows), len(want))
-					}
-					for i := range rows {
-						if rows[i] != want[i] {
-							t.Fatalf("trial %d policy %d: rows[%d] = %d, want %d", trial, pol, i, rows[i], want[i])
-						}
-					}
-					var wantSum int64
-					for _, row := range want {
-						wantSum += cols[1][row]
-					}
-					s, err := r.Sum("b", preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if s != wantSum {
-						t.Fatalf("trial %d policy %d: sum = %d, want %d", trial, pol, s, wantSum)
+				n, err := r.Count(preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nm, err := r.Count(merged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(want) || nm != len(want) {
+					t.Fatalf("trial %d: count repeated=%d merged=%d, want %d (%v)", trial, n, nm, len(want), preds)
+				}
+				rows, err := r.Rows(preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != len(want) {
+					t.Fatalf("trial %d: %d rows, want %d", trial, len(rows), len(want))
+				}
+				for i := range rows {
+					if rows[i] != want[i] {
+						t.Fatalf("trial %d: rows[%d] = %d, want %d", trial, i, rows[i], want[i])
 					}
 				}
-				r.SetRepPolicy(RepAuto)
+				var wantSum int64
+				for _, row := range want {
+					wantSum += cols[1][row]
+				}
+				s, err := r.Sum("b", preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s != wantSum {
+					t.Fatalf("trial %d: sum = %d, want %d", trial, s, wantSum)
+				}
 			}
 		})
 	}
@@ -531,13 +531,14 @@ func TestSteadyStateGroupedAllocationFree(t *testing.T) {
 		t.Errorf("steady-state whole-relation grouped query allocates %.2f times per query, want 0", allocs)
 	}
 	// So do the hash accumulators, once their table and group columns
-	// have grown.
-	r.SetGroupStrategy(groupby.StrategyHash)
+	// have grown: the same 61 groups spread 2^20 apart cannot pack.
+	wideKey(tab, "a")
+	keys = []string{"w"}
 	if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy != groupby.StrategyHash {
-		t.Fatalf("forced hash ran %v", res.Strategy)
+		t.Fatalf("wide key ran %v, want hash", res.Strategy)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
 		if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
@@ -545,7 +546,7 @@ func TestSteadyStateGroupedAllocationFree(t *testing.T) {
 		}
 	})
 	if allocs > 0.5 {
-		t.Errorf("steady-state forced-hash grouped query allocates %.2f times per query, want 0", allocs)
+		t.Errorf("steady-state hash grouped query allocates %.2f times per query, want 0", allocs)
 	}
 }
 

@@ -18,7 +18,7 @@
 //
 // Under ModeHolistic both join keys enter their daemons' index spaces
 // (admitKey) only while chooseMerge could one day pick them: both
-// selections walkable, or merge pinned.
+// selections walkable.
 package query
 
 import (
@@ -28,24 +28,6 @@ import (
 	"holistic/internal/join"
 	"holistic/internal/obs"
 )
-
-// JoinStrategy pins the physical join strategy of a runner's joins.
-type JoinStrategy int32
-
-const (
-	// JoinAuto picks per query from cardinality and index statistics.
-	JoinAuto JoinStrategy = iota
-	// JoinHash forces the radix-partitioned hash join.
-	JoinHash
-	// JoinMerge forces the index-clustered merge join where a
-	// key-ordered access path exists on both sides (hash otherwise).
-	JoinMerge
-)
-
-// SetJoinStrategy pins the join strategy of joins driven by this
-// runner (the left side); JoinAuto restores per-query selection. Safe
-// to call concurrently with queries.
-func (r *Runner) SetJoinStrategy(s JoinStrategy) { r.joinStrategy.Store(int32(s)) }
 
 // Join is an equi-join under construction: left ⋈ right on
 // leftAttr = rightAttr, each side pre-filtered by its own conjunction
@@ -283,8 +265,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 	// walk: chooseMerge could pick this join once both keys' clusters are
 	// refined. Only then do both keys enter the index space.
 	lN, rN := lsc.sel.Bits.Count(), rsc.sel.Bits.Count()
-	forced := JoinStrategy(j.left.joinStrategy.Load())
-	walk := forced == JoinMerge || walkable(lN, lsc.sel.Bits.Len()) && walkable(rN, rsc.sel.Bits.Len())
+	walk := walkable(lN, lsc.sel.Bits.Len()) && walkable(rN, rsc.sel.Bits.Len())
 	if walk {
 		if err := j.left.admitKey(j.leftAttr); err != nil {
 			return err
@@ -294,14 +275,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		}
 	}
 
-	mergeReason := "key-ordered clusters refined below the merge span on both sides"
-	hashReason := "no refined key-ordered path on both sides, or selections too sparse to walk the indexes"
-	if forced != JoinAuto {
-		mergeReason = "strategy pinned by configuration"
-		hashReason = "strategy pinned by configuration"
-	}
-
-	if j.chooseMerge(lsc, rsc, forced, walk, lN, rN) {
+	if j.chooseMerge(lsc, rsc, walk, lN, rN) {
 		var walkErr error
 		mkStream := func(r *Runner, sc *scratch, attr string, n int, sumSide bool) join.Stream {
 			s := join.Stream{
@@ -328,11 +302,11 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		}
 		if ok {
 			j.count, j.sum = count, sum
-			j.left.noteStrategy(lsc, obs.StratJoinMerge, mergeReason)
+			j.left.noteStrategy(lsc, obs.StratJoinMerge, "key-ordered clusters refined below the merge span on both sides")
 			return nil
 		}
 		// The access path declined after probing (should not happen —
-		// KeyOrderSpan said ok); rejoin through the hash path.
+		// clustered said ok); rejoin through the hash path.
 	}
 
 	lIn := gatherJoinSide(lsc, j.leftAttr)
@@ -348,7 +322,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		}
 	}
 	j.count, j.sum = join.Hash(op, lIn, rIn, j.left.threads, pairs)
-	j.left.noteStrategy(lsc, obs.StratJoinHash, hashReason)
+	j.left.noteStrategy(lsc, obs.StratJoinHash, "no refined key-ordered path on both sides, or selections too sparse to walk the indexes")
 	return nil
 }
 
@@ -388,19 +362,14 @@ func gatherJoinSide(sc *scratch, attr string) join.Input {
 }
 
 // chooseMerge applies the join-strategy rule: both sides need a
-// key-ordered access path on their join attribute, and — under JoinAuto
-// — selections the caller found walkable (walk) and clusters that fit
-// the per-pair accumulator. A forced merge strategy skips the
-// profitability checks but not the availability ones. lN and rN are the
-// sides' selected rows.
+// key-ordered access path on their join attribute, selections the
+// caller found walkable (walk) and clusters that fit the per-pair
+// accumulator. lN and rN are the sides' selected rows.
 //
 //holistic:noalloc
-func (j *Join) chooseMerge(lsc, rsc *scratch, forced JoinStrategy, walk bool, lN, rN int) bool {
-	if forced == JoinHash {
-		return false
-	}
-	lSpan, lOK := j.left.exec.KeyOrderSpan(j.leftAttr)
-	rSpan, rOK := j.right.exec.KeyOrderSpan(j.rightAttr)
+func (j *Join) chooseMerge(lsc, rsc *scratch, walk bool, lN, rN int) bool {
+	lSpan, lOK, lFits := j.left.clustered(j.leftAttr, join.DefaultMergeSpan)
+	rSpan, rOK, rFits := j.right.clustered(j.rightAttr, join.DefaultMergeSpan)
 	tr := lsc.sp.Trace
 	if lOK {
 		lsc.fstat[0] = lSpan
@@ -413,12 +382,5 @@ func (j *Join) chooseMerge(lsc, rsc *scratch, forced JoinStrategy, walk bool, lN
 	tr.SetStat("merge_span_bound", float64(join.DefaultMergeSpan))
 	tr.SetStat("left_selected_rows", float64(lN))
 	tr.SetStat("right_selected_rows", float64(rN))
-	if !lOK || !rOK {
-		return false
-	}
-	if forced == JoinMerge {
-		return true
-	}
-	bound := float64(join.DefaultMergeSpan)
-	return walk && lSpan <= bound && rSpan <= bound
+	return walk && lFits && rFits
 }

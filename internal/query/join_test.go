@@ -87,9 +87,10 @@ func oracleJoin(lt, rt *engine.Table, lPreds, rPreds []Predicate, sumSide join.S
 }
 
 // TestJoinMatchesOracleAcrossExecutors drives randomized joins (with
-// and without per-side predicates) through every executor pairing and
-// both forced strategies, comparing Count, Sum, Pairs and Grouped
-// against the nested-loop oracle.
+// and without per-side predicates) through every executor pairing,
+// comparing Count, Sum and Pairs against the nested-loop oracle. Two
+// offline sides merge whenever both selections are walkable; a scan
+// side, with no key-ordered path, always hashes.
 func TestJoinMatchesOracleAcrossExecutors(t *testing.T) {
 	lt, rt := joinFixture(t, 600, 200, 21)
 	rng := rand.New(rand.NewSource(22))
@@ -100,6 +101,7 @@ func TestJoinMatchesOracleAcrossExecutors(t *testing.T) {
 				defer rExec.Close()
 				lr := New(lt, lExec, 2)
 				rr := New(rt, rExec, 2)
+				ob := observed(lr)
 				for q := 0; q < 8; q++ {
 					var lPreds, rPreds []Predicate
 					if q%2 == 0 {
@@ -111,43 +113,46 @@ func TestJoinMatchesOracleAcrossExecutors(t *testing.T) {
 					sumSide := join.Side(q % 2)
 					wantCount, wantSum, wantPairs := oracleJoin(lt, rt, lPreds, rPreds, sumSide, "v")
 
-					for _, strat := range []JoinStrategy{JoinAuto, JoinHash, JoinMerge} {
-						lr.SetJoinStrategy(strat)
-						j := lr.Join(rr, "k", "k", lPreds, rPreds)
-						n, err := j.Count()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if n != wantCount {
-							t.Fatalf("q%d strat=%v: count %d, want %d", q, strat, n, wantCount)
-						}
-						s, err := j.Sum(sumSide, "v")
-						if err != nil {
-							t.Fatal(err)
-						}
-						if s != wantSum {
-							t.Fatalf("q%d strat=%v: sum %d, want %d", q, strat, s, wantSum)
-						}
-						pl, pr, err := j.Pairs()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(pl) != len(wantPairs) {
-							t.Fatalf("q%d strat=%v: %d pairs, want %d", q, strat, len(pl), len(wantPairs))
-						}
-						got := make([][2]uint32, len(pl))
-						for i := range pl {
-							got[i] = [2]uint32{pl[i], pr[i]}
-						}
-						sortPairs(got)
-						sortPairs(wantPairs)
-						for i := range got {
-							if got[i] != wantPairs[i] {
-								t.Fatalf("q%d strat=%v: pairs[%d] = %v, want %v", q, strat, i, got[i], wantPairs[i])
-							}
+					j := lr.Join(rr, "k", "k", lPreds, rPreds)
+					n, err := j.Count()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != wantCount {
+						t.Fatalf("q%d: count %d, want %d", q, n, wantCount)
+					}
+					s, err := j.Sum(sumSide, "v")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s != wantSum {
+						t.Fatalf("q%d: sum %d, want %d", q, s, wantSum)
+					}
+					pl, pr, err := j.Pairs()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(pl) != len(wantPairs) {
+						t.Fatalf("q%d: %d pairs, want %d", q, len(pl), len(wantPairs))
+					}
+					got := make([][2]uint32, len(pl))
+					for i := range pl {
+						got[i] = [2]uint32{pl[i], pr[i]}
+					}
+					sortPairs(got)
+					sortPairs(wantPairs)
+					for i := range got {
+						if got[i] != wantPairs[i] {
+							t.Fatalf("q%d: pairs[%d] = %v, want %v", q, i, got[i], wantPairs[i])
 						}
 					}
-					lr.SetJoinStrategy(JoinAuto)
+				}
+				strats := ob.Query.Snapshot().Strategies
+				if lName == "offline" && rName == "offline" && strats["join/merge"] == 0 {
+					t.Errorf("two offline sides never merged: %v", strats)
+				}
+				if (lName == "scan" || rName == "scan") && strats["join/merge"] != 0 {
+					t.Errorf("a scan side merged: %v", strats)
 				}
 			})
 		}
@@ -260,29 +265,25 @@ func admitted(exec *engine.Executor, attr string) bool {
 
 // TestJoinAdmitsKeysOnlyWhenBothSidesWalkable: under the holistic
 // executor a join admits both join keys when both selections are dense
-// enough to walk, or when merge is pinned; with one sparse side it
-// admits neither.
+// enough to walk; with one sparse side it admits neither.
 func TestJoinAdmitsKeysOnlyWhenBothSidesWalkable(t *testing.T) {
 	lt, rt := joinFixture(t, 400, 100, 51)
 	dense := []Predicate{{Attr: "v", Lo: 0, Hi: 500}}
 	sparse := []Predicate{{Attr: "v", Lo: 0, Hi: 100}}
 	for _, tc := range []struct {
 		name           string
-		strat          JoinStrategy
 		lPreds, rPreds []Predicate
 		want           bool
 	}{
-		{"both walkable", JoinAuto, dense, nil, true},
-		{"left sparse", JoinAuto, sparse, nil, false},
-		{"right sparse", JoinAuto, dense, sparse, false},
-		{"merge pinned", JoinMerge, sparse, sparse, true},
+		{"both walkable", dense, nil, true},
+		{"left sparse", sparse, nil, false},
+		{"right sparse", dense, sparse, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lExec, rExec := newHolistic(lt), newHolistic(rt)
 			defer lExec.Close()
 			defer rExec.Close()
 			lr, rr := New(lt, lExec, 2), New(rt, rExec, 2)
-			lr.SetJoinStrategy(tc.strat)
 			if _, err := lr.Join(rr, "k", "k", tc.lPreds, tc.rPreds).Count(); err != nil {
 				t.Fatal(err)
 			}
@@ -296,42 +297,43 @@ func TestJoinAdmitsKeysOnlyWhenBothSidesWalkable(t *testing.T) {
 	}
 }
 
-// TestJoinMergeConvergence: once the daemon has refined both join
-// attributes, the auto strategy's availability checks pass and the
-// merge join returns the same folds as the hash join.
+// TestJoinMergeConvergence: offline indexing sorts on demand, so both
+// sides have span-1 key-ordered paths and a dense join merges; the same
+// join between scan executors, which have no such path, hashes — and
+// both return the same folds.
 func TestJoinMergeConvergence(t *testing.T) {
 	lt, rt := joinFixture(t, 3000, 500, 61)
-	lExec := engine.NewOfflineExecutor(lt, 2)
-	rExec := engine.NewOfflineExecutor(rt, 2)
-	defer lExec.Close()
-	defer rExec.Close()
-	lr := New(lt, lExec, 2)
-	rr := New(rt, rExec, 2)
-	// Offline sorts on demand: after the first join both sides have
-	// span-1 key-ordered paths, so auto picks merge for dense queries.
-	j := lr.Join(rr, "k", "k", nil, nil)
-	first, err := j.Count()
-	if err != nil {
-		t.Fatal(err)
+	var counts, sums []int64
+	for _, want := range []string{"merge", "hash"} {
+		lExec, rExec := engine.NewOfflineExecutor(lt, 2), engine.NewOfflineExecutor(rt, 2)
+		if want == "hash" {
+			lExec, rExec = engine.NewScanExecutor(lt, 2), engine.NewScanExecutor(rt, 2)
+		}
+		j := New(lt, lExec, 2).Join(New(rt, rExec, 2), "k", "k", nil, nil)
+		tr, n, err := j.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Strategy != want {
+			t.Errorf("%s executors joined by %s, want %s", lExec.Label(), tr.Strategy, want)
+		}
+		s, err := j.Sum(join.Right, "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, sums = append(counts, n), append(sums, s)
+		lExec.Close()
+		rExec.Close()
 	}
-	lr.SetJoinStrategy(JoinMerge)
-	merged, err := j.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr.SetJoinStrategy(JoinHash)
-	hashed, err := j.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != merged || merged != hashed {
-		t.Fatalf("count diverged: first %d, merge %d, hash %d", first, merged, hashed)
+	if counts[0] != counts[1] || sums[0] != sums[1] {
+		t.Fatalf("folds diverged: merge (%d, %d), hash (%d, %d)", counts[0], sums[0], counts[1], sums[1])
 	}
 }
 
 // TestSteadyStateJoinCountAllocationFree is the join subsystem's
 // allocation gate (matching the conjunctive and grouped precedents):
-// with pooled scratch and sequential kernels, a warm hash-join Count
+// with pooled scratch and sequential kernels, a warm hash-join Count —
+// scan executors have no key-ordered path, so they always hash —
 // performs zero heap allocations.
 func TestSteadyStateJoinCountAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -340,7 +342,6 @@ func TestSteadyStateJoinCountAllocationFree(t *testing.T) {
 	lt, rt := joinFixture(t, 8_000, 4_000, 71)
 	lr := New(lt, engine.NewScanExecutor(lt, 1), 1)
 	rr := New(rt, engine.NewScanExecutor(rt, 1), 1)
-	lr.SetJoinStrategy(JoinHash)
 	j := lr.Join(rr, "k", "k",
 		[]Predicate{{Attr: "v", Lo: 0, Hi: 900}},
 		[]Predicate{{Attr: "v", Lo: 100, Hi: 1000}})

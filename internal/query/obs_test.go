@@ -143,21 +143,26 @@ func TestExplainGroupedStrategy(t *testing.T) {
 	}
 }
 
-// TestExplainJoinStrategy: the join Explain carries side-scoped
-// conjuncts with oracle-checked actuals and reports hash versus merge
-// with a reason; forcing each strategy flips the reported name.
-func TestExplainJoinStrategy(t *testing.T) {
+// TestExplainJoin: the join Explain carries side-scoped conjuncts with
+// oracle-checked actuals and reports hash versus merge with a reason:
+// adaptive sides, whose join keys were never cracked, hash; offline
+// sides, sorted on demand, merge.
+func TestExplainJoin(t *testing.T) {
 	lt, rt := joinFixture(t, 3000, 1<<10, 41)
-	for label, force := range map[string]JoinStrategy{"auto": JoinAuto, "hash": JoinHash} {
-		t.Run(label, func(t *testing.T) {
-			lExec := engine.NewAdaptiveExecutor(lt, cracking.Config{WithRows: true}, "")
-			rExec := engine.NewAdaptiveExecutor(rt, cracking.Config{WithRows: true}, "")
+	for mode, strategy := range map[string]string{"adaptive": "hash", "offline": "merge"} {
+		t.Run(mode, func(t *testing.T) {
+			mk := func(tab *engine.Table) *engine.Executor {
+				if mode == "offline" {
+					return engine.NewOfflineExecutor(tab, 2)
+				}
+				return engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+			}
+			lExec, rExec := mk(lt), mk(rt)
 			defer lExec.Close()
 			defer rExec.Close()
 			lr := New(lt, lExec, 2)
 			rr := New(rt, rExec, 2)
 			observed(lr)
-			lr.SetJoinStrategy(force)
 			lPreds := []Predicate{{Attr: "v", Lo: 0, Hi: 800}}
 			rPreds := []Predicate{{Attr: "v", Lo: 100, Hi: 1000}}
 			j := lr.Join(rr, "k", "k", lPreds, rPreds)
@@ -169,11 +174,8 @@ func TestExplainJoinStrategy(t *testing.T) {
 			if n != want {
 				t.Fatalf("join count %d, want oracle %d", n, want)
 			}
-			if tr.Strategy != "hash" && tr.Strategy != "merge" {
-				t.Fatalf("join strategy %q, want hash or merge", tr.Strategy)
-			}
-			if force == JoinHash && tr.Strategy != "hash" {
-				t.Fatalf("forced hash reported %q", tr.Strategy)
+			if tr.Strategy != strategy {
+				t.Fatalf("join strategy %q, want %s", tr.Strategy, strategy)
 			}
 			if tr.StrategyReason == "" {
 				t.Fatal("missing strategy reason")

@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"holistic/internal/column"
@@ -68,22 +67,8 @@ type Predicate struct {
 	Lo, Hi int64
 }
 
-// RepPolicy selects the intermediate-representation policy of a Runner.
-type RepPolicy int32
-
-const (
-	// RepAuto picks per query from the driving conjunct's estimated
-	// selectivity (the crossover rule). The default.
-	RepAuto RepPolicy = iota
-	// RepPosList forces position-list intermediates (the pre-bitmap
-	// behaviour); used by tests and the crossover benchmark.
-	RepPosList
-	// RepBitmap forces bitmap intermediates.
-	RepBitmap
-)
-
 // DefaultBitmapCrossover is the driving-conjunct selectivity at and
-// above which RepAuto picks the bitmap representation. A bitmap costs
+// above which chooseRep picks the bitmap representation. A bitmap costs
 // N/8 bytes regardless of selectivity while a position list costs 4
 // bytes per qualifying row, so memory parity sits at ~3% selectivity;
 // time parity sits a little higher because the branch-free word scan
@@ -103,10 +88,6 @@ type Runner struct {
 	exec    *engine.Executor
 	threads int
 
-	policy        atomic.Int32
-	groupStrategy atomic.Int32 // groupby.Strategy override for grouped queries
-	joinStrategy  atomic.Int32 // JoinStrategy override for joins driven by this runner
-
 	// scratchPool recycles per-query execution state (selection
 	// vectors, view maps, plan arrays) so steady-state queries do not
 	// allocate.
@@ -124,10 +105,6 @@ type Runner struct {
 func New(t *engine.Table, exec *engine.Executor, threads int) *Runner {
 	return &Runner{table: t, exec: exec, threads: max(threads, 1)}
 }
-
-// SetRepPolicy overrides the intermediate-representation policy; safe
-// to call concurrently with queries.
-func (r *Runner) SetRepPolicy(p RepPolicy) { r.policy.Store(int32(p)) }
 
 // SetObserver attaches the observer every terminal records into (nil
 // detaches). Attach before running queries; the recording paths
@@ -304,8 +281,8 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 	return false, nil
 }
 
-// chooseRep applies the representation policy to the planned query in
-// sc: bitmaps pay off only when the driving conjunct is dense and there
+// chooseRep applies the crossover rule to the planned query in sc:
+// bitmaps pay off only when the driving conjunct is dense and there
 // is at least one residual conjunct to intersect. The reason is a static
 // string for the trace — the numbers it refers to travel as trace stats.
 //
@@ -313,12 +290,6 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 func (r *Runner) chooseRep(sc *scratch) (obs.Rep, string) {
 	if len(sc.preds) < 2 {
 		return obs.RepPosList, "single conjunct: nothing to intersect"
-	}
-	switch RepPolicy(r.policy.Load()) {
-	case RepPosList:
-		return obs.RepPosList, "policy pins position lists"
-	case RepBitmap:
-		return obs.RepBitmap, "policy pins bitmaps"
 	}
 	rows := float64(r.table.Rows())
 	if rows <= 0 {

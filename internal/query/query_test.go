@@ -259,10 +259,11 @@ func allModeExecutors(t *testing.T, tab *engine.Table) map[string]*engine.Execut
 	}
 }
 
-// TestRepresentationsAgreeAllModes is the tentpole differential test:
-// for every executor mode, the bitmap and position-list pipelines must
-// return identical results for every query form, checked against the
-// brute-force oracle.
+// TestRepresentationsAgreeAllModes is the representation differential
+// test: for every executor mode, randomized conjunctions — every other
+// one driven by a conjunct kept at 1% or 50% of the domain, so the
+// crossover picks each representation — must return the oracle's result
+// for every query form, and both representations must have run.
 func TestRepresentationsAgreeAllModes(t *testing.T) {
 	const domain = 1 << 12
 	tab, cols := buildTable(4, 6000, domain, 15)
@@ -272,14 +273,23 @@ func TestRepresentationsAgreeAllModes(t *testing.T) {
 		t.Run(label, func(t *testing.T) {
 			defer exec.Close()
 			r := New(tab, exec, 2)
+			ob := observed(r)
 			rng := rand.New(rand.NewSource(17))
-			for q := 0; q < 30; q++ {
+			for q := 0; q < 60; q++ {
 				k := 2 + rng.Intn(3)
 				perm := rng.Perm(4)
 				preds := make([]Predicate, k)
 				for i := 0; i < k; i++ {
 					lo := rng.Int63n(domain)
 					preds[i] = Predicate{Attr: attrNames[perm[i]], Lo: lo, Hi: lo + rng.Int63n(domain-lo) + 1}
+				}
+				if q%2 == 0 { // a fixed drive, the residuals kept wide
+					width := []int64{domain / 100, domain / 2}[q/2%2]
+					lo := rng.Int63n(domain - width)
+					preds[0] = Predicate{Attr: preds[0].Attr, Lo: lo, Hi: lo + width}
+					for i := 1; i < k; i++ {
+						preds[i].Lo, preds[i].Hi = preds[i].Lo/8, domain
+					}
 				}
 				want := oracle(cols, names, preds)
 				sumAttr := attrNames[rng.Intn(4)]
@@ -288,59 +298,55 @@ func TestRepresentationsAgreeAllModes(t *testing.T) {
 					wantSum += cols[names[sumAttr]][row]
 				}
 
-				for _, policy := range []RepPolicy{RepPosList, RepBitmap} {
-					r.SetRepPolicy(policy)
-					n, err := r.Count(preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n != len(want) {
-						t.Fatalf("query %d policy %d: count = %d, want %d (%v)", q, policy, n, len(want), preds)
-					}
-					rows, err := r.Rows(preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(rows) != len(want) {
-						t.Fatalf("query %d policy %d: %d rows, want %d", q, policy, len(rows), len(want))
-					}
-					for i := range rows {
-						if rows[i] != want[i] {
-							t.Fatalf("query %d policy %d: rows[%d] = %d, want %d", q, policy, i, rows[i], want[i])
-						}
-					}
-					sum, err := r.Sum(sumAttr, preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sum != wantSum {
-						t.Fatalf("query %d policy %d: sum(%s) = %d, want %d", q, policy, sumAttr, sum, wantSum)
-					}
-					vals, err := r.Values([]string{sumAttr}, preds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(vals[0]) != len(want) {
-						t.Fatalf("query %d policy %d: Values len %d, want %d", q, policy, len(vals[0]), len(want))
-					}
-					for i, row := range want {
-						if vals[0][i] != cols[names[sumAttr]][row] {
-							t.Fatalf("query %d policy %d: Values[%d] mismatch", q, policy, i)
-						}
+				n, err := r.Count(preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(want) {
+					t.Fatalf("query %d: count = %d, want %d (%v)", q, n, len(want), preds)
+				}
+				rows, err := r.Rows(preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != len(want) {
+					t.Fatalf("query %d: %d rows, want %d", q, len(rows), len(want))
+				}
+				for i := range rows {
+					if rows[i] != want[i] {
+						t.Fatalf("query %d: rows[%d] = %d, want %d", q, i, rows[i], want[i])
 					}
 				}
-				r.SetRepPolicy(RepAuto)
-				if n, err := r.Count(preds); err != nil || n != len(want) {
-					t.Fatalf("query %d auto: count = (%d, %v), want %d", q, n, err, len(want))
+				sum, err := r.Sum(sumAttr, preds)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if sum != wantSum {
+					t.Fatalf("query %d: sum(%s) = %d, want %d", q, sumAttr, sum, wantSum)
+				}
+				vals, err := r.Values([]string{sumAttr}, preds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(vals[0]) != len(want) {
+					t.Fatalf("query %d: Values len %d, want %d", q, len(vals[0]), len(want))
+				}
+				for i, row := range want {
+					if vals[0][i] != cols[names[sumAttr]][row] {
+						t.Fatalf("query %d: Values[%d] mismatch", q, i)
+					}
+				}
+			}
+			reps := ob.Query.Snapshot().Representations
+			if reps["poslist"] == 0 || reps["bitmap"] == 0 {
+				t.Errorf("the crossover did not pick both representations: %v", reps)
 			}
 		})
 	}
 }
 
-// TestChooseBitmapCrossover: the Auto policy picks the representation
-// from the driving conjunct's estimated selectivity against the
-// crossover, and respects the forced policies.
+// TestChooseBitmapCrossover: chooseRep picks the representation from
+// the driving conjunct's estimated selectivity against the crossover.
 func TestChooseBitmapCrossover(t *testing.T) {
 	const domain = 1 << 20
 	tab, _ := buildTable(2, 10_000, domain, 19)
@@ -365,11 +371,6 @@ func TestChooseBitmapCrossover(t *testing.T) {
 	if !chooseBitmap(sc) {
 		t.Error("dense drive did not choose bitmap")
 	}
-	r.SetRepPolicy(RepPosList)
-	if chooseBitmap(sc) {
-		t.Error("RepPosList still chose bitmap")
-	}
-	r.SetRepPolicy(RepAuto)
 
 	if empty, err := r.planScratch(sc, sparse); err != nil || empty {
 		t.Fatal(err)
@@ -377,11 +378,6 @@ func TestChooseBitmapCrossover(t *testing.T) {
 	if chooseBitmap(sc) {
 		t.Error("sparse drive chose bitmap")
 	}
-	r.SetRepPolicy(RepBitmap)
-	if !chooseBitmap(sc) {
-		t.Error("RepBitmap did not choose bitmap")
-	}
-	r.SetRepPolicy(RepAuto)
 	// Either side of the crossover: a drive at twice it picks the bitmap,
 	// one at half of it the position list.
 	for _, frac := range []float64{2 * DefaultBitmapCrossover, DefaultBitmapCrossover / 2} {
@@ -495,14 +491,28 @@ func TestSteadyStateCrackerAllocationFree(t *testing.T) {
 		}
 		exec := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "adaptive")
 		r := New(tab, exec, 1)
-		// The extremes stretch the planner's domain guess, which would
-		// otherwise send that table down the position-list path.
-		r.SetRepPolicy(RepBitmap)
 		preds := []Predicate{
 			{Attr: "a", Lo: 0, Hi: domain / 2},
 			{Attr: "b", Lo: domain / 4, Hi: domain},
 			{Attr: "c", Lo: 0, Hi: 3 * domain / 4},
 		}
+		// The extremes stretch the planner's uniform guess, which sends
+		// an uncracked table down the position-list path. A count per
+		// attribute cracks all three; the estimates are exact from then
+		// on, and the 50% drive picks the bitmap.
+		for _, p := range preds {
+			if _, err := r.Count([]Predicate{p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc := r.getScratch()
+		if empty, err := r.planScratch(sc, preds); err != nil || empty {
+			t.Fatal(err)
+		}
+		if rep, _ := r.chooseRep(sc); rep != obs.RepBitmap {
+			t.Fatalf("extremes %v: cracked conjunctions chose %v, want the bitmap path", extremes, rep)
+		}
+		r.putScratch(sc)
 		for name, run := range map[string]func() error{
 			"Count": func() error { _, err := r.Count(preds); return err },
 			"Sum":   func() error { _, err := r.Sum("c", preds); return err },

@@ -76,9 +76,9 @@ rows:
 // Count, Sum, MinMax, Rows and Values against the per-row model, over
 // all seven modes × conjunction shapes (one, two, three conjuncts, a
 // repeated attribute, an empty and an inverted range; dense and sparse
-// drives) × the aggregated attribute inside and outside the predicates
-// × every representation policy × every overlay shape the updatable
-// modes can carry. Two passes: the first builds and cracks and merges
+// drives, which pick the bitmap and the position list) × the aggregated
+// attribute inside and outside the predicates × every overlay shape the
+// updatable modes can carry. Two passes: the first builds and cracks and merges
 // pending updates, the second runs over the refined paths.
 func TestTerminalsMatchOracle(t *testing.T) {
 	const domain = 1 << 12
@@ -155,11 +155,8 @@ func TestTerminalsMatchOracle(t *testing.T) {
 				for pass := 0; pass < 2; pass++ {
 					for _, sh := range shapes {
 						for _, agg := range []string{"a", "d"} { // inside / outside the predicates
-							for _, pol := range []RepPolicy{RepAuto, RepPosList, RepBitmap} {
-								r.SetRepPolicy(pol)
-								ctx := fmt.Sprintf("pass %d %s agg=%s policy=%d", pass, sh.name, agg, pol)
-								checkTerminals(t, ctx, r, l, sh.preds, agg)
-							}
+							ctx := fmt.Sprintf("pass %d %s agg=%s", pass, sh.name, agg)
+							checkTerminals(t, ctx, r, l, sh.preds, agg)
 						}
 					}
 				}
