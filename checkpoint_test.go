@@ -3,6 +3,7 @@ package holistic
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -444,6 +445,82 @@ func TestDiskFootprintBound(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.tmp")); err == nil {
 		t.Error("a manifest staging file was left behind")
+	}
+}
+
+// TestWALBoundedBetweenCheckpoints: over several checkpoints with writes
+// between them, the directory holds the two retained snapshot generations
+// and the WAL that follows each, nothing older, and the WAL between two
+// checkpoints is exactly the records written between them: per record, the
+// 19 + len(attr) payload bytes the metrics count plus its 8-byte frame
+// header.
+func TestWALBoundedBetweenCheckpoints(t *testing.T) {
+	const n, attrs, queries, checkpoints = 8 << 10, 2, 100, 4
+	dir := t.TempDir()
+	s, _, names := convergedDurable(t, dir, n, attrs, queries)
+	defer s.Close()
+	rng := rand.New(rand.NewSource(5))
+	var prevFrames int64
+	for k := range checkpoints {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		gen := s.Metrics().Recovery.Generation
+		walBefore := s.Metrics().Recovery.WALBytes
+		var payload, frames int64
+		inserted := map[string][]int64{}
+		for w := range 30 + 10*k {
+			attr := names[w%attrs]
+			var err error
+			if v, old := rng.Int63n(1<<30), inserted[attr]; w%3 < 2 || len(old) == 0 {
+				err = s.Insert(attr, v)
+				inserted[attr] = append(old, v)
+			} else {
+				err = s.Update(attr, old[0], v)
+				inserted[attr] = old[1:]
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload += int64(19 + len(attr))
+			frames += int64(8 + 19 + len(attr))
+		}
+		if got := s.Metrics().Recovery.WALBytes - walBefore; got != payload {
+			t.Errorf("checkpoint %d: the metrics count %d WAL payload bytes, want %d", k, got, payload)
+		}
+
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal := map[uint64]int64{}
+		for _, e := range ents {
+			name := e.Name()
+			if strings.HasPrefix(name, "flight-") || name == "CLEAN" {
+				continue
+			}
+			var g uint64
+			if _, err := fmt.Sscanf(name[strings.IndexByte(name, '-')+1:], "%012d", &g); err != nil {
+				t.Fatalf("checkpoint %d: unexpected file %s", k, name)
+			}
+			if g != gen && g != gen-1 {
+				t.Errorf("checkpoint %d (generation %d): %s outlived its generation", k, gen, name)
+			}
+			if strings.HasPrefix(name, "wal-") {
+				info, err := e.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wal[g] += info.Size()
+			}
+		}
+		if wal[gen] != frames {
+			t.Errorf("checkpoint %d: the live WAL takes %d bytes for %d bytes of framed records", k, wal[gen], frames)
+		}
+		if k > 0 && wal[gen-1] != prevFrames {
+			t.Errorf("checkpoint %d: the retained WAL takes %d bytes for %d bytes of framed records", k, wal[gen-1], prevFrames)
+		}
+		prevFrames = frames
 	}
 }
 

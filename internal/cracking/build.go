@@ -77,7 +77,15 @@ func build(base []int64, withRows bool, lo, hi int64) (vals []int64, rows []uint
 	// vals before rows, both times: asking for the larger block first lets
 	// the heap hand back the spans the previous build of this size released.
 	if lo >= hi {
-		vals = append(vals[:0], base...)
+		// make and copy, not append: append would round the capacity up,
+		// and SizeBytes charges the budget for capacity. Adjacent, the
+		// two compile to one allocation that is not zeroed first.
+		if vals == nil {
+			vals = make([]int64, len(base))
+			copy(vals, base)
+		} else {
+			copy(vals, base) // the abandoned packing attempt's array
+		}
 		if withRows {
 			rows = make([]uint32, len(base))
 			for i := range rows {

@@ -243,15 +243,15 @@ func (c *Column) Separated() bool {
 	return inside == need
 }
 
-// SizeBytes reports the materialized size of the cracker column: the
-// storage-budget accounting unit for the holistic index space. A packed
-// column has no rowid array to count.
+// SizeBytes reports the memory the cracker column holds, the slack an
+// insert opened included: the storage-budget accounting unit for the
+// holistic index space. A packed column has no rowid array to count.
 func (c *Column) SizeBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	size := int64(len(c.vals))*8 + int64(len(c.rows))*4
+	size := int64(cap(c.vals))*8 + int64(cap(c.rows))*4
 	for _, p := range c.payloads {
-		size += int64(len(p)) * 8
+		size += int64(cap(p)) * 8
 	}
 	return size
 }
@@ -327,7 +327,9 @@ func NewSideways(name string, base []int64, payloadNames []string, payloads [][]
 			panic(fmt.Sprintf("cracking: payload %q has %d values, base has %d",
 				payloadNames[i], len(p), len(base)))
 		}
-		c.payloads = append(c.payloads, append([]int64(nil), p...))
+		own := make([]int64, len(p)) // exactly: SizeBytes counts capacity
+		copy(own, p)
+		c.payloads = append(c.payloads, own)
 	}
 	c.payloadNames = append([]string(nil), payloadNames...)
 	return c

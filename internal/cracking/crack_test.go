@@ -460,9 +460,11 @@ func TestSizeBytes(t *testing.T) {
 	if got := cr.SizeBytes(); got != 800 {
 		t.Errorf("SizeBytes() of a packed column = %d, want 800", got)
 	}
+	// The insert that widens the column also grows it: the slack it
+	// opens is held, so it is counted.
 	cr.MergeInsert(math.MaxInt64, 100)
-	if got := cr.SizeBytes(); got != 101*12 {
-		t.Errorf("SizeBytes() of a widened column = %d, want %d", got, 101*12)
+	if got, want := cr.SizeBytes(), int64(growthCap(100)*12); got != want {
+		t.Errorf("SizeBytes() of a widened column = %d, want %d", got, want)
 	}
 }
 

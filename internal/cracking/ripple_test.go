@@ -3,6 +3,9 @@ package cracking
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -313,5 +316,171 @@ func TestRippleMergeAllocationFree(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// arrayCaps reports len and every array's capacity — vals, rows when
+// kept, each payload — under the statistics lock.
+func arrayCaps(c *Column) (n int, caps []int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	caps = append(caps, cap(c.vals))
+	if c.rows != nil {
+		caps = append(caps, cap(c.rows))
+	}
+	for _, p := range c.payloads {
+		caps = append(caps, cap(p))
+	}
+	return len(c.vals), caps
+}
+
+// TestInsertGrowthBoundedSlack: a merged insert into a full column grows
+// every array it keeps to at most len + max(len/growthDivisor,
+// growthFloor) — not by Go's append growth, which reserves a quarter of
+// the column — for a packed column, one an out-of-window insert widens
+// and a sideways one. Inserts of an eighth of N grow each column several
+// times, each growth under the exclusive latch while readers crack and
+// walk pieces; the column ends up holding what a sorted oracle holds.
+func TestInsertGrowthBoundedSlack(t *testing.T) {
+	const n, inserts, domain = 1 << 14, 1 << 11, 1 << 20
+	for _, tc := range []struct {
+		name     string
+		first    int64 // the first inserted value
+		sideways bool
+		arrays   int // arrays the column keeps after the first insert
+	}{
+		{"packed", 7, false, 1},
+		{"widened", 1 << 40, false, 2},
+		{"sideways", 7, true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := randVals(n, 91, domain)
+			var c *Column
+			if tc.sideways {
+				p0, p1 := make([]int64, n), make([]int64, n)
+				for i, v := range base {
+					p0[i], p1[i] = v*2, -v
+				}
+				c = NewSideways("a", base, []string{"p0", "p1"}, [][]int64{p0, p1}, Config{WithRows: true})
+			} else {
+				c = New("a", base, Config{WithRows: true})
+			}
+			rng := rand.New(rand.NewSource(92))
+			for range 16 {
+				c.CrackAt(rng.Int63n(domain))
+			}
+			type tuple struct {
+				v   int64
+				row uint32
+			}
+			oracle := make([]tuple, 0, n+inserts)
+			for i, v := range base {
+				oracle = append(oracle, tuple{v, uint32(i)})
+			}
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rr := rand.New(rand.NewSource(int64(93 + r)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// Bounds from a small grid, so the readers' cracks
+						// stop adding boundaries for the merges to ripple.
+						lo := rr.Int63n(64) * (domain / 64)
+						hi := lo + domain/16
+						rg, rows := c.SelectRows(lo, hi)
+						if len(rows) != rg.Count() {
+							t.Errorf("[%d,%d): %d rows for %d tuples", lo, hi, len(rows), rg.Count())
+							return
+						}
+						c.ForEachPiece(func(s Segment) {
+							if !s.HasRows() {
+								t.Error("a walked piece lost its rowids")
+							}
+						})
+						if tc.sideways {
+							c.SelectPayloads(lo, hi, func(vals []int64, payloads [][]int64) {
+								for i, v := range vals {
+									if payloads[0][i] != v*2 || payloads[1][i] != -v {
+										t.Errorf("payloads out of lockstep: v=%d p0=%d p1=%d", v, payloads[0][i], payloads[1][i])
+										return
+									}
+								}
+							})
+						}
+					}
+				}()
+			}
+
+			growths := 0
+			_, before := arrayCaps(c)
+			for i := range inserts {
+				v := rng.Int63n(domain)
+				if i == 0 {
+					v = tc.first
+				}
+				row := uint32(n + i)
+				c.MergeInsertSideways(v, row, []int64{v * 2, -v})
+				oracle = append(oracle, tuple{v, row})
+				size, caps := arrayCaps(c)
+				if len(caps) != tc.arrays {
+					t.Fatalf("insert %d: the column keeps %d arrays, want %d", i, len(caps), tc.arrays)
+				}
+				if caps[0] == before[0] {
+					continue
+				}
+				growths++
+				for j, k := range caps {
+					if bound := size + max(size/growthDivisor, growthFloor); k > bound {
+						t.Fatalf("insert %d: array %d grew to capacity %d for %d tuples, bound %d", i, j, k, size, bound)
+					}
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+				before = caps
+			}
+			close(stop)
+			wg.Wait()
+			if growths < 2 {
+				t.Fatalf("%d inserts into %d tuples grew the column %d times, want several", inserts, n, growths)
+			}
+
+			sort.Slice(oracle, func(i, j int) bool { return oracle[i].v < oracle[j].v })
+			at := func(v int64) int {
+				return sort.Search(len(oracle), func(i int) bool { return oracle[i].v >= v })
+			}
+			for q := range 200 {
+				lo := rng.Int63n(domain)
+				hi := lo + 1 + rng.Int63n(domain-lo)
+				if q == 0 {
+					lo, hi = math.MinInt64, math.MaxInt64
+				}
+				want := oracle[at(lo):at(hi)]
+				rg, rows := c.SelectRows(lo, hi)
+				if rg.Count() != len(want) || len(rows) != len(want) {
+					t.Fatalf("[%d,%d): count %d, %d rows, want %d", lo, hi, rg.Count(), len(rows), len(want))
+				}
+				wantRows := make([]uint32, len(want))
+				for i, w := range want {
+					wantRows[i] = w.row
+				}
+				slices.Sort(rows)
+				slices.Sort(wantRows)
+				if !slices.Equal(rows, wantRows) {
+					t.Fatalf("[%d,%d): row set differs from the oracle's", lo, hi)
+				}
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

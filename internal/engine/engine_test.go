@@ -11,6 +11,7 @@ import (
 	"holistic/internal/column"
 	"holistic/internal/cracking"
 	"holistic/internal/holistic"
+	"holistic/internal/stats"
 	"holistic/internal/workload"
 )
 
@@ -340,6 +341,11 @@ func TestHolisticAddPotential(t *testing.T) {
 	}
 }
 
+// TestHolisticInsertsMergedByWorkers: workers bring an index up to date
+// even once it is optimal. The inserts arrive only after the daemon has
+// refined the index to optimal, so no worker picks it for refinement
+// again, and no query touches the values they hold before they must be
+// merged.
 func TestHolisticInsertsMergedByWorkers(t *testing.T) {
 	tbl, base := testTable(t, 1, 50_000, 1000)
 	h := NewHolisticExecutor(tbl, HolisticConfig{
@@ -349,6 +355,15 @@ func TestHolisticInsertsMergedByWorkers(t *testing.T) {
 	})
 	defer h.Close()
 	h.Count("A", 0, 500)
+	e := h.Daemon().Registry().Get("A")
+	optimal := time.After(3 * time.Second)
+	for e.State() != stats.Optimal {
+		select {
+		case <-optimal:
+			t.Fatalf("daemon left the index %v after %d pieces", e.State(), e.Col.Pieces())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
 	for i := 0; i < 50; i++ {
 		h.Insert("A", int64(i*17%1000))
 	}
@@ -518,16 +533,21 @@ func TestHolisticExecutorStorageBudget(t *testing.T) {
 // TestStorageBudgetCountsWhatIsStored: the budget is charged what an
 // index keeps. Three cracker columns with rowids fit the budget that two
 // took while a rowid cost four bytes beside the value — as it still does
-// for a column whose values span more than one packing window.
+// for a column whose values span more than one packing window. A column
+// an insert grew is charged the slack the insert opened: counted by
+// length, two columns with 100 inserts each and a third would fill the
+// budget exactly.
 func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
 	const n = 10_000
 	for _, tc := range []struct {
-		name string
-		top  int64 // overwrites one value of every column
-		kept int
+		name    string
+		top     int64 // overwrites one value of every column
+		inserts int   // merged into each of the first two columns
+		kept    int
 	}{
-		{"rowids in the value words", 1 << 15, 3},
-		{"rowids in an array", 1 << 40, 2},
+		{"rowids in the value words", 1 << 15, 0, 3},
+		{"rowids in an array", 1 << 40, 0, 2},
+		{"inserted into", 1 << 15, 100, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := NewTable("R")
@@ -536,10 +556,11 @@ func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
 				base[n/2] = tc.top
 				tbl.MustAddColumn(column.New(attrName(a), base))
 			}
+			budget := int64(2*n*12 + 2*8*tc.inserts)
 			h := NewHolisticExecutor(tbl, HolisticConfig{
 				Daemon: holistic.Config{
 					Interval:      time.Hour, // daemon idle; this test is about admission
-					StorageBudget: 2 * n * 12,
+					StorageBudget: budget,
 					Seed:          1,
 				},
 				Cracking: cracking.Config{WithRows: true},
@@ -551,6 +572,20 @@ func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
 				if _, err := h.Count(attrName(a), 0, 100); err != nil {
 					t.Fatal(err)
 				}
+				if a == 2 || tc.inserts == 0 {
+					continue
+				}
+				for i := range tc.inserts {
+					if err := h.Insert(attrName(a), int64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := h.Count(attrName(a), 0, 100); err != nil { // merges them
+					t.Fatal(err)
+				}
+				if p := h.Pending(attrName(a)).Len(); p != 0 {
+					t.Fatalf("%d inserts left pending", p)
+				}
 			}
 			reg, kept := h.Daemon().Registry(), 0
 			for a := 0; a < 3; a++ {
@@ -559,7 +594,7 @@ func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
 				}
 			}
 			if kept != tc.kept {
-				t.Fatalf("a budget of %d bytes keeps %d of three %d-tuple indexes, want %d", 2*n*12, kept, n, tc.kept)
+				t.Fatalf("a budget of %d bytes keeps %d of three %d-tuple indexes, want %d", budget, kept, n, tc.kept)
 			}
 		})
 	}

@@ -237,9 +237,11 @@ func TestWriteVictimMatchesScan(t *testing.T) {
 				defer e.Close()
 				ws := &writeSession{t: t, e: e, attr: "A", sh: newShadow(l.base)}
 				ws.read(8, 40)
+				// Rowids in the value words keep a tuple under the 12 bytes
+				// it takes beside a rowid array, insert slack included.
 				isPacked := func() bool {
 					c := e.CrackerIfExists("A")
-					return c.SizeBytes() == 8*int64(c.Len()) && c.HasRows()
+					return c.SizeBytes() < 12*int64(c.Len()) && c.HasRows()
 				}
 				if got := isPacked(); got != l.packed[0] {
 					t.Fatalf("packed before the session = %v, want %v", got, l.packed[0])

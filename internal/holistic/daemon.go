@@ -355,6 +355,9 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 	if d.testRefineHook != nil {
 		d.testRefineHook()
 	}
+	if merged := d.drainOptimal(); merged > 0 {
+		return 0, merged
+	}
 	e := d.reg.PickForRefinement(d.cfg.Strategy)
 	if e == nil {
 		return 0, 0
@@ -420,6 +423,31 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 	}
 	d.reg.MarkOptimalIfDone(e)
 	return refined, mergedUpdates
+}
+
+// drainOptimal merges every pending update of one optimal index that has
+// any, and returns how many it merged. A worker merges updates on the way
+// of refining, in the piece its pivot falls into, but no worker picks an
+// optimal index for refinement again: without this, updates that arrive
+// once an index is optimal wait for the queries that touch their values.
+func (d *Daemon) drainOptimal() int {
+	d.pendMu.RLock()
+	var e *stats.Entry
+	var pend *updates.Pending
+	for name, p := range d.pending {
+		if p.Len() == 0 {
+			continue
+		}
+		if ent := d.reg.Get(name); ent != nil && ent.State() == stats.Optimal {
+			e, pend = ent, p
+			break
+		}
+	}
+	d.pendMu.RUnlock()
+	if e == nil {
+		return 0
+	}
+	return pend.MergeAll(e.Col)
 }
 
 // Cycles returns a snapshot of the retained per-activation telemetry
