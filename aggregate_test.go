@@ -2,108 +2,8 @@ package holistic
 
 import (
 	"errors"
-	"math/rand"
-	"sort"
 	"testing"
-
-	"holistic/internal/column"
 )
-
-// oracleRows returns the positions of qualifying values in vals — the
-// naive scan oracle for SelectRows, in ascending position order.
-func oracleRows(vals []int64, lo, hi int64) []uint32 {
-	var out []uint32
-	for i, v := range vals {
-		if v >= lo && v < hi {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
-}
-
-// TestAggregatesMatchScanOracleAllModes is the randomized cross-mode
-// differential test of the aggregate/materialization layer: every mode's
-// CountRange, SumRange, MinMaxRange and SelectRows must agree with a
-// naive scan over the base (and, on the modes that support Insert, over
-// the base extended with the inserted values).
-func TestAggregatesMatchScanOracleAllModes(t *testing.T) {
-	const (
-		domain = 1 << 14
-		rows   = 8_000
-	)
-	modes := []Mode{ModeScan, ModeOffline, ModeOnline, ModeAdaptive, ModeStochastic, ModeCCGI, ModeHolistic}
-	for _, mode := range modes {
-		t.Run(mode.String(), func(t *testing.T) {
-			s, bases := buildStore(t, mode, 2, rows, domain)
-			defer s.Close()
-			s.Prepare()
-
-			// The oracle columns track base values plus inserts.
-			oracle := make([][]int64, len(bases))
-			for a := range bases {
-				oracle[a] = append([]int64(nil), bases[a]...)
-			}
-			canInsert := mode == ModeAdaptive || mode == ModeStochastic || mode == ModeHolistic
-
-			rng := rand.New(rand.NewSource(31 + int64(mode)))
-			for q := 0; q < 80; q++ {
-				if canInsert && q%5 == 4 {
-					a := rng.Intn(len(oracle))
-					v := rng.Int63n(domain)
-					if err := s.Insert(attr(a), v); err != nil {
-						t.Fatal(err)
-					}
-					oracle[a] = append(oracle[a], v)
-				}
-
-				a := rng.Intn(len(oracle))
-				lo := rng.Int63n(domain)
-				hi := lo + rng.Int63n(domain-lo) + 1
-
-				n, err := s.CountRange(attr(a), lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := column.CountRange(oracle[a], lo, hi); n != want {
-					t.Fatalf("query %d [%d,%d): count = %d, want %d", q, lo, hi, n, want)
-				}
-
-				sum, err := s.SumRange(attr(a), lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := column.ParallelSumRange(oracle[a], lo, hi, 1); sum != want {
-					t.Fatalf("query %d [%d,%d): sum = %d, want %d", q, lo, hi, sum, want)
-				}
-
-				mn, mx, ok, err := s.MinMaxRange(attr(a), lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantMn, wantMx, wantN := column.ParallelMinMaxRange(oracle[a], lo, hi, 1)
-				if ok != (wantN > 0) || (ok && (mn != wantMn || mx != wantMx)) {
-					t.Fatalf("query %d [%d,%d): minmax = (%d,%d,%v), want (%d,%d,%v)",
-						q, lo, hi, mn, mx, ok, wantMn, wantMx, wantN > 0)
-				}
-
-				got, err := s.SelectRows(attr(a), lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				want := oracleRows(oracle[a], lo, hi)
-				if len(got) != len(want) {
-					t.Fatalf("query %d [%d,%d): %d rows, want %d", q, lo, hi, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("query %d [%d,%d): rows[%d] = %d, want %d", q, lo, hi, i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestStatsBeforeFirstQueryIsPure guards the telemetry bugfix: Stats on a
 // never-queried store must return a zero snapshot without building the

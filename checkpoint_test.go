@@ -17,6 +17,7 @@ import (
 
 	"holistic/internal/column"
 	"holistic/internal/durable"
+	"holistic/internal/model"
 )
 
 // convergedDurable opens an adaptive store in dir holding attrs columns of
@@ -106,7 +107,7 @@ func TestCheckpointAllocationBound(t *testing.T) {
 // that reader goroutines are cracking and the daemon is refining, with
 // writes in between. After a kill, every column the last checkpoint
 // persisted must restore — its words, keys and starts were one cut — pass
-// CheckInvariants, and answer every range like the shadow.
+// CheckInvariants, and answer every range like the model.
 func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 	const rows, readers, checkpoints, writesEach = 1 << 16, 3, 8, 40
 	cfg := durCfg(ModeHolistic)
@@ -123,7 +124,7 @@ func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 	for i := range pool {
 		pool[i] = rng.Int63n(1 << 20)
 	}
-	shadows := map[string]*rowShadow{}
+	m := model.New(attrs)
 	for _, attr := range attrs {
 		base := make([]int64, rows)
 		for i := range base {
@@ -132,7 +133,9 @@ func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 		if attr == "w" { // no 2^32 window holds these: the wide layout
 			base[0], base[1] = math.MinInt64, math.MaxInt64
 		}
-		shadows[attr] = newRowShadow(base)
+		for i, v := range base {
+			m.Put(attr, uint32(i), v)
+		}
 		if err := s.AddIntColumn(attr, base); err != nil {
 			t.Fatal(err)
 		}
@@ -169,16 +172,12 @@ func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 	for c := 0; c < checkpoints; c++ {
 		for w := 0; w < writesEach; w++ {
 			attr := attrs[rng.Intn(len(attrs))]
-			sh := shadows[attr]
 			op := scriptOp{kind: "idu"[rng.Intn(3)], attr: attr, a: pool[rng.Intn(len(pool))], b: pool[rng.Intn(len(pool))]}
 			if op.kind != 'i' {
-				row := rng.Intn(len(sh.vals))
-				for !sh.live[row] {
-					row = rng.Intn(len(sh.vals))
-				}
-				op.a = sh.vals[row]
+				live := m.Rows(nil, attr)
+				op.a, _ = m.Get(attr, live[rng.Intn(len(live))])
 			}
-			if missing := op.applyShadow(sh); missing != "" {
+			if missing := op.applyModel(m); missing != "" {
 				t.Fatal(missing)
 			}
 			if err := op.apply(s); err != nil {
@@ -201,8 +200,8 @@ func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if m := r.Metrics().Recovery; m.RestoredIndexes != int64(len(attrs)) || m.DroppedIndexes != 0 || m.StateDropped {
-		t.Fatalf("restored %d indexes, dropped %d, state file dropped = %v; want all %d restored", m.RestoredIndexes, m.DroppedIndexes, m.StateDropped, len(attrs))
+	if rec := r.Metrics().Recovery; rec.RestoredIndexes != int64(len(attrs)) || rec.DroppedIndexes != 0 || rec.StateDropped {
+		t.Fatalf("restored %d indexes, dropped %d, state file dropped = %v; want all %d restored", rec.RestoredIndexes, rec.DroppedIndexes, rec.StateDropped, len(attrs))
 	}
 	for _, attr := range attrs {
 		col := r.exec.CrackerIfExists(attr)
@@ -219,7 +218,7 @@ func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 		if lo, hi := base.Bounds(); lo != wantLo || hi != wantHi {
 			t.Fatalf("%s: recovered base bounds (%d, %d), a scan finds (%d, %d)", attr, lo, hi, wantLo, wantHi)
 		}
-		checkAttr(t, "after kill", r, attr, shadows[attr], rng, pool)
+		checkAttr(t, "after kill", r, attr, m, rng, pool)
 	}
 }
 

@@ -1,57 +1,12 @@
 package holistic
 
 import (
-	"math"
 	"testing"
 
 	"holistic/internal/column"
 )
 
 var sevenModes = []Mode{ModeScan, ModeOffline, ModeOnline, ModeAdaptive, ModeStochastic, ModeCCGI, ModeHolistic}
-
-// TestInvertedAndEmptyRangesAllModes: lo >= hi selects nothing in every
-// mode and through every public query form. The sorted modes used to
-// answer CountRange("a", 8, 2) with -4 and to panic in SumRange and
-// SelectRows on a slice with start above end.
-func TestInvertedAndEmptyRangesAllModes(t *testing.T) {
-	base := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, mode := range sevenModes {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := storeConfig(mode)
-			cfg.OnlineEpoch = 2 // cross into the sorted phase mid-test
-			s := NewStore(cfg)
-			defer s.Close()
-			if err := s.AddIntColumn("a", base); err != nil {
-				t.Fatal(err)
-			}
-			s.Prepare()
-			for pass := 0; pass < 3; pass++ {
-				for _, r := range [][2]int64{{8, 2}, {5, 5}, {math.MaxInt64, math.MinInt64}, {11, 3}} {
-					lo, hi := r[0], r[1]
-					if n, err := s.CountRange("a", lo, hi); err != nil || n != 0 {
-						t.Errorf("CountRange(%d,%d) = %d, %v; want 0", lo, hi, n, err)
-					}
-					if sum, err := s.SumRange("a", lo, hi); err != nil || sum != 0 {
-						t.Errorf("SumRange(%d,%d) = %d, %v; want 0", lo, hi, sum, err)
-					}
-					if _, _, ok, err := s.MinMaxRange("a", lo, hi); err != nil || ok {
-						t.Errorf("MinMaxRange(%d,%d): ok=%v, %v; want no value", lo, hi, ok, err)
-					}
-					if rows, err := s.SelectRows("a", lo, hi); err != nil || len(rows) != 0 {
-						t.Errorf("SelectRows(%d,%d) = %v, %v; want none", lo, hi, rows, err)
-					}
-					if n, err := s.Query().Where("a", lo, hi).Count(); err != nil || n != 0 {
-						t.Errorf("Query().Where(%d,%d).Count() = %d, %v; want 0", lo, hi, n, err)
-					}
-				}
-				// A proper range in between keeps the index building.
-				if n, err := s.CountRange("a", 2, 8); err != nil || n != column.CountRange(base, 2, 8) {
-					t.Fatalf("CountRange(2,8) = %d, %v", n, err)
-				}
-			}
-		})
-	}
-}
 
 // TestExecTelemetryAllModes: every mode records its selects — one per
 // executor terminal, failed ones included — through the one shared

@@ -117,34 +117,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Strategy picks which index the holistic daemon refines next (the
-// W1-W4 strategies of the paper; random is the recommended default).
-type Strategy int
-
-const (
-	// StrategyRandom is W4: a uniformly random index. Robust default.
-	StrategyRandom Strategy = iota
-	// StrategyDistance is W1: the index farthest from optimal.
-	StrategyDistance
-	// StrategyFrequency is W2: distance weighted by access frequency.
-	StrategyFrequency
-	// StrategyMisses is W3: W2 discounted by exact-hit frequency.
-	StrategyMisses
-)
-
-func (s Strategy) internal() stats.Strategy {
-	switch s {
-	case StrategyDistance:
-		return stats.W1
-	case StrategyFrequency:
-		return stats.W2
-	case StrategyMisses:
-		return stats.W3
-	default:
-		return stats.W4
-	}
-}
-
 // Config tunes a Store. The zero value is usable, but note what it
 // selects: the zero Mode is ModeScan — no indexing at all — so a store
 // that should crack or run the holistic daemon must say so.
@@ -167,8 +139,6 @@ type Config struct {
 	// RefinementsPerWorker is x, the refinement actions per activated
 	// worker (default 16, the paper's sweet spot).
 	RefinementsPerWorker int
-	// Strategy picks the index-decision strategy (default random/W4).
-	Strategy Strategy
 	// StorageBudget bounds the materialized index space in bytes under
 	// ModeHolistic; 0 = unlimited. LFU indices are evicted to fit.
 	StorageBudget int64
@@ -373,7 +343,6 @@ func (s *Store) build() *engine.Executor {
 			Daemon: holistic.Config{
 				Interval:      s.cfg.TuningInterval,
 				Refinements:   s.cfg.RefinementsPerWorker,
-				Strategy:      s.cfg.Strategy.internal(),
 				Seed:          s.cfg.Seed,
 				StorageBudget: s.cfg.StorageBudget,
 			},

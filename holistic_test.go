@@ -150,18 +150,6 @@ func TestAddPotentialIndex(t *testing.T) {
 	}
 }
 
-func TestStrategyMapping(t *testing.T) {
-	pairs := map[Strategy]string{
-		StrategyRandom: "W4", StrategyDistance: "W1",
-		StrategyFrequency: "W2", StrategyMisses: "W3",
-	}
-	for s, want := range pairs {
-		if got := s.internal().String(); got != want {
-			t.Errorf("%d.internal() = %s, want %s", int(s), got, want)
-		}
-	}
-}
-
 func TestModeString(t *testing.T) {
 	names := map[Mode]string{
 		ModeScan: "scan", ModeOffline: "offline", ModeOnline: "online",

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"holistic/internal/column"
+	"holistic/internal/model"
 )
 
 // TestLayoutFollowsData: rowids ride in the value's word exactly when the
@@ -114,35 +115,23 @@ func TestRefForCoversAndStaysInInt64(t *testing.T) {
 	}
 }
 
-// tuple is one live (value, rowid) of the scan oracle.
-type tuple struct {
-	v   int64
-	row uint32
-}
-
-// oracle is the scan a cracker column is checked against: the live
-// tuples in no particular order.
-type oracle []tuple
-
-func (o oracle) in(lo, hi int64) (rows []uint32, sum, mn, mx int64) {
-	mn, mx = math.MaxInt64, math.MinInt64
-	for _, t := range o {
-		if t.v >= lo && t.v < hi {
-			rows = append(rows, t.row)
-			sum += t.v
-			mn, mx = min(mn, t.v), max(mx, t.v)
-		}
-	}
-	slices.Sort(rows)
-	return rows, sum, mn, mx
+// anyLive picks one live tuple of the model's attribute a at random.
+func anyLive(m *model.Table, rng *rand.Rand) (row uint32, v int64) {
+	rows := m.Rows(nil, "a")
+	row = rows[rng.Intn(len(rows))]
+	v, _ = m.Get("a", row)
+	return row, v
 }
 
 // checkRange compares every read a cracker column offers over [lo, hi)
-// with the oracle: count, sum, extrema, rowids (materialized, streamed
-// and through segments), values through segments.
-func checkRange(t *testing.T, c *Column, o oracle, lo, hi int64) {
+// with the model of its tuples (attribute a): count, sum, extrema, rowids
+// (materialized, streamed and through segments), values through
+// segments.
+func checkRange(t *testing.T, c *Column, m *model.Table, lo, hi int64) {
 	t.Helper()
-	rows, sum, mn, mx := o.in(lo, hi)
+	p := []model.Pred{{Attr: "a", Lo: lo, Hi: hi}}
+	rows, sum := m.Rows(p), m.Sum("a", p)
+	mn, mx, _ := m.MinMax("a", p)
 	if got := c.SelectRange(lo, hi).Count(); got != len(rows) {
 		t.Fatalf("[%d,%d): SelectRange counts %d, scan %d", lo, hi, got, len(rows))
 	}
@@ -213,18 +202,12 @@ func checkRange(t *testing.T, c *Column, o oracle, lo, hi int64) {
 	}
 }
 
-// checkLowestRow compares LowestRow(v) with the smallest rowid the oracle
+// checkLowestRow compares LowestRow(v) with the smallest rowid the model
 // holds for v and, when nothing refines the column meanwhile, checks that
 // the lookup left the pieces alone.
-func checkLowestRow(t *testing.T, c *Column, o oracle, v int64, quiet bool) {
+func checkLowestRow(t *testing.T, c *Column, m *model.Table, v int64, quiet bool) {
 	t.Helper()
-	var want uint32
-	held := false
-	for _, tu := range o {
-		if tu.v == v && (!held || tu.row < want) {
-			want, held = tu.row, true
-		}
-	}
+	want, held := m.Lowest("a", v)
 	pieces := c.Pieces()
 	if row, ok := c.LowestRow(v); ok != held || row != want {
 		t.Fatalf("LowestRow(%d) = (%d, %v), scan finds (%d, %v)", v, row, ok, want, held)
@@ -237,17 +220,14 @@ func checkLowestRow(t *testing.T, c *Column, o oracle, v int64, quiet bool) {
 // layoutSession drives one seeded sequence of everything a cracker
 // column does — selects, sums, extrema, row materialisations, refinement,
 // ripple inserts and deletes by value and by row, export and restore —
-// on base, checking every read against the scan oracle, and returns the
+// on base, checking every read against the model, and returns the
 // column it ends with. refine, when set, is told each column the session
 // moves to so it can keep refining it from another goroutine.
 func layoutSession(t *testing.T, base []int64, seed int64, refine func(*Column)) *Column {
 	t.Helper()
 	const domain = 1 << 20
 	cfg := Config{WithRows: true, Seed: seed}
-	o := make(oracle, len(base))
-	for i, v := range base {
-		o[i] = tuple{v, uint32(i)}
-	}
+	m := model.New([]string{"a"}, base)
 	rng := rand.New(rand.NewSource(seed))
 	lo := rng.Int63n(domain)
 	c := NewCracked("a", base, cfg, lo, lo+domain/8)
@@ -269,31 +249,31 @@ func layoutSession(t *testing.T, base []int64, seed int64, refine func(*Column))
 		case 3:
 			lo, hi = hi, lo
 		}
-		checkRange(t, c, o, lo, hi)
-		checkLowestRow(t, c, o, o[rng.Intn(len(o))].v, refine == nil)
-		checkLowestRow(t, c, o, lo, refine == nil) // held by no tuple, or by luck
+		checkRange(t, c, m, lo, hi)
+		_, v := anyLive(m, rng)
+		checkLowestRow(t, c, m, v, refine == nil)
+		checkLowestRow(t, c, m, lo, refine == nil) // held by no tuple, or by luck
 		switch step % 6 {
 		case 0:
 			c.TryRefineAt(rng.Int63n(domain), 16)
 		case 1, 2:
 			v := rng.Int63n(domain)
 			c.MergeInsert(v, nextRow)
-			o = append(o, tuple{v, nextRow})
+			m.Put("a", nextRow, v)
 			nextRow++
 		case 3: // delete one tuple by value, whichever the column picks
-			victim := o[rng.Intn(len(o))]
-			row, found := c.MergeDelete(victim.v)
-			i := slices.Index(o, tuple{victim.v, row})
-			if !found || i < 0 {
-				t.Fatalf("step %d: MergeDelete(%d) = row %d, found %v; no such live tuple", step, victim.v, row, found)
+			_, v := anyLive(m, rng)
+			row, found := c.MergeDelete(v)
+			if held, ok := m.Get("a", row); !found || !ok || held != v {
+				t.Fatalf("step %d: MergeDelete(%d) = row %d, found %v; no such live tuple", step, v, row, found)
 			}
-			o = slices.Delete(o, i, i+1)
+			m.DeleteRow("a", row)
 		case 4: // delete one exact tuple
-			i := rng.Intn(len(o))
-			if row, found := c.MergeDeleteRow(o[i].v, o[i].row); !found || row != o[i].row {
-				t.Fatalf("step %d: MergeDeleteRow(%d, %d) = row %d, found %v", step, o[i].v, o[i].row, row, found)
+			want, v := anyLive(m, rng)
+			if row, found := c.MergeDeleteRow(v, want); !found || row != want {
+				t.Fatalf("step %d: MergeDeleteRow(%d, %d) = row %d, found %v", step, v, want, row, found)
 			}
-			o = slices.Delete(o, i, i+1)
+			m.DeleteRow("a", want)
 		case 5:
 			if _, found := c.MergeDelete(domain + 5); found {
 				t.Fatalf("step %d: deleted a value the column never held", step)
@@ -335,7 +315,7 @@ func layoutSession(t *testing.T, base []int64, seed int64, refine func(*Column))
 
 // TestLayoutDifferential: the same seeded session on data that packs and
 // on the same data plus the two values that make packing impossible
-// answers every range like the scan oracle — so the layouts agree with
+// answers every range like the model — so the layouts agree with
 // each other wherever they hold the same tuples.
 func TestLayoutDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -397,10 +377,7 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 			const domain = 1 << 20
 			base := randVals(30_000, 121, domain)
 			c := New("a", base, Config{WithRows: true})
-			o := make(oracle, len(base))
-			for i, v := range base {
-				o[i] = tuple{v, uint32(i)}
-			}
+			m := model.New([]string{"a"}, base)
 			rng := rand.New(rand.NewSource(122))
 			for i := 0; i < 40; i++ {
 				lo := rng.Int63n(domain)
@@ -408,11 +385,11 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 				c.TryRefineAt(rng.Int63n(domain), 16)
 			}
 			for i := 0; i < 20; i++ {
-				k := rng.Intn(len(o))
-				if _, found := c.MergeDeleteRow(o[k].v, o[k].row); !found {
-					t.Fatalf("delete of live tuple %+v not found", o[k])
+				row, v := anyLive(m, rng)
+				if _, found := c.MergeDeleteRow(v, row); !found {
+					t.Fatalf("delete of live tuple (%d, %d) not found", v, row)
 				}
-				o = slices.Delete(o, k, k+1)
+				m.DeleteRow("a", row)
 			}
 			outside := map[string]int64{"MinInt64": math.MinInt64, "MaxInt64": math.MaxInt64, "ref+2^32": c.ref() + window}[name]
 			ranges := [][2]int64{
@@ -430,11 +407,11 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 					t.Fatalf("%s: %v", stage, err)
 				}
 				for _, r := range ranges {
-					checkRange(t, c, o, r[0], r[1])
-					checkLowestRow(t, c, o, r[0], true)
-					checkLowestRow(t, c, o, r[1], true)
+					checkRange(t, c, m, r[0], r[1])
+					checkLowestRow(t, c, m, r[0], true)
+					checkLowestRow(t, c, m, r[1], true)
 				}
-				checkLowestRow(t, c, o, outside, true)
+				checkLowestRow(t, c, m, outside, true)
 			}
 			if !c.packed {
 				t.Fatal("the column did not start packed")
@@ -443,14 +420,14 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 			// The last value inside the window does not widen.
 			edge := c.ref() + window - 1
 			c.MergeInsert(edge, 1<<31)
-			o = append(o, tuple{edge, 1 << 31})
+			m.Put("a", 1<<31, edge)
 			if !c.packed {
 				t.Fatal("an insert of the window's last value widened the column")
 			}
 			check("window edge")
 			pieces := c.Pieces()
 			c.MergeInsert(outside, math.MaxUint32)
-			o = append(o, tuple{outside, math.MaxUint32})
+			m.Put("a", math.MaxUint32, outside)
 			if c.packed || c.Pieces() != pieces {
 				t.Fatalf("after the outside insert: packed = %v, %d pieces (had %d)", c.packed, c.Pieces(), pieces)
 			}
@@ -461,14 +438,13 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				v := rng.Int63n(domain)
 				c.MergeInsert(v, uint32(len(base)+i))
-				o = append(o, tuple{v, uint32(len(base) + i)})
+				m.Put("a", uint32(len(base)+i), v)
 				c.TryRefineAt(rng.Int63n(domain), 16)
 			}
 			if row, found := c.MergeDeleteRow(outside, math.MaxUint32); !found || row != math.MaxUint32 {
 				t.Fatalf("MergeDeleteRow of the outside tuple = %d, %v", row, found)
 			}
-			k := slices.Index(o, tuple{outside, math.MaxUint32})
-			o = slices.Delete(o, k, k+1)
+			m.DeleteRow("a", math.MaxUint32)
 			check("after more writes")
 		})
 	}

@@ -4,12 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"holistic/internal/column"
+	"holistic/internal/model"
 )
 
 func TestMergeInsertIntoCrackedColumn(t *testing.T) {
@@ -340,7 +340,7 @@ func arrayCaps(c *Column) (n int, caps []int) {
 // the column — for a packed column, one an out-of-window insert widens
 // and a sideways one. Inserts of an eighth of N grow each column several
 // times, each growth under the exclusive latch while readers crack and
-// walk pieces; the column ends up holding what a sorted oracle holds.
+// walk pieces; the column ends up holding what the model holds.
 func TestInsertGrowthBoundedSlack(t *testing.T) {
 	const n, inserts, domain = 1 << 14, 1 << 11, 1 << 20
 	for _, tc := range []struct {
@@ -369,14 +369,7 @@ func TestInsertGrowthBoundedSlack(t *testing.T) {
 			for range 16 {
 				c.CrackAt(rng.Int63n(domain))
 			}
-			type tuple struct {
-				v   int64
-				row uint32
-			}
-			oracle := make([]tuple, 0, n+inserts)
-			for i, v := range base {
-				oracle = append(oracle, tuple{v, uint32(i)})
-			}
+			m := model.New([]string{"a"}, base)
 
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -428,7 +421,7 @@ func TestInsertGrowthBoundedSlack(t *testing.T) {
 				}
 				row := uint32(n + i)
 				c.MergeInsertSideways(v, row, []int64{v * 2, -v})
-				oracle = append(oracle, tuple{v, row})
+				m.Put("a", row, v)
 				size, caps := arrayCaps(c)
 				if len(caps) != tc.arrays {
 					t.Fatalf("insert %d: the column keeps %d arrays, want %d", i, len(caps), tc.arrays)
@@ -453,29 +446,17 @@ func TestInsertGrowthBoundedSlack(t *testing.T) {
 				t.Fatalf("%d inserts into %d tuples grew the column %d times, want several", inserts, n, growths)
 			}
 
-			sort.Slice(oracle, func(i, j int) bool { return oracle[i].v < oracle[j].v })
-			at := func(v int64) int {
-				return sort.Search(len(oracle), func(i int) bool { return oracle[i].v >= v })
-			}
 			for q := range 200 {
 				lo := rng.Int63n(domain)
 				hi := lo + 1 + rng.Int63n(domain-lo)
 				if q == 0 {
 					lo, hi = math.MinInt64, math.MaxInt64
 				}
-				want := oracle[at(lo):at(hi)]
+				want := m.Rows([]model.Pred{{Attr: "a", Lo: lo, Hi: hi}})
 				rg, rows := c.SelectRows(lo, hi)
-				if rg.Count() != len(want) || len(rows) != len(want) {
-					t.Fatalf("[%d,%d): count %d, %d rows, want %d", lo, hi, rg.Count(), len(rows), len(want))
-				}
-				wantRows := make([]uint32, len(want))
-				for i, w := range want {
-					wantRows[i] = w.row
-				}
 				slices.Sort(rows)
-				slices.Sort(wantRows)
-				if !slices.Equal(rows, wantRows) {
-					t.Fatalf("[%d,%d): row set differs from the oracle's", lo, hi)
+				if rg.Count() != len(want) || !slices.Equal(rows, want) {
+					t.Fatalf("[%d,%d): count %d, %d rows, want %d, or different ones", lo, hi, rg.Count(), len(rows), len(want))
 				}
 			}
 			if err := c.CheckInvariants(); err != nil {

@@ -9,98 +9,30 @@ import (
 	"testing"
 
 	"holistic/internal/column"
+	"holistic/internal/model"
 )
 
-// oracleGroup computes the expected result by brute force: a map from
-// key tuple to accumulators, emitted in ascending lexicographic order.
-func oracleGroup(keyCols [][]int64, aggSpecs []Agg, aggCols [][]int64, sel []uint32) ([][]int64, [][]int64) {
-	type acc struct {
-		count int64
-		vals  []int64
+// modelGroup is the model's answer for grouping the positions of sel by
+// keyCols, aggregate a reading aggCols[a] (nil for a count).
+func modelGroup(keyCols [][]int64, aggSpecs []Agg, aggCols [][]int64, sel []uint32) ([][]int64, [][]int64) {
+	var names, keys []string
+	var cols [][]int64
+	for k, col := range keyCols {
+		keys = append(keys, fmt.Sprint("k", k))
+		names, cols = append(names, keys[k]), append(cols, col)
 	}
-	groups := map[string]*acc{}
-	var order []string
-	keyOf := make(map[string][]int64)
-	for _, p := range sel {
-		key := make([]int64, len(keyCols))
-		raw := ""
-		for k, col := range keyCols {
-			key[k] = col[p]
-			raw += string(rune(0)) + itoa(col[p])
-		}
-		g, ok := groups[raw]
-		if !ok {
-			g = &acc{vals: make([]int64, len(aggSpecs))}
-			for a, s := range aggSpecs {
-				switch s.Kind {
-				case KindMin:
-					g.vals[a] = math.MaxInt64
-				case KindMax:
-					g.vals[a] = math.MinInt64
-				}
-			}
-			groups[raw] = g
-			order = append(order, raw)
-			keyOf[raw] = key
-		}
-		g.count++
-		for a, s := range aggSpecs {
-			if s.Kind == KindCount {
-				continue
-			}
-			v := aggCols[a][p]
-			switch s.Kind {
-			case KindSum:
-				g.vals[a] += v
-			case KindMin:
-				if v < g.vals[a] {
-					g.vals[a] = v
-				}
-			case KindMax:
-				if v > g.vals[a] {
-					g.vals[a] = v
-				}
-			}
+	aggs := make([]model.Agg, len(aggSpecs))
+	for a, s := range aggSpecs {
+		aggs[a].Kind = [...]model.Kind{KindCount: model.Count, KindSum: model.Sum, KindMin: model.Min, KindMax: model.Max}[s.Kind]
+		if s.Kind != KindCount {
+			aggs[a].Attr = fmt.Sprint("v", a)
+			names, cols = append(names, aggs[a].Attr), append(cols, aggCols[a])
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := keyOf[order[i]], keyOf[order[j]]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	keys := make([][]int64, len(keyCols))
-	aggs := make([][]int64, len(aggSpecs))
-	for _, raw := range order {
-		g := groups[raw]
-		for k := range keyCols {
-			keys[k] = append(keys[k], keyOf[raw][k])
-		}
-		for a, s := range aggSpecs {
-			if s.Kind == KindCount {
-				aggs[a] = append(aggs[a], g.count)
-			} else {
-				aggs[a] = append(aggs[a], g.vals[a])
-			}
-		}
-	}
-	return keys, aggs
+	return model.New(names, cols...).Group(keys, aggs, sel)
 }
 
-func itoa(v int64) string {
-	// Unique string encoding; value separator keeps (1, 23) != (12, 3).
-	buf := make([]byte, 0, 12)
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(u>>(8*i)))
-	}
-	return string(buf)
-}
-
-// checkEqual compares a Result against oracle columns.
+// checkEqual compares a Result against the model's columns.
 func checkEqual(t *testing.T, res *Result, wantKeys, wantAggs [][]int64) {
 	t.Helper()
 	if len(res.Keys) != len(wantKeys) || len(res.Aggs) != len(wantAggs) {
@@ -187,8 +119,8 @@ func clusterStream(rng *rand.Rand, keyCol []int64) func(fn func(vals []int64, ro
 	}
 }
 
-// TestStrategiesAgreeWithOracle runs randomized fused plans through
-// every feeder of the core against the brute-force oracle: both
+// TestStrategiesAgreeWithModel runs randomized fused plans through
+// every feeder of the core against the model: both
 // selection-vector forms under the dense and hash strategies,
 // sequential and partition-parallel (a third of the trials are large
 // enough that threads=4 really splits the selection and merges
@@ -200,7 +132,7 @@ func clusterStream(rng *rand.Rand, keyCol []int64) func(fn func(vals []int64, ro
 // turns tuple-keyed, and the merge mixes them with partials that did
 // not), and a composite wider than 64 bits; every other trial reads
 // its aggregates through an overlay view (tail, updated, deleted).
-func TestStrategiesAgreeWithOracle(t *testing.T) {
+func TestStrategiesAgreeWithModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		rows := 500 + rng.Intn(4000)
@@ -293,7 +225,7 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 			}
 			return spec
 		}
-		wantKeys, wantAggs := oracleGroup(keyCols, aggSpecs, aggCols, sel)
+		wantKeys, wantAggs := modelGroup(keyCols, aggSpecs, aggCols, sel)
 		check := func(feed string, res *Result) {
 			t.Helper()
 			if (stale || wide) && res.Strategy == StrategyDense {
@@ -362,7 +294,7 @@ func TestStrategiesAgreeWithOracle(t *testing.T) {
 				for i, v := range keyCols[0] {
 					key[i] = v * 2 * DefaultClusterSlots
 				}
-				wantKeys, _ = oracleGroup([][]int64{key}, aggSpecs, aggCols, sel)
+				wantKeys, _ = modelGroup([][]int64{key}, aggSpecs, aggCols, sel)
 			}
 			if err := GroupClusters(spec, bm, clusterStream(rng, key), &res); err != nil {
 				t.Fatal(err)
@@ -418,13 +350,13 @@ func overlay(rng *rand.Rand, vals []int64, bm *column.Bitmap) column.View {
 	return w
 }
 
-// TestRunFeedMatchesOracle drives bitmaps mixing full, partial and empty
+// TestRunFeedMatchesModel drives bitmaps mixing full, partial and empty
 // words (runBitmap) through GroupBitmap at threads 1 and 3, both
-// accumulator sets, against the oracle: with every view plain (the
+// accumulator sets, against the model: with every view plain (the
 // all-ones runs fold in place), with one overlaid aggregate view beside
 // plain ones (the gather path throughout), and with two aggregates on
 // one overlaid attribute sharing a pass.
-func TestRunFeedMatchesOracle(t *testing.T) {
+func TestRunFeedMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rows := 3*minParallel + 64*37 + 11
 	key, x, y := make([]int64, rows), make([]int64, rows), make([]int64, rows)
@@ -435,7 +367,7 @@ func TestRunFeedMatchesOracle(t *testing.T) {
 	}
 	bm, sel := runBitmap(rng, rows)
 	aggs := []Agg{Count(), Sum("x"), Min("x"), Max("x"), Sum("y")}
-	wantKeys, wantAggs := oracleGroup([][]int64{key}, aggs, [][]int64{nil, x, x, x, y}, sel)
+	wantKeys, wantAggs := modelGroup([][]int64{key}, aggs, [][]int64{nil, x, x, x, y}, sel)
 	for _, tc := range []struct {
 		name   string
 		xv, yv column.View
@@ -490,7 +422,7 @@ func TestParallelCrossesThreshold(t *testing.T) {
 	}
 	aggSpecs := []Agg{Count(), Sum("v"), Min("v"), Max("v")}
 	aggCols := [][]int64{nil, val, val, val}
-	wantKeys, wantAggs := oracleGroup([][]int64{keyCol}, aggSpecs, aggCols, sel)
+	wantKeys, wantAggs := modelGroup([][]int64{keyCol}, aggSpecs, aggCols, sel)
 	for _, want := range []Strategy{StrategyDense, StrategyHash} {
 		spec := buildSpec([][]int64{keyCol}, aggCols, aggSpecs, 4)
 		if want == StrategyHash {
@@ -527,7 +459,7 @@ func TestWideCompositeFallsBackToTupleHash(t *testing.T) {
 	}
 	aggSpecs := []Agg{Count(), Sum("v")}
 	aggCols := [][]int64{nil, val}
-	wantKeys, wantAggs := oracleGroup([][]int64{k1, k2}, aggSpecs, aggCols, sel)
+	wantKeys, wantAggs := modelGroup([][]int64{k1, k2}, aggSpecs, aggCols, sel)
 	spec := buildSpec([][]int64{k1, k2}, aggCols, aggSpecs, 1)
 	var res Result
 	if err := GroupRows(spec, sel, &res); err != nil {
@@ -560,7 +492,7 @@ func TestStaleDomainFallsBackToHash(t *testing.T) {
 	if res.Strategy != StrategyHash {
 		t.Fatalf("strategy = %v, want hash fallback", res.Strategy)
 	}
-	wantKeys, wantAggs := oracleGroup([][]int64{keyCol}, aggSpecs, [][]int64{nil, val}, sel)
+	wantKeys, wantAggs := modelGroup([][]int64{keyCol}, aggSpecs, [][]int64{nil, val}, sel)
 	checkEqual(t, &res, wantKeys, wantAggs)
 }
 
@@ -607,7 +539,7 @@ func TestOverlayViews(t *testing.T) {
 
 // TestGroupClusters drives the sort strategy through a synthetic walker
 // over a cracked-style clustering (unordered within clusters, ascending
-// across) and checks it against the oracle, for both refined (small)
+// across) and checks it against the model, for both refined (small)
 // and unrefined (hash-fallback) clusters.
 func TestGroupClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -633,7 +565,7 @@ func TestGroupClusters(t *testing.T) {
 		for i := range keyCol {
 			keyCol[i] = rng.Int63n(domain)
 		}
-		wantKeys, wantAggs := oracleGroup([][]int64{keyCol}, aggSpecs, aggCols, sel)
+		wantKeys, wantAggs := modelGroup([][]int64{keyCol}, aggSpecs, aggCols, sel)
 
 		// Build a clustered stream: sort (value, row) pairs, then cut into
 		// clusters at value boundaries and shuffle within each cluster.
@@ -685,10 +617,10 @@ func TestGroupClusters(t *testing.T) {
 	}
 }
 
-// TestAccMatchesOracle streams slice segments (the sideways-cracking
+// TestAccMatchesModel streams slice segments (the sideways-cracking
 // feed) and checks the ordered result, including the dense → hash
 // migration on an escaping key.
-func TestAccMatchesOracle(t *testing.T) {
+func TestAccMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	rows := 5000
 	k1 := make([]int64, rows)
@@ -705,7 +637,7 @@ func TestAccMatchesOracle(t *testing.T) {
 	}
 	aggSpecs := []Agg{Sum("v"), Count(), Min("v")}
 	aggCols := [][]int64{val, nil, val}
-	wantKeys, wantAggs := oracleGroup([][]int64{k1, k2}, aggSpecs, aggCols, sel)
+	wantKeys, wantAggs := modelGroup([][]int64{k1, k2}, aggSpecs, aggCols, sel)
 
 	acc, err := NewAcc([]Key{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 4}}, aggSpecs)
 	if err != nil {

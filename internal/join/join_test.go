@@ -9,27 +9,26 @@ import (
 
 	"holistic/internal/column"
 	"holistic/internal/groupby"
+	"holistic/internal/model"
 )
 
-// nestedLoopOracle joins two sides the O(n*m) way: the ground truth
-// every kernel is checked against.
-func nestedLoopOracle(left, right Input, sumSide Side) (count, sum int64, pairs [][2]uint32) {
-	for i, lk := range left.Keys {
-		for j, rk := range right.Keys {
-			if lk != rk {
-				continue
+// modelJoin is the model's answer for joining two inputs: the pair
+// count, the sum of sumSide's values over the pairs, and the pairs of
+// row ids, ascending.
+func modelJoin(left, right Input, sumSide Side) (count, sum int64, pairs [][2]uint32) {
+	side := func(in Input) *model.Table {
+		m := model.New([]string{"k", "v"})
+		for i, k := range in.Keys {
+			m.Put("k", in.Rows[i], k)
+			if in.Vals != nil {
+				m.Put("v", in.Rows[i], in.Vals[i])
 			}
-			count++
-			if sumSide == Left && left.Vals != nil {
-				sum += left.Vals[i]
-			}
-			if sumSide == Right && right.Vals != nil {
-				sum += right.Vals[j]
-			}
-			pairs = append(pairs, [2]uint32{left.Rows[i], right.Rows[j]})
 		}
+		return m
 	}
-	return count, sum, pairs
+	l, r := side(left), side(right)
+	pairs, joined := model.Join(l, "k", l.Rows(nil), r, "k", r.Rows(nil))
+	return int64(len(pairs)), joined.Sum([]string{"l.v", "r.v"}[sumSide], nil), pairs
 }
 
 func sortedPairs(l, r column.PosList) [][2]uint32 {
@@ -151,7 +150,7 @@ func TestHashMatchesNestedLoop(t *testing.T) {
 		}
 		left, right := tc.left, tc.right
 		for _, sumSide := range []Side{Left, Right} {
-			wantCount, wantSum, wantPairs := nestedLoopOracle(left, right, sumSide)
+			wantCount, wantSum, wantPairs := modelJoin(left, right, sumSide)
 			for _, threads := range []int{1, 4} {
 				c, _ := Hash(Op{Kind: OpCount}, left, right, threads, nil)
 				if c != wantCount {
@@ -167,12 +166,6 @@ func TestHashMatchesNestedLoop(t *testing.T) {
 					t.Fatalf("%s: Hash pairs(t=%d): count %d len %d, want %d", tc.name, threads, c, p.Len(), len(wantPairs))
 				}
 				got := sortedPairs(p.Left, p.Right)
-				sort.Slice(wantPairs, func(a, b int) bool {
-					if wantPairs[a][0] != wantPairs[b][0] {
-						return wantPairs[a][0] < wantPairs[b][0]
-					}
-					return wantPairs[a][1] < wantPairs[b][1]
-				})
 				for i := range got {
 					if got[i] != wantPairs[i] {
 						t.Fatalf("%s: Hash pairs[%d] = %v, want %v", tc.name, i, got[i], wantPairs[i])
@@ -247,7 +240,7 @@ func clusterStream(rng *rand.Rand, in Input, sel *column.Bitmap) Stream {
 
 // TestMergeMatchesNestedLoop checks the index-clustered merge join —
 // dense and wide cluster pairs, both build sides, with and without
-// selection bitmaps — against the nested-loop oracle.
+// selection bitmaps — against the model.
 func TestMergeMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
@@ -272,7 +265,7 @@ func TestMergeMatchesNestedLoop(t *testing.T) {
 				rSel, oright = selectHalf(rng, right)
 			}
 			for _, sumSide := range []Side{Left, Right} {
-				wantCount, wantSum, wantPairs := nestedLoopOracle(oleft, oright, sumSide)
+				wantCount, wantSum, wantPairs := modelJoin(oleft, oright, sumSide)
 				ls := clusterStream(rng, left, lSel)
 				rs := clusterStream(rng, right, rSel)
 				c, s, ok := Merge(Op{Kind: OpSum, SumSide: sumSide}, ls, rs, tc.spanLimit, nil)
@@ -288,12 +281,6 @@ func TestMergeMatchesNestedLoop(t *testing.T) {
 					t.Fatal("Merge declined a live walk")
 				}
 				got := sortedPairs(p.Left, p.Right)
-				sort.Slice(wantPairs, func(a, b int) bool {
-					if wantPairs[a][0] != wantPairs[b][0] {
-						return wantPairs[a][0] < wantPairs[b][0]
-					}
-					return wantPairs[a][1] < wantPairs[b][1]
-				})
 				if len(got) != len(wantPairs) {
 					t.Fatalf("Merge pairs: %d, want %d", len(got), len(wantPairs))
 				}
@@ -309,7 +296,7 @@ func TestMergeMatchesNestedLoop(t *testing.T) {
 
 // selectHalf drops a random half of the input through a bitmap,
 // returning the bitmap (over the row-id universe) and the surviving
-// subset for the oracle.
+// subset for the model.
 func selectHalf(rng *rand.Rand, in Input) (*column.Bitmap, Input) {
 	maxRow := uint32(0)
 	for _, r := range in.Rows {

@@ -15,7 +15,7 @@ import (
 // the bitmap side of the crossover.
 func benchRunner(b *testing.B, threads int) (*Runner, []Predicate) {
 	b.Helper()
-	tab, _ := buildTable(3, 1<<20, benchDomain, 42)
+	tab := buildTable(3, 1<<20, benchDomain, 42)
 	return New(tab, engine.NewScanExecutor(tab, threads), threads), benchDrive(benchDomain / 4)
 }
 
@@ -70,7 +70,7 @@ func BenchmarkConjunctiveCount(b *testing.B) {
 func benchGroupedRunner(b *testing.B, threads int) (*Runner, []Predicate) {
 	b.Helper()
 	const domain = 1 << 20
-	tab, _ := buildTable(3, 1<<20, domain, 71)
+	tab := buildTable(3, 1<<20, domain, 71)
 	keyVals := tab.Column("a").Values()
 	for i := range keyVals {
 		keyVals[i] %= 97

@@ -5,6 +5,7 @@ import (
 
 	"holistic/internal/column"
 	"holistic/internal/groupby"
+	"holistic/internal/model"
 )
 
 // TestEveryChoiceReachedByItsRule runs one dataset through all seven
@@ -18,21 +19,22 @@ import (
 //   - a 1% drive runs as a position list, a 50% drive as a bitmap;
 //   - a single conjunct runs native.
 //
-// Every answer equals the oracle, and the observers count each choice
+// Every answer equals the model's, and the observers count each choice
 // at least once across the modes.
 func TestEveryChoiceReachedByItsRule(t *testing.T) {
 	const domain = 1 << 12
-	tab, cols := buildTable(2, 6000, domain, 83)
-	narrow := func(name, src string, mod int64) []int64 {
+	tab := buildTable(2, 6000, domain, 83)
+	narrow := func(name, src string, mod int64) {
 		vals := make([]int64, tab.Rows())
 		for i, v := range tab.Column(src).Values() {
 			vals[i] = v % mod
 		}
 		tab.MustAddColumn(column.New(name, vals))
-		return vals
 	}
-	cols = append(cols, narrow("g", "a", 16), narrow("h", "b", 8), wideKey(tab, "a"))
-	colOf := map[string]int{"a": 0, "b": 1, "g": 2, "h": 3, "w": 4}
+	narrow("g", "a", 16)
+	narrow("h", "b", 8)
+	wideKey(tab, "a")
+	m := modelOf(tab)
 
 	half := []Predicate{{Attr: "a", Lo: 0, Hi: domain / 2}}
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum("b")}
@@ -46,16 +48,7 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 	}
 	// The self-join on w pairs rows with equal a: the half-selected left
 	// side meets every row of its value.
-	perA := map[int64]int64{}
-	for _, v := range cols[0] {
-		perA[v]++
-	}
-	var wantPairs int64
-	for _, v := range cols[0] {
-		if v < domain/2 {
-			wantPairs += perA[v]
-		}
-	}
+	pairs, _ := model.Join(m, "w", m.Rows(mp(half)), m, "w", m.Rows(nil))
 
 	walks := map[string]bool{"scan": false, "adaptive": false, "offline": true}
 	total := map[string]int64{}
@@ -69,7 +62,7 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkGrouped(t, res, groupOracle(cols, colOf, keys, aggs, half), mode)
+				checkGrouped(t, res, m, keys, aggs, half, mode)
 				want := groupby.StrategyDense
 				if keys[0] == "w" {
 					want = groupby.StrategyHash
@@ -85,8 +78,8 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != wantPairs {
-				t.Fatalf("self-join count %d, want %d", n, wantPairs)
+			if n != int64(len(pairs)) {
+				t.Fatalf("self-join count %d, want %d", n, len(pairs))
 			}
 			if walk, ok := walks[mode]; ok && (tr.Strategy == "merge") != walk {
 				t.Errorf("self-join strategy %s, want merge = %v", tr.Strategy, walk)
@@ -96,7 +89,7 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := len(oracle(cols, colOf, c.preds)); n != want {
+				if want := m.Count(mp(c.preds)); n != want {
 					t.Fatalf("count %v = %d, want %d", c.preds, n, want)
 				}
 				if tr.Rep != c.rep {

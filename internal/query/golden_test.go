@@ -37,7 +37,7 @@ func TestTraceGolden(t *testing.T) {
 			}
 			return engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
 		}
-		tab, _ := buildTable(3, 6000, domain, 29)
+		tab := buildTable(3, 6000, domain, 29)
 		keys := make([]int64, tab.Rows())
 		for i, v := range tab.Column("a").Values() {
 			keys[i] = v % 16

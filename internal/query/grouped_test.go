@@ -3,115 +3,41 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"holistic/internal/column"
 	"holistic/internal/cracking"
 	"holistic/internal/engine"
 	"holistic/internal/groupby"
+	"holistic/internal/model"
 )
 
-// groupOracle computes a grouped aggregation by brute force over the
-// raw columns: rows qualifying every predicate, grouped by the key
-// tuple, emitted ascending.
-type groupOracleRow struct {
-	key  []int64
-	aggs []int64
-}
-
-func groupOracle(cols [][]int64, names map[string]int, keys []string, aggs []groupby.Agg, preds []Predicate) []groupOracleRow {
-	n := len(cols[0])
-	groups := map[string]*groupOracleRow{}
-	var out []*groupOracleRow
-rows:
-	for i := 0; i < n; i++ {
-		for _, p := range preds {
-			v := cols[names[p.Attr]][i]
-			if v < p.Lo || v >= p.Hi {
-				continue rows
-			}
-		}
-		key := make([]int64, len(keys))
-		for k, attr := range keys {
-			key[k] = cols[names[attr]][i]
-		}
-		raw := fmt.Sprint(key)
-		g, ok := groups[raw]
-		if !ok {
-			g = &groupOracleRow{key: key, aggs: make([]int64, len(aggs))}
-			for a, s := range aggs {
-				switch s.Kind {
-				case groupby.KindMin:
-					g.aggs[a] = 1 << 62
-				case groupby.KindMax:
-					g.aggs[a] = -(1 << 62)
-				}
-			}
-			groups[raw] = g
-			out = append(out, g)
-		}
-		for a, s := range aggs {
-			switch s.Kind {
-			case groupby.KindCount:
-				g.aggs[a]++
-			case groupby.KindSum:
-				g.aggs[a] += cols[names[s.Attr]][i]
-			case groupby.KindMin:
-				if v := cols[names[s.Attr]][i]; v < g.aggs[a] {
-					g.aggs[a] = v
-				}
-			case groupby.KindMax:
-				if v := cols[names[s.Attr]][i]; v > g.aggs[a] {
-					g.aggs[a] = v
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i].key {
-			if out[i].key[k] != out[j].key[k] {
-				return out[i].key[k] < out[j].key[k]
-			}
-		}
-		return false
-	})
-	rowsOut := make([]groupOracleRow, len(out))
-	for i, g := range out {
-		rowsOut[i] = *g
-	}
-	return rowsOut
-}
-
-func checkGrouped(t *testing.T, res *groupby.Result, want []groupOracleRow, ctx string) {
+// checkGrouped compares a grouped result with the model's grouping of
+// the rows passing preds.
+func checkGrouped(t *testing.T, res *groupby.Result, m *model.Table, keys []string, aggs []groupby.Agg, preds []Predicate, ctx string) {
 	t.Helper()
-	if res.Len() != len(want) {
-		t.Fatalf("%s: %d groups, want %d (strategy %v)", ctx, res.Len(), len(want), res.Strategy)
+	var maggs []model.Agg
+	for _, a := range aggs {
+		kind := [...]model.Kind{groupby.KindCount: model.Count, groupby.KindSum: model.Sum, groupby.KindMin: model.Min, groupby.KindMax: model.Max}[a.Kind]
+		maggs = append(maggs, model.Agg{Kind: kind, Attr: a.Attr})
 	}
-	for g, w := range want {
-		for k := range w.key {
-			if res.Keys[k][g] != w.key[k] {
-				t.Fatalf("%s: group %d key %d = %d, want %d (strategy %v)", ctx, g, k, res.Keys[k][g], w.key[k], res.Strategy)
-			}
-		}
-		for a := range w.aggs {
-			if res.Aggs[a][g] != w.aggs[a] {
-				t.Fatalf("%s: group %d agg %d = %d, want %d (strategy %v)", ctx, g, a, res.Aggs[a][g], w.aggs[a], res.Strategy)
-			}
-		}
+	wantKeys, wantAggs := m.Group(keys, maggs, m.Rows(mp(preds)))
+	if !slices.EqualFunc(res.Keys, wantKeys, slices.Equal) || !slices.EqualFunc(res.Aggs, wantAggs, slices.Equal) {
+		t.Fatalf("%s: %d groups, model %d, or different ones (strategy %v)", ctx, res.Len(), len(wantKeys[0]), res.Strategy)
 	}
 }
 
-// TestGroupedMatchesOracleAllModes is the grouped differential test:
+// TestGroupedMatchesModelAllModes is the grouped differential test:
 // randomized key sets, fused aggregate lists and predicate sets run
-// through every executor mode, checked against the brute-force oracle.
+// through every executor mode, checked against the model.
 // Single narrow keys group dense, composites hash, and the wide key w
 // hashes until its mode has a refined key-ordered path to walk.
-func TestGroupedMatchesOracleAllModes(t *testing.T) {
+func TestGroupedMatchesModelAllModes(t *testing.T) {
 	const domain = 1 << 10
-	tab, cols := buildTable(4, 5000, domain, 29)
-	cols = append(cols, wideKey(tab, "a"))
-	colOf := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3, "w": 4}
+	tab := buildTable(4, 5000, domain, 29)
+	wideKey(tab, "a")
+	m := modelOf(tab)
 	execs := allModeExecutors(t, tab)
 	attrNames := []string{"a", "b", "c", "d"}
 	for label, exec := range execs {
@@ -137,63 +63,35 @@ func TestGroupedMatchesOracleAllModes(t *testing.T) {
 					lo := rng.Int63n(domain)
 					preds[i] = Predicate{Attr: attrNames[rng.Intn(4)], Lo: lo, Hi: lo + rng.Int63n(domain-lo) + 1}
 				}
-				// Mirror the runner's duplicate-attribute intersection for
-				// the oracle.
-				want := groupOracle(cols, colOf, keys, aggs, mergePreds(preds))
 				res, err := r.Grouped(keys, aggs, preds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkGrouped(t, res, want, label)
+				checkGrouped(t, res, m, keys, aggs, preds, label)
 			}
 		})
 	}
 }
 
 // wideKey adds attribute w to tab: src's values spread 2^20 apart, a key
-// with src's groups whose domain is too wide to pack densely. It returns
-// the new column's values.
-func wideKey(tab *engine.Table, src string) []int64 {
+// with src's groups whose domain is too wide to pack densely.
+func wideKey(tab *engine.Table, src string) {
 	vals := make([]int64, tab.Rows())
 	for i, v := range tab.Column(src).Values() {
 		vals[i] = v << 20
 	}
 	tab.MustAddColumn(column.New("w", vals))
-	return vals
-}
-
-// mergePreds intersects duplicate attributes (the planner's
-// normalization) so the oracle sees the same conjunction.
-func mergePreds(preds []Predicate) []Predicate {
-	var out []Predicate
-	for _, p := range preds {
-		merged := false
-		for i := range out {
-			if out[i].Attr == p.Attr {
-				if p.Lo > out[i].Lo {
-					out[i].Lo = p.Lo
-				}
-				if p.Hi < out[i].Hi {
-					out[i].Hi = p.Hi
-				}
-				merged = true
-			}
-		}
-		if !merged {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // TestGroupedSortStrategyRuns: a single key too wide to pack densely,
 // over a selection dense enough to walk, groups by sort wherever its
 // key-ordered access path has clusters that fit the accumulator — at
 // once under offline indexing, which sorts on demand — and agrees with
-// the oracle; without such a path it hashes, not fails.
+// the model; without such a path it hashes, not fails.
 func TestGroupedSortStrategyRuns(t *testing.T) {
 	const domain = 1 << 17 // 17 bits: one past the dense slot bound
-	tab, cols := buildTable(2, 4000, domain, 37)
+	tab := buildTable(2, 4000, domain, 37)
+	m := modelOf(tab)
 	off := engine.NewOfflineExecutor(tab, 2)
 	r := New(tab, off, 2)
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum("b")}
@@ -205,7 +103,7 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 	if res.Strategy != groupby.StrategySort {
 		t.Fatalf("offline strategy = %v, want sort", res.Strategy)
 	}
-	checkGrouped(t, res, groupOracle(cols, names, []string{"a"}, aggs, preds), "offline")
+	checkGrouped(t, res, m, []string{"a"}, aggs, preds, "offline")
 
 	// Adaptive: no cracker on "a" yet → no key-ordered path → hash.
 	ad := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
@@ -217,7 +115,7 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 	if res2.Strategy == groupby.StrategySort {
 		t.Fatal("sort strategy ran without a key-ordered access path")
 	}
-	checkGrouped(t, res2, groupOracle(cols, names, []string{"a"}, aggs, preds), "adaptive-fallback")
+	checkGrouped(t, res2, m, []string{"a"}, aggs, preds, "adaptive-fallback")
 
 	// After a select drives on "a", the cracker exists and its pieces
 	// span fewer values than the accumulator bound: sort walks it.
@@ -231,7 +129,7 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 	if res3.Strategy != groupby.StrategySort {
 		t.Fatalf("adaptive strategy after a crack = %v, want sort", res3.Strategy)
 	}
-	checkGrouped(t, res3, groupOracle(cols, names, []string{"a"}, aggs, preds), "adaptive-sort")
+	checkGrouped(t, res3, m, []string{"a"}, aggs, preds, "adaptive-sort")
 }
 
 // TestGroupedAdmitsOnlySortableKeys: under the holistic executor a
@@ -241,7 +139,7 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 // predicates.
 func TestGroupedAdmitsOnlySortableKeys(t *testing.T) {
 	const domain = 1 << 12
-	tab, _ := buildTable(4, 4000, domain, 71)
+	tab := buildTable(4, 4000, domain, 71)
 	wide := func(seed int64) []int64 { // a key domain too wide to bit-pack densely
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]int64, tab.Rows())
@@ -302,19 +200,19 @@ func TestGroupedAdmitsOnlySortableKeys(t *testing.T) {
 
 // TestGroupedNoPredicates groups the whole relation.
 func TestGroupedNoPredicates(t *testing.T) {
-	tab, cols := buildTable(2, 3000, 64, 41)
+	tab := buildTable(2, 3000, 64, 41)
 	r := New(tab, engine.NewScanExecutor(tab, 2), 2)
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum("b")}
 	res, err := r.Grouped([]string{"a"}, aggs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGrouped(t, res, groupOracle(cols, names, []string{"a"}, aggs, nil), "no-preds")
+	checkGrouped(t, res, modelOf(tab), []string{"a"}, aggs, nil, "no-preds")
 }
 
 // TestGroupedErrors covers the validation paths.
 func TestGroupedErrors(t *testing.T) {
-	tab, _ := buildTable(2, 100, 64, 43)
+	tab := buildTable(2, 100, 64, 43)
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	if _, err := r.Grouped(nil, []groupby.Agg{groupby.Count()}, nil); err == nil {
 		t.Error("no keys did not error")
@@ -343,54 +241,6 @@ func TestGroupedErrors(t *testing.T) {
 	}
 }
 
-// TestMinMaxMatchesOracleAllModes covers the Min/Max terminal
-// aggregates over conjunctions, every mode; the random ranges drive both
-// representations.
-func TestMinMaxMatchesOracleAllModes(t *testing.T) {
-	const domain = 1 << 12
-	tab, cols := buildTable(3, 5000, domain, 47)
-	execs := allModeExecutors(t, tab)
-	attrNames := []string{"a", "b", "c"}
-	for label, exec := range execs {
-		t.Run(label, func(t *testing.T) {
-			defer exec.Close()
-			r := New(tab, exec, 2)
-			rng := rand.New(rand.NewSource(53))
-			for q := 0; q < 30; q++ {
-				k := 1 + rng.Intn(3)
-				perm := rng.Perm(3)
-				preds := make([]Predicate, k)
-				for i := 0; i < k; i++ {
-					lo := rng.Int63n(domain)
-					preds[i] = Predicate{Attr: attrNames[perm[i]], Lo: lo, Hi: lo + rng.Int63n(domain-lo) + 1}
-				}
-				target := attrNames[rng.Intn(3)]
-				sel := oracle(cols, names, preds)
-				var wantMn, wantMx int64
-				wantOk := false
-				for _, row := range sel {
-					v := cols[names[target]][row]
-					if !wantOk || v < wantMn {
-						wantMn = v
-					}
-					if !wantOk || v > wantMx {
-						wantMx = v
-					}
-					wantOk = true
-				}
-				mn, mx, ok, err := r.MinMax(target, preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok != wantOk || (ok && (mn != wantMn || mx != wantMx)) {
-					t.Fatalf("query %d: MinMax(%s) = (%d,%d,%v), want (%d,%d,%v)",
-						q, target, mn, mx, ok, wantMn, wantMx, wantOk)
-				}
-			}
-		})
-	}
-}
-
 // TestRepeatedAttributeIntersection is the property test of the
 // duplicate-conjunct normalization: any set of overlapping, disjoint or
 // inverted ranges on one attribute must behave exactly like the single
@@ -398,7 +248,8 @@ func TestMinMaxMatchesOracleAllModes(t *testing.T) {
 // selection-vector representation the drive picks, for every query form.
 func TestRepeatedAttributeIntersection(t *testing.T) {
 	const domain = 1 << 12
-	tab, cols := buildTable(2, 4000, domain, 59)
+	tab := buildTable(2, 4000, domain, 59)
+	m := modelOf(tab)
 	execs := allModeExecutors(t, tab)
 	for label, exec := range execs {
 		t.Run(label, func(t *testing.T) {
@@ -441,42 +292,8 @@ func TestRepeatedAttributeIntersection(t *testing.T) {
 					preds = append(preds, extra...)
 				}
 				merged := append([]Predicate{{Attr: "a", Lo: mLo, Hi: mHi}}, extra...)
-				want := oracle(cols, names, merged)
-
-				n, err := r.Count(preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nm, err := r.Count(merged)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != len(want) || nm != len(want) {
-					t.Fatalf("trial %d: count repeated=%d merged=%d, want %d (%v)", trial, n, nm, len(want), preds)
-				}
-				rows, err := r.Rows(preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rows) != len(want) {
-					t.Fatalf("trial %d: %d rows, want %d", trial, len(rows), len(want))
-				}
-				for i := range rows {
-					if rows[i] != want[i] {
-						t.Fatalf("trial %d: rows[%d] = %d, want %d", trial, i, rows[i], want[i])
-					}
-				}
-				var wantSum int64
-				for _, row := range want {
-					wantSum += cols[1][row]
-				}
-				s, err := r.Sum("b", preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s != wantSum {
-					t.Fatalf("trial %d: sum = %d, want %d", trial, s, wantSum)
-				}
+				checkTerminals(t, fmt.Sprintf("trial %d repeated", trial), r, m, preds, "b")
+				checkTerminals(t, fmt.Sprintf("trial %d merged", trial), r, m, merged, "b")
 			}
 		})
 	}
@@ -490,7 +307,7 @@ func TestSteadyStateGroupedAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
 	const domain = 1 << 16
-	tab, _ := buildTable(3, 1<<15, domain, 67)
+	tab := buildTable(3, 1<<15, domain, 67)
 	// Key domain small: overwrite column a with group ids.
 	keyVals := tab.Column("a").Values()
 	for i := range keyVals {

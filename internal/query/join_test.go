@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"holistic/internal/groupby"
 	"holistic/internal/holistic"
 	"holistic/internal/join"
+	"holistic/internal/model"
 )
 
 // joinFixture builds two relations with a controlled key overlap: L(k,
@@ -47,52 +49,14 @@ func joinExecs(tab *engine.Table, threads int) map[string]*engine.Executor {
 	}
 }
 
-// oracleJoin computes the expected join folds by nested loop over the
-// base columns under both sides' predicates.
-func oracleJoin(lt, rt *engine.Table, lPreds, rPreds []Predicate, sumSide join.Side, sumAttr string) (count, sum int64, pairs [][2]uint32) {
-	qual := func(tab *engine.Table, preds []Predicate, row int) bool {
-		for _, p := range preds {
-			v := tab.Column(p.Attr).Values()[row]
-			if v < p.Lo || v >= p.Hi {
-				return false
-			}
-		}
-		return true
-	}
-	lk := lt.Column("k").Values()
-	rk := rt.Column("k").Values()
-	for i := range lk {
-		if !qual(lt, lPreds, i) {
-			continue
-		}
-		for j := range rk {
-			if !qual(rt, rPreds, j) {
-				continue
-			}
-			if lk[i] != rk[j] {
-				continue
-			}
-			count++
-			if sumAttr != "" {
-				if sumSide == join.Left {
-					sum += lt.Column(sumAttr).Values()[i]
-				} else {
-					sum += rt.Column(sumAttr).Values()[j]
-				}
-			}
-			pairs = append(pairs, [2]uint32{uint32(i), uint32(j)})
-		}
-	}
-	return count, sum, pairs
-}
-
-// TestJoinMatchesOracleAcrossExecutors drives randomized joins (with
+// TestJoinMatchesModelAcrossExecutors drives randomized joins (with
 // and without per-side predicates) through every executor pairing,
-// comparing Count, Sum and Pairs against the nested-loop oracle. Two
+// comparing Count, Sum and Pairs against the model. Two
 // offline sides merge whenever both selections are walkable; a scan
 // side, with no key-ordered path, always hashes.
-func TestJoinMatchesOracleAcrossExecutors(t *testing.T) {
+func TestJoinMatchesModelAcrossExecutors(t *testing.T) {
 	lt, rt := joinFixture(t, 600, 200, 21)
+	ml, mr := modelOf(lt), modelOf(rt)
 	rng := rand.New(rand.NewSource(22))
 	for lName, lExec := range joinExecs(lt, 2) {
 		for rName, rExec := range joinExecs(rt, 2) {
@@ -111,7 +75,8 @@ func TestJoinMatchesOracleAcrossExecutors(t *testing.T) {
 						rPreds = []Predicate{{Attr: "v", Lo: rng.Int63n(300), Hi: 1000}}
 					}
 					sumSide := join.Side(q % 2)
-					wantCount, wantSum, wantPairs := oracleJoin(lt, rt, lPreds, rPreds, sumSide, "v")
+					wantPairs, joined := model.Join(ml, "k", ml.Rows(mp(lPreds)), mr, "k", mr.Rows(mp(rPreds)))
+					wantCount, wantSum := int64(len(wantPairs)), joined.Sum([]string{"l.v", "r.v"}[sumSide], nil)
 
 					j := lr.Join(rr, "k", "k", lPreds, rPreds)
 					n, err := j.Count()
@@ -140,11 +105,8 @@ func TestJoinMatchesOracleAcrossExecutors(t *testing.T) {
 						got[i] = [2]uint32{pl[i], pr[i]}
 					}
 					sortPairs(got)
-					sortPairs(wantPairs)
-					for i := range got {
-						if got[i] != wantPairs[i] {
-							t.Fatalf("q%d: pairs[%d] = %v, want %v", q, i, got[i], wantPairs[i])
-						}
+					if !slices.Equal(got, wantPairs) {
+						t.Fatalf("q%d: pairs differ from the model's", q)
 					}
 				}
 				strats := ob.Query.Snapshot().Strategies
@@ -168,9 +130,10 @@ func sortPairs(p [][2]uint32) {
 	})
 }
 
-// TestJoinGroupedMatchesOracle checks the join→group pipeline at the
-// runner level: group by a left attribute, count and sum a right one.
-func TestJoinGroupedMatchesOracle(t *testing.T) {
+// TestJoinGroupedMatchesModel checks the join→group pipeline at the
+// runner level: group by the left join key, count and sum a right
+// attribute.
+func TestJoinGroupedMatchesModel(t *testing.T) {
 	lt, rt := joinFixture(t, 500, 80, 31)
 	lExec := engine.NewAdaptiveExecutor(lt, cracking.Config{WithRows: true}, "")
 	rExec := engine.NewOfflineExecutor(rt, 2)
@@ -180,18 +143,9 @@ func TestJoinGroupedMatchesOracle(t *testing.T) {
 	rr := New(rt, rExec, 2)
 
 	lPreds := []Predicate{{Attr: "v", Lo: 100, Hi: 900}}
-	_, _, pairs := oracleJoin(lt, rt, lPreds, nil, join.Left, "")
-	rw := rt.Column("v").Values()
-	wantCnt := map[int64]int64{}
-	wantSum := map[int64]int64{}
-	// Group by the join key itself (left side), summing the right
-	// payload.
-	lk := lt.Column("k").Values()
-	for _, pr := range pairs {
-		g := lk[pr[0]]
-		wantCnt[g]++
-		wantSum[g] += rw[pr[1]]
-	}
+	ml, mr := modelOf(lt), modelOf(rt)
+	_, joined := model.Join(ml, "k", ml.Rows(mp(lPreds)), mr, "k", mr.Rows(nil))
+	wantKeys, wantAggs := joined.Group([]string{"l.k"}, []model.Agg{{Kind: model.Count}, {Kind: model.Sum, Attr: "r.v"}}, joined.Rows(nil))
 
 	res, err := lr.Join(rr, "k", "k", lPreds, nil).Grouped(
 		[]GroupKey{{Side: join.Left, Attr: "k"}},
@@ -200,14 +154,8 @@ func TestJoinGroupedMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != len(wantCnt) {
-		t.Fatalf("groups = %d, want %d", res.Len(), len(wantCnt))
-	}
-	for g := 0; g < res.Len(); g++ {
-		k := res.Keys[0][g]
-		if res.Aggs[0][g] != wantCnt[k] || res.Aggs[1][g] != wantSum[k] {
-			t.Fatalf("group %d: (%d,%d), want (%d,%d)", k, res.Aggs[0][g], res.Aggs[1][g], wantCnt[k], wantSum[k])
-		}
+	if !slices.EqualFunc(res.Keys, wantKeys, slices.Equal) || !slices.EqualFunc(res.Aggs, wantAggs, slices.Equal) {
+		t.Fatalf("%d groups, model %d, or different ones", res.Len(), len(wantKeys[0]))
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"holistic/internal/cracking"
 	"holistic/internal/engine"
 	"holistic/internal/groupby"
-	"holistic/internal/join"
+	"holistic/internal/model"
 	"holistic/internal/obs"
 	"holistic/internal/obs/observer"
 )
@@ -23,25 +23,14 @@ func observed(r *Runner) *observer.Observer {
 	return ob
 }
 
-// conjOracle counts the rows satisfying one conjunct by brute force.
-func conjOracle(col []int64, lo, hi int64) int64 {
-	var n int64
-	for _, v := range col {
-		if v >= lo && v < hi {
-			n++
-		}
-	}
-	return n
-}
-
 // TestExplainDifferentialAllModes: in every executor mode, ExplainCount
 // must report per-conjunct estimated and actual selectivities where the
-// actuals match the brute-force oracle exactly, plus a representation
+// actuals match the model exactly, plus a representation
 // choice with a reason.
 func TestExplainDifferentialAllModes(t *testing.T) {
 	const domain = 1 << 12
-	tab, cols := buildTable(3, 6000, domain, 29)
-	colIdx := map[string]int{"a": 0, "b": 1, "c": 2}
+	tab := buildTable(3, 6000, domain, 29)
+	m := modelOf(tab)
 	execs := allModeExecutors(t, tab)
 	preds := []Predicate{
 		{Attr: "a", Lo: 0, Hi: domain / 2},
@@ -74,9 +63,9 @@ func TestExplainDifferentialAllModes(t *testing.T) {
 				if c.EstRows <= 0 {
 					t.Errorf("conjunct %s: estimated rows %.1f, want > 0", c.Attr, c.EstRows)
 				}
-				want := conjOracle(cols[colIdx[c.Attr]], c.Lo, c.Hi)
-				if c.ActualRows != want {
-					t.Errorf("conjunct %s: actual rows %d, want oracle %d", c.Attr, c.ActualRows, want)
+				want := m.Count([]model.Pred{{Attr: c.Attr, Lo: c.Lo, Hi: c.Hi}})
+				if c.ActualRows != int64(want) {
+					t.Errorf("conjunct %s: actual rows %d, model %d", c.Attr, c.ActualRows, want)
 				}
 				if c.Driving {
 					driving++
@@ -108,7 +97,7 @@ func TestExplainDifferentialAllModes(t *testing.T) {
 // grouping strategy and the reason it was picked, and the metrics
 // aggregate records the same strategy.
 func TestExplainGroupedStrategy(t *testing.T) {
-	tab, _ := buildTable(3, 4000, 1<<12, 31)
+	tab := buildTable(3, 4000, 1<<12, 31)
 	// Key attribute with a tiny domain so the dense path is available.
 	keyVals := make([]int64, 4000)
 	rng := rand.New(rand.NewSource(7))
@@ -144,7 +133,7 @@ func TestExplainGroupedStrategy(t *testing.T) {
 }
 
 // TestExplainJoin: the join Explain carries side-scoped conjuncts with
-// oracle-checked actuals and reports hash versus merge with a reason:
+// model-checked actuals and reports hash versus merge with a reason:
 // adaptive sides, whose join keys were never cracked, hash; offline
 // sides, sorted on demand, merge.
 func TestExplainJoin(t *testing.T) {
@@ -170,9 +159,10 @@ func TestExplainJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, _ := oracleJoin(lt, rt, lPreds, rPreds, join.Left, "")
-			if n != want {
-				t.Fatalf("join count %d, want oracle %d", n, want)
+			ml, mr := modelOf(lt), modelOf(rt)
+			pairs, _ := model.Join(ml, "k", ml.Rows(mp(lPreds)), mr, "k", mr.Rows(mp(rPreds)))
+			if n != int64(len(pairs)) {
+				t.Fatalf("join count %d, model %d", n, len(pairs))
 			}
 			if tr.Strategy != strategy {
 				t.Fatalf("join strategy %q, want %s", tr.Strategy, strategy)
@@ -183,13 +173,11 @@ func TestExplainJoin(t *testing.T) {
 			sides := map[string]bool{}
 			for _, c := range tr.Conjuncts {
 				sides[c.Side] = true
-				var col []int64
+				side := mr
 				if c.Side == "left" {
-					col = lt.Column(c.Attr).Values()
-				} else {
-					col = rt.Column(c.Attr).Values()
+					side = ml
 				}
-				if wantN := conjOracle(col, c.Lo, c.Hi); c.ActualRows != wantN {
+				if wantN := side.Count([]model.Pred{{Attr: c.Attr, Lo: c.Lo, Hi: c.Hi}}); c.ActualRows != int64(wantN) {
 					t.Errorf("%s conjunct %s: actual %d, want %d", c.Side, c.Attr, c.ActualRows, wantN)
 				}
 			}
@@ -208,7 +196,7 @@ func TestSteadyStateCountMetricsAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
 	const domain = 1 << 16
-	tab, _ := buildTable(3, 1<<15, domain, 23)
+	tab := buildTable(3, 1<<15, domain, 23)
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	ob := observed(r)
 	preds := []Predicate{
@@ -236,7 +224,7 @@ func TestSteadyStateCountMetricsAllocationFree(t *testing.T) {
 // emits one trace, and detaching stops the flow.
 func TestTraceSinkReceivesQueries(t *testing.T) {
 	const domain = 1 << 12
-	tab, _ := buildTable(2, 2000, domain, 19)
+	tab := buildTable(2, 2000, domain, 19)
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	ob := observed(r)
 	var sink captureSink
@@ -288,7 +276,7 @@ func TestSteadyStateCountFlightAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
 	const domain = 1 << 16
-	tab, _ := buildTable(3, 1<<15, domain, 23)
+	tab := buildTable(3, 1<<15, domain, 23)
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	fr := observed(r).Flight
 	preds := []Predicate{
@@ -322,7 +310,7 @@ func TestSteadyStateCountEconAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
 	const domain = 1 << 16
-	tab, _ := buildTable(3, 1<<15, domain, 23)
+	tab := buildTable(3, 1<<15, domain, 23)
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	ec := &observed(r).Econ
 	preds := []Predicate{

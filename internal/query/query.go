@@ -50,7 +50,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -282,15 +281,14 @@ func (r *Runner) planScratch(sc *scratch, preds []Predicate) (empty bool, err er
 }
 
 // chooseRep applies the crossover rule to the planned query in sc:
-// bitmaps pay off only when the driving conjunct is dense and there
-// is at least one residual conjunct to intersect. The reason is a static
-// string for the trace — the numbers it refers to travel as trace stats.
+// bitmaps pay off when the driving conjunct is dense, whether or not a
+// residual conjunct is left to intersect — a single conjunct's rows come
+// out of a bitmap ascending, where a position list off a cracker needs a
+// sort. The reason is a static string for the trace — the numbers it
+// refers to travel as trace stats.
 //
 //holistic:noalloc
 func (r *Runner) chooseRep(sc *scratch) (obs.Rep, string) {
-	if len(sc.preds) < 2 {
-		return obs.RepPosList, "single conjunct: nothing to intersect"
-	}
 	rows := float64(r.table.Rows())
 	if rows <= 0 {
 		return obs.RepPosList, "empty relation"
@@ -419,7 +417,6 @@ var nativeReason = [obs.NumOps]string{
 	obs.OpCount:  "single conjunct answered by the mode's native count",
 	obs.OpSum:    "single conjunct on the aggregated attribute: native sum pushdown",
 	obs.OpMinMax: "single conjunct on the probed attribute: native minmax pushdown",
-	obs.OpRows:   "single conjunct materialized by the mode's native row select",
 }
 
 // run is every terminal between its argument checks and its return:
@@ -449,8 +446,10 @@ func (r *Runner) answer(sc *scratch, preds []Predicate, w want) (want, error) {
 		return w, err
 	}
 	// A single conjunct needs no selection vector where the mode has a
-	// terminal of its own for it: a count or a row list always, a fold
-	// when it is over the conjunct's own attribute.
+	// terminal of its own for it: a count always, a fold when it is over
+	// the conjunct's own attribute. A row list is not among them: a
+	// cracker hands its rows over in piece order, and sorting them costs
+	// more than a bitmap, which comes out ascending.
 	if p := sc.preds[0]; len(sc.preds) == 1 && nativeReason[w.op] != "" && (w.attr == "" || w.attr == p.Attr) {
 		return r.native(sc, p, w)
 	}
@@ -507,10 +506,6 @@ func (r *Runner) native(sc *scratch, p Predicate, w want) (want, error) {
 		var n int
 		n, err = r.exec.Count(p.Attr, p.Lo, p.Hi)
 		w.n = int64(n)
-	case obs.OpRows:
-		w.rows, err = r.exec.SelectRows(p.Attr, p.Lo, p.Hi)
-		slices.Sort(w.rows)
-		w.n = int64(len(w.rows))
 	}
 	if err == nil { // the terminals that know their cardinality report it
 		tr.SetCum(0, w.n)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,48 +12,41 @@ import (
 	"holistic/internal/cracking"
 	"holistic/internal/engine"
 	"holistic/internal/holistic"
+	"holistic/internal/model"
 	"holistic/internal/obs"
 )
 
-// buildTable returns a table of `attrs` uniform columns over [0, domain)
-// plus the raw slices for oracle checks.
-func buildTable(attrs, rows int, domain int64, seed int64) (*engine.Table, [][]int64) {
+// buildTable returns a table of `attrs` uniform columns over [0, domain).
+func buildTable(attrs, rows int, domain int64, seed int64) *engine.Table {
 	t := engine.NewTable("R")
-	cols := make([][]int64, attrs)
 	rng := rand.New(rand.NewSource(seed))
-	names := []string{"a", "b", "c", "d"}
-	for i := 0; i < attrs; i++ {
+	for _, name := range []string{"a", "b", "c", "d"}[:attrs] {
 		vals := make([]int64, rows)
 		for j := range vals {
 			vals[j] = rng.Int63n(domain)
 		}
-		cols[i] = vals
-		t.MustAddColumn(column.New(names[i], vals))
+		t.MustAddColumn(column.New(name, vals))
 	}
-	return t, cols
+	return t
 }
 
-// oracle computes the qualifying row set by brute force.
-func oracle(cols [][]int64, names map[string]int, preds []Predicate) []uint32 {
-	if len(preds) == 0 {
-		return nil
+// modelOf is the reference for tab: its columns as they stand.
+func modelOf(tab *engine.Table) *model.Table {
+	var cols [][]int64
+	for _, name := range tab.ColumnNames() {
+		cols = append(cols, tab.Column(name).Values())
 	}
-	n := len(cols[0])
-	var out []uint32
-rows:
-	for i := 0; i < n; i++ {
-		for _, p := range preds {
-			v := cols[names[p.Attr]][i]
-			if v < p.Lo || v >= p.Hi {
-				continue rows
-			}
-		}
-		out = append(out, uint32(i))
+	return model.New(tab.ColumnNames(), cols...)
+}
+
+// mp converts predicates for the model.
+func mp(preds []Predicate) []model.Pred {
+	out := make([]model.Pred, len(preds))
+	for i, p := range preds {
+		out[i] = model.Pred(p)
 	}
 	return out
 }
-
-var names = map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
 
 // planOrder returns the conjunct order and estimates the pipeline really
 // runs with, as ExplainCount reports them.
@@ -72,7 +66,7 @@ func planOrder(t *testing.T, r *Runner, preds []Predicate) (order []string, ests
 }
 
 func TestPlanOrdersBySelectivity(t *testing.T) {
-	tab, _ := buildTable(3, 5000, 1000, 1)
+	tab := buildTable(3, 5000, 1000, 1)
 	off := engine.NewOfflineExecutor(tab, 1)
 	off.PrepareAll()
 	r := New(tab, off, 2)
@@ -91,7 +85,7 @@ func TestPlanOrdersBySelectivity(t *testing.T) {
 }
 
 func TestPlanUniformFallback(t *testing.T) {
-	tab, _ := buildTable(2, 2000, 1<<20, 2)
+	tab := buildTable(2, 2000, 1<<20, 2)
 	r := New(tab, engine.NewScanExecutor(tab, 2), 2)
 	order, _ := planOrder(t, r, []Predicate{
 		{Attr: "a", Lo: 0, Hi: 1 << 19}, // half the domain
@@ -103,7 +97,7 @@ func TestPlanUniformFallback(t *testing.T) {
 }
 
 func TestNormalizeIntersectsDuplicates(t *testing.T) {
-	tab, cols := buildTable(2, 3000, 1000, 3)
+	tab := buildTable(2, 3000, 1000, 3)
 	r := New(tab, engine.NewScanExecutor(tab, 2), 2)
 	got, err := r.Count([]Predicate{
 		{Attr: "a", Lo: 100, Hi: 700},
@@ -113,7 +107,7 @@ func TestNormalizeIntersectsDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(oracle(cols, names, []Predicate{{Attr: "a", Lo: 300, Hi: 700}, {Attr: "b", Lo: 0, Hi: 500}}))
+	want := modelOf(tab).Count([]model.Pred{{Attr: "a", Lo: 300, Hi: 700}, {Attr: "b", Lo: 0, Hi: 500}})
 	if got != want {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
@@ -124,7 +118,7 @@ func TestNormalizeIntersectsDuplicates(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	tab, _ := buildTable(1, 100, 1000, 4)
+	tab := buildTable(1, 100, 1000, 4)
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	if _, err := r.Count(nil); err != ErrNoPredicates {
 		t.Errorf("Count() err = %v, want ErrNoPredicates", err)
@@ -137,104 +131,6 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := r.Values(nil, []Predicate{{Attr: "a", Lo: 0, Hi: 1}}); err == nil {
 		t.Error("Values without attributes did not error")
-	}
-}
-
-// TestConjunctionMatchesOracle runs randomized conjunctions through the
-// scan and adaptive access paths and checks all four query forms.
-func TestConjunctionMatchesOracle(t *testing.T) {
-	const domain = 1 << 12
-	tab, cols := buildTable(4, 6000, domain, 5)
-	execs := map[string]*engine.Executor{
-		"scan":     engine.NewScanExecutor(tab, 2),
-		"adaptive": engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, ""),
-	}
-	attrNames := []string{"a", "b", "c", "d"}
-	for label, exec := range execs {
-		t.Run(label, func(t *testing.T) {
-			r := New(tab, exec, 2)
-			rng := rand.New(rand.NewSource(7))
-			for q := 0; q < 40; q++ {
-				k := 2 + rng.Intn(3)
-				perm := rng.Perm(4)
-				preds := make([]Predicate, k)
-				for i := 0; i < k; i++ {
-					lo := rng.Int63n(domain)
-					preds[i] = Predicate{Attr: attrNames[perm[i]], Lo: lo, Hi: lo + rng.Int63n(domain-lo) + 1}
-				}
-				want := oracle(cols, names, preds)
-
-				n, err := r.Count(preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != len(want) {
-					t.Fatalf("query %d: count = %d, want %d (%v)", q, n, len(want), preds)
-				}
-
-				rows, err := r.Rows(preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rows) != len(want) {
-					t.Fatalf("query %d: %d rows, want %d", q, len(rows), len(want))
-				}
-				for i := range rows {
-					if rows[i] != want[i] {
-						t.Fatalf("query %d: rows[%d] = %d, want %d", q, i, rows[i], want[i])
-					}
-				}
-
-				sumAttr := attrNames[rng.Intn(4)]
-				sum, err := r.Sum(sumAttr, preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wantSum int64
-				for _, row := range want {
-					wantSum += cols[names[sumAttr]][row]
-				}
-				if sum != wantSum {
-					t.Fatalf("query %d: sum(%s) = %d, want %d", q, sumAttr, sum, wantSum)
-				}
-
-				vals, err := r.Values([]string{"a", sumAttr}, preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(vals) != 2 || len(vals[0]) != len(want) {
-					t.Fatalf("query %d: Values shape %d/%d, want 2/%d", q, len(vals), len(vals[0]), len(want))
-				}
-				for i, row := range want {
-					if vals[0][i] != cols[0][row] || vals[1][i] != cols[names[sumAttr]][row] {
-						t.Fatalf("query %d: Values[%d] mismatch", q, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSinglePredicateFastPaths: one conjunct behaves exactly like the
-// executor's native forms.
-func TestSinglePredicateFastPaths(t *testing.T) {
-	tab, cols := buildTable(2, 4000, 1000, 6)
-	r := New(tab, engine.NewScanExecutor(tab, 2), 2)
-	preds := []Predicate{{Attr: "b", Lo: 200, Hi: 600}}
-	want := oracle(cols, names, preds)
-	if n, err := r.Count(preds); err != nil || n != len(want) {
-		t.Fatalf("Count = (%d, %v), want %d", n, err, len(want))
-	}
-	var wantSum int64
-	for _, row := range want {
-		wantSum += cols[1][row]
-	}
-	if s, err := r.Sum("b", preds); err != nil || s != wantSum {
-		t.Fatalf("Sum = (%d, %v), want %d", s, err, wantSum)
-	}
-	rows, err := r.Rows(preds)
-	if err != nil || len(rows) != len(want) {
-		t.Fatalf("Rows = (%d rows, %v), want %d", len(rows), err, len(want))
 	}
 }
 
@@ -262,11 +158,12 @@ func allModeExecutors(t *testing.T, tab *engine.Table) map[string]*engine.Execut
 // TestRepresentationsAgreeAllModes is the representation differential
 // test: for every executor mode, randomized conjunctions — every other
 // one driven by a conjunct kept at 1% or 50% of the domain, so the
-// crossover picks each representation — must return the oracle's result
+// crossover picks each representation — must return the model's result
 // for every query form, and both representations must have run.
 func TestRepresentationsAgreeAllModes(t *testing.T) {
 	const domain = 1 << 12
-	tab, cols := buildTable(4, 6000, domain, 15)
+	tab := buildTable(4, 6000, domain, 15)
+	m := modelOf(tab)
 	execs := allModeExecutors(t, tab)
 	attrNames := []string{"a", "b", "c", "d"}
 	for label, exec := range execs {
@@ -291,51 +188,7 @@ func TestRepresentationsAgreeAllModes(t *testing.T) {
 						preds[i].Lo, preds[i].Hi = preds[i].Lo/8, domain
 					}
 				}
-				want := oracle(cols, names, preds)
-				sumAttr := attrNames[rng.Intn(4)]
-				var wantSum int64
-				for _, row := range want {
-					wantSum += cols[names[sumAttr]][row]
-				}
-
-				n, err := r.Count(preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != len(want) {
-					t.Fatalf("query %d: count = %d, want %d (%v)", q, n, len(want), preds)
-				}
-				rows, err := r.Rows(preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rows) != len(want) {
-					t.Fatalf("query %d: %d rows, want %d", q, len(rows), len(want))
-				}
-				for i := range rows {
-					if rows[i] != want[i] {
-						t.Fatalf("query %d: rows[%d] = %d, want %d", q, i, rows[i], want[i])
-					}
-				}
-				sum, err := r.Sum(sumAttr, preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sum != wantSum {
-					t.Fatalf("query %d: sum(%s) = %d, want %d", q, sumAttr, sum, wantSum)
-				}
-				vals, err := r.Values([]string{sumAttr}, preds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(vals[0]) != len(want) {
-					t.Fatalf("query %d: Values len %d, want %d", q, len(vals[0]), len(want))
-				}
-				for i, row := range want {
-					if vals[0][i] != cols[names[sumAttr]][row] {
-						t.Fatalf("query %d: Values[%d] mismatch", q, i)
-					}
-				}
+				checkTerminals(t, fmt.Sprintf("query %d", q), r, m, preds, attrNames[rng.Intn(4)])
 			}
 			reps := ob.Query.Snapshot().Representations
 			if reps["poslist"] == 0 || reps["bitmap"] == 0 {
@@ -349,7 +202,7 @@ func TestRepresentationsAgreeAllModes(t *testing.T) {
 // the driving conjunct's estimated selectivity against the crossover.
 func TestChooseBitmapCrossover(t *testing.T) {
 	const domain = 1 << 20
-	tab, _ := buildTable(2, 10_000, domain, 19)
+	tab := buildTable(2, 10_000, domain, 19)
 	r := New(tab, engine.NewScanExecutor(tab, 2), 2)
 	sc := r.getScratch()
 	defer r.putScratch(sc)
@@ -393,8 +246,10 @@ func TestChooseBitmapCrossover(t *testing.T) {
 	if empty, err := r.planScratch(sc, single); err != nil || empty {
 		t.Fatal(err)
 	}
-	if chooseBitmap(sc) {
-		t.Error("single conjunct chose bitmap")
+	// A dense single conjunct takes the bitmap too: its rows come out
+	// ascending, with no sort.
+	if !chooseBitmap(sc) {
+		t.Error("dense single conjunct did not choose bitmap")
 	}
 }
 
@@ -406,7 +261,7 @@ func TestSteadyStateCountSumAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
 	const domain = 1 << 16
-	tab, _ := buildTable(3, 1<<15, domain, 23)
+	tab := buildTable(3, 1<<15, domain, 23)
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	preds := []Predicate{
 		{Attr: "a", Lo: 0, Hi: domain / 2},

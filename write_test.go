@@ -11,67 +11,33 @@ import (
 	"time"
 
 	"holistic/internal/durable"
+	"holistic/internal/model"
 )
 
-// rowShadow is one attribute as the store must present it: the value of
-// every row that has one. Its victim rule is the front-to-back scan the
-// write path used to run — "the lowest row id currently holding v".
-type rowShadow struct {
-	vals []int64
-	live []bool
-}
-
-func newRowShadow(base []int64) *rowShadow {
-	s := &rowShadow{vals: slices.Clone(base), live: make([]bool, len(base))}
-	for i := range s.live {
-		s.live[i] = true
+// applyModel plays op on the model and returns the error text the store
+// must give when the value is in no row: the victim rule is the
+// front-to-back scan the write path used to run — "the lowest row id
+// currently holding v".
+func (op scriptOp) applyModel(m *model.Table) (missing string) {
+	var err error
+	switch op.kind {
+	case 'i':
+		err = m.Insert(op.attr, op.a)
+	case 'd':
+		err = m.Delete(op.attr, op.a)
+	default:
+		err = m.Update(op.attr, op.a, op.b)
 	}
-	return s
-}
-
-func (s *rowShadow) victim(v int64) (int, bool) {
-	for row, x := range s.vals {
-		if s.live[row] && x == v {
-			return row, true
-		}
-	}
-	return 0, false
-}
-
-func (s *rowShadow) rows(lo, hi int64) (rows []uint32) {
-	for row, x := range s.vals {
-		if s.live[row] && x >= lo && x < hi {
-			rows = append(rows, uint32(row))
-		}
-	}
-	return rows
-}
-
-// applyShadow plays op on the shadow and returns the error text the
-// store must give when the value is in no row.
-func (op scriptOp) applyShadow(sh *rowShadow) (missing string) {
-	if op.kind == 'i' {
-		sh.vals, sh.live = append(sh.vals, op.a), append(sh.live, true)
+	if err == nil {
 		return ""
 	}
-	row, ok := sh.victim(op.a)
-	switch {
-	case !ok && op.kind == 'd':
-		return fmt.Sprintf("engine: delete %s = %d: no such value", op.attr, op.a)
-	case !ok:
-		return fmt.Sprintf("engine: update %s = %d: no such value", op.attr, op.a)
-	case op.kind == 'd':
-		sh.live[row] = false
-	default:
-		sh.vals[row] = op.b
-	}
-	return ""
+	return fmt.Sprintf("engine: %s %s = %d: no such value", map[byte]string{'d': "delete", 'u': "update"}[op.kind], op.attr, op.a)
 }
 
-// checkAttr compares what the store answers for attr with the shadow:
+// checkAttr compares what the store answers for attr with the model:
 // the rows of a few ranges (which name the row every write picked) or,
 // without row ids, their counts.
-func checkAttr(t *testing.T, tag string, s *Store, attr string, sh *rowShadow, rng *rand.Rand, pool []int64) {
+func checkAttr(t *testing.T, tag string, s *Store, attr string, m *model.Table, rng *rand.Rand, pool []int64) {
 	t.Helper()
 	ranges := [][2]int64{{math.MinInt64, math.MaxInt64}}
 	for i := 0; i < 3; i++ {
@@ -79,7 +45,7 @@ func checkAttr(t *testing.T, tag string, s *Store, attr string, sh *rowShadow, r
 		ranges = append(ranges, [2]int64{min(lo, hi), max(lo, hi)}, [2]int64{lo, lo + 1})
 	}
 	for _, r := range ranges {
-		want := sh.rows(r[0], r[1])
+		want := m.Rows([]model.Pred{{Attr: attr, Lo: r[0], Hi: r[1]}})
 		n, err := s.CountRange(attr, r[0], r[1])
 		if err != nil || n != len(want) {
 			t.Fatalf("%s: CountRange(%s, %d, %d) = %d, %v; want %d", tag, attr, r[0], r[1], n, err, len(want))
@@ -139,28 +105,28 @@ func TestWriteVictimStoreSession(t *testing.T) {
 			}
 			s := open()
 			defer func() { s.Close() }()
-			shadows := map[string]*rowShadow{}
+			var bases [][]int64
 			for _, attr := range []string{"a", "b"} {
-				base := draw(rng, pools[attr], 400)
-				shadows[attr] = newRowShadow(base)
-				if err := s.AddIntColumn(attr, base); err != nil {
+				bases = append(bases, draw(rng, pools[attr], 400))
+				if err := s.AddIntColumn(attr, bases[len(bases)-1]); err != nil {
 					t.Fatal(err)
 				}
 			}
+			m := model.New([]string{"a", "b"}, bases...)
 			for step := 0; step < 900; step++ {
 				attr := []string{"a", "b"}[rng.Intn(2)]
-				pool, sh := pools[attr], shadows[attr]
+				pool := pools[attr]
 				pick := func() int64 { return pool[rng.Intn(len(pool))] }
 				tag := fmt.Sprintf("step %d", step)
 				switch r := rng.Intn(100); {
 				case r < 75:
 					op := scriptOp{kind: "iddduuu"[rng.Intn(7)], attr: attr, a: pick(), b: pick()}
-					missing, err := op.applyShadow(sh), op.apply(s)
+					missing, err := op.applyModel(m), op.apply(s)
 					if (missing == "") != (err == nil) || err != nil && err.Error() != missing {
 						t.Fatalf("%s: %c %s %d: error %v, want %q", tag, op.kind, attr, op.a, err, missing)
 					}
 				case r < 95:
-					checkAttr(t, tag, s, attr, sh, rng, pool)
+					checkAttr(t, tag, s, attr, m, rng, pool)
 				case r < 97 && v.durable:
 					if err := s.Checkpoint(); err != nil {
 						t.Fatal(err)
@@ -173,12 +139,12 @@ func TestWriteVictimStoreSession(t *testing.T) {
 					fs.Crash()
 					s = open()
 					for _, attr := range []string{"a", "b"} {
-						checkAttr(t, tag+" after replay", s, attr, shadows[attr], rng, pools[attr])
+						checkAttr(t, tag+" after replay", s, attr, m, rng, pools[attr])
 					}
 				}
 			}
 			for _, attr := range []string{"a", "b"} {
-				checkAttr(t, "end", s, attr, shadows[attr], rng, pools[attr])
+				checkAttr(t, "end", s, attr, m, rng, pools[attr])
 			}
 		})
 	}
@@ -253,7 +219,7 @@ func TestConcurrentWritesDeleteDistinctRows(t *testing.T) {
 
 // TestConcurrentWritesDifferential runs query goroutines against one
 // writer, explicit checkpoints and the daemon on a durable holistic
-// store, and holds every answer against a versioned shadow of the data:
+// store, and holds every answer against a versioned model of the data:
 // the writes are generated up front, so the multiset after each is known,
 // and a read that started after write s finished and ended before write e
 // began must answer as some state in between — exactly the state after s
@@ -271,9 +237,9 @@ func TestConcurrentWritesDifferential(t *testing.T) {
 	for i := range base {
 		base[i] = rng.Int63n(domain)
 	}
-	// Generate the writes against a shadow so each names a value some row
-	// holds, and record for every version the count and sum per value.
-	sh := newRowShadow(base)
+	// Generate the writes against the model so each names a value some
+	// row holds, and record for every version the count and sum per value.
+	m := model.New([]string{"a"}, base)
 	ops := make([]scriptOp, writes)
 	type hist struct{ count [domain]int32 }
 	versions := make([]hist, writes+1)
@@ -282,11 +248,9 @@ func TestConcurrentWritesDifferential(t *testing.T) {
 	}
 	for i := range ops {
 		held := func() int64 {
-			for {
-				if row := rng.Intn(len(sh.vals)); sh.live[row] {
-					return sh.vals[row]
-				}
-			}
+			rows := m.Rows(nil, "a")
+			v, _ := m.Get("a", rows[rng.Intn(len(rows))])
+			return v
 		}
 		switch rng.Intn(3) {
 		case 0:
@@ -296,7 +260,7 @@ func TestConcurrentWritesDifferential(t *testing.T) {
 		default:
 			ops[i] = scriptOp{kind: 'u', attr: "a", a: held(), b: rng.Int63n(domain)}
 		}
-		if missing := ops[i].applyShadow(sh); missing != "" {
+		if missing := ops[i].applyModel(m); missing != "" {
 			t.Fatal(missing)
 		}
 		versions[i+1] = versions[i]
@@ -426,8 +390,8 @@ func TestConcurrentWritesDifferential(t *testing.T) {
 		t.Helper()
 		rows, err := s.SelectRows("a", 0, domain)
 		slices.Sort(rows)
-		if want := sh.rows(0, domain); err != nil || !slices.Equal(rows, want) {
-			t.Fatalf("%s: %d rows (%v), the shadow holds %d, or other ones", tag, len(rows), err, len(want))
+		if want := m.Rows([]model.Pred{{Attr: "a", Lo: 0, Hi: domain}}); err != nil || !slices.Equal(rows, want) {
+			t.Fatalf("%s: %d rows (%v), the model holds %d, or other ones", tag, len(rows), err, len(want))
 		}
 		for v := int64(0); v < domain; v++ {
 			if n, _ := s.CountRange("a", v, v+1); n != int(versions[writes].count[v]) {
