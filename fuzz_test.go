@@ -23,7 +23,7 @@ import (
 //
 // Encoding. Three header bytes: domain (low bits pick 8, 64, 2^10, 2^20
 // or 2^40; the top bit puts MinInt64 and MaxInt64 into rows 0 and 1 of
-// every L column), rows (16 + 8·(b mod 64) in L, half as many in R) and
+// every L column), rows (16 + 8·(b mod 32) in L, half as many in R) and
 // the data seed. Then one op after another, its kind the first byte mod
 // numOps, its operands as decodeProgram reads them: an attribute is one
 // byte, a value two (a tag and x; a literal takes eight more). The
@@ -44,8 +44,13 @@ const (
 	numOps
 )
 
-// maxProgramOps bounds a program so one fuzz input stays milliseconds.
-const maxProgramOps = 48
+// A program's cost grows with its length, its rows and its daemon
+// cycles, and FuzzStore runs it fourteen times: these bounds keep one
+// fuzz input a few milliseconds. The longest seed program is 31 ops.
+const (
+	maxProgramOps = 32
+	maxIdleCycles = 8 // daemon cycles over all the idle ops of a program
+)
 
 // Value operand tags.
 const (
@@ -135,8 +140,9 @@ func decodeProgram(b []byte) program {
 	d := &decoder{b}
 	dom := d.next()
 	p := program{domain: domains[int(dom&0x7f)%len(domains)], extremes: dom&0x80 != 0}
-	p.rows = 16 + 8*int(d.next()%64)
+	p.rows = 16 + 8*int(d.next()%32)
 	p.seed = int64(d.next())
+	idle := maxIdleCycles
 	for len(d.b) > 0 && len(p.ops) < maxProgramOps {
 		o := storeOp{kind: int(d.next() % numOps)}
 		switch o.kind {
@@ -172,7 +178,8 @@ func decodeProgram(b []byte) program {
 			x := d.next()
 			o.k, o.torn = 1+int(x%64), x&0x80 != 0
 		case opIdle:
-			o.k = 1 + int(d.next()%4)
+			o.k = min(1+int(d.next()%4), idle)
+			idle -= o.k
 		}
 		p.ops = append(p.ops, o)
 	}
@@ -663,7 +670,7 @@ func TestStoreProgramClients(t *testing.T) {
 func cat(parts ...[]byte) []byte { return slices.Concat(parts...) }
 
 // prog is a program over data of domain class dom (an index into
-// domains, plus 0x80 for the extremes), 16 + 8·rows rows and seed.
+// domains, plus 0x80 for the extremes), 16 + 8·(rows mod 32) rows and seed.
 func prog(dom, rows, seed byte, ops ...[]byte) []byte {
 	return cat(append([][]byte{{dom, rows, seed}}, ops...)...)
 }

@@ -140,7 +140,9 @@ type Config struct {
 	// worker (default 16, the paper's sweet spot).
 	RefinementsPerWorker int
 	// StorageBudget bounds the materialized index space in bytes under
-	// ModeHolistic; 0 = unlimited. LFU indices are evicted to fit.
+	// ModeHolistic; 0 = unlimited. LFU indices are evicted to fit, and
+	// an evicted index is freed: the next touch rebuilds it from the base
+	// column and replays the attribute's pending updates into it.
 	StorageBudget int64
 	// Seed fixes all randomized choices for reproducibility.
 	Seed int64

@@ -2,10 +2,11 @@
 //
 // The tree is the backing structure of the cracker index (Section 3.2 of
 // the paper: "The partitioning information for each cracker column is
-// maintained in an AVL-tree"). Besides ordered insertion and deletion it
-// supports the navigation queries cracking needs: the greatest key not
-// larger than a probe (Floor) and the smallest key not smaller than a
-// probe (Ceiling), plus in-order traversal between bounds.
+// maintained in an AVL-tree"). Besides ordered insertion it supports the
+// navigation queries cracking needs — the greatest key not larger than a
+// probe (Floor, FloorWhere), the smallest key above one (Successor), the
+// smallest key (Min) — and in-order traversal, from the start or past a
+// probe. Pieces are never merged, so keys are never deleted.
 //
 // The implementation is not safe for concurrent use; callers synchronise
 // (the cracker index wraps the tree in a short-critical-section RWMutex).
@@ -25,7 +26,7 @@ type node struct {
 }
 
 // Tree is an ordered map from int64 keys to arbitrary values with
-// guaranteed O(log n) insert, delete and search.
+// guaranteed O(log n) insert and search.
 //
 // The zero value is an empty tree ready for use.
 type Tree struct {
@@ -126,45 +127,6 @@ func insert(n *node, key int64, value Value) (*node, bool) {
 	return rebalance(n), inserted
 }
 
-// Delete removes key from the tree, reporting whether it was present.
-func (t *Tree) Delete(key int64) bool {
-	var deleted bool
-	t.root, deleted = remove(t.root, key)
-	if deleted {
-		t.size--
-	}
-	return deleted
-}
-
-func remove(n *node, key int64) (*node, bool) {
-	if n == nil {
-		return nil, false
-	}
-	var deleted bool
-	switch {
-	case key < n.key:
-		n.left, deleted = remove(n.left, key)
-	case key > n.key:
-		n.right, deleted = remove(n.right, key)
-	default:
-		deleted = true
-		if n.left == nil {
-			return n.right, true
-		}
-		if n.right == nil {
-			return n.left, true
-		}
-		// Two children: replace with in-order successor.
-		succ := n.right
-		for succ.left != nil {
-			succ = succ.left
-		}
-		n.key, n.value = succ.key, succ.value
-		n.right, _ = remove(n.right, succ.key)
-	}
-	return rebalance(n), deleted
-}
-
 // Get returns the value stored under key and whether the key exists.
 func (t *Tree) Get(key int64) (Value, bool) {
 	n := t.root
@@ -199,24 +161,6 @@ func (t *Tree) Floor(probe int64) (key int64, value Value, ok bool) {
 	return key, value, ok
 }
 
-// Ceiling returns the smallest key >= probe and its value. ok is false
-// when every key in the tree is smaller than probe (or the tree is empty).
-func (t *Tree) Ceiling(probe int64) (key int64, value Value, ok bool) {
-	n := t.root
-	for n != nil {
-		switch {
-		case probe > n.key:
-			n = n.right
-		case probe < n.key:
-			key, value, ok = n.key, n.value, true
-			n = n.left
-		default:
-			return n.key, n.value, true
-		}
-	}
-	return key, value, ok
-}
-
 // Min returns the smallest key and its value; ok is false on an empty tree.
 func (t *Tree) Min() (key int64, value Value, ok bool) {
 	n := t.root
@@ -225,18 +169,6 @@ func (t *Tree) Min() (key int64, value Value, ok bool) {
 	}
 	for n.left != nil {
 		n = n.left
-	}
-	return n.key, n.value, true
-}
-
-// Max returns the largest key and its value; ok is false on an empty tree.
-func (t *Tree) Max() (key int64, value Value, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, nil, false
-	}
-	for n.right != nil {
-		n = n.right
 	}
 	return n.key, n.value, true
 }
@@ -250,20 +182,6 @@ func (t *Tree) Successor(probe int64) (key int64, value Value, ok bool) {
 			n = n.left
 		} else {
 			n = n.right
-		}
-	}
-	return key, value, ok
-}
-
-// Predecessor returns the largest key strictly smaller than probe.
-func (t *Tree) Predecessor(probe int64) (key int64, value Value, ok bool) {
-	n := t.root
-	for n != nil {
-		if probe > n.key {
-			key, value, ok = n.key, n.value, true
-			n = n.right
-		} else {
-			n = n.left
 		}
 	}
 	return key, value, ok
@@ -286,32 +204,6 @@ func ascend(n *node, fn func(int64, Value) bool) bool {
 		return false
 	}
 	return ascend(n.right, fn)
-}
-
-// AscendRange calls fn on every pair with lo <= key < hi in ascending
-// order until fn returns false.
-func (t *Tree) AscendRange(lo, hi int64, fn func(key int64, value Value) bool) {
-	ascendRange(t.root, lo, hi, fn)
-}
-
-func ascendRange(n *node, lo, hi int64, fn func(int64, Value) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.key >= lo {
-		if !ascendRange(n.left, lo, hi, fn) {
-			return false
-		}
-	}
-	if n.key >= lo && n.key < hi {
-		if !fn(n.key, n.value) {
-			return false
-		}
-	}
-	if n.key < hi {
-		return ascendRange(n.right, lo, hi, fn)
-	}
-	return true
 }
 
 // AscendAfter calls fn on every pair with key > probe in ascending order
@@ -356,21 +248,6 @@ func (t *Tree) FloorWhere(pred func(key int64, value Value) bool, visit func(key
 		visit(best.key, best.value)
 	}
 }
-
-// Keys returns all keys in ascending order. Intended for tests and
-// debugging; allocates a fresh slice.
-func (t *Tree) Keys() []int64 {
-	keys := make([]int64, 0, t.size)
-	t.Ascend(func(k int64, _ Value) bool {
-		keys = append(keys, k)
-		return true
-	})
-	return keys
-}
-
-// Height returns the height of the tree (0 for empty). Exposed for tests
-// asserting the AVL balance guarantee.
-func (t *Tree) Height() int { return int(height(t.root)) }
 
 // checkInvariants walks the tree verifying AVL balance and BST ordering.
 // It returns false on the first violation. Used by tests.

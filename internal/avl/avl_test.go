@@ -20,20 +20,11 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, ok := tr.Floor(5); ok {
 		t.Error("Floor on empty tree reported ok")
 	}
-	if _, _, ok := tr.Ceiling(5); ok {
-		t.Error("Ceiling on empty tree reported ok")
-	}
 	if _, _, ok := tr.Min(); ok {
 		t.Error("Min on empty tree reported ok")
 	}
-	if _, _, ok := tr.Max(); ok {
-		t.Error("Max on empty tree reported ok")
-	}
-	if tr.Delete(1) {
-		t.Error("Delete on empty tree reported true")
-	}
-	if tr.Height() != 0 {
-		t.Errorf("Height() = %d, want 0", tr.Height())
+	if _, _, ok := tr.Successor(5); ok {
+		t.Error("Successor on empty tree reported ok")
 	}
 }
 
@@ -73,58 +64,30 @@ func TestInsertReplaces(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New()
-	keys := []int64{50, 30, 70, 20, 40, 60, 80, 10, 25, 35, 45}
-	for _, k := range keys {
-		tr.Insert(k, k)
-	}
-	for i, k := range keys {
-		if !tr.Delete(k) {
-			t.Fatalf("Delete(%d) reported absent", k)
-		}
-		if tr.Delete(k) {
-			t.Fatalf("second Delete(%d) reported present", k)
-		}
-		if !tr.checkInvariants() {
-			t.Fatalf("invariants violated after deleting %d", k)
-		}
-		if got, want := tr.Len(), len(keys)-i-1; got != want {
-			t.Fatalf("Len() = %d, want %d", got, want)
-		}
-	}
-}
-
-func TestFloorCeiling(t *testing.T) {
+func TestFloor(t *testing.T) {
 	tr := New()
 	for _, k := range []int64{10, 20, 30, 40} {
 		tr.Insert(k, k)
 	}
 	cases := []struct {
-		probe           int64
-		floor, ceiling  int64
-		floorOK, ceilOK bool
+		probe, floor int64
+		ok           bool
 	}{
-		{5, 0, 10, false, true},
-		{10, 10, 10, true, true},
-		{15, 10, 20, true, true},
-		{25, 20, 30, true, true},
-		{40, 40, 40, true, true},
-		{45, 40, 0, true, false},
+		{5, 0, false},
+		{10, 10, true},
+		{15, 10, true},
+		{25, 20, true},
+		{40, 40, true},
+		{45, 40, true},
 	}
 	for _, c := range cases {
-		fk, _, fok := tr.Floor(c.probe)
-		if fok != c.floorOK || (fok && fk != c.floor) {
-			t.Errorf("Floor(%d) = %d,%v; want %d,%v", c.probe, fk, fok, c.floor, c.floorOK)
-		}
-		ck, _, cok := tr.Ceiling(c.probe)
-		if cok != c.ceilOK || (cok && ck != c.ceiling) {
-			t.Errorf("Ceiling(%d) = %d,%v; want %d,%v", c.probe, ck, cok, c.ceiling, c.ceilOK)
+		if k, _, ok := tr.Floor(c.probe); ok != c.ok || (ok && k != c.floor) {
+			t.Errorf("Floor(%d) = %d,%v; want %d,%v", c.probe, k, ok, c.floor, c.ok)
 		}
 	}
 }
 
-func TestSuccessorPredecessor(t *testing.T) {
+func TestSuccessor(t *testing.T) {
 	tr := New()
 	for _, k := range []int64{10, 20, 30} {
 		tr.Insert(k, k)
@@ -138,27 +101,15 @@ func TestSuccessorPredecessor(t *testing.T) {
 	if _, _, ok := tr.Successor(30); ok {
 		t.Error("Successor(30) reported ok past max")
 	}
-	if k, _, ok := tr.Predecessor(30); !ok || k != 20 {
-		t.Errorf("Predecessor(30) = %d,%v; want 20,true", k, ok)
-	}
-	if k, _, ok := tr.Predecessor(35); !ok || k != 30 {
-		t.Errorf("Predecessor(35) = %d,%v; want 30,true", k, ok)
-	}
-	if _, _, ok := tr.Predecessor(10); ok {
-		t.Error("Predecessor(10) reported ok below min")
-	}
 }
 
-func TestMinMax(t *testing.T) {
+func TestMin(t *testing.T) {
 	tr := New()
 	for _, k := range []int64{42, 7, 99, -3} {
 		tr.Insert(k, k)
 	}
 	if k, _, ok := tr.Min(); !ok || k != -3 {
 		t.Errorf("Min() = %d,%v; want -3,true", k, ok)
-	}
-	if k, _, ok := tr.Max(); !ok || k != 99 {
-		t.Errorf("Max() = %d,%v; want 99,true", k, ok)
 	}
 }
 
@@ -168,12 +119,16 @@ func TestAscendOrder(t *testing.T) {
 	for _, k := range perm {
 		tr.Insert(int64(k), k)
 	}
-	keys := tr.Keys()
+	var keys []int64
+	tr.Ascend(func(k int64, _ Value) bool {
+		keys = append(keys, k)
+		return true
+	})
 	if len(keys) != 500 {
-		t.Fatalf("len(Keys()) = %d, want 500", len(keys))
+		t.Fatalf("Ascend visited %d keys, want 500", len(keys))
 	}
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatal("Keys() not sorted ascending")
+		t.Fatal("Ascend not in ascending key order")
 	}
 }
 
@@ -189,27 +144,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	})
 	if visited != 5 {
 		t.Fatalf("visited %d nodes, want 5 (stops when key 4 returns false)", visited)
-	}
-}
-
-func TestAscendRange(t *testing.T) {
-	tr := New()
-	for i := int64(0); i < 20; i++ {
-		tr.Insert(i*10, i)
-	}
-	var got []int64
-	tr.AscendRange(35, 90, func(k int64, _ Value) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int64{40, 50, 60, 70, 80}
-	if len(got) != len(want) {
-		t.Fatalf("AscendRange returned %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AscendRange returned %v, want %v", got, want)
-		}
 	}
 }
 
@@ -255,31 +189,20 @@ func TestBalanceHeightBound(t *testing.T) {
 	if !tr.checkInvariants() {
 		t.Fatal("invariants violated after sequential insertion")
 	}
-	if h := tr.Height(); h > 21 { // 1.44*log2(2^14) ~ 20.2
-		t.Fatalf("Height() = %d exceeds AVL bound for n=%d", h, n)
+	if h := height(tr.root); h > 21 { // 1.44*log2(2^14) ~ 20.2
+		t.Fatalf("height %d exceeds AVL bound for n=%d", h, n)
 	}
 }
 
-// modelOp is a randomized operation applied to both the tree and a
-// reference map in the property test below.
-type modelOp struct {
-	Insert bool
-	Key    int16 // small domain to force collisions and deletions of present keys
-}
-
 func TestQuickTreeMatchesReferenceModel(t *testing.T) {
-	check := func(ops []modelOp) bool {
+	// int16 keys: a small domain forces replacing inserts of present keys.
+	check := func(ops []int16) bool {
 		tr := New()
 		ref := map[int64]int64{}
 		for i, op := range ops {
-			k := int64(op.Key)
-			if op.Insert {
-				tr.Insert(k, int64(i))
-				ref[k] = int64(i)
-			} else {
-				delete(ref, k)
-				tr.Delete(k)
-			}
+			k := int64(op)
+			tr.Insert(k, int64(i))
+			ref[k] = int64(i)
 		}
 		if tr.Len() != len(ref) {
 			return false
@@ -293,7 +216,7 @@ func TestQuickTreeMatchesReferenceModel(t *testing.T) {
 				return false
 			}
 		}
-		// Floor/Ceiling agree with a sorted view of the reference keys.
+		// Floor and Successor agree with a sorted view of the reference keys.
 		keys := make([]int64, 0, len(ref))
 		for k := range ref {
 			keys = append(keys, k)
@@ -305,9 +228,8 @@ func TestQuickTreeMatchesReferenceModel(t *testing.T) {
 			if (i > 0) != fok || (fok && fk != keys[i-1]) {
 				return false
 			}
-			j := sort.Search(len(keys), func(i int) bool { return keys[i] >= probe })
-			ck, _, cok := tr.Ceiling(probe)
-			if (j < len(keys)) != cok || (cok && ck != keys[j]) {
+			sk, _, sok := tr.Successor(probe)
+			if (i < len(keys)) != sok || (sok && sk != keys[i]) {
 				return false
 			}
 		}
@@ -327,7 +249,7 @@ func TestQuickHeightLogarithmic(t *testing.T) {
 			tr.Insert(rng.Int63n(1<<30), nil)
 		}
 		// log2(3000) ~ 11.6; AVL bound 1.44*log2(n+2) < 17.
-		return tr.Height() <= 17 && tr.checkInvariants()
+		return height(tr.root) <= 17 && tr.checkInvariants()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -36,10 +36,9 @@ type Index struct {
 
 	domainLo, domainHi int64
 
-	mu               sync.Mutex
-	prePartitioned   bool
-	consolidated     map[[2]int64]struct{}
-	consolidatedVals int64
+	mu             sync.Mutex
+	prePartitioned bool
+	consolidated   map[[2]int64]struct{}
 }
 
 // New builds an mP-CCGI index over base using `threads` chunks and a
@@ -84,9 +83,6 @@ func New(name string, base []int64, threads, buckets int, cfg cracking.Config) *
 // Name returns the indexed attribute's name.
 func (x *Index) Name() string { return x.name }
 
-// Chunks returns the number of position chunks.
-func (x *Index) Chunks() int { return len(x.chunks) }
-
 // Pieces sums the cracker pieces across all chunks.
 func (x *Index) Pieces() int {
 	total := 0
@@ -94,14 +90,6 @@ func (x *Index) Pieces() int {
 		total += c.Pieces()
 	}
 	return total
-}
-
-// ConsolidatedValues reports how many values consolidation has copied —
-// the extra bulk-processing cost mP-CCGI pays compared to plain cracking.
-func (x *Index) ConsolidatedValues() int64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.consolidatedVals
 }
 
 // prePartition pays the coarse-granular pre-index step: every chunk is
@@ -196,7 +184,6 @@ func (x *Index) consolidate(lo, hi int64, ranges []cracking.Range, total int) {
 		return
 	}
 	x.consolidated[key] = struct{}{}
-	x.consolidatedVals += int64(total)
 	x.mu.Unlock()
 	// Each consolidation owns its buffer: concurrent queries consolidate
 	// distinct value ranges simultaneously.

@@ -71,13 +71,13 @@ func TestSelectSegmentsMatchesScan(t *testing.T) {
 func TestChunking(t *testing.T) {
 	base := randVals(10_000, 3, 1000)
 	x := New("a", base, 4, 0, cracking.Config{})
-	if x.Chunks() != 4 {
-		t.Errorf("Chunks() = %d, want 4", x.Chunks())
+	if len(x.chunks) != 4 {
+		t.Errorf("%d chunks, want 4", len(x.chunks))
 	}
 	// Uneven split.
 	x2 := New("a", randVals(10, 4, 100), 3, 0, cracking.Config{})
-	if x2.Chunks() != 3 {
-		t.Errorf("Chunks() = %d, want 3", x2.Chunks())
+	if len(x2.chunks) != 3 {
+		t.Errorf("%d chunks, want 3", len(x2.chunks))
 	}
 	// More threads than values.
 	x3 := New("a", []int64{1, 2}, 8, 0, cracking.Config{})
@@ -115,17 +115,16 @@ func TestConsolidationOncePerRange(t *testing.T) {
 	base := randVals(50_000, 6, 1<<20)
 	x := New("a", base, 4, 0, cracking.Config{})
 	x.SelectCount(1000, 2000)
-	v1 := x.ConsolidatedValues()
-	if v1 == 0 && column.CountRange(base, 1000, 2000) > 0 {
-		t.Fatal("first query consolidated nothing")
+	if len(x.consolidated) != 1 {
+		t.Fatalf("first query consolidated %d ranges, want 1", len(x.consolidated))
 	}
 	x.SelectCount(1000, 2000)
-	if got := x.ConsolidatedValues(); got != v1 {
-		t.Errorf("repeated range re-consolidated: %d -> %d", v1, got)
+	if len(x.consolidated) != 1 {
+		t.Errorf("repeated range re-consolidated: %d ranges", len(x.consolidated))
 	}
 	x.SelectCount(5000, 9000)
-	if got := x.ConsolidatedValues(); got <= v1 {
-		t.Errorf("new range did not consolidate: %d -> %d", v1, got)
+	if len(x.consolidated) != 2 {
+		t.Errorf("new range did not consolidate: %d ranges", len(x.consolidated))
 	}
 }
 

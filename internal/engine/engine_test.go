@@ -11,6 +11,7 @@ import (
 	"holistic/internal/column"
 	"holistic/internal/cracking"
 	"holistic/internal/holistic"
+	"holistic/internal/model"
 	"holistic/internal/stats"
 	"holistic/internal/workload"
 )
@@ -203,11 +204,9 @@ func TestUnknownAttributeErrors(t *testing.T) {
 
 // sortedPaths counts the attributes currently answered by a sorted copy.
 func sortedPaths(e *Executor) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := 0
-	for _, p := range e.paths {
-		if _, ok := p.(*sortedPath); ok {
+	for _, a := range e.attrs {
+		if _, ok := a.current().(*sortedPath); ok {
 			n++
 		}
 	}
@@ -367,7 +366,7 @@ func TestHolisticInsertsMergedByWorkers(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.Insert("A", int64(i*17%1000))
 	}
-	pend := h.Pending("A")
+	pend := pending(h, "A")
 	deadline := time.After(3 * time.Second)
 	for pend.Len() > 0 {
 		select {
@@ -494,7 +493,7 @@ func TestWalkKeyOrder(t *testing.T) {
 	}
 	want[lowestWith(updVictim)] = 999
 	checkKeyOrderClusters(t, ad, attr, want)
-	if n := ad.Pending(attr).Len(); n != 0 {
+	if n := pending(ad, attr).Len(); n != 0 {
 		t.Fatalf("%d pending operations survived the walk's merge", n)
 	}
 }
@@ -518,16 +517,147 @@ func TestHolisticExecutorStorageBudget(t *testing.T) {
 	h.Count(attrName(1), 0, 200) // attr 1 now more frequently used
 	h.Count(attrName(2), 0, 100) // must evict attr 0 (LFU)
 	reg := h.Daemon().Registry()
-	if reg.Get(attrName(0)) != nil {
+	if reg.Get(attrName(0)) != nil || h.CrackerIfExists(attrName(0)) != nil {
 		t.Error("LFU index not evicted under storage budget")
 	}
 	if reg.Get(attrName(1)) == nil || reg.Get(attrName(2)) == nil {
 		t.Error("wrong index evicted")
 	}
-	// The evicted attribute is still queryable (index gets rebuilt).
+	// The evicted attribute is still queryable: its index gets rebuilt.
 	if _, err := h.Count(attrName(0), 0, 100); err != nil {
 		t.Fatal(err)
 	}
+	if h.CrackerIfExists(attrName(0)) == nil {
+		t.Error("evicted index not rebuilt by the next touch")
+	}
+}
+
+// TestStorageBudgetEvictionFreesIndex: the index the storage budget
+// evicts is freed — the live cracker columns stay within the budget —
+// and the attribute's next touch rebuilds it from the base column and
+// replays its overlay, so inserts, deletes and updates written before
+// the eviction (merged into the old column or still pending when it
+// came) and after it all stay in the answers. The last phase races
+// readers, whose first touches keep evicting each other's indexes, with
+// a writer: a read still walking an evicted path must merge into the
+// queue that path was built with, or the rebuilt index loses writes.
+func TestStorageBudgetEvictionFreesIndex(t *testing.T) {
+	const n, domain = 10_000, 1 << 16
+	tbl, bases := testTable(t, 3, n, domain)
+	names := []string{attrName(0), attrName(1), attrName(2)}
+	// Room for two of the three 80 000-byte crackers and the slack
+	// inserts open in them, never for three.
+	budget := int64(2*n*8 + 4096)
+	h := NewHolisticExecutor(tbl, HolisticConfig{
+		Daemon:   holistic.Config{Interval: time.Hour, StorageBudget: budget, Seed: 1},
+		L1Values: 256,
+		Contexts: 2,
+	})
+	defer h.Close()
+	m := model.New(names, bases...)
+	rng := rand.New(rand.NewSource(7))
+
+	within := func(when string) {
+		t.Helper()
+		var live int64
+		for _, a := range names {
+			if c := h.CrackerIfExists(a); c != nil {
+				live += c.SizeBytes()
+			}
+		}
+		if live > budget {
+			t.Fatalf("%s: live cracker columns hold %d bytes, budget %d", when, live, budget)
+		}
+	}
+	write := func(attr string, k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if i%3 == 0 {
+				v := rng.Int63n(domain)
+				if err := h.Insert(attr, v); err != nil {
+					t.Fatal(err)
+				}
+				m.Insert(attr, v)
+				continue
+			}
+			v, ok := m.Get(attr, uint32(rng.Intn(n+k)))
+			if !ok {
+				continue
+			}
+			var err, want error
+			if i%3 == 1 {
+				err, want = h.Delete(attr, v), m.Delete(attr, v)
+			} else {
+				nv := rng.Int63n(domain)
+				err, want = h.Update(attr, v, nv), m.Update(attr, v, nv)
+			}
+			if err != nil || want != nil {
+				t.Fatalf("write %d to %s: %v (model: %v)", i, attr, err, want)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, a := range names {
+			for q := 0; q < 20; q++ {
+				lo := rng.Int63n(domain)
+				hi := lo + rng.Int63n(domain/4) + 1
+				preds := []model.Pred{{Attr: a, Lo: lo, Hi: hi}}
+				if got, err := h.Count(a, lo, hi); err != nil || got != m.Count(preds) {
+					t.Fatalf("%s: Count(%s, %d, %d) = %d, %v; model %d", when, a, lo, hi, got, err, m.Count(preds))
+				}
+				if got, err := h.Sum(a, lo, hi); err != nil || got != m.Sum(a, preds) {
+					t.Fatalf("%s: Sum(%s, %d, %d) = %d, %v; model %d", when, a, lo, hi, got, err, m.Sum(a, preds))
+				}
+			}
+		}
+	}
+
+	h.Count(names[0], 0, 100)
+	for i := 0; i < 10; i++ {
+		h.Count(names[1], int64(i), 200)
+	}
+	write(names[0], 90)
+	h.Count(names[0], 0, domain/4) // merges the pending writes in range, leaves the rest
+	write(names[0], 90)
+	h.Count(names[2], 0, 100) // A is least frequently used: evicted
+	within("after the eviction")
+	if h.CrackerIfExists(names[0]) != nil {
+		t.Fatal("the evicted index still answers queries")
+	}
+	write(names[0], 90) // rebuilds A as a potential index, evicting C
+	within("after the rebuild")
+	check("after the rebuild")
+	within("after the checks")
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := r.Int63n(domain)
+				if _, err := h.Count(names[r.Intn(len(names))], lo, lo+r.Int63n(domain/4)+1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(c))
+	}
+	for i := 0; i < 6; i++ {
+		write(names[i%len(names)], 60)
+	}
+	close(stop)
+	wg.Wait()
+	within("after the race")
+	check("after the race")
 }
 
 // TestStorageBudgetCountsWhatIsStored: the budget is charged what an
@@ -583,7 +713,7 @@ func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
 				if _, err := h.Count(attrName(a), 0, 100); err != nil { // merges them
 					t.Fatal(err)
 				}
-				if p := h.Pending(attrName(a)).Len(); p != 0 {
+				if p := pending(h, attrName(a)).Len(); p != 0 {
 					t.Fatalf("%d inserts left pending", p)
 				}
 			}

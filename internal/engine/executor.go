@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"holistic/internal/ccgi"
@@ -14,6 +14,7 @@ import (
 	"holistic/internal/obs/observer"
 	"holistic/internal/sortidx"
 	"holistic/internal/stats"
+	"holistic/internal/updates"
 )
 
 // pathKind is the order a mode gives an attribute.
@@ -27,9 +28,11 @@ const (
 )
 
 // Executor answers range selections over the attributes of one table. It
-// keeps one access path per attribute; the mode is only the policy that
-// decides which kind of path an attribute gets and when it is built (see
-// the package comment). Every terminal — Count, Sum, MinMax, SelectRows,
+// keeps one record per attribute (attribute, record.go) — its base column,
+// access path, update overlay and pending queue, each behind that
+// attribute's own lock — and the mode is only the policy that decides
+// which kind of path an attribute gets and when it is built (see the
+// package comment). Every terminal — Count, Sum, MinMax, SelectRows,
 // SelectBitmap, WalkKeyOrder — is one walk of that path through run.
 type Executor struct {
 	table   *Table
@@ -45,22 +48,14 @@ type Executor struct {
 	// cracker builds; nil leaves the executor uninstrumented.
 	ob *observer.Observer
 
-	// mu guards the registry, never a build: building[attr] is closed when
-	// the build of attr in flight is over, so other attributes' queries
-	// and estimates do not wait for an O(N) build, and a second first
-	// touch of attr builds nothing.
-	mu       sync.Mutex
-	paths    map[string]accessPath
-	building map[string]chan struct{}
-	queries  int  // online indexing: queries seen so far
-	scanning bool // online indexing: still inside the monitoring epoch
+	// attrs holds the record of every column of the table. It is filled
+	// when the executor is built and never written afterwards, so it is
+	// read without a lock.
+	attrs map[string]*attribute
 
-	// writeMu serializes Insert, Delete and Update from resolving their
-	// row to applying it; pendMu guards the update state of the cracking
-	// modes and is held only for the overlay edit itself (overlay.go).
-	writeMu sync.Mutex
-	pendMu  sync.Mutex
-	updates map[string]*attrUpdates
+	builds   atomic.Int64 // access-path builds started: the seed sequence of cracker columns
+	queries  atomic.Int64 // online indexing: queries seen so far
+	scanning atomic.Bool  // online indexing: still inside the monitoring epoch
 
 	// Holistic indexing: the daemon refines the cracker columns in idle
 	// contexts.
@@ -75,15 +70,17 @@ type AdaptiveExecutor = Executor
 var ErrNoUpdatePath = errors.New("engine: mode has no update path")
 
 func newExecutor(t *Table, label string, kind pathKind, threads int) *Executor {
-	return &Executor{
-		table:    t,
-		label:    label,
-		kind:     kind,
-		threads:  max(threads, 1),
-		paths:    make(map[string]accessPath),
-		building: make(map[string]chan struct{}),
-		updates:  make(map[string]*attrUpdates),
+	e := &Executor{
+		table:   t,
+		label:   label,
+		kind:    kind,
+		threads: max(threads, 1),
+		attrs:   make(map[string]*attribute, len(t.order)),
 	}
+	for _, name := range t.order {
+		e.attrs[name] = newAttribute(t.byName[name])
+	}
+	return e
 }
 
 // NewScanExecutor answers every query with a parallel scan: the "no
@@ -108,7 +105,8 @@ func NewOnlineExecutor(t *Table, threads, epoch int) *Executor {
 	if epoch < 1 {
 		epoch = 100
 	}
-	e.epoch, e.scanning = epoch, true
+	e.epoch = epoch
+	e.scanning.Store(true)
 	return e
 }
 
@@ -201,143 +199,156 @@ func (e *Executor) Close() {
 //holistic:alloc-ok error paths format their diagnostics
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
 
+// attr returns the record of the named attribute.
+//
+//holistic:noalloc
+func (e *Executor) attr(name string) (*attribute, error) {
+	if a := e.attrs[name]; a != nil {
+		return a, nil
+	}
+	return nil, errf("engine: unknown attribute %q", name)
+}
+
 // lookup returns attr's access path if built; it never builds or waits.
 //
 //holistic:noalloc
 func (e *Executor) lookup(attr string) accessPath {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.paths[attr]
+	if a := e.attrs[attr]; a != nil {
+		return a.current()
+	}
+	return nil
 }
 
 // stale reports whether p no longer is what the policy gives its
 // attribute: a scan path once online indexing's epoch is over, or a
 // sorted copy without row ids when the walk needs them (count-only
-// workloads never sort pairs nor keep +4 bytes/value). Caller holds e.mu.
+// workloads never sort pairs nor keep +4 bytes/value).
 //
 //holistic:noalloc
 func (e *Executor) stale(p accessPath, needRows bool) bool {
 	switch p := p.(type) {
 	case *scanPath:
-		return e.kind != kindScan && !e.scanning
+		return e.kind != kindScan && !e.scanning.Load()
 	case *sortedPath:
 		return needRows && !p.col.HasRows()
 	}
 	return false
 }
 
-// path returns the access path of attr, building it when the policy
-// says so: absent (first touch) or stale. The build runs outside e.mu
-// behind the per-attribute latch; callers that find one in flight wait
-// for it and use its result. A cracker column is built already cracked
-// on [lo, hi), the bounds of the select that needs it (none when
-// lo >= hi); potential marks a build ahead of any query driving it.
+// path returns the access path of a, building it when the policy says
+// so: absent (first touch, or evicted) or stale. A published path is read
+// without a lock; a build runs outside a.mu behind the attribute's latch,
+// and callers that find one in flight wait for it and use its result. A
+// cracker column is built already cracked on [lo, hi), the bounds of the
+// select that needs it (none when lo >= hi); potential marks a build
+// ahead of any query driving it.
 //
 //holistic:noalloc
-func (e *Executor) path(attr string, lo, hi int64, needRows, potential bool) (accessPath, error) {
-	e.mu.Lock()
+func (e *Executor) path(a *attribute, lo, hi int64, needRows, potential bool) accessPath {
+	if p := a.current(); p != nil && !e.stale(p, needRows) {
+		return p
+	}
+	a.mu.Lock()
 	for {
-		if p, ok := e.paths[attr]; ok && !e.stale(p, needRows) {
-			e.mu.Unlock()
-			return p, nil
+		if p := a.current(); p != nil && !e.stale(p, needRows) {
+			a.mu.Unlock()
+			return p
 		}
-		inFlight, ok := e.building[attr]
-		if !ok {
+		inFlight := a.building
+		if inFlight == nil {
 			break
 		}
-		e.mu.Unlock()
+		a.mu.Unlock()
 		<-inFlight
-		e.mu.Lock()
+		a.mu.Lock()
 	}
-	err := e.known(attr)
-	if err == nil {
-		e.building[attr] = newLatch()
-	}
-	e.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return e.build(attr, lo, hi, needRows, potential), nil
+	done := newLatch()
+	a.building = done
+	pend := a.pend
+	a.mu.Unlock()
+	return e.build(a, done, pend, lo, hi, needRows, potential)
 }
 
 //holistic:alloc-ok a first touch allocates its build latch
 func newLatch() chan struct{} { return make(chan struct{}) }
 
-// build builds, publishes and admits the access path whose build path
-// registered as in flight.
+// build builds, admits and publishes the access path of a whose latch
+// path set; pend is the attribute's pending queue, which a cracker column
+// built from the base column takes over.
 //
 //holistic:alloc-ok a first touch builds the attribute's access path
-func (e *Executor) build(attr string, lo, hi int64, needRows, potential bool) accessPath {
-	base := e.table.Column(attr).Values()
-	e.mu.Lock()
-	done := e.building[attr]
+func (e *Executor) build(a *attribute, done chan struct{}, pend *updates.Pending, lo, hi int64, needRows, potential bool) accessPath {
+	defer func() {
+		a.mu.Lock()
+		a.building = nil
+		a.mu.Unlock()
+		close(done)
+	}()
+	base := a.base.Values()
 	kind := e.kind
-	if e.scanning {
+	if e.scanning.Load() {
 		kind = kindScan
 	}
 	cfg := e.crack
-	cfg.Seed += int64(len(e.paths) + len(e.building) - 1)
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.building, attr)
-		e.mu.Unlock()
-		close(done)
-	}()
+	cfg.Seed += e.builds.Add(1) - 1
 
 	var p accessPath
-	var cp *crackerPath
 	switch kind {
 	case kindScan:
 		p = &scanPath{vals: base}
 	case kindSorted:
 		if needRows {
-			p = &sortedPath{col: sortidx.BuildWithRows(attr, base, e.threads)}
+			p = &sortedPath{col: sortidx.BuildWithRows(a.name, base, e.threads)}
 		} else {
-			p = &sortedPath{col: sortidx.Build(attr, base, e.threads)}
+			p = &sortedPath{col: sortidx.Build(a.name, base, e.threads)}
 		}
 	case kindCracker:
-		cp = &crackerPath{col: cracking.NewCracked(attr, base, cfg, lo, hi), pend: e.Pending(attr)}
-		p = cp
-	case kindCCGI:
-		p = &ccgiPath{idx: ccgi.New(attr, base, e.threads, e.buckets, e.crack)}
-	}
-	e.mu.Lock()
-	e.paths[attr] = p
-	e.mu.Unlock()
-	if cp != nil {
+		col := cracking.NewCracked(a.name, base, cfg, lo, hi)
 		if !potential {
 			e.ob.CrackerBuilt()
 		}
-		e.admit(attr, cp, potential)
+		p = &crackerPath{col: col, pend: pend, entry: e.admit(col, pend, a.name, potential)}
+	case kindCCGI:
+		p = &ccgiPath{idx: ccgi.New(a.name, base, e.threads, e.buckets, e.crack)}
 	}
+	e.publish(a, p)
 	return p
 }
 
-// admit registers a built or restored cracker column with the daemon's
-// index space (through its storage budget) and hands the daemon the
-// attribute's pending updates, so workers merge them too.
-func (e *Executor) admit(attr string, cp *crackerPath, potential bool) *stats.Entry {
+// admit registers a built or restored cracker column and the pending
+// queue it was built with in the daemon's index space, through its
+// storage budget, and frees the indexes the budget evicts. It returns the
+// column's statistics entry, nil without a daemon.
+func (e *Executor) admit(col *cracking.Column, pend *updates.Pending, attr string, potential bool) *stats.Entry {
 	if e.daemon == nil {
 		return nil
 	}
-	entry, _ := e.daemon.AdmitIndex(attr, cp.col, potential)
-	e.daemon.AttachPending(attr, cp.pend)
+	entry, evicted := e.daemon.AdmitIndex(attr, col, pend, potential)
+	for _, v := range evicted {
+		e.attrs[v.Name].evict(v)
+	}
 	return entry
+}
+
+// publish makes p the current access path of a — unless p is a cracker
+// column the storage budget evicted between its admission and now: the
+// query that built it uses it once, and the attribute gets a fresh
+// pending queue, since the column took the old one with it.
+func (e *Executor) publish(a *attribute, p accessPath) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if cp, ok := p.(*crackerPath); ok && cp.entry != nil && e.daemon.Registry().Get(a.name) != cp.entry {
+		a.replayOverlay()
+		return
+	}
+	a.path.Store(&p)
 }
 
 // tick advances online indexing's monitoring epoch by one query. The
 // query that ends the epoch sorts every column before it is answered —
 // enough workload knowledge obtained; the cost is paid inside it.
 func (e *Executor) tick() {
-	e.mu.Lock()
-	e.queries++
-	ends := e.scanning && e.queries > e.epoch
-	if ends {
-		e.scanning = false
-	}
-	e.mu.Unlock()
-	if ends {
+	if e.queries.Add(1) > int64(e.epoch) && e.scanning.CompareAndSwap(true, false) {
 		e.PrepareAll()
 	}
 }
@@ -348,11 +359,11 @@ func (e *Executor) tick() {
 //
 //holistic:alloc-ok sorts whole columns
 func (e *Executor) PrepareAll() {
-	if e.kind != kindSorted || e.scanning {
+	if e.kind != kindSorted || e.scanning.Load() {
 		return
 	}
-	for _, name := range e.table.ColumnNames() {
-		_, _ = e.path(name, 0, 0, false, false) // the table's own columns are known
+	for _, name := range e.table.order {
+		e.path(e.attrs[name], 0, 0, false, false)
 	}
 }
 
@@ -388,22 +399,23 @@ func (e *Executor) answer(attr string, f fold) (fold, error) {
 	if e.epoch > 0 {
 		e.tick()
 	}
+	a, err := e.attr(attr)
+	if err != nil {
+		return f, err
+	}
 	var p accessPath
 	switch {
 	case f.op == opClusters && e.kind != kindSorted:
 		// Only sorted columns are built for a key-order walk; a cracker
 		// that never drove a select (and was never admitted as a potential
 		// index) means no key-ordered path, and the caller falls back.
-		if p = e.lookup(attr); p == nil {
-			return f, e.known(attr)
+		if p = a.current(); p == nil {
+			return f, nil
 		}
 	case f.op != opClusters && f.lo >= f.hi:
-		return f, e.known(attr) // empty or inverted range: nothing qualifies, nothing to build
+		return f, nil // empty or inverted range: nothing qualifies, nothing to build
 	default:
-		var err error
-		if p, err = e.path(attr, f.lo, f.hi, f.wantsRows(), false); err != nil {
-			return f, err
-		}
+		p = e.path(a, f.lo, f.hi, f.wantsRows(), false)
 	}
 	if f.op == opClusters {
 		if _, f.walked = p.span(); !f.walked {
@@ -411,21 +423,7 @@ func (e *Executor) answer(attr string, f fold) (fold, error) {
 		}
 	}
 	f.threads = e.threads
-	f = p.walk(f)
-	if e.daemon != nil && f.op != opClusters {
-		e.daemon.Registry().RecordAccess(attr, f.exact)
-	}
-	return f, nil
-}
-
-// known returns the unknown-attribute error unless attr is a column.
-//
-//holistic:noalloc
-func (e *Executor) known(attr string) error {
-	if e.table.Column(attr) == nil {
-		return errf("engine: unknown attribute %q", attr)
-	}
-	return nil
+	return p.walk(f), nil
 }
 
 // Count answers "select count(*) from R where lo <= attr < hi".
@@ -469,7 +467,11 @@ func (e *Executor) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
 //
 //holistic:noalloc
 func (e *Executor) SelectBitmap(attr string, lo, hi int64, bm *column.Bitmap) error {
-	bm.Reset(e.universe(attr))
+	n := e.table.Rows()
+	if a := e.attrs[attr]; a != nil {
+		n = a.extent()
+	}
+	bm.Reset(n)
 	_, err := e.run(attr, fold{op: opBitmap, lo: lo, hi: hi, bm: bm})
 	return err
 }
@@ -495,15 +497,16 @@ func (e *Executor) WalkKeyOrder(attr string, fn func(vals []int64, rows []uint32
 //
 //holistic:noalloc
 func (e *Executor) KeyOrderSpan(attr string) (span float64, ok bool) {
-	if p := e.lookup(attr); p != nil {
+	a := e.attrs[attr]
+	if a == nil {
+		return 0, false
+	}
+	if p := a.current(); p != nil {
 		return p.span()
 	}
 	// Offline indexing sorts on demand, so the path exists for every
 	// attribute.
-	if e.kind == kindSorted && e.epoch == 0 && e.table.Column(attr) != nil {
-		return 1, true
-	}
-	return 0, false
+	return 1, e.kind == kindSorted && e.epoch == 0
 }
 
 // EstimateCount answers "how many tuples fall in [lo, hi) on attr" from
@@ -524,16 +527,24 @@ func (e *Executor) EstimateCount(attr string, lo, hi int64) (est float64, exact,
 // Cracker returns (building if needed) the cracker column of attr — nil
 // under modes that keep none; the bool reports whether it already existed.
 func (e *Executor) Cracker(attr string) (*cracking.Column, bool, error) {
-	if c := e.CrackerIfExists(attr); c != nil {
+	a, err := e.attr(attr)
+	if err != nil {
+		return nil, false, err
+	}
+	if c := crackerOf(a.current()); c != nil {
 		return c, true, nil
 	}
-	_, err := e.path(attr, 0, 0, false, false)
-	return e.CrackerIfExists(attr), false, err
+	return crackerOf(e.path(a, 0, 0, false, false)), false, nil
 }
 
 // CrackerIfExists returns the cracker column of attr without creating one.
 func (e *Executor) CrackerIfExists(attr string) *cracking.Column {
-	if cp, ok := e.lookup(attr).(*crackerPath); ok {
+	return crackerOf(e.lookup(attr))
+}
+
+// crackerOf returns the cracker column of p, nil for any other path.
+func crackerOf(p accessPath) *cracking.Column {
+	if cp, ok := p.(*crackerPath); ok {
 		return cp.col
 	}
 	return nil
@@ -542,8 +553,8 @@ func (e *Executor) CrackerIfExists(attr string) *cracking.Column {
 // TotalPieces sums pieces over all cracker columns (Figure 6(c)).
 func (e *Executor) TotalPieces() int {
 	total := 0
-	for _, name := range e.table.ColumnNames() {
-		if c := e.CrackerIfExists(name); c != nil {
+	for _, a := range e.attrs {
+		if c := crackerOf(a.current()); c != nil {
 			total += c.Pieces()
 		}
 	}
@@ -556,26 +567,32 @@ func (e *Executor) TotalPieces() int {
 //
 //holistic:noalloc
 func (e *Executor) AddPotential(attr string) error {
-	_, err := e.path(attr, 0, 0, false, true)
+	a, err := e.attr(attr)
+	if err == nil {
+		e.path(a, 0, 0, false, true)
+	}
 	return err
 }
 
 // NotePredicate admits attr, which a query used without driving its
 // select, to the index space: under holistic indexing it joins the
 // potential configuration (its cracker copy is built now, inside the
-// caller's query) and its access statistics are bumped; without a daemon
-// nothing happens. Callers admit only what a plan can use — every
-// residual conjunct, and a group or join key only while the planner
-// could walk it (query.walkable).
+// caller's query) and its access statistics are bumped on the entry its
+// path carries; without a daemon nothing happens. Callers admit only what
+// a plan can use — every residual conjunct, and a group or join key only
+// while the planner could walk it (query.walkable).
 //
 //holistic:noalloc
 func (e *Executor) NotePredicate(attr string) error {
 	if e.daemon == nil {
 		return nil
 	}
-	if err := e.AddPotential(attr); err != nil {
+	a, err := e.attr(attr)
+	if err != nil {
 		return err
 	}
-	e.daemon.Registry().RecordAccess(attr, false)
+	if cp, ok := e.path(a, 0, 0, false, true).(*crackerPath); ok && cp.entry != nil {
+		cp.entry.RecordAccess(false)
+	}
 	return nil
 }

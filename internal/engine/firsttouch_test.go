@@ -157,9 +157,10 @@ func TestFirstTouchDoesNotHoldExecutorLock(t *testing.T) {
 
 			// Stand in for a build of A in flight.
 			inFlight := make(chan struct{})
-			e.mu.Lock()
-			e.building["A"] = inFlight
-			e.mu.Unlock()
+			a := e.attrs["A"]
+			a.mu.Lock()
+			a.building = inFlight
+			a.mu.Unlock()
 
 			if _, _, ok := e.EstimateCount("A", 10, 20); ok {
 				t.Fatal("unfinished build is visible to the planner")
@@ -181,9 +182,9 @@ func TestFirstTouchDoesNotHoldExecutorLock(t *testing.T) {
 			case <-time.After(20 * time.Millisecond):
 			}
 			// The build "fails" (finishes without publishing): the waiter takes over.
-			e.mu.Lock()
-			delete(e.building, "A")
-			e.mu.Unlock()
+			a.mu.Lock()
+			a.building = nil
+			a.mu.Unlock()
 			close(inFlight)
 			if n := <-waiter; n != column.CountRange(bases[0], 10, 2000) || e.lookup("A") == nil {
 				t.Fatalf("waiter answered %d and published %v", n, e.lookup("A"))

@@ -10,56 +10,15 @@ import (
 	"holistic/internal/updates"
 )
 
-// attrUpdates is the update state of one attribute under the cracking
-// modes (Section 5.7): the pending operations not yet merged into its
-// cracker column, and the logical row-level state of every update
-// regardless of how much of that queue has been merged — the probe side
-// of late tuple reconstruction reads it through View, so conjunctive
-// queries see current data. All of it is guarded by Executor.pendMu.
-type attrUpdates struct {
-	pend *updates.Pending
-	// next is the base row id the next insertion gets: the first one
-	// lands at table.Rows(), matching the position an append to the base
-	// column would take, so row ids stay unambiguous across inserts.
-	next uint32
-	// tail[i] is the value of row table.Rows()+i, deleted marks rows
-	// without a value, updated overrides values of existing rows.
-	tail    []int64
-	deleted map[uint32]struct{}
-	updated map[uint32]int64
-	// view is the last snapshot handed out, dropped by the attribute's
-	// next mutation: queries pay the overlay map copy once per update
-	// batch, not once per probe.
-	view *column.View
-}
-
-// updatesLocked returns (creating if needed) attr's update state.
-// Caller holds pendMu.
-func (e *Executor) updatesLocked(attr string) *attrUpdates {
-	u := e.updates[attr]
-	if u == nil {
-		u = &attrUpdates{pend: updates.NewPending(), next: uint32(e.table.Rows())}
-		e.updates[attr] = u
-	}
-	return u
-}
-
 // Updatable reports whether the mode has an update path: the cracking
 // modes do; the sorted and scan modes' index is the data.
 func (e *Executor) Updatable() bool { return e.kind == kindCracker }
 
-// Pending returns (creating if needed) the pending-updates store of attr.
-func (e *Executor) Pending(attr string) *updates.Pending {
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	return e.updatesLocked(attr).pend
-}
-
 // mutate is the shared front half of Insert, Delete and Update: it
 // resolves the row the operation targets — the next appended position for
 // an insertion (find nil), otherwise the lowest row id currently holding
-// *find — and applies fn to the overlay and the pending queue, dropping
-// the cached view.
+// *find — and applies fn to the attribute's overlay and pending queue,
+// dropping the cached view.
 //
 // The victim comes out of the index, the way doradb resolves Key → RowID:
 // the pending operations on exactly *find are merged into the attribute's
@@ -68,57 +27,62 @@ func (e *Executor) Pending(attr string) *updates.Pending {
 // *find are the rows that logically hold it, all in the one piece *find
 // falls into; the lowest of their row ids is read there under the piece's
 // read latch. Nothing is cracked. A write to an attribute no query has
-// touched builds its cracker first, as a potential index.
+// touched builds its cracker first, as a potential index; a write whose
+// cracker was evicted before it took the write lock resolves again
+// against the rebuilt one.
 //
-// Writers are serialized by writeMu from resolve to apply, so two
-// concurrent deletes of a duplicated value take two distinct rows; readers
-// and the daemon are not held up — pendMu is taken only for the overlay
-// edit, never across index work. Lock order: writeMu → Pending.mu →
-// column locks, and writeMu → pendMu.
-func (e *Executor) mutate(attr, op string, find *int64, fn func(u *attrUpdates, row uint32)) error {
+// Writers of one attribute are serialized by its write lock from resolve
+// to apply; writers of different attributes never wait for each other.
+// A walk over a built path and the daemon never take the lock; a first
+// touch takes it to set its latch and to publish, View only to copy the
+// overlay after a write.
+func (e *Executor) mutate(attr, op string, find *int64, fn func(a *attribute, row uint32)) error {
 	if !e.Updatable() {
 		return ErrNoUpdatePath
 	}
-	base := e.table.Column(attr)
-	if base == nil {
-		return errf("engine: unknown attribute %q", attr)
+	a, err := e.attr(attr)
+	if err != nil {
+		return err
 	}
-	var cp *crackerPath
-	if find != nil {
-		p, err := e.path(attr, 0, 0, true, true)
-		if err != nil {
+	for {
+		var cp *crackerPath
+		if find != nil {
+			cp = e.path(a, 0, 0, true, true).(*crackerPath)
+		}
+		if done, err := e.apply(a, cp, op, find, fn); done {
 			return err
 		}
-		cp = p.(*crackerPath)
 	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	var row uint32
+}
+
+// apply is the half of mutate under the write lock. done is false when
+// cp, the cracker the victim is to be resolved in, is no longer a's path.
+func (e *Executor) apply(a *attribute, cp *crackerPath, op string, find *int64, fn func(a *attribute, row uint32)) (done bool, err error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	row := uint32(a.extent())
 	if find != nil {
-		var ok bool
+		if a.current() != accessPath(cp) {
+			return false, nil
+		}
 		e.ob.Merged(cp.pend.MergeValue(cp.col, *find))
+		var ok bool
 		if row, ok = cp.col.LowestRow(*find); !ok {
-			return errf("engine: %s %s = %d: no such value", op, attr, *find)
+			return true, errf("engine: %s %s = %d: no such value", op, a.name, *find)
 		}
 	}
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	u := e.updatesLocked(attr)
-	if find == nil {
-		row = u.next
-		u.next++
-	}
-	fn(u, row)
-	u.view = nil
-	return nil
+	fn(a, row)
+	a.view.Store(nil)
+	a.size.Store(int64(a.base.Len() + len(a.tail)))
+	return true, nil
 }
 
 // Insert appends v to attr as a pending insertion, merged lazily by
 // queries (and, under holistic indexing, by workers).
 func (e *Executor) Insert(attr string, v int64) error {
-	return e.mutate(attr, "insert", nil, func(u *attrUpdates, row uint32) {
-		u.tail = append(u.tail, v)
-		u.pend.AddInsert(v, row)
+	return e.mutate(attr, "insert", nil, func(a *attribute, row uint32) {
+		a.tail = append(a.tail, v)
+		a.pend.AddInsert(v, row)
 	})
 }
 
@@ -132,12 +96,12 @@ func (e *Executor) Insert(attr string, v int64) error {
 // without row ids does the merge remove an unspecified occurrence
 // (multiset semantics; conjunctions are unavailable there anyway).
 func (e *Executor) Delete(attr string, v int64) error {
-	return e.mutate(attr, "delete", &v, func(u *attrUpdates, row uint32) {
-		if u.deleted == nil {
-			u.deleted = make(map[uint32]struct{})
+	return e.mutate(attr, "delete", &v, func(a *attribute, row uint32) {
+		if a.deleted == nil {
+			a.deleted = make(map[uint32]struct{})
 		}
-		u.deleted[row] = struct{}{}
-		u.pend.AddDeleteRow(v, row)
+		a.deleted[row] = struct{}{}
+		a.pend.AddDeleteRow(v, row)
 	})
 }
 
@@ -146,12 +110,12 @@ func (e *Executor) Delete(attr string, v int64) error {
 // the tuple keeps its identity (the paper's definition of an update,
 // made row-stable). The merge is row-targeted, as for Delete.
 func (e *Executor) Update(attr string, oldV, newV int64) error {
-	return e.mutate(attr, "update", &oldV, func(u *attrUpdates, row uint32) {
-		if u.updated == nil {
-			u.updated = make(map[uint32]int64)
+	return e.mutate(attr, "update", &oldV, func(a *attribute, row uint32) {
+		if a.updated == nil {
+			a.updated = make(map[uint32]int64)
 		}
-		u.updated[row] = newV
-		u.pend.AddUpdate(oldV, newV, row)
+		a.updated[row] = newV
+		a.pend.AddUpdate(oldV, newV, row)
 	})
 }
 
@@ -159,109 +123,125 @@ func (e *Executor) Update(attr string, oldV, newV int64) error {
 // its current logical state — base values, appended rows, deletions and
 // updates — regardless of how much of the pending queue has been merged
 // into the index. For an attribute no update has touched that is the
-// base column itself.
+// base column itself. Only the first View after a write takes the
+// attribute's lock, to copy the overlay.
 //
 //holistic:noalloc
 func (e *Executor) View(attr string) (column.View, error) {
-	base := e.table.Column(attr)
-	if base == nil {
-		return column.View{}, errf("engine: unknown attribute %q", attr)
+	a, err := e.attr(attr)
+	if err != nil {
+		return column.View{}, err
 	}
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	u := e.updates[attr]
-	if u == nil {
-		return column.View{Base: base.Values()}, nil
+	if w := a.view.Load(); w != nil {
+		return *w, nil
 	}
-	if u.view == nil {
-		u.view = u.snapshot(base.Values())
-	}
-	return *u.view, nil
+	return a.snapshot(), nil
 }
 
-// snapshot copies the overlay into an immutable view; the tail shares
-// storage with the append-only record.
+// snapshot copies the overlay into an immutable view and publishes it;
+// the tail shares storage with the append-only record.
 //
 //holistic:alloc-ok one overlay copy per update batch, reused by every probe until the next mutation
-func (u *attrUpdates) snapshot(base []int64) *column.View {
-	w := &column.View{Base: base, Tail: u.tail[:len(u.tail):len(u.tail)]}
-	if len(u.deleted) > 0 {
-		w.Deleted = maps.Clone(u.deleted)
+func (a *attribute) snapshot() column.View {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	w := a.view.Load()
+	if w == nil {
+		w = &column.View{Base: a.base.Values(), Tail: a.tail[:len(a.tail):len(a.tail)]}
+		if len(a.deleted) > 0 {
+			w.Deleted = maps.Clone(a.deleted)
+		}
+		if len(a.updated) > 0 {
+			w.Updated = maps.Clone(a.updated)
+		}
+		a.view.Store(w)
 	}
-	if len(u.updated) > 0 {
-		w.Updated = maps.Clone(u.updated)
-	}
-	return w
+	return *w
 }
 
-// universe returns the size of the position space row ids of attr can
-// occupy: base rows plus rows appended by pending insertions.
-//
-//holistic:noalloc
-func (e *Executor) universe(attr string) int {
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	if u := e.updates[attr]; u != nil {
-		return int(u.next)
-	}
-	return e.table.Rows()
-}
-
-// exportAttrData names one attribute's durable content without copying
-// it: the table's immutable base array, the overlay's append-only tail,
-// and — the cut taken under pendMu — the updated rows as a sorted patch
+// export names the attribute's durable content without copying it: the
+// table's immutable base array, the overlay's append-only tail, and — the
+// cut taken under the write lock — the updated rows as a sorted patch
 // list and the sorted tombstones. The segment writer stores a patched row
 // with its newest value and a deleted row with the value it last held, so
 // recovery can rebuild a first-touch cracker from the base array and
 // replay the deletions exactly as the normal write path would have.
-func (e *Executor) exportAttrData(attr string) durable.ColumnData {
-	cd := durable.ColumnData{Name: attr, Base: e.table.Column(attr).Values()}
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	u := e.updates[attr]
-	if u == nil {
-		return cd
-	}
-	cd.Tails = u.tail[:len(u.tail):len(u.tail)]
-	for row, v := range u.updated {
+func (a *attribute) export() durable.ColumnData {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.data()
+}
+
+// data is export under the write lock.
+func (a *attribute) data() durable.ColumnData {
+	cd := durable.ColumnData{Name: a.name, Base: a.base.Values(), Tails: a.tail[:len(a.tail):len(a.tail)]}
+	for row, v := range a.updated {
 		cd.Patch = append(cd.Patch, durable.RowValue{Row: row, Val: v})
 	}
-	slices.SortFunc(cd.Patch, func(a, b durable.RowValue) int { return cmp.Compare(a.Row, b.Row) })
-	for row := range u.deleted {
+	slices.SortFunc(cd.Patch, func(x, y durable.RowValue) int { return cmp.Compare(x.Row, y.Row) })
+	for row := range a.deleted {
 		cd.Dead = append(cd.Dead, row)
 	}
 	slices.Sort(cd.Dead)
 	return cd
 }
 
-// restoreOverlay reinstates one attribute's logical overlay (tails and
-// tombstones), taking ownership of cd's tail array. A restored cracker already contains every live value;
-// without one, replay queues the synthetic pending operations that
-// reproduce the normal write path against a first-touch cracker: the
-// base array still holds the last value of every dead base row, so
-// AddDeleteRow removes exactly that occurrence on merge, and tail
-// inserts (with their deletions, for dead tails) replay in row order.
-func (e *Executor) restoreOverlay(cd durable.ColumnData, replay bool) {
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	u := e.updatesLocked(cd.Name)
-	u.tail = cd.Tails
-	u.next += uint32(len(cd.Tails))
-	u.deleted = make(map[uint32]struct{}, len(cd.Dead))
+// restoreOverlay reinstates the attribute's overlay from cd — appended
+// rows, updated rows and tombstones — taking ownership of cd's tail
+// array. A restored cracker already contains every live value; without
+// one, replay installs a fresh pending queue of the synthetic operations
+// that bring a first-touch cracker built from cd.Base to the same logical
+// state: the rebuilt column holds (cd.Base[row], row) for every base row,
+// so a dead base row is deleted as exactly that tuple, a patched live one
+// updated from it, and every live appended row inserted with its current
+// value. Data-only recovery replays a recovered overlay this way (its
+// segment already folded the patches into the arrays), and an eviction
+// the attribute's own (replayOverlay). Caller holds a.mu.
+func (a *attribute) restoreOverlay(cd durable.ColumnData, replay bool) {
+	a.tail = cd.Tails
+	a.deleted, a.updated = nil, nil
 	for _, row := range cd.Dead {
-		u.deleted[row] = struct{}{}
-		if replay && int(row) < len(cd.Base) {
-			u.pend.AddDeleteRow(cd.Base[row], row)
+		if a.deleted == nil {
+			a.deleted = make(map[uint32]struct{}, len(cd.Dead))
 		}
+		a.deleted[row] = struct{}{}
 	}
+	for _, p := range cd.Patch {
+		if a.updated == nil {
+			a.updated = make(map[uint32]int64, len(cd.Patch))
+		}
+		a.updated[p.Row] = p.Val
+	}
+	a.view.Store(nil)
+	a.size.Store(int64(len(cd.Base) + len(cd.Tails)))
 	if !replay {
 		return
 	}
-	for i, v := range cd.Tails {
-		row := uint32(len(cd.Base) + i)
-		u.pend.AddInsert(v, row)
-		if _, dead := u.deleted[row]; dead {
-			u.pend.AddDeleteRow(v, row)
+	pend := updates.NewPending()
+	for _, row := range cd.Dead {
+		if int(row) < len(cd.Base) {
+			pend.AddDeleteRow(cd.Base[row], row)
 		}
 	}
+	for _, p := range cd.Patch {
+		if _, dead := a.deleted[p.Row]; !dead && int(p.Row) < len(cd.Base) {
+			pend.AddUpdate(cd.Base[p.Row], p.Val, p.Row)
+		}
+	}
+	for i, v := range cd.Tails {
+		row := uint32(len(cd.Base) + i)
+		if _, dead := a.deleted[row]; dead {
+			continue
+		}
+		if nv, ok := a.updated[row]; ok {
+			v = nv
+		}
+		pend.AddInsert(v, row)
+	}
+	a.pend = pend
 }
+
+// replayOverlay gives the attribute a fresh pending queue replayed from
+// its own overlay, for a cracker column rebuilt from the base column.
+// Caller holds a.mu.
+func (a *attribute) replayOverlay() { a.restoreOverlay(a.data(), true) }

@@ -7,6 +7,7 @@ import (
 	"holistic/internal/column"
 	"holistic/internal/cracking"
 	"holistic/internal/sortidx"
+	"holistic/internal/stats"
 	"holistic/internal/updates"
 )
 
@@ -62,9 +63,7 @@ type fold struct {
 	pieceRows []uint32
 
 	// What a cracking path reports back for the shared epilogue: the
-	// select needed no reorganization and the pending updates it merged
-	// first.
-	exact  bool
+	// pending updates it merged first.
 	merged int
 }
 
@@ -180,11 +179,16 @@ func (p *sortedPath) estimate(lo, hi int64) (float64, bool, bool) {
 	return float64(p.col.CountRange(lo, hi)), true, true
 }
 
-// crackerPath is a cracker column plus the pending updates of its
-// attribute, merged into it by the walks whose range they fall in.
+// crackerPath is a cracker column, the pending queue it was built with —
+// merged into it by the walks whose range the updates fall in — and,
+// under holistic indexing, its node in the daemon's index space. The
+// three are published together and never change: a walk that loaded the
+// path before an eviction keeps merging into the queue its column was
+// built with.
 type crackerPath struct {
-	col  *cracking.Column
-	pend *updates.Pending
+	col   *cracking.Column
+	pend  *updates.Pending
+	entry *stats.Entry
 }
 
 func (p *crackerPath) walk(f fold) fold {
@@ -198,18 +202,23 @@ func (p *crackerPath) walk(f fold) fold {
 		return f
 	}
 	f.merged = p.pend.MergeRange(p.col, f.lo, f.hi)
+	var r cracking.Range
 	if f.op == opCount {
 		// Crack, subtract positions: no piece is latched or read.
-		r := p.col.SelectRange(f.lo, f.hi)
-		f.n, f.exact = r.Count(), r.ExactHit()
-		return f
+		r = p.col.SelectRange(f.lo, f.hi)
+		f.n = r.Count()
+	} else {
+		// One column pin around crack and fold, so an update merge
+		// cannot shift positions between the two.
+		r = p.col.SelectSegments(f.lo, f.hi, func(r cracking.Range, s cracking.Segment) {
+			f.addCracked(s, 0, r.Count())
+		})
 	}
-	// One column pin around crack and fold, so an update merge cannot
-	// shift positions between the two.
-	r := p.col.SelectSegments(f.lo, f.hi, func(r cracking.Range, s cracking.Segment) {
-		f.addCracked(s, 0, r.Count())
-	})
-	f.exact = r.ExactHit()
+	if p.entry != nil {
+		// The select operator's access record: an exact hit needed no
+		// reorganization.
+		p.entry.RecordAccess(r.ExactHit())
+	}
 	return f
 }
 

@@ -38,8 +38,9 @@ func ExportTableData(t *Table) []durable.ColumnData {
 func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexSource) {
 	var cols []durable.ColumnData
 	var indexes []durable.IndexSource
-	for _, attr := range e.table.ColumnNames() {
-		switch p := e.lookup(attr).(type) {
+	for _, attr := range e.table.order {
+		a := e.attrs[attr]
+		switch p := a.current().(type) {
 		case *crackerPath:
 			// Complete the physical state first: with every pending op
 			// merged, the persisted arrays hold exactly the live logical
@@ -47,11 +48,9 @@ func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexSource)
 			// write can queue another before the section is written.
 			e.ob.Merged(p.pend.MergeAll(p.col))
 			is := durable.IndexState{Attr: attr, Kind: durable.IndexCracker}
-			if e.daemon != nil {
-				if entry := e.daemon.Registry().Get(attr); entry != nil {
-					is.Accesses, is.Hits = entry.Accesses(), entry.Hits()
-					is.StatsState = uint8(entry.State()) + 1
-				}
+			if entry := p.entry; entry != nil {
+				is.Accesses, is.Hits = entry.Accesses(), entry.Hits()
+				is.StatsState = uint8(entry.State()) + 1
 			}
 			indexes = append(indexes, func(emit func(durable.IndexState) error) error {
 				return p.col.ViewState(func(st cracking.State) error {
@@ -72,7 +71,7 @@ func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexSource)
 			}
 			indexes = append(indexes, func(emit func(durable.IndexState) error) error { return emit(is) })
 		}
-		cols = append(cols, e.exportAttrData(attr))
+		cols = append(cols, a.export())
 	}
 	return cols, indexes
 }
@@ -88,6 +87,10 @@ func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexSource)
 // as a first query would.
 func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.IndexState) (restored, dropped int) {
 	for _, st := range states {
+		a := e.attrs[st.Attr]
+		if a == nil {
+			continue // the table came from the same snapshot; nothing to restore into
+		}
 		var p accessPath
 		var err error
 		switch {
@@ -99,9 +102,9 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 				Vals: st.Vals, Rows: rowsOf(st), Packed: st.Layout == durable.LayoutPacked, Ref: st.Ref,
 				Keys: st.Keys, Starts: st.Starts,
 			}, e.crack); err == nil {
-				cp := &crackerPath{col: c, pend: e.Pending(st.Attr)}
-				if entry := e.admit(st.Attr, cp, false); entry != nil && st.StatsState > 0 {
-					entry.RestoreCounts(st.Accesses, st.Hits, stats.State(st.StatsState-1))
+				cp := &crackerPath{col: c, pend: a.pend, entry: e.admit(c, a.pend, st.Attr, false)}
+				if cp.entry != nil && st.StatsState > 0 {
+					cp.entry.RestoreCounts(st.Accesses, st.Hits, stats.State(st.StatsState-1))
 				}
 				p = cp
 			}
@@ -117,15 +120,17 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 			dropped++
 			continue
 		}
-		e.mu.Lock()
-		e.paths[st.Attr] = p
-		e.scanning = false
-		e.mu.Unlock()
+		e.publish(a, p)
+		e.scanning.Store(false)
 		restored++
 	}
 	if e.Updatable() {
 		for _, cd := range cols {
-			e.restoreOverlay(cd, e.lookup(cd.Name) == nil)
+			if a := e.attrs[cd.Name]; a != nil {
+				a.mu.Lock()
+				a.restoreOverlay(cd, a.current() == nil)
+				a.mu.Unlock()
+			}
 		}
 	}
 	return restored, dropped

@@ -13,6 +13,7 @@ import (
 	"holistic/internal/durable"
 	"holistic/internal/holistic"
 	"holistic/internal/obs/observer"
+	"holistic/internal/updates"
 )
 
 // shadowAttr is one attribute's logical rows kept by the test: what the
@@ -53,16 +54,24 @@ func (s *shadowAttr) rows(lo, hi int64) (rows []uint32) {
 // victims came out of the index, kept as the oracle the index lookup is
 // held against.
 func (e *Executor) scanForRow(attr string, base []int64, v int64) (uint32, bool) {
-	e.pendMu.Lock()
-	defer e.pendMu.Unlock()
-	u := e.updatesLocked(attr)
-	w := column.View{Base: base, Tail: u.tail, Deleted: u.deleted, Updated: u.updated}
+	a := e.attrs[attr]
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	w := column.View{Base: base, Tail: a.tail, Deleted: a.deleted, Updated: a.updated}
 	for row := uint32(0); int(row) < w.Extent(); row++ {
 		if cur, ok := w.At(row); ok && cur == v {
 			return row, true
 		}
 	}
 	return 0, false
+}
+
+// pending returns the queue the next write to attr goes to.
+func pending(e *Executor, attr string) *updates.Pending {
+	a := e.attrs[attr]
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.pend
 }
 
 // writeSession drives one executor attribute and holds every Delete and

@@ -11,7 +11,7 @@ import (
 func TestCycleHistoryBounded(t *testing.T) {
 	reg := newSpace(64)
 	col := cracking.New("a", randVals(4096, 1, 1<<16), cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{Refinements: 1, Seed: 1})
 	defer d.Stop()
 
@@ -44,8 +44,8 @@ func TestCycleHistoryBounded(t *testing.T) {
 func TestConvergenceSnapshot(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(50_000, 1, 1<<20), cracking.Config{})
-	reg.Add("a", col, true)
-	reg.RecordAccess("a", false)
+	reg.Add("a", col, nil, true)
+	reg.Get("a").RecordAccess(false)
 	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{Refinements: 16, Seed: 1})
 	defer d.Stop()
 

@@ -59,7 +59,8 @@ type Config struct {
 	// Seed seeds worker pivot RNGs.
 	Seed int64
 	// StorageBudget bounds the materialized index space in bytes;
-	// AdmitIndex evicts LFU victims to stay below it. 0 = unlimited.
+	// AdmitIndex evicts LFU victims to stay below it and hands them to
+	// the caller, which frees them. 0 = unlimited.
 	StorageBudget int64
 }
 
@@ -119,8 +120,9 @@ type Daemon struct {
 	reg *stats.Registry
 	mon cpu.Monitor
 
-	pendMu  sync.RWMutex
-	pending map[string]*updates.Pending
+	// admitMu makes an admission one step: the budget check, the
+	// evictions it forces and the registration.
+	admitMu sync.Mutex
 
 	cycleMu    sync.Mutex
 	cycles     [CycleHistory]CycleStats
@@ -164,12 +166,11 @@ type Daemon struct {
 func New(reg *stats.Registry, mon cpu.Monitor, cfg Config) *Daemon {
 	cfg.fillDefaults()
 	return &Daemon{
-		cfg:     cfg,
-		reg:     reg,
-		mon:     mon,
-		pending: make(map[string]*updates.Pending),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:  cfg,
+		reg:  reg,
+		mon:  mon,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 }
 
@@ -180,25 +181,15 @@ func (d *Daemon) Registry() *stats.Registry { return d.reg }
 // into (nil detaches). Safe to call concurrently with a running daemon.
 func (d *Daemon) SetObserver(ob *observer.Observer) { d.ob.Store(ob) }
 
-// AttachPending connects a pending-updates store to the named index so
-// workers merge updates while refining (Section 4.2, Updates).
-func (d *Daemon) AttachPending(name string, p *updates.Pending) {
-	d.pendMu.Lock()
-	d.pending[name] = p
-	d.pendMu.Unlock()
-}
-
-func (d *Daemon) pendingFor(name string) *updates.Pending {
-	d.pendMu.RLock()
-	defer d.pendMu.RUnlock()
-	return d.pending[name]
-}
-
-// AdmitIndex registers a new adaptive index within the storage budget,
-// evicting least-frequently-used indices if needed (Section 4.2, Storage
-// Constraints). It returns the entry and the evicted index names.
-func (d *Daemon) AdmitIndex(name string, col *cracking.Column, potential bool) (*stats.Entry, []string) {
-	var evicted []string
+// AdmitIndex registers a new adaptive index and its pending updates
+// within the storage budget, evicting least-frequently-used indices if
+// needed (Section 4.2, Storage Constraints). It returns the entry and the
+// evicted ones: they have left the index space, and the caller owning
+// them drops them so their memory is freed.
+func (d *Daemon) AdmitIndex(name string, col *cracking.Column, pend *updates.Pending, potential bool) (*stats.Entry, []*stats.Entry) {
+	d.admitMu.Lock()
+	defer d.admitMu.Unlock()
+	var evicted []*stats.Entry
 	if d.cfg.StorageBudget > 0 {
 		need := col.SizeBytes()
 		for d.reg.Len() > 0 && d.reg.TotalSizeBytes()+need > d.cfg.StorageBudget {
@@ -206,10 +197,10 @@ func (d *Daemon) AdmitIndex(name string, col *cracking.Column, potential bool) (
 			if v == nil {
 				break
 			}
-			evicted = append(evicted, v.Name)
+			evicted = append(evicted, v)
 		}
 	}
-	return d.reg.Add(name, col, potential), evicted
+	return d.reg.Add(name, col, pend, potential), evicted
 }
 
 // Start launches the holistic indexing thread. It is idempotent.
@@ -363,7 +354,6 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 		return 0, 0
 	}
 	minPiece := d.reg.L1Values()
-	pend := d.pendingFor(e.Name)
 	ob := d.ob.Load()
 	t0 := time.Now()
 	attempts := int64(0)
@@ -410,9 +400,9 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 			case cracking.RefineExact, cracking.RefineSmall:
 				// Piece needs no work; re-roll.
 			}
-			if pend != nil && pend.Len() > 0 {
+			if e.Pend != nil && e.Pend.Len() > 0 {
 				plo, phi := e.Col.PieceSpan(pivot)
-				mergedUpdates += pend.MergeRange(e.Col, plo, phi)
+				mergedUpdates += e.Pend.MergeRange(e.Col, plo, phi)
 			}
 		}
 		if !done {
@@ -431,23 +421,12 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 // optimal index for refinement again: without this, updates that arrive
 // once an index is optimal wait for the queries that touch their values.
 func (d *Daemon) drainOptimal() int {
-	d.pendMu.RLock()
-	var e *stats.Entry
-	var pend *updates.Pending
-	for name, p := range d.pending {
-		if p.Len() == 0 {
-			continue
-		}
-		if ent := d.reg.Get(name); ent != nil && ent.State() == stats.Optimal {
-			e, pend = ent, p
-			break
+	for _, e := range d.reg.Entries() {
+		if e.Pend != nil && e.Pend.Len() > 0 && e.State() == stats.Optimal {
+			return e.Pend.MergeAll(e.Col)
 		}
 	}
-	d.pendMu.RUnlock()
-	if e == nil {
-		return 0
-	}
-	return pend.MergeAll(e.Col)
+	return 0
 }
 
 // Cycles returns a snapshot of the retained per-activation telemetry

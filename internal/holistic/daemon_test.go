@@ -28,7 +28,7 @@ func TestDaemonRefinesIdleSystem(t *testing.T) {
 	reg := newSpace(256)
 	base := randVals(100_000, 1, 1<<20)
 	col := cracking.New("a", base, cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 
 	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
 		Interval:    time.Millisecond,
@@ -73,7 +73,7 @@ func TestDaemonRefinesFullInt64Domain(t *testing.T) {
 	base[0], base[len(base)-1] = math.MinInt64+5, math.MaxInt64-5
 	reg := newSpace(256)
 	col := cracking.New("a", base, cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{Interval: time.Hour, Refinements: 16, Seed: 1})
 	for i := 0; i < 20; i++ {
 		d.RunCycleNow(2)
@@ -97,7 +97,7 @@ func TestDaemonRefinesFullInt64Domain(t *testing.T) {
 func TestDaemonRespectsBusySystem(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(10_000, 2, 1<<20), cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	d := New(reg, cpu.NewLoadAccountant(2), Config{Interval: time.Millisecond, Seed: 2})
 	cpu.Acquire(2)
 	defer cpu.Release(2)
@@ -115,7 +115,7 @@ func TestDaemonRespectsBusySystem(t *testing.T) {
 func TestDaemonReactsToLoadChanges(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(50_000, 3, 1<<20), cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	d := New(reg, cpu.NewLoadAccountant(2), Config{Interval: time.Millisecond, Seed: 3})
 
 	// Saturate, start, verify no refinement.
@@ -150,7 +150,7 @@ func TestDaemonReactsToLoadChanges(t *testing.T) {
 func TestDaemonStandsDownDuringFanOut(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(50_000, 4, 1<<20), cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	const interval = time.Millisecond
 	d := New(reg, cpu.NewLoadAccountant(2), Config{Interval: interval, Seed: 4})
 	defer d.Stop()
@@ -188,7 +188,7 @@ func TestDaemonStandsDownDuringFanOut(t *testing.T) {
 func TestDaemonMovesIndexToOptimal(t *testing.T) {
 	reg := newSpace(1024)
 	col := cracking.New("a", randVals(8_000, 4, 1<<20), cracking.Config{})
-	e := reg.Add("a", col, false)
+	e := reg.Add("a", col, nil, false)
 	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 16, Seed: 4,
 	})
@@ -223,7 +223,7 @@ func TestDaemonStopIsIdempotentAndWithoutStart(t *testing.T) {
 func TestDaemonTelemetry(t *testing.T) {
 	reg := newSpace(64)
 	col := cracking.New("a", randVals(50_000, 5, 1<<20), cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
 		Interval: time.Millisecond, Refinements: 4, Seed: 5,
 	})
@@ -249,7 +249,7 @@ func TestDaemonTelemetry(t *testing.T) {
 
 func TestDaemonMaxWorkersCap(t *testing.T) {
 	reg := newSpace(64)
-	reg.Add("a", cracking.New("a", randVals(50_000, 6, 1<<20), cracking.Config{}), false)
+	reg.Add("a", cracking.New("a", randVals(50_000, 6, 1<<20), cracking.Config{}), nil, false)
 	d := New(reg, cpu.Fixed{Total: 16, Idle: 16}, Config{
 		Interval: time.Millisecond, MaxWorkers: 3, Refinements: 2, Seed: 6,
 	})
@@ -268,7 +268,7 @@ func TestDaemonSpreadsAcrossIndexSpace(t *testing.T) {
 	cols := make([]*cracking.Column, 5)
 	for i := range cols {
 		cols[i] = cracking.New("c", randVals(20_000, int64(10+i), 1<<20), cracking.Config{})
-		reg.Add(string(rune('a'+i)), cols[i], false)
+		reg.Add(string(rune('a'+i)), cols[i], nil, false)
 	}
 	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
 		Interval: time.Millisecond, Refinements: 8, Seed: 7, Strategy: stats.W4,
@@ -303,7 +303,7 @@ func TestDaemonRefinesPotentialIndices(t *testing.T) {
 	// Cpotential and are still refined.
 	reg := newSpace(64)
 	col := cracking.New("a", randVals(30_000, 20, 1<<20), cracking.Config{})
-	reg.Add("a", col, true) // potential: never queried
+	reg.Add("a", col, nil, true) // potential: never queried
 	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 8, Seed: 8,
 	})
@@ -324,15 +324,14 @@ func TestDaemonMergesPendingUpdates(t *testing.T) {
 	reg := newSpace(64)
 	base := randVals(20_000, 21, 1000)
 	col := cracking.New("a", base, cracking.Config{})
-	reg.Add("a", col, false)
 	pend := updates.NewPending()
 	for i := 0; i < 100; i++ {
 		pend.AddInsert(int64(i*10), 0)
 	}
+	reg.Add("a", col, pend, false)
 	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 8, Seed: 9,
 	})
-	d.AttachPending("a", pend)
 	d.Start()
 	deadline := time.After(3 * time.Second)
 	for pend.Len() > 0 {
@@ -361,15 +360,15 @@ func TestAdmitIndexStorageBudget(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		name := string(rune('a' + i))
 		col := cracking.New(name, make([]int64, 10_000), cracking.Config{})
-		if _, evicted := d.AdmitIndex(name, col, false); len(evicted) != 0 {
+		if _, evicted := d.AdmitIndex(name, col, nil, false); len(evicted) != 0 {
 			t.Fatalf("index %s evicted %v within budget", name, evicted)
 		}
 	}
 	// Access b and c so a is the LFU victim.
-	reg.RecordAccess("b", false)
-	reg.RecordAccess("c", false)
-	_, evicted := d.AdmitIndex("d", cracking.New("d", make([]int64, 10_000), cracking.Config{}), false)
-	if len(evicted) != 1 || evicted[0] != "a" {
+	reg.Get("b").RecordAccess(false)
+	reg.Get("c").RecordAccess(false)
+	_, evicted := d.AdmitIndex("d", cracking.New("d", make([]int64, 10_000), cracking.Config{}), nil, false)
+	if len(evicted) != 1 || evicted[0].Name != "a" {
 		t.Fatalf("evicted %v, want [a]", evicted)
 	}
 	if reg.Get("a") != nil {
@@ -384,7 +383,7 @@ func TestAdmitIndexUnlimitedBudget(t *testing.T) {
 	d := New(newSpace(64), cpu.Fixed{}, Config{Interval: time.Millisecond})
 	for i := 0; i < 10; i++ {
 		if _, evicted := d.AdmitIndex(string(rune('a'+i)),
-			cracking.New("x", make([]int64, 1000), cracking.Config{}), false); len(evicted) != 0 {
+			cracking.New("x", make([]int64, 1000), cracking.Config{}), nil, false); len(evicted) != 0 {
 			t.Fatal("unlimited budget evicted")
 		}
 	}
@@ -393,7 +392,7 @@ func TestAdmitIndexUnlimitedBudget(t *testing.T) {
 func TestRunCycleNow(t *testing.T) {
 	reg := newSpace(64)
 	col := cracking.New("a", randVals(50_000, 22, 1<<20), cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	d := New(reg, cpu.Fixed{}, Config{Interval: time.Hour, Refinements: 16, Seed: 10})
 	d.RunCycleNow(2)
 	if col.Pieces() < 2 {
@@ -426,7 +425,7 @@ func TestDaemonQueriesRaceDaemon(t *testing.T) {
 	reg := newSpace(128)
 	base := randVals(100_000, 23, 1<<20)
 	col := cracking.New("a", base, cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 	d := New(reg, cpu.Fixed{Total: 2, Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 16, Seed: 12,
 	})
@@ -441,7 +440,7 @@ func TestDaemonQueriesRaceDaemon(t *testing.T) {
 			d.Stop()
 			t.Fatalf("query %d: got %d, want %d while daemon active", q, got, want)
 		}
-		reg.RecordAccess("a", false)
+		reg.Get("a").RecordAccess(false)
 	}
 	d.Stop()
 	if err := col.CheckInvariants(); err != nil {
@@ -457,7 +456,7 @@ func TestDaemonQueriesRaceDaemon(t *testing.T) {
 func TestDaemonStandsDownOnLowCardinalityKey(t *testing.T) {
 	reg := newSpace(4096)
 	col := cracking.New("g", randVals(1<<20, 5, 8), cracking.Config{})
-	e := reg.Add("g", col, false)
+	e := reg.Add("g", col, nil, false)
 	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
 		Interval: time.Millisecond, Refinements: 16, Seed: 5,
 	})

@@ -16,7 +16,7 @@ import (
 func TestWorkerPanicContained(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(50_000, 11, 1<<20), cracking.Config{})
-	reg.Add("a", col, false)
+	reg.Add("a", col, nil, false)
 
 	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
 		Interval:    time.Hour, // cycles driven manually

@@ -313,6 +313,9 @@ func TestSteadyStateGroupedAllocationFree(t *testing.T) {
 	for i := range keyVals {
 		keyVals[i] = keyVals[i] % 61
 	}
+	// The wide key the hash half below groups by: every column is added
+	// before the executor is built.
+	wideKey(tab, "a")
 	r := New(tab, engine.NewScanExecutor(tab, 1), 1)
 	keys := []string{"a"}
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum("c"), groupby.Min("c"), groupby.Max("c")}
@@ -349,7 +352,6 @@ func TestSteadyStateGroupedAllocationFree(t *testing.T) {
 	}
 	// So do the hash accumulators, once their table and group columns
 	// have grown: the same 61 groups spread 2^20 apart cannot pack.
-	wideKey(tab, "a")
 	keys = []string{"w"}
 	if err := r.GroupedInto(&res, keys, aggs, preds); err != nil {
 		t.Fatal(err)

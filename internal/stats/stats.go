@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"holistic/internal/cracking"
+	"holistic/internal/updates"
 )
 
 // Strategy selects how the next index to refine is picked (Section 4.2,
@@ -98,10 +99,14 @@ func (s State) String() string {
 
 // Entry is the statistics node of one adaptive index. Its counters and
 // state are atomics: the select operator, holistic workers and the
-// telemetry readers all touch them concurrently.
+// telemetry readers all touch them concurrently. Pend is the queue of
+// updates not yet merged into Col — the one the index was built with —
+// so workers merge what they refine without asking anyone by name; nil
+// for a read-only index.
 type Entry struct {
 	Name string
 	Col  *cracking.Column
+	Pend *updates.Pending
 
 	state    atomic.Int64 // State
 	accesses atomic.Int64 // fI: user queries that accessed the index
@@ -145,17 +150,18 @@ func NewRegistry(l1Values int, seed int64) *Registry {
 // L1Values returns the optimal piece size in values.
 func (r *Registry) L1Values() int { return int(r.l1s) }
 
-// Add registers an index. potential=false inserts into Cactual (a user
-// query created it); potential=true into Cpotential (system- or
-// user-provided candidate that has not been queried yet). Re-adding an
-// existing name returns the existing entry.
-func (r *Registry) Add(name string, col *cracking.Column, potential bool) *Entry {
+// Add registers an index with its pending updates (nil for none).
+// potential=false inserts into Cactual (a user query created it);
+// potential=true into Cpotential (system- or user-provided candidate that
+// has not been queried yet). Re-adding an existing name returns the
+// existing entry.
+func (r *Registry) Add(name string, col *cracking.Column, pend *updates.Pending, potential bool) *Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[name]; ok {
 		return e
 	}
-	e := &Entry{Name: name, Col: col}
+	e := &Entry{Name: name, Col: col, Pend: pend}
 	if potential {
 		e.state.Store(int64(Potential))
 	}
@@ -179,13 +185,6 @@ func (r *Registry) Get(name string) *Entry {
 	return r.entries[name]
 }
 
-// Remove drops an index from the space entirely (storage eviction).
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.entries, name)
-}
-
 // Len returns the number of registered indices (all configurations).
 func (r *Registry) Len() int {
 	r.mu.RLock()
@@ -195,14 +194,11 @@ func (r *Registry) Len() int {
 
 // RecordAccess updates fI (and fIh on an exact hit) after a user query
 // touched the index, promoting Potential entries into Cactual. The select
-// operator calls this on every selection, as in the paper.
-func (r *Registry) RecordAccess(name string, exactHit bool) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
-	if !ok {
-		return
-	}
+// operator calls this on every selection, as in the paper; it touches
+// only the entry's atomics, never the registry's lock.
+//
+//holistic:noalloc
+func (e *Entry) RecordAccess(exactHit bool) {
 	e.accesses.Add(1)
 	if exactHit {
 		e.hits.Add(1)
@@ -292,20 +288,10 @@ func (r *Registry) PickForRefinement(s Strategy) *Entry {
 	var best *Entry
 	var bestW float64
 	for _, e := range actual {
-		d := e.Col.AvgPieceSize() - r.l1s
-		if d <= 0 {
+		if r.Distance(e) <= 0 {
 			continue
 		}
-		var w float64
-		switch s {
-		case W2:
-			w = float64(e.accesses.Load()) * d
-		case W3:
-			w = float64(e.accesses.Load()-e.hits.Load()) * d
-		default:
-			w = d
-		}
-		if best == nil || w > bestW || (w == bestW && e.Name < best.Name) {
+		if w := r.Weight(e, s); best == nil || w > bestW || (w == bestW && e.Name < best.Name) {
 			best, bestW = e, w
 		}
 	}

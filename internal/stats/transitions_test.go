@@ -19,19 +19,19 @@ func TestStateString(t *testing.T) {
 func TestTransitionTimeline(t *testing.T) {
 	r := NewRegistry(1<<20, 1) // enormous L1 => optimal on first check
 	c := col(t, 1024, 1)
-	e := r.Add("a", c, true)
+	e := r.Add("a", c, nil, true)
 	if st := e.State(); st != Potential {
 		t.Fatalf("candidate admitted as %v, want potential", st)
 	}
-	if st := r.Add("q", c, false).State(); st != Actual {
+	if st := r.Add("q", c, nil, false).State(); st != Actual {
 		t.Fatalf("query-created index admitted as %v, want actual", st)
 	}
 
-	r.RecordAccess("a", false)
+	r.Get("a").RecordAccess(false)
 	if st := e.State(); st != Actual {
 		t.Fatalf("first access left the index %v, want actual", st)
 	}
-	r.RecordAccess("a", true)
+	r.Get("a").RecordAccess(true)
 	if st := e.State(); st != Actual || e.Accesses() != 2 || e.Hits() != 1 {
 		t.Fatalf("second access: state %v, fI %d, fIh %d; want actual, 2, 1", st, e.Accesses(), e.Hits())
 	}
@@ -42,7 +42,7 @@ func TestTransitionTimeline(t *testing.T) {
 	if st := e.State(); st != Optimal {
 		t.Fatalf("converged index is %v, want optimal", st)
 	}
-	r.RecordAccess("a", false) // an access never demotes an optimal index
+	r.Get("a").RecordAccess(false) // an access never demotes an optimal index
 	if st := e.State(); st != Optimal {
 		t.Fatalf("access after convergence left the index %v, want optimal", st)
 	}
@@ -57,7 +57,7 @@ func TestTransitionTimeline(t *testing.T) {
 // index never move it back out of optimal.
 func TestConcurrentAccessPromotesOnce(t *testing.T) {
 	r := NewRegistry(1<<20, 1)
-	e := r.Add("a", col(t, 1024, 1), true)
+	e := r.Add("a", col(t, 1024, 1), nil, true)
 	const workers, perG = 8, 1000
 	var wg sync.WaitGroup
 	hammer := func(hit func(i int) bool) {
@@ -66,7 +66,7 @@ func TestConcurrentAccessPromotesOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perG; i++ {
-					r.RecordAccess("a", hit(i))
+					r.Get("a").RecordAccess(hit(i))
 				}
 			}()
 		}
@@ -92,12 +92,12 @@ func TestConcurrentAccessPromotesOnce(t *testing.T) {
 // optimal and is never picked for refinement.
 func TestRestoredStateObeysTransitions(t *testing.T) {
 	r := NewRegistry(0, 1)
-	p := r.Add("p", col(t, 50_000, 1), false)
+	p := r.Add("p", col(t, 50_000, 1), nil, false)
 	p.RestoreCounts(0, 0, Potential)
-	o := r.Add("o", col(t, 50_000, 2), false)
+	o := r.Add("o", col(t, 50_000, 2), nil, false)
 	o.RestoreCounts(7, 3, Optimal)
-	r.RecordAccess("p", false)
-	r.RecordAccess("o", true)
+	r.Get("p").RecordAccess(false)
+	r.Get("o").RecordAccess(true)
 	if p.State() != Actual || p.Accesses() != 1 {
 		t.Fatalf("restored candidate after access: %v fI %d, want actual 1", p.State(), p.Accesses())
 	}

@@ -80,14 +80,8 @@ type Runner struct {
 
 	mu       sync.Mutex
 	proj     map[string]*projection
-	crackers map[string]*cracking.Column
-	// rowCrackers are plain rowid-carrying crackers (no payloads), one
-	// per conjunct attribute of Q6: the access paths of the conjunctive
-	// select→probe→fetch pipeline. Keyed by attribute; registered with
-	// the daemon under "<attr>.rows" to coexist with the sideways
-	// crackers.
-	rowCrackers map[string]*cracking.Column
-	threads     int
+	crackers map[string]*sideways
+	threads  int
 
 	reg    *stats.Registry
 	daemon *holistic.Daemon
@@ -114,15 +108,14 @@ type RunnerConfig struct {
 // first query pays it lazily).
 func NewRunner(data *Data, mode Mode, cfg RunnerConfig) *Runner {
 	r := &Runner{
-		data:        data,
-		mode:        mode,
-		li:          make(map[string][]int64),
-		ord:         make(map[string][]int64),
-		cust:        make(map[string][]int64),
-		proj:        make(map[string]*projection),
-		crackers:    make(map[string]*cracking.Column),
-		rowCrackers: make(map[string]*cracking.Column),
-		threads:     cfg.Contexts,
+		data:     data,
+		mode:     mode,
+		li:       make(map[string][]int64),
+		ord:      make(map[string][]int64),
+		cust:     make(map[string][]int64),
+		proj:     make(map[string]*projection),
+		crackers: make(map[string]*sideways),
+		threads:  cfg.Contexts,
 	}
 	if r.threads < 1 {
 		r.threads = 1
@@ -256,32 +249,44 @@ func identityRows(n int) []uint32 {
 	return out
 }
 
-// cracker returns (building if needed) the sideways cracker column on
-// attr; in holistic mode new crackers join the daemon's index space.
-func (r *Runner) cracker(attr string) *cracking.Column {
+// sideways is one sideways cracker column and, in holistic mode, its
+// node in the daemon's index space.
+type sideways struct {
+	col   *cracking.Column
+	entry *stats.Entry
+}
+
+// cracker returns (building if needed) the sideways cracker on attr; in
+// holistic mode a new one joins the daemon's index space. The crackers
+// are read-only — LINEITEM takes no updates — so they carry no pending
+// queue.
+func (r *Runner) cracker(attr string) *sideways {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.crackers[attr]; ok {
-		return c
+	if sw, ok := r.crackers[attr]; ok {
+		return sw
 	}
 	names := sidewaysPayloads[attr]
 	cols := make([][]int64, len(names))
 	for i, n := range names {
 		cols[i] = r.li[n]
 	}
-	c := cracking.NewSideways(attr, r.li[attr], names, cols, cracking.Config{Seed: int64(len(r.crackers))})
-	r.crackers[attr] = c
+	sw := &sideways{col: cracking.NewSideways(attr, r.li[attr], names, cols, cracking.Config{Seed: int64(len(r.crackers))})}
 	if r.reg != nil {
-		r.reg.Add(attr, c, false)
+		sw.entry = r.reg.Add(attr, sw.col, nil, false)
 	}
-	return c
+	r.crackers[attr] = sw
+	return sw
 }
 
 // Cracker exposes the cracker column for telemetry (nil before first use).
 func (r *Runner) Cracker(attr string) *cracking.Column {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.crackers[attr]
+	if sw := r.crackers[attr]; sw != nil {
+		return sw.col
+	}
+	return nil
 }
 
 // selectPayloads streams the qualifying tuples (select values plus the
@@ -289,12 +294,12 @@ func (r *Runner) Cracker(attr string) *cracking.Column {
 // counting the caller as a busy context while it cracks, and recording
 // statistics in holistic mode.
 func (r *Runner) selectPayloads(attr string, lo, hi int64, fn func(vals []int64, payloads [][]int64)) {
-	c := r.cracker(attr)
+	sw := r.cracker(attr)
 	cpu.Acquire(1)
 	defer cpu.Release(1)
-	rg := c.SelectPayloads(lo, hi, fn)
-	if r.reg != nil {
-		r.reg.RecordAccess(attr, rg.ExactHit())
+	rg := sw.col.SelectPayloads(lo, hi, fn)
+	if sw.entry != nil {
+		sw.entry.RecordAccess(rg.ExactHit())
 	}
 }
 
@@ -404,148 +409,60 @@ func (r *Runner) q1Spec(keys []groupby.Key, aggs []groupby.Agg, cols map[string]
 	}
 }
 
-// conjPred is one range conjunct over a LINEITEM attribute: lo <= attr
-// < hi.
-type conjPred struct {
-	attr   string
-	lo, hi int64
-}
-
-// planConj orders the conjuncts most selective first under a uniform
-// estimate over each attribute's observed domain.
-func (r *Runner) planConj(preds []conjPred) []conjPred {
-	ests := make([]float64, len(preds))
-	for i, p := range preds {
-		dLo, dHi := r.data.Lineitem.Column(p.attr).Bounds()
-		ests[i] = column.UniformEstimate(1, dLo, dHi, p.lo, p.hi)
-	}
-	idx := make([]int, len(preds))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return ests[idx[a]] < ests[idx[b]] })
-	out := make([]conjPred, len(preds))
-	for i, j := range idx {
-		out[i] = preds[j]
-	}
-	return out
-}
-
-// rowCracker returns (building if needed) the plain rowid-carrying
-// cracker on attr used by the conjunctive Q6 pipeline; under the
-// holistic mode it joins the daemon's index space as "<attr>.rows".
-func (r *Runner) rowCracker(attr string) *cracking.Column {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.rowCrackers[attr]; ok {
-		return c
-	}
-	c := cracking.New(attr, r.li[attr], cracking.Config{WithRows: true, Seed: int64(len(r.rowCrackers))})
-	r.rowCrackers[attr] = c
-	if r.reg != nil {
-		r.reg.Add(attr+".rows", c, false)
-	}
-	return c
-}
-
-// RowCracker exposes the conjunctive cracker for telemetry (nil before
-// first use).
-func (r *Runner) RowCracker(attr string) *cracking.Column {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rowCrackers[attr]
-}
-
 // Q6 runs the forecasting revenue change query: sum(extprice * discount)
 // over lines shipped in `year` with discount within ±1% of `discount`
 // (basis points) and quantity < `quantity`. Revenue is returned in
 // cents.
 //
-// Q6 is a real three-predicate conjunction over l_shipdate, l_discount
-// and l_quantity, evaluated with the select→probe→fetch pipeline of the
-// query subsystem: the planner orders the conjuncts by estimated
-// selectivity, the most selective one runs through the mode's access
-// path (scan / sorted projection / rowid cracker), the remaining
-// conjuncts refine the candidate positions by positional probes, and
-// the revenue attributes are fetched late. Under the holistic mode
-// every conjunct attribute is admitted to the daemon's index space, so
-// background refinement spreads across all three columns.
+// Q6 is a three-predicate conjunction over l_shipdate, l_discount and
+// l_quantity. Its shipdate conjunct (one year of seven) is the most
+// selective of the three in every variant, so every mode drives by it
+// and filters discount, then quantity: the scan filters the base
+// columns, the pre-sorted projection binary-searches its shipdate window,
+// and the cracking modes read the shipdate sideways cracker — whose
+// payloads carry quantity, extendedprice and discount — as Q1 and Q3 do,
+// filtering inside the segment loop. Under the holistic mode that one
+// cracker is the only index Q6 adds to the daemon's space.
 func (r *Runner) Q6(year int, discount, quantity int64) int64 {
 	loDay, hiDay := YearDay(year), YearDay(year+1)
-	dLo, dHi := discount-100, discount+100
-	preds := []conjPred{
-		{"l_shipdate", loDay, hiDay},
-		{"l_discount", dLo, dHi + 1},
-		{"l_quantity", 0, quantity},
-	}
-	plan := r.planConj(preds)
-
+	dLo, dHi := discount-100, discount+101
+	var revenue int64
+	var cols map[string][]int64
 	var sel column.PosList
-	residual := plan[1:]
-	var ext, disc []int64
 	switch r.mode {
-	case ModeScan:
-		d := plan[0]
-		sel = column.ParallelScanRange(r.li[d.attr], d.lo, d.hi, r.threads)
-		ext, disc = r.li["l_extendedprice"], r.li["l_discount"]
-	case ModePresorted:
-		// The pre-sorted projection is ordered on l_shipdate, so that
-		// conjunct drives via binary search regardless of plan order;
-		// the others probe the projection's aligned columns. Positions
-		// are projection positions, not base row ids. The first probe
-		// runs fused over the contiguous window, so no identity
-		// position list is ever materialized.
-		p := r.projection("l_shipdate")
-		start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= loDay })
-		end := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= hiDay })
-		var rest []conjPred
-		for _, q := range plan {
-			if q.attr != "l_shipdate" {
-				rest = append(rest, q)
-			}
-		}
-		residual = nil
-		if len(rest) == 0 {
-			sel = make(column.PosList, 0, end-start)
-			for i := start; i < end; i++ {
-				sel = append(sel, column.Pos(i))
-			}
-		} else {
-			first := rest[0]
-			vals := p.cols[first.attr]
-			sel = make(column.PosList, 0, (end-start)/4+1)
-			for i := start; i < end; i++ {
-				if v := vals[i]; v >= first.lo && v < first.hi {
-					sel = append(sel, column.Pos(i))
+	case ModeCracking, ModeHolistic:
+		// Shipdate sideways payload order: qty, ext, disc, ...
+		r.selectPayloads("l_shipdate", loDay, hiDay, func(_ []int64, pl [][]int64) {
+			qty, ext, disc := pl[0], pl[1], pl[2]
+			for i, d := range disc {
+				if d >= dLo && d < dHi && qty[i] < quantity {
+					revenue += ext[i] * d / 10000
 				}
 			}
-			for _, q := range rest[1:] {
-				sel = column.ParallelFilterRows(p.cols[q.attr], sel, q.lo, q.hi, r.threads)
+		})
+		return revenue
+	case ModePresorted:
+		// Positions are projection positions, not base row ids; the
+		// discount filter runs fused over the contiguous window, so no
+		// identity position list is ever materialized.
+		p := r.projection("l_shipdate")
+		cols = p.cols
+		start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= loDay })
+		end := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= hiDay })
+		disc := cols["l_discount"]
+		sel = make(column.PosList, 0, (end-start)/4+1)
+		for i := start; i < end; i++ {
+			if v := disc[i]; v >= dLo && v < dHi {
+				sel = append(sel, column.Pos(i))
 			}
 		}
-		ext, disc = p.cols["l_extendedprice"], p.cols["l_discount"]
-	case ModeCracking, ModeHolistic:
-		cpu.Acquire(1)
-		defer cpu.Release(1)
-		c := r.rowCracker(plan[0].attr)
-		rg, rows := c.SelectRows(plan[0].lo, plan[0].hi)
-		if r.reg != nil {
-			r.reg.RecordAccess(plan[0].attr+".rows", rg.ExactHit())
-			// Every other conjunct joins the index space too, so the
-			// daemon's refinement spreads across all touched columns.
-			for _, q := range residual {
-				r.rowCracker(q.attr)
-				r.reg.RecordAccess(q.attr+".rows", false)
-			}
-		}
-		sel = rows
-		ext, disc = r.li["l_extendedprice"], r.li["l_discount"]
+	default:
+		cols = r.li
+		sel = column.ParallelScanRange(cols["l_shipdate"], loDay, hiDay, r.threads)
+		sel = column.ParallelFilterRows(cols["l_discount"], sel, dLo, dHi, r.threads)
 	}
-	for _, q := range residual {
-		sel = column.ParallelFilterRows(r.li[q.attr], sel, q.lo, q.hi, r.threads)
-	}
-
-	var revenue int64
+	sel = column.ParallelFilterRows(cols["l_quantity"], sel, 0, quantity, r.threads)
+	ext, disc := cols["l_extendedprice"], cols["l_discount"]
 	for _, pos := range sel {
 		revenue += ext[pos] * disc[pos] / 10000
 	}

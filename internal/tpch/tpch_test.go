@@ -308,8 +308,8 @@ func TestHolisticRunnerRefinesInBackground(t *testing.T) {
 		Interval: time.Millisecond, Refinements: 16, Seed: 2, L1Values: 128,
 	})
 	defer r.Close()
-	r.Q6(1994, 500, 25) // creates the conjunctive shipdate cracker
-	c := r.RowCracker("l_shipdate")
+	r.Q6(1994, 500, 25) // creates the shipdate sideways cracker
+	c := r.Cracker("l_shipdate")
 	if c == nil {
 		t.Fatal("no cracker after Q6")
 	}
@@ -396,9 +396,9 @@ func TestSidewaysCrackerGrowsWithVariants(t *testing.T) {
 	}
 }
 
-// TestConjunctiveQ6Crackers: under the cracking modes Q6 drives its most
-// selective conjunct through a rowid cracker that grows with variants,
-// and under the holistic mode all three conjunct attributes join the
+// TestConjunctiveQ6Crackers: under the cracking modes Q6 drives by the
+// shipdate sideways cracker, which grows with variants, and builds no
+// other index; under the holistic mode it admits l_shipdate alone to the
 // index space.
 func TestConjunctiveQ6Crackers(t *testing.T) {
 	d := Generate(3000, 11)
@@ -407,9 +407,9 @@ func TestConjunctiveQ6Crackers(t *testing.T) {
 	prev := 0
 	for _, v := range Variants(10, 12) {
 		r.Q6(v.Q6Year, v.Q6Discount, v.Q6Quantity)
-		c := r.RowCracker("l_shipdate")
+		c := r.Cracker("l_shipdate")
 		if c == nil {
-			t.Fatal("no rowid cracker after Q6 (shipdate should drive)")
+			t.Fatal("no shipdate sideways cracker after Q6")
 		}
 		if c.Pieces() < prev {
 			t.Fatalf("pieces shrank: %d -> %d", prev, c.Pieces())
@@ -419,18 +419,19 @@ func TestConjunctiveQ6Crackers(t *testing.T) {
 	if prev < 3 {
 		t.Fatalf("cracker barely refined: %d pieces after 10 variants", prev)
 	}
-	// Non-driving conjuncts never built an index under plain cracking.
-	if r.RowCracker("l_discount") != nil || r.RowCracker("l_quantity") != nil {
-		t.Fatal("plain cracking built indexes for non-driving conjuncts")
+	if r.Cracker("l_discount") != nil || r.Cracker("l_quantity") != nil {
+		t.Fatal("Q6 built indexes for non-driving conjuncts")
 	}
 
 	h := NewRunner(d, ModeHolistic, RunnerConfig{Interval: time.Millisecond, Refinements: 4, Seed: 3, L1Values: 256})
 	defer h.Close()
 	h.Q6(1994, 500, 25)
-	for _, attr := range []string{"l_shipdate", "l_discount", "l_quantity"} {
-		if h.RowCracker(attr) == nil {
-			t.Errorf("holistic mode did not admit %s to the index space", attr)
-		}
+	var names []string
+	for _, e := range h.reg.Entries() {
+		names = append(names, e.Name)
+	}
+	if len(names) != 1 || names[0] != "l_shipdate" || h.reg.Get("l_shipdate").Accesses() != 1 {
+		t.Fatalf("holistic Q6 admitted %v, want [l_shipdate] accessed once", names)
 	}
 }
 
