@@ -894,6 +894,25 @@ var storeSeeds = []struct {
 		conj("a", p("a", at(0), at(128)), p("b", at(0), at(64))),
 		grouped([]string{"a"}, "b", p("b", at(0), at(128))),
 	)},
+	// Residual conjuncts selected through their own index: b and c
+	// cracked on the bounds the conjunctions filter them by, then inserts
+	// (into a and b, so the new rows are candidates), deletes and updates
+	// — one moving a row out of range, one into it — left pending on them
+	// before two- and three-conjunct counts, sums and groupings driven by
+	// a, and again after the first reads merged them.
+	{"residual-index", prog(3, 62, 12,
+		rng("b", at(16), at(240)), rng("c", at(8), at(248)),
+		ins("a", at(20)), ins("b", at(100)), ins("a", at(30)), ins("b", held(3)),
+		del("b", held(5)), upd("b", held(7), at(250)), upd("b", held(9), at(60)),
+		ins("c", at(50)), del("c", held(1)), upd("c", held(2), at(4)),
+		conj("b", p("a", at(0), at(128)), p("b", at(16), at(240))),
+		conj("c", p("a", at(0), at(128)), p("b", at(16), at(240)), p("c", at(8), at(248))),
+		grouped([]string{"c"}, "b", p("a", at(0), at(128)), p("b", at(16), at(240))),
+		ins("a", at(40)), ins("b", at(200)), ins("c", at(100)),
+		del("b", held(11)), upd("c", held(12), at(250)),
+		conj("b", p("a", at(0), at(128)), p("b", at(16), at(240)), p("c", at(8), at(248))),
+		grouped([]string{"a"}, "c", p("a", at(0), at(128)), p("c", at(8), at(248))),
+	)},
 	// Eight values over 80 rows: deletes of a value until nobody holds
 	// it, then the errors.
 	{"duplicates", prog(0, 8, 11,

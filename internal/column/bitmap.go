@@ -141,12 +141,14 @@ func (b *Bitmap) SetLowRowsExtend(words []int64) { setRowsExtend(b, words) }
 
 //holistic:noalloc
 func setRowsExtend[T uint32 | int64](b *Bitmap, rows []T) {
+	words, n := b.words, b.n // held in registers: the stores below cannot change them
 	for _, x := range rows {
 		r := uint32(x)
-		if int(r) >= b.n {
+		if int(r) >= n {
 			b.extend(int(r) + 1)
+			words, n = b.words, b.n
 		}
-		b.words[r>>6] |= 1 << (r & 63)
+		words[r>>6] |= 1 << (r & 63)
 	}
 }
 
@@ -336,32 +338,56 @@ func gatherBits(dst, vals []int64, words []uint64) []int64 {
 	return dst
 }
 
+// foldBatch is how many set positions the bitmap folds collect before
+// reading their values. The bit walk mispredicts a branch every few bits
+// of a sparse bitmap, and a load issued behind a misprediction waits for
+// it: read in the walk, a cold column costs a full memory latency per
+// position. Read afterwards, in a loop with no data-dependent branch, the
+// loads overlap.
+const foldBatch = 256
+
 // SumBitmap folds sum(vals[p]) over the qualifying positions without
 // materializing anything. Every set position must be < len(vals).
 //
 //holistic:noalloc
 func SumBitmap(vals []int64, b *Bitmap) int64 {
 	var s int64
+	var buf [foldBatch]int
+	k, last := 0, len(b.words)-1
 	for wi, w := range b.words {
-		base := wi << 6
-		for ; w != 0; w &= w - 1 {
-			s += vals[base+bits.TrailingZeros64(w)]
+		for base := wi << 6; w != 0; w &= w - 1 {
+			buf[k] = base + bits.TrailingZeros64(w)
+			k++
+		}
+		if k > foldBatch-64 || wi == last {
+			for _, p := range buf[:k] {
+				s += vals[p]
+			}
+			k = 0
 		}
 	}
 	return s
 }
 
-// minMaxBits folds the extrema of vals over the set positions; every
-// set position must be < len(vals).
+// minMaxBits folds the extrema of vals over the set positions, in
+// batches like SumBitmap; every set position must be < len(vals).
 //
 //holistic:noalloc
 func minMaxBits(vals []int64, words []uint64) (mn, mx int64, n int) {
 	mn, mx = noMin, noMax
+	var buf [foldBatch]int
+	k, last := 0, len(words)-1
 	for wi, w := range words {
-		base := wi << 6
-		n += bits.OnesCount64(w)
-		for ; w != 0; w &= w - 1 {
-			mn, mx = widen(mn, mx, vals[base+bits.TrailingZeros64(w)])
+		for base := wi << 6; w != 0; w &= w - 1 {
+			buf[k] = base + bits.TrailingZeros64(w)
+			k++
+		}
+		if k > foldBatch-64 || wi == last {
+			for _, p := range buf[:k] {
+				mn, mx = widen(mn, mx, vals[p])
+			}
+			n += k
+			k = 0
 		}
 	}
 	return mn, mx, n

@@ -314,6 +314,21 @@ func checkSelection(t *testing.T, name string, w View, l logical, sel PosList, u
 				t.Fatalf("%s: MinMax = (%d, %d, %d), want (%d, %d, %d)", ctx, mn, mx, cnt, present.mn, present.mx, len(present.pos))
 			}
 		}
+		// Intersecting with the conjunct's own selection is Filter, the
+		// selection's order kept, whether that covers no more positions
+		// than it needs (an attribute without the appended rows) or more
+		// than the universe.
+		need := 0
+		if len(want.pos) > 0 {
+			need = int(slices.Max(want.pos)) + 1
+		}
+		for _, n := range []int{need, universe + 130} {
+			s := mk(order)
+			s.Intersect(bitmapOf(n, want.pos))
+			if rep == "poslist" && !slices.Equal(s.Rows, want.pos) || !slices.Equal(s.Positions(nil), sorted(want.pos)) {
+				t.Fatalf("%s rep=%s: Intersect over %d positions diverges from Filter", name, rep, n)
+			}
+		}
 		s := mk(order)
 		w.Present(s)
 		if got := s.Positions(nil); !slices.Equal(got, sorted(present.pos)) {
@@ -422,6 +437,7 @@ func TestSequentialDoorsAllocationFree(t *testing.T) {
 			for rep, s := range map[string][2]*Selection{"poslist": {&rows, &presentRows}, "bitmap": {&bits, &presentBits}} {
 				methods["Filter/"+rep] = func() { refill(); w.Filter(s[0], -300, 400, k) }
 				methods["Present/"+rep] = func() { refill(); w.Present(s[0]) }
+				methods["Intersect/"+rep] = func() { refill(); s[0].Intersect(allBits) }
 				methods["Fetch/"+rep] = func() { valBuf = w.Fetch(s[1], valBuf[:0], k) }
 				methods["Sum/"+rep] = func() { sink += w.Sum(s[1], k) }
 				methods["MinMax/"+rep] = func() { _, _, n := w.MinMax(s[1]); sink += int64(n) }

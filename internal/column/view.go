@@ -32,6 +32,9 @@ type View struct {
 	Deleted map[Pos]struct{}
 	// Updated overrides the value of individual row ids.
 	Updated map[Pos]int64
+	// Writes is the number of writes to the attribute the snapshot
+	// reflects, for an owner that must tell whether it still is current.
+	Writes uint64
 }
 
 // Plain reports whether the view is just the base array (no overlay):
@@ -189,6 +192,32 @@ func (w View) Filter(s *Selection, lo, hi int64, workers int) {
 		}
 	})
 	s.Rows = out
+}
+
+// Intersect keeps the candidates whose bit is set in b, in place and in
+// order: a word AND for a bitmap, a bit test per position for a list —
+// branch-free, since about as many candidates go as stay. It is the
+// refine operator of a residual conjunct selected through its own index
+// into b; b may cover fewer or more positions than s.
+//
+//holistic:noalloc
+func (s *Selection) Intersect(b *Bitmap) {
+	if !s.Dense {
+		rows, k := s.Rows, 0
+		for _, p := range rows {
+			if w := int(p >> 6); w < len(b.words) {
+				rows[k] = p
+				k += int(b.words[w] >> (p & 63) & 1)
+			}
+		}
+		s.Rows = rows[:k]
+		return
+	}
+	words, n := s.Bits.words, min(len(s.Bits.words), len(b.words))
+	for i, w := range b.words[:n] {
+		words[i] &= w
+	}
+	clear(words[n:])
 }
 
 // Present keeps the candidates that have a value in this attribute — the

@@ -256,25 +256,37 @@ func (c *Column) PieceSpan(v int64) (lo, hi int64) {
 	return key, nextKey
 }
 
-// LookupRange returns the position range for [lo, hi) without cracking,
-// with ok=false unless both bounds are existing boundaries. Used to probe
-// for exact hits without physical work.
-func (c *Column) LookupRange(lo, hi int64) (Range, bool) {
+// Probe reads what SelectRange(lo, hi) would cost off the cracker index,
+// cracking nothing: work is the number of values it would partition
+// first, the piece each bound that is not a boundary falls inside — a
+// piece both bounds fall inside twice, as the select partitions it at lo
+// and then its upper part at hi. With no work the range is bracketed and
+// n is the exact number of qualifying tuples; otherwise n is 0.
+// O(log pieces).
+//
+//holistic:noalloc
+func (c *Column) Probe(lo, hi int64) (n, work int) {
+	if lo >= hi {
+		return 0, 0
+	}
 	c.global.RLock()
 	defer c.global.RUnlock()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	pLo, okLo := c.tree.Get(lo)
-	pHi, okHi := c.tree.Get(hi)
-	if !okLo || !okHi {
-		return Range{}, false
+	kLo, pLo, endLo, _ := c.pieceSpanLocked(lo)
+	kHi, pHi, endHi, _ := c.pieceSpanLocked(hi)
+	if kLo != lo {
+		work = endLo - pLo.start
 	}
-	return Range{
-		Start:   pLo.(*piece).start,
-		End:     pHi.(*piece).start,
-		ExactLo: true,
-		ExactHi: true,
-	}, true
+	if kHi != hi {
+		work += endHi - pHi.start
+	}
+	if work > 0 {
+		return 0, work
+	}
+	// A bound inside an empty piece sits at its start as surely as a
+	// boundary does.
+	return pHi.start - pLo.start, 0
 }
 
 // LowestRow returns the smallest rowid among the tuples holding value v,

@@ -250,19 +250,48 @@ func TestCrackAtBoundaries(t *testing.T) {
 	}
 }
 
+// TestLookupRange: Probe reports a bracketed range only once both bounds
+// are boundaries, and then the select's own count.
 func TestLookupRange(t *testing.T) {
 	base := randVals(1000, 11, 100)
 	c := New("a", base, Config{})
-	if _, ok := c.LookupRange(10, 20); ok {
-		t.Error("LookupRange reported ok before any crack")
+	if _, work := c.Probe(10, 20); work == 0 {
+		t.Error("Probe reported a bracketed range before any crack")
 	}
 	r := c.SelectRange(10, 20)
-	got, ok := c.LookupRange(10, 20)
-	if !ok {
-		t.Fatal("LookupRange did not find cracked bounds")
+	if n, work := c.Probe(10, 20); work != 0 || n != r.Count() {
+		t.Errorf("Probe(10, 20) = %d, work %d after the crack; want %d, no work", n, work, r.Count())
 	}
-	if got.Start != r.Start || got.End != r.End {
-		t.Errorf("LookupRange = %+v, want %+v", got, r)
+}
+
+// TestProbe checks the select-cost probe against the pieces the select
+// partitions: none for boundaries, the enclosing piece for each other
+// bound, twice when both bounds share it.
+func TestProbe(t *testing.T) {
+	base := randVals(1000, 11, 100)
+	c := New("a", base, Config{})
+	if n, work := c.Probe(30, 40); work != 2000 || n != 0 {
+		t.Errorf("uncracked Probe(30, 40) = %d, work %d; want the whole column twice", n, work)
+	}
+	sel := c.SelectRange(10, 20)
+	below, above := sel.Start, 1000-sel.End
+	cases := []struct {
+		lo, hi int64
+		n      int
+		work   int
+	}{
+		{10, 20, sel.Count(), 0},
+		{10, 50, 0, above},
+		{5, 20, 0, below},
+		{5, 50, 0, below + above},
+		{30, 40, 0, 2 * above},
+		{12, 18, 0, 2 * sel.Count()},
+		{20, 10, 0, 0},
+	}
+	for _, tc := range cases {
+		if n, work := c.Probe(tc.lo, tc.hi); n != tc.n || work != tc.work {
+			t.Errorf("Probe(%d, %d) = %d, work %d; want %d, work %d", tc.lo, tc.hi, n, work, tc.n, tc.work)
+		}
 	}
 }
 

@@ -858,7 +858,10 @@ func TestAdaptiveDeleteUpdateAndView(t *testing.T) {
 
 // TestEstimateCount checks the planner's cardinality probes: sorted
 // executors answer exactly once sorted, crackers exactly on boundary
-// hits, and everyone reports ok=false before any index exists.
+// hits, and everyone reports ok=false before any index exists. The work a
+// select would do first is 0 on a bracketed range, the pieces an inexact
+// bound falls inside on a cracker, and a whole re-sort on a copy sorted
+// without row ids.
 func TestEstimateCount(t *testing.T) {
 	vals := make([]int64, 1000)
 	for i := range vals {
@@ -868,32 +871,39 @@ func TestEstimateCount(t *testing.T) {
 	tab.MustAddColumn(column.New("a", vals))
 
 	off := NewOfflineExecutor(tab, 1)
-	if _, _, ok := off.EstimateCount("a", 100, 200); ok {
+	if _, ok := off.EstimateCount("a", 100, 200); ok {
 		t.Error("offline estimated before sorting")
 	}
 	off.PrepareAll()
-	if est, exact, ok := off.EstimateCount("a", 100, 200); !ok || !exact || est != 100 {
-		t.Errorf("offline estimate = (%v,%v,%v), want (100,true,true)", est, exact, ok)
+	if est, ok := off.EstimateCount("a", 100, 200); !ok || est.Rows != 100 || est.Work != 1000*10 {
+		t.Errorf("offline estimate = (%+v, %v), want 100 exact rows behind a re-sort with row ids", est, ok)
+	}
+	if _, err := off.SelectRows("a", 100, 200); err != nil {
+		t.Fatal(err)
+	}
+	if est, ok := off.EstimateCount("a", 100, 200); !ok || est.Rows != 100 || est.Work != 0 {
+		t.Errorf("offline estimate with row ids = (%+v, %v), want 100 exact rows, no work", est, ok)
 	}
 
 	ad := NewAdaptiveExecutor(tab, cracking.Config{}, "")
 	defer ad.Close()
-	if _, _, ok := ad.EstimateCount("a", 100, 200); ok {
+	if _, ok := ad.EstimateCount("a", 100, 200); ok {
 		t.Error("adaptive estimated before any cracker exists")
 	}
 	if _, err := ad.Count("a", 100, 200); err != nil {
 		t.Fatal(err)
 	}
-	if est, exact, ok := ad.EstimateCount("a", 100, 200); !ok || !exact || est != 100 {
-		t.Errorf("adaptive exact estimate = (%v,%v,%v), want (100,true,true)", est, exact, ok)
+	if est, ok := ad.EstimateCount("a", 100, 200); !ok || est.Rows != 100 || est.Work != 0 {
+		t.Errorf("adaptive exact estimate = (%+v, %v), want 100 exact rows, no work", est, ok)
 	}
-	// Unseen bounds: uniform fallback, inexact but sane.
-	est, exact, ok := ad.EstimateCount("a", 0, 500)
-	if !ok || exact {
-		t.Fatalf("adaptive fallback = (%v,%v,%v), want inexact ok", est, exact, ok)
+	// Unseen bounds: uniform fallback, inexact but sane; the cracks at 0
+	// and 500 would partition the pieces below 100 and from 200 on.
+	est, ok := ad.EstimateCount("a", 0, 500)
+	if !ok || est.Work != 100+800 {
+		t.Fatalf("adaptive fallback = (%+v, %v), want inexact ok with work 900", est, ok)
 	}
-	if est < 250 || est > 750 {
-		t.Errorf("uniform estimate %v implausible for 500/1000", est)
+	if est.Rows < 250 || est.Rows > 750 {
+		t.Errorf("uniform estimate %v implausible for 500/1000", est.Rows)
 	}
 }
 

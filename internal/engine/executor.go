@@ -509,19 +509,20 @@ func (e *Executor) KeyOrderSpan(attr string) (span float64, ok bool) {
 	return 1, e.kind == kindSorted && e.epoch == 0
 }
 
-// EstimateCount answers "how many tuples fall in [lo, hi) on attr" from
+// EstimateCount answers "how many tuples fall in [lo, hi) on attr, and
+// how much would a select through its access path reorganize first" from
 // the index structures without touching data, for the conjunctive
-// planner's predicate ordering. exact reports a true count (sorted
-// column, existing cracker boundaries); ok is false with no basis for an
-// estimate — no index on attr yet, or none ever — and the caller should
-// fall back to a uniform guess.
+// planner's predicate ordering and its residual rule. ok is false with no
+// basis for an estimate — no index on attr yet, or none ever — and the
+// caller should fall back to a uniform guess; such an attribute has no
+// path a residual conjunct could be selected through.
 //
 //holistic:noalloc
-func (e *Executor) EstimateCount(attr string, lo, hi int64) (est float64, exact, ok bool) {
+func (e *Executor) EstimateCount(attr string, lo, hi int64) (Estimate, bool) {
 	if p := e.lookup(attr); p != nil {
 		return p.estimate(lo, hi)
 	}
-	return 0, false, false
+	return Estimate{}, false
 }
 
 // Cracker returns (building if needed) the cracker column of attr — nil

@@ -162,7 +162,7 @@ func TestFirstTouchDoesNotHoldExecutorLock(t *testing.T) {
 			a.building = inFlight
 			a.mu.Unlock()
 
-			if _, _, ok := e.EstimateCount("A", 10, 20); ok {
+			if _, ok := e.EstimateCount("A", 10, 20); ok {
 				t.Fatal("unfinished build is visible to the planner")
 			}
 			if e.CrackerIfExists("A") != nil {

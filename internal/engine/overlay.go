@@ -71,6 +71,7 @@ func (e *Executor) apply(a *attribute, cp *crackerPath, op string, find *int64, 
 			return true, errf("engine: %s %s = %d: no such value", op, a.name, *find)
 		}
 	}
+	a.writes.Add(1)
 	fn(a, row)
 	a.view.Store(nil)
 	a.size.Store(int64(a.base.Len() + len(a.tail)))
@@ -138,6 +139,17 @@ func (e *Executor) View(attr string) (column.View, error) {
 	return a.snapshot(), nil
 }
 
+// Unchanged reports whether attr has taken no write since w, a View of
+// it, was taken. A select through attr's path in between then merged only
+// operations w reflects, so the select's rows and w's values describe one
+// state: a write counts itself before its pending operation can be merged.
+//
+//holistic:noalloc
+func (e *Executor) Unchanged(attr string, w column.View) bool {
+	a := e.attrs[attr]
+	return a != nil && a.writes.Load() == w.Writes
+}
+
 // snapshot copies the overlay into an immutable view and publishes it;
 // the tail shares storage with the append-only record.
 //
@@ -147,7 +159,7 @@ func (a *attribute) snapshot() column.View {
 	defer a.mu.Unlock()
 	w := a.view.Load()
 	if w == nil {
-		w = &column.View{Base: a.base.Values(), Tail: a.tail[:len(a.tail):len(a.tail)]}
+		w = &column.View{Base: a.base.Values(), Tail: a.tail[:len(a.tail):len(a.tail)], Writes: a.writes.Load()}
 		if len(a.deleted) > 0 {
 			w.Deleted = maps.Clone(a.deleted)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"slices"
 
 	"holistic/internal/ccgi"
@@ -25,9 +26,23 @@ type accessPath interface {
 	// span estimates the value span one key-ordered cluster covers right
 	// now; ok is false when the path cannot stream clusters with rowids.
 	span() (span float64, ok bool)
-	// estimate answers "how many tuples in [lo, hi)" from the index alone,
-	// touching no data; ok is false when the path has no basis for one.
-	estimate(lo, hi int64) (est float64, exact, ok bool)
+	// estimate answers "how many tuples in [lo, hi), and what would a
+	// select reorganize first" from the index alone, touching no data; ok
+	// is false when the path has no basis for one.
+	estimate(lo, hi int64) (est Estimate, ok bool)
+}
+
+// Estimate is what an access path can say about a range select without
+// touching data.
+type Estimate struct {
+	// Rows is the number of qualifying tuples: exact where the index
+	// brackets the range, a uniform guess over the domain otherwise.
+	Rows float64
+	// Work is the number of values the select would reorganize before it
+	// can answer: the cracker pieces a bound falls inside, the whole
+	// column when a sort must be redone, 0 when the index already
+	// brackets the range.
+	Work int
 }
 
 // foldOp is what a terminal wants from the qualifying tuples.
@@ -132,8 +147,8 @@ func (p *scanPath) walk(f fold) fold {
 	return f
 }
 
-func (p *scanPath) span() (float64, bool)                       { return 0, false }
-func (p *scanPath) estimate(lo, hi int64) (float64, bool, bool) { return 0, false, false }
+func (p *scanPath) span() (float64, bool)                  { return 0, false }
+func (p *scanPath) estimate(lo, hi int64) (Estimate, bool) { return Estimate{}, false }
 
 // sortedPath is a fully sorted copy: binary search brackets the run, its
 // extrema are edge reads and its runs of equal values the key clusters.
@@ -175,8 +190,15 @@ func (p *sortedPath) walk(f fold) fold {
 
 func (p *sortedPath) span() (float64, bool) { return 1, true }
 
-func (p *sortedPath) estimate(lo, hi int64) (float64, bool, bool) {
-	return float64(p.col.CountRange(lo, hi)), true, true
+// estimate is always exact; a copy sorted without row ids must be sorted
+// again with them before it can select rows, costed as log2(n) passes
+// that each partition the whole column.
+func (p *sortedPath) estimate(lo, hi int64) (Estimate, bool) {
+	est := Estimate{Rows: float64(p.col.CountRange(lo, hi))}
+	if n := p.col.Len(); !p.col.HasRows() {
+		est.Work = n * bits.Len(uint(n))
+	}
+	return est, true
 }
 
 // crackerPath is a cracker column, the pending queue it was built with —
@@ -231,13 +253,15 @@ func (p *crackerPath) span() (float64, bool) {
 
 // estimate is exact when both bounds already are piece boundaries
 // (pending updates excluded — planning only needs relative order) and a
-// uniform guess over the cached domain otherwise.
-func (p *crackerPath) estimate(lo, hi int64) (float64, bool, bool) {
-	if r, ok := p.col.LookupRange(lo, hi); ok {
-		return float64(r.Count()), true, true
+// uniform guess over the cached domain otherwise; the work is the pieces
+// the crack of an inexact bound would partition (cracking.Column.Probe).
+func (p *crackerPath) estimate(lo, hi int64) (Estimate, bool) {
+	n, work := p.col.Probe(lo, hi)
+	if work == 0 {
+		return Estimate{Rows: float64(n)}, true
 	}
 	dLo, dHi := p.col.Domain()
-	return column.UniformEstimate(float64(p.col.Len()), dLo, dHi, lo, hi), false, true
+	return Estimate{Rows: column.UniformEstimate(float64(p.col.Len()), dLo, dHi, lo, hi), Work: work}, true
 }
 
 // ccgiPath is the mP-CCGI baseline: every chunk cracks in parallel, the
@@ -255,5 +279,5 @@ func (p *ccgiPath) walk(f fold) fold {
 	return f
 }
 
-func (p *ccgiPath) span() (float64, bool)                       { return 0, false }
-func (p *ccgiPath) estimate(lo, hi int64) (float64, bool, bool) { return 0, false, false }
+func (p *ccgiPath) span() (float64, bool)                  { return 0, false }
+func (p *ccgiPath) estimate(lo, hi int64) (Estimate, bool) { return Estimate{}, false }

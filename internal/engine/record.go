@@ -28,6 +28,9 @@ type attribute struct {
 	view atomic.Pointer[column.View]
 	// size is the position universe: base rows plus appended rows.
 	size atomic.Int64
+	// writes counts the writes applied, each bumped under mu before its
+	// pending operation can be merged (Executor.Unchanged).
+	writes atomic.Uint64
 
 	// mu is the attribute's write lock. It serializes Insert, Delete and
 	// Update from resolving their row to applying it, so two concurrent

@@ -39,6 +39,18 @@ type ConjunctTrace struct {
 	// the Explain path only (an O(N) probe per conjunct); -1 when not
 	// measured.
 	ActualRows int64 `json:"actual_rows"`
+	// Applied is how the planner's rule chose to apply a residual
+	// conjunct: "index" (selected through its attribute's own access path
+	// and intersected — probed after all if a write raced the select) or
+	// "probe" (its candidates filtered through the attribute's view); ""
+	// for the driving conjunct and for one skipped. Candidates, IndexRows and
+	// CrackWork are the inputs of the rule that chose: the candidates
+	// left before the conjunct, the index's estimate of its rows (-1 with
+	// no selectable path) and the values a select would partition first.
+	Applied    string  `json:"applied,omitempty"`
+	Candidates int64   `json:"candidates,omitempty"`
+	IndexRows  float64 `json:"index_rows,omitempty"`
+	CrackWork  int64   `json:"crack_work,omitempty"`
 }
 
 // StageTrace is one timed pipeline stage of a traced query.
@@ -160,6 +172,20 @@ func (t *QueryTrace) SetCum(i int, n int64) {
 	}
 }
 
+// SetApplied records how the i-th conjunct (pipeline order) of the
+// current side was applied, with the inputs of the rule that chose.
+//
+//holistic:noalloc
+func (t *QueryTrace) SetApplied(i int, how string, candidates int64, indexRows float64, crackWork int64) {
+	if t == nil {
+		return
+	}
+	if idx := t.curBase + i; idx >= 0 && idx < len(t.Conjuncts) {
+		c := &t.Conjuncts[idx]
+		c.Applied, c.Candidates, c.IndexRows, c.CrackWork = how, candidates, indexRows, crackWork
+	}
+}
+
 // SetRep records the intermediate representation and why it was chosen.
 //
 //holistic:noalloc
@@ -242,6 +268,14 @@ func (t *QueryTrace) String() string {
 		}
 		if c.Driving {
 			b.WriteString(", driving")
+		}
+		if c.Applied != "" {
+			fmt.Fprintf(&b, ", %s (%d candidates, ", c.Applied, c.Candidates)
+			if c.IndexRows < 0 {
+				b.WriteString("no selectable path)")
+			} else {
+				fmt.Fprintf(&b, "index est %.0f rows, crack work %d)", c.IndexRows, c.CrackWork)
+			}
 		}
 		if c.CumRows >= 0 {
 			fmt.Fprintf(&b, ", surviving %d", c.CumRows)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"holistic/internal/cracking"
 	"holistic/internal/engine"
 	"holistic/internal/groupby"
 )
@@ -42,26 +43,41 @@ var benchDrives = []struct {
 // BenchmarkConjunctiveCount measures the three-conjunct count pipeline
 // per driving selectivity. With ReportAllocs the 25% rows show the
 // bitmap's allocation-free steady state; the 1% rows pay the position
-// list's driving materialization.
+// list's driving materialization. The residuals=index row runs the 25%
+// shape over crackers cracked on every conjunct's bounds, where the
+// residuals are selected through their own index instead of probed.
 func BenchmarkConjunctiveCount(b *testing.B) {
+	count := func(b *testing.B, r *Runner, preds []Predicate) {
+		if _, err := r.Count(preds); err != nil { // warm pools
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Count(preds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, threads := range []int{1, 4} {
 		r, _ := benchRunner(b, threads)
 		for _, d := range benchDrives {
-			preds := benchDrive(d.drive)
-			b.Run(fmt.Sprintf("%s/threads=%d", d.name, threads), func(b *testing.B) {
-				if _, err := r.Count(preds); err != nil { // warm pools
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := r.Count(preds); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			b.Run(fmt.Sprintf("%s/threads=%d", d.name, threads), func(b *testing.B) { count(b, r, benchDrive(d.drive)) })
 		}
 	}
+	tab := buildTable(3, 1<<20, benchDomain, 42)
+	exec := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+	defer exec.Close()
+	r, preds := New(tab, exec, 1), benchDrive(benchDomain/4)
+	for _, p := range preds {
+		if _, err := r.Count([]Predicate{p}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if tr, _, err := r.ExplainCount(preds); err != nil || tr.Conjuncts[1].Applied != "index" || tr.Conjuncts[2].Applied != "index" {
+		b.Fatalf("residuals not selected through their index (%v):\n%v", err, tr)
+	}
+	b.Run("drive=25%/residuals=index/threads=1", func(b *testing.B) { count(b, r, preds) })
 }
 
 // benchGroupedRunner builds a scan-mode runner whose first attribute is

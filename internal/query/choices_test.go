@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"holistic/internal/column"
+	"holistic/internal/engine"
 	"holistic/internal/groupby"
 	"holistic/internal/model"
 )
@@ -17,13 +18,18 @@ import (
 //   - offline, which sorts on demand, groups by sort and joins by merge;
 //   - the narrow composite key (g, h) groups dense;
 //   - a 1% drive runs as a position list, a 50% drive as a bitmap;
-//   - a single conjunct runs native.
+//   - a single conjunct runs native;
+//   - a residual conjunct is selected through its index and intersected
+//     when its path is refined around it, or sorted with row ids, and
+//     many candidates are left; it is probed when its attribute has no
+//     selectable path, when few candidates are left, or when the pieces
+//     its bounds fall in are large (residualChoices).
 //
 // Every answer equals the model's, and the observers count each choice
 // at least once across the modes.
 func TestEveryChoiceReachedByItsRule(t *testing.T) {
 	const domain = 1 << 12
-	tab := buildTable(2, 6000, domain, 83)
+	tab := buildTable(3, 6000, domain, 83)
 	narrow := func(name, src string, mod int64) {
 		vals := make([]int64, tab.Rows())
 		for i, v := range tab.Column(src).Values() {
@@ -33,6 +39,7 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 	}
 	narrow("g", "a", 16)
 	narrow("h", "b", 8)
+	narrow("x", "a", domain) // a copy of a: x and a select together or not at all
 	wideKey(tab, "a")
 	m := modelOf(tab)
 
@@ -109,5 +116,75 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 		if total[choice] == 0 {
 			t.Errorf("no mode ran %s: %v", choice, total)
 		}
+	}
+	residualChoices(t, tab, m)
+}
+
+// residualChoices reaches each branch of chooseResidual by data and mode
+// alone. Each case runs a warm-up query that shapes the residual's index,
+// then a traced count whose conjunct named by check must be applied as
+// want; the counts equal the model's.
+func residualChoices(t *testing.T, tab *engine.Table, m *model.Table) {
+	const domain = 1 << 12
+	drive := func(hi int64) Predicate { return Predicate{Attr: "a", Lo: 0, Hi: hi} }
+	wide := Predicate{Attr: "b", Lo: domain / 8, Hi: 7 * domain / 8} // 75%: never the drive
+	cases := []struct {
+		name, mode string
+		warm       []Predicate // run first, as a query of its own
+		query      []Predicate
+		check      string
+		want       string
+	}{
+		// b cracked on exactly the residual's bounds: no work, and 50% of
+		// the rows left to probe.
+		{"refined cracker", "adaptive", []Predicate{wide}, []Predicate{drive(domain / 2), wide}, "b", "index"},
+		{"refined cracker", "holistic", []Predicate{wide}, []Predicate{drive(domain / 2), wide}, "b", "index"},
+		// A dense drive on b sorts it with row ids; the residual then
+		// binary-searches it.
+		{"sorted path", "offline", []Predicate{wide, {Attr: "a", Lo: 0, Hi: domain}}, []Predicate{drive(domain / 2), wide}, "b", "index"},
+		{"no selectable path", "scan", nil, []Predicate{drive(domain / 2), wide}, "b", "probe"},
+		// a and its copy x leave ~1.6% of the rows for c, refined as it is.
+		{"few candidates left", "adaptive", []Predicate{{Attr: "c", Lo: 0, Hi: 9 * domain / 16}},
+			[]Predicate{drive(domain / 2), {Attr: "x", Lo: domain/2 - domain/64, Hi: domain}, {Attr: "c", Lo: 0, Hi: 9 * domain / 16}}, "c", "probe"},
+		// b cracked far below the residual's bounds: both fall into one
+		// piece of nearly the whole column, which would be partitioned
+		// twice to serve a 25% drive.
+		{"unrefined boundary piece", "adaptive", []Predicate{{Attr: "b", Lo: 0, Hi: 8}}, []Predicate{drive(domain / 4), wide}, "b", "probe"},
+	}
+	for _, c := range cases {
+		t.Run("residual/"+c.name+"/"+c.mode, func(t *testing.T) {
+			execs := allModeExecutors(t, tab)
+			for mode, exec := range execs {
+				if mode != c.mode {
+					exec.Close()
+				}
+			}
+			exec := execs[c.mode]
+			defer exec.Close()
+			r := New(tab, exec, 2)
+			if c.warm != nil {
+				if n, err := r.Count(c.warm); err != nil || n != m.Count(mp(c.warm)) {
+					t.Fatalf("warm-up count %v = %d, %v; want %d", c.warm, n, err, m.Count(mp(c.warm)))
+				}
+			}
+			tr, n, err := r.ExplainCount(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := m.Count(mp(c.query)); n != want {
+				t.Fatalf("count %v = %d, want %d", c.query, n, want)
+			}
+			for _, ct := range tr.Conjuncts {
+				if ct.Attr == c.check && ct.Applied != c.want {
+					t.Errorf("residual %s applied by %s, want %s:\n%s", ct.Attr, ct.Applied, c.want, tr)
+				}
+				if hasPath := c.name != "no selectable path"; ct.Attr == c.check && (ct.IndexRows >= 0) != hasPath {
+					t.Errorf("residual %s has a selectable path: %v, want %v:\n%s", ct.Attr, ct.IndexRows >= 0, hasPath, tr)
+				}
+			}
+			if sum, err := r.Sum("b", c.query); err != nil || sum != m.Sum("b", mp(c.query)) {
+				t.Errorf("sum(b) %v = %d, %v; want %d", c.query, sum, err, m.Sum("b", mp(c.query)))
+			}
+		})
 	}
 }

@@ -26,7 +26,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // were generated at the commit before the terminals became one body, so
 // the conjunct order, estimates, cumulative rows, representation and
 // strategy with their reasons, statistics and stage names of that
-// commit are the contract.
+// commit are the contract; each residual's applied path with the rule's
+// inputs joined it when residuals could be selected through their own
+// index (under adaptive, b is, and its later estimates become exact).
 func TestTraceGolden(t *testing.T) {
 	const domain = 1 << 12
 	var jsonl, text bytes.Buffer

@@ -20,12 +20,14 @@
 //     column.Bitmap at or above the crossover, the classic position list
 //     below it — and evaluate that conjunct through the mode's access
 //     path (Executor.SelectBitmap or SelectRows: cracked pieces, sorted
-//     slices or parallel scan). This is the only conjunct that builds or
-//     refines an index, and the only place the representation is named.
-//  3. Refine (runSel): every remaining conjunct filters the selection in
-//     place through the attribute's update-aware column.View — bitmap
-//     words ANDed against branch-free predicate masks, or positional
-//     probes (late tuple reconstruction) — cheapest first; attributes
+//     slices or parallel scan). This is the only place the
+//     representation is named.
+//  3. Refine (runSel): every remaining conjunct, cheapest first, narrows
+//     the selection in place the way chooseResidual's cost rule picks:
+//     probed at each candidate through the attribute's update-aware
+//     column.View (late tuple reconstruction), or selected through its
+//     own access path into a second pooled bitmap and intersected —
+//     cracking that index on the way, as the drive does. Attributes
 //     referenced but not filtered get a presence filter.
 //  4. Consume (answer): count, fold or fetch at the surviving positions;
 //     only the materializing forms allocate, and only what they return.
@@ -34,15 +36,21 @@
 // selection and everything else live in pooled scratch, so the
 // steady-state count/aggregate path allocates nothing.
 //
-// Under ModeHolistic every conjunct — not only the driving one — is
-// reported to the executor (Executor.NotePredicate), so all touched
-// attributes enter the index space and background refinement spreads
-// across them; a later query can then drive on any of them cheaply.
+// Under ModeHolistic every conjunct — not only the driving one — enters
+// the index space, through its own select or Executor.NotePredicate, so
+// background refinement spreads across all touched attributes; once it
+// has refined one around a query's bounds, that conjunct is cheap to
+// select through its index, driving or not.
 //
-// Updates: the driving select merges the pending operations covering
-// its range (as every single-attribute select does), and the probe
-// views reflect all logical inserts/deletes/updates regardless of merge
-// state, so conjunctive results are correct under concurrent updates.
+// Updates: the driving select, and a residual one, merges the pending
+// operations covering its range (as every single-attribute select does),
+// and the probe views reflect all logical inserts/deletes/updates
+// regardless of merge state. A residual selected through its index is
+// intersected only if its attribute took no write since the view that
+// serves the fetch was taken (Executor.Unchanged), else probed through
+// that view, so every residual attribute is read in one state. The
+// driving attribute is not: a fold or fetch of it reads a view taken
+// after its select, so a concurrent write can show there.
 // Rows that lack a value in a referenced attribute (inserted into other
 // attributes only, or deleted) never qualify, mirroring SQL NULL
 // semantics.
@@ -123,6 +131,9 @@ type scratch struct {
 	preds []Predicate
 	ests  []float64
 	sel   column.Selection
+	// resid receives a residual conjunct selected through its own index,
+	// intersected into sel.
+	resid *column.Bitmap
 	views map[string]column.View
 	// extras is the work list of attributes a query references beyond
 	// its predicates (aggregate inputs, projections, group and join
@@ -153,7 +164,7 @@ type scratch struct {
 func (r *Runner) getScratch() *scratch {
 	sc, _ := r.scratchPool.Get().(*scratch)
 	if sc == nil {
-		sc = &scratch{sel: column.Selection{Bits: column.NewBitmap(0)}, views: make(map[string]column.View, 4)}
+		sc = &scratch{sel: column.Selection{Bits: column.NewBitmap(0)}, resid: column.NewBitmap(0), views: make(map[string]column.View, 4)}
 	}
 	return sc
 }
@@ -206,8 +217,8 @@ func (r *Runner) finish(sc *scratch, result int64, err error) {
 //
 //holistic:noalloc
 func (r *Runner) estimate(p Predicate) float64 {
-	if n, _, ok := r.exec.EstimateCount(p.Attr, p.Lo, p.Hi); ok {
-		return n
+	if est, ok := r.exec.EstimateCount(p.Attr, p.Lo, p.Hi); ok {
+		return est.Rows
 	}
 	dLo, dHi := r.table.Column(p.Attr).Bounds()
 	return column.UniformEstimate(float64(r.table.Rows()), dLo, dHi, p.Lo, p.Hi)
@@ -305,8 +316,8 @@ func (r *Runner) chooseRep(sc *scratch) (obs.Rep, string) {
 // accumulators and the sort strategy's cluster membership tests consume
 // bits) — and that is the last place the representation is named: the
 // driving conjunct fills sc.sel through the mode's access path, the rest
-// refine it in place through column.View. On return sc.views holds the
-// snapshot each attribute was filtered through.
+// refine it in place (refine). On return sc.views holds the snapshot
+// each attribute was filtered through.
 //
 //holistic:noalloc
 func (r *Runner) runSel(sc *scratch, bits bool) error {
@@ -346,13 +357,9 @@ func (r *Runner) runSel(sc *scratch, bits bool) error {
 	if timed {
 		t0 = time.Now()
 	}
-	for _, p := range sc.preds[1:] {
-		if err := r.exec.NotePredicate(p.Attr); err != nil {
-			return err
-		}
-	}
 	// Once the conjunction is empty, later stages skip the data entirely
-	// (and a skipped conjunct keeps CumRows -1).
+	// (and a skipped conjunct keeps CumRows -1); every residual still
+	// enters the index space — through its own select, or admitted.
 	live := sel.Any()
 	for i, p := range sc.preds[1:] {
 		w, err := r.exec.View(p.Attr)
@@ -360,13 +367,20 @@ func (r *Runner) runSel(sc *scratch, bits bool) error {
 			return err
 		}
 		sc.views[p.Attr] = w
-		if !live {
-			continue
+		index := false
+		if live {
+			if index, err = r.refine(sc, i+1, p, w); err != nil {
+				return err
+			}
+			live = sel.Any()
+			if tr != nil {
+				tr.SetCum(i+1, int64(sel.Count()))
+			}
 		}
-		w.Filter(sel, p.Lo, p.Hi, r.threads)
-		live = sel.Any()
-		if tr != nil {
-			tr.SetCum(i+1, int64(sel.Count()))
+		if !index {
+			if err := r.exec.NotePredicate(p.Attr); err != nil {
+				return err
+			}
 		}
 	}
 	if timed && len(sc.preds) > 1 {
@@ -392,6 +406,67 @@ func (r *Runner) runSel(sc *scratch, bits bool) error {
 		}
 	}
 	return nil
+}
+
+// chooseResidual is the rule that picks how the residual conjunct p is
+// applied to the candidates left: probed through the attribute's view at
+// each candidate, or selected through the attribute's own access path and
+// intersected. It compares the two estimated costs, candidates × probe
+// against rows × mark + work × crack, where rows and work — the values
+// the select would partition before answering — are read off the index
+// without touching data (Executor.EstimateCount). An attribute with no
+// selectable path (scan, CCGI, or not admitted under adaptive) is always
+// probed; ok reports whether there was one.
+//
+//holistic:noalloc
+func (r *Runner) chooseResidual(p Predicate, candidates int) (index bool, est engine.Estimate, ok bool) {
+	// ns per unit, each the named cell on the development machine (DESIGN §5).
+	const (
+		probeNs = 13.0 // a candidate filtered: BenchmarkKernels filter-rows/seq/50pct
+		markNs  = 2.5  // a qualifying row id set: BenchmarkKernels mark-rows/seq/50pct
+		crackNs = 3.0  // a value partitioned: BenchmarkPartition 256Ki/packed
+	)
+	if est, ok = r.exec.EstimateCount(p.Attr, p.Lo, p.Hi); !ok {
+		return false, est, false
+	}
+	return est.Rows*markNs+float64(est.Work)*crackNs < float64(candidates)*probeNs, est, true
+}
+
+// refine applies residual conjunct i (pipeline order) to sc.sel the way
+// chooseResidual picks, consistently with w, the attribute's snapshot that
+// serves the fetch, and records the choice in the trace. index reports
+// whether the conjunct was selected through its path.
+//
+//holistic:noalloc
+func (r *Runner) refine(sc *scratch, i int, p Predicate, w column.View) (index bool, err error) {
+	sel := &sc.sel
+	n := sel.Count()
+	index, est, ok := r.chooseResidual(p, n)
+	if tr := sc.sp.Trace; tr != nil {
+		how, rows := "probe", -1.0
+		if index {
+			how = "index"
+		}
+		if ok {
+			rows = est.Rows
+		}
+		tr.SetApplied(i, how, int64(n), rows, int64(est.Work))
+	}
+	if index {
+		if err := r.exec.SelectBitmap(p.Attr, p.Lo, p.Hi, sc.resid); err != nil {
+			return true, err
+		}
+		// The select merged the pending writes in its range. Had one
+		// landed since w was taken, the select's rows and w's values —
+		// which the presence filters and folds read — could belong to two
+		// states: then w alone answers, as a probe.
+		if r.exec.Unchanged(p.Attr, w) {
+			sel.Intersect(sc.resid)
+			return true, nil
+		}
+	}
+	w.Filter(sel, p.Lo, p.Hi, r.threads)
+	return index, nil
 }
 
 // want is one terminal's request and, once answered, its result. Like

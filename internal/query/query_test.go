@@ -255,7 +255,8 @@ func TestChooseBitmapCrossover(t *testing.T) {
 
 // TestSteadyStateCountSumAllocationFree: with sequential kernels the
 // bitmap-path Count and Sum allocate nothing per query once the pooled
-// scratch is warm — the tentpole's acceptance criterion.
+// scratch is warm, whether the residual conjuncts are probed or selected
+// through their own index.
 func TestSteadyStateCountSumAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
@@ -319,6 +320,40 @@ func TestSteadyStateCountSumAllocationFree(t *testing.T) {
 			}
 		}); allocs > tc.want+0.5 {
 			t.Errorf("steady-state %s allocates %.2f times per query, want %.0f", name, allocs, tc.want)
+		}
+	}
+	// Residuals selected through their own crackers, cracked on their
+	// bounds: the bitmap they are selected into is pooled scratch too.
+	exec := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+	defer exec.Close()
+	ad := New(tab, exec, 1)
+	for _, p := range preds {
+		if _, err := ad.Count([]Predicate{p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, _, err := ad.ExplainCount(preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tr.Conjuncts[1:] {
+		if c.Applied != "index" {
+			t.Fatalf("residual %s applied by %q, want the index:\n%s", c.Attr, c.Applied, tr)
+		}
+	}
+	for name, run := range map[string]func() error{
+		"Count": func() error { _, err := ad.Count(preds); return err },
+		"Sum":   func() error { _, err := ad.Sum("c", preds); return err },
+	} {
+		if err := run(); err != nil { // warms the scratch pool
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0.5 {
+			t.Errorf("steady-state %s with residuals through their index allocates %.2f times per query, want 0", name, allocs)
 		}
 	}
 }

@@ -35,8 +35,19 @@ type ExplainConjunct struct {
 	// emptied the selection).
 	SurvivingRows int64
 	// Driving marks the conjunct evaluated through the mode's native
-	// access path; the rest refine by positional probes.
+	// access path.
 	Driving bool
+	// Applied is how the planner's rule chose to refine the selection by
+	// a residual conjunct: "index" (selected through its own access path
+	// and intersected; probed after all if a write to the attribute raced
+	// the select) or "probe" (filtered at each candidate); "" for the
+	// driving conjunct and for one the selection was already empty before. Candidates, IndexRows
+	// (-1 without a selectable path) and CrackWork are what the planner's
+	// rule weighed: candidates × probe against rows × mark + work × crack.
+	Applied    string
+	Candidates int64
+	IndexRows  float64
+	CrackWork  int64
 }
 
 // ExplainStage is one timed pipeline stage of an Explain report.
@@ -95,6 +106,7 @@ func explainFrom(tr *obs.QueryTrace) *Explain {
 			Side: c.Side, Attr: c.Attr, Lo: c.Lo, Hi: c.Hi,
 			EstRows: c.EstRows, ActualRows: c.ActualRows,
 			SurvivingRows: c.CumRows, Driving: c.Driving,
+			Applied: c.Applied, Candidates: c.Candidates, IndexRows: c.IndexRows, CrackWork: c.CrackWork,
 		})
 	}
 	for _, st := range tr.Stages {

@@ -1,13 +1,17 @@
 package holistic
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"holistic/internal/durable"
+	"holistic/internal/obs"
 	"holistic/internal/obs/flight"
 )
 
@@ -66,7 +70,10 @@ func observe(s *Store, driven ...string) observed {
 // ledger's drive samples for that attribute all advance by exactly the
 // number of queries issued, and every selection a grouped query or a join
 // side builds records its representation once, on that side's store —
-// with or without predicates. Before the observer, every site had to
+// with or without predicates. A residual conjunct the planner's rule
+// selects through its own index drives that index too, so where a door
+// has one, its drive samples advance by one more per such choice, read
+// off the query's trace. Before the observer, every site had to
 // remember every sink, and the four range doors, the single-conjunct
 // pushdowns, the predicate-free grouping, the predicate-free join side
 // and Explain each forgot at least one.
@@ -75,6 +82,44 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 	defer s.Close()
 	dim := doorStore(t, 2_000, 2)
 	defer dim.Close()
+	// b cracked on the bounds the two-conjunct doors filter it by: their
+	// residual costs no crack, so the rule selects it through its index.
+	if _, err := s.CountRange("b", 0, 1<<13); err != nil {
+		t.Fatal(err)
+	}
+	var traces bytes.Buffer
+	if err := s.SetTraceJSONL(&traces); err != nil {
+		t.Fatal(err)
+	}
+	var residualDrives int64
+	// explained counts the residuals the Explain door's reports show
+	// selected through their index: its traces reach no sink.
+	var explained int64
+	// indexed returns how many residuals on the driven attributes were
+	// selected through their index since the last call.
+	indexed := func(driven []string) int64 {
+		if err := s.traceSink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		n := explained
+		for _, line := range strings.Split(strings.TrimSpace(traces.String()), "\n") {
+			var tr obs.QueryTrace
+			if line == "" {
+				continue
+			}
+			if err := json.Unmarshal([]byte(line), &tr); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range tr.Conjuncts {
+				if c.Applied == "index" && slices.Contains(driven, c.Attr) {
+					n++
+				}
+			}
+		}
+		traces.Reset()
+		explained = 0
+		return n
+	}
 
 	const n = 7
 	doors := []struct {
@@ -114,12 +159,20 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 			return err
 		}},
 		{"Explain", []string{"a", "b"}, 1, 0, func(i int64) error {
-			_, err := s.Query().Where("a", i*50, i*50+2000).Where("b", 0, 1<<13).Explain()
+			e, err := s.Query().Where("a", i*50, i*50+2000).Where("b", 0, 1<<13).Explain()
+			if err == nil {
+				for _, c := range e.Conjuncts {
+					if c.Applied == "index" {
+						explained++
+					}
+				}
+			}
 			return err
 		}},
 	}
 	for _, d := range doors {
 		t.Run(d.name, func(t *testing.T) {
+			indexed(nil) // drop what earlier doors left
 			before, dimBefore := observe(s, d.driven...), observe(dim)
 			for i := int64(0); i < n; i++ {
 				if err := d.run(i); err != nil {
@@ -139,14 +192,18 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 			if got := observe(dim).evRep - dimBefore.evRep; got != n*d.dim {
 				t.Errorf("joined store's flight ring gained %d EvRep events, want %d", got, n*d.dim)
 			}
-			wantDrives := int64(0)
+			wantDrives := indexed(d.driven)
+			residualDrives += wantDrives
 			if d.driven != nil {
-				wantDrives = n
+				wantDrives += n
 			}
 			if got := after.drives - before.drives; got != wantDrives {
 				t.Errorf("ledger DriveQueries of %v advanced by %d, want %d", d.driven, got, wantDrives)
 			}
 		})
+	}
+	if residualDrives == 0 {
+		t.Error("no door selected a residual through its index; the count above never saw one")
 	}
 }
 

@@ -412,3 +412,175 @@ func TestConcurrentWritesDifferential(t *testing.T) {
 	defer r.Close()
 	check("reopened", r)
 }
+
+// TestResidualIndexUnderAppends: a residual conjunct the planner selects
+// through its own index merges the inserts that fall in its range — rows
+// the snapshot its aggregate folds through may not hold yet. One writer
+// appends rows to both attributes while Where(a).Where(b).Sum(b) queries
+// run with b's cracker refined on their bounds: every answer lies between
+// the sums before and after the appends, and no fold meets a row without a
+// value.
+func TestResidualIndexUnderAppends(t *testing.T) {
+	const rows, domain, appends = 1 << 15, 1 << 20, 4000
+	const v = domain / 4 // every appended row qualifies on both attributes
+	rng := rand.New(rand.NewSource(7))
+	var cols [2][]int64
+	for i := range cols {
+		cols[i] = make([]int64, rows)
+		for j := range cols[i] {
+			cols[i][j] = rng.Int63n(domain)
+		}
+	}
+	m := model.New([]string{"a", "b"}, cols[0], cols[1])
+	preds := []model.Pred{{Attr: "a", Lo: 0, Hi: domain / 2}, {Attr: "b", Lo: domain / 8, Hi: 7 * domain / 8}}
+	before := m.Sum("b", preds)
+	for _, mode := range []Mode{ModeAdaptive, ModeHolistic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := NewStore(storeConfig(mode))
+			defer s.Close()
+			for i, name := range []string{"a", "b"} {
+				if err := s.AddIntColumn(name, cols[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.CountRange("b", preds[1].Lo, preds[1].Hi); err != nil {
+				t.Fatal(err)
+			}
+			q := s.Query().Where("a", preds[0].Lo, preds[0].Hi).Where("b", preds[1].Lo, preds[1].Hi)
+			if e, err := q.Explain(); err != nil || e.Conjuncts[1].Applied != "index" {
+				t.Fatalf("residual b not selected through its index (%v):\n%v", err, e)
+			}
+			// The rows land in a first, so a drive on a finds them while b
+			// is still receiving them between the queries' steps. A failed
+			// query stops the writer before the store closes.
+			stop, done := make(chan struct{}), make(chan struct{})
+			defer func() { close(stop); <-done }()
+			go func() {
+				defer close(done)
+				for _, attr := range []string{"a", "b"} {
+					for range appends {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := s.Insert(attr, v); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				sum, err := q.Sum("b")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sum < before || sum > before+appends*v {
+					t.Fatalf("sum %d outside [%d, %d]", sum, before, before+appends*v)
+				}
+			}
+			if sum, err := q.Sum("b"); err != nil || sum != before+appends*v {
+				t.Fatalf("sum after the appends = %d, %v; want %d", sum, err, before+appends*v)
+			}
+		})
+	}
+}
+
+// TestResidualIndexUnderUpdates: one writer moves the b values of rows
+// that qualify on a out of b's range and back while Where(a).Where(b)
+// queries fold b, with b selected through its index. A row the select
+// finds in range must be folded with the value it was found on, never
+// with one the snapshot holds from before or after: no maximum at or past
+// b's upper bound, and every sum between the sums with all moved rows out
+// and all in (adaptive, holistic).
+func TestResidualIndexUnderUpdates(t *testing.T) {
+	const rows, domain, moved, rounds = 1 << 15, 1 << 20, 64, 40
+	const away = int64(1) << 40 // far outside b's range: one such fold breaks every bound
+	rng := rand.New(rand.NewSource(9))
+	a, b := make([]int64, rows), make([]int64, rows)
+	for j := range a {
+		a[j] = rng.Int63n(domain)
+		b[j] = int64(j*31%rows) * (domain / rows) // distinct, so an Update finds the row meant
+	}
+	preds := []model.Pred{{Attr: "a", Lo: 0, Hi: domain / 2}, {Attr: "b", Lo: domain / 8, Hi: 7 * domain / 8}}
+	var targets []int
+	for j := 0; len(targets) < moved; j++ {
+		if a[j] < preds[0].Hi && b[j] >= preds[1].Lo && b[j] < preds[1].Hi {
+			targets = append(targets, j)
+		}
+	}
+	allIn := model.New([]string{"a", "b"}, a, b).Sum("b", preds)
+	allOut := allIn
+	for _, j := range targets {
+		allOut -= b[j]
+	}
+	for _, mode := range []Mode{ModeAdaptive, ModeHolistic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := NewStore(storeConfig(mode))
+			defer s.Close()
+			if err := s.AddIntColumn("a", a); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddIntColumn("b", b); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CountRange("b", preds[1].Lo, preds[1].Hi); err != nil {
+				t.Fatal(err)
+			}
+			q := s.Query().Where("a", preds[0].Lo, preds[0].Hi).Where("b", preds[1].Lo, preds[1].Hi)
+			if e, err := q.Explain(); err != nil || e.Conjuncts[1].Applied != "index" {
+				t.Fatalf("residual b not selected through its index (%v):\n%v", err, e)
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			defer func() { close(stop); <-done }()
+			go func() {
+				defer close(done)
+				for range rounds {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for _, j := range targets {
+						if err := s.Update("b", b[j], away+int64(j)); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					for _, j := range targets {
+						if err := s.Update("b", away+int64(j), b[j]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				sum, err := q.Sum("b")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sum < allOut || sum > allIn {
+					t.Fatalf("sum %d outside [%d, %d]", sum, allOut, allIn)
+				}
+				if mx, ok, err := q.Max("b"); err != nil || ok && mx >= preds[1].Hi {
+					t.Fatalf("max %d (%v), at or past b's bound %d", mx, err, preds[1].Hi)
+				}
+			}
+			if sum, err := q.Sum("b"); err != nil || sum != allIn {
+				t.Fatalf("sum after the updates = %d, %v; want %d", sum, err, allIn)
+			}
+		})
+	}
+}
