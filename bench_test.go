@@ -65,8 +65,8 @@ func runExperiment(b *testing.B, name string) {
 }
 
 // BenchmarkExperiment runs every registered experiment — the paper's
-// Table 1 and Figures 6-17, the workloads beyond it (agg, conj, selvec,
-// groupby, join, recover) and the ablations of DESIGN.md's called-out
+// Figures 6-17, the workloads beyond them (conj, selvec, groupby, join,
+// recover) and the ablations of DESIGN.md's called-out
 // decisions — as BenchmarkExperiment/<name>; `holisticbench -list` gives
 // each name's title.
 func BenchmarkExperiment(b *testing.B) {

@@ -8,7 +8,7 @@
 //	holisticbench -experiment all              # the whole evaluation
 //	holisticbench -list                        # enumerate experiments
 //	holisticbench -experiment fig12 -columns 4194304 -queries 1000
-//	holisticbench -experiment agg              # aggregate pushdown (Q6-style)
+//	holisticbench -experiment fig14            # TPC-H Q1/Q6/Q12 in four modes
 //	holisticbench -experiment join             # holistic vs adaptive join
 //	holisticbench -experiment conj -cpuprofile cpu.out -memprofile mem.out
 //	holisticbench -experiment conj -baseline ci/baselines/BENCH_conj.json

@@ -1,13 +1,13 @@
 // TPC-H mini-benchmark: Q1, Q6 and Q12 under the four execution modes of
-// the paper's Figure 14 — plain scans, a pre-sorted projection,
-// sideways-style cracking, and holistic indexing.
+// the paper's Figure 14 — plain scans, a pre-sorted projection, cracking
+// and holistic indexing. Every mode but the pre-sorted one runs LINEITEM
+// through a holistic.Store (scan, adaptive and holistic modes).
 //
 // Q6 runs as a real three-predicate conjunction (l_shipdate ∧
-// l_discount ∧ l_quantity): the planner orders the conjuncts by
+// l_discount ∧ l_quantity): the Store's planner orders the conjuncts by
 // estimated selectivity, the most selective one runs through the mode's
-// access path, the rest refine its candidate rows by positional probes,
-// and the revenue attributes are fetched late. Under holistic indexing
-// all three conjunct columns join the daemon's index space.
+// access path, and the rest refine its candidate rows. Under holistic
+// indexing the conjunct columns join the daemon's index space.
 //
 //	go run ./examples/tpch
 package main
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"holistic"
 	"holistic/internal/tpch"
 )
 
@@ -34,12 +35,12 @@ func main() {
 	fmt.Println("Q6* = three-predicate conjunction (shipdate ∧ discount ∧ quantity), planner-ordered")
 	fmt.Printf("%-20s %-6s %12s %12s %12s\n", "mode", "query", "first", "rest avg", "total")
 	for _, m := range modes {
-		r := tpch.NewRunner(data, m, tpch.RunnerConfig{
-			Interval:    2 * time.Millisecond,
-			Refinements: 16,
-			L1Values:    4096,
-			Contexts:    2,
-			Seed:        1,
+		r := tpch.NewRunner(data, m, holistic.Config{
+			TuningInterval:       2 * time.Millisecond,
+			RefinementsPerWorker: 16,
+			L1CacheBytes:         4096 * 8,
+			Threads:              2,
+			Seed:                 1,
 		})
 		r.Prepare("l_shipdate", "l_receiptdate")
 
@@ -73,7 +74,8 @@ func main() {
 	}
 
 	// Show one actual result so the demo is verifiable.
-	r := tpch.NewRunner(data, tpch.ModeScan, tpch.RunnerConfig{})
+	r := tpch.NewRunner(data, tpch.ModeScan, holistic.Config{})
+	defer r.Close()
 	fmt.Println("sample Q1 output (delta=90):")
 	for _, row := range r.Q1(90) {
 		fmt.Printf("  %s | %s | qty %12d | base $%14.2f | count %8d\n",

@@ -17,11 +17,12 @@ import (
 // A store program is a byte string decoded into operations on two
 // relations, L(a, b, c) and R(k, w): CS165's operator list — writes,
 // range selections, conjunctions, grouped aggregation, joins — plus the
-// lifecycle of a durable store. FuzzStore runs one program on all seven
-// modes, in memory and through OpenStore, and checks every answer and
-// every error against internal/model.
+// lifecycle of a durable store. FuzzStore runs one program in one of
+// the seven modes, in memory or through OpenStore, and checks every
+// answer and every error against internal/model.
 //
-// Encoding. Three header bytes: domain (low bits pick 8, 64, 2^10, 2^20
+// Encoding. A configuration byte (mode and durability, read by FuzzStore
+// alone), then three header bytes: domain (low bits pick 8, 64, 2^10, 2^20
 // or 2^40; the top bit puts MinInt64 and MaxInt64 into rows 0 and 1 of
 // every L column), rows (16 + 8·(b mod 32) in L, half as many in R) and
 // the data seed. Then one op after another, its kind the first byte mod
@@ -45,8 +46,8 @@ const (
 )
 
 // A program's cost grows with its length, its rows and its daemon
-// cycles, and FuzzStore runs it fourteen times: these bounds keep one
-// fuzz input a few milliseconds. The longest seed program is 31 ops.
+// cycles, and TestStoreProgramClients runs it in two modes: these bounds
+// keep one run a few milliseconds. The longest seed program is 31 ops.
 const (
 	maxProgramOps = 32
 	maxIdleCycles = 8 // daemon cycles over all the idle ops of a program
@@ -571,21 +572,26 @@ func runProgram(t testing.TB, p program, mode Mode, durableRun bool) {
 	}
 }
 
-// FuzzStore is the one differential of the store: every program, every
-// mode, in memory and durable, against the model. Each mode is a subtest
-// of its own, so a failing program names the modes it fails in.
+// FuzzStore is the one differential of the store: every program against
+// the model, in one of fourteen configurations — seven modes, in memory
+// or durable — named by the input's first byte, so each fuzzing exec runs
+// one program once. Every seed program is added once per configuration:
+// `go test` still runs each seed in all fourteen. A failure names mode
+// and durability.
 func FuzzStore(f *testing.F) {
+	configs := 2 * len(sevenModes)
 	for _, s := range storeSeeds {
-		f.Add(s.prog)
+		for c := range configs {
+			f.Add(append([]byte{byte(c)}, s.prog...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p := decodeProgram(b)
-		for _, mode := range sevenModes {
-			t.Run(mode.String(), func(t *testing.T) {
-				runProgram(t, p, mode, false)
-				runProgram(t, p, mode, true)
-			})
+		var c byte
+		if len(b) > 0 {
+			c, b = b[0], b[1:]
 		}
+		k := int(c) % configs
+		runProgram(t, decodeProgram(b), sevenModes[k/2], k%2 == 1)
 	})
 }
 

@@ -24,9 +24,9 @@ func tinyParams() Params {
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
-		"table1", "fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "fig9",
+		"fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"ablation-pivot", "ablation-latch", "ablation-l1", "agg", "conj", "selvec",
+		"ablation-pivot", "ablation-latch", "ablation-l1", "conj", "selvec",
 		"groupby", "join", "recover",
 	}
 	have := map[string]bool{}

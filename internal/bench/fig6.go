@@ -12,7 +12,6 @@ import (
 )
 
 func init() {
-	register("table1", "Qualitative comparison of indexing approaches (Table 1)", runTable1)
 	register("fig6a", "Cumulative response time vs state-of-the-art indexing (Figure 6a)", runFig6a)
 	register("fig6b", "Performance breakdown: adaptive vs holistic (Figure 6b)", runFig6b)
 	register("fig6c", "Cumulative index partitions (Figure 6c)", runFig6c)
@@ -20,19 +19,6 @@ func init() {
 	register("fig7", "Thread distribution between users and workers (Figure 7)", runFig7)
 	register("fig8", "Per-query response time of adaptive indexing (Figure 8)", runFig8)
 	register("fig9", "Idle time before the workload: Cpotential prefill (Figure 9)", runFig9)
-}
-
-func runTable1(Params) (*Result, error) {
-	r := &Result{Headers: []string{
-		"Indexing", "Workload analysis", "Idle-before-queries", "Idle-during-queries",
-		"Index materialization", "Updates cost", "Workload projection",
-	}}
-	r.AddRow("Offline", "yes", "yes", "no", "full", "high", "static")
-	r.AddRow("Online", "yes", "no", "yes", "full", "high", "dynamic")
-	r.AddRow("Adaptive", "no", "no", "no", "partial", "low", "dynamic")
-	r.AddRow("Holistic", "yes", "yes", "yes", "partial", "low", "dynamic")
-	r.AddNote("qualitative design-space matrix reproduced from Table 1 of the paper")
-	return r, nil
 }
 
 // microWorkload is the Section 5.1 workload: one-sided random range

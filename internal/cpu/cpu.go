@@ -6,13 +6,10 @@
 // The process keeps one count of busy contexts. engine.Executor.run
 // counts the goroutine that enters it, and column.ForChunks — the only
 // goroutine fan-out — counts the goroutines it runs for as long as they
-// run; internal/tpch, which assembles its queries by hand, brackets its
-// cracker selects the same way. So every query's fan-out and every
-// daemon's workers, which also run through ForChunks, are in the one
-// count. It is off in two known ways: one high while an executor call
-// fans out (its caller, blocked in the fan-out's wait, is still counted,
-// which errs toward the daemon yielding), and one low while tpch runs a
-// stage below the fan-out thresholds outside any executor call.
+// run. So every query's fan-out and every daemon's workers, which also
+// run through ForChunks, are in the one count. It is one high while an
+// executor call fans out: its caller, blocked in the fan-out's wait, is
+// still counted, which errs toward the daemon yielding.
 //
 // The daemon consumes only the signal "n contexts are idle" (DESIGN.md
 // §3). LoadAccountant derives it from the busy count, instantly and

@@ -43,7 +43,7 @@ func BenchmarkPartition(b *testing.B) {
 					copy(vals, c.src)
 					copy(c.rows, srcRows)
 					b.StartTimer()
-					if mid := crackInTwo(vals, c.rows, nil, 0, size.n, c.pivot); mid == 0 || mid == size.n {
+					if mid := crackInTwo(vals, c.rows, 0, size.n, c.pivot); mid == 0 || mid == size.n {
 						b.Fatalf("median crack split at %d of %d", mid, size.n)
 					}
 				}

@@ -68,7 +68,7 @@ func build(base []int64, withRows bool, lo, hi int64) (vals []int64, rows []uint
 			if nLo, dLo, dHi, ok = splitPacked(base, vals, lay, lo, lo >= hi); ok {
 				nHi = len(base)
 				if p, all := lay.pivot(hi); lo < hi && !all {
-					nHi = crackInTwo(vals, nil, nil, nLo, nHi, p)
+					nHi = crackInTwo(vals, nil, nLo, nHi, p)
 				}
 				return vals, nil, lay, nLo, nHi, dLo, dHi
 			}
@@ -102,7 +102,7 @@ func build(base []int64, withRows bool, lo, hi int64) (vals []int64, rows []uint
 		rows = make([]uint32, len(base))
 	}
 	nLo, dLo, dHi = split(base, vals, rows, lo)
-	nHi = crackInTwo(vals, rows, nil, nLo, len(base), hi)
+	nHi = crackInTwo(vals, rows, nLo, len(base), hi)
 	return vals, rows, layout{}, nLo, nHi, dLo, dHi
 }
 

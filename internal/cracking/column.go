@@ -65,7 +65,7 @@ type Config struct {
 	Stochastic bool
 	// WithRows makes every tuple carry its rowid through each
 	// reorganization, so select-project queries can reconstruct tuples
-	// after cracking (sideways-style tuple reconstruction). Where the
+	// after cracking (tuple reconstruction through rowids). Where the
 	// rowid is kept is the column's own choice (see layout).
 	WithRows bool
 	// Seed seeds the column's private RNG (stochastic pivots).
@@ -100,13 +100,6 @@ type Column struct {
 	vals []int64
 	rows []uint32
 	layout
-
-	// payloads are attribute columns physically reorganized in lockstep
-	// with vals: sideways cracking (Idreos et al., SIGMOD 2009). A range
-	// select then reads the qualifying tuples of every payload attribute
-	// from one contiguous block instead of gathering through rowids.
-	payloadNames []string
-	payloads     [][]int64
 
 	// domainLo/domainHi cache the column's value bounds for random-pivot
 	// refinement. Guarded by mu.
@@ -249,11 +242,7 @@ func (c *Column) Separated() bool {
 func (c *Column) SizeBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	size := int64(cap(c.vals))*8 + int64(cap(c.rows))*4
-	for _, p := range c.payloads {
-		size += int64(cap(p)) * 8
-	}
-	return size
+	return int64(cap(c.vals))*8 + int64(cap(c.rows))*4
 }
 
 // AvgPieceSize returns len/pieces, the |p| of Equation (1).
@@ -309,35 +298,6 @@ func (c *Column) pieceByPosLocked(pos int) (p *piece, end int) {
 		end = len(c.vals)
 	}
 	return p, end
-}
-
-// NewSideways builds a cracker column that drags payload attribute
-// columns along with every reorganization — the sideways-cracking design
-// the TPC-H experiments use (Section 5.6): the select attribute is
-// cracked, and the attributes a query projects stay position-aligned, so
-// aggregation runs tight loops over contiguous blocks. Each payload is
-// copied; base columns stay untouched.
-func NewSideways(name string, base []int64, payloadNames []string, payloads [][]int64, cfg Config) *Column {
-	if len(payloadNames) != len(payloads) {
-		panic("cracking: payload name/column count mismatch")
-	}
-	c := New(name, base, cfg)
-	for i, p := range payloads {
-		if len(p) != len(base) {
-			panic(fmt.Sprintf("cracking: payload %q has %d values, base has %d",
-				payloadNames[i], len(p), len(base)))
-		}
-		own := make([]int64, len(p)) // exactly: SizeBytes counts capacity
-		copy(own, p)
-		c.payloads = append(c.payloads, own)
-	}
-	c.payloadNames = append([]string(nil), payloadNames...)
-	return c
-}
-
-// PayloadNames returns the attached payload attribute names.
-func (c *Column) PayloadNames() []string {
-	return append([]string(nil), c.payloadNames...)
 }
 
 // PieceInfo describes one piece of the cracker column at a point in

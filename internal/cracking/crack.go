@@ -444,37 +444,6 @@ func (c *Column) forEachSpanLocked(start, end int, fn func(pos, seg int)) {
 	}
 }
 
-// SelectPayloads cracks on [lo, hi) and streams the qualifying block to
-// fn, one stable run at a time, with every payload column aligned to the
-// values — the sideways-cracking read path: aggregation over the result
-// is a tight loop over contiguous arrays, no rowid gather. A run is a
-// whole segment, or under the packed layout a chunk of one with its
-// values decoded. fn must not retain the slices. The whole operation runs
-// under one column pin.
-func (c *Column) SelectPayloads(lo, hi int64, fn func(vals []int64, payloads [][]int64)) Range {
-	c.global.RLock()
-	defer c.global.RUnlock()
-	r := c.selectRangeLocked(lo, hi)
-	views := make([][]int64, len(c.payloads))
-	var decoded []int64
-	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
-		for pos < seg {
-			end, vals := seg, c.vals[pos:seg]
-			if c.packed {
-				end = min(seg, pos+rowChunk)
-				decoded = c.segment(pos, end).AppendValues(decoded[:0])
-				vals = decoded
-			}
-			for i, p := range c.payloads {
-				views[i] = p[pos:end]
-			}
-			fn(vals, views)
-			pos = end
-		}
-	})
-	return r
-}
-
 // ForEachPiece walks the whole column piece by piece in ascending key
 // order, invoking fn under each piece's read latch with the piece's
 // tuples. Pieces are value-disjoint and ordered — every value of an

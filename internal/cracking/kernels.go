@@ -64,15 +64,14 @@ func swapPairs[T int64 | uint32](left, right *[blockSize]T, offL, offR []uint8) 
 
 // crackInTwo partitions vals[lo:hi] in place so that values < pivot
 // precede values >= pivot and returns the index of the first value
-// >= pivot; rows (when non-nil) and every sideways payload are permuted
-// in lockstep. It is a block partition: one block from each end is
+// >= pivot; rows (when non-nil) are permuted in lockstep. It is a block partition: one block from each end is
 // classified into offset buffers, the misplaced pairs are swapped, and
 // whichever block has no misplaced value left gives way to the next one;
 // the classic two-cursor loop finishes what is left when fewer than two
 // blocks remain.
 //
 //holistic:noalloc
-func crackInTwo(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64) int {
+func crackInTwo(vals []int64, rows []uint32, lo, hi int, pivot int64) int {
 	biased := uint64(pivot) ^ signBit
 	var offL, offR [256]uint8
 	var numL, numR, startL, startR int
@@ -90,9 +89,6 @@ func crackInTwo(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, piv
 		swapPairs(left, right, ol, or)
 		if rows != nil {
 			swapPairs((*[blockSize]uint32)(rows[l:]), (*[blockSize]uint32)(rows[r-blockSize:]), ol, or)
-		}
-		for _, p := range payloads {
-			swapPairs((*[blockSize]int64)(p[l:]), (*[blockSize]int64)(p[r-blockSize:]), ol, or)
 		}
 		numL, startL = numL-n, startL+n
 		numR, startR = numR-n, startR+n
@@ -120,9 +116,6 @@ func crackInTwo(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, piv
 		if rows != nil {
 			rows[i], rows[j] = rows[j], rows[i]
 		}
-		for _, p := range payloads {
-			p[i], p[j] = p[j], p[i]
-		}
 		i++
 		j--
 	}
@@ -146,13 +139,13 @@ func swapRuns[T int64 | uint32](s []T, a, b, n int) {
 // — which moves exactly the misplaced values and needs no scratch space.
 //
 //holistic:alloc-ok goroutine fan-out for the parallel path
-func parallelCrack(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64, workers int) int {
+func parallelCrack(vals []int64, rows []uint32, lo, hi int, pivot int64, workers int) int {
 	// Slice w is [starts[w], starts[w+1]) and crackInTwo split it at mids[w].
 	starts := make([]int, workers+1)
 	mids := make([]int, workers)
 	workers = column.ForChunks(hi-lo, workers, 1, func(w, start, end int) {
 		starts[w] = lo + start
-		mids[w] = crackInTwo(vals, rows, payloads, lo+start, lo+end, pivot)
+		mids[w] = crackInTwo(vals, rows, lo+start, lo+end, pivot)
 	})
 	starts[workers] = hi
 
@@ -180,9 +173,6 @@ func parallelCrack(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, 
 		if rows != nil {
 			swapRuns(rows, a, b, k)
 		}
-		for _, p := range payloads {
-			swapRuns(p, a, b, k)
-		}
 		a, b = a+k, b+k
 	}
 }
@@ -207,7 +197,7 @@ func (c *Column) partitionWith(lo, hi int, pivot int64, workers int) int {
 		return hi
 	}
 	if workers > 1 && hi-lo >= c.cfg.MinParallelPiece {
-		return parallelCrack(c.vals, c.rows, c.payloads, lo, hi, pivot, workers)
+		return parallelCrack(c.vals, c.rows, lo, hi, pivot, workers)
 	}
-	return crackInTwo(c.vals, c.rows, c.payloads, lo, hi, pivot)
+	return crackInTwo(c.vals, c.rows, lo, hi, pivot)
 }

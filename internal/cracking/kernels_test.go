@@ -87,46 +87,31 @@ func iota32(n int) []uint32 {
 	return rows
 }
 
-// payloadsOf derives k payload columns from vals, each a fixed function
-// of the value, so a lockstep violation shows at any position.
-func payloadsOf(vals []int64, k int) [][]int64 {
-	out := make([][]int64, k)
-	for p := range out {
-		out[p] = make([]int64, len(vals))
-		for i, v := range vals {
-			out[p][i] = v*int64(p+2) + int64(p)
-		}
-	}
-	return out
-}
-
 // crackFunc is the signature of crackInTwo; inParallel adapts the
 // parallel driver to it.
-type crackFunc func(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64) int
+type crackFunc func(vals []int64, rows []uint32, lo, hi int, pivot int64) int
 
 func inParallel(workers int) crackFunc {
-	return func(vals []int64, rows []uint32, payloads [][]int64, lo, hi int, pivot int64) int {
-		return parallelCrack(vals, rows, payloads, lo, hi, pivot, workers)
+	return func(vals []int64, rows []uint32, lo, hi int, pivot int64) int {
+		return parallelCrack(vals, rows, lo, hi, pivot, workers)
 	}
 }
 
-// kernelCase runs crack on a copy of orig[lo:hi] with rowids and
-// nPayloads payloads attached, and checks everything a crack promises:
-// the reference's split position, the partition property, the multiset,
-// nothing touched outside [lo, hi), and rowids and payloads still
-// describing their value.
-func kernelCase(t testing.TB, orig []int64, lo, hi int, pivot int64, withRows bool, nPayloads int, crack crackFunc) {
+// kernelCase runs crack on a copy of orig[lo:hi], with rowids attached
+// when withRows, and checks everything a crack promises: the reference's
+// split position, the partition property, the multiset, nothing touched
+// outside [lo, hi), and rowids still describing their value.
+func kernelCase(t testing.TB, orig []int64, lo, hi int, pivot int64, withRows bool, crack crackFunc) {
 	t.Helper()
 	vals := append([]int64(nil), orig...)
 	var rows []uint32
 	if withRows {
 		rows = iota32(len(vals))
 	}
-	payloads := payloadsOf(vals, nPayloads)
 	ref := append([]int64(nil), orig...)
 	want := crackInTwoInPlace(ref, lo, hi, pivot)
 
-	mid := crack(vals, rows, payloads, lo, hi, pivot)
+	mid := crack(vals, rows, lo, hi, pivot)
 	if mid != want {
 		t.Fatalf("split at %d, reference splits at %d", mid, want)
 	}
@@ -142,11 +127,6 @@ func kernelCase(t testing.TB, orig []int64, lo, hi int, pivot int64, withRows bo
 			t.Fatalf("rows[%d] = %d points at %d but the value is %d", i, rows[i], orig[rows[i]], vals[i])
 		}
 	}
-	for p, want := range payloadsOf(vals, nPayloads) {
-		if !equalSlices(payloads[p], want) {
-			t.Fatalf("payload %d out of lockstep with the values", p)
-		}
-	}
 }
 
 // kernelLengths brackets every multiple of the block size the main loop
@@ -159,8 +139,16 @@ func kernelLengths() []int {
 	return append(lens, 10_000, 1<<16+5)
 }
 
+// TestCrackInTwoLengthsAndPivots runs every kernel length, value shape,
+// pivot and rowid setting through crackInTwo and through parallelCrack at
+// 2, 3 and 4 workers; above 1000 values the parallel crack runs at the
+// middle pivot only, to keep the table quick.
 func TestCrackInTwoLengthsAndPivots(t *testing.T) {
 	const domain = 1000
+	kernels := []struct {
+		name  string
+		crack crackFunc
+	}{{"serial", crackInTwo}, {"parallel2", inParallel(2)}, {"parallel3", inParallel(3)}, {"parallel4", inParallel(4)}}
 	for _, n := range kernelLengths() {
 		uniform := randVals(n, int64(n)+1, domain)
 		allEqual := make([]int64, n)
@@ -171,12 +159,12 @@ func TestCrackInTwoLengthsAndPivots(t *testing.T) {
 			pivots := []int64{-1, 0, 7, 8, domain / 2, domain - 1, domain, math.MinInt64, math.MaxInt64}
 			for _, pivot := range pivots {
 				for _, withRows := range []bool{false, true} {
-					for nPayloads := 0; nPayloads <= 3; nPayloads++ {
-						if nPayloads > 0 && n > 1000 && pivot != domain/2 {
-							continue // payload lockstep does not depend on the pivot; keep the table quick
+					for i, k := range kernels {
+						if i > 0 && n > 1000 && pivot != domain/2 {
+							continue
 						}
-						t.Run(fmt.Sprintf("%s/n=%d/pivot=%d/rows=%v/payloads=%d", name, n, pivot, withRows, nPayloads), func(t *testing.T) {
-							kernelCase(t, orig, 0, n, pivot, withRows, nPayloads, crackInTwo)
+						t.Run(fmt.Sprintf("%s/n=%d/pivot=%d/rows=%v/kernel=%s", name, n, pivot, withRows, k.name), func(t *testing.T) {
+							kernelCase(t, orig, 0, n, pivot, withRows, k.crack)
 						})
 					}
 				}
@@ -189,7 +177,7 @@ func TestCrackInTwoSubrange(t *testing.T) {
 	orig := randVals(5000, 3, 100)
 	for _, span := range [][2]int{{200, 700}, {1, 4999}, {300, 300}, {17, 17 + 2*blockSize}, {4000, 5000}} {
 		lo, hi := span[0], span[1]
-		kernelCase(t, orig, lo, hi, 55, true, 1, crackInTwo)
+		kernelCase(t, orig, lo, hi, 55, true, crackInTwo)
 	}
 }
 
@@ -223,7 +211,7 @@ func TestCrackInTwoFullInt64Domain(t *testing.T) {
 			}
 		}
 		for _, pivot := range extremes {
-			kernelCase(t, orig, 0, n, pivot, true, 0, crackInTwo)
+			kernelCase(t, orig, 0, n, pivot, true, crackInTwo)
 		}
 	}
 }
@@ -234,7 +222,7 @@ func TestCrackInTwoFourMi(t *testing.T) {
 	}
 	n := 4 << 20
 	orig := randVals(n, 44, 1<<30)
-	kernelCase(t, orig, 0, n, 1<<29, true, 0, crackInTwo)
+	kernelCase(t, orig, 0, n, 1<<29, true, crackInTwo)
 }
 
 func TestParallelCrack(t *testing.T) {
@@ -243,7 +231,7 @@ func TestParallelCrack(t *testing.T) {
 			orig := randVals(n, int64(workers*1000+n), 1<<20)
 			for _, pivot := range []int64{-5, 1 << 17, 1 << 19, 1 << 21} {
 				t.Run(fmt.Sprintf("workers=%d/n=%d/pivot=%d", workers, n, pivot), func(t *testing.T) {
-					kernelCase(t, orig, 0, n, pivot, true, 1, inParallel(workers))
+					kernelCase(t, orig, 0, n, pivot, true, inParallel(workers))
 				})
 			}
 		}
@@ -266,7 +254,7 @@ func TestParallelCrackSkewedSlices(t *testing.T) {
 				orig[i] = -int64(i) - 1
 			}
 		}
-		kernelCase(t, orig, 0, n, 0, true, 0, inParallel(workers))
+		kernelCase(t, orig, 0, n, 0, true, inParallel(workers))
 	}
 }
 
@@ -275,15 +263,15 @@ func TestParallelCrackSubrange(t *testing.T) {
 	orig := randVals(n, 21, 1000)
 	lo, hi := 1000, n-1000
 	for _, workers := range []int{2, 3, 4} {
-		kernelCase(t, orig, lo, hi, 500, true, 2, inParallel(workers))
+		kernelCase(t, orig, lo, hi, 500, true, inParallel(workers))
 	}
 }
 
 func TestQuickKernelsAgree(t *testing.T) {
 	check := func(orig []int64, pivot int64, workers uint8) bool {
 		n := len(orig)
-		kernelCase(t, orig, 0, n, pivot, true, 1, crackInTwo)
-		kernelCase(t, orig, 0, n, pivot, false, 0, inParallel(int(workers%8)+1))
+		kernelCase(t, orig, 0, n, pivot, true, crackInTwo)
+		kernelCase(t, orig, 0, n, pivot, false, inParallel(int(workers%8)+1))
 		return !t.Failed()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -320,8 +308,8 @@ func FuzzPartition(f *testing.F) {
 			}
 		}
 		n := len(orig)
-		kernelCase(t, orig, 0, n, pivot, true, 0, crackInTwo)
-		kernelCase(t, orig, 0, n, pivot, true, 0, inParallel(int(workers%8)+1))
+		kernelCase(t, orig, 0, n, pivot, true, crackInTwo)
+		kernelCase(t, orig, 0, n, pivot, true, inParallel(int(workers%8)+1))
 	})
 }
 
@@ -329,10 +317,9 @@ func TestCrackInTwoAllocationFree(t *testing.T) {
 	orig := randVals(10_000, 77, 1<<20)
 	vals := make([]int64, len(orig))
 	rows := iota32(len(orig))
-	payloads := payloadsOf(orig, 1)
 	if allocs := testing.AllocsPerRun(20, func() {
 		copy(vals, orig)
-		crackInTwo(vals, rows, payloads, 0, len(vals), 1<<19)
+		crackInTwo(vals, rows, 0, len(vals), 1<<19)
 	}); allocs != 0 {
 		t.Fatalf("crackInTwo allocates: %v allocs/op", allocs)
 	}

@@ -24,9 +24,6 @@ func (c *Column) moveLocked(to, from int) {
 	if c.rows != nil {
 		c.rows[to] = c.rows[from]
 	}
-	for _, p := range c.payloads {
-		p[to] = p[from]
-	}
 }
 
 // widenLocked converts a packed column to the wide layout in place:
@@ -91,17 +88,8 @@ func (c *Column) boundariesAboveLocked(key int64) []*piece {
 }
 
 // MergeInsert inserts value v with rowid row into the cracked column,
-// preserving all piece information. On sideways columns the payload
-// values of the new tuple default to zero; use MergeInsertSideways to
-// supply them.
+// preserving all piece information.
 func (c *Column) MergeInsert(v int64, row uint32) {
-	c.MergeInsertSideways(v, row, nil)
-}
-
-// MergeInsertSideways is MergeInsert with explicit payload values for the
-// inserted tuple (one per attached payload column; missing trailing
-// values default to zero).
-func (c *Column) MergeInsertSideways(v int64, row uint32, payload []int64) {
 	c.global.Lock()
 	defer c.global.Unlock()
 	// The exclusive column lock shuts out all query/refinement paths, but
@@ -122,9 +110,6 @@ func (c *Column) MergeInsertSideways(v int64, row uint32, payload []int64) {
 	c.vals = grown(c.vals)
 	if c.rows != nil {
 		c.rows = grown(c.rows)
-	}
-	for i := range c.payloads {
-		c.payloads[i] = grown(c.payloads[i])
 	}
 	hole := len(c.vals) - 1
 
@@ -147,13 +132,6 @@ func (c *Column) MergeInsertSideways(v int64, row uint32, payload []int64) {
 	}
 	if c.rows != nil {
 		c.rows[hole] = row
-	}
-	for j := range c.payloads {
-		var pv int64
-		if j < len(payload) {
-			pv = payload[j]
-		}
-		c.payloads[j][hole] = pv
 	}
 	if v < c.domainLo {
 		c.domainLo = v
@@ -184,7 +162,7 @@ func (c *Column) MergeDeleteRow(v int64, targetRow uint32) (row uint32, found bo
 func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32, found bool) {
 	c.global.Lock()
 	defer c.global.Unlock()
-	c.mu.Lock() // see MergeInsertSideways for why
+	c.mu.Lock() // see MergeInsert for why
 	defer c.mu.Unlock()
 
 	targetKey, p, end, _ := c.pieceSpanLocked(v)
@@ -227,9 +205,6 @@ func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32,
 	c.vals = c.vals[:len(c.vals)-1]
 	if c.rows != nil {
 		c.rows = c.rows[:len(c.rows)-1]
-	}
-	for j := range c.payloads {
-		c.payloads[j] = c.payloads[j][:len(c.payloads[j])-1]
 	}
 	return row, true
 }

@@ -319,8 +319,8 @@ func TestRippleMergeAllocationFree(t *testing.T) {
 	}
 }
 
-// arrayCaps reports len and every array's capacity — vals, rows when
-// kept, each payload — under the statistics lock.
+// arrayCaps reports len and every array's capacity — vals, and rows
+// when kept — under the statistics lock.
 func arrayCaps(c *Column) (n int, caps []int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -328,43 +328,29 @@ func arrayCaps(c *Column) (n int, caps []int) {
 	if c.rows != nil {
 		caps = append(caps, cap(c.rows))
 	}
-	for _, p := range c.payloads {
-		caps = append(caps, cap(p))
-	}
 	return len(c.vals), caps
 }
 
 // TestInsertGrowthBoundedSlack: a merged insert into a full column grows
 // every array it keeps to at most len + max(len/growthDivisor,
 // growthFloor) — not by Go's append growth, which reserves a quarter of
-// the column — for a packed column, one an out-of-window insert widens
-// and a sideways one. Inserts of an eighth of N grow each column several
+// the column — for a packed column and one an out-of-window insert
+// widens. Inserts of an eighth of N grow each column several
 // times, each growth under the exclusive latch while readers crack and
 // walk pieces; the column ends up holding what the model holds.
 func TestInsertGrowthBoundedSlack(t *testing.T) {
 	const n, inserts, domain = 1 << 14, 1 << 11, 1 << 20
 	for _, tc := range []struct {
-		name     string
-		first    int64 // the first inserted value
-		sideways bool
-		arrays   int // arrays the column keeps after the first insert
+		name   string
+		first  int64 // the first inserted value
+		arrays int   // arrays the column keeps after the first insert
 	}{
-		{"packed", 7, false, 1},
-		{"widened", 1 << 40, false, 2},
-		{"sideways", 7, true, 3},
+		{"packed", 7, 1},
+		{"widened", 1 << 40, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := randVals(n, 91, domain)
-			var c *Column
-			if tc.sideways {
-				p0, p1 := make([]int64, n), make([]int64, n)
-				for i, v := range base {
-					p0[i], p1[i] = v*2, -v
-				}
-				c = NewSideways("a", base, []string{"p0", "p1"}, [][]int64{p0, p1}, Config{WithRows: true})
-			} else {
-				c = New("a", base, Config{WithRows: true})
-			}
+			c := New("a", base, Config{WithRows: true})
 			rng := rand.New(rand.NewSource(92))
 			for range 16 {
 				c.CrackAt(rng.Int63n(domain))
@@ -398,16 +384,6 @@ func TestInsertGrowthBoundedSlack(t *testing.T) {
 								t.Error("a walked piece lost its rowids")
 							}
 						})
-						if tc.sideways {
-							c.SelectPayloads(lo, hi, func(vals []int64, payloads [][]int64) {
-								for i, v := range vals {
-									if payloads[0][i] != v*2 || payloads[1][i] != -v {
-										t.Errorf("payloads out of lockstep: v=%d p0=%d p1=%d", v, payloads[0][i], payloads[1][i])
-										return
-									}
-								}
-							})
-						}
 					}
 				}()
 			}
@@ -420,7 +396,7 @@ func TestInsertGrowthBoundedSlack(t *testing.T) {
 					v = tc.first
 				}
 				row := uint32(n + i)
-				c.MergeInsertSideways(v, row, []int64{v * 2, -v})
+				c.MergeInsert(v, row)
 				m.Put("a", row, v)
 				size, caps := arrayCaps(c)
 				if len(caps) != tc.arrays {

@@ -13,24 +13,17 @@ import (
 // benchmark's analytic-mix workload.
 const benchRows = 1 << 20
 
-// benchSegment is the block size BenchmarkGroup streams through Acc — a
-// sideways-cracker payload segment is a few thousand values.
-const benchSegment = 8192
-
 // benchClusterRows is the cluster size the synthetic key-order walk
 // aims for: about what a converged cracker piece holds.
 const benchClusterRows = 8192
 
 // BenchmarkGroup times the one grouped-aggregation core through each of
-// its four feeders — bitmap and position-list selection vectors, the
-// slice-fed Acc, and the key-ordered cluster walk; bitmap-all is the
-// bitmap of every row, folded in place — on a key domain the
-// dense accumulator takes (64 groups) and one only the hash table can
-// (2^19 groups), with the yardstick's fused count/sum/min/max plan. It
-// reports ns per input row; with the result table reused, allocs/op is
-// 0 for every feeder but acc, whose 2 are NewAcc building the
-// accumulator (the segment loop itself is held to 0 by
-// TestWarmedFeedersAllocationFree).
+// its three feeders — bitmap and position-list selection vectors and the
+// key-ordered cluster walk; bitmap-all is the bitmap of every row, folded
+// in place — on a key domain the dense accumulator takes (64 groups) and
+// one only the hash table can (2^19 groups), with the yardstick's fused
+// count/sum/min/max plan. It reports ns per input row; with the result
+// table reused, allocs/op is 0 for every feeder.
 func BenchmarkGroup(b *testing.B) {
 	for _, dom := range []struct {
 		name   string
@@ -123,21 +116,6 @@ func BenchmarkGroup(b *testing.B) {
 		run("bitmap", len(sel), func() error { return GroupBitmap(spec, bm, &res) })
 		run("bitmap-all", benchRows, func() error { return GroupBitmap(spec, all, &res) })
 		run("rows", len(sel), func() error { return GroupRows(spec, sel, &res) })
-		keyCols, aggCols := make([][]int64, 1), make([][]int64, len(aggs))
-		run("acc", benchRows, func() error {
-			acc, err := NewAcc(spec.Keys, aggs)
-			if err != nil {
-				return err
-			}
-			for off := 0; off < benchRows; off += benchSegment {
-				keyCols[0] = key[off : off+benchSegment]
-				for a := 1; a < len(aggCols); a++ {
-					aggCols[a] = val[off : off+benchSegment]
-				}
-				acc.Segment(keyCols, aggCols)
-			}
-			return acc.Finish(&res)
-		})
 		run("clusters", len(sel), func() error { return GroupClusters(spec, bm, walk, &res) })
 	}
 }

@@ -37,7 +37,6 @@
 //	words over plain views  in place              in place
 //	GroupClusters           the index walk's      gathered at the
 //	                        (value, row) pairs    cluster's selected rows
-//	Acc.Segment             the caller's slices   the caller's slices
 //
 // GroupRows and GroupBitmap run partition-parallel: the selection is
 // split across workers, each feeds its own pooled core, and the
@@ -198,9 +197,6 @@ type Spec struct {
 	AggViews []column.View
 	// Threads bounds the partition parallelism of dense/hash grouping.
 	Threads int
-	// stream marks Acc's slice-fed stream, whose length is unknown up
-	// front: dense whenever the domain packs.
-	stream bool
 	// slotBound overrides DefaultDenseSlots when positive: GroupClusters
 	// bounds its per-cluster executions by DefaultClusterSlots.
 	slotBound int
@@ -340,14 +336,14 @@ func (pk *packing) unpack(packed uint64, i int) int64 {
 // chooseDense applies the dense/hash crossover to n input rows: the
 // packed domain must be indexable and small, and — above denseMinSlots —
 // the input must fill it densely enough to amortize the O(slots) clear
-// and emit scan — a stream of unknown length skips that fill test.
+// and emit scan.
 //
 //holistic:noalloc
 func chooseDense(spec *Spec, pk *packing, n int) bool {
 	if pk.slots == 0 || pk.slots > spec.denseSlots() {
 		return false
 	}
-	return spec.stream || pk.slots <= denseMinSlots || n*denseFill >= pk.slots
+	return pk.slots <= denseMinSlots || n*denseFill >= pk.slots
 }
 
 // --- entry points ---

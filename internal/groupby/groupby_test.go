@@ -124,8 +124,7 @@ func clusterStream(rng *rand.Rand, keyCol []int64) func(fn func(vals []int64, ro
 // selection-vector forms under the dense and hash strategies,
 // sequential and partition-parallel (a third of the trials are large
 // enough that threads=4 really splits the selection and merges
-// partials); the same selected rows streamed through Acc in
-// random-length segments; and, for single-key trials, the cluster walk
+// partials); and, for single-key trials, the cluster walk
 // over random ascending cluster cuts. Trials rotate through exact key
 // domains, a stale domain whose escaping values sit in one eighth of
 // the rows (so one worker's dense partial migrates, or one worker's hash
@@ -258,31 +257,8 @@ func TestStrategiesAgreeWithModel(t *testing.T) {
 			}
 		}
 
-		// The same selected rows as position-aligned slices, through Acc.
 		spec := mkSpec(1)
-		accKeys := make([][]int64, nkeys)
-		for k := range accKeys {
-			accKeys[k] = column.FetchRows(keyCols[k], sel)
-		}
-		accVals := column.FetchRows(vals, sel)
-		acc, err := NewAcc(spec.Keys, aggSpecs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segKeys := make([][]int64, nkeys)
-		for off := 0; off < len(sel); {
-			end := min(off+1+rng.Intn(3*chunkSize), len(sel))
-			for k := range segKeys {
-				segKeys[k] = accKeys[k][off:end]
-			}
-			acc.Segment(segKeys, [][]int64{nil, accVals[off:end], accVals[off:end], accVals[off:end]})
-			off = end
-		}
 		var res Result
-		if err := acc.Finish(&res); err != nil {
-			t.Fatal(err)
-		}
-		check("acc", &res)
 
 		// The cluster walk streams the key itself: refined, or — every
 		// other trial — spread past DefaultClusterSlots, so that a cluster
@@ -617,10 +593,11 @@ func TestGroupClusters(t *testing.T) {
 	}
 }
 
-// TestAccMatchesModel streams slice segments (the sideways-cracking
-// feed) and checks the ordered result, including the dense → hash
-// migration on an escaping key.
-func TestAccMatchesModel(t *testing.T) {
+// TestStaleDomainMigratesToHash feeds a composite key through a
+// position list, first over its exact domains (dense), then declaring a
+// domain one value short: the first escaping key must migrate the dense
+// state to hash mid-stream and the result stay correct.
+func TestStaleDomainMigratesToHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	rows := 5000
 	k1 := make([]int64, rows)
@@ -639,19 +616,9 @@ func TestAccMatchesModel(t *testing.T) {
 	aggCols := [][]int64{val, nil, val}
 	wantKeys, wantAggs := modelGroup([][]int64{k1, k2}, aggSpecs, aggCols, sel)
 
-	acc, err := NewAcc([]Key{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 4}}, aggSpecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < rows; off += 700 {
-		end := off + 700
-		if end > rows {
-			end = rows
-		}
-		acc.Segment([][]int64{k1[off:end], k2[off:end]}, [][]int64{val[off:end], nil, val[off:end]})
-	}
+	spec := buildSpec([][]int64{k1, k2}, aggCols, aggSpecs, 1)
 	var res Result
-	if err := acc.Finish(&res); err != nil {
+	if err := GroupRows(spec, sel, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy != StrategyDense {
@@ -661,12 +628,8 @@ func TestAccMatchesModel(t *testing.T) {
 
 	// Stale domain: declare [0, 1] but feed a 2 — the accumulator must
 	// migrate to hash and stay correct.
-	acc2, err := NewAcc([]Key{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 4}}, aggSpecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc2.Segment([][]int64{k1, k2}, [][]int64{val, nil, val})
-	if err := acc2.Finish(&res); err != nil {
+	spec.Keys[0].Hi = 1
+	if err := GroupRows(spec, sel, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy != StrategyHash {
@@ -676,9 +639,8 @@ func TestAccMatchesModel(t *testing.T) {
 }
 
 // TestWarmedFeedersAllocationFree: once the pooled state and the result
-// table have grown, the slice-fed segment loop, a cluster walk — dense
-// and hash clusters alike — and a sequential bitmap selection folded in
-// place allocate nothing. (The selection-vector feeders' query-level bar
+// table have grown, a cluster walk — dense and hash clusters alike — and
+// a sequential bitmap selection folded in place allocate nothing. (The selection-vector feeders' query-level bar
 // is TestSteadyStateGroupedAllocationFree in internal/query.)
 func TestWarmedFeedersAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -698,20 +660,6 @@ func TestWarmedFeedersAllocationFree(t *testing.T) {
 	}
 	aggSpecs := []Agg{Count(), Sum("v"), Min("v"), Max("v")}
 	keyCols, aggCols := [][]int64{key}, [][]int64{nil, val, val, val}
-	for _, hi := range []int64{1<<12 - 1 /* dense */, 1<<40 - 1 /* hash */} {
-		acc, err := NewAcc([]Key{{Lo: 0, Hi: hi}}, aggSpecs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc.Segment(keyCols, aggCols) // every group exists from here on
-		if allocs := testing.AllocsPerRun(20, func() { acc.Segment(keyCols, aggCols) }); allocs > 0 {
-			t.Errorf("warmed Acc.Segment over [0, %d] allocates %.2f times per segment, want 0", hi, allocs)
-		}
-		var res Result
-		if err := acc.Finish(&res); err != nil {
-			t.Fatal(err)
-		}
-	}
 	all := column.NewBitmap(rows)
 	all.SetRange(0, rows)
 	for _, want := range []Strategy{StrategyDense, StrategyHash} {

@@ -172,21 +172,18 @@ func (pc PairCol) rows(p *Pairs) column.PosList {
 	return p.Left
 }
 
-// groupChunk is the number of pairs gathered and folded at a time by
-// Grouped — the same cache-resident block size the grouped-aggregation
-// kernels use.
-const groupChunk = 4096
-
 // Grouped executes a fused grouped-aggregation plan over materialized
 // join pairs: group keys and aggregate inputs are gathered from either
-// side (PairCol), keyBounds[i] is key i's inclusive value domain (it
-// drives the dense/hash accumulator choice exactly as in
-// internal/groupby), and the ordered result lands in res. Every
-// referenced attribute must have a value at every paired row (the
-// query runner's pre-join selection pipeline presence-filters each
-// side's referenced attributes).
+// side (PairCol) into pair-aligned columns, keyBounds[i] is key i's
+// inclusive value domain (it drives the dense/hash accumulator choice
+// exactly as in internal/groupby), and the ordered result lands in res.
+// The gathered columns are grouped as one all-ones bitmap selection,
+// which the grouping core folds in place. Every referenced attribute
+// must have a value at every paired row (the query runner's pre-join
+// selection pipeline presence-filters each side's referenced
+// attributes).
 //
-//holistic:alloc-ok per-call plan and chunk buffers; the fused accumulators it feeds are noalloc
+//holistic:alloc-ok per-call plan and gathered columns; the fused accumulators it feeds are noalloc
 func Grouped(p *Pairs, keys []PairCol, keyBounds [][2]int64, aggs []groupby.Agg, aggCols []PairCol, res *groupby.Result) error {
 	if len(keys) != len(keyBounds) {
 		return fmt.Errorf("join: %d key bounds for %d keys", len(keyBounds), len(keys))
@@ -194,47 +191,23 @@ func Grouped(p *Pairs, keys []PairCol, keyBounds [][2]int64, aggs []groupby.Agg,
 	if len(aggs) != len(aggCols) {
 		return fmt.Errorf("join: %d aggregate columns for %d aggregates", len(aggCols), len(aggs))
 	}
-	gkeys := make([]groupby.Key, len(keys))
-	for i := range keys {
-		lo, hi := keyBounds[i][0], keyBounds[i][1]
-		if hi < lo && p.Len() == 0 {
-			// An inverted domain is legal only when nothing joined (an
-			// empty side yields empty bounds); the accumulator still
-			// needs a well-formed packing to emit the empty result.
-			lo, hi = 0, 0
+	spec := &groupby.Spec{Keys: make([]groupby.Key, len(keys)), Aggs: aggs, AggViews: make([]column.View, len(aggs))}
+	for i, pc := range keys {
+		spec.Keys[i] = groupby.Key{
+			View: column.View{Base: pc.View.GatherRows(nil, pc.rows(p))},
+			Lo:   keyBounds[i][0], Hi: keyBounds[i][1],
 		}
-		gkeys[i] = groupby.Key{Lo: lo, Hi: hi}
 	}
-	acc, err := groupby.NewAcc(gkeys, aggs)
-	if err != nil {
-		return err
-	}
-	n := p.Len()
-	keyBufs := make([][]int64, len(keys))
-	aggBufs := make([][]int64, len(aggs))
-	keyCols := make([][]int64, len(keys))
-	aggVals := make([][]int64, len(aggs))
-	for off := 0; off < n; off += groupChunk {
-		end := off + groupChunk
-		if end > n {
-			end = n
-		}
-		for i, pc := range keys {
-			keyBufs[i] = pc.View.GatherRows(keyBufs[i][:0], pc.rows(p)[off:end])
-			keyCols[i] = keyBufs[i]
-		}
-		for i, a := range aggs {
-			if a.Kind == groupby.KindCount {
-				aggVals[i] = nil
-				continue
-			}
+	for i, a := range aggs {
+		if a.Kind != groupby.KindCount {
 			pc := aggCols[i]
-			aggBufs[i] = pc.View.GatherRows(aggBufs[i][:0], pc.rows(p)[off:end])
-			aggVals[i] = aggBufs[i]
+			spec.AggViews[i] = column.View{Base: pc.View.GatherRows(nil, pc.rows(p))}
 		}
-		acc.Segment(keyCols, aggVals)
 	}
-	return acc.Finish(res)
+	all := column.GetBitmap(p.Len())
+	defer column.PutBitmap(all)
+	all.SetRange(0, p.Len())
+	return groupby.GroupBitmap(spec, all, res)
 }
 
 // splitmix64 is the avalanche finalizer of the splitmix64 generator —

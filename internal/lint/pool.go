@@ -16,7 +16,7 @@ import (
 //   - returning the held value makes the function itself a borrow
 //     helper — its callers inherit the obligation;
 //   - storing the held value into a struct field that some module
-//     releaser covers (e.g. Acc.st, runState.workers) transfers
+//     releaser covers (e.g. runState.workers) transfers
 //     ownership to that struct's release path.
 //
 // Returning a pooled value after it was already Put back — or under a

@@ -128,8 +128,7 @@ func viaDefer() int {
 	return len(sc.buf)
 }
 
-// viaDeferredClosure releases inside a deferred closure, like
-// Acc.Finish does.
+// viaDeferredClosure releases inside a deferred closure.
 func viaDeferredClosure() int {
 	sc := borrow()
 	defer func() {

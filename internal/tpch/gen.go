@@ -1,11 +1,10 @@
 // Package tpch provides the TPC-H substrate of the evaluation (Section
 // 5.6): a deterministic, scale-parameterized generator for the LINEITEM
-// and ORDERS columns used by queries Q1, Q6 and Q12, a qgen-style
-// random-variant generator, and implementations of the three queries over
-// each of the paper's four execution modes (plain scans, pre-sorted
-// projections, sideways-style cracking, holistic indexing). Q6 runs as
-// a real three-predicate conjunction with selectivity-ordered planning
-// and late tuple reconstruction (see Runner.Q6).
+// and ORDERS columns used by queries Q1, Q6, Q12 and Q3, a qgen-style
+// random-variant generator, and implementations of the queries over each
+// of the paper's four execution modes. Plain scans, cracking and holistic
+// indexing run LINEITEM through a holistic.Store in its scan, adaptive
+// and holistic modes; pre-sorted projections are the runner's own.
 //
 // Representation follows fixed-width column-store practice: dates are day
 // numbers since 1992-01-01, money is cents, discount/tax are basis

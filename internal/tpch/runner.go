@@ -2,53 +2,60 @@ package tpch
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"holistic"
 	"holistic/internal/column"
-	"holistic/internal/cpu"
-	"holistic/internal/cracking"
 	"holistic/internal/groupby"
-	"holistic/internal/holistic"
 	"holistic/internal/join"
-	"holistic/internal/stats"
 )
 
 // Mode is one of the four execution strategies of Figure 14.
 type Mode int
 
 const (
-	// ModeScan is plain MonetDB: full-column scans.
+	// ModeScan is plain MonetDB: the Store's ModeScan, full-column scans.
 	ModeScan Mode = iota
 	// ModePresorted is offline indexing: a copy of LINEITEM re-sorted on
 	// the query's predicate attribute ("the perfect projection").
 	ModePresorted
-	// ModeCracking is sideways cracking: the predicate attribute is
-	// cracked with the projected attributes attached as payload columns,
-	// so qualifying tuples of every needed attribute sit in one
-	// contiguous block (self-organizing tuple reconstruction, [29]).
+	// ModeCracking stands in for sideways cracking: the Store's
+	// ModeAdaptive, whose cracker columns carry row ids, so the projected
+	// attributes of the qualifying tuples are reconstructed through them
+	// instead of being dragged along as payload columns.
 	ModeCracking
-	// ModeHolistic is ModeCracking plus the holistic daemon refining the
-	// crackers in the background.
+	// ModeHolistic is the Store's ModeHolistic: ModeCracking plus the
+	// holistic daemon refining the crackers in the background.
 	ModeHolistic
 )
 
+// modeNames are Figure 14's legend labels.
+var modeNames = [...]string{
+	ModeScan:      "MonetDB",
+	ModePresorted: "Presorted MonetDB",
+	ModeCracking:  "Cracking (row ids)",
+	ModeHolistic:  "Holistic Indexing",
+}
+
+// storeModes maps every mode but ModePresorted to the Store mode that
+// runs it; the Store has no perfect projection.
+var storeModes = map[Mode]holistic.Mode{
+	ModeScan:     holistic.ModeScan,
+	ModeCracking: holistic.ModeAdaptive,
+	ModeHolistic: holistic.ModeHolistic,
+}
+
 // String names the mode as Figure 14's legend does.
 func (m Mode) String() string {
-	switch m {
-	case ModeScan:
-		return "MonetDB"
-	case ModePresorted:
-		return "Presorted MonetDB"
-	case ModeCracking:
-		return "Sideways Cracking"
-	case ModeHolistic:
-		return "Holistic Indexing"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
 // projection is a copy of the LINEITEM columns re-ordered by one sort
@@ -58,10 +65,15 @@ type projection struct {
 	cols    map[string][]int64
 }
 
-// Runner executes the three TPC-H queries under one mode.
+// Runner executes the TPC-H queries under one mode.
 type Runner struct {
 	data *Data
 	mode Mode
+
+	// store holds LINEITEM and its derived columns under every mode but
+	// ModePresorted (nil there): each query's LINEITEM side is one Store
+	// query.
+	store *holistic.Store
 
 	// Columns the queries read, cached as raw slices.
 	li   map[string][]int64
@@ -78,47 +90,31 @@ type Runner struct {
 	// input built over in-place relations (read-only, prefix-sliced).
 	ordRows []uint32
 
-	mu       sync.Mutex
-	proj     map[string]*projection
-	crackers map[string]*sideways
-	threads  int
-
-	reg    *stats.Registry
-	daemon *holistic.Daemon
+	mu      sync.Mutex
+	proj    map[string]*projection
+	threads int
 
 	// PrepareTime records how long Prepare spent building projections
 	// (the pre-sorting cost Figure 14 reports separately: "8 sec").
 	PrepareTime time.Duration
 }
 
-// RunnerConfig tunes the holistic mode.
-type RunnerConfig struct {
-	// Interval, Refinements, Seed configure the daemon (holistic mode).
-	Interval    time.Duration
-	Refinements int
-	Seed        int64
-	// L1Values is the optimal piece size for the daemon.
-	L1Values int
-	// Contexts is the load accountant budget (holistic mode).
-	Contexts int
-}
-
-// NewRunner builds a runner. For ModeHolistic the daemon starts
-// immediately; for ModePresorted call Prepare before querying (or the
-// first query pays it lazily).
-func NewRunner(data *Data, mode Mode, cfg RunnerConfig) *Runner {
+// NewRunner builds a runner. Every mode but ModePresorted loads LINEITEM
+// into a Store configured by cfg, whose Mode the runner sets; cfg.Threads
+// is also the scan and join parallelism. For ModePresorted call Prepare
+// before querying (or the first query pays it lazily).
+func NewRunner(data *Data, mode Mode, cfg holistic.Config) *Runner {
 	r := &Runner{
-		data:     data,
-		mode:     mode,
-		li:       make(map[string][]int64),
-		ord:      make(map[string][]int64),
-		cust:     make(map[string][]int64),
-		proj:     make(map[string]*projection),
-		crackers: make(map[string]*sideways),
-		threads:  cfg.Contexts,
+		data:    data,
+		mode:    mode,
+		li:      make(map[string][]int64),
+		ord:     make(map[string][]int64),
+		cust:    make(map[string][]int64),
+		proj:    make(map[string]*projection),
+		threads: cfg.Threads,
 	}
 	if r.threads < 1 {
-		r.threads = 1
+		r.threads = 2 // the Store's default
 	}
 	for _, name := range data.Lineitem.ColumnNames() {
 		r.li[name] = data.Lineitem.Column(name).Values()
@@ -133,8 +129,7 @@ func NewRunner(data *Data, mode Mode, cfg RunnerConfig) *Runner {
 	// Q1: discounted price and charge, computed once with exactly the
 	// fixed-point arithmetic of the hand-rolled oracle (q1acc.add), so
 	// the subsystem's sums are byte-identical to the oracle's. They join
-	// r.li like base attributes: pre-sorted projections reorder them and
-	// the shipdate sideways cracker drags them as payloads.
+	// r.li like base attributes, so pre-sorted projections reorder them.
 	ext, disc, tax := r.li["l_extendedprice"], r.li["l_discount"], r.li["l_tax"]
 	dp := make([]int64, len(ext))
 	charge := make([]int64, len(ext))
@@ -157,28 +152,40 @@ func NewRunner(data *Data, mode Mode, cfg RunnerConfig) *Runner {
 		}
 	}
 	r.ordRows = identityRows(len(okeys))
-	if mode == ModeHolistic {
-		if cfg.Contexts < 1 {
-			cfg.Contexts = 2
+	if sm, ok := storeModes[mode]; ok {
+		cfg.Mode = sm
+		r.store = holistic.NewStore(cfg)
+		for _, name := range slices.Sorted(maps.Keys(r.li)) {
+			r.mustAdd(name, r.li[name])
 		}
-		if cfg.Interval <= 0 {
-			cfg.Interval = 10 * time.Millisecond
+		// Two more derived columns turn Q6 and Q12 into one Store query
+		// each: Q6's per-row revenue, and Q12's flag for lines committed
+		// before receipt and shipped before commit.
+		commit, receipt, ship := r.li["l_commitdate"], r.li["l_receiptdate"], r.li["l_shipdate"]
+		rev := make([]int64, len(ext))
+		late := make([]int64, len(ext))
+		for i := range ext {
+			rev[i] = ext[i] * disc[i] / 10000
+			if commit[i] < receipt[i] && ship[i] < commit[i] {
+				late[i] = 1
+			}
 		}
-		r.reg = stats.NewRegistry(cfg.L1Values, cfg.Seed)
-		r.daemon = holistic.New(r.reg, cpu.NewLoadAccountant(cfg.Contexts), holistic.Config{
-			Interval:    cfg.Interval,
-			Refinements: cfg.Refinements,
-			Seed:        cfg.Seed,
-		})
-		r.daemon.Start()
+		r.mustAdd("l_revenue", rev)
+		r.mustAdd("l_late", late)
 	}
 	return r
 }
 
-// Close stops the daemon (holistic mode).
+func (r *Runner) mustAdd(name string, vals []int64) {
+	if err := r.store.AddIntColumn(name, vals); err != nil {
+		panic(err)
+	}
+}
+
+// Close releases the Store, stopping its daemon under ModeHolistic.
 func (r *Runner) Close() {
-	if r.daemon != nil {
-		r.daemon.Stop()
+	if r.store != nil {
+		r.store.Close()
 	}
 }
 
@@ -231,14 +238,6 @@ func (r *Runner) projection(attr string) *projection {
 	return p
 }
 
-// sidewaysPayloads maps each predicate attribute to the LINEITEM
-// attributes the three queries project through it: the payload set of its
-// sideways cracker (self-organizing tuple reconstruction, [29]).
-var sidewaysPayloads = map[string][]string{
-	"l_shipdate":    {"l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_returnflag", "l_linestatus", "l_discprice", "l_charge", "l_orderkey"},
-	"l_receiptdate": {"l_shipmode", "l_commitdate", "l_shipdate", "l_orderkey"},
-}
-
 // identityRows returns the row ids 0..n-1 — the Rows of a join input
 // built over a relation scanned in place.
 func identityRows(n int) []uint32 {
@@ -249,58 +248,14 @@ func identityRows(n int) []uint32 {
 	return out
 }
 
-// sideways is one sideways cracker column and, in holistic mode, its
-// node in the daemon's index space.
-type sideways struct {
-	col   *cracking.Column
-	entry *stats.Entry
-}
-
-// cracker returns (building if needed) the sideways cracker on attr; in
-// holistic mode a new one joins the daemon's index space. The crackers
-// are read-only — LINEITEM takes no updates — so they carry no pending
-// queue.
-func (r *Runner) cracker(attr string) *sideways {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sw, ok := r.crackers[attr]; ok {
-		return sw
+// values runs a Store query's Values terminal; the runner's queries are
+// well-formed, so an error is a bug.
+func values(q *holistic.Query, attrs ...string) [][]int64 {
+	cols, err := q.Values(attrs...)
+	if err != nil {
+		panic(err)
 	}
-	names := sidewaysPayloads[attr]
-	cols := make([][]int64, len(names))
-	for i, n := range names {
-		cols[i] = r.li[n]
-	}
-	sw := &sideways{col: cracking.NewSideways(attr, r.li[attr], names, cols, cracking.Config{Seed: int64(len(r.crackers))})}
-	if r.reg != nil {
-		sw.entry = r.reg.Add(attr, sw.col, nil, false)
-	}
-	r.crackers[attr] = sw
-	return sw
-}
-
-// Cracker exposes the cracker column for telemetry (nil before first use).
-func (r *Runner) Cracker(attr string) *cracking.Column {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sw := r.crackers[attr]; sw != nil {
-		return sw.col
-	}
-	return nil
-}
-
-// selectPayloads streams the qualifying tuples (select values plus the
-// attr's payload columns, position-aligned) under the cracking modes,
-// counting the caller as a busy context while it cracks, and recording
-// statistics in holistic mode.
-func (r *Runner) selectPayloads(attr string, lo, hi int64, fn func(vals []int64, payloads [][]int64)) {
-	sw := r.cracker(attr)
-	cpu.Acquire(1)
-	defer cpu.Release(1)
-	rg := sw.col.SelectPayloads(lo, hi, fn)
-	if sw.entry != nil {
-		sw.entry.RecordAccess(rg.ExactHit())
-	}
+	return cols
 }
 
 // Q1Row is one group of the Q1 pricing summary report.
@@ -316,70 +271,54 @@ type Q1Row struct {
 
 // Q1 runs the pricing summary report: lines with
 // l_shipdate <= 1998-12-01 - delta days, grouped by returnflag and
-// linestatus. It executes on the grouped-aggregation subsystem
-// (internal/groupby): one fused multi-aggregate plan — four sums and a
-// count in a single pass — over the composite (returnflag, linestatus)
-// key, with the qualifying rows delivered by the mode's access path: a
-// parallel bitmap scan (MonetDB), the pre-sorted projection's
-// contiguous window (presorted), or the sideways cracker's payload
-// segments streamed straight into a slice-fed accumulator (cracking and
-// holistic). The retained hand-rolled loops (Q1Oracle) serve as the
-// differential oracle: both must return byte-identical rows.
+// linestatus: one fused multi-aggregate plan — four sums and a count in
+// a single pass — over the composite (returnflag, linestatus) key. Every
+// Store mode asks it as one grouped Store query; the pre-sorted
+// projection groups its contiguous window through internal/groupby. The
+// retained hand-rolled loop (Q1Oracle) serves as the differential
+// oracle: both must return byte-identical rows.
 func (r *Runner) Q1(delta int64) []Q1Row {
 	cutoff := Q1CutoffBase - delta // shipdate <= cutoff, i.e. < cutoff+1
-	keys := r.q1Keys()
-	aggs := []groupby.Agg{
-		groupby.Sum("l_quantity"), groupby.Sum("l_extendedprice"),
-		groupby.Sum("l_discprice"), groupby.Sum("l_charge"), groupby.Count(),
-	}
-	var res groupby.Result
-	switch r.mode {
-	case ModeScan:
-		bm := column.GetBitmap(0)
-		defer column.PutBitmap(bm)
-		column.ParallelScanRangeBitmap(r.li["l_shipdate"], math.MinInt64, cutoff+1, bm, r.threads)
-		spec := r.q1Spec(keys, aggs, r.li)
-		if err := groupby.GroupBitmap(spec, bm, &res); err != nil {
+	var keys, aggs [][]int64
+	if r.store != nil {
+		res, err := r.store.Query().Where("l_shipdate", math.MinInt64, cutoff+1).
+			GroupBy("l_returnflag", "l_linestatus").
+			Aggregate(holistic.Sum("l_quantity"), holistic.Sum("l_extendedprice"),
+				holistic.Sum("l_discprice"), holistic.Sum("l_charge"), holistic.Count())
+		if err != nil {
 			panic(err)
 		}
-	case ModePresorted:
+		keys, aggs = res.Keys, res.Aggs
+	} else {
 		p := r.projection("l_shipdate")
 		end := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] > cutoff })
 		bm := column.GetBitmap(len(p.sortKey))
 		defer column.PutBitmap(bm)
 		bm.SetRange(0, end)
-		spec := r.q1Spec(keys, aggs, p.cols)
-		if err := groupby.GroupBitmap(spec, bm, &res); err != nil {
+		plan := []groupby.Agg{
+			groupby.Sum("l_quantity"), groupby.Sum("l_extendedprice"),
+			groupby.Sum("l_discprice"), groupby.Sum("l_charge"), groupby.Count(),
+		}
+		var res groupby.Result
+		if err := groupby.GroupBitmap(r.q1Spec(r.q1Keys(), plan, p.cols), bm, &res); err != nil {
 			panic(err)
 		}
-	case ModeCracking, ModeHolistic:
-		acc, err := groupby.NewAcc(keys, aggs)
-		if err != nil {
-			panic(err)
-		}
-		// Payload order: qty, ext, disc, tax, flag, status, discprice,
-		// charge (sidewaysPayloads); the fused plan reads five of them.
-		r.selectPayloads("l_shipdate", 0, cutoff+1, func(_ []int64, pl [][]int64) {
-			acc.Segment([][]int64{pl[4], pl[5]}, [][]int64{pl[0], pl[1], pl[6], pl[7], nil})
-		})
-		if err := acc.Finish(&res); err != nil {
-			panic(err)
-		}
+		keys, aggs = res.Keys, res.Aggs
 	}
-	out := make([]Q1Row, 0, res.Len())
-	for g := 0; g < res.Len(); g++ {
-		out = append(out, Q1Row{
-			ReturnFlag: r.data.Flags.Decode(res.Keys[0][g]),
-			LineStatus: r.data.Status.Decode(res.Keys[1][g]),
-			SumQty:     res.Aggs[0][g],
-			SumBase:    res.Aggs[1][g],
-			SumDisc:    res.Aggs[2][g],
-			SumCharge:  res.Aggs[3][g],
-			Count:      res.Aggs[4][g],
-		})
-	}
-	if len(out) == 0 {
+	if len(keys) == 0 || len(keys[0]) == 0 {
 		return nil
+	}
+	out := make([]Q1Row, 0, len(keys[0]))
+	for g := range keys[0] {
+		out = append(out, Q1Row{
+			ReturnFlag: r.data.Flags.Decode(keys[0][g]),
+			LineStatus: r.data.Status.Decode(keys[1][g]),
+			SumQty:     aggs[0][g],
+			SumBase:    aggs[1][g],
+			SumDisc:    aggs[2][g],
+			SumCharge:  aggs[3][g],
+			Count:      aggs[4][g],
+		})
 	}
 	return out
 }
@@ -415,54 +354,42 @@ func (r *Runner) q1Spec(keys []groupby.Key, aggs []groupby.Agg, cols map[string]
 // cents.
 //
 // Q6 is a three-predicate conjunction over l_shipdate, l_discount and
-// l_quantity. Its shipdate conjunct (one year of seven) is the most
-// selective of the three in every variant, so every mode drives by it
-// and filters discount, then quantity: the scan filters the base
-// columns, the pre-sorted projection binary-searches its shipdate window,
-// and the cracking modes read the shipdate sideways cracker — whose
-// payloads carry quantity, extendedprice and discount — as Q1 and Q3 do,
-// filtering inside the segment loop. Under the holistic mode that one
-// cracker is the only index Q6 adds to the daemon's space.
+// l_quantity. Every Store mode asks it as one three-conjunct Sum of the
+// derived per-row revenue, and the Store's planner picks the driving
+// conjunct and how each residual applies. The pre-sorted projection
+// binary-searches its shipdate window (the most selective conjunct in
+// every variant) and filters discount, then quantity.
 func (r *Runner) Q6(year int, discount, quantity int64) int64 {
 	loDay, hiDay := YearDay(year), YearDay(year+1)
 	dLo, dHi := discount-100, discount+101
-	var revenue int64
-	var cols map[string][]int64
-	var sel column.PosList
-	switch r.mode {
-	case ModeCracking, ModeHolistic:
-		// Shipdate sideways payload order: qty, ext, disc, ...
-		r.selectPayloads("l_shipdate", loDay, hiDay, func(_ []int64, pl [][]int64) {
-			qty, ext, disc := pl[0], pl[1], pl[2]
-			for i, d := range disc {
-				if d >= dLo && d < dHi && qty[i] < quantity {
-					revenue += ext[i] * d / 10000
-				}
-			}
-		})
-		return revenue
-	case ModePresorted:
-		// Positions are projection positions, not base row ids; the
-		// discount filter runs fused over the contiguous window, so no
-		// identity position list is ever materialized.
-		p := r.projection("l_shipdate")
-		cols = p.cols
-		start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= loDay })
-		end := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= hiDay })
-		disc := cols["l_discount"]
-		sel = make(column.PosList, 0, (end-start)/4+1)
-		for i := start; i < end; i++ {
-			if v := disc[i]; v >= dLo && v < dHi {
-				sel = append(sel, column.Pos(i))
-			}
+	if r.store != nil {
+		revenue, err := r.store.Query().
+			Where("l_shipdate", loDay, hiDay).
+			Where("l_discount", dLo, dHi).
+			Where("l_quantity", math.MinInt64, quantity).
+			Sum("l_revenue")
+		if err != nil {
+			panic(err)
 		}
-	default:
-		cols = r.li
-		sel = column.ParallelScanRange(cols["l_shipdate"], loDay, hiDay, r.threads)
-		sel = column.ParallelFilterRows(cols["l_discount"], sel, dLo, dHi, r.threads)
+		return revenue
+	}
+	// Positions are projection positions, not base row ids; the discount
+	// filter runs fused over the contiguous window, so no identity
+	// position list is ever materialized.
+	p := r.projection("l_shipdate")
+	cols := p.cols
+	start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= loDay })
+	end := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= hiDay })
+	disc := cols["l_discount"]
+	sel := make(column.PosList, 0, (end-start)/4+1)
+	for i := start; i < end; i++ {
+		if v := disc[i]; v >= dLo && v < dHi {
+			sel = append(sel, column.Pos(i))
+		}
 	}
 	sel = column.ParallelFilterRows(cols["l_quantity"], sel, 0, quantity, r.threads)
-	ext, disc := cols["l_extendedprice"], cols["l_discount"]
+	ext := cols["l_extendedprice"]
+	var revenue int64
 	for _, pos := range sel {
 		revenue += ext[pos] * disc[pos] / 10000
 	}
@@ -479,43 +406,34 @@ type Q12Row struct {
 
 // q12Lines collects the qualifying lineitems of Q12 — received in
 // [loDay, hiDay), ship mode in {m1, m2}, commitdate < receiptdate,
-// shipdate < commitdate — through the mode's access path, as aligned
-// (orderkey, shipmode) arrays: the probe side of the Q12 join.
+// shipdate < commitdate — as aligned (orderkey, shipmode) arrays: the
+// probe side of the Q12 join. A Store answers the date conditions in one
+// query (the last two through the derived l_late flag); the ship modes
+// are filtered in the loop that copies the result out.
 func (r *Runner) q12Lines(m1, m2, loDay, hiDay int64) (lkeys, lmode []int64) {
-	keep := func(mode, commit, ship, receipt, okey int64) {
-		if (mode == m1 || mode == m2) && commit < receipt && ship < commit {
+	keep := func(mode, okey int64) {
+		if mode == m1 || mode == m2 {
 			lkeys = append(lkeys, okey)
 			lmode = append(lmode, mode)
 		}
 	}
-	switch r.mode {
-	case ModeScan:
-		receipt := r.li["l_receiptdate"]
-		commit := r.li["l_commitdate"]
-		ship := r.li["l_shipdate"]
-		mode := r.li["l_shipmode"]
-		okey := r.li["l_orderkey"]
-		for i, rc := range receipt {
-			if rc >= loDay && rc < hiDay {
-				keep(mode[i], commit[i], ship[i], rc, okey[i])
-			}
+	if r.store != nil {
+		cols := values(r.store.Query().Where("l_receiptdate", loDay, hiDay).Where("l_late", 1, 2),
+			"l_shipmode", "l_orderkey")
+		for i, mode := range cols[0] {
+			keep(mode, cols[1][i])
 		}
-	case ModePresorted:
-		p := r.projection("l_receiptdate")
-		start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= loDay })
-		end := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= hiDay })
-		pm, pc, ps, po := p.cols["l_shipmode"], p.cols["l_commitdate"], p.cols["l_shipdate"], p.cols["l_orderkey"]
-		pr := p.cols["l_receiptdate"]
-		for i := start; i < end; i++ {
-			keep(pm[i], pc[i], ps[i], pr[i], po[i])
+		return lkeys, lmode
+	}
+	p := r.projection("l_receiptdate")
+	start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= loDay })
+	end := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] >= hiDay })
+	pm, pc, ps, po := p.cols["l_shipmode"], p.cols["l_commitdate"], p.cols["l_shipdate"], p.cols["l_orderkey"]
+	pr := p.cols["l_receiptdate"]
+	for i := start; i < end; i++ {
+		if pc[i] < pr[i] && ps[i] < pc[i] {
+			keep(pm[i], po[i])
 		}
-	case ModeCracking, ModeHolistic:
-		r.selectPayloads("l_receiptdate", loDay, hiDay, func(vals []int64, pl [][]int64) {
-			pm, pc, ps, po := pl[0], pl[1], pl[2], pl[3]
-			for i := range pm {
-				keep(pm[i], pc[i], ps[i], vals[i], po[i])
-			}
-		})
 	}
 	return lkeys, lmode
 }
@@ -525,9 +443,8 @@ func (r *Runner) q12Lines(m1, m2, loDay, hiDay int64) (lkeys, lmode []int64) {
 // joined to ORDERS for the priority split, grouped by ship mode.
 //
 // It executes on the join subsystem (internal/join) in every mode: the
-// qualifying lines stream out of the mode's access path (scan,
-// pre-sorted projection window, or the receiptdate sideways cracker's
-// payload segments), join ORDERS on orderkey through the
+// qualifying lines come out of one Store query or the pre-sorted
+// projection's window (q12Lines), join ORDERS on orderkey through the
 // radix-partitioned hash join, and the matched pairs feed a fused
 // grouped plan keyed by ship mode that sums the order's urgent/high
 // flag — HighCount directly, LowCount as the remainder of the group
@@ -582,37 +499,20 @@ type Q3Row struct {
 	ShipPriority int64
 }
 
-// q3Lines collects the lineitems shipped after `day` through the
-// mode's access path, as aligned (orderkey, discounted price) arrays:
-// the probe side of Q3's second join. The discounted price reuses the
-// derived l_discprice column, whose fixed-point arithmetic matches the
-// oracle exactly.
+// q3Lines collects the lineitems shipped after `day` as aligned
+// (orderkey, discounted price) arrays: the probe side of Q3's second
+// join — one Store query, or the pre-sorted projection's tail window.
+// The discounted price reuses the derived l_discprice column, whose
+// fixed-point arithmetic matches the oracle exactly.
 func (r *Runner) q3Lines(day int64) (lkeys, ldisc []int64) {
-	switch r.mode {
-	case ModeScan:
-		ship := r.li["l_shipdate"]
-		okey := r.li["l_orderkey"]
-		dp := r.li["l_discprice"]
-		for i, s := range ship {
-			if s > day {
-				lkeys = append(lkeys, okey[i])
-				ldisc = append(ldisc, dp[i])
-			}
-		}
-	case ModePresorted:
-		p := r.projection("l_shipdate")
-		start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] > day })
-		po, pd := p.cols["l_orderkey"], p.cols["l_discprice"]
-		lkeys = append(lkeys, po[start:]...)
-		ldisc = append(ldisc, pd[start:]...)
-	case ModeCracking, ModeHolistic:
-		// Shipdate sideways payload order: qty, ext, disc, tax, flag,
-		// status, discprice, charge, orderkey.
-		r.selectPayloads("l_shipdate", day+1, math.MaxInt64, func(_ []int64, pl [][]int64) {
-			lkeys = append(lkeys, pl[8]...)
-			ldisc = append(ldisc, pl[6]...)
-		})
+	if r.store != nil {
+		cols := values(r.store.Query().Where("l_shipdate", day+1, math.MaxInt64), "l_orderkey", "l_discprice")
+		return cols[0], cols[1]
 	}
+	p := r.projection("l_shipdate")
+	start := sort.Search(len(p.sortKey), func(i int) bool { return p.sortKey[i] > day })
+	lkeys = append(lkeys, p.cols["l_orderkey"][start:]...)
+	ldisc = append(ldisc, p.cols["l_discprice"][start:]...)
 	return lkeys, ldisc
 }
 
@@ -624,10 +524,10 @@ func (r *Runner) q3Lines(day int64) (lkeys, ldisc []int64) {
 // It is a three-table plan on the join subsystem in every mode:
 // CUSTOMER (filtered by segment) joins ORDERS (filtered by orderdate)
 // on custkey, the surviving orders join LINEITEM (filtered by
-// shipdate through the mode's access path) on orderkey, and the
-// matched pairs feed a fused grouped plan summing the discounted
-// price. The dimension scans are in-place — the big relation's access
-// path is where the modes differ. Q3Oracle is the hand-rolled
+// shipdate, through q3Lines) on orderkey, and the matched pairs feed a
+// fused grouped plan summing the discounted price. The dimension scans
+// are in-place — the big relation's access path is where the modes
+// differ. Q3Oracle is the hand-rolled
 // differential oracle; both must return byte-identical rows.
 func (r *Runner) Q3(segment, day int64) []Q3Row {
 	// Customer side: custkeys of the segment.

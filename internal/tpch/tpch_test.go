@@ -2,9 +2,21 @@ package tpch
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"holistic"
 )
+
+// daemonConfig is a Store configuration whose daemon tunes every
+// millisecond, with x refinements per worker and l1 values per optimal
+// piece.
+func daemonConfig(x int, seed int64, l1 int) holistic.Config {
+	return holistic.Config{
+		TuningInterval: time.Millisecond, RefinementsPerWorker: x, Seed: seed, L1CacheBytes: 8 * l1,
+	}
+}
 
 func testData(t *testing.T) *Data {
 	t.Helper()
@@ -14,12 +26,10 @@ func testData(t *testing.T) *Data {
 func allRunners(t *testing.T, d *Data) []*Runner {
 	t.Helper()
 	rs := []*Runner{
-		NewRunner(d, ModeScan, RunnerConfig{}),
-		NewRunner(d, ModePresorted, RunnerConfig{}),
-		NewRunner(d, ModeCracking, RunnerConfig{}),
-		NewRunner(d, ModeHolistic, RunnerConfig{
-			Interval: time.Millisecond, Refinements: 8, Seed: 1, L1Values: 512,
-		}),
+		NewRunner(d, ModeScan, holistic.Config{}),
+		NewRunner(d, ModePresorted, holistic.Config{}),
+		NewRunner(d, ModeCracking, holistic.Config{}),
+		NewRunner(d, ModeHolistic, daemonConfig(8, 1, 512)),
 	}
 	rs[1].Prepare("l_shipdate", "l_receiptdate")
 	return rs
@@ -149,6 +159,29 @@ func TestQ6AllModesAgree(t *testing.T) {
 	}
 }
 
+// TestQ6MatchesOracleAllModes: under every execution mode Q6 returns
+// the hand-rolled scan's revenue, across variants and a year no line
+// ships in.
+func TestQ6MatchesOracleAllModes(t *testing.T) {
+	d := testData(t)
+	rs := allRunners(t, d)
+	defer func() {
+		for _, r := range rs {
+			r.Close()
+		}
+	}()
+	for _, r := range rs {
+		for _, v := range Variants(8, 4) {
+			if got, want := r.Q6(v.Q6Year, v.Q6Discount, v.Q6Quantity), r.Q6Oracle(v.Q6Year, v.Q6Discount, v.Q6Quantity); got != want {
+				t.Fatalf("%v: Q6(%d,%d,%d) = %d, oracle %d", r.Mode(), v.Q6Year, v.Q6Discount, v.Q6Quantity, got, want)
+			}
+		}
+		if got := r.Q6(2100, 500, 25); got != 0 {
+			t.Fatalf("%v: Q6 of an empty year = %d, want 0", r.Mode(), got)
+		}
+	}
+}
+
 func TestQ12AllModesAgree(t *testing.T) {
 	d := testData(t)
 	rs := allRunners(t, d)
@@ -269,7 +302,7 @@ func TestQ3AllModesAgree(t *testing.T) {
 
 func TestQ1Totals(t *testing.T) {
 	d := testData(t)
-	r := NewRunner(d, ModeScan, RunnerConfig{})
+	r := NewRunner(d, ModeScan, holistic.Config{})
 	// With delta=-1000 the cutoff lies beyond every shipdate: all rows
 	// qualify and per-group counts must sum to the table cardinality.
 	rows := r.Q1(-1000)
@@ -290,39 +323,41 @@ func TestQ1Totals(t *testing.T) {
 
 func TestPrepareOnlyPresorted(t *testing.T) {
 	d := testData(t)
-	r := NewRunner(d, ModeScan, RunnerConfig{})
+	r := NewRunner(d, ModeScan, holistic.Config{})
 	r.Prepare("l_shipdate")
 	if r.PrepareTime != 0 {
 		t.Error("Prepare ran for a non-presorted mode")
 	}
-	rp := NewRunner(d, ModePresorted, RunnerConfig{})
+	rp := NewRunner(d, ModePresorted, holistic.Config{})
 	rp.Prepare("l_shipdate")
 	if rp.PrepareTime <= 0 {
 		t.Error("Prepare recorded no cost for presorted mode")
 	}
 }
 
+// TestHolisticRunnerRefinesInBackground: after one Q6 the holistic
+// runner's Store daemon keeps refining its crackers while no query runs,
+// and queries stay correct while it does.
 func TestHolisticRunnerRefinesInBackground(t *testing.T) {
 	d := Generate(5000, 9)
-	r := NewRunner(d, ModeHolistic, RunnerConfig{
-		Interval: time.Millisecond, Refinements: 16, Seed: 2, L1Values: 128,
-	})
+	r := NewRunner(d, ModeHolistic, daemonConfig(16, 2, 128))
 	defer r.Close()
-	r.Q6(1994, 500, 25) // creates the shipdate sideways cracker
-	c := r.Cracker("l_shipdate")
-	if c == nil {
+	r.Q6(1994, 500, 25) // builds the conjuncts' crackers
+	first := r.store.Stats().Pieces
+	if first == 0 {
 		t.Fatal("no cracker after Q6")
 	}
 	deadline := time.After(2 * time.Second)
-	for c.Pieces() < 10 {
+	for st := r.store.Stats(); st.Refinements == 0 || st.Pieces < first+10; st = r.store.Stats() {
 		select {
 		case <-deadline:
-			t.Fatalf("daemon refined only %d pieces", c.Pieces())
+			t.Fatalf("daemon refined %d times to %d pieces, from %d", st.Refinements, st.Pieces, first)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
 	// Queries remain correct while refinement continues.
-	scan := NewRunner(d, ModeScan, RunnerConfig{})
+	scan := NewRunner(d, ModeScan, holistic.Config{})
+	defer scan.Close()
 	for _, v := range Variants(5, 6) {
 		if got, want := r.Q6(v.Q6Year, v.Q6Discount, v.Q6Quantity), scan.Q6(v.Q6Year, v.Q6Discount, v.Q6Quantity); got != want {
 			t.Fatalf("Q6 diverged under refinement: %d vs %d", got, want)
@@ -353,91 +388,106 @@ func TestVariantsWellFormed(t *testing.T) {
 	}
 }
 
+// TestModeString checks Figure 14's legend labels and the Store mode
+// each runner runs: every mode but ModePresorted, which has no Store.
 func TestModeString(t *testing.T) {
-	names := map[Mode]string{
-		ModeScan: "MonetDB", ModePresorted: "Presorted MonetDB",
-		ModeCracking: "Sideways Cracking", ModeHolistic: "Holistic Indexing",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Errorf("%d.String() = %s", int(m), m.String())
+	d := Generate(200, 3)
+	for m, want := range map[Mode]struct {
+		label string
+		store holistic.Mode
+	}{
+		ModeScan:      {"MonetDB", holistic.ModeScan},
+		ModePresorted: {"Presorted MonetDB", -1},
+		ModeCracking:  {"Cracking (row ids)", holistic.ModeAdaptive},
+		ModeHolistic:  {"Holistic Indexing", holistic.ModeHolistic},
+	} {
+		if m.String() != want.label {
+			t.Errorf("%d.String() = %s, want %s", int(m), m.String(), want.label)
 		}
+		r := NewRunner(d, m, holistic.Config{Mode: holistic.ModeCCGI})
+		switch {
+		case want.store < 0 && r.store != nil:
+			t.Errorf("%v runs a %v store, want none", m, r.store.Stats().Mode)
+		case want.store >= 0 && (r.store == nil || r.store.Stats().Mode != want.store):
+			t.Errorf("%v does not run a %v store", m, want.store)
+		}
+		r.Close()
 	}
-	if Mode(9).String() != "Mode(9)" {
+	if Mode(9).String() != "Mode(9)" || Mode(-1).String() != "Mode(-1)" {
 		t.Error("unknown mode string")
 	}
 }
 
-func TestSidewaysCrackerGrowsWithVariants(t *testing.T) {
+// TestCrackerGrowsWithVariants: under the cracking mode Q1 cracks
+// l_shipdate, its one conjunct, and nothing before the first query;
+// the index only gains pieces as variants arrive.
+func TestCrackerGrowsWithVariants(t *testing.T) {
 	d := Generate(3000, 11)
-	r := NewRunner(d, ModeCracking, RunnerConfig{})
+	r := NewRunner(d, ModeCracking, holistic.Config{})
 	defer r.Close()
-	if r.Cracker("l_shipdate") != nil {
+	if r.store.Stats().Pieces != 0 {
 		t.Fatal("cracker exists before any query")
 	}
 	prev := 0
 	for _, v := range Variants(10, 12) {
 		r.Q1(v.Q1Delta)
-		c := r.Cracker("l_shipdate")
-		if c == nil {
-			t.Fatal("no sideways cracker after Q1")
+		pieces := r.store.Stats().Pieces
+		if pieces < prev {
+			t.Fatalf("pieces shrank: %d -> %d", prev, pieces)
 		}
-		if c.Pieces() < prev {
-			t.Fatalf("pieces shrank: %d -> %d", prev, c.Pieces())
-		}
-		prev = c.Pieces()
+		prev = pieces
 	}
 	if prev < 3 {
 		t.Fatalf("cracker barely refined: %d pieces after 10 variants", prev)
 	}
-	names := r.Cracker("l_shipdate").PayloadNames()
-	if len(names) != len(sidewaysPayloads["l_shipdate"]) {
-		t.Fatalf("payload names = %v", names)
+	if builds := r.store.Metrics().Exec.CrackerBuilds; builds != 1 {
+		t.Fatalf("Q1 built %d crackers, want 1 (l_shipdate)", builds)
 	}
 }
 
-// TestConjunctiveQ6Crackers: under the cracking modes Q6 drives by the
-// shipdate sideways cracker, which grows with variants, and builds no
-// other index; under the holistic mode it admits l_shipdate alone to the
-// index space.
+// TestConjunctiveQ6Crackers: under the cracking mode Q6's crackers grow
+// with variants, and Q6 builds one for no attribute beyond its three
+// conjuncts; under the holistic mode it admits those conjuncts, and
+// only those, to the daemon's index space, l_shipdate among them.
 func TestConjunctiveQ6Crackers(t *testing.T) {
 	d := Generate(3000, 11)
-	r := NewRunner(d, ModeCracking, RunnerConfig{})
+	r := NewRunner(d, ModeCracking, holistic.Config{})
 	defer r.Close()
 	prev := 0
 	for _, v := range Variants(10, 12) {
 		r.Q6(v.Q6Year, v.Q6Discount, v.Q6Quantity)
-		c := r.Cracker("l_shipdate")
-		if c == nil {
-			t.Fatal("no shipdate sideways cracker after Q6")
+		pieces := r.store.Stats().Pieces
+		if pieces < prev {
+			t.Fatalf("pieces shrank: %d -> %d", prev, pieces)
 		}
-		if c.Pieces() < prev {
-			t.Fatalf("pieces shrank: %d -> %d", prev, c.Pieces())
-		}
-		prev = c.Pieces()
+		prev = pieces
 	}
 	if prev < 3 {
-		t.Fatalf("cracker barely refined: %d pieces after 10 variants", prev)
+		t.Fatalf("crackers barely refined: %d pieces after 10 variants", prev)
 	}
-	if r.Cracker("l_discount") != nil || r.Cracker("l_quantity") != nil {
-		t.Fatal("Q6 built indexes for non-driving conjuncts")
+	if builds := r.store.Metrics().Exec.CrackerBuilds; builds < 1 || builds > 3 {
+		t.Fatalf("Q6 built %d crackers, want 1 to 3 (its conjuncts)", builds)
 	}
 
-	h := NewRunner(d, ModeHolistic, RunnerConfig{Interval: time.Millisecond, Refinements: 4, Seed: 3, L1Values: 256})
+	h := NewRunner(d, ModeHolistic, daemonConfig(4, 3, 256))
 	defer h.Close()
 	h.Q6(1994, 500, 25)
+	conjuncts := map[string]bool{"l_shipdate": true, "l_discount": true, "l_quantity": true}
 	var names []string
-	for _, e := range h.reg.Entries() {
-		names = append(names, e.Name)
+	for _, ix := range h.store.Metrics().Daemon.Indexes {
+		if !conjuncts[ix.Name] {
+			t.Fatalf("holistic Q6 admitted %s", ix.Name)
+		}
+		names = append(names, ix.Name)
 	}
-	if len(names) != 1 || names[0] != "l_shipdate" || h.reg.Get("l_shipdate").Accesses() != 1 {
-		t.Fatalf("holistic Q6 admitted %v, want [l_shipdate] accessed once", names)
+	if len(names) == 0 || !slices.Contains(names, "l_shipdate") {
+		t.Fatalf("holistic Q6 admitted %v, want l_shipdate among them", names)
 	}
 }
 
 func TestQ6RevenueMatchesManualComputation(t *testing.T) {
 	d := Generate(1000, 13)
-	r := NewRunner(d, ModeScan, RunnerConfig{})
+	r := NewRunner(d, ModeScan, holistic.Config{})
 	ship := d.Lineitem.Column("l_shipdate").Values()
 	qty := d.Lineitem.Column("l_quantity").Values()
 	ext := d.Lineitem.Column("l_extendedprice").Values()
