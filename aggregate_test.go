@@ -20,7 +20,7 @@ func TestStatsBeforeFirstQueryIsPure(t *testing.T) {
 		t.Fatalf("Stats.Mode = %v, want %v", st.Mode, ModeHolistic)
 	}
 	s.mu.Lock()
-	built := s.exec != nil
+	built := s.exec.Load() != nil
 	s.mu.Unlock()
 	if built {
 		t.Fatal("Stats built the executor (and started the daemon) as a side effect")

@@ -204,7 +204,7 @@ func TestCheckpointUnderConcurrentQueries(t *testing.T) {
 		t.Fatalf("restored %d indexes, dropped %d, state file dropped = %v; want all %d restored", rec.RestoredIndexes, rec.DroppedIndexes, rec.StateDropped, len(attrs))
 	}
 	for _, attr := range attrs {
-		col := r.exec.CrackerIfExists(attr)
+		col := r.exec.Load().CrackerIfExists(attr)
 		if col == nil {
 			t.Fatalf("%s: no cracker after the restore", attr)
 		}
@@ -398,7 +398,7 @@ func TestDiskFootprintBound(t *testing.T) {
 
 	generation := int64(8 * (n*attrs + inserted))
 	for _, name := range names {
-		col := s.exec.CrackerIfExists(name)
+		col := s.exec.Load().CrackerIfExists(name)
 		generation += col.SizeBytes() + 12*int64(col.Pieces())
 	}
 	ents, err := os.ReadDir(dir)

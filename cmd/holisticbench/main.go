@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseline    = fs.String("baseline", "", "compare per-label mean latencies against this BENCH_*.json and exit 1 on regression")
 		baselineTol = fs.Float64("baseline-tolerance", 0.5, "relative mean-latency slack before a -baseline comparison counts as a regression")
 		baselineMin = fs.Float64("baseline-floor-us", 50, "ignore -baseline labels whose means sit below this many µs (noise floor)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /debug/holistic (+/timeline), /metrics, /debug/vars and pprof on this address for the run's duration")
+		metricsAddr = fs.String("metrics-addr", "", "serve /debug/holistic (+/flight), /metrics, /debug/vars and pprof on this address for the run's duration")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)

@@ -3,7 +3,6 @@
 //
 //	/debug/holistic           JSON snapshot of every registered store's Metrics
 //	/debug/holistic/flight    decoded flight-recorder ring + watchdog state
-//	/debug/holistic/timeline  deltified per-window metric time series
 //	/metrics                  Prometheus text exposition
 //	/healthz, /readyz         liveness and readiness probes
 //	/debug/vars               expvar (includes the "holistic" variable)
@@ -66,11 +65,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceMax = fs.Int64("trace-max-bytes", 0, "rotate the -trace file at this size (0: 64 MiB)")
 		seed     = fs.Int64("seed", 1, "random seed")
 		dataDir  = fs.String("data-dir", "", "persist the store here (WAL + snapshots); reopens on restart")
-		snapshot = fs.Duration("snapshot-interval", 0, "background snapshot cadence when -data-dir is set (0: library default)")
+		snapshot = fs.Duration("snapshot-interval", 0, "how long a write waits for its background snapshot when -data-dir is set (0: library default)")
 		sloP99   = fs.Duration("slo-p99", 0, "absolute p99 latency objective; the watchdog flight-dumps when a window breaches it (0: relative rule only)")
-		wdEvery  = fs.Duration("watchdog-interval", 0, "watchdog observation cadence (0: library default 1s, negative: disable)")
+		wdEvery  = fs.Duration("watchdog-interval", 0, "watchdog window, closed by the first query after it (0: library default 1s, negative: disable)")
 		anomaly  = fs.Duration("anomaly-after", 0, "degrade the workload this far into the run (full-domain scans) to force an SLO breach; 0 disables")
-		tlEvery  = fs.Duration("timeline-interval", 0, "time-series sampling cadence behind /debug/holistic/timeline (0: library default 5s, negative: disable)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -103,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SnapshotInterval: *snapshot,
 		SLOP99:           *sloP99,
 		WatchdogInterval: *wdEvery,
-		TimelineInterval: *tlEvery,
 	}
 	var store *holistic.Store
 	if *dataDir != "" {

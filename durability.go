@@ -55,8 +55,9 @@ func (c Config) walPolicy() durable.SyncPolicy {
 // indexes from their persisted state (unless Config.DataOnlyRecovery),
 // replays the WAL tail, and from then on logs every Insert, Delete and
 // Update before applying it. Snapshots are written in the background —
-// one ticker (Config.SnapshotInterval) drives them in every mode — and
-// Close leaves a clean-shutdown marker so the next open skips replay.
+// the first logged write after a snapshot arms one timer
+// (Config.SnapshotInterval) in every mode — and Close leaves a
+// clean-shutdown marker so the next open skips replay.
 //
 // A recovered store that already holds columns serves queries
 // immediately; AddIntColumn is only allowed when Columns is empty
@@ -89,7 +90,6 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 		torn:     rec.TornTail,
 		noState:  rec.StateDropped,
 		interval: cadence(cfg.SnapshotInterval, 10*time.Second),
-		stop:     make(chan struct{}),
 	}
 	s.dur = d
 	d.met.ManifestFallbacks.Add(int64(rec.Fallbacks))
@@ -110,7 +110,6 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 	}
 	d.wal = wal
 	d.dirty = int64(len(rec.Records))
-	d.lastSnap = time.Now()
 
 	// Surface the previous process's flight dumps (its black box) and
 	// start our own dump numbering after them.
@@ -162,9 +161,6 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 			}
 		}
 	}
-	if d.interval > 0 {
-		go d.tickerLoop()
-	}
 	s.publish()
 	return s, nil
 }
@@ -209,9 +205,7 @@ type durability struct {
 	// noState: recovery could not use the adaptive-state file at all
 	noState bool
 
-	interval time.Duration // background snapshot cadence; 0 = disabled
-	stop     chan struct{}
-	stopOnce sync.Once
+	interval time.Duration // background snapshot delay; 0 = disabled
 
 	// writeMu serializes logged writes with each other and with
 	// checkpoints; the lock order is Store.mu -> writeMu -> executor
@@ -225,8 +219,11 @@ type durability struct {
 	dirty     int64            // records appended since the last checkpoint
 	snapBytes int64            // segment and state bytes of the last checkpoint
 	syncsBase int64            // fsyncs of already-rotated segments (telemetry)
-	lastSnap  time.Time
-	closed    bool
+	// snap is the background snapshot timer, created by the first
+	// logged write and re-armed by each write that dirties a clean
+	// generation; close stops it.
+	snap   *time.Timer
+	closed bool
 
 	// Flight-recorder dump state: flightSeq numbers this process's
 	// dumps, priorFlights are the dumps recovery found on disk, and
@@ -328,7 +325,9 @@ func (d *durability) logged(rec durable.Record) error {
 	}
 	d.met.WALRecords.Inc()
 	d.met.WALBytes.Add(int64(19 + len(rec.Attr)))
-	d.dirty++
+	if d.dirty++; d.dirty == 1 && d.interval > 0 {
+		d.armSnapshot()
+	}
 	applyErr := applyRecord(d.exec, rec)
 	wal := d.wal
 	d.writeMu.Unlock()
@@ -364,10 +363,10 @@ func (d *durability) checkpoint() error {
 //     one is the fallback if the new manifest is later found torn).
 //
 // Writers are blocked for the duration; checkpoints are background
-// work on the snapshot ticker, not a query-path operation. Every call
+// work on the snapshot timer, not a query-path operation. Every call
 // writes a full snapshot — queries refine adaptive state without
 // dirtying the WAL, so "no new records" does not mean "nothing worth
-// persisting"; the dirty-records gate lives in maybeSnapshot.
+// persisting"; the dirty-records gate lives in snapshotDue.
 func (d *durability) checkpointLocked() error {
 	start := time.Now()
 	if err := d.wal.Sync(); err != nil {
@@ -395,7 +394,6 @@ func (d *durability) checkpointLocked() error {
 	d.gen = gen
 	d.haveSnap = true
 	d.dirty = 0
-	d.lastSnap = time.Now()
 	d.snapBytes = written
 	d.met.Snapshots.Inc()
 	_ = old.Close()
@@ -464,28 +462,28 @@ func (d *durability) installState(rec *durable.Recovered) {
 	}
 }
 
-// maybeSnapshot is the background snapshot policy: checkpoint when
-// there are unsnapshotted records and the cadence has elapsed. The
-// ticker goroutine drives it in every mode.
-func (d *durability) maybeSnapshot() {
-	d.writeMu.Lock()
-	defer d.writeMu.Unlock()
-	if d.closed || d.interval <= 0 || d.dirty == 0 || time.Since(d.lastSnap) < d.interval {
-		return
+// armSnapshot starts the interval a write waits for its background
+// snapshot. Called under writeMu.
+func (d *durability) armSnapshot() {
+	if d.snap == nil {
+		d.snap = time.AfterFunc(d.interval, d.snapshotDue)
+	} else {
+		d.snap.Reset(d.interval)
 	}
-	_ = d.checkpointLocked() // failures are counted; the WAL still covers the records
 }
 
-func (d *durability) tickerLoop() {
-	t := time.NewTicker(d.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			d.maybeSnapshot()
-		}
+// snapshotDue is the background snapshot policy, run by the timer once
+// the first unsnapshotted write has waited an interval: checkpoint if
+// records are still unsnapshotted, and try again an interval later if
+// that fails (failures are counted; the WAL still covers the records).
+func (d *durability) snapshotDue() {
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
+	if d.closed || d.dirty == 0 {
+		return
+	}
+	if err := d.checkpointLocked(); err != nil {
+		d.armSnapshot()
 	}
 }
 
@@ -497,13 +495,15 @@ func (d *durability) tickerLoop() {
 // flush (an open that failed partway) only the WAL file is closed: the
 // directory stays exactly as recovery found it.
 func (d *durability) close(flush bool) {
-	d.stopOnce.Do(func() { close(d.stop) })
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	if d.closed {
 		return
 	}
 	d.closed = true
+	if d.snap != nil {
+		d.snap.Stop()
+	}
 	if d.wal == nil {
 		return // the open failed before the WAL existed
 	}

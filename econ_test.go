@@ -1,12 +1,10 @@
 // Integration tests for the refinement-economics surface (DESIGN.md
-// §9): the ledger filling in under a real holistic workload, the
-// time-series ring accumulating windows, and the /metrics and
-// /debug/holistic/timeline endpoints serving them.
+// §9): the ledger filling in under a real holistic workload and the
+// /metrics endpoint serving it.
 
 package holistic
 
 import (
-	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http/httptest"
@@ -15,7 +13,6 @@ import (
 	"time"
 
 	"holistic/internal/obs"
-	"holistic/internal/obs/observer"
 )
 
 // econWorkload drives a small conjunctive mix long enough for the
@@ -103,7 +100,7 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 	}
 	econWorkload(t, s, 50)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ob.Econ.TotalInvestedNS() == 0 {
+	for s.ob.Econ.Snapshot().InvestedNS == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("daemon never invested refinement time")
 		}
@@ -140,79 +137,5 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 	// stores registered (the writer dedupes across collectors).
 	if n := strings.Count(text, "# TYPE holistic_queries_total "); n != 1 {
 		t.Errorf("TYPE holistic_queries_total appears %d times, want 1", n)
-	}
-}
-
-// TestTimelineEndpointAccumulatesWindows: with a short sampling
-// interval the time-series ring serves >= 2 deltified windows whose
-// counter order matches the published names.
-func TestTimelineEndpointAccumulatesWindows(t *testing.T) {
-	s := NewStore(Config{
-		Mode:             ModeAdaptive,
-		Threads:          1,
-		TimelineInterval: 20 * time.Millisecond,
-		Seed:             1,
-	})
-	defer s.Close()
-	for _, name := range []string{"x", "y"} {
-		if err := s.AddIntColumn(name, econStoreData(20_000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		econWorkload(t, s, 5)
-		if snap := s.ob.Timeline.Snapshot(); len(snap.Windows) >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timeline never accumulated 2 windows")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	srv := httptest.NewServer(obs.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/holistic/timeline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var payload []struct {
-		Name     string               `json:"name"`
-		Timeline obs.TimelineSnapshot `json:"timeline"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, entry := range payload {
-		if entry.Name != s.obsName {
-			continue
-		}
-		found = true
-		tl := entry.Timeline
-		if len(tl.Windows) < 2 {
-			t.Errorf("timeline has %d windows, want >= 2", len(tl.Windows))
-		}
-		if len(tl.Counters) != len(observer.TimelineCounters) {
-			t.Errorf("timeline publishes %d counters, want %d", len(tl.Counters), len(observer.TimelineCounters))
-		}
-		if tl.Capacity != observer.TimelineCapacity {
-			t.Errorf("timeline capacity %d, want %d", tl.Capacity, observer.TimelineCapacity)
-		}
-		var queries int64
-		for _, w := range tl.Windows {
-			if len(w.Deltas) != len(tl.Counters) {
-				t.Fatalf("window has %d deltas, want %d", len(w.Deltas), len(tl.Counters))
-			}
-			queries += w.Deltas[0]
-		}
-		if queries == 0 {
-			t.Error("no query deltas across the retained windows")
-		}
-	}
-	if !found {
-		t.Fatalf("store %s missing from timeline payload", s.obsName)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"io"
 
 	"holistic/internal/obs/flight"
-	"holistic/internal/obs/observer"
 )
 
 // FlightDump encodes the store's current flight-recorder ring — every
@@ -59,27 +58,17 @@ type FlightStatus struct {
 	Watchdog flight.State `json:"watchdog"`
 }
 
-// health is the sampler's view of the holistic daemon, once per tick.
-func (s *Store) health() (h observer.Health) {
-	s.mu.Lock()
-	exec, closed := s.exec, s.closed
-	s.mu.Unlock()
-	d := daemonOf(exec)
-	if closed || d == nil {
+// health is the watchdog's view of the holistic daemon, read once per
+// window roll. It takes no lock: the roll may run on the daemon's own
+// cycle.
+func (s *Store) health() (h flight.Observation) {
+	d := daemonOf(s.exec.Load())
+	if d == nil {
 		return h
 	}
-	h.Refinements, h.WorkerPanics = d.Refinements(), d.WorkerPanics()
+	h.WorkerPanics = d.WorkerPanics()
 	if conv := d.Convergence(); conv != nil {
 		h.Convergence, h.HaveConvergence = conv.Ratio, true
 	}
 	return h
-}
-
-// anomalyDump preserves the ring in the durable directory when the
-// sampler's watchdog calls an anomaly; in-memory stores keep it in the
-// ring only.
-func (s *Store) anomalyDump(trig flight.Trigger) {
-	if s.dur != nil {
-		s.dur.flightDump(trig)
-	}
 }

@@ -66,6 +66,7 @@ import (
 	"holistic/internal/holistic"
 	"holistic/internal/join"
 	"holistic/internal/obs"
+	"holistic/internal/obs/flight"
 	"holistic/internal/obs/observer"
 	"holistic/internal/query"
 	"holistic/internal/stats"
@@ -150,9 +151,11 @@ type Config struct {
 	// with OpenStore: group commit (default), an fsync per record, or
 	// none. Ignored by NewStore.
 	WALSync WALSync
-	// SnapshotInterval is the background snapshot cadence of a durable
-	// store (default 10s); negative disables background snapshots
-	// (Checkpoint and Close still write them). Ignored by NewStore.
+	// SnapshotInterval is how long a durable store lets a logged write
+	// wait for a background snapshot (default 10s): the first write after
+	// a snapshot arms one timer, so a store nobody writes to snapshots
+	// nothing. Negative disables background snapshots (Checkpoint and
+	// Close still write them). Ignored by NewStore.
 	SnapshotInterval time.Duration
 	// DataOnlyRecovery makes OpenStore restore the logical column data
 	// but discard the persisted adaptive state, so every index rebuilds
@@ -168,16 +171,16 @@ type Config struct {
 	// anomaly flight dump. 0 leaves only the relative rule (p99 above
 	// a multiple of the rolling baseline).
 	SLOP99 time.Duration
-	// WatchdogInterval is the cadence of the watchdog's baseline
-	// observations (default 1s); negative disables the watchdog.
-	// Anomaly-triggered flight dumps are at least 30s apart, and a
-	// durable store keeps the newest 8 dump files.
+	// WatchdogInterval is the watchdog's window (default 1s): a window
+	// closes at the first query or daemon cycle after the interval has
+	// passed, and the watchdog judges it against its rolling baselines.
+	// Negative disables the watchdog. Anomaly-triggered flight dumps are
+	// at least 30s apart, and a durable store keeps the newest 8 dump
+	// files.
 	WatchdogInterval time.Duration
-	// TimelineInterval is the cadence of the in-process time-series
-	// store: every interval the store samples its cumulative counters
-	// and latency histograms into the bounded ring behind
-	// /debug/holistic/timeline (512 windows; default 5s); negative
-	// disables the timeline.
+	// TimelineInterval is ignored: a store samples nothing on a timer.
+	// The field is kept only because the frozen benchmark module names
+	// it.
 	TimelineInterval time.Duration
 }
 
@@ -193,8 +196,7 @@ func (c Config) threads() int {
 }
 
 // cadence resolves one of Config's interval knobs (WatchdogInterval,
-// TimelineInterval, SnapshotInterval): def when unset, 0 — off — when
-// negative.
+// SnapshotInterval): def when unset, 0 — off — when negative.
 func cadence(v, def time.Duration) time.Duration {
 	if v == 0 {
 		return def
@@ -218,10 +220,10 @@ type Store struct {
 	cfg Config
 
 	// ob is the store's one observer — lifetime metrics, flight ring and
-	// watchdog, refinement ledger, trace sink, time-series ring and the
-	// sampler goroutine — shared by the query runner, the executor, its
-	// daemon and the durability layer (DESIGN.md §9); obsName is the name
-	// the store is registered under on the debug endpoints.
+	// watchdog, refinement ledger and trace sink — shared by the query
+	// runner, the executor, its daemon and the durability layer
+	// (DESIGN.md §9); obsName is the name the store is registered under
+	// on the debug endpoints.
 	ob      *observer.Observer
 	obsName string
 
@@ -229,9 +231,11 @@ type Store struct {
 	// nil for purely in-memory stores.
 	dur *durability
 
-	mu     sync.Mutex
-	table  *engine.Table
-	exec   *engine.Executor
+	mu    sync.Mutex
+	table *engine.Table
+	// exec is built on the first query, under mu; the watchdog's roll
+	// reads it with no lock held.
+	exec   atomic.Pointer[engine.Executor]
 	qr     *query.Runner
 	closed bool
 	// traceSink is the owned JSONL trace sink of SetTraceJSONL /
@@ -245,7 +249,7 @@ var storeSeq atomic.Int64
 
 // NewStore creates an empty store. Every store registers one entry on
 // the debug endpoints (see DESIGN.md §9) — its Metrics snapshot, flight
-// ring, timeline and Prometheus collector — until Close.
+// ring and Prometheus collector — until Close.
 func NewStore(cfg Config) *Store {
 	s := newStore(cfg)
 	s.publish()
@@ -260,24 +264,25 @@ func newStore(cfg Config) *Store {
 		FlightEvents: cfg.FlightEvents,
 		SLOP99:       cfg.SLOP99,
 		Watchdog:     cadence(cfg.WatchdogInterval, time.Second),
-		Timeline:     cadence(cfg.TimelineInterval, 5*time.Second),
 	})
 	return s
 }
 
-// publish registers the store on the debug endpoints and starts its
-// sampler. A durable store publishes once recovery is over, so neither
-// a scrape nor a sampler tick ever sees it half-opened.
+// publish registers the store on the debug endpoints and arms its
+// watchdog's window roll; a durable store's anomalies are dumped to its
+// directory. A durable store publishes once recovery is over, so neither
+// a scrape nor a window roll ever sees it half-opened.
 func (s *Store) publish() {
 	entry := obs.Entry{Metrics: func() any { return s.Metrics() }, Prom: s.promCollect}
 	if s.ob.Flight != nil {
 		entry.Flight = func() any { return s.ob.FlightState(s.PriorFlightDumps()) }
 	}
-	if tl := s.ob.Timeline; tl != nil {
-		entry.Timeline = func() any { return tl.Snapshot() }
-	}
 	obs.Register(s.obsName, entry)
-	s.ob.Start(s.health, s.anomalyDump)
+	var dump func(flight.Trigger)
+	if s.dur != nil {
+		dump = s.dur.flightDump
+	}
+	s.ob.Watch(s.health, dump)
 }
 
 // AddIntColumn adds a named column. Columns must be added before the
@@ -288,7 +293,7 @@ func (s *Store) AddIntColumn(name string, values []int64) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.exec != nil {
+	if s.exec.Load() != nil {
 		return fmt.Errorf("holistic: cannot add column %q after the first query", name)
 	}
 	if s.dur != nil && len(name) > durable.MaxNameLen {
@@ -306,16 +311,18 @@ func (s *Store) executor() (*engine.Executor, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if s.exec == nil {
-		s.exec = s.build()
-		s.exec.SetObserver(s.ob)
+	exec := s.exec.Load()
+	if exec == nil {
+		exec = s.build()
+		exec.SetObserver(s.ob)
+		s.exec.Store(exec)
 		if s.dur != nil {
-			if err := s.dur.attachExec(s.exec); err != nil {
+			if err := s.dur.attachExec(exec); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return s.exec, nil
+	return exec, nil
 }
 
 func (s *Store) build() *engine.Executor {
@@ -511,7 +518,8 @@ func (s *Store) Update(attr string, oldV, newV int64) error {
 // runner returns the store's conjunctive query runner, building it (and
 // the executor) on first use.
 func (s *Store) runner() (*query.Runner, error) {
-	if _, err := s.executor(); err != nil {
+	exec, err := s.executor()
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -520,7 +528,7 @@ func (s *Store) runner() (*query.Runner, error) {
 		return nil, ErrClosed
 	}
 	if s.qr == nil {
-		s.qr = query.New(s.table, s.exec, s.cfg.threads())
+		s.qr = query.New(s.table, exec, s.cfg.threads())
 		s.qr.SetObserver(s.ob)
 	}
 	return s.qr, nil
@@ -930,9 +938,7 @@ type Stats struct {
 // daemon started) it returns a zero snapshot instead of building the
 // executor as a side effect.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	exec := s.exec
-	s.mu.Unlock()
+	exec := s.exec.Load()
 	st := Stats{Mode: s.cfg.Mode}
 	if exec != nil {
 		st.Pieces = exec.TotalPieces()
@@ -951,16 +957,16 @@ func (s *Store) Stats() Stats {
 func (s *Store) Close() { s.shutdown(true) }
 
 // shutdown releases everything the store acquired: the registry entry,
-// the sampler, the durability engine, the executor (and with it the
-// holistic daemon and its workers) and the trace sink. flush is false
+// the durability engine with its snapshot timer, the executor (and with
+// it the holistic daemon and its workers) and the trace sink. flush is false
 // only for a store whose open failed partway (discard): its WAL file is
 // closed, but no final snapshot or clean marker is written over a
 // directory recovery could not finish with.
 //
 // The store lock is released before the durability flush and the
-// executor shutdown: the background snapshot ticker may be
-// mid-checkpoint, and waiting for it while holding the lock every query
-// path needs would stall the whole store behind that flush.
+// executor shutdown: a background snapshot may be mid-checkpoint, and
+// waiting for it while holding the lock every query path needs would
+// stall the whole store behind that flush.
 func (s *Store) shutdown(flush bool) {
 	s.mu.Lock()
 	if s.closed {
@@ -968,11 +974,10 @@ func (s *Store) shutdown(flush bool) {
 		return
 	}
 	s.closed = true
-	exec, dur, sink := s.exec, s.dur, s.traceSink
+	exec, dur, sink := s.exec.Load(), s.dur, s.traceSink
 	s.traceSink = nil
 	obs.Unregister(s.obsName)
 	s.mu.Unlock()
-	s.ob.Stop()
 	if dur != nil {
 		dur.close(flush)
 	}

@@ -28,8 +28,8 @@ func runFig14(p Params) (*Result, error) {
 		{"Q6", "l_shipdate", func(r *tpch.Runner, v tpch.QueryVariant) { r.Q6(v.Q6Year, v.Q6Discount, v.Q6Quantity) }},
 		{"Q12", "l_receiptdate", func(r *tpch.Runner, v tpch.QueryVariant) { r.Q12(v.Q12Mode1, v.Q12Mode2, v.Q12Year) }},
 	}
-	// The figure times query execution: the Store's flight ring,
-	// watchdog and timeline stay off, as the paper's system had none.
+	// The figure times query execution: the Store's flight ring and
+	// watchdog stay off, as the paper's system had none.
 	cfg := holistic.Config{
 		Threads:              p.Threads,
 		TuningInterval:       p.Interval,
@@ -38,7 +38,6 @@ func runFig14(p Params) (*Result, error) {
 		Seed:                 p.Seed,
 		FlightEvents:         -1,
 		WatchdogInterval:     -1,
-		TimelineInterval:     -1,
 	}
 
 	res := &Result{Headers: []string{"query", "mode", "first (ms)", "rest avg (ms)", "total 30 (ms)", "presort (ms)"}}

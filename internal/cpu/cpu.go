@@ -13,21 +13,11 @@
 //
 // The daemon consumes only the signal "n contexts are idle" (DESIGN.md
 // §3). LoadAccountant derives it from the busy count, instantly and
-// deterministically, so tuning cycles take milliseconds; ProcStatMonitor
-// reads /proc/stat over the whole machine, as the paper does; Fixed pins
-// it for the uXwY thread-distribution experiments.
+// deterministically, so tuning cycles take milliseconds; Fixed pins it
+// for the uXwY thread-distribution experiments.
 package cpu
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // busy is the process-wide count of contexts running library work.
 var busy atomic.Int64
@@ -72,125 +62,6 @@ func (a *LoadAccountant) Contexts() int { return a.contexts }
 
 // IdleContexts implements Monitor.
 func (a *LoadAccountant) IdleContexts() int { return max(a.contexts-Busy(), 0) }
-
-// times holds one CPU line of /proc/stat (all jiffy counters we use).
-type times struct {
-	user, nice, system, idle, iowait, irq, softirq, steal uint64
-}
-
-func (t times) total() uint64 {
-	return t.user + t.nice + t.system + t.idle + t.iowait + t.irq + t.softirq + t.steal
-}
-
-func (t times) idleAll() uint64 { return t.idle + t.iowait }
-
-// ProcStatMonitor derives idle contexts from kernel statistics, like the
-// paper's MonetDB implementation. A context counts as idle when its busy
-// fraction since the previous sample is below BusyThreshold.
-type ProcStatMonitor struct {
-	// Path of the stat file; defaults to /proc/stat.
-	Path string
-	// BusyThreshold is the utilization above which a context counts as
-	// busy. Defaults to 0.5.
-	BusyThreshold float64
-
-	mu   sync.Mutex
-	prev []times
-}
-
-// NewProcStat returns a monitor over /proc/stat.
-func NewProcStat() *ProcStatMonitor {
-	return &ProcStatMonitor{Path: "/proc/stat", BusyThreshold: 0.5}
-}
-
-// Contexts implements Monitor; it returns the number of per-CPU lines in
-// the stat file (0 when unreadable).
-func (m *ProcStatMonitor) Contexts() int {
-	cur, err := m.read()
-	if err != nil {
-		return 0
-	}
-	return len(cur)
-}
-
-// IdleContexts implements Monitor. The first call establishes a baseline
-// and reports 0 idle contexts; subsequent calls report contexts whose
-// busy fraction over the sampling window stayed below the threshold.
-func (m *ProcStatMonitor) IdleContexts() int {
-	cur, err := m.read()
-	if err != nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	prev := m.prev
-	m.prev = cur
-	if len(prev) != len(cur) {
-		return 0 // first sample or CPU hotplug; re-baseline
-	}
-	threshold := m.BusyThreshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	idle := 0
-	for i := range cur {
-		dTotal := cur[i].total() - prev[i].total()
-		if dTotal == 0 {
-			idle++
-			continue
-		}
-		dIdle := cur[i].idleAll() - prev[i].idleAll()
-		busy := 1 - float64(dIdle)/float64(dTotal)
-		if busy < threshold {
-			idle++
-		}
-	}
-	return idle
-}
-
-func (m *ProcStatMonitor) read() ([]times, error) {
-	path := m.Path
-	if path == "" {
-		path = "/proc/stat"
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return parseProcStat(f)
-}
-
-// parseProcStat extracts the per-CPU lines ("cpu0", "cpu1", ...) from a
-// /proc/stat stream, skipping the aggregate "cpu" line.
-func parseProcStat(r io.Reader) ([]times, error) {
-	var out []times
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "cpu") || strings.HasPrefix(line, "cpu ") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 5 {
-			return nil, fmt.Errorf("cpu: short stat line %q", line)
-		}
-		var t times
-		dst := []*uint64{&t.user, &t.nice, &t.system, &t.idle, &t.iowait, &t.irq, &t.softirq, &t.steal}
-		for i, p := range dst {
-			if i+1 >= len(fields) {
-				break // older kernels omit trailing counters
-			}
-			v, err := strconv.ParseUint(fields[i+1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cpu: bad counter in %q: %v", line, err)
-			}
-			*p = v
-		}
-		out = append(out, t)
-	}
-	return out, sc.Err()
-}
 
 // Fixed is a Monitor that always reports the same idle count; benchmarks
 // use it to pin worker parallelism to a chosen thread distribution (the

@@ -158,6 +158,41 @@ func TestAllModesAggregatesAgreeWithScan(t *testing.T) {
 // TestCrackingExecutorsAlwaysCarryRowIDs: whatever cfg.WithRows says,
 // the cracking executors build (oid, value) crackers, so the row-id
 // terminals answer.
+// TestSortedModesSortOnce: offline indexing's PrepareAll and online
+// indexing's epoch-end sort build the sorted copy with row ids, so the
+// selects that need rows answer from it instead of sorting the column
+// again: the attribute's access path stays the one the sort published.
+func TestSortedModesSortOnce(t *testing.T) {
+	tbl, bases := testTable(t, 1, 1_000, 1000)
+	want := column.ScanRange(bases[0], 0, 100)
+	off := NewOfflineExecutor(tbl, 2)
+	off.PrepareAll()
+	on := NewOnlineExecutor(tbl, 2, 1)
+	for i := 0; i < 2; i++ { // the second query ends the epoch
+		if _, err := on.Count("A", 0, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []*Executor{off, on} {
+		p, ok := e.attrs["A"].current().(*sortedPath)
+		if !ok {
+			t.Fatalf("%s: no sorted copy after the sort", e.Label())
+		}
+		bm := column.NewBitmap(0)
+		if err := e.SelectBitmap("A", 0, 100, bm); err != nil || !slices.Equal(bm.AppendPositions(nil), want) {
+			t.Errorf("%s: SelectBitmap = %d rows, %v; want %d", e.Label(), bm.Count(), err, len(want))
+		}
+		rows, err := e.SelectRows("A", 0, 100)
+		slices.Sort(rows)
+		if err != nil || !slices.Equal(rows, want) {
+			t.Errorf("%s: SelectRows = %d rows, %v; want %d", e.Label(), len(rows), err, len(want))
+		}
+		if e.attrs["A"].current() != accessPath(p) {
+			t.Errorf("%s: a select that needs rows sorted the column again", e.Label())
+		}
+	}
+}
+
 func TestCrackingExecutorsAlwaysCarryRowIDs(t *testing.T) {
 	tbl, bases := testTable(t, 1, 1_000, 1000)
 	want := column.ScanRange(bases[0], 0, 100)
@@ -859,9 +894,8 @@ func TestAdaptiveDeleteUpdateAndView(t *testing.T) {
 // TestEstimateCount checks the planner's cardinality probes: sorted
 // executors answer exactly once sorted, crackers exactly on boundary
 // hits, and everyone reports ok=false before any index exists. The work a
-// select would do first is 0 on a bracketed range, the pieces an inexact
-// bound falls inside on a cracker, and a whole re-sort on a copy sorted
-// without row ids.
+// select would do first is 0 on a bracketed range and on a sorted copy,
+// and the pieces an inexact bound falls inside on a cracker.
 func TestEstimateCount(t *testing.T) {
 	vals := make([]int64, 1000)
 	for i := range vals {
@@ -875,14 +909,8 @@ func TestEstimateCount(t *testing.T) {
 		t.Error("offline estimated before sorting")
 	}
 	off.PrepareAll()
-	if est, ok := off.EstimateCount("a", 100, 200); !ok || est.Rows != 100 || est.Work != 1000*10 {
-		t.Errorf("offline estimate = (%+v, %v), want 100 exact rows behind a re-sort with row ids", est, ok)
-	}
-	if _, err := off.SelectRows("a", 100, 200); err != nil {
-		t.Fatal(err)
-	}
 	if est, ok := off.EstimateCount("a", 100, 200); !ok || est.Rows != 100 || est.Work != 0 {
-		t.Errorf("offline estimate with row ids = (%+v, %v), want 100 exact rows, no work", est, ok)
+		t.Errorf("offline estimate = (%+v, %v), want 100 exact rows, no work", est, ok)
 	}
 
 	ad := NewAdaptiveExecutor(tab, cracking.Config{}, "")

@@ -220,19 +220,12 @@ func (e *Executor) lookup(attr string) accessPath {
 }
 
 // stale reports whether p no longer is what the policy gives its
-// attribute: a scan path once online indexing's epoch is over, or a
-// sorted copy without row ids when the walk needs them (count-only
-// workloads never sort pairs nor keep +4 bytes/value).
+// attribute: a scan path once online indexing's epoch is over.
 //
 //holistic:noalloc
-func (e *Executor) stale(p accessPath, needRows bool) bool {
-	switch p := p.(type) {
-	case *scanPath:
-		return e.kind != kindScan && !e.scanning.Load()
-	case *sortedPath:
-		return needRows && !p.col.HasRows()
-	}
-	return false
+func (e *Executor) stale(p accessPath) bool {
+	_, scan := p.(*scanPath)
+	return scan && e.kind != kindScan && !e.scanning.Load()
 }
 
 // path returns the access path of a, building it when the policy says
@@ -244,13 +237,13 @@ func (e *Executor) stale(p accessPath, needRows bool) bool {
 // ahead of any query driving it.
 //
 //holistic:noalloc
-func (e *Executor) path(a *attribute, lo, hi int64, needRows, potential bool) accessPath {
-	if p := a.current(); p != nil && !e.stale(p, needRows) {
+func (e *Executor) path(a *attribute, lo, hi int64, potential bool) accessPath {
+	if p := a.current(); p != nil && !e.stale(p) {
 		return p
 	}
 	a.mu.Lock()
 	for {
-		if p := a.current(); p != nil && !e.stale(p, needRows) {
+		if p := a.current(); p != nil && !e.stale(p) {
 			a.mu.Unlock()
 			return p
 		}
@@ -266,7 +259,7 @@ func (e *Executor) path(a *attribute, lo, hi int64, needRows, potential bool) ac
 	a.building = done
 	pend := a.pend
 	a.mu.Unlock()
-	return e.build(a, done, pend, lo, hi, needRows, potential)
+	return e.build(a, done, pend, lo, hi, potential)
 }
 
 //holistic:alloc-ok a first touch allocates its build latch
@@ -277,7 +270,7 @@ func newLatch() chan struct{} { return make(chan struct{}) }
 // built from the base column takes over.
 //
 //holistic:alloc-ok a first touch builds the attribute's access path
-func (e *Executor) build(a *attribute, done chan struct{}, pend *updates.Pending, lo, hi int64, needRows, potential bool) accessPath {
+func (e *Executor) build(a *attribute, done chan struct{}, pend *updates.Pending, lo, hi int64, potential bool) accessPath {
 	defer func() {
 		a.mu.Lock()
 		a.building = nil
@@ -297,11 +290,9 @@ func (e *Executor) build(a *attribute, done chan struct{}, pend *updates.Pending
 	case kindScan:
 		p = &scanPath{vals: base}
 	case kindSorted:
-		if needRows {
-			p = &sortedPath{col: sortidx.BuildWithRows(a.name, base, e.threads)}
-		} else {
-			p = &sortedPath{col: sortidx.Build(a.name, base, e.threads)}
-		}
+		// Always with row ids: a copy without them would be sorted again
+		// by the first select that needs rows.
+		p = &sortedPath{col: sortidx.BuildWithRows(a.name, base, e.threads)}
 	case kindCracker:
 		col := cracking.NewCracked(a.name, base, cfg, lo, hi)
 		if !potential {
@@ -363,7 +354,7 @@ func (e *Executor) PrepareAll() {
 		return
 	}
 	for _, name := range e.table.order {
-		e.path(e.attrs[name], 0, 0, false, false)
+		e.path(e.attrs[name], 0, 0, false)
 	}
 }
 
@@ -415,7 +406,7 @@ func (e *Executor) answer(attr string, f fold) (fold, error) {
 	case f.op != opClusters && f.lo >= f.hi:
 		return f, nil // empty or inverted range: nothing qualifies, nothing to build
 	default:
-		p = e.path(a, f.lo, f.hi, f.wantsRows(), false)
+		p = e.path(a, f.lo, f.hi, false)
 	}
 	if f.op == opClusters {
 		if _, f.walked = p.span(); !f.walked {
@@ -535,7 +526,7 @@ func (e *Executor) Cracker(attr string) (*cracking.Column, bool, error) {
 	if c := crackerOf(a.current()); c != nil {
 		return c, true, nil
 	}
-	return crackerOf(e.path(a, 0, 0, false, false)), false, nil
+	return crackerOf(e.path(a, 0, 0, false)), false, nil
 }
 
 // CrackerIfExists returns the cracker column of attr without creating one.
@@ -570,7 +561,7 @@ func (e *Executor) TotalPieces() int {
 func (e *Executor) AddPotential(attr string) error {
 	a, err := e.attr(attr)
 	if err == nil {
-		e.path(a, 0, 0, false, true)
+		e.path(a, 0, 0, true)
 	}
 	return err
 }
@@ -592,7 +583,7 @@ func (e *Executor) NotePredicate(attr string) error {
 	if err != nil {
 		return err
 	}
-	if cp, ok := e.path(a, 0, 0, false, true).(*crackerPath); ok && cp.entry != nil {
+	if cp, ok := e.path(a, 0, 0, true).(*crackerPath); ok && cp.entry != nil {
 		cp.entry.RecordAccess(false)
 	}
 	return nil

@@ -47,7 +47,7 @@ func (e *Executor) mutate(attr, op string, find *int64, fn func(a *attribute, ro
 	for {
 		var cp *crackerPath
 		if find != nil {
-			cp = e.path(a, 0, 0, true, true).(*crackerPath)
+			cp = e.path(a, 0, 0, true).(*crackerPath)
 		}
 		if done, err := e.apply(a, cp, op, find, fn); done {
 			return err

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/bits"
 	"slices"
 
 	"holistic/internal/ccgi"
@@ -39,9 +38,8 @@ type Estimate struct {
 	// brackets the range, a uniform guess over the domain otherwise.
 	Rows float64
 	// Work is the number of values the select would reorganize before it
-	// can answer: the cracker pieces a bound falls inside, the whole
-	// column when a sort must be redone, 0 when the index already
-	// brackets the range.
+	// can answer: the cracker pieces a bound falls inside, 0 when the
+	// index already brackets the range.
 	Work int
 }
 
@@ -81,9 +79,6 @@ type fold struct {
 	// pending updates it merged first.
 	merged int
 }
-
-// wantsRows reports whether the fold consumes row ids.
-func (f *fold) wantsRows() bool { return f.op >= opRows }
 
 // addBounds folds the extrema of n more qualifying values.
 func (f *fold) addBounds(mn, mx int64, n int) {
@@ -190,15 +185,9 @@ func (p *sortedPath) walk(f fold) fold {
 
 func (p *sortedPath) span() (float64, bool) { return 1, true }
 
-// estimate is always exact; a copy sorted without row ids must be sorted
-// again with them before it can select rows, costed as log2(n) passes
-// that each partition the whole column.
+// estimate is always exact and costs no work: the copy is sorted.
 func (p *sortedPath) estimate(lo, hi int64) (Estimate, bool) {
-	est := Estimate{Rows: float64(p.col.CountRange(lo, hi))}
-	if n := p.col.Len(); !p.col.HasRows() {
-		est.Work = n * bits.Len(uint(n))
-	}
-	return est, true
+	return Estimate{Rows: float64(p.col.CountRange(lo, hi))}, true
 }
 
 // crackerPath is a cracker column, the pending queue it was built with —

@@ -65,10 +65,8 @@ func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexSource)
 				})
 			})
 		case *sortedPath:
-			is := durable.IndexState{Attr: attr, Kind: durable.IndexSorted, Vals: p.col.Values()}
-			if p.col.HasRows() {
-				is.Layout, is.Rows = durable.LayoutRows, p.col.RowIDs()
-			}
+			is := durable.IndexState{Attr: attr, Kind: durable.IndexSorted, Layout: durable.LayoutRows,
+				Vals: p.col.Values(), Rows: p.col.RowIDs()}
 			indexes = append(indexes, func(emit func(durable.IndexState) error) error { return emit(is) })
 		}
 		cols = append(cols, a.export())
@@ -109,6 +107,14 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 				p = cp
 			}
 		case st.Kind == durable.IndexSorted && e.kind == kindSorted:
+			// A section without row ids (written before sorted copies
+			// always carried them) is dropped: the first touch sorts the
+			// column again, with them, rather than the first select that
+			// needs rows.
+			if st.Layout != durable.LayoutRows {
+				dropped++
+				continue
+			}
 			var sc *sortidx.SortedColumn
 			if sc, err = sortidx.Restore(st.Attr, st.Vals, rowsOf(st)); err == nil {
 				p = &sortedPath{col: sc}

@@ -13,6 +13,7 @@ import (
 	"holistic/internal/durable"
 	"holistic/internal/holistic"
 	"holistic/internal/obs/observer"
+	"holistic/internal/sortidx"
 	"holistic/internal/updates"
 )
 
@@ -466,4 +467,42 @@ func TestRowlessStateSectionIsDropped(t *testing.T) {
 		t.Fatal("first touch did not rebuild the cracker with row ids")
 	}
 	ws.run(13, 200, seq(0, 500))
+}
+
+// TestRowlessSortedSectionIsDropped: a sorted section carrying values
+// alone — what offline and online indexing wrote before their sorted
+// copies always carried row ids — recovers, but the section is dropped
+// and counted, and the first touch sorts the column again with row ids.
+func TestRowlessSortedSectionIsDropped(t *testing.T) {
+	base := drawn(14, 4000, seq(0, 500))
+	old := sortidx.Build("A", base, 1)
+	rowless := func(emit func(durable.IndexState) error) error {
+		return emit(durable.IndexState{Attr: "A", Kind: durable.IndexSorted, Vals: old.Values()})
+	}
+	fs := durable.NewFaultFS()
+	cols := []durable.ColumnData{{Name: "A", Base: base}}
+	if _, err := durable.WriteSnapshot(fs, &durable.Manifest{Generation: 1}, cols, []durable.IndexSource{rowless}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := durable.Recover(fs)
+	if err != nil || len(rec.Indexes) != 1 || rec.Indexes[0].Layout == durable.LayoutRows {
+		t.Fatalf("recovered %d index states, %v", len(rec.Indexes), err)
+	}
+	tbl := NewTable("R")
+	tbl.MustAddColumn(column.New("A", rec.Columns[0].Base))
+	e := NewOfflineExecutor(tbl, 1)
+	if restored, dropped := e.RestoreDurable(rec.Columns, rec.Indexes); restored != 0 || dropped != 1 {
+		t.Fatalf("restored %d, dropped %d; want the rowless section dropped", restored, dropped)
+	}
+	if e.attrs["A"].current() != nil {
+		t.Fatal("a dropped section left a sorted copy behind")
+	}
+	rows, err := e.SelectRows("A", 120, 260)
+	slices.Sort(rows)
+	if want := column.ScanRange(base, 120, 260); err != nil || !slices.Equal(rows, want) {
+		t.Fatalf("SelectRows = %d rows, %v; want %d", len(rows), err, len(want))
+	}
+	if p, ok := e.attrs["A"].current().(*sortedPath); !ok || !p.col.HasRows() {
+		t.Fatal("first touch did not sort the column again with row ids")
+	}
 }

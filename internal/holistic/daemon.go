@@ -291,10 +291,11 @@ type workerSlot struct {
 
 // runCycle activates n workers and waits for all of them to finish. The
 // workers run through column.ForChunks, so they count as busy contexts
-// for every daemon in the process.
+// for every daemon in the process. The cycle is recorded after slotMu is
+// released: recording may close the watchdog's window, which reads the
+// daemon's convergence.
 func (d *Daemon) runCycle(cycle, n int) {
 	d.slotMu.Lock()
-	defer d.slotMu.Unlock()
 	for len(d.slots) < n {
 		d.slots = append(d.slots, workerSlot{rng: rand.New(rand.NewSource(0))})
 	}
@@ -316,6 +317,7 @@ func (d *Daemon) runCycle(cycle, n int) {
 		cs.Refinements += s.refined
 		cs.MergedUpdates += s.merged
 	}
+	d.slotMu.Unlock()
 	d.totalRefinements.Add(int64(cs.Refinements))
 	d.cycleMu.Lock()
 	if d.cycleLen < CycleHistory {

@@ -131,20 +131,6 @@ func (e *Econ) NoteRefined(attr string, investedNs, refined int64, progress floa
 	s.progress.Store(math.Float64bits(progress))
 }
 
-// TotalInvestedNS sums invested nanoseconds across all indexes — the
-// cheap cumulative counter the timeline samples.
-func (e *Econ) TotalInvestedNS() int64 {
-	m := e.slots.Load()
-	if m == nil {
-		return 0
-	}
-	var t int64
-	for _, s := range *m {
-		t += s.invested.Load()
-	}
-	return t
-}
-
 // DriveBucket is the benefit stream of one convergence interval: how
 // many queries drove through the index while its convergence ratio sat
 // in [LoRatio, HiRatio), and their mean drive-stage latency.

@@ -1,7 +1,7 @@
 // The process metrics registry and HTTP surface: every store registers
 // one Entry — its snapshot functions and its Prometheus collector — and
-// the registry serves them together as JSON on /debug/holistic,
-// /debug/holistic/flight and /debug/holistic/timeline, as the expvar
+// the registry serves them together as JSON on /debug/holistic and
+// /debug/holistic/flight, as the expvar
 // variable "holistic" on /debug/vars, as the /metrics exposition, behind
 // /readyz, and next to the standard pprof handlers — the endpoint
 // cmd/holisticserve and `holisticbench -metrics-addr` mount.
@@ -24,13 +24,12 @@ import (
 // readiness — registers. Every function is called on every scrape of its
 // endpoint and must be safe for concurrent use; a nil function leaves
 // the publisher out of that endpoint (a store without a flight ring has
-// no Flight, one without a timeline no Timeline).
+// no Flight).
 type Entry struct {
-	// Metrics (the store's full snapshot), Flight (decoded ring plus
-	// watchdog state) and Timeline (deltified metric windows) are served
-	// on /debug/holistic, /debug/holistic/flight and
-	// /debug/holistic/timeline.
-	Metrics, Flight, Timeline func() any
+	// Metrics (the store's full snapshot) and Flight (decoded ring plus
+	// watchdog state) are served on /debug/holistic and
+	// /debug/holistic/flight.
+	Metrics, Flight func() any
 	// Prom streams the store's samples through the scrape's shared
 	// prom.Writer (which deduplicates HELP/TYPE metadata across stores),
 	// served on /metrics.
@@ -96,7 +95,7 @@ func (n named) MarshalJSON() ([]byte, error) {
 // json returns the entry's snapshot function for one JSON endpoint,
 // named by the key its payload is served under.
 func (e Entry) json(key string) func() any {
-	return map[string]func() any{"metrics": e.Metrics, "flight": e.Flight, "timeline": e.Timeline}[key]
+	return map[string]func() any{"metrics": e.Metrics, "flight": e.Flight}[key]
 }
 
 // snapshot evaluates one JSON endpoint over every entry that serves it.
@@ -123,7 +122,7 @@ func init() {
 	}))
 }
 
-// serveJSON is the one body of the three /debug/holistic* endpoints: one
+// serveJSON is the one body of the two /debug/holistic* endpoints: one
 // snapshot of every store as an indented JSON array.
 func serveJSON(key string) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
@@ -176,8 +175,7 @@ func serveReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // Handler returns the debug mux: /debug/holistic (JSON snapshot of all
 // registered stores), /debug/holistic/flight (decoded flight-recorder
-// rings and watchdog state), /debug/holistic/timeline (per-store
-// deltified metric windows), /metrics (Prometheus text exposition),
+// rings and watchdog state), /metrics (Prometheus text exposition),
 // /healthz and /readyz (liveness/readiness), /debug/vars (expvar,
 // including the "holistic" variable) and /debug/pprof/* (the standard
 // profiles).
@@ -185,7 +183,6 @@ func Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/holistic", serveJSON("metrics"))
 	mux.HandleFunc("/debug/holistic/flight", serveJSON("flight"))
-	mux.HandleFunc("/debug/holistic/timeline", serveJSON("timeline"))
 	mux.HandleFunc("/metrics", serveProm)
 	mux.HandleFunc("/healthz", serveHealthz)
 	mux.HandleFunc("/readyz", serveReadyz)

@@ -89,9 +89,6 @@ type QueryMetrics struct {
 //holistic:noalloc
 func (m *QueryMetrics) NextSeq() uint64 { return m.seq.Add(1) }
 
-// Seq returns the number of sequenced queries so far.
-func (m *QueryMetrics) Seq() uint64 { return m.seq.Load() }
-
 // RecordOp records one operator execution's latency.
 //
 //holistic:noalloc
@@ -121,10 +118,6 @@ func (m *QueryMetrics) RecordStrategy(seq uint64, s Strat) {
 	m.strats[s].Inc()
 	m.tl.record(seq, s)
 }
-
-// OpHistogram exposes one op's histogram (benchmark percentiles read
-// through it).
-func (m *QueryMetrics) OpHistogram(op Op) *Histogram { return &m.lat[op] }
 
 // MergedLatency merges every op's histogram into s — the cumulative
 // all-operations latency distribution the flight watchdog baselines.

@@ -1,18 +1,17 @@
 // Package observer is the one recording surface of a store: a concrete,
 // nil-safe Observer that owns every consumer of the store's telemetry —
 // the query and executor metrics, the flight ring with its watchdog, the
-// refinement ledger, the trace sink and the time-series ring — and feeds
-// all of them from one call per instrumentation site. The query runner,
-// the executor and its daemon, and the durability layer each hold the
-// same *Observer and never see a consumer directly, so a new consumer is
-// one line here, not one more setter at every site.
+// refinement ledger and the trace sink — and feeds all of them from one
+// call per instrumentation site. The query runner, the executor and its
+// daemon, and the durability layer each hold the same *Observer and never
+// see a consumer directly, so a new consumer is one line here, not one
+// more setter at every site.
 //
 // Every record method is //holistic:noalloc and safe on a nil receiver:
 // an unobserved runner or executor pays one pointer compare per site.
 package observer
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,8 +20,7 @@ import (
 	"holistic/internal/obs/flight"
 )
 
-// Config sizes an Observer. Cadences are already resolved: zero or
-// negative turns that consumer of the sampler off.
+// Config sizes an Observer.
 type Config struct {
 	// FlightEvents sizes the flight ring (0 selects
 	// flight.DefaultEvents); negative leaves the store without a ring
@@ -31,23 +29,10 @@ type Config struct {
 	// SLOP99 is the watchdog's absolute p99 bound; 0 leaves only the
 	// relative rule.
 	SLOP99 time.Duration
-	// Watchdog and Timeline are the sampler's two cadences.
-	Watchdog, Timeline time.Duration
+	// Watchdog is the watchdog's window, already resolved: zero or
+	// negative leaves the window roll inert.
+	Watchdog time.Duration
 }
-
-// TimelineCapacity is the time-series ring size in windows: about 42
-// minutes of history at the default 5 s cadence.
-const TimelineCapacity = 512
-
-// TimelineCounters names the cumulative counters each timeline window
-// deltifies, in sampling order; timelineHists the latency histograms.
-var (
-	TimelineCounters = []string{
-		"queries", "selects", "cracker_builds", "merged_updates",
-		"refinements", "refine_invested_ns", "flight_events",
-	}
-	timelineHists = []string{"query_latency", "select_latency"}
-)
 
 // Observer is one store's telemetry. The zero value is not usable;
 // construct with New.
@@ -65,30 +50,29 @@ type Observer struct {
 	// Watchdog baselines latency and convergence and decides when the
 	// ring is worth dumping; nil exactly when Flight is.
 	Watchdog *flight.Watchdog
-	// Timeline is the ring of deltified metric windows behind
-	// /debug/holistic/timeline; nil when its cadence is off.
-	Timeline *obs.TimeSeries
 
 	sink atomic.Pointer[sinkBox]
 
-	cfg      Config
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{} // closed when the sampler exits; nil if never started
+	cfg  Config
+	born time.Time
+	// nextRoll is when, in nanoseconds since born, the next End or Cycle
+	// closes the watchdog window: never until Watch arms the roll with
+	// health and dump.
+	nextRoll atomic.Int64
+	health   func() flight.Observation
+	dump     func(flight.Trigger)
 }
 
 // sinkBox wraps the sink interface value for atomic.Pointer.
 type sinkBox struct{ s obs.TraceSink }
 
-// New builds an observer; Start launches its sampler.
+// New builds an observer; Watch arms its watchdog's window roll.
 func New(cfg Config) *Observer {
-	o := &Observer{cfg: cfg, stop: make(chan struct{})}
+	o := &Observer{cfg: cfg, born: time.Now()}
+	o.nextRoll.Store(never)
 	if cfg.FlightEvents >= 0 {
 		o.Flight = flight.NewRecorder(cfg.FlightEvents)
 		o.Watchdog = flight.NewWatchdog(cfg.SLOP99)
-	}
-	if cfg.Timeline > 0 {
-		o.Timeline = obs.NewTimeSeries(TimelineCapacity, TimelineCounters, timelineHists)
 	}
 	return o
 }
@@ -102,6 +86,68 @@ func (o *Observer) TraceTo(s obs.TraceSink) {
 		return
 	}
 	o.sink.Store(&sinkBox{s: s})
+}
+
+// never is the next-roll time of an observer whose roll is inert.
+const never = 1<<63 - 1
+
+// Watch arms the watchdog's window roll: from now on the first End or
+// Cycle after each Watchdog interval closes the window. health reads the
+// holistic daemon's side of the window's observation (the zero value:
+// no daemon) once per roll; dump, when not nil, preserves the ring for an anomaly
+// worth dumping, in a goroutine of its own so that no query waits on a
+// file write. Without a watchdog or a positive interval the roll stays
+// inert. Call it at most once: the store of nextRoll publishes health
+// and dump to the recorders that see it.
+func (o *Observer) Watch(health func() flight.Observation, dump func(flight.Trigger)) {
+	if o.Watchdog == nil || o.cfg.Watchdog <= 0 {
+		return
+	}
+	o.health, o.dump = health, dump
+	o.nextRoll.Store(o.since(time.Now()) + int64(o.cfg.Watchdog))
+}
+
+// since is now on the observer's monotonic clock, in nanoseconds.
+//
+//holistic:noalloc
+func (o *Observer) since(now time.Time) int64 { return int64(now.Sub(o.born)) }
+
+// roll closes the watchdog window at t if the window is due and this
+// caller wins it; every other caller of the same instant returns at the
+// compare-and-swap. It runs on whichever query or daemon cycle came
+// first after the interval, with no store, executor or daemon lock held.
+// Nothing waits for the dump's goroutine: it ends with its one write, and
+// a durable store's Close turns a write it has not begun into a no-op.
+//
+//holistic:alloc-ok the window roll runs once per WatchdogInterval; health and the anomaly path may allocate
+func (o *Observer) roll(t int64) {
+	due := o.nextRoll.Load()
+	if t < due || !o.nextRoll.CompareAndSwap(due, t+int64(o.cfg.Watchdog)) {
+		return
+	}
+	if trig, dump := o.tick(o.health()); dump && o.dump != nil {
+		go o.dump(trig)
+	}
+}
+
+// tick closes one watchdog window: the cumulative merged latency digest,
+// added to the daemon's convergence and panic count in h, goes to the
+// watchdog, which diffs it against the previous window. When the
+// watchdog calls an anomaly the trigger is recorded into the ring, and
+// dump reports that the ring should be preserved now.
+func (o *Observer) tick(h flight.Observation) (trig flight.Trigger, dump bool) {
+	if o.Watchdog == nil {
+		return flight.TriggerNone, false
+	}
+	var lat obs.HistSnapshot
+	o.Query.MergedLatency(&lat)
+	h.Latency = &lat
+	v := o.Watchdog.Observe(h)
+	if v.Trigger == flight.TriggerNone {
+		return flight.TriggerNone, false
+	}
+	o.Flight.RecordAnomaly(v.Trigger, v.WindowP99NS, v.BaselineP99NS, v.Convergence, v.WorkerPanics, v.Samples)
+	return v.Trigger, v.Dump
 }
 
 // Span is one open query bracket: what Begin hands End.
@@ -140,8 +186,9 @@ func (o *Observer) Begin(op obs.Op, own *obs.QueryTrace) Span {
 }
 
 // End closes a bracket: one clock reading feeds the op latency
-// histogram, the flight EvQuery event and the trace, which is then
-// emitted and recycled unless the caller owns it.
+// histogram, the flight EvQuery event, the watchdog's window roll and
+// the trace, which is then emitted and recycled unless the caller owns
+// it.
 //
 //holistic:noalloc
 func (o *Observer) End(sp Span, driveNs, refineNs, result int64, err error) {
@@ -153,6 +200,9 @@ func (o *Observer) End(sp Span, driveNs, refineNs, result int64, err error) {
 	if o != nil {
 		o.Query.RecordOp(sp.op, elapsed)
 		o.Flight.RecordQuery(now, uint8(sp.op), sp.Seq, elapsed, driveNs, refineNs, result)
+		if t := o.since(now); t >= o.nextRoll.Load() {
+			o.roll(t)
+		}
 	}
 	if sp.Trace == nil {
 		return
@@ -252,7 +302,8 @@ func (o *Observer) Refined(attr string, refined, merged, attempts int64, distanc
 	o.Econ.NoteRefined(attr, investedNs, refined, progress)
 }
 
-// Cycle records one completed daemon tuning cycle.
+// Cycle records one completed daemon tuning cycle, which, like a query,
+// may close the watchdog's window.
 //
 //holistic:noalloc
 func (o *Observer) Cycle(cycle, workers, refinements, merged, wallNs int64) {
@@ -260,6 +311,9 @@ func (o *Observer) Cycle(cycle, workers, refinements, merged, wallNs int64) {
 		return
 	}
 	o.Flight.RecordCycle(cycle, workers, refinements, merged, wallNs)
+	if t := o.since(time.Now()); t >= o.nextRoll.Load() {
+		o.roll(t)
+	}
 }
 
 // Checkpoint records a committed snapshot generation: the WAL records it

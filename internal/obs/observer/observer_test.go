@@ -3,6 +3,7 @@ package observer
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,8 +102,8 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	} else {
 		o.End(sp, 0, 0, 1, nil)
 	}
-	if sink.n != 1 || o.Query.Seq() != 2 {
-		t.Errorf("after detach: sink saw %d traces, %d queries sequenced", sink.n, o.Query.Seq())
+	if q := o.Query.Snapshot().Queries; sink.n != 1 || q != 2 {
+		t.Errorf("after detach: sink saw %d traces, %d queries sequenced", sink.n, q)
 	}
 }
 
@@ -153,12 +154,14 @@ func TestNilObserverAndOwnedTrace(t *testing.T) {
 }
 
 // TestRecordingAllocationFree: the whole query-side surface, all
-// consumers attached, allocates nothing in the steady state.
+// consumers attached and the window roll armed, allocates nothing in the
+// steady state.
 func TestRecordingAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
-	o := New(Config{})
+	o := New(Config{Watchdog: time.Hour})
+	o.Watch(func() flight.Observation { return flight.Observation{} }, nil)
 	run := func() {
 		sp := o.Begin(obs.OpCount, nil)
 		o.Rep(sp.Seq, obs.RepPosList, 50, 2)
@@ -173,93 +176,120 @@ func TestRecordingAllocationFree(t *testing.T) {
 	}
 }
 
-// TestTickFeedsBothConsumersFromOneSnapshot: one Tick hands the same
-// cumulative latency snapshot to the time-series ring and the watchdog;
-// a breached absolute SLO comes back as the trigger to dump for and is
-// recorded in the ring.
-func TestTickFeedsBothConsumersFromOneSnapshot(t *testing.T) {
-	o := New(Config{SLOP99: time.Microsecond, Watchdog: time.Hour, Timeline: time.Hour})
-	now := time.Now()
-	if _, dump := o.Tick(now, Health{}, true, true); dump {
+// TestTickJudgesOneWindow: one tick hands the cumulative latency
+// snapshot and the daemon's health to the watchdog; a breached absolute
+// SLO comes back as the trigger to dump for and is recorded in the ring.
+func TestTickJudgesOneWindow(t *testing.T) {
+	o := New(Config{SLOP99: time.Microsecond, Watchdog: time.Hour})
+	if _, dump := o.tick(flight.Observation{}); dump {
 		t.Fatal("an idle store tripped the watchdog")
 	}
 	for i := 0; i < 100; i++ {
 		o.End(o.Begin(obs.OpCount, nil), 0, 0, 1, nil)
 		o.Query.RecordOp(obs.OpSum, 5_000_000) // 5 ms against a 1 µs objective
-		o.Select("a", 1000, 0, false, true)
 	}
-	trig, dump := o.Tick(now.Add(time.Second), Health{Refinements: 9}, true, true)
+	trig, dump := o.tick(flight.Observation{Convergence: 0.5, HaveConvergence: true})
 	if trig != flight.TriggerP99 || !dump {
-		t.Fatalf("Tick = %v, dump %v; want a p99 anomaly to dump for", trig, dump)
+		t.Fatalf("tick = %v, dump %v; want a p99 anomaly to dump for", trig, dump)
 	}
 	if kinds(o)[flight.EvAnomaly] != 1 {
 		t.Error("the anomaly was not recorded in the ring")
 	}
-	tl := o.Timeline.Snapshot()
-	if len(tl.Windows) != 1 || tl.Capacity != TimelineCapacity {
-		t.Fatalf("timeline = %d windows of capacity %d", len(tl.Windows), tl.Capacity)
-	}
-	w := tl.Windows[0]
-	// queries, selects, ..., refinements: the counter columns in order.
-	if w.Deltas[0] != 100 || w.Deltas[1] != 100 || w.Deltas[4] != 9 {
-		t.Errorf("window deltas = %v", w.Deltas)
-	}
-	if w.HistCounts[0] != 200 || w.HistCounts[1] != 100 {
-		t.Errorf("window histogram counts = %v, want 200 query and 100 select samples", w.HistCounts)
-	}
 	if ws := o.Watchdog.State(); ws.LastSamples != 200 {
-		t.Errorf("watchdog judged %d samples, want the same 200", ws.LastSamples)
+		t.Errorf("watchdog judged %d samples, want the 200 of the window", ws.LastSamples)
 	}
-	// A tick that is only the timeline's leaves the watchdog alone.
-	if _, dump := o.Tick(now.Add(2*time.Second), Health{}, false, true); dump || len(o.Timeline.Snapshot().Windows) != 2 {
-		t.Error("a timeline-only tick must add a window and judge nothing")
+	if _, dump := New(Config{FlightEvents: -1}).tick(flight.Observation{}); dump {
+		t.Error("an observer without a watchdog judged a window")
 	}
 }
 
-// TestOneSamplerGoroutine: a store starts at most one observability
-// goroutine whatever the cadences, none when both are off, and Stop
-// ends it.
-func TestOneSamplerGoroutine(t *testing.T) {
+// TestWindowRollsOnRecording: once Watch arms the roll, the first End or
+// Cycle after each interval closes one window — reading health once and
+// handing a dumping anomaly to dump on a goroutine of its own — and the
+// observer starts no goroutine of its own otherwise. Before Watch, with
+// the interval off or without a ring, nothing rolls.
+func TestWindowRollsOnRecording(t *testing.T) {
+	const every = 20 * time.Millisecond
 	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		wantGo int
+		name  string
+		cfg   Config
+		watch bool
+		rolls bool
 	}{
-		{"both", Config{Watchdog: time.Millisecond, Timeline: 3 * time.Millisecond}, 1},
-		{"watchdog only", Config{Watchdog: time.Millisecond}, 1},
-		{"timeline only", Config{FlightEvents: -1, Timeline: time.Millisecond}, 1},
-		{"ring off turns the watchdog off", Config{FlightEvents: -1, Watchdog: time.Millisecond}, 0},
-		{"both off", Config{}, 0},
+		{"armed", Config{SLOP99: time.Nanosecond, Watchdog: every}, true, true},
+		{"not watched", Config{SLOP99: time.Nanosecond, Watchdog: every}, false, false},
+		{"interval off", Config{SLOP99: time.Nanosecond}, true, false},
+		{"ring off", Config{FlightEvents: -1, SLOP99: time.Nanosecond, Watchdog: every}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := New(tc.cfg)
+			var healths atomic.Int64
+			dumped := make(chan flight.Trigger, 2) // one per window the test closes
 			before := runtime.NumGoroutine()
-			var ticks atomic.Int64
-			o.Start(func() Health { ticks.Add(1); return Health{} }, nil)
-			if got := runtime.NumGoroutine() - before; got != tc.wantGo {
-				t.Errorf("Start launched %d goroutines, want %d", got, tc.wantGo)
+			if tc.watch {
+				o.Watch(func() flight.Observation { healths.Add(1); return flight.Observation{} }, func(tr flight.Trigger) { dumped <- tr })
 			}
-			if tc.wantGo > 0 {
-				fed := func() bool { // ticking, and past the timeline's baseline reading
-					return ticks.Load() >= 3 && (tc.cfg.Timeline <= 0 || len(o.Timeline.Snapshot().Windows) > 0)
-				}
-				for deadline := time.Now().Add(5 * time.Second); !fed() && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
-				if !fed() {
-					t.Errorf("the sampler ticked %d times and fed its consumers nothing", ticks.Load())
+			if got := runtime.NumGoroutine() - before; got != 0 {
+				t.Errorf("Watch started %d goroutines, want 0", got)
+			}
+			record := func() {
+				for i := 0; i < 40; i++ {
+					o.End(o.Begin(obs.OpCount, nil), 0, 0, 1, nil)
 				}
 			}
-			o.Stop()
-			o.Stop() // idempotent
-			// Stop returned, so the sampler is past its last statement; give
-			// the runtime a moment to retire the goroutine itself.
-			for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
-				time.Sleep(time.Millisecond)
+			record()
+			if healths.Load() != 0 {
+				t.Fatal("a window closed before its interval passed")
 			}
-			if got := runtime.NumGoroutine() - before; got > 0 {
-				t.Errorf("%d goroutines still running after Stop", got)
+			time.Sleep(every + every/2)
+			o.Cycle(1, 1, 0, 0, 0) // the first recording after the interval closes the window
+			record()
+			if !tc.rolls {
+				if healths.Load() != 0 || kinds(o)[flight.EvAnomaly] != 0 {
+					t.Errorf("an inert roll read health %d times", healths.Load())
+				}
+				return
+			}
+			if got := healths.Load(); got != 1 {
+				t.Fatalf("one interval passed and %d windows closed, want 1", got)
+			}
+			time.Sleep(every + every/2)
+			record() // the second window holds 40 samples, each over the 1 ns objective
+			if got := healths.Load(); got != 2 {
+				t.Fatalf("two intervals passed and %d windows closed, want 2", got)
+			}
+			select {
+			case tr := <-dumped:
+				if tr != flight.TriggerP99 {
+					t.Errorf("dumped for %v, want p99_slo", tr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a breached window never reached dump")
 			}
 		})
+	}
+}
+
+// TestConcurrentRecordersCloseOneWindow: recorders racing past the same
+// due time close the window once; the compare-and-swap turns the others
+// away.
+func TestConcurrentRecordersCloseOneWindow(t *testing.T) {
+	o := New(Config{Watchdog: time.Hour})
+	var healths atomic.Int64
+	o.Watch(func() flight.Observation { healths.Add(1); return flight.Observation{} }, nil)
+	o.nextRoll.Store(0) // due now
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				o.End(o.Begin(obs.OpCount, nil), 0, 0, 1, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := healths.Load(); got != 1 {
+		t.Errorf("%d windows closed, want 1", got)
 	}
 }

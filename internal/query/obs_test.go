@@ -14,8 +14,8 @@ import (
 	"holistic/internal/obs/observer"
 )
 
-// observed attaches one fresh observer (flight ring on, sampler never
-// started) to the runner and to its executor, the way a Store does.
+// observed attaches one fresh observer (flight ring on, window roll
+// never armed) to the runner and to its executor, the way a Store does.
 func observed(r *Runner) *observer.Observer {
 	ob := observer.New(observer.Config{})
 	r.SetObserver(ob)
@@ -215,7 +215,7 @@ func TestSteadyStateCountMetricsAllocationFree(t *testing.T) {
 	if allocs > 0.5 {
 		t.Errorf("instrumented Count allocates %.2f times per query, want 0", allocs)
 	}
-	if got := ob.Query.OpHistogram(obs.OpCount).Count(); got < 51 {
+	if got := ob.Query.Snapshot().Latency["count"].Count; got < 51 {
 		t.Errorf("histogram recorded %d counts, want >= 51", got)
 	}
 }

@@ -53,12 +53,12 @@ func TestUnwalkableKeysStayOutOfTheIndexSpace(t *testing.T) {
 		attrs []string
 	}{{l, []string{"g0", "g1", "k"}}, {r, []string{"rk"}}} {
 		for _, attr := range side.attrs {
-			if side.s.exec.CrackerIfExists(attr) != nil {
+			if side.s.exec.Load().CrackerIfExists(attr) != nil {
 				t.Errorf("key %s has a cracker copy; no plan could walk it", attr)
 			}
 		}
 	}
-	if l.exec.CrackerIfExists("x") == nil {
+	if l.exec.Load().CrackerIfExists("x") == nil {
 		t.Error("the driving range attribute x has no cracker")
 	}
 }

@@ -66,7 +66,7 @@ func TestStoreLayoutBytesPerSlot(t *testing.T) {
 				if _, err := s.CountRange("a", math.MinInt64, math.MaxInt64); err != nil {
 					t.Fatal(err)
 				}
-				if c := s.exec.CrackerIfExists("a"); c.SizeBytes()%tc.bytes != 0 ||
+				if c := s.exec.Load().CrackerIfExists("a"); c.SizeBytes()%tc.bytes != 0 ||
 					c.SizeBytes()/tc.bytes < int64(c.Len()) || c.SizeBytes()/tc.bytes > int64(c.Len()+c.Len()/32) {
 					t.Fatalf("a's cracker column takes %d bytes for %d tuples, want %d per slot", c.SizeBytes(), c.Len(), tc.bytes)
 				}

@@ -291,7 +291,7 @@ type Metrics struct {
 // lock-free).
 func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
-	exec := s.exec
+	exec := s.exec.Load()
 	rows := s.table.Rows()
 	sink := s.traceSink
 	s.mu.Unlock()

@@ -267,8 +267,7 @@ func crashedDir(t *testing.T, cfg Config) *durable.FaultFS {
 // directory at every mutating filesystem operation it performs — the
 // post-replay checkpoint's among them, by which time the executor and
 // its daemon are running — and asserts that the store that never was
-// leaves nothing behind: daemon and workers stopped, no sampler, WAL
-// file closed. The goroutine count returns to its pre-open value.
+// leaves nothing behind: daemon and workers stopped, WAL file closed. The goroutine count returns to its pre-open value.
 func TestFailedOpenReleasesEverything(t *testing.T) {
 	cfg := durCfg(ModeHolistic)
 	sawCheckpoint := false
