@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -289,6 +290,129 @@ func encodeStateV1(states []durable.IndexState) []byte {
 		buf = append(buf, sec...)
 	}
 	return buf
+}
+
+// encodeStateRowless frames states as an HSTA2 file whose every section
+// carries values alone — layout byte 0, as a store wrote before every
+// index carried row ids: packed words are decoded into their values and
+// row ids are left out.
+func encodeStateRowless(states []durable.IndexState) []byte {
+	le := binary.LittleEndian
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	buf := []byte("HSTA2\n")
+	buf = le.AppendUint32(buf, uint32(len(states)))
+	buf = le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	for _, st := range states {
+		body := le.AppendUint16(nil, uint16(len(st.Attr)))
+		body = append(body, st.Attr...)
+		body = append(body, byte(st.Kind), 0)
+		body = le.AppendUint64(body, 0)
+		body = le.AppendUint32(body, uint32(len(st.Vals)))
+		body = le.AppendUint32(body, uint32(len(st.Keys)))
+		body = le.AppendUint64(body, uint64(st.Accesses))
+		body = le.AppendUint64(body, uint64(st.Hits))
+		body = append(body, st.StatsState)
+		for _, v := range st.Vals {
+			if st.Layout == durable.LayoutPacked {
+				v = v>>32 + st.Ref + 1<<31
+			}
+			body = le.AppendUint64(body, uint64(v))
+		}
+		for _, k := range st.Keys {
+			body = le.AppendUint64(body, uint64(k))
+		}
+		for _, p := range st.Starts {
+			body = le.AppendUint32(body, p)
+		}
+		sec := le.AppendUint64(nil, uint64(len(body)))
+		sec = append(sec, body...)
+		buf = append(buf, sec...)
+		buf = le.AppendUint32(buf, crc32.Checksum(sec, castagnoli))
+	}
+	return buf
+}
+
+// replaceFile overwrites the file name in fs with data, durably.
+func replaceFile(t *testing.T, fs durable.FS, name string, data []byte) {
+	t.Helper()
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRowlessSectionDroppedOnDecode: a state file whose index section
+// carries values alone — a cracker's or a sorted copy's, as a store wrote
+// them before every index carried row ids — opens with the data
+// answering. The section is dropped where it is decoded and counted once
+// in dropped_indexes, nothing is restored, and the first touch rebuilds
+// the column's index with row ids, which the next checkpoint writes.
+func TestRowlessSectionDroppedOnDecode(t *testing.T) {
+	vals := make([]int64, 20_000)
+	for i := range vals {
+		vals[i] = int64((i * 2654435761) % 100_003)
+	}
+	m := model.New([]string{"a"}, vals)
+	for _, mode := range []Mode{ModeAdaptive, ModeOffline} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fs := durable.NewFaultFS()
+			cfg := durCfg(mode)
+			s, err := openStoreFS(fs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddIntColumn("a", vals); err != nil {
+				t.Fatal(err)
+			}
+			for lo := int64(0); lo < 100_000; lo += 9_000 {
+				if _, err := s.CountRange("a", lo, lo+4_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			name, data := stateFile(t, fs)
+			states, dropped, err := durable.DecodeState(data)
+			if err != nil || dropped != 0 || len(states) != 1 {
+				t.Fatalf("the state file written: %d states, %d dropped, %v", len(states), dropped, err)
+			}
+			replaceFile(t, fs, name, encodeStateRowless(states))
+
+			r, err := openStoreFS(fs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if rec := r.Metrics().Recovery; rec.StateDropped || rec.DroppedIndexes != 1 || rec.RestoredIndexes != 0 {
+				t.Fatalf("rowless section: state_dropped = %v, dropped_indexes = %d, restored_indexes = %d; want false, 1, 0",
+					rec.StateDropped, rec.DroppedIndexes, rec.RestoredIndexes)
+			}
+			for lo := int64(500); lo < 100_000; lo += 11_000 {
+				want := m.Rows([]model.Pred{{Attr: "a", Lo: lo, Hi: lo + 3_000}})
+				rows, err := r.SelectRows("a", lo, lo+3_000)
+				slices.Sort(rows)
+				if err != nil || !slices.Equal(rows, want) {
+					t.Fatalf("SelectRows(a, %d, %d) = %d rows, %v; want %d", lo, lo+3_000, len(rows), err, len(want))
+				}
+			}
+			if err := r.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			_, data = stateFile(t, fs)
+			states, dropped, err = durable.DecodeState(data)
+			if err != nil || dropped != 0 || len(states) != 1 || len(states[0].Rows) != len(states[0].Vals) && states[0].Layout != durable.LayoutPacked {
+				t.Fatalf("the checkpoint after the first touch: %d states, %d dropped, %v", len(states), dropped, err)
+			}
+		})
+	}
 }
 
 // TestOldStateFormatDegradesToDataOnly: a directory whose state file is

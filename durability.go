@@ -181,13 +181,10 @@ func (s *Store) Columns() []string {
 // Checkpoint forces a snapshot of the current data and adaptive state,
 // rotating the WAL. Stores without a data directory return an error.
 func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
 	if s.dur == nil {
 		return errors.New("holistic: store has no data directory")
 	}
-	if closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	return s.dur.checkpoint()

@@ -139,3 +139,46 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 		t.Errorf("TYPE holistic_queries_total appears %d times, want 1", n)
 	}
 }
+
+// TestSeparatedKeyLedgerProgress: a key of 8 distinct values over 65 536
+// rows, which the daemon retires as separated (9 pieces, each far above
+// |L1| values), is at progress 1 in the daemon's report and in the
+// refinement ledger alike — both read one progress rule — and the ratio
+// the watchdog reads is the report's, read without allocating.
+func TestSeparatedKeyLedgerProgress(t *testing.T) {
+	s := NewStore(Config{Mode: ModeHolistic, Threads: 2, TuningInterval: time.Millisecond, Seed: 1})
+	defer s.Close()
+	vals := make([]int64, 1<<16)
+	for i := range vals {
+		vals[i] = int64(i % 8)
+	}
+	if err := s.AddIntColumn("k", vals); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CountRange("k", 2, 5); err != nil {
+		t.Fatal(err)
+	}
+	retired := func(m Metrics) bool {
+		return m.Daemon != nil && len(m.Daemon.Indexes) == 1 && m.Daemon.Indexes[0].State == "optimal"
+	}
+	for deadline := time.Now().Add(10 * time.Second); !retired(s.Metrics()); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon never retired the separated key")
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // the retiring activation records after it retires
+	m := s.Metrics()
+	if m.Economics == nil || len(m.Economics.Indexes) != 1 {
+		t.Fatalf("the ledger holds %+v", m.Economics)
+	}
+	if d, l := m.Daemon.Indexes[0].Progress, m.Economics.Indexes[0].Convergence; d != 1 || l != d {
+		t.Fatalf("retired key: daemon progress %.4f, ledger convergence %.4f; want both 1", d, l)
+	}
+	d := daemonOf(s.exec.Load())
+	if got := d.ConvergenceRatio(); got != m.Daemon.Ratio {
+		t.Fatalf("ConvergenceRatio = %.4f, Convergence().Ratio = %.4f", got, m.Daemon.Ratio)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.ConvergenceRatio() }); allocs != 0 {
+		t.Fatalf("ConvergenceRatio allocates %.0f times", allocs)
+	}
+}

@@ -67,8 +67,6 @@ func (s *Store) health() (h flight.Observation) {
 		return h
 	}
 	h.WorkerPanics = d.WorkerPanics()
-	if conv := d.Convergence(); conv != nil {
-		h.Convergence, h.HaveConvergence = conv.Ratio, true
-	}
+	h.Convergence, h.HaveConvergence = d.ConvergenceRatio(), true
 	return h
 }

@@ -23,11 +23,12 @@
 // Multi-predicate conjunctions run through Store.Query: the planner
 // orders the range conjuncts by estimated selectivity, drives the most
 // selective one through the mode's access path and refines the
-// candidate rows against the rest by positional probes (late tuple
-// reconstruction); under ModeHolistic every conjunct feeds the
-// daemon's index space so refinement spreads across all touched
-// columns. The cracking modes also accept Delete and Update as pending
-// operations merged lazily like inserts. See DESIGN.md §4.
+// candidate rows against the rest, each by positional probes (late
+// tuple reconstruction) or through its own index, whichever costs less;
+// under ModeHolistic every conjunct feeds the daemon's index space so
+// refinement spreads across all touched columns. The cracking modes also
+// accept Delete and Update as pending operations merged lazily like
+// inserts. See DESIGN.md §4.
 //
 // Grouped aggregation chains GroupBy and Aggregate onto a query:
 // fused COUNT/SUM/MIN/MAX plans over the selection, executed with a
@@ -231,13 +232,17 @@ type Store struct {
 	// nil for purely in-memory stores.
 	dur *durability
 
+	// mu serializes what changes the store: adding a column, building
+	// the executor, closing, swapping the trace sink.
 	mu    sync.Mutex
 	table *engine.Table
-	// exec is built on the first query, under mu; the watchdog's roll
-	// reads it with no lock held.
+	// exec and the query runner over it are built together on the first
+	// query, under mu, and published once — qr first, so whoever sees
+	// exec sees qr. Reads and the watchdog's roll load them with no lock
+	// held; closed is set once, under mu, and read the same way.
 	exec   atomic.Pointer[engine.Executor]
-	qr     *query.Runner
-	closed bool
+	qr     atomic.Pointer[query.Runner]
+	closed atomic.Bool
 	// traceSink is the owned JSONL trace sink of SetTraceJSONL /
 	// SetTraceJSONLFile, kept so Close can flush it and Metrics can
 	// surface its write-error counters.
@@ -290,7 +295,7 @@ func (s *Store) publish() {
 func (s *Store) AddIntColumn(name string, values []int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if s.exec.Load() != nil {
@@ -304,23 +309,57 @@ func (s *Store) AddIntColumn(name string, values []int64) error {
 	return s.table.AddColumn(column.New(name, values))
 }
 
-// executor builds the mode's executor on first use.
+// executor returns the mode's executor, building it on first use. Once
+// built it is an atomic load: no read takes a store-wide lock.
 func (s *Store) executor() (*engine.Executor, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	exec := s.exec.Load()
-	if exec == nil {
-		exec = s.build()
-		exec.SetObserver(s.ob)
-		s.exec.Store(exec)
-		if s.dur != nil {
-			if err := s.dur.attachExec(exec); err != nil {
-				return nil, err
-			}
-		}
+	if exec := s.exec.Load(); exec != nil {
+		return exec, nil
+	}
+	return s.buildOnce()
+}
+
+// runner returns the store's conjunctive query runner, building it (and
+// the executor) on first use; like executor, an atomic load once built.
+func (s *Store) runner() (*query.Runner, error) {
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	if qr := s.qr.Load(); qr != nil {
+		return qr, nil
+	}
+	if _, err := s.buildOnce(); err != nil {
+		return nil, err
+	}
+	return s.qr.Load(), nil
+}
+
+// buildOnce builds the executor and the query runner over it under mu,
+// and publishes both once a durable store has attached the executor, so
+// no write reaches an executor the durability layer does not know yet.
+func (s *Store) buildOnce() (*engine.Executor, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	if exec := s.exec.Load(); exec != nil {
+		return exec, nil
+	}
+	exec := s.build()
+	exec.SetObserver(s.ob)
+	qr := query.New(s.table, exec, s.cfg.threads())
+	qr.SetObserver(s.ob)
+	var err error
+	if s.dur != nil {
+		err = s.dur.attachExec(exec)
+	}
+	s.qr.Store(qr)
+	s.exec.Store(exec)
+	if err != nil {
+		return nil, err
 	}
 	return exec, nil
 }
@@ -515,25 +554,6 @@ func (s *Store) Update(attr string, oldV, newV int64) error {
 	return s.write(durable.Record{Kind: durable.KindUpdate, Attr: attr, A: oldV, B: newV}, "updates")
 }
 
-// runner returns the store's conjunctive query runner, building it (and
-// the executor) on first use.
-func (s *Store) runner() (*query.Runner, error) {
-	exec, err := s.executor()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.qr == nil {
-		s.qr = query.New(s.table, exec, s.cfg.threads())
-		s.qr.SetObserver(s.ob)
-	}
-	return s.qr, nil
-}
-
 // Query starts a multi-predicate query: chain Where clauses (ANDed
 // range conjuncts) and finish with Count, Sum, Rows or Values.
 //
@@ -546,12 +566,13 @@ func (s *Store) runner() (*query.Runner, error) {
 // mode's index structures can answer, uniformly over the value domain
 // otherwise), evaluates the most selective conjunct through the mode's
 // native access path, and refines the resulting candidate rows against
-// the remaining conjuncts by positional probes into the base data (late
-// tuple reconstruction). The intermediate selection vector is chosen
-// per query from those estimates: dense driving conjuncts flow through
-// pooled word-packed bitmaps (branch-free intersection, popcount
-// counts, zero steady-state allocations), sparse ones through position
-// lists (DESIGN.md §5). Under ModeHolistic every conjunct also feeds
+// the remaining conjuncts, each by positional probes into the base data
+// (late tuple reconstruction) or by selecting it through its own index
+// and intersecting, whichever the residual rule costs lower. The
+// intermediate selection vector is chosen per query from those
+// estimates: dense driving conjuncts flow through pooled word-packed
+// bitmaps (branch-free intersection, popcount counts, zero steady-state
+// allocations), sparse ones through position lists (DESIGN.md §5). Under ModeHolistic every conjunct also feeds
 // the daemon's index space, so background refinement spreads across all
 // touched attributes. Pending inserts/deletes/updates are merged so
 // results stay correct; rows lacking a value in a referenced attribute
@@ -747,8 +768,9 @@ func (g *GroupedQuery) Aggregate(aggs ...Agg) (*GroupedResult, error) {
 // intersects cluster value ranges and builds no hash table at all.
 // Under ModeHolistic both join attributes feed their daemons' index
 // spaces while both selections are dense enough to walk, so idle
-// refinement converts hash joins into merge joins over time. Rows lacking a value in the join attribute (or in any
-// referenced payload attribute) never match.
+// refinement converts hash joins into merge joins over time. Rows
+// lacking a value in the join attribute (or in any referenced payload
+// attribute) never match.
 func (q *Query) Join(other *Query, leftAttr, rightAttr string) *JoinQuery {
 	return &JoinQuery{left: q, right: other, leftAttr: leftAttr, rightAttr: rightAttr}
 }
@@ -969,11 +991,11 @@ func (s *Store) Close() { s.shutdown(true) }
 // stall the whole store behind that flush.
 func (s *Store) shutdown(flush bool) {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	exec, dur, sink := s.exec.Load(), s.dur, s.traceSink
 	s.traceSink = nil
 	obs.Unregister(s.obsName)

@@ -288,3 +288,53 @@ func TestTerminalsLeaveNoBusyContext(t *testing.T) {
 		})
 	}
 }
+
+// TestReadsTakeNoStoreLock: a built store answers a range count, a
+// conjunction, a grouped aggregate and a join across two stores while
+// both stores' locks are held — no read takes a store-wide lock.
+func TestReadsTakeNoStoreLock(t *testing.T) {
+	for _, mode := range []Mode{ModeAdaptive, ModeHolistic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			l, _ := buildStore(t, mode, 2, 4096, 64)
+			defer l.Close()
+			r := NewStore(storeConfig(mode))
+			defer r.Close()
+			if err := r.AddIntColumn("k", workload.UniformColumn(1024, 64, 7)); err != nil {
+				t.Fatal(err)
+			}
+			reads := func() error {
+				if _, err := l.CountRange("a", 5, 40); err != nil {
+					return err
+				}
+				if _, err := l.Query().Where("a", 5, 40).Where("b", 10, 50).Count(); err != nil {
+					return err
+				}
+				if _, err := l.Query().Where("a", 5, 40).GroupBy("b").Aggregate(Count()); err != nil {
+					return err
+				}
+				_, err := l.Query().Join(r.Query(), "a", "k").Count()
+				return err
+			}
+			if err := reads(); err != nil { // builds both stores
+				t.Fatal(err)
+			}
+			l.mu.Lock()
+			r.mu.Lock()
+			done := make(chan error, 1)
+			go func() { done <- reads() }()
+			select {
+			case err := <-done:
+				l.mu.Unlock()
+				r.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				l.mu.Unlock()
+				r.mu.Unlock()
+				<-done
+				t.Fatal("a read waited for the store lock")
+			}
+		})
+	}
+}

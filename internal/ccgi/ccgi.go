@@ -148,12 +148,12 @@ func (x *Index) SelectCount(lo, hi int64) int {
 }
 
 // SelectSegments cracks every chunk in parallel on [lo, hi), then streams
-// the qualifying tuples — values, and chunk-local rowids when the chunks
-// carry them — to fn on the calling goroutine, chunk by chunk, one stable
-// segment at a time: a row's base position is off plus its rowid, and
-// total is the number of qualifying values over all chunks. fn must not
-// retain the segment. Unlike SelectCount it consolidates nothing — the
-// consumer reads the chunks' own pieces.
+// the qualifying tuples — values and chunk-local rowids — to fn on the
+// calling goroutine, chunk by chunk, one stable segment at a time: a
+// row's base position is off plus its rowid, and total is the number of
+// qualifying values over all chunks. fn must not retain the segment.
+// Unlike SelectCount it consolidates nothing — the consumer reads the
+// chunks' own pieces.
 func (x *Index) SelectSegments(lo, hi int64, fn func(total int, off uint32, s cracking.Segment)) {
 	ranges := x.selectChunks(lo, hi)
 	total := 0
@@ -167,10 +167,6 @@ func (x *Index) SelectSegments(lo, hi int64, fn func(total int, off uint32, s cr
 		})
 	}
 }
-
-// HasRows reports whether the chunks carry rowids (built with
-// cracking.Config.WithRows).
-func (x *Index) HasRows() bool { return x.chunks[0].HasRows() }
 
 // consolidate copies the qualifying values of a never-before-seen value
 // range into one contiguous array, so downstream operators can run tight

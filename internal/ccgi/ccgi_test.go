@@ -37,10 +37,7 @@ func TestSelectCountMatchesScan(t *testing.T) {
 // their total with every segment.
 func TestSelectSegmentsMatchesScan(t *testing.T) {
 	base := randVals(20_000, 8, 1<<16)
-	x := New("a", base, 3, 8, cracking.Config{WithRows: true})
-	if !x.HasRows() {
-		t.Fatal("HasRows false for a WithRows index")
-	}
+	x := New("a", base, 3, 8, cracking.Config{})
 	rng := rand.New(rand.NewSource(9))
 	for q := 0; q < 50; q++ {
 		lo := rng.Int63n(1 << 16)
@@ -62,9 +59,6 @@ func TestSelectSegmentsMatchesScan(t *testing.T) {
 		if len(seen) != want {
 			t.Fatalf("query %d [%d,%d): walked %d tuples, want %d", q, lo, hi, len(seen), want)
 		}
-	}
-	if New("a", base, 2, 0, cracking.Config{}).HasRows() {
-		t.Error("HasRows true for an index built without rowids")
 	}
 }
 

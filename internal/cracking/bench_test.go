@@ -69,7 +69,7 @@ func BenchmarkFirstTouch(b *testing.B) {
 		bases[a] = randVals(n, int64(2+a), 1<<30)
 	}
 	lo, hi := int64(300<<20), int64(600<<20)
-	cfg := Config{WithRows: true}
+	cfg := Config{}
 	b.Run("New+Select", func(b *testing.B) {
 		b.SetBytes(n * 8)
 		b.ReportAllocs()

@@ -40,42 +40,41 @@ func sampleDomain(base []int64) (lo, hi int64) {
 }
 
 // build is the fused first touch: it materializes the cracker column of
-// base — values, rowids when withRows is set, and the value domain —
-// already cracked at lo and hi, reading base once. The copy is itself the
-// crack at lo (split); the crack at hi then runs in place over the right
-// part, as in crack-in-three. nLo and nHi are the positions of the first
-// value >= lo and >= hi. With lo >= hi there is nothing to crack at and
-// the copy is a plain one.
+// base — every value with its rowid, and the value domain — already
+// cracked at lo and hi, reading base once. The copy is itself the crack at
+// lo (split); the crack at hi then runs in place over the right part, as
+// in crack-in-three. nLo and nHi are the positions of the first value >=
+// lo and >= hi. With lo >= hi there is nothing to crack at and the copy is
+// a plain one.
 //
 // One pass over base is the point: a column larger than the caches is
 // read at DRAM speed, which on the reference box makes a second pass
 // (say, counting bucket sizes first so that one scatter can place all
 // three buckets, or finding the domain before choosing a layout) cost
-// more than the in-place crack it would save. So a column with rowids is
-// packed on a guess: the window is centred on a small sample, the pass
-// itself finds the true domain, and the first block to leave the window
-// abandons the attempt for the wide layout (splitPacked). A column the
-// sample misjudged loses what was packed before that block — one block
-// when the stray value comes early, the whole pass when it comes last
+// more than the in-place crack it would save. So a column is packed on a
+// guess: the window is centred on a small sample, the pass itself finds
+// the true domain, and the first block to leave the window abandons the
+// attempt for the wide layout (splitPacked). A column the sample
+// misjudged loses what was packed before that block — one block when the
+// stray value comes early, the whole pass when it comes last
 // (BenchmarkFirstTouch) — once; the guess never costs exactness.
 //
 //holistic:alloc-ok allocates the cracker column
-func build(base []int64, withRows bool, lo, hi int64) (vals []int64, rows []uint32, lay layout, nLo, nHi int, dLo, dHi int64) {
-	if withRows {
-		if ref, ok := refFor(sampleDomain(base)); ok {
-			vals = make([]int64, len(base))
-			lay = packedAt(ref)
-			if nLo, dLo, dHi, ok = splitPacked(base, vals, lay, lo, lo >= hi); ok {
-				nHi = len(base)
-				if p, all := lay.pivot(hi); lo < hi && !all {
-					nHi = crackInTwo(vals, nil, nLo, nHi, p)
-				}
-				return vals, nil, lay, nLo, nHi, dLo, dHi
+func build(base []int64, lo, hi int64) (vals []int64, rows []uint32, lay layout, nLo, nHi int, dLo, dHi int64) {
+	if ref, ok := refFor(sampleDomain(base)); ok {
+		vals = make([]int64, len(base))
+		lay = packedAt(ref)
+		if nLo, dLo, dHi, ok = splitPacked(base, vals, lay, lo, lo >= hi); ok {
+			nHi = len(base)
+			if p, all := lay.pivot(hi); lo < hi && !all {
+				nHi = crackInTwo(vals, nil, nLo, nHi, p)
 			}
+			return vals, nil, lay, nLo, nHi, dLo, dHi
 		}
 	}
-	// vals before rows, both times: asking for the larger block first lets
-	// the heap hand back the spans the previous build of this size released.
+	// The wide layout. vals before rows, both times: asking for the larger
+	// block first lets the heap hand back the spans the previous build of
+	// this size released.
 	if lo >= hi {
 		// make and copy, not append: append would round the capacity up,
 		// and SizeBytes charges the budget for capacity. Adjacent, the
@@ -86,11 +85,9 @@ func build(base []int64, withRows bool, lo, hi int64) (vals []int64, rows []uint
 		} else {
 			copy(vals, base) // the abandoned packing attempt's array
 		}
-		if withRows {
-			rows = make([]uint32, len(base))
-			for i := range rows {
-				rows[i] = uint32(i)
-			}
+		rows = make([]uint32, len(base))
+		for i := range rows {
+			rows[i] = uint32(i)
 		}
 		dLo, dHi = domain(base)
 		return vals, rows, layout{}, 0, 0, dLo, dHi
@@ -98,9 +95,7 @@ func build(base []int64, withRows bool, lo, hi int64) (vals []int64, rows []uint
 	if vals == nil {
 		vals = make([]int64, len(base))
 	}
-	if withRows {
-		rows = make([]uint32, len(base))
-	}
+	rows = make([]uint32, len(base))
 	nLo, dLo, dHi = split(base, vals, rows, lo)
 	nHi = crackInTwo(vals, rows, nLo, len(base), hi)
 	return vals, rows, layout{}, nLo, nHi, dLo, dHi
@@ -108,7 +103,7 @@ func build(base []int64, withRows bool, lo, hi int64) (vals []int64, rows []uint
 
 // split copies base into vals partitioned at pivot — values < pivot fill
 // vals from the front, values >= pivot from the back — with each value's
-// position in base as its rowid (rows may be nil), and returns the split
+// position in base as its rowid in rows, and returns the split
 // position and base's domain. Every value is stored at both cursors and
 // only the cursor it belongs to moves, by the arithmetic comparison, so
 // nothing in the loop branches on the data; the slot at the other cursor
@@ -122,9 +117,7 @@ func split(base, vals []int64, rows []uint32, pivot int64) (mid int, dLo, dHi in
 	dLo, dHi = math.MaxInt64, math.MinInt64
 	for i, v := range base {
 		vals[head], vals[tail] = v, v
-		if rows != nil {
-			rows[head], rows[tail] = uint32(i), uint32(i)
-		}
+		rows[head], rows[tail] = uint32(i), uint32(i)
 		below := int(less(v, biased))
 		head += below
 		tail -= 1 - below

@@ -41,10 +41,11 @@ func checkBuiltLikeSelect(t *testing.T, base []int64, cfg Config, lo, hi int64) 
 	if wLo, wHi := want.Domain(); gLo != wLo || gHi != wHi {
 		t.Fatalf("domain [%d,%d], want [%d,%d]", gLo, gHi, wLo, wHi)
 	}
-	if got.HasRows() != cfg.WithRows {
-		t.Fatalf("WithRows=%v but HasRows=%v", cfg.WithRows, got.HasRows())
+	rows := got.SnapshotRows()
+	if len(rows) != len(base) {
+		t.Fatalf("%d rowids for %d values", len(rows), len(base))
 	}
-	for i, r := range got.SnapshotRows() {
+	for i, r := range rows {
 		if base[r] != gv[i] {
 			t.Fatalf("rows[%d] = %d points at %d but the value is %d", i, r, base[r], gv[i])
 		}
@@ -86,9 +87,8 @@ func TestNewCrackedMatchesNewPlusSelect(t *testing.T) {
 	}
 	cfgs := map[string]Config{
 		"plain":      {},
-		"rows":       {WithRows: true},
-		"stochastic": {WithRows: true, Stochastic: true, Seed: 9},
-		"parallel":   {WithRows: true, ParallelWorkers: 3, MinParallelPiece: 512},
+		"stochastic": {Stochastic: true, Seed: 9},
+		"parallel":   {ParallelWorkers: 3, MinParallelPiece: 512},
 	}
 	for bn, base := range bases {
 		for cn, cfg := range cfgs {
@@ -102,8 +102,8 @@ func TestNewCrackedMatchesNewPlusSelect(t *testing.T) {
 }
 
 func TestQuickNewCrackedMatchesNewPlusSelect(t *testing.T) {
-	check := func(base []int64, lo, hi int64, withRows bool) bool {
-		checkBuiltLikeSelect(t, base, Config{WithRows: withRows}, lo, hi)
+	check := func(base []int64, lo, hi int64) bool {
+		checkBuiltLikeSelect(t, base, Config{}, lo, hi)
 		return !t.Failed()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
@@ -116,8 +116,8 @@ func TestQuickNewCrackedMatchesNewPlusSelect(t *testing.T) {
 // not be able to tell.
 func TestNewCrackedThenWorkload(t *testing.T) {
 	base := randVals(50_000, 33, 1<<20)
-	c := NewCracked("a", base, Config{WithRows: true}, 1<<18, 1<<19)
-	ref := New("a", base, Config{WithRows: true})
+	c := NewCracked("a", base, Config{}, 1<<18, 1<<19)
+	ref := New("a", base, Config{})
 	rng := rand.New(rand.NewSource(34))
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(1 << 20)
@@ -156,6 +156,6 @@ func FuzzFirstTouch(f *testing.F) {
 		for i := range base {
 			base[i] = int64(binary.LittleEndian.Uint64(data[8*i:])) >> (shift % 64)
 		}
-		checkBuiltLikeSelect(t, base, Config{WithRows: true}, lo, hi)
+		checkBuiltLikeSelect(t, base, Config{}, lo, hi)
 	})
 }

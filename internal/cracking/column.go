@@ -63,10 +63,11 @@ type Config struct {
 	// random pivot inside the piece about to be cracked, bounding the
 	// worst case on skewed/sequential workloads.
 	Stochastic bool
-	// WithRows makes every tuple carry its rowid through each
+	// WithRows is ignored: every tuple carries its rowid through each
 	// reorganization, so select-project queries can reconstruct tuples
-	// after cracking (tuple reconstruction through rowids). Where the
-	// rowid is kept is the column's own choice (see layout).
+	// after cracking, and where the rowid is kept is the column's own
+	// choice (see layout). The field is kept only because the frozen
+	// benchmark module sets it.
 	WithRows bool
 	// Seed seeds the column's private RNG (stochastic pivots).
 	Seed int64
@@ -148,7 +149,7 @@ func NewCracked(name string, base []int64, cfg Config, lo, hi int64) *Column {
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	var nLo, nHi int
-	c.vals, c.rows, c.layout, nLo, nHi, c.domainLo, c.domainHi = build(base, cfg.WithRows, lo, hi)
+	c.vals, c.rows, c.layout, nLo, nHi, c.domainLo, c.domainHi = build(base, lo, hi)
 	c.tree.Insert(sentinelKey, &piece{start: 0})
 	if lo < hi {
 		if lo != sentinelKey {
@@ -169,14 +170,6 @@ func (c *Column) Len() int {
 	return len(c.vals)
 }
 
-// HasRows reports whether the column carries rowids (built with
-// Config.WithRows), i.e. whether SelectRows can materialize positions.
-func (c *Column) HasRows() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.all().HasRows()
-}
-
 // all views the whole column as one segment. Caller holds mu or global.
 func (c *Column) all() Segment { return c.segment(0, len(c.vals)) }
 
@@ -186,7 +179,7 @@ func (c *Column) all() Segment { return c.segment(0, len(c.vals)) }
 //holistic:noalloc
 func (c *Column) segment(pos, end int) Segment {
 	s := Segment{vals: c.vals[pos:end], layout: c.layout}
-	if c.rows != nil {
+	if !c.packed {
 		s.rows = c.rows[pos:end]
 	}
 	return s
@@ -263,14 +256,11 @@ func (c *Column) Snapshot() []int64 {
 	return c.all().AppendValues(make([]int64, 0, len(c.vals)))
 }
 
-// SnapshotRows returns a copy of the rowids in physical order (nil when
-// disabled).
+// SnapshotRows returns a copy of the rowids in physical order. Test and
+// debugging helper, like Snapshot.
 func (c *Column) SnapshotRows() []uint32 {
 	c.global.Lock()
 	defer c.global.Unlock()
-	if !c.all().HasRows() {
-		return nil
-	}
 	return c.all().AppendRows(make([]uint32, 0, len(c.vals)))
 }
 

@@ -343,16 +343,12 @@ func (c *Column) SelectSegments(lo, hi int64, fn func(r Range, s Segment)) Range
 	return r
 }
 
-// SelectRows cracks on [lo, hi) and materializes the qualifying rowids
-// (nil when the column was built without rowids). The rowids feed project
-// operators for late tuple reconstruction.
+// SelectRows cracks on [lo, hi) and materializes the qualifying rowids.
+// The rowids feed project operators for late tuple reconstruction.
 func (c *Column) SelectRows(lo, hi int64) (Range, []uint32) {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
-	if !c.all().HasRows() {
-		return r, nil
-	}
 	out := make([]uint32, 0, r.Count())
 	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
 		out = c.segment(pos, seg).AppendRows(out)
@@ -372,15 +368,11 @@ var rowChunks = sync.Pool{New: func() any { return new([rowChunk]uint32) }}
 // to fn under the owning pieces' read latches, without materializing a
 // position list — the zero-allocation feed of the bitmap select path: a
 // segment at a time from a rowid array, a chunk at a time decoded from
-// packed words. fn must not retain the slice. ok is false (and fn is
-// never called) when the column was built without rowids.
-func (c *Column) SelectRowsFunc(lo, hi int64, fn func(rows []uint32)) (Range, bool) {
+// packed words. fn must not retain the slice.
+func (c *Column) SelectRowsFunc(lo, hi int64, fn func(rows []uint32)) Range {
 	c.global.RLock()
 	defer c.global.RUnlock()
 	r := c.selectRangeLocked(lo, hi)
-	if !c.all().HasRows() {
-		return r, false
-	}
 	buf := rowChunks.Get().(*[rowChunk]uint32)
 	defer rowChunks.Put(buf)
 	c.forEachSpanLocked(r.Start, r.End, func(pos, seg int) {
@@ -391,7 +383,7 @@ func (c *Column) SelectRowsFunc(lo, hi int64, fn func(rows []uint32)) (Range, bo
 			from += len(rows)
 		}
 	})
-	return r, true
+	return r
 }
 
 // ForEachSegment invokes fn on consecutive stable sub-segments covering

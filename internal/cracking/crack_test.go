@@ -37,8 +37,8 @@ func TestSelectRangeMatchesScan(t *testing.T) {
 // column into the same physical order.
 func TestConfigKernelIsInert(t *testing.T) {
 	base := randVals(20_000, 6, 10_000)
-	a := New("a", base, Config{Kernel: KernelInPlace, WithRows: true})
-	b := New("a", base, Config{Kernel: KernelVectorized, WithRows: true})
+	a := New("a", base, Config{Kernel: KernelInPlace})
+	b := New("a", base, Config{Kernel: KernelVectorized})
 	rng := rand.New(rand.NewSource(98))
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(10_000)
@@ -297,7 +297,7 @@ func TestProbe(t *testing.T) {
 
 func TestMaterializeRowsLockstep(t *testing.T) {
 	base := randVals(5000, 12, 500)
-	c := New("a", base, Config{WithRows: true})
+	c := New("a", base, Config{})
 	r, rows := c.SelectRows(100, 300)
 	if len(rows) != r.Count() {
 		t.Fatalf("got %d rows for %d qualifying tuples", len(rows), r.Count())
@@ -445,7 +445,7 @@ func TestQuickSelectMatchesScanAnyWorkload(t *testing.T) {
 func TestQuickSnapshotIsPermutation(t *testing.T) {
 	check := func(seed int64, bounds []uint16) bool {
 		base := randVals(2000, seed, 1<<16)
-		c := New("q", base, Config{WithRows: true})
+		c := New("q", base, Config{})
 		for _, b := range bounds {
 			c.CrackAt(int64(b))
 		}
@@ -485,7 +485,7 @@ func TestSizeBytes(t *testing.T) {
 		t.Errorf("SizeBytes() = %d, want 800", got)
 	}
 	// Rowids that ride in the value's word cost nothing; an array does.
-	cr := New("a", make([]int64, 100), Config{WithRows: true})
+	cr := New("a", make([]int64, 100), Config{})
 	if got := cr.SizeBytes(); got != 800 {
 		t.Errorf("SizeBytes() of a packed column = %d, want 800", got)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // layout says how a cracker column stores a tuple. Wide: the value in
-// vals[i] and its rowid, when rowids are carried, in rows[i]. Packed: one
-// word in vals[i] and no rows array,
+// vals[i] and its rowid in rows[i]. Packed: one word in vals[i] and no
+// rows array,
 //
 //	word = (value - ref - 2^31) << 32 | rowid
 //
@@ -18,8 +18,8 @@ import (
 // and moves, one array instead of two. bias is ref + 2^31: a value is its
 // word's high half plus bias.
 //
-// The data picks the layout, never a setting: a column that carries
-// rowids is packed whenever all its values lie within one 2^32 window
+// The data picks the layout, never a setting: a column is packed
+// whenever all its values lie within one 2^32 window
 // [ref, ref + 2^32), and stays packed until an insert falls outside it
 // (widen). The tree's keys, the domain cache and every public argument
 // are values under both layouts; only reads of vals decode.
@@ -105,9 +105,6 @@ type Segment struct {
 // Len returns the number of tuples.
 func (s Segment) Len() int { return len(s.vals) }
 
-// HasRows reports whether the tuples carry rowids.
-func (s Segment) HasRows() bool { return s.packed || s.rows != nil }
-
 // Value returns the value of tuple i.
 //
 //holistic:noalloc
@@ -118,7 +115,7 @@ func (s Segment) Value(i int) int64 {
 	return s.vals[i]
 }
 
-// Row returns the rowid of tuple i; the segment must carry rowids.
+// Row returns the rowid of tuple i.
 //
 //holistic:noalloc
 func (s Segment) Row(i int) uint32 {
@@ -173,7 +170,7 @@ func (s Segment) AppendValues(dst []int64) []int64 {
 	return dst
 }
 
-// AppendRows appends the rowids to dst; the segment must carry rowids.
+// AppendRows appends the rowids to dst.
 //
 //holistic:noalloc
 func (s Segment) AppendRows(dst []uint32) []uint32 {
@@ -248,9 +245,9 @@ func (s Segment) find(v int64, row uint32, byRow bool) int {
 	return -1
 }
 
-// lowestRow returns the smallest rowid among the tuples with value v; the
-// segment must carry rowids. Under the packed layout that is the low half
-// of the smallest word whose high half is v's.
+// lowestRow returns the smallest rowid among the tuples with value v.
+// Under the packed layout that is the low half of the smallest word whose
+// high half is v's.
 //
 //holistic:noalloc
 func (s Segment) lowestRow(v int64) (row uint32, ok bool) {

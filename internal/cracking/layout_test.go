@@ -13,8 +13,8 @@ import (
 )
 
 // TestLayoutFollowsData: rowids ride in the value's word exactly when the
-// column carries rowids and its values fit one window — whether or not
-// the first touch's sample saw the value that does not.
+// column's values fit one window — whether or not the first touch's
+// sample saw the value that does not.
 func TestLayoutFollowsData(t *testing.T) {
 	narrow := randVals(2*packBlock+5000, 91, 1<<30)
 	with := func(pos int, v int64) []int64 {
@@ -36,31 +36,26 @@ func TestLayoutFollowsData(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		base   []int64
-		cfg    Config
 		packed bool
 	}{
-		{"fits", narrow, Config{WithRows: true}, true},
-		{"fits at the top of int64", shifted, Config{WithRows: true}, true},
-		{"no rowids", narrow, Config{}, false},
-		{"empty", nil, Config{WithRows: true}, true},
-		{"sampled outlier", with(0, 1<<40), Config{WithRows: true}, false},
-		{"outlier in the first block", with(1, 1<<40), Config{WithRows: true}, false},
-		{"outlier in a later block", with(2*packBlock+1, -1<<40), Config{WithRows: true}, false},
-		{"last value an outlier", with(len(narrow)-1, math.MinInt64), Config{WithRows: true}, false},
-		{"span exactly one window", two(5, 5+window-1), Config{WithRows: true}, true},
-		{"span one past a window", two(5, 5+window), Config{WithRows: true}, false},
+		{"fits", narrow, true},
+		{"fits at the top of int64", shifted, true},
+		{"empty", nil, true},
+		{"sampled outlier", with(0, 1<<40), false},
+		{"outlier in the first block", with(1, 1<<40), false},
+		{"outlier in a later block", with(2*packBlock+1, -1<<40), false},
+		{"last value an outlier", with(len(narrow)-1, math.MinInt64), false},
+		{"span exactly one window", two(5, 5+window-1), true},
+		{"span one past a window", two(5, 5+window), false},
 	} {
 		for _, bounds := range [][2]int64{{0, 0}, {1 << 28, 1 << 29}} {
 			t.Run(fmt.Sprintf("%s/[%d,%d)", tc.name, bounds[0], bounds[1]), func(t *testing.T) {
-				c := NewCracked("a", tc.base, tc.cfg, bounds[0], bounds[1])
+				c := NewCracked("a", tc.base, Config{}, bounds[0], bounds[1])
 				if c.packed != tc.packed {
 					t.Fatalf("packed = %v, want %v", c.packed, tc.packed)
 				}
 				if c.packed && c.rows != nil {
 					t.Fatal("a packed column kept a rowid array")
-				}
-				if c.HasRows() != tc.cfg.WithRows {
-					t.Fatalf("HasRows = %v with Config.WithRows = %v", c.HasRows(), tc.cfg.WithRows)
 				}
 				if err := c.CheckInvariants(); err != nil {
 					t.Fatal(err)
@@ -144,9 +139,7 @@ func checkRange(t *testing.T, c *Column, m *model.Table, lo, hi int64) {
 		t.Fatalf("[%d,%d): SelectRows returns %d rowids, scan %d, or different ones", lo, hi, len(got), len(rows))
 	}
 	var streamed []uint32
-	if _, ok := c.SelectRowsFunc(lo, hi, func(rows []uint32) { streamed = append(streamed, rows...) }); !ok {
-		t.Fatalf("[%d,%d): SelectRowsFunc declined on a column with rowids", lo, hi)
-	}
+	c.SelectRowsFunc(lo, hi, func(rows []uint32) { streamed = append(streamed, rows...) })
 	slices.Sort(streamed)
 	if !slices.Equal(streamed, rows) {
 		t.Fatalf("[%d,%d): SelectRowsFunc streams %d rowids, scan %d, or different ones", lo, hi, len(streamed), len(rows))
@@ -226,7 +219,7 @@ func checkLowestRow(t *testing.T, c *Column, m *model.Table, v int64, quiet bool
 func layoutSession(t *testing.T, base []int64, seed int64, refine func(*Column)) *Column {
 	t.Helper()
 	const domain = 1 << 20
-	cfg := Config{WithRows: true, Seed: seed}
+	cfg := Config{Seed: seed}
 	m := model.New([]string{"a"}, base)
 	rng := rand.New(rand.NewSource(seed))
 	lo := rng.Int63n(domain)
@@ -376,7 +369,7 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const domain = 1 << 20
 			base := randVals(30_000, 121, domain)
-			c := New("a", base, Config{WithRows: true})
+			c := New("a", base, Config{})
 			m := model.New([]string{"a"}, base)
 			rng := rand.New(rand.NewSource(122))
 			for i := 0; i < 40; i++ {
@@ -455,7 +448,7 @@ func TestInsertOutsideWindowWidens(t *testing.T) {
 // right side and leave a boundary that later cracks respect.
 func TestPackedPivotsOutsideWindow(t *testing.T) {
 	base := randVals(10_000, 131, 1<<20)
-	c := New("a", base, Config{WithRows: true, ParallelWorkers: 2, MinParallelPiece: 512})
+	c := New("a", base, Config{ParallelWorkers: 2, MinParallelPiece: 512})
 	n := len(base)
 	for _, tc := range []struct {
 		v    int64

@@ -21,7 +21,7 @@ import "holistic/internal/avl"
 // every array the layout keeps. Caller must hold the column exclusively.
 func (c *Column) moveLocked(to, from int) {
 	c.vals[to] = c.vals[from]
-	if c.rows != nil {
+	if !c.packed {
 		c.rows[to] = c.rows[from]
 	}
 }
@@ -108,7 +108,7 @@ func (c *Column) MergeInsert(v int64, row uint32) {
 
 	// Open a hole past the current end.
 	c.vals = grown(c.vals)
-	if c.rows != nil {
+	if !c.packed {
 		c.rows = grown(c.rows)
 	}
 	hole := len(c.vals) - 1
@@ -128,10 +128,7 @@ func (c *Column) MergeInsert(v int64, row uint32) {
 	if c.packed {
 		c.vals[hole] = c.word(v, row)
 	} else {
-		c.vals[hole] = v
-	}
-	if c.rows != nil {
-		c.rows[hole] = row
+		c.vals[hole], c.rows[hole] = v, row
 	}
 	if v < c.domainLo {
 		c.domainLo = v
@@ -142,19 +139,17 @@ func (c *Column) MergeInsert(v int64, row uint32) {
 }
 
 // MergeDelete removes one occurrence of value v from the cracked column,
-// preserving all piece information, and reports whether it was present.
-// The rowid of the removed tuple is returned when rowids are enabled.
-// Which occurrence of a duplicated value disappears is unspecified; use
+// preserving all piece information, and reports whether it was present,
+// with the rowid of the removed tuple. Which occurrence of a duplicated value disappears is unspecified; use
 // MergeDeleteRow to target a specific tuple.
 func (c *Column) MergeDelete(v int64) (row uint32, found bool) {
 	return c.mergeDelete(v, 0, false)
 }
 
-// MergeDeleteRow removes the tuple (v, targetRow) from a rowid-carrying
-// cracked column, keeping value-duplicate deletions consistent with
-// row-level bookkeeping above. When the exact tuple is absent (or the
-// column carries no rowids) it falls back to removing an unspecified
-// occurrence of v, preserving multiset semantics.
+// MergeDeleteRow removes the tuple (v, targetRow) from the cracked
+// column, keeping value-duplicate deletions consistent with row-level
+// bookkeeping above. When the exact tuple is absent it falls back to
+// removing an unspecified occurrence of v, preserving multiset semantics.
 func (c *Column) MergeDeleteRow(v int64, targetRow uint32) (row uint32, found bool) {
 	return c.mergeDelete(v, targetRow, true)
 }
@@ -168,7 +163,7 @@ func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32,
 	targetKey, p, end, _ := c.pieceSpanLocked(v)
 	// Linear search inside the target piece: pieces are unordered inside.
 	tuples, victim := c.segment(p.start, end), -1
-	if byRow && tuples.HasRows() {
+	if byRow {
 		victim = tuples.find(v, targetRow, true)
 	}
 	if victim < 0 {
@@ -177,9 +172,7 @@ func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32,
 	if victim < 0 {
 		return 0, false
 	}
-	if tuples.HasRows() {
-		row = tuples.Row(victim)
-	}
+	row = tuples.Row(victim)
 	victim += p.start
 
 	// Fill the victim slot with the last value of its piece; the hole is
@@ -203,7 +196,7 @@ func (c *Column) mergeDelete(v int64, targetRow uint32, byRow bool) (row uint32,
 	}
 
 	c.vals = c.vals[:len(c.vals)-1]
-	if c.rows != nil {
+	if !c.packed {
 		c.rows = c.rows[:len(c.rows)-1]
 	}
 	return row, true

@@ -52,7 +52,7 @@ func TestMergeInsertIntoCrackedColumn(t *testing.T) {
 
 func TestMergeInsertWithRows(t *testing.T) {
 	base := randVals(1000, 63, 100)
-	c := New("a", base, Config{WithRows: true})
+	c := New("a", base, Config{})
 	c.CrackAt(50)
 	c.MergeInsert(77, 9999)
 	_, rows := c.SelectRows(77, 78)
@@ -82,7 +82,7 @@ func TestMergeInsertExtendsDomain(t *testing.T) {
 
 func TestMergeDelete(t *testing.T) {
 	base := []int64{5, 2, 8, 2, 9, 1}
-	c := New("a", base, Config{WithRows: true})
+	c := New("a", base, Config{})
 	c.CrackAt(5)
 	row, found := c.MergeDelete(2)
 	if !found {
@@ -243,7 +243,7 @@ func TestMergeInsertRacesSelects(t *testing.T) {
 // row-targeted merge removes exactly the requested tuple, and falls
 // back to a value match when the tuple is absent.
 func TestMergeDeleteRowTargetsSpecificTuple(t *testing.T) {
-	c := New("a", []int64{5, 7, 5, 9, 5}, Config{WithRows: true})
+	c := New("a", []int64{5, 7, 5, 9, 5}, Config{})
 	c.SelectRange(6, 8) // crack so the ripple has boundaries to preserve
 
 	if _, found := c.MergeDeleteRow(5, 2); !found {
@@ -296,7 +296,7 @@ func TestMergeDeleteRowWithoutRows(t *testing.T) {
 func TestRippleMergeAllocationFree(t *testing.T) {
 	base := randVals(20_000, 71, 1<<20)
 	for _, b := range [][]int64{base, append(append([]int64(nil), base...), math.MinInt64, math.MaxInt64)} {
-		c := New("a", b, Config{WithRows: true})
+		c := New("a", b, Config{})
 		rng := rand.New(rand.NewSource(72))
 		for i := 0; i < 200; i++ {
 			c.CrackAt(rng.Int63n(1 << 20))
@@ -350,7 +350,7 @@ func TestInsertGrowthBoundedSlack(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := randVals(n, 91, domain)
-			c := New("a", base, Config{WithRows: true})
+			c := New("a", base, Config{})
 			rng := rand.New(rand.NewSource(92))
 			for range 16 {
 				c.CrackAt(rng.Int63n(domain))
@@ -380,7 +380,7 @@ func TestInsertGrowthBoundedSlack(t *testing.T) {
 							return
 						}
 						c.ForEachPiece(func(s Segment) {
-							if !s.HasRows() {
+							if !s.packed && len(s.rows) != len(s.vals) {
 								t.Error("a walked piece lost its rowids")
 							}
 						})

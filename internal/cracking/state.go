@@ -9,14 +9,14 @@ import (
 )
 
 // State is the physical state of a cracker column as the column stores
-// it: the tuples in cracked physical order — packed words, values beside
-// rowids, or values alone, whichever its layout keeps — plus the
-// piece-boundary table. It is what the durable layer persists, unconverted,
-// and what Restore adopts: none of the cracking work is repeated and no
-// array is decoded on the way out or packed again on the way in.
+// it: the tuples in cracked physical order — packed words or values
+// beside rowids, whichever its layout keeps — plus the piece-boundary
+// table. It is what the durable layer persists, unconverted, and what
+// Restore adopts: none of the cracking work is repeated and no array is
+// decoded on the way out or packed again on the way in.
 type State struct {
 	Vals   []int64  // values, or words when Packed
-	Rows   []uint32 // rowids beside values; nil when Packed or none are carried
+	Rows   []uint32 // rowids beside values; nil when Packed
 	Packed bool
 	Ref    int64    // Packed: the smallest value the window holds
 	Keys   []int64  // piece lower-bound keys; Keys[0] is the sentinel
@@ -48,9 +48,9 @@ func (c *Column) ViewState(fn func(State) error) error {
 // Restore rebuilds a cracker column from a state, taking ownership of its
 // arrays in the layout they come in. The boundary table and every piece's
 // value bounds are held to the invariants CheckInvariants enforces, by the
-// same code; an inconsistent state (a corrupt or stale snapshot) is
-// rejected so the caller can fall back to rebuilding an unrefined column
-// from the base data.
+// same code; an inconsistent state (a corrupt or stale snapshot, or one
+// without rowids) is rejected so the caller can fall back to rebuilding an
+// unrefined column from the base data.
 func Restore(name string, st State, cfg Config) (*Column, error) {
 	if cfg.MinParallelPiece == 0 {
 		cfg.MinParallelPiece = 1 << 16
@@ -61,8 +61,7 @@ func Restore(name string, st State, cfg Config) (*Column, error) {
 	if len(st.Keys) != len(st.Starts) {
 		return nil, fmt.Errorf("cracking: restore %s: %d boundary keys, %d positions", name, len(st.Keys), len(st.Starts))
 	}
-	hasRows := st.Packed || st.Rows != nil
-	if cfg.WithRows != hasRows || (st.Rows != nil && (st.Packed || len(st.Rows) != len(st.Vals))) {
+	if st.Packed && st.Rows != nil || !st.Packed && len(st.Rows) != len(st.Vals) {
 		return nil, fmt.Errorf("cracking: restore %s: rowid array mismatch", name)
 	}
 	c := &Column{
@@ -92,7 +91,7 @@ func Restore(name string, st State, cfg Config) (*Column, error) {
 	}
 	// A wide column whose values fit one window by now is packed in
 	// place: the data picks the layout, here as at first touch.
-	if ref, ok := refFor(c.domainLo, c.domainHi); ok && c.rows != nil {
+	if ref, ok := refFor(c.domainLo, c.domainHi); ok && !c.packed {
 		c.layout = packedAt(ref)
 		for i, v := range c.vals {
 			c.vals[i] = c.word(v, c.rows[i])

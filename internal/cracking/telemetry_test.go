@@ -90,7 +90,7 @@ func TestMergeRacesTelemetryAccessors(t *testing.T) {
 
 func TestStochasticWithRowsKeepsLockstep(t *testing.T) {
 	base := randVals(50_000, 83, 1<<20)
-	c := New("a", base, Config{Stochastic: true, WithRows: true, Seed: 9})
+	c := New("a", base, Config{Stochastic: true, Seed: 9})
 	for q := 0; q < 50; q++ {
 		lo := int64(q * 20000 % (1 << 20))
 		_, rows := c.SelectRows(lo, lo+10000)

@@ -169,8 +169,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 }
 
 // stateCases are index states of every shape the format stores: a packed
-// cracker, one whose values cannot pack, one without row ids, and sorted
-// runs with and without them.
+// cracker, one whose values cannot pack, a sorted run and an empty
+// cracker.
 func stateCases() []IndexState {
 	return []IndexState{
 		{Attr: "packed", Kind: IndexCracker, Layout: LayoutPacked, Ref: -1 << 31,
@@ -180,10 +180,7 @@ func stateCases() []IndexState {
 		{Attr: "wide", Kind: IndexCracker, Layout: LayoutRows,
 			Vals: []int64{-1 << 63, 0, 1<<63 - 1}, Rows: []uint32{2, 0, 1},
 			Keys: []int64{-1 << 63, 0, 5}, Starts: []uint32{0, 1, 2}},
-		{Attr: "norows", Kind: IndexCracker, Layout: LayoutValues,
-			Vals: []int64{1, 2, 3}, Keys: []int64{-1 << 63}, Starts: []uint32{0}, StatsState: 1},
 		{Attr: "sorted", Kind: IndexSorted, Layout: LayoutRows, Vals: []int64{4, 5, 6}, Rows: []uint32{2, 1, 0}},
-		{Attr: "sorted-norows", Kind: IndexSorted, Vals: []int64{4, 5, 6}},
 		{Attr: "empty", Kind: IndexCracker, Layout: LayoutPacked, Keys: []int64{-1 << 63}, Starts: []uint32{0}},
 	}
 }
@@ -219,6 +216,15 @@ func TestStatePerSectionDegradation(t *testing.T) {
 	if got, dropped, err = DecodeState(enc); err != nil || dropped != 1 || !reflect.DeepEqual(got, states[1:]) {
 		t.Fatalf("hostile layout byte: dropped=%d err=%v survivors=%+v", dropped, err, got)
 	}
+	// A section without row ids — what a store wrote before every index
+	// carried them — drops alone behind a valid checksum too: here the
+	// packed section's words, relabelled as values alone.
+	enc = encState(t, states)
+	enc[first+8+2+len(states[0].Attr)+1] = byte(LayoutValues)
+	binary.LittleEndian.PutUint32(enc[first+8+body:], crc32.Checksum(enc[first:first+8+body], castagnoli))
+	if got, dropped, err = DecodeState(enc); err != nil || dropped != 1 || !reflect.DeepEqual(got, states[1:]) {
+		t.Fatalf("rowless section: dropped=%d err=%v survivors=%+v", dropped, err, got)
+	}
 	// A truncated file keeps the sections that are whole.
 	enc = encState(t, states)
 	if got, dropped, err = DecodeState(enc[:first+8+body+4+30]); err != nil || dropped != len(states)-1 || !reflect.DeepEqual(got, states[:1]) {
@@ -236,8 +242,8 @@ func TestStatePerSectionDegradation(t *testing.T) {
 }
 
 // TestEncodersRejectWhatTheyCannotFrame: a name the 16-bit length field
-// would truncate, a patch list out of order and arrays that contradict
-// their layout are errors, not checksummed files that decode to other
+// would truncate, a patch list out of order, arrays that contradict their
+// layout and an index without row ids are errors, not checksummed files that decode to other
 // data.
 func TestEncodersRejectWhatTheyCannotFrame(t *testing.T) {
 	long := strings.Repeat("n", 1<<16)
@@ -262,6 +268,8 @@ func TestEncodersRejectWhatTheyCannotFrame(t *testing.T) {
 		{Attr: "a", Kind: IndexCracker, Layout: LayoutRows, Vals: []int64{1}},
 		{Attr: "a", Kind: IndexCracker, Layout: LayoutPacked, Vals: []int64{1}, Rows: []uint32{0}},
 		{Attr: "a", Kind: IndexSorted, Layout: LayoutPacked},
+		{Attr: "a", Kind: IndexSorted, Layout: LayoutValues, Vals: []int64{1}},
+		{Attr: "a", Kind: IndexCracker, Layout: LayoutValues, Vals: []int64{1}, Keys: []int64{-1 << 63}, Starts: []uint32{0}},
 		{Attr: "a", Kind: IndexCracker, Keys: []int64{0}},
 		{Attr: "a", Kind: 9},
 	} {
@@ -364,10 +372,11 @@ func TestSnapshotBytesGolden(t *testing.T) {
 func TestSnapshotKilledAtEveryOp(t *testing.T) {
 	oldVals := []int64{10, 20}
 	newVals := make([]int64, chunkSize/4+100) // three chunks a segment
+	newRows := make([]uint32, len(newVals))
 	for i := range newVals {
-		newVals[i] = int64(i)
+		newVals[i], newRows[i] = int64(i), uint32(i)
 	}
-	index := IndexState{Attr: "a", Kind: IndexSorted, Vals: newVals}
+	index := IndexState{Attr: "a", Kind: IndexSorted, Layout: LayoutRows, Vals: newVals, Rows: newRows}
 	write := func(fs FS) error {
 		m := &Manifest{Generation: 2, Mode: "test"}
 		cols := []ColumnData{{Name: "a", Base: newVals}, {Name: "b", Base: newVals[:5]}}

@@ -271,19 +271,15 @@ func FuzzDecodeState(f *testing.F) {
 			t.Fatalf("%d states decoded with none dropped do not encode back to the input (%v)", len(states), err)
 		}
 		for _, st := range states {
-			rows := st.Rows
-			if st.Layout == durable.LayoutRows && rows == nil {
-				rows = []uint32{}
-			}
 			if st.Kind == durable.IndexSorted {
-				boundedAlloc(t, len(data), func() { _, _ = sortidx.Restore(st.Attr, st.Vals, rows) })
+				boundedAlloc(t, len(data), func() { _, _ = sortidx.Restore(st.Attr, st.Vals, st.Rows) })
 				continue
 			}
 			boundedAlloc(t, len(data), func() {
 				c, err := cracking.Restore(st.Attr, cracking.State{
-					Vals: st.Vals, Rows: rows, Packed: st.Layout == durable.LayoutPacked, Ref: st.Ref,
+					Vals: st.Vals, Rows: st.Rows, Packed: st.Layout == durable.LayoutPacked, Ref: st.Ref,
 					Keys: st.Keys, Starts: st.Starts,
-				}, cracking.Config{WithRows: st.Layout != durable.LayoutValues})
+				}, cracking.Config{})
 				if err != nil {
 					return
 				}

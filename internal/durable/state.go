@@ -26,7 +26,9 @@ const (
 type Layout uint8
 
 const (
-	// LayoutValues is values alone: the index carries no row ids.
+	// LayoutValues is values alone, without row ids: what a store wrote
+	// before every index carried them. No index is stored under it any
+	// more, and a section that names it is dropped where it is decoded.
 	LayoutValues Layout = 0
 	// LayoutRows is values in Vals and their row ids in Rows.
 	LayoutRows Layout = 1
@@ -150,13 +152,14 @@ func (st *IndexState) frameable() error {
 	return nil
 }
 
-// validShape reports whether an index of kind can be stored under lay.
+// validShape reports whether an index of kind can be stored under lay:
+// every index carries row ids, and only a cracker packs them.
 func validShape(kind IndexKind, lay Layout) bool {
 	switch kind {
 	case IndexCracker:
-		return lay <= LayoutPacked
+		return lay == LayoutRows || lay == LayoutPacked
 	case IndexSorted:
-		return lay <= LayoutRows
+		return lay == LayoutRows
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -8,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"holistic/internal/ccgi"
 	"holistic/internal/column"
 	"holistic/internal/cracking"
 	"holistic/internal/holistic"
 	"holistic/internal/model"
+	"holistic/internal/sortidx"
 	"holistic/internal/stats"
 	"holistic/internal/workload"
 )
@@ -62,11 +65,11 @@ func allExecutors(t *testing.T, tbl *Table) []*Executor {
 		NewScanExecutor(tbl, 2),
 		NewOfflineExecutor(tbl, 2),
 		NewOnlineExecutor(tbl, 2, 20),
-		NewAdaptiveExecutor(tbl, cracking.Config{WithRows: true}, ""),
-		NewAdaptiveExecutor(tbl, cracking.Config{Stochastic: true, WithRows: true, Seed: 5}, "stochastic"),
-		NewCCGIExecutor(tbl, 2, 8, cracking.Config{WithRows: true}),
+		NewAdaptiveExecutor(tbl, cracking.Config{}, ""),
+		NewAdaptiveExecutor(tbl, cracking.Config{Stochastic: true, Seed: 5}, "stochastic"),
+		NewCCGIExecutor(tbl, 2, 8, cracking.Config{}),
 		NewHolisticExecutor(tbl, HolisticConfig{
-			Cracking: cracking.Config{WithRows: true},
+			Cracking: cracking.Config{},
 			Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 4, Seed: 3},
 			L1Values: 256,
 			Contexts: 2,
@@ -155,9 +158,6 @@ func TestAllModesAggregatesAgreeWithScan(t *testing.T) {
 	}
 }
 
-// TestCrackingExecutorsAlwaysCarryRowIDs: whatever cfg.WithRows says,
-// the cracking executors build (oid, value) crackers, so the row-id
-// terminals answer.
 // TestSortedModesSortOnce: offline indexing's PrepareAll and online
 // indexing's epoch-end sort build the sorted copy with row ids, so the
 // selects that need rows answer from it instead of sorting the column
@@ -193,6 +193,64 @@ func TestSortedModesSortOnce(t *testing.T) {
 	}
 }
 
+// TestEveryIndexCarriesRowIDs: from a zero configuration every index the
+// engine builds — a cracker column (New, and NewCracked as a first touch
+// builds it), a CCGI index and a sorted copy — carries row ids, over a
+// domain inside one 2^32 window (the packed layout) and over a wider one
+// (values beside a rowid array): every tuple's row id names a distinct
+// base row that holds its value.
+func TestEveryIndexCarriesRowIDs(t *testing.T) {
+	narrow := workload.UniformColumn(20_000, 1<<20, 61)
+	wide := slices.Clone(narrow)
+	for i := range wide {
+		wide[i] = (wide[i] - 1<<19) << 30
+	}
+	for _, tc := range []struct {
+		name       string
+		base       []int64
+		tupleBytes int64
+	}{{"narrow", narrow, 8}, {"wide", wide, 12}} {
+		base := tc.base
+		lo, hi := slices.Min(base)/2+slices.Max(base)/4, slices.Max(base)/2
+		check := func(index string, vals []int64, rows []uint32) {
+			t.Helper()
+			if len(vals) != len(base) || len(rows) != len(base) {
+				t.Fatalf("%s %s: %d values, %d row ids over %d base rows", tc.name, index, len(vals), len(rows), len(base))
+			}
+			seen := make([]bool, len(base))
+			for i, r := range rows {
+				if int(r) >= len(base) || seen[r] || base[r] != vals[i] {
+					t.Fatalf("%s %s: tuple %d (value %d) names row %d", tc.name, index, i, vals[i], r)
+				}
+				seen[r] = true
+			}
+		}
+		c := cracking.New("A", base, cracking.Config{})
+		c.SelectRange(lo, hi)
+		check("cracking.New", c.Snapshot(), c.SnapshotRows())
+		nc := cracking.NewCracked("A", base, cracking.Config{}, lo, hi)
+		check("cracking.NewCracked", nc.Snapshot(), nc.SnapshotRows())
+		for _, col := range []*cracking.Column{c, nc} {
+			if got := col.SizeBytes(); got != tc.tupleBytes*int64(len(base)) {
+				t.Fatalf("%s: a cracker of %d tuples holds %d bytes, want %d a tuple", tc.name, len(base), got, tc.tupleBytes)
+			}
+		}
+		var vals []int64
+		var rows []uint32
+		ccgi.New("A", base, 3, 8, cracking.Config{}).SelectSegments(math.MinInt64, math.MaxInt64, func(_ int, off uint32, s cracking.Segment) {
+			for i := 0; i < s.Len(); i++ {
+				vals, rows = append(vals, s.Value(i)), append(rows, off+s.Row(i))
+			}
+		})
+		check("ccgi", vals, rows)
+		sc := sortidx.Build("A", base, 2)
+		check("sortidx", sc.Values(), sc.Rows(0, sc.Len()))
+	}
+}
+
+// TestCrackingExecutorsAlwaysCarryRowIDs: from a zero cracking.Config
+// the cracking executors build (oid, value) crackers, so the row-id
+// terminals answer.
 func TestCrackingExecutorsAlwaysCarryRowIDs(t *testing.T) {
 	tbl, bases := testTable(t, 1, 1_000, 1000)
 	want := column.ScanRange(bases[0], 0, 100)
@@ -480,7 +538,7 @@ func TestWalkKeyOrder(t *testing.T) {
 		t.Fatal("offline KeyOrderSpan ok for unknown attribute")
 	}
 
-	ad := NewAdaptiveExecutor(tbl, cracking.Config{WithRows: true}, "")
+	ad := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
 	if _, ok := ad.KeyOrderSpan(attr); ok {
 		t.Fatal("adaptive KeyOrderSpan ok before any cracker exists")
 	}
@@ -728,7 +786,7 @@ func TestStorageBudgetCountsWhatIsStored(t *testing.T) {
 					StorageBudget: budget,
 					Seed:          1,
 				},
-				Cracking: cracking.Config{WithRows: true},
+				Cracking: cracking.Config{},
 				L1Values: 256,
 				Contexts: 2,
 			})
@@ -833,7 +891,7 @@ func TestAdaptiveDeleteUpdateAndView(t *testing.T) {
 	base := []int64{10, 20, 30, 40, 50}
 	tab := NewTable("t")
 	tab.MustAddColumn(column.New("a", base))
-	e := NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+	e := NewAdaptiveExecutor(tab, cracking.Config{}, "")
 	defer e.Close()
 
 	if err := e.Insert("a", 60); err != nil {
@@ -976,7 +1034,7 @@ func TestSelectBitmapAgreesWithSelectRows(t *testing.T) {
 // once the merge pulls them in.
 func TestSelectBitmapCoversPendingInserts(t *testing.T) {
 	tbl, bases := testTable(t, 1, 5_000, 1<<14)
-	ad := NewAdaptiveExecutor(tbl, cracking.Config{WithRows: true}, "")
+	ad := NewAdaptiveExecutor(tbl, cracking.Config{}, "")
 	defer ad.Close()
 	if _, err := ad.SelectRows("A", 0, 1<<14); err != nil {
 		t.Fatal(err)

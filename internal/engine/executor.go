@@ -113,16 +113,13 @@ func NewOnlineExecutor(t *Table, threads, epoch int) *Executor {
 // NewAdaptiveExecutor is database cracking: the first query on an
 // attribute creates its cracker column, every query refines it. With
 // cfg.ParallelWorkers > 1 it is the paper's PVDC, with cfg.Stochastic
-// PVSDC. Its cracker columns always carry row ids — the paper's (oid,
-// value) pairs — whatever cfg.WithRows says: writes, materialized
-// selects and key-order walks all name rows.
+// PVSDC.
 func NewAdaptiveExecutor(t *Table, cfg cracking.Config, label string) *Executor {
 	if label == "" {
 		label = "adaptive indexing"
 	}
 	e := newExecutor(t, label, kindCracker, 1)
 	e.crack = cfg
-	e.crack.WithRows = true
 	return e
 }
 
@@ -131,7 +128,6 @@ func NewAdaptiveExecutor(t *Table, cfg cracking.Config, label string) *Executor 
 func NewCCGIExecutor(t *Table, threads, buckets int, cfg cracking.Config) *Executor {
 	e := newExecutor(t, "mP-CCGI", kindCCGI, threads)
 	e.crack, e.buckets = cfg, buckets
-	e.crack.WithRows = true
 	return e
 }
 
@@ -290,9 +286,7 @@ func (e *Executor) build(a *attribute, done chan struct{}, pend *updates.Pending
 	case kindScan:
 		p = &scanPath{vals: base}
 	case kindSorted:
-		// Always with row ids: a copy without them would be sorted again
-		// by the first select that needs rows.
-		p = &sortedPath{col: sortidx.BuildWithRows(a.name, base, e.threads)}
+		p = &sortedPath{col: sortidx.Build(a.name, base, e.threads)}
 	case kindCracker:
 		col := cracking.NewCracked(a.name, base, cfg, lo, hi)
 		if !potential {

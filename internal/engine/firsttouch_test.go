@@ -25,7 +25,7 @@ var sevenModes = []struct {
 }
 
 func modeExecutor(tbl *Table, mode string) *Executor {
-	crack := cracking.Config{WithRows: true, Stochastic: mode == "stochastic", ParallelWorkers: 2, MinParallelPiece: 1024}
+	crack := cracking.Config{Stochastic: mode == "stochastic", ParallelWorkers: 2, MinParallelPiece: 1024}
 	switch mode {
 	case "scan":
 		return NewScanExecutor(tbl, 2)
@@ -34,10 +34,10 @@ func modeExecutor(tbl *Table, mode string) *Executor {
 	case "online":
 		return NewOnlineExecutor(tbl, 2, 25)
 	case "ccgi":
-		return NewCCGIExecutor(tbl, 2, 8, cracking.Config{WithRows: true})
+		return NewCCGIExecutor(tbl, 2, 8, cracking.Config{})
 	case "holistic":
 		return NewHolisticExecutor(tbl, HolisticConfig{
-			Cracking: cracking.Config{WithRows: true},
+			Cracking: cracking.Config{},
 			Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 16, Seed: 5},
 			L1Values: 256,
 			Contexts: 2,

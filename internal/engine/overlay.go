@@ -93,9 +93,7 @@ func (e *Executor) Insert(attr string, v int64) error {
 // the row's values in other attributes are unaffected. The row is
 // recorded in both the overlay and the pending operation, so the
 // eventual index merge removes exactly that tuple and row-level probes
-// stay consistent with the index even for duplicated values. Only
-// without row ids does the merge remove an unspecified occurrence
-// (multiset semantics; conjunctions are unavailable there anyway).
+// stay consistent with the index even for duplicated values.
 func (e *Executor) Delete(attr string, v int64) error {
 	return e.mutate(attr, "delete", &v, func(a *attribute, row uint32) {
 		if a.deleted == nil {

@@ -55,11 +55,9 @@ func (e *Executor) ExportDurable() ([]durable.ColumnData, []durable.IndexSource)
 			indexes = append(indexes, func(emit func(durable.IndexState) error) error {
 				return p.col.ViewState(func(st cracking.State) error {
 					is.Vals, is.Rows, is.Keys, is.Starts = st.Vals, st.Rows, st.Keys, st.Starts
-					switch {
-					case st.Packed:
+					is.Layout = durable.LayoutRows
+					if st.Packed {
 						is.Layout, is.Ref = durable.LayoutPacked, st.Ref
-					case st.Rows != nil:
-						is.Layout = durable.LayoutRows
 					}
 					return emit(is)
 				})
@@ -93,11 +91,9 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 		var err error
 		switch {
 		case st.Kind == durable.IndexCracker && e.kind == kindCracker:
-			// A section without row ids (written by a store that had them
-			// turned off) fails here like any other that does not validate.
 			var c *cracking.Column
 			if c, err = cracking.Restore(st.Attr, cracking.State{
-				Vals: st.Vals, Rows: rowsOf(st), Packed: st.Layout == durable.LayoutPacked, Ref: st.Ref,
+				Vals: st.Vals, Rows: st.Rows, Packed: st.Layout == durable.LayoutPacked, Ref: st.Ref,
 				Keys: st.Keys, Starts: st.Starts,
 			}, e.crack); err == nil {
 				cp := &crackerPath{col: c, pend: a.pend, entry: e.admit(c, a.pend, st.Attr, false)}
@@ -107,16 +103,8 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 				p = cp
 			}
 		case st.Kind == durable.IndexSorted && e.kind == kindSorted:
-			// A section without row ids (written before sorted copies
-			// always carried them) is dropped: the first touch sorts the
-			// column again, with them, rather than the first select that
-			// needs rows.
-			if st.Layout != durable.LayoutRows {
-				dropped++
-				continue
-			}
 			var sc *sortidx.SortedColumn
-			if sc, err = sortidx.Restore(st.Attr, st.Vals, rowsOf(st)); err == nil {
+			if sc, err = sortidx.Restore(st.Attr, st.Vals, st.Rows); err == nil {
 				p = &sortedPath{col: sc}
 			}
 		default:
@@ -140,14 +128,4 @@ func (e *Executor) RestoreDurable(cols []durable.ColumnData, states []durable.In
 		}
 	}
 	return restored, dropped
-}
-
-// rowsOf returns the row id array of a decoded index state, non-nil —
-// which is how the indexes tell carrying no row ids from carrying none yet
-// — whenever its layout has one, even over an empty column.
-func rowsOf(st durable.IndexState) []uint32 {
-	if st.Layout == durable.LayoutRows && st.Rows == nil {
-		return []uint32{}
-	}
-	return st.Rows
 }

@@ -13,7 +13,6 @@ import (
 	"holistic/internal/durable"
 	"holistic/internal/holistic"
 	"holistic/internal/obs/observer"
-	"holistic/internal/sortidx"
 	"holistic/internal/updates"
 )
 
@@ -251,7 +250,7 @@ func TestWriteVictimMatchesScan(t *testing.T) {
 				// it takes beside a rowid array, insert slack included.
 				isPacked := func() bool {
 					c := e.CrackerIfExists("A")
-					return c.SizeBytes() < 12*int64(c.Len()) && c.HasRows()
+					return c.SizeBytes() < 12*int64(c.Len())
 				}
 				if got := isPacked(); got != l.packed[0] {
 					t.Fatalf("packed before the session = %v, want %v", got, l.packed[0])
@@ -421,88 +420,5 @@ func TestWriteVictimAfterRestore(t *testing.T) {
 				t.Errorf("restored executor %d: row %d = %d, original %d", i, row, v, ws.sh.vals[row])
 			}
 		}
-	}
-}
-
-// TestRowlessStateSectionIsDropped: a snapshot whose cracker section
-// carries values alone — what a store with row ids turned off used to
-// write — recovers, but the section is dropped and counted like one that
-// fails validation, and the attribute rebuilds with row ids on first touch.
-func TestRowlessStateSectionIsDropped(t *testing.T) {
-	base := drawn(12, 4000, seq(0, 500))
-	old := cracking.New("A", slices.Clone(base), cracking.Config{Seed: 3})
-	old.SelectRange(100, 300)
-	old.SelectRange(250, 420)
-	fs := durable.NewFaultFS()
-	rowless := func(emit func(durable.IndexState) error) error {
-		return old.ViewState(func(st cracking.State) error {
-			if st.Rows != nil || st.Packed {
-				t.Fatal("a column built without row ids exports some")
-			}
-			return emit(durable.IndexState{Attr: "A", Kind: durable.IndexCracker, Layout: durable.LayoutValues,
-				Vals: st.Vals, Keys: st.Keys, Starts: st.Starts})
-		})
-	}
-	cols := []durable.ColumnData{{Name: "A", Base: base}}
-	if _, err := durable.WriteSnapshot(fs, &durable.Manifest{Generation: 1}, cols, []durable.IndexSource{rowless}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := durable.Recover(fs)
-	if err != nil || len(rec.Indexes) != 1 || rec.Indexes[0].Layout != durable.LayoutValues {
-		t.Fatalf("recovered %d index states, %v", len(rec.Indexes), err)
-	}
-	tbl := NewTable("R")
-	tbl.MustAddColumn(column.New("A", rec.Columns[0].Base))
-	e := NewAdaptiveExecutor(tbl, cracking.Config{Seed: 3}, "")
-	defer e.Close()
-	if restored, dropped := e.RestoreDurable(rec.Columns, rec.Indexes); restored != 0 || dropped != 1 {
-		t.Fatalf("restored %d, dropped %d; want the rowless section dropped", restored, dropped)
-	}
-	if e.CrackerIfExists("A") != nil {
-		t.Fatal("a dropped section left a cracker behind")
-	}
-	ws := &writeSession{t: t, e: e, attr: "A", sh: newShadow(base)}
-	ws.read(120, 260) // count and row ids against the shadow
-	if c := e.CrackerIfExists("A"); c == nil || !c.HasRows() {
-		t.Fatal("first touch did not rebuild the cracker with row ids")
-	}
-	ws.run(13, 200, seq(0, 500))
-}
-
-// TestRowlessSortedSectionIsDropped: a sorted section carrying values
-// alone — what offline and online indexing wrote before their sorted
-// copies always carried row ids — recovers, but the section is dropped
-// and counted, and the first touch sorts the column again with row ids.
-func TestRowlessSortedSectionIsDropped(t *testing.T) {
-	base := drawn(14, 4000, seq(0, 500))
-	old := sortidx.Build("A", base, 1)
-	rowless := func(emit func(durable.IndexState) error) error {
-		return emit(durable.IndexState{Attr: "A", Kind: durable.IndexSorted, Vals: old.Values()})
-	}
-	fs := durable.NewFaultFS()
-	cols := []durable.ColumnData{{Name: "A", Base: base}}
-	if _, err := durable.WriteSnapshot(fs, &durable.Manifest{Generation: 1}, cols, []durable.IndexSource{rowless}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := durable.Recover(fs)
-	if err != nil || len(rec.Indexes) != 1 || rec.Indexes[0].Layout == durable.LayoutRows {
-		t.Fatalf("recovered %d index states, %v", len(rec.Indexes), err)
-	}
-	tbl := NewTable("R")
-	tbl.MustAddColumn(column.New("A", rec.Columns[0].Base))
-	e := NewOfflineExecutor(tbl, 1)
-	if restored, dropped := e.RestoreDurable(rec.Columns, rec.Indexes); restored != 0 || dropped != 1 {
-		t.Fatalf("restored %d, dropped %d; want the rowless section dropped", restored, dropped)
-	}
-	if e.attrs["A"].current() != nil {
-		t.Fatal("a dropped section left a sorted copy behind")
-	}
-	rows, err := e.SelectRows("A", 120, 260)
-	slices.Sort(rows)
-	if want := column.ScanRange(base, 120, 260); err != nil || !slices.Equal(rows, want) {
-		t.Fatalf("SelectRows = %d rows, %v; want %d", len(rows), err, len(want))
-	}
-	if p, ok := e.attrs["A"].current().(*sortedPath); !ok || !p.col.HasRows() {
-		t.Fatal("first touch did not sort the column again with row ids")
 	}
 }

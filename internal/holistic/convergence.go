@@ -5,8 +5,6 @@
 
 package holistic
 
-import "holistic/internal/stats"
-
 // IndexConvergence describes one index's refinement progress.
 type IndexConvergence struct {
 	Name string `json:"name"`
@@ -22,7 +20,7 @@ type IndexConvergence struct {
 	Accesses int64 `json:"accesses"`
 	Hits     int64 `json:"hits"`
 	// Progress is 1 - d/d0 where d0 is the distance of the unrefined
-	// column (N - |L1|): 0 = untouched, 1 = optimal.
+	// column (N - |L1|): 0 = untouched, 1 = optimal (stats.Progress).
 	Progress float64 `json:"progress"`
 }
 
@@ -69,25 +67,14 @@ func (d *Daemon) Convergence() *Convergence {
 	}
 	var sum float64
 	for _, e := range entries {
-		avg := e.Col.AvgPieceSize()
-		dist := d.reg.Distance(e)
-		d0 := float64(e.Col.Len()) - float64(l1)
-		progress := 1.0
-		if d0 > 0 && e.State() != stats.Optimal {
-			progress = 1 - dist/d0
-			if progress < 0 {
-				progress = 0
-			} else if progress > 1 {
-				progress = 1
-			}
-		}
+		progress := d.reg.Progress(e)
 		sum += progress
 		c.Indexes = append(c.Indexes, IndexConvergence{
 			Name:         e.Name,
 			State:        e.State().String(),
 			Pieces:       e.Col.Pieces(),
-			AvgPieceSize: avg,
-			Distance:     dist,
+			AvgPieceSize: e.Col.AvgPieceSize(),
+			Distance:     d.reg.Distance(e),
 			Accesses:     e.Accesses(),
 			Hits:         e.Hits(),
 			Progress:     progress,
@@ -98,3 +85,8 @@ func (d *Daemon) Convergence() *Convergence {
 	}
 	return c
 }
+
+// ConvergenceRatio is Convergence().Ratio without the report: the mean
+// per-index progress, read without allocating — what the flight
+// watchdog reads on every window roll.
+func (d *Daemon) ConvergenceRatio() float64 { return d.reg.MeanProgress() }

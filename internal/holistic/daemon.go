@@ -364,16 +364,11 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 			return
 		}
 		// The ledger's investment side: this activation's wall time is
-		// idle-context time spent on e, and the convergence ratio after
-		// the pass (Progress, as in Convergence()) tells the benefit
-		// estimator which drive-latency bucket later queries credit.
-		distance := d.reg.Distance(e)
-		progress := 1.0
-		if d0 := float64(e.Col.Len() - minPiece); d0 > 0 {
-			progress = min(max(1-distance/d0, 0), 1)
-		}
-		ob.Refined(e.Name, int64(refined), int64(mergedUpdates), attempts, distance,
-			int64(e.Col.Pieces()), time.Since(t0).Nanoseconds(), progress)
+		// idle-context time spent on e, and its progress after the pass
+		// (the one Convergence reports) tells the benefit estimator which
+		// drive-latency bucket later queries credit.
+		ob.Refined(e.Name, int64(refined), int64(mergedUpdates), attempts, d.reg.Distance(e),
+			int64(e.Col.Pieces()), time.Since(t0).Nanoseconds(), d.reg.Progress(e))
 	}()
 
 	for i := 0; i < d.cfg.Refinements; i++ {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // metricsOf evaluates the registry's metrics snapshot and returns the
@@ -245,5 +246,32 @@ func TestTimelineRingBound(t *testing.T) {
 	m.RecordStrategy(99999, s)
 	if got := len(m.Snapshot().Timeline); got != before {
 		t.Fatalf("repeat strategy grew timeline: %d -> %d", before, got)
+	}
+}
+
+// TestUnchangedStrategySkipsTheTimelineLock: recording the strategy a
+// subsystem already runs returns while the timeline's mutex is held, for
+// both subsystems; a change still records under it.
+func TestUnchangedStrategySkipsTheTimelineLock(t *testing.T) {
+	m := new(QueryMetrics)
+	m.RecordStrategy(1, StratGroupHash)
+	m.RecordStrategy(2, StratJoinMerge)
+	m.tl.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.RecordStrategy(3, StratGroupHash)
+		m.RecordStrategy(4, StratJoinMerge)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		m.tl.mu.Unlock()
+		t.Fatal("recording an unchanged strategy waited for the timeline mutex")
+	}
+	m.tl.mu.Unlock()
+	m.RecordStrategy(5, StratGroupSort)
+	if tl := m.Snapshot().Timeline; len(tl) != 3 || tl[2].Seq != 5 {
+		t.Fatalf("timeline %+v, want the two first strategies and the change at 5", tl)
 	}
 }

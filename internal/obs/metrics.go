@@ -2,7 +2,8 @@
 // strategy aggregates and the per-executor access-path counters behind
 // Store.Metrics. Recording is lock-free (atomics) except the bounded
 // strategy-transition timeline, which takes a tiny mutex only when a
-// subsystem's executed strategy actually changes.
+// subsystem's executed strategy actually changes: an unchanged one is one
+// atomic compare.
 
 package obs
 
@@ -34,20 +35,23 @@ type timeline struct {
 	}
 	start, n int
 	total    int64
-	last     [2]Strat // per-subsystem last executed strategy
-	seen     [2]bool
+	// last is each subsystem's last executed strategy plus one (0: none
+	// yet), compared before the mutex is taken and stored under it.
+	last [2]atomic.Uint32
 }
 
 //holistic:noalloc
 func (t *timeline) record(seq uint64, s Strat) {
-	sub := s.subIndex()
+	sub, tag := s.subIndex(), uint32(s)+1
+	if t.last[sub].Load() == tag {
+		return
+	}
 	t.mu.Lock()
-	if t.seen[sub] && t.last[sub] == s {
+	if t.last[sub].Load() == tag {
 		t.mu.Unlock()
 		return
 	}
-	t.seen[sub] = true
-	t.last[sub] = s
+	t.last[sub].Store(tag)
 	if t.n < timelineCap {
 		i := (t.start + t.n) % timelineCap
 		t.event[i].seq, t.event[i].strat = seq, s

@@ -66,7 +66,7 @@ func BenchmarkConjunctiveCount(b *testing.B) {
 		}
 	}
 	tab := buildTable(3, 1<<20, benchDomain, 42)
-	exec := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+	exec := engine.NewAdaptiveExecutor(tab, cracking.Config{}, "")
 	defer exec.Close()
 	r, preds := New(tab, exec, 1), benchDrive(benchDomain/4)
 	for _, p := range preds {

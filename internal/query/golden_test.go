@@ -37,7 +37,7 @@ func TestTraceGolden(t *testing.T) {
 			if mode == "scan" {
 				return engine.NewScanExecutor(tab, 1)
 			}
-			return engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+			return engine.NewAdaptiveExecutor(tab, cracking.Config{}, "")
 		}
 		tab := buildTable(3, 6000, domain, 29)
 		keys := make([]int64, tab.Rows())

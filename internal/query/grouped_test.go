@@ -106,7 +106,7 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 	checkGrouped(t, res, m, []string{"a"}, aggs, preds, "offline")
 
 	// Adaptive: no cracker on "a" yet → no key-ordered path → hash.
-	ad := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+	ad := engine.NewAdaptiveExecutor(tab, cracking.Config{}, "")
 	ra := New(tab, ad, 2)
 	res2, err := ra.Grouped([]string{"a"}, aggs, preds)
 	if err != nil {

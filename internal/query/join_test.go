@@ -41,7 +41,7 @@ func joinFixture(t testing.TB, rows int, domain int64, seed int64) (lt, rt *engi
 // table (the full seven-mode sweep lives in the repository root's
 // differential test; here the access-path variety matters).
 func joinExecs(tab *engine.Table, threads int) map[string]*engine.Executor {
-	crackCfg := cracking.Config{ParallelWorkers: threads, WithRows: true}
+	crackCfg := cracking.Config{ParallelWorkers: threads}
 	return map[string]*engine.Executor{
 		"scan":     engine.NewScanExecutor(tab, threads),
 		"offline":  engine.NewOfflineExecutor(tab, threads),
@@ -135,7 +135,7 @@ func sortPairs(p [][2]uint32) {
 // attribute.
 func TestJoinGroupedMatchesModel(t *testing.T) {
 	lt, rt := joinFixture(t, 500, 80, 31)
-	lExec := engine.NewAdaptiveExecutor(lt, cracking.Config{WithRows: true}, "")
+	lExec := engine.NewAdaptiveExecutor(lt, cracking.Config{}, "")
 	rExec := engine.NewOfflineExecutor(rt, 2)
 	defer lExec.Close()
 	defer rExec.Close()
@@ -199,7 +199,7 @@ func TestJoinErrors(t *testing.T) {
 // newHolistic builds a holistic executor over tab with a fast daemon.
 func newHolistic(tab *engine.Table) *engine.Executor {
 	return engine.NewHolisticExecutor(tab, engine.HolisticConfig{
-		Cracking: cracking.Config{WithRows: true},
+		Cracking: cracking.Config{},
 		Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 4},
 		Contexts: 2,
 	})

@@ -144,7 +144,7 @@ func TestExplainJoin(t *testing.T) {
 				if mode == "offline" {
 					return engine.NewOfflineExecutor(tab, 2)
 				}
-				return engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+				return engine.NewAdaptiveExecutor(tab, cracking.Config{}, "")
 			}
 			lExec, rExec := mk(lt), mk(rt)
 			defer lExec.Close()

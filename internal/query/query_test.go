@@ -143,11 +143,11 @@ func allModeExecutors(t *testing.T, tab *engine.Table) map[string]*engine.Execut
 		"scan":       engine.NewScanExecutor(tab, 2),
 		"offline":    engine.NewOfflineExecutor(tab, 2),
 		"online":     engine.NewOnlineExecutor(tab, 2, 10),
-		"adaptive":   engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, ""),
-		"stochastic": engine.NewAdaptiveExecutor(tab, cracking.Config{Stochastic: true, WithRows: true, Seed: 5}, "stochastic"),
-		"ccgi":       engine.NewCCGIExecutor(tab, 2, 8, cracking.Config{WithRows: true}),
+		"adaptive":   engine.NewAdaptiveExecutor(tab, cracking.Config{}, ""),
+		"stochastic": engine.NewAdaptiveExecutor(tab, cracking.Config{Stochastic: true, Seed: 5}, "stochastic"),
+		"ccgi":       engine.NewCCGIExecutor(tab, 2, 8, cracking.Config{}),
 		"holistic": engine.NewHolisticExecutor(tab, engine.HolisticConfig{
-			Cracking: cracking.Config{WithRows: true},
+			Cracking: cracking.Config{},
 			Daemon:   holistic.Config{Interval: time.Millisecond, Refinements: 4, Seed: 3},
 			L1Values: 256,
 			Contexts: 2,
@@ -324,7 +324,7 @@ func TestSteadyStateCountSumAllocationFree(t *testing.T) {
 	}
 	// Residuals selected through their own crackers, cracked on their
 	// bounds: the bitmap they are selected into is pooled scratch too.
-	exec := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "")
+	exec := engine.NewAdaptiveExecutor(tab, cracking.Config{}, "")
 	defer exec.Close()
 	ad := New(tab, exec, 1)
 	for _, p := range preds {
@@ -379,7 +379,7 @@ func TestSteadyStateCrackerAllocationFree(t *testing.T) {
 			}
 			tab.MustAddColumn(column.New(name, vals))
 		}
-		exec := engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, "adaptive")
+		exec := engine.NewAdaptiveExecutor(tab, cracking.Config{}, "adaptive")
 		r := New(tab, exec, 1)
 		preds := []Predicate{
 			{Attr: "a", Lo: 0, Hi: domain / 2},

@@ -19,37 +19,30 @@ import (
 	"holistic/internal/column"
 )
 
-// SortedColumn is a fully sorted copy of a base column, optionally
-// carrying the base row id of each value for late tuple reconstruction.
+// SortedColumn is a fully sorted copy of a base column carrying the base
+// row id of each value for late tuple reconstruction.
 type SortedColumn struct {
 	name string
 	vals []int64
-	rows []uint32 // nil when built without rowids
+	rows []uint32
 }
 
-// pair travels through the sort when rowids are carried and the values
-// span more than 2^32 (see BuildWithRows).
+// pair travels through the sort when the values span more than 2^32
+// (see Build).
 type pair struct {
 	v int64
 	r uint32
 }
 
-// Build sorts a copy of base with workers goroutines and returns the
-// sorted column. workers <= 1 sorts sequentially.
+// Build sorts a copy of base with workers goroutines (workers <= 1 sorts
+// sequentially), keeping base row ids aligned with the sorted values.
+// When the values span less than 2^32 each travels through the sort as
+// one word, (value - min - 2^31) << 32 | rowid, whose signed order is the
+// order of (value, rowid) — the word a cracker column packs (Compressed
+// Key Sort's key‖rowid): the sort then is a plain int64 sort, and the
+// word comes apart again afterwards. Wider columns sort (value, rowid)
+// pairs.
 func Build(name string, base []int64, workers int) *SortedColumn {
-	vals := slices.Clone(base)
-	parallelSort(vals, workers, slices.Sort[[]int64], cmp.Compare[int64])
-	return &SortedColumn{name: name, vals: vals}
-}
-
-// BuildWithRows sorts a copy of base, keeping base row ids aligned with
-// the sorted values. When the values span less than 2^32 each travels
-// through the sort as one word, (value - min - 2^31) << 32 | rowid, whose
-// signed order is the order of (value, rowid) — the word a cracker column
-// packs (Compressed Key Sort's key‖rowid): the sort then is the plain
-// int64 sort of Build, and the word comes apart again afterwards. Wider
-// columns sort (value, rowid) pairs.
-func BuildWithRows(name string, base []int64, workers int) *SortedColumn {
 	s := &SortedColumn{name: name, vals: make([]int64, len(base)), rows: make([]uint32, len(base))}
 	if len(base) == 0 {
 		return s
@@ -80,10 +73,6 @@ func BuildWithRows(name string, base []int64, workers int) *SortedColumn {
 
 // Name returns the attribute name.
 func (s *SortedColumn) Name() string { return s.name }
-
-// HasRows reports whether the column carries base row ids (built with
-// BuildWithRows), i.e. whether Rows can reconstruct positions.
-func (s *SortedColumn) HasRows() bool { return s.rows != nil }
 
 // Len returns the number of values.
 func (s *SortedColumn) Len() int { return len(s.vals) }
@@ -124,25 +113,8 @@ func (s *SortedColumn) SumRange(lo, hi int64) int64 {
 	return sum
 }
 
-// MinMaxRange returns the smallest and largest value in [lo, hi); ok is
-// false when the range is empty. On a sorted column both are edge reads —
-// no data traversal at all.
-func (s *SortedColumn) MinMaxRange(lo, hi int64) (mn, mx int64, ok bool) {
-	start, end := s.SelectRange(lo, hi)
-	if start >= end {
-		return 0, 0, false
-	}
-	return s.vals[start], s.vals[end-1], true
-}
-
-// Rows returns the base row ids of positions [start, end); nil when the
-// column was built without rowids.
-func (s *SortedColumn) Rows(start, end int) []uint32 {
-	if s.rows == nil {
-		return nil
-	}
-	return s.rows[start:end]
-}
+// Rows returns the base row ids of positions [start, end).
+func (s *SortedColumn) Rows(start, end int) []uint32 { return s.rows[start:end] }
 
 // parallelSort sorts s in place using a multi-way parallel merge sort:
 // the array is cut into up to `workers` runs, each sorted concurrently by

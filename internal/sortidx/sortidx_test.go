@@ -56,10 +56,10 @@ func TestBuildSmallAndEmpty(t *testing.T) {
 	}
 }
 
-// TestBuildWithRowsAlignment covers both ways the rowids travel through
-// the sort: inside the value's word when the values span less than 2^32
-// (at either end of int64 too), as pairs when they do not.
-func TestBuildWithRowsAlignment(t *testing.T) {
+// TestBuildRowsAlignment covers both ways the rowids travel through the
+// sort: inside the value's word when the values span less than 2^32 (at
+// either end of int64 too), as pairs when they do not.
+func TestBuildRowsAlignment(t *testing.T) {
 	shift := func(base []int64, by int64) []int64 {
 		out := make([]int64, len(base))
 		for i, v := range base {
@@ -78,7 +78,7 @@ func TestBuildWithRowsAlignment(t *testing.T) {
 		"one value":        {42},
 	} {
 		for _, workers := range []int{1, 4} {
-			s := BuildWithRows("a", base, workers)
+			s := Build("a", base, workers)
 			vals := s.Values()
 			if len(vals) != len(base) || !slices.IsSorted(vals) {
 				t.Fatalf("%s, %d workers: %d values out of %d, sorted %v", name, workers, len(vals), len(base), slices.IsSorted(vals))
@@ -91,16 +91,6 @@ func TestBuildWithRowsAlignment(t *testing.T) {
 				seen[r] = true
 			}
 		}
-	}
-	if s := BuildWithRows("a", nil, 4); s.Len() != 0 || !s.HasRows() {
-		t.Fatalf("empty build: Len %d, HasRows %v", s.Len(), s.HasRows())
-	}
-}
-
-func TestRowsNilWithoutRowids(t *testing.T) {
-	s := Build("a", []int64{1, 2, 3}, 1)
-	if s.Rows(0, 3) != nil {
-		t.Error("Rows() non-nil for a column built without rowids")
 	}
 }
 
@@ -176,11 +166,8 @@ func TestQuickLargeParallelSort(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	if got := Build("a", make([]int64, 10), 1).SizeBytes(); got != 80 {
-		t.Errorf("SizeBytes = %d, want 80", got)
-	}
-	if got := BuildWithRows("a", make([]int64, 10), 1).SizeBytes(); got != 120 {
-		t.Errorf("SizeBytes with rows = %d, want 120", got)
+	if got := Build("a", make([]int64, 10), 1).SizeBytes(); got != 120 {
+		t.Errorf("SizeBytes = %d, want 120: 8 B per value and 4 per row id", got)
 	}
 }
 

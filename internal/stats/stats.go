@@ -215,6 +215,34 @@ func (r *Registry) Distance(e *Entry) float64 {
 	return d
 }
 
+// Progress returns how far the entry has come toward its optimal status,
+// 1 - d/d0 clamped to [0, 1], where d0 = N - |L1| is the distance of the
+// unrefined column: 0 untouched, 1 optimal. An entry in Coptimal is at 1
+// whatever its distance — a key retired because its pieces each hold one
+// distinct value included — and so is a column no larger than |L1|.
+func (r *Registry) Progress(e *Entry) float64 {
+	d0 := float64(e.Col.Len()) - r.l1s
+	if d0 <= 0 || e.State() == Optimal {
+		return 1
+	}
+	return min(max(1-r.Distance(e)/d0, 0), 1)
+}
+
+// MeanProgress is the mean Progress over the whole index space, 0 when it
+// is empty. It allocates nothing.
+func (r *Registry) MeanProgress() float64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.entries) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, e := range r.entries {
+		sum += r.Progress(e)
+	}
+	return sum / float64(len(r.entries))
+}
+
 // Weight computes the strategy weight of an entry (W4 has no weight; it
 // returns the distance so optimality checks still work).
 func (r *Registry) Weight(e *Entry, s Strategy) float64 {

@@ -151,7 +151,7 @@ func TestConcurrentMergersAndWriters(t *testing.T) {
 // arrival order, and math.MaxInt64 — which [v, v+1) cannot name — is a
 // value like any other.
 func TestMergeValueTakesExactlyOneValue(t *testing.T) {
-	c := cracking.New("a", []int64{10, 20, 30}, cracking.Config{WithRows: true})
+	c := cracking.New("a", []int64{10, 20, 30}, cracking.Config{})
 	p := NewPending()
 	p.AddInsert(math.MaxInt64, 3)
 	p.AddInsert(20, 4)
@@ -179,7 +179,7 @@ func TestMergeValueTakesExactlyOneValue(t *testing.T) {
 // makes costs one pass over the queue and no memory when nothing is in
 // range; a batch that does merge reuses the last one's scratch.
 func TestMergeWithoutMatchAllocatesNothing(t *testing.T) {
-	c := cracking.New("a", randVals(1000, 5, 1000), cracking.Config{WithRows: true})
+	c := cracking.New("a", randVals(1000, 5, 1000), cracking.Config{})
 	p := NewPending()
 	for i := 0; i < 64; i++ {
 		p.AddInsert(int64(2000+i), uint32(1000+i))

@@ -225,7 +225,7 @@ func (s *Store) SetTraceJSONLFile(path string, maxBytes int64) error {
 // sink the store previously owned.
 func (s *Store) setTraceSink(sink *obs.JSONLSink) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}

@@ -35,8 +35,8 @@ func (op scriptOp) applyModel(m *model.Table) (missing string) {
 }
 
 // checkAttr compares what the store answers for attr with the model:
-// the rows of a few ranges (which name the row every write picked) or,
-// without row ids, their counts.
+// the counts and rows of a few ranges (the rows name the row every write
+// picked).
 func checkAttr(t *testing.T, tag string, s *Store, attr string, m *model.Table, rng *rand.Rand, pool []int64) {
 	t.Helper()
 	ranges := [][2]int64{{math.MinInt64, math.MaxInt64}}
@@ -65,7 +65,7 @@ func checkAttr(t *testing.T, tag string, s *Store, attr string, m *model.Table, 
 // and through the WAL with crashes, checkpoints and replay in between, a
 // seeded session of writes leaves in every row what the old scan rule
 // says it must — on a column that packs and on one that holds MinInt64
-// and MaxInt64, on every updatable mode, with and without row ids.
+// and MaxInt64, on every updatable mode.
 func TestWriteVictimStoreSession(t *testing.T) {
 	narrow := make([]int64, 40)
 	for i := range narrow {
