@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +53,34 @@ func checkBuiltLikeSelect(t *testing.T, base []int64, cfg Config, lo, hi int64) 
 	}
 }
 
+// checkFirstTouchRows asserts that the rowids SelectRows and
+// SelectRowsFunc return for the range NewCracked was built around are
+// exactly the base rows whose values lie in it.
+func checkFirstTouchRows(t *testing.T, base []int64, cfg Config, lo, hi int64) {
+	t.Helper()
+	var want []uint32
+	for i, v := range base {
+		if lo <= v && v < hi {
+			want = append(want, uint32(i))
+		}
+	}
+	c := NewCracked("a", base, cfg, lo, hi)
+	r, got := c.SelectRows(lo, hi)
+	if r.Count() != len(want) {
+		t.Fatalf("[%d,%d): range holds %d values, base %d", lo, hi, r.Count(), len(want))
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("[%d,%d): SelectRows returns %d rowids, scan %d, or different ones", lo, hi, len(got), len(want))
+	}
+	var streamed []uint32
+	c.SelectRowsFunc(lo, hi, func(rows []uint32) { streamed = append(streamed, rows...) })
+	slices.Sort(streamed)
+	if !slices.Equal(streamed, want) {
+		t.Fatalf("[%d,%d): SelectRowsFunc streams %d rowids, scan %d, or different ones", lo, hi, len(streamed), len(want))
+	}
+}
+
 func TestNewCrackedMatchesNewPlusSelect(t *testing.T) {
 	const domain = 1 << 20
 	uniform := randVals(30_000, 31, domain)
@@ -85,8 +114,11 @@ func TestNewCrackedMatchesNewPlusSelect(t *testing.T) {
 		{math.MaxInt64, math.MinInt64},         // inverted extremes
 		{0, 1},
 	}
+	// "rows" builds like "plain" and then checks the answer late tuple
+	// reconstruction reads: the rowids of the first touch's range.
 	cfgs := map[string]Config{
 		"plain":      {},
+		"rows":       {},
 		"stochastic": {Stochastic: true, Seed: 9},
 		"parallel":   {ParallelWorkers: 3, MinParallelPiece: 512},
 	}
@@ -95,6 +127,9 @@ func TestNewCrackedMatchesNewPlusSelect(t *testing.T) {
 			for _, b := range bounds {
 				t.Run(fmt.Sprintf("%s/%s/[%d,%d)", bn, cn, b[0], b[1]), func(t *testing.T) {
 					checkBuiltLikeSelect(t, base, cfg, b[0], b[1])
+					if cn == "rows" {
+						checkFirstTouchRows(t, base, cfg, b[0], b[1])
+					}
 				})
 			}
 		}
