@@ -143,8 +143,7 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 // TestSeparatedKeyLedgerProgress: a key of 8 distinct values over 65 536
 // rows, which the daemon retires as separated (9 pieces, each far above
 // |L1| values), is at progress 1 in the daemon's report and in the
-// refinement ledger alike — both read one progress rule — and the ratio
-// the watchdog reads is the report's, read without allocating.
+// refinement ledger alike: both read one progress rule.
 func TestSeparatedKeyLedgerProgress(t *testing.T) {
 	s := NewStore(Config{Mode: ModeHolistic, Threads: 2, TuningInterval: time.Millisecond, Seed: 1})
 	defer s.Close()
@@ -166,19 +165,22 @@ func TestSeparatedKeyLedgerProgress(t *testing.T) {
 			t.Fatal("the daemon never retired the separated key")
 		}
 	}
-	time.Sleep(50 * time.Millisecond) // the retiring activation records after it retires
+	// The retiring activation records in the ledger after it retires, so
+	// wait for that record rather than for a fixed time.
+	ledger := func(m Metrics) float64 {
+		if m.Economics == nil || len(m.Economics.Indexes) != 1 {
+			return -1
+		}
+		return m.Economics.Indexes[0].Convergence
+	}
 	m := s.Metrics()
+	for deadline := time.Now().Add(10 * time.Second); ledger(m) != 1 && time.Now().Before(deadline); m = s.Metrics() {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if m.Economics == nil || len(m.Economics.Indexes) != 1 {
 		t.Fatalf("the ledger holds %+v", m.Economics)
 	}
 	if d, l := m.Daemon.Indexes[0].Progress, m.Economics.Indexes[0].Convergence; d != 1 || l != d {
 		t.Fatalf("retired key: daemon progress %.4f, ledger convergence %.4f; want both 1", d, l)
-	}
-	d := daemonOf(s.exec.Load())
-	if got := d.ConvergenceRatio(); got != m.Daemon.Ratio {
-		t.Fatalf("ConvergenceRatio = %.4f, Convergence().Ratio = %.4f", got, m.Daemon.Ratio)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { d.ConvergenceRatio() }); allocs != 0 {
-		t.Fatalf("ConvergenceRatio allocates %.0f times", allocs)
 	}
 }

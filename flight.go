@@ -67,6 +67,8 @@ func (s *Store) health() (h flight.Observation) {
 		return h
 	}
 	h.WorkerPanics = d.WorkerPanics()
-	h.Convergence, h.HaveConvergence = d.ConvergenceRatio(), true
+	if conv := d.Convergence(); conv != nil {
+		h.Convergence, h.HaveConvergence = conv.Ratio, true
+	}
 	return h
 }

@@ -322,15 +322,10 @@ func (s *Store) executor() (*engine.Executor, error) {
 }
 
 // runner returns the store's conjunctive query runner, building it (and
-// the executor) on first use; like executor, an atomic load once built.
+// the executor) on first use; buildOnce publishes the runner before the
+// executor, so an executor returned means the runner is there to load.
 func (s *Store) runner() (*query.Runner, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if qr := s.qr.Load(); qr != nil {
-		return qr, nil
-	}
-	if _, err := s.buildOnce(); err != nil {
+	if _, err := s.executor(); err != nil {
 		return nil, err
 	}
 	return s.qr.Load(), nil

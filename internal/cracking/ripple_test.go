@@ -277,18 +277,6 @@ func TestMergeDeleteRowTargetsSpecificTuple(t *testing.T) {
 	}
 }
 
-// TestMergeDeleteRowWithoutRows: on a rowid-free column the targeted
-// form degrades to value semantics.
-func TestMergeDeleteRowWithoutRows(t *testing.T) {
-	c := New("a", []int64{5, 5, 7}, Config{})
-	if _, found := c.MergeDeleteRow(5, 1); !found {
-		t.Fatal("value not found")
-	}
-	if n := c.SelectRange(5, 6).Count(); n != 1 {
-		t.Fatalf("%d fives left, want 1", n)
-	}
-}
-
 // TestRippleMergeAllocationFree: a merge walks the boundaries above its
 // target into the column's own scratch, so a steady stream of ripple
 // inserts and deletes over a cracked column allocates nothing — under

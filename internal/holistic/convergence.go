@@ -85,8 +85,3 @@ func (d *Daemon) Convergence() *Convergence {
 	}
 	return c
 }
-
-// ConvergenceRatio is Convergence().Ratio without the report: the mean
-// per-index progress, read without allocating — what the flight
-// watchdog reads on every window roll.
-func (d *Daemon) ConvergenceRatio() float64 { return d.reg.MeanProgress() }

@@ -228,21 +228,6 @@ func (r *Registry) Progress(e *Entry) float64 {
 	return min(max(1-r.Distance(e)/d0, 0), 1)
 }
 
-// MeanProgress is the mean Progress over the whole index space, 0 when it
-// is empty. It allocates nothing.
-func (r *Registry) MeanProgress() float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.entries) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, e := range r.entries {
-		sum += r.Progress(e)
-	}
-	return sum / float64(len(r.entries))
-}
-
 // Weight computes the strategy weight of an entry (W4 has no weight; it
 // returns the distance so optimality checks still work).
 func (r *Registry) Weight(e *Entry, s Strategy) float64 {
