@@ -65,7 +65,7 @@ func runExperiment(b *testing.B, name string) {
 }
 
 // BenchmarkExperiment runs every registered experiment — the paper's
-// Figures 6-17, the workloads beyond them (conj, selvec, groupby, join,
+// Figures 6-17, the workloads beyond them (selvec, groupby, join,
 // recover) and the ablations of DESIGN.md's called-out
 // decisions — as BenchmarkExperiment/<name>; `holisticbench -list` gives
 // each name's title.

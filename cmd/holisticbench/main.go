@@ -10,8 +10,8 @@
 //	holisticbench -experiment fig12 -columns 4194304 -queries 1000
 //	holisticbench -experiment fig14            # TPC-H Q1/Q6/Q12 in four modes
 //	holisticbench -experiment join             # holistic vs adaptive join
-//	holisticbench -experiment conj -cpuprofile cpu.out -memprofile mem.out
-//	holisticbench -experiment conj -baseline ci/baselines/BENCH_conj.json
+//	holisticbench -experiment join -cpuprofile cpu.out -memprofile mem.out
+//	holisticbench -experiment join -baseline ci/baselines/BENCH_join.json
 //
 // Scale defaults target a laptop-class machine; DESIGN.md §3 maps them
 // to the paper's scale. -baseline turns a run into a regression gate:

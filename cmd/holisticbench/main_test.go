@@ -29,7 +29,7 @@ func TestListEnumeratesEveryExperiment(t *testing.T) {
 			t.Errorf("experiment %q missing from -list output", e.Name)
 		}
 	}
-	for _, name := range []string{"groupby", "conj", "selvec", "fig6a"} {
+	for _, name := range []string{"groupby", "join", "selvec", "fig6a"} {
 		if !strings.Contains(listing, name) {
 			t.Errorf("expected experiment %q in -list output", name)
 		}
@@ -97,9 +97,9 @@ func TestJSONArtifact(t *testing.T) {
 // baseline with impossibly fast means exits 1.
 func TestBaselineGate(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_conj.json")
+	path := filepath.Join(dir, "BENCH_join.json")
 	args := []string{
-		"-experiment", "conj",
+		"-experiment", "join",
 		"-columns", "8192", "-queries", "40", "-attrs", "3",
 		"-domain", "1048576", "-interval", "1ms", "-x", "4", "-l1", "512",
 	}
@@ -138,7 +138,7 @@ func TestBaselineGate(t *testing.T) {
 		}
 	}
 	if gated == 0 {
-		t.Fatal("conj artifact carries no percentile labels to gate on")
+		t.Fatal("join artifact carries no percentile labels to gate on")
 	}
 	if buf, err = json.Marshal(results); err != nil {
 		t.Fatal(err)

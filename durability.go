@@ -427,7 +427,6 @@ func (d *durability) export() ([]durable.ColumnData, []durable.IndexSource, *dur
 		WallNS:        int64(t.Wall),
 		Refinements:   t.Refinements,
 		MergedUpdates: t.MergedUpdates,
-		TotalRefined:  dm.Refinements(),
 		TotalAttempts: dm.Attempts(),
 		BusyRerolls:   dm.BusyRerolls(),
 	}
@@ -455,7 +454,7 @@ func (d *durability) installState(rec *durable.Recovered) {
 			Wall:          time.Duration(ds.WallNS),
 			Refinements:   ds.Refinements,
 			MergedUpdates: ds.MergedUpdates,
-		}, ds.TotalRefined, ds.TotalAttempts, ds.BusyRerolls)
+		}, ds.TotalAttempts, ds.BusyRerolls)
 	}
 }
 

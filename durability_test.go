@@ -1,8 +1,11 @@
 package holistic
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -568,6 +571,49 @@ func TestHolisticDaemonStateRestored(t *testing.T) {
 	refinements := s.Stats().Refinements
 	s.Close()
 
+	// The manifest keeps one refinement count. A manifest from before
+	// that still carries total_refinements loads, and its refinements
+	// field is what the reopened daemon reports.
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	var name string
+	for _, n := range names {
+		if strings.HasPrefix(n, "manifest-") && strings.HasSuffix(n, ".json") {
+			name = n
+		}
+	}
+	man, err := durable.LoadManifest(fs, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := man.Daemon.Refinements
+	raw, err := fs.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := string(raw[8:])
+	if strings.Contains(payload, `"total_refinements"`) {
+		t.Fatalf("manifest still writes total_refinements: %s", payload)
+	}
+	payload = strings.Replace(payload, `"daemon":{`, fmt.Sprintf(`"daemon":{"total_refinements":%d,`, want+1000), 1)
+	framed := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum([]byte(payload), crc32.MakeTable(crc32.Castagnoli)))
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(framed, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An hour's tuning interval: no cycle runs before the reads below.
+	cfg.TuningInterval = time.Hour
 	r, err := openStoreFS(fs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -579,6 +625,9 @@ func TestHolisticDaemonStateRestored(t *testing.T) {
 	}
 	if st.Refinements < refinements {
 		t.Errorf("restored Refinements = %d, want >= %d", st.Refinements, refinements)
+	}
+	if d := r.Metrics().Daemon; d == nil || d.Refinements != want || d.Totals.Refinements != want {
+		t.Errorf("restored daemon reports %+v, want refinements = cycle_totals.refinements = %d", d, want)
 	}
 }
 

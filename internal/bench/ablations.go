@@ -167,16 +167,14 @@ func runAblationL1(p Params) (*Result, error) {
 		pp := p
 		pp.L1Values = l1
 		pp.Queries = queries
-		t := buildTable(pp)
-		e := newHolistic(pp, t)
-		times, err := timeQueries(e, qs)
+		var pieces int
+		s := holisticSession(pp)
+		s.drain = func(e *engine.Executor) { pieces = e.TotalPieces() }
+		run, err := s.run(pp, qs)
 		if err != nil {
-			e.Close()
 			return nil, err
 		}
-		pieces := e.TotalPieces()
-		e.Close()
-		r.AddRow(fmt.Sprintf("%d", l1), secs(sum(times)), fmt.Sprintf("%d", pieces))
+		r.AddRow(fmt.Sprintf("%d", l1), secs(sum(run.times)), fmt.Sprintf("%d", pieces))
 	}
 	r.AddNote("Equation 1: below the L1 working set further cracking adds administration cost without scan benefit")
 	return r, nil

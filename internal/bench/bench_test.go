@@ -26,7 +26,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"ablation-pivot", "ablation-latch", "ablation-l1", "conj", "selvec",
+		"ablation-pivot", "ablation-latch", "ablation-l1", "selvec",
 		"groupby", "join", "recover",
 	}
 	have := map[string]bool{}

@@ -91,7 +91,6 @@ func holisticSystem(strategy stats.Strategy) system {
 			Daemon: holistic.Config{
 				Interval:    p.Interval,
 				Refinements: p.Refinements,
-				MaxWorkers:  workers,
 				Strategy:    strategy,
 				Seed:        p.Seed,
 			},
@@ -106,14 +105,10 @@ func holisticSystem(strategy stats.Strategy) system {
 // totalCost runs the workload through a freshly built executor and
 // returns the total processing cost.
 func totalCost(p Params, sys system, threads int, qs []workload.Query) (time.Duration, error) {
-	t := buildTable(p)
-	e := sys.build(p, t, threads)
-	defer e.Close()
-	times, err := timeQueries(e, qs)
-	if err != nil {
-		return 0, err
-	}
-	return sum(times), nil
+	run, err := session{exec: func(t *engine.Table) *engine.Executor {
+		return sys.build(p, t, threads)
+	}}.run(p, qs)
+	return sum(run.times), err
 }
 
 func runFig11(p Params) (*Result, error) {

@@ -6,7 +6,6 @@ import (
 
 	"holistic/internal/engine"
 	"holistic/internal/holistic"
-	"holistic/internal/stats"
 	"holistic/internal/workload"
 )
 
@@ -48,8 +47,6 @@ func runFig16(p Params) (*Result, error) {
 				Daemon: holistic.Config{
 					Interval:    p.Interval,
 					Refinements: p.Refinements,
-					MaxWorkers:  1,
-					Strategy:    stats.W4,
 					Seed:        p.Seed,
 				},
 				L1Values: p.L1Values,

@@ -65,62 +65,110 @@ func newHolistic(p Params, t *engine.Table) *engine.Executor {
 	})
 }
 
+// micro is one run of the Section 5.1 micro-session, as the figures that
+// time it read it.
+type micro struct {
+	// times holds each query's response time.
+	times []time.Duration
+	// pieces holds the executor's piece count after every tenth of the
+	// queries, read outside the timed region.
+	pieces []int
+}
+
+// pieceStep is the number of queries between two piece counts.
+func pieceStep(queries int) int { return max(queries/10, 1) }
+
+// session is how one run of the micro-session sets up and winds down its
+// executor.
+type session struct {
+	// exec builds the executor over the run's fresh table.
+	exec func(t *engine.Table) *engine.Executor
+	// prep, when set, runs before the first query; the time it returns
+	// is charged to the first query.
+	prep func(e *engine.Executor) (time.Duration, error)
+	// drain, when set, runs after the last query, before the executor
+	// closes.
+	drain func(e *engine.Executor)
+}
+
+func adaptiveSession(p Params) session {
+	return session{exec: func(t *engine.Table) *engine.Executor {
+		return engine.NewAdaptiveExecutor(t, pvdcConfig(p, p.Threads), "")
+	}}
+}
+
+func holisticSession(p Params) session {
+	return session{exec: func(t *engine.Table) *engine.Executor { return newHolistic(p, t) }}
+}
+
+// run builds the table p describes and s's executor over it, and drives
+// qs through the executor one query at a time.
+func (s session) run(p Params, qs []workload.Query) (micro, error) {
+	e := s.exec(buildTable(p))
+	defer e.Close()
+	var charge time.Duration
+	if s.prep != nil {
+		var err error
+		if charge, err = s.prep(e); err != nil {
+			return micro{}, err
+		}
+	}
+	step := pieceStep(len(qs))
+	m := micro{times: make([]time.Duration, len(qs))}
+	for i, q := range qs {
+		start := time.Now()
+		if _, err := e.Count(attrName(q.Attr), q.Lo, q.Hi); err != nil {
+			return micro{}, err
+		}
+		m.times[i] = time.Since(start)
+		if (i+1)%step == 0 {
+			m.pieces = append(m.pieces, e.TotalPieces())
+		}
+	}
+	m.times[0] += charge
+	if s.drain != nil {
+		s.drain(e)
+	}
+	return m, nil
+}
+
 func runFig6a(p Params) (*Result, error) {
 	qs := microWorkload(p, workload.Random)
 	checkpoints := checkpointsFor(p.Queries)
 
-	type mode struct {
+	modes := []struct {
 		label string
-		run   func(t *engine.Table) ([]time.Duration, error)
-	}
-	modes := []mode{
-		{"no indexing", func(t *engine.Table) ([]time.Duration, error) {
-			e := engine.NewScanExecutor(t, p.Threads)
-			defer e.Close()
-			return timeQueries(e, qs)
-		}},
-		{"offline indexing", func(t *engine.Table) ([]time.Duration, error) {
-			e := engine.NewOfflineExecutor(t, p.Threads)
-			defer e.Close()
-			start := time.Now()
-			e.PrepareAll()
-			prep := time.Since(start)
-			times, err := timeQueries(e, qs)
-			if err != nil {
-				return nil, err
-			}
+		s     session
+	}{
+		{"no indexing", session{exec: func(t *engine.Table) *engine.Executor {
+			return engine.NewScanExecutor(t, p.Threads)
+		}}},
+		{"offline indexing", session{
+			exec: func(t *engine.Table) *engine.Executor { return engine.NewOfflineExecutor(t, p.Threads) },
 			// No idle time before the first query: the sorting cost is
 			// charged to it, as in the paper.
-			times[0] += prep
-			return times, nil
+			prep: func(e *engine.Executor) (time.Duration, error) {
+				start := time.Now()
+				e.PrepareAll()
+				return time.Since(start), nil
+			},
 		}},
-		{"online indexing", func(t *engine.Table) ([]time.Duration, error) {
-			e := engine.NewOnlineExecutor(t, p.Threads, p.Queries/10)
-			defer e.Close()
-			return timeQueries(e, qs)
-		}},
-		{"adaptive indexing", func(t *engine.Table) ([]time.Duration, error) {
-			e := engine.NewAdaptiveExecutor(t, pvdcConfig(p, p.Threads), "")
-			defer e.Close()
-			return timeQueries(e, qs)
-		}},
-		{"holistic indexing", func(t *engine.Table) ([]time.Duration, error) {
-			e := newHolistic(p, t)
-			defer e.Close()
-			return timeQueries(e, qs)
-		}},
+		{"online indexing", session{exec: func(t *engine.Table) *engine.Executor {
+			return engine.NewOnlineExecutor(t, p.Threads, p.Queries/10)
+		}}},
+		{"adaptive indexing", adaptiveSession(p)},
+		{"holistic indexing", holisticSession(p)},
 	}
 
 	headers := []string{"query#"}
 	series := make([][]time.Duration, 0, len(modes))
 	for _, m := range modes {
-		t := buildTable(p)
-		times, err := m.run(t)
+		run, err := m.s.run(p, qs)
 		if err != nil {
 			return nil, err
 		}
 		headers = append(headers, m.label+" (cum s)")
-		series = append(series, cumulative(times, checkpoints))
+		series = append(series, cumulative(run.times, checkpoints))
 	}
 
 	r := &Result{Headers: headers}
@@ -156,105 +204,80 @@ func bucketize(times []time.Duration) (labels []string, sums []time.Duration) {
 	return labels, sums
 }
 
-func runFig6b(p Params) (*Result, error) {
-	qs := microWorkload(p, workload.Random)
-
-	tA := buildTable(p)
-	adaptive := engine.NewAdaptiveExecutor(tA, pvdcConfig(p, p.Threads), "")
-	aTimes, err := timeQueries(adaptive, qs)
-	adaptive.Close()
-	if err != nil {
-		return nil, err
-	}
-	tH := buildTable(p)
-	hol := newHolistic(p, tH)
-	hTimes, err := timeQueries(hol, qs)
-	hol.Close()
-	if err != nil {
-		return nil, err
-	}
-
-	labels, aSums := bucketize(aTimes)
-	_, hSums := bucketize(hTimes)
-	r := &Result{Headers: []string{"bucket", "adaptive (s)", "holistic (s)"}}
+// bucketTable is the panel of Figures 6(b) and 9: two runs' bucketed
+// response times side by side.
+func bucketTable(left, right string, a, b micro) *Result {
+	labels, aSums := bucketize(a.times)
+	_, bSums := bucketize(b.times)
+	r := &Result{Headers: []string{"bucket", left + " (s)", right + " (s)"}}
 	for i := range labels {
-		r.AddRow(labels[i], secs(aSums[i]), secs(hSums[i]))
+		r.AddRow(labels[i], secs(aSums[i]), secs(bSums[i]))
 	}
-	r.AddRow("total", secs(sum(aTimes)), secs(sum(hTimes)))
+	r.AddRow("total", secs(sum(a.times)), secs(sum(b.times)))
+	return r
+}
+
+// adaptiveThenHolistic runs the micro-session under adaptive indexing,
+// then under holistic indexing: the pair Figures 6(b) and 6(c) compare.
+func adaptiveThenHolistic(p Params) (a, h micro, err error) {
+	qs := microWorkload(p, workload.Random)
+	if a, err = adaptiveSession(p).run(p, qs); err != nil {
+		return a, h, err
+	}
+	h, err = holisticSession(p).run(p, qs)
+	return a, h, err
+}
+
+func runFig6b(p Params) (*Result, error) {
+	a, h, err := adaptiveThenHolistic(p)
+	if err != nil {
+		return nil, err
+	}
+	r := bucketTable("adaptive", "holistic", a, h)
 	r.AddNote("paper shape: early buckets similar (big pieces are latched by queries); later buckets ~2x faster under holistic")
 	return r, nil
 }
 
 func runFig6c(p Params) (*Result, error) {
-	qs := microWorkload(p, workload.Random)
-	step := p.Queries / 10
-	if step < 1 {
-		step = 1
-	}
-
-	measure := func(e *engine.Executor, pieces func() int) ([]int, error) {
-		var series []int
-		for i, q := range qs {
-			if _, err := e.Count(attrName(q.Attr), q.Lo, q.Hi); err != nil {
-				return nil, err
-			}
-			if (i+1)%step == 0 {
-				series = append(series, pieces())
-			}
-		}
-		return series, nil
-	}
-
-	tA := buildTable(p)
-	adaptive := engine.NewAdaptiveExecutor(tA, pvdcConfig(p, p.Threads), "")
-	aSeries, err := measure(adaptive, adaptive.TotalPieces)
-	adaptive.Close()
+	a, h, err := adaptiveThenHolistic(p)
 	if err != nil {
 		return nil, err
 	}
-	tH := buildTable(p)
-	hol := newHolistic(p, tH)
-	hSeries, err := measure(hol, hol.TotalPieces)
-	hol.Close()
-	if err != nil {
-		return nil, err
-	}
-
+	step := pieceStep(len(a.times))
 	r := &Result{Headers: []string{"query#", "adaptive partitions", "holistic partitions"}}
-	for i := range aSeries {
-		r.AddRow(fmt.Sprintf("%d", (i+1)*step), fmt.Sprintf("%d", aSeries[i]), fmt.Sprintf("%d", hSeries[i]))
+	for i := range a.pieces {
+		r.AddRow(fmt.Sprintf("%d", (i+1)*step), fmt.Sprintf("%d", a.pieces[i]), fmt.Sprintf("%d", h.pieces[i]))
 	}
 	r.AddNote("paper shape: holistic accumulates strictly more partitions than adaptive at every point")
 	return r, nil
 }
 
 func runFig6d(p Params) (*Result, error) {
-	qs := microWorkload(p, workload.Random)
-	t := buildTable(p)
-	hol := newHolistic(p, t)
-	if _, err := timeQueries(hol, qs); err != nil {
-		hol.Close()
+	var d *holistic.Daemon
+	s := holisticSession(p)
+	s.drain = func(e *engine.Executor) {
+		d = e.Daemon()
+		// Give the tuning loop a few more measurement windows so that
+		// very short (reduced-scale) workloads still record activations.
+		time.Sleep(5 * p.Interval)
+		if d.CycleTotals().Cycles == 0 {
+			d.RunCycleNow(p.Threads / 2)
+		}
+	}
+	if _, err := s.run(p, microWorkload(p, workload.Random)); err != nil {
 		return nil, err
 	}
-	// Give the tuning loop a few more measurement windows so that very
-	// short (reduced-scale) workloads still record activations.
-	time.Sleep(5 * p.Interval)
-	if hol.Daemon().CycleTotals().Cycles == 0 {
-		hol.Daemon().RunCycleNow(p.Threads / 2)
-	}
-	hol.Close()
-	cycles := hol.Daemon().Cycles()
 
 	r := &Result{Headers: []string{"activation", "#workers", "worker time (ms)", "refinements"}}
 	maxRows := 15
-	for i, c := range cycles {
+	for i, c := range d.Cycles() {
 		if i >= maxRows {
 			break
 		}
 		r.AddRow(fmt.Sprintf("%d", i+1), fmt.Sprintf("%d", c.Workers), ms(c.WorkerTime), fmt.Sprintf("%d", c.Refinements))
 	}
 	r.AddNote("activations: %d, total refinements: %d, busy re-rolls: %d",
-		hol.Daemon().CycleTotals().Cycles, hol.Daemon().Refinements(), hol.Daemon().BusyRerolls())
+		d.CycleTotals().Cycles, d.Refinements(), d.BusyRerolls())
 	r.AddNote("paper shape: worker time is high for the first activations and collapses as pieces shrink")
 	return r, nil
 }
@@ -306,19 +329,17 @@ func runFig7(p Params) (*Result, error) {
 	qs := microWorkload(p, workload.Random)
 	r := &Result{Headers: []string{"distribution", "total cost (s)"}}
 	for _, d := range distributions(p.Threads) {
-		t := buildTable(p)
-		var exec *engine.Executor
-		if d.workers == 0 {
-			exec = engine.NewAdaptiveExecutor(t, pvdcConfig(p, d.user), "")
-		} else {
+		s := session{exec: func(t *engine.Table) *engine.Executor {
+			if d.workers == 0 {
+				return engine.NewAdaptiveExecutor(t, pvdcConfig(p, d.user), "")
+			}
 			cfg := pvdcConfig(p, d.user)
 			cfg.RefineWorkers = d.threadsPer
-			exec = engine.NewHolisticExecutor(t, engine.HolisticConfig{
+			return engine.NewHolisticExecutor(t, engine.HolisticConfig{
 				Cracking: cfg,
 				Daemon: holistic.Config{
 					Interval:    p.Interval,
 					Refinements: p.Refinements,
-					MaxWorkers:  d.workers,
 					Seed:        p.Seed,
 				},
 				L1Values:  p.L1Values,
@@ -326,31 +347,28 @@ func runFig7(p Params) (*Result, error) {
 				Monitor:   cpu.Fixed{Total: p.Threads, Idle: d.workers},
 				StatsSeed: p.Seed,
 			})
-		}
-		times, err := timeQueries(exec, qs)
-		exec.Close()
+		}}
+		run, err := s.run(p, qs)
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(d.label, secs(sum(times)))
+		r.AddRow(d.label, secs(sum(run.times)))
 	}
 	r.AddNote("paper shape: splitting contexts between users and workers beats devoting all %d to user queries", p.Threads)
 	return r, nil
 }
 
 func runFig8(p Params) (*Result, error) {
-	q := workload.Generate(workload.Config{
+	qs := workload.Generate(workload.Config{
 		Pattern: workload.Random, Queries: 100, Domain: p.Domain, Attrs: 1, OneSided: true, Seed: p.Seed,
 	})
-	t := buildTable(Params{ColumnSize: p.ColumnSize, Attrs: 1, Domain: p.Domain, Seed: p.Seed})
-	e := engine.NewAdaptiveExecutor(t, pvdcConfig(p, p.Threads), "")
-	defer e.Close()
-	times, err := timeQueries(e, q)
+	one := Params{ColumnSize: p.ColumnSize, Attrs: 1, Domain: p.Domain, Seed: p.Seed}
+	run, err := adaptiveSession(p).run(one, qs)
 	if err != nil {
 		return nil, err
 	}
 	r := &Result{Headers: []string{"query#", "response time (ms)"}}
-	for i, d := range times {
+	for i, d := range run.times {
 		if i < 10 || (i+1)%10 == 0 {
 			r.AddRow(fmt.Sprintf("%d", i+1), ms(d))
 		}
@@ -361,39 +379,27 @@ func runFig8(p Params) (*Result, error) {
 
 func runFig9(p Params) (*Result, error) {
 	qs := microWorkload(p, workload.Random)
-
-	run := func(prefill bool) ([]time.Duration, error) {
-		t := buildTable(p)
-		hol := newHolistic(p, t)
-		defer hol.Close()
-		if prefill {
-			for a := 0; a < p.Attrs; a++ {
-				if err := hol.AddPotential(attrName(a)); err != nil {
-					return nil, err
-				}
+	h, err := holisticSession(p).run(p, qs)
+	if err != nil {
+		return nil, err
+	}
+	prefill := holisticSession(p)
+	prefill.prep = func(e *engine.Executor) (time.Duration, error) {
+		for a := 0; a < p.Attrs; a++ {
+			if err := e.AddPotential(attrName(a)); err != nil {
+				return 0, err
 			}
-			// Manually induced idle time before the workload: the daemon
-			// refines Cpotential (paper: 22 seconds; scaled here).
-			time.Sleep(50 * p.Interval)
 		}
-		return timeQueries(hol, qs)
+		// Manually induced idle time before the workload: the daemon
+		// refines Cpotential (paper: 22 seconds; scaled here).
+		time.Sleep(50 * p.Interval)
+		return 0, nil
 	}
-
-	hTimes, err := run(false)
+	i, err := prefill.run(p, qs)
 	if err != nil {
 		return nil, err
 	}
-	iTimes, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	labels, hSums := bucketize(hTimes)
-	_, iSums := bucketize(iTimes)
-	r := &Result{Headers: []string{"bucket", "holistic (s)", "holistic+idle prefill (s)"}}
-	for i := range labels {
-		r.AddRow(labels[i], secs(hSums[i]), secs(iSums[i]))
-	}
-	r.AddRow("total", secs(sum(hTimes)), secs(sum(iTimes)))
+	r := bucketTable("holistic", "holistic+idle prefill", h, i)
 	r.AddNote("paper shape: with idle time before the workload the benefit appears from the very first queries")
 	return r, nil
 }

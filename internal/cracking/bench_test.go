@@ -62,6 +62,8 @@ func BenchmarkPartition(b *testing.B) {
 // it (position 0), after one abandoned block when it sits in the first
 // block unsampled, and — the worst case — after a whole abandoned pass
 // when it is the last value.
+// New/wide builds that column with no bounds, as every CCGI chunk whose
+// values span more than 2^32 is built.
 func BenchmarkFirstTouch(b *testing.B) {
 	const n = 4 << 20
 	bases := make([][]int64, 8)
@@ -75,6 +77,17 @@ func BenchmarkFirstTouch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			New("a", bases[i%len(bases)], cfg).SelectRange(lo, hi)
+		}
+	})
+	b.Run("New/wide", func(b *testing.B) {
+		for _, base := range bases {
+			base[0] ^= 1 << 50
+			defer func() { base[0] ^= 1 << 50 }()
+		}
+		b.SetBytes(n * 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			New("a", bases[i%len(bases)], cfg)
 		}
 	})
 	for _, c := range []struct {

@@ -39,16 +39,26 @@ func checkBuiltLikeSelect(t *testing.T, base []int64, cfg Config, lo, hi int64) 
 		}
 	}
 	gLo, gHi := got.Domain()
-	if wLo, wHi := want.Domain(); gLo != wLo || gHi != wHi {
-		t.Fatalf("domain [%d,%d], want [%d,%d]", gLo, gHi, wLo, wHi)
+	wLo, wHi := want.Domain()
+	if bLo, bHi := domain(base); gLo != bLo || gHi != bHi || wLo != bLo || wHi != bHi {
+		t.Fatalf("domain [%d,%d], New's [%d,%d], want [%d,%d]", gLo, gHi, wLo, wHi, bLo, bHi)
 	}
-	rows := got.SnapshotRows()
-	if len(rows) != len(base) {
-		t.Fatalf("%d rowids for %d values", len(rows), len(base))
-	}
-	for i, r := range rows {
-		if base[r] != gv[i] {
-			t.Fatalf("rows[%d] = %d points at %d but the value is %d", i, r, base[r], gv[i])
+	// Both columns hold every base row once, each beside its value.
+	for _, c := range []*Column{got, want} {
+		vals, rows := c.Snapshot(), c.SnapshotRows()
+		if len(rows) != len(base) {
+			t.Fatalf("%d rowids for %d values", len(rows), len(base))
+		}
+		for i, r := range rows {
+			if base[r] != vals[i] {
+				t.Fatalf("rows[%d] = %d points at %d but the value is %d", i, r, base[r], vals[i])
+			}
+		}
+		slices.Sort(rows)
+		for i, r := range rows {
+			if r != uint32(i) {
+				t.Fatalf("rowids are not a permutation of the base rows: sorted[%d] = %d", i, r)
+			}
 		}
 	}
 }
@@ -96,7 +106,10 @@ func TestNewCrackedMatchesNewPlusSelect(t *testing.T) {
 			wide[i] = extremes[rng.Intn(len(extremes))]
 		}
 	}
-	bases := map[string][]int64{"uniform": uniform, "all-equal": allEqual, "full-int64": wide, "empty": nil, "single": {42}}
+	bases := map[string][]int64{
+		"uniform": uniform, "all-equal": allEqual, "full-int64": wide, "empty": nil, "single": {42},
+		"wide-2^50": randVals(5000, 35, 1<<50),
+	}
 	bounds := [][2]int64{
 		{domain / 4, domain / 2},               // ordinary
 		{5, 6},                                 // one value wide

@@ -50,7 +50,6 @@ type DaemonState struct {
 	WallNS        int64 `json:"wall_ns"`
 	Refinements   int64 `json:"refinements"`
 	MergedUpdates int64 `json:"merged_updates"`
-	TotalRefined  int64 `json:"total_refinements"`
 	TotalAttempts int64 `json:"total_attempts"`
 	BusyRerolls   int64 `json:"busy_rerolls"`
 }

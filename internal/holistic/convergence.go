@@ -54,16 +54,17 @@ type Convergence struct {
 func (d *Daemon) Convergence() *Convergence {
 	l1 := d.reg.L1Values()
 	entries := d.reg.Entries()
+	totals := d.CycleTotals()
 	c := &Convergence{
 		L1Values:     l1,
 		Strategy:     d.cfg.Strategy.String(),
 		Indexes:      make([]IndexConvergence, 0, len(entries)),
-		Refinements:  d.Refinements(),
+		Refinements:  totals.Refinements,
 		Attempts:     d.Attempts(),
 		BusyRerolls:  d.BusyRerolls(),
 		WorkerPanics: d.WorkerPanics(),
 		LastPanic:    d.LastPanic(),
-		Totals:       d.CycleTotals(),
+		Totals:       totals,
 	}
 	var sum float64
 	for _, e := range entries {

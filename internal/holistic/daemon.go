@@ -50,9 +50,6 @@ type Config struct {
 	// worker performs (Figure 2). The paper's sweep (Figure 15) found
 	// x = 16 best on its hardware; that is the default.
 	Refinements int
-	// MaxWorkers caps the number of workers activated per cycle
-	// regardless of how many contexts are idle. 0 means no cap.
-	MaxWorkers int
 	// Strategy picks the index-decision strategy; default W4 (random),
 	// the paper's robust choice.
 	Strategy stats.Strategy
@@ -79,7 +76,8 @@ func (c *Config) fillDefaults() {
 // CycleStats records one activation of the holistic indexing thread: the
 // telemetry behind Figure 6(d).
 type CycleStats struct {
-	// Workers activated in this cycle (n idle contexts, capped).
+	// Workers activated in this cycle: the idle contexts the monitor
+	// reported.
 	Workers int
 	// WorkerTime is the summed response time of all workers in the
 	// cycle (the left y-axis of Figure 6(d)).
@@ -130,9 +128,8 @@ type Daemon struct {
 	cycleLen   int
 	totals     CycleTotals
 
-	totalRefinements atomic.Int64
-	totalAttempts    atomic.Int64
-	busyRerolls      atomic.Int64
+	totalAttempts atomic.Int64
+	busyRerolls   atomic.Int64
 
 	// workerPanics counts refinement workers that panicked and were
 	// contained; lastPanic keeps the most recent reason for the
@@ -233,11 +230,7 @@ func (d *Daemon) run() {
 			return
 		case <-timer.C:
 		}
-		n := d.mon.IdleContexts()
-		if d.cfg.MaxWorkers > 0 && n > d.cfg.MaxWorkers {
-			n = d.cfg.MaxWorkers
-		}
-		if n > 0 {
+		if n := d.mon.IdleContexts(); n > 0 {
 			d.runCycle(cycle, n)
 			cycle++
 		}
@@ -272,11 +265,10 @@ func (d *Daemon) LastPanic() string {
 // RestoreTotals reinstates cumulative counters from a recovered
 // snapshot, so convergence telemetry continues across restarts instead
 // of resetting to zero.
-func (d *Daemon) RestoreTotals(t CycleTotals, refinements, attempts, busyRerolls int64) {
+func (d *Daemon) RestoreTotals(t CycleTotals, attempts, busyRerolls int64) {
 	d.cycleMu.Lock()
 	d.totals = t
 	d.cycleMu.Unlock()
-	d.totalRefinements.Store(refinements)
 	d.totalAttempts.Store(attempts)
 	d.busyRerolls.Store(busyRerolls)
 }
@@ -318,7 +310,6 @@ func (d *Daemon) runCycle(cycle, n int) {
 		cs.MergedUpdates += s.merged
 	}
 	d.slotMu.Unlock()
-	d.totalRefinements.Add(int64(cs.Refinements))
 	d.cycleMu.Lock()
 	if d.cycleLen < CycleHistory {
 		d.cycles[(d.cycleStart+d.cycleLen)%CycleHistory] = cs
@@ -448,7 +439,7 @@ func (d *Daemon) CycleTotals() CycleTotals {
 }
 
 // Refinements returns the total number of successful refinement actions.
-func (d *Daemon) Refinements() int64 { return d.totalRefinements.Load() }
+func (d *Daemon) Refinements() int64 { return d.CycleTotals().Refinements }
 
 // Attempts returns the total refinement attempts (including re-rolls).
 func (d *Daemon) Attempts() int64 { return d.totalAttempts.Load() }

@@ -247,22 +247,6 @@ func TestDaemonTelemetry(t *testing.T) {
 	}
 }
 
-func TestDaemonMaxWorkersCap(t *testing.T) {
-	reg := newSpace(64)
-	reg.Add("a", cracking.New("a", randVals(50_000, 6, 1<<20), cracking.Config{}), nil, false)
-	d := New(reg, cpu.Fixed{Total: 16, Idle: 16}, Config{
-		Interval: time.Millisecond, MaxWorkers: 3, Refinements: 2, Seed: 6,
-	})
-	d.Start()
-	time.Sleep(50 * time.Millisecond)
-	d.Stop()
-	for i, c := range d.Cycles() {
-		if c.Workers > 3 {
-			t.Fatalf("cycle %d activated %d workers above cap 3", i, c.Workers)
-		}
-	}
-}
-
 func TestDaemonSpreadsAcrossIndexSpace(t *testing.T) {
 	reg := newSpace(64)
 	cols := make([]*cracking.Column, 5)
