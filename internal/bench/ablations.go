@@ -167,14 +167,14 @@ func runAblationL1(p Params) (*Result, error) {
 		pp := p
 		pp.L1Values = l1
 		pp.Queries = queries
-		var pieces int
-		s := holisticSession(pp)
-		s.drain = func(e *engine.Executor) { pieces = e.TotalPieces() }
-		run, err := s.run(pp, qs)
+		e := newHolistic(pp, buildTable(pp))
+		times, err := timeQueries(e, qs)
+		pieces := e.TotalPieces()
+		e.Close()
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(fmt.Sprintf("%d", l1), secs(sum(run.times)), fmt.Sprintf("%d", pieces))
+		r.AddRow(fmt.Sprintf("%d", l1), secs(sum(times)), fmt.Sprintf("%d", pieces))
 	}
 	r.AddNote("Equation 1: below the L1 working set further cracking adds administration cost without scan benefit")
 	return r, nil

@@ -49,6 +49,19 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestMicroFiguresWithoutQueries: the figures that time the micro-session
+// run with an empty query list; offline indexing's sort has no first query
+// to be charged to.
+func TestMicroFiguresWithoutQueries(t *testing.T) {
+	p := tinyParams()
+	p.Queries = 0
+	for _, name := range []string{"fig6a", "fig6b", "fig6c", "fig7", "fig9", "fig11", "ablation-l1"} {
+		if _, err := Run(name, p); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // TestAllExperimentsSmoke executes every registered experiment at tiny
 // scale and sanity-checks the emitted tables.
 func TestAllExperimentsSmoke(t *testing.T) {

@@ -105,10 +105,10 @@ func holisticSystem(strategy stats.Strategy) system {
 // totalCost runs the workload through a freshly built executor and
 // returns the total processing cost.
 func totalCost(p Params, sys system, threads int, qs []workload.Query) (time.Duration, error) {
-	run, err := session{exec: func(t *engine.Table) *engine.Executor {
+	times, err := timeFresh(p, qs, func(p Params, t *engine.Table) *engine.Executor {
 		return sys.build(p, t, threads)
-	}}.run(p, qs)
-	return sum(run.times), err
+	})
+	return sum(times), err
 }
 
 func runFig11(p Params) (*Result, error) {

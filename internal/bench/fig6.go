@@ -65,71 +65,17 @@ func newHolistic(p Params, t *engine.Table) *engine.Executor {
 	})
 }
 
-// micro is one run of the Section 5.1 micro-session, as the figures that
-// time it read it.
-type micro struct {
-	// times holds each query's response time.
-	times []time.Duration
-	// pieces holds the executor's piece count after every tenth of the
-	// queries, read outside the timed region.
-	pieces []int
+// newAdaptive is the adaptive indexing baseline over all contexts.
+func newAdaptive(p Params, t *engine.Table) *engine.Executor {
+	return engine.NewAdaptiveExecutor(t, pvdcConfig(p, p.Threads), "")
 }
 
-// pieceStep is the number of queries between two piece counts.
-func pieceStep(queries int) int { return max(queries/10, 1) }
-
-// session is how one run of the micro-session sets up and winds down its
-// executor.
-type session struct {
-	// exec builds the executor over the run's fresh table.
-	exec func(t *engine.Table) *engine.Executor
-	// prep, when set, runs before the first query; the time it returns
-	// is charged to the first query.
-	prep func(e *engine.Executor) (time.Duration, error)
-	// drain, when set, runs after the last query, before the executor
-	// closes.
-	drain func(e *engine.Executor)
-}
-
-func adaptiveSession(p Params) session {
-	return session{exec: func(t *engine.Table) *engine.Executor {
-		return engine.NewAdaptiveExecutor(t, pvdcConfig(p, p.Threads), "")
-	}}
-}
-
-func holisticSession(p Params) session {
-	return session{exec: func(t *engine.Table) *engine.Executor { return newHolistic(p, t) }}
-}
-
-// run builds the table p describes and s's executor over it, and drives
-// qs through the executor one query at a time.
-func (s session) run(p Params, qs []workload.Query) (micro, error) {
-	e := s.exec(buildTable(p))
+// timeFresh builds the table p describes and exec's executor over it,
+// times qs through the executor and closes it.
+func timeFresh(p Params, qs []workload.Query, exec func(Params, *engine.Table) *engine.Executor) ([]time.Duration, error) {
+	e := exec(p, buildTable(p))
 	defer e.Close()
-	var charge time.Duration
-	if s.prep != nil {
-		var err error
-		if charge, err = s.prep(e); err != nil {
-			return micro{}, err
-		}
-	}
-	step := pieceStep(len(qs))
-	m := micro{times: make([]time.Duration, len(qs))}
-	for i, q := range qs {
-		start := time.Now()
-		if _, err := e.Count(attrName(q.Attr), q.Lo, q.Hi); err != nil {
-			return micro{}, err
-		}
-		m.times[i] = time.Since(start)
-		if (i+1)%step == 0 {
-			m.pieces = append(m.pieces, e.TotalPieces())
-		}
-	}
-	m.times[0] += charge
-	if s.drain != nil {
-		s.drain(e)
-	}
-	return m, nil
+	return timeQueries(e, qs)
 }
 
 func runFig6a(p Params) (*Result, error) {
@@ -138,37 +84,43 @@ func runFig6a(p Params) (*Result, error) {
 
 	modes := []struct {
 		label string
-		s     session
+		run   func() ([]time.Duration, error)
 	}{
-		{"no indexing", session{exec: func(t *engine.Table) *engine.Executor {
-			return engine.NewScanExecutor(t, p.Threads)
-		}}},
-		{"offline indexing", session{
-			exec: func(t *engine.Table) *engine.Executor { return engine.NewOfflineExecutor(t, p.Threads) },
+		{"no indexing", func() ([]time.Duration, error) {
+			return timeFresh(p, qs, func(p Params, t *engine.Table) *engine.Executor { return engine.NewScanExecutor(t, p.Threads) })
+		}},
+		{"offline indexing", func() ([]time.Duration, error) {
+			e := engine.NewOfflineExecutor(buildTable(p), p.Threads)
+			defer e.Close()
+			start := time.Now()
+			e.PrepareAll()
+			prep := time.Since(start)
+			times, err := timeQueries(e, qs)
 			// No idle time before the first query: the sorting cost is
 			// charged to it, as in the paper.
-			prep: func(e *engine.Executor) (time.Duration, error) {
-				start := time.Now()
-				e.PrepareAll()
-				return time.Since(start), nil
-			},
+			if len(times) > 0 {
+				times[0] += prep
+			}
+			return times, err
 		}},
-		{"online indexing", session{exec: func(t *engine.Table) *engine.Executor {
-			return engine.NewOnlineExecutor(t, p.Threads, p.Queries/10)
-		}}},
-		{"adaptive indexing", adaptiveSession(p)},
-		{"holistic indexing", holisticSession(p)},
+		{"online indexing", func() ([]time.Duration, error) {
+			return timeFresh(p, qs, func(p Params, t *engine.Table) *engine.Executor {
+				return engine.NewOnlineExecutor(t, p.Threads, p.Queries/10)
+			})
+		}},
+		{"adaptive indexing", func() ([]time.Duration, error) { return timeFresh(p, qs, newAdaptive) }},
+		{"holistic indexing", func() ([]time.Duration, error) { return timeFresh(p, qs, newHolistic) }},
 	}
 
 	headers := []string{"query#"}
 	series := make([][]time.Duration, 0, len(modes))
 	for _, m := range modes {
-		run, err := m.s.run(p, qs)
+		times, err := m.run()
 		if err != nil {
 			return nil, err
 		}
 		headers = append(headers, m.label+" (cum s)")
-		series = append(series, cumulative(run.times, checkpoints))
+		series = append(series, cumulative(times, checkpoints))
 	}
 
 	r := &Result{Headers: headers}
@@ -206,30 +158,24 @@ func bucketize(times []time.Duration) (labels []string, sums []time.Duration) {
 
 // bucketTable is the panel of Figures 6(b) and 9: two runs' bucketed
 // response times side by side.
-func bucketTable(left, right string, a, b micro) *Result {
-	labels, aSums := bucketize(a.times)
-	_, bSums := bucketize(b.times)
+func bucketTable(left, right string, a, b []time.Duration) *Result {
+	labels, aSums := bucketize(a)
+	_, bSums := bucketize(b)
 	r := &Result{Headers: []string{"bucket", left + " (s)", right + " (s)"}}
 	for i := range labels {
 		r.AddRow(labels[i], secs(aSums[i]), secs(bSums[i]))
 	}
-	r.AddRow("total", secs(sum(a.times)), secs(sum(b.times)))
+	r.AddRow("total", secs(sum(a)), secs(sum(b)))
 	return r
 }
 
-// adaptiveThenHolistic runs the micro-session under adaptive indexing,
-// then under holistic indexing: the pair Figures 6(b) and 6(c) compare.
-func adaptiveThenHolistic(p Params) (a, h micro, err error) {
-	qs := microWorkload(p, workload.Random)
-	if a, err = adaptiveSession(p).run(p, qs); err != nil {
-		return a, h, err
-	}
-	h, err = holisticSession(p).run(p, qs)
-	return a, h, err
-}
-
 func runFig6b(p Params) (*Result, error) {
-	a, h, err := adaptiveThenHolistic(p)
+	qs := microWorkload(p, workload.Random)
+	a, err := timeFresh(p, qs, newAdaptive)
+	if err != nil {
+		return nil, err
+	}
+	h, err := timeFresh(p, qs, newHolistic)
 	if err != nil {
 		return nil, err
 	}
@@ -239,34 +185,54 @@ func runFig6b(p Params) (*Result, error) {
 }
 
 func runFig6c(p Params) (*Result, error) {
-	a, h, err := adaptiveThenHolistic(p)
+	qs := microWorkload(p, workload.Random)
+	step := max(p.Queries/10, 1)
+
+	// pieces runs qs through exec's executor a step at a time and reads
+	// its piece count after each step.
+	pieces := func(exec func(Params, *engine.Table) *engine.Executor) ([]int, error) {
+		e := exec(p, buildTable(p))
+		defer e.Close()
+		var series []int
+		for lo := 0; lo+step <= len(qs); lo += step {
+			if _, err := timeQueries(e, qs[lo:lo+step]); err != nil {
+				return nil, err
+			}
+			series = append(series, e.TotalPieces())
+		}
+		return series, nil
+	}
+	a, err := pieces(newAdaptive)
 	if err != nil {
 		return nil, err
 	}
-	step := pieceStep(len(a.times))
+	h, err := pieces(newHolistic)
+	if err != nil {
+		return nil, err
+	}
+
 	r := &Result{Headers: []string{"query#", "adaptive partitions", "holistic partitions"}}
-	for i := range a.pieces {
-		r.AddRow(fmt.Sprintf("%d", (i+1)*step), fmt.Sprintf("%d", a.pieces[i]), fmt.Sprintf("%d", h.pieces[i]))
+	for i := range a {
+		r.AddRow(fmt.Sprintf("%d", (i+1)*step), fmt.Sprintf("%d", a[i]), fmt.Sprintf("%d", h[i]))
 	}
 	r.AddNote("paper shape: holistic accumulates strictly more partitions than adaptive at every point")
 	return r, nil
 }
 
 func runFig6d(p Params) (*Result, error) {
-	var d *holistic.Daemon
-	s := holisticSession(p)
-	s.drain = func(e *engine.Executor) {
-		d = e.Daemon()
-		// Give the tuning loop a few more measurement windows so that
-		// very short (reduced-scale) workloads still record activations.
-		time.Sleep(5 * p.Interval)
-		if d.CycleTotals().Cycles == 0 {
-			d.RunCycleNow(p.Threads / 2)
-		}
-	}
-	if _, err := s.run(p, microWorkload(p, workload.Random)); err != nil {
+	e := newHolistic(p, buildTable(p))
+	if _, err := timeQueries(e, microWorkload(p, workload.Random)); err != nil {
+		e.Close()
 		return nil, err
 	}
+	d := e.Daemon()
+	// Give the tuning loop a few more measurement windows so that very
+	// short (reduced-scale) workloads still record activations.
+	time.Sleep(5 * p.Interval)
+	if d.CycleTotals().Cycles == 0 {
+		d.RunCycleNow(p.Threads / 2)
+	}
+	e.Close()
 
 	r := &Result{Headers: []string{"activation", "#workers", "worker time (ms)", "refinements"}}
 	maxRows := 15
@@ -329,7 +295,7 @@ func runFig7(p Params) (*Result, error) {
 	qs := microWorkload(p, workload.Random)
 	r := &Result{Headers: []string{"distribution", "total cost (s)"}}
 	for _, d := range distributions(p.Threads) {
-		s := session{exec: func(t *engine.Table) *engine.Executor {
+		times, err := timeFresh(p, qs, func(p Params, t *engine.Table) *engine.Executor {
 			if d.workers == 0 {
 				return engine.NewAdaptiveExecutor(t, pvdcConfig(p, d.user), "")
 			}
@@ -347,12 +313,11 @@ func runFig7(p Params) (*Result, error) {
 				Monitor:   cpu.Fixed{Total: p.Threads, Idle: d.workers},
 				StatsSeed: p.Seed,
 			})
-		}}
-		run, err := s.run(p, qs)
+		})
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(d.label, secs(sum(run.times)))
+		r.AddRow(d.label, secs(sum(times)))
 	}
 	r.AddNote("paper shape: splitting contexts between users and workers beats devoting all %d to user queries", p.Threads)
 	return r, nil
@@ -362,13 +327,14 @@ func runFig8(p Params) (*Result, error) {
 	qs := workload.Generate(workload.Config{
 		Pattern: workload.Random, Queries: 100, Domain: p.Domain, Attrs: 1, OneSided: true, Seed: p.Seed,
 	})
-	one := Params{ColumnSize: p.ColumnSize, Attrs: 1, Domain: p.Domain, Seed: p.Seed}
-	run, err := adaptiveSession(p).run(one, qs)
+	one := p
+	one.Attrs = 1
+	times, err := timeFresh(one, qs, newAdaptive)
 	if err != nil {
 		return nil, err
 	}
 	r := &Result{Headers: []string{"query#", "response time (ms)"}}
-	for i, d := range run.times {
+	for i, d := range times {
 		if i < 10 || (i+1)%10 == 0 {
 			r.AddRow(fmt.Sprintf("%d", i+1), ms(d))
 		}
@@ -379,23 +345,21 @@ func runFig8(p Params) (*Result, error) {
 
 func runFig9(p Params) (*Result, error) {
 	qs := microWorkload(p, workload.Random)
-	h, err := holisticSession(p).run(p, qs)
+	h, err := timeFresh(p, qs, newHolistic)
 	if err != nil {
 		return nil, err
 	}
-	prefill := holisticSession(p)
-	prefill.prep = func(e *engine.Executor) (time.Duration, error) {
-		for a := 0; a < p.Attrs; a++ {
-			if err := e.AddPotential(attrName(a)); err != nil {
-				return 0, err
-			}
+	e := newHolistic(p, buildTable(p))
+	defer e.Close()
+	for a := 0; a < p.Attrs; a++ {
+		if err := e.AddPotential(attrName(a)); err != nil {
+			return nil, err
 		}
-		// Manually induced idle time before the workload: the daemon
-		// refines Cpotential (paper: 22 seconds; scaled here).
-		time.Sleep(50 * p.Interval)
-		return 0, nil
 	}
-	i, err := prefill.run(p, qs)
+	// Manually induced idle time before the workload: the daemon refines
+	// Cpotential (paper: 22 seconds; scaled here).
+	time.Sleep(50 * p.Interval)
+	i, err := timeQueries(e, qs)
 	if err != nil {
 		return nil, err
 	}
