@@ -17,7 +17,7 @@
 //
 // The workload mixes multi-predicate counts, sums, grouped aggregates
 // and a self-join so every subsystem's telemetry moves: watch the
-// daemon's convergence ratio climb and the strategy timeline flip from
+// daemon's convergence ratio climb and the strategy counters move from
 // hash to index-clustered grouping as refinement proceeds. With
 // -anomaly-after the workload deliberately degrades at that point in
 // the run (full-domain multi-aggregate scans replace the indexed mix),

@@ -100,7 +100,7 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 	}
 	econWorkload(t, s, 50)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ob.Econ.Snapshot().InvestedNS == 0 {
+	for m := s.Metrics(); m.Economics.InvestedNS == 0; m = s.Metrics() {
 		if time.Now().After(deadline) {
 			t.Fatal("daemon never invested refinement time")
 		}
@@ -137,6 +137,98 @@ func TestPromEndpointServesEconomics(t *testing.T) {
 	// stores registered (the writer dedupes across collectors).
 	if n := strings.Count(text, "# TYPE holistic_queries_total "); n != 1 {
 		t.Errorf("TYPE holistic_queries_total appears %d times, want 1", n)
+	}
+}
+
+// TestOneLedgerRecordPerIndex: the ledger lives on the index's
+// statistics node, so after a holistic workload of selects that each
+// drive one index, every index's drive count is its fI; and a store
+// without a holistic index space keeps no ledger at all.
+func TestOneLedgerRecordPerIndex(t *testing.T) {
+	s := NewStore(Config{Mode: ModeHolistic, Threads: 2, TuningInterval: time.Millisecond, Seed: 1})
+	defer s.Close()
+	for _, name := range []string{"x", "y"} {
+		if err := s.AddIntColumn(name, econStoreData(20_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 60; i++ {
+		lo := rng.Int63n(1 << 12)
+		var err error
+		switch i % 4 {
+		case 0:
+			_, err = s.CountRange("x", lo, lo+1000)
+		case 1:
+			_, err = s.SumRange("y", lo, lo+1000)
+		case 2:
+			_, _, _, err = s.MinMaxRange("x", lo, lo+500)
+		default:
+			_, err = s.Query().Where("y", lo, lo+2000).Count()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := s.Metrics()
+	if m.Economics == nil || len(m.Economics.Indexes) != len(m.Daemon.Indexes) || len(m.Daemon.Indexes) != 2 {
+		t.Fatalf("ledger %+v beside index space %+v", m.Economics, m.Daemon.Indexes)
+	}
+	for i, ie := range m.Economics.Indexes {
+		ic := m.Daemon.Indexes[i]
+		if ie.Name != ic.Name || ie.DriveQueries != ic.Accesses || ie.DriveQueries != 30 {
+			t.Errorf("%s: %d drive samples, %s: fI %d; want both 30", ie.Name, ie.DriveQueries, ic.Name, ic.Accesses)
+		}
+	}
+
+	for _, mode := range []Mode{ModeAdaptive, ModeScan} {
+		s := NewStore(Config{Mode: mode, Threads: 1})
+		if err := s.AddIntColumn("x", econStoreData(1000)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CountRange("x", 0, 1000); err != nil {
+			t.Fatal(err)
+		}
+		if ec := s.Metrics().Economics; ec != nil && len(ec.Indexes) != 0 {
+			t.Errorf("%v store reports economics indexes %+v", mode, ec.Indexes)
+		}
+		s.Close()
+	}
+}
+
+// TestSnapshotOrderedByName: the balance sheet lists a holistic store's
+// indexes by name, whatever order they were built in, and its totals sum
+// the per-index balances.
+func TestSnapshotOrderedByName(t *testing.T) {
+	s := NewStore(Config{Mode: ModeHolistic, Threads: 2, TuningInterval: time.Millisecond, Seed: 1})
+	defer s.Close()
+	order := []string{"c", "a", "b"}
+	for _, name := range order {
+		if err := s.AddIntColumn(name, econStoreData(5_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range order {
+		if _, err := s.CountRange(name, 100, 2_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := s.Metrics().Economics
+	if snap == nil {
+		t.Fatal("holistic store reports no economics")
+	}
+	var names []string
+	var invested, saved int64
+	for _, ie := range snap.Indexes {
+		names = append(names, ie.Name)
+		invested += ie.InvestedNS
+		saved += ie.SavedNS
+	}
+	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
+		t.Fatalf("snapshot order = %v, want [a b c]", names)
+	}
+	if snap.InvestedNS != invested || snap.SavedNS != saved {
+		t.Fatalf("totals invested %d saved %d, want the sums %d and %d", snap.InvestedNS, snap.SavedNS, invested, saved)
 	}
 }
 

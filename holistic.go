@@ -221,10 +221,9 @@ type Store struct {
 	cfg Config
 
 	// ob is the store's one observer — lifetime metrics, flight ring and
-	// watchdog, refinement ledger and trace sink — shared by the query
-	// runner, the executor, its daemon and the durability layer
-	// (DESIGN.md §9); obsName is the name the store is registered under
-	// on the debug endpoints.
+	// watchdog, trace sink — shared by the query runner, the executor,
+	// its daemon and the durability layer (DESIGN.md §9); obsName is the
+	// name the store is registered under on the debug endpoints.
 	ob      *observer.Observer
 	obsName string
 

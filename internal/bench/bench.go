@@ -82,11 +82,6 @@ type Result struct {
 	// p50/p90/p99/p999 in µs), keyed e.g. "holistic/count" — part of
 	// the exported BENCH_*.json schema.
 	Percentiles map[string]obs.LatencySummary `json:",omitempty"`
-	// StrategyTimeline records the physical-strategy transitions the
-	// experiment's instrumented runners observed (e.g. the join
-	// flipping from hash to index-clustered merge once refinement
-	// converges).
-	StrategyTimeline []obs.TimelineEvent `json:",omitempty"`
 }
 
 // AddPercentiles records one labeled latency digest; empty digests
@@ -157,9 +152,6 @@ func (r *Result) Fprint(w io.Writer) {
 			fmt.Fprintf(w, "  latency %-24s n=%-6d p50=%.1fµs p90=%.1fµs p99=%.1fµs\n",
 				l, p.Count, p.P50US, p.P90US, p.P99US)
 		}
-	}
-	for _, ev := range r.StrategyTimeline {
-		fmt.Fprintf(w, "  strategy@q%-6d %s → %s\n", ev.Seq, ev.Subsystem, ev.Strategy)
 	}
 	fmt.Fprintln(w)
 }

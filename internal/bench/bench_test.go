@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,31 @@ func TestMicroFiguresWithoutQueries(t *testing.T) {
 		if _, err := Run(name, p); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestFig6dLabelsAreCycleNumbers: each Fig 6d row is labelled with the
+// daemon's own cycle number, read off the flight ring's EvCycle event, so
+// at a scale where the ring holds every cycle the labels start at 1 and
+// increase.
+func TestFig6dLabelsAreCycleNumbers(t *testing.T) {
+	res, err := Run("fig6d", tinyParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("no activations")
+	}
+	prev := 0
+	for i, row := range res.Rows {
+		n, err := strconv.Atoi(row[0])
+		if err != nil {
+			t.Fatalf("row %d label %q: %v", i, row[0], err)
+		}
+		if (i == 0 && n != 1) || n <= prev {
+			t.Fatalf("row %d labelled %d after %d; want labels from 1, increasing", i, n, prev)
+		}
+		prev = n
 	}
 }
 

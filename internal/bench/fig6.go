@@ -8,6 +8,8 @@ import (
 	"holistic/internal/cracking"
 	"holistic/internal/engine"
 	"holistic/internal/holistic"
+	"holistic/internal/obs/flight"
+	"holistic/internal/obs/observer"
 	"holistic/internal/workload"
 )
 
@@ -221,6 +223,8 @@ func runFig6c(p Params) (*Result, error) {
 
 func runFig6d(p Params) (*Result, error) {
 	e := newHolistic(p, buildTable(p))
+	ob := observer.New(observer.Config{})
+	e.SetObserver(ob)
 	if _, err := timeQueries(e, microWorkload(p, workload.Random)); err != nil {
 		e.Close()
 		return nil, err
@@ -234,17 +238,28 @@ func runFig6d(p Params) (*Result, error) {
 	}
 	e.Close()
 
-	r := &Result{Headers: []string{"activation", "#workers", "worker time (ms)", "refinements"}}
-	maxRows := 15
-	for i, c := range d.Cycles() {
-		if i >= maxRows {
-			break
+	r := &Result{Headers: []string{"activation", "#workers", "wall time (ms)", "refinements"}}
+	const maxRows = 15
+	first := int64(-1) // the daemon's number of the oldest cycle the ring holds
+	for _, ev := range ob.Flight.Snapshot() {
+		if ev.Kind != flight.EvCycle {
+			continue
 		}
-		r.AddRow(fmt.Sprintf("%d", i+1), fmt.Sprintf("%d", c.Workers), ms(c.WorkerTime), fmt.Sprintf("%d", c.Refinements))
+		// Args: cycle (numbered from 0), workers, refinements, merged
+		// updates, wall ns.
+		if first < 0 {
+			first = ev.Args[0]
+		}
+		if len(r.Rows) < maxRows {
+			r.AddRow(fmt.Sprintf("%d", ev.Args[0]+1), fmt.Sprintf("%d", ev.Args[1]), ms(time.Duration(ev.Args[4])), fmt.Sprintf("%d", ev.Args[2]))
+		}
+	}
+	if first > 0 {
+		r.AddNote("the flight ring no longer holds the first %d activations", first)
 	}
 	r.AddNote("activations: %d, total refinements: %d, busy re-rolls: %d",
 		d.CycleTotals().Cycles, d.Refinements(), d.BusyRerolls())
-	r.AddNote("paper shape: worker time is high for the first activations and collapses as pieces shrink")
+	r.AddNote("paper shape: a cycle's wall time is high for the first activations and collapses as pieces shrink")
 	return r, nil
 }
 

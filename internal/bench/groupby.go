@@ -184,7 +184,7 @@ func runGroupBy(p Params) (*Result, error) {
 	}
 	snap := ob.Query.Snapshot()
 	res.AddPercentiles("grouped", snap.Latency["grouped"])
-	res.StrategyTimeline = snap.Timeline
+	res.AddNote("strategies the holistic runner executed, over every phase: %v", snap.Strategies)
 
 	res.AddNote("workload: group by %s (%d-group zipf(1.1) key) over %d rows, count+sum fused, predicate keeps 90%%; %d queries per cell",
 		keys[0], groupsTarget, p.ColumnSize, q)

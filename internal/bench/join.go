@@ -177,7 +177,7 @@ func runJoin(p Params) (*Result, error) {
 
 	snap := ob.Query.Snapshot()
 	res.AddPercentiles("join", snap.Latency["join"])
-	res.StrategyTimeline = snap.Timeline
+	res.AddNote("strategies the holistic runner executed, over every phase: %v", snap.Strategies)
 
 	lSpan, _ := lExec.KeyOrderSpan(attrName(0))
 	rSpan, _ := rExec.KeyOrderSpan(attrName(0))

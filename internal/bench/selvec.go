@@ -7,6 +7,7 @@ import (
 
 	"holistic/internal/column"
 	"holistic/internal/engine"
+	"holistic/internal/obs"
 	"holistic/internal/query"
 	"holistic/internal/workload"
 )
@@ -26,8 +27,9 @@ var selVecSelectivities = []float64{0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0
 
 // selVecCell times one (selectivity, counter) cell: q two-conjunct count
 // queries whose driving conjunct covers sel of the domain at a rotating
-// offset, returning ns/query, allocations/query and a checksum.
-func selVecCell(count func([]query.Predicate) (int, error), sel float64, domain int64, q int, seed int64) (perQuery time.Duration, allocs float64, checksum int64, err error) {
+// offset, returning their latency digest, allocations/query and a
+// checksum.
+func selVecCell(count func([]query.Predicate) (int, error), sel float64, domain int64, q int, seed int64) (lat obs.LatencySummary, allocs float64, checksum int64, err error) {
 	span := int64(sel * float64(domain))
 	if span < 1 {
 		span = 1
@@ -42,21 +44,22 @@ func selVecCell(count func([]query.Predicate) (int, error), sel float64, domain 
 	}
 	// One warm-up query fills the pooled scratch before measuring.
 	if _, err := count(preds(seed % room)); err != nil {
-		return 0, 0, 0, err
+		return lat, 0, 0, err
 	}
+	var h obs.Histogram
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	start := time.Now()
 	for i := 0; i < q; i++ {
+		start := time.Now()
 		n, err := count(preds((seed + int64(i)*7919) % room))
+		h.Record(time.Since(start))
 		if err != nil {
-			return 0, 0, 0, err
+			return lat, 0, 0, err
 		}
 		checksum += int64(n)
 	}
-	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms1)
-	return elapsed / time.Duration(q), float64(ms1.Mallocs-ms0.Mallocs) / float64(q), checksum, nil
+	return h.Summary(), float64(ms1.Mallocs-ms0.Mallocs) / float64(q), checksum, nil
 }
 
 // kernelCount is a two-conjunct count composed by hand at the kernel
@@ -85,8 +88,9 @@ func kernelCount(t *engine.Table, dense bool, threads int) func([]query.Predicat
 // two-conjunct count workload — the representation question isolated
 // from index refinement. Both representations are timed at the kernel
 // layer (kernelCount), beside the scan-mode runner, whose crossover rule
-// picks one of them per query. The allocation columns show the bitmap's
-// allocation-free steady state.
+// picks one of them per query; its cells are the result's percentile
+// labels, which a -baseline run gates. The allocation columns show the
+// bitmap's allocation-free steady state.
 func runSelVec(p Params) (*Result, error) {
 	t := engine.NewTable("R")
 	for a := 0; a < 2; a++ {
@@ -125,13 +129,14 @@ func runSelVec(p Params) (*Result, error) {
 		if sel >= query.DefaultBitmapCrossover {
 			autoRep = "bitmap"
 		}
+		res.AddPercentiles(fmt.Sprintf("auto/%.1f%%", sel*100), auto)
 		res.AddRow(
 			fmt.Sprintf("%.1f%%", sel*100),
-			us(pl), us(bm), us(auto),
+			fmt.Sprintf("%.1f", pl.MeanUS), fmt.Sprintf("%.1f", bm.MeanUS), fmt.Sprintf("%.1f", auto.MeanUS),
 			autoRep,
 			fmt.Sprintf("%.1f", plAllocs),
 			fmt.Sprintf("%.1f", bmAllocs),
-			fmt.Sprintf("%.2fx", float64(pl)/float64(bm)),
+			fmt.Sprintf("%.2fx", pl.MeanUS/bm.MeanUS),
 		)
 	}
 	res.AddNote("two-conjunct counts over %d values, %d queries per cell, %d threads; residual conjunct keeps 75%%", p.ColumnSize, q, p.Threads)

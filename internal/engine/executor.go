@@ -44,7 +44,7 @@ type Executor struct {
 	epoch   int             // online indexing: queries answered by scans before the sort
 
 	// ob receives what run's epilogue reports (select latency, merged
-	// updates, key-order walks, the ledger's drive credit) and the
+	// updates, key-order walks, the driven index's ledger credit) and the
 	// cracker builds; nil leaves the executor uninstrumented.
 	ob *observer.Observer
 
@@ -359,8 +359,8 @@ func (e *Executor) PrepareAll() {
 // resolution by the mode's policy, the walk, and the recording of what
 // the walk reports back — one observer call, through which every door
 // (Store range methods, conjunctive drives, join sides, Explain) credits
-// the attribute's ledger. A declined key-order walk did no work and
-// records nothing.
+// the ledger of the index the select walked. A declined key-order walk
+// did no work and records nothing.
 //
 //holistic:noalloc
 func (e *Executor) run(attr string, f fold) (fold, error) {
@@ -372,7 +372,7 @@ func (e *Executor) run(attr string, f fold) (fold, error) {
 	}
 	f, err := e.answer(attr, f)
 	if e.ob != nil && (f.walked || f.op != opClusters) {
-		e.ob.Select(attr, time.Since(start).Nanoseconds(), f.merged, f.walked, err == nil)
+		e.ob.Select(f.entry, time.Since(start).Nanoseconds(), f.merged, f.walked)
 	}
 	return f, err
 }

@@ -8,39 +8,6 @@ import (
 	"holistic/internal/cracking"
 )
 
-func TestCycleHistoryBounded(t *testing.T) {
-	reg := newSpace(64)
-	col := cracking.New("a", randVals(4096, 1, 1<<16), cracking.Config{})
-	reg.Add("a", col, nil, false)
-	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{Refinements: 1, Seed: 1})
-	defer d.Stop()
-
-	const runs = CycleHistory + 20
-	for i := 0; i < runs; i++ {
-		d.RunCycleNow(1)
-	}
-	cycles := d.Cycles()
-	if len(cycles) != CycleHistory {
-		t.Fatalf("Cycles() holds %d, want bounded at %d", len(cycles), CycleHistory)
-	}
-	tot := d.CycleTotals()
-	if tot.Cycles != runs {
-		t.Fatalf("CycleTotals().Cycles = %d, want %d", tot.Cycles, runs)
-	}
-	if tot.Workers != runs {
-		t.Fatalf("CycleTotals().Workers = %d, want %d (1 per cycle)", tot.Workers, runs)
-	}
-	// Totals keep aggregating what the ring forgot: summed refinements of
-	// retained cycles can never exceed the cumulative total.
-	var retained int64
-	for _, c := range cycles {
-		retained += int64(c.Refinements)
-	}
-	if retained > tot.Refinements || tot.Refinements != d.Refinements() {
-		t.Fatalf("retained %d > totals %d (daemon says %d)", retained, tot.Refinements, d.Refinements())
-	}
-}
-
 func TestConvergenceSnapshot(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", randVals(50_000, 1, 1<<20), cracking.Config{})

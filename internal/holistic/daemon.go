@@ -73,31 +73,8 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// CycleStats records one activation of the holistic indexing thread: the
-// telemetry behind Figure 6(d).
-type CycleStats struct {
-	// Workers activated in this cycle: the idle contexts the monitor
-	// reported.
-	Workers int
-	// WorkerTime is the summed response time of all workers in the
-	// cycle (the left y-axis of Figure 6(d)).
-	WorkerTime time.Duration
-	// Wall is the wall-clock duration of the cycle's work phase.
-	Wall time.Duration
-	// Refinements actually performed (RefineDone outcomes).
-	Refinements int
-	// MergedUpdates counts pending updates consumed by workers.
-	MergedUpdates int
-}
-
-// CycleHistory is the number of recent cycles the daemon retains. A
-// long-running daemon activates once per interval indefinitely; the ring
-// plus the cumulative CycleTotals keep Cycles() bounded while losing no
-// aggregate information.
-const CycleHistory = 256
-
-// CycleTotals accumulates over every cycle ever run, including those
-// that have rotated out of the bounded history.
+// CycleTotals accumulates over every cycle ever run; the flight ring's
+// EvCycle events hold the recent cycles one by one.
 type CycleTotals struct {
 	// Cycles is the number of activations of the indexing thread.
 	Cycles int64 `json:"cycles"`
@@ -122,11 +99,8 @@ type Daemon struct {
 	// evictions it forces and the registration.
 	admitMu sync.Mutex
 
-	cycleMu    sync.Mutex
-	cycles     [CycleHistory]CycleStats
-	cycleStart int
-	cycleLen   int
-	totals     CycleTotals
+	cycleMu sync.Mutex
+	totals  CycleTotals
 
 	totalAttempts atomic.Int64
 	busyRerolls   atomic.Int64
@@ -303,29 +277,24 @@ func (d *Daemon) runCycle(cycle, n int) {
 		s.refined, s.merged = d.idleFunction(s.rng)
 	})
 
-	cs := CycleStats{Workers: n, Wall: time.Since(start)}
+	wall := time.Since(start)
+	var workerTime time.Duration
+	var refined, merged int64
 	for _, s := range slots {
-		cs.WorkerTime += s.time
-		cs.Refinements += s.refined
-		cs.MergedUpdates += s.merged
+		workerTime += s.time
+		refined += int64(s.refined)
+		merged += int64(s.merged)
 	}
 	d.slotMu.Unlock()
 	d.cycleMu.Lock()
-	if d.cycleLen < CycleHistory {
-		d.cycles[(d.cycleStart+d.cycleLen)%CycleHistory] = cs
-		d.cycleLen++
-	} else {
-		d.cycles[d.cycleStart] = cs
-		d.cycleStart = (d.cycleStart + 1) % CycleHistory
-	}
 	d.totals.Cycles++
-	d.totals.Workers += int64(cs.Workers)
-	d.totals.WorkerTime += cs.WorkerTime
-	d.totals.Wall += cs.Wall
-	d.totals.Refinements += int64(cs.Refinements)
-	d.totals.MergedUpdates += int64(cs.MergedUpdates)
+	d.totals.Workers += int64(n)
+	d.totals.WorkerTime += workerTime
+	d.totals.Wall += wall
+	d.totals.Refinements += refined
+	d.totals.MergedUpdates += merged
 	d.cycleMu.Unlock()
-	d.ob.Load().Cycle(int64(cycle), int64(cs.Workers), int64(cs.Refinements), int64(cs.MergedUpdates), cs.Wall.Nanoseconds())
+	d.ob.Load().Cycle(int64(cycle), int64(n), refined, merged, wall.Nanoseconds())
 }
 
 // maxAttemptsPerRefinement bounds the pivot re-rolls of one refinement
@@ -358,7 +327,7 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 		// idle-context time spent on e, and its progress after the pass
 		// (the one Convergence reports) tells the benefit estimator which
 		// drive-latency bucket later queries credit.
-		ob.Refined(e.Name, int64(refined), int64(mergedUpdates), attempts, d.reg.Distance(e),
+		ob.Refined(e, int64(refined), int64(mergedUpdates), attempts, d.reg.Distance(e),
 			int64(e.Col.Pieces()), time.Since(t0).Nanoseconds(), d.reg.Progress(e))
 	}()
 
@@ -417,21 +386,7 @@ func (d *Daemon) drainOptimal() int {
 	return 0
 }
 
-// Cycles returns a snapshot of the retained per-activation telemetry
-// (Figure 6(d)), oldest first: the most recent CycleHistory cycles.
-// Cumulative aggregates over the full run come from CycleTotals.
-func (d *Daemon) Cycles() []CycleStats {
-	d.cycleMu.Lock()
-	defer d.cycleMu.Unlock()
-	out := make([]CycleStats, 0, d.cycleLen)
-	for i := 0; i < d.cycleLen; i++ {
-		out = append(out, d.cycles[(d.cycleStart+i)%CycleHistory])
-	}
-	return out
-}
-
-// CycleTotals returns the cumulative cycle aggregates, unaffected by the
-// bounded history rotating.
+// CycleTotals returns the cumulative cycle aggregates.
 func (d *Daemon) CycleTotals() CycleTotals {
 	d.cycleMu.Lock()
 	defer d.cycleMu.Unlock()

@@ -107,8 +107,8 @@ func TestDaemonRespectsBusySystem(t *testing.T) {
 	if got := col.Pieces(); got != 1 {
 		t.Errorf("daemon refined a fully busy system: %d pieces", got)
 	}
-	if len(d.Cycles()) != 0 {
-		t.Errorf("recorded %d cycles with zero idle contexts", len(d.Cycles()))
+	if n := d.CycleTotals().Cycles; n != 0 {
+		t.Errorf("recorded %d cycles with zero idle contexts", n)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestDaemonStandsDownDuringFanOut(t *testing.T) {
 	<-running
 	d.Start()
 	time.Sleep(30 * interval) // at least 20 tuning intervals
-	attempts, cycles := d.Attempts(), len(d.Cycles())
+	attempts, cycles := d.Attempts(), d.CycleTotals().Cycles
 	close(release)
 	<-done
 	if attempts != 0 || cycles != 0 {
@@ -230,17 +230,17 @@ func TestDaemonTelemetry(t *testing.T) {
 	d.Start()
 	time.Sleep(100 * time.Millisecond)
 	d.Stop()
-	cycles := d.Cycles()
-	if len(cycles) == 0 {
+	// Each cycle activates at most the two idle contexts, so a total of
+	// twice the cycle count means every cycle activated both.
+	tot := d.CycleTotals()
+	if tot.Cycles == 0 {
 		t.Fatal("no cycles recorded")
 	}
-	for i, c := range cycles {
-		if c.Workers != 2 {
-			t.Errorf("cycle %d: workers = %d, want 2", i, c.Workers)
-		}
-		if c.WorkerTime <= 0 || c.Wall <= 0 {
-			t.Errorf("cycle %d: non-positive times %+v", i, c)
-		}
+	if tot.Workers != 2*tot.Cycles {
+		t.Errorf("%d workers over %d cycles, want 2 per cycle", tot.Workers, tot.Cycles)
+	}
+	if tot.WorkerTime <= 0 || tot.Wall <= 0 {
+		t.Errorf("non-positive times %+v", tot)
 	}
 	if d.Attempts() < d.Refinements() {
 		t.Errorf("attempts %d < refinements %d", d.Attempts(), d.Refinements())
@@ -382,12 +382,12 @@ func TestRunCycleNow(t *testing.T) {
 	if col.Pieces() < 2 {
 		t.Fatalf("RunCycleNow refined nothing: %d pieces", col.Pieces())
 	}
-	if len(d.Cycles()) != 1 {
-		t.Fatalf("Cycles() = %d, want 1", len(d.Cycles()))
+	if tot := d.CycleTotals(); tot.Cycles != 1 || tot.Workers != 2 {
+		t.Fatalf("CycleTotals() = %+v, want 1 cycle of 2 workers", tot)
 	}
 	d.RunCycleNow(0) // clamps to 1 worker
-	if len(d.Cycles()) != 2 {
-		t.Fatalf("Cycles() = %d, want 2", len(d.Cycles()))
+	if tot := d.CycleTotals(); tot.Cycles != 2 || tot.Workers != 3 {
+		t.Fatalf("CycleTotals() = %+v, want 2 cycles of 3 workers in all", tot)
 	}
 }
 

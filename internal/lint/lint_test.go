@@ -156,7 +156,7 @@ func TestAnnotatedHotPaths(t *testing.T) {
 		"holistic/internal/column":   {"CountRange", "sumRange", "FilterBitmap", "SumBitmap"},
 		"holistic/internal/cracking": {"crackInTwo", "classify", "less", "swapPairs", "swapRuns", "split"},
 		"holistic/internal/obs":      {"Inc", "Add", "Record", "RecordNanos", "NextSeq", "RecordOp", "RecordRep", "RecordStrategy"},
-		"holistic/internal/obs/econ": {"slotOf", "NoteDrive", "NoteRefined"},
+		"holistic/internal/obs/econ": {"convBucket", "NoteDrive", "NoteRefined"},
 		"holistic/internal/obs/flight": {
 			"record", "RecordQuery", "RecordRep", "RecordStrategy", "RecordRefine",
 			"RecordCycle", "RecordCheckpoint", "RecordRecovery", "RecordAnomaly",

@@ -1,9 +1,11 @@
 // Package econ keeps the balance sheet of holistic indexing: what the
-// daemon invests in each index (refinement nanoseconds, on otherwise
-// idle CPU contexts) against what queries get back (drive-stage
-// latency shrinking as the index converges). The paper's argument is
-// exactly this trade — idle-time investment repaid by future scans —
-// and this package makes it observable per index and over time.
+// daemon invests in each index of its index space (refinement
+// nanoseconds, on otherwise idle CPU contexts) against what queries get
+// back (drive-stage latency shrinking as the index converges). The
+// paper's argument is exactly this trade — idle-time investment repaid
+// by future scans — and this package makes it observable per index and
+// over time. Each index's Ledger sits on its statistics node, so only
+// indexes in a holistic index space have one.
 //
 // The benefit side can't be measured directly (the unrefined latency
 // of a refined index is a counterfactual), so it is estimated from the
@@ -11,18 +13,16 @@
 // by the index's convergence ratio at the time the query ran. The mean
 // drive latency of the least-converged populated bucket is the
 // baseline; every query served at higher convergence is credited with
-// the difference between that baseline and its bucket's mean. Modes
-// without refinement put every sample in the first bucket and
-// therefore report zero savings — the estimator never invents benefit.
+// the difference between that baseline and its bucket's mean. An index
+// the daemon never refined keeps every sample in the first bucket and
+// therefore reports zero savings — the estimator never invents benefit.
 //
-// All recording paths are lock-free and allocation-free, so they sit in
+// Both recording paths are lock-free and allocation-free, so they sit in
 // the query and daemon hot paths unconditionally.
 package econ
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -41,8 +41,12 @@ type driveCell struct {
 	_       [48]byte
 }
 
-// slot is one index's ledger entry.
-type slot struct {
+// Ledger is one index's balance: what the daemon invested in it and the
+// drive-stage latency of the queries it served, per convergence bucket.
+// It lives on the index's statistics node (stats.Entry), so an index
+// evicted from the index space takes its ledger with it and a rebuilt
+// one starts afresh. The zero value is ready to use.
+type Ledger struct {
 	invested atomic.Int64  // daemon nanoseconds spent refining
 	refines  atomic.Int64  // successful refinement actions
 	progress atomic.Uint64 // Float64bits of the last convergence ratio
@@ -65,70 +69,25 @@ func convBucket(p float64) int {
 	return b
 }
 
-// Econ is the refinement ledger: one slot per index, in a copy-on-write
-// table — allocation-free lookup, once-per-index copying insert. The
-// zero value is ready to use; a store's observer holds the one instance
-// its executor and daemon record into.
-type Econ struct {
-	mu    sync.Mutex
-	slots atomic.Pointer[map[string]*slot]
-}
-
-// slotOf returns attr's ledger slot, creating it on first sight.
+// NoteDrive credits the index's current convergence bucket with one
+// query's drive-stage nanoseconds — the benefit stream.
 //
 //holistic:noalloc
-func (e *Econ) slotOf(attr string) *slot {
-	if m := e.slots.Load(); m != nil {
-		if s := (*m)[attr]; s != nil {
-			return s
-		}
-	}
-	return e.intern(attr)
+func (l *Ledger) NoteDrive(driveNs int64) {
+	b := convBucket(math.Float64frombits(l.progress.Load()))
+	l.drive[b].queries.Add(1)
+	l.drive[b].sumNs.Add(driveNs)
 }
 
-//holistic:alloc-ok first-sight registration copies the read-mostly table
-func (e *Econ) intern(name string) *slot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	old := e.slots.Load()
-	if old != nil {
-		if s := (*old)[name]; s != nil {
-			return s
-		}
-	}
-	next := make(map[string]*slot)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	s := &slot{}
-	next[name] = s
-	e.slots.Store(&next)
-	return s
-}
-
-// NoteDrive credits attr's current convergence bucket with one query's
-// drive-stage nanoseconds — the benefit stream.
+// NoteRefined records one daemon refinement pass over the index:
+// invested wall nanoseconds, the number of successful refinement
+// actions, and the index's convergence ratio after the pass.
 //
 //holistic:noalloc
-func (e *Econ) NoteDrive(attr string, driveNs int64) {
-	s := e.slotOf(attr)
-	b := convBucket(math.Float64frombits(s.progress.Load()))
-	s.drive[b].queries.Add(1)
-	s.drive[b].sumNs.Add(driveNs)
-}
-
-// NoteRefined records one daemon refinement pass over attr: invested
-// wall nanoseconds, the number of successful refinement actions, and
-// the index's convergence ratio after the pass.
-//
-//holistic:noalloc
-func (e *Econ) NoteRefined(attr string, investedNs, refined int64, progress float64) {
-	s := e.slotOf(attr)
-	s.invested.Add(investedNs)
-	s.refines.Add(refined)
-	s.progress.Store(math.Float64bits(progress))
+func (l *Ledger) NoteRefined(investedNs, refined int64, progress float64) {
+	l.invested.Add(investedNs)
+	l.refines.Add(refined)
+	l.progress.Store(math.Float64bits(progress))
 }
 
 // DriveBucket is the benefit stream of one convergence interval: how
@@ -163,26 +122,13 @@ type Snapshot struct {
 	Indexes    []IndexEconomics `json:"indexes,omitempty"`
 }
 
-// Snapshot computes the balance sheet: per index, the baseline is the
-// mean drive latency of the least-converged populated bucket, and
-// every query served at higher convergence is credited the (clamped
-// non-negative) difference between that baseline and its own bucket's
-// mean.
-func (e *Econ) Snapshot() *Snapshot {
-	snap := &Snapshot{}
-	m := e.slots.Load()
-	if m != nil && len(*m) > 0 {
-		names := make([]string, 0, len(*m))
-		for name := range *m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ie := (*m)[name].economics(name)
-			snap.InvestedNS += ie.InvestedNS
-			snap.SavedNS += ie.SavedNS
-			snap.Indexes = append(snap.Indexes, ie)
-		}
+// NewSnapshot totals per-index balances, in the order given, into the
+// balance sheet.
+func NewSnapshot(indexes []IndexEconomics) *Snapshot {
+	snap := &Snapshot{Indexes: indexes}
+	for _, ie := range indexes {
+		snap.InvestedNS += ie.InvestedNS
+		snap.SavedNS += ie.SavedNS
 	}
 	if snap.InvestedNS > 0 {
 		snap.ROI = float64(snap.SavedNS) / float64(snap.InvestedNS)
@@ -190,22 +136,26 @@ func (e *Econ) Snapshot() *Snapshot {
 	return snap
 }
 
-// economics digests one slot.
-func (s *slot) economics(name string) IndexEconomics {
+// Economics digests the ledger of the index called name: the baseline
+// is the mean drive latency of its least-converged populated bucket, and
+// every query served at higher convergence is credited the (clamped
+// non-negative) difference between that baseline and its own bucket's
+// mean.
+func (l *Ledger) Economics(name string) IndexEconomics {
 	ie := IndexEconomics{
 		Name:        name,
-		InvestedNS:  s.invested.Load(),
-		Refinements: s.refines.Load(),
-		Convergence: math.Float64frombits(s.progress.Load()),
+		InvestedNS:  l.invested.Load(),
+		Refinements: l.refines.Load(),
+		Convergence: math.Float64frombits(l.progress.Load()),
 	}
 	baseline := -1.0 // mean ns of the least-converged populated bucket
 	var saved float64
 	for b := 0; b < ConvBuckets; b++ {
-		q := s.drive[b].queries.Load()
+		q := l.drive[b].queries.Load()
 		if q == 0 {
 			continue
 		}
-		mean := float64(s.drive[b].sumNs.Load()) / float64(q)
+		mean := float64(l.drive[b].sumNs.Load()) / float64(q)
 		ie.DriveQueries += q
 		ie.Buckets = append(ie.Buckets, DriveBucket{
 			LoRatio:     float64(b) / ConvBuckets,

@@ -9,23 +9,19 @@ import (
 // workload: queries at low convergence are slow, queries after
 // refinement are fast, so the savings are exactly the per-query delta.
 func TestLedgerEconomics(t *testing.T) {
-	e := new(Econ)
+	var l Ledger
 	// Baseline: three 1000ns drives before any refinement (bucket 0).
 	for i := 0; i < 3; i++ {
-		e.NoteDrive("x", 1000)
+		l.NoteDrive(1000)
 	}
 	// The daemon invests 5000ns over two passes, converging to 0.9.
-	e.NoteRefined("x", 2000, 4, 0.5)
-	e.NoteRefined("x", 3000, 2, 0.9)
+	l.NoteRefined(2000, 4, 0.5)
+	l.NoteRefined(3000, 2, 0.9)
 	// Three 100ns drives at convergence 0.9 (bucket 7).
 	for i := 0; i < 3; i++ {
-		e.NoteDrive("x", 100)
+		l.NoteDrive(100)
 	}
-	snap := e.Snapshot()
-	if len(snap.Indexes) != 1 {
-		t.Fatalf("indexes = %d, want 1", len(snap.Indexes))
-	}
-	ie := snap.Indexes[0]
+	ie := l.Economics("x")
 	if ie.Name != "x" || ie.InvestedNS != 5000 || ie.Refinements != 6 {
 		t.Fatalf("ledger totals wrong: %+v", ie)
 	}
@@ -45,64 +41,49 @@ func TestLedgerEconomics(t *testing.T) {
 	if want := 2700.0 / 5000.0; ie.ROI != want {
 		t.Fatalf("roi = %v, want %v", ie.ROI, want)
 	}
-	if snap.InvestedNS != 5000 || snap.SavedNS != 2700 {
-		t.Fatalf("snapshot totals wrong: %+v", snap)
-	}
 }
 
-// TestLedgerNeverInventsBenefit: with every drive in one bucket (no
-// refinement, e.g. scan or plain adaptive mode) the savings are zero,
-// and a regression (slower at high convergence) clamps at zero rather
-// than going negative.
+// TestLedgerNeverInventsBenefit: with every drive in one bucket (an
+// index the daemon never refined) the savings are zero, and a regression
+// (slower at high convergence) clamps at zero rather than going
+// negative.
 func TestLedgerNeverInventsBenefit(t *testing.T) {
-	e := new(Econ)
+	var flat, worse Ledger
 	for i := 0; i < 10; i++ {
-		e.NoteDrive("flat", 500)
+		flat.NoteDrive(500)
 	}
-	if ie := e.Snapshot().Indexes[0]; ie.SavedNS != 0 || ie.ROI != 0 {
+	if ie := flat.Economics("flat"); ie.SavedNS != 0 || ie.ROI != 0 {
 		t.Fatalf("flat workload invented benefit: %+v", ie)
 	}
-	e.NoteDrive("worse", 100)
-	e.NoteRefined("worse", 1000, 1, 0.99)
-	e.NoteDrive("worse", 900) // slower after refinement
-	for _, ie := range e.Snapshot().Indexes {
-		if ie.Name == "worse" && ie.SavedNS != 0 {
-			t.Fatalf("negative delta must clamp to zero: %+v", ie)
-		}
+	worse.NoteDrive(100)
+	worse.NoteRefined(1000, 1, 0.99)
+	worse.NoteDrive(900) // slower after refinement
+	if ie := worse.Economics("worse"); ie.SavedNS != 0 {
+		t.Fatalf("negative delta must clamp to zero: %+v", ie)
 	}
 }
 
-// TestSnapshotOrderedByName: the zero value is an empty balance sheet,
-// and a populated one lists indexes by name whatever order they were
-// first seen in, with totals over all of them.
-func TestSnapshotOrderedByName(t *testing.T) {
-	e := new(Econ)
-	if s := e.Snapshot(); len(s.Indexes) != 0 || s.InvestedNS != 0 || s.ROI != 0 {
-		t.Fatalf("zero ledger not empty: %+v", s)
+// TestNewSnapshotTotals: no indexes is an empty balance sheet, and the
+// totals and ROI sum the given indexes, which keep their order.
+func TestNewSnapshotTotals(t *testing.T) {
+	if s := NewSnapshot(nil); len(s.Indexes) != 0 || s.InvestedNS != 0 || s.ROI != 0 {
+		t.Fatalf("empty balance sheet: %+v", s)
 	}
-	for i, name := range []string{"c", "a", "b"} {
-		e.NoteRefined(name, int64(100*(i+1)), 1, 0.5)
-	}
-	snap := e.Snapshot()
-	var names []string
-	for _, ie := range snap.Indexes {
-		names = append(names, ie.Name)
-	}
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Fatalf("snapshot order = %v, want [a b c]", names)
-	}
-	if snap.InvestedNS != 600 {
-		t.Fatalf("invested %d, want 600", snap.InvestedNS)
+	snap := NewSnapshot([]IndexEconomics{
+		{Name: "a", InvestedNS: 100, SavedNS: 50},
+		{Name: "b", InvestedNS: 300, SavedNS: 350},
+	})
+	if snap.InvestedNS != 400 || snap.SavedNS != 400 || snap.ROI != 1 || snap.Indexes[0].Name != "a" {
+		t.Fatalf("totals wrong: %+v", snap)
 	}
 }
 
-// TestLedgerConcurrentRecording is the -race check of the copy-on-write
-// table: writers race the first-sight intern of overlapping indexes
-// while a reader snapshots; no drive sample may be lost.
+// TestLedgerConcurrentRecording is the -race check of one ledger:
+// queries credit drives and the daemon refinements while a reader
+// digests it; no drive sample may be lost.
 func TestLedgerConcurrentRecording(t *testing.T) {
-	e := new(Econ)
+	var l Ledger
 	const writers, perG = 8, 5000
-	attrs := []string{"a", "b", "c"}
 	stop := make(chan struct{})
 	var rd sync.WaitGroup
 	rd.Add(1)
@@ -113,7 +94,7 @@ func TestLedgerConcurrentRecording(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.Snapshot()
+				l.Economics("x")
 			}
 		}
 	}()
@@ -123,32 +104,27 @@ func TestLedgerConcurrentRecording(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				e.NoteDrive(attrs[(g+i)%len(attrs)], 10)
+				if i%100 == 0 {
+					l.NoteRefined(10, 1, float64(i)/perG)
+				}
+				l.NoteDrive(10)
 			}
 		}(g)
 	}
 	wg.Wait()
 	close(stop)
 	rd.Wait()
-	var total int64
-	for _, ie := range e.Snapshot().Indexes {
-		total += ie.DriveQueries
-	}
-	if total != writers*perG {
+	if total := l.Economics("x").DriveQueries; total != writers*perG {
 		t.Fatalf("lost drive samples: total %d, want %d", total, writers*perG)
 	}
 }
 
-// TestRecordingAllocationFree gates the steady-state recording paths
-// at 0 allocs/op (the first-sight intern is the only allocating step,
-// and it happens once per attribute).
+// TestRecordingAllocationFree gates both recording paths at 0 allocs/op.
 func TestRecordingAllocationFree(t *testing.T) {
-	e := new(Econ)
-	e.NoteDrive("x", 100)
-	e.NoteRefined("x", 10, 1, 0.5)
+	var l Ledger
 	if a := testing.AllocsPerRun(200, func() {
-		e.NoteDrive("x", 123)
-		e.NoteRefined("x", 17, 1, 0.6)
+		l.NoteDrive(123)
+		l.NoteRefined(17, 1, 0.6)
 	}); a > 0 {
 		t.Fatalf("econ recording allocates %.1f times per op, want 0", a)
 	}

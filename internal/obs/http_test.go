@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // metricsOf evaluates the registry's metrics snapshot and returns the
@@ -48,7 +47,8 @@ func TestHandlerHolisticEndpoint(t *testing.T) {
 	m := new(QueryMetrics)
 	m.RecordOp(OpCount, 1500)
 	m.RecordRep(RepBitmap)
-	m.RecordStrategy(m.NextSeq(), StratJoinHash)
+	m.NextSeq()
+	m.RecordStrategy(StratJoinHash)
 	Register("test-store", Entry{Metrics: func() any { return m.Snapshot() }})
 	defer Unregister("test-store")
 
@@ -214,64 +214,4 @@ func TestHealthzReadyz(t *testing.T) {
 	check(503, false, []string{"test-store"})
 	ready = true
 	check(200, true, nil)
-}
-
-func TestTimelineRingBound(t *testing.T) {
-	m := new(QueryMetrics)
-	strats := []Strat{StratGroupDense, StratGroupHash, StratGroupSort}
-	for i := 0; i < 3*timelineCap; i++ {
-		m.RecordStrategy(uint64(i), strats[i%len(strats)])
-	}
-	tl := m.Snapshot().Timeline
-	if len(tl) != timelineCap {
-		t.Fatalf("timeline holds %d events, want cap %d", len(tl), timelineCap)
-	}
-	for i := 1; i < len(tl); i++ {
-		if tl[i].Seq <= tl[i-1].Seq {
-			t.Fatalf("timeline out of order at %d: %d after %d", i, tl[i].Seq, tl[i-1].Seq)
-		}
-	}
-	// Steady state: repeating the same strategy records nothing new.
-	before := len(m.Snapshot().Timeline)
-	last := tl[len(tl)-1]
-	var s Strat
-	switch last.Strategy {
-	case "dense":
-		s = StratGroupDense
-	case "hash":
-		s = StratGroupHash
-	default:
-		s = StratGroupSort
-	}
-	m.RecordStrategy(99999, s)
-	if got := len(m.Snapshot().Timeline); got != before {
-		t.Fatalf("repeat strategy grew timeline: %d -> %d", before, got)
-	}
-}
-
-// TestUnchangedStrategySkipsTheTimelineLock: recording the strategy a
-// subsystem already runs returns while the timeline's mutex is held, for
-// both subsystems; a change still records under it.
-func TestUnchangedStrategySkipsTheTimelineLock(t *testing.T) {
-	m := new(QueryMetrics)
-	m.RecordStrategy(1, StratGroupHash)
-	m.RecordStrategy(2, StratJoinMerge)
-	m.tl.mu.Lock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m.RecordStrategy(3, StratGroupHash)
-		m.RecordStrategy(4, StratJoinMerge)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		m.tl.mu.Unlock()
-		t.Fatal("recording an unchanged strategy waited for the timeline mutex")
-	}
-	m.tl.mu.Unlock()
-	m.RecordStrategy(5, StratGroupSort)
-	if tl := m.Snapshot().Timeline; len(tl) != 3 || tl[2].Seq != 5 {
-		t.Fatalf("timeline %+v, want the two first strategies and the change at 5", tl)
-	}
 }

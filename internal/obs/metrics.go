@@ -1,91 +1,21 @@
 // Query and executor metrics: the per-runner latency/representation/
 // strategy aggregates and the per-executor access-path counters behind
-// Store.Metrics. Recording is lock-free (atomics) except the bounded
-// strategy-transition timeline, which takes a tiny mutex only when a
-// subsystem's executed strategy actually changes: an unchanged one is one
-// atomic compare.
+// Store.Metrics. Recording is lock-free (atomics).
 
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// timelineCap bounds the retained strategy-transition events.
-const timelineCap = 128
-
-// TimelineEvent is one executed-strategy transition: at query seq, the
-// subsystem switched to strategy.
-type TimelineEvent struct {
-	Seq       uint64 `json:"seq"`
-	Subsystem string `json:"subsystem"`
-	Strategy  string `json:"strategy"`
-}
-
-// timeline is a fixed ring of strategy transitions, recording only
-// changes (per subsystem), so a converged steady state costs one
-// compare per query and the ring holds the interesting prefix: the
-// hash→sort / hash→merge flips background refinement causes.
-type timeline struct {
-	mu    sync.Mutex
-	event [timelineCap]struct {
-		seq   uint64
-		strat Strat
-	}
-	start, n int
-	total    int64
-	// last is each subsystem's last executed strategy plus one (0: none
-	// yet), compared before the mutex is taken and stored under it.
-	last [2]atomic.Uint32
-}
-
-//holistic:noalloc
-func (t *timeline) record(seq uint64, s Strat) {
-	sub, tag := s.subIndex(), uint32(s)+1
-	if t.last[sub].Load() == tag {
-		return
-	}
-	t.mu.Lock()
-	if t.last[sub].Load() == tag {
-		t.mu.Unlock()
-		return
-	}
-	t.last[sub].Store(tag)
-	if t.n < timelineCap {
-		i := (t.start + t.n) % timelineCap
-		t.event[i].seq, t.event[i].strat = seq, s
-		t.n++
-	} else {
-		t.event[t.start].seq, t.event[t.start].strat = seq, s
-		t.start = (t.start + 1) % timelineCap
-	}
-	t.total++
-	t.mu.Unlock()
-}
-
-func (t *timeline) snapshot() []TimelineEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TimelineEvent, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		e := t.event[(t.start+i)%timelineCap]
-		out = append(out, TimelineEvent{Seq: e.seq, Subsystem: e.strat.Subsystem(), Strategy: e.strat.String()})
-	}
-	return out
-}
+import "sync/atomic"
 
 // QueryMetrics aggregates one store's query telemetry: per-op latency
-// histograms, representation and strategy counters and the strategy
-// timeline. All record methods are zero-allocation; the zero value is
-// ready to use (a few hundred KB of histogram buckets), and the store's
-// observer holds the one instance every query records into.
+// histograms and representation and strategy counters. All record
+// methods are zero-allocation; the zero value is ready to use (a few
+// hundred KB of histogram buckets), and the store's observer holds the
+// one instance every query records into.
 type QueryMetrics struct {
 	seq    atomic.Uint64
 	lat    [NumOps]Histogram
 	reps   [NumReps]Counter
 	strats [NumStrats]Counter
-	tl     timeline
 }
 
 // NextSeq assigns the next query sequence number.
@@ -111,16 +41,13 @@ func (m *QueryMetrics) RecordRep(r Rep) {
 	}
 }
 
-// RecordStrategy counts one executed physical strategy and feeds the
-// transition timeline at the given query sequence number.
+// RecordStrategy counts one executed physical strategy.
 //
 //holistic:noalloc
-func (m *QueryMetrics) RecordStrategy(seq uint64, s Strat) {
-	if s >= NumStrats {
-		return
+func (m *QueryMetrics) RecordStrategy(s Strat) {
+	if s < NumStrats {
+		m.strats[s].Inc()
 	}
-	m.strats[s].Inc()
-	m.tl.record(seq, s)
 }
 
 // MergedLatency merges every op's histogram into s — the cumulative
@@ -146,8 +73,6 @@ type QuerySnapshot struct {
 	// Strategies counts executed physical strategies, keyed
 	// "subsystem/strategy".
 	Strategies map[string]int64 `json:"strategies"`
-	// Timeline holds the retained strategy transitions, oldest first.
-	Timeline []TimelineEvent `json:"strategy_timeline"`
 }
 
 // Snapshot digests the metrics; cold path, allocates freely.
@@ -157,7 +82,6 @@ func (m *QueryMetrics) Snapshot() *QuerySnapshot {
 		Latency:         make(map[string]LatencySummary),
 		Representations: make(map[string]int64),
 		Strategies:      make(map[string]int64),
-		Timeline:        m.tl.snapshot(),
 	}
 	for op := Op(0); op < NumOps; op++ {
 		if m.lat[op].Count() > 0 {

@@ -105,8 +105,7 @@ func (r Rep) String() string {
 }
 
 // Strat identifies one executed physical strategy of the grouped or
-// join subsystem; the per-runner strategy counters and the transition
-// timeline are keyed by it.
+// join subsystem; the per-runner strategy counters are keyed by it.
 type Strat uint8
 
 const (
@@ -125,16 +124,6 @@ func (s Strat) Subsystem() string {
 		return "join"
 	}
 	return "groupby"
-}
-
-// subIndex keys the per-subsystem last-strategy slots of the timeline.
-//
-//holistic:noalloc
-func (s Strat) subIndex() int {
-	if s >= StratJoinHash {
-		return 1
-	}
-	return 0
 }
 
 // String names the strategy.

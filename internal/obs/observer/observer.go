@@ -1,11 +1,11 @@
 // Package observer is the one recording surface of a store: a concrete,
 // nil-safe Observer that owns every consumer of the store's telemetry —
-// the query and executor metrics, the flight ring with its watchdog, the
-// refinement ledger and the trace sink — and feeds all of them from one
-// call per instrumentation site. The query runner, the executor and its
-// daemon, and the durability layer each hold the same *Observer and never
-// see a consumer directly, so a new consumer is one line here, not one
-// more setter at every site.
+// the query and executor metrics, the flight ring with its watchdog and
+// the trace sink — and feeds all of them, and the refinement ledger on
+// each index's statistics node, from one call per instrumentation site.
+// The query runner, the executor and its daemon, and the durability layer
+// each hold the same *Observer and never see a consumer directly, so a
+// new consumer is one line here, not one more setter at every site.
 //
 // Every record method is //holistic:noalloc and safe on a nil receiver:
 // an unobserved runner or executor pays one pointer compare per site.
@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"holistic/internal/obs"
-	"holistic/internal/obs/econ"
 	"holistic/internal/obs/flight"
+	"holistic/internal/stats"
 )
 
 // Config sizes an Observer.
@@ -44,8 +44,6 @@ type Observer struct {
 	// Flight is the event ring; nil when disabled (its Record methods
 	// are nil-safe).
 	Flight *flight.Recorder
-	// Econ is the refinement ledger.
-	Econ econ.Econ
 
 	// Watchdog baselines latency and convergence and decides when the
 	// ring is worth dumping; nil exactly when Flight is.
@@ -242,19 +240,19 @@ func (o *Observer) Strategy(seq uint64, s obs.Strat, stat0, stat1 float64) {
 	if o == nil {
 		return
 	}
-	o.Query.RecordStrategy(seq, s)
+	o.Query.RecordStrategy(s)
 	o.Flight.RecordStrategy(uint8(s), seq, stat0, stat1)
 }
 
 // Select is the executor's epilogue, the one place every query door
 // passes through: pending updates the access merged, then either a
 // key-order walk or a select with its latency — which, when the select
-// succeeded, is also the ledger's drive credit for attr, the benefit
-// side of the refinement balance (a failed one names no index to
-// credit: an unknown attribute must not grow the ledger).
+// walked an index of the holistic index space, is also the drive credit
+// on that index's ledger, the benefit side of the refinement balance (e
+// is nil for a select that drove no such index).
 //
 //holistic:noalloc
-func (o *Observer) Select(attr string, ns int64, merged int, walked, ok bool) {
+func (o *Observer) Select(e *stats.Entry, ns int64, merged int, walked bool) {
 	if o == nil {
 		return
 	}
@@ -264,8 +262,8 @@ func (o *Observer) Select(attr string, ns int64, merged int, walked, ok bool) {
 		return
 	}
 	o.Exec.RecordSelect(ns)
-	if ok {
-		o.Econ.NoteDrive(attr, ns)
+	if e != nil {
+		e.Ledger.NoteDrive(ns)
 	}
 }
 
@@ -289,17 +287,18 @@ func (o *Observer) CrackerBuilt() {
 	}
 }
 
-// Refined records one daemon worker activation on attr: the audit event
+// Refined records one daemon worker activation on e: the audit event
 // (what it did, how far the index still is from optimal) and the
-// ledger's investment side (wall time spent, convergence ratio reached).
-func (o *Observer) Refined(attr string, refined, merged, attempts int64, distance float64, pieces, investedNs int64, progress float64) {
+// investment side of e's ledger (wall time spent, convergence ratio
+// reached).
+func (o *Observer) Refined(e *stats.Entry, refined, merged, attempts int64, distance float64, pieces, investedNs int64, progress float64) {
 	if o == nil {
 		return
 	}
 	if o.Flight != nil {
-		o.Flight.RecordRefine(o.Flight.Intern(attr), refined, merged, attempts, distance, pieces)
+		o.Flight.RecordRefine(o.Flight.Intern(e.Name), refined, merged, attempts, distance, pieces)
 	}
-	o.Econ.NoteRefined(attr, investedNs, refined, progress)
+	e.Ledger.NoteRefined(investedNs, refined, progress)
 }
 
 // Cycle records one completed daemon tuning cycle, which, like a query,

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"holistic/internal/cracking"
+	"holistic/internal/obs/econ"
 	"holistic/internal/updates"
 )
 
@@ -111,6 +112,10 @@ type Entry struct {
 	state    atomic.Int64 // State
 	accesses atomic.Int64 // fI: user queries that accessed the index
 	hits     atomic.Int64 // fIh: user queries answered with an exact hit
+	// Ledger is the index's refinement balance: what the daemon invested
+	// in it and the drive latency of the selects it served. It lives and
+	// dies with the entry, so a rebuilt index starts a fresh one.
+	Ledger econ.Ledger
 }
 
 // State returns the configuration the index currently belongs to.

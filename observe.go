@@ -252,15 +252,14 @@ type Metrics struct {
 	Mode string `json:"mode"`
 	Rows int    `json:"rows"`
 	// Query aggregates the conjunctive query pipeline: query count,
-	// per-operation latency summaries (p50/p90/p99/p999),
-	// representation and strategy counters, and the strategy-transition
-	// timeline.
+	// per-operation latency summaries (p50/p90/p99/p999), and
+	// representation and strategy counters.
 	Query *obs.QuerySnapshot `json:"query"`
 	// Exec aggregates the mode's access path: select latency, cracker
 	// builds, merged pending updates, key-order index walks.
 	Exec *obs.ExecSnapshot `json:"exec"`
 	// Daemon reports background-refinement convergence (ModeHolistic
-	// only): per-column state timelines, refinement and reroll
+	// only): per-index state and progress, refinement and reroll
 	// counters, cycle totals, and the overall convergence ratio.
 	Daemon *holistic.Convergence `json:"daemon,omitempty"`
 	// Recovery reports the durability layer (stores opened with
@@ -270,9 +269,9 @@ type Metrics struct {
 	// Flight reports the flight recorder and its watchdog: ring
 	// occupancy, rolling baselines, anomaly counts (DESIGN.md §9).
 	Flight *FlightStatus `json:"flight,omitempty"`
-	// Economics reports the refinement cost-benefit ledger: per-index
-	// daemon time invested versus estimated drive-latency savings
-	// (DESIGN.md §9).
+	// Economics reports the refinement cost-benefit ledger (ModeHolistic
+	// only): per index of the daemon's index space, daemon time invested
+	// versus estimated drive-latency savings (DESIGN.md §9).
 	Economics *econ.Snapshot `json:"economics,omitempty"`
 	// Trace reports the JSONL trace sink attached via SetTraceJSONL /
 	// SetTraceJSONLFile: lines and bytes written, write errors (which
@@ -296,16 +295,21 @@ func (s *Store) Metrics() Metrics {
 	sink := s.traceSink
 	s.mu.Unlock()
 	m := Metrics{
-		Mode:      s.cfg.Mode.String(),
-		Rows:      rows,
-		Query:     s.ob.Query.Snapshot(),
-		Exec:      s.ob.Exec.Snapshot(),
-		Economics: s.ob.Econ.Snapshot(),
+		Mode:  s.cfg.Mode.String(),
+		Rows:  rows,
+		Query: s.ob.Query.Snapshot(),
+		Exec:  s.ob.Exec.Snapshot(),
 	}
 	s.ob.Query.MergedLatency(&m.queryLatency)
 	s.ob.Exec.SelectLatency.Snapshot(&m.selectLatency)
 	if d := daemonOf(exec); d != nil {
 		m.Daemon = d.Convergence()
+		entries := d.Registry().Entries()
+		indexes := make([]econ.IndexEconomics, len(entries))
+		for i, e := range entries {
+			indexes[i] = e.Ledger.Economics(e.Name)
+		}
+		m.Economics = econ.NewSnapshot(indexes)
 	}
 	if s.dur != nil {
 		m.Recovery = s.dur.snapshotMetrics()

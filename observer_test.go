@@ -54,6 +54,9 @@ func observe(s *Store, driven ...string) observed {
 			o.evRep++
 		}
 	}
+	if m.Economics == nil { // no executor built yet: no index space
+		return o
+	}
 	for _, ie := range m.Economics.Indexes {
 		for _, attr := range driven {
 			if ie.Name == attr {

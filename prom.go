@@ -67,8 +67,8 @@ func (s *Store) promCollect(w *prom.Writer) {
 
 	if m.Daemon != nil {
 		promDaemon(w, store, m.Daemon)
+		promEconomics(w, store, m.Economics)
 	}
-	promEconomics(w, store, m.Economics)
 
 	if m.Flight != nil {
 		w.Meta("holistic_flight_events_total", "Flight-recorder events recorded.", "counter")
