@@ -217,11 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		conv = m.Daemon.Ratio
 	}
 	fmt.Fprintf(stdout, "holisticserve: %d queries served, convergence ratio %.3f\n", queries, conv)
-	if ec := m.Economics; ec != nil && ec.InvestedNS > 0 {
-		fmt.Fprintf(stdout, "holisticserve: economics: invested %v refining %d index(es), estimated %v saved (ROI %.2f)\n",
-			time.Duration(ec.InvestedNS).Round(time.Microsecond), len(ec.Indexes),
-			time.Duration(ec.SavedNS).Round(time.Microsecond), ec.ROI)
-	}
 	if m.Flight != nil {
 		wd := m.Flight.Watchdog
 		fmt.Fprintf(stdout, "holisticserve: flight: %d events recorded, %d anomalies (last %s), %d dumps written\n",

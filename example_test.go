@@ -170,8 +170,7 @@ func ExampleQuery_GroupBy() {
 
 // ExampleStore_Metrics demonstrates the telemetry snapshot: lifetime
 // query counters with latency percentiles, the physical choices made,
-// the refinement-economics balance sheet, and (under ModeHolistic) the
-// daemon's convergence state. The same snapshot is served per store on
+// and (under ModeHolistic) the daemon's convergence state. The same snapshot is served per store on
 // /debug/holistic (cmd/holisticserve).
 func ExampleStore_Metrics() {
 	store := holistic.NewStore(holistic.Config{Mode: holistic.ModeAdaptive, Threads: 1})
@@ -194,13 +193,9 @@ func ExampleStore_Metrics() {
 		m.Mode, m.Query.Queries, lat.Count, lat.P99US > 0)
 	fmt.Printf("bitmap selections: %v, cracker builds: %d\n",
 		m.Query.Representations["bitmap"] > 0, m.Exec.CrackerBuilds)
-	// Economics: the cost-benefit ledger is holistic indexing's; without
-	// a refinement daemon (ModeAdaptive) there is none, like Daemon.
-	fmt.Printf("economics reported: %v\n", m.Economics != nil)
 	// Output:
 	// mode adaptive: 3 queries, 3 count latencies recorded, p99 > 0: true
 	// bitmap selections: true, cracker builds: 1
-	// economics reported: false
 }
 
 // ExampleStore_FlightDump demonstrates the flight recorder: every

@@ -44,8 +44,8 @@ type Executor struct {
 	epoch   int             // online indexing: queries answered by scans before the sort
 
 	// ob receives what run's epilogue reports (select latency, merged
-	// updates, key-order walks, the driven index's ledger credit) and the
-	// cracker builds; nil leaves the executor uninstrumented.
+	// updates, key-order walks) and the cracker builds; nil leaves the
+	// executor uninstrumented.
 	ob *observer.Observer
 
 	// attrs holds the record of every column of the table. It is filled
@@ -357,10 +357,9 @@ func (e *Executor) PrepareAll() {
 // its fan-outs count themselves in column.ForChunks), the select-latency
 // measurement, attribute validation, the empty-range guard, path
 // resolution by the mode's policy, the walk, and the recording of what
-// the walk reports back — one observer call, through which every door
-// (Store range methods, conjunctive drives, join sides, Explain) credits
-// the ledger of the index the select walked. A declined key-order walk
-// did no work and records nothing.
+// the walk reports back — one observer call, which every door (Store
+// range methods, conjunctive drives, join sides, Explain) passes
+// through. A declined key-order walk did no work and records nothing.
 //
 //holistic:noalloc
 func (e *Executor) run(attr string, f fold) (fold, error) {
@@ -372,7 +371,7 @@ func (e *Executor) run(attr string, f fold) (fold, error) {
 	}
 	f, err := e.answer(attr, f)
 	if e.ob != nil && (f.walked || f.op != opClusters) {
-		e.ob.Select(f.entry, time.Since(start).Nanoseconds(), f.merged, f.walked)
+		e.ob.Select(time.Since(start).Nanoseconds(), f.merged, f.walked)
 	}
 	return f, err
 }

@@ -76,11 +76,8 @@ type fold struct {
 	pieceRows []uint32
 
 	// What a cracking path reports back for the shared epilogue: the
-	// pending updates it merged first, and the statistics entry of the
-	// index a select walked (nil outside the holistic index space), whose
-	// ledger the select's latency credits.
+	// pending updates it merged first.
 	merged int
-	entry  *stats.Entry
 }
 
 // addBounds folds the extrema of n more qualifying values.
@@ -232,7 +229,6 @@ func (p *crackerPath) walk(f fold) fold {
 		// The select operator's access record: an exact hit needed no
 		// reorganization.
 		p.entry.RecordAccess(r.ExactHit())
-		f.entry = p.entry
 	}
 	return f
 }

@@ -22,6 +22,12 @@ type IndexConvergence struct {
 	// Progress is 1 - d/d0 where d0 is the distance of the unrefined
 	// column (N - |L1|): 0 = untouched, 1 = optimal (stats.Progress).
 	Progress float64 `json:"progress"`
+	// InvestedNS is the daemon's wall time spent refining the index,
+	// Refinements its successful refinements of it. Whether that time
+	// paid off is not read here but measured by a paired A/B against
+	// ModeAdaptive (holistic.session_delta_s).
+	InvestedNS  int64 `json:"invested_ns"`
+	Refinements int64 `json:"refinements"`
 }
 
 // Convergence is the daemon-side metrics snapshot.
@@ -68,17 +74,22 @@ func (d *Daemon) Convergence() *Convergence {
 	}
 	var sum float64
 	for _, e := range entries {
+		// State before progress: Optimal is final and Progress reads it,
+		// so an index reported optimal is reported at progress 1.
+		state := e.State()
 		progress := d.reg.Progress(e)
 		sum += progress
 		c.Indexes = append(c.Indexes, IndexConvergence{
 			Name:         e.Name,
-			State:        e.State().String(),
+			State:        state.String(),
 			Pieces:       e.Col.Pieces(),
 			AvgPieceSize: e.Col.AvgPieceSize(),
 			Distance:     d.reg.Distance(e),
 			Accesses:     e.Accesses(),
 			Hits:         e.Hits(),
 			Progress:     progress,
+			InvestedNS:   e.InvestedNS(),
+			Refinements:  e.Refinements(),
 		})
 	}
 	if len(entries) > 0 {

@@ -42,6 +42,13 @@ func TestConvergenceSnapshot(t *testing.T) {
 	if idx.Progress <= 0 || idx.Progress > 1 {
 		t.Fatalf("progress out of range: %v", idx.Progress)
 	}
+	// The one index holds every refinement, and the activations that made
+	// them are part of the workers' time: recorded on the entry with no
+	// observer attached.
+	if idx.Refinements != c1.Refinements || idx.InvestedNS <= 0 || idx.InvestedNS > int64(c1.Totals.WorkerTime) {
+		t.Fatalf("index invested %d ns in %d refinements; daemon %d refinements in %v of worker time",
+			idx.InvestedNS, idx.Refinements, c1.Refinements, c1.Totals.WorkerTime)
+	}
 
 	// The snapshot must round-trip as JSON with its telemetry keys.
 	b, err := json.Marshal(c1)
@@ -56,5 +63,8 @@ func TestConvergenceSnapshot(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("convergence JSON missing %q: %s", key, b)
 		}
+	}
+	if ix := m["indexes"].([]any)[0].(map[string]any); ix["invested_ns"] == nil || ix["refinements"] == nil {
+		t.Fatalf("index JSON missing invested_ns or refinements: %v", ix)
 	}
 }

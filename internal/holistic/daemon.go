@@ -121,10 +121,10 @@ type Daemon struct {
 	// worker activation; the panic-containment test injects through it.
 	testRefineHook func()
 
-	// ob is the store's observer: cycles, refinement passes (the ledger's
-	// investment side) and pivot positions go to it. The daemon runs
-	// before the store attaches it, so it is swapped atomically; a nil
-	// observer is a no-op for every call.
+	// ob is the store's observer: cycles, refinement passes and pivot
+	// positions go to it. The daemon runs before the store attaches it,
+	// so it is swapped atomically; a nil observer is a no-op for every
+	// call.
 	ob atomic.Pointer[observer.Observer]
 
 	stop chan struct{}
@@ -316,19 +316,12 @@ func (d *Daemon) idleFunction(rng *rand.Rand) (refined, mergedUpdates int) {
 		return 0, 0
 	}
 	minPiece := d.reg.L1Values()
-	ob := d.ob.Load()
 	t0 := time.Now()
 	attempts := int64(0)
 	defer func() {
-		if ob == nil {
-			return
-		}
-		// The ledger's investment side: this activation's wall time is
-		// idle-context time spent on e, and its progress after the pass
-		// (the one Convergence reports) tells the benefit estimator which
-		// drive-latency bucket later queries credit.
-		ob.Refined(e, int64(refined), int64(mergedUpdates), attempts, d.reg.Distance(e),
-			int64(e.Col.Pieces()), time.Since(t0).Nanoseconds(), d.reg.Progress(e))
+		// This activation's wall time is idle-context time invested in e.
+		e.RecordRefined(time.Since(t0).Nanoseconds(), int64(refined))
+		d.ob.Load().Refined(e, int64(refined), int64(mergedUpdates), attempts, d.reg.Distance(e), int64(e.Col.Pieces()))
 	}()
 
 	for i := 0; i < d.cfg.Refinements; i++ {

@@ -145,7 +145,7 @@ func TestRepoClean(t *testing.T) {
 // entry points must carry a verified //holistic:noalloc annotation, so
 // removing one is a visible, reviewed act.
 func TestAnnotatedHotPaths(t *testing.T) {
-	mod, err := Load("../..", "./internal/query", "./internal/groupby", "./internal/join", "./internal/column", "./internal/cracking", "./internal/obs", "./internal/obs/econ", "./internal/obs/flight", "./internal/obs/observer")
+	mod, err := Load("../..", "./internal/query", "./internal/groupby", "./internal/join", "./internal/column", "./internal/cracking", "./internal/obs", "./internal/obs/flight", "./internal/obs/observer")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -156,7 +156,6 @@ func TestAnnotatedHotPaths(t *testing.T) {
 		"holistic/internal/column":   {"CountRange", "sumRange", "FilterBitmap", "SumBitmap"},
 		"holistic/internal/cracking": {"crackInTwo", "classify", "less", "swapPairs", "swapRuns", "split"},
 		"holistic/internal/obs":      {"Inc", "Add", "Record", "RecordNanos", "NextSeq", "RecordOp", "RecordRep", "RecordStrategy"},
-		"holistic/internal/obs/econ": {"convBucket", "NoteDrive", "NoteRefined"},
 		"holistic/internal/obs/flight": {
 			"record", "RecordQuery", "RecordRep", "RecordStrategy", "RecordRefine",
 			"RecordCycle", "RecordCheckpoint", "RecordRecovery", "RecordAnomaly",

@@ -1,8 +1,8 @@
 // Package observer is the one recording surface of a store: a concrete,
 // nil-safe Observer that owns every consumer of the store's telemetry —
 // the query and executor metrics, the flight ring with its watchdog and
-// the trace sink — and feeds all of them, and the refinement ledger on
-// each index's statistics node, from one call per instrumentation site.
+// the trace sink — and feeds all of them from one call per
+// instrumentation site.
 // The query runner, the executor and its daemon, and the durability layer
 // each hold the same *Observer and never see a consumer directly, so a
 // new consumer is one line here, not one more setter at every site.
@@ -246,13 +246,10 @@ func (o *Observer) Strategy(seq uint64, s obs.Strat, stat0, stat1 float64) {
 
 // Select is the executor's epilogue, the one place every query door
 // passes through: pending updates the access merged, then either a
-// key-order walk or a select with its latency — which, when the select
-// walked an index of the holistic index space, is also the drive credit
-// on that index's ledger, the benefit side of the refinement balance (e
-// is nil for a select that drove no such index).
+// key-order walk or a select with its latency.
 //
 //holistic:noalloc
-func (o *Observer) Select(e *stats.Entry, ns int64, merged int, walked bool) {
+func (o *Observer) Select(ns int64, merged int, walked bool) {
 	if o == nil {
 		return
 	}
@@ -262,9 +259,6 @@ func (o *Observer) Select(e *stats.Entry, ns int64, merged int, walked bool) {
 		return
 	}
 	o.Exec.RecordSelect(ns)
-	if e != nil {
-		e.Ledger.NoteDrive(ns)
-	}
 }
 
 // Merged counts pending updates merged into an index structure outside a
@@ -287,18 +281,13 @@ func (o *Observer) CrackerBuilt() {
 	}
 }
 
-// Refined records one daemon worker activation on e: the audit event
-// (what it did, how far the index still is from optimal) and the
-// investment side of e's ledger (wall time spent, convergence ratio
-// reached).
-func (o *Observer) Refined(e *stats.Entry, refined, merged, attempts int64, distance float64, pieces, investedNs int64, progress float64) {
-	if o == nil {
+// Refined records one daemon worker activation on e as an audit event:
+// what it did and how far the index still is from optimal.
+func (o *Observer) Refined(e *stats.Entry, refined, merged, attempts int64, distance float64, pieces int64) {
+	if o == nil || o.Flight == nil {
 		return
 	}
-	if o.Flight != nil {
-		o.Flight.RecordRefine(o.Flight.Intern(e.Name), refined, merged, attempts, distance, pieces)
-	}
-	e.Ledger.NoteRefined(investedNs, refined, progress)
+	o.Flight.RecordRefine(o.Flight.Intern(e.Name), refined, merged, attempts, distance, pieces)
 }
 
 // Cycle records one completed daemon tuning cycle, which, like a query,

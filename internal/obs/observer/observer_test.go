@@ -47,10 +47,9 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	}
 	o.Rep(sp.Seq, obs.RepBitmap, 1000, 2)
 	o.Strategy(sp.Seq, obs.StratGroupHash, 1.5, 2048)
-	a := &stats.Entry{Name: "a"}
-	o.Select(a, 1500, 3, false)
-	o.Select(a, 0, 0, true)      // a key-order walk is no select
-	o.Select(nil, 700, 0, false) // a select that drove no index credits none
+	o.Select(1500, 3, false)
+	o.Select(0, 0, true) // a key-order walk is no select
+	o.Select(700, 0, false)
 	o.CrackerBuilt()
 	o.End(sp, 900, 400, 42, nil)
 
@@ -65,15 +64,12 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	if ks := kinds(o); ks[flight.EvQuery] != 1 || ks[flight.EvRep] != 1 || ks[flight.EvStrategy] != 1 {
 		t.Errorf("flight ring kinds = %v", ks)
 	}
-	if ie := a.Ledger.Economics("a"); ie.DriveQueries != 1 {
-		t.Errorf("a's ledger = %+v, want one drive sample", ie)
-	}
 	if sink.n != 1 || sink.kind != "sum" || sink.result != 42 {
 		t.Errorf("sink saw %+v, want one sum trace with result 42", sink)
 	}
 
 	// The daemon's and durability's sites.
-	o.Refined(a, 2, 1, 3, 64.0, 9, 5000, 0.5)
+	o.Refined(&stats.Entry{Name: "a"}, 2, 1, 3, 64.0, 9)
 	o.Cycle(1, 2, 2, 1, 7000)
 	o.Checkpoint(4, 120, 96_000_000, 5_000_000)
 	if dump := o.Recovery(4, 3, true, 1, 0); !dump {
@@ -87,9 +83,6 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	}
 	if ks[flight.EvWALRotate] != 0 {
 		t.Error("a checkpoint recorded a wal_rotate event: nothing records that kind")
-	}
-	if ie := a.Ledger.Economics("a"); ie.InvestedNS != 5000 {
-		t.Errorf("a's ledger invested %d ns, want 5000", ie.InvestedNS)
 	}
 	if got := o.Watchdog.State().LastTrigger; got != "torn_wal_tail" {
 		t.Errorf("watchdog last trigger = %q, want torn_wal_tail", got)
@@ -114,10 +107,10 @@ func TestNilObserverAndOwnedTrace(t *testing.T) {
 	var o *Observer
 	o.Rep(1, obs.RepNative, 0, 1)
 	o.Strategy(1, obs.StratJoinHash, 0, 0)
-	o.Select(&stats.Entry{}, 1, 1, false)
+	o.Select(1, 1, false)
 	o.Merged(1)
 	o.CrackerBuilt()
-	o.Refined(&stats.Entry{}, 1, 1, 1, 1, 1, 1, 1)
+	o.Refined(&stats.Entry{}, 1, 1, 1, 1, 1)
 	o.Cycle(0, 0, 0, 0, 0)
 	o.Checkpoint(0, 0, 0, 0)
 	o.DumpWritten()
@@ -162,12 +155,11 @@ func TestRecordingAllocationFree(t *testing.T) {
 	}
 	o := New(Config{Watchdog: time.Hour})
 	o.Watch(func() flight.Observation { return flight.Observation{} }, nil)
-	a := &stats.Entry{Name: "a"}
 	run := func() {
 		sp := o.Begin(obs.OpCount, nil)
 		o.Rep(sp.Seq, obs.RepPosList, 50, 2)
 		o.Strategy(sp.Seq, obs.StratJoinMerge, 1, 2)
-		o.Select(a, 100, 1, false)
+		o.Select(100, 1, false)
 		o.Cycle(1, 2, 3, 4, 5)
 		o.End(sp, 60, 40, 7, nil)
 	}

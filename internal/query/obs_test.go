@@ -303,11 +303,11 @@ func TestSteadyStateCountFlightAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSteadyStateCountEconAllocationFree: the economics recorder — the
-// drive-latency credit on the driven index's ledger in the executor's
-// epilogue — rides the same hot path as the metrics block and must
+// TestSteadyStateCountEconAllocationFree: over a holistic executor, the
+// executor's epilogue and the access record on the driven index's
+// statistics node ride the same hot path as the metrics block and must
 // preserve its zero-allocation steady state. The daemon never runs, so
-// every select is the query's own.
+// every access is the query's own.
 func TestSteadyStateCountEconAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
@@ -332,20 +332,19 @@ func TestSteadyStateCountEconAllocationFree(t *testing.T) {
 		}
 	})
 	if allocs > 0.5 {
-		t.Errorf("econ-recorded Count allocates %.2f times per query, want 0", allocs)
+		t.Errorf("holistic observed Count allocates %.2f times per query, want 0", allocs)
 	}
-	// The driving conjunct's ledger saw every query's drive stage.
-	if drives := exec.Daemon().Registry().Get("a").Ledger.Economics("a").DriveQueries; drives < 51 {
-		t.Errorf("ledger recorded %d drive samples, want >= 51", drives)
+	// The driving conjunct's index counted every query's select.
+	if fI := exec.Daemon().Registry().Get("a").Accesses(); fI < 51 {
+		t.Errorf("the driving index recorded fI %d, want >= 51", fI)
 	}
 }
 
 // BenchmarkConjunctiveCountMetrics pairs the uninstrumented pipeline
 // ("bare": nil observer) against the same pipeline with the full
-// observer attached — metrics and flight ring; a scan executor has no
-// index space, so no ledger is credited (TestSteadyStateCountEconAllocationFree
-// covers that credit). The variant keeps the name "econ" because the CI
-// overhead gate parses it. The delta is the recording overhead the 3%
+// observer attached — metrics and flight ring, over a scan executor
+// (TestSteadyStateCountEconAllocationFree covers a holistic one). The
+// variant keeps the name "econ" because the CI overhead gate parses it. The delta is the recording overhead the 3%
 // acceptance budget is charged to.
 func BenchmarkConjunctiveCountMetrics(b *testing.B) {
 	for _, variant := range []string{"bare", "econ"} {

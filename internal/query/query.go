@@ -345,7 +345,7 @@ func (r *Runner) runSel(sc *scratch, bits bool) error {
 		return err
 	}
 	if timed {
-		// The ledger's drive credit is the executor's to give (its
+		// The select's latency is the executor's to record (its
 		// epilogue sees every door); this split feeds the query event.
 		sc.driveNs = time.Since(t0).Nanoseconds()
 	}

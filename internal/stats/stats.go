@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"holistic/internal/cracking"
-	"holistic/internal/obs/econ"
 	"holistic/internal/updates"
 )
 
@@ -112,10 +111,11 @@ type Entry struct {
 	state    atomic.Int64 // State
 	accesses atomic.Int64 // fI: user queries that accessed the index
 	hits     atomic.Int64 // fIh: user queries answered with an exact hit
-	// Ledger is the index's refinement balance: what the daemon invested
-	// in it and the drive latency of the selects it served. It lives and
-	// dies with the entry, so a rebuilt index starts a fresh one.
-	Ledger econ.Ledger
+	// What the daemon invested in the index: the wall time of the worker
+	// activations that picked it and their successful refinements. They
+	// live and die with the entry, so a rebuilt index starts from zero.
+	investedNs  atomic.Int64
+	refinements atomic.Int64
 }
 
 // State returns the configuration the index currently belongs to.
@@ -126,6 +126,13 @@ func (e *Entry) Accesses() int64 { return e.accesses.Load() }
 
 // Hits returns fIh.
 func (e *Entry) Hits() int64 { return e.hits.Load() }
+
+// InvestedNS returns the daemon's wall nanoseconds spent refining the
+// index.
+func (e *Entry) InvestedNS() int64 { return e.investedNs.Load() }
+
+// Refinements returns the daemon's successful refinements of the index.
+func (e *Entry) Refinements() int64 { return e.refinements.Load() }
 
 // Registry is the latched statistics store over the index space.
 type Registry struct {
@@ -209,6 +216,13 @@ func (e *Entry) RecordAccess(exactHit bool) {
 		e.hits.Add(1)
 	}
 	e.state.CompareAndSwap(int64(Potential), int64(Actual))
+}
+
+// RecordRefined adds one worker activation's wall time and successful
+// refinements to what the daemon invested in the index.
+func (e *Entry) RecordRefined(investedNs, refined int64) {
+	e.investedNs.Add(investedNs)
+	e.refinements.Add(refined)
 }
 
 // Distance returns d(I, Iopt) = N/p - |L1| for the entry, clamped at 0.

@@ -12,7 +12,6 @@ import (
 	"holistic/internal/groupby"
 	"holistic/internal/holistic"
 	"holistic/internal/obs"
-	"holistic/internal/obs/econ"
 )
 
 // ExplainConjunct is one planned range conjunct of an Explain report,
@@ -269,10 +268,6 @@ type Metrics struct {
 	// Flight reports the flight recorder and its watchdog: ring
 	// occupancy, rolling baselines, anomaly counts (DESIGN.md §9).
 	Flight *FlightStatus `json:"flight,omitempty"`
-	// Economics reports the refinement cost-benefit ledger (ModeHolistic
-	// only): per index of the daemon's index space, daemon time invested
-	// versus estimated drive-latency savings (DESIGN.md §9).
-	Economics *econ.Snapshot `json:"economics,omitempty"`
 	// Trace reports the JSONL trace sink attached via SetTraceJSONL /
 	// SetTraceJSONLFile: lines and bytes written, write errors (which
 	// would otherwise drop silently), and file rotations.
@@ -304,12 +299,6 @@ func (s *Store) Metrics() Metrics {
 	s.ob.Exec.SelectLatency.Snapshot(&m.selectLatency)
 	if d := daemonOf(exec); d != nil {
 		m.Daemon = d.Convergence()
-		entries := d.Registry().Entries()
-		indexes := make([]econ.IndexEconomics, len(entries))
-		for i, e := range entries {
-			indexes[i] = e.Ledger.Economics(e.Name)
-		}
-		m.Economics = econ.NewSnapshot(indexes)
 	}
 	if s.dur != nil {
 		m.Recovery = s.dur.snapshotMetrics()

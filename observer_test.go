@@ -40,12 +40,12 @@ func doorStore(t *testing.T, rows int, seed int64) *Store {
 
 // observed is what the door table compares before and after a door: the
 // lifetime query count, the flight ring's query and representation
-// events, and the ledger's drive samples summed over the given indexes.
-type observed struct{ queries, evQuery, evRep, drives int64 }
+// events, and the store's single-attribute selects.
+type observed struct{ queries, evQuery, evRep, selects int64 }
 
-func observe(s *Store, driven ...string) observed {
+func observe(s *Store) observed {
 	m := s.Metrics()
-	o := observed{queries: int64(m.Query.Queries)}
+	o := observed{queries: int64(m.Query.Queries), selects: m.Exec.Selects}
 	for _, e := range s.ob.Flight.Snapshot() {
 		switch e.Kind {
 		case flight.EvQuery:
@@ -54,32 +54,22 @@ func observe(s *Store, driven ...string) observed {
 			o.evRep++
 		}
 	}
-	if m.Economics == nil { // no executor built yet: no index space
-		return o
-	}
-	for _, ie := range m.Economics.Indexes {
-		for _, attr := range driven {
-			if ie.Name == attr {
-				o.drives += ie.DriveQueries
-			}
-		}
-	}
 	return o
 }
 
 // TestEveryDoorFeedsEveryConsumer: whichever public door a query comes
 // through, the one observer sees it once — the query count, the flight
 // ring's EvQuery events and (where the door drives an index) the
-// ledger's drive samples for that attribute all advance by exactly the
-// number of queries issued, and every selection a grouped query or a join
-// side builds records its representation once, on that side's store —
-// with or without predicates. A residual conjunct the planner's rule
-// selects through its own index drives that index too, so where a door
-// has one, its drive samples advance by one more per such choice, read
-// off the query's trace. Before the observer, every site had to
-// remember every sink, and the four range doors, the single-conjunct
-// pushdowns, the predicate-free grouping, the predicate-free join side
-// and Explain each forgot at least one.
+// executor's select count all advance by exactly the number of queries
+// issued, and every selection a grouped query or a join side builds
+// records its representation once, on that side's store — with or
+// without predicates. A residual conjunct the planner's rule selects
+// through its own index is one more select, so where a door has one, the
+// select count advances by one more per such choice, read off the query's
+// trace. Before the observer, every site had to remember every sink, and
+// the four range doors, the single-conjunct pushdowns, the predicate-free
+// grouping, the predicate-free join side and Explain each forgot at least
+// one.
 func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 	s := doorStore(t, 20_000, 1)
 	defer s.Close()
@@ -94,7 +84,7 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 	if err := s.SetTraceJSONL(&traces); err != nil {
 		t.Fatal(err)
 	}
-	var residualDrives int64
+	var residualSelects int64
 	// explained counts the residuals the Explain door's reports show
 	// selected through their index: its traces reach no sink.
 	var explained int64
@@ -176,13 +166,13 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 	for _, d := range doors {
 		t.Run(d.name, func(t *testing.T) {
 			indexed(nil) // drop what earlier doors left
-			before, dimBefore := observe(s, d.driven...), observe(dim)
+			before, dimBefore := observe(s), observe(dim)
 			for i := int64(0); i < n; i++ {
 				if err := d.run(i); err != nil {
 					t.Fatal(err)
 				}
 			}
-			after := observe(s, d.driven...)
+			after := observe(s)
 			if got := after.queries - before.queries; got != n {
 				t.Errorf("Metrics().Query.Queries advanced by %d, want %d", got, n)
 			}
@@ -195,27 +185,25 @@ func TestEveryDoorFeedsEveryConsumer(t *testing.T) {
 			if got := observe(dim).evRep - dimBefore.evRep; got != n*d.dim {
 				t.Errorf("joined store's flight ring gained %d EvRep events, want %d", got, n*d.dim)
 			}
-			wantDrives := indexed(d.driven)
-			residualDrives += wantDrives
+			wantSelects := indexed(d.driven)
+			residualSelects += wantSelects
 			if d.driven != nil {
-				wantDrives += n
+				wantSelects += n
 			}
-			if got := after.drives - before.drives; got != wantDrives {
-				t.Errorf("ledger DriveQueries of %v advanced by %d, want %d", d.driven, got, wantDrives)
+			if got := after.selects - before.selects; got != wantSelects {
+				t.Errorf("Metrics().Exec.Selects advanced by %d over %v, want %d", got, d.driven, wantSelects)
 			}
 		})
 	}
-	if residualDrives == 0 {
+	if residualSelects == 0 {
 		t.Error("no door selected a residual through its index; the count above never saw one")
 	}
 }
 
 // TestRangeDoorsReachTheLedger is the explore-range shape: a holistic
-// store driven by nothing but CountRange and SumRange must end with a
-// ledger that has a benefit side — drive samples for every touched
-// attribute — and one flight query event per query. Before the observer
-// both stayed empty, so on the one workload where the benchmark
-// measures the daemon paying off the ledger said invested > 0, saved = 0.
+// store driven by nothing but CountRange and SumRange must end with one
+// flight query event per query and, on each touched index's statistics
+// node, an fI that counts the selects it drove.
 func TestRangeDoorsReachTheLedger(t *testing.T) {
 	s := doorStore(t, 20_000, 3)
 	defer s.Close()
@@ -232,13 +220,17 @@ func TestRangeDoorsReachTheLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	o := observe(s, "a", "b")
+	o := observe(s)
 	if o.evQuery != n || o.queries != n {
 		t.Errorf("%d queries: Metrics counts %d, flight ring holds %d EvQuery", n, o.queries, o.evQuery)
 	}
-	for _, attr := range []string{"a", "b"} {
-		if d := observe(s, attr).drives; d != n/2 {
-			t.Errorf("ledger DriveQueries[%s] = %d, want %d", attr, d, n/2)
+	ixs := s.Metrics().Daemon.Indexes
+	if len(ixs) != 2 {
+		t.Fatalf("index space %+v, want a and b", ixs)
+	}
+	for _, ic := range ixs {
+		if ic.Accesses != n/2 {
+			t.Errorf("fI[%s] = %d, want %d", ic.Name, ic.Accesses, n/2)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // The store's Prometheus collector (DESIGN.md §9): every Store's
 // registry entry carries it, and each scrape of the shared /metrics
 // exposition renders one Store.Metrics snapshot through it — counters,
-// latency histograms, daemon convergence and refinement economics —
+// latency histograms, daemon convergence and refinement investment —
 // through the scrape's shared prom.Writer. Naming follows the Prometheus conventions adapted to
-// this codebase's units: histograms and invested/saved series carry an
+// this codebase's units: histograms and the invested series carry an
 // explicit _ns suffix (the repo measures in nanoseconds, not seconds),
 // cumulative counters end in _total, and every series is labeled with
 // the store's registry name so several stores in one process stay
@@ -18,7 +18,6 @@ import (
 
 	"holistic/internal/holistic"
 	"holistic/internal/obs"
-	"holistic/internal/obs/econ"
 	"holistic/internal/obs/prom"
 )
 
@@ -67,7 +66,6 @@ func (s *Store) promCollect(w *prom.Writer) {
 
 	if m.Daemon != nil {
 		promDaemon(w, store, m.Daemon)
-		promEconomics(w, store, m.Economics)
 	}
 
 	if m.Flight != nil {
@@ -102,26 +100,13 @@ func promDaemon(w *prom.Writer, store []prom.Label, conv *holistic.Convergence) 
 	w.Meta("holistic_index_pieces", "Current partition count per index.", "gauge")
 	w.Meta("holistic_index_progress",
 		"Per-index refinement progress, 0 = untouched, 1 = optimal.", "gauge")
+	w.Meta("holistic_refine_invested_ns",
+		"Daemon nanoseconds invested refining each index.", "counter")
 	for _, ic := range conv.Indexes {
 		labels := append(store, prom.L("index", ic.Name))
 		w.IntSample("holistic_index_pieces", labels, int64(ic.Pieces))
 		w.Sample("holistic_index_progress", labels, ic.Progress)
-	}
-}
-
-// promEconomics streams the refinement cost-benefit ledger.
-func promEconomics(w *prom.Writer, store []prom.Label, es *econ.Snapshot) {
-	w.Meta("holistic_refine_invested_ns",
-		"Daemon nanoseconds invested refining each index.", "counter")
-	w.Meta("holistic_refine_saved_ns",
-		"Estimated drive-latency nanoseconds saved by each index's refinement.", "counter")
-	w.Meta("holistic_refine_roi",
-		"Estimated saved / invested nanoseconds per index.", "gauge")
-	for _, ie := range es.Indexes {
-		labels := append(store, prom.L("index", ie.Name))
-		w.IntSample("holistic_refine_invested_ns", labels, ie.InvestedNS)
-		w.IntSample("holistic_refine_saved_ns", labels, ie.SavedNS)
-		w.Sample("holistic_refine_roi", labels, ie.ROI)
+		w.IntSample("holistic_refine_invested_ns", labels, ic.InvestedNS)
 	}
 }
 
