@@ -116,6 +116,108 @@ func TestRecordAccessTakesNoRegistryLock(t *testing.T) {
 	}
 }
 
+// TestRecordRefinedTotals: a new entry has invested nothing; each worker
+// activation adds its wall time, a fruitless one too, and its
+// refinements, while the select's access record and a recovered index's
+// restored counts leave the investment alone.
+func TestRecordRefinedTotals(t *testing.T) {
+	r := NewRegistry(0, 1)
+	e := r.Add("a", col(t, 1000, 1), nil, false)
+	if e.InvestedNS() != 0 || e.Refinements() != 0 {
+		t.Fatalf("new entry invested %d ns in %d refinements, want none", e.InvestedNS(), e.Refinements())
+	}
+	e.RecordRefined(2000, 4)
+	e.RecordRefined(3000, 2)
+	e.RecordRefined(500, 0) // an activation that refined nothing still spent its time
+	e.RecordAccess(true)
+	e.RestoreCounts(7, 3, Actual)
+	if e.InvestedNS() != 5500 || e.Refinements() != 6 {
+		t.Errorf("invested %d ns in %d refinements, want 5500 ns in 6", e.InvestedNS(), e.Refinements())
+	}
+	if e.Accesses() != 7 || e.Hits() != 3 {
+		t.Errorf("counters = %d/%d, want the restored 7/3", e.Accesses(), e.Hits())
+	}
+}
+
+// TestLedgerConcurrentRecording is the -race check of one entry's
+// counters: daemon workers record activations and queries their accesses
+// while a reader polls the investment; no record may be lost, and the
+// reader never sees a total go back.
+func TestLedgerConcurrentRecording(t *testing.T) {
+	e := NewRegistry(0, 1).Add("a", col(t, 1000, 1), nil, false)
+	const writers, perG = 8, 5000
+	stop := make(chan struct{})
+	var rd sync.WaitGroup
+	rd.Add(1)
+	go func() {
+		defer rd.Done()
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := e.InvestedNS()
+			if n < last {
+				t.Errorf("invested went back from %d to %d ns", last, n)
+				return
+			}
+			last = n
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				e.RecordRefined(10, 1)
+				e.RecordAccess(false)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rd.Wait()
+	if e.InvestedNS() != writers*perG*10 || e.Refinements() != writers*perG || e.Accesses() != writers*perG {
+		t.Fatalf("lost records: invested %d ns, %d refinements, fI %d; want %d, %d, %d",
+			e.InvestedNS(), e.Refinements(), e.Accesses(), writers*perG*10, writers*perG, writers*perG)
+	}
+}
+
+// TestRecordingAllocationFree gates both of an entry's recording paths,
+// the select's access record and the worker activation's investment, at
+// 0 allocs/op.
+func TestRecordingAllocationFree(t *testing.T) {
+	e := NewRegistry(0, 1).Add("a", col(t, 1000, 1), nil, false)
+	if a := testing.AllocsPerRun(200, func() {
+		e.RecordAccess(false)
+		e.RecordRefined(17, 1)
+	}); a > 0 {
+		t.Fatalf("entry recording allocates %.1f times per op, want 0", a)
+	}
+}
+
+// TestRebuiltIndexStartsFromZero: the investment lives on the entry, so
+// an index evicted from the space and built again reports none of what
+// the daemon put into the one it replaces.
+func TestRebuiltIndexStartsFromZero(t *testing.T) {
+	r := NewRegistry(0, 1)
+	old := r.Add("a", col(t, 1000, 1), nil, false)
+	old.RecordRefined(4000, 3)
+	if v := r.EvictLFU(); v != old {
+		t.Fatalf("evicted %v, want the only index", v)
+	}
+	e := r.Add("a", col(t, 1000, 1), nil, false)
+	if e == old || e.InvestedNS() != 0 || e.Refinements() != 0 {
+		t.Fatalf("rebuilt index invested %d ns in %d refinements, want a fresh entry at 0", e.InvestedNS(), e.Refinements())
+	}
+	if old.InvestedNS() != 4000 || old.Refinements() != 3 {
+		t.Errorf("evicted entry now holds %d ns in %d refinements, want 4000 in 3", old.InvestedNS(), old.Refinements())
+	}
+}
+
 func TestDistanceAndInitialWeight(t *testing.T) {
 	r := NewRegistry(4096, 1)
 	e := r.Add("a", col(t, 100_000, 1), nil, false)
