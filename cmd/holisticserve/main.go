@@ -12,7 +12,7 @@
 //
 //	holisticserve -addr :8090                   # serve until SIGINT
 //	holisticserve -addr 127.0.0.1:0 -duration 5s -trace traces.jsonl
-//	holisticserve -data-dir /var/lib/h -slo-p99 5ms -watchdog-interval 1s
+//	holisticserve -data-dir /var/lib/h -slo-p99 5ms
 //	holisticserve -duration 10s -slo-p99 2ms -anomaly-after 4s
 //
 // The workload mixes multi-predicate counts, sums, grouped aggregates
@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dataDir  = fs.String("data-dir", "", "persist the store here (WAL + snapshots); reopens on restart")
 		snapshot = fs.Duration("snapshot-interval", 0, "how long a write waits for its background snapshot when -data-dir is set (0: library default)")
 		sloP99   = fs.Duration("slo-p99", 0, "absolute p99 latency objective; the watchdog flight-dumps when a window breaches it (0: relative rule only)")
-		wdEvery  = fs.Duration("watchdog-interval", 0, "watchdog window, closed by the first query after it (0: library default 1s, negative: disable)")
 		anomaly  = fs.Duration("anomaly-after", 0, "degrade the workload this far into the run (full-domain scans) to force an SLO breach; 0 disables")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -100,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:             *seed,
 		SnapshotInterval: *snapshot,
 		SLOP99:           *sloP99,
-		WatchdogInterval: *wdEvery,
 	}
 	var store *holistic.Store
 	if *dataDir != "" {

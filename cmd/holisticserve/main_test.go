@@ -175,7 +175,6 @@ func TestServeAnomalyWritesFlightDump(t *testing.T) {
 			"-pause", "1ms",
 			"-data-dir", dataDir,
 			"-slo-p99", "1ns",
-			"-watchdog-interval", "25ms",
 			"-anomaly-after", "300ms",
 		}, &stdout, &stderr)
 	}()

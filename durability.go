@@ -78,6 +78,9 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("holistic: recover: %w", err)
 	}
 	s := newStore(cfg)
+	if cfg.SnapshotInterval == 0 {
+		cfg.SnapshotInterval = 10 * time.Second
+	}
 	d := &durability{
 		fs:       fs,
 		cfg:      cfg,
@@ -89,7 +92,7 @@ func openStoreFS(fs durable.FS, cfg Config) (*Store, error) {
 		clean:    rec.Clean,
 		torn:     rec.TornTail,
 		noState:  rec.StateDropped,
-		interval: cadence(cfg.SnapshotInterval, 10*time.Second),
+		interval: cfg.SnapshotInterval,
 	}
 	s.dur = d
 	d.met.ManifestFallbacks.Add(int64(rec.Fallbacks))
@@ -202,7 +205,7 @@ type durability struct {
 	// noState: recovery could not use the adaptive-state file at all
 	noState bool
 
-	interval time.Duration // background snapshot delay; 0 = disabled
+	interval time.Duration // background snapshot delay; negative = disabled
 
 	// writeMu serializes logged writes with each other and with
 	// checkpoints; the lock order is Store.mu -> writeMu -> executor

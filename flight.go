@@ -58,15 +58,13 @@ type FlightStatus struct {
 	Watchdog flight.State `json:"watchdog"`
 }
 
-// health is the watchdog's view of the holistic daemon, read once per
-// window roll. It takes no lock: the roll may run on the daemon's own
-// cycle.
+// health is the watchdog's view of the holistic daemon, its convergence
+// ratio, read once per window on the query that closes it.
 func (s *Store) health() (h flight.Observation) {
 	d := daemonOf(s.exec.Load())
 	if d == nil {
 		return h
 	}
-	h.WorkerPanics = d.WorkerPanics()
 	if conv := d.Convergence(); conv != nil {
 		h.Convergence, h.HaveConvergence = conv.Ratio, true
 	}

@@ -7,6 +7,7 @@ import (
 
 	"holistic/internal/durable"
 	"holistic/internal/obs/flight"
+	"holistic/internal/obs/observer"
 )
 
 // kindCounts tallies decoded flight events by kind.
@@ -109,15 +110,15 @@ func TestFlightDisabled(t *testing.T) {
 }
 
 // TestWatchdogAnomalyFlightDump injects a latency anomaly (an absolute
-// p99 SLO of one nanosecond that every query breaches) and asserts the
-// watchdog dumps the ring to the durable directory, with the dump
-// decoding to the full audit trail: queries, representation and
-// strategy decisions, daemon refinement steps, and the anomaly event.
+// p99 SLO of one nanosecond that every query breaches) and asserts that
+// the query closing the first watchdog window dumps the ring to the
+// durable directory, with the dump decoding to the full audit trail:
+// queries, representation and strategy decisions, daemon refinement
+// steps, and the anomaly event.
 func TestWatchdogAnomalyFlightDump(t *testing.T) {
 	fs := durable.NewFaultFS()
 	cfg := durCfg(ModeHolistic)
 	cfg.SLOP99 = time.Nanosecond
-	cfg.WatchdogInterval = 25 * time.Millisecond
 	s, err := openStoreFS(fs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,20 +140,10 @@ func TestWatchdogAnomalyFlightDump(t *testing.T) {
 	if _, err := s.CountRange("a", 100, 20_000); err != nil {
 		t.Fatal(err)
 	}
-
-	// Let the daemon refine so the ring holds refinement and cycle
-	// events before the anomaly fires (the dump must audit them too).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if st := s.Stats(); st.Activations > 0 && st.Refinements > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Skip("daemon ran no refinement in 2s; skipping anomaly dump assertion")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// A grouped query records a strategy decision.
+	// One daemon cycle puts refinement and cycle events in the ring
+	// before the anomaly fires (the dump must audit them too), and a
+	// grouped query records a strategy decision.
+	daemonOf(s.exec.Load()).RunCycleNow(2)
 	if _, err := s.Query().Where("a", 0, 1<<62).GroupBy("b").Aggregate(Count()); err != nil {
 		t.Fatal(err)
 	}
@@ -163,24 +154,31 @@ func TestWatchdogAnomalyFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The store's own dump writer, reporting when it has written.
+	dumped := make(chan flight.Trigger, 1) // the cooldown lets one dump through
+	s.ob.Watch(s.health, func(tr flight.Trigger) { s.dur.flightDump(tr); dumped <- tr })
 
-	// Storm enough queries that a watchdog window passes MinSamples;
-	// every one breaches the 1ns SLO, so the first judged window dumps.
-	var dumps []string
-	deadline = time.Now().Add(5 * time.Second)
-	for len(dumps) <= len(base) && time.Now().Before(deadline) {
-		for i := 0; i < 40; i++ {
-			if _, err := s.CountRange("a", int64(i*7), int64(i*7+5000)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-		if dumps, err = durable.ListFlightDumps(fs); err != nil {
+	// Every query breaches the 1 ns SLO, so the query that closes the
+	// first window dumps.
+	for i := 0; i < observer.WindowQueries; i++ {
+		if _, err := s.CountRange("a", int64(i%40*7), int64(i%40*7+5000)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(dumps) <= len(base) {
+	select {
+	case tr := <-dumped:
+		if tr != flight.TriggerP99 {
+			t.Errorf("dumped for %v, want p99_slo", tr)
+		}
+	case <-time.After(5 * time.Second):
 		t.Fatal("watchdog wrote no flight dump under an injected p99 anomaly")
+	}
+	dumps, err := durable.ListFlightDumps(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dumps) != len(base)+1 {
+		t.Fatalf("%d flight dumps after the window, want %d", len(dumps), len(base)+1)
 	}
 
 	data, err := fs.ReadFile(dumps[len(dumps)-1])

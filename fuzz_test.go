@@ -194,7 +194,6 @@ func fuzzConfig(mode Mode) Config {
 		Mode: mode, Threads: 2, OnlineEpoch: 2, L1CacheBytes: 64,
 		TuningInterval: time.Hour, RefinementsPerWorker: 4, Seed: 1,
 		WALSync: WALSyncAlways, SnapshotInterval: -1, FlightEvents: 64,
-		WatchdogInterval: -1,
 	}
 }
 

@@ -170,14 +170,13 @@ type Config struct {
 	// SLOP99 is the absolute p99 latency objective the watchdog
 	// enforces: a rolling window whose p99 exceeds it triggers an
 	// anomaly flight dump. 0 leaves only the relative rule (p99 above
-	// a multiple of the rolling baseline).
+	// a multiple of the rolling baseline). Anomaly-triggered flight
+	// dumps are at least 30s apart, and a durable store keeps the newest
+	// 8 dump files.
 	SLOP99 time.Duration
-	// WatchdogInterval is the watchdog's window (default 1s): a window
-	// closes at the first query or daemon cycle after the interval has
-	// passed, and the watchdog judges it against its rolling baselines.
-	// Negative disables the watchdog. Anomaly-triggered flight dumps are
-	// at least 30s apart, and a durable store keeps the newest 8 dump
-	// files.
+	// WatchdogInterval is ignored: a watchdog window closes after a
+	// fixed number of queries, not on a clock. The field is kept only
+	// because the frozen benchmark module names it.
 	WatchdogInterval time.Duration
 	// TimelineInterval is ignored: a store samples nothing on a timer.
 	// The field is kept only because the frozen benchmark module names
@@ -194,15 +193,6 @@ func (c Config) threads() int {
 		return 2
 	}
 	return c.Threads
-}
-
-// cadence resolves one of Config's interval knobs (WatchdogInterval,
-// SnapshotInterval): def when unset, 0 — off — when negative.
-func cadence(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	return max(v, 0)
 }
 
 func (c Config) l1Values() int {
@@ -237,7 +227,7 @@ type Store struct {
 	table *engine.Table
 	// exec and the query runner over it are built together on the first
 	// query, under mu, and published once — qr first, so whoever sees
-	// exec sees qr. Reads and the watchdog's roll load them with no lock
+	// exec sees qr. Reads and the watchdog's health load them with no lock
 	// held; closed is set once, under mu, and read the same way.
 	exec   atomic.Pointer[engine.Executor]
 	qr     atomic.Pointer[query.Runner]
@@ -264,18 +254,14 @@ func NewStore(cfg Config) *Store {
 func newStore(cfg Config) *Store {
 	s := &Store{cfg: cfg, table: engine.NewTable("store")}
 	s.obsName = "store-" + strconv.FormatInt(storeSeq.Add(1), 10)
-	s.ob = observer.New(observer.Config{
-		FlightEvents: cfg.FlightEvents,
-		SLOP99:       cfg.SLOP99,
-		Watchdog:     cadence(cfg.WatchdogInterval, time.Second),
-	})
+	s.ob = observer.New(observer.Config{FlightEvents: cfg.FlightEvents, SLOP99: cfg.SLOP99})
 	return s
 }
 
 // publish registers the store on the debug endpoints and arms its
-// watchdog's window roll; a durable store's anomalies are dumped to its
-// directory. A durable store publishes once recovery is over, so neither
-// a scrape nor a window roll ever sees it half-opened.
+// watchdog; a durable store's anomalies are dumped to its directory. A
+// durable store publishes once recovery is over, so neither a scrape nor
+// a watchdog window ever sees it half-opened.
 func (s *Store) publish() {
 	entry := obs.Entry{Metrics: func() any { return s.Metrics() }, Prom: s.promCollect}
 	if s.ob.Flight != nil {

@@ -96,7 +96,7 @@ func holisticSystem(strategy stats.Strategy) system {
 			},
 			L1Values:  p.L1Values,
 			Contexts:  threads,
-			Monitor:   cpu.Fixed{Total: threads, Idle: workers},
+			Monitor:   cpu.Fixed{Idle: workers},
 			StatsSeed: p.Seed,
 		})
 	}}

@@ -37,7 +37,6 @@ func runFig14(p Params) (*Result, error) {
 		L1CacheBytes:         p.L1Values * 8,
 		Seed:                 p.Seed,
 		FlightEvents:         -1,
-		WatchdogInterval:     -1,
 	}
 
 	res := &Result{Headers: []string{"query", "mode", "first (ms)", "rest avg (ms)", "total 30 (ms)", "presort (ms)"}}

@@ -325,7 +325,7 @@ func runFig7(p Params) (*Result, error) {
 				},
 				L1Values:  p.L1Values,
 				Contexts:  p.Threads,
-				Monitor:   cpu.Fixed{Total: p.Threads, Idle: d.workers},
+				Monitor:   cpu.Fixed{Idle: d.workers},
 				StatsSeed: p.Seed,
 			})
 		})

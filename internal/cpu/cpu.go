@@ -35,11 +35,8 @@ func Release(n int) { busy.Add(-int64(n)) }
 // Busy returns the number of contexts currently counted busy.
 func Busy() int { return int(busy.Load()) }
 
-// Monitor reports how many hardware contexts are available in total and
-// how many of them are currently idle.
+// Monitor reports how many hardware contexts are currently idle.
 type Monitor interface {
-	// Contexts returns the total number of hardware contexts considered.
-	Contexts() int
 	// IdleContexts returns how many contexts are currently idle. The
 	// holistic daemon activates one worker per idle context.
 	IdleContexts() int
@@ -57,9 +54,6 @@ func NewLoadAccountant(contexts int) *LoadAccountant {
 	return &LoadAccountant{contexts: max(contexts, 1)}
 }
 
-// Contexts implements Monitor.
-func (a *LoadAccountant) Contexts() int { return a.contexts }
-
 // IdleContexts implements Monitor.
 func (a *LoadAccountant) IdleContexts() int { return max(a.contexts-Busy(), 0) }
 
@@ -68,11 +62,8 @@ func (a *LoadAccountant) IdleContexts() int { return max(a.contexts-Busy(), 0) }
 // uXwYxZ configurations of Figures 7, 11 and 17) whatever the busy count
 // says.
 type Fixed struct {
-	Total, Idle int
+	Idle int
 }
-
-// Contexts implements Monitor.
-func (f Fixed) Contexts() int { return f.Total }
 
 // IdleContexts implements Monitor.
 func (f Fixed) IdleContexts() int { return f.Idle }

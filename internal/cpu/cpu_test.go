@@ -7,9 +7,6 @@ import (
 
 func TestLoadAccountant(t *testing.T) {
 	a := NewLoadAccountant(8)
-	if a.Contexts() != 8 {
-		t.Errorf("Contexts() = %d, want 8", a.Contexts())
-	}
 	if a.IdleContexts() != 8 {
 		t.Errorf("fresh IdleContexts() = %d, want 8", a.IdleContexts())
 	}
@@ -34,8 +31,8 @@ func TestLoadAccountant(t *testing.T) {
 
 func TestLoadAccountantMinimumOneContext(t *testing.T) {
 	a := NewLoadAccountant(0)
-	if a.Contexts() != 1 {
-		t.Errorf("Contexts() = %d, want 1", a.Contexts())
+	if a.IdleContexts() != 1 {
+		t.Errorf("IdleContexts() = %d, want 1", a.IdleContexts())
 	}
 }
 
@@ -65,8 +62,8 @@ func TestBusyCountAllocationFree(t *testing.T) {
 }
 
 func TestFixed(t *testing.T) {
-	f := Fixed{Total: 8, Idle: 3}
-	if f.Contexts() != 8 || f.IdleContexts() != 3 {
-		t.Errorf("Fixed = %d/%d", f.IdleContexts(), f.Contexts())
+	f := Fixed{Idle: 3}
+	if f.IdleContexts() != 3 {
+		t.Errorf("Fixed.IdleContexts() = %d, want 3", f.IdleContexts())
 	}
 }

@@ -13,7 +13,7 @@ func TestConvergenceSnapshot(t *testing.T) {
 	col := cracking.New("a", randVals(50_000, 1, 1<<20), cracking.Config{})
 	reg.Add("a", col, nil, true)
 	reg.Get("a").RecordAccess(false)
-	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{Refinements: 16, Seed: 1})
+	d := New(reg, cpu.Fixed{Idle: 1}, Config{Refinements: 16, Seed: 1})
 	defer d.Stop()
 
 	c0 := d.Convergence()
@@ -79,7 +79,7 @@ func TestInvestmentPerIndexSumsToDaemonTotals(t *testing.T) {
 		reg.Add(name, cracking.New(name, randVals(50_000, int64(i+1), 1<<20), cracking.Config{}), nil, false)
 	}
 	reg.MarkOptimal(reg.Get("done"))
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{Refinements: 16, Seed: 1})
+	d := New(reg, cpu.Fixed{Idle: 2}, Config{Refinements: 16, Seed: 1})
 	defer d.Stop()
 	for i := 0; i < 40; i++ {
 		d.RunCycleNow(2)
@@ -117,7 +117,7 @@ func TestRetiringActivationRecordsInvestment(t *testing.T) {
 		vals[i] = int64(i % 8)
 	}
 	reg.Add("k", cracking.New("k", vals, cracking.Config{}), nil, false)
-	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{Refinements: 16, Seed: 1})
+	d := New(reg, cpu.Fixed{Idle: 1}, Config{Refinements: 16, Seed: 1})
 	defer d.Stop()
 	var ic IndexConvergence
 	for i := 0; i < 100 && ic.State != "optimal"; i++ {

@@ -257,11 +257,12 @@ type workerSlot struct {
 
 // runCycle activates n workers and waits for all of them to finish. The
 // workers run through column.ForChunks, so they count as busy contexts
-// for every daemon in the process. The cycle is recorded after slotMu is
-// released: recording may close the watchdog's window, which reads the
-// daemon's convergence.
+// for every daemon in the process. Once they have returned, a worker
+// that panicked is reported to the observer, which dumps the ring for
+// it.
 func (d *Daemon) runCycle(cycle, n int) {
 	d.slotMu.Lock()
+	before := d.workerPanics.Load()
 	for len(d.slots) < n {
 		d.slots = append(d.slots, workerSlot{rng: rand.New(rand.NewSource(0))})
 	}
@@ -285,6 +286,7 @@ func (d *Daemon) runCycle(cycle, n int) {
 		refined += int64(s.refined)
 		merged += int64(s.merged)
 	}
+	panics := d.workerPanics.Load()
 	d.slotMu.Unlock()
 	d.cycleMu.Lock()
 	d.totals.Cycles++
@@ -294,7 +296,11 @@ func (d *Daemon) runCycle(cycle, n int) {
 	d.totals.Refinements += refined
 	d.totals.MergedUpdates += merged
 	d.cycleMu.Unlock()
-	d.ob.Load().Cycle(int64(cycle), int64(n), refined, merged, wall.Nanoseconds())
+	ob := d.ob.Load()
+	ob.Cycle(int64(cycle), int64(n), refined, merged, wall.Nanoseconds())
+	if panics > before {
+		ob.Panicked(panics)
+	}
 }
 
 // maxAttemptsPerRefinement bounds the pivot re-rolls of one refinement

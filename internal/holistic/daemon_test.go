@@ -30,7 +30,7 @@ func TestDaemonRefinesIdleSystem(t *testing.T) {
 	col := cracking.New("a", base, cracking.Config{})
 	reg.Add("a", col, nil, false)
 
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
+	d := New(reg, cpu.Fixed{Idle: 2}, Config{
 		Interval:    time.Millisecond,
 		Refinements: 16,
 		Seed:        1,
@@ -74,7 +74,7 @@ func TestDaemonRefinesFullInt64Domain(t *testing.T) {
 	reg := newSpace(256)
 	col := cracking.New("a", base, cracking.Config{})
 	reg.Add("a", col, nil, false)
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{Interval: time.Hour, Refinements: 16, Seed: 1})
+	d := New(reg, cpu.Fixed{Idle: 2}, Config{Interval: time.Hour, Refinements: 16, Seed: 1})
 	for i := 0; i < 20; i++ {
 		d.RunCycleNow(2)
 	}
@@ -189,7 +189,7 @@ func TestDaemonMovesIndexToOptimal(t *testing.T) {
 	reg := newSpace(1024)
 	col := cracking.New("a", randVals(8_000, 4, 1<<20), cracking.Config{})
 	e := reg.Add("a", col, nil, false)
-	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{
+	d := New(reg, cpu.Fixed{Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 16, Seed: 4,
 	})
 	d.Start()
@@ -213,7 +213,7 @@ func TestDaemonStopIsIdempotentAndWithoutStart(t *testing.T) {
 	d := New(newSpace(64), cpu.Fixed{}, Config{Interval: time.Millisecond})
 	d.Stop()
 	d.Stop() // second call must not panic or hang
-	d2 := New(newSpace(64), cpu.Fixed{Total: 1, Idle: 1}, Config{Interval: time.Millisecond})
+	d2 := New(newSpace(64), cpu.Fixed{Idle: 1}, Config{Interval: time.Millisecond})
 	d2.Start()
 	d2.Start() // idempotent
 	d2.Stop()
@@ -224,7 +224,7 @@ func TestDaemonTelemetry(t *testing.T) {
 	reg := newSpace(64)
 	col := cracking.New("a", randVals(50_000, 5, 1<<20), cracking.Config{})
 	reg.Add("a", col, nil, false)
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
+	d := New(reg, cpu.Fixed{Idle: 2}, Config{
 		Interval: time.Millisecond, Refinements: 4, Seed: 5,
 	})
 	d.Start()
@@ -254,7 +254,7 @@ func TestDaemonSpreadsAcrossIndexSpace(t *testing.T) {
 		cols[i] = cracking.New("c", randVals(20_000, int64(10+i), 1<<20), cracking.Config{})
 		reg.Add(string(rune('a'+i)), cols[i], nil, false)
 	}
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
+	d := New(reg, cpu.Fixed{Idle: 2}, Config{
 		Interval: time.Millisecond, Refinements: 8, Seed: 7, Strategy: stats.W4,
 	})
 	d.Start()
@@ -288,7 +288,7 @@ func TestDaemonRefinesPotentialIndices(t *testing.T) {
 	reg := newSpace(64)
 	col := cracking.New("a", randVals(30_000, 20, 1<<20), cracking.Config{})
 	reg.Add("a", col, nil, true) // potential: never queried
-	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{
+	d := New(reg, cpu.Fixed{Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 8, Seed: 8,
 	})
 	d.Start()
@@ -313,7 +313,7 @@ func TestDaemonMergesPendingUpdates(t *testing.T) {
 		pend.AddInsert(int64(i*10), 0)
 	}
 	reg.Add("a", col, pend, false)
-	d := New(reg, cpu.Fixed{Total: 1, Idle: 1}, Config{
+	d := New(reg, cpu.Fixed{Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 8, Seed: 9,
 	})
 	d.Start()
@@ -392,7 +392,7 @@ func TestRunCycleNow(t *testing.T) {
 }
 
 func TestDaemonEmptySpace(t *testing.T) {
-	d := New(newSpace(64), cpu.Fixed{Total: 2, Idle: 2}, Config{
+	d := New(newSpace(64), cpu.Fixed{Idle: 2}, Config{
 		Interval: time.Millisecond, Seed: 11,
 	})
 	d.Start()
@@ -410,7 +410,7 @@ func TestDaemonQueriesRaceDaemon(t *testing.T) {
 	base := randVals(100_000, 23, 1<<20)
 	col := cracking.New("a", base, cracking.Config{})
 	reg.Add("a", col, nil, false)
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 1}, Config{
+	d := New(reg, cpu.Fixed{Idle: 1}, Config{
 		Interval: time.Millisecond, Refinements: 16, Seed: 12,
 	})
 	d.Start()
@@ -441,7 +441,7 @@ func TestDaemonStandsDownOnLowCardinalityKey(t *testing.T) {
 	reg := newSpace(4096)
 	col := cracking.New("g", randVals(1<<20, 5, 8), cracking.Config{})
 	e := reg.Add("g", col, nil, false)
-	d := New(reg, cpu.Fixed{Total: 2, Idle: 2}, Config{
+	d := New(reg, cpu.Fixed{Idle: 2}, Config{
 		Interval: time.Millisecond, Refinements: 16, Seed: 5,
 	})
 	d.Start()

@@ -55,7 +55,8 @@ const (
 	EvRecovery
 	// EvAnomaly is a watchdog trigger: code is the Trigger, args are
 	// [window p99 ns, baseline p99 ns, convergence ratio bits, worker
-	// panics, window samples].
+	// panics (the daemon's running count, on worker_panic only), window
+	// samples].
 	EvAnomaly
 )
 

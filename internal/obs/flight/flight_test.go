@@ -222,10 +222,10 @@ func TestRecordAllocationFree(t *testing.T) {
 	}
 }
 
-func observeHist(w *Watchdog, h *obs.Histogram, conv float64, haveConv bool, panics int64) Verdict {
+func observeHist(w *Watchdog, h *obs.Histogram) Verdict {
 	var s obs.HistSnapshot
 	h.Snapshot(&s)
-	return w.Observe(Observation{Latency: &s, Convergence: conv, HaveConvergence: haveConv, WorkerPanics: panics})
+	return w.Observe(Observation{Latency: &s})
 }
 
 func TestWatchdogP99Baseline(t *testing.T) {
@@ -236,7 +236,7 @@ func TestWatchdogP99Baseline(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			h.RecordNanos(1_000_000)
 		}
-		if v := observeHist(w, &h, 0, false, 0); v.Trigger != TriggerNone {
+		if v := observeHist(w, &h); v.Trigger != TriggerNone {
 			t.Fatalf("healthy window %d triggered %v", win, v.Trigger)
 		}
 	}
@@ -248,7 +248,7 @@ func TestWatchdogP99Baseline(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.RecordNanos(10_000_000)
 	}
-	v := observeHist(w, &h, 0, false, 0)
+	v := observeHist(w, &h)
 	if v.Trigger != TriggerP99 || !v.Dump {
 		t.Fatalf("spike verdict = %+v, want p99 dump", v)
 	}
@@ -256,7 +256,7 @@ func TestWatchdogP99Baseline(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.RecordNanos(10_000_000)
 	}
-	v = observeHist(w, &h, 0, false, 0)
+	v = observeHist(w, &h)
 	if v.Trigger != TriggerP99 || v.Dump {
 		t.Fatalf("cooldown verdict = %+v, want suppressed", v)
 	}
@@ -274,19 +274,58 @@ func TestWatchdogAbsoluteSLO(t *testing.T) {
 	}
 	// No baseline yet, but the absolute bound fires on the first
 	// judged window.
-	if v := observeHist(w, &h, 0, false, 0); v.Trigger != TriggerP99 || !v.Dump {
+	if v := observeHist(w, &h); v.Trigger != TriggerP99 || !v.Dump {
 		t.Fatalf("verdict = %+v, want absolute p99 dump", v)
 	}
 }
 
-func TestWatchdogSmallWindowsNotJudged(t *testing.T) {
+// TestWatchdogEmptyWindowNotJudged: a window that adds no samples to
+// the cumulative snapshot carries no p99, so it neither fires the
+// absolute objective nor counts as a judged window.
+func TestWatchdogEmptyWindowNotJudged(t *testing.T) {
 	w := NewWatchdog(time.Microsecond)
 	var h obs.Histogram
 	for i := 0; i < 10; i++ {
 		h.RecordNanos(50_000_000)
 	}
-	if v := observeHist(w, &h, 0, false, 0); v.Trigger != TriggerNone {
-		t.Fatalf("under-sampled window triggered %v", v.Trigger)
+	if v := observeHist(w, &h); v.Trigger != TriggerP99 || v.Samples != 10 {
+		t.Fatalf("breaching window verdict = %+v, want p99 over 10 samples", v)
+	}
+	// The same cumulative snapshot again: the window in between is empty.
+	if v := observeHist(w, &h); v.Trigger != TriggerNone || v.Samples != 0 {
+		t.Fatalf("empty window verdict = %+v, want none over 0 samples", v)
+	}
+	if v := w.Observe(Observation{}); v.Trigger != TriggerNone || v.Samples != 0 {
+		t.Fatalf("no-snapshot verdict = %+v, want none", v)
+	}
+	if st := w.State(); st.Windows != 1 || st.Anomalies != 1 {
+		t.Errorf("state = %+v, want 1 judged window and 1 anomaly", st)
+	}
+}
+
+// TestWatchdogPanicSharesCooldown: a worker panic reported right after
+// a dumped p99 breach is counted but suppressed, and the next judged
+// window still reads against the baseline it had.
+func TestWatchdogPanicSharesCooldown(t *testing.T) {
+	w := NewWatchdog(time.Millisecond)
+	var h obs.Histogram
+	for i := 0; i < 50; i++ {
+		h.RecordNanos(5_000_000)
+	}
+	if v := observeHist(w, &h); v.Trigger != TriggerP99 || !v.Dump {
+		t.Fatalf("breach verdict = %+v, want a p99 dump", v)
+	}
+	if v := w.NotePanic(); v.Trigger != TriggerPanic || v.Dump {
+		t.Fatalf("panic within the cooldown = %+v, want suppressed", v)
+	}
+	for i := 0; i < 50; i++ {
+		h.RecordNanos(100_000)
+	}
+	if v := observeHist(w, &h); v.Trigger != TriggerNone || v.Samples != 50 {
+		t.Fatalf("healthy window after the panic = %+v, want none over 50 samples", v)
+	}
+	if st := w.State(); st.Windows != 2 || st.Anomalies != 2 || st.Suppressed != 1 || st.LastTrigger != "worker_panic" {
+		t.Errorf("state = %+v", st)
 	}
 }
 
@@ -304,18 +343,18 @@ func TestWatchdogConvergenceRegression(t *testing.T) {
 	}
 }
 
-func TestWatchdogPanicDelta(t *testing.T) {
+// TestWatchdogWorkerPanic: a contained worker panic is an anomaly on
+// its own, dumped under the same cooldown as a judged window.
+func TestWatchdogWorkerPanic(t *testing.T) {
 	w := NewWatchdog(0)
-	if v := w.Observe(Observation{WorkerPanics: 0}); v.Trigger != TriggerNone {
-		t.Fatalf("zero panics triggered %v", v.Trigger)
+	if v := w.NotePanic(); v.Trigger != TriggerPanic || !v.Dump {
+		t.Fatalf("first panic verdict = %+v, want a worker_panic dump", v)
 	}
-	if v := w.Observe(Observation{WorkerPanics: 1}); v.Trigger != TriggerPanic {
-		t.Fatalf("panic increment not detected: %+v", v)
+	if v := w.NotePanic(); v.Trigger != TriggerPanic || v.Dump {
+		t.Fatalf("panic within the cooldown = %+v, want suppressed", v)
 	}
-	if v := w.Observe(Observation{WorkerPanics: 1}); v.Trigger != TriggerPanic && v.Trigger != TriggerNone {
-		t.Fatalf("stable panic count re-triggered: %+v", v)
-	} else if v.Trigger == TriggerPanic {
-		t.Fatal("stable panic count re-triggered")
+	if st := w.State(); st.Anomalies != 2 || st.Suppressed != 1 || st.LastTrigger != "worker_panic" {
+		t.Errorf("state = %+v", st)
 	}
 }
 

@@ -24,7 +24,8 @@ const (
 	// TriggerConvergence fired because the daemon's convergence ratio
 	// regressed below its best observed value.
 	TriggerConvergence
-	// TriggerPanic fired because daemon WorkerPanics incremented.
+	// TriggerPanic fired because a daemon worker panicked and was
+	// contained.
 	TriggerPanic
 	// TriggerTornTail fired because crash recovery found a torn WAL
 	// tail at boot.
@@ -54,8 +55,6 @@ const (
 	// sloMultiple: window p99 above sloMultiple x the rolling baseline
 	// p99 is an anomaly.
 	sloMultiple = 4
-	// minSamples: windows with fewer observations are never judged.
-	minSamples = 32
 	// convergenceSlack: a convergence ratio more than this far below its
 	// best observed value is a regression.
 	convergenceSlack = 0.05
@@ -65,7 +64,7 @@ const (
 )
 
 // Watchdog maintains rolling latency and convergence baselines from
-// periodic observations and decides when the ring should be dumped.
+// one observation per window and decides when the ring should be dumped.
 // Latency baselines are built from HistSnapshot deltas: each Observe
 // call passes the *cumulative* merged latency snapshot; the watchdog
 // diffs it against the previous call's to get the window distribution,
@@ -84,7 +83,6 @@ type Watchdog struct {
 	lastSamples uint64
 	bestConv    float64
 	haveConv    bool
-	lastPanics  int64
 	anomalies   int64
 	lastTrigger Trigger
 	lastAnomaly time.Time
@@ -101,7 +99,7 @@ func NewWatchdog(absoluteP99 time.Duration) *Watchdog {
 	return &Watchdog{absoluteP99: absoluteP99}
 }
 
-// Observation is one periodic reading of the system's health signals.
+// Observation is one window's reading of the system's health signals.
 type Observation struct {
 	// Latency is the cumulative merged latency snapshot across all
 	// query operations. May be nil when no queries ran yet.
@@ -110,8 +108,6 @@ type Observation struct {
 	// HaveConvergence is set (non-holistic modes have none).
 	Convergence     float64
 	HaveConvergence bool
-	// WorkerPanics is the daemon's cumulative panic count.
-	WorkerPanics int64
 }
 
 // Verdict is the outcome of one Observe call.
@@ -128,8 +124,6 @@ type Verdict struct {
 	Samples int64
 	// Convergence echoes the observed ratio (when valid).
 	Convergence float64
-	// WorkerPanics echoes the cumulative panic count.
-	WorkerPanics int64
 }
 
 // Observe folds one reading into the rolling baselines and returns the
@@ -141,12 +135,10 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 
 	var v Verdict
 	v.Convergence = o.Convergence
-	v.WorkerPanics = o.WorkerPanics
 
 	// Latency window: diff the cumulative snapshot against the
 	// previous observation.
 	var window obs.HistSnapshot
-	haveWindow := false
 	if o.Latency != nil {
 		window = *o.Latency
 		if w.havePrev {
@@ -154,12 +146,9 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 		}
 		w.prev = *o.Latency
 		w.havePrev = true
-		haveWindow = true
-	}
-	if haveWindow {
 		v.Samples = int64(window.Count)
 	}
-	judged := haveWindow && window.Count >= minSamples
+	judged := v.Samples > 0
 	p99 := float64(0)
 	if judged {
 		p99 = float64(window.Quantile(0.99).Nanoseconds())
@@ -169,14 +158,8 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 		w.lastSamples = window.Count
 	}
 
-	// Rule 1: daemon worker panicked since the last observation.
-	if o.WorkerPanics > w.lastPanics {
-		v.Trigger = TriggerPanic
-	}
-	w.lastPanics = o.WorkerPanics
-
-	// Rule 2: convergence ratio regressed below its best.
-	if v.Trigger == TriggerNone && o.HaveConvergence {
+	// Rule 1: convergence ratio regressed below its best.
+	if o.HaveConvergence {
 		if w.haveConv && o.Convergence+convergenceSlack < w.bestConv {
 			v.Trigger = TriggerConvergence
 		}
@@ -186,7 +169,7 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 		}
 	}
 
-	// Rule 3: window p99 against the absolute SLO and the rolling
+	// Rule 2: window p99 against the absolute SLO and the rolling
 	// baseline multiple.
 	if v.Trigger == TriggerNone && judged {
 		if w.absoluteP99 > 0 && p99 > float64(w.absoluteP99.Nanoseconds()) {
@@ -209,17 +192,31 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 	}
 
 	if v.Trigger != TriggerNone {
-		w.anomalies++
-		w.lastTrigger = v.Trigger
-		now := time.Now()
-		if w.lastAnomaly.IsZero() || now.Sub(w.lastAnomaly) >= DumpCooldown {
-			v.Dump = true
-			w.lastAnomaly = now
-		} else {
-			w.suppressed++
-		}
+		v.Dump = w.fire(v.Trigger)
 	}
 	return v
+}
+
+// fire counts an anomaly and reports whether it is outside the dump
+// cooldown. The caller holds mu.
+func (w *Watchdog) fire(trig Trigger) (dump bool) {
+	w.anomalies++
+	w.lastTrigger = trig
+	now := time.Now()
+	if !w.lastAnomaly.IsZero() && now.Sub(w.lastAnomaly) < DumpCooldown {
+		w.suppressed++
+		return false
+	}
+	w.lastAnomaly = now
+	return true
+}
+
+// NotePanic records a contained daemon worker panic, reported where it
+// was caught; it is dumped under the same cooldown as a judged window.
+func (w *Watchdog) NotePanic() Verdict {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return Verdict{Trigger: TriggerPanic, Dump: w.fire(TriggerPanic)}
 }
 
 // NoteTornTail records a boot-time torn-WAL-tail anomaly (always

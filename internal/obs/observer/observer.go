@@ -29,10 +29,15 @@ type Config struct {
 	// SLOP99 is the watchdog's absolute p99 bound; 0 leaves only the
 	// relative rule.
 	SLOP99 time.Duration
-	// Watchdog is the watchdog's window, already resolved: zero or
-	// negative leaves the window roll inert.
-	Watchdog time.Duration
 }
+
+// WindowQueries is how many sequenced queries one watchdog window holds:
+// the End of every WindowQueries-th query closes it. At 1024 samples the
+// window's p99 is about its 10th-largest latency, so one slow query
+// cannot make a breach on its own, and at the benchmark's query rates
+// (550 to 8 000 per second) a window closes every 0.1 to 2 seconds, about
+// as often as the one-second clock this count replaced.
+const WindowQueries = 1024
 
 // Observer is one store's telemetry. The zero value is not usable;
 // construct with New.
@@ -50,24 +55,24 @@ type Observer struct {
 	Watchdog *flight.Watchdog
 
 	sink atomic.Pointer[sinkBox]
-
-	cfg  Config
-	born time.Time
-	// nextRoll is when, in nanoseconds since born, the next End or Cycle
-	// closes the watchdog window: never until Watch arms the roll with
-	// health and dump.
-	nextRoll atomic.Int64
-	health   func() flight.Observation
-	dump     func(flight.Trigger)
+	// watch holds what Watch installed; nil until then, and no window
+	// closes while it is.
+	watch atomic.Pointer[watchers]
 }
 
 // sinkBox wraps the sink interface value for atomic.Pointer.
 type sinkBox struct{ s obs.TraceSink }
 
-// New builds an observer; Watch arms its watchdog's window roll.
+// watchers are the store's side of the watchdog: its daemon's health and
+// its dump writer.
+type watchers struct {
+	health func() flight.Observation
+	dump   func(flight.Trigger)
+}
+
+// New builds an observer; Watch arms its watchdog.
 func New(cfg Config) *Observer {
-	o := &Observer{cfg: cfg, born: time.Now()}
-	o.nextRoll.Store(never)
+	o := &Observer{}
 	if cfg.FlightEvents >= 0 {
 		o.Flight = flight.NewRecorder(cfg.FlightEvents)
 		o.Watchdog = flight.NewWatchdog(cfg.SLOP99)
@@ -86,53 +91,47 @@ func (o *Observer) TraceTo(s obs.TraceSink) {
 	o.sink.Store(&sinkBox{s: s})
 }
 
-// never is the next-roll time of an observer whose roll is inert.
-const never = 1<<63 - 1
-
-// Watch arms the watchdog's window roll: from now on the first End or
-// Cycle after each Watchdog interval closes the window. health reads the
-// holistic daemon's side of the window's observation (the zero value:
-// no daemon) once per roll; dump, when not nil, preserves the ring for an anomaly
-// worth dumping, in a goroutine of its own so that no query waits on a
-// file write. Without a watchdog or a positive interval the roll stays
-// inert. Call it at most once: the store of nextRoll publishes health
-// and dump to the recorders that see it.
+// Watch arms the watchdog: from now on the End of every
+// WindowQueries-th query closes a window. health reads the holistic
+// daemon's side of the window's observation (the zero value: no daemon)
+// once per window; dump, when not nil, preserves the ring for an anomaly
+// worth dumping. Without a watchdog Watch does nothing; a second call
+// replaces the first.
 func (o *Observer) Watch(health func() flight.Observation, dump func(flight.Trigger)) {
-	if o.Watchdog == nil || o.cfg.Watchdog <= 0 {
-		return
+	if o.Watchdog != nil {
+		o.watch.Store(&watchers{health: health, dump: dump})
 	}
-	o.health, o.dump = health, dump
-	o.nextRoll.Store(o.since(time.Now()) + int64(o.cfg.Watchdog))
 }
 
-// since is now on the observer's monotonic clock, in nanoseconds.
+// roll closes the watchdog window on the query that ends it, with no
+// store, executor or daemon lock held.
 //
-//holistic:noalloc
-func (o *Observer) since(now time.Time) int64 { return int64(now.Sub(o.born)) }
-
-// roll closes the watchdog window at t if the window is due and this
-// caller wins it; every other caller of the same instant returns at the
-// compare-and-swap. It runs on whichever query or daemon cycle came
-// first after the interval, with no store, executor or daemon lock held.
-// Nothing waits for the dump's goroutine: it ends with its one write, and
-// a durable store's Close turns a write it has not begun into a no-op.
-//
-//holistic:alloc-ok the window roll runs once per WatchdogInterval; health and the anomaly path may allocate
-func (o *Observer) roll(t int64) {
-	due := o.nextRoll.Load()
-	if t < due || !o.nextRoll.CompareAndSwap(due, t+int64(o.cfg.Watchdog)) {
+//holistic:alloc-ok one query in WindowQueries closes the window; health and the anomaly path may allocate
+func (o *Observer) roll() {
+	w := o.watch.Load()
+	if w == nil {
 		return
 	}
-	if trig, dump := o.tick(o.health()); dump && o.dump != nil {
-		go o.dump(trig)
+	if trig, dump := o.tick(w.health()); dump {
+		w.handOff(trig)
+	}
+}
+
+// handOff preserves the ring for trig on a goroutine of its own, so that
+// no query or daemon cycle waits on a file write. Nothing waits for the
+// goroutine: it ends with its one write, and a durable store's Close
+// turns a write it has not begun into a no-op.
+func (w *watchers) handOff(trig flight.Trigger) {
+	if w != nil && w.dump != nil {
+		go w.dump(trig)
 	}
 }
 
 // tick closes one watchdog window: the cumulative merged latency digest,
-// added to the daemon's convergence and panic count in h, goes to the
-// watchdog, which diffs it against the previous window. When the
-// watchdog calls an anomaly the trigger is recorded into the ring, and
-// dump reports that the ring should be preserved now.
+// added to the daemon's convergence in h, goes to the watchdog, which
+// diffs it against the previous window. When the watchdog calls an
+// anomaly the trigger is recorded into the ring, and dump reports that
+// the ring should be preserved now.
 func (o *Observer) tick(h flight.Observation) (trig flight.Trigger, dump bool) {
 	if o.Watchdog == nil {
 		return flight.TriggerNone, false
@@ -144,7 +143,7 @@ func (o *Observer) tick(h flight.Observation) (trig flight.Trigger, dump bool) {
 	if v.Trigger == flight.TriggerNone {
 		return flight.TriggerNone, false
 	}
-	o.Flight.RecordAnomaly(v.Trigger, v.WindowP99NS, v.BaselineP99NS, v.Convergence, v.WorkerPanics, v.Samples)
+	o.Flight.RecordAnomaly(v.Trigger, v.WindowP99NS, v.BaselineP99NS, v.Convergence, 0, v.Samples)
 	return v.Trigger, v.Dump
 }
 
@@ -184,9 +183,11 @@ func (o *Observer) Begin(op obs.Op, own *obs.QueryTrace) Span {
 }
 
 // End closes a bracket: one clock reading feeds the op latency
-// histogram, the flight EvQuery event, the watchdog's window roll and
-// the trace, which is then emitted and recycled unless the caller owns
-// it.
+// histogram, the flight EvQuery event and the trace, which is then
+// emitted and recycled unless the caller owns it. The End of every
+// WindowQueries-th sequenced query closes the watchdog's window: Begin
+// hands each query its own sequence number, so exactly one End per
+// window closes it.
 //
 //holistic:noalloc
 func (o *Observer) End(sp Span, driveNs, refineNs, result int64, err error) {
@@ -198,8 +199,8 @@ func (o *Observer) End(sp Span, driveNs, refineNs, result int64, err error) {
 	if o != nil {
 		o.Query.RecordOp(sp.op, elapsed)
 		o.Flight.RecordQuery(now, uint8(sp.op), sp.Seq, elapsed, driveNs, refineNs, result)
-		if t := o.since(now); t >= o.nextRoll.Load() {
-			o.roll(t)
+		if sp.Seq%WindowQueries == 0 {
+			o.roll()
 		}
 	}
 	if sp.Trace == nil {
@@ -290,17 +291,26 @@ func (o *Observer) Refined(e *stats.Entry, refined, merged, attempts int64, dist
 	o.Flight.RecordRefine(o.Flight.Intern(e.Name), refined, merged, attempts, distance, pieces)
 }
 
-// Cycle records one completed daemon tuning cycle, which, like a query,
-// may close the watchdog's window.
+// Cycle records one completed daemon tuning cycle.
 //
 //holistic:noalloc
 func (o *Observer) Cycle(cycle, workers, refinements, merged, wallNs int64) {
-	if o == nil {
+	if o != nil {
+		o.Flight.RecordCycle(cycle, workers, refinements, merged, wallNs)
+	}
+}
+
+// Panicked records that daemon workers panicked and were contained
+// (panics is the daemon's running count) as an anomaly, and hands the
+// ring to dump unless an anomaly dumped within the cooldown.
+func (o *Observer) Panicked(panics int64) {
+	if o == nil || o.Watchdog == nil {
 		return
 	}
-	o.Flight.RecordCycle(cycle, workers, refinements, merged, wallNs)
-	if t := o.since(time.Now()); t >= o.nextRoll.Load() {
-		o.roll(t)
+	v := o.Watchdog.NotePanic()
+	o.Flight.RecordAnomaly(v.Trigger, 0, 0, 0, panics, 0)
+	if v.Dump {
+		o.watch.Load().handOff(v.Trigger)
 	}
 }
 

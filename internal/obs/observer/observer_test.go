@@ -112,6 +112,7 @@ func TestNilObserverAndOwnedTrace(t *testing.T) {
 	o.CrackerBuilt()
 	o.Refined(&stats.Entry{}, 1, 1, 1, 1, 1)
 	o.Cycle(0, 0, 0, 0, 0)
+	o.Panicked(1)
 	o.Checkpoint(0, 0, 0, 0)
 	o.DumpWritten()
 	if o.Recovery(0, 0, true, 0, 0) {
@@ -147,13 +148,13 @@ func TestNilObserverAndOwnedTrace(t *testing.T) {
 }
 
 // TestRecordingAllocationFree: the whole query-side surface, all
-// consumers attached and the window roll armed, allocates nothing in the
-// steady state.
+// consumers attached and the watchdog armed, allocates nothing in the
+// steady state. The 201 queries measured close no window.
 func TestRecordingAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
-	o := New(Config{Watchdog: time.Hour})
+	o := New(Config{})
 	o.Watch(func() flight.Observation { return flight.Observation{} }, nil)
 	run := func() {
 		sp := o.Begin(obs.OpCount, nil)
@@ -172,7 +173,7 @@ func TestRecordingAllocationFree(t *testing.T) {
 // snapshot and the daemon's health to the watchdog; a breached absolute
 // SLO comes back as the trigger to dump for and is recorded in the ring.
 func TestTickJudgesOneWindow(t *testing.T) {
-	o := New(Config{SLOP99: time.Microsecond, Watchdog: time.Hour})
+	o := New(Config{SLOP99: time.Microsecond})
 	if _, dump := o.tick(flight.Observation{}); dump {
 		t.Fatal("an idle store tripped the watchdog")
 	}
@@ -195,23 +196,21 @@ func TestTickJudgesOneWindow(t *testing.T) {
 	}
 }
 
-// TestWindowRollsOnRecording: once Watch arms the roll, the first End or
-// Cycle after each interval closes one window — reading health once and
-// handing a dumping anomaly to dump on a goroutine of its own — and the
-// observer starts no goroutine of its own otherwise. Before Watch, with
-// the interval off or without a ring, nothing rolls.
+// TestWindowRollsOnRecording: once Watch arms the watchdog, the End of
+// every WindowQueries-th query closes one window — reading health once
+// and handing a dumping anomaly to dump on a goroutine of its own — a
+// daemon cycle closes none, and the observer starts no goroutine of its
+// own otherwise. Before Watch or without a ring, nothing rolls.
 func TestWindowRollsOnRecording(t *testing.T) {
-	const every = 20 * time.Millisecond
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
 		watch bool
 		rolls bool
 	}{
-		{"armed", Config{SLOP99: time.Nanosecond, Watchdog: every}, true, true},
-		{"not watched", Config{SLOP99: time.Nanosecond, Watchdog: every}, false, false},
-		{"interval off", Config{SLOP99: time.Nanosecond}, true, false},
-		{"ring off", Config{FlightEvents: -1, SLOP99: time.Nanosecond, Watchdog: every}, true, false},
+		{"armed", Config{SLOP99: time.Nanosecond}, true, true},
+		{"not watched", Config{SLOP99: time.Nanosecond}, false, false},
+		{"ring off", Config{FlightEvents: -1, SLOP99: time.Nanosecond}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := New(tc.cfg)
@@ -224,31 +223,35 @@ func TestWindowRollsOnRecording(t *testing.T) {
 			if got := runtime.NumGoroutine() - before; got != 0 {
 				t.Errorf("Watch started %d goroutines, want 0", got)
 			}
-			record := func() {
-				for i := 0; i < 40; i++ {
+			record := func(n int) {
+				for i := 0; i < n; i++ {
 					o.End(o.Begin(obs.OpCount, nil), 0, 0, 1, nil)
 				}
 			}
-			record()
+			record(WindowQueries - 1)
+			o.Cycle(1, 1, 0, 0, 0)
 			if healths.Load() != 0 {
-				t.Fatal("a window closed before its interval passed")
+				t.Fatal("a window closed before its last query")
 			}
-			time.Sleep(every + every/2)
-			o.Cycle(1, 1, 0, 0, 0) // the first recording after the interval closes the window
-			record()
+			record(1)
 			if !tc.rolls {
+				record(WindowQueries)
 				if healths.Load() != 0 || kinds(o)[flight.EvAnomaly] != 0 {
-					t.Errorf("an inert roll read health %d times", healths.Load())
+					t.Errorf("an inert watchdog read health %d times", healths.Load())
 				}
 				return
 			}
 			if got := healths.Load(); got != 1 {
-				t.Fatalf("one interval passed and %d windows closed, want 1", got)
+				t.Fatalf("%d queries closed %d windows, want 1", WindowQueries, got)
 			}
-			time.Sleep(every + every/2)
-			record() // the second window holds 40 samples, each over the 1 ns objective
+			record(WindowQueries)
 			if got := healths.Load(); got != 2 {
-				t.Fatalf("two intervals passed and %d windows closed, want 2", got)
+				t.Fatalf("%d queries closed %d windows, want 2", 2*WindowQueries, got)
+			}
+			// Every sample is over the 1 ns objective: the first window
+			// dumps, the second breach falls within the cooldown.
+			if ws := o.Watchdog.State(); ws.Windows != 2 || ws.Anomalies != 2 || ws.Suppressed != 1 {
+				t.Errorf("watchdog state %+v, want 2 windows, 2 anomalies, 1 suppressed dump", ws)
 			}
 			select {
 			case tr := <-dumped:
@@ -262,20 +265,20 @@ func TestWindowRollsOnRecording(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordersCloseOneWindow: recorders racing past the same
-// due time close the window once; the compare-and-swap turns the others
-// away.
+// TestConcurrentRecordersCloseOneWindow: WindowQueries queries spread
+// over 8 goroutines close exactly one window, on whichever End holds the
+// window's last sequence number.
 func TestConcurrentRecordersCloseOneWindow(t *testing.T) {
-	o := New(Config{Watchdog: time.Hour})
+	o := New(Config{})
 	var healths atomic.Int64
 	o.Watch(func() flight.Observation { healths.Add(1); return flight.Observation{} }, nil)
-	o.nextRoll.Store(0) // due now
+	const goroutines = 8
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			for i := 0; i < WindowQueries/goroutines; i++ {
 				o.End(o.Begin(obs.OpCount, nil), 0, 0, 1, nil)
 			}
 		}()
@@ -283,5 +286,8 @@ func TestConcurrentRecordersCloseOneWindow(t *testing.T) {
 	wg.Wait()
 	if got := healths.Load(); got != 1 {
 		t.Errorf("%d windows closed, want 1", got)
+	}
+	if ws := o.Watchdog.State(); ws.Windows != 1 {
+		t.Errorf("watchdog judged %d windows, want 1", ws.Windows)
 	}
 }
