@@ -45,13 +45,16 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // run executes the server against explicit arguments and output
 // streams so tests can drive the full surface in-process. It returns
-// after -duration (or on SIGINT/SIGTERM when the duration is 0).
-func run(args []string, stdout, stderr io.Writer) int {
+// after -duration, or when ctx ends (SIGINT/SIGTERM from main).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("holisticserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -147,8 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *duration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *duration)

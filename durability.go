@@ -445,9 +445,9 @@ func (d *durability) installState(rec *durable.Recovered) {
 	if d.cfg.DataOnlyRecovery {
 		states = nil
 	}
-	restored, dropped := d.exec.RestoreDurable(rec.Columns, states)
-	d.met.RestoredIndexes.Add(int64(restored))
-	d.met.DroppedIndexes.Add(int64(dropped))
+	// The totals go back first: restoring an index admits it, which
+	// starts the daemon, and its first cycle must continue the
+	// recovered numbering.
 	dm, ds := d.exec.Daemon(), rec.Manifest.Daemon
 	if dm != nil && ds != nil && !d.cfg.DataOnlyRecovery {
 		dm.RestoreTotals(holistic.CycleTotals{
@@ -459,6 +459,9 @@ func (d *durability) installState(rec *durable.Recovered) {
 			MergedUpdates: ds.MergedUpdates,
 		}, ds.TotalAttempts, ds.BusyRerolls)
 	}
+	restored, dropped := d.exec.RestoreDurable(rec.Columns, states)
+	d.met.RestoredIndexes.Add(int64(restored))
+	d.met.DroppedIndexes.Add(int64(dropped))
 }
 
 // armSnapshot starts the interval a write waits for its background

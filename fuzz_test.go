@@ -217,6 +217,9 @@ type run struct {
 
 func newRun(t testing.TB, p program, cfg Config, durableRun bool) *run {
 	r := &run{t: t, p: p, cfg: cfg, tag: fmt.Sprintf("%v durable=%v", cfg.Mode, durableRun)}
+	if cfg.StorageBudget > 0 {
+		r.tag += fmt.Sprintf(" budget=%dB", cfg.StorageBudget)
+	}
 	var l [][]int64
 	for i := range 3 {
 		c := workload.UniformColumn(p.rows, p.domain, p.seed*8+int64(i))
@@ -560,8 +563,20 @@ func (r *run) verifyAll(ctx string) {
 	}
 }
 
-func runProgram(t testing.TB, p program, mode Mode, durableRun bool) {
-	r := newRun(t, p, fuzzConfig(mode), durableRun)
+// budgetConfig is holistic under a storage budget of 12 bytes per L row:
+// one and a half of the program's L indexes where a cracker column packs
+// value and row id into 8 bytes, one where it keeps them apart (8+4). So
+// admitting a second index evicts the first: eviction, the rebuild of an
+// evicted index and the replay of its pending updates all run through
+// the public API.
+func budgetConfig(p program) Config {
+	cfg := fuzzConfig(ModeHolistic)
+	cfg.StorageBudget = int64(p.rows) * 12
+	return cfg
+}
+
+func runProgram(t testing.TB, p program, cfg Config, durableRun bool) {
+	r := newRun(t, p, cfg, durableRun)
 	defer r.close()
 	for i, o := range p.ops {
 		r.do(i, o, true)
@@ -572,25 +587,35 @@ func runProgram(t testing.TB, p program, mode Mode, durableRun bool) {
 }
 
 // FuzzStore is the one differential of the store: every program against
-// the model, in one of fourteen configurations — seven modes, in memory
-// or durable — named by the input's first byte, so each fuzzing exec runs
-// one program once. Every seed program is added once per configuration:
-// `go test` still runs each seed in all fourteen. A failure names mode
-// and durability.
+// the model, in one of fifteen configurations — seven modes, in memory
+// or durable, and holistic, durable, under a storage budget
+// (budgetConfig) — named by the input's first byte, so each fuzzing exec
+// runs one program once. Every seed program is added once per
+// configuration: `go test` still runs each seed in all fifteen, and the
+// budgetSeeds in the budget's alone. A failure names mode, durability
+// and budget.
 func FuzzStore(f *testing.F) {
-	configs := 2 * len(sevenModes)
+	configs := 2*len(sevenModes) + 1
+	budget := configs - 1
 	for _, s := range storeSeeds {
 		for c := range configs {
 			f.Add(append([]byte{byte(c)}, s.prog...))
 		}
+	}
+	for _, s := range budgetSeeds {
+		f.Add(append([]byte{byte(budget)}, s.prog...))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var c byte
 		if len(b) > 0 {
 			c, b = b[0], b[1:]
 		}
-		k := int(c) % configs
-		runProgram(t, decodeProgram(b), sevenModes[k/2], k%2 == 1)
+		p := decodeProgram(b)
+		if k := int(c) % configs; k == budget {
+			runProgram(t, p, budgetConfig(p), true)
+		} else {
+			runProgram(t, p, fuzzConfig(sevenModes[k/2]), k%2 == 1)
+		}
 	})
 }
 
@@ -929,5 +954,43 @@ var storeSeeds = []struct {
 		grouped([]string{"a", "b"}, "a", p("a", at(0), at(255))),
 		conj("a", p("a", at(0), at(255))),
 		joinOn("b", "a", nil),
+	)},
+}
+
+// budgetSeeds are FuzzStore's seed programs under budgetConfig: L's
+// three attributes cracked in turn, each admission evicting the index
+// before it, with writes landing on evicted attributes — pending updates
+// an index rebuilt from the base column must replay — and idle cycles
+// refining and merging whatever index holds the budget.
+var budgetSeeds = []struct {
+	name string
+	prog []byte
+}{
+	// Eviction in a cycle of three, writes behind each eviction, then
+	// every read form over the rebuilt indexes.
+	{"budget-evict", prog(3, 62, 13,
+		rng("a", at(0), at(128)), rng("b", at(64), at(192)),
+		ins("a", at(5)), del("a", held(3)), upd("a", held(4), at(200)),
+		rng("c", at(10), at(250)),
+		ins("b", held(2)), upd("b", held(6), at(1)),
+		rng("a", at(0), at(255)), idle(2),
+		rng("b", at(0), at(128)), del("c", held(1)), ins("c", at(99)),
+		rng("a", at(100), at(200)), idle(2),
+		conj("b", p("a", at(0), at(128)), p("b", at(16), at(240)), p("c", at(8), at(248))),
+		grouped([]string{"a"}, "c", p("b", at(0), at(200))),
+		joinOn("a", "b", p("c", at(0), at(128))),
+		rng("c", extreme(0), extreme(1)),
+	)},
+	// Updates moving values across an evicted index's earlier cracks,
+	// and idle cycles between evictions merging what is pending.
+	{"budget-pending", prog(2, 30, 14,
+		rng("a", at(40), at(80)), ins("a", at(60)), upd("a", held(1), at(70)),
+		idle(2),
+		rng("b", at(40), at(80)), ins("a", at(50)), del("a", held(2)),
+		rng("c", at(0), at(128)), idle(2),
+		upd("b", held(3), at(250)), ins("c", held(4)),
+		rng("a", at(45), at(75)), rng("b", at(0), at(255)),
+		conj("a", p("c", at(0), at(255)), p("a", at(0), at(128))),
+		idle(2), rng("c", at(0), at(64)),
 	)},
 }

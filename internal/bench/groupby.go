@@ -148,7 +148,7 @@ func runGroupBy(p Params) (*Result, error) {
 	// wait until the expected cluster span fits the sort strategy's
 	// per-cluster accumulator with room to spare, or time out (the
 	// result then records how far refinement got).
-	wantSpan := float64(groupby.DefaultClusterSlots) / 8
+	wantSpan := float64(groupby.DefaultDenseSlots) / 8
 	deadline := time.Now().Add(100 * p.Interval)
 	if min := 3 * time.Second; time.Until(deadline) > min {
 		deadline = time.Now().Add(min)

@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	register("join", "Equi-join: holistic vs adaptive runner, hash join turning index-clustered (merge) as the daemons refine the keys (new)", runJoin)
+	register("join", "Equi-join: holistic vs adaptive runner; the walk rule merges only keys the hash table cannot address directly (new)", runJoin)
 }
 
 // joinCell times q join queries through one runner pair on auto: every
@@ -50,14 +50,13 @@ func joinCell(j *query.Join, ob *observer.Observer, q int) (perQuery time.Durati
 // run by two runner pairs over the same tables, both left to the
 // planner: one holistic, one adaptive. The adaptive pair hashes for good
 // — its predicates crack the payload attributes, and no daemon ever
-// refines the join keys. The holistic pair's first query can only hash
-// too, but, both selections being walkable, it admits both join keys,
-// and once background cracking has shrunk both key columns' clusters
-// below the merge join's per-pair accumulator bound its planner switches
-// to the index-clustered merge join, which walks both indexes in key
-// order with no hash table: the cross-relation payoff of holistic
-// indexing wherever the walk beats the hash join (the last note says
-// whether it does at this scale).
+// refines the join keys. The holistic pair runs the walk rule: its key
+// pool is dense, so the hash table addresses the build keys directly,
+// which no walk beats; it hashes from its first query and admits
+// neither join key, leaving the daemons to refine only the payload
+// attributes its predicates crack. The notes report what ran and which
+// keys were admitted, so a sparser pool shows as admitted keys, and as
+// merge once the daemons have refined them.
 func runJoin(p Params) (*Result, error) {
 	keys := p.ColumnSize / 2
 	if keys < 64 {
@@ -100,31 +99,21 @@ func runJoin(p Params) (*Result, error) {
 	lar.SetObserver(adOb)
 
 	// Dense pre-join filters (90% of each side qualifies): selective
-	// enough to exercise the selection pipeline, dense enough for the
-	// merge strategy's profitability rule.
+	// enough to exercise the selection pipeline, dense enough to pass
+	// the walk rule's selection test.
 	lPreds := []query.Predicate{{Attr: attrName(1), Lo: 0, Hi: 9 * p.Domain / 10}}
 	rPreds := []query.Predicate{{Attr: attrName(1), Lo: p.Domain / 10, Hi: p.Domain}}
 	j := lr.Join(query.New(rt, rExec, p.Threads), attrName(0), attrName(0), lPreds, rPreds)
 	ja := lar.Join(query.New(rt, rAd, p.Threads), attrName(0), attrName(0), lPreds, rPreds)
-	q := p.Queries / 20
-	if q < 4 {
-		q = 4
+	q := p.Queries / 10
+	if q < 8 {
+		q = 8
 	}
 
 	res := &Result{Headers: []string{"phase", "runner", "strategy", "µs/q", "checksum"}}
-	addCell := func(phase string, jn *query.Join, o *observer.Observer, label string) (time.Duration, int64, error) {
-		t, ran, sum, err := joinCell(jn, o, q)
-		if err != nil {
-			return 0, 0, err
-		}
-		res.AddRow(phase, label, ran, us(t), fmt.Sprintf("%d", sum))
-		return t, sum, nil
-	}
 
-	// The very first join admits both join attributes into the daemons'
-	// index spaces, starting refinement. Its physical strategy is not
-	// assumed: on key domains small relative to the merge-span bound even
-	// a barely-cracked index can qualify for the merge path.
+	// The very first join decides, by the walk rule, whether the join
+	// keys enter the daemons' index spaces.
 	before := ob.Query.Snapshot().Strategies
 	firstStart := time.Now()
 	firstN, err := j.Count()
@@ -134,61 +123,32 @@ func runJoin(p Params) (*Result, error) {
 	firstT := time.Since(firstStart)
 	res.AddRow("first query", "holistic", ranStrategies(before, ob.Query.Snapshot().Strategies), us(firstT), fmt.Sprintf("%d", firstN))
 
-	_, earlyAd, err := addCell("early", ja, adOb, "adaptive")
+	// One warm cell per runner, back to back while the daemons run:
+	// nothing waits for the join keys' refinement, since the rule admits
+	// a key only where a walk could repay it.
+	adT, adRan, adSum, err := joinCell(ja, adOb, q)
 	if err != nil {
 		return nil, err
 	}
-	if _, earlyHo, err := addCell("early", j, ob, "holistic"); err != nil {
-		return nil, err
-	} else if earlyHo != earlyAd {
-		return nil, fmt.Errorf("join: early holistic checksum %d != adaptive %d", earlyHo, earlyAd)
-	}
-
-	// Idle window: wait until both join-key indexes have refined below
-	// a comfortable fraction of the merge join's per-pair accumulator
-	// bound, or time out (the result then records how far it got).
-	wantSpan := float64(join.DefaultMergeSpan) / 8
-	deadline := time.Now().Add(100 * p.Interval)
-	if min := 3 * time.Second; time.Until(deadline) > min {
-		deadline = time.Now().Add(min)
-	}
-	converged := false
-	for time.Now().Before(deadline) {
-		ls, lok := lExec.KeyOrderSpan(attrName(0))
-		rs, rok := rExec.KeyOrderSpan(attrName(0))
-		if lok && rok && ls <= wantSpan && rs <= wantSpan {
-			converged = true
-			break
-		}
-		time.Sleep(p.Interval)
-	}
-
-	adT, adSum, err := addCell("refined", ja, adOb, "adaptive")
+	res.AddRow("warm", "adaptive", adRan, us(adT), fmt.Sprintf("%d", adSum))
+	hoT, hoRan, hoSum, err := joinCell(j, ob, q)
 	if err != nil {
 		return nil, err
 	}
-	hoT, hoSum, err := addCell("refined", j, ob, "holistic")
-	if err != nil {
-		return nil, err
-	}
-	if hoSum != adSum || adSum != earlyAd {
-		return nil, fmt.Errorf("join: refined checksums diverge (holistic %d, adaptive %d, early %d)", hoSum, adSum, earlyAd)
+	res.AddRow("warm", "holistic", hoRan, us(hoT), fmt.Sprintf("%d", hoSum))
+	if hoSum != adSum {
+		return nil, fmt.Errorf("join: checksums diverge (holistic %d, adaptive %d)", hoSum, adSum)
 	}
 
 	snap := ob.Query.Snapshot()
 	res.AddPercentiles("join", snap.Latency["join"])
 	res.AddNote("strategies the holistic runner executed, over every phase: %v", snap.Strategies)
-
-	lSpan, _ := lExec.KeyOrderSpan(attrName(0))
-	rSpan, _ := rExec.KeyOrderSpan(attrName(0))
 	res.AddNote("workload: L ⋈ R on %s (M:N, %d-key pool, 0.9 overlap) over 2×%d rows, count+sum, 90%% filters; %d queries per cell",
 		attrName(0), keys, p.ColumnSize, q)
-	res.AddNote("daemons refined the join-key indexes to cluster spans %.0f / %.0f values (refinements %d + %d, converged %v)",
-		lSpan, rSpan, lExec.Daemon().Refinements(), rExec.Daemon().Refinements(), converged)
-	if hoT < adT {
-		res.AddNote("refined: the holistic runner joins %.2fx faster than the adaptive one — the cross-relation holistic payoff", float64(adT)/float64(hoT))
-	} else {
-		res.AddNote("refined: holistic %.1fµs vs adaptive %.1fµs — refinement has not paid off at this scale", float64(hoT.Nanoseconds())/1000, float64(adT.Nanoseconds())/1000)
-	}
+	admitted := func(e *engine.Executor) bool { return e.Daemon().Registry().Get(attrName(0)) != nil }
+	res.AddNote("join key %s admitted into the daemons' index spaces: L %v, R %v (daemon refinements %d + %d)",
+		attrName(0), admitted(lExec), admitted(rExec), lExec.Daemon().Refinements(), rExec.Daemon().Refinements())
+	res.AddNote("warm: holistic %.1fµs vs adaptive %.1fµs (%.2fx)",
+		float64(hoT.Nanoseconds())/1000, float64(adT.Nanoseconds())/1000, float64(hoT)/float64(adT))
 	return res, nil
 }

@@ -151,8 +151,10 @@ type HolisticConfig struct {
 }
 
 // NewHolisticExecutor is the adaptive executor plus the holistic indexing
-// daemon, started here: user queries crack while the daemon exploits idle
-// contexts for auxiliary refinements.
+// daemon: user queries crack while the daemon exploits idle contexts for
+// auxiliary refinements. The daemon starts with the first index admitted
+// into its space (admit), so the store can attach its observer before
+// any cycle runs.
 func NewHolisticExecutor(t *Table, cfg HolisticConfig) *Executor {
 	e := NewAdaptiveExecutor(t, cfg.Cracking, "holistic indexing")
 	mon := cfg.Monitor
@@ -163,7 +165,6 @@ func NewHolisticExecutor(t *Table, cfg HolisticConfig) *Executor {
 		mon = cpu.NewLoadAccountant(cfg.Contexts)
 	}
 	e.daemon = holistic.New(stats.NewRegistry(cfg.L1Values, cfg.StatsSeed), mon, cfg.Daemon)
-	e.daemon.Start()
 	return e
 }
 
@@ -302,13 +303,15 @@ func (e *Executor) build(a *attribute, done chan struct{}, pend *updates.Pending
 
 // admit registers a built or restored cracker column and the pending
 // queue it was built with in the daemon's index space, through its
-// storage budget, and frees the indexes the budget evicts. It returns the
-// column's statistics entry, nil without a daemon.
+// storage budget, and frees the indexes the budget evicts. The first
+// admission starts the daemon: before it there is nothing to refine. It
+// returns the column's statistics entry, nil without a daemon.
 func (e *Executor) admit(col *cracking.Column, pend *updates.Pending, attr string, potential bool) *stats.Entry {
 	if e.daemon == nil {
 		return nil
 	}
 	entry, evicted := e.daemon.AdmitIndex(attr, col, pend, potential)
+	e.daemon.Start()
 	for _, v := range evicted {
 		e.attrs[v.Name].evict(v)
 	}
@@ -565,7 +568,7 @@ func (e *Executor) AddPotential(attr string) error {
 // caller's query) and its access statistics are bumped on the entry its
 // path carries; without a daemon nothing happens. Callers admit only what
 // a plan can use — every residual conjunct, and a group or join key only
-// while the planner could walk it (query.walkable).
+// while the planner could walk it (query.walkRule).
 //
 //holistic:noalloc
 func (e *Executor) NotePredicate(attr string) error {

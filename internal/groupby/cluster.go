@@ -23,10 +23,10 @@ type clusterWalk struct {
 // the core as an execution of its own over the key span its selected
 // rows actually cover, and groups append to res already in key order.
 // No global table exists at any point, and a cluster pays for its own
-// span, never for DefaultClusterSlots: the dense/hash crossover applies
-// per cluster with that bound in place of DefaultDenseSlots, so a refined
-// cluster — post-refinement, every cluster — folds into a small dense
-// array and a wide or sparse one into a small hash table.
+// span, never for DefaultDenseSlots: the dense/hash crossover applies
+// per cluster, so a refined cluster — post-refinement, every cluster —
+// folds into a small dense array and a wide or sparse one into a small
+// hash table.
 //
 // bm is the selection vector over base row ids; rows outside it are
 // skipped. The key values come from the index stream itself (the walk
@@ -57,7 +57,6 @@ func GroupClusters(spec *Spec, bm *column.Bitmap, walk func(fn func(vals []int64
 	}
 	cw.bm, cw.res, cw.spec = bm, res, *spec
 	cw.spec.Keys = cw.key[:]
-	cw.spec.slotBound = DefaultClusterSlots
 	walk(cw.fn)
 	*cw = clusterWalk{fn: cw.fn} // drop the caller's references before pooling
 	return nil
@@ -91,7 +90,7 @@ func (st *runState) cluster(vals []int64, rows []uint32) {
 	}
 	cw.key[0] = Key{Lo: mn, Hi: mx}
 	_ = makePacking(&st.pk, cw.key[:]) // mn <= mx: cannot fail
-	st.start(&cw.spec, &st.pk, chooseDense(&cw.spec, &st.pk, cnt))
+	st.start(&cw.spec, &st.pk, chooseDense(&st.pk, cnt))
 	// Pass 2: compact the selected (value, row) pairs into the chunk
 	// buffers; the keys are the walk's values, the aggregates are
 	// gathered at the rows.

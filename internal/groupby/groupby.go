@@ -144,18 +144,14 @@ func (s Strategy) String() string {
 	}
 }
 
-// DefaultDenseSlots bounds the packed key domain of StrategyDense: the
-// dense accumulator arrays hold one slot per representable composite
-// key, so 2^16 slots times a handful of aggregates stays comfortably
-// inside the L2 cache while covering every low-cardinality grouping
-// (TPC-H Q1 needs 8).
+// DefaultDenseSlots bounds every value-indexed accumulator: the packed
+// key domain of StrategyDense, the observed span of one key cluster
+// under StrategySort and of one merge-join cluster pair (internal/join).
+// The arrays hold one slot per representable key, so 2^16 slots times a
+// handful of aggregates stays comfortably inside the L2 cache while
+// covering every low-cardinality grouping (TPC-H Q1 needs 8); a wider
+// domain or cluster — an unrefined index — hashes.
 const DefaultDenseSlots = 1 << 16
-
-// DefaultClusterSlots bounds the local accumulator of one key cluster
-// under StrategySort: a cluster whose observed value span fits is
-// aggregated with a dense array (offset by the cluster minimum), larger
-// clusters — an unrefined index — fall back to a per-cluster hash.
-const DefaultClusterSlots = 1 << 16
 
 // denseMinSlots is the packed domain size below which StrategyAuto
 // always picks dense regardless of the selection size: clearing and
@@ -197,17 +193,6 @@ type Spec struct {
 	AggViews []column.View
 	// Threads bounds the partition parallelism of dense/hash grouping.
 	Threads int
-	// slotBound overrides DefaultDenseSlots when positive: GroupClusters
-	// bounds its per-cluster executions by DefaultClusterSlots.
-	slotBound int
-}
-
-//holistic:noalloc
-func (s *Spec) denseSlots() int {
-	if s.slotBound > 0 {
-		return s.slotBound
-	}
-	return DefaultDenseSlots
 }
 
 //holistic:alloc-ok error paths format diagnostics
@@ -339,8 +324,8 @@ func (pk *packing) unpack(packed uint64, i int) int64 {
 // and emit scan.
 //
 //holistic:noalloc
-func chooseDense(spec *Spec, pk *packing, n int) bool {
-	if pk.slots == 0 || pk.slots > spec.denseSlots() {
+func chooseDense(pk *packing, n int) bool {
+	if pk.slots == 0 || pk.slots > DefaultDenseSlots {
 		return false
 	}
 	return pk.slots <= denseMinSlots || n*denseFill >= pk.slots
@@ -349,15 +334,12 @@ func chooseDense(spec *Spec, pk *packing, n int) bool {
 // --- entry points ---
 
 // DenseEligible reports whether a composite key over the given domains
-// packs into a dense accumulator of at most denseSlots slots (0 keeps
-// DefaultDenseSlots) — the planner-side probe of the dense/hash
-// crossover, answerable from domain statistics alone.
+// packs into a dense accumulator of at most DefaultDenseSlots slots —
+// the planner-side probe of the dense/hash crossover, answerable from
+// domain statistics alone.
 //
 //holistic:noalloc
-func DenseEligible(keys []Key, denseSlots int) bool {
-	if denseSlots <= 0 {
-		denseSlots = DefaultDenseSlots
-	}
+func DenseEligible(keys []Key) bool {
 	width := 0
 	for _, k := range keys {
 		if k.Hi < k.Lo {
@@ -367,7 +349,7 @@ func DenseEligible(keys []Key, denseSlots int) bool {
 			return false
 		}
 	}
-	return 1<<uint(width) <= denseSlots
+	return 1<<uint(width) <= DefaultDenseSlots
 }
 
 // GroupRows executes the fused plan over a position-list selection
@@ -427,7 +409,7 @@ func group(spec *Spec, sel column.PosList, bm *column.Bitmap, res *Result) error
 func feedSelection(spec *Spec, st *runState, sel column.PosList, bm *column.Bitmap, n int) *runState {
 	pk, src := &st.pk, &st.src
 	src.set(spec, sel, bm)
-	dense := chooseDense(spec, pk, n)
+	dense := chooseDense(pk, n)
 	total := len(sel)
 	if bm != nil {
 		total = bm.Words()

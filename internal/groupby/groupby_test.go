@@ -261,14 +261,14 @@ func TestStrategiesAgreeWithModel(t *testing.T) {
 		var res Result
 
 		// The cluster walk streams the key itself: refined, or — every
-		// other trial — spread past DefaultClusterSlots, so that a cluster
+		// other trial — spread past DefaultDenseSlots, so that a cluster
 		// holding two distinct keys hashes.
 		if nkeys == 1 {
 			key, wantKeys := keyCols[0], wantKeys
 			if trial%2 == 1 {
 				key = make([]int64, rows)
 				for i, v := range keyCols[0] {
-					key[i] = v * 2 * DefaultClusterSlots
+					key[i] = v * 2 * DefaultDenseSlots
 				}
 				wantKeys, _ = modelGroup([][]int64{key}, aggSpecs, aggCols, sel)
 			}
@@ -535,7 +535,7 @@ func TestGroupClusters(t *testing.T) {
 
 	// A refined key domain folds every cluster into a dense array; over
 	// a wide one every cluster of two or more distinct keys spans past
-	// DefaultClusterSlots and hashes.
+	// DefaultDenseSlots and hashes.
 	for _, domain := range []int64{1 << 12, 1 << 40} {
 		keyCol := make([]int64, rows)
 		for i := range keyCol {
@@ -678,9 +678,9 @@ func TestWarmedFeedersAllocationFree(t *testing.T) {
 			t.Errorf("warmed in-place GroupBitmap (%v) allocates %.2f times per run, want 0", want, allocs)
 		}
 	}
-	// Dense clusters, then the same keys spread past DefaultClusterSlots:
+	// Dense clusters, then the same keys spread past DefaultDenseSlots:
 	// hash clusters.
-	for _, scale := range []int64{1, 2 * DefaultClusterSlots} {
+	for _, scale := range []int64{1, 2 * DefaultDenseSlots} {
 		scaled := make([]int64, rows)
 		for i, v := range key {
 			scaled[i] = v * scale

@@ -113,18 +113,21 @@ type Daemon struct {
 	lastPanic    string
 
 	// slotMu serializes cycles (RunCycleNow may race the indexing
-	// thread) and guards slots, one per worker, kept across cycles.
+	// thread) and guards slots, one per worker, kept across cycles, and
+	// cycle, the next cycle's number: its one source, which the workers'
+	// pivot RNG seeds derive from and RestoreTotals resumes.
 	slotMu sync.Mutex
 	slots  []workerSlot
+	cycle  int64
 
 	// testRefineHook, when set before Start, runs at the top of every
 	// worker activation; the panic-containment test injects through it.
 	testRefineHook func()
 
 	// ob is the store's observer: cycles, refinement passes and pivot
-	// positions go to it. The daemon runs before the store attaches it,
-	// so it is swapped atomically; a nil observer is a no-op for every
-	// call.
+	// positions go to it. SetObserver may be called while the daemon
+	// runs (benchmarks and tests attach late), so it is swapped
+	// atomically; a nil observer is a no-op for every call.
 	ob atomic.Pointer[observer.Observer]
 
 	stop chan struct{}
@@ -195,7 +198,6 @@ func (d *Daemon) run() {
 	defer close(d.done)
 	timer := time.NewTimer(d.cfg.Interval)
 	defer timer.Stop()
-	cycle := 0
 	for {
 		// Measure CPU utilization within the next interval.
 		timer.Reset(d.cfg.Interval)
@@ -205,8 +207,7 @@ func (d *Daemon) run() {
 		case <-timer.C:
 		}
 		if n := d.mon.IdleContexts(); n > 0 {
-			d.runCycle(cycle, n)
-			cycle++
+			d.runCycle(n)
 		}
 	}
 }
@@ -240,6 +241,9 @@ func (d *Daemon) LastPanic() string {
 // snapshot, so convergence telemetry continues across restarts instead
 // of resetting to zero.
 func (d *Daemon) RestoreTotals(t CycleTotals, attempts, busyRerolls int64) {
+	d.slotMu.Lock()
+	d.cycle = t.Cycles
+	d.slotMu.Unlock()
 	d.cycleMu.Lock()
 	d.totals = t
 	d.cycleMu.Unlock()
@@ -255,13 +259,15 @@ type workerSlot struct {
 	refined, merged int
 }
 
-// runCycle activates n workers and waits for all of them to finish. The
-// workers run through column.ForChunks, so they count as busy contexts
-// for every daemon in the process. Once they have returned, a worker
-// that panicked is reported to the observer, which dumps the ring for
-// it.
-func (d *Daemon) runCycle(cycle, n int) {
+// runCycle numbers the next cycle, activates n workers and waits for all
+// of them to finish. The workers run through column.ForChunks, so they
+// count as busy contexts for every daemon in the process. Once they have
+// returned, a worker that panicked is reported to the observer, which
+// dumps the ring for it.
+func (d *Daemon) runCycle(n int) {
 	d.slotMu.Lock()
+	cycle := d.cycle
+	d.cycle++
 	before := d.workerPanics.Load()
 	for len(d.slots) < n {
 		d.slots = append(d.slots, workerSlot{rng: rand.New(rand.NewSource(0))})
@@ -274,7 +280,7 @@ func (d *Daemon) runCycle(cycle, n int) {
 		t0 := time.Now()
 		defer func() { s.time = time.Since(t0) }()
 		defer d.containPanic()
-		s.rng.Seed(d.cfg.Seed + int64(cycle)*1024 + int64(w))
+		s.rng.Seed(d.cfg.Seed + cycle*1024 + int64(w))
 		s.refined, s.merged = d.idleFunction(s.rng)
 	})
 
@@ -297,7 +303,7 @@ func (d *Daemon) runCycle(cycle, n int) {
 	d.totals.MergedUpdates += merged
 	d.cycleMu.Unlock()
 	ob := d.ob.Load()
-	ob.Cycle(int64(cycle), int64(n), refined, merged, wall.Nanoseconds())
+	ob.Cycle(cycle, int64(n), refined, merged, wall.Nanoseconds())
 	if panics > before {
 		ob.Panicked(panics)
 	}
@@ -407,11 +413,5 @@ func (d *Daemon) BusyRerolls() int64 { return d.busyRerolls.Load() }
 // refinement volume (e.g. the x-sweep of Figure 15) use it; production
 // callers use Start/Stop.
 func (d *Daemon) RunCycleNow(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.cycleMu.Lock()
-	cycle := int(d.totals.Cycles)
-	d.cycleMu.Unlock()
-	d.runCycle(cycle, n)
+	d.runCycle(max(n, 1))
 }

@@ -3,12 +3,15 @@ package holistic
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"holistic/internal/column"
 	"holistic/internal/cpu"
 	"holistic/internal/cracking"
+	"holistic/internal/obs/observer"
 	"holistic/internal/stats"
 	"holistic/internal/updates"
 )
@@ -388,6 +391,49 @@ func TestRunCycleNow(t *testing.T) {
 	d.RunCycleNow(0) // clamps to 1 worker
 	if tot := d.CycleTotals(); tot.Cycles != 2 || tot.Workers != 3 {
 		t.Fatalf("CycleTotals() = %+v, want 2 cycles of 3 workers in all", tot)
+	}
+}
+
+// TestCycleNumbersOneCounter: the daemon's own loop and concurrent
+// RunCycleNow callers draw cycle numbers from one counter, resumed from
+// RestoreTotals, so the flight ring holds each number once — the worker
+// RNG seeds derive from it — and no number is skipped.
+func TestCycleNumbersOneCounter(t *testing.T) {
+	reg := newSpace(64)
+	reg.Add("a", cracking.New("a", randVals(20_000, 23, 1<<20), cracking.Config{}), nil, false)
+	d := New(reg, cpu.Fixed{Idle: 1}, Config{Interval: time.Millisecond, Refinements: 2, Seed: 11})
+	ob := observer.New(observer.Config{FlightEvents: 1 << 16})
+	d.SetObserver(ob)
+	const restored = 100
+	d.RestoreTotals(CycleTotals{Cycles: restored}, 0, 0)
+	d.Start()
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				d.RunCycleNow(1)
+			}
+		}()
+	}
+	wg.Wait()
+	d.Stop()
+	var got []int64
+	for _, e := range ob.Flight.Snapshot() {
+		if f := e.Fields(nil); f["kind"] == "cycle" {
+			got = append(got, f["cycle"].(int64))
+		}
+	}
+	slices.Sort(got)
+	ran := d.CycleTotals().Cycles - restored
+	if ran < 60 || int64(len(got)) != ran {
+		t.Fatalf("ring holds %d cycles, totals count %d; want the same, at least 60", len(got), ran)
+	}
+	for i, c := range got {
+		if c != restored+int64(i) {
+			t.Fatalf("cycle numbers %v..., want %d to %d once each", got[:i+1], restored, restored+ran-1)
+		}
 	}
 }
 

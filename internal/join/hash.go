@@ -172,7 +172,7 @@ func (st *hashState) build(in Input, sumOnBuild bool, threads int) {
 		st.slotOff[p] = slots
 		off += st.hist[p]
 		if st.hist[p] > 0 {
-			slots += int32(pow2(2 * int(st.hist[p])))
+			slots += int32(arena(int(st.hist[p])))
 		}
 	}
 	st.starts[nparts] = off
@@ -227,12 +227,12 @@ func (st *hashState) build(in Input, sumOnBuild bool, threads int) {
 	}
 }
 
-// buildDirect erects a direct-addressed table when the build keys span
-// no more values than the slot arena hashing would allocate (pow2(2n)
-// slots, so it never takes more memory): slot k-min chains key k's
-// entries and carries their count and payload sum, and an empty slot
-// counts 0. The span is taken in uint64, exact for any two int64 keys.
-// It reports false, having built nothing, for a sparser domain.
+// buildDirect erects a direct-addressed table when the build keys are
+// Addressable — they span no more values than the slot arena hashing
+// would allocate, so it never takes more memory: slot k-min chains key
+// k's entries and carries their count and payload sum, and an empty slot
+// counts 0. It reports false, having built nothing, for a sparser
+// domain.
 //
 //holistic:noalloc
 func (st *hashState) buildDirect(in Input, sumOnBuild bool) bool {
@@ -241,7 +241,7 @@ func (st *hashState) buildDirect(in Input, sumOnBuild bool) bool {
 		mn, mx = min(mn, k), max(mx, k)
 	}
 	n := len(in.Keys)
-	if uint64(mx)-uint64(mn) >= uint64(pow2(2*n)) {
+	if !Addressable(uint64(mx)-uint64(mn), n) {
 		return false
 	}
 	span := int(uint64(mx)-uint64(mn)) + 1

@@ -149,13 +149,6 @@ type Stream struct {
 	Count int
 }
 
-// DefaultMergeSpan bounds the per-cluster-pair dense accumulator of the
-// merge join, mirroring groupby.DefaultClusterSlots: an intersection
-// whose value span fits joins through dense arrays offset by the
-// intersection minimum; wider pairs — unrefined indexes — fall back to
-// a small open-addressing table scoped to the pair.
-const DefaultMergeSpan = 1 << 16
-
 // PairCol addresses one attribute of the join result: the side it
 // lives on and its update-aware view. The grouped terminal gathers it
 // at the pair's row on that side.
@@ -223,6 +216,22 @@ func splitmix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
+
+// arena returns the slot count of an open-addressing table over n keys:
+// a power of two of at least 2n, so the load factor stays at most 1/2.
+//
+//holistic:noalloc
+func arena(n int) int { return pow2(2 * n) }
+
+// Addressable is the direct-addressing predicate: build keys lying at
+// most span apart (largest minus smallest, in uint64, exact for any two
+// int64 keys) over rows build rows address a table of one slot per
+// value, which takes no more slots than the arena hashing them would.
+// Hash builds direct exactly then (buildDirect); the planner asks it of
+// the build side's key domain, whose span bounds the gathered keys'.
+//
+//holistic:noalloc
+func Addressable(span uint64, rows int) bool { return span < uint64(arena(rows)) }
 
 // pow2 returns the smallest power of two >= n (minimum 1).
 //

@@ -1,6 +1,10 @@
 package join
 
-import "sync"
+import (
+	"sync"
+
+	"holistic/internal/groupby"
+)
 
 // mergeState is the pooled per-execution scratch of the index-clustered
 // merge join: the buffered build-side clusters, the filtered probe
@@ -48,7 +52,7 @@ var mergeStatePool = sync.Pool{New: func() any { return new(mergeState) }}
 // cluster streams. ok is false — and the fold undefined — when either
 // side has no key-ordered access path (the caller falls back to Hash).
 // pairs is required only for OpPairs. spanLimit bounds the dense
-// accumulator (0 keeps DefaultMergeSpan).
+// accumulator (<= 0 keeps groupby.DefaultDenseSlots).
 //
 // The build side (the smaller selected cardinality) is buffered once;
 // as the probe side walks, only build clusters whose value ranges
@@ -65,7 +69,7 @@ func Merge(op Op, left, right Stream, spanLimit int, pairs *Pairs) (count, sum i
 		pairs.reset()
 	}
 	if spanLimit <= 0 {
-		spanLimit = DefaultMergeSpan
+		spanLimit = groupby.DefaultDenseSlots
 	}
 	build, probe := &left, &right
 	swapped := false
@@ -282,10 +286,7 @@ func (st *mergeState) joinWide(op Op, k int, pmin, pmax int64, swapped, sumOnBui
 		hi = pmax
 	}
 	segLo, segHi := int(st.cstart[k]), int(st.cstart[k+1])
-	slots := pow2(2 * (segHi - segLo))
-	if slots < 8 {
-		slots = 8
-	}
+	slots := max(arena(segHi-segLo), 8)
 	st.wkey = grow64(st.wkey, slots)
 	st.whead = grow32(st.whead, slots)
 	st.wcnt = grow32(st.wcnt, slots)

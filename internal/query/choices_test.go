@@ -15,7 +15,11 @@ import (
 //
 //   - scan and adaptive, with no key-ordered path on the never-cracked
 //     key w, group and join by hash;
-//   - offline, which sorts on demand, groups by sort and joins by merge;
+//   - offline, which sorts on demand, groups by sort and joins by merge
+//     on w;
+//   - a self-join on the dense key k hashes in every mode, offline
+//     included: the hash table addresses its build keys directly, so
+//     under holistic k never enters the daemon's index space;
 //   - the narrow composite key (g, h) groups dense;
 //   - a 1% drive runs as a position list, a 50% drive as a bitmap;
 //   - a single conjunct runs native;
@@ -40,6 +44,7 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 	narrow("g", "a", 16)
 	narrow("h", "b", 8)
 	narrow("x", "a", domain) // a copy of a: x and a select together or not at all
+	narrow("k", "c", domain) // a copy of c: a dense join key no query selects on
 	wideKey(tab, "a")
 	m := modelOf(tab)
 
@@ -56,6 +61,7 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 	// The self-join on w pairs rows with equal a: the half-selected left
 	// side meets every row of its value.
 	pairs, _ := model.Join(m, "w", m.Rows(mp(half)), m, "w", m.Rows(nil))
+	densePairs, _ := model.Join(m, "k", m.Rows(mp(half)), m, "k", m.Rows(nil))
 
 	walks := map[string]bool{"scan": false, "adaptive": false, "offline": true}
 	total := map[string]int64{}
@@ -90,6 +96,19 @@ func TestEveryChoiceReachedByItsRule(t *testing.T) {
 			}
 			if walk, ok := walks[mode]; ok && (tr.Strategy == "merge") != walk {
 				t.Errorf("self-join strategy %s, want merge = %v", tr.Strategy, walk)
+			}
+			tr, n, err = r.Join(r, "k", "k", half, nil).Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != int64(len(densePairs)) {
+				t.Fatalf("dense self-join count %d, want %d", n, len(densePairs))
+			}
+			if tr.Strategy != "hash" {
+				t.Errorf("dense self-join strategy %s, want hash", tr.Strategy)
+			}
+			if exec.Daemon() != nil && admitted(exec, "k") {
+				t.Error("the dense join key entered the daemon's index space")
 			}
 			for _, c := range counts {
 				tr, n, err := r.ExplainCount(c.preds)

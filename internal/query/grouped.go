@@ -11,15 +11,12 @@
 //
 //   - dense, when the composite key domain bit-packs small
 //     (groupby.DenseEligible);
-//   - sort (index-clustered), when the single group key has a
-//     key-ordered access path (Executor.WalkKeyOrder) whose clusters
-//     are already refined below the per-cluster accumulator bound and
-//     the selection is dense enough to amortize walking the whole
-//     index;
+//   - sort (index-clustered), when the single group key passes the walk
+//     rule (walkRule) grouping and joins share;
 //   - hash, otherwise.
 //
 // Under ModeHolistic a group key enters the daemon's index space
-// (admitKey) only while chooseSort could one day pick it; idle-time
+// (admitKey) only while the walk rule could one day pass it; idle-time
 // refinement then shrinks its clusters and converts hash grouping into
 // sort-based grouping over time.
 package query
@@ -33,28 +30,59 @@ import (
 	"holistic/internal/obs"
 )
 
-// walkable is the density half of the walk rule grouping and joins
-// share: a key-ordered walk visits every index entry while the hash
-// strategies touch only selected rows, so a walk is considered only when
-// at least a quarter of the position universe is selected. The span
-// half (clustered) needs an index to exist, so admission asks this half
-// alone.
-//
-//holistic:noalloc
-func walkable(selected, universe int) bool {
-	const keyOrderScanRatio = 4
-	return selected*keyOrderScanRatio >= universe
+// walkKey is one key a plan would walk in key order: its runner, its
+// attribute, the side's selection and its population n. walkRule fills
+// span and ok, the key-ordered path's statistic
+// (Executor.KeyOrderSpan), for the strategy audit.
+type walkKey struct {
+	r    *Runner
+	attr string
+	sel  *column.Bitmap
+	n    int
+	span float64
+	ok   bool
 }
 
-// clustered is the span half of the walk rule: ok when attr has a
-// key-ordered access path at all, fits when its clusters are refined to
-// at most bound values — the strategy's accumulator bound. span is the
-// path's statistic (Executor.KeyOrderSpan) for the strategy audit.
+// walkRule is the one rule grouping and joins walk their keys by, in
+// three parts:
+//
+//   - walkable: a key-ordered walk visits every index entry while the
+//     hash strategies touch only selected rows, so every key's
+//     selection must cover at least a quarter of its position universe;
+//   - not addressable: a plan whose accumulator addresses its keys
+//     directly — a dense grouping domain, a join build side the hash
+//     table addresses by key − min — beats any walk, now and after any
+//     refinement;
+//   - clustered: every key's key-ordered path exists and its clusters
+//     span at most groupby.DefaultDenseSlots values, the accumulator
+//     bound of a sort-grouping cluster and a merge-join cluster pair.
+//
+// The first two admit the keys into the daemon's index space
+// (admitKey); all three decide the walk. addressable is asked only of
+// walkable selections: the domain bounds it reads scan a column on
+// first use. addressed reports that it declined the walk.
 //
 //holistic:noalloc
-func (r *Runner) clustered(attr string, bound int) (span float64, ok, fits bool) {
-	span, ok = r.exec.KeyOrderSpan(attr)
-	return span, ok, ok && span <= float64(bound)
+func walkRule(keys []walkKey, addressable func() bool) (walk, addressed bool, err error) {
+	const keyOrderScanRatio = 4
+	walk = true
+	for _, k := range keys {
+		walk = walk && k.n*keyOrderScanRatio >= k.sel.Len()
+	}
+	if walk && addressable() {
+		walk, addressed = false, true
+	}
+	for i := 0; walk && i < len(keys); i++ {
+		if err := keys[i].r.admitKey(keys[i].attr); err != nil {
+			return false, false, err
+		}
+	}
+	for i := range keys {
+		k := &keys[i]
+		k.span, k.ok = k.r.exec.KeyOrderSpan(k.attr)
+		walk = walk && k.ok && k.span <= groupby.DefaultDenseSlots
+	}
+	return walk, addressed, nil
 }
 
 // admitKey enters a group or join key into the daemon's index space
@@ -170,17 +198,16 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 		return groupby.GroupRows(spec, nil, res)
 	}
 
-	// walk: chooseSort could pick the key once its clusters are refined —
-	// a single key, not dense-eligible, over a walkable selection. Only
-	// then does the key enter the index space.
-	bits := sc.sel.Bits
-	walk := len(keys) == 1 && !groupby.DenseEligible(spec.Keys, 0) && walkable(bits.Count(), bits.Len())
-	if walk {
-		if err := r.admitKey(keys[0]); err != nil {
+	walk := false
+	if len(keys) == 1 { // the sort strategy walks one key
+		key := [1]walkKey{{r: r, attr: keys[0], sel: sc.sel.Bits, n: sc.sel.Bits.Count()}}
+		walk, _, err = walkRule(key[:], func() bool { return groupby.DenseEligible(spec.Keys) })
+		if err != nil {
 			return err
 		}
+		sortStats(sc, key[0])
 	}
-	if r.chooseSort(sc, keys, walk) {
+	if walk {
 		walked := false
 		err := groupby.GroupClusters(spec, sc.sel.Bits, func(fn func(vals []int64, rows []uint32)) {
 			walked, _ = r.exec.WalkKeyOrder(keys[0], fn)
@@ -193,7 +220,7 @@ func (r *Runner) groupedSC(sc *scratch, res *groupby.Result, keys []string, aggs
 			return nil
 		}
 		// The access path declined after probing (should not happen —
-		// clustered said ok); regroup through the hash path.
+		// the walk rule found a path); regroup through the hash path.
 	}
 	if err := groupby.GroupBitmap(spec, sc.sel.Bits, res); err != nil {
 		return err
@@ -289,26 +316,19 @@ func (r *Runner) groupSpec(sc *scratch, keys []string, aggs []groupby.Agg) *grou
 	return &sc.gspec
 }
 
-// chooseSort applies the sort-strategy rule: a single group key the
-// caller found walkable (walk: not dense-eligible — a small packed
-// domain groups faster through direct array indexing — over a dense
-// enough selection) whose key-ordered access path has clusters that fit
-// the per-cluster accumulator.
-func (r *Runner) chooseSort(sc *scratch, keys []string, walk bool) bool {
-	if len(keys) != 1 {
-		return false
+// sortStats captures the statistics behind the sort-vs-hash choice for
+// the strategy audit event, regardless of tracing, when the key has a
+// key-ordered path.
+//
+//holistic:noalloc
+func sortStats(sc *scratch, k walkKey) {
+	if !k.ok {
+		return
 	}
-	span, ok, fits := r.clustered(keys[0], groupby.DefaultClusterSlots)
-	if !ok {
-		return false
-	}
-	// The statistics behind the sort-vs-hash choice, captured for the
-	// strategy audit event regardless of tracing.
-	bits, tr := sc.sel.Bits, sc.sp.Trace
-	sc.fstat[0], sc.fstat[1] = span, float64(bits.Count())
-	tr.SetStat("key_order_span", span)
-	tr.SetStat("cluster_slots", float64(groupby.DefaultClusterSlots))
+	tr := sc.sp.Trace
+	sc.fstat[0], sc.fstat[1] = k.span, float64(k.n)
+	tr.SetStat("key_order_span", k.span)
+	tr.SetStat("cluster_slots", float64(groupby.DefaultDenseSlots))
 	tr.SetStat("selected_rows", sc.fstat[1])
-	tr.SetStat("position_universe", float64(bits.Len()))
-	return walk && fits
+	tr.SetStat("position_universe", float64(k.sel.Len()))
 }

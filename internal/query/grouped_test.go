@@ -133,7 +133,7 @@ func TestGroupedSortStrategyRuns(t *testing.T) {
 }
 
 // TestGroupedAdmitsOnlySortableKeys: under the holistic executor a
-// grouped query admits its key only when chooseSort could one day pick
+// grouped query admits its key only when the walk rule could one day pass
 // it — a single key, not dense-eligible, over a dense selection.
 // Dense-eligible and composite keys are never admitted, with or without
 // predicates.

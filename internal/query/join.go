@@ -8,17 +8,16 @@
 // cardinality and index statistics, mirroring the grouped-aggregation
 // subsystem's strategy selection:
 //
-//   - merge (index-clustered), when both sides have a key-ordered
-//     access path on their join attribute (Executor.WalkKeyOrder) whose
-//     clusters are already refined below the per-pair accumulator
-//     bound and whose selections are dense enough to amortize walking
-//     the whole index — no hash table over either relation;
-//   - hash (radix-partitioned open-addressing), otherwise, with the
-//     build side always the smaller filtered cardinality.
+//   - merge (index-clustered), when both join keys pass the walk rule
+//     (walkRule) grouping shares — no hash table over either relation;
+//   - hash, otherwise, with the build side always the smaller filtered
+//     cardinality: direct-addressed when the build keys are
+//     join.Addressable, radix-partitioned open-addressing when not.
 //
 // Under ModeHolistic both join keys enter their daemons' index spaces
-// (admitKey) only while chooseMerge could one day pick them: both
-// selections walkable.
+// (admitKey) only while the walk rule could one day pass them: both
+// selections walkable, and a build side the hash table cannot address
+// directly.
 package query
 
 import (
@@ -262,20 +261,17 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		return nil
 	}
 
-	// walk: chooseMerge could pick this join once both keys' clusters are
-	// refined. Only then do both keys enter the index space.
 	lN, rN := lsc.sel.Bits.Count(), rsc.sel.Bits.Count()
-	walk := walkable(lN, lsc.sel.Bits.Len()) && walkable(rN, rsc.sel.Bits.Len())
-	if walk {
-		if err := j.left.admitKey(j.leftAttr); err != nil {
-			return err
-		}
-		if err := j.right.admitKey(j.rightAttr); err != nil {
-			return err
-		}
+	sides := [2]walkKey{
+		{r: j.left, attr: j.leftAttr, sel: lsc.sel.Bits, n: lN},
+		{r: j.right, attr: j.rightAttr, sel: rsc.sel.Bits, n: rN},
 	}
-
-	if j.chooseMerge(lsc, rsc, walk, lN, rN) {
+	walk, addressed, err := walkRule(sides[:], func() bool { return j.buildAddressable(lsc, rsc, lN, rN) })
+	if err != nil {
+		return err
+	}
+	mergeStats(lsc, sides)
+	if walk {
 		var walkErr error
 		mkStream := func(r *Runner, sc *scratch, attr string, n int, sumSide bool) join.Stream {
 			s := join.Stream{
@@ -306,7 +302,7 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 			return nil
 		}
 		// The access path declined after probing (should not happen —
-		// clustered said ok); rejoin through the hash path.
+		// the walk rule found a path); rejoin through the hash path.
 	}
 
 	lIn := gatherJoinSide(lsc, j.leftAttr)
@@ -322,8 +318,28 @@ func (j *Join) joinSC(op join.Op, lsc, rsc *scratch, lExtra, rExtra []string, pa
 		}
 	}
 	j.count, j.sum = join.Hash(op, lIn, rIn, j.left.threads, pairs)
-	j.left.noteStrategy(lsc, obs.StratJoinHash, "no refined key-ordered path on both sides, or selections too sparse to walk the indexes")
+	reason := "no refined key-ordered path on both sides, or selections too sparse to walk the indexes"
+	if addressed {
+		reason = "build keys address the hash table directly"
+	}
+	j.left.noteStrategy(lsc, obs.StratJoinHash, reason)
 	return nil
+}
+
+// buildAddressable reports whether join.Hash will address its build
+// side directly: the side with fewer selected rows (the left on a tie,
+// as Hash picks it), whose key domain — the base bounds widened by the
+// view's overlay — bounds the span of the keys it gathers, so the plan
+// never counts on a direct table buildDirect would refuse.
+//
+//holistic:noalloc
+func (j *Join) buildAddressable(lsc, rsc *scratch, lN, rN int) bool {
+	r, sc, attr, n := j.left, lsc, j.leftAttr, lN
+	if rN < lN {
+		r, sc, attr, n = j.right, rsc, j.rightAttr, rN
+	}
+	lo, hi := sc.views[attr].ExtendBounds(r.table.Column(attr).Bounds())
+	return join.Addressable(uint64(hi)-uint64(lo), n)
 }
 
 // sumAttr recovers the OpSum attribute from the extras the Sum
@@ -361,26 +377,22 @@ func gatherJoinSide(sc *scratch, attr string) join.Input {
 	return join.Input{Keys: keys, Rows: rows}
 }
 
-// chooseMerge applies the join-strategy rule: both sides need a
-// key-ordered access path on their join attribute, selections the
-// caller found walkable (walk) and clusters that fit the per-pair
-// accumulator. lN and rN are the sides' selected rows.
+// mergeStats captures the statistics behind the merge-vs-hash choice
+// for the strategy audit event, regardless of tracing: each side's
+// key-ordered span where it has a path, the bound and both populations.
 //
 //holistic:noalloc
-func (j *Join) chooseMerge(lsc, rsc *scratch, walk bool, lN, rN int) bool {
-	lSpan, lOK, lFits := j.left.clustered(j.leftAttr, join.DefaultMergeSpan)
-	rSpan, rOK, rFits := j.right.clustered(j.rightAttr, join.DefaultMergeSpan)
+func mergeStats(lsc *scratch, sides [2]walkKey) {
 	tr := lsc.sp.Trace
-	if lOK {
-		lsc.fstat[0] = lSpan
-		tr.SetStat("left_key_order_span", lSpan)
+	if l := sides[0]; l.ok {
+		lsc.fstat[0] = l.span
+		tr.SetStat("left_key_order_span", l.span)
 	}
-	if rOK {
-		lsc.fstat[1] = rSpan
-		tr.SetStat("right_key_order_span", rSpan)
+	if r := sides[1]; r.ok {
+		lsc.fstat[1] = r.span
+		tr.SetStat("right_key_order_span", r.span)
 	}
-	tr.SetStat("merge_span_bound", float64(join.DefaultMergeSpan))
-	tr.SetStat("left_selected_rows", float64(lN))
-	tr.SetStat("right_selected_rows", float64(rN))
-	return walk && lFits && rFits
+	tr.SetStat("merge_span_bound", float64(groupby.DefaultDenseSlots))
+	tr.SetStat("left_selected_rows", float64(sides[0].n))
+	tr.SetStat("right_selected_rows", float64(sides[1].n))
 }

@@ -50,12 +50,17 @@ func joinExecs(tab *engine.Table, threads int) map[string]*engine.Executor {
 }
 
 // TestJoinMatchesModelAcrossExecutors drives randomized joins (with
-// and without per-side predicates) through every executor pairing,
-// comparing Count, Sum and Pairs against the model. Two
-// offline sides merge whenever both selections are walkable; a scan
-// side, with no key-ordered path, always hashes.
+// and without per-side predicates) through every executor pairing, on
+// the dense key k and on its sparse copy w, comparing Count, Sum and
+// Pairs against the model. Each key meets both left-predicate cases and
+// both sum sides. Two offline sides merge on w whenever both selections
+// are walkable, and never on k, whose build keys the hash table
+// addresses directly; a scan side, with no key-ordered path, always
+// hashes.
 func TestJoinMatchesModelAcrossExecutors(t *testing.T) {
 	lt, rt := joinFixture(t, 600, 200, 21)
+	wideKey(lt, "k")
+	wideKey(rt, "k")
 	ml, mr := modelOf(lt), modelOf(rt)
 	rng := rand.New(rand.NewSource(22))
 	for lName, lExec := range joinExecs(lt, 2) {
@@ -66,7 +71,10 @@ func TestJoinMatchesModelAcrossExecutors(t *testing.T) {
 				lr := New(lt, lExec, 2)
 				rr := New(rt, rExec, 2)
 				ob := observed(lr)
-				for q := 0; q < 8; q++ {
+				merged := map[string]int64{}
+				for q := 0; q < 16; q++ {
+					key := []string{"k", "w"}[q/4%2]
+					before := ob.Query.Snapshot().Strategies["join/merge"]
 					var lPreds, rPreds []Predicate
 					if q%2 == 0 {
 						lPreds = []Predicate{{Attr: "v", Lo: 0, Hi: rng.Int63n(900) + 100}}
@@ -74,11 +82,11 @@ func TestJoinMatchesModelAcrossExecutors(t *testing.T) {
 					if q%3 == 0 {
 						rPreds = []Predicate{{Attr: "v", Lo: rng.Int63n(300), Hi: 1000}}
 					}
-					sumSide := join.Side(q % 2)
-					wantPairs, joined := model.Join(ml, "k", ml.Rows(mp(lPreds)), mr, "k", mr.Rows(mp(rPreds)))
+					sumSide := join.Side(q / 2 % 2)
+					wantPairs, joined := model.Join(ml, key, ml.Rows(mp(lPreds)), mr, key, mr.Rows(mp(rPreds)))
 					wantCount, wantSum := int64(len(wantPairs)), joined.Sum([]string{"l.v", "r.v"}[sumSide], nil)
 
-					j := lr.Join(rr, "k", "k", lPreds, rPreds)
+					j := lr.Join(rr, key, key, lPreds, rPreds)
 					n, err := j.Count()
 					if err != nil {
 						t.Fatal(err)
@@ -108,13 +116,16 @@ func TestJoinMatchesModelAcrossExecutors(t *testing.T) {
 					if !slices.Equal(got, wantPairs) {
 						t.Fatalf("q%d: pairs differ from the model's", q)
 					}
+					merged[key] += ob.Query.Snapshot().Strategies["join/merge"] - before
 				}
-				strats := ob.Query.Snapshot().Strategies
-				if lName == "offline" && rName == "offline" && strats["join/merge"] == 0 {
-					t.Errorf("two offline sides never merged: %v", strats)
+				if lName == "offline" && rName == "offline" && merged["w"] == 0 {
+					t.Errorf("two offline sides never merged on w: %v", merged)
 				}
-				if (lName == "scan" || rName == "scan") && strats["join/merge"] != 0 {
-					t.Errorf("a scan side merged: %v", strats)
+				if merged["k"] != 0 {
+					t.Errorf("the directly addressed key k merged: %v", merged)
+				}
+				if (lName == "scan" || rName == "scan") && merged["w"] != 0 {
+					t.Errorf("a scan side merged: %v", merged)
 				}
 			})
 		}
@@ -212,33 +223,39 @@ func admitted(exec *engine.Executor, attr string) bool {
 }
 
 // TestJoinAdmitsKeysOnlyWhenBothSidesWalkable: under the holistic
-// executor a join admits both join keys when both selections are dense
-// enough to walk; with one sparse side it admits neither.
+// executor a join on the sparse key w admits both join keys when both
+// selections are dense enough to walk; with one sparse side it admits
+// neither. A join on the dense key k admits neither either: the hash
+// table addresses its build keys directly, which no walk beats.
 func TestJoinAdmitsKeysOnlyWhenBothSidesWalkable(t *testing.T) {
 	lt, rt := joinFixture(t, 400, 100, 51)
+	wideKey(lt, "k")
+	wideKey(rt, "k")
 	dense := []Predicate{{Attr: "v", Lo: 0, Hi: 500}}
 	sparse := []Predicate{{Attr: "v", Lo: 0, Hi: 100}}
 	for _, tc := range []struct {
 		name           string
+		key            string
 		lPreds, rPreds []Predicate
 		want           bool
 	}{
-		{"both walkable", dense, nil, true},
-		{"left sparse", sparse, nil, false},
-		{"right sparse", dense, sparse, false},
+		{"both walkable", "w", dense, nil, true},
+		{"left sparse", "w", sparse, nil, false},
+		{"right sparse", "w", dense, sparse, false},
+		{"addressable", "k", dense, nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lExec, rExec := newHolistic(lt), newHolistic(rt)
 			defer lExec.Close()
 			defer rExec.Close()
 			lr, rr := New(lt, lExec, 2), New(rt, rExec, 2)
-			if _, err := lr.Join(rr, "k", "k", tc.lPreds, tc.rPreds).Count(); err != nil {
+			if _, err := lr.Join(rr, tc.key, tc.key, tc.lPreds, tc.rPreds).Count(); err != nil {
 				t.Fatal(err)
 			}
-			if got := admitted(lExec, "k"); got != tc.want {
+			if got := admitted(lExec, tc.key); got != tc.want {
 				t.Errorf("left join key admitted = %v, want %v", got, tc.want)
 			}
-			if got := admitted(rExec, "k"); got != tc.want {
+			if got := admitted(rExec, tc.key); got != tc.want {
 				t.Errorf("right join key admitted = %v, want %v", got, tc.want)
 			}
 		})
@@ -246,18 +263,20 @@ func TestJoinAdmitsKeysOnlyWhenBothSidesWalkable(t *testing.T) {
 }
 
 // TestJoinMergeConvergence: offline indexing sorts on demand, so both
-// sides have span-1 key-ordered paths and a dense join merges; the same
-// join between scan executors, which have no such path, hashes — and
-// both return the same folds.
+// sides have span-1 key-ordered paths and a join on the sparse key w
+// over whole relations merges; the same join between scan executors,
+// which have no such path, hashes — and both return the same folds.
 func TestJoinMergeConvergence(t *testing.T) {
 	lt, rt := joinFixture(t, 3000, 500, 61)
+	wideKey(lt, "k")
+	wideKey(rt, "k")
 	var counts, sums []int64
 	for _, want := range []string{"merge", "hash"} {
 		lExec, rExec := engine.NewOfflineExecutor(lt, 2), engine.NewOfflineExecutor(rt, 2)
 		if want == "hash" {
 			lExec, rExec = engine.NewScanExecutor(lt, 2), engine.NewScanExecutor(rt, 2)
 		}
-		j := New(lt, lExec, 2).Join(New(rt, rExec, 2), "k", "k", nil, nil)
+		j := New(lt, lExec, 2).Join(New(rt, rExec, 2), "w", "w", nil, nil)
 		tr, n, err := j.Explain()
 		if err != nil {
 			t.Fatal(err)

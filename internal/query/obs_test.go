@@ -135,11 +135,14 @@ func TestExplainGroupedStrategy(t *testing.T) {
 }
 
 // TestExplainJoin: the join Explain carries side-scoped conjuncts with
-// model-checked actuals and reports hash versus merge with a reason:
+// model-checked actuals and reports hash versus merge with a reason on
+// the sparse key w, which the hash table cannot address directly:
 // adaptive sides, whose join keys were never cracked, hash; offline
 // sides, sorted on demand, merge.
 func TestExplainJoin(t *testing.T) {
 	lt, rt := joinFixture(t, 3000, 1<<10, 41)
+	wideKey(lt, "k")
+	wideKey(rt, "k")
 	for mode, strategy := range map[string]string{"adaptive": "hash", "offline": "merge"} {
 		t.Run(mode, func(t *testing.T) {
 			mk := func(tab *engine.Table) *engine.Executor {
@@ -156,13 +159,13 @@ func TestExplainJoin(t *testing.T) {
 			observed(lr)
 			lPreds := []Predicate{{Attr: "v", Lo: 0, Hi: 800}}
 			rPreds := []Predicate{{Attr: "v", Lo: 100, Hi: 1000}}
-			j := lr.Join(rr, "k", "k", lPreds, rPreds)
+			j := lr.Join(rr, "w", "w", lPreds, rPreds)
 			tr, n, err := j.Explain()
 			if err != nil {
 				t.Fatal(err)
 			}
 			ml, mr := modelOf(lt), modelOf(rt)
-			pairs, _ := model.Join(ml, "k", ml.Rows(mp(lPreds)), mr, "k", mr.Rows(mp(rPreds)))
+			pairs, _ := model.Join(ml, "w", ml.Rows(mp(lPreds)), mr, "w", mr.Rows(mp(rPreds)))
 			if n != int64(len(pairs)) {
 				t.Fatalf("join count %d, model %d", n, len(pairs))
 			}
