@@ -1,53 +1,67 @@
 package cracking
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
-// BenchmarkPartition times one crack-in-two of a uniform piece at its
-// median — the worst case for a branchy kernel — at a piece that fits L1/L2
-// (8 Ki), L2/L3 (256 Ki) and none of them (4 Mi), as each layout stores
-// it: values alone (norows), values beside a rowid array (rows), and
-// values and rowids in one array of packed words (packed). Bytes are what
-// the layout keeps per tuple; each iteration restores the piece outside
-// the timer.
+// BenchmarkPartition times one crack-in-two of a uniform piece at a piece
+// that fits L1/L2 (8 Ki), L2/L3 (256 Ki) and none of them (4 Mi), as each
+// layout stores it: values alone (norows), values beside a rowid array
+// (rows), and values and rowids in one array of packed words (packed).
+// The median cell cracks at the piece's median; the random cell at a
+// fresh pivot each iteration from a seeded RNG, so no one split speaks
+// for the kernel. Bytes are what the layout keeps per tuple; each
+// iteration restores the piece outside the timer.
 func BenchmarkPartition(b *testing.B) {
+	const domain = 1 << 30
 	for _, size := range []struct {
 		name string
 		n    int
 	}{{"8Ki", 8 << 10}, {"256Ki", 256 << 10}, {"4Mi", 4 << 20}} {
-		src := randVals(size.n, 1, 1<<30)
+		src := randVals(size.n, 1, domain)
 		srcRows := iota32(size.n)
-		ref, _ := refFor(0, 1<<30-1)
+		ref, _ := refFor(0, domain-1)
 		lay := packedAt(ref)
 		srcWords := make([]int64, size.n)
 		for i, v := range src {
 			srcWords[i] = lay.word(v, uint32(i))
 		}
-		wordPivot, _ := lay.pivot(1 << 29)
 		vals := make([]int64, size.n)
 		for _, c := range []struct {
 			name  string
 			src   []int64
 			rows  []uint32
 			bytes int
-			pivot int64
+			lay   layout
 		}{
-			{"rows", src, make([]uint32, size.n), 12, 1 << 29},
-			{"norows", src, nil, 8, 1 << 29},
-			{"packed", srcWords, nil, 8, wordPivot},
+			{"rows", src, make([]uint32, size.n), 12, layout{}},
+			{"norows", src, nil, 8, layout{}},
+			{"packed", srcWords, nil, 8, lay},
 		} {
-			b.Run(size.name+"/"+c.name, func(b *testing.B) {
-				b.SetBytes(int64(size.n * c.bytes))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					copy(vals, c.src)
-					copy(c.rows, srcRows)
-					b.StartTimer()
-					if mid := crackInTwo(vals, c.rows, 0, size.n, c.pivot); mid == 0 || mid == size.n {
-						b.Fatalf("median crack split at %d of %d", mid, size.n)
+			for _, cell := range []string{"median", "random"} {
+				random := cell == "random"
+				b.Run(size.name+"/"+c.name+"/"+cell, func(b *testing.B) {
+					rng := rand.New(rand.NewSource(2))
+					b.SetBytes(int64(size.n * c.bytes))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						copy(vals, c.src)
+						copy(c.rows, srcRows)
+						v := int64(domain / 2)
+						if random {
+							v = rng.Int63n(domain)
+						}
+						pivot, _ := c.lay.pivot(v)
+						b.StartTimer()
+						if mid := crackInTwo(vals, c.rows, 0, size.n, pivot); !random && (mid == 0 || mid == size.n) {
+							b.Fatalf("median crack split at %d of %d", mid, size.n)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

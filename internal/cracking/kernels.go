@@ -6,12 +6,6 @@ import (
 	"holistic/internal/column"
 )
 
-// blockSize is the number of values the crack kernel classifies from each
-// end before it swaps: large enough to amortize the swap loop's set-up,
-// small enough that a block's offsets fit a byte and both blocks plus
-// their offset buffers stay in L1 (Edelkamp & Weiß, BlockQuicksort).
-const blockSize = 128
-
 const signBit = 1 << 63
 
 // less returns 1 when v < pivot and 0 otherwise, as arithmetic: biased is
@@ -26,99 +20,35 @@ func less(v int64, biased uint64) uint8 {
 	return uint8(borrow)
 }
 
-// classify records in off the offsets of the block's values that sit on
-// the wrong side of the pivot and returns how many there are: values
-// >= pivot when misplaced is 1 (a left block), values < pivot when it is
-// 0 (a right block). Every offset is stored unconditionally and the
-// cursor advances by the comparison's outcome, so control flow does not
-// depend on the data; off is oversized so a byte cursor needs no bounds
-// check.
-//
-//holistic:noalloc
-func classify(blk *[blockSize]int64, off *[256]uint8, biased uint64, misplaced uint8) int {
-	var n uint8
-	for i := 0; i < blockSize; i += 4 {
-		q := (*[4]int64)(blk[i:])
-		off[n] = uint8(i)
-		n += less(q[0], biased) ^ misplaced
-		off[n] = uint8(i + 1)
-		n += less(q[1], biased) ^ misplaced
-		off[n] = uint8(i + 2)
-		n += less(q[2], biased) ^ misplaced
-		off[n] = uint8(i + 3)
-		n += less(q[3], biased) ^ misplaced
-	}
-	return int(n)
-}
-
-// swapPairs exchanges left[offL[k]] with right[offR[k]] for every k.
-//
-//holistic:noalloc
-func swapPairs[T int64 | uint32](left, right *[blockSize]T, offL, offR []uint8) {
-	offR = offR[:len(offL)]
-	for k, a := range offL {
-		a, b := a&(blockSize-1), offR[k]&(blockSize-1)
-		left[a], right[b] = right[b], left[a]
-	}
-}
-
 // crackInTwo partitions vals[lo:hi] in place so that values < pivot
 // precede values >= pivot and returns the index of the first value
-// >= pivot; rows (when non-nil) are permuted in lockstep. It is a block partition: one block from each end is
-// classified into offset buffers, the misplaced pairs are swapped, and
-// whichever block has no misplaced value left gives way to the next one;
-// the classic two-cursor loop finishes what is left when fewer than two
-// blocks remain.
+// >= pivot; rows (when non-nil) are permuted in lockstep. It is a
+// branch-free Lomuto partition (Alexandrescu, CppCon 2019): s[:first]
+// holds the values < pivot seen so far and s[first:i] the others, every
+// step swaps s[i] with s[first] unconditionally, and first advances by
+// the comparison's outcome, so no branch depends on the data wherever
+// the split falls.
 //
 //holistic:noalloc
 func crackInTwo(vals []int64, rows []uint32, lo, hi int, pivot int64) int {
 	biased := uint64(pivot) ^ signBit
-	var offL, offR [256]uint8
-	var numL, numR, startL, startR int
-	l, r := lo, hi
-	for r-l >= 2*blockSize {
-		left, right := (*[blockSize]int64)(vals[l:]), (*[blockSize]int64)(vals[r-blockSize:])
-		if numL == 0 {
-			startL, numL = 0, classify(left, &offL, biased, 1)
+	s, first := vals[lo:hi], 0
+	if rows == nil {
+		for i, x := range s {
+			s[i] = s[first]
+			s[first] = x
+			first += int(less(x, biased))
 		}
-		if numR == 0 {
-			startR, numR = 0, classify(right, &offR, biased, 0)
-		}
-		n := min(numL, numR)
-		ol, or := offL[startL:startL+n], offR[startR:startR+n]
-		swapPairs(left, right, ol, or)
-		if rows != nil {
-			swapPairs((*[blockSize]uint32)(rows[l:]), (*[blockSize]uint32)(rows[r-blockSize:]), ol, or)
-		}
-		numL, startL = numL-n, startL+n
-		numR, startR = numR-n, startR+n
-		if numL == 0 {
-			l += blockSize
-		}
-		if numR == 0 {
-			r -= blockSize
-		}
+		return lo + first
 	}
-	// A block that still has misplaced values stays inside [l, r) and is
-	// simply partitioned again.
-	i, j := l, r-1
-	for {
-		for i <= j && vals[i] < pivot {
-			i++
-		}
-		for i <= j && vals[j] >= pivot {
-			j--
-		}
-		if i >= j {
-			return i
-		}
-		vals[i], vals[j] = vals[j], vals[i]
-		if rows != nil {
-			rows[i], rows[j] = rows[j], rows[i]
-		}
-		i++
-		j--
+	r := rows[lo:hi]
+	for i, x := range s {
+		y := r[i]
+		s[i], r[i] = s[first], r[first]
+		s[first], r[first] = x, y
+		first += int(less(x, biased))
 	}
+	return lo + first
 }
 
 // swapRuns exchanges s[a:a+n] with s[b:b+n]; the runs must not overlap.

@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-// crackInTwoInPlace is the classic two-cursor crack-in-two, kept as the
-// reference the block-partition kernel is checked against: values
-// < pivot end up before values >= pivot, and the index of the first
-// value >= pivot is returned.
+// crackInTwoInPlace is the classic two-cursor (Hoare) crack-in-two, kept
+// as the reference crackInTwo is checked against: values < pivot end up
+// before values >= pivot, and the index of the first value >= pivot is
+// returned.
 func crackInTwoInPlace(vals []int64, lo, hi int, pivot int64) int {
 	i, j := lo, hi-1
 	for {
@@ -129,14 +130,13 @@ func kernelCase(t testing.TB, orig []int64, lo, hi int, pivot int64, withRows bo
 	}
 }
 
-// kernelLengths brackets every multiple of the block size the main loop
-// and the remainder step can hand over at.
+// kernelLengths runs from the empty piece through a few values to
+// lengths either side of several multiples of 128 and on to pieces past
+// L1 and L2.
 func kernelLengths() []int {
-	lens := []int{0, 1, 2, 3}
-	for m := 1; m <= 5; m++ {
-		lens = append(lens, m*blockSize-1, m*blockSize, m*blockSize+1)
-	}
-	return append(lens, 10_000, 1<<16+5)
+	return []int{0, 1, 2, 3,
+		127, 128, 129, 255, 256, 257, 383, 384, 385, 511, 512, 513, 639, 640, 641,
+		10_000, 65_541}
 }
 
 // TestCrackInTwoLengthsAndPivots runs every kernel length, value shape,
@@ -175,9 +175,60 @@ func TestCrackInTwoLengthsAndPivots(t *testing.T) {
 
 func TestCrackInTwoSubrange(t *testing.T) {
 	orig := randVals(5000, 3, 100)
-	for _, span := range [][2]int{{200, 700}, {1, 4999}, {300, 300}, {17, 17 + 2*blockSize}, {4000, 5000}} {
+	for _, span := range [][2]int{{200, 700}, {1, 4999}, {300, 300}, {17, 273}, {4000, 5000}} {
 		lo, hi := span[0], span[1]
 		kernelCase(t, orig, lo, hi, 55, true, crackInTwo)
+	}
+}
+
+// TestCrackInTwoDegeneratePieces cracks the pieces at which the loop's
+// two indices never part (every value below the pivot: every swap is a
+// self-swap) or never meet again (none below it), a piece of one
+// repeated value cracked at that value, and a single value, in both
+// layouts: values beside a rowid array, and packed words whose low half
+// is the rowid.
+func TestCrackInTwoDegeneratePieces(t *testing.T) {
+	below := randVals(1000, 8, 1000)
+	repeated := make([]int64, 1000)
+	for i := range repeated {
+		repeated[i] = 7
+	}
+	for _, c := range []struct {
+		name   string
+		vals   []int64
+		pivots []int64
+	}{
+		{"all-below", below, []int64{1000, 5000}},
+		{"none-below", below, []int64{0, -5}},
+		{"repeated", repeated, []int64{7}},
+		{"single", []int64{42}, []int64{41, 42, 43}},
+	} {
+		for _, pivot := range c.pivots {
+			t.Run(fmt.Sprintf("%s/pivot=%d/wide", c.name, pivot), func(t *testing.T) {
+				kernelCase(t, c.vals, 0, len(c.vals), pivot, true, crackInTwo)
+			})
+			t.Run(fmt.Sprintf("%s/pivot=%d/packed", c.name, pivot), func(t *testing.T) {
+				ref, _ := refFor(slices.Min(c.vals), slices.Max(c.vals))
+				lay := packedAt(ref)
+				words := make([]int64, len(c.vals))
+				for i, v := range c.vals {
+					words[i] = lay.word(v, uint32(i))
+				}
+				wordPivot, all := lay.pivot(pivot)
+				if all {
+					t.Fatalf("pivot %d past the window of ref %d", pivot, ref)
+				}
+				kernelCase(t, words, 0, len(words), wordPivot, false, func(vals []int64, rows []uint32, lo, hi int, pivot int64) int {
+					mid := crackInTwo(vals, rows, lo, hi, pivot)
+					for i, w := range vals {
+						if row := uint32(w); lay.value(w) != c.vals[row] {
+							t.Fatalf("word %d carries rowid %d and value %d, but row %d holds %d", i, row, lay.value(w), row, c.vals[row])
+						}
+					}
+					return mid
+				})
+			})
+		}
 	}
 }
 
@@ -201,7 +252,7 @@ func TestLessIsExactOverFullInt64(t *testing.T) {
 
 func TestCrackInTwoFullInt64Domain(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{blockSize, 4*blockSize + 3, 10_000} {
+	for _, n := range []int{128, 515, 10_000} {
 		orig := make([]int64, n)
 		for i := range orig {
 			if rng.Intn(2) == 0 {
@@ -227,7 +278,7 @@ func TestCrackInTwoFourMi(t *testing.T) {
 
 func TestParallelCrack(t *testing.T) {
 	for workers := 1; workers <= 8; workers++ {
-		for _, n := range []int{0, 1, 3, 7, blockSize, 1000, 100_003} {
+		for _, n := range []int{0, 1, 3, 7, 128, 1000, 100_003} {
 			orig := randVals(n, int64(workers*1000+n), 1<<20)
 			for _, pivot := range []int64{-5, 1 << 17, 1 << 19, 1 << 21} {
 				t.Run(fmt.Sprintf("workers=%d/n=%d/pivot=%d", workers, n, pivot), func(t *testing.T) {
@@ -283,16 +334,16 @@ func TestQuickKernelsAgree(t *testing.T) {
 // the input bytes are read as little-endian int64s and every eighth value
 // is replaced by an extreme so the overflow cases are always in play.
 func FuzzPartition(f *testing.F) {
-	seed := make([]byte, 8*(2*blockSize+9))
+	seed := make([]byte, 2120)
 	rand.New(rand.NewSource(1)).Read(seed)
 	f.Add(seed, int64(0), uint8(0))
-	f.Add(seed[:8*blockSize], int64(math.MinInt64), uint8(3))
+	f.Add(seed[:1024], int64(math.MinInt64), uint8(3))
 	f.Add(seed[:24], int64(math.MaxInt64), uint8(1))
 	f.Add([]byte{}, int64(1), uint8(2))
 	// Packed words, as a column with rowids stores them: few keys, so most
 	// words differ from their neighbours and from the pivot only in the
 	// rowid bits, and the pivot is a key with no rowid, as cracks use.
-	packed := make([]byte, 8*(2*blockSize+9))
+	packed := make([]byte, 2120)
 	for i := 0; i < len(packed)/8; i++ {
 		binary.LittleEndian.PutUint64(packed[8*i:], uint64(int64(i%3-1)<<32|int64(i)))
 	}

@@ -154,7 +154,7 @@ func TestAnnotatedHotPaths(t *testing.T) {
 		"holistic/internal/groupby":  {"GroupRows", "GroupBitmap", "GroupClusters", "feedSpan", "nextChunk", "cluster", "fold", "packKeys", "keyCol", "aggCol", "merge", "mergeGroup", "emit"},
 		"holistic/internal/join":     {"Merge", "PutPairs"},
 		"holistic/internal/column":   {"CountRange", "sumRange", "FilterBitmap", "SumBitmap"},
-		"holistic/internal/cracking": {"crackInTwo", "classify", "less", "swapPairs", "swapRuns", "split"},
+		"holistic/internal/cracking": {"crackInTwo", "less", "swapRuns", "split"},
 		"holistic/internal/obs":      {"Inc", "Add", "Record", "RecordNanos", "NextSeq", "RecordOp", "RecordRep", "RecordStrategy"},
 		"holistic/internal/obs/flight": {
 			"record", "RecordQuery", "RecordRep", "RecordStrategy", "RecordRefine",

@@ -424,7 +424,7 @@ func (r *Runner) chooseResidual(p Predicate, candidates int) (index bool, est en
 	const (
 		probeNs = 13.0 // a candidate filtered: BenchmarkKernels filter-rows/seq/50pct
 		markNs  = 2.5  // a qualifying row id set: BenchmarkKernels mark-rows/seq/50pct
-		crackNs = 3.0  // a value partitioned: BenchmarkPartition 256Ki/packed
+		crackNs = 3.0  // a value partitioned: BenchmarkPartition 256Ki/packed/median
 	)
 	if est, ok = r.exec.EstimateCount(p.Attr, p.Lo, p.Hi); !ok {
 		return false, est, false
